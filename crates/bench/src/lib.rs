@@ -15,13 +15,13 @@
 mod evict_bench;
 mod experiments;
 mod faults;
+mod fleet_bench;
 mod lookup_overhead;
 mod metrics_bench;
 pub mod microbench;
 mod profile;
 pub mod progmodel;
 mod scale_bench;
-mod shard_bench;
 mod simworld_bench;
 mod tracing;
 
@@ -31,11 +31,11 @@ pub use experiments::{
     table2, table4, table5, table6, ReproOptions, SweepRow,
 };
 pub use faults::faults;
+pub use fleet_bench::bench_fleet;
 pub use lookup_overhead::fig11b;
 pub use metrics_bench::bench_metrics;
 pub use profile::profile;
 pub use scale_bench::bench_scale;
-pub use shard_bench::bench_shard;
 pub use simworld_bench::bench_simworld;
 pub use tracing::{trace_artifacts, traced_config, TraceArtifacts};
 

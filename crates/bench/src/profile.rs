@@ -9,11 +9,9 @@
 //! ROADMAP item-2 instrument: before making the loop faster, see which
 //! subsystem is actually paying for each simulated minute.
 //!
-//! A final section runs the default testbed through the sharded engine
-//! (`DESIGN.md` §16) so the two coordination categories — `shard.barrier`
-//! (idle wait at epoch barriers) and `mailbox.drain` (cross-shard
-//! delivery) — carry real attribution, alongside the headline
-//! barrier-wait fraction `repro bench-shard` tracks per cell.
+//! The runs execute one after another on the calling thread whatever
+//! `--threads` says: attribution taken while sibling runs compete for the
+//! host's cores reads contention, not the simulator.
 //!
 //! Simulation outputs are identical with the profiler on or off (the
 //! `profiler_does_not_change_fingerprints` test in `ape-simnet` pins it);
@@ -23,16 +21,16 @@
 use std::fmt::Write as _;
 
 use ape_appdag::DummyAppConfig;
-use apecache::{run_system_sharded, System};
+use apecache::{run_many, System};
 
 use crate::experiments::{base_config, replica_jobs, ReproOptions};
 
 /// Number of apps in the profiled workload (matches the table sweeps).
 const PROFILE_APPS: usize = 30;
 
-/// Runs all four systems with the self-profiler enabled (`opts.trials`
-/// replicas each, attribution merged across trials) and renders the
-/// per-system host-time tables.
+/// Runs all four systems serially with the self-profiler enabled
+/// (`opts.trials` replicas each, attribution merged across trials) and
+/// renders the per-system host-time tables.
 pub fn profile(opts: &ReproOptions) -> String {
     let mut jobs = Vec::new();
     for &system in System::ALL.iter() {
@@ -42,7 +40,7 @@ pub fn profile(opts: &ReproOptions) -> String {
     }
 
     let trials = opts.trials.max(1);
-    let mut results = opts.runner().run_many(&jobs).into_iter();
+    let mut results = run_many(&jobs, 1).into_iter();
 
     let mut out = String::from(
         "Sim-loop self-profile: host time by simulator subsystem\n\
@@ -64,29 +62,5 @@ pub fn profile(opts: &ReproOptions) -> String {
         );
         out.push_str(&report.to_string());
     }
-
-    // Sharded-engine attribution: the same workload partitioned over four
-    // shards, so the epoch-coordination categories (shard.barrier,
-    // mailbox.drain) show their cost next to the dispatch subsystems.
-    let mut config = base_config(
-        System::ApeCache,
-        opts,
-        &DummyAppConfig::default(),
-        PROFILE_APPS,
-    );
-    config.profiler = true;
-    let sharded = run_system_sharded(&config, 4, opts.duration());
-    let report = &sharded.profile;
-    let _ = writeln!(
-        out,
-        "\n=== {}, sharded x4 ({} dispatches, {:.1} ms host loop time, \
-         {:.1} ms coordination, barrier-wait {:.1}%) ===",
-        System::ApeCache.label(),
-        report.calls(ape_simnet::ProfCategory::Dispatch),
-        report.loop_nanos() as f64 / 1e6,
-        report.coordination_nanos() as f64 / 1e6,
-        report.barrier_wait_fraction() * 100.0,
-    );
-    out.push_str(&report.to_string());
     out
 }

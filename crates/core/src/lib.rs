@@ -52,14 +52,12 @@ mod trace;
 pub use internet::{measure_cell, measure_table1, table1_paths, PathSpec, Table1Cell};
 pub use router::{replay_summary, replay_trace, RouterModel, RouterSample};
 pub use run::{
-    collect, collect_sharded, compare_systems, run_many, run_system, run_system_sharded,
-    ParallelRunner, RunJob, RunResult, Summary,
+    collect, compare_systems, run_many, run_system, ParallelRunner, RunJob, RunResult, Summary,
 };
 pub use suite::{paper_suite, synthetic_suite};
 pub use system::System;
-pub use testbed::{build, build_sharded, ShardedTestbed, Testbed, TestbedConfig};
+pub use testbed::{build, Testbed, TestbedConfig};
 pub use topology::{
-    build_topology, build_topology_sharded, collect_topology, collect_topology_sharded,
-    grid_neighbors, grid_pos, grid_side, ShardedTopology, Topology, TopologyConfig,
+    build_topology, collect_topology, grid_neighbors, grid_pos, grid_side, Topology, TopologyConfig,
 };
 pub use trace::{prometheus_snapshot, Attribution, BucketStat, TraceLog, TraceRecord};

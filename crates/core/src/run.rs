@@ -20,7 +20,7 @@ use ape_proto::names;
 use ape_simnet::{Metrics, NodeId, ProfileReport, SimDuration};
 
 use crate::system::System;
-use crate::testbed::{build, build_sharded, ShardedTestbed, Testbed, TestbedConfig};
+use crate::testbed::{build, Testbed, TestbedConfig};
 use crate::trace::{Attribution, TraceLog};
 
 /// Raw result of one run: the full metric registry plus merged client
@@ -107,43 +107,6 @@ pub fn collect(system: System, bed: &mut Testbed) -> RunResult {
     RunResult {
         system,
         metrics: bed.world.metrics().clone(),
-        report,
-        trace,
-        profile: bed.world.profile_report(),
-    }
-}
-
-/// Builds the sharded testbed for `config`, runs it for `duration` over
-/// `shards` shards, and collects results.
-///
-/// The collected measurements are bitwise identical at any shard count
-/// (the sharded engine's invariance contract); they differ from
-/// [`run_system`]'s because the sharded world derives per-node RNG streams
-/// instead of one global stream.
-pub fn run_system_sharded(config: &TestbedConfig, shards: u32, duration: SimDuration) -> RunResult {
-    let mut bed = build_sharded(config, shards);
-    bed.world.run_for(duration);
-    collect_sharded(config.system, &mut bed)
-}
-
-/// Collects results from an already-run sharded testbed, merging per-shard
-/// metric registries and trace buffers in canonical order.
-pub fn collect_sharded(system: System, bed: &mut ShardedTestbed) -> RunResult {
-    let mut report = ape_nodes::ClientReport::default();
-    for &client in &bed.clients {
-        report.merge(&bed.world.node::<ClientNode>(client).report());
-    }
-    let metrics = bed.world.metrics_merged();
-    let events = bed.world.take_trace_events();
-    let trace = (!events.is_empty()).then(|| {
-        let names: Vec<String> = (0..bed.world.node_count())
-            .map(|i| bed.world.node_name(NodeId::from_raw(i as u32)).to_owned())
-            .collect();
-        TraceLog::from_run(names, events)
-    });
-    RunResult {
-        system,
-        metrics,
         report,
         trace,
         profile: bed.world.profile_report(),

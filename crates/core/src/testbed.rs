@@ -7,11 +7,6 @@
 //! Link characteristics are calibrated to the paper's measured anatomy
 //! (WiFi RTT ≈ 3 ms, AP↔edge ≈ 14 ms, controller ≈ 24 ms, Table I-level
 //! DNS latencies).
-//!
-//! The same assembly can target either a plain [`World`] ([`build`]) or a
-//! sharded one ([`build_sharded`]): node ids, link specs and construction
-//! order are identical in both, with the serving/DNS spine living on shard
-//! 0 and the client population spread round-robin over shards `1..N`.
 
 use ape_appdag::AppSpec;
 use ape_dnswire::DomainName;
@@ -22,8 +17,7 @@ use ape_nodes::{
 };
 use ape_proto::{IpMap, Msg};
 use ape_simnet::{
-    FaultPlan, LinkSpec, MetricsConfig, Node, NodeId, ShardedWorld, SimDuration, SimRng,
-    TraceConfig, World,
+    FaultPlan, LinkSpec, MetricsConfig, NodeId, SimDuration, SimRng, TraceConfig, World,
 };
 use ape_workload::{generate_schedule, Execution, ScheduleConfig};
 
@@ -145,38 +139,6 @@ impl std::fmt::Debug for Testbed {
     }
 }
 
-/// A testbed assembled into a [`ShardedWorld`]: same node set, ids and
-/// links as [`Testbed`], with the spine on shard 0 and clients spread over
-/// the client shards.
-pub struct ShardedTestbed {
-    /// The simulated deployment, partitioned for epoch execution.
-    pub world: ShardedWorld<Msg>,
-    /// Client device nodes.
-    pub clients: Vec<NodeId>,
-    /// The WiFi AP.
-    pub ap: NodeId,
-    /// The edge cache server.
-    pub edge: NodeId,
-    /// The origin server.
-    pub origin: NodeId,
-    /// The local DNS resolver.
-    pub ldns: NodeId,
-    /// The Wi-Cache controller, when deployed.
-    pub controller: Option<NodeId>,
-    /// The schedule that was installed across clients.
-    pub schedule: Vec<Execution>,
-}
-
-impl std::fmt::Debug for ShardedTestbed {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedTestbed")
-            .field("shards", &self.world.shard_count())
-            .field("clients", &self.clients.len())
-            .field("schedule_len", &self.schedule.len())
-            .finish()
-    }
-}
-
 /// Suffix of the per-domain CDN aliases (mirroring
 /// `www.apple.com → www.apple.com.edgekey.net`).
 pub(crate) const CDN_SUFFIX: &str = "edgekey.example";
@@ -187,98 +149,20 @@ pub(crate) const CDN_A_TTL: u32 = 60;
 /// TTL of the site CNAME records (seconds).
 pub(crate) const CNAME_TTL: u32 = 300;
 
-/// The world operations assembly needs, so [`build`] and [`build_sharded`]
-/// share one construction sequence (identical node/link order is what makes
-/// sharded and plain runs comparable). The multi-AP topology assembler
-/// (`crate::topology`) targets the same trait.
-pub(crate) trait AssembleWorld {
-    /// Adds a node, placing it on `shard` when the backend is sharded.
-    fn add(&mut self, shard: u32, name: String, node: impl Node<Msg> + 'static) -> NodeId;
-    /// Registers a symmetric link.
-    fn link(&mut self, a: NodeId, b: NodeId, spec: LinkSpec);
-    /// Nodes added so far.
-    fn count(&self) -> usize;
-    /// Typed mutable access to an added node.
-    fn get_mut<T: 'static>(&mut self, id: NodeId) -> &mut T;
-    /// Applies the config's world-level knobs (perturbation, tracing,
-    /// metrics, profiler, faults).
-    fn configure(&mut self, config: &TestbedConfig);
-}
-
-impl AssembleWorld for World<Msg> {
-    fn add(&mut self, _shard: u32, name: String, node: impl Node<Msg> + 'static) -> NodeId {
-        self.add_node(name, node)
+/// Applies the config's world-level knobs (perturbation, tracing, metrics,
+/// profiler, faults). Shared by the single-AP testbed and the multi-AP
+/// topology (`crate::topology`).
+pub(crate) fn configure_world(world: &mut World<Msg>, config: &TestbedConfig) {
+    if let Some(key) = config.tie_perturbation {
+        world.set_tie_perturbation(key);
     }
-    fn link(&mut self, a: NodeId, b: NodeId, spec: LinkSpec) {
-        self.connect(a, b, spec);
+    world.set_trace_config(config.trace);
+    world.set_metrics_config(config.metrics.clone());
+    if config.profiler {
+        world.enable_profiler();
     }
-    fn count(&self) -> usize {
-        self.node_count()
-    }
-    fn get_mut<T: 'static>(&mut self, id: NodeId) -> &mut T {
-        self.node_mut(id)
-    }
-    fn configure(&mut self, config: &TestbedConfig) {
-        if let Some(key) = config.tie_perturbation {
-            self.set_tie_perturbation(key);
-        }
-        self.set_trace_config(config.trace);
-        self.set_metrics_config(config.metrics.clone());
-        if config.profiler {
-            self.enable_profiler();
-        }
-        if !config.faults.is_empty() {
-            self.set_fault_plan(config.faults.clone());
-        }
-    }
-}
-
-impl AssembleWorld for ShardedWorld<Msg> {
-    fn add(&mut self, shard: u32, name: String, node: impl Node<Msg> + 'static) -> NodeId {
-        self.add_node(shard, name, node)
-    }
-    fn link(&mut self, a: NodeId, b: NodeId, spec: LinkSpec) {
-        self.connect(a, b, spec);
-    }
-    fn count(&self) -> usize {
-        self.node_count()
-    }
-    fn get_mut<T: 'static>(&mut self, id: NodeId) -> &mut T {
-        self.node_mut(id)
-    }
-    fn configure(&mut self, config: &TestbedConfig) {
-        if let Some(key) = config.tie_perturbation {
-            self.set_tie_perturbation(key);
-        }
-        self.set_trace_config(config.trace);
-        self.set_metrics_config(config.metrics.clone());
-        if config.profiler {
-            self.enable_profiler();
-        }
-        if !config.faults.is_empty() {
-            self.set_fault_plan(config.faults.clone());
-        }
-    }
-}
-
-/// Node ids produced by [`assemble`].
-struct AssembledIds {
-    clients: Vec<NodeId>,
-    ap: NodeId,
-    edge: NodeId,
-    origin: NodeId,
-    ldns: NodeId,
-    controller: Option<NodeId>,
-    schedule: Vec<Execution>,
-}
-
-/// Which shard client `i` lives on: round-robin over the client shards
-/// (`1..shards`), or the spine shard when the world isn't split.
-pub(crate) fn client_shard(i: usize, shards: u32) -> u32 {
-    if shards <= 1 {
-        0
-    } else {
-        1 + (i as u32) % (shards - 1)
+    if !config.faults.is_empty() {
+        world.set_fault_plan(config.faults.clone());
     }
 }
 
@@ -299,11 +183,11 @@ pub(crate) struct SpineIds {
 
 /// Assembles the serving spine — origin, edge, and the DNS hierarchy — in
 /// the canonical order (origin, edge, adns, cdn-dns, ldns), assigning the
-/// edge and origin addresses into `ip_map`. Both [`assemble`] and the
-/// multi-AP topology assembler start from this sequence, so their spine
+/// edge and origin addresses into `ip_map`. Both [`build`] and the
+/// multi-AP topology builder start from this sequence, so their spine
 /// node ids line up.
-pub(crate) fn assemble_spine<W: AssembleWorld>(
-    world: &mut W,
+pub(crate) fn assemble_spine(
+    world: &mut World<Msg>,
     config: &TestbedConfig,
     ip_map: &mut IpMap,
 ) -> SpineIds {
@@ -322,16 +206,15 @@ pub(crate) fn assemble_spine<W: AssembleWorld>(
     }
 
     // --- Servers --------------------------------------------------------
-    let origin = world.add(
-        0,
-        "origin".into(),
+    let origin = world.add_node(
+        "origin",
         OriginNode::new(catalog.clone(), SimDuration::from_micros(500)),
     );
     let mut edge_node = EdgeNode::new(origin, catalog, SimDuration::from_micros(400));
     if config.prewarm_edge {
         edge_node.prewarm();
     }
-    let edge = world.add(0, "edge".into(), edge_node);
+    let edge = world.add_node("edge", edge_node);
 
     let edge_ip = ip_map.assign(edge);
     let _origin_ip = ip_map.assign(origin);
@@ -354,7 +237,7 @@ pub(crate) fn assemble_spine<W: AssembleWorld>(
             );
         }
     }
-    let adns_id = world.add(0, "adns".into(), adns);
+    let adns_id = world.add_node("adns", adns);
 
     let mut cdn_dns = AuthDnsNode::new(SimDuration::from_micros(300));
     cdn_dns.wildcard(
@@ -364,7 +247,7 @@ pub(crate) fn assemble_spine<W: AssembleWorld>(
             ttl: CDN_A_TTL,
         },
     );
-    let cdn_dns_id = world.add(0, "cdn-dns".into(), cdn_dns);
+    let cdn_dns_id = world.add_node("cdn-dns", cdn_dns);
 
     let mut delegations: Vec<(DomainName, NodeId)> =
         vec![("edgekey.example".parse().expect("static name"), cdn_dns_id)];
@@ -376,9 +259,8 @@ pub(crate) fn assemble_spine<W: AssembleWorld>(
             }
         }
     }
-    let ldns = world.add(
-        0,
-        "ldns".into(),
+    let ldns = world.add_node(
+        "ldns",
         LdnsNode::new(SimDuration::from_micros(200), delegations),
     );
 
@@ -391,18 +273,20 @@ pub(crate) fn assemble_spine<W: AssembleWorld>(
     }
 }
 
-/// Assembles the Fig. 9 testbed into any world backend. The spine (origin,
-/// edge, DNS chain, AP, controller) goes on shard 0; clients round-robin
-/// over the remaining shards. With a plain [`World`] the shard argument is
-/// ignored, so [`build`] and [`build_sharded`] produce the same node ids in
-/// the same order.
-fn assemble<W: AssembleWorld>(world: &mut W, config: &TestbedConfig, shards: u32) -> AssembledIds {
+/// Builds the world for `config`: spine (origin, edge, DNS chain),
+/// controller, AP, clients, then links.
+///
+/// # Panics
+///
+/// Panics if the config has no apps or zero clients.
+pub fn build(config: &TestbedConfig) -> Testbed {
     assert!(!config.apps.is_empty(), "testbed needs at least one app");
     assert!(config.clients > 0, "testbed needs at least one client");
-    world.configure(config);
+    let mut world = World::new(config.seed);
+    configure_world(&mut world, config);
 
     let mut ip_map = IpMap::new();
-    let spine = assemble_spine(world, config, &mut ip_map);
+    let spine = assemble_spine(&mut world, config, &mut ip_map);
     let SpineIds {
         origin,
         edge,
@@ -426,20 +310,18 @@ fn assemble<W: AssembleWorld>(world: &mut W, config: &TestbedConfig, shards: u32
 
     // --- Wi-Cache controller ------------------------------------------------
     let (ap, controller) = if config.system == System::WiCache {
-        let controller = world.add(
-            0,
-            "wicache-controller".into(),
+        let controller = world.add_node(
+            "wicache-controller",
             WiCacheControllerNode::new(SimDuration::from_micros(300)),
         );
         // The AP id is allocated after the controller; assign its address
         // first so the node can be constructed with the link.
         let ap_ip_probe = {
             let mut m = ip_map.clone();
-            m.assign(NodeId::from_raw(world.count() as u32))
+            m.assign(NodeId::from_raw(world.node_count() as u32))
         };
-        let ap = world.add(
-            0,
-            "ap".into(),
+        let ap = world.add_node(
+            "ap",
             ap_node.with_wicache(WiCacheLink {
                 controller,
                 own_address: ap_ip_probe,
@@ -447,11 +329,11 @@ fn assemble<W: AssembleWorld>(world: &mut W, config: &TestbedConfig, shards: u32
         );
         let ap_ip = ip_map.assign(ap);
         world
-            .get_mut::<WiCacheControllerNode>(controller)
+            .node_mut::<WiCacheControllerNode>(controller)
             .register_ap(ap, ap_ip);
         (ap, Some(controller))
     } else {
-        (world.add(0, "ap".into(), ap_node), None)
+        (world.add_node("ap", ap_node), None)
     };
 
     // --- Schedule -------------------------------------------------------------
@@ -483,7 +365,7 @@ fn assemble<W: AssembleWorld>(world: &mut W, config: &TestbedConfig, shards: u32
         client_config.lookup_mode = config.lookup_mode;
         client_config.prefetch_hints = config.prefetch_hints;
         let node = ClientNode::new(client_config, config.apps.clone(), share);
-        clients.push(world.add(client_shard(i, shards), format!("client{i}"), node));
+        clients.push(world.add_node(format!("client{i}"), node));
     }
 
     // --- Links (Fig. 9 distances) ------------------------------------------------
@@ -524,24 +406,25 @@ fn assemble<W: AssembleWorld>(world: &mut W, config: &TestbedConfig, shards: u32
     let edge_origin = LinkSpec::from_rtt(8, SimDuration::from_millis(24))
         .jitter_mean(SimDuration::from_millis(1));
 
-    world.link(ap, ldns, ap_ldns);
-    world.link(ldns, adns_id, ldns_adns);
-    world.link(ldns, cdn_dns_id, ldns_cdn);
-    world.link(ap, edge, ap_edge);
-    world.link(edge, origin, edge_origin);
+    world.connect(ap, ldns, ap_ldns);
+    world.connect(ldns, adns_id, ldns_adns);
+    world.connect(ldns, cdn_dns_id, ldns_cdn);
+    world.connect(ap, edge, ap_edge);
+    world.connect(edge, origin, edge_origin);
     for &client in &clients {
-        world.link(client, ap, wifi);
-        world.link(client, edge, client_edge);
-        world.link(client, ldns, client_ldns);
+        world.connect(client, ap, wifi);
+        world.connect(client, edge, client_edge);
+        world.connect(client, ldns, client_ldns);
         if let Some(controller) = controller {
-            world.link(client, controller, client_controller);
+            world.connect(client, controller, client_controller);
         }
     }
     if let Some(controller) = controller {
-        world.link(ap, controller, controller_link);
+        world.connect(ap, controller, controller_link);
     }
 
-    AssembledIds {
+    Testbed {
+        world,
         clients,
         ap,
         edge,
@@ -549,54 +432,6 @@ fn assemble<W: AssembleWorld>(world: &mut W, config: &TestbedConfig, shards: u32
         ldns,
         controller,
         schedule,
-    }
-}
-
-/// Builds the world for `config`.
-///
-/// # Panics
-///
-/// Panics if the config has no apps or zero clients.
-pub fn build(config: &TestbedConfig) -> Testbed {
-    let mut world = World::new(config.seed);
-    let ids = assemble(&mut world, config, 1);
-    Testbed {
-        world,
-        clients: ids.clients,
-        ap: ids.ap,
-        edge: ids.edge,
-        origin: ids.origin,
-        ldns: ids.ldns,
-        controller: ids.controller,
-        schedule: ids.schedule,
-    }
-}
-
-/// Builds the same testbed into a [`ShardedWorld`] with `shards` shards.
-///
-/// Node construction order — and therefore every [`NodeId`] — matches
-/// [`build`] exactly; only the shard placement differs. The sharded world's
-/// own determinism contract applies: results are bitwise identical at any
-/// shard count (enforced by `tests/shard_determinism.rs`), though they
-/// differ from plain-[`World`] runs because the sharded engine derives
-/// per-node RNG streams instead of one global stream.
-///
-/// # Panics
-///
-/// Panics if the config has no apps or zero clients, or if `shards` is 0.
-pub fn build_sharded(config: &TestbedConfig, shards: u32) -> ShardedTestbed {
-    assert!(shards > 0, "need at least one shard");
-    let mut world = ShardedWorld::new(config.seed, shards);
-    let ids = assemble(&mut world, config, shards);
-    ShardedTestbed {
-        world,
-        clients: ids.clients,
-        ap: ids.ap,
-        edge: ids.edge,
-        origin: ids.origin,
-        ldns: ids.ldns,
-        controller: ids.controller,
-        schedule: ids.schedule,
     }
 }
 
@@ -646,36 +481,5 @@ mod tests {
         // The watermarked testbed still builds and runs.
         let bed = build(&config);
         assert_eq!(bed.clients.len(), 3);
-    }
-
-    #[test]
-    fn sharded_build_mirrors_plain_ids_and_places_spine_on_shard_zero() {
-        for system in [System::ApeCache, System::WiCache] {
-            let config = TestbedConfig::new(system, apps(3));
-            let plain = build(&config);
-            let sharded = build_sharded(&config, 4);
-            assert_eq!(plain.clients, sharded.clients);
-            assert_eq!(plain.ap, sharded.ap);
-            assert_eq!(plain.edge, sharded.edge);
-            assert_eq!(plain.ldns, sharded.ldns);
-            assert_eq!(plain.controller, sharded.controller);
-            assert_eq!(plain.schedule, sharded.schedule);
-            for &spine in [sharded.ap, sharded.edge, sharded.origin, sharded.ldns].iter() {
-                assert_eq!(sharded.world.shard_of(spine), 0);
-            }
-            // Clients spread over the client shards, none on the spine.
-            for &c in &sharded.clients {
-                assert_ne!(sharded.world.shard_of(c), 0);
-            }
-        }
-    }
-
-    #[test]
-    fn single_shard_build_places_everything_on_shard_zero() {
-        let config = TestbedConfig::new(System::ApeCache, apps(2));
-        let bed = build_sharded(&config, 1);
-        for i in 0..bed.world.node_count() {
-            assert_eq!(bed.world.shard_of(NodeId::from_raw(i as u32)), 0);
-        }
     }
 }

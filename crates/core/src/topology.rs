@@ -13,9 +13,10 @@
 //!
 //! Every random choice — per-AP schedules, per-client roam walks — is
 //! drawn at build time from seeds derived from the config, so a topology
-//! run inherits the simulator's bitwise-determinism contract: identical
-//! results at any shard count, thread count, or tie-perturbation key
-//! (pinned by `tests/shard_determinism.rs` and the `bench-scale` sweep).
+//! run replays bitwise from its config. Small grids are also invariant
+//! under tie-perturbation keys (`tests/chaos_roam.rs` pins a 9-AP one);
+//! from about 64 APs a run is long enough that they are not, which the
+//! `bench-scale` sweep records per cell (`DESIGN.md` §17).
 //!
 //! Fleet-scale populations (`FleetNode`) stay on the representation bench
 //! path: they speak the reduced `FleetMsg` vocabulary and cannot exercise
@@ -28,12 +29,12 @@ use ape_nodes::{
     WiCacheLink,
 };
 use ape_proto::{IpMap, Msg};
-use ape_simnet::{LinkSpec, NodeId, ShardedWorld, SimDuration, SimRng, World};
+use ape_simnet::{LinkSpec, NodeId, SimDuration, SimRng, World};
 use ape_workload::{generate_roam_schedule, generate_schedule, Execution, RoamConfig};
 
 use crate::run::RunResult;
 use crate::system::System;
-use crate::testbed::{assemble_spine, client_shard, AssembleWorld, SpineIds, TestbedConfig};
+use crate::testbed::{assemble_spine, configure_world, SpineIds, TestbedConfig};
 use crate::trace::TraceLog;
 
 /// Seed-mixing constant for per-AP and per-client derived streams
@@ -98,7 +99,7 @@ impl TopologyConfig {
     }
 }
 
-/// A built multi-AP deployment over a plain [`World`].
+/// A built multi-AP deployment.
 pub struct Topology {
     /// The simulated deployment.
     pub world: World<Msg>,
@@ -124,40 +125,6 @@ pub struct Topology {
 impl std::fmt::Debug for Topology {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Topology")
-            .field("aps", &self.aps.len())
-            .field("clients", &self.clients.len())
-            .finish()
-    }
-}
-
-/// A built multi-AP deployment over a [`ShardedWorld`]: same node ids as
-/// [`Topology`], with the spine (servers, DNS, controller, every AP) on
-/// shard 0 and clients round-robin over shards `1..N`.
-pub struct ShardedTopology {
-    /// The simulated deployment, partitioned for epoch execution.
-    pub world: ShardedWorld<Msg>,
-    /// AP nodes, in grid order.
-    pub aps: Vec<NodeId>,
-    /// All client nodes, grouped by home AP.
-    pub clients: Vec<NodeId>,
-    /// Home-AP grid index of each client.
-    pub client_home: Vec<usize>,
-    /// The edge cache server.
-    pub edge: NodeId,
-    /// The origin server.
-    pub origin: NodeId,
-    /// The local DNS resolver.
-    pub ldns: NodeId,
-    /// The Wi-Cache controller, when deployed.
-    pub controller: Option<NodeId>,
-    /// Total app executions installed across every client.
-    pub scheduled: usize,
-}
-
-impl std::fmt::Debug for ShardedTopology {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedTopology")
-            .field("shards", &self.world.shard_count())
             .field("aps", &self.aps.len())
             .field("clients", &self.clients.len())
             .finish()
@@ -203,27 +170,14 @@ pub fn grid_neighbors(aps: usize) -> Vec<Vec<usize>> {
         .collect()
 }
 
-/// Node ids produced by [`assemble_topology`].
-struct AssembledTopology {
-    aps: Vec<NodeId>,
-    clients: Vec<NodeId>,
-    client_home: Vec<usize>,
-    edge: NodeId,
-    origin: NodeId,
-    ldns: NodeId,
-    controller: Option<NodeId>,
-    scheduled: usize,
-}
-
-/// Assembles the multi-AP deployment into any world backend. Spine first
-/// (same sequence as the single-AP testbed), then the controller, then the
-/// AP grid, then per-AP client populations; the plain and sharded builds
-/// therefore agree on every [`NodeId`].
-fn assemble_topology<W: AssembleWorld>(
-    world: &mut W,
-    config: &TopologyConfig,
-    shards: u32,
-) -> AssembledTopology {
+/// Builds the multi-AP world for `config`: spine first (same sequence as
+/// the single-AP testbed), then the controller, then the AP grid, then
+/// per-AP client populations, then links.
+///
+/// # Panics
+///
+/// Panics if the config has no APs, no clients per AP, or no apps.
+pub fn build_topology(config: &TopologyConfig) -> Topology {
     assert!(config.aps > 0, "topology needs at least one AP");
     assert!(
         config.clients_per_ap > 0,
@@ -233,11 +187,12 @@ fn assemble_topology<W: AssembleWorld>(
         !config.base.apps.is_empty(),
         "topology needs at least one app"
     );
-    world.configure(&config.base);
-
     let base = &config.base;
+    let mut world = World::new(base.seed);
+    configure_world(&mut world, base);
+
     let mut ip_map = IpMap::new();
-    let spine = assemble_spine(world, base, &mut ip_map);
+    let spine = assemble_spine(&mut world, base, &mut ip_map);
     let SpineIds {
         origin,
         edge,
@@ -251,9 +206,8 @@ fn assemble_topology<W: AssembleWorld>(
 
     // --- Wi-Cache controller -------------------------------------------
     let controller = (base.system == System::WiCache).then(|| {
-        world.add(
-            0,
-            "wicache-controller".into(),
+        world.add_node(
+            "wicache-controller",
             WiCacheControllerNode::new(SimDuration::from_micros(300)),
         )
     });
@@ -262,7 +216,7 @@ fn assemble_topology<W: AssembleWorld>(
     // AP ids follow the current node count, so both their NodeIds and
     // their addresses can be fixed before any AP is constructed — every AP
     // then carries the complete AP address map.
-    let ap_base = world.count();
+    let ap_base = world.node_count();
     let ap_id = |i: usize| NodeId::from_raw((ap_base + i) as u32);
     let ap_ips: Vec<_> = (0..config.aps).map(|i| ip_map.assign(ap_id(i))).collect();
 
@@ -290,11 +244,11 @@ fn assemble_topology<W: AssembleWorld>(
         if config.cooperative {
             node = node.with_neighbors(adjacency[i].iter().map(|&j| ap_id(j)).collect());
         }
-        let id = world.add(0, format!("ap{i}"), node);
+        let id = world.add_node(format!("ap{i}"), node);
         debug_assert_eq!(id, ap_id(i), "AP id prediction out of sync");
         if let Some(controller) = controller {
             world
-                .get_mut::<WiCacheControllerNode>(controller)
+                .node_mut::<WiCacheControllerNode>(controller)
                 .register_ap_at(id, ap_ips[i], grid_pos(i, side));
         }
         aps.push(id);
@@ -358,10 +312,10 @@ fn assemble_topology<W: AssembleWorld>(
             client_config.prefetch_hints = base.prefetch_hints;
             let node =
                 ClientNode::new(client_config, base.apps.clone(), share).with_roam_schedule(stops);
-            let id = world.add(client_shard(g, shards), format!("client{g}"), node);
+            let id = world.add_node(format!("client{g}"), node);
             if let Some(controller) = controller {
                 world
-                    .get_mut::<WiCacheControllerNode>(controller)
+                    .node_mut::<WiCacheControllerNode>(controller)
                     .register_requester_at(id, grid_pos(i, side));
             }
             clients.push(id);
@@ -430,37 +384,38 @@ fn assemble_topology<W: AssembleWorld>(
     );
     let client_controller = lossy(controller_link);
 
-    world.link(ldns, adns, ldns_adns);
-    world.link(ldns, cdn_dns, ldns_cdn);
-    world.link(edge, origin, edge_origin);
+    world.connect(ldns, adns, ldns_adns);
+    world.connect(ldns, cdn_dns, ldns_cdn);
+    world.connect(edge, origin, edge_origin);
     for (i, &ap) in aps.iter().enumerate() {
         let (ap_edge, ap_ldns) = backhaul[i % backhaul.len()];
-        world.link(ap, edge, ap_edge);
-        world.link(ap, ldns, ap_ldns);
+        world.connect(ap, edge, ap_edge);
+        world.connect(ap, ldns, ap_ldns);
         // AP↔AP segments exist regardless of cooperation: roam handoffs
         // travel them even when summary gossip is off.
         for &j in &adjacency[i] {
             if j > i {
-                world.link(ap, ap_id(j), ap_peer);
+                world.connect(ap, ap_id(j), ap_peer);
             }
         }
         if let Some(controller) = controller {
-            world.link(ap, controller, controller_link);
+            world.connect(ap, controller, controller_link);
         }
     }
     for (g, &client) in clients.iter().enumerate() {
-        world.link(client, aps[client_home[g]], wifi);
+        world.connect(client, aps[client_home[g]], wifi);
         for &target in &roam_targets[g] {
-            world.link(client, aps[target], wifi);
+            world.connect(client, aps[target], wifi);
         }
-        world.link(client, edge, client_edge);
-        world.link(client, ldns, client_ldns);
+        world.connect(client, edge, client_edge);
+        world.connect(client, ldns, client_ldns);
         if let Some(controller) = controller {
-            world.link(client, controller, client_controller);
+            world.connect(client, controller, client_controller);
         }
     }
 
-    AssembledTopology {
+    Topology {
+        world,
         aps,
         clients,
         client_home,
@@ -469,52 +424,6 @@ fn assemble_topology<W: AssembleWorld>(
         ldns,
         controller,
         scheduled,
-    }
-}
-
-/// Builds the multi-AP world for `config` over a plain [`World`].
-///
-/// # Panics
-///
-/// Panics if the config has no APs, no clients per AP, or no apps.
-pub fn build_topology(config: &TopologyConfig) -> Topology {
-    let mut world = World::new(config.base.seed);
-    let ids = assemble_topology(&mut world, config, 1);
-    Topology {
-        world,
-        aps: ids.aps,
-        clients: ids.clients,
-        client_home: ids.client_home,
-        edge: ids.edge,
-        origin: ids.origin,
-        ldns: ids.ldns,
-        controller: ids.controller,
-        scheduled: ids.scheduled,
-    }
-}
-
-/// Builds the same deployment into a [`ShardedWorld`] with `shards`
-/// shards. Node ids match [`build_topology`] exactly; outputs are bitwise
-/// identical at any shard count under the sharded engine's invariance
-/// contract.
-///
-/// # Panics
-///
-/// Panics if the config is empty (see [`build_topology`]) or `shards` is 0.
-pub fn build_topology_sharded(config: &TopologyConfig, shards: u32) -> ShardedTopology {
-    assert!(shards > 0, "need at least one shard");
-    let mut world = ShardedWorld::new(config.base.seed, shards);
-    let ids = assemble_topology(&mut world, config, shards);
-    ShardedTopology {
-        world,
-        aps: ids.aps,
-        clients: ids.clients,
-        client_home: ids.client_home,
-        edge: ids.edge,
-        origin: ids.origin,
-        ldns: ids.ldns,
-        controller: ids.controller,
-        scheduled: ids.scheduled,
     }
 }
 
@@ -533,30 +442,6 @@ pub fn collect_topology(system: System, top: &mut Topology) -> RunResult {
     RunResult {
         system,
         metrics: top.world.metrics().clone(),
-        report,
-        trace,
-        profile: top.world.profile_report(),
-    }
-}
-
-/// Collects results from an already-run sharded topology, merging
-/// per-shard metric registries and trace buffers in canonical order.
-pub fn collect_topology_sharded(system: System, top: &mut ShardedTopology) -> RunResult {
-    let mut report = ape_nodes::ClientReport::default();
-    for &client in &top.clients {
-        report.merge(&top.world.node::<ClientNode>(client).report());
-    }
-    let metrics = top.world.metrics_merged();
-    let events = top.world.take_trace_events();
-    let trace = (!events.is_empty()).then(|| {
-        let names: Vec<String> = (0..top.world.node_count())
-            .map(|i| top.world.node_name(NodeId::from_raw(i as u32)).to_owned())
-            .collect();
-        TraceLog::from_run(names, events)
-    });
-    RunResult {
-        system,
-        metrics,
         report,
         trace,
         profile: top.world.profile_report(),
@@ -617,26 +502,6 @@ mod tests {
         assert_eq!(top.clients.len(), 8);
         assert_eq!(top.client_home, vec![0, 0, 1, 1, 2, 2, 3, 3]);
         assert!(top.controller.is_none());
-    }
-
-    #[test]
-    fn sharded_build_mirrors_plain_ids_and_shard_placement() {
-        for system in [System::ApeCache, System::WiCache] {
-            let config = TopologyConfig::new(small_base(system), 4)
-                .with_clients_per_ap(2)
-                .with_roam_rate(1.0);
-            let plain = build_topology(&config);
-            let sharded = build_topology_sharded(&config, 4);
-            assert_eq!(plain.aps, sharded.aps);
-            assert_eq!(plain.clients, sharded.clients);
-            assert_eq!(plain.controller, sharded.controller);
-            for &ap in &sharded.aps {
-                assert_eq!(sharded.world.shard_of(ap), 0, "APs live on the spine");
-            }
-            for &c in &sharded.clients {
-                assert_ne!(sharded.world.shard_of(c), 0, "clients live off-spine");
-            }
-        }
     }
 
     #[test]

@@ -6,25 +6,22 @@
 //! trait object with its own hash maps, every think-time gap is a timer
 //! wheel entry, and walking a cell means pointer-chasing a million heap
 //! allocations. This module provides the scale-bench representation used by
-//! `repro bench-shard`:
+//! `repro bench-fleet`:
 //!
 //! * [`FleetNode`] — one node owning `n` clients whose hot state lives in
 //!   parallel vectors (struct-of-arrays), with a calendar-queue tick that
 //!   batches all due clients per bucket into one timer event,
-//! * [`BoxedClientNode`] — the baseline: a minimal one-client node with the
-//!   classic one-node-per-client, one-timer-per-wakeup shape,
 //! * [`FleetResponder`] / [`FleetOrigin`] — the serving spine the clients
 //!   talk to (deterministic per-app hit/miss, miss → origin round trip),
 //! * [`FleetMsg`] — the tiny message vocabulary the above exchange.
 //!
-//! Both client representations drive statistically identical workloads
-//! (Zipf app popularity, exponential think times), so events/sec between
-//! them compares representation cost, not workload size.
+//! The one-boxed-node-per-client baseline this representation was measured
+//! against (6.34× events/sec at 1M clients) is on record in `CHANGES.md`
+//! and in git history.
 
 use ape_proto::names;
 use ape_simnet::{Context, Message, Node, NodeId, SimDuration, SimTime, TimerToken};
 use ape_workload::{ZipfConfig, ZipfSampler};
-use std::sync::Arc;
 
 /// Messages exchanged between fleet clients and the serving spine.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -71,7 +68,7 @@ impl Message for FleetMsg {
     }
 }
 
-/// Configuration shared by both client representations.
+/// Configuration of one [`FleetNode`] population.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
     /// Clients in this population.
@@ -124,7 +121,7 @@ const PENDING: u8 = 1;
 /// from a fleet of any size, instead of one event per client wakeup.
 pub struct FleetNode {
     config: FleetConfig,
-    /// Where fetches go (the responder on the spine shard).
+    /// Where fetches go.
     responder: NodeId,
     /// Request-id base so multiple fleets in one world issue disjoint ids.
     id_base: u64,
@@ -152,8 +149,8 @@ pub struct FleetNode {
 
 impl FleetNode {
     /// Creates a fleet of `config.clients` clients that fetch from
-    /// `responder`. `fleet_index` namespaces request ids when a cell is
-    /// split into several fleets (one per shard).
+    /// `responder`. `fleet_index` namespaces request ids when a world
+    /// holds several fleets.
     pub fn new(config: FleetConfig, responder: NodeId, fleet_index: u32) -> Self {
         assert!(config.clients > 0, "fleet needs at least one client");
         assert!(
@@ -296,118 +293,11 @@ impl std::fmt::Debug for FleetNode {
     }
 }
 
-/// Baseline one-client node: the classic representation the fleet replaces.
-///
-/// Each instance owns its own state and schedules its own timer-wheel
-/// entries — at `n` clients that is `n` boxed nodes and one wheel event per
-/// wakeup per client, which is exactly the overhead the SoA fleet amortizes.
-#[derive(Debug)]
-pub struct BoxedClientNode {
-    responder: NodeId,
-    think_mean: SimDuration,
-    timeout: SimDuration,
-    /// Shared catalog sampler (sharing it is charitable to the baseline:
-    /// a private copy per client would only inflate its footprint).
-    zipf: Arc<ZipfSampler>,
-    /// Request-id base identifying this client.
-    id_base: u64,
-    seq: u32,
-    pending: bool,
-    issued_at: SimTime,
-}
-
-/// Timer token tag for a fetch-due wakeup.
-const TOKEN_FETCH: u64 = 0;
-
-impl BoxedClientNode {
-    /// Creates one baseline client; `client_index` namespaces request ids.
-    pub fn new(
-        responder: NodeId,
-        think_mean: SimDuration,
-        timeout: SimDuration,
-        zipf: Arc<ZipfSampler>,
-        client_index: u32,
-    ) -> Self {
-        BoxedClientNode {
-            responder,
-            think_mean,
-            timeout,
-            zipf,
-            id_base: u64::from(client_index) << 32,
-            seq: 0,
-            pending: false,
-            issued_at: SimTime::ZERO,
-        }
-    }
-
-    /// Completed fetches + failures so far.
-    pub fn fetches_settled(&self) -> u64 {
-        u64::from(self.seq)
-    }
-
-    fn rest(&mut self, ctx: &mut Context<'_, FleetMsg>) {
-        self.pending = false;
-        let think = ctx.rng().jitter(self.think_mean);
-        ctx.schedule(think, TimerToken::new(TOKEN_FETCH));
-    }
-}
-
-impl Node<FleetMsg> for BoxedClientNode {
-    fn on_start(&mut self, ctx: &mut Context<'_, FleetMsg>) {
-        let think = ctx.rng().jitter(self.think_mean);
-        ctx.schedule(think, TimerToken::new(TOKEN_FETCH));
-    }
-
-    fn on_message(&mut self, ctx: &mut Context<'_, FleetMsg>, _from: NodeId, msg: FleetMsg) {
-        let FleetMsg::Reply { req, hit } = msg else {
-            return;
-        };
-        if !self.pending || (req & 0xffff_ffff) as u32 != self.seq {
-            return;
-        }
-        if hit {
-            ctx.metrics().incr_id(names::id::CLIENT_CACHE_HITS, 1);
-        }
-        let retrieval_ms = (ctx.now() - self.issued_at).as_millis_f64();
-        ctx.metrics()
-            .observe_id(names::id::CLIENT_RETRIEVAL_MS, retrieval_ms);
-        self.rest(ctx);
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context<'_, FleetMsg>, token: TimerToken) {
-        if token.get() == TOKEN_FETCH {
-            if self.pending {
-                return; // stale wakeup from before a timeout reschedule
-            }
-            let app = self.zipf.sample(ctx.rng()) as u32;
-            self.seq = self.seq.wrapping_add(1);
-            self.pending = true;
-            self.issued_at = ctx.now();
-            ctx.metrics().incr_id(names::id::CLIENT_FETCHES, 1);
-            ctx.send(
-                self.responder,
-                FleetMsg::Fetch {
-                    req: self.id_base | u64::from(self.seq),
-                    app,
-                },
-            );
-            // Watchdog carries the seq so settled requests ignore it.
-            ctx.schedule(self.timeout, TimerToken::new(1 | u64::from(self.seq) << 1));
-        } else {
-            let seq = (token.get() >> 1) as u32;
-            if self.pending && seq == self.seq {
-                ctx.metrics().incr_id(names::id::CLIENT_FETCH_FAILURES, 1);
-                self.rest(ctx);
-            }
-        }
-    }
-}
-
 /// The serving spine: answers fetches from a deterministic cache model.
 ///
 /// An app is "cached" when a keyed hash of its index lands under the
-/// configured hit ratio — stable across the run, independent of request
-/// order, and therefore invariant to sharding. Misses take a round trip to
+/// configured hit ratio — stable across the run and independent of request
+/// order. Misses take a round trip to
 /// the [`FleetOrigin`] before the reply.
 #[derive(Debug)]
 pub struct FleetResponder {
@@ -499,7 +389,7 @@ impl Node<FleetMsg> for FleetOrigin {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ape_simnet::{Fingerprint, LinkSpec, ShardedWorld, World};
+    use ape_simnet::{LinkSpec, World};
     use ape_workload::ZipfMode;
 
     fn small_config(clients: usize) -> FleetConfig {
@@ -520,8 +410,8 @@ mod tests {
         LinkSpec::new(2, SimDuration::from_micros(1_500))
     }
 
-    /// Plain single-world smoke test: clients fetch, replies settle, the
-    /// hit ratio tracks the responder's model.
+    /// Smoke test: clients fetch, replies settle, the hit ratio tracks the
+    /// responder's model.
     #[test]
     fn fleet_settles_fetches_with_hits_and_misses() {
         let mut w: World<FleetMsg> = World::new(11);
@@ -543,83 +433,5 @@ mod tests {
         let hits = m.counter(names::CLIENT_CACHE_HITS);
         assert!(hits > 0 && hits < fetches);
         assert_eq!(m.counter(names::CLIENT_FETCH_FAILURES), 0);
-    }
-
-    /// The boxed baseline drives the same workload shape.
-    #[test]
-    fn boxed_baseline_settles_fetches() {
-        let mut w: World<FleetMsg> = World::new(13);
-        let origin = w.add_node("origin", FleetOrigin::new(SimDuration::from_micros(200)));
-        let responder = w.add_node(
-            "responder",
-            FleetResponder::new(origin, 60, SimDuration::from_micros(100), 13),
-        );
-        let zipf = Arc::new(ZipfSampler::with_config(
-            16,
-            1.0,
-            ZipfConfig {
-                mode: ZipfMode::Alias,
-            },
-        ));
-        w.connect(responder, origin, link());
-        for i in 0..100u32 {
-            let c = w.add_node(
-                format!("client{i}"),
-                BoxedClientNode::new(
-                    responder,
-                    SimDuration::from_millis(200),
-                    SimDuration::from_secs(2),
-                    Arc::clone(&zipf),
-                    i,
-                ),
-            );
-            w.connect(c, responder, link());
-        }
-        w.run_until(SimTime::ZERO + SimDuration::from_secs(3));
-        let m = w.metrics();
-        assert!(m.counter(names::CLIENT_FETCHES) > 500);
-        assert!(m.counter(names::CLIENT_CACHE_HITS) > 0);
-    }
-
-    fn sharded_cell(shards: u32, fleets: u32) -> ShardedWorld<FleetMsg> {
-        let mut w: ShardedWorld<FleetMsg> = ShardedWorld::new(17, shards);
-        let origin = w.add_node(0, "origin", FleetOrigin::new(SimDuration::from_micros(200)));
-        let responder = w.add_node(
-            0,
-            "responder",
-            FleetResponder::new(origin, 60, SimDuration::from_micros(100), 17),
-        );
-        w.connect(responder, origin, link());
-        for f in 0..fleets {
-            let shard = if shards == 1 { 0 } else { 1 + f % (shards - 1) };
-            let fleet = w.add_node(
-                shard,
-                format!("fleet{f}"),
-                FleetNode::new(small_config(125), responder, f),
-            );
-            w.connect(fleet, responder, link());
-        }
-        w
-    }
-
-    fn run_cell(shards: u32) -> (Fingerprint, u64) {
-        let mut w = sharded_cell(shards, 8);
-        w.run_until(SimTime::ZERO + SimDuration::from_secs(2));
-        let fetches = w.metrics_merged().counter(names::CLIENT_FETCHES);
-        (w.fingerprint(), fetches)
-    }
-
-    /// The same fixed node set (8 sub-fleets) produces bitwise-identical
-    /// results at every shard count — the property the scale bench assumes
-    /// when it compares throughput across shard counts.
-    #[test]
-    fn sharded_fleet_results_are_shard_count_invariant() {
-        let (base, fetches) = run_cell(1);
-        assert!(fetches > 1_000);
-        for shards in [2, 4, 8] {
-            let (fp, f) = run_cell(shards);
-            assert_eq!(fp, base, "fingerprint diverged at {shards} shards");
-            assert_eq!(f, fetches);
-        }
     }
 }

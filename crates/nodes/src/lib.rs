@@ -24,7 +24,7 @@ mod wicache;
 
 pub use ap::{ApConfig, ApNode, ApPolicy, WiCacheLink};
 pub use client::{ClientConfig, ClientNode, ClientReport, LookupMode, RoamStop, Strategy};
-pub use fleet::{BoxedClientNode, FleetConfig, FleetMsg, FleetNode, FleetOrigin, FleetResponder};
+pub use fleet::{FleetConfig, FleetMsg, FleetNode, FleetOrigin, FleetResponder};
 pub use resolver::{AuthDnsNode, LdnsNode, ZoneAnswer};
 pub use server::{Catalog, CatalogEntry, EdgeNode, OriginNode};
 pub use wicache::{GridPos, WiCacheControllerNode};

@@ -10,7 +10,7 @@
 //! removals only clear the removing AP's own entry. A lookup answers with
 //! the holder nearest to the requester's registered grid position
 //! (Manhattan distance, address as the deterministic tie-break), so routing
-//! is stable across shard counts, thread counts, and tie-perturbation keys.
+//! is stable across tie-perturbation keys.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;

@@ -27,25 +27,22 @@
 //! precisely so that message arrivals almost never tie; the detector checks
 //! that the residual ties (e.g. same-node timer collisions) are benign.
 //!
-//! Structural guards shrink that residual class further. Sharded worlds
-//! give every node a private RNG stream, so only *same-node* ties can
-//! couple draws to dispatch order — and each sharded send draws its loss
-//! and jitter from a one-shot stream seeded by the message's *intrinsic
-//! key* (a hash of send instant, sender, receiver and repeat index; see
-//! [`ShardedWorld`](crate::ShardedWorld)), so even same-node ties cannot
-//! couple through send randomness: the draw belongs to the message, not
-//! to whichever tied callback ran first. Each directed link additionally
-//! serializes its arrivals (`link::LinkSerializer`): a nanosecond-exact
-//! collision between two messages on the same `src → dst` pair — the
-//! dominant same-node tie source at city scale, since one callback's
-//! batched sends share a send instant and a jitter distribution — is
-//! bumped to the next free nanosecond, as a serial wire would force
-//! anyway. What remains is the measure-zero case of arrivals over
-//! *different* links (or an arrival and a timer) landing on one node in
-//! the same nanosecond *and* racing through order-sensitive node state;
-//! node implementations keep such state canonical (e.g. the AP's
-//! gossiped-holder map tie-breaks same-instant summaries on node id, not
-//! arrival order).
+//! One structural guard shrinks that residual class further: each
+//! directed link serializes its arrivals (`link::LinkSerializer`), so a
+//! nanosecond-exact collision between two messages on the same
+//! `src → dst` pair — the dominant tie source at city scale, since one
+//! callback's batched sends share a send instant and a jitter
+//! distribution — is bumped to the next free nanosecond, as a serial wire
+//! would force anyway. What remains is two events on *different* links
+//! (or an arrival and a timer) landing on the same nanosecond and either
+//! both drawing from the shared stream or racing through order-sensitive
+//! node state. Node implementations keep such state canonical (e.g. the
+//! AP's gossiped-holder map tie-breaks same-instant summaries on node id,
+//! not arrival order) and stagger their periodic timers on co-prime
+//! nanosecond phases so timers do not tie at all; the shared-stream
+//! coupling is bounded only by how rare exact collisions are, which holds
+//! for the testbed and small grids and stops holding around 64 APs
+//! (`DESIGN.md` §17).
 
 use std::fmt;
 

@@ -39,15 +39,14 @@ pub(crate) enum EventKind<M> {
 pub(crate) struct ScheduledEvent<M> {
     pub at: SimTime,
     /// Tie-breaker for simultaneous events. Without perturbation this is the
-    /// scheduling sequence number (FIFO among ties) or, in sharded worlds,
-    /// the intrinsic identity key (a hash of the event's place in the
-    /// schedule); under a perturbation key it is a bijective scramble of
-    /// that number, so ties pop in a seeded permutation while
-    /// distinct-timestamp ordering is untouched.
+    /// scheduling sequence number (FIFO among ties); under a perturbation
+    /// key it is a bijective scramble of that number, so ties pop in a
+    /// seeded permutation while distinct-timestamp ordering is untouched.
     ///
-    /// The dispatch loop orders on it implicitly (inside the wheel); the
-    /// sharded executor also reads it to stamp trace events with the global
-    /// dispatch order.
+    /// The dispatch loop orders on it implicitly (inside the wheel) and
+    /// never reads it back; it stays a field so [`event_footprint`] sizes
+    /// what a wheel slot really holds.
+    #[cfg_attr(not(test), allow(dead_code))]
     pub seq: u64,
     pub kind: EventKind<M>,
 }
@@ -115,22 +114,11 @@ impl<M> EventQueue<M> {
     }
 
     pub fn push(&mut self, at: SimTime, kind: EventKind<M>) {
-        let seq = self.next_seq;
+        let fifo = self.next_seq;
         self.next_seq += 1;
-        self.push_keyed(at, seq, kind);
-    }
-
-    /// Pushes an event under an explicit tie-break key instead of the
-    /// queue-local FIFO counter. The sharded executor uses this with
-    /// intrinsic identity keys (see [`crate::ShardedWorld`]) so
-    /// same-timestamp ordering is a property of the schedule itself,
-    /// identical at any shard count. Keys must be unique per queue
-    /// lifetime; `mix64` being a bijection, perturbation preserves that
-    /// uniqueness.
-    pub fn push_keyed(&mut self, at: SimTime, key: u64, kind: EventKind<M>) {
         let seq = match self.perturbation {
-            Some(pert) => mix64(key ^ pert),
-            None => key,
+            Some(pert) => mix64(fifo ^ pert),
+            None => fifo,
         };
         if let Some(oracle) = &mut self.oracle {
             oracle.push(at, seq, ());

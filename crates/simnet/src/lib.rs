@@ -60,7 +60,6 @@ mod profiler;
 pub mod reference;
 mod resource;
 mod rng;
-mod shard;
 mod time;
 mod trace;
 mod wheel;
@@ -75,7 +74,6 @@ pub use node::{AsAny, Message, Node, NodeId, TimerToken};
 pub use profiler::{ProfCategory, ProfTimer, ProfileReport, Profiler, PROF_CATEGORIES};
 pub use resource::{CpuMeter, MemMeter};
 pub use rng::SimRng;
-pub use shard::ShardedWorld;
 pub use time::{SimDuration, SimTime};
 pub use trace::{SpanCtx, SpanId, TraceConfig, TraceEvent, TraceId, TracePhase, TraceSink};
 pub use wheel::TimerWheel;

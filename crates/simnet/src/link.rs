@@ -168,7 +168,7 @@ impl Topology {
 /// A link is a serial resource: two messages sent `src → dst` can never
 /// *arrive* in the same nanosecond. Continuous (exponential) jitter makes
 /// exact nanosecond collisions rare, but each one is a same-timestamp tie
-/// at the receiver, and same-node ties couple the receiver's RNG stream to
+/// at the receiver, and tied callbacks draw from the world's RNG stream in
 /// dispatch order (see the `determinism` module docs) — exactly the class
 /// of divergence the schedule-perturbation detector flags. Same-pair
 /// collisions dominate in practice because a node's batched sends (one

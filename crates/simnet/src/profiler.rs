@@ -43,18 +43,10 @@ pub enum ProfCategory {
     /// Cache eviction/admission work, charged by the AP node around its
     /// cache-store calls.
     Evict = 5,
-    /// Sharded execution: epoch-barrier coordination — computing the next
-    /// horizon and (in threaded runs) waiting for sibling shards. Charged
-    /// by [`ShardedWorld`](crate::ShardedWorld) only; a plain `World`
-    /// never records it.
-    ShardBarrier = 6,
-    /// Sharded execution: routing cross-shard mailbox envelopes into the
-    /// destination shard's event queue at an epoch barrier.
-    MailboxDrain = 7,
 }
 
 /// Number of [`ProfCategory`] variants (array sizing).
-pub const PROF_CATEGORIES: usize = 8;
+pub const PROF_CATEGORIES: usize = 6;
 
 impl ProfCategory {
     /// All categories, in report order.
@@ -65,8 +57,6 @@ impl ProfCategory {
         ProfCategory::Trace,
         ProfCategory::Metrics,
         ProfCategory::Evict,
-        ProfCategory::ShardBarrier,
-        ProfCategory::MailboxDrain,
     ];
 
     /// Human-readable label used in the `repro profile` table.
@@ -78,8 +68,6 @@ impl ProfCategory {
             ProfCategory::Trace => "trace.record",
             ProfCategory::Metrics => "metrics.record",
             ProfCategory::Evict => "cache.evict",
-            ProfCategory::ShardBarrier => "shard.barrier",
-            ProfCategory::MailboxDrain => "mailbox.drain",
         }
     }
 
@@ -203,29 +191,8 @@ impl ProfileReport {
 
     /// Host time measured at the event-loop level: dispatch plus queue
     /// pops. Nested categories are *inside* dispatch and not added again.
-    /// Shard coordination ([`ProfCategory::ShardBarrier`] /
-    /// [`ProfCategory::MailboxDrain`]) happens *between* loop slices and is
-    /// reported separately (see [`coordination_nanos`]
-    /// (Self::coordination_nanos)).
     pub fn loop_nanos(&self) -> u64 {
         self.nanos(ProfCategory::Dispatch) + self.nanos(ProfCategory::QueuePop)
-    }
-
-    /// Host time spent coordinating shards: epoch barriers plus mailbox
-    /// routing. Zero for a plain (unsharded) `World`.
-    pub fn coordination_nanos(&self) -> u64 {
-        self.nanos(ProfCategory::ShardBarrier) + self.nanos(ProfCategory::MailboxDrain)
-    }
-
-    /// Fraction of the measured host time spent waiting at epoch barriers:
-    /// `shard.barrier / (loop + barrier + mailbox.drain)`. The headline
-    /// number `repro bench-shard` reports; `0.0` when nothing was measured.
-    pub fn barrier_wait_fraction(&self) -> f64 {
-        let total = self.loop_nanos() + self.coordination_nanos();
-        if total == 0 {
-            return 0.0;
-        }
-        self.nanos(ProfCategory::ShardBarrier) as f64 / total as f64
     }
 
     /// Dispatch time not accounted to any nested category — the node
@@ -337,26 +304,6 @@ mod tests {
         // Nested overshoot saturates instead of wrapping.
         p.charge(ProfCategory::Metrics, 50_000, 1);
         assert_eq!(p.report().dispatch_self_nanos(), 0);
-    }
-
-    #[test]
-    fn shard_categories_are_loop_level_not_nested() {
-        assert!(!ProfCategory::ShardBarrier.nested_in_dispatch());
-        assert!(!ProfCategory::MailboxDrain.nested_in_dispatch());
-        let mut p = Profiler::new();
-        p.enable();
-        p.charge(ProfCategory::Dispatch, 6_000, 3);
-        p.charge(ProfCategory::ShardBarrier, 3_000, 2);
-        p.charge(ProfCategory::MailboxDrain, 1_000, 2);
-        let r = p.report();
-        // Coordination never inflates loop time or dispatch-self time.
-        assert_eq!(r.loop_nanos(), 6_000);
-        assert_eq!(r.dispatch_self_nanos(), 6_000);
-        assert_eq!(r.coordination_nanos(), 4_000);
-        assert!((r.barrier_wait_fraction() - 0.3).abs() < 1e-12);
-        let text = format!("{r}");
-        assert!(text.contains("shard.barrier"));
-        assert!(text.contains("mailbox.drain"));
     }
 
     #[test]

@@ -24,9 +24,8 @@ fn splitmix64(state: &mut u64) -> u64 {
 /// One-shot SplitMix64 finalizer: a bijective `u64 -> u64` mixing function.
 ///
 /// Shared by seed expansion, the event queue's tie-break perturbation (the
-/// bijectivity guarantees scrambled tie-break keys stay unique), the
-/// sharded executor's intrinsic tie-break keys and the run-fingerprint
-/// hashing in [`crate::determinism`].
+/// bijectivity guarantees scrambled tie-break keys stay unique) and the
+/// perturbation-key derivation in [`crate::determinism`].
 pub(crate) fn mix64(x: u64) -> u64 {
     let mut state = x;
     splitmix64(&mut state)

@@ -131,29 +131,6 @@ impl TraceConfig {
     }
 }
 
-/// Per-node id/sampling state used by the node-keyed id mode (sharded
-/// execution), where ids must not depend on global dispatch interleaving.
-#[derive(Debug, Clone, Copy, Default)]
-struct NodeTraceState {
-    candidates: u64,
-    next_trace: u32,
-    next_span: u32,
-}
-
-/// The global dispatch-order key a sharded run stamps on every recorded
-/// event, so per-shard buffers can be merged into one canonical stream:
-/// `(at, key)` is the executor's total order and `intra` the record index
-/// within one dispatch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
-pub(crate) struct TraceStamp {
-    /// Virtual time of the dispatch that recorded the event (nanoseconds).
-    pub at: u64,
-    /// Tie-break key of the dispatched event (canonical, perturbed form).
-    pub key: u64,
-    /// Record index within the dispatch.
-    pub intra: u32,
-}
-
 /// Ring-buffered store of [`TraceEvent`]s, owned by the
 /// [`World`](crate::World).
 #[derive(Debug, Clone, Default)]
@@ -165,14 +142,6 @@ pub struct TraceSink {
     candidates: u64,
     next_trace: u64,
     next_span: u64,
-    /// Node-keyed id mode (sharded execution): ids and sampling counters
-    /// derive from the *recording node* instead of sink-global counters,
-    /// so they are identical at any shard count; every recorded event also
-    /// carries a [`TraceStamp`] for canonical cross-shard merging.
-    node_mode: bool,
-    per_node: std::collections::BTreeMap<u32, NodeTraceState>,
-    stamps: VecDeque<TraceStamp>,
-    cur_stamp: TraceStamp,
 }
 
 impl TraceSink {
@@ -204,49 +173,13 @@ impl TraceSink {
         self.config.enabled
     }
 
-    /// Switches the sink to node-keyed ids and dispatch-order stamps (see
-    /// [`TraceStamp`]). Sharded executor only; must be set before anything
-    /// is recorded.
-    pub(crate) fn enable_node_ids(&mut self) {
-        assert!(
-            self.events.is_empty() && self.candidates == 0,
-            "enable_node_ids must precede any recording"
-        );
-        self.node_mode = true;
-    }
-
-    /// Sets the dispatch-order stamp subsequent pushes are tagged with
-    /// (node-keyed mode only). Called by the sharded executor before every
-    /// node callback.
-    pub(crate) fn set_dispatch_stamp(&mut self, at: SimTime, key: u64) {
-        self.cur_stamp = TraceStamp {
-            at: at.as_nanos(),
-            key,
-            intra: 0,
-        };
-    }
-
     /// Allocates a new trace id if tracing is enabled and this candidate
-    /// falls on the sampling grid; `None` otherwise. `node` is the
-    /// recording node: in node-keyed mode ids and sampling counters are
-    /// per-node (`node_raw << 32 | counter`), in the default mode it is
-    /// ignored and sink-global counters apply.
-    pub fn try_begin_trace(&mut self, node: NodeId) -> Option<TraceId> {
+    /// falls on the sampling grid; `None` otherwise.
+    pub fn try_begin_trace(&mut self) -> Option<TraceId> {
         if !self.config.enabled {
             return None;
         }
         let every = self.config.sample_every.max(1);
-        if self.node_mode {
-            let state = self.per_node.entry(node.as_raw()).or_default();
-            let candidate = state.candidates;
-            state.candidates += 1;
-            if !candidate.is_multiple_of(every) {
-                return None;
-            }
-            let id = TraceId((node.as_raw() as u64) << 32 | state.next_trace as u64);
-            state.next_trace += 1;
-            return Some(id);
-        }
         let candidate = self.candidates;
         self.candidates += 1;
         if !candidate.is_multiple_of(every) {
@@ -257,16 +190,8 @@ impl TraceSink {
         Some(id)
     }
 
-    /// Allocates the next span id (unique within the run). In node-keyed
-    /// mode the id is `node_raw << 32 | counter`; otherwise `node` is
-    /// ignored and a sink-global counter applies.
-    pub fn next_span_id(&mut self, node: NodeId) -> SpanId {
-        if self.node_mode {
-            let state = self.per_node.entry(node.as_raw()).or_default();
-            let id = SpanId((node.as_raw() as u64) << 32 | state.next_span as u64);
-            state.next_span += 1;
-            return id;
-        }
+    /// Allocates the next span id (unique within the run).
+    pub fn next_span_id(&mut self) -> SpanId {
         let id = SpanId(self.next_span);
         self.next_span += 1;
         id
@@ -284,14 +209,6 @@ impl TraceSink {
         if self.events.len() >= self.config.capacity {
             self.events.pop_front();
             self.dropped += 1;
-            if self.node_mode {
-                self.stamps.pop_front();
-            }
-        }
-        if self.node_mode {
-            let stamp = self.cur_stamp;
-            self.cur_stamp.intra += 1;
-            self.stamps.push_back(stamp);
         }
         self.events.push_back(event);
     }
@@ -318,59 +235,12 @@ impl TraceSink {
 
     /// Traces begun (post-sampling) so far.
     pub fn traces_started(&self) -> u64 {
-        if self.node_mode {
-            return self
-                .per_node
-                .values()
-                .map(|s| s.next_trace as u64)
-                .sum::<u64>();
-        }
         self.next_trace
     }
 
     /// Removes and returns all buffered events, oldest first.
     pub fn drain(&mut self) -> Vec<TraceEvent> {
-        self.stamps.clear();
         self.events.drain(..).collect()
-    }
-
-    /// Removes and returns all buffered events paired with their dispatch
-    /// stamps (node-keyed mode only), oldest first. The sharded executor
-    /// k-way-merges these by stamp into the canonical global stream.
-    pub(crate) fn drain_stamped(&mut self) -> Vec<(TraceStamp, TraceEvent)> {
-        debug_assert!(self.node_mode, "drain_stamped requires node-keyed mode");
-        debug_assert_eq!(self.stamps.len(), self.events.len());
-        self.stamps.drain(..).zip(self.events.drain(..)).collect()
-    }
-
-    /// Non-destructive view of the buffered events paired with their
-    /// dispatch stamps (node-keyed mode only), oldest first. Feeds the
-    /// sharded world's merged trace digest.
-    pub(crate) fn stamped_events(&self) -> impl Iterator<Item = (&TraceStamp, &TraceEvent)> {
-        debug_assert!(self.node_mode, "stamped_events requires node-keyed mode");
-        self.stamps.iter().zip(self.events.iter())
-    }
-
-    /// Order-insensitive fold of the sink's bookkeeping counters —
-    /// `(dropped, candidates, traces started, spans allocated)` — summing
-    /// per-node state in node-keyed mode. Feeds the sharded world's merged
-    /// trace digest.
-    pub(crate) fn counters_fold(&self) -> (u64, u64, u64, u64) {
-        if self.node_mode {
-            let (mut cand, mut traces, mut spans) = (0u64, 0u64, 0u64);
-            for s in self.per_node.values() {
-                cand += s.candidates;
-                traces += s.next_trace as u64;
-                spans += s.next_span as u64;
-            }
-            return (self.dropped, cand, traces, spans);
-        }
-        (
-            self.dropped,
-            self.candidates,
-            self.next_trace,
-            self.next_span,
-        )
     }
 
     /// Stable 64-bit digest of the buffered event log (order-sensitive)
@@ -419,7 +289,7 @@ mod tests {
     fn disabled_sink_records_nothing() {
         let mut sink = TraceSink::new(TraceConfig::default());
         assert!(!sink.is_enabled());
-        assert_eq!(sink.try_begin_trace(NodeId::from_raw(0)), None);
+        assert_eq!(sink.try_begin_trace(), None);
         sink.push(event(1));
         assert!(sink.is_empty());
         assert_eq!(sink.dropped(), 0);
@@ -428,10 +298,10 @@ mod tests {
     #[test]
     fn trace_and_span_ids_are_sequential() {
         let mut sink = TraceSink::new(TraceConfig::enabled());
-        assert_eq!(sink.try_begin_trace(NodeId::from_raw(0)), Some(TraceId(0)));
-        assert_eq!(sink.try_begin_trace(NodeId::from_raw(7)), Some(TraceId(1)));
-        assert_eq!(sink.next_span_id(NodeId::from_raw(0)), SpanId(0));
-        assert_eq!(sink.next_span_id(NodeId::from_raw(7)), SpanId(1));
+        assert_eq!(sink.try_begin_trace(), Some(TraceId(0)));
+        assert_eq!(sink.try_begin_trace(), Some(TraceId(1)));
+        assert_eq!(sink.next_span_id(), SpanId(0));
+        assert_eq!(sink.next_span_id(), SpanId(1));
         assert_eq!(sink.traces_started(), 2);
     }
 
@@ -442,9 +312,7 @@ mod tests {
             sample_every: 3,
             ..TraceConfig::default()
         });
-        let kept: Vec<bool> = (0..9)
-            .map(|_| sink.try_begin_trace(NodeId::from_raw(0)).is_some())
-            .collect();
+        let kept: Vec<bool> = (0..9).map(|_| sink.try_begin_trace().is_some()).collect();
         assert_eq!(
             kept,
             vec![true, false, false, true, false, false, true, false, false]

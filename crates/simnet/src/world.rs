@@ -7,7 +7,7 @@ use crate::link::{LinkSerializer, LinkSpec, Topology};
 use crate::metrics::{keys, Metrics, MetricsConfig};
 use crate::node::{Message, Node, NodeId, TimerToken};
 use crate::profiler::{ProfCategory, ProfTimer, ProfileReport, Profiler};
-use crate::rng::{mix64, SimRng};
+use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{SpanCtx, TraceConfig, TraceEvent, TracePhase, TraceSink};
 
@@ -33,90 +33,6 @@ pub struct RunReport {
     pub now: SimTime,
 }
 
-/// A cross-shard event staged in a shard's outbox during an epoch, to be
-/// delivered into the destination shard's queue at the next barrier.
-pub(crate) struct Outbound<M> {
-    pub at: SimTime,
-    /// Intrinsic canonical tie-break key (see [`InstantKeys`]).
-    pub key: u64,
-    pub dst_shard: u32,
-    pub kind: EventKind<M>,
-}
-
-/// Domain separator folded into message keys (arbitrary odd constant).
-const MSG_DOMAIN: u64 = 0xD6E8_FEB8_6659_FD93;
-/// Domain separator folded into timer keys (arbitrary odd constant).
-const TIMER_DOMAIN: u64 = 0xA24B_AED4_963E_E407;
-
-/// Allocator of **intrinsic canonical tie-break keys** for the sharded
-/// executor (one per shard; the plain [`World`] keeps FIFO sequence
-/// numbers).
-///
-/// An event's key is a hash of its *identity in the schedule*, not of the
-/// callback that created it: a message is `(send instant, sender,
-/// receiver, k)` and a timer is `(arm instant, node, token, k)`, where `k`
-/// counts repeats of the same tuple within the instant. Two callbacks tied
-/// on one nanosecond therefore mint the *same* keys for the same logical
-/// events in either dispatch order — in particular, lazily triggered work
-/// (e.g. a window roll run by whichever periodic tick reaches the due
-/// instant first) emits identically-keyed messages no matter which tick
-/// hosts it. A node dispatches only on its home shard and a shard pops in
-/// canonical `(at, key)` order, so the `k` sequence is itself invariant
-/// across shard counts, thread counts and tie-break permutations.
-///
-/// Keys are distinct with overwhelming probability (64-bit birthday bound
-/// at simulation event counts); the repeat counter keeps the only
-/// systematic collision source (identical tuple, same instant) apart.
-#[derive(Debug, Default)]
-pub(crate) struct InstantKeys {
-    /// Instant the repeat counters refer to; counters reset when the
-    /// shard's dispatch time moves on.
-    stamp: Option<SimTime>,
-    /// `(domain, a, b)` → repeats minted at `stamp`. Never iterated, so
-    /// the map's ordering cannot leak into results.
-    counts: std::collections::HashMap<(u64, u64, u64), u64>,
-}
-
-impl InstantKeys {
-    fn next(&mut self, now: SimTime, domain: u64, a: u64, b: u64) -> u64 {
-        if self.stamp != Some(now) {
-            self.counts.clear();
-            self.stamp = Some(now);
-        }
-        let k = self.counts.entry((domain, a, b)).or_insert(0);
-        let key = mix64(mix64(mix64(mix64(domain ^ now.as_nanos()) ^ a) ^ b) ^ *k);
-        *k += 1;
-        key
-    }
-
-    /// Key of a message sent `from → to` at `now`.
-    fn next_msg(&mut self, now: SimTime, from: NodeId, to: NodeId) -> u64 {
-        self.next(now, MSG_DOMAIN, from.as_raw() as u64, to.as_raw() as u64)
-    }
-
-    /// Key of a timer armed on `node` at `now` carrying `token`.
-    fn next_timer(&mut self, now: SimTime, node: NodeId, token: TimerToken) -> u64 {
-        self.next(now, TIMER_DOMAIN, node.as_raw() as u64, token.get())
-    }
-}
-
-/// Sharded-execution routing state threaded into a [`Context`] by the
-/// sharded executor ([`crate::ShardedWorld`]). `None` in a plain
-/// [`World`], whose scheduling path is byte-for-byte the pre-shard one.
-pub(crate) struct RouteRef<'a, M> {
-    /// Shard that owns the executing node.
-    pub self_shard: u32,
-    /// Global node raw index → owning shard.
-    pub home: &'a [u32],
-    /// World seed; sharded sends fold it into their key-derived one-shot
-    /// randomness streams.
-    pub seed: u64,
-    /// The owning shard's intrinsic key allocator (see [`InstantKeys`]).
-    pub keys: &'a mut InstantKeys,
-    /// Staging area for cross-shard sends (drained at the epoch barrier).
-    pub outbox: &'a mut Vec<Outbound<M>>,
-}
-
 /// The execution environment handed to node callbacks.
 ///
 /// Nodes use the context to read the clock, send messages over topology
@@ -135,8 +51,6 @@ pub struct Context<'a, M: Message> {
     /// Span context of the event being dispatched; attached to every
     /// message/timer this callback schedules so causality propagates.
     pub(crate) span: Option<SpanCtx>,
-    /// Sharded routing (see [`RouteRef`]); `None` in a plain world.
-    pub(crate) route: Option<RouteRef<'a, M>>,
 }
 
 impl<M: Message> std::fmt::Debug for Context<'_, M> {
@@ -187,24 +101,6 @@ impl<'a, M: Message> Context<'a, M> {
             .topology
             .link(self.self_id, to)
             .unwrap_or_else(|| panic!("no link {} -> {}", self.self_id, to));
-        // A sharded send draws its loss and jitter from a one-shot stream
-        // seeded by its intrinsic canonical key (see [`InstantKeys`]): the
-        // draw is a pure function of the message's identity — (instant,
-        // sender, receiver, repeat) — so two callbacks tied on one
-        // nanosecond cannot couple through a shared stream in either
-        // dispatch order. A dropped send still consumes its key — loss
-        // must not shift the repeat counter for later same-pair sends.
-        // Plain worlds keep the global stream (byte-for-byte the
-        // pre-shard path).
-        let (now, self_id) = (self.now, self.self_id);
-        let mut keyed: Option<(u64, SimRng)> = self.route.as_mut().map(|route| {
-            let key = route.keys.next_msg(now, self_id, to);
-            (key, SimRng::seed_from(mix64(route.seed ^ key)))
-        });
-        let rng: &mut SimRng = match keyed.as_mut() {
-            Some((_, rng)) => rng,
-            None => &mut *self.rng,
-        };
         // Fault windows are evaluated at send time. The empty-plan path
         // draws no randomness and records no metrics, so a world without a
         // FaultPlan is bit-identical to one predating fault injection.
@@ -216,20 +112,20 @@ impl<'a, M: Message> Context<'a, M> {
                 self.metrics.incr_id(keys::id::NET_FAULT_DROPPED, 1);
                 return;
             }
-            if effect.loss > 0.0 && rng.chance(effect.loss) {
+            if effect.loss > 0.0 && self.rng.chance(effect.loss) {
                 self.prof.record(ProfCategory::LinkFault, t);
                 self.metrics.incr_id(keys::id::NET_FAULT_DROPPED, 1);
                 return;
             }
             fault_delay = effect.extra_delay;
         }
-        if link.sample_loss(rng) {
+        if link.sample_loss(self.rng) {
             self.prof.record(ProfCategory::LinkFault, t);
             self.metrics.incr_id(keys::id::NET_DROPPED, 1);
             return;
         }
         let wire = msg.wire_size();
-        let owd = link.sample_owd(wire, rng);
+        let owd = link.sample_owd(wire, self.rng);
         // The link delivers serially: an arrival that lands on an occupied
         // nanosecond is bumped to the next free one, so same-pair messages
         // never tie at the receiver (see [`LinkSerializer`]).
@@ -245,27 +141,7 @@ impl<'a, M: Message> Context<'a, M> {
             msg,
             span: self.span,
         };
-        match &mut self.route {
-            None => self.queue.push(at, kind),
-            Some(route) => {
-                // Sharded: the intrinsic tie-break key is a property of
-                // the message's identity, not of queue insertion order, so
-                // simultaneous events pop identically at any shard count.
-                // Cross-shard events stage in the outbox and enter the
-                // destination queue at the epoch barrier.
-                let key = keyed.map(|(key, _)| key).expect("sharded send has a key");
-                if route.home[to.index()] == route.self_shard {
-                    self.queue.push_keyed(at, key, kind);
-                } else {
-                    route.outbox.push(Outbound {
-                        at,
-                        key,
-                        dst_shard: route.home[to.index()],
-                        kind,
-                    });
-                }
-            }
-        }
+        self.queue.push(at, kind);
         self.prof.record(ProfCategory::LinkFault, t);
         // Counter order relative to the push is digest-invisible (counters
         // add, the digest walks names sorted); keeping the increments last
@@ -293,14 +169,7 @@ impl<'a, M: Message> Context<'a, M> {
             token,
             span: self.span,
         };
-        match &mut self.route {
-            None => self.queue.push(self.now + delay, kind),
-            Some(route) => {
-                // Timers are always shard-local (a node arms only itself).
-                let key = route.keys.next_timer(self.now, self.self_id, token);
-                self.queue.push_keyed(self.now + delay, key, kind);
-            }
-        }
+        self.queue.push(self.now + delay, kind);
     }
 
     /// Deterministic randomness shared by the run.
@@ -362,11 +231,11 @@ impl<'a, M: Message> Context<'a, M> {
     pub fn begin_trace(&mut self, kind: &'static str) -> Option<SpanCtx> {
         self.span = None;
         let t = self.prof.start();
-        let Some(trace) = self.trace.try_begin_trace(self.self_id) else {
+        let Some(trace) = self.trace.try_begin_trace() else {
             self.prof.record(ProfCategory::Trace, t);
             return None;
         };
-        let span = self.trace.next_span_id(self.self_id);
+        let span = self.trace.next_span_id();
         let ctx = SpanCtx { trace, span };
         self.trace.push(TraceEvent {
             at: self.now,
@@ -392,7 +261,7 @@ impl<'a, M: Message> Context<'a, M> {
             return None;
         }
         let t = self.prof.start();
-        let span = self.trace.next_span_id(self.self_id);
+        let span = self.trace.next_span_id();
         self.trace.push(TraceEvent {
             at: self.now,
             trace: parent.trace,
@@ -856,7 +725,6 @@ impl<M: Message> World<M> {
                 trace: &mut self.trace,
                 prof: &mut self.prof,
                 span,
-                route: None,
             };
             f(node.as_mut(), &mut ctx);
         }

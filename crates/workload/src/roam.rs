@@ -5,7 +5,7 @@
 //! per-client rate; each roam picks a uniformly random neighbor of the
 //! client's *current* cell, so a schedule is a deterministic walk over the
 //! AP grid, fully materialized at build time — the simulation itself draws
-//! no roam randomness, which keeps sharded runs bitwise reproducible.
+//! no roam randomness, so a roam never shifts the world's RNG stream.
 
 use ape_simnet::{SimDuration, SimRng, SimTime};
 

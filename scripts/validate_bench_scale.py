@@ -39,6 +39,7 @@ CELL_KEYS = {
     "fetches": int,
     "roams": int,
     "peer_hits": int,
+    "tie_invariant": bool,
     "wall_ms": float,
 }
 
