@@ -29,8 +29,9 @@
 //! the SoA client-fleet scale sweep — one `FleetNode` of {10k, 100k, 1M}
 //! clients per cell (writes `BENCH_fleet.json`) — and `bench-scale` the
 //! city-scale multi-AP topology sweep: hit ratio and p99 latency vs AP
-//! count × roam rate × cooperation mode, every cell fingerprint-asserted
-//! invariant under a tie-perturbation key (writes `BENCH_scale.json`).
+//! count × roam rate × cooperation mode, every cell of up to 16 APs
+//! fingerprint-asserted invariant under a tie-perturbation key (writes
+//! `BENCH_scale.json`).
 //! `profile` runs the four systems one after another with the sim-loop
 //! self-profiler on and prints per-subsystem host-time attribution. All
 //! six time wall-clock and are therefore *not* part of `all`, whose

@@ -72,7 +72,8 @@ struct Cell {
 /// compute the same arrival nanosecond, which `LinkSerializer` bumps apart
 /// one linear scan at a time — measured on a jitter-free link, the 100k
 /// cell took 4.8 s per run instead of 0.24 s and the 1M cell did not
-/// finish in ten minutes.
+/// finish in ten minutes. That cliff is ROADMAP item 3(d); the jitter
+/// sidesteps it here and does not fix it.
 fn link() -> LinkSpec {
     LinkSpec::new(2, SimDuration::from_micros(1_500)).jitter_mean(SimDuration::from_micros(200))
 }
@@ -96,7 +97,7 @@ fn build_fleet(clients: usize, seed: u64) -> World<FleetMsg> {
         timeout: SimDuration::from_secs(5),
         tick: SimDuration::from_millis(10),
     };
-    let fleet = w.add_node("fleet", FleetNode::new(config, responder, 0));
+    let fleet = w.add_node("fleet", FleetNode::new(config, responder));
     w.connect(fleet, responder, link());
     w
 }

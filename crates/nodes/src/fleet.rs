@@ -123,8 +123,6 @@ pub struct FleetNode {
     config: FleetConfig,
     /// Where fetches go.
     responder: NodeId,
-    /// Request-id base so multiple fleets in one world issue disjoint ids.
-    id_base: u64,
     zipf: ZipfSampler,
     // --- struct-of-arrays hot state, one slot per client ---------------
     /// IDLE or PENDING.
@@ -149,13 +147,12 @@ pub struct FleetNode {
 
 impl FleetNode {
     /// Creates a fleet of `config.clients` clients that fetch from
-    /// `responder`. `fleet_index` namespaces request ids when a world
-    /// holds several fleets.
-    pub fn new(config: FleetConfig, responder: NodeId, fleet_index: u32) -> Self {
+    /// `responder`.
+    pub fn new(config: FleetConfig, responder: NodeId) -> Self {
         assert!(config.clients > 0, "fleet needs at least one client");
         assert!(
-            config.clients < (1 << 22),
-            "client slot must fit the request-id layout"
+            u32::try_from(config.clients).is_ok(),
+            "client slot must fit the request id's upper half"
         );
         assert!(
             config.timeout.div_floor(config.tick) + 2 < RING as u64,
@@ -165,7 +162,6 @@ impl FleetNode {
         let zipf = ZipfSampler::with_config(config.apps, config.zipf_exponent, config.zipf);
         FleetNode {
             responder,
-            id_base: u64::from(fleet_index) << 54,
             zipf,
             state: vec![IDLE; n],
             next_fetch_at: vec![SimTime::ZERO; n],
@@ -205,7 +201,7 @@ impl FleetNode {
         let now = ctx.now();
         let app = self.zipf.sample(ctx.rng()) as u32;
         self.seq[slot as usize] = self.seq[slot as usize].wrapping_add(1);
-        let req = self.id_base | u64::from(slot) << 32 | u64::from(self.seq[slot as usize]);
+        let req = u64::from(slot) << 32 | u64::from(self.seq[slot as usize]);
         self.state[slot as usize] = PENDING;
         self.issued_at[slot as usize] = now;
         self.deadline_at[slot as usize] = now + self.config.timeout;
@@ -264,7 +260,7 @@ impl Node<FleetMsg> for FleetNode {
         let FleetMsg::Reply { req, hit } = msg else {
             return;
         };
-        let slot = ((req >> 32) & 0x3f_ffff) as u32;
+        let slot = (req >> 32) as u32;
         let seq = (req & 0xffff_ffff) as u32;
         if self.state[slot as usize] != PENDING || self.seq[slot as usize] != seq {
             return; // reply raced the watchdog; already settled
@@ -420,7 +416,7 @@ mod tests {
             "responder",
             FleetResponder::new(origin, 60, SimDuration::from_micros(100), 11),
         );
-        let fleet = w.add_node("fleet", FleetNode::new(small_config(500), responder, 0));
+        let fleet = w.add_node("fleet", FleetNode::new(small_config(500), responder));
         w.connect(responder, origin, link());
         w.connect(fleet, responder, link());
         w.run_until(SimTime::ZERO + SimDuration::from_secs(3));

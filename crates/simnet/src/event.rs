@@ -35,28 +35,12 @@ pub(crate) enum EventKind<M> {
     },
 }
 
-#[derive(Debug)]
-pub(crate) struct ScheduledEvent<M> {
-    pub at: SimTime,
-    /// Tie-breaker for simultaneous events. Without perturbation this is the
-    /// scheduling sequence number (FIFO among ties); under a perturbation
-    /// key it is a bijective scramble of that number, so ties pop in a
-    /// seeded permutation while distinct-timestamp ordering is untouched.
-    ///
-    /// The dispatch loop orders on it implicitly (inside the wheel) and
-    /// never reads it back; it stays a field so [`event_footprint`] sizes
-    /// what a wheel slot really holds.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub seq: u64,
-    pub kind: EventKind<M>,
-}
-
 /// In-memory footprint of one scheduled event carrying an `M`-typed
 /// message — what every slot of the timing wheel pays. Message crates pin
 /// this with a `const` assertion so an accidentally fattened message enum
 /// fails to compile instead of silently halving event-queue cache density.
 pub const fn event_footprint<M>() -> usize {
-    std::mem::size_of::<ScheduledEvent<M>>()
+    crate::wheel::entry_size::<EventKind<M>>()
 }
 
 /// Earliest-first queue of scheduled events.
@@ -126,7 +110,11 @@ impl<M> EventQueue<M> {
         self.wheel.push(at, seq, kind);
     }
 
-    pub fn pop(&mut self) -> Option<ScheduledEvent<M>> {
+    /// Pops the earliest event as `(at, seq, kind)`. `seq` is the tie-break
+    /// key: the scheduling sequence number (FIFO among ties) or, under a
+    /// perturbation key, a bijective scramble of it, so ties pop in a
+    /// seeded permutation while distinct-timestamp ordering is untouched.
+    pub fn pop(&mut self) -> Option<(SimTime, u64, EventKind<M>)> {
         let popped = self.wheel.pop();
         if let Some(oracle) = &mut self.oracle {
             let expect = oracle.pop().map(|(at, seq, ())| (at, seq));
@@ -136,7 +124,7 @@ impl<M> EventQueue<M> {
                 "timing wheel diverged from the reference heap"
             );
         }
-        popped.map(|(at, seq, kind)| ScheduledEvent { at, seq, kind })
+        popped
     }
 
     pub fn peek_time(&mut self) -> Option<SimTime> {
@@ -172,7 +160,7 @@ mod tests {
         q.push(SimTime::from_millis(1), deliver(2));
         q.push(SimTime::from_millis(3), deliver(3));
         let order: Vec<u64> = std::iter::from_fn(|| q.pop())
-            .map(|e| e.at.as_nanos() / 1_000_000)
+            .map(|(at, _, _)| at.as_nanos() / 1_000_000)
             .collect();
         assert_eq!(order, vec![1, 3, 5]);
     }
@@ -184,7 +172,9 @@ mod tests {
         for i in 0..10 {
             q.push(t, deliver(i));
         }
-        let seqs: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|e| e.seq).collect();
+        let seqs: Vec<u64> = std::iter::from_fn(|| q.pop())
+            .map(|(_, seq, _)| seq)
+            .collect();
         assert_eq!(seqs, (0..10).collect::<Vec<u64>>());
     }
 
@@ -198,7 +188,7 @@ mod tests {
                 q.push(t, deliver(i));
             }
             std::iter::from_fn(|| q.pop())
-                .map(|e| match e.kind {
+                .map(|(_, _, kind)| match kind {
                     EventKind::Deliver { to, .. } => to.index() as u64,
                     EventKind::Timer { .. } => unreachable!(),
                 })
@@ -222,7 +212,7 @@ mod tests {
         q.push(SimTime::from_millis(1), deliver(2));
         q.push(SimTime::from_millis(3), deliver(3));
         let order: Vec<u64> = std::iter::from_fn(|| q.pop())
-            .map(|e| e.at.as_nanos() / 1_000_000)
+            .map(|(at, _, _)| at.as_nanos() / 1_000_000)
             .collect();
         assert_eq!(order, vec![1, 3, 5]);
     }

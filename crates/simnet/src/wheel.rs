@@ -64,6 +64,11 @@ struct Entry<T> {
     item: T,
 }
 
+/// Bytes one queued `T` occupies in a wheel bucket.
+pub(crate) const fn entry_size<T>() -> usize {
+    std::mem::size_of::<Entry<T>>()
+}
+
 impl<T> PartialEq for Entry<T> {
     fn eq(&self, other: &Self) -> bool {
         self.at == other.at && self.seq == other.seq

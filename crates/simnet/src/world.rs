@@ -765,12 +765,12 @@ impl<M: Message> World<M> {
                 };
             }
             let t = self.prof.start();
-            let ev = self.queue.pop().expect("peeked event vanished");
+            let (at, _, kind) = self.queue.pop().expect("peeked event vanished");
             self.prof.record(ProfCategory::QueuePop, t);
-            self.clock = ev.at;
+            self.clock = at;
             events += 1;
             self.processed += 1;
-            match ev.kind {
+            match kind {
                 EventKind::Deliver {
                     to,
                     from,

@@ -11,6 +11,9 @@ Checks, beyond well-formedness of the schema:
   roams happen exactly in the cells whose roam rate is nonzero on a
   multi-AP grid,
 * isolated cells never record peer hits (cooperation is the only source),
+* every cell of up to 16 APs carries `tie_invariant: true` (the bench
+  asserted its fingerprint under a tie-perturbation key) and no larger
+  cell carries the key at all,
 * at every grid of 64+ APs the cooperative cell's AP-layer hit ratio
   strictly beats the isolated one — the acceptance criterion the bench
   itself asserts before writing the artifact.
@@ -27,6 +30,7 @@ AP_SWEEP_FULL = (1, 16, 64, 256)
 AP_SWEEP_QUICK = (1, 16)
 ROAM_FULL = ("none", "low", "high")
 ROAM_QUICK = ("none", "high")
+TIE_ASSERT_MAX_APS = 16
 
 CELL_KEYS = {
     "aps": int,
@@ -39,7 +43,6 @@ CELL_KEYS = {
     "fetches": int,
     "roams": int,
     "peer_hits": int,
-    "tie_invariant": bool,
     "wall_ms": float,
 }
 
@@ -60,9 +63,12 @@ def check_cell(i, cell):
                 fail(f"cells[{i}].{key}: expected bool, got {value!r}")
         elif not isinstance(value, kind) or isinstance(value, bool):
             fail(f"cells[{i}].{key}: expected {kind.__name__}, got {value!r}")
-    extra = set(cell) - set(CELL_KEYS)
+    extra = set(cell) - set(CELL_KEYS) - {"tie_invariant"}
     if extra:
         fail(f"cells[{i}]: unexpected keys {sorted(extra)}")
+    expected = True if cell["aps"] <= TIE_ASSERT_MAX_APS else None
+    if cell.get("tie_invariant") is not expected:
+        fail(f"cells[{i}]: tie_invariant must be true up to {TIE_ASSERT_MAX_APS} APs, absent above")
     if cell["aps"] <= 0 or cell["fetches"] <= 0 or cell["wall_ms"] <= 0:
         fail(f"cells[{i}]: aps/fetches/wall_ms must be positive")
     if cell["p99_ms"] <= 0:
