@@ -8,7 +8,7 @@
 //!   table1 table2 table4 table5 table6 table7
 //!   fig2 fig11a fig11b fig11c fig12 fig13a fig13b fig13c fig14
 //!   object-level ablations speedup trace profile
-//!   bench-evict bench-simworld bench-metrics bench-fleet bench-scale
+//!   bench-evict bench-simworld bench-fleet bench-scale
 //!   faults all
 //! ```
 //!
@@ -24,17 +24,16 @@
 //!
 //! `bench-evict` is the eviction-cost microbench (writes `BENCH_evict.json`
 //! at the repo root), `bench-simworld` the event-queue throughput sweep
-//! (writes `BENCH_simworld.json`), `bench-metrics` the metric-registry
-//! sketch-vs-exact sweep (writes `BENCH_metrics.json`), `bench-fleet`
-//! the SoA client-fleet scale sweep — one `FleetNode` of {10k, 100k, 1M}
-//! clients per cell (writes `BENCH_fleet.json`) — and `bench-scale` the
-//! city-scale multi-AP topology sweep: hit ratio and p99 latency vs AP
-//! count × roam rate × cooperation mode, every cell of up to 16 APs
+//! (writes `BENCH_simworld.json`), `bench-fleet` the SoA client-fleet
+//! scale sweep — one `FleetNode` of {10k, 100k, 1M} clients per cell
+//! (writes `BENCH_fleet.json`) — and `bench-scale` the city-scale
+//! multi-AP topology sweep: hit ratio and p99 latency vs AP count × roam
+//! rate × cooperation mode, every cell of up to 16 APs
 //! fingerprint-asserted invariant under a tie-perturbation key (writes
 //! `BENCH_scale.json`).
 //! `profile` runs the four systems one after another with the sim-loop
 //! self-profiler on and prints per-subsystem host-time attribution. All
-//! six time wall-clock and are therefore *not* part of `all`, whose
+//! five time wall-clock and are therefore *not* part of `all`, whose
 //! output is bitwise deterministic.
 //!
 //! `faults` is the lossy-WiFi resilience sweep (loss rate × caching
@@ -46,10 +45,9 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use ape_bench::{
-    ablations, bench_evict, bench_fleet, bench_metrics, bench_scale, bench_simworld, faults,
-    fig11a, fig11b, fig11c, fig12, fig13a, fig13b, fig13c, fig14, fig2, object_level, profile,
-    speedup, table1, table2, table4, table5, table6, table7, trace_artifacts, ReproOptions,
-    TraceArtifacts,
+    ablations, bench_evict, bench_fleet, bench_scale, bench_simworld, faults, fig11a, fig11b,
+    fig11c, fig12, fig13a, fig13b, fig13c, fig14, fig2, object_level, profile, speedup, table1,
+    table2, table4, table5, table6, table7, trace_artifacts, ReproOptions, TraceArtifacts,
 };
 
 fn write_trace_files(dir: &std::path::Path, artifacts: &TraceArtifacts) -> std::io::Result<()> {
@@ -67,7 +65,7 @@ fn usage() -> ! {
          artifacts: table1 table2 table4 table5 table6 table7 fig2 fig11a fig11b\n\
          \u{20}          fig11c fig12 fig13a fig13b fig13c fig14 object-level\n\
          \u{20}          ablations speedup trace profile bench-evict\n\
-         \u{20}          bench-simworld bench-metrics bench-fleet bench-scale\n\
+         \u{20}          bench-simworld bench-fleet bench-scale\n\
          \u{20}          faults all"
     );
     std::process::exit(2);
@@ -173,7 +171,6 @@ fn main() {
             "bench-simworld" => bench_simworld(&opts),
             "bench-fleet" => bench_fleet(&opts),
             "bench-scale" => bench_scale(&opts),
-            "bench-metrics" => bench_metrics(&opts),
             "profile" => profile(&opts),
             "faults" => faults(&opts),
             "trace" => {

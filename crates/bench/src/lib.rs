@@ -17,7 +17,6 @@ mod experiments;
 mod faults;
 mod fleet_bench;
 mod lookup_overhead;
-mod metrics_bench;
 pub mod microbench;
 mod profile;
 pub mod progmodel;
@@ -33,7 +32,6 @@ pub use experiments::{
 pub use faults::faults;
 pub use fleet_bench::bench_fleet;
 pub use lookup_overhead::fig11b;
-pub use metrics_bench::bench_metrics;
 pub use profile::profile;
 pub use scale_bench::bench_scale;
 pub use simworld_bench::bench_simworld;

@@ -89,13 +89,8 @@ pub fn trace_artifacts(opts: &ReproOptions) -> TraceArtifacts {
         jsonl.push_str(&log.to_jsonl(label));
         // Histogram-health summary lines: registry iteration is sorted, so
         // these stay byte-deterministic like the span lines above.
-        let names: Vec<String> = merged
-            .metrics
-            .histogram_names()
-            .map(str::to_owned)
-            .collect();
-        for name in names {
-            let hist = merged.metrics.histogram(&name).expect("name from registry");
+        for name in merged.metrics.histogram_names() {
+            let hist = merged.metrics.histogram(name).expect("name from registry");
             jsonl.push_str(&format!(
                 "{{\"system\":\"{label}\",\"histogram\":\"{name}\",\"count\":{},\"dropped_samples\":{}}}\n",
                 hist.count(),
@@ -104,7 +99,7 @@ pub fn trace_artifacts(opts: &ReproOptions) -> TraceArtifacts {
         }
 
         prometheus.push_str(&attribution.prometheus());
-        prometheus.push_str(&prometheus_snapshot(&mut merged.metrics, label));
+        prometheus.push_str(&prometheus_snapshot(&merged.metrics, label));
     }
 
     TraceArtifacts {

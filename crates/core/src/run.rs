@@ -17,7 +17,7 @@ use std::thread;
 
 use ape_nodes::ClientNode;
 use ape_proto::names;
-use ape_simnet::{Metrics, NodeId, ProfileReport, SimDuration};
+use ape_simnet::{Metrics, NodeId, ProfileReport, SimDuration, TimeSeries};
 
 use crate::system::System;
 use crate::testbed::{build, Testbed, TestbedConfig};
@@ -114,9 +114,11 @@ pub fn collect(system: System, bed: &mut Testbed) -> RunResult {
 }
 
 impl RunResult {
-    /// Extracts the headline summary (sorting histograms as needed).
+    /// Extracts the headline summary.
+    // `&mut self` only because `benchmark/src/trial.rs` binds its result
+    // `mut` for this call and may not be edited.
     pub fn summary(&mut self) -> Summary {
-        let m = &mut self.metrics;
+        let m = &self.metrics;
         let lookup_ms = m.mean(names::CLIENT_LOOKUP_QUERY_MS);
         let retrieval_ms = m.mean(names::CLIENT_RETRIEVAL_MS);
         let retrieval_hit_ms = m.mean(names::CLIENT_RETRIEVAL_HIT_MS);
@@ -127,25 +129,14 @@ impl RunResult {
         let app_latency_p99_ms = m.quantile(names::CLIENT_APP_LATENCY_MS, 0.99);
 
         let mut per_app_latency_ms = BTreeMap::new();
-        let app_names: Vec<String> = m
-            .histogram_names()
-            .filter_map(|n| {
-                n.strip_prefix(names::CLIENT_APP_LATENCY_MS_PREFIX)
-                    .map(str::to_owned)
-            })
-            .collect();
-        for name in app_names {
-            let key = names::client_app_latency_ms(&name);
-            let mean = m.mean(&key);
-            let p95 = m.quantile(&key, 0.95);
-            per_app_latency_ms.insert(name, (mean, p95));
+        for key in m.histogram_names() {
+            if let Some(app) = key.strip_prefix(names::CLIENT_APP_LATENCY_MS_PREFIX) {
+                per_app_latency_ms.insert(app.to_owned(), (m.mean(key), m.quantile(key, 0.95)));
+            }
         }
 
-        let cpu = m.time_series(names::AP_CPU).cloned().unwrap_or_default();
-        let mem = m
-            .time_series(names::AP_APE_MEM_MB)
-            .cloned()
-            .unwrap_or_default();
+        let cpu = m.time_series(names::AP_CPU);
+        let mem = m.time_series(names::AP_APE_MEM_MB);
         let attribution = self
             .trace
             .as_ref()
@@ -169,9 +160,9 @@ impl RunResult {
             failures: self.report.failures,
             // Time-weighted: CPU/memory are sampled states, not events, so
             // the average must weight each sample by how long it was held.
-            ap_cpu_mean: cpu.time_weighted_mean(),
-            ap_cpu_max: cpu.max(),
-            ape_mem_mb_max: mem.max(),
+            ap_cpu_mean: cpu.map_or(0.0, TimeSeries::time_weighted_mean),
+            ap_cpu_max: cpu.map_or(0.0, TimeSeries::max),
+            ape_mem_mb_max: mem.map_or(0.0, TimeSeries::max),
             attribution,
         }
     }

@@ -16,9 +16,7 @@ use ape_nodes::{
     ZoneAnswer,
 };
 use ape_proto::{IpMap, Msg};
-use ape_simnet::{
-    FaultPlan, LinkSpec, MetricsConfig, NodeId, SimDuration, SimRng, TraceConfig, World,
-};
+use ape_simnet::{FaultPlan, LinkSpec, NodeId, SimDuration, SimRng, TraceConfig, World};
 use ape_workload::{generate_schedule, Execution, ScheduleConfig};
 
 use crate::system::System;
@@ -48,10 +46,6 @@ pub struct TestbedConfig {
     /// Request-tracing knobs (disabled by default; enabling records causal
     /// spans for every sampled client fetch).
     pub trace: TraceConfig,
-    /// Metric-registry knobs (histogram representation, sketch oracle,
-    /// series capacity). The default — exact-compat mode, unbounded series
-    /// — is bitwise identical to the pre-sketch registry.
-    pub metrics: MetricsConfig,
     /// Enables the sim-loop self-profiler (see
     /// [`World::enable_profiler`](ape_simnet::World::enable_profiler)).
     /// Off by default; on or off, simulation outputs are unchanged — the
@@ -90,7 +84,6 @@ impl TestbedConfig {
             prewarm_edge: true,
             prefetch_hints: false,
             trace: TraceConfig::default(),
-            metrics: MetricsConfig::default(),
             profiler: false,
             wifi_loss: 0.0,
             faults: FaultPlan::new(),
@@ -149,15 +142,14 @@ pub(crate) const CDN_A_TTL: u32 = 60;
 /// TTL of the site CNAME records (seconds).
 pub(crate) const CNAME_TTL: u32 = 300;
 
-/// Applies the config's world-level knobs (perturbation, tracing, metrics,
-/// profiler, faults). Shared by the single-AP testbed and the multi-AP
+/// Applies the config's world-level knobs (perturbation, tracing, profiler,
+/// faults). Shared by the single-AP testbed and the multi-AP
 /// topology (`crate::topology`).
 pub(crate) fn configure_world(world: &mut World<Msg>, config: &TestbedConfig) {
     if let Some(key) = config.tie_perturbation {
         world.set_tie_perturbation(key);
     }
     world.set_trace_config(config.trace);
-    world.set_metrics_config(config.metrics.clone());
     if config.profiler {
         world.enable_profiler();
     }

@@ -167,7 +167,7 @@ impl TraceLog {
         }
         let stages = samples
             .into_iter()
-            .map(|(kind, mut hist)| (kind.to_owned(), BucketStat::from_histogram(&mut hist)))
+            .map(|(kind, hist)| (kind.to_owned(), BucketStat::from_histogram(&hist)))
             .collect();
         Attribution {
             system: system.to_owned(),
@@ -267,15 +267,10 @@ pub struct BucketStat {
 }
 
 impl BucketStat {
-    fn from_histogram(hist: &mut Histogram) -> Self {
-        // Incremental and bitwise identical to the seed's
-        // `samples().iter().sum()` (both fold insertion order from -0.0,
-        // with the same empty→+0.0 guard) — and, unlike the seed scan, it
-        // also works for sketch histograms, which keep no samples.
-        let total_ms = hist.sum();
+    fn from_histogram(hist: &Histogram) -> Self {
         BucketStat {
             count: hist.count() as u64,
-            total_ms,
+            total_ms: hist.sum(),
             mean_ms: hist.mean(),
             p50_ms: hist.p50(),
             p95_ms: hist.p95(),
@@ -371,28 +366,24 @@ impl Attribution {
 /// `apecache_<name>_total` and histograms as summaries (p50/p95/p99 plus
 /// `_sum`/`_count`), all labelled with the system variant. Metric-name dots
 /// become underscores. Deterministic: the registry iterates `BTreeMap`s.
-pub fn prometheus_snapshot(metrics: &mut Metrics, system: &str) -> String {
+pub fn prometheus_snapshot(metrics: &Metrics, system: &str) -> String {
     let mut out = String::new();
-    let counters: Vec<(String, u64)> = metrics
-        .counter_names()
-        .map(|n| (n.to_owned(), metrics.counter(n)))
-        .collect();
-    for (name, value) in counters {
+    for name in metrics.counter_names() {
         out.push_str(&format!(
-            "apecache_{}_total{{system=\"{system}\"}} {value}\n",
-            mangle(&name)
+            "apecache_{}_total{{system=\"{system}\"}} {}\n",
+            mangle(name),
+            metrics.counter(name)
         ));
     }
-    let histogram_names: Vec<String> = metrics.histogram_names().map(str::to_owned).collect();
-    for name in histogram_names {
-        let mangled = mangle(&name);
+    for name in metrics.histogram_names() {
+        let mangled = mangle(name);
+        let hist = metrics.histogram(name).expect("name from registry");
         for (q, quantile) in [("0.5", 0.5), ("0.95", 0.95), ("0.99", 0.99)] {
-            let v = metrics.quantile(&name, quantile);
+            let v = hist.quantile(quantile);
             out.push_str(&format!(
                 "apecache_{mangled}{{system=\"{system}\",quantile=\"{q}\"}} {v}\n"
             ));
         }
-        let hist = metrics.histogram(&name).expect("name from registry");
         let sum: f64 = hist.sum();
         out.push_str(&format!(
             "apecache_{mangled}_sum{{system=\"{system}\"}} {sum}\n"
@@ -531,9 +522,18 @@ mod tests {
         m.incr(names::CLIENT_FETCHES, 3);
         m.observe(names::CLIENT_APP_LATENCY_MS, 5.0);
         m.observe(names::CLIENT_APP_LATENCY_MS, 7.0);
-        let prom = prometheus_snapshot(&mut m, "TEST");
+        let prom = prometheus_snapshot(&m, "TEST");
         assert!(prom.contains("apecache_client_fetches_total{system=\"TEST\"} 3"));
-        assert!(prom.contains("apecache_client_app_latency_ms{system=\"TEST\",quantile=\"0.5\"} 5"));
+        // Nearest-rank p50 is 5.0; the histogram answers within 1% of it.
+        let p50: f64 = prom
+            .lines()
+            .find_map(|l| {
+                l.strip_prefix("apecache_client_app_latency_ms{system=\"TEST\",quantile=\"0.5\"} ")
+            })
+            .expect("p50 line")
+            .parse()
+            .expect("numeric p50");
+        assert!((p50 - 5.0).abs() <= 0.05, "p50 {p50}");
         assert!(prom.contains("apecache_client_app_latency_ms_sum{system=\"TEST\"} 12"));
         assert!(prom.contains("apecache_client_app_latency_ms_count{system=\"TEST\"} 2"));
         assert!(prom.contains("apecache_client_app_latency_ms_dropped_total{system=\"TEST\"} 0"));

@@ -13,14 +13,11 @@
 //!   `repro bench-simworld` times the wheel against it
 //!   (`BENCH_simworld.json`).
 //! * [`ExactHistogram`] — the sample-hoarding `Vec<f64>` histogram the
-//!   metric registry shipped with before the fixed-memory sketch rewrite
-//!   ([`crate::Histogram`] in [`HistogramMode::Sketch`]
-//!   (crate::HistogramMode)). The `metrics_sketch` property suite records
-//!   randomized and adversarial distributions through both and asserts the
-//!   sketch's quantiles stay within its error bound;
-//!   [`MetricsConfig::sketch_oracle`](crate::MetricsConfig) shadows every
-//!   live sketch with one of these during a run; and `repro bench-metrics`
-//!   times the sketch observe path against it (`BENCH_metrics.json`).
+//!   metric registry shipped with before the fixed-memory sketch
+//!   ([`crate::Histogram`]) replaced it. The `metrics_sketch` property
+//!   suite and the registry's unit tests record randomized and adversarial
+//!   distributions through both, side by side, and assert the sketch's
+//!   quantiles stay within its error bound.
 //!
 //! Do not "improve" this module — its value is that it stays frozen.
 
@@ -269,8 +266,7 @@ impl ExactHistogram {
         self.dropped += other.dropped;
     }
 
-    /// Heap footprint of the sample buffer in bytes (for the
-    /// `bench-metrics` memory column).
+    /// Heap footprint of the sample buffer in bytes.
     pub fn approx_bytes(&self) -> usize {
         self.samples.capacity() * std::mem::size_of::<f64>()
     }

@@ -4,7 +4,7 @@ use crate::determinism::{perturbation_key, DeterminismReport, Fingerprint, Pertu
 use crate::event::{EventKind, EventQueue};
 use crate::fault::FaultPlan;
 use crate::link::{LinkSerializer, LinkSpec, Topology};
-use crate::metrics::{keys, Metrics, MetricsConfig};
+use crate::metrics::{keys, Metrics};
 use crate::node::{Message, Node, NodeId, TimerToken};
 use crate::profiler::{ProfCategory, ProfTimer, ProfileReport, Profiler};
 use crate::rng::SimRng;
@@ -515,21 +515,6 @@ impl<M: Message> World<M> {
     /// Normally called once, before the run starts.
     pub fn set_trace_config(&mut self, config: TraceConfig) {
         self.trace.set_config(config);
-    }
-
-    /// Configures the metric registry (histogram mode, sketch oracle,
-    /// series capacity). Must be called before any metric is recorded.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the run has started or any metric has been recorded —
-    /// mixing histogram representations mid-run would corrupt digests.
-    pub fn set_metrics_config(&mut self, config: MetricsConfig) {
-        assert!(
-            !self.started,
-            "set_metrics_config must be called before the run starts"
-        );
-        self.metrics.set_config(config);
     }
 
     /// Turns on the sim-loop self-profiler (see [`crate::Profiler`]): the
@@ -1348,26 +1333,6 @@ mod tests {
         assert!(report_on.calls(ProfCategory::Dispatch) > 0);
         assert!(report_on.calls(ProfCategory::QueuePop) > 0);
         assert!(report_on.calls(ProfCategory::Metrics) > 0);
-    }
-
-    #[test]
-    fn metrics_config_flows_into_new_histograms() {
-        let mut w: World<Num> = World::new(1);
-        w.set_metrics_config(MetricsConfig {
-            histogram_mode: crate::metrics::HistogramMode::Sketch,
-            ..MetricsConfig::default()
-        });
-        w.metrics_mut().observe("h", 2.0);
-        assert!(w.metrics().histogram("h").unwrap().is_sketch());
-    }
-
-    #[test]
-    #[should_panic(expected = "before the run starts")]
-    fn metrics_config_rejected_after_start() {
-        let (mut w, a, b) = two_node_world();
-        w.post(a, b, Num(0));
-        w.run_to_idle();
-        w.set_metrics_config(MetricsConfig::default());
     }
 
     #[test]

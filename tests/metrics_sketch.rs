@@ -1,23 +1,19 @@
-//! Sketch-histogram property suite: the fixed-memory engine must track the
-//! frozen sample-hoarding seed ([`ape_simnet::reference::ExactHistogram`])
-//! to within 1% relative quantile error on every distribution shape the
-//! testbed produces — and swapping the whole metrics plane to sketch mode
-//! must leave the simulation itself bitwise tie-break invariant, exactly
-//! like the exact-compat plane (`tests/determinism_perturbation.rs`).
+//! Sketch-histogram property suite: [`ape_simnet::Histogram`] must track
+//! the frozen sample-hoarding seed
+//! ([`ape_simnet::reference::ExactHistogram`]), recorded side by side, to
+//! within 1% relative quantile error on every distribution shape the
+//! testbed produces. That the metrics plane leaves a run bitwise
+//! tie-break invariant is `tests/determinism_perturbation.rs`.
 //!
-//! The relative-error tolerance uses the same floor as `repro
-//! bench-metrics`' untimed accuracy gate: errors are measured against
-//! `max(|exact|, 1/1024)` so near-zero quantiles (inside the sketch's
-//! exact linear range) are compared absolutely at sub-bucket resolution.
+//! Errors are measured against `max(|exact|, 1/1024)`, so near-zero
+//! quantiles (inside the sketch's linear range) are compared absolutely
+//! at bucket resolution.
 
-use ape_appdag::DummyAppConfig;
 use ape_simnet::reference::ExactHistogram;
-use ape_simnet::{Histogram, HistogramMode, MetricsConfig, SimDuration, SimRng, TraceConfig};
-use ape_workload::ScheduleConfig;
-use apecache::{build, synthetic_suite, System, TestbedConfig};
+use ape_simnet::{Histogram, SimRng};
 use proptest::prelude::*;
 
-/// Quantiles every distribution test checks (matches `bench-metrics`).
+/// Quantiles every distribution test checks.
 const CHECK_QUANTILES: [f64; 4] = [0.5, 0.9, 0.99, 0.999];
 
 /// Relative-error budget: the sketch's log buckets are 1/128 wide, so 1%
@@ -27,7 +23,7 @@ const REL_TOL: f64 = 0.01 + 1e-9;
 /// Records `stream` into both engines and asserts every checked quantile
 /// agrees to within [`REL_TOL`]; returns the worst error for reporting.
 fn assert_tracks_exact(stream: &[f64], label: &str) -> f64 {
-    let mut sketch = Histogram::new_sketch(false);
+    let mut sketch = Histogram::new();
     let mut exact = ExactHistogram::new();
     for &v in stream {
         sketch.record(v);
@@ -99,7 +95,7 @@ fn sketch_tracks_exact_on_near_zero_streams() {
     for seed in 0..8u64 {
         let mut rng = SimRng::seed_from(0x5EED_0004 ^ seed);
         let stream: Vec<f64> = (0..20_000).map(|_| rng.uniform_f64(0.0, 0.02)).collect();
-        let mut sketch = Histogram::new_sketch(false);
+        let mut sketch = Histogram::new();
         let mut exact = ExactHistogram::new();
         for &v in &stream {
             sketch.record(v);
@@ -124,9 +120,9 @@ fn sketch_merge_is_order_independent_and_pools_exactly() {
     let a: Vec<f64> = (0..10_000).map(|_| rng.exponential(40.0)).collect();
     let b: Vec<f64> = (0..10_000).map(|_| rng.normal(15.0, 2.5).abs()).collect();
 
-    let mut pooled = Histogram::new_sketch(false);
-    let mut sketch_a = Histogram::new_sketch(false);
-    let mut sketch_b = Histogram::new_sketch(false);
+    let mut pooled = Histogram::new();
+    let mut sketch_a = Histogram::new();
+    let mut sketch_b = Histogram::new();
     for &v in &a {
         pooled.record(v);
         sketch_a.record(v);
@@ -201,74 +197,5 @@ proptest! {
             .collect();
         let worst = assert_tracks_exact(&stream, "random mixture");
         prop_assert!(worst <= REL_TOL);
-    }
-}
-
-/// The live oracle mode (sketch + shadow exact, differential-checked on
-/// every quantile read) must accept a full heavy-tail stream without
-/// tripping its internal assertion.
-#[test]
-fn sketch_oracle_mode_survives_heavy_tail_stream() {
-    let mut registry = ape_simnet::Metrics::new();
-    registry.set_config(MetricsConfig {
-        histogram_mode: HistogramMode::Sketch,
-        sketch_oracle: true,
-        ..MetricsConfig::default()
-    });
-    let mut rng = SimRng::seed_from(0x5EED_0006);
-    for _ in 0..20_000 {
-        registry.observe("oracle.latency_ms", rng.exponential(80.0));
-    }
-    // Each quantile read runs the differential check against the shadow.
-    for q in CHECK_QUANTILES {
-        let v = registry.quantile("oracle.latency_ms", q);
-        assert!(v.is_finite() && v > 0.0);
-    }
-}
-
-// --- Sketch-mode determinism -------------------------------------------
-
-/// Tie-break permutation keys (same set as `determinism_perturbation.rs`).
-const PERTURBATION_KEYS: [u64; 4] = [
-    0x9E37_79B9_7F4A_7C15,
-    0xD1B5_4A32_D192_ED03,
-    0xA5A5_A5A5_A5A5_A5A5,
-    0x0123_4567_89AB_CDEF,
-];
-
-/// Runs the standard determinism testbed with the metrics plane in sketch
-/// mode and returns the world fingerprint.
-fn sketch_fingerprint(key: Option<u64>) -> String {
-    let suite = synthetic_suite(5, &DummyAppConfig::default(), 11);
-    let mut cfg = TestbedConfig::new(System::ApeCache, suite);
-    cfg.schedule = ScheduleConfig {
-        apps: 5,
-        avg_per_minute: 3.0,
-        zipf_exponent: 0.8,
-        duration: SimDuration::from_mins(3),
-    };
-    cfg.trace = TraceConfig::enabled();
-    cfg.metrics = MetricsConfig {
-        histogram_mode: HistogramMode::Sketch,
-        ..MetricsConfig::default()
-    };
-    cfg.tie_perturbation = key;
-    let mut bed = build(&cfg);
-    bed.world.run_for(SimDuration::from_mins(3));
-    bed.world.fingerprint().to_string()
-}
-
-/// The sketch metrics plane must not reintroduce order sensitivity: the
-/// bucket-fold digest has to come out bitwise identical under every
-/// tie-break permutation, just like the exact-compat digest does.
-#[test]
-fn sketch_digest_is_tie_break_invariant() {
-    let baseline = sketch_fingerprint(None);
-    for key in PERTURBATION_KEYS {
-        let fp = sketch_fingerprint(Some(key));
-        assert_eq!(
-            fp, baseline,
-            "sketch-mode fingerprint diverged under tie perturbation {key:#x}"
-        );
     }
 }
