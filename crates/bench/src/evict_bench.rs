@@ -4,8 +4,9 @@
 //! {pacm, pacm-nofair, lru}, timing `select_victims` against a full store.
 //! The two PACM cells are also timed against the frozen seed engine
 //! (`ape_cachealg::reference`), so the reported speedup is measured against
-//! the code that actually shipped, not a reconstruction. Results are
-//! written to `BENCH_evict.json` at the repo root; this file is the first
+//! the code that actually shipped, not a reconstruction. A full run
+//! writes `BENCH_evict.json` at the repo root, a `--quick` run
+//! `target/repro-quick/BENCH_evict.json`; the committed file is the first
 //! point of the eviction-path performance trajectory and later PRs append
 //! to the story by regenerating it.
 //!
@@ -297,9 +298,10 @@ fn solver_path(c: &Cell) -> &'static str {
     }
 }
 
-/// Runs the eviction microbench sweep, writes `BENCH_evict.json` at the
-/// repo root, and returns a human-readable summary.
-pub fn bench_evict(opts: &ReproOptions) -> String {
+/// Runs the eviction microbench sweep and returns a human-readable summary.
+/// Writes `BENCH_evict.json` (repo root; `target/repro-quick/` for a quick
+/// run); an artifact that cannot be written is the `Err`.
+pub fn bench_evict(opts: &ReproOptions) -> std::io::Result<String> {
     let iters = (opts.micro_trials / 4).max(5);
     let quick = opts.micro_trials < ReproOptions::default().micro_trials;
     let mut cells = Vec::new();
@@ -310,11 +312,7 @@ pub fn bench_evict(opts: &ReproOptions) -> String {
     }
 
     let json = render_json(&cells, iters, opts.seed, quick);
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_evict.json");
-    let note = match std::fs::write(&path, &json) {
-        Ok(()) => format!("wrote {}", path.display()),
-        Err(err) => format!("FAILED to write {}: {err}", path.display()),
-    };
+    let path = crate::write_artifact("BENCH_evict.json", &json, quick)?;
 
     let mut out = String::from(
         "Eviction microbench: select_victims cost, optimized vs seed engine\n\
@@ -342,6 +340,6 @@ pub fn bench_evict(opts: &ReproOptions) -> String {
             solver_path(c),
         );
     }
-    let _ = writeln!(out, "\n{note}");
-    out
+    let _ = writeln!(out, "\nwrote {}", path.display());
+    Ok(out)
 }

@@ -10,8 +10,9 @@
 //! median/min/max wall-clock over the trials with the throughput the
 //! median implies. Every trial of a cell must produce the same
 //! [`Fingerprint`]; the bench asserts it, so the spread is host noise over
-//! one simulation. Results go to `BENCH_fleet.json` at the repo root;
-//! `EXPERIMENTS.md` tracks the trajectory.
+//! one simulation. A full run writes `BENCH_fleet.json` at the repo root, a
+//! `--quick` run `target/repro-quick/BENCH_fleet.json`; `EXPERIMENTS.md`
+//! tracks the trajectory.
 //!
 //! The workload is deterministic in `--seed`; only wall-clock timings vary
 //! run to run (the bench crate is the one place wall-clock is permitted).
@@ -167,9 +168,10 @@ fn render_json(cells: &[Cell], seed: u64, quick: bool, sim_secs: u64) -> String 
     out
 }
 
-/// Runs the SoA-fleet scale sweep, writes `BENCH_fleet.json` at the repo
-/// root, and returns a human-readable summary.
-pub fn bench_fleet(opts: &ReproOptions) -> String {
+/// Runs the SoA-fleet scale sweep and returns a human-readable summary.
+/// Writes `BENCH_fleet.json` (repo root; `target/repro-quick/` for a quick
+/// run); an artifact that cannot be written is the `Err`.
+pub fn bench_fleet(opts: &ReproOptions) -> std::io::Result<String> {
     let quick = opts.micro_trials < ReproOptions::default().micro_trials;
     let sizes: &[usize] = if quick { &SWEEP_QUICK } else { &SWEEP_FULL };
     let sim_secs = if quick { SIM_SECS_QUICK } else { SIM_SECS_FULL };
@@ -181,11 +183,7 @@ pub fn bench_fleet(opts: &ReproOptions) -> String {
         .collect();
 
     let json = render_json(&cells, opts.seed, quick, sim_secs);
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_fleet.json");
-    let note = match std::fs::write(&path, &json) {
-        Ok(()) => format!("wrote {}", path.display()),
-        Err(err) => format!("FAILED to write {}: {err}", path.display()),
-    };
+    let path = crate::write_artifact("BENCH_fleet.json", &json, quick)?;
 
     let mut out = format!(
         "SoA client-fleet scale sweep on the plain World\n\
@@ -210,6 +208,6 @@ pub fn bench_fleet(opts: &ReproOptions) -> String {
             c.fetches_per_sec,
         );
     }
-    let _ = writeln!(out, "{note}");
-    out
+    let _ = writeln!(out, "wrote {}", path.display());
+    Ok(out)
 }

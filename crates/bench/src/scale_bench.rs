@@ -18,8 +18,9 @@
 //! happen (`DESIGN.md` §17). At 64+ APs the cooperative grid must beat the
 //! isolated one on AP-layer hit ratio, or the bench panics.
 //!
-//! Results go to `BENCH_scale.json` at the repo root; `EXPERIMENTS.md`
-//! tracks the trajectory. The sweep itself is deterministic in `--seed`;
+//! A full run writes `BENCH_scale.json` at the repo root, a `--quick` run
+//! `target/repro-quick/BENCH_scale.json`; `EXPERIMENTS.md` tracks the
+//! trajectory. The sweep itself is deterministic in `--seed`;
 //! only the informational wall-clock column varies run to run.
 
 use std::fmt::Write as _;
@@ -223,9 +224,10 @@ fn render_json(cells: &[Cell], seed: u64, quick: bool, sim_secs: u64) -> String 
     out
 }
 
-/// Runs the city-scale multi-AP sweep, writes `BENCH_scale.json` at the
-/// repo root, and returns a human-readable summary.
-pub fn bench_scale(opts: &ReproOptions) -> String {
+/// Runs the city-scale multi-AP sweep and returns a human-readable summary.
+/// Writes `BENCH_scale.json` (repo root; `target/repro-quick/` for a quick
+/// run); an artifact that cannot be written is the `Err`.
+pub fn bench_scale(opts: &ReproOptions) -> std::io::Result<String> {
     let quick = opts.micro_trials < ReproOptions::default().micro_trials;
     let ap_sweep: &[usize] = if quick {
         &AP_SWEEP_QUICK
@@ -263,11 +265,7 @@ pub fn bench_scale(opts: &ReproOptions) -> String {
     }
 
     let json = render_json(&cells, opts.seed, quick, sim_secs);
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_scale.json");
-    let note = match std::fs::write(&path, &json) {
-        Ok(()) => format!("wrote {}", path.display()),
-        Err(err) => format!("FAILED to write {}: {err}", path.display()),
-    };
+    let path = crate::write_artifact("BENCH_scale.json", &json, quick)?;
 
     let mut out = String::from(
         "City-scale multi-AP sweep: hit ratio and p99 latency vs AP count x roam rate\n\
@@ -309,6 +307,6 @@ pub fn bench_scale(opts: &ReproOptions) -> String {
             c.wall_ms,
         );
     }
-    let _ = writeln!(out, "{note}");
-    out
+    let _ = writeln!(out, "wrote {}", path.display());
+    Ok(out)
 }

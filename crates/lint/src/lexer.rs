@@ -2,8 +2,8 @@
 //!
 //! `ape-lint` v1 stripped comments and strings with an ad-hoc state machine
 //! and ran substring searches over the result. The v2 rule families
-//! (span-balance, sim-time-arith, metric-registry, pub-api-debug) need real
-//! token boundaries — `.as_nanos() - 1` is a violation while
+//! (span-balance, sim-time-arith, metric-registry) need real token
+//! boundaries — `.as_nanos() - 1` is a violation while
 //! `fn as_nanos_total() -> u64` is not — so this module tokenizes Rust
 //! source properly: raw strings at any hash depth, nested block comments,
 //! char-literal vs lifetime disambiguation, byte/raw-byte strings, and

@@ -5,7 +5,7 @@
 //! source-level half of that contract (the runtime half is
 //! `ape_simnet::World::check_determinism`). v2 is built on a small
 //! self-contained Rust lexer ([`lexer`]) and a brace-matched block tree
-//! ([`tree`]) — no `syn`, no external dependencies — and enforces nine
+//! ([`tree`]) — no `syn`, no external dependencies — and enforces eight
 //! rules:
 //!
 //! Line rules (v1, now driven by lexer-based blanking):
@@ -37,9 +37,6 @@
 //!   at `*_id` sites must resolve against `ape_proto::names`
 //!   ([`registry::Registry`]). Exact-match literals carry a `--fix`
 //!   rewrite to the registered constant.
-//! - **`pub-api-debug`** — `pub` sim-state types without `Debug`
-//!   (replacing the blunt workspace-wide `missing_debug_implementations`
-//!   warn with a precise, waiverable rule).
 //! - **`unused-waiver`** — a waiver whose rule no longer fires on its
 //!   line is an error (with a `--fix` removal), keeping the ledger honest.
 //!
@@ -60,13 +57,6 @@
 //! the accumulated debt. `unused-waiver` and `waiver-syntax` cannot be
 //! waived.
 //!
-//! ## Baseline
-//!
-//! [`baseline::Baseline`] is the committed ledger (`lint-baseline.json`)
-//! that lets new rules land strict on new code while pre-existing
-//! violations burn down visibly: baselined violations are reported but do
-//! not fail the build, the ledger may never grow, and stale entries error.
-//!
 //! ## Scope and honesty about the approach
 //!
 //! The lexer gives exact token boundaries (raw strings, nested block
@@ -81,7 +71,6 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-pub mod baseline;
 pub mod lexer;
 pub mod registry;
 pub mod rules;
@@ -89,10 +78,10 @@ pub mod tree;
 
 pub use registry::Registry;
 
-/// Crates whose state participates in simulation results: rules `map-iter`,
-/// `sim-time-arith` and `pub-api-debug` apply to these only (the bench
-/// harness may use hash maps and host time for its own bookkeeping; nothing
-/// there feeds a simulated outcome).
+/// Crates whose state participates in simulation results: rules `map-iter`
+/// and `sim-time-arith` apply to these only (the bench harness may use hash
+/// maps and host time for its own bookkeeping; nothing there feeds a
+/// simulated outcome).
 pub const SIM_STATE_CRATES: &[&str] = &[
     "simnet", "nodes", "cachealg", "core", "proto", "dnswire", "appdag", "workload",
 ];
@@ -121,8 +110,6 @@ pub enum Rule {
     SimTimeArith,
     /// Metric name/id does not resolve against `ape_proto::names`.
     MetricRegistry,
-    /// Public sim-state type without `Debug`.
-    PubApiDebug,
     /// A waiver whose rule no longer fires on its line (unwaivable).
     UnusedWaiver,
     /// A malformed `ape-lint:` waiver comment (unwaivable).
@@ -140,7 +127,6 @@ impl Rule {
             Rule::SpanBalance => "span-balance",
             Rule::SimTimeArith => "sim-time-arith",
             Rule::MetricRegistry => "metric-registry",
-            Rule::PubApiDebug => "pub-api-debug",
             Rule::UnusedWaiver => "unused-waiver",
             Rule::WaiverSyntax => "waiver-syntax",
         }
@@ -157,7 +143,6 @@ impl Rule {
             "span-balance" => Some(Rule::SpanBalance),
             "sim-time-arith" => Some(Rule::SimTimeArith),
             "metric-registry" => Some(Rule::MetricRegistry),
-            "pub-api-debug" => Some(Rule::PubApiDebug),
             _ => None,
         }
     }
@@ -194,9 +179,7 @@ pub struct Violation {
     pub message: String,
     /// Whether a matching waiver covered this violation.
     pub waived: bool,
-    /// Whether the committed baseline grandfathers this violation.
-    pub baselined: bool,
-    /// The normalized source line (whitespace collapsed) — the baseline key.
+    /// The normalized source line (whitespace collapsed).
     pub excerpt: String,
     /// Mechanical rewrite, when one is safe.
     pub fix: Option<Fix>,
@@ -211,7 +194,6 @@ impl Violation {
             rule,
             message,
             waived: false,
-            baselined: false,
             excerpt: String::new(),
             fix: None,
         }
@@ -244,7 +226,7 @@ pub struct Waiver {
 /// Scan result over one file or a whole workspace.
 #[derive(Debug, Clone, Default)]
 pub struct Report {
-    /// All violations found, waived/baselined ones included (flagged).
+    /// All violations found, waived ones included (flagged).
     pub violations: Vec<Violation>,
     /// All waivers found, unused ones included (flagged).
     pub waivers: Vec<Waiver>,
@@ -253,19 +235,14 @@ pub struct Report {
 }
 
 impl Report {
-    /// Violations not covered by a waiver (baselined ones included).
+    /// Violations not covered by a waiver: the ones that fail the build.
     pub fn unwaived(&self) -> impl Iterator<Item = &Violation> {
         self.violations.iter().filter(|v| !v.waived)
     }
 
-    /// Violations that fail the build: neither waived nor baselined.
-    pub fn failing(&self) -> impl Iterator<Item = &Violation> {
-        self.violations.iter().filter(|v| !v.waived && !v.baselined)
-    }
-
-    /// Whether the scan is clean (no failing violations).
+    /// Whether the scan is clean (no unwaived violations).
     pub fn is_clean(&self) -> bool {
-        self.failing().next().is_none()
+        self.unwaived().next().is_none()
     }
 
     /// Violations carrying a fix that `--fix` would apply (unwaived only:
@@ -277,10 +254,10 @@ impl Report {
     }
 
     /// Serializes the report as a stable JSON document (hand-rolled — the
-    /// workspace has no registry access, hence no serde). Schema 2; CI
+    /// workspace has no registry access, hence no serde). Schema 3; CI
     /// validates against `docs/lint-report.schema.json`.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"schema\": 2,\n  \"files_scanned\": ");
+        let mut out = String::from("{\n  \"schema\": 3,\n  \"files_scanned\": ");
         out.push_str(&self.files_scanned.to_string());
         out.push_str(",\n  \"clean\": ");
         out.push_str(if self.is_clean() { "true" } else { "false" });
@@ -291,12 +268,11 @@ impl Report {
             }
             out.push_str(&format!(
                 "\n    {{\"file\": {}, \"line\": {}, \"rule\": {}, \"waived\": {}, \
-                 \"baselined\": {}, \"fixable\": {}, \"message\": {}, \"excerpt\": {}}}",
+                 \"fixable\": {}, \"message\": {}, \"excerpt\": {}}}",
                 json_str(&v.file),
                 v.line,
                 json_str(v.rule.as_str()),
                 v.waived,
-                v.baselined,
                 v.fix.is_some(),
                 json_str(&v.message),
                 json_str(&v.excerpt)
@@ -330,7 +306,7 @@ impl Report {
     }
 }
 
-pub(crate) fn json_str(s: &str) -> String {
+fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -769,9 +745,6 @@ pub fn scan_source(rel_path: &str, source: &str, ctx: FileContext, reg: &Registr
         rules::sim_time_arith(rel_path, source, &code, &mask, &mut violations);
     }
     rules::metric_registry(rel_path, source, &code, &mask, reg, &mut violations);
-    if ctx.sim_state {
-        rules::pub_api_debug(rel_path, source, &code, &mask, &mut violations);
-    }
 
     // Waiver application: a waiver on line L covers violations on L and L+1.
     let mut waivers: Vec<Waiver> = raw_waivers
@@ -824,8 +797,7 @@ pub fn scan_source(rel_path: &str, source: &str, ctx: FileContext, reg: &Registr
         ));
     }
 
-    // Fill excerpts (normalized raw source line — the baseline key) and
-    // sort for stable output.
+    // Fill excerpts (normalized raw source line) and sort for stable output.
     for v in &mut violations {
         if let Some(line) = src_lines.get(v.line.saturating_sub(1)) {
             v.excerpt = line.split_whitespace().collect::<Vec<_>>().join(" ");

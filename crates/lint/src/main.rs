@@ -1,9 +1,8 @@
 //! `ape-lint` CLI: `cargo run -p ape-lint -- check [--json] [--list-waivers]`
-//! plus `fix` and the baseline-ledger options.
+//! plus `fix`.
 
 use std::process::ExitCode;
 
-use ape_lint::baseline::Baseline;
 use ape_lint::{
     apply_fixes, scan_source, scan_workspace, workspace_files, workspace_root, FileContext,
     Registry, Report,
@@ -13,32 +12,22 @@ const USAGE: &str = "\
 ape-lint — determinism & sim-safety analyzer for the APE-CACHE workspace
 
 USAGE:
-    cargo run -p ape-lint -- check [--json] [--no-baseline] [--baseline <path>]
-    cargo run -p ape-lint -- check --write-baseline
+    cargo run -p ape-lint -- check [--json]
     cargo run -p ape-lint -- check --list-waivers [--json]
     cargo run -p ape-lint -- fix
 
 COMMANDS:
     check            Scan crates/*/src and src/ for rule violations.
-                     Exits 1 on any violation that is neither waived nor
-                     covered by the committed baseline, and on stale
-                     baseline entries.
+                     Exits 1 on any violation that is not waived.
     fix              Apply mechanical rewrites (registry-constant
                      replacement, unused-waiver removal) in place, then
                      report what changed. Re-run `check` afterwards.
 
 OPTIONS:
-    --json             Machine-readable report (schema 2; validated in CI
+    --json             Machine-readable report (schema 3; validated in CI
                        against docs/lint-report.schema.json).
     --list-waivers     Print the waiver ledger (file, line, rule, reason)
                        with a used/unused summary instead of violations.
-    --baseline <path>  Baseline ledger location (default:
-                       <workspace>/lint-baseline.json).
-    --no-baseline      Ignore the committed baseline: every unwaived
-                       violation fails.
-    --write-baseline   Regenerate the baseline from the current scan and
-                       exit. CI diffs the committed file against this
-                       output, so the ledger can shrink but never drift.
 
 RULES:
     map-iter         no unordered HashMap/HashSet iteration in sim-state crates
@@ -49,7 +38,6 @@ RULES:
     sim-time-arith   no raw arithmetic or truncating casts on SimTime values
                      outside crates/simnet/src/time.rs
     metric-registry  metric names/ids must resolve against ape_proto::names
-    pub-api-debug    public sim-state types must implement Debug
     unused-waiver    waivers must still match a violation (unwaivable)
 
 WAIVERS:
@@ -57,31 +45,16 @@ WAIVERS:
 ";
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut check = false;
     let mut fix = false;
     let mut json = false;
     let mut list_waivers = false;
-    let mut no_baseline = false;
-    let mut write_baseline = false;
-    let mut baseline_path: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
+    for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "check" => check = true,
             "fix" => fix = true,
             "--json" => json = true,
             "--list-waivers" => list_waivers = true,
-            "--no-baseline" => no_baseline = true,
-            "--write-baseline" => write_baseline = true,
-            "--baseline" => match it.next() {
-                Some(p) => baseline_path = Some(p.clone()),
-                None => {
-                    eprintln!("ape-lint: `--baseline` needs a path\n");
-                    print!("{USAGE}");
-                    return ExitCode::FAILURE;
-                }
-            },
             "--help" | "-h" | "help" => {
                 print!("{USAGE}");
                 return ExitCode::SUCCESS;
@@ -105,7 +78,7 @@ fn main() -> ExitCode {
         return run_fix(&root, &reg);
     }
 
-    let mut report = match scan_workspace(&root, &reg) {
+    let report = match scan_workspace(&root, &reg) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("ape-lint: scan failed: {e}");
@@ -118,59 +91,7 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    let ledger_path = baseline_path
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| root.join("lint-baseline.json"));
-
-    if write_baseline {
-        let ledger = Baseline::from_report(&report);
-        if let Err(e) = std::fs::write(&ledger_path, ledger.to_json()) {
-            eprintln!("ape-lint: cannot write {}: {e}", ledger_path.display());
-            return ExitCode::FAILURE;
-        }
-        println!(
-            "ape-lint: wrote {} entr{} to {}",
-            ledger.entries.len(),
-            if ledger.entries.len() == 1 {
-                "y"
-            } else {
-                "ies"
-            },
-            ledger_path.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    let mut stale: Vec<String> = Vec::new();
-    if !no_baseline && ledger_path.is_file() {
-        let text = match std::fs::read_to_string(&ledger_path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("ape-lint: cannot read {}: {e}", ledger_path.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        let ledger = match Baseline::parse(&text) {
-            Ok(l) => l,
-            Err(e) => {
-                eprintln!("ape-lint: {}: {e}", ledger_path.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        stale = ledger.apply(&mut report);
-    }
-
     print_check(&report, json);
-    for s in &stale {
-        eprintln!("ape-lint: {s}");
-    }
-    if !stale.is_empty() {
-        eprintln!(
-            "ape-lint: FAIL — baseline no longer matches the workspace; \
-             prune it with `--write-baseline`"
-        );
-        return ExitCode::FAILURE;
-    }
     if report.is_clean() {
         ExitCode::SUCCESS
     } else {
@@ -228,13 +149,7 @@ fn print_check(report: &Report, json: bool) {
         return;
     }
     for v in &report.violations {
-        let tag = if v.waived {
-            " (waived)"
-        } else if v.baselined {
-            " (baselined)"
-        } else {
-            ""
-        };
+        let tag = if v.waived { " (waived)" } else { "" };
         let fixable = if !v.waived && v.fix.is_some() {
             " [fixable]"
         } else {
@@ -245,18 +160,15 @@ fn print_check(report: &Report, json: bool) {
             v.file, v.line, v.rule, tag, fixable, v.message
         );
     }
-    let failing = report.failing().count();
     let waived = report.violations.iter().filter(|v| v.waived).count();
-    let baselined = report.violations.iter().filter(|v| v.baselined).count();
     println!(
-        "ape-lint: {} files scanned, {} violation(s) ({} waived, {} baselined), {} waiver(s)",
+        "ape-lint: {} files scanned, {} violation(s) ({} waived), {} waiver(s)",
         report.files_scanned,
         report.violations.len(),
         waived,
-        baselined,
         report.waivers.len()
     );
-    if failing > 0 {
+    if !report.is_clean() {
         println!(
             "ape-lint: FAIL — fix the violations, add `// ape-lint: allow(<rule>) -- <why>`, \
              or try `ape-lint fix` for [fixable] ones"

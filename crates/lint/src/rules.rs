@@ -1,5 +1,5 @@
 //! The v2 syntax-aware rule families: span-balance, sim-time-arith,
-//! metric-registry, pub-api-debug.
+//! metric-registry.
 //!
 //! These run on the comment-free token stream (plus the block tree), unlike
 //! the v1 line rules which substring-search blanked source. Each detector
@@ -563,87 +563,4 @@ pub fn metric_registry(
             }
         }
     }
-}
-
-// --- pub-api-debug --------------------------------------------------------
-
-/// Detects `pub struct`/`pub enum`/`pub union` without `#[derive(Debug)]`
-/// or a manual `impl … Debug for` in the same file. Replaces the blunt
-/// workspace-wide `missing_debug_implementations` warn with a waiverable,
-/// sim-state-scoped rule.
-pub fn pub_api_debug(
-    rel: &str,
-    src: &str,
-    toks: &[Token],
-    mask: &[bool],
-    out: &mut Vec<Violation>,
-) {
-    let n = toks.len();
-    // Pre-pass: type names with a manual Debug impl (`impl fmt::Debug for X`).
-    let mut manual: Vec<&str> = Vec::new();
-    for i in 0..n {
-        if is_i(src, &toks[i], "Debug")
-            && i + 2 < n
-            && is_i(src, &toks[i + 1], "for")
-            && toks[i + 2].kind == TokenKind::Ident
-        {
-            manual.push(toks[i + 2].text(src));
-        }
-    }
-    for i in 0..n {
-        if !is_i(src, &toks[i], "pub") {
-            continue;
-        }
-        // `pub(crate)` / `pub(super)` are not public API.
-        if i + 1 < n && is_p(src, &toks[i + 1], "(") {
-            continue;
-        }
-        let Some(kw) = toks.get(i + 1) else { continue };
-        let kw_text = kw.text(src);
-        if !(kw.kind == TokenKind::Ident
-            && (kw_text == "struct" || kw_text == "enum" || kw_text == "union"))
-        {
-            continue;
-        }
-        let Some(name_tok) = toks.get(i + 2) else {
-            continue;
-        };
-        if name_tok.kind != TokenKind::Ident || masked(mask, name_tok) {
-            continue;
-        }
-        let name = name_tok.text(src);
-        if manual.contains(&name) || has_derive_debug(src, toks, i) {
-            continue;
-        }
-        out.push(Violation::new(
-            rel,
-            name_tok.line as usize,
-            Rule::PubApiDebug,
-            format!(
-                "public {kw_text} `{name}` has no `Debug`; derive it (or impl it) so sim state \
-                 stays inspectable in test failures"
-            ),
-        ));
-    }
-}
-
-/// Whether the attribute groups directly above token `i` (the `pub`)
-/// include `derive(… Debug …)`.
-fn has_derive_debug(src: &str, toks: &[Token], i: usize) -> bool {
-    let mut k = i;
-    while k >= 1 && is_p(src, &toks[k - 1], "]") {
-        let Some(open) = find_open(src, toks, k - 1) else {
-            return false;
-        };
-        if open == 0 || !is_p(src, &toks[open - 1], "#") {
-            return false;
-        }
-        let group = &toks[open + 1..k - 1];
-        let is_derive = group.first().is_some_and(|t| is_i(src, t, "derive"));
-        if is_derive && group.iter().any(|t| is_i(src, t, "Debug")) {
-            return true;
-        }
-        k = open - 1; // keep walking over stacked attributes
-    }
-    false
 }

@@ -15,9 +15,9 @@
 //! metrics, draws no randomness and schedules no events, so an enabled run
 //! produces bitwise-identical simulation outputs ([`Fingerprint`]
 //! (crate::Fingerprint) included) to a disabled one. When disabled —
-//! the default — every hook is a single branch on a `bool`; the
-//! `bench_profiler_overhead` guard in `ape-bench` pins "off = free" the
-//! same way the PR 2 trace guard pins the trace path.
+//! the default — every hook is a single branch on a `bool`; what turning
+//! it on costs is `core.trace_overhead_share` in `benchmark/`, which runs
+//! every workload with the profiler off and then on.
 
 use std::fmt;
 // The whole point of this module is reading the host clock: profiler

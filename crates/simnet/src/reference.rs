@@ -7,11 +7,9 @@
 //!   shipped with before the timing-wheel rewrite ([`crate::TimerWheel`]).
 //!   The wheel's unit tests and the `wheel_differential` property suite pop
 //!   randomized schedules through both queues and assert identical
-//!   sequences;
+//!   sequences, and
 //!   [`World::enable_queue_oracle`](crate::World::enable_queue_oracle)
-//!   mirrors every live push/pop against this heap during a run; and
-//!   `repro bench-simworld` times the wheel against it
-//!   (`BENCH_simworld.json`).
+//!   mirrors every live push/pop against this heap during a run.
 //! * [`ExactHistogram`] — the sample-hoarding `Vec<f64>` histogram the
 //!   metric registry shipped with before the fixed-memory sketch
 //!   ([`crate::Histogram`]) replaced it. The `metrics_sketch` property
@@ -74,7 +72,6 @@ impl<T> Ord for RefEntry<T> {
 #[derive(Debug)]
 pub struct ReferenceEventQueue<T> {
     heap: BinaryHeap<RefEntry<T>>,
-    peak_len: usize,
 }
 
 impl<T> Default for ReferenceEventQueue<T> {
@@ -88,14 +85,12 @@ impl<T> ReferenceEventQueue<T> {
     pub fn new() -> Self {
         ReferenceEventQueue {
             heap: BinaryHeap::new(),
-            peak_len: 0,
         }
     }
 
     /// Queues `item` at time `at` with tie-break key `seq`.
     pub fn push(&mut self, at: SimTime, seq: u64, item: T) {
         self.heap.push(RefEntry { at, seq, item });
-        self.peak_len = self.peak_len.max(self.heap.len());
     }
 
     /// Removes and returns the earliest `(at, seq)` event.
@@ -116,17 +111,6 @@ impl<T> ReferenceEventQueue<T> {
     /// Whether no events are queued.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
-    }
-
-    /// High-water mark of [`len`](Self::len) over the queue's lifetime.
-    pub fn peak_len(&self) -> usize {
-        self.peak_len
-    }
-
-    /// Approximate heap footprint of the queue's buffer in bytes (see
-    /// [`TimerWheel::approx_bytes`](crate::TimerWheel::approx_bytes)).
-    pub fn approx_bytes(&self) -> usize {
-        self.heap.capacity() * std::mem::size_of::<RefEntry<T>>()
     }
 }
 
@@ -287,8 +271,6 @@ mod tests {
         assert_eq!(q.pop(), Some((SimTime::from_millis(1), 2, 'b')));
         assert_eq!(q.pop(), Some((SimTime::from_millis(1), 5, 'c')));
         assert!(q.is_empty());
-        assert_eq!(q.peak_len(), 3);
-        assert!(q.approx_bytes() > 0);
     }
 
     #[test]

@@ -186,8 +186,7 @@ impl<T> TimerWheel<T> {
 
     /// Approximate heap footprint of the queue's buffers in bytes (bucket,
     /// ready, overflow and scratch capacities; excludes payload-owned
-    /// allocations). Used by `repro bench-simworld` to report bytes per
-    /// queued event.
+    /// allocations): the queue's term in a memory-by-layer report.
     pub fn approx_bytes(&self) -> usize {
         let entry = std::mem::size_of::<Entry<T>>();
         let buckets: usize = self
