@@ -128,6 +128,10 @@ impl Question {
         w.u16(self.qclass.code());
     }
 
+    fn wire_len(&self) -> usize {
+        self.name.encoded_len() + 4
+    }
+
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(Question {
             name: DomainName::decode(r)?,
@@ -313,9 +317,19 @@ impl DnsMessage {
         w.into_vec()
     }
 
-    /// Size of the encoded message in bytes.
+    /// Size of the encoded message in bytes: the 12-byte header plus every
+    /// entry's own length. The encoder writes no compression pointers, so
+    /// the sum is exact.
     pub fn wire_len(&self) -> usize {
-        self.encode().len()
+        let questions: usize = self.questions.iter().map(Question::wire_len).sum();
+        let records: usize = self
+            .answers
+            .iter()
+            .chain(&self.authorities)
+            .chain(&self.additionals)
+            .map(ResourceRecord::wire_len)
+            .sum();
+        12 + questions + records
     }
 
     /// Parses a complete message; trailing bytes are an error.

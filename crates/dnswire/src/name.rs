@@ -1,7 +1,9 @@
 //! Domain names and their RFC1035 wire representation.
 
+use std::cmp::Ordering;
 use std::fmt;
 use std::str::FromStr;
+use std::sync::Arc;
 
 use crate::bytes::{Reader, Writer};
 use crate::error::WireError;
@@ -16,7 +18,9 @@ const MAX_POINTER_HOPS: usize = 32;
 /// A validated, case-insensitive DNS domain name.
 ///
 /// Stored in lowercase; comparison and hashing are therefore
-/// case-insensitive, matching DNS semantics.
+/// case-insensitive, matching DNS semantics. The name is one immutable
+/// shared buffer, so `clone` is a reference-count increment: names ride in
+/// every DNS message and key most per-domain maps.
 ///
 /// # Examples
 ///
@@ -28,16 +32,28 @@ const MAX_POINTER_HOPS: usize = 32;
 /// assert_eq!(name.labels().count(), 3);
 /// # Ok::<(), ape_dnswire::WireError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct DomainName {
-    /// Lowercased labels, without separators. Empty vec is the root name.
-    labels: Vec<Box<[u8]>>,
+    /// Lowercased labels joined by `.`; empty for the root name. Label
+    /// bytes are `[a-z0-9_-]`, so the separator is unambiguous.
+    text: Arc<str>,
+}
+
+/// Validates one label byte and lowercases it.
+fn label_byte(b: u8) -> Result<u8, WireError> {
+    if b.is_ascii_alphanumeric() || b == b'-' || b == b'_' {
+        Ok(b.to_ascii_lowercase())
+    } else {
+        Err(WireError::BadLabel(b))
+    }
 }
 
 impl DomainName {
     /// The DNS root (empty) name.
     pub fn root() -> Self {
-        DomainName { labels: Vec::new() }
+        DomainName {
+            text: Arc::from(""),
+        }
     }
 
     /// Parses a dotted name, validating label lengths and characters.
@@ -48,27 +64,24 @@ impl DomainName {
     /// [`WireError::BadLabel`] for invalid input.
     pub fn parse(s: &str) -> Result<Self, WireError> {
         let trimmed = s.strip_suffix('.').unwrap_or(s);
-        if trimmed.is_empty() {
-            return Ok(DomainName::root());
-        }
-        let mut labels = Vec::new();
-        for label in trimmed.split('.') {
-            if label.len() > MAX_LABEL {
-                return Err(WireError::LabelTooLong(label.len()));
-            }
-            if label.is_empty() {
-                return Err(WireError::BadLabel(b'.'));
-            }
-            let mut bytes = Vec::with_capacity(label.len());
-            for b in label.bytes() {
-                if !(b.is_ascii_alphanumeric() || b == b'-' || b == b'_') {
-                    return Err(WireError::BadLabel(b));
+        let mut text = String::with_capacity(trimmed.len());
+        if !trimmed.is_empty() {
+            for label in trimmed.split('.') {
+                if label.len() > MAX_LABEL {
+                    return Err(WireError::LabelTooLong(label.len()));
                 }
-                bytes.push(b.to_ascii_lowercase());
+                if label.is_empty() {
+                    return Err(WireError::BadLabel(b'.'));
+                }
+                if !text.is_empty() {
+                    text.push('.');
+                }
+                for b in label.bytes() {
+                    text.push(label_byte(b)? as char);
+                }
             }
-            labels.push(bytes.into_boxed_slice());
         }
-        let name = DomainName { labels };
+        let name = DomainName { text: text.into() };
         let encoded = name.encoded_len();
         if encoded > MAX_NAME {
             return Err(WireError::NameTooLong(encoded));
@@ -78,49 +91,61 @@ impl DomainName {
 
     /// Whether this is the root name.
     pub fn is_root(&self) -> bool {
-        self.labels.is_empty()
+        self.text.is_empty()
     }
 
-    /// Iterates the labels as UTF-8 strings (labels are ASCII by
-    /// construction).
+    /// Iterates the labels (ASCII by construction).
     pub fn labels(&self) -> impl Iterator<Item = &str> {
-        self.labels
-            .iter()
-            .map(|l| std::str::from_utf8(l).expect("labels are ascii"))
+        // Splitting the empty root text yields one empty piece; no real
+        // label is empty.
+        self.text.split('.').filter(|l| !l.is_empty())
     }
 
     /// Number of labels.
     pub fn label_count(&self) -> usize {
-        self.labels.len()
+        self.labels().count()
     }
 
     /// The registrable-ish suffix: last `n` labels as a new name.
     pub fn suffix(&self, n: usize) -> DomainName {
-        let skip = self.labels.len().saturating_sub(n);
+        let skip = self.label_count().saturating_sub(n);
+        if skip == 0 {
+            return self.clone();
+        }
+        let start = self
+            .text
+            .match_indices('.')
+            .nth(skip - 1)
+            .map_or(self.text.len(), |(dot, _)| dot + 1);
         DomainName {
-            labels: self.labels[skip..].to_vec(),
+            text: Arc::from(&self.text[start..]),
         }
     }
 
     /// Whether `self` equals `other` or is a subdomain of it.
     pub fn is_subdomain_of(&self, other: &DomainName) -> bool {
-        if other.labels.len() > self.labels.len() {
-            return false;
+        match self.text.strip_suffix(&*other.text) {
+            Some(rest) => rest.is_empty() || other.is_root() || rest.ends_with('.'),
+            None => false,
         }
-        let offset = self.labels.len() - other.labels.len();
-        self.labels[offset..] == other.labels[..]
     }
 
     /// Length of the uncompressed wire encoding (length bytes + terminator).
     pub fn encoded_len(&self) -> usize {
-        1 + self.labels.iter().map(|l| 1 + l.len()).sum::<usize>()
+        // Each label trades its separator for a length byte; the first
+        // label's length byte and the terminator add two.
+        if self.is_root() {
+            1
+        } else {
+            self.text.len() + 2
+        }
     }
 
     /// Appends the uncompressed wire encoding.
     pub(crate) fn encode(&self, w: &mut Writer) {
-        for label in &self.labels {
+        for label in self.labels() {
             w.u8(label.len() as u8);
-            w.bytes(label);
+            w.bytes(label.as_bytes());
         }
         w.u8(0);
     }
@@ -130,7 +155,10 @@ impl DomainName {
     /// Compression pointers must point strictly backwards, per RFC1035
     /// deployment practice; forward pointers are rejected.
     pub(crate) fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let mut labels = Vec::new();
+        // `total` caps the wire form at MAX_NAME, and the joined text is
+        // two bytes shorter, so the buffer cannot overflow.
+        let mut text = [0u8; MAX_NAME];
+        let mut used = 0usize;
         let mut total = 1usize; // terminator
         let mut hops = 0usize;
         // Position to restore after following pointers: end of the first
@@ -146,14 +174,14 @@ impl DomainName {
                     if total > MAX_NAME {
                         return Err(WireError::NameTooLong(total));
                     }
-                    let mut owned = Vec::with_capacity(bytes.len());
-                    for &b in bytes {
-                        if !(b.is_ascii_alphanumeric() || b == b'-' || b == b'_') {
-                            return Err(WireError::BadLabel(b));
-                        }
-                        owned.push(b.to_ascii_lowercase());
+                    if used > 0 {
+                        text[used] = b'.';
+                        used += 1;
                     }
-                    labels.push(owned.into_boxed_slice());
+                    for &b in bytes {
+                        text[used] = label_byte(b)?;
+                        used += 1;
+                    }
                 }
                 b if b & 0xC0 == 0xC0 => {
                     let low = r.u8()?;
@@ -178,24 +206,36 @@ impl DomainName {
         if let Some(pos) = resume {
             r.seek(pos)?;
         }
-        Ok(DomainName { labels })
+        let text = std::str::from_utf8(&text[..used]).expect("labels are ascii");
+        Ok(DomainName { text: text.into() })
+    }
+}
+
+/// Names order label by label, each label bytewise — the order of the
+/// label vectors, which is what `BTreeMap<DomainName, _>` iteration (and
+/// through it the run fingerprints) is pinned to. On the joined text that
+/// is bytewise order with the separator sorting below every label byte: at
+/// the first difference, a name whose label ends there has the shorter
+/// label (or is out of labels).
+impl Ord for DomainName {
+    fn cmp(&self, other: &Self) -> Ordering {
+        let rank = |b: u8| if b == b'.' { 0 } else { b };
+        self.text
+            .bytes()
+            .map(rank)
+            .cmp(other.text.bytes().map(rank))
+    }
+}
+
+impl PartialOrd for DomainName {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
     }
 }
 
 impl fmt::Display for DomainName {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.labels.is_empty() {
-            return write!(f, ".");
-        }
-        let mut first = true;
-        for label in self.labels() {
-            if !first {
-                write!(f, ".")?;
-            }
-            first = false;
-            write!(f, "{label}")?;
-        }
-        Ok(())
+        f.write_str(if self.is_root() { "." } else { &self.text })
     }
 }
 
@@ -336,6 +376,17 @@ mod tests {
         let www = DomainName::parse("www.apple.com").unwrap();
         assert_eq!(www.suffix(2).to_string(), "apple.com");
         assert_eq!(www.suffix(9), www);
+    }
+
+    #[test]
+    fn ordering_is_label_wise_not_bytewise() {
+        // `-` sorts below `.` as a byte, but "a" is a shorter label than
+        // "a-b", so label-wise `a.c` comes first.
+        let short = DomainName::parse("a.c").unwrap();
+        let long = DomainName::parse("a-b.c").unwrap();
+        assert!(short < long);
+        assert!(DomainName::root() < short);
+        assert!(DomainName::parse("a").unwrap() < short);
     }
 
     #[test]

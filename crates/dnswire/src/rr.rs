@@ -255,6 +255,16 @@ impl RData {
         }
     }
 
+    fn wire_len(&self) -> usize {
+        match self {
+            RData::A(_) => 4,
+            RData::Cname(n) | RData::Ns(n) => n.encoded_len(),
+            RData::Txt(s) => 1 + s.len().min(255),
+            RData::Opt(bytes) | RData::Other(bytes) => bytes.len(),
+            RData::DnsCache(tuples) => tuples.len() * CacheTuple::WIRE_LEN,
+        }
+    }
+
     fn decode(rtype: RrType, rdlength: usize, r: &mut Reader<'_>) -> Result<Self, WireError> {
         let end = r.pos() + rdlength;
         if r.remaining() < rdlength {
@@ -361,6 +371,12 @@ impl ResourceRecord {
         self.rdata.encode(w);
         let rdlength = w.len() - start;
         w.patch_u16(len_pos, rdlength as u16);
+    }
+
+    /// Encoded size: name, the 10 fixed bytes (TYPE, CLASS, TTL,
+    /// RDLENGTH) and the RDATA.
+    pub(crate) fn wire_len(&self) -> usize {
+        self.name.encoded_len() + 10 + self.rdata.wire_len()
     }
 
     pub(crate) fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {

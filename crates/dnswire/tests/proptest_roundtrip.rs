@@ -44,8 +44,24 @@ fn arb_rdata() -> impl Strategy<Value = RData> {
     ]
 }
 
+/// Payloads the roundtrip cannot carry — text past the 255-byte
+/// character-string limit is truncated on encode — but whose encoded size
+/// `wire_len` must still predict, plus the opaque `Other` payload.
+fn arb_lossy_rdata() -> impl Strategy<Value = RData> {
+    prop_oneof![
+        proptest::string::string_regex("[ -~]{200,400}")
+            .expect("valid regex")
+            .prop_map(RData::Txt),
+        proptest::collection::vec(any::<u8>(), 0..40).prop_map(RData::Other),
+    ]
+}
+
 fn arb_record() -> impl Strategy<Value = ResourceRecord> {
-    (arb_name(), any::<u32>(), arb_rdata()).prop_map(|(name, ttl, rdata)| {
+    arb_record_of(arb_rdata())
+}
+
+fn arb_record_of(rdata: impl Strategy<Value = RData>) -> impl Strategy<Value = ResourceRecord> {
+    (arb_name(), any::<u32>(), rdata).prop_map(|(name, ttl, rdata)| {
         let class = match rdata {
             RData::DnsCache(_) => RrClass::CacheResponse,
             _ => RrClass::In,
@@ -115,9 +131,30 @@ proptest! {
         let _ = DnsMessage::decode(&bytes);
     }
 
+    // `wire_len` is arithmetic over field lengths; the encoder is the
+    // reference, over every `RData` variant.
     #[test]
-    fn wire_len_is_consistent(msg in arb_message()) {
+    fn wire_len_is_consistent(
+        msg in arb_message(),
+        lossy in proptest::collection::vec(arb_record_of(arb_lossy_rdata()), 0..3),
+    ) {
+        let mut msg = msg;
+        msg.additionals.extend(lossy);
         prop_assert_eq!(msg.wire_len(), msg.encode().len());
+    }
+
+    // Names order as their label vectors do, whatever the storage:
+    // `BTreeMap<DomainName, _>` iteration feeds the run fingerprints. The
+    // tiny alphabet makes shared prefixes — and `-` (which sorts below the
+    // `.` separator as a byte) against a label end — common.
+    #[test]
+    fn names_order_label_wise(
+        a in proptest::collection::vec("[ab-]{1,3}", 0..4),
+        b in proptest::collection::vec("[ab-]{1,3}", 0..4),
+    ) {
+        let parse = |labels: &[String]| DomainName::parse(&labels.join(".")).expect("valid labels");
+        prop_assert_eq!(parse(&a).cmp(&parse(&b)), a.cmp(&b));
+        prop_assert_eq!(parse(&a) == parse(&b), a == b);
     }
 
     #[test]

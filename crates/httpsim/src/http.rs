@@ -21,12 +21,19 @@ pub enum Method {
     Post,
 }
 
+impl Method {
+    /// The method token as it appears on the request line.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Method::Get => "GET",
+            Method::Post => "POST",
+        }
+    }
+}
+
 impl fmt::Display for Method {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Method::Get => write!(f, "GET"),
-            Method::Post => write!(f, "POST"),
-        }
+        f.write_str(self.as_str())
     }
 }
 
@@ -128,7 +135,7 @@ impl HttpRequest {
 
     /// Approximate on-the-wire size: request line + minimal headers.
     pub fn wire_size(&self) -> usize {
-        self.method.to_string().len() + self.url.to_string().len() + 64
+        self.method.as_str().len() + self.url.text_len() + 64
     }
 }
 

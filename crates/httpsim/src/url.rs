@@ -5,8 +5,9 @@
 //! query parameters — name concrete objects. [`Url::base_id`] implements the
 //! former, [`Url::hash`] the latter.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::str::FromStr;
+use std::sync::Arc;
 
 use ape_dnswire::{DomainName, UrlHash, WireError};
 
@@ -62,6 +63,12 @@ impl fmt::Display for Scheme {
 
 /// A parsed, validated object URL.
 ///
+/// A `Url` is an immutable shared handle: `clone` is a reference-count
+/// increment, and the canonical text, its length and its [`UrlHash`] are
+/// computed once, in [`Url::parse`] / [`Url::with_query`]. URLs ride in
+/// every HTTP request and are hashed at every hop, so neither copying nor
+/// identifying one may cost a format.
+///
 /// # Examples
 ///
 /// ```
@@ -73,12 +80,25 @@ impl fmt::Display for Scheme {
 /// assert_eq!(url.query(), Some("id=42"));
 /// # Ok::<(), ape_httpsim::ParseUrlError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Clone)]
 pub struct Url {
+    inner: Arc<Inner>,
+}
+
+#[derive(Debug)]
+struct Inner {
+    /// Canonical text, `scheme://host/path[?query]` with the host
+    /// lowercased — exactly what `Display` prints and `hash` covers.
+    text: String,
     scheme: Scheme,
     host: DomainName,
-    path: String,
-    query: Option<String>,
+    /// Offset of the path's leading `/`.
+    path_start: usize,
+    /// End of the path: `text[..base_len]` is the base id, and a query, if
+    /// any, follows one `?` later.
+    base_len: usize,
+    /// FNV-1a of `text`.
+    hash: UrlHash,
 }
 
 impl Url {
@@ -104,64 +124,111 @@ impl Url {
             return Err(ParseUrlError::MissingHost);
         }
         let host = DomainName::parse(authority).map_err(ParseUrlError::BadHost)?;
-        let (path, query) = match path_and_query.split_once('?') {
-            Some((p, q)) => (p.to_owned(), Some(q.to_owned())),
-            None => (path_and_query.to_owned(), None),
+        let mut text = String::with_capacity(s.len() + 1);
+        write!(text, "{scheme}://{host}").expect("writing to a String cannot fail");
+        let path_start = text.len();
+        text.push_str(path_and_query);
+        let base_len = match path_and_query.find('?') {
+            Some(q) => path_start + q,
+            None => text.len(),
         };
-        Ok(Url {
-            scheme,
-            host,
-            path,
-            query,
-        })
+        Ok(Url::from_parts(text, scheme, host, path_start, base_len))
+    }
+
+    fn from_parts(
+        text: String,
+        scheme: Scheme,
+        host: DomainName,
+        path_start: usize,
+        base_len: usize,
+    ) -> Url {
+        let hash = UrlHash::of(&text);
+        Url {
+            inner: Arc::new(Inner {
+                text,
+                scheme,
+                host,
+                path_start,
+                base_len,
+                hash,
+            }),
+        }
     }
 
     /// The scheme.
     pub fn scheme(&self) -> Scheme {
-        self.scheme
+        self.inner.scheme
     }
 
     /// The host name.
     pub fn host(&self) -> &DomainName {
-        &self.host
+        &self.inner.host
     }
 
     /// The path (always begins with `/`).
     pub fn path(&self) -> &str {
-        &self.path
+        &self.inner.text[self.inner.path_start..self.inner.base_len]
     }
 
     /// The query string, without the `?`.
     pub fn query(&self) -> Option<&str> {
-        self.query.as_deref()
+        self.inner.text.get(self.inner.base_len + 1..)
     }
 
     /// The paper's object-family identifier: the URL without parameters.
-    pub fn base_id(&self) -> String {
-        format!("{}://{}{}", self.scheme, self.host, self.path)
+    pub fn base_id(&self) -> &str {
+        &self.inner.text[..self.inner.base_len]
     }
 
     /// Stable hash of the *full* URL (what DNS-Cache tuples carry).
     pub fn hash(&self) -> UrlHash {
-        UrlHash::of(&self.to_string())
+        self.inner.hash
+    }
+
+    /// Length in bytes of the URL's text, i.e. of what `Display` prints.
+    pub fn text_len(&self) -> usize {
+        self.inner.text.len()
     }
 
     /// Returns a copy with a different query string.
-    pub fn with_query(&self, query: impl Into<String>) -> Url {
-        Url {
-            query: Some(query.into()),
-            ..self.clone()
-        }
+    pub fn with_query(&self, query: impl fmt::Display) -> Url {
+        let base = self.base_id();
+        let mut text = String::with_capacity(base.len() + 16);
+        write!(text, "{base}?{query}").expect("writing to a String cannot fail");
+        Url::from_parts(
+            text,
+            self.inner.scheme,
+            self.inner.host.clone(),
+            self.inner.path_start,
+            self.inner.base_len,
+        )
+    }
+}
+
+impl PartialEq for Url {
+    fn eq(&self, other: &Self) -> bool {
+        // The text determines every other field.
+        self.inner.text == other.inner.text
+    }
+}
+
+impl Eq for Url {}
+
+impl std::hash::Hash for Url {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.inner.text.hash(state);
+    }
+}
+
+impl fmt::Debug for Url {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "Url({:?})", self.inner.text)
     }
 }
 
 impl fmt::Display for Url {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}://{}{}", self.scheme, self.host, self.path)?;
-        if let Some(q) = &self.query {
-            write!(f, "?{q}")?;
-        }
-        Ok(())
+        f.write_str(&self.inner.text)
     }
 }
 

@@ -1,8 +1,21 @@
 //! Property tests for URLs: display/parse roundtrips, base-id semantics
 //! and hash stability — the invariants the DNS-Cache tuples depend on.
 
+use ape_dnswire::UrlHash;
 use ape_httpsim::Url;
 use proptest::prelude::*;
+
+/// The identities cached at construction equal what formatting the URL
+/// would give: the hash and length of the printed text, and the base id
+/// as `scheme://host/path`.
+fn assert_cached_identities(url: &Url) -> Result<(), proptest::TestCaseError> {
+    let text = url.to_string();
+    prop_assert_eq!(url.hash(), UrlHash::of(&text));
+    prop_assert_eq!(url.text_len(), text.len());
+    let base = format!("{}://{}{}", url.scheme(), url.host(), url.path());
+    prop_assert_eq!(url.base_id(), base.as_str());
+    Ok(())
+}
 
 fn arb_host() -> impl Strategy<Value = String> {
     proptest::collection::vec("[a-z0-9]{1,10}", 2..5).prop_map(|labels| labels.join("."))
@@ -29,6 +42,8 @@ proptest! {
         let again = Url::parse(&url.to_string()).expect("display output parses");
         prop_assert_eq!(&url, &again);
         prop_assert_eq!(url.hash(), again.hash());
+        prop_assert_eq!(url.query(), query.as_deref());
+        assert_cached_identities(&url)?;
     }
 
     #[test]
@@ -47,6 +62,11 @@ proptest! {
         let varied = base.with_query(q.clone());
         prop_assert_eq!(base.base_id(), varied.base_id());
         prop_assert_eq!(varied.query(), Some(q.as_str()));
+        assert_cached_identities(&varied)?;
+        // Replacing a query behaves like setting one.
+        let replaced = varied.with_query("v=7");
+        prop_assert_eq!(&replaced, &base.with_query("v=7"));
+        assert_cached_identities(&replaced)?;
     }
 
     #[test]

@@ -606,8 +606,7 @@ impl ApNode {
         let now = ctx.now();
         let latency = self.work(now, self.config.http_processing);
         let key = request.url.hash();
-        let domain = request.url.host().clone();
-        self.remember_domain_url(domain, key);
+        self.remember_domain_url(request.url.host().clone(), key);
 
         // Feed PACM's frequency signal.
         let op = cache_op.or_else(|| self.registry.get(&key).map(|r| r.op));
@@ -616,6 +615,11 @@ impl ApNode {
         }
         ctx.metrics().incr_id(names::id::AP_DATA_REQUESTS, 1);
 
+        let waiter = Waiter {
+            node: from,
+            conn,
+            req,
+        };
         match self.cache.lookup(key, now) {
             Lookup::Hit => {
                 let size = self
@@ -639,34 +643,26 @@ impl ApNode {
             Lookup::Blocked => {
                 // Block-listed: fetch-and-forward without caching.
                 ctx.metrics().incr_id(names::id::AP_BLOCKED_SERVES, 1);
-                self.enqueue_delegation(ctx, from, conn, req, request.url, op, false);
+                self.enqueue_delegation(ctx, waiter, request.url, op, false);
             }
             Lookup::Expired | Lookup::Absent => {
                 ctx.metrics().incr_id(names::id::AP_DELEGATIONS, 1);
-                self.enqueue_delegation(ctx, from, conn, req, request.url, op, true);
+                self.enqueue_delegation(ctx, waiter, request.url, op, true);
             }
         }
     }
 
     /// Adds a waiter for `url`; starts the upstream fetch when none is
     /// already in flight.
-    #[allow(clippy::too_many_arguments)]
     fn enqueue_delegation(
         &mut self,
         ctx: &mut Context<'_, Msg>,
-        from: NodeId,
-        conn: ConnId,
-        req: RequestId,
+        waiter: Waiter,
         url: Url,
         op: Option<CacheOp>,
         cache_result: bool,
     ) {
         let key = url.hash();
-        let waiter = Waiter {
-            node: from,
-            conn,
-            req,
-        };
         if let Some(existing) = self.delegations.get_mut(&key) {
             existing.waiters.push(waiter);
             return;

@@ -145,6 +145,8 @@ struct Fetch {
     app_idx: usize,
     url: Url,
     key: UrlHash,
+    /// The registry entry for the URL's base id, resolved once at start.
+    spec: CacheableSpec,
     started: SimTime,
     lookup_started: SimTime,
     /// Set when the lookup needed an actual network query.
@@ -254,6 +256,8 @@ pub struct ClientNode {
     /// Dependents per app per object (reverse edges of the DAG).
     children: Vec<Vec<Vec<ObjIdx>>>,
     registry: BTreeMap<String, CacheableSpec>,
+    /// Per-app latency histogram key, by index into `apps`.
+    app_latency_keys: Vec<String>,
     schedule: Vec<Execution>,
     /// Roam stops, installed at build time (empty for non-roaming clients,
     /// which then schedule no roam timers at all).
@@ -322,7 +326,7 @@ impl ClientNode {
             children.push(kids);
             for (_, obj) in dag.iter() {
                 registry.insert(
-                    obj.url.base_id(),
+                    obj.url.base_id().to_owned(),
                     CacheableSpec {
                         priority: obj.priority,
                         ttl: obj.ttl,
@@ -331,11 +335,16 @@ impl ClientNode {
                 );
             }
         }
+        let app_latency_keys = apps
+            .iter()
+            .map(|app| names::client_app_latency_ms(app.name()))
+            .collect();
         ClientNode {
             config,
             apps,
             children,
             registry,
+            app_latency_keys,
             schedule,
             app_index,
             roam_schedule: Vec::new(),
@@ -407,11 +416,10 @@ impl ClientNode {
         };
         self.report.executions += 1;
         let latency = (ctx.now() - exec.started).as_millis_f64();
-        let name = self.apps[exec.app_idx].name().to_owned();
         ctx.metrics()
             .observe_id(names::id::CLIENT_APP_LATENCY_MS, latency);
         ctx.metrics()
-            .observe(&names::client_app_latency_ms(&name), latency);
+            .observe(&self.app_latency_keys[exec.app_idx], latency);
         if exec.failed {
             ctx.metrics()
                 .incr_id(names::id::CLIENT_FAILED_EXECUTIONS, 1);
@@ -426,9 +434,13 @@ impl ClientNode {
         let exec = &self.execs[&exec_id];
         let app_idx = exec.app_idx;
         let variant = exec.variant;
-        let spec = self.apps[app_idx].dag().object(obj).clone();
-        let url = spec.url.with_query(format!("v={variant}"));
+        let template = &self.apps[app_idx].dag().object(obj).url;
+        let url = template.with_query(format_args!("v={variant}"));
         let key = url.hash();
+        let spec = *self
+            .registry
+            .get(url.base_id())
+            .expect("every app object is registered at construction");
         let req = RequestId(self.next_req);
         self.next_req += 1;
         let now = ctx.now();
@@ -442,6 +454,7 @@ impl ClientNode {
             app_idx,
             url,
             key,
+            spec,
             started: now,
             lookup_started: now,
             lookup_was_query: false,
@@ -697,9 +710,11 @@ impl ClientNode {
             .iter()
             .take(4)
             .filter_map(|child| {
-                let spec = dag.object(*child);
-                let url = spec.url.with_query(format!("v={variant}"));
-                let cacheable = self.registry.get(&url.base_id())?;
+                let url = dag
+                    .object(*child)
+                    .url
+                    .with_query(format_args!("v={variant}"));
+                let cacheable = self.registry.get(url.base_id())?;
                 Some(ape_proto::PrefetchHint {
                     url,
                     op: CacheOp {
@@ -795,12 +810,7 @@ impl ClientNode {
         if let Some(root) = fetch.root_span {
             ctx.span_end(root, SpanKind::Fetch.as_str());
         }
-        let spec = self
-            .registry
-            .get(&fetch.url.base_id())
-            .copied()
-            .expect("fetched objects are registered");
-
+        let spec = fetch.spec;
         self.report.requests += 1;
         if spec.priority.is_high() {
             self.report.high_requests += 1;
@@ -1132,15 +1142,11 @@ impl Node<Msg> for ClientNode {
                     return;
                 };
                 fetch.phase = Phase::Fetching { mode };
-                let cache_op = if mode == FetchMode::Delegation {
-                    self.registry.get(&fetch.url.base_id()).map(|s| CacheOp {
-                        ttl: s.ttl,
-                        priority: s.priority,
-                        app: s.app,
-                    })
-                } else {
-                    None
-                };
+                let cache_op = (mode == FetchMode::Delegation).then_some(CacheOp {
+                    ttl: fetch.spec.ttl,
+                    priority: fetch.spec.priority,
+                    app: fetch.spec.app,
+                });
                 let request = HttpRequest::get(fetch.url.clone());
                 ctx.send_after(
                     self.config.processing,

@@ -42,7 +42,7 @@ impl Catalog {
 
     /// Looks up the entry serving `url`.
     pub fn entry_for(&self, url: &Url) -> Option<CatalogEntry> {
-        self.entries.get(&url.base_id()).copied()
+        self.entries.get(url.base_id()).copied()
     }
 
     /// Number of registered families.
@@ -213,7 +213,7 @@ impl Node<Msg> for EdgeNode {
             Msg::HttpReq {
                 conn, req, request, ..
             } => {
-                if self.cached.contains(&request.url.base_id())
+                if self.cached.contains(request.url.base_id())
                     || self.catalog.entry_for(&request.url).is_none()
                 {
                     self.hits += 1;
@@ -265,7 +265,7 @@ impl Node<Msg> for EdgeNode {
                     ctx.span_end(span, SpanKind::OriginFetch.as_str());
                 }
                 if response.status.is_success() {
-                    self.cached.insert(pending.url.base_id());
+                    self.cached.insert(pending.url.base_id().to_owned());
                 }
                 ctx.send_after(
                     self.processing,

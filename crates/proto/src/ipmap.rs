@@ -37,7 +37,7 @@ impl IpMap {
 
     /// Maximum number of distinct addresses the allocator can hand out
     /// (hosts `10.0.0.1` … `10.255.255.255`). Past this, `assign` would
-    /// wrap octets back onto live addresses; debug builds assert instead.
+    /// wrap octets back onto live addresses; it panics instead.
     pub const CAPACITY: usize = (1 << 24) - 1;
 
     /// Creates an empty map.
@@ -53,14 +53,14 @@ impl IpMap {
         }
         self.next_host += 1;
         let h = self.next_host;
-        debug_assert!(
+        assert!(
             h < (1 << 24),
             "IpMap exhausted: 10.0.0.0/8 host space wraps past {} assignments",
             (1 << 24) - 1
         );
         let ip = Ipv4Addr::new(10, (h >> 16) as u8, (h >> 8) as u8, h as u8);
         let stale = self.ip_to_node.insert(ip, node);
-        debug_assert!(
+        assert!(
             stale.is_none(),
             "IpMap wrapped onto live address {ip} (held by {stale:?})"
         );
@@ -137,8 +137,8 @@ mod tests {
     }
 
     /// Capacity contract: the allocator hands out hosts `10.0.0.1` through
-    /// `10.255.255.255` — 2^24 − 1 distinct addresses — and (in debug
-    /// builds) asserts instead of wrapping back onto live addresses. City
+    /// `10.255.255.255` — 2^24 − 1 distinct addresses — and panics
+    /// instead of wrapping back onto live addresses. City
     /// topologies of thousands of APs are nowhere near the bound; this test
     /// documents where it is.
     #[test]
@@ -157,7 +157,6 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "IpMap exhausted")]
-    #[cfg(debug_assertions)]
     fn exhaustion_panics_instead_of_wrapping() {
         let mut m = IpMap::new();
         m.next_host = IpMap::CAPACITY as u32;

@@ -178,7 +178,7 @@ const _: () = assert!(ape_simnet::event_footprint::<Msg>() <= 104);
 impl Message for Msg {
     fn wire_size(&self) -> usize {
         match self {
-            // Real encoded packet length + UDP/IP headers.
+            // Encoded packet length + UDP/IP headers.
             Msg::Dns(m) => m.wire_len() + 28,
             // TCP header (no payload) + IP header.
             Msg::TcpSyn { .. } | Msg::TcpSynAck { .. } => 40,
@@ -190,10 +190,7 @@ impl Message for Msg {
             Msg::WiCacheResult { .. } => 28 + 8,
             Msg::WiCacheAdvertise { added, removed } => 28 + 8 * (added.len() + removed.len()),
             Msg::PrefetchHints { hints } => {
-                28 + hints
-                    .iter()
-                    .map(|h| h.url.to_string().len() + 24)
-                    .sum::<usize>()
+                28 + hints.iter().map(|h| h.url.text_len() + 24).sum::<usize>()
             }
             Msg::PeerFetch { .. } => 28 + 16,
             Msg::PeerRsp {
