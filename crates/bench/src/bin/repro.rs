@@ -42,6 +42,9 @@
 //! diverge from the lossless baseline, so like `bench-evict` it is *not*
 //! part of `all`.
 
+// Times whole artifacts on the host clock; see the same allow in `ape_bench`.
+#![allow(clippy::disallowed_methods)]
+
 use std::path::PathBuf;
 use std::time::Instant;
 

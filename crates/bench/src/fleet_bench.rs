@@ -67,14 +67,11 @@ struct Cell {
     fetches_per_sec: u64,
 }
 
-/// The WiFi-hop link the fleet uses to reach the spine, with the testbed
-/// radio's 200 µs mean jitter. The jitter is load-bearing: a fleet issues
-/// a whole tick's fetches at one instant, and without it they would all
-/// compute the same arrival nanosecond, which `LinkSerializer` bumps apart
-/// one linear scan at a time — measured on a jitter-free link, the 100k
-/// cell took 4.8 s per run instead of 0.24 s and the 1M cell did not
-/// finish in ten minutes. That cliff is ROADMAP item 3(d); the jitter
-/// sidesteps it here and does not fix it.
+/// The WiFi-hop link the fleet uses to reach the spine: the testbed
+/// radio's `wifi` spec, 200 µs mean jitter included. A fleet issues a
+/// whole tick's fetches at one instant, so its two links carry the longest
+/// in-flight lists in the repo; the committed `events` / `fetches` per
+/// cell double as evidence that link reservations are bitwise stable.
 fn link() -> LinkSpec {
     LinkSpec::new(2, SimDuration::from_micros(1_500)).jitter_mean(SimDuration::from_micros(200))
 }

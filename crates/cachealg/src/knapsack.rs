@@ -61,8 +61,8 @@ impl KnapsackWorkspace {
     }
 
     /// Cumulative count of buffer-growth (reallocation) events. Stays flat
-    /// once the workspace has seen its largest instance — the microbench
-    /// asserts zero growth after warm-up.
+    /// once the workspace has seen its largest instance — `repro bench-evict`
+    /// reports the growth after warm-up per cell (`workspace_allocations`).
     pub fn allocations(&self) -> u64 {
         self.grown
     }

@@ -70,11 +70,6 @@ pub struct PacmConfig {
     /// Floor applied to `R(a)` in utilities and storage efficiency so
     /// never-measured apps neither zero out nor blow up the formulas.
     pub min_rate: f64,
-    /// Eviction watermark (bytes). When an eviction is needed, PACM evicts
-    /// down to `capacity − evict_headroom` instead of exactly `capacity`,
-    /// so a burst of admissions amortizes one solve across several inserts.
-    /// `0` (the default) reproduces the seed behavior exactly.
-    pub evict_headroom: u64,
 }
 
 impl Default for PacmConfig {
@@ -85,7 +80,6 @@ impl Default for PacmConfig {
             granularity: 1024,
             max_dp_items: 4096,
             min_rate: 0.05,
-            evict_headroom: 0,
         }
     }
 }
@@ -242,7 +236,7 @@ impl PacmPolicy {
     }
 
     /// Buffer-growth events inside the knapsack workspace; flat after
-    /// warm-up (the eviction microbench asserts this).
+    /// warm-up (`repro bench-evict` reports it as `workspace_allocations`).
     pub fn workspace_allocations(&self) -> u64 {
         self.workspace.allocations()
     }
@@ -460,10 +454,7 @@ impl EvictionPolicy for PacmPolicy {
         let n = self.candidates.len();
         self.stats.items_considered += n as u64;
 
-        let capacity = store
-            .capacity()
-            .saturating_sub(self.config.evict_headroom)
-            .saturating_sub(incoming.size);
+        let capacity = store.capacity().saturating_sub(incoming.size);
 
         let mut victims: Vec<UrlHash> = Vec::new();
         if n <= self.config.max_dp_items {
@@ -559,7 +550,6 @@ mod tests {
     use super::*;
     use crate::object::Priority;
     use crate::policy::{AdmitOutcome, CacheManager};
-    use crate::reference::ReferencePacm;
     use crate::store::Lookup;
     use ape_simnet::SimDuration;
 
@@ -810,46 +800,6 @@ mod tests {
         assert_eq!(stats.dp_runs, 0, "forced answer must not run the DP");
         assert_eq!(stats.short_circuits, 1);
         assert_eq!(stats.forced_victims, 3);
-    }
-
-    #[test]
-    fn evict_headroom_defaults_to_seed_behavior() {
-        assert_eq!(PacmConfig::default().evict_headroom, 0);
-        // With headroom, the budget shrinks: selecting against a store of
-        // equal-utility objects must evict strictly more than without.
-        let base = PacmConfig {
-            fairness_theta: 1.0,
-            ..PacmConfig::default()
-        };
-        let with_headroom = PacmConfig {
-            evict_headroom: 4_000,
-            ..base
-        };
-        let mut store = CacheStore::new(10_000, 500_000);
-        for i in 0..8 {
-            store.insert(
-                meta_for(&format!("o{i}"), 1, 1200, Priority::LOW, 3600),
-                SimTime::ZERO,
-            );
-        }
-        let incoming = meta_for("new", 2, 1200, Priority::LOW, 3600);
-        let mut plain = PacmPolicy::new(base);
-        let mut watermarked = PacmPolicy::new(with_headroom);
-        let v0 = plain.select_victims(&store, &incoming, SimTime::from_secs(1));
-        let v1 = watermarked.select_victims(&store, &incoming, SimTime::from_secs(1));
-        assert!(
-            v1.len() > v0.len(),
-            "headroom must deepen eviction: {} vs {}",
-            v1.len(),
-            v0.len()
-        );
-        // Headroom h is exactly equivalent to the seed solving with an
-        // incoming object h bytes larger.
-        let mut reference = ReferencePacm::new(PacmConfig { ..base });
-        let mut padded = incoming;
-        padded.size += 4_000;
-        let vr = reference.select_victims(&store, &padded, SimTime::from_secs(1));
-        assert_eq!(v1, vr);
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //!
 //! Entries live in ordered maps so every walk (expiry purge, eviction
 //! scans, per-priority accounting) visits objects in key order — part of
-//! the simulator's bitwise-determinism contract (lint rule `map-iter`).
+//! the simulator's bitwise-determinism contract (`clippy.toml` bans hash
+//! collections workspace-wide).
 
 use std::collections::{BTreeMap, BTreeSet};
 

@@ -91,16 +91,6 @@ impl TestbedConfig {
             tie_perturbation: None,
         }
     }
-
-    /// Sets PACM's eviction watermark: evictions free `headroom` bytes
-    /// beyond what the incoming object needs, so bursts of admissions
-    /// amortize one solve across several inserts. `0` (the default) keeps
-    /// the paper-exact evict-to-capacity behavior; any other value changes
-    /// victim selection and therefore the bitwise-reproducible outputs.
-    pub fn with_evict_headroom(mut self, headroom: u64) -> Self {
-        self.ap.pacm.evict_headroom = headroom;
-        self
-    }
 }
 
 /// A built testbed: the world plus the node ids a harness needs.
@@ -459,19 +449,5 @@ mod tests {
     #[should_panic(expected = "at least one app")]
     fn empty_app_suite_rejected() {
         let _ = build(&TestbedConfig::new(System::ApeCache, Vec::new()));
-    }
-
-    #[test]
-    fn evict_headroom_defaults_off_and_threads_through() {
-        let config = TestbedConfig::new(System::ApeCache, apps(2));
-        assert_eq!(
-            config.ap.pacm.evict_headroom, 0,
-            "default must stay seed-exact"
-        );
-        let config = config.with_evict_headroom(256_000);
-        assert_eq!(config.ap.pacm.evict_headroom, 256_000);
-        // The watermarked testbed still builds and runs.
-        let bed = build(&config);
-        assert_eq!(bed.clients.len(), 3);
     }
 }

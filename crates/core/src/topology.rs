@@ -232,7 +232,6 @@ pub fn build_topology(config: &TopologyConfig) -> Topology {
         // grid off the clients' 61 ns watchdog grid, the 61 ns step keeps
         // APs off each other, and the 2048 wrap stays under REAP_PHASE so
         // reap ticks never cross another AP's window/sample grid.
-        // ape-lint: allow(sim-time-arith) -- deliberate raw-nanosecond phase offsets; the primes are the point, no unit constructor expresses them
         ap_config.phase_stagger = SimDuration::from_nanos(17 + 61 * (i as u64 % 2048));
         let mut node = ApNode::new(ap_config, ldns, ip_map.clone());
         if let Some(controller) = controller {

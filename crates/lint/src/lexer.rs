@@ -1,14 +1,11 @@
 //! A small self-contained Rust lexer.
 //!
-//! `ape-lint` v1 stripped comments and strings with an ad-hoc state machine
-//! and ran substring searches over the result. The v2 rule families
-//! (span-balance, sim-time-arith, metric-registry) need real token
-//! boundaries — `.as_nanos() - 1` is a violation while
-//! `fn as_nanos_total() -> u64` is not — so this module tokenizes Rust
-//! source properly: raw strings at any hash depth, nested block comments,
-//! char-literal vs lifetime disambiguation, byte/raw-byte strings, and
-//! byte-accurate spans so `--fix` can splice replacements back into the
-//! original file.
+//! The token rules (span-balance, metric-registry) need real token
+//! boundaries — `m.incr("…")` is a call site while the same text inside a
+//! string, a comment or a doc example is not — so this module tokenizes
+//! Rust source properly: raw strings at any hash depth, nested block
+//! comments, char-literal vs lifetime disambiguation, byte/raw-byte
+//! strings, and byte-accurate spans.
 //!
 //! The lexer is deliberately smaller than a compiler front end: it does not
 //! classify keywords (rules match identifier text), does not parse numeric
@@ -547,8 +544,8 @@ mod tests {
     #[test]
     fn line_continuation_escapes_count_newlines() {
         // `\` + newline inside a string is an escape pair; the newline must
-        // still advance the line counter or every later waiver/violation
-        // line in the file drifts (seen on simnet/src/metrics.rs).
+        // still advance the line counter or every later violation line in
+        // the file drifts (seen on simnet/src/metrics.rs).
         let src = "let m = \"head \\\n         tail\";\nlet after = 1;";
         let toks = lex(src);
         let after = toks.iter().find(|t| t.text(src) == "after").unwrap();

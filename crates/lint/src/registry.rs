@@ -61,8 +61,8 @@ impl Registry {
             .any(|p| name.len() > p.len() && name.starts_with(p.as_str()))
     }
 
-    /// The const ident for an exactly-registered key, used by `--fix` to
-    /// rewrite a literal into `ape_proto::names::<IDENT>`.
+    /// The const ident for an exactly-registered key, named in the
+    /// violation so the literal can be replaced by `ape_proto::names::<IDENT>`.
     pub fn const_for(&self, name: &str) -> Option<&str> {
         self.by_value.get(name).map(String::as_str)
     }

@@ -1,9 +1,8 @@
-//! The v2 syntax-aware rule families: span-balance, sim-time-arith,
-//! metric-registry.
+//! The token rules: span-balance and metric-registry.
 //!
 //! These run on the comment-free token stream (plus the block tree), unlike
-//! the v1 line rules which substring-search blanked source. Each detector
-//! pushes [`Violation`]s; fixable ones carry a byte-span [`Fix`].
+//! the `metric-name` line rule, which substring-searches blanked source.
+//! Each detector pushes [`Violation`]s.
 //!
 //! Honesty about scope: span-balance is a *leak-shape* detector, not a path
 //! analysis. It flags a span binding (started via `span_start`/`begin_trace`,
@@ -16,7 +15,7 @@
 use crate::lexer::{string_value, Token, TokenKind};
 use crate::registry::Registry;
 use crate::tree::BlockTree;
-use crate::{Fix, Rule, Violation};
+use crate::{Rule, Violation};
 
 fn is_p(src: &str, t: &Token, s: &str) -> bool {
     t.kind == TokenKind::Punct && t.text(src) == s
@@ -44,29 +43,6 @@ fn find_close(src: &str, toks: &[Token], open_idx: usize) -> Option<usize> {
         if is_p(src, t, open) {
             depth += 1;
         } else if is_p(src, t, close) {
-            depth -= 1;
-            if depth == 0 {
-                return Some(k);
-            }
-        }
-    }
-    None
-}
-
-/// Index of the bracket matching the closer at `close_idx`, scanning back.
-fn find_open(src: &str, toks: &[Token], close_idx: usize) -> Option<usize> {
-    let close = toks[close_idx].text(src);
-    let open = match close {
-        ")" => "(",
-        "]" => "[",
-        "}" => "{",
-        _ => return None,
-    };
-    let mut depth = 0i32;
-    for k in (0..=close_idx).rev() {
-        if is_p(src, &toks[k], close) {
-            depth += 1;
-        } else if is_p(src, &toks[k], open) {
             depth -= 1;
             if depth == 0 {
                 return Some(k);
@@ -268,159 +244,11 @@ fn check_if_let_binding(
     ))
 }
 
-// --- sim-time-arith -------------------------------------------------------
-
-/// Integer-valued time accessors: raw arithmetic right after these leaks
-/// untyped nanoseconds.
-const INT_TIME_ACCESSORS: &[&str] = &["as_nanos", "as_micros", "as_millis", "as_secs"];
-/// All time accessors: an `as` narrowing cast after any of these truncates.
-const ALL_TIME_ACCESSORS: &[&str] = &[
-    "as_nanos",
-    "as_micros",
-    "as_millis",
-    "as_secs",
-    "as_secs_f64",
-    "as_millis_f64",
-];
-const ARITH: &[&str] = &["+", "-", "*", "/", "%", "+=", "-=", "*=", "/=", "%="];
-const NARROW_INT: &[&str] = &[
-    "u8", "u16", "u32", "u64", "usize", "i8", "i16", "i32", "i64", "isize",
-];
-
-/// Detects raw arithmetic / truncation casts on time values outside
-/// `crates/simnet/src/time.rs` (the one place typed time math lives).
-pub fn sim_time_arith(
-    rel: &str,
-    src: &str,
-    toks: &[Token],
-    mask: &[bool],
-    out: &mut Vec<Violation>,
-) {
-    let n = toks.len();
-    for i in 0..n {
-        let t = &toks[i];
-        if t.kind != TokenKind::Ident {
-            continue;
-        }
-        let text = t.text(src);
-        // `.accessor()` followed by arithmetic or an `as` narrowing cast,
-        // or preceded by an arithmetic operator.
-        if ALL_TIME_ACCESSORS.contains(&text)
-            && i >= 1
-            && is_p(src, &toks[i - 1], ".")
-            && i + 2 < n
-            && is_p(src, &toks[i + 1], "(")
-            && is_p(src, &toks[i + 2], ")")
-        {
-            if masked(mask, t) {
-                continue;
-            }
-            let after = toks.get(i + 3);
-            let int_accessor = INT_TIME_ACCESSORS.contains(&text);
-            if int_accessor && after.is_some_and(|a| ARITH.contains(&a.text(src))) {
-                out.push(Violation::new(
-                    rel,
-                    t.line as usize,
-                    Rule::SimTimeArith,
-                    format!(
-                        "raw arithmetic on `.{text}()`; keep time math on SimTime/SimDuration \
-                         (ops live in crates/simnet/src/time.rs)"
-                    ),
-                ));
-                continue;
-            }
-            if after.is_some_and(|a| is_i(src, a, "as"))
-                && toks
-                    .get(i + 4)
-                    .is_some_and(|c| NARROW_INT.contains(&c.text(src)))
-            {
-                let target = toks[i + 4].text(src);
-                out.push(Violation::new(
-                    rel,
-                    t.line as usize,
-                    Rule::SimTimeArith,
-                    format!(
-                        "truncating cast `.{text}() as {target}`; use a saturating/checked \
-                         conversion from crates/simnet/src/time.rs"
-                    ),
-                ));
-                continue;
-            }
-            if int_accessor {
-                if let Some(b) = before_chain(src, toks, i) {
-                    if ARITH[..5].contains(&toks[b].text(src))
-                        && toks[b].kind == TokenKind::Punct
-                        && !masked(mask, t)
-                    {
-                        out.push(Violation::new(
-                            rel,
-                            t.line as usize,
-                            Rule::SimTimeArith,
-                            format!(
-                                "raw arithmetic on `.{text}()`; keep time math on \
-                                 SimTime/SimDuration (ops live in crates/simnet/src/time.rs)"
-                            ),
-                        ));
-                    }
-                }
-            }
-        }
-        // `from_nanos(…)` whose argument does arithmetic or casts inline:
-        // the typed constructors (`from_nanos_f64`, `from_millis_f64`, …)
-        // exist so call sites never hand-convert.
-        if text == "from_nanos" && i + 1 < n && is_p(src, &toks[i + 1], "(") {
-            if masked(mask, t) {
-                continue;
-            }
-            if let Some(close) = find_close(src, toks, i + 1) {
-                let args = &toks[i + 2..close];
-                let has_arith = args.iter().any(|a| {
-                    (a.kind == TokenKind::Punct && ARITH[..5].contains(&a.text(src)))
-                        || is_i(src, a, "as")
-                });
-                if has_arith && !args.is_empty() {
-                    out.push(Violation::new(
-                        rel,
-                        t.line as usize,
-                        Rule::SimTimeArith,
-                        "inline arithmetic/cast inside `from_nanos(…)`; use the typed \
-                         constructors (`from_nanos_f64`, `from_millis_f64`, …) instead"
-                            .to_owned(),
-                    ));
-                }
-            }
-        }
-    }
-}
-
-/// Index of the token immediately before the postfix receiver chain whose
-/// final accessor ident is at `accessor_idx` (`a + b.c().as_nanos()` → the
-/// `+`). `None` when the chain reaches the start of the file.
-fn before_chain(src: &str, toks: &[Token], accessor_idx: usize) -> Option<usize> {
-    let mut k = accessor_idx.checked_sub(2)?; // skip the `.`
-    loop {
-        let t = &toks[k];
-        if is_p(src, t, ")") || is_p(src, t, "]") {
-            k = find_open(src, toks, k)?.checked_sub(1)?;
-            continue;
-        }
-        if t.kind == TokenKind::Ident || t.kind == TokenKind::Num {
-            if k >= 1 && (is_p(src, &toks[k - 1], ".") || is_p(src, &toks[k - 1], "::")) {
-                k = k.checked_sub(2)?;
-                continue;
-            }
-            return k.checked_sub(1);
-        }
-        // Unexpected chain head (`(`, `=`, operator…): it is the boundary.
-        return Some(k);
-    }
-}
-
 // --- metric-registry ------------------------------------------------------
 
 /// Metric-recording methods taking a *name string* first argument. Span
 /// methods (`begin_trace`, `span_start`, …) take `SpanKind` names and stay
-/// under the v1 `metric-name` rule.
+/// under the `metric-name` rule.
 const METRIC_STR_METHODS: &[&str] = &["incr", "observe", "record_point", "counter"];
 /// Interned-id recording methods: the argument must be a registered const.
 const METRIC_ID_METHODS: &[&str] = &["incr_id", "observe_id", "record_point_id"];
@@ -460,22 +288,15 @@ pub fn metric_registry(
             match string_value(src, arg) {
                 Some(value) if reg.const_for(value).is_some() => {
                     let ident = reg.const_for(value).expect("checked");
-                    out.push(
-                        Violation::new(
-                            rel,
-                            line,
-                            Rule::MetricRegistry,
-                            format!(
-                                "literal metric name \"{value}\" duplicates the registered \
-                                 constant; use `ape_proto::names::{ident}`"
-                            ),
-                        )
-                        .with_fix(Fix {
-                            start: arg.start,
-                            end: arg.end,
-                            replacement: format!("ape_proto::names::{ident}"),
-                        }),
-                    );
+                    out.push(Violation::new(
+                        rel,
+                        line,
+                        Rule::MetricRegistry,
+                        format!(
+                            "literal metric name \"{value}\" duplicates the registered \
+                             constant; use `ape_proto::names::{ident}`"
+                        ),
+                    ));
                 }
                 Some(value) if reg.resolves(value) => {
                     out.push(Violation::new(

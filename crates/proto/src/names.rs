@@ -150,10 +150,13 @@ pub const CLIENT_ROAMS: &str = "client.roams";
 /// Every static metric-name constant in this module as `(ident, value)`
 /// pairs, `net.*` re-exports included.
 ///
-/// This is the export `ape-lint`'s metric-registry rule resolves against:
-/// a string literal at an `incr`/`observe`/`record_point` call site must
-/// match one of these values (or a [`DYNAMIC_PREFIXES`] prefix), and an
-/// `incr_id`/`observe_id` argument must name one of these idents. Keeping
+/// This is the export `ape-lint`'s `metric-registry` rule resolves against
+/// (one of its three rules, beside `span-balance` and `metric-name`; hash
+/// collections and host-clock reads are `clippy.toml`'s job): a string
+/// literal at an `incr`/`observe`/`record_point` call site is flagged with
+/// the constant to use when it matches one of these values, and as
+/// unregistered when it matches neither a value nor a [`DYNAMIC_PREFIXES`]
+/// prefix; an `incr_id`/`observe_id` argument must name one of these idents. Keeping
 /// the table here — next to the constants — means adding a metric is one
 /// edit, and the drift tests below keep it in lockstep with [`id::ALL`].
 pub const REGISTRY: &[(&str, &str)] = &[

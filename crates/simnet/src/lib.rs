@@ -68,7 +68,7 @@ mod world;
 pub use determinism::{DeterminismReport, Fingerprint, PerturbedRun};
 pub use event::event_footprint;
 pub use fault::{FaultKind, FaultPlan, FaultWindow, LinkEffect};
-pub use link::{LinkSpec, Topology};
+pub use link::LinkSpec;
 pub use metrics::{keys, Histogram, MetricId, Metrics, TimeSeries};
 pub use node::{AsAny, Message, Node, NodeId, TimerToken};
 pub use profiler::{ProfCategory, ProfTimer, ProfileReport, Profiler, PROF_CATEGORIES};

@@ -5,8 +5,6 @@
 //! exponential jitter tail. This matches how the paper characterizes its
 //! paths (e.g. "7 hops away", "12 hops away", WiFi one hop).
 
-use std::collections::HashMap;
-
 use crate::node::NodeId;
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
@@ -122,48 +120,8 @@ impl LinkSpec {
     }
 }
 
-/// Static wiring between nodes: which pairs can exchange messages and with
-/// what path characteristics. Links are symmetric unless both directions are
-/// registered with distinct specs.
-#[derive(Debug, Clone, Default)]
-pub struct Topology {
-    links: HashMap<(NodeId, NodeId), LinkSpec>,
-}
-
-impl Topology {
-    /// Creates an empty topology.
-    pub fn new() -> Self {
-        Topology::default()
-    }
-
-    /// Registers a symmetric link between `a` and `b`.
-    pub fn connect(&mut self, a: NodeId, b: NodeId, spec: LinkSpec) {
-        self.links.insert((a, b), spec);
-        self.links.insert((b, a), spec);
-    }
-
-    /// Registers a one-direction link from `a` to `b` only.
-    pub fn connect_directed(&mut self, a: NodeId, b: NodeId, spec: LinkSpec) {
-        self.links.insert((a, b), spec);
-    }
-
-    /// Looks up the link from `a` to `b`.
-    pub fn link(&self, a: NodeId, b: NodeId) -> Option<&LinkSpec> {
-        self.links.get(&(a, b))
-    }
-
-    /// Number of directed link entries.
-    pub fn len(&self) -> usize {
-        self.links.len()
-    }
-
-    /// Whether no links are registered.
-    pub fn is_empty(&self) -> bool {
-        self.links.is_empty()
-    }
-}
-
-/// Serializes arrivals on each directed link.
+/// One directed link `src → dst`: its path characteristics and the
+/// arrivals currently in flight on it.
 ///
 /// A link is a serial resource: two messages sent `src → dst` can never
 /// *arrive* in the same nanosecond. Continuous (exponential) jitter makes
@@ -177,33 +135,105 @@ impl Topology {
 /// slots per directed pair and bumping an exact collision to the next free
 /// nanosecond removes that tie source at the wire, while leaving every
 /// collision-free run bit-identical to the unserialized schedule.
-#[derive(Debug, Default)]
-pub(crate) struct LinkSerializer {
-    /// Pending arrival times per directed pair. Entries at or before the
-    /// sender's clock have been delivered and are pruned on reservation;
-    /// links have positive delay, so a new arrival never lands in the past.
-    inflight: HashMap<(NodeId, NodeId), Vec<SimTime>>,
+#[derive(Debug)]
+pub(crate) struct Link {
+    dst: NodeId,
+    pub(crate) spec: LinkSpec,
+    /// Pending arrival times, ascending and distinct. Entries at or before
+    /// the sender's clock have been delivered and are pruned on
+    /// reservation; links have positive delay, so a new arrival never
+    /// lands in the past.
+    inflight: Vec<SimTime>,
 }
 
-impl LinkSerializer {
-    /// Reserves the arrival slot for a message on `src → dst` computed to
-    /// land at `at`, bumping past any in-flight arrival already occupying
-    /// that nanosecond. `now` is the sender's clock at send time.
-    pub(crate) fn reserve(
-        &mut self,
-        src: NodeId,
-        dst: NodeId,
-        now: SimTime,
-        at: SimTime,
-    ) -> SimTime {
-        let slots = self.inflight.entry((src, dst)).or_default();
-        slots.retain(|&t| t > now);
-        let mut at = at;
-        while slots.contains(&at) {
-            at += SimDuration::from_nanos(1);
+impl Link {
+    fn new(dst: NodeId, spec: LinkSpec) -> Self {
+        Link {
+            dst,
+            spec,
+            inflight: Vec::new(),
         }
-        slots.push(at);
+    }
+
+    /// Reserves the arrival slot for a message computed to land at `at`,
+    /// bumping past any in-flight arrival already occupying that
+    /// nanosecond. `now` is the sender's clock at send time.
+    pub(crate) fn reserve(&mut self, now: SimTime, at: SimTime) -> SimTime {
+        let delivered = self.inflight.partition_point(|&t| t <= now);
+        self.inflight.drain(..delivered);
+        let taken = match self.inflight.binary_search(&at) {
+            Ok(taken) => taken,
+            Err(free) => {
+                self.inflight.insert(free, at);
+                return at;
+            }
+        };
+        // The next free nanosecond is the end of the run of consecutive
+        // arrivals starting at `at`. Times are ascending and distinct, so
+        // `run[i] − at ≥ i` with equality exactly inside the run: the end
+        // is a binary search, not a walk (a same-nanosecond burst of n
+        // sends would otherwise cost n² steps).
+        let run = &self.inflight[taken..];
+        let (mut lo, mut hi) = (1, run.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if run[mid] - at == SimDuration::from_nanos(mid as u64) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        let at = at + SimDuration::from_nanos(lo as u64);
+        self.inflight.insert(taken + lo, at);
         at
+    }
+}
+
+/// Static wiring between nodes: which pairs can exchange messages, with
+/// what path characteristics, and what is in flight on each. One row per
+/// source node (indexed by `NodeId`), each row sorted by destination, so a
+/// send is one index plus one binary search and iteration order never
+/// depends on a hasher.
+#[derive(Debug, Default)]
+pub(crate) struct LinkTable {
+    rows: Vec<Vec<Link>>,
+}
+
+impl LinkTable {
+    /// Registers a symmetric link between `a` and `b`. The last
+    /// registration for a pair wins; its in-flight arrivals are kept.
+    pub(crate) fn connect(&mut self, a: NodeId, b: NodeId, spec: LinkSpec) {
+        self.insert(a, b, spec);
+        self.insert(b, a, spec);
+    }
+
+    fn insert(&mut self, src: NodeId, dst: NodeId, spec: LinkSpec) {
+        if self.rows.len() <= src.index() {
+            self.rows.resize_with(src.index() + 1, Vec::new);
+        }
+        let row = &mut self.rows[src.index()];
+        match Self::position(row, dst) {
+            Ok(i) => row[i].spec = spec,
+            Err(i) => row.insert(i, Link::new(dst, spec)),
+        }
+    }
+
+    /// Where `dst` is (`Ok`) or would be inserted (`Err`) in a sorted row.
+    fn position(row: &[Link], dst: NodeId) -> Result<usize, usize> {
+        row.binary_search_by_key(&dst, |l| l.dst)
+    }
+
+    /// The link from `src` to `dst`, if one is registered.
+    pub(crate) fn get(&self, src: NodeId, dst: NodeId) -> Option<&Link> {
+        let row = self.rows.get(src.index())?;
+        Some(&row[Self::position(row, dst).ok()?])
+    }
+
+    /// Mutable access to the link from `src` to `dst` (to reserve a slot).
+    pub(crate) fn get_mut(&mut self, src: NodeId, dst: NodeId) -> Option<&mut Link> {
+        let row = self.rows.get_mut(src.index())?;
+        let i = Self::position(row, dst).ok()?;
+        Some(&mut row[i])
     }
 }
 
@@ -215,44 +245,98 @@ mod tests {
         SimRng::seed_from(1)
     }
 
+    fn ns(n: u64) -> SimTime {
+        SimTime::from_nanos(n)
+    }
+
+    fn node(raw: u32) -> NodeId {
+        NodeId::from_raw(raw)
+    }
+
+    fn spec_ms(ms: u64) -> LinkSpec {
+        LinkSpec::new(1, SimDuration::from_millis(ms))
+    }
+
     #[test]
     fn serializer_bumps_only_exact_collisions() {
-        let mut s = LinkSerializer::default();
-        let (a, b) = (NodeId::from_raw(1), NodeId::from_raw(2));
-        let now = SimTime::from_nanos(100);
-        assert_eq!(
-            s.reserve(a, b, now, SimTime::from_nanos(500)).as_nanos(),
-            500
-        );
+        let mut t = LinkTable::default();
+        let (a, b) = (node(1), node(2));
+        t.connect(a, b, spec_ms(1));
+        let now = ns(100);
+        let ab = t.get_mut(a, b).unwrap();
+        assert_eq!(ab.reserve(now, ns(500)), ns(500));
         // Exact collision bumps to the next free nanosecond — chained when
         // that slot is taken too.
-        assert_eq!(
-            s.reserve(a, b, now, SimTime::from_nanos(500)).as_nanos(),
-            501
-        );
-        assert_eq!(
-            s.reserve(a, b, now, SimTime::from_nanos(500)).as_nanos(),
-            502
-        );
+        assert_eq!(ab.reserve(now, ns(500)), ns(501));
+        assert_eq!(ab.reserve(now, ns(500)), ns(502));
         // Distinct times pass through untouched, even between collisions.
-        assert_eq!(
-            s.reserve(a, b, now, SimTime::from_nanos(499)).as_nanos(),
-            499
-        );
+        assert_eq!(ab.reserve(now, ns(499)), ns(499));
         // The reverse direction and other pairs are independent resources.
-        assert_eq!(
-            s.reserve(b, a, now, SimTime::from_nanos(500)).as_nanos(),
-            500
-        );
+        assert_eq!(t.get_mut(b, a).unwrap().reserve(now, ns(500)), ns(500));
         // Delivered arrivals free their slots: advancing the clock past the
         // reservations lets the nanosecond be reused.
-        let later = SimTime::from_nanos(1_000);
-        assert_eq!(
-            s.reserve(a, b, later, SimTime::from_nanos(1_500))
-                .as_nanos(),
-            1_500
-        );
-        assert_eq!(s.inflight[&(a, b)].len(), 1);
+        let ab = t.get_mut(a, b).unwrap();
+        assert_eq!(ab.reserve(ns(1_000), ns(1_500)), ns(1_500));
+        assert_eq!(ab.inflight, [ns(1_500)]);
+    }
+
+    /// The reservation rule as it stood before the sorted vector, kept
+    /// verbatim as the oracle for the differential test below.
+    fn reference_reserve(slots: &mut Vec<SimTime>, now: SimTime, at: SimTime) -> SimTime {
+        slots.retain(|&t| t > now);
+        let mut at = at;
+        while slots.contains(&at) {
+            at += SimDuration::from_nanos(1);
+        }
+        slots.push(at);
+        at
+    }
+
+    #[test]
+    fn reserve_matches_the_retain_contains_reference() {
+        for seed in 0..64 {
+            let mut r = SimRng::seed_from(seed);
+            let mut link = Link::new(node(0), spec_ms(1));
+            let mut reference = Vec::new();
+            let mut now = 0u64;
+            let mut last_at = 1u64;
+            for step in 0..400 {
+                // Mostly a standing clock (bursts), sometimes a small step,
+                // sometimes a jump that frees every slot.
+                now += match r.next_u64() % 8 {
+                    0 => r.next_u64() % 40,
+                    1 => r.next_u64() % 4,
+                    2 if step % 50 == 49 => 1_000,
+                    _ => 0,
+                };
+                // Same nanosecond again (chained collisions), a dense
+                // window around it (out-of-order arrivals), or zero delay.
+                let at = match r.next_u64() % 4 {
+                    0 => last_at.max(now),
+                    1 => now,
+                    _ => now + r.next_u64() % 24,
+                };
+                last_at = at;
+                assert_eq!(
+                    link.reserve(ns(now), ns(at)),
+                    reference_reserve(&mut reference, ns(now), ns(at)),
+                    "seed {seed} step {step}: now {now} at {at}"
+                );
+            }
+            reference.sort_unstable();
+            assert_eq!(link.inflight, reference, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn burst_on_one_nanosecond_gets_consecutive_slots() {
+        // One callback fanning 100 000 sends down one link at one computed
+        // arrival: with `retain` + `contains` + one-nanosecond bumps this
+        // was cubic and did not finish; walking the run would be ~3 s.
+        let mut link = Link::new(node(0), spec_ms(1));
+        for k in 0..100_000 {
+            assert_eq!(link.reserve(ns(10), ns(1_000)), ns(1_000 + k));
+        }
     }
 
     #[test]
@@ -340,23 +424,49 @@ mod tests {
 
     #[test]
     fn topology_symmetric_connect() {
-        let mut t = Topology::new();
-        let a = NodeId::from_raw(0);
-        let b = NodeId::from_raw(1);
-        t.connect(a, b, LinkSpec::new(1, SimDuration::from_millis(1)));
-        assert!(t.link(a, b).is_some());
-        assert!(t.link(b, a).is_some());
-        assert_eq!(t.len(), 2);
+        let mut t = LinkTable::default();
+        let (a, b) = (node(0), node(1));
+        t.connect(a, b, spec_ms(1));
+        assert!(t.get(a, b).is_some());
+        assert!(t.get(b, a).is_some());
+        assert_eq!(t.rows.iter().map(Vec::len).sum::<usize>(), 2);
+        // Pairs never connected, and sources past the last row, are absent.
+        assert!(t.get(a, node(2)).is_none());
+        assert!(t.get(node(9), a).is_none());
+        assert!(t.get_mut(node(9), a).is_none());
     }
 
     #[test]
     fn topology_directed_connect() {
-        let mut t = Topology::new();
-        let a = NodeId::from_raw(0);
-        let b = NodeId::from_raw(1);
-        t.connect_directed(a, b, LinkSpec::new(1, SimDuration::from_millis(1)));
-        assert!(t.link(a, b).is_some());
-        assert!(t.link(b, a).is_none());
-        assert!(!t.is_empty());
+        let mut t = LinkTable::default();
+        let (a, b) = (node(0), node(1));
+        t.insert(a, b, spec_ms(1));
+        assert!(t.get(a, b).is_some());
+        assert!(t.get(b, a).is_none());
+    }
+
+    #[test]
+    fn reconnect_replaces_the_spec_and_keeps_inflight() {
+        let mut t = LinkTable::default();
+        let (a, b) = (node(0), node(1));
+        t.connect(a, b, spec_ms(1));
+        assert_eq!(t.get_mut(a, b).unwrap().reserve(ns(0), ns(700)), ns(700));
+        t.connect(a, b, spec_ms(5));
+        assert_eq!(t.rows[a.index()].len(), 1);
+        let ab = t.get_mut(a, b).unwrap();
+        assert_eq!(ab.spec, spec_ms(5));
+        assert_eq!(ab.reserve(ns(0), ns(700)), ns(701));
+    }
+
+    #[test]
+    fn rows_stay_sorted_whatever_the_connect_order() {
+        let mut t = LinkTable::default();
+        let hub = node(3);
+        for raw in [7, 0, 9, 4, 1, 8] {
+            t.connect(hub, node(raw), spec_ms(1));
+        }
+        let dsts: Vec<u32> = t.rows[hub.index()].iter().map(|l| l.dst.as_raw()).collect();
+        assert_eq!(dsts, [0, 1, 4, 7, 8, 9]);
+        assert_eq!(t.rows[9][0].dst, hub);
     }
 }

@@ -521,9 +521,12 @@ struct SelfProfile {
 
 impl SelfProfile {
     #[inline]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "measures the metrics plane's own host-CPU cost; the reading is reported, never fed back into simulated state"
+    )]
     fn start(&self) -> Option<Instant> {
         if self.enabled {
-            // ape-lint: allow(wall-clock) -- measures the metrics plane's own host-CPU cost; the reading is reported, never fed back into simulated state
             Some(Instant::now())
         } else {
             None

@@ -120,9 +120,12 @@ impl Profiler {
 
     /// Starts a measurement; `None` (for free) when disabled.
     #[inline]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the self-profiler measures host-CPU time per engine category; readings are diagnostic output only, never simulated state"
+    )]
     pub fn start(&self) -> Option<ProfTimer> {
         if self.enabled {
-            // ape-lint: allow(wall-clock) -- self-profiler measures host-CPU time per engine category; readings are diagnostic output only, never simulated state
             Some(ProfTimer(Instant::now()))
         } else {
             None

@@ -1,9 +1,9 @@
-//! The simulation world: node table, topology, clock and event loop.
+//! The simulation world: node table, link table, clock and event loop.
 
 use crate::determinism::{perturbation_key, DeterminismReport, Fingerprint, PerturbedRun};
 use crate::event::{EventKind, EventQueue};
 use crate::fault::FaultPlan;
-use crate::link::{LinkSerializer, LinkSpec, Topology};
+use crate::link::{LinkSpec, LinkTable};
 use crate::metrics::{keys, Metrics};
 use crate::node::{Message, Node, NodeId, TimerToken};
 use crate::profiler::{ProfCategory, ProfTimer, ProfileReport, Profiler};
@@ -41,9 +41,8 @@ pub struct Context<'a, M: Message> {
     pub(crate) now: SimTime,
     pub(crate) self_id: NodeId,
     pub(crate) queue: &'a mut EventQueue<M>,
-    pub(crate) topology: &'a Topology,
     pub(crate) faults: &'a FaultPlan,
-    pub(crate) links: &'a mut LinkSerializer,
+    pub(crate) links: &'a mut LinkTable,
     pub(crate) rng: &'a mut SimRng,
     pub(crate) metrics: &'a mut Metrics,
     pub(crate) trace: &'a mut TraceSink,
@@ -98,8 +97,8 @@ impl<'a, M: Message> Context<'a, M> {
         // timer stops before recording.
         let t = self.prof.start();
         let link = self
-            .topology
-            .link(self.self_id, to)
+            .links
+            .get_mut(self.self_id, to)
             .unwrap_or_else(|| panic!("no link {} -> {}", self.self_id, to));
         // Fault windows are evaluated at send time. The empty-plan path
         // draws no randomness and records no metrics, so a world without a
@@ -119,22 +118,17 @@ impl<'a, M: Message> Context<'a, M> {
             }
             fault_delay = effect.extra_delay;
         }
-        if link.sample_loss(self.rng) {
+        if link.spec.sample_loss(self.rng) {
             self.prof.record(ProfCategory::LinkFault, t);
             self.metrics.incr_id(keys::id::NET_DROPPED, 1);
             return;
         }
         let wire = msg.wire_size();
-        let owd = link.sample_owd(wire, self.rng);
+        let owd = link.spec.sample_owd(wire, self.rng);
         // The link delivers serially: an arrival that lands on an occupied
         // nanosecond is bumped to the next free one, so same-pair messages
-        // never tie at the receiver (see [`LinkSerializer`]).
-        let at = self.links.reserve(
-            self.self_id,
-            to,
-            self.now,
-            self.now + local_delay + owd + fault_delay,
-        );
+        // never tie at the receiver (see `link::Link`).
+        let at = link.reserve(self.now, self.now + local_delay + owd + fault_delay);
         let kind = EventKind::Deliver {
             to,
             from: self.self_id,
@@ -150,16 +144,11 @@ impl<'a, M: Message> Context<'a, M> {
         self.metrics.incr_id(keys::id::NET_BYTES, wire as u64);
     }
 
-    /// Whether a link to `to` exists.
-    pub fn has_link(&self, to: NodeId) -> bool {
-        self.topology.link(self.self_id, to).is_some()
-    }
-
     /// Nominal RTT of the link to `to`, if one exists.
     pub fn link_rtt(&self, to: NodeId) -> Option<SimDuration> {
-        self.topology
-            .link(self.self_id, to)
-            .map(LinkSpec::nominal_rtt)
+        self.links
+            .get(self.self_id, to)
+            .map(|link| link.spec.nominal_rtt())
     }
 
     /// Arms a timer on this node that fires after `delay`.
@@ -375,9 +364,8 @@ pub struct World<M: Message> {
     queue: EventQueue<M>,
     nodes: Vec<Option<Box<dyn Node<M>>>>,
     names: Vec<String>,
-    topology: Topology,
+    links: LinkTable,
     faults: FaultPlan,
-    links: LinkSerializer,
     rng: SimRng,
     metrics: Metrics,
     trace: TraceSink,
@@ -396,9 +384,8 @@ impl<M: Message> World<M> {
             queue: EventQueue::new(),
             nodes: Vec::new(),
             names: Vec::new(),
-            topology: Topology::new(),
+            links: LinkTable::default(),
             faults: FaultPlan::new(),
-            links: LinkSerializer::default(),
             rng: SimRng::seed_from(seed),
             metrics: Metrics::new(),
             trace: TraceSink::default(),
@@ -575,7 +562,7 @@ impl<M: Message> World<M> {
     pub fn connect(&mut self, a: NodeId, b: NodeId, spec: LinkSpec) {
         assert!(a.index() < self.nodes.len(), "unknown node {a}");
         assert!(b.index() < self.nodes.len(), "unknown node {b}");
-        self.topology.connect(a, b, spec);
+        self.links.connect(a, b, spec);
     }
 
     /// Injects a message from `from` to `to` at the current time, as if
@@ -591,14 +578,14 @@ impl<M: Message> World<M> {
     /// Panics if no link connects the two nodes.
     pub fn post(&mut self, from: NodeId, to: NodeId, msg: M) {
         let link = self
-            .topology
-            .link(from, to)
+            .links
+            .get_mut(from, to)
             .unwrap_or_else(|| panic!("no link {from} -> {to}"));
-        let owd = link.sample_owd(msg.wire_size(), &mut self.rng);
+        let owd = link.spec.sample_owd(msg.wire_size(), &mut self.rng);
         self.metrics.incr_id(keys::id::NET_MESSAGES, 1);
         self.metrics
             .incr_id(keys::id::NET_BYTES, msg.wire_size() as u64);
-        let at = self.links.reserve(from, to, self.clock, self.clock + owd);
+        let at = link.reserve(self.clock, self.clock + owd);
         self.queue.push(
             at,
             EventKind::Deliver {
@@ -702,7 +689,6 @@ impl<M: Message> World<M> {
                 now: self.clock,
                 self_id: id,
                 queue: &mut self.queue,
-                topology: &self.topology,
                 links: &mut self.links,
                 faults: &self.faults,
                 rng: &mut self.rng,
@@ -1069,6 +1055,22 @@ mod tests {
         let a = w.add_node("a", Counter::new());
         let b = w.add_node("b", Counter::new());
         w.post(a, b, Num(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "no link node#0 -> node#1")]
+    fn node_send_on_an_unknown_pair_panics() {
+        struct Stray(NodeId);
+        impl Node<Num> for Stray {
+            fn on_start(&mut self, ctx: &mut Context<'_, Num>) {
+                ctx.send(self.0, Num(0));
+            }
+            fn on_message(&mut self, _: &mut Context<'_, Num>, _: NodeId, _: Num) {}
+        }
+        let mut w = World::new(1);
+        w.add_node("a", Stray(NodeId::from_raw(1)));
+        w.add_node("b", Counter::new());
+        w.run_to_idle();
     }
 
     #[test]

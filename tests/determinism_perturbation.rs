@@ -7,8 +7,10 @@
 //! scrambles those sequence numbers through a keyed bijection, yielding a
 //! different (but still deterministic) tie-break permutation per key. If any
 //! node's behavior depended on FIFO tie order — an ordering race the static
-//! `ape-lint` pass cannot see — some perturbed run would diverge from the
-//! baseline in its `Summary` or trace digest. The synthetic-failure side of
+//! gates cannot see (`clippy.toml` bans hash collections and host-clock
+//! reads by type; `ape-lint` checks span balance, span names and metric
+//! names) — some perturbed run would diverge from the baseline in its
+//! `Summary` or trace digest. The synthetic-failure side of
 //! this check (a deliberately order-sensitive node that *does* diverge)
 //! lives next to the detector in `ape-simnet`'s world tests.
 
