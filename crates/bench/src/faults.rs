@@ -78,7 +78,7 @@ fn undrained(bed: &mut Testbed) -> Vec<String> {
 }
 
 fn extract_row(loss: f64, system: System, bed: &mut Testbed) -> FaultRow {
-    let scheduled = bed.schedule.len() as u64;
+    let scheduled = bed.scheduled as u64;
     let drain_leftovers = undrained(bed);
     let mut result = collect(system, bed);
     let summary = result.summary();

@@ -52,12 +52,11 @@ mod trace;
 pub use internet::{measure_cell, measure_table1, table1_paths, PathSpec, Table1Cell};
 pub use router::{replay_summary, replay_trace, RouterModel, RouterSample};
 pub use run::{
-    collect, compare_systems, run_many, run_system, ParallelRunner, RunJob, RunResult, Summary,
+    collect, collect_topology, compare_systems, run_many, run_system, ParallelRunner, RunJob,
+    RunResult, Summary,
 };
 pub use suite::{paper_suite, synthetic_suite};
 pub use system::System;
 pub use testbed::{build, Testbed, TestbedConfig};
-pub use topology::{
-    build_topology, collect_topology, grid_neighbors, grid_pos, grid_side, Topology, TopologyConfig,
-};
+pub use topology::{build_topology, grid_neighbors, grid_pos, grid_side, Topology, TopologyConfig};
 pub use trace::{prometheus_snapshot, Attribution, BucketStat, TraceLog, TraceRecord};

@@ -16,11 +16,12 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 
 use ape_nodes::ClientNode;
-use ape_proto::names;
-use ape_simnet::{Metrics, NodeId, ProfileReport, SimDuration, TimeSeries};
+use ape_proto::{names, Msg};
+use ape_simnet::{Metrics, NodeId, ProfileReport, SimDuration, TimeSeries, World};
 
 use crate::system::System;
 use crate::testbed::{build, Testbed, TestbedConfig};
+use crate::topology::Topology;
 use crate::trace::{Attribution, TraceLog};
 
 /// Raw result of one run: the full metric registry plus merged client
@@ -94,22 +95,31 @@ pub fn run_system(config: &TestbedConfig, duration: SimDuration) -> RunResult {
 
 /// Collects results from an already-run testbed.
 pub fn collect(system: System, bed: &mut Testbed) -> RunResult {
+    collect_from(&mut bed.world, &bed.clients, system)
+}
+
+/// Collects results from an already-run topology.
+pub fn collect_topology(system: System, top: &mut Topology) -> RunResult {
+    collect_from(&mut top.world, &top.clients, system)
+}
+
+fn collect_from(world: &mut World<Msg>, clients: &[NodeId], system: System) -> RunResult {
     let mut report = ape_nodes::ClientReport::default();
-    for &client in &bed.clients {
-        report.merge(&bed.world.node::<ClientNode>(client).report());
+    for &client in clients {
+        report.merge(&world.node::<ClientNode>(client).report());
     }
-    let trace = bed.world.trace().is_enabled().then(|| {
-        let names: Vec<String> = (0..bed.world.node_count())
-            .map(|i| bed.world.node_name(NodeId::from_raw(i as u32)).to_owned())
+    let trace = world.trace().is_enabled().then(|| {
+        let names: Vec<String> = (0..world.node_count())
+            .map(|i| world.node_name(NodeId::from_raw(i as u32)).to_owned())
             .collect();
-        TraceLog::from_run(names, bed.world.take_trace_events())
+        TraceLog::from_run(names, world.take_trace_events())
     });
     RunResult {
         system,
-        metrics: bed.world.metrics().clone(),
+        metrics: world.metrics().clone(),
         report,
         trace,
-        profile: bed.world.profile_report(),
+        profile: world.profile_report(),
     }
 }
 

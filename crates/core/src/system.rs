@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use ape_nodes::{ApPolicy, Strategy};
+
 /// One of the paper's evaluated systems.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum System {
@@ -34,9 +36,31 @@ impl System {
         }
     }
 
-    /// Whether the system caches on the AP at all.
+    /// Whether the system caches on the AP at all. If it does, its clients
+    /// resolve through their AP (the LAN's DNS); the Edge Cache baseline
+    /// queries the LDNS directly.
     pub fn caches_on_ap(self) -> bool {
         !matches!(self, System::EdgeCache)
+    }
+
+    /// The eviction policy the system's APs run. APE-CACHE honours the
+    /// configured policy so PACM ablations (e.g. fairness off) can run
+    /// under the normal workflow; the rest are LRU — unused for Edge
+    /// Cache, whose AP stays present for fair resource comparisons.
+    pub(crate) fn ap_policy(self, configured: ApPolicy) -> ApPolicy {
+        match self {
+            System::ApeCache => configured,
+            System::ApeCacheLru | System::WiCache | System::EdgeCache => ApPolicy::Lru,
+        }
+    }
+
+    /// The retrieval workflow the system's clients run.
+    pub(crate) fn strategy(self) -> Strategy {
+        match self {
+            System::ApeCache | System::ApeCacheLru => Strategy::ApeCache,
+            System::WiCache => Strategy::WiCache,
+            System::EdgeCache => Strategy::EdgeCache,
+        }
     }
 }
 

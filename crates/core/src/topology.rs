@@ -1,41 +1,43 @@
-//! City-scale multi-AP topologies: grids of APs with per-AP client
-//! populations, roaming clients, and (optionally) cooperating AP caches.
+//! The one world builder: the paper's Fig. 9 testbed and the city-scale
+//! multi-AP deployments it argues for are the same construction at
+//! different sizes.
 //!
-//! The single-AP testbed ([`crate::build`]) reproduces the paper's Fig. 9
-//! deployment; this module scales it out to the deployment the paper
-//! *argues for* — every AP in a campus or city running the cache. APs are
-//! laid out on a √N×√N grid with 4-adjacency, each homing its own client
-//! population and reaching the (shared) edge/DNS spine over a
-//! heterogeneous backhaul: AP `i` draws link class `i mod 3` (fiber,
-//! cable, DSL — calibrated against the Fig. 9 AP↔edge anatomy), so hit
-//! ratio and tail latency are measured over a realistic mix, not a uniform
-//! fleet.
+//! [`assemble`] adds every node and link `crates/core` ever creates: the
+//! serving/DNS spine (origin, edge, authoritative DNS, CDN DNS, local
+//! DNS), the Wi-Cache controller when deployed, a √N×√N grid of APs with
+//! 4-adjacency, each AP's client population, and the links between them.
+//! [`crate::build`] is its one-AP case (no roaming, no neighbors);
+//! [`build_topology`] is the general one. Link characteristics are
+//! calibrated to the paper's measured Fig. 9 anatomy (WiFi RTT ≈ 3 ms,
+//! AP↔edge ≈ 14 ms, controller ≈ 24 ms, Table I-level DNS latencies); in
+//! a grid, AP `i` draws backhaul class `i mod 3` (fiber — the Fig. 9
+//! links — then cable, then DSL), so hit ratio and tail latency are
+//! measured over a realistic mix, not a uniform fleet.
 //!
 //! Every random choice — per-AP schedules, per-client roam walks — is
-//! drawn at build time from seeds derived from the config, so a topology
-//! run replays bitwise from its config. Small grids are also invariant
-//! under tie-perturbation keys (`tests/chaos_roam.rs` pins a 9-AP one);
-//! from about 64 APs a run is long enough that they are not, which the
+//! drawn at build time from seeds derived from the config, so a run
+//! replays bitwise from its config. Small grids are also invariant under
+//! tie-perturbation keys (`tests/chaos_roam.rs` pins a 9-AP one); from
+//! about 64 APs a run is long enough that they are not, which the
 //! `bench-scale` sweep records per cell (`DESIGN.md` §17).
 //!
 //! Fleet-scale populations (`FleetNode`) stay on the representation bench
 //! path: they speak the reduced `FleetMsg` vocabulary and cannot exercise
-//! the AP's DNS-Cache/delegation protocol. The topology homes full
+//! the AP's DNS-Cache/delegation protocol. The builder homes full
 //! [`ClientNode`]s at each AP — fewer clients, but every one runs the real
 //! enhanced-client runtime end to end.
 
+use ape_dnswire::DomainName;
 use ape_nodes::{
-    ApNode, ApPolicy, ClientConfig, ClientNode, GridPos, RoamStop, Strategy, WiCacheControllerNode,
-    WiCacheLink,
+    ApNode, AuthDnsNode, Catalog, CatalogEntry, ClientConfig, ClientNode, EdgeNode, GridPos,
+    LdnsNode, OriginNode, RoamStop, WiCacheControllerNode, ZoneAnswer,
 };
 use ape_proto::{IpMap, Msg};
 use ape_simnet::{LinkSpec, NodeId, SimDuration, SimRng, World};
 use ape_workload::{generate_roam_schedule, generate_schedule, Execution, RoamConfig};
 
-use crate::run::RunResult;
 use crate::system::System;
-use crate::testbed::{assemble_spine, configure_world, SpineIds, TestbedConfig};
-use crate::trace::TraceLog;
+use crate::testbed::TestbedConfig;
 
 /// Seed-mixing constant for per-AP and per-client derived streams
 /// (splitmix64's increment; any odd constant with good avalanche works).
@@ -47,18 +49,30 @@ const SCHEDULE_STREAM: u64 = 0x5EED_5EED;
 /// Stream tag of the per-client roam RNGs.
 const ROAM_STREAM: u64 = 0x0A0A_D0AD_0A0A_D0AD;
 
+/// Suffix of the per-domain CDN aliases (mirroring
+/// `www.apple.com → www.apple.com.edgekey.net`).
+const CDN_SUFFIX: &str = "edgekey.example";
+
+/// TTL of the CDN's A record (Akamai-style short TTL, seconds).
+const CDN_A_TTL: u32 = 60;
+
+/// TTL of the site CNAME records (seconds).
+const CNAME_TTL: u32 = 300;
+
+/// Largest grid the builder accepts: AP `i` ticks `17 + 61·i` ns off the
+/// round-second grid, and the offset must stay under the AP's 137 µs reap
+/// phase so reap ticks never cross another AP's window/sample grid.
+const MAX_APS: usize = 2048;
+
 /// A multi-AP deployment to instantiate.
 #[derive(Debug, Clone)]
 pub struct TopologyConfig {
     /// Per-run knobs shared with the single-AP testbed: system, app suite,
-    /// schedule shape, AP parameters, seed, tie perturbation, tracing,
-    /// metrics. (`base.clients` is ignored — `clients_per_ap` governs the
-    /// population here.)
+    /// schedule shape, AP parameters, seed, tie perturbation, tracing.
+    /// `base.clients` is the population homed at *each* AP.
     pub base: TestbedConfig,
-    /// Number of APs in the grid (1 = campus corner case, 256 = city ward).
+    /// Number of APs in the grid (1 = the Fig. 9 testbed, 256 = city ward).
     pub aps: usize,
-    /// Clients homed at each AP.
-    pub clients_per_ap: usize,
     /// Mean roams per client per minute (`0.0` pins every client to its
     /// home AP and draws no roam randomness).
     pub roam_per_minute: f64,
@@ -74,15 +88,14 @@ impl TopologyConfig {
         TopologyConfig {
             base,
             aps,
-            clients_per_ap: 3,
             roam_per_minute: 0.0,
             cooperative: true,
         }
     }
 
-    /// Sets the per-AP client population.
+    /// Sets the per-AP client population (`base.clients`).
     pub fn with_clients_per_ap(mut self, clients: usize) -> Self {
-        self.clients_per_ap = clients;
+        self.base.clients = clients;
         self
     }
 
@@ -106,7 +119,7 @@ pub struct Topology {
     /// AP nodes, in grid order (index `i` sits at [`grid_pos`]`(i, side)`).
     pub aps: Vec<NodeId>,
     /// All client nodes, grouped by home AP (AP `i`'s clients occupy
-    /// indices `i*clients_per_ap .. (i+1)*clients_per_ap`).
+    /// indices `i*clients .. (i+1)*clients` for `clients = base.clients`).
     pub clients: Vec<NodeId>,
     /// Home-AP grid index of each client.
     pub client_home: Vec<usize>,
@@ -170,178 +183,152 @@ pub fn grid_neighbors(aps: usize) -> Vec<Vec<usize>> {
         .collect()
 }
 
-/// Builds the multi-AP world for `config`: spine first (same sequence as
-/// the single-AP testbed), then the controller, then the AP grid, then
-/// per-AP client populations, then links.
+/// The schedule AP `i` serves: independently seeded per AP, the same for
+/// every system under one seed.
+pub(crate) fn ap_schedule(base: &TestbedConfig, i: usize) -> Vec<Execution> {
+    let mut rng =
+        SimRng::seed_from(base.seed ^ SCHEDULE_STREAM ^ (i as u64).wrapping_mul(SEED_MIX));
+    generate_schedule(&base.schedule, &mut rng)
+}
+
+/// Builds the multi-AP world for `config`.
 ///
 /// # Panics
 ///
-/// Panics if the config has no APs, no clients per AP, or no apps.
+/// Panics if the config has no APs, more than 2048 APs, no clients per
+/// AP, or no apps.
 pub fn build_topology(config: &TopologyConfig) -> Topology {
-    assert!(config.aps > 0, "topology needs at least one AP");
+    assemble(
+        &config.base,
+        config.aps,
+        config.roam_per_minute,
+        config.cooperative,
+    )
+}
+
+/// Adds every node and link of a deployment of `aps` APs over `base`:
+/// the spine (origin, edge, adns, cdn-dns, ldns), the controller, the AP
+/// grid, then each AP's client population, every group with its links.
+pub(crate) fn assemble(
+    base: &TestbedConfig,
+    aps: usize,
+    roam_per_minute: f64,
+    cooperative: bool,
+) -> Topology {
+    assert!(aps > 0, "deployment needs at least one AP");
     assert!(
-        config.clients_per_ap > 0,
-        "topology needs at least one client per AP"
+        aps <= MAX_APS,
+        "deployment is limited to {MAX_APS} APs: past that two APs would share a tick phase"
     );
     assert!(
-        !config.base.apps.is_empty(),
-        "topology needs at least one app"
+        base.clients > 0,
+        "deployment needs at least one client per AP"
     );
-    let base = &config.base;
+    assert!(!base.apps.is_empty(), "deployment needs at least one app");
+
     let mut world = World::new(base.seed);
-    configure_world(&mut world, base);
+    if let Some(key) = base.tie_perturbation {
+        world.set_tie_perturbation(key);
+    }
+    world.set_trace_config(base.trace);
+    if base.profiler {
+        world.enable_profiler();
+    }
+    if !base.faults.is_empty() {
+        world.set_fault_plan(base.faults.clone());
+    }
+
+    // --- Catalog shared by origin and edge -----------------------------
+    let mut catalog = Catalog::new();
+    for app in &base.apps {
+        for (_, obj) in app.dag().iter() {
+            catalog.add(
+                obj.url.base_id(),
+                CatalogEntry {
+                    size: obj.size,
+                    extra_latency: obj.remote_latency,
+                },
+            );
+        }
+    }
+
+    // --- Servers --------------------------------------------------------
+    let origin = world.add_node(
+        "origin",
+        OriginNode::new(catalog.clone(), SimDuration::from_micros(500)),
+    );
+    let mut edge_node = EdgeNode::new(origin, catalog, SimDuration::from_micros(400));
+    if base.prewarm_edge {
+        edge_node.prewarm();
+    }
+    let edge = world.add_node("edge", edge_node);
 
     let mut ip_map = IpMap::new();
-    let spine = assemble_spine(&mut world, base, &mut ip_map);
-    let SpineIds {
-        origin,
-        edge,
-        adns,
-        cdn_dns,
-        ldns,
-    } = spine;
+    let edge_ip = ip_map.assign(edge);
+    ip_map.assign(origin);
 
-    let side = grid_side(config.aps);
-    let adjacency = grid_neighbors(config.aps);
-
-    // --- Wi-Cache controller -------------------------------------------
-    let controller = (base.system == System::WiCache).then(|| {
-        world.add_node(
-            "wicache-controller",
-            WiCacheControllerNode::new(SimDuration::from_micros(300)),
-        )
-    });
-
-    // --- AP grid --------------------------------------------------------
-    // AP ids follow the current node count, so both their NodeIds and
-    // their addresses can be fixed before any AP is constructed — every AP
-    // then carries the complete AP address map.
-    let ap_base = world.node_count();
-    let ap_id = |i: usize| NodeId::from_raw((ap_base + i) as u32);
-    let ap_ips: Vec<_> = (0..config.aps).map(|i| ip_map.assign(ap_id(i))).collect();
-
-    let policy = match base.system {
-        System::ApeCache => base.ap.policy,
-        System::ApeCacheLru | System::WiCache | System::EdgeCache => ApPolicy::Lru,
-    };
-    let mut aps = Vec::with_capacity(config.aps);
-    for i in 0..config.aps {
-        let mut ap_config = base.ap.clone();
-        ap_config.policy = policy;
-        // Distinct sub-microsecond tick phases per AP: 17 ns keeps the AP
-        // grid off the clients' 61 ns watchdog grid, the 61 ns step keeps
-        // APs off each other, and the 2048 wrap stays under REAP_PHASE so
-        // reap ticks never cross another AP's window/sample grid.
-        ap_config.phase_stagger = SimDuration::from_nanos(17 + 61 * (i as u64 % 2048));
-        let mut node = ApNode::new(ap_config, ldns, ip_map.clone());
-        if let Some(controller) = controller {
-            node = node.with_wicache(WiCacheLink {
-                controller,
-                own_address: ap_ips[i],
-            });
+    // --- DNS hierarchy --------------------------------------------------
+    // Each app domain gets its own CDN alias (`<host>.edgekey.example`),
+    // as real CDNs do, so short A-record TTLs expire per domain.
+    let mut adns_node = AuthDnsNode::new(SimDuration::from_micros(300));
+    for app in &base.apps {
+        for (_, obj) in app.dag().iter() {
+            let alias: DomainName = format!("{}.{}", obj.url.host(), CDN_SUFFIX)
+                .parse()
+                .expect("alias from valid host");
+            adns_node.wildcard(
+                obj.url.host().clone(),
+                ZoneAnswer::Cname {
+                    target: alias,
+                    ttl: CNAME_TTL,
+                },
+            );
         }
-        if config.cooperative {
-            node = node.with_neighbors(adjacency[i].iter().map(|&j| ap_id(j)).collect());
-        }
-        let id = world.add_node(format!("ap{i}"), node);
-        debug_assert_eq!(id, ap_id(i), "AP id prediction out of sync");
-        if let Some(controller) = controller {
-            world
-                .node_mut::<WiCacheControllerNode>(controller)
-                .register_ap_at(id, ap_ips[i], grid_pos(i, side));
-        }
-        aps.push(id);
     }
+    let adns = world.add_node("adns", adns_node);
 
-    // --- Clients ----------------------------------------------------------
-    let strategy = match base.system {
-        System::ApeCache | System::ApeCacheLru => Strategy::ApeCache,
-        System::WiCache => Strategy::WiCache,
-        System::EdgeCache => Strategy::EdgeCache,
-    };
-    let roam = RoamConfig {
-        per_client_per_minute: config.roam_per_minute,
-        duration: base.schedule.duration,
-    };
-    let mut clients = Vec::with_capacity(config.aps * config.clients_per_ap);
-    let mut client_home = Vec::with_capacity(clients.capacity());
-    let mut roam_targets: Vec<Vec<usize>> = Vec::with_capacity(clients.capacity());
-    let mut scheduled = 0usize;
-    for (i, &home_ap) in aps.iter().enumerate() {
-        // Each AP serves its own independently seeded schedule, split
-        // round-robin over its population (the testbed's sharing scheme).
-        let mut schedule_rng =
-            SimRng::seed_from(base.seed ^ SCHEDULE_STREAM ^ (i as u64).wrapping_mul(SEED_MIX));
-        let schedule = generate_schedule(&base.schedule, &mut schedule_rng);
-        scheduled += schedule.len();
-        for j in 0..config.clients_per_ap {
-            let g = clients.len();
-            let share: Vec<Execution> = schedule
-                .iter()
-                .enumerate()
-                .filter(|(idx, _)| idx % config.clients_per_ap == j)
-                .map(|(_, e)| *e)
-                .collect();
-            let mut roam_rng =
-                SimRng::seed_from(base.seed ^ ROAM_STREAM ^ (g as u64).wrapping_mul(SEED_MIX));
-            let walk = generate_roam_schedule(&adjacency, i, &roam, &mut roam_rng);
-            let stops: Vec<RoamStop> = walk
-                .iter()
-                .map(|ev| RoamStop {
-                    at: ev.at,
-                    ap: ap_id(ev.ap),
-                })
-                .collect();
-            // The radio association set: home plus every AP the walk
-            // visits, known upfront so the links exist before the roam.
-            let mut targets: Vec<usize> = walk.iter().map(|ev| ev.ap).collect();
-            targets.sort_unstable();
-            targets.dedup();
-            targets.retain(|&t| t != i);
-            roam_targets.push(targets);
+    let mut cdn_dns_node = AuthDnsNode::new(SimDuration::from_micros(300));
+    cdn_dns_node.wildcard(
+        CDN_SUFFIX.parse().expect("static name"),
+        ZoneAnswer::A {
+            ip: edge_ip,
+            ttl: CDN_A_TTL,
+        },
+    );
+    let cdn_dns = world.add_node("cdn-dns", cdn_dns_node);
 
-            let dns_server = match strategy {
-                Strategy::ApeCache | Strategy::WiCache => home_ap,
-                Strategy::EdgeCache => ldns,
-            };
-            let mut client_config =
-                ClientConfig::new(strategy, dns_server, home_ap, ip_map.clone());
-            client_config.controller = controller;
-            client_config.lookup_mode = base.lookup_mode;
-            client_config.prefetch_hints = base.prefetch_hints;
-            let node =
-                ClientNode::new(client_config, base.apps.clone(), share).with_roam_schedule(stops);
-            let id = world.add_node(format!("client{g}"), node);
-            if let Some(controller) = controller {
-                world
-                    .node_mut::<WiCacheControllerNode>(controller)
-                    .register_requester_at(id, grid_pos(i, side));
+    let mut delegations: Vec<(DomainName, NodeId)> =
+        vec![(CDN_SUFFIX.parse().expect("static name"), cdn_dns)];
+    for app in &base.apps {
+        for (_, obj) in app.dag().iter() {
+            let host = obj.url.host().clone();
+            if !delegations.iter().any(|(d, _)| *d == host) {
+                delegations.push((host, adns));
             }
-            clients.push(id);
-            client_home.push(i);
         }
     }
+    let ldns = world.add_node(
+        "ldns",
+        LdnsNode::new(SimDuration::from_micros(200), delegations),
+    );
 
-    // --- Links ------------------------------------------------------------
-    // Heterogeneous backhaul: AP i draws class i mod 3. Class 0 is the
-    // testbed's calibrated Fig. 9 anatomy; classes 1 and 2 stretch the
-    // AP↔edge and AP↔LDNS paths to cable- and DSL-like distances.
+    // --- Links (Fig. 9 distances) ---------------------------------------
+    // Heterogeneous backhaul, (AP↔edge, AP↔LDNS): AP i draws class
+    // i mod 3. Fiber is the calibrated Fig. 9 anatomy; cable and DSL
+    // stretch both paths.
     let backhaul = [
-        // (AP↔edge, AP↔LDNS): fiber — the single-AP testbed's links.
         (
             LinkSpec::from_rtt(7, SimDuration::from_millis(14))
                 .jitter_mean(SimDuration::from_micros(800)),
             LinkSpec::from_rtt(5, SimDuration::from_millis(13))
                 .jitter_mean(SimDuration::from_micros(600)),
         ),
-        // Cable.
         (
             LinkSpec::from_rtt(8, SimDuration::from_millis(21))
                 .jitter_mean(SimDuration::from_millis(1)),
             LinkSpec::from_rtt(6, SimDuration::from_millis(18))
                 .jitter_mean(SimDuration::from_micros(800)),
         ),
-        // DSL.
         (
             LinkSpec::from_rtt(10, SimDuration::from_millis(35))
                 .jitter_mean(SimDuration::from_millis(2)),
@@ -360,6 +347,8 @@ pub fn build_topology(config: &TopologyConfig) -> Topology {
         .jitter_mean(SimDuration::from_millis(1));
     let edge_origin = LinkSpec::from_rtt(8, SimDuration::from_millis(24))
         .jitter_mean(SimDuration::from_millis(1));
+    // All client links cross the WiFi radio as their first hop, so the
+    // configured radio loss applies to each of them.
     let lossy = |link: LinkSpec| {
         if base.wifi_loss > 0.0 {
             link.loss_probability(base.wifi_loss)
@@ -386,36 +375,136 @@ pub fn build_topology(config: &TopologyConfig) -> Topology {
     world.connect(ldns, adns, ldns_adns);
     world.connect(ldns, cdn_dns, ldns_cdn);
     world.connect(edge, origin, edge_origin);
-    for (i, &ap) in aps.iter().enumerate() {
+
+    // --- Wi-Cache controller -------------------------------------------
+    let controller = (base.system == System::WiCache).then(|| {
+        world.add_node(
+            "wicache-controller",
+            WiCacheControllerNode::new(SimDuration::from_micros(300)),
+        )
+    });
+
+    // --- AP grid --------------------------------------------------------
+    // AP ids follow the current node count, so both their NodeIds and
+    // their addresses can be fixed before any AP is constructed — every AP
+    // then carries the complete AP address map.
+    let side = grid_side(aps);
+    let adjacency = grid_neighbors(aps);
+    let ap_base = world.node_count();
+    let ap_id = |i: usize| NodeId::from_raw((ap_base + i) as u32);
+    let ap_ips: Vec<_> = (0..aps).map(|i| ip_map.assign(ap_id(i))).collect();
+
+    let mut ap_config = base.ap.clone();
+    ap_config.policy = base.system.ap_policy(base.ap.policy);
+    let mut ap_nodes = Vec::with_capacity(aps);
+    for i in 0..aps {
+        // Distinct sub-microsecond tick phases per AP: 17 ns keeps the AP
+        // grid off the clients' 61 ns watchdog grid and the 61 ns step
+        // keeps APs off each other (see `MAX_APS`). A lone AP has no other
+        // AP to stay clear of and ticks on the round grid, which is what
+        // the Fig. 9 goldens pin; this case goes at the one re-pin
+        // (ROADMAP item 3).
+        ap_config.phase_stagger = if aps == 1 {
+            SimDuration::ZERO
+        } else {
+            SimDuration::from_nanos(17 + 61 * i as u64)
+        };
+        let mut node = ApNode::new(ap_config.clone(), ldns, ip_map.clone());
+        if let Some(controller) = controller {
+            node = node.with_wicache(controller);
+        }
+        if cooperative {
+            node = node.with_neighbors(adjacency[i].iter().map(|&j| ap_id(j)).collect());
+        }
+        let ap = world.add_node(format!("ap{i}"), node);
+        debug_assert_eq!(ap, ap_id(i), "AP id prediction out of sync");
         let (ap_edge, ap_ldns) = backhaul[i % backhaul.len()];
         world.connect(ap, edge, ap_edge);
         world.connect(ap, ldns, ap_ldns);
         // AP↔AP segments exist regardless of cooperation: roam handoffs
         // travel them even when summary gossip is off.
-        for &j in &adjacency[i] {
-            if j > i {
-                world.connect(ap, ap_id(j), ap_peer);
-            }
+        for &j in adjacency[i].iter().filter(|&&j| j < i) {
+            world.connect(ap, ap_id(j), ap_peer);
         }
         if let Some(controller) = controller {
             world.connect(ap, controller, controller_link);
+            world
+                .node_mut::<WiCacheControllerNode>(controller)
+                .register_ap_at(ap, ap_ips[i], grid_pos(i, side));
         }
+        ap_nodes.push(ap);
     }
-    for (g, &client) in clients.iter().enumerate() {
-        world.connect(client, aps[client_home[g]], wifi);
-        for &target in &roam_targets[g] {
-            world.connect(client, aps[target], wifi);
-        }
-        world.connect(client, edge, client_edge);
-        world.connect(client, ldns, client_ldns);
-        if let Some(controller) = controller {
-            world.connect(client, controller, client_controller);
+
+    // --- Clients ----------------------------------------------------------
+    let roam = RoamConfig {
+        per_client_per_minute: roam_per_minute,
+        duration: base.schedule.duration,
+    };
+    let mut clients = Vec::with_capacity(aps * base.clients);
+    let mut client_home = Vec::with_capacity(clients.capacity());
+    let mut scheduled = 0usize;
+    for (i, &home_ap) in ap_nodes.iter().enumerate() {
+        // Each AP's schedule is split round-robin over its population,
+        // then dropped: the benchmark testbeds carry 43 200 executions
+        // (691 kB), and a kept copy shows in their setup and memory bounds.
+        let schedule = ap_schedule(base, i);
+        scheduled += schedule.len();
+        for j in 0..base.clients {
+            let g = clients.len();
+            let share: Vec<Execution> = schedule
+                .iter()
+                .enumerate()
+                .filter(|(idx, _)| idx % base.clients == j)
+                .map(|(_, e)| *e)
+                .collect();
+            let mut roam_rng =
+                SimRng::seed_from(base.seed ^ ROAM_STREAM ^ (g as u64).wrapping_mul(SEED_MIX));
+            let walk = generate_roam_schedule(&adjacency, i, &roam, &mut roam_rng);
+            let stops: Vec<RoamStop> = walk
+                .iter()
+                .map(|ev| RoamStop {
+                    at: ev.at,
+                    ap: ap_id(ev.ap),
+                })
+                .collect();
+            // The radio association set: home plus every AP the walk
+            // visits, linked upfront so the links exist before the roam.
+            let mut radio: Vec<usize> = walk.iter().map(|ev| ev.ap).chain([i]).collect();
+            radio.sort_unstable();
+            radio.dedup();
+
+            let dns_server = if base.system.caches_on_ap() {
+                home_ap
+            } else {
+                ldns
+            };
+            let mut client_config =
+                ClientConfig::new(base.system.strategy(), dns_server, home_ap, ip_map.clone());
+            client_config.controller = controller;
+            client_config.lookup_mode = base.lookup_mode;
+            client_config.prefetch_hints = base.prefetch_hints;
+            let node =
+                ClientNode::new(client_config, base.apps.clone(), share).with_roam_schedule(stops);
+            let client = world.add_node(format!("client{g}"), node);
+            for &a in &radio {
+                world.connect(client, ap_nodes[a], wifi);
+            }
+            world.connect(client, edge, client_edge);
+            world.connect(client, ldns, client_ldns);
+            if let Some(controller) = controller {
+                world.connect(client, controller, client_controller);
+                world
+                    .node_mut::<WiCacheControllerNode>(controller)
+                    .register_requester_at(client, grid_pos(i, side));
+            }
+            clients.push(client);
+            client_home.push(i);
         }
     }
 
     Topology {
         world,
-        aps,
+        aps: ap_nodes,
         clients,
         client_home,
         edge,
@@ -426,30 +515,10 @@ pub fn build_topology(config: &TopologyConfig) -> Topology {
     }
 }
 
-/// Collects results from an already-run topology.
-pub fn collect_topology(system: System, top: &mut Topology) -> RunResult {
-    let mut report = ape_nodes::ClientReport::default();
-    for &client in &top.clients {
-        report.merge(&top.world.node::<ClientNode>(client).report());
-    }
-    let trace = top.world.trace().is_enabled().then(|| {
-        let names: Vec<String> = (0..top.world.node_count())
-            .map(|i| top.world.node_name(NodeId::from_raw(i as u32)).to_owned())
-            .collect();
-        TraceLog::from_run(names, top.world.take_trace_events())
-    });
-    RunResult {
-        system,
-        metrics: top.world.metrics().clone(),
-        report,
-        trace,
-        profile: top.world.profile_report(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run::collect_topology;
     use ape_appdag::{generate_fleet, DummyAppConfig};
     use ape_proto::names;
     use ape_workload::ScheduleConfig;
@@ -501,6 +570,13 @@ mod tests {
         assert_eq!(top.clients.len(), 8);
         assert_eq!(top.client_home, vec![0, 0, 1, 1, 2, 2, 3, 3]);
         assert!(top.controller.is_none());
+        assert_eq!(config.base.clients, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "limited to 2048 APs")]
+    fn grids_past_the_tick_phase_range_are_rejected() {
+        let _ = build_topology(&TopologyConfig::new(small_base(System::ApeCache), 2049));
     }
 
     #[test]

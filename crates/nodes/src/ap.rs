@@ -44,7 +44,48 @@ pub enum ApPolicy {
     Lru,
 }
 
-/// AP configuration; defaults follow the paper's evaluation settings.
+/// CPU time per DNS message handled.
+const DNS_PROCESSING: SimDuration = SimDuration::from_micros(150);
+
+/// Extra CPU for DNS-Cache queries over plain DNS (Fig. 11b's 0.02 ms).
+const DNSCACHE_EXTRA: SimDuration = SimDuration::from_micros(20);
+
+/// CPU time per HTTP message handled.
+const HTTP_PROCESSING: SimDuration = SimDuration::from_micros(400);
+
+/// CPU time per PACM/LRU eviction run.
+const EVICTION_PROCESSING: SimDuration = SimDuration::from_micros(1_500);
+
+/// Pending-state reaper interval (drives the upstream-DNS and delegation
+/// timeouts below; granularity, not a timeout itself).
+const REAP_INTERVAL: SimDuration = SimDuration::from_millis(500);
+
+/// Age at which a forwarded DNS query is retransmitted upstream, and
+/// (after one retransmit) abandoned with SERVFAIL to the client.
+const DNS_UPSTREAM_TIMEOUT: SimDuration = SimDuration::from_secs(2);
+
+/// Age at which a delegated fetch is restarted, and (after one restart)
+/// abandoned with 504 to its waiters.
+const DELEGATION_TIMEOUT: SimDuration = SimDuration::from_secs(10);
+
+/// Resource sampling interval.
+const SAMPLE_INTERVAL: SimDuration = SimDuration::from_secs(1);
+
+/// Router cores (MT7621A: 2 cores at 880 MHz).
+const CORES: u32 = 2;
+
+/// Baseline firmware/OS memory, bytes.
+const MEM_BASELINE: u64 = 60_000_000;
+
+/// Static memory cost of the APE-CACHE components themselves, bytes.
+const APE_CODE_OVERHEAD: u64 = 4_000_000;
+
+/// Per-cached-entry metadata overhead, bytes.
+const PER_ENTRY_OVERHEAD: u64 = 512;
+
+/// AP configuration; defaults follow the paper's evaluation settings. The
+/// device calibration nobody varies (processing costs, timeouts, the
+/// router's cores and memory) is the constants above.
 #[derive(Debug, Clone)]
 pub struct ApConfig {
     /// Cache memory granted to APE-CACHE (paper: 5 MB).
@@ -55,46 +96,19 @@ pub struct ApConfig {
     pub policy: ApPolicy,
     /// PACM tuning (ignored for LRU).
     pub pacm: PacmConfig,
-    /// CPU time per DNS message handled.
-    pub dns_processing: SimDuration,
-    /// Extra CPU for DNS-Cache queries over plain DNS (Fig. 11b's 0.02 ms).
-    pub dnscache_extra: SimDuration,
-    /// CPU time per HTTP message handled.
-    pub http_processing: SimDuration,
-    /// CPU time per PACM/LRU eviction run.
-    pub eviction_processing: SimDuration,
     /// Frequency-window roll and expiry-purge interval.
     pub window: SimDuration,
-    /// Pending-state reaper interval (drives the upstream-DNS and
-    /// delegation timeouts below; granularity, not a timeout itself).
-    pub reap_interval: SimDuration,
-    /// Age at which a forwarded DNS query is retransmitted upstream, and
-    /// (after one retransmit) abandoned with SERVFAIL to the client.
-    pub dns_upstream_timeout: SimDuration,
-    /// Age at which a delegated fetch is restarted, and (after one
-    /// restart) abandoned with 504 to its waiters.
-    pub delegation_timeout: SimDuration,
-    /// Resource sampling interval (None disables sampling).
-    pub sample_interval: Option<SimDuration>,
     /// Dummy-IP short-circuit enabled (§IV-B3).
     pub short_circuit: bool,
     /// Per-domain flag batching enabled (§IV-B3).
     pub batch_domain_flags: bool,
-    /// Router cores (MT7621A: 2 cores at 880 MHz).
-    pub cores: u32,
-    /// Baseline firmware/OS memory, bytes.
-    pub mem_baseline: u64,
-    /// Static memory cost of the APE-CACHE components themselves.
-    pub ape_code_overhead: u64,
-    /// Per-cached-entry metadata overhead, bytes.
-    pub per_entry_overhead: u64,
     /// Phase offset added to this AP's periodic timers (window, sample,
-    /// reap). A single AP can leave this at `ZERO` (the paper testbed's
-    /// bitwise-pinned schedule); a multi-AP fleet must give every AP a
-    /// distinct sub-microsecond offset, or all their round-grid ticks fire
-    /// on the same nanosecond and tie-break perturbation reorders their
-    /// jitter draws from the shared RNG stream (see `REAP_PHASE`). The
-    /// topology builder derives it from the AP's grid index.
+    /// reap), set by the world builder from the AP's grid index: every AP
+    /// of a multi-AP deployment gets a distinct sub-microsecond offset, or
+    /// all their round-grid ticks fire on the same nanosecond and
+    /// tie-break perturbation reorders their jitter draws from the shared
+    /// RNG stream (see `REAP_PHASE`). A lone AP has no such neighbour and
+    /// stays at `ZERO`, the paper testbed's bitwise-pinned schedule.
     pub phase_stagger: SimDuration,
 }
 
@@ -105,21 +119,9 @@ impl Default for ApConfig {
             block_threshold: 500_000,
             policy: ApPolicy::Pacm,
             pacm: PacmConfig::default(),
-            dns_processing: SimDuration::from_micros(150),
-            dnscache_extra: SimDuration::from_micros(20),
-            http_processing: SimDuration::from_micros(400),
-            eviction_processing: SimDuration::from_micros(1_500),
             window: SimDuration::from_secs(60),
-            reap_interval: SimDuration::from_millis(500),
-            dns_upstream_timeout: SimDuration::from_secs(2),
-            delegation_timeout: SimDuration::from_secs(10),
-            sample_interval: Some(SimDuration::from_secs(1)),
             short_circuit: true,
             batch_domain_flags: true,
-            cores: 2,
-            mem_baseline: 60_000_000,
-            ape_code_overhead: 4_000_000,
-            per_entry_overhead: 512,
             phase_stagger: SimDuration::ZERO,
         }
     }
@@ -186,15 +188,6 @@ const TICK_REAP: TimerToken = TimerToken::new(3);
 /// advertisement sends (both draw link jitter from the shared RNG stream).
 const REAP_PHASE: SimDuration = SimDuration::from_micros(137);
 
-/// Wi-Cache integration settings for an AP.
-#[derive(Debug, Clone, Copy)]
-pub struct WiCacheLink {
-    /// The controller node.
-    pub controller: NodeId,
-    /// This AP's address as known to the controller.
-    pub own_address: Ipv4Addr,
-}
-
 /// The AP node.
 pub struct ApNode {
     config: ApConfig,
@@ -221,7 +214,8 @@ pub struct ApNode {
     neighbor_holders: BTreeMap<UrlHash, (NodeId, SimTime)>,
     /// In-flight peer fetches: request id → delegation key.
     peer_reqs: BTreeMap<RequestId, UrlHash>,
-    wicache: Option<WiCacheLink>,
+    /// The Wi-Cache controller this AP advertises to, when deployed.
+    wicache_controller: Option<NodeId>,
     cpu: CpuMeter,
     mem: MemMeter,
     next_txn: u16,
@@ -254,8 +248,6 @@ impl ApNode {
             ApPolicy::PacmNoFairness => Box::new(PacmPolicy::new(config.pacm).without_fairness()),
             ApPolicy::Lru => Box::new(LruPolicy::new()),
         };
-        let cores = config.cores;
-        let baseline = config.mem_baseline;
         ApNode {
             config,
             upstream,
@@ -271,9 +263,9 @@ impl ApNode {
             neighbors: Vec::new(),
             neighbor_holders: BTreeMap::new(),
             peer_reqs: BTreeMap::new(),
-            wicache: None,
-            cpu: CpuMeter::new(cores),
-            mem: MemMeter::with_baseline(baseline),
+            wicache_controller: None,
+            cpu: CpuMeter::new(CORES),
+            mem: MemMeter::with_baseline(MEM_BASELINE),
             next_txn: 1,
             next_conn: 1,
             next_req: 1,
@@ -281,9 +273,9 @@ impl ApNode {
         }
     }
 
-    /// Enables Wi-Cache advertisements to a controller.
-    pub fn with_wicache(mut self, link: WiCacheLink) -> Self {
-        self.wicache = Some(link);
+    /// Enables Wi-Cache advertisements to `controller`.
+    pub fn with_wicache(mut self, controller: NodeId) -> Self {
+        self.wicache_controller = Some(controller);
         self
     }
 
@@ -341,9 +333,9 @@ impl ApNode {
     /// Memory footprint of the APE-CACHE components right now: code, cache
     /// contents, and per-entry/registry metadata.
     pub fn ape_memory_bytes(&self) -> u64 {
-        self.config.ape_code_overhead
+        APE_CODE_OVERHEAD
             + self.cache.store().used()
-            + self.cache.store().len() as u64 * self.config.per_entry_overhead
+            + self.cache.store().len() as u64 * PER_ENTRY_OVERHEAD
             + self.registry.len() as u64 * 160
             + self.dns_cache.len() as u64 * 96
     }
@@ -432,8 +424,8 @@ impl ApNode {
         if added.is_empty() && removed.is_empty() {
             return;
         }
-        if let Some(link) = self.wicache {
-            ctx.send(link.controller, Msg::WiCacheAdvertise { added, removed });
+        if let Some(controller) = self.wicache_controller {
+            ctx.send(controller, Msg::WiCacheAdvertise { added, removed });
         }
     }
 
@@ -444,9 +436,9 @@ impl ApNode {
     fn handle_dns_query(&mut self, ctx: &mut Context<'_, Msg>, from: NodeId, query: DnsMessage) {
         let now = ctx.now();
         let is_cache_query = query.is_dns_cache_query();
-        let mut cost = self.config.dns_processing;
+        let mut cost = DNS_PROCESSING;
         if is_cache_query {
-            cost += self.config.dnscache_extra;
+            cost += DNSCACHE_EXTRA;
             ctx.metrics().incr_id(names::id::AP_DNS_CACHE_QUERIES, 1);
         } else {
             ctx.metrics().incr_id(names::id::AP_DNS_QUERIES, 1);
@@ -516,7 +508,7 @@ impl ApNode {
 
     fn handle_dns_response(&mut self, ctx: &mut Context<'_, Msg>, response: DnsMessage) {
         let now = ctx.now();
-        let latency = self.work(now, self.config.dns_processing);
+        let latency = self.work(now, DNS_PROCESSING);
         let Some(pending) = self.pending_forwards.remove(&response.header.id) else {
             return;
         };
@@ -604,7 +596,7 @@ impl ApNode {
         cache_op: Option<CacheOp>,
     ) {
         let now = ctx.now();
-        let latency = self.work(now, self.config.http_processing);
+        let latency = self.work(now, HTTP_PROCESSING);
         let key = request.url.hash();
         self.remember_domain_url(request.url.host().clone(), key);
 
@@ -797,7 +789,7 @@ impl ApNode {
         response: HttpResponse,
     ) {
         let now = ctx.now();
-        let latency = self.work(now, self.config.http_processing);
+        let latency = self.work(now, HTTP_PROCESSING);
         let Some(key) = self.delegation_reqs.remove(&req) else {
             return;
         };
@@ -814,7 +806,7 @@ impl ApNode {
         }
 
         if response.status.is_success() && delegation.cache_result {
-            let admit_latency = self.work(now, self.config.eviction_processing);
+            let admit_latency = self.work(now, EVICTION_PROCESSING);
             let meta = ObjectMeta {
                 key,
                 app: delegation.op.app,
@@ -824,7 +816,7 @@ impl ApNode {
                 fetch_latency,
             };
             // The admission (eviction decision + insert) is charged
-            // `eviction_processing` CPU; the span covers that modeled
+            // `EVICTION_PROCESSING` CPU; the span covers that modeled
             // interval so `repro trace` attributes eviction cost per
             // admission.
             let evict_span = ctx.span_start(SpanKind::CacheEvict.as_str());
@@ -874,7 +866,7 @@ impl ApNode {
         hints: Vec<ape_proto::PrefetchHint>,
     ) {
         let now = ctx.now();
-        let latency = self.work(now, self.config.http_processing);
+        let latency = self.work(now, HTTP_PROCESSING);
         let _ = latency; // prefetching is off the client's critical path
                          // Prefetch fetches serve no specific request: detach them from the
                          // hinting client's trace so attribution only sees demand fetches.
@@ -961,7 +953,7 @@ impl ApNode {
         key: UrlHash,
     ) {
         let now = ctx.now();
-        let latency = self.work(now, self.config.http_processing);
+        let latency = self.work(now, HTTP_PROCESSING);
         let response = match self.cache.lookup(key, now) {
             Lookup::Hit => {
                 let size = self
@@ -1150,7 +1142,7 @@ impl ApNode {
         let stale: Vec<u16> = self
             .pending_forwards
             .iter()
-            .filter(|(_, p)| now - p.at >= self.config.dns_upstream_timeout)
+            .filter(|(_, p)| now - p.at >= DNS_UPSTREAM_TIMEOUT)
             .map(|(txn, _)| *txn)
             .collect();
         for txn in stale {
@@ -1216,7 +1208,7 @@ impl ApNode {
             .delegations
             .iter()
             .filter(|(key, d)| {
-                now - d.started >= self.config.delegation_timeout
+                now - d.started >= DELEGATION_TIMEOUT
                     && !self
                         .awaiting_dns
                         .get(d.url.host())
@@ -1310,7 +1302,7 @@ impl ApNode {
         ctx.metrics().record_point_id(
             names::id::AP_TOTAL_MEM_MB,
             now,
-            (self.config.mem_baseline + ape_mem) as f64 / 1e6,
+            (MEM_BASELINE + ape_mem) as f64 / 1e6,
         );
     }
 }
@@ -1323,10 +1315,8 @@ impl Node<Msg> for ApNode {
         let stagger = self.config.phase_stagger;
         self.next_window_roll = ctx.now() + self.config.window + stagger;
         ctx.schedule(self.config.window + stagger, TICK_WINDOW);
-        if let Some(interval) = self.config.sample_interval {
-            ctx.schedule(interval + stagger, TICK_SAMPLE);
-        }
-        ctx.schedule(self.config.reap_interval + REAP_PHASE + stagger, TICK_REAP);
+        ctx.schedule(SAMPLE_INTERVAL + stagger, TICK_SAMPLE);
+        ctx.schedule(REAP_INTERVAL + REAP_PHASE + stagger, TICK_REAP);
     }
 
     fn on_message(&mut self, ctx: &mut Context<'_, Msg>, from: NodeId, msg: Msg) {
@@ -1334,7 +1324,7 @@ impl Node<Msg> for ApNode {
             Msg::Dns(dns) if dns.header.response => self.handle_dns_response(ctx, *dns),
             Msg::Dns(dns) => self.handle_dns_query(ctx, from, *dns),
             Msg::TcpSyn { conn } => {
-                let latency = self.work(ctx.now(), self.config.http_processing);
+                let latency = self.work(ctx.now(), HTTP_PROCESSING);
                 ctx.send_after(latency, from, Msg::TcpSynAck { conn });
             }
             Msg::TcpSynAck { .. } => {}
@@ -1369,13 +1359,11 @@ impl Node<Msg> for ApNode {
             TICK_SAMPLE => {
                 self.roll_window_if_due(ctx);
                 self.sample_resources(ctx);
-                if let Some(interval) = self.config.sample_interval {
-                    ctx.schedule(interval, TICK_SAMPLE);
-                }
+                ctx.schedule(SAMPLE_INTERVAL, TICK_SAMPLE);
             }
             TICK_REAP => {
                 self.reap(ctx);
-                ctx.schedule(self.config.reap_interval, TICK_REAP);
+                ctx.schedule(REAP_INTERVAL, TICK_REAP);
             }
             _ => {}
         }
@@ -1992,7 +1980,7 @@ mod tests {
         ));
         bed.world
             .post(bed.probe, bed.ap, dns_cache_query(1, &[url().hash()]));
-        // 2 × dns_upstream_timeout (2 s) plus reap-tick slack.
+        // 2 × DNS_UPSTREAM_TIMEOUT (2 s) plus reap-tick slack.
         bed.world.run_for(SimDuration::from_secs(6));
         let probe = bed.world.node::<Probe>(bed.probe);
         let resp = probe.dns_responses.last().expect("client got an answer");
@@ -2037,7 +2025,7 @@ mod tests {
                 cache_op: Some(delegation_op()),
             },
         );
-        // 2 × delegation_timeout (10 s) plus reap-tick slack.
+        // 2 × DELEGATION_TIMEOUT (10 s) plus reap-tick slack.
         bed.world.run_for(SimDuration::from_secs(25));
         let probe = bed.world.node::<Probe>(bed.probe);
         let (req, response, _) = probe.http_responses.last().expect("waiter was answered");

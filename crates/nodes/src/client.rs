@@ -50,6 +50,22 @@ pub enum LookupMode {
     Standalone,
 }
 
+/// Client-side processing per protocol step (Android runtime overhead).
+const PROCESSING: SimDuration = SimDuration::from_micros(300);
+
+/// DNS retry timeout.
+const DNS_TIMEOUT: SimDuration = SimDuration::from_secs(3);
+
+/// DNS retries before a fetch fails.
+const DNS_RETRIES: u32 = 2;
+
+/// Base timeout for the retrieval stage (controller lookup, TCP connect,
+/// HTTP response); doubles per retry (exponential backoff).
+const HTTP_TIMEOUT: SimDuration = SimDuration::from_secs(4);
+
+/// Retrieval retries before a fetch fails.
+const HTTP_RETRIES: u32 = 2;
+
 /// Client configuration and wiring.
 #[derive(Debug, Clone)]
 pub struct ClientConfig {
@@ -66,22 +82,6 @@ pub struct ClientConfig {
     pub controller: Option<NodeId>,
     /// Address book for dialling resolved IPs.
     pub ip_map: IpMap,
-    /// Client-side processing per protocol step (Android runtime overhead).
-    pub processing: SimDuration,
-    /// DNS retry timeout.
-    pub dns_timeout: SimDuration,
-    /// DNS retries before a fetch fails.
-    pub dns_retries: u32,
-    /// Base timeout for the retrieval stage (controller lookup, TCP
-    /// connect, HTTP response); doubles per retry (exponential backoff).
-    pub http_timeout: SimDuration,
-    /// Retrieval retries before a fetch fails.
-    pub http_retries: u32,
-    /// Whether resolved addresses are reused until their TTL expires.
-    /// APE-CACHE needs this (flags ride on the DNS entries); the Edge
-    /// Cache baseline follows the paper's Fig. 1 workflow, where every
-    /// object access initiates its own DNS resolution.
-    pub cache_dns: bool,
     /// Extension (paper §VI): ship request-dependency information to the
     /// AP so it prefetches the objects this execution will need next.
     pub prefetch_hints: bool,
@@ -97,12 +97,6 @@ impl ClientConfig {
             ap,
             controller: None,
             ip_map,
-            processing: SimDuration::from_micros(300),
-            dns_timeout: SimDuration::from_secs(3),
-            dns_retries: 2,
-            http_timeout: SimDuration::from_secs(4),
-            http_retries: 2,
-            cache_dns: !matches!(strategy, Strategy::EdgeCache),
             prefetch_hints: false,
         }
     }
@@ -496,15 +490,12 @@ impl ClientNode {
     }
 
     /// Edge Cache lookup: plain DNS against the configured resolver.
+    /// Resolved addresses are not reused here — APE-CACHE needs that
+    /// (flags ride on the DNS entries), but the baseline follows the
+    /// paper's Fig. 1 workflow, where every object access initiates its
+    /// own DNS resolution.
     fn lookup_edge(&mut self, ctx: &mut Context<'_, Msg>, req: RequestId) {
-        let now = ctx.now();
         let domain = self.fetches[&req].url.host().clone();
-        if self.config.cache_dns {
-            if let Some(ip) = self.fresh_dns_ip(&domain, now) {
-                self.act_on_flag(ctx, req, CacheFlag::Miss, Some(ip));
-                return;
-            }
-        }
         self.join_or_send_dns(ctx, req, domain, false);
     }
 
@@ -521,7 +512,7 @@ impl ClientNode {
         }
         ctx.metrics().incr_id(names::id::CLIENT_WICACHE_LOOKUPS, 1);
         ctx.send_after(
-            self.config.processing,
+            PROCESSING,
             controller,
             Msg::WiCacheLookup { req, url_hash: key },
         );
@@ -535,7 +526,7 @@ impl ClientNode {
         let Some(fetch) = self.fetches.get(&req) else {
             return;
         };
-        let backoff = self.config.http_timeout * (1u64 << fetch.attempt.min(16));
+        let backoff = HTTP_TIMEOUT * (1u64 << fetch.attempt.min(16));
         ctx.schedule(staggered(backoff, req.0), http_token(req, fetch.attempt));
     }
 
@@ -607,13 +598,9 @@ impl ClientNode {
         );
         self.txn_domains.insert(txn, domain);
         ctx.metrics().incr_id(names::id::CLIENT_DNS_QUERIES, 1);
-        ctx.send_after(
-            self.config.processing,
-            self.config.dns_server,
-            Msg::dns(query),
-        );
+        ctx.send_after(PROCESSING, self.config.dns_server, Msg::dns(query));
         ctx.schedule(
-            staggered(self.config.dns_timeout, txn as u64),
+            staggered(DNS_TIMEOUT, txn as u64),
             TimerToken::new(TOKEN_DNS_BASE | txn as u64),
         );
     }
@@ -686,7 +673,7 @@ impl ClientNode {
             .get_mut(&req)
             .expect("checked above")
             .retrieval_span = retrieval_span.map(|s| (s, retrieval_kind));
-        ctx.send_after(self.config.processing, target, Msg::TcpSyn { conn });
+        ctx.send_after(PROCESSING, target, Msg::TcpSyn { conn });
         if !watchdog_armed {
             self.arm_http_timer(ctx, req);
         }
@@ -728,11 +715,7 @@ impl ClientNode {
         if !hints.is_empty() {
             ctx.metrics()
                 .incr_id(names::id::CLIENT_PREFETCH_HINTS, hints.len() as u64);
-            ctx.send_after(
-                self.config.processing,
-                self.config.ap,
-                Msg::PrefetchHints { hints },
-            );
+            ctx.send_after(PROCESSING, self.config.ap, Msg::PrefetchHints { hints });
         }
     }
 
@@ -931,13 +914,9 @@ impl ClientNode {
             self.txn_domains.insert(txn2, domain.clone());
             self.pending_dns.insert(domain, pending);
             ctx.metrics().incr_id(names::id::CLIENT_DNS_QUERIES, 1);
-            ctx.send_after(
-                self.config.processing,
-                self.config.dns_server,
-                Msg::dns(query),
-            );
+            ctx.send_after(PROCESSING, self.config.dns_server, Msg::dns(query));
             ctx.schedule(
-                staggered(self.config.dns_timeout, txn2 as u64),
+                staggered(DNS_TIMEOUT, txn2 as u64),
                 TimerToken::new(TOKEN_DNS_BASE | txn2 as u64),
             );
             return;
@@ -985,7 +964,7 @@ impl ClientNode {
         if pending.txn != txn {
             return;
         }
-        if pending.retries >= self.config.dns_retries {
+        if pending.retries >= DNS_RETRIES {
             let pending = self.pending_dns.remove(&domain).expect("present above");
             self.txn_domains.remove(&txn);
             ctx.metrics().incr_id(names::id::CLIENT_DNS_GIVE_UPS, 1);
@@ -1001,13 +980,9 @@ impl ClientNode {
         } else {
             DnsMessage::dns_cache_request(txn, domain.clone(), &pending.hashes)
         };
-        ctx.send_after(
-            self.config.processing,
-            self.config.dns_server,
-            Msg::dns(query),
-        );
+        ctx.send_after(PROCESSING, self.config.dns_server, Msg::dns(query));
         ctx.schedule(
-            staggered(self.config.dns_timeout, txn as u64),
+            staggered(DNS_TIMEOUT, txn as u64),
             TimerToken::new(TOKEN_DNS_BASE | txn as u64),
         );
     }
@@ -1028,7 +1003,7 @@ impl ClientNode {
             return;
         }
         ctx.set_span_ctx(fetch.root_span);
-        if fetch.attempt >= self.config.http_retries {
+        if fetch.attempt >= HTTP_RETRIES {
             ctx.metrics().incr_id(names::id::CLIENT_HTTP_GIVE_UPS, 1);
             self.fail_fetch(ctx, req);
             return;
@@ -1149,7 +1124,7 @@ impl Node<Msg> for ClientNode {
                 });
                 let request = HttpRequest::get(fetch.url.clone());
                 ctx.send_after(
-                    self.config.processing,
+                    PROCESSING,
                     target,
                     Msg::http_req(conn, req, request, cache_op),
                 );

@@ -22,7 +22,7 @@ mod resolver;
 mod server;
 mod wicache;
 
-pub use ap::{ApConfig, ApNode, ApPolicy, WiCacheLink};
+pub use ap::{ApConfig, ApNode, ApPolicy};
 pub use client::{ClientConfig, ClientNode, ClientReport, LookupMode, RoamStop, Strategy};
 pub use fleet::{FleetConfig, FleetMsg, FleetNode, FleetOrigin, FleetResponder};
 pub use resolver::{AuthDnsNode, LdnsNode, ZoneAnswer};

@@ -53,14 +53,8 @@ impl WiCacheControllerNode {
         }
     }
 
-    /// Registers an AP and its address so advertisements can be attributed.
-    /// The AP is placed at the grid origin; multi-AP topologies use
-    /// [`register_ap_at`](Self::register_ap_at) instead.
-    pub fn register_ap(&mut self, ap: NodeId, address: Ipv4Addr) {
-        self.register_ap_at(ap, address, (0, 0));
-    }
-
-    /// Registers an AP with its address and grid position.
+    /// Registers an AP with its address, so advertisements can be
+    /// attributed, and its grid position.
     pub fn register_ap_at(&mut self, ap: NodeId, address: Ipv4Addr, pos: GridPos) {
         self.ap_addresses.insert(ap, address);
         self.node_positions.insert(ap, pos);
@@ -213,7 +207,7 @@ mod tests {
         let (mut w, probe, ap, controller) = world();
         let ap_ip = Ipv4Addr::new(10, 0, 0, 3);
         w.node_mut::<WiCacheControllerNode>(controller)
-            .register_ap(ap, ap_ip);
+            .register_ap_at(ap, ap_ip, (0, 0));
 
         let key = UrlHash::of("http://a/x");
         w.post(
@@ -249,7 +243,7 @@ mod tests {
         let (mut w, probe, ap, controller) = world();
         let ap_ip = Ipv4Addr::new(10, 0, 0, 3);
         w.node_mut::<WiCacheControllerNode>(controller)
-            .register_ap(ap, ap_ip);
+            .register_ap_at(ap, ap_ip, (0, 0));
         let key = UrlHash::of("http://a/x");
         advertise(&mut w, ap, controller, key, true);
         assert_eq!(
@@ -288,8 +282,8 @@ mod tests {
         let ip_b = Ipv4Addr::new(10, 0, 0, 4);
         {
             let c = w.node_mut::<WiCacheControllerNode>(controller);
-            c.register_ap(ap_a, ip_a);
-            c.register_ap(ap_b, ip_b);
+            c.register_ap_at(ap_a, ip_a, (0, 0));
+            c.register_ap_at(ap_b, ip_b, (0, 0));
         }
         let key = UrlHash::of("http://a/x");
         advertise(&mut w, ap_a, controller, key, true);

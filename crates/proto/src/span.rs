@@ -30,7 +30,7 @@ pub enum SpanKind {
     OriginFetch,
     /// AP-side cache admission of a delegated object, covering the
     /// eviction decision (PACM solve / LRU scan) and the insert — the
-    /// `eviction_processing` work the AP charges per admission.
+    /// `EVICTION_PROCESSING` work the AP charges per admission.
     CacheEvict,
 }
 

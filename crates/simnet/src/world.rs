@@ -290,7 +290,7 @@ impl<'a, M: Message> Context<'a, M> {
     ///
     /// For work the node accounts for synchronously but whose simulated
     /// duration extends past the dispatch instant (e.g. the AP charges
-    /// `eviction_processing` during admission and delays the response by
+    /// `EVICTION_PROCESSING` during admission and delays the response by
     /// it), so the span covers the modeled interval `[start, at]`.
     pub fn span_end_at(&mut self, ctx: SpanCtx, kind: &'static str, at: SimTime) {
         if !self.trace.is_enabled() {
