@@ -15,10 +15,11 @@
 //! admission is fixed. Only the wall-clock timings vary run to run (the
 //! bench crate is the one place wall-clock time is permitted). One in
 //! sixteen objects is already expired at decision time — modelling the gap
-//! between TTL sweep ticks — so the sweep exercises all three solver
-//! paths: the small cells run the DP (expired bytes < probe size), the
-//! 4096-object cell hits the expired-only fast path, and the 16384-object
-//! cell falls back to greedy on both engines.
+//! between TTL sweep ticks — so every DP cell starts from forced victims:
+//! the 256-, 1024- and 4096-object cells run the DP (at 4096 the expired
+//! bytes exceed the probe, but the survivors' weights, each rounded up to
+//! a whole unit, still do not fit), and the 16384-object cell falls back
+//! to greedy on both engines.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -40,9 +41,8 @@ const SWEEP_OBJECTS: [usize; 4] = [256, 1024, 4096, 16384];
 /// frequency window rolls.
 const NOW_SECS: u64 = 61;
 
-/// Probe admission size: above the expired bytes of the small cells (the
-/// DP must run) and below those of the 4096-object cell (the expired-only
-/// fast path triggers).
+/// Probe admission size: large enough that every cell up to 4096 objects
+/// must run the DP over a band of several hundred cells.
 const INCOMING_SIZE: u64 = 300_000;
 
 /// One measured sweep cell.

@@ -27,22 +27,21 @@ pub struct KnapsackSolution {
 
 /// Reusable scratch state for [`solve_exact_in`].
 ///
-/// The DP row, the choice matrix and the per-item weight/bound buffers are
-/// kept between calls, so after warm-up a solve performs zero heap
-/// allocations. The choice matrix is bitset-backed (`Vec<u64>` words, one
-/// bit per `(item, capacity)` cell) — 8× smaller than the seed's
-/// `Vec<bool>`, which both cuts the clearing cost and keeps more of the
-/// backtrack working set in cache.
+/// Every buffer is kept between calls and only ever grows, so after
+/// warm-up a solve performs zero heap allocations. The DP rows and choice
+/// matrix follow the instance's overflow, not its capacity.
 #[derive(Debug, Default)]
 pub struct KnapsackWorkspace {
-    /// `dp[w]` = best value with capacity `w` units.
-    dp: Vec<f64>,
-    /// Bitset choice matrix, `words_per_row` words per item.
-    choice: Vec<u64>,
+    /// DP row before the current item, band-relative.
+    prev: Vec<f64>,
+    /// DP row being written for the current item, band-relative.
+    next: Vec<f64>,
+    /// Choice matrix: `overflow + 1` cells per item, one byte each.
+    choice: Vec<u8>,
     /// Rounded item weights (units).
     weights: Vec<usize>,
-    /// Per-item prefix-weight clamp for the inner loop and backtrack.
-    bounds: Vec<usize>,
+    /// Per-item band `[lower_i, prefix_i]` in absolute capacity units.
+    bands: Vec<(usize, usize)>,
     /// Keep flags of the most recent solve.
     keep: Vec<bool>,
     /// Buffer-growth events (see [`Self::allocations`]).
@@ -67,13 +66,13 @@ impl KnapsackWorkspace {
         self.grown
     }
 
-    /// Clears and resizes `buf` to `len`, counting capacity growth.
-    fn reset<T: Clone>(buf: &mut Vec<T>, len: usize, fill: T, grown: &mut u64) {
-        if buf.capacity() < len {
-            *grown += 1;
+    /// Grows `buf` to at least `len` cells, counting capacity growth. Old
+    /// contents stay: every solve writes each cell before reading it.
+    fn ensure<T: Clone + Default>(buf: &mut Vec<T>, len: usize, grown: &mut u64) {
+        if buf.len() < len {
+            *grown += u64::from(buf.capacity() < len);
+            buf.resize(len, T::default());
         }
-        buf.clear();
-        buf.resize(len, fill);
     }
 }
 
@@ -93,29 +92,37 @@ pub fn solve_exact(items: &[KnapsackItem], capacity: u64, granularity: u64) -> K
 
 /// Exact DP solver writing into a reusable [`KnapsackWorkspace`].
 ///
-/// Semantically identical to [`solve_exact`] — it computes the same keep
-/// set, bit for bit (the `pacm_equivalence` property tests pin this against
-/// the frozen seed implementation) — but leaves the keep flags in
-/// `ws.keep()` instead of allocating a solution, and reuses the workspace
-/// buffers across calls. Returns `(total_value, total_weight)` of the kept
-/// set, summed in item order.
+/// Computes the keep set of the frozen seed DP ([`crate::reference`]) bit
+/// for bit (`pacm_equivalence` pins this), leaves the flags in `ws.keep()`
+/// and returns the kept set's `(total_value, total_weight)`.
 ///
-/// Three exact optimizations over the seed DP:
+/// The seed keeps `dp[0..=units]`, sets `dp[w] = dp[w − w_i] + v_i` where
+/// that is strictly greater, for every `w ≥ w_i`, and walks the choices
+/// back from `w = units`. Over the items that fit the table (`w_i ≤
+/// units`) let `total = Σ w_i`, `target = min(units, total)` and
+/// `overflow = total − target`. Row `i` matters only inside a band:
 ///
-/// * the inner loop and the backtrack are clamped to the running
-///   prefix-weight sum (cells above it hold a value plateau the seed never
-///   reads back),
-/// * the inner loop is also clamped from below to
-///   `target − suffix_weight`, where `target = min(units, total_weight)`
-///   is where the backtrack starts: the walk position at item `i` is
-///   always ≥ `target − suffix_i` (each taken item `j > i` moves it down
-///   by exactly `w_j ≤ suffix` — the clamped read position included), so
-///   cells below that band are never read back, by the backtrack or by a
-///   later item's `dp[w − w_j]` recurrence (`lower_{i−1} = lower_i − w_i`
-///   keeps the bands nested). For eviction workloads — store nearly full,
-///   capacity slightly reduced — this shrinks the table from
-///   `O(n × units)` to `O(n × (total_weight − units))`, and
-/// * the choice matrix is a bitset.
+/// * above `prefix_i = min(units, Σ_{j≤i} w_j)` it is a plateau equal to
+///   the cell at `prefix_i` (all processed items fit), so the walk clamps
+///   its read position to `prefix_i`;
+/// * below `lower_i = max(0, target − Σ_{j>i} w_j)` nothing is read back:
+///   each taken item `j > i` moves the walk down by exactly `w_j`, and
+///   item `i`'s `dp[w − w_i]` read from `w ≥ max(w_i, lower_i)` lands at
+///   ≥ `max(0, lower_i − w_i) = lower_{i−1}`.
+///
+/// `prefix_i − lower_i ≤ overflow`, so a row is stored as the
+/// `overflow + 1` cells from `lower_i` up, indexed by `j = w − lower_i`.
+/// With `s = lower_i − lower_{i−1}` (`0 ≤ s ≤ w_i`) and `k = w_i − s`:
+///
+/// ```text
+/// old(j)  = prev[min(j + s, prev_len − 1)]      (the clamp is the plateau)
+/// next[j] = if j ≥ k && prev[j − k] + v > old(j) { prev[j − k] + v } else { old(j) }
+/// ```
+///
+/// — the seed's operand pair, strict `>` and item order, so each cell holds
+/// the seed's bits and the walk (entry `min(w, prefix_i) − lower_i`) finds
+/// the seed's keep set, in `O(n × overflow)` instead of `O(n × units)`; for
+/// an eviction, `overflow` is about the incoming object's size in units.
 ///
 /// # Panics
 ///
@@ -135,37 +142,33 @@ pub fn solve_exact_in(
     }
     let units = (capacity / granularity) as usize;
     let n = items.len();
-    let words_per_row = (units + 1).div_ceil(64);
-
-    let grown = &mut ws.grown;
-    KnapsackWorkspace::reset(&mut ws.dp, units + 1, 0.0f64, grown);
-    KnapsackWorkspace::reset(&mut ws.choice, n * words_per_row, 0u64, grown);
-    KnapsackWorkspace::reset(&mut ws.weights, n, 0usize, grown);
-    KnapsackWorkspace::reset(&mut ws.bounds, n, 0usize, grown);
-    KnapsackWorkspace::reset(&mut ws.keep, n, false, grown);
 
     // Rounded weights and the total of the items that can enter the DP at
     // all (the seed skips weights beyond the whole table, so they carry no
     // suffix weight either).
+    let grown = &mut ws.grown;
+    KnapsackWorkspace::ensure(&mut ws.weights, n, grown);
     let mut total = 0usize;
-    for (i, item) in items.iter().enumerate() {
-        let wi = (item.weight.div_ceil(granularity)) as usize;
-        ws.weights[i] = wi;
-        if wi <= units {
-            total += wi;
+    for (wi, item) in ws.weights.iter_mut().zip(items) {
+        *wi = item.weight.div_ceil(granularity) as usize;
+        if *wi <= units {
+            total += *wi;
         }
     }
-
-    // Forward DP. `prefix` is the clamped sum of processed item weights:
-    // in the seed every dp cell above it holds the same value plateau
-    // (all processed items fit within `prefix`), so restricting updates to
-    // `[wi, prefix]` loses nothing — provided cells entering the range as
-    // the prefix grows are first raised to the plateau, which is exactly
-    // what the seed would have stored there. `lower` is the suffix clamp
-    // described above: the backtrack can only ever read cells in
-    // `[target − remaining, prefix]`.
     let target = units.min(total);
-    let mut prefix = 0usize;
+    let width = total - target + 1;
+
+    KnapsackWorkspace::ensure(&mut ws.prev, width, grown);
+    KnapsackWorkspace::ensure(&mut ws.next, width, grown);
+    KnapsackWorkspace::ensure(&mut ws.choice, n * width, grown);
+    KnapsackWorkspace::ensure(&mut ws.bands, n, grown);
+    KnapsackWorkspace::ensure(&mut ws.keep, n, grown);
+    ws.keep.truncate(n);
+    ws.keep.fill(false);
+
+    // Forward pass. Before any item the band is the single cell `dp[0]`.
+    ws.prev[0] = 0.0;
+    let (mut lower, mut prefix) = (0usize, 0usize);
     let mut remaining = total;
     for (i, item) in items.iter().enumerate() {
         let wi = ws.weights[i];
@@ -173,54 +176,69 @@ pub fn solve_exact_in(
             continue;
         }
         remaining -= wi;
-        let lower = target.saturating_sub(remaining);
-        let grown_prefix = units.min(prefix.saturating_add(wi));
-        let plateau = ws.dp[prefix];
-        for w in prefix + 1..=grown_prefix {
-            ws.dp[w] = plateau;
+        let prev_len = prefix - lower + 1;
+        let s = target.saturating_sub(remaining) - lower;
+        lower += s;
+        prefix = units.min(prefix + wi);
+        ws.bands[i] = (lower, prefix);
+        let len = prefix - lower + 1;
+        let prev = &ws.prev[..prev_len];
+        let next = &mut ws.next[..len];
+        let choice = &mut ws.choice[i * width..][..len];
+        let plateau = prev[prev_len - 1];
+        // Cells `[0, k)` lie below `w_i` and cannot take the item; cells
+        // `[0, inside)` still have their old value inside `prev` (`olds`),
+        // the rest read the plateau.
+        let k = (wi - s).min(len);
+        let olds = &prev[s.min(prev_len)..];
+        let inside = olds.len().min(len);
+        let copied = k.min(inside);
+        next[..copied].copy_from_slice(&olds[..copied]);
+        next[copied..k].fill(plateau);
+        choice[..k].fill(0);
+        let both = k.max(inside);
+        let v = item.value;
+        for (((cell, c), &below), &old) in next[k..both]
+            .iter_mut()
+            .zip(&mut choice[k..both])
+            .zip(&prev[..both - k])
+            .zip(&olds[copied..inside])
+        {
+            let candidate = below + v;
+            let take = candidate > old;
+            *cell = if take { candidate } else { old };
+            *c = take as u8;
         }
-        prefix = grown_prefix;
-        ws.bounds[i] = prefix;
-        let row = i * words_per_row;
-        for w in (wi.max(lower)..=prefix).rev() {
-            let candidate = ws.dp[w - wi] + item.value;
-            if candidate > ws.dp[w] {
-                ws.dp[w] = candidate;
-                ws.choice[row + (w >> 6)] |= 1u64 << (w & 63);
-            }
+        for ((cell, c), &below) in next[both..]
+            .iter_mut()
+            .zip(&mut choice[both..])
+            .zip(&prev[both - k..len - k])
+        {
+            let candidate = below + v;
+            let take = candidate > plateau;
+            *cell = if take { candidate } else { plateau };
+            *c = take as u8;
         }
+        std::mem::swap(&mut ws.prev, &mut ws.next);
     }
 
-    // Walk choices backwards to recover the kept set. Clamping the read
-    // position to each item's prefix bound reproduces the seed's walk
-    // exactly: for any `w` past the bound the seed's decision row is
-    // constant, equal to the decision at the bound.
+    // Walk choices backwards to recover the kept set, the read position
+    // clamped to each item's band top (the plateau argument above).
     let mut w = units;
     for i in (0..n).rev() {
         let wi = ws.weights[i];
         if wi > units {
             continue;
         }
-        let wc = w.min(ws.bounds[i]);
-        if ws.choice[i * words_per_row + (wc >> 6)] >> (wc & 63) & 1 == 1 {
+        let (lower, prefix) = ws.bands[i];
+        let wc = w.min(prefix);
+        if ws.choice[i * width + (wc - lower)] != 0 {
             ws.keep[i] = true;
             w = wc - wi;
         }
     }
 
-    let total_value = items
-        .iter()
-        .zip(&ws.keep)
-        .filter(|(_, &k)| k)
-        .map(|(it, _)| it.value)
-        .sum();
-    let total_weight = items
-        .iter()
-        .zip(&ws.keep)
-        .filter(|(_, &k)| k)
-        .map(|(it, _)| it.weight)
-        .sum();
-    (total_value, total_weight)
+    totals(items, &ws.keep)
 }
 
 /// Greedy value-density solver (higher `value/weight` first).
@@ -282,19 +300,17 @@ fn density(item: &KnapsackItem) -> f64 {
     item.value / item.weight.max(1) as f64
 }
 
+/// `(total_value, total_weight)` of the kept items, summed in item order.
+fn totals(items: &[KnapsackItem], keep: &[bool]) -> (f64, u64) {
+    let kept = || items.iter().zip(keep).filter(|(_, &k)| k);
+    (
+        kept().map(|(it, _)| it.value).sum(),
+        kept().map(|(it, _)| it.weight).sum(),
+    )
+}
+
 fn finish(items: &[KnapsackItem], keep: Vec<bool>) -> KnapsackSolution {
-    let total_value = items
-        .iter()
-        .zip(&keep)
-        .filter(|(_, &k)| k)
-        .map(|(it, _)| it.value)
-        .sum();
-    let total_weight = items
-        .iter()
-        .zip(&keep)
-        .filter(|(_, &k)| k)
-        .map(|(it, _)| it.weight)
-        .sum();
+    let (total_value, total_weight) = totals(items, &keep);
     KnapsackSolution {
         keep,
         total_value,
@@ -480,17 +496,27 @@ mod tests {
 
     #[test]
     fn workspace_reuse_allocates_once() {
+        // Buffer sizes follow `n` and the overflow `total − capacity`, so a
+        // smaller capacity can need a *wider* table. What holds: once every
+        // instance of a set has been solved, re-solving any of them, in any
+        // order, grows nothing.
+        let instances: Vec<(Vec<KnapsackItem>, u64)> = (1..10)
+            .flat_map(|seed| {
+                [
+                    (items_random(64, seed), 50_000),
+                    (items_random(64, seed), 20_000),
+                    (items_random(8, seed), 9_000),
+                ]
+            })
+            .collect();
         let mut ws = KnapsackWorkspace::new();
-        let big = items_random(64, 1);
-        solve_exact_in(&mut ws, &big, 50_000, 64);
+        for (items, capacity) in &instances {
+            solve_exact_in(&mut ws, items, *capacity, 64);
+        }
         let grown = ws.allocations();
         assert!(grown > 0);
-        // Same-or-smaller instances must not grow any buffer again.
-        for seed in 2..10 {
-            let next = items_random(64, seed);
-            solve_exact_in(&mut ws, &next, 50_000, 64);
-            let small = items_random(8, seed);
-            solve_exact_in(&mut ws, &small, 9_000, 64);
+        for (items, capacity) in instances.iter().rev().chain(&instances) {
+            solve_exact_in(&mut ws, items, *capacity, 64);
         }
         assert_eq!(
             ws.allocations(),
@@ -544,6 +570,25 @@ mod tests {
         }
     }
 
+    /// Solves in `ws` and pins keep flags and totals to the frozen seed DP.
+    fn assert_matches_seed(
+        ws: &mut KnapsackWorkspace,
+        items: &[KnapsackItem],
+        capacity: u64,
+        granularity: u64,
+        case: &str,
+    ) {
+        let (value, weight) = solve_exact_in(ws, items, capacity, granularity);
+        let seed = crate::reference::solve_exact_seed(items, capacity, granularity);
+        assert_eq!(ws.keep(), seed.keep.as_slice(), "{case}: keep flags");
+        assert_eq!(
+            value.to_bits(),
+            seed.total_value.to_bits(),
+            "{case}: total value"
+        );
+        assert_eq!(weight, seed.total_weight, "{case}: total weight");
+    }
+
     #[test]
     fn suffix_clamp_matches_seed_dp_in_both_regimes() {
         // Eviction-shaped (total weight ≫ capacity, the band is narrow)
@@ -553,10 +598,85 @@ mod tests {
         let mut ws = KnapsackWorkspace::new();
         for (n, cap) in [(120usize, 3_000u64), (60, 500_000)] {
             let items = items_random(n, 77);
-            let (value, _) = solve_exact_in(&mut ws, &items, cap, 64);
-            let seed = crate::reference::solve_exact_seed(&items, cap, 64);
-            assert_eq!(ws.keep(), seed.keep.as_slice(), "n={n} cap={cap}");
-            assert_eq!(value.to_bits(), seed.total_value.to_bits());
+            assert_matches_seed(&mut ws, &items, cap, 64, &format!("n={n} cap={cap}"));
+        }
+    }
+
+    #[test]
+    fn band_edges_match_seed_dp() {
+        // One workspace across all cases, so stale cells from a wider
+        // earlier solve sit in every buffer a later one uses.
+        let mut ws = KnapsackWorkspace::new();
+        let cases: [(&str, Vec<KnapsackItem>, u64, u64); 9] = [
+            (
+                "zero-size items",
+                vec![item(0, 5.0), item(3, 2.0), item(0, 0.0), item(4, 7.0)],
+                5,
+                1,
+            ),
+            (
+                "items wider than the table",
+                vec![item(100, 9.0), item(3, 1.0), item(50, 2.0), item(4, 3.0)],
+                6,
+                1,
+            ),
+            (
+                "everything fits (overflow 0)",
+                vec![item(3, 1.0), item(4, 2.0), item(1, 0.5)],
+                100,
+                1,
+            ),
+            (
+                "units = 0",
+                vec![item(0, 1.0), item(1, 2.0), item(0, 3.0)],
+                0,
+                1,
+            ),
+            (
+                "capacity below one unit",
+                vec![item(0, 1.0), item(7, 2.0)],
+                5,
+                10,
+            ),
+            ("equal-value ties, equal items", vec![item(2, 1.0); 6], 7, 1),
+            (
+                "equal-value ties, different subsets",
+                vec![item(2, 2.0), item(1, 1.0), item(1, 1.0), item(3, 3.0)],
+                3,
+                1,
+            ),
+            (
+                "float absorption",
+                vec![
+                    item(1, 1e300),
+                    item(1, 1e-300),
+                    item(1, 1e-300),
+                    item(1, 1e300),
+                    item(1, 1e-300),
+                ],
+                4,
+                1,
+            ),
+            (
+                // Half the weight fits: the early rows sit on the table
+                // floor (`lower_i = 0`), the late rows under its ceiling
+                // (`prefix_i = units`), the middle rows touch both.
+                "saturated early rows and clamped late rows",
+                items_random(30, 5),
+                22_000,
+                64,
+            ),
+        ];
+        for (case, items, capacity, granularity) in &cases {
+            assert_matches_seed(&mut ws, items, *capacity, *granularity, case);
+        }
+
+        // Band widths either side of 64 cells, and well past 128.
+        let items = items_random(40, 9);
+        let total: u64 = items.iter().map(|it| it.weight).sum();
+        for overflow in [1u64, 63, 64, 65, 129, 1_000] {
+            let case = format!("overflow {overflow}");
+            assert_matches_seed(&mut ws, &items, total - overflow, 1, &case);
         }
     }
 

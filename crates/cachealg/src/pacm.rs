@@ -30,10 +30,10 @@
 //!   bit for bit);
 //! * otherwise the DP runs on the surviving subset only, in the workspace.
 //!
-//! The fairness repair keeps per-app `(bytes, objects)` aggregates and a
-//! per-app ordered index of kept objects, updating both in place per
-//! evicted object — O(k log k) for the whole repair instead of the seed's
-//! per-iteration map rebuild (O(k² log k)). Store-wide per-app aggregates
+//! The fairness repair updates per-app `(bytes, objects)` aggregates in
+//! place and walks one reusable list of kept objects sorted by `(app,
+//! utility, key)` — O(k log k) and allocation-free, where the seed rebuilds
+//! its per-app map every iteration (O(k² log k)). Store-wide aggregates
 //! are maintained incrementally through the [`EvictionPolicy`] insert and
 //! remove hooks; a `(objects, bytes)` fingerprint detects stores mutated
 //! behind the policy's back (direct `CacheStore` users) and falls back to a
@@ -44,7 +44,7 @@
 //! `pacm_equivalence` property suite pins this against the frozen seed
 //! implementation in [`crate::reference`].
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use ape_dnswire::UrlHash;
 use ape_simnet::SimTime;
@@ -111,31 +111,6 @@ pub struct EvictStats {
     pub repair_evictions: u64,
 }
 
-/// Orders kept objects by `(utility, key)` inside the repair index.
-///
-/// `total_cmp` matches the seed's `partial_cmp` selection here: utilities
-/// are finite, non-negative products (never `-0.0`), so the two orders
-/// agree, and the trailing key makes every entry unique.
-#[derive(Debug, Clone, Copy)]
-struct UtilityKey(f64);
-
-impl PartialEq for UtilityKey {
-    fn eq(&self, other: &Self) -> bool {
-        self.0.total_cmp(&other.0) == std::cmp::Ordering::Equal
-    }
-}
-impl Eq for UtilityKey {}
-impl PartialOrd for UtilityKey {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for UtilityKey {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
-
 /// Internal view of a cached object during selection.
 #[derive(Debug, Clone, Copy)]
 struct Candidate {
@@ -143,6 +118,16 @@ struct Candidate {
     app: AppId,
     size: u64,
     utility: f64,
+}
+
+/// One app's share of the kept set during the fairness repair.
+#[derive(Debug, Clone, Copy)]
+struct KeptApp {
+    app: AppId,
+    bytes: u64,
+    objects: u32,
+    /// Position in `PacmPolicy::kept_order` of the app's next victim.
+    cursor: usize,
 }
 
 /// The PACM eviction policy.
@@ -179,9 +164,10 @@ pub struct PacmPolicy {
     items: Vec<KnapsackItem>,
     keep: Vec<bool>,
     survivors: Vec<(u32, usize)>,
-    kept_apps: Vec<(AppId, u64, u32)>,
+    kept_apps: Vec<KeptApp>,
     shares: Vec<f64>,
-    by_app: BTreeMap<AppId, BTreeSet<(UtilityKey, UrlHash, u64)>>,
+    /// Kept objects sorted by `(app, utility, key)`, built once per repair.
+    kept_order: Vec<Candidate>,
     stats: EvictStats,
 }
 
@@ -209,7 +195,7 @@ impl PacmPolicy {
             survivors: Vec::new(),
             kept_apps: Vec::new(),
             shares: Vec::new(),
-            by_app: BTreeMap::new(),
+            kept_order: Vec::new(),
             stats: EvictStats::default(),
         }
     }
@@ -244,9 +230,7 @@ impl PacmPolicy {
     /// Utility `U_d` of an object at `now` under current frequencies.
     pub fn utility(&self, meta: &ObjectMeta, now: SimTime) -> f64 {
         let rate = self.freq.rate(meta.app).max(self.config.min_rate);
-        let e_d = meta.remaining_ttl(now).as_secs_f64();
-        let l_d = meta.fetch_latency.as_secs_f64();
-        rate * e_d * l_d * meta.priority.get() as f64
+        utility_at(rate, meta, now)
     }
 
     /// `max(R(a), min_rate)` through the per-window cache; identical bits
@@ -276,16 +260,20 @@ impl PacmPolicy {
     /// Reproduces the seed loop decision for decision: per iteration,
     /// recompute the Gini of per-app storage efficiency, pick the most
     /// over-served app (last among equals, as `Iterator::max_by`), and
-    /// evict its `(utility, key)`-minimal kept object. The difference is
-    /// purely representational: per-app aggregates are updated in place and
-    /// the per-app victim choice is a `BTreeSet` pop instead of a rescan.
+    /// evict its `(utility, key)`-minimal kept object — found by a cursor
+    /// over a list sorted once, where the seed rescans.
     fn repair(&mut self, victims: &mut Vec<UrlHash>) {
         // Kept per-app (bytes, objects): store-wide aggregates minus the
         // victims chosen so far. Byte sums are exact u64s; the seed's f64
         // accumulation is integer-exact in the same range (< 2^53).
         self.kept_apps.clear();
-        for (&app, &(bytes, count)) in self.app_bytes.iter() {
-            self.kept_apps.push((app, bytes, count));
+        for (&app, &(bytes, objects)) in self.app_bytes.iter() {
+            self.kept_apps.push(KeptApp {
+                app,
+                bytes,
+                objects,
+                cursor: 0,
+            });
         }
         for (c, &kept) in self.candidates.iter().zip(&self.keep) {
             if kept {
@@ -293,14 +281,13 @@ impl PacmPolicy {
             }
             let slot = self
                 .kept_apps
-                .binary_search_by_key(&c.app, |&(app, _, _)| app)
+                .binary_search_by_key(&c.app, |a| a.app)
                 .expect("victim app tracked");
-            let (_, bytes, count) = &mut self.kept_apps[slot];
-            *bytes -= c.size;
-            *count -= 1;
+            self.kept_apps[slot].bytes -= c.size;
+            self.kept_apps[slot].objects -= 1;
         }
         debug_assert!(
-            self.kept_apps.iter().all(|&(_, b, _)| b < (1u64 << 53)),
+            self.kept_apps.iter().all(|a| a.bytes < (1u64 << 53)),
             "per-app byte totals must stay f64-integer-exact"
         );
 
@@ -309,9 +296,9 @@ impl PacmPolicy {
             // Shares in ascending-app order over apps with kept objects —
             // the exact sequence the seed feeds to `gini`.
             self.shares.clear();
-            for &(app, bytes, count) in &self.kept_apps {
-                if count > 0 {
-                    self.shares.push(bytes as f64 / self.cached_rate(app));
+            for a in &self.kept_apps {
+                if a.objects > 0 {
+                    self.shares.push(a.bytes as f64 / self.cached_rate(a.app));
                 }
             }
             // Loop only while F(A) > θ, like the seed's `while`; Gini is
@@ -319,56 +306,67 @@ impl PacmPolicy {
             if gini_in_place(&mut self.shares) <= self.config.fairness_theta {
                 break;
             }
-            if self.kept_apps.iter().filter(|&&(_, _, c)| c > 0).count() <= 1 {
+            if self.kept_apps.iter().filter(|a| a.objects > 0).count() <= 1 {
                 break;
             }
 
-            // Most over-served app; `>=` keeps the last among equal maxima,
-            // matching `Iterator::max_by` on the seed's ascending map.
-            let mut worst: Option<(AppId, f64)> = None;
-            for &(app, bytes, count) in &self.kept_apps {
-                if count == 0 {
-                    continue;
-                }
-                let eff = bytes as f64 / self.cached_rate(app);
-                let replace = match worst {
-                    None => true,
-                    Some((_, best)) => eff.partial_cmp(&best).expect("finite efficiency").is_ge(),
-                };
-                if replace {
-                    worst = Some((app, eff));
-                }
-            }
-            let worst_app = worst.expect("non-empty per_app").0;
+            // Most over-served app, last among equal maxima: the seed's own
+            // `max_by`, over the same ascending-app sequence.
+            let worst = self
+                .kept_apps
+                .iter()
+                .enumerate()
+                .filter(|(_, a)| a.objects > 0)
+                .map(|(slot, a)| (slot, a.bytes as f64 / self.cached_rate(a.app)))
+                .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite efficiency"))
+                .expect("non-empty per_app")
+                .0;
 
-            // Lazily index kept objects per app, once per repair.
+            // Lazily sort the kept objects, once per repair. Each app's run
+            // starts where the runs of the apps before it end. `total_cmp`
+            // matches the seed's `partial_cmp` selection: utilities are
+            // finite, non-negative products (never `-0.0`), and the
+            // trailing key makes every entry unique.
             if !indexed {
-                self.by_app.clear();
-                for (c, &kept) in self.candidates.iter().zip(&self.keep) {
-                    if kept {
-                        self.by_app.entry(c.app).or_default().insert((
-                            UtilityKey(c.utility),
-                            c.key,
-                            c.size,
-                        ));
-                    }
+                self.kept_order.clear();
+                self.kept_order.extend(
+                    self.candidates
+                        .iter()
+                        .zip(&self.keep)
+                        .filter(|(_, &kept)| kept)
+                        .map(|(c, _)| *c),
+                );
+                self.kept_order.sort_unstable_by(|a, b| {
+                    (a.app.cmp(&b.app))
+                        .then(a.utility.total_cmp(&b.utility))
+                        .then(a.key.cmp(&b.key))
+                });
+                let mut start = 0;
+                for a in &mut self.kept_apps {
+                    a.cursor = start;
+                    start += a.objects as usize;
                 }
                 indexed = true;
             }
 
-            let set = self.by_app.get_mut(&worst_app).expect("indexed app");
-            let (_, key, size) = set.pop_first().expect("app has kept objects");
-            let slot = self
-                .kept_apps
-                .binary_search_by_key(&worst_app, |&(app, _, _)| app)
-                .expect("worst app tracked");
-            let (_, bytes, count) = &mut self.kept_apps[slot];
-            *bytes -= size;
-            *count -= 1;
-            victims.push(key);
+            let a = &mut self.kept_apps[worst];
+            let victim = &self.kept_order[a.cursor];
+            debug_assert_eq!(victim.app, a.app, "cursor stays inside its app's run");
+            a.cursor += 1;
+            a.bytes -= victim.size;
+            a.objects -= 1;
+            victims.push(victim.key);
             self.stats.repair_evictions += 1;
         }
     }
+}
+
+/// `U_d = R(A_d) · e_d · l_d · p_d` for a clamped rate the caller supplies:
+/// the public accessor reads the tracker, the hot path its per-window cache.
+fn utility_at(rate: f64, meta: &ObjectMeta, now: SimTime) -> f64 {
+    let e_d = meta.remaining_ttl(now).as_secs_f64();
+    let l_d = meta.fetch_latency.as_secs_f64();
+    rate * e_d * l_d * meta.priority.get() as f64
 }
 
 impl EvictionPolicy for PacmPolicy {
@@ -427,26 +425,15 @@ impl EvictionPolicy for PacmPolicy {
         // Candidates in key order (the store iterates its BTreeMap), with
         // utilities through the per-window rate cache — bit-identical to
         // `self.utility` since rates only change on `roll_window`.
-        {
-            let rates = &self.rates;
-            let freq = &self.freq;
-            let min_rate = self.config.min_rate;
-            self.candidates.clear();
-            self.candidates.extend(store.iter().map(|e| {
-                let rate = match rates.get(&e.meta.app) {
-                    Some(&r) => r,
-                    None => freq.rate(e.meta.app).max(min_rate),
-                };
-                let e_d = e.meta.remaining_ttl(now).as_secs_f64();
-                let l_d = e.meta.fetch_latency.as_secs_f64();
-                Candidate {
-                    key: e.meta.key,
-                    app: e.meta.app,
-                    size: e.meta.size,
-                    utility: rate * e_d * l_d * e.meta.priority.get() as f64,
-                }
-            }));
-        }
+        let mut candidates = std::mem::take(&mut self.candidates);
+        candidates.clear();
+        candidates.extend(store.iter().map(|e| Candidate {
+            key: e.meta.key,
+            app: e.meta.app,
+            size: e.meta.size,
+            utility: utility_at(self.cached_rate(e.meta.app), &e.meta, now),
+        }));
+        self.candidates = candidates;
         debug_assert!(
             self.candidates.windows(2).all(|w| w[0].key < w[1].key),
             "store iteration must be key-ordered"
@@ -456,7 +443,6 @@ impl EvictionPolicy for PacmPolicy {
 
         let capacity = store.capacity().saturating_sub(incoming.size);
 
-        let mut victims: Vec<UrlHash> = Vec::new();
         if n <= self.config.max_dp_items {
             let granularity = self.config.granularity;
             assert!(granularity > 0, "granularity must be positive");
@@ -509,9 +495,7 @@ impl EvictionPolicy for PacmPolicy {
                 }));
                 solve_exact_in(&mut self.workspace, &self.items, capacity, granularity);
                 for (&(i, _), &k) in self.survivors.iter().zip(self.workspace.keep()) {
-                    if k {
-                        self.keep[i as usize] = true;
-                    }
+                    self.keep[i as usize] = k;
                 }
             }
         } else {
@@ -525,11 +509,11 @@ impl EvictionPolicy for PacmPolicy {
                     weight: c.size,
                     value: c.utility,
                 }));
-            let solution = solve_greedy(&self.items, capacity);
-            self.keep.clear();
-            self.keep.extend_from_slice(&solution.keep);
+            self.keep = solve_greedy(&self.items, capacity).keep;
         }
 
+        // The one allocation of a DP-path call: the list handed back.
+        let mut victims = Vec::with_capacity(self.keep.iter().filter(|&&k| !k).count());
         victims.extend(
             self.candidates
                 .iter()

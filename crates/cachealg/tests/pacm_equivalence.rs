@@ -1,13 +1,14 @@
 //! Equivalence proofs for the incremental PACM eviction engine.
 //!
 //! The optimized `PacmPolicy::select_victims` (reusable workspace,
-//! prefix-clamped bitset DP, pre-solver reductions, incremental fairness
+//! band-relative DP, pre-solver reductions, incremental fairness
 //! repair) must return **byte-identical victim lists** — same keys, same
 //! order — as the frozen seed implementation preserved in
 //! `ape_cachealg::reference`, on every input. These tests pin that claim on
 //! randomized stores (sizes, priorities, TTLs incl. expired, app mixes,
 //! trained frequencies, θ and granularity choices, both solver paths) plus
-//! a golden regression on a seeded 1 000-object store.
+//! a golden regression on a seeded 1 000-object store and a brim-full store
+//! probed with small, typical and maximal admissions.
 
 use ape_cachealg::reference::{solve_exact_seed, ReferencePacm};
 use ape_cachealg::{
@@ -271,3 +272,71 @@ fn golden_victims_on_seeded_store() {
 
 const GOLDEN_VICTIM_COUNT: usize = 16;
 const GOLDEN_VICTIM_DIGEST: u64 = 0x98d651e184d6cfe3;
+
+/// The shape the simulator produces: a 5 MB store filled to the brim, one
+/// admission that does not fit. The incoming size sets the DP's band width
+/// (about `size / granularity` cells), so 1 kB, 40 kB and 490 kB cover a
+/// band of a few cells, the testbed's typical band, and the widest a
+/// 500 kB block threshold admits. One policy pair serves all three, widest
+/// last and then narrowest again, so reused buffers hold stale wider rows.
+#[test]
+fn eviction_shaped_stores_match_seed() {
+    use ape_cachealg::EvictionPolicy;
+    let mut state = 0x1357_9BDF_0246_8ACEu64;
+    let mut next = move || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        state >> 33
+    };
+    let mut store = CacheStore::new(5_000_000, 500_000);
+    while store.free() >= 1_000 {
+        store.insert(
+            ObjectMeta {
+                key: UrlHash(next()),
+                app: AppId::new((next() % 30) as u32),
+                size: (next() % 59_000 + 1_000).min(store.free()),
+                priority: if next() % 5 < 2 {
+                    Priority::HIGH
+                } else {
+                    Priority::LOW
+                },
+                // Nothing expired at t = 61 s: expired bytes would let the
+                // 1 kB admission through without a solve.
+                expires_at: SimTime::from_secs(next() % 3000 + 100),
+                fetch_latency: SimDuration::from_millis(next() % 90 + 5),
+            },
+            SimTime::ZERO,
+        );
+    }
+
+    let mut policy = PacmPolicy::new(PacmConfig::default());
+    let mut seed_policy = ReferencePacm::new(PacmConfig::default());
+    for i in 0..900u32 {
+        policy.note_request(AppId::new(i % 23));
+        seed_policy.note_request(AppId::new(i % 23));
+    }
+    policy.roll_window(SimTime::from_secs(60));
+    seed_policy.roll_window(SimTime::from_secs(60));
+
+    let now = SimTime::from_secs(61);
+    for size in [1_000u64, 40_000, 490_000, 1_000] {
+        let incoming = ObjectMeta {
+            key: UrlHash::of("eviction-shaped-incoming"),
+            app: AppId::new(3),
+            size,
+            priority: Priority::HIGH,
+            expires_at: SimTime::from_secs(4000),
+            fetch_latency: SimDuration::from_millis(40),
+        };
+        let victims = policy.select_victims(&store, &incoming, now);
+        assert!(!victims.is_empty(), "incoming {size} B must not fit");
+        assert_eq!(
+            victims,
+            seed_policy.select_victims(&store, &incoming, now),
+            "incoming {size} B"
+        );
+    }
+    let stats = policy.stats();
+    assert_eq!(stats.dp_runs, 4, "every case must reach the DP: {stats:?}");
+}
