@@ -28,9 +28,10 @@ pub trait EvictionPolicy: std::fmt::Debug + Send {
 
     /// Observes an object entering the store. [`CacheManager`] calls this
     /// for every insert so policies can maintain incremental aggregates
-    /// (PACM's per-app byte totals). Purely an optimization hook: policies
-    /// must stay correct when the store is mutated without it (PACM
-    /// fingerprints the store and rescans on mismatch).
+    /// (PACM's per-app byte totals, LRU's recency index). Purely an
+    /// optimization hook: policies must stay correct when the store is
+    /// mutated without it (PACM and LRU fingerprint the store and rebuild
+    /// on mismatch).
     fn note_insert(&mut self, _meta: &ObjectMeta) {}
 
     /// Observes an object leaving the store (eviction, expiry purge,

@@ -17,12 +17,8 @@ use crate::object::ObjectMeta;
 pub struct Entry {
     /// Object metadata.
     pub meta: ObjectMeta,
-    /// When the object was inserted.
-    pub inserted_at: SimTime,
     /// Last access time (drives LRU).
     pub last_access: SimTime,
-    /// Number of cache hits served from this entry.
-    pub hits: u64,
 }
 
 /// Result of a cache lookup.
@@ -70,6 +66,9 @@ pub struct CacheStore {
     entries: BTreeMap<UrlHash, Entry>,
     block_list: BTreeSet<UrlHash>,
     block_threshold: u64,
+    /// No entry expires before this. Lowered on insert and left alone on
+    /// removal, so it can be early (one wasted scan) but never late.
+    next_expiry: SimTime,
 }
 
 impl CacheStore {
@@ -88,6 +87,7 @@ impl CacheStore {
             entries: BTreeMap::new(),
             block_list: BTreeSet::new(),
             block_threshold,
+            next_expiry: SimTime::MAX,
         }
     }
 
@@ -138,7 +138,7 @@ impl CacheStore {
         }
     }
 
-    /// Classifies a key and, on a hit, bumps its recency and hit count.
+    /// Classifies a key and, on a hit, bumps its recency.
     pub fn lookup(&mut self, key: UrlHash, now: SimTime) -> Lookup {
         if self.block_list.contains(&key) {
             return Lookup::Blocked;
@@ -147,7 +147,6 @@ impl CacheStore {
             Some(e) if e.meta.is_expired(now) => Lookup::Expired,
             Some(e) => {
                 e.last_access = now;
-                e.hits += 1;
                 Lookup::Hit
             }
             None => Lookup::Absent,
@@ -180,13 +179,12 @@ impl CacheStore {
             self.free()
         );
         self.used += meta.size;
+        self.next_expiry = self.next_expiry.min(meta.expires_at);
         self.entries.insert(
             meta.key,
             Entry {
                 meta,
-                inserted_at: now,
                 last_access: now,
-                hits: 0,
             },
         );
     }
@@ -212,12 +210,19 @@ impl CacheStore {
     /// Drops every expired object, returning their metadata in key order
     /// (callers advertise the keys and feed the sizes to policy hooks).
     pub fn purge_expired(&mut self, now: SimTime) -> Vec<ObjectMeta> {
-        let expired: Vec<UrlHash> = self
-            .entries
-            .iter()
-            .filter(|(_, e)| e.meta.is_expired(now))
-            .map(|(k, _)| *k)
-            .collect();
+        if now < self.next_expiry {
+            return Vec::new();
+        }
+        let mut next_expiry = SimTime::MAX;
+        let mut expired = Vec::new();
+        for (key, e) in &self.entries {
+            if e.meta.is_expired(now) {
+                expired.push(*key);
+            } else {
+                next_expiry = next_expiry.min(e.meta.expires_at);
+            }
+        }
+        self.next_expiry = next_expiry;
         expired
             .into_iter()
             .filter_map(|key| self.remove(key))
@@ -269,7 +274,6 @@ mod tests {
         );
         assert_eq!(s.used(), 100);
         assert_eq!(s.len(), 1);
-        assert_eq!(s.get(UrlHash::of("a")).unwrap().hits, 1);
     }
 
     #[test]
@@ -347,7 +351,6 @@ mod tests {
         let mut s = CacheStore::new(1000, 500);
         s.insert(meta("a", 100, 60), SimTime::ZERO);
         assert_eq!(s.peek(UrlHash::of("a"), SimTime::from_secs(1)), Lookup::Hit);
-        assert_eq!(s.get(UrlHash::of("a")).unwrap().hits, 0);
         assert_eq!(s.get(UrlHash::of("a")).unwrap().last_access, SimTime::ZERO);
     }
 

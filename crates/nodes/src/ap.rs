@@ -415,20 +415,6 @@ impl ApNode {
         }
     }
 
-    fn advertise(
-        &mut self,
-        ctx: &mut Context<'_, Msg>,
-        added: Vec<UrlHash>,
-        removed: Vec<UrlHash>,
-    ) {
-        if added.is_empty() && removed.is_empty() {
-            return;
-        }
-        if let Some(controller) = self.wicache_controller {
-            ctx.send(controller, Msg::WiCacheAdvertise { added, removed });
-        }
-    }
-
     // ------------------------------------------------------------------
     // DNS handling
     // ------------------------------------------------------------------
@@ -829,7 +815,15 @@ impl ApNode {
                     ctx.metrics().incr_id(names::id::AP_ADMISSIONS, 1);
                     ctx.metrics()
                         .incr_id(names::id::AP_EVICTIONS, evicted.len() as u64);
-                    self.advertise(ctx, vec![key], evicted);
+                    if let Some(controller) = self.wicache_controller {
+                        ctx.send(
+                            controller,
+                            Msg::WiCacheAdvertise {
+                                added: vec![key],
+                                removed: evicted,
+                            },
+                        );
+                    }
                 }
                 AdmitOutcome::Blocked => {
                     ctx.metrics().incr_id(names::id::AP_BLOCK_LISTED, 1);
@@ -1268,16 +1262,17 @@ impl ApNode {
         self.next_window_roll = now + self.config.window;
         let prof = ctx.prof_start();
         self.cache.roll_window(now);
-        let purged: Vec<_> = self
-            .cache
-            .purge_expired(now)
-            .into_iter()
-            .map(|meta| meta.key)
-            .collect();
+        let purged = self.cache.purge_expired(now);
         ctx.prof_end(ProfCategory::Evict, prof);
         ctx.metrics()
             .incr_id(names::id::AP_TTL_PURGES, purged.len() as u64);
-        self.advertise(ctx, Vec::new(), purged);
+        if let Some(controller) = self.wicache_controller {
+            if !purged.is_empty() {
+                let added = Vec::new();
+                let removed = purged.into_iter().map(|meta| meta.key).collect();
+                ctx.send(controller, Msg::WiCacheAdvertise { added, removed });
+            }
+        }
         // Cooperative gossip rides the same roll: each neighbor learns this
         // AP's current hot set once per window.
         if !self.neighbors.is_empty() {

@@ -4,9 +4,11 @@
 //! Identity values (`Url`, `DomainName`) are shared handles with their hash
 //! and text length cached at construction, and wire sizes are arithmetic,
 //! so a fetch no longer formats or deep-copies them at every hop. Before
-//! that a fetch cost 70–82 allocations; it now costs about a dozen. The
-//! budget of 30 leaves headroom, so this gates a regression to per-hop
-//! formatting or copying, not noise.
+//! that a fetch cost 70–82 allocations; it now costs 9–13 (run with
+//! `--nocapture` to see the three numbers). The budget of 20 is close
+//! enough that half a dozen new allocations per fetch — one per hop, or
+//! per-element work on an admission — fail here and do not hide in the
+//! headroom.
 //!
 //! The counting `#[global_allocator]` lives here because integration tests
 //! are outside the library crates' `forbid(unsafe_code)`.
@@ -23,7 +25,7 @@ use apecache::{
 };
 
 /// Allocations allowed per issued fetch.
-const BUDGET: f64 = 30.0;
+const BUDGET: f64 = 20.0;
 
 /// Untimed lead-in: caches fill, lazily registered metrics and pending maps
 /// reach their steady capacity.
