@@ -27,10 +27,12 @@
 //! [`ClientNode`]s at each AP — fewer clients, but every one runs the real
 //! enhanced-client runtime end to end.
 
+use std::sync::Arc;
+
 use ape_dnswire::DomainName;
 use ape_nodes::{
-    ApNode, AuthDnsNode, Catalog, CatalogEntry, ClientConfig, ClientNode, EdgeNode, GridPos,
-    LdnsNode, OriginNode, RoamStop, WiCacheControllerNode, ZoneAnswer,
+    ApNode, AuthDnsNode, Catalog, CatalogEntry, ClientApps, ClientConfig, ClientNode, EdgeNode,
+    GridPos, LdnsNode, OriginNode, RoamStop, WiCacheControllerNode, ZoneAnswer,
 };
 use ape_proto::{IpMap, Msg};
 use ape_simnet::{LinkSpec, NodeId, SimDuration, SimRng, World};
@@ -440,6 +442,8 @@ pub(crate) fn assemble(
         per_client_per_minute: roam_per_minute,
         duration: base.schedule.duration,
     };
+    // One copy of the suite-derived tables for the whole population.
+    let client_apps = Arc::new(ClientApps::new(base.apps.clone()));
     let mut clients = Vec::with_capacity(aps * base.clients);
     let mut client_home = Vec::with_capacity(clients.capacity());
     let mut scheduled = 0usize;
@@ -483,8 +487,8 @@ pub(crate) fn assemble(
             client_config.controller = controller;
             client_config.lookup_mode = base.lookup_mode;
             client_config.prefetch_hints = base.prefetch_hints;
-            let node =
-                ClientNode::new(client_config, base.apps.clone(), share).with_roam_schedule(stops);
+            let node = ClientNode::new(client_config, Arc::clone(&client_apps), share)
+                .with_roam_schedule(stops);
             let client = world.add_node(format!("client{g}"), node);
             for &a in &radio {
                 world.connect(client, ap_nodes[a], wifi);

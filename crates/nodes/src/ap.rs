@@ -393,18 +393,19 @@ impl ApNode {
         requested: &[UrlHash],
         now: SimTime,
     ) -> Vec<CacheTuple> {
-        let mut keys: Vec<UrlHash> = requested.to_vec();
-        if self.config.batch_domain_flags {
-            if let Some(known) = self.domain_urls.get(domain) {
-                for k in known {
-                    if !keys.contains(k) {
-                        keys.push(*k);
-                    }
-                }
-            }
-        }
-        keys.into_iter()
-            .map(|k| CacheTuple::new(k, self.flag_for(k, now)))
+        // `domain_urls` lists hold no duplicates (`remember_domain_url`),
+        // so a known URL is new to the answer iff it was not requested.
+        let known = self
+            .domain_urls
+            .get(domain)
+            .filter(|_| self.config.batch_domain_flags)
+            .into_iter()
+            .flatten()
+            .filter(|k| !requested.contains(k));
+        requested
+            .iter()
+            .chain(known)
+            .map(|&k| CacheTuple::new(k, self.flag_for(k, now)))
             .collect()
     }
 

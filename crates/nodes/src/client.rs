@@ -20,6 +20,7 @@
 
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 use ape_appdag::{AppSpec, ObjIdx};
 use ape_cachealg::Priority;
@@ -242,23 +243,102 @@ pub struct RoamStop {
     pub ap: NodeId,
 }
 
+/// Everything a client derives from the app suite alone — the DAGs'
+/// reverse edges, the `Cacheable` registry and every fetch's identity —
+/// built once per run and shared by all of its clients.
+///
+/// A fetch's identity is its concrete URL (the object's template with the
+/// execution's `?v={variant}` query) and the registry entry of the URL's
+/// base id. Variants are few (≤ 10), so all of them are formatted, hashed
+/// and looked up here, once; starting a fetch clones a shared handle.
+#[derive(Debug)]
+pub struct ClientApps {
+    apps: Vec<AppSpec>,
+    /// Dependents per app per object (reverse edges of the DAG).
+    children: Vec<Vec<Vec<ObjIdx>>>,
+    /// Per app, `(url, spec)` of object `o` under variant `v` at
+    /// `o * variants + v`.
+    identities: Vec<Vec<(Url, CacheableSpec)>>,
+    /// Per-app latency histogram key, by index into `apps`.
+    app_latency_keys: Vec<String>,
+    /// App id → index into `apps`.
+    app_index: BTreeMap<u32, usize>,
+}
+
+impl ClientApps {
+    /// Derives the shared tables from `apps`. When two apps annotate one
+    /// base URL, the later app's annotation wins for both.
+    pub fn new(apps: Vec<AppSpec>) -> Self {
+        let mut registry = BTreeMap::new();
+        let mut app_index = BTreeMap::new();
+        let mut children = Vec::with_capacity(apps.len());
+        for (i, app) in apps.iter().enumerate() {
+            app_index.insert(app.id().get(), i);
+            let dag = app.dag();
+            let mut kids = vec![Vec::new(); dag.len()];
+            for (idx, obj) in dag.iter() {
+                for dep in dag.deps(idx) {
+                    kids[dep.get()].push(idx);
+                }
+                registry.insert(
+                    obj.url.base_id(),
+                    CacheableSpec {
+                        priority: obj.priority,
+                        ttl: obj.ttl,
+                        app: app.id(),
+                    },
+                );
+            }
+            children.push(kids);
+        }
+        let identities = apps
+            .iter()
+            .map(|app| {
+                app.dag()
+                    .iter()
+                    .flat_map(|(_, obj)| {
+                        (0..app.variants()).map(|v| obj.url.with_query(format_args!("v={v}")))
+                    })
+                    .map(|url| {
+                        let spec = registry[url.base_id()];
+                        (url, spec)
+                    })
+                    .collect()
+            })
+            .collect();
+        let app_latency_keys = apps
+            .iter()
+            .map(|app| names::client_app_latency_ms(app.name()))
+            .collect();
+        ClientApps {
+            apps,
+            children,
+            identities,
+            app_latency_keys,
+            app_index,
+        }
+    }
+
+    /// The URL and registry entry of object `obj` of app `app_idx` in an
+    /// execution that drew `variant`.
+    fn identity(&self, app_idx: usize, obj: ObjIdx, variant: u32) -> &(Url, CacheableSpec) {
+        let variants = self.apps[app_idx].variants() as usize;
+        &self.identities[app_idx][obj.get() * variants + variant as usize]
+    }
+}
+
 /// The client node.
 #[derive(Debug)]
 pub struct ClientNode {
     config: ClientConfig,
-    apps: Vec<AppSpec>,
-    /// Dependents per app per object (reverse edges of the DAG).
-    children: Vec<Vec<Vec<ObjIdx>>>,
-    registry: BTreeMap<String, CacheableSpec>,
-    /// Per-app latency histogram key, by index into `apps`.
-    app_latency_keys: Vec<String>,
+    apps: Arc<ClientApps>,
     schedule: Vec<Execution>,
     /// Roam stops, installed at build time (empty for non-roaming clients,
     /// which then schedule no roam timers at all).
     roam_schedule: Vec<RoamStop>,
-    /// App id → index into `apps`.
-    app_index: BTreeMap<u32, usize>,
     dns_cache: BTreeMap<DomainName, (Ipv4Addr, SimTime)>,
+    /// No `dns_cache` entry expires before this instant.
+    dns_expiry_floor: SimTime,
     /// Per-domain cached flags and their validity horizon.
     flags: BTreeMap<DomainName, (BTreeMap<UrlHash, CacheFlag>, SimTime)>,
     pending_dns: BTreeMap<DomainName, PendingDns>,
@@ -304,45 +384,14 @@ impl ClientNode {
     /// Creates a client running `apps` on `schedule` (entries refer to apps
     /// by [`AppId`](ape_cachealg::AppId); entries for unknown apps are
     /// ignored).
-    pub fn new(config: ClientConfig, apps: Vec<AppSpec>, schedule: Vec<Execution>) -> Self {
-        let mut registry = BTreeMap::new();
-        let mut app_index = BTreeMap::new();
-        let mut children = Vec::with_capacity(apps.len());
-        for (i, app) in apps.iter().enumerate() {
-            app_index.insert(app.id().get(), i);
-            let dag = app.dag();
-            let mut kids = vec![Vec::new(); dag.len()];
-            for (idx, _) in dag.iter() {
-                for dep in dag.deps(idx) {
-                    kids[dep.get()].push(idx);
-                }
-            }
-            children.push(kids);
-            for (_, obj) in dag.iter() {
-                registry.insert(
-                    obj.url.base_id().to_owned(),
-                    CacheableSpec {
-                        priority: obj.priority,
-                        ttl: obj.ttl,
-                        app: app.id(),
-                    },
-                );
-            }
-        }
-        let app_latency_keys = apps
-            .iter()
-            .map(|app| names::client_app_latency_ms(app.name()))
-            .collect();
+    pub fn new(config: ClientConfig, apps: Arc<ClientApps>, schedule: Vec<Execution>) -> Self {
         ClientNode {
             config,
             apps,
-            children,
-            registry,
-            app_latency_keys,
             schedule,
-            app_index,
             roam_schedule: Vec::new(),
             dns_cache: BTreeMap::new(),
+            dns_expiry_floor: SimTime::MAX,
             flags: BTreeMap::new(),
             pending_dns: BTreeMap::new(),
             txn_domains: BTreeMap::new(),
@@ -372,10 +421,10 @@ impl ClientNode {
     /// Kicks off one execution of app `app_idx` immediately (tests and
     /// micro-benches; scheduled runs use the construction-time schedule).
     pub fn trigger_execution(&mut self, ctx: &mut Context<'_, Msg>, app_idx: usize) {
-        let dag = self.apps[app_idx].dag();
+        let dag = self.apps.apps[app_idx].dag();
         let exec_id = self.next_exec;
         self.next_exec += 1;
-        let variants = self.apps[app_idx].variants();
+        let variants = self.apps.apps[app_idx].variants();
         let variant = if variants <= 1 {
             0
         } else {
@@ -413,7 +462,7 @@ impl ClientNode {
         ctx.metrics()
             .observe_id(names::id::CLIENT_APP_LATENCY_MS, latency);
         ctx.metrics()
-            .observe(&self.app_latency_keys[exec.app_idx], latency);
+            .observe(&self.apps.app_latency_keys[exec.app_idx], latency);
         if exec.failed {
             ctx.metrics()
                 .incr_id(names::id::CLIENT_FAILED_EXECUTIONS, 1);
@@ -428,13 +477,8 @@ impl ClientNode {
         let exec = &self.execs[&exec_id];
         let app_idx = exec.app_idx;
         let variant = exec.variant;
-        let template = &self.apps[app_idx].dag().object(obj).url;
-        let url = template.with_query(format_args!("v={variant}"));
+        let (url, spec) = self.apps.identity(app_idx, obj, variant).clone();
         let key = url.hash();
-        let spec = *self
-            .registry
-            .get(url.base_id())
-            .expect("every app object is registered at construction");
         let req = RequestId(self.next_req);
         self.next_req += 1;
         let now = ctx.now();
@@ -691,25 +735,20 @@ impl ClientNode {
         let Some(exec) = self.execs.get(&fetch.exec) else {
             return;
         };
-        let variant = exec.variant;
-        let dag = self.apps[fetch.app_idx].dag();
-        let hints: Vec<ape_proto::PrefetchHint> = self.children[fetch.app_idx][fetch.obj.get()]
+        let children = &self.apps.children[fetch.app_idx][fetch.obj.get()];
+        let hints: Vec<ape_proto::PrefetchHint> = children
             .iter()
             .take(4)
-            .filter_map(|child| {
-                let url = dag
-                    .object(*child)
-                    .url
-                    .with_query(format_args!("v={variant}"));
-                let cacheable = self.registry.get(url.base_id())?;
-                Some(ape_proto::PrefetchHint {
-                    url,
+            .map(|&child| {
+                let (url, cacheable) = self.apps.identity(fetch.app_idx, child, exec.variant);
+                ape_proto::PrefetchHint {
+                    url: url.clone(),
                     op: CacheOp {
                         ttl: cacheable.ttl,
                         priority: cacheable.priority,
                         app: cacheable.app,
                     },
-                })
+                }
             })
             .collect();
         if !hints.is_empty() {
@@ -746,7 +785,7 @@ impl ClientNode {
             // Dependents can never run; cancel them so the execution ends.
             let mut cancelled = vec![fetch.obj];
             while let Some(obj) = cancelled.pop() {
-                for &child in &self.children[fetch.app_idx][obj.get()] {
+                for &child in &self.apps.children[fetch.app_idx][obj.get()] {
                     let exec = self.execs.get_mut(&fetch.exec).expect("checked");
                     if exec.deps_left[child.get()] == usize::MAX {
                         continue;
@@ -834,7 +873,7 @@ impl ClientNode {
             {
                 let exec = self.execs.get_mut(&exec_id).expect("checked");
                 exec.remaining -= 1;
-                for &child in &self.children[fetch.app_idx][fetch.obj.get()] {
+                for &child in &self.apps.children[fetch.app_idx][fetch.obj.get()] {
                     if exec.deps_left[child.get()] == usize::MAX {
                         continue;
                     }
@@ -882,18 +921,29 @@ impl ClientNode {
                 // Clamp like the AP does (ap.rs answers use `.max(1)`): a
                 // TTL-0 record would be cached with expiry == now, never
                 // consulted, and never purged.
-                self.dns_cache.insert(
-                    domain.clone(),
-                    (ip, now + SimDuration::from_secs(ttl.max(1) as u64)),
-                );
+                let expires = now + SimDuration::from_secs(ttl.max(1) as u64);
+                self.dns_cache.insert(domain.clone(), (ip, expires));
+                self.dns_expiry_floor = self.dns_expiry_floor.min(expires);
             }
             // Dummy-IP (TTL 0) answers deliberately collapse the flag
             // horizon to `now`: the flags serve only the waiting fetches.
             flag_horizon = now + SimDuration::from_secs(ttl as u64);
         }
         // Opportunistic purge: without it, long runs grow the map by one
-        // dead entry per domain whose records expired.
-        self.dns_cache.retain(|_, (_, expires)| *expires > now);
+        // dead entry per domain whose records expired. `dns_expiry_floor`
+        // is a lower bound on every entry's expiry, so while it is ahead of
+        // the clock nothing can have expired and the scan is skipped.
+        if self.dns_expiry_floor <= now {
+            let mut floor = SimTime::MAX;
+            self.dns_cache.retain(|_, (_, expires)| {
+                let live = *expires > now;
+                if live {
+                    floor = floor.min(*expires);
+                }
+                live
+            });
+            self.dns_expiry_floor = floor;
+        }
 
         // Standalone mode: plain stage answered → issue the cache query.
         if self.config.strategy == Strategy::ApeCache
@@ -934,22 +984,32 @@ impl ClientNode {
             self.flags.insert(domain.clone(), (table, flag_horizon));
         }
 
-        let failed = response.header.rcode != Rcode::NoError;
-        let ip = answer.map(|(ip, _)| ip).filter(|ip| !IpMap::is_dummy(*ip));
-        let flag_table = self.flags.get(&domain).map(|(t, _)| t.clone());
-        for req in pending.waiting {
-            if failed {
+        if response.header.rcode != Rcode::NoError {
+            for req in pending.waiting {
                 self.fail_fetch(ctx, req);
-                continue;
             }
-            let flag = match self.config.strategy {
-                Strategy::ApeCache => {
-                    let key = self.fetches.get(&req).map(|f| f.key);
-                    key.and_then(|k| flag_table.as_ref().and_then(|t| t.get(&k).copied()))
-                        .unwrap_or(CacheFlag::Delegation)
-                }
-                _ => CacheFlag::Miss,
-            };
+            return;
+        }
+        let ip = answer.map(|(ip, _)| ip).filter(|ip| !IpMap::is_dummy(*ip));
+        // Resolve every waiter's flag before acting on any: acting needs
+        // `&mut self`, and nothing it does touches `flags` or a fetch's key.
+        let flag_table = self.flags.get(&domain).map(|(table, _)| table);
+        let resolved: Vec<(RequestId, CacheFlag)> = pending
+            .waiting
+            .iter()
+            .map(|&req| {
+                let flag = match self.config.strategy {
+                    Strategy::ApeCache => self
+                        .fetches
+                        .get(&req)
+                        .and_then(|f| flag_table?.get(&f.key).copied())
+                        .unwrap_or(CacheFlag::Delegation),
+                    _ => CacheFlag::Miss,
+                };
+                (req, flag)
+            })
+            .collect();
+        for (req, flag) in resolved {
             self.act_on_flag(ctx, req, flag, ip);
         }
     }
@@ -1164,7 +1224,7 @@ impl Node<Msg> for ClientNode {
         let idx = raw as usize;
         if idx < self.schedule.len() {
             let app_id = self.schedule[idx].app;
-            if let Some(&app_idx) = self.app_index.get(&app_id.get()) {
+            if let Some(&app_idx) = self.apps.app_index.get(&app_id.get()) {
                 self.trigger_execution(ctx, app_idx);
             }
         }
@@ -1184,7 +1244,7 @@ mod tests {
                 NodeId::from_raw(0),
                 IpMap::new(),
             ),
-            vec![movie_trailer(AppId::new(1))],
+            Arc::new(ClientApps::new(vec![movie_trailer(AppId::new(1))])),
             Vec::new(),
         )
     }
@@ -1192,19 +1252,49 @@ mod tests {
     #[test]
     fn registry_is_built_from_annotations() {
         let c = client(Strategy::ApeCache);
-        assert_eq!(c.registry.len(), 5);
-        let thumb = c
-            .registry
-            .get("http://api.movietrailer.example/thumbnail")
+        let app = &c.apps.apps[0];
+        assert_eq!(c.apps.identities[0].len(), 5 * app.variants() as usize);
+        for (idx, obj) in app.dag().iter() {
+            for variant in 0..app.variants() {
+                let (url, spec) = c.apps.identity(0, idx, variant);
+                // What `start_fetch` used to build on every fetch.
+                let formatted = obj.url.with_query(format_args!("v={variant}"));
+                assert_eq!(url, &formatted);
+                assert_eq!(url.hash(), UrlHash::of(&formatted.to_string()));
+                assert_eq!((spec.priority, spec.ttl), (obj.priority, obj.ttl));
+                assert_eq!(spec.app, app.id());
+            }
+        }
+        let thumb = app
+            .dag()
+            .iter()
+            .find(|(_, obj)| obj.url.base_id() == "http://api.movietrailer.example/thumbnail")
+            .map(|(idx, _)| c.apps.identity(0, idx, 3))
             .unwrap();
-        assert!(thumb.priority.is_high());
+        assert!(thumb.1.priority.is_high());
+        assert_eq!(thumb.0.query(), Some("v=3"));
         assert_eq!(c.report(), ClientReport::default());
+    }
+
+    #[test]
+    fn a_later_app_annotating_the_same_base_url_wins_for_both() {
+        let mut second = movie_trailer(AppId::new(2));
+        for (idx, _) in second.clone().dag().iter() {
+            second.dag_mut().object_mut(idx).ttl = SimDuration::from_secs(7);
+        }
+        let apps = ClientApps::new(vec![movie_trailer(AppId::new(1)), second]);
+        for (_, spec) in apps.identities.iter().flatten() {
+            assert_eq!(
+                (spec.app, spec.ttl),
+                (AppId::new(2), SimDuration::from_secs(7))
+            );
+        }
     }
 
     #[test]
     fn children_reverse_edges_match_dag() {
         let c = client(Strategy::EdgeCache);
-        let kids = &c.children[0];
+        let kids = &c.apps.children[0];
         let total: usize = kids.iter().map(Vec::len).sum();
         assert_eq!(total, 4);
         assert_eq!(kids[0].len(), 4);

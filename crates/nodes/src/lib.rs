@@ -23,7 +23,9 @@ mod server;
 mod wicache;
 
 pub use ap::{ApConfig, ApNode, ApPolicy};
-pub use client::{ClientConfig, ClientNode, ClientReport, LookupMode, RoamStop, Strategy};
+pub use client::{
+    ClientApps, ClientConfig, ClientNode, ClientReport, LookupMode, RoamStop, Strategy,
+};
 pub use fleet::{FleetConfig, FleetMsg, FleetNode, FleetOrigin, FleetResponder};
 pub use resolver::{AuthDnsNode, LdnsNode, ZoneAnswer};
 pub use server::{Catalog, CatalogEntry, EdgeNode, OriginNode};

@@ -2,11 +2,13 @@
 //! driving real app DAGs against an AP, resolver chain and edge server —
 //! wired by hand so each path can be inspected closely.
 
+use std::sync::Arc;
+
 use ape_appdag::{movie_trailer, AppId, AppSpec};
 use ape_dnswire::DomainName;
 use ape_nodes::{
-    ApConfig, ApNode, AuthDnsNode, Catalog, CatalogEntry, ClientConfig, ClientNode, EdgeNode,
-    LdnsNode, LookupMode, OriginNode, Strategy, ZoneAnswer,
+    ApConfig, ApNode, AuthDnsNode, Catalog, CatalogEntry, ClientApps, ClientConfig, ClientNode,
+    EdgeNode, LdnsNode, LookupMode, OriginNode, Strategy, ZoneAnswer,
 };
 use ape_proto::{names, IpMap, Msg};
 use ape_simnet::{LinkSpec, NodeId, SimDuration, SimTime, World};
@@ -98,6 +100,7 @@ fn mini_bed_multi(
 
     let ap = world.add_node("ap", ApNode::new(ApConfig::default(), ldns, ip_map.clone()));
 
+    let client_apps = Arc::new(ClientApps::new(apps));
     let mut clients = Vec::new();
     for (i, schedule) in schedules.into_iter().enumerate() {
         let mut client_config = ClientConfig::new(strategy, ap, ap, ip_map.clone());
@@ -107,7 +110,7 @@ fn mini_bed_multi(
         }
         let client = world.add_node(
             format!("client{i}"),
-            ClientNode::new(client_config, apps.clone(), schedule),
+            ClientNode::new(client_config, Arc::clone(&client_apps), schedule),
         );
         world.connect(
             client,

@@ -137,7 +137,6 @@ impl LinkSpec {
 /// collision-free run bit-identical to the unserialized schedule.
 #[derive(Debug)]
 pub(crate) struct Link {
-    dst: NodeId,
     pub(crate) spec: LinkSpec,
     /// Pending arrival times, ascending and distinct. Entries at or before
     /// the sender's clock have been delivered and are pruned on
@@ -147,9 +146,8 @@ pub(crate) struct Link {
 }
 
 impl Link {
-    fn new(dst: NodeId, spec: LinkSpec) -> Self {
+    fn new(spec: LinkSpec) -> Self {
         Link {
-            dst,
             spec,
             inflight: Vec::new(),
         }
@@ -189,6 +187,16 @@ impl Link {
     }
 }
 
+/// The links leaving one source node: destinations in `keys`, ascending,
+/// and the link to `keys[i]` at `links[i]`. A send searches only the
+/// 4-byte keys — the city's edge and LDNS rows hold ~770 links, 3 KB of
+/// keys against 49 KB of links — and then touches exactly one `Link`.
+#[derive(Debug, Default)]
+struct Row {
+    keys: Vec<NodeId>,
+    links: Vec<Link>,
+}
+
 /// Static wiring between nodes: which pairs can exchange messages, with
 /// what path characteristics, and what is in flight on each. One row per
 /// source node (indexed by `NodeId`), each row sorted by destination, so a
@@ -196,7 +204,7 @@ impl Link {
 /// depends on a hasher.
 #[derive(Debug, Default)]
 pub(crate) struct LinkTable {
-    rows: Vec<Vec<Link>>,
+    rows: Vec<Row>,
 }
 
 impl LinkTable {
@@ -209,31 +217,29 @@ impl LinkTable {
 
     fn insert(&mut self, src: NodeId, dst: NodeId, spec: LinkSpec) {
         if self.rows.len() <= src.index() {
-            self.rows.resize_with(src.index() + 1, Vec::new);
+            self.rows.resize_with(src.index() + 1, Row::default);
         }
         let row = &mut self.rows[src.index()];
-        match Self::position(row, dst) {
-            Ok(i) => row[i].spec = spec,
-            Err(i) => row.insert(i, Link::new(dst, spec)),
+        match row.keys.binary_search(&dst) {
+            Ok(i) => row.links[i].spec = spec,
+            Err(i) => {
+                row.keys.insert(i, dst);
+                row.links.insert(i, Link::new(spec));
+            }
         }
-    }
-
-    /// Where `dst` is (`Ok`) or would be inserted (`Err`) in a sorted row.
-    fn position(row: &[Link], dst: NodeId) -> Result<usize, usize> {
-        row.binary_search_by_key(&dst, |l| l.dst)
     }
 
     /// The link from `src` to `dst`, if one is registered.
     pub(crate) fn get(&self, src: NodeId, dst: NodeId) -> Option<&Link> {
         let row = self.rows.get(src.index())?;
-        Some(&row[Self::position(row, dst).ok()?])
+        Some(&row.links[row.keys.binary_search(&dst).ok()?])
     }
 
     /// Mutable access to the link from `src` to `dst` (to reserve a slot).
     pub(crate) fn get_mut(&mut self, src: NodeId, dst: NodeId) -> Option<&mut Link> {
         let row = self.rows.get_mut(src.index())?;
-        let i = Self::position(row, dst).ok()?;
-        Some(&mut row[i])
+        let i = row.keys.binary_search(&dst).ok()?;
+        Some(&mut row.links[i])
     }
 }
 
@@ -296,7 +302,7 @@ mod tests {
     fn reserve_matches_the_retain_contains_reference() {
         for seed in 0..64 {
             let mut r = SimRng::seed_from(seed);
-            let mut link = Link::new(node(0), spec_ms(1));
+            let mut link = Link::new(spec_ms(1));
             let mut reference = Vec::new();
             let mut now = 0u64;
             let mut last_at = 1u64;
@@ -333,9 +339,102 @@ mod tests {
         // One callback fanning 100 000 sends down one link at one computed
         // arrival: with `retain` + `contains` + one-nanosecond bumps this
         // was cubic and did not finish; walking the run would be ~3 s.
-        let mut link = Link::new(node(0), spec_ms(1));
+        let mut link = Link::new(spec_ms(1));
         for k in 0..100_000 {
             assert_eq!(link.reserve(ns(10), ns(1_000)), ns(1_000 + k));
+        }
+    }
+
+    /// The link table as it stood before the key rows — one sorted
+    /// `Vec` of whole links per source, searched by `binary_search_by_key`
+    /// — kept verbatim as the oracle for the differential test below.
+    #[derive(Default)]
+    struct ReferenceTable {
+        rows: Vec<Vec<(NodeId, Link)>>,
+    }
+
+    impl ReferenceTable {
+        fn connect(&mut self, a: NodeId, b: NodeId, spec: LinkSpec) {
+            self.insert(a, b, spec);
+            self.insert(b, a, spec);
+        }
+
+        fn insert(&mut self, src: NodeId, dst: NodeId, spec: LinkSpec) {
+            if self.rows.len() <= src.index() {
+                self.rows.resize_with(src.index() + 1, Vec::new);
+            }
+            let row = &mut self.rows[src.index()];
+            match row.binary_search_by_key(&dst, |l| l.0) {
+                Ok(i) => row[i].1.spec = spec,
+                Err(i) => row.insert(i, (dst, Link::new(spec))),
+            }
+        }
+
+        fn get_mut(&mut self, src: NodeId, dst: NodeId) -> Option<&mut Link> {
+            let row = self.rows.get_mut(src.index())?;
+            let i = row.binary_search_by_key(&dst, |l| l.0).ok()?;
+            Some(&mut row[i].1)
+        }
+    }
+
+    #[test]
+    fn table_matches_the_whole_link_rows_reference() {
+        for seed in 0..24 {
+            let mut r = SimRng::seed_from(seed);
+            let (mut table, mut reference) = (LinkTable::default(), ReferenceTable::default());
+            let nodes = 340;
+            let hub = node(r.uniform_u64(0, nodes - 1) as u32);
+            let (mut now, mut spokes) = (0u64, 0u32);
+            for step in 0..4_000u64 {
+                let pick = |r: &mut SimRng| node(r.uniform_u64(0, nodes + 3) as u32);
+                match r.next_u64() % 8 {
+                    // The hub grows a 300-link row; a second connect on a
+                    // pair replaces the spec and keeps what is in flight.
+                    0 | 1 => {
+                        let (spec, spoke) = (spec_ms(1 + step % 9), node(spokes % 300));
+                        spokes += 1;
+                        table.connect(hub, spoke, spec);
+                        reference.connect(hub, spoke, spec);
+                    }
+                    2 => {
+                        let (a, b, spec) = (pick(&mut r), pick(&mut r), spec_ms(1 + step % 5));
+                        table.connect(a, b, spec);
+                        reference.connect(a, b, spec);
+                    }
+                    // Lookups: hub rows, random pairs, absent pairs and
+                    // sources past the last row; reserve where one exists.
+                    n => {
+                        let (src, dst) = match n {
+                            3 | 4 => (hub, pick(&mut r)),
+                            5 => (pick(&mut r), hub),
+                            _ => (pick(&mut r), pick(&mut r)),
+                        };
+                        now += r.next_u64() % 3;
+                        let at = ns(now + r.next_u64() % 4);
+                        let got = table
+                            .get_mut(src, dst)
+                            .map(|l| (l.spec, l.reserve(ns(now), at)));
+                        let want = reference
+                            .get_mut(src, dst)
+                            .map(|l| (l.spec, l.reserve(ns(now), at)));
+                        assert_eq!(got, want, "seed {seed} step {step}: {src} -> {dst}");
+                        assert_eq!(table.get(src, dst).map(|l| l.spec), want.map(|w| w.0));
+                    }
+                }
+            }
+            assert_eq!(
+                table.rows[hub.index()].keys.len(),
+                reference.rows[hub.index()].len()
+            );
+            assert!(table.rows[hub.index()].keys.len() >= 300, "seed {seed}");
+            for (row, want) in table.rows.iter().zip(&reference.rows) {
+                assert!(row.keys.iter().eq(want.iter().map(|l| &l.0)));
+                assert!(row
+                    .links
+                    .iter()
+                    .map(|l| &l.inflight)
+                    .eq(want.iter().map(|l| &l.1.inflight)));
+            }
         }
     }
 
@@ -429,7 +528,7 @@ mod tests {
         t.connect(a, b, spec_ms(1));
         assert!(t.get(a, b).is_some());
         assert!(t.get(b, a).is_some());
-        assert_eq!(t.rows.iter().map(Vec::len).sum::<usize>(), 2);
+        assert_eq!(t.rows.iter().map(|r| r.links.len()).sum::<usize>(), 2);
         // Pairs never connected, and sources past the last row, are absent.
         assert!(t.get(a, node(2)).is_none());
         assert!(t.get(node(9), a).is_none());
@@ -452,7 +551,7 @@ mod tests {
         t.connect(a, b, spec_ms(1));
         assert_eq!(t.get_mut(a, b).unwrap().reserve(ns(0), ns(700)), ns(700));
         t.connect(a, b, spec_ms(5));
-        assert_eq!(t.rows[a.index()].len(), 1);
+        assert_eq!(t.rows[a.index()].links.len(), 1);
         let ab = t.get_mut(a, b).unwrap();
         assert_eq!(ab.spec, spec_ms(5));
         assert_eq!(ab.reserve(ns(0), ns(700)), ns(701));
@@ -465,8 +564,12 @@ mod tests {
         for raw in [7, 0, 9, 4, 1, 8] {
             t.connect(hub, node(raw), spec_ms(1));
         }
-        let dsts: Vec<u32> = t.rows[hub.index()].iter().map(|l| l.dst.as_raw()).collect();
+        let dsts: Vec<u32> = t.rows[hub.index()]
+            .keys
+            .iter()
+            .map(|k| k.as_raw())
+            .collect();
         assert_eq!(dsts, [0, 1, 4, 7, 8, 9]);
-        assert_eq!(t.rows[9][0].dst, hub);
+        assert_eq!(t.rows[9].keys, [hub]);
     }
 }

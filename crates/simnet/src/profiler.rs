@@ -27,10 +27,13 @@ use std::time::Instant;
 /// Subsystems the profiler can charge host time to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProfCategory {
-    /// Popping the next event off the timing wheel (`EventQueue::pop`).
+    /// Taking the next event off the timing wheel: the `peek_time` that
+    /// refills the ready run (bucket search, cascades, overflow ingest)
+    /// and the `pop` after it, one record per dispatched event.
     QueuePop = 0,
     /// Dispatching an event into a node callback (includes everything the
-    /// callback does, nested categories included).
+    /// callback does, nested categories included). `on_start` calls are
+    /// not events and are not charged here.
     Dispatch = 1,
     /// Link and fault resolution on `Context::send_after`: fault-window
     /// evaluation, loss sampling, one-way-delay sampling and the queue

@@ -91,21 +91,18 @@ impl<T> Ord for Entry<T> {
     }
 }
 
-/// One wheel level: 64 buckets plus an occupancy bitmap (bit `i` set iff
-/// `slots[i]` is non-empty).
-#[derive(Debug)]
-struct Level<T> {
-    slots: Vec<Vec<Entry<T>>>,
-    occupied: u64,
-}
-
-impl<T> Level<T> {
-    fn new() -> Self {
-        Level {
-            slots: (0..SLOTS).map(|_| Vec::new()).collect(),
-            occupied: 0,
-        }
-    }
+/// Level an event at `at` belongs to while the drain frontier is `base`
+/// (`at >= base`): the lowest level whose coarser prefix matches the
+/// frontier's, so the cursor reaches the event's slot before that level
+/// wraps and absolute slot indexing is exact. That level is fixed by the
+/// highest bit in which `at` and `base` differ — bit
+/// `GRANULARITY_SHIFT + b` lies in level `b / LEVEL_BITS`'s slot index —
+/// so it is a closed form, not a search. `LEVELS` or more means overflow.
+#[inline]
+const fn level_of(at: u64, base: u64) -> usize {
+    // `| 1` folds "no difference above the granularity" into level 0.
+    let differing = ((at ^ base) >> GRANULARITY_SHIFT) | 1;
+    ((u64::BITS - 1 - differing.leading_zeros()) / LEVEL_BITS) as usize
 }
 
 /// Hierarchical timing-wheel priority queue ordered by `(at, seq)`.
@@ -132,7 +129,13 @@ impl<T> Level<T> {
 /// ```
 #[derive(Debug)]
 pub struct TimerWheel<T> {
-    levels: Vec<Level<T>>,
+    /// `LEVELS * SLOTS` buckets, level-major: level `l`'s slot `s` is
+    /// `slots[l * SLOTS + s]`.
+    slots: Vec<Vec<Entry<T>>>,
+    /// Per-level occupancy bitmap: bit `s` of `occupied[l]` is set iff
+    /// level `l`'s slot `s` is non-empty. Slots below a level's cursor are
+    /// always empty (the frontier drained them on its way past).
+    occupied: [u64; LEVELS],
     /// Events of the bucket being drained, plus late pushes into the
     /// already-drained range, sorted descending by `(at, seq)` (earliest
     /// last, so popping is `Vec::pop`). Every queued event with
@@ -159,7 +162,8 @@ impl<T> TimerWheel<T> {
     /// Creates an empty wheel starting at simulation time zero.
     pub fn new() -> Self {
         TimerWheel {
-            levels: (0..LEVELS).map(|_| Level::new()).collect(),
+            slots: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
+            occupied: [0; LEVELS],
             ready: Vec::new(),
             overflow: BinaryHeap::new(),
             base: 0,
@@ -189,33 +193,38 @@ impl<T> TimerWheel<T> {
     /// allocations): the queue's term in a memory-by-layer report.
     pub fn approx_bytes(&self) -> usize {
         let entry = std::mem::size_of::<Entry<T>>();
-        let buckets: usize = self
-            .levels
-            .iter()
-            .flat_map(|l| l.slots.iter())
-            .map(Vec::capacity)
-            .sum();
+        let buckets: usize = self.slots.iter().map(Vec::capacity).sum();
         (buckets + self.ready.capacity() + self.overflow.capacity() + self.scratch.capacity())
             * entry
-            + self.levels.len() * SLOTS * std::mem::size_of::<Vec<Entry<T>>>()
+            + self.slots.len() * std::mem::size_of::<Vec<Entry<T>>>()
     }
 
     /// Queues `item` at time `at` with tie-break key `seq`.
+    ///
+    /// The entry is built at the point it is stored — its bucket, the ready
+    /// run or the overflow heap — instead of travelling by value through
+    /// `place`: an `Entry` is event-sized and every hop was a copy.
     pub fn push(&mut self, at: SimTime, seq: u64, item: T) {
-        let entry = Entry { at, seq, item };
-        if at.as_nanos() < self.base {
+        self.len += 1;
+        self.peak_len = self.peak_len.max(self.len);
+        let ns = at.as_nanos();
+        if ns < self.base {
             // Late push into the drained range (e.g. a zero-delay send
             // scheduled at the instant being dispatched): sorted-insert
             // into the ready run, which keeps (at, seq) order among
-            // survivors. The run is bucket-sized and the reversed `Ord`
-            // puts early events near the end, so the shift is short.
-            let pos = self.ready.binary_search(&entry).unwrap_or_else(|p| p);
-            self.ready.insert(pos, entry);
-        } else {
-            self.place(entry);
+            // survivors. The run is bucket-sized and descending, so early
+            // events sit near the end and the shift is short.
+            let pos = self
+                .ready
+                .binary_search_by(|queued| (at, seq).cmp(&(queued.at, queued.seq)))
+                .unwrap_or_else(|p| p);
+            self.ready.insert(pos, Entry { at, seq, item });
+            return;
         }
-        self.len += 1;
-        self.peak_len = self.peak_len.max(self.len);
+        match self.bucket_for(ns) {
+            Some(bucket) => bucket.push(Entry { at, seq, item }),
+            None => self.overflow.push(Entry { at, seq, item }),
+        }
     }
 
     /// Removes and returns the earliest `(at, seq)` event.
@@ -240,27 +249,31 @@ impl<T> TimerWheel<T> {
         self.ready.last().map(|e| e.at)
     }
 
-    /// Inserts an entry with `at >= base` into its wheel level or the
-    /// overflow heap.
-    fn place(&mut self, entry: Entry<T>) {
-        let at = entry.at.as_nanos();
+    /// The wheel bucket an event at `at >= base` belongs in, marked
+    /// occupied (the caller pushes into it), or `None` when `at` lies
+    /// beyond the wheel horizon and belongs in the overflow heap.
+    fn bucket_for(&mut self, at: u64) -> Option<&mut Vec<Entry<T>>> {
         debug_assert!(
             at >= self.base,
-            "place() below the drain frontier: at={at} base={}",
+            "bucket_for() below the drain frontier: at={at} base={}",
             self.base
         );
-        for (l, level) in self.levels.iter_mut().enumerate() {
-            // The event belongs at the lowest level whose coarser prefix
-            // matches the frontier's: the cursor then reaches its slot
-            // before that level wraps, so absolute slot indexing is exact.
-            if at >> shift(l + 1) == self.base >> shift(l + 1) {
-                let slot = ((at >> shift(l)) & SLOT_MASK) as usize;
-                level.slots[slot].push(entry);
-                level.occupied |= 1 << slot;
-                return;
-            }
+        let level = level_of(at, self.base);
+        if level >= LEVELS {
+            return None;
         }
-        self.overflow.push(entry);
+        let slot = ((at >> shift(level)) & SLOT_MASK) as usize;
+        self.occupied[level] |= 1 << slot;
+        Some(&mut self.slots[level * SLOTS + slot])
+    }
+
+    /// Re-inserts an entry with `at >= base` (a cascade or an overflow
+    /// ingest) into its wheel level or the overflow heap.
+    fn place(&mut self, entry: Entry<T>) {
+        match self.bucket_for(entry.at.as_nanos()) {
+            Some(bucket) => bucket.push(entry),
+            None => self.overflow.push(entry),
+        }
     }
 
     /// Moves the next non-empty bucket into the ready heap, cascading
@@ -280,8 +293,8 @@ impl<T> TimerWheel<T> {
             let slot_start =
                 (self.base & !((1u64 << shift(level + 1)) - 1)) | ((slot as u64) << width_shift);
             let mut bucket = std::mem::take(&mut self.scratch);
-            std::mem::swap(&mut bucket, &mut self.levels[level].slots[slot]);
-            self.levels[level].occupied &= !(1 << slot);
+            std::mem::swap(&mut bucket, &mut self.slots[level * SLOTS + slot]);
+            self.occupied[level] &= !(1 << slot);
             if level == 0 {
                 // Bucket granularity reached: everything in it is ready.
                 // Saturate: the last bucket before u64::MAX has no end.
@@ -308,30 +321,35 @@ impl<T> TimerWheel<T> {
     }
 
     /// Finds the occupied slot whose bucket starts earliest at or after the
-    /// frontier, preferring the coarsest level on ties.
+    /// frontier, preferring the coarsest level on ties — without computing
+    /// a start time.
     ///
-    /// Earliest-start (not lowest-level) selection matters when the frontier
-    /// sits inside a still-occupied coarse slot: that bucket's start is at or
-    /// before `base`, so it wins and cascades before any finer-level bucket
-    /// is drained. Preferring level 0 here would let a level-0 drain jump
-    /// `base` over events still buried in the coarse bucket.
+    /// A level's *cursor* slot (the one the frontier is inside) starts at or
+    /// before `base`, every later slot starts after it, and a coarser
+    /// cursor slot starts no later than a finer one. So if any cursor slot
+    /// is occupied, the coarsest such level holds the earliest start (and
+    /// wins the ties): that bucket cascades before any finer bucket drains,
+    /// which would otherwise jump `base` over events still buried in it.
+    /// Otherwise every pending slot lies past its level's cursor, hence
+    /// inside the cursor slot of every coarser level and before any of
+    /// *their* pending slots: the lowest level with a pending slot holds
+    /// the strictly earliest start. `DESIGN.md` §13 has the full argument.
     fn next_occupied(&self) -> Option<(usize, usize)> {
-        let mut best: Option<(usize, usize, u64)> = None;
-        for (l, level) in self.levels.iter().enumerate() {
-            let cursor = (self.base >> shift(l)) & SLOT_MASK;
-            let pending = level.occupied & (u64::MAX << cursor);
-            if pending == 0 {
-                continue;
-            }
-            let slot = pending.trailing_zeros() as u64;
-            let slot_start = (self.base & !((1u64 << shift(l + 1)) - 1)) | (slot << shift(l));
-            // `<=` so a coarser level sharing a start time replaces a finer
-            // one: its events redistribute down before the fine slot drains.
-            if best.is_none_or(|(_, _, start)| slot_start <= start) {
-                best = Some((l, slot as usize, slot_start));
+        let cursor = |l: usize| (self.base >> shift(l)) & SLOT_MASK;
+        // Level 0's cursor slot needs no look: if it is the answer, it is
+        // also level 0's first pending slot below.
+        for l in (1..LEVELS).rev() {
+            if self.occupied[l] >> cursor(l) & 1 != 0 {
+                return Some((l, cursor(l) as usize));
             }
         }
-        best.map(|(l, slot, _)| (l, slot))
+        self.occupied
+            .iter()
+            .position(|&occupied| occupied != 0)
+            .map(|l| {
+                debug_assert_eq!(self.occupied[l] & !(u64::MAX << cursor(l)), 0);
+                (l, self.occupied[l].trailing_zeros() as usize)
+            })
     }
 
     /// Jumps the frontier to the earliest overflow event and moves every
@@ -370,6 +388,54 @@ mod tests {
                 return;
             }
         }
+    }
+
+    /// The level search as it stood before the closed form, kept verbatim
+    /// as the oracle for the exhaustive test below.
+    fn reference_level(at: u64, base: u64) -> usize {
+        (0..LEVELS)
+            .find(|&l| at >> shift(l + 1) == base >> shift(l + 1))
+            .unwrap_or(LEVELS)
+    }
+
+    #[test]
+    fn closed_form_level_matches_the_level_search() {
+        // Frontiers at zero, at every level's slot boundaries and wrap
+        // points (one bucket before, on and after), and at the top of the
+        // clock; always bucket-aligned, as `base` is.
+        let align = |ns: u64| ns & !((1 << GRANULARITY_SHIFT) - 1);
+        let mut bases = vec![0, align(u64::MAX)];
+        for l in 0..=LEVELS + 1 {
+            for digit in [1, SLOT_MASK, SLOTS as u64] {
+                let boundary = digit << shift(l).min(57);
+                bases.extend([boundary.saturating_sub(1), boundary, boundary + 1].map(align));
+                bases.push(align(u64::MAX - boundary));
+            }
+        }
+        let mut checked = 0;
+        for &base in &bases {
+            assert_eq!(level_of(base, base), 0);
+            // Every event time that first differs from the frontier in bit
+            // `high`, with the bits below it all clear, all set, or mixed.
+            for high in 0..u64::BITS {
+                if base >> high & 1 == 1 {
+                    continue; // Flipping a set bit lands before the frontier.
+                }
+                let low = (1u64 << high) - 1;
+                for fill in [0, low, low & 0x5555_5555_5555_5555, base & low] {
+                    let at = (base & !low) | 1 << high | fill;
+                    assert!(at >= base);
+                    let want = reference_level(at, base).min(LEVELS);
+                    assert_eq!(
+                        level_of(at, base).min(LEVELS),
+                        want,
+                        "at={at:#x} base={base:#x} high={high}"
+                    );
+                    checked += 1;
+                }
+            }
+        }
+        assert!(checked > 5_000, "only {checked} pairs checked");
     }
 
     #[test]

@@ -680,7 +680,6 @@ impl<M: Message> World<M> {
         span: Option<SpanCtx>,
         f: impl FnOnce(&mut dyn Node<M>, &mut Context<'_, M>),
     ) {
-        let t = self.prof.start();
         let mut node = self.nodes[id.index()]
             .take()
             .unwrap_or_else(|| panic!("re-entrant dispatch on {id}"));
@@ -700,7 +699,6 @@ impl<M: Message> World<M> {
             f(node.as_mut(), &mut ctx);
         }
         self.nodes[id.index()] = Some(node);
-        self.prof.record(ProfCategory::Dispatch, t);
     }
 
     /// Runs until the queue drains or the clock reaches `deadline`.
@@ -708,6 +706,11 @@ impl<M: Message> World<M> {
         self.start_if_needed();
         let mut events = 0u64;
         loop {
+            // One `QueuePop` record per dispatched event, peek included:
+            // on an empty ready run it is the peek that refills the wheel
+            // (bucket search, cascades), and the pop after it is a
+            // `Vec::pop`. A peek that ends the loop is not recorded.
+            let t = self.prof.start();
             let Some(next_at) = self.queue.peek_time() else {
                 // With a finite deadline, idle time still passes: advance the
                 // clock so sampling loops built on `run_for` stay aligned.
@@ -735,12 +738,15 @@ impl<M: Message> World<M> {
                     now: self.clock,
                 };
             }
-            let t = self.prof.start();
             let (at, _, kind) = self.queue.pop().expect("peeked event vanished");
             self.prof.record(ProfCategory::QueuePop, t);
             self.clock = at;
             events += 1;
             self.processed += 1;
+            // Charged here, not in `with_node`: `on_start` calls are not
+            // events, so `Dispatch` and `QueuePop` both count exactly the
+            // events this loop dispatched.
+            let t = self.prof.start();
             match kind {
                 EventKind::Deliver {
                     to,
@@ -754,6 +760,7 @@ impl<M: Message> World<M> {
                     self.with_node(node, span, |n, ctx| n.on_timer(ctx, token));
                 }
             }
+            self.prof.record(ProfCategory::Dispatch, t);
         }
     }
 
@@ -1332,8 +1339,11 @@ mod tests {
         assert!(!report_off.enabled);
         assert_eq!(report_off.loop_nanos(), 0);
         assert!(report_on.enabled);
-        assert!(report_on.calls(ProfCategory::Dispatch) > 0);
-        assert!(report_on.calls(ProfCategory::QueuePop) > 0);
+        // One dispatch and one queue-pop record per event, `on_start`
+        // calls and the loop-ending peek excluded.
+        assert_eq!(report_on.calls(ProfCategory::Dispatch), fp_on.events);
+        assert_eq!(report_on.calls(ProfCategory::QueuePop), fp_on.events);
+        assert!(fp_on.events > 0);
         assert!(report_on.calls(ProfCategory::Metrics) > 0);
     }
 

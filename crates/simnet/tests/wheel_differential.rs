@@ -134,3 +134,72 @@ fn coarse_bucket_straddling_the_frontier_cascades_first() {
     assert_eq!(wheel.pop(), heap.pop());
     assert_eq!(wheel.pop(), None);
 }
+
+/// The shape the real workloads have and `arb_sched` lacks: tens of
+/// thousands of timers armed up front across hours (every client's app
+/// schedule), each one setting off a short chain of sparse near-term
+/// traffic 0.3–50 ms ahead (sends), and a 3–4 s watchdog armed beside every
+/// send and popped long after the exchange it guarded. The wheel then holds
+/// a deep far-future population on its coarse levels while almost every pop
+/// refills from a bucket of one or two events.
+fn check_workload_shape(key: Option<u64>, scheduled: u64) {
+    const SCHEDULE: u32 = 0;
+    const TRAFFIC: u32 = 1;
+    const WATCHDOG: u32 = 2;
+    let mut wheel = TimerWheel::new();
+    let mut heap = ReferenceEventQueue::new();
+    let mut pushed = 0u64;
+    let mut push = |w: &mut TimerWheel<u32>, h: &mut ReferenceEventQueue<u32>, at: u64, class| {
+        let seq = key.map_or(pushed, |k| mix64(pushed ^ k));
+        pushed += 1;
+        w.push(SimTime::from_nanos(at), seq, class);
+        h.push(SimTime::from_nanos(at), seq, class);
+    };
+    let mut entropy = key.unwrap_or(7) ^ scheduled;
+    let mut draw = |below: u64| {
+        entropy = mix64(entropy);
+        entropy % below
+    };
+    const HOURS_8: u64 = 8 * 3_600 * 1_000_000_000;
+    for _ in 0..scheduled {
+        push(&mut wheel, &mut heap, draw(HOURS_8), SCHEDULE);
+    }
+    let mut pops = 0u64;
+    loop {
+        assert_eq!(wheel.peek_time(), heap.peek_time());
+        assert_eq!(wheel.len(), heap.len());
+        let (w, h) = (wheel.pop(), heap.pop());
+        assert_eq!(w, h, "pop {pops}, key {key:?}");
+        let Some((at, _, class)) = w else { break };
+        pops += 1;
+        let now = at.as_nanos();
+        // A schedule timer always starts an exchange; each message of it
+        // is answered three times in four, so chains are ~4 sends long.
+        if class == SCHEDULE || (class == TRAFFIC && draw(4) > 0) {
+            push(
+                &mut wheel,
+                &mut heap,
+                now + 300_000 + draw(49_700_000),
+                TRAFFIC,
+            );
+            // Staggered like the client's watchdogs: never two on one
+            // nanosecond from the same arming instant.
+            let watchdog = now + 3_000_000_000 + draw(1_000_000_000);
+            push(&mut wheel, &mut heap, watchdog, WATCHDOG);
+            if draw(16) == 0 {
+                // A zero-delay follow-up at the instant being dispatched.
+                push(&mut wheel, &mut heap, now, TRAFFIC);
+            }
+        }
+    }
+    assert_eq!(pops, pushed);
+    assert!(pops > 5 * scheduled, "chains too short: {pops} pops");
+}
+
+#[test]
+fn wheel_matches_heap_on_the_workload_shape() {
+    check_workload_shape(None, 50_000);
+    for (i, &key) in PERTURBATION_KEYS.iter().enumerate() {
+        check_workload_shape(Some(key), 20_000 + 7_500 * i as u64);
+    }
+}
