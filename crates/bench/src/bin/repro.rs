@@ -8,7 +8,7 @@
 //!   table1 table2 table4 table5 table6 table7
 //!   fig2 fig11a fig11b fig11c fig12 fig13a fig13b fig13c fig14
 //!   object-level ablations speedup trace profile
-//!   bench-evict bench-fleet bench-scale
+//!   bench-evict bench-scale
 //!   faults all
 //! ```
 //!
@@ -22,11 +22,10 @@
 //! line), `metrics.prom` (Prometheus text format), and
 //! `critical-paths.txt` to that directory.
 //!
-//! Three sweeps time the host over an axis `benchmark/` does not have
+//! Two sweeps time the host over an axis `benchmark/` does not have
 //! (`benchmark/` is where end-to-end and per-layer cost is measured):
 //! `bench-evict` sweeps `select_victims` cost over store population ×
-//! eviction policy, `bench-fleet` one SoA `FleetNode` of {10k, 100k, 1M}
-//! clients per cell, and `bench-scale` the multi-AP city — hit ratio and
+//! eviction policy, and `bench-scale` the multi-AP city — hit ratio and
 //! p99 latency vs AP count × roam rate × cooperation mode, every cell of up
 //! to 16 APs fingerprint-asserted invariant under a tie-perturbation key.
 //! Each writes `BENCH_<name>.json`: a full run replaces the committed file
@@ -34,7 +33,7 @@
 //! failed write exits 1.
 //! `profile` runs the four systems one after another with the sim-loop
 //! self-profiler on and prints per-subsystem host-time attribution. All
-//! four time wall-clock and are therefore *not* part of `all`, whose
+//! three time wall-clock and are therefore *not* part of `all`, whose
 //! output is bitwise deterministic.
 //!
 //! `faults` is the lossy-WiFi resilience sweep (loss rate × caching
@@ -49,9 +48,9 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use ape_bench::{
-    ablations, bench_evict, bench_fleet, bench_scale, faults, fig11a, fig11b, fig11c, fig12,
-    fig13a, fig13b, fig13c, fig14, fig2, object_level, profile, speedup, table1, table2, table4,
-    table5, table6, table7, trace_artifacts, ReproOptions, TraceArtifacts,
+    ablations, bench_evict, bench_scale, faults, fig11a, fig11b, fig11c, fig12, fig13a, fig13b,
+    fig13c, fig14, fig2, object_level, profile, speedup, table1, table2, table4, table5, table6,
+    table7, trace_artifacts, ReproOptions, TraceArtifacts,
 };
 
 fn write_trace_files(dir: &std::path::Path, artifacts: &TraceArtifacts) -> std::io::Result<()> {
@@ -77,7 +76,7 @@ fn usage() -> ! {
          artifacts: table1 table2 table4 table5 table6 table7 fig2 fig11a fig11b\n\
          \u{20}          fig11c fig12 fig13a fig13b fig13c fig14 object-level\n\
          \u{20}          ablations speedup trace profile bench-evict\n\
-         \u{20}          bench-fleet bench-scale faults all"
+         \u{20}          bench-scale faults all"
     );
     std::process::exit(2);
 }
@@ -179,7 +178,6 @@ fn main() {
             "ablations" => ablations(&opts),
             "speedup" => speedup(&opts),
             "bench-evict" => written(bench_evict(&opts)),
-            "bench-fleet" => written(bench_fleet(&opts)),
             "bench-scale" => written(bench_scale(&opts)),
             "profile" => profile(&opts),
             "faults" => faults(&opts),

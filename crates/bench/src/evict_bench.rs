@@ -303,7 +303,6 @@ fn solver_path(c: &Cell) -> &'static str {
 /// run); an artifact that cannot be written is the `Err`.
 pub fn bench_evict(opts: &ReproOptions) -> std::io::Result<String> {
     let iters = (opts.micro_trials / 4).max(5);
-    let quick = opts.micro_trials < ReproOptions::default().micro_trials;
     let mut cells = Vec::new();
     for &objects in &SWEEP_OBJECTS {
         cells.push(run_pacm_cell(objects, true, iters, opts.seed));
@@ -311,8 +310,8 @@ pub fn bench_evict(opts: &ReproOptions) -> std::io::Result<String> {
         cells.push(run_lru_cell(objects, iters, opts.seed));
     }
 
-    let json = render_json(&cells, iters, opts.seed, quick);
-    let path = crate::write_artifact("BENCH_evict.json", &json, quick)?;
+    let json = render_json(&cells, iters, opts.seed, opts.quick);
+    let path = crate::write_artifact("BENCH_evict.json", &json, opts.quick)?;
 
     let mut out = String::from(
         "Eviction microbench: select_victims cost, optimized vs seed engine\n\

@@ -25,6 +25,10 @@ pub struct ReproOptions {
     pub threads: usize,
     /// Root seed.
     pub seed: u64,
+    /// Whether `--quick` was given. The `bench-*` sweeps read it, never
+    /// the sizes above, to pick their reduced grid and to write under
+    /// `target/repro-quick/` instead of over the committed artifact.
+    pub quick: bool,
 }
 
 impl Default for ReproOptions {
@@ -35,6 +39,7 @@ impl Default for ReproOptions {
             micro_trials: 100,
             threads: 0,
             seed: 42,
+            quick: false,
         }
     }
 }
@@ -48,6 +53,7 @@ impl ReproOptions {
             micro_trials: 25,
             threads: 0,
             seed: 42,
+            quick: true,
         }
     }
 

@@ -18,7 +18,6 @@
 mod evict_bench;
 mod experiments;
 mod faults;
-mod fleet_bench;
 mod lookup_overhead;
 mod profile;
 pub mod progmodel;
@@ -31,7 +30,6 @@ pub use experiments::{
     table2, table4, table5, table6, ReproOptions, SweepRow,
 };
 pub use faults::faults;
-pub use fleet_bench::bench_fleet;
 pub use lookup_overhead::fig11b;
 pub use profile::profile;
 pub use scale_bench::bench_scale;
@@ -138,6 +136,26 @@ mod tests {
 
         write_artifact_under(&root.0, "BENCH_x.json", "quick again", true).unwrap();
         assert_eq!(std::fs::read_to_string(&full).unwrap(), "full");
+    }
+
+    /// `--quick` alone decides where a sweep writes: `--micro-trials 50`
+    /// is still a full run, `--quick --micro-trials 100` still a quick one.
+    #[test]
+    fn quick_is_carried_by_the_flag_not_inferred_from_micro_trials() {
+        let full = ReproOptions {
+            micro_trials: 50,
+            ..ReproOptions::default()
+        };
+        let quick = ReproOptions {
+            micro_trials: 100,
+            ..ReproOptions::quick()
+        };
+        let root = TempRoot::new("flag");
+        let at = |opts: &ReproOptions| {
+            write_artifact_under(&root.0, "BENCH_x.json", "{}", opts.quick).unwrap()
+        };
+        assert_eq!(at(&full), root.0.join("BENCH_x.json"));
+        assert_eq!(at(&quick), root.0.join("target/repro-quick/BENCH_x.json"));
     }
 
     #[test]

@@ -228,7 +228,7 @@ fn render_json(cells: &[Cell], seed: u64, quick: bool, sim_secs: u64) -> String 
 /// Writes `BENCH_scale.json` (repo root; `target/repro-quick/` for a quick
 /// run); an artifact that cannot be written is the `Err`.
 pub fn bench_scale(opts: &ReproOptions) -> std::io::Result<String> {
-    let quick = opts.micro_trials < ReproOptions::default().micro_trials;
+    let quick = opts.quick;
     let ap_sweep: &[usize] = if quick {
         &AP_SWEEP_QUICK
     } else {

@@ -13,6 +13,7 @@ fn opts(threads: usize) -> ReproOptions {
         micro_trials: 1,
         threads,
         seed: 42,
+        quick: false,
     }
 }
 

@@ -21,11 +21,8 @@
 //! about 64 APs a run is long enough that they are not, which the
 //! `bench-scale` sweep records per cell (`DESIGN.md` §17).
 //!
-//! Fleet-scale populations (`FleetNode`) stay on the representation bench
-//! path: they speak the reduced `FleetMsg` vocabulary and cannot exercise
-//! the AP's DNS-Cache/delegation protocol. The builder homes full
-//! [`ClientNode`]s at each AP — fewer clients, but every one runs the real
-//! enhanced-client runtime end to end.
+//! The builder homes full [`ClientNode`]s at each AP: every client runs
+//! the real enhanced-client runtime end to end.
 
 use std::sync::Arc;
 

@@ -17,7 +17,6 @@
 
 mod ap;
 mod client;
-mod fleet;
 mod resolver;
 mod server;
 mod wicache;
@@ -26,7 +25,6 @@ pub use ap::{ApConfig, ApNode, ApPolicy};
 pub use client::{
     ClientApps, ClientConfig, ClientNode, ClientReport, LookupMode, RoamStop, Strategy,
 };
-pub use fleet::{FleetConfig, FleetMsg, FleetNode, FleetOrigin, FleetResponder};
 pub use resolver::{AuthDnsNode, LdnsNode, ZoneAnswer};
 pub use server::{Catalog, CatalogEntry, EdgeNode, OriginNode};
 pub use wicache::{GridPos, WiCacheControllerNode};

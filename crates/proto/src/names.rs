@@ -238,11 +238,11 @@ pub const DYNAMIC_PREFIXES: &[(&str, &str)] =
 /// Interned [`MetricId`](ape_simnet::MetricId)s for every static key above.
 ///
 /// The hot recording paths (`incr_id`/`observe_id`/`record_point_id`) index
-/// a slot table by these instead of hashing a string, so steady-state metric
-/// recording does zero string work. Indices `0..FIRST_FREE_INDEX` belong to
+/// the registry's tables by these instead of comparing names, so
+/// steady-state metric recording does zero string work. Indices `0..FIRST_FREE_INDEX` belong to
 /// `ape_simnet` (the `net.*` keys, re-exported here); the rest are allocated
 /// densely in declaration order. Only static keys get ids — the dynamic
-/// per-app histograms ([`client_app_latency_ms`]) stay on the string API.
+/// per-app histograms ([`client_app_latency_ms`]) are written by name.
 pub mod id {
     use ape_simnet::keys::id::FIRST_FREE_INDEX;
     pub use ape_simnet::keys::id::{NET_BYTES, NET_DROPPED, NET_FAULT_DROPPED, NET_MESSAGES};

@@ -15,14 +15,15 @@
 //! suite compares against side by side. A [`TimeSeries`] keeps every
 //! point.
 //!
-//! Hot-path recording is allocation-free when callers use interned
-//! [`MetricId`]s ([`Metrics::incr_id`], [`Metrics::observe_id`],
-//! [`Metrics::record_point_id`]): ids index straight into slot vectors,
-//! skipping both the string hash and the `String` key allocation. The
-//! string API remains for dynamic names and is itself allocation-free on
-//! the existing-key path.
+//! Each metric kind lives in one table that a name and an interned
+//! [`MetricId`] both resolve into. Hot-path recording goes through ids
+//! ([`Metrics::incr_id`], [`Metrics::observe_id`],
+//! [`Metrics::record_point_id`]): an index, no string compare and no
+//! allocation. The by-name API serves dynamic names (the per-app latency
+//! histograms) and the harnesses' reads, and allocates only the first time
+//! it sees a name.
 
-use std::collections::BTreeMap;
+use std::borrow::Cow;
 use std::fmt;
 // Metrics can time their own recording cost for the sim-loop self-profiler
 // (`World::enable_profiler`); host time never feeds back into sim state.
@@ -57,7 +58,7 @@ pub mod keys {
     /// here; `ape_proto::names::id` continues the same index space for
     /// application-level names. Every registry shares one space, so a
     /// given index must mean the same name everywhere (enforced by a
-    /// debug assertion on slot access and the uniqueness tests in both
+    /// debug assertion on every id access and the uniqueness tests in both
     /// crates).
     pub mod id {
         use crate::metrics::MetricId;
@@ -78,8 +79,8 @@ pub mod keys {
 
 /// An interned metric name: a compile-time `(slot index, name)` pair.
 ///
-/// Recording through an id ([`Metrics::incr_id`] and friends) indexes a
-/// slot vector directly instead of hashing and possibly allocating a
+/// Recording through an id ([`Metrics::incr_id`] and friends) indexes the
+/// metric's table instead of comparing names and possibly allocating a
 /// `String` key, which is what makes the hot path allocation-free. Ids are
 /// declared as `const`s next to the name constants they intern
 /// ([`keys::id`] here, `ape_proto::names::id` for application names); the
@@ -542,29 +543,144 @@ impl SelfProfile {
     }
 }
 
-/// An interned metric's storage: the id's name plus its value.
+/// One registered metric: its name and its value.
 #[derive(Debug, Clone)]
-struct Slot<T> {
-    name: &'static str,
+struct Entry<T> {
+    /// Borrowed when the metric was first written through a [`MetricId`]
+    /// (no allocation), owned when first written by name.
+    name: Cow<'static, str>,
     value: T,
+}
+
+/// Every metric of one kind, in registration order. A name is registered
+/// by its first write, whichever API made it; by-name access finds it by
+/// scanning `entries`, a [`MetricId`] through `by_id`.
+#[derive(Debug, Clone)]
+struct Table<T> {
+    entries: Vec<Entry<T>>,
+    /// `MetricId::index()` → position in `entries` plus one; `0` until the
+    /// id's first use has looked its name up.
+    by_id: Vec<u32>,
+}
+
+impl<T> Default for Table<T> {
+    fn default() -> Self {
+        Table {
+            entries: Vec::new(),
+            by_id: Vec::new(),
+        }
+    }
+}
+
+impl<T: Default> Table<T> {
+    fn position(&self, name: &str) -> Option<usize> {
+        self.entries.iter().position(|e| e.name == name)
+    }
+
+    /// Registers `name` at the default value and returns its position.
+    fn register(&mut self, name: Cow<'static, str>) -> usize {
+        self.entries.push(Entry {
+            name,
+            value: T::default(),
+        });
+        self.entries.len() - 1
+    }
+
+    /// The value written by name. Allocates only when `name` is new.
+    fn named(&mut self, name: &str) -> &mut T {
+        let pos = self
+            .position(name)
+            .unwrap_or_else(|| self.register(Cow::Owned(name.to_owned())));
+        &mut self.entries[pos].value
+    }
+
+    /// The value interned as `id`: two indexed loads, no string compare
+    /// and no allocation once the id has been used.
+    #[inline]
+    fn interned(&mut self, id: MetricId) -> &mut T {
+        match self.by_id.get(id.index()) {
+            Some(&at) if at != 0 => {
+                let entry = &mut self.entries[at as usize - 1];
+                debug_assert_eq!(entry.name, id.name(), "metric id index collision");
+                &mut entry.value
+            }
+            _ => self.intern(id),
+        }
+    }
+
+    #[cold]
+    fn intern(&mut self, id: MetricId) -> &mut T {
+        let pos = self
+            .position(id.name())
+            .unwrap_or_else(|| self.register(Cow::Borrowed(id.name())));
+        if self.by_id.len() <= id.index() {
+            self.by_id.resize(id.index() + 1, 0);
+        }
+        self.by_id[id.index()] = u32::try_from(pos + 1).expect("metric count fits u32");
+        &mut self.entries[pos].value
+    }
+
+    fn get(&self, name: &str) -> Option<&T> {
+        self.position(name).map(|pos| &self.entries[pos].value)
+    }
+
+    fn get_id(&self, id: MetricId) -> Option<&T> {
+        match self.by_id.get(id.index()) {
+            Some(&at) if at != 0 => Some(&self.entries[at as usize - 1].value),
+            _ => self.get(id.name()),
+        }
+    }
+
+    /// `(name, value)` pairs in name order: the order `digest`, `Display`
+    /// and the `*_names` iterators present.
+    fn sorted(&self) -> Vec<(&str, &T)> {
+        let mut out: Vec<(&str, &T)> = self
+            .entries
+            .iter()
+            .map(|e| (e.name.as_ref(), &e.value))
+            .collect();
+        out.sort_by(|a, b| a.0.cmp(b.0));
+        out
+    }
+
+    /// Folds every metric of `other` into the same-named one here.
+    fn merge(&mut self, other: &Table<T>, mut fold: impl FnMut(&mut T, &T)) {
+        for e in &other.entries {
+            let pos = self
+                .position(&e.name)
+                .unwrap_or_else(|| self.register(e.name.clone()));
+            fold(&mut self.entries[pos].value, &e.value);
+        }
+    }
+
+    /// Heap bytes of the two tables and the owned names; `value_bytes`
+    /// adds what each value holds on the heap.
+    fn approx_bytes(&self, value_bytes: impl Fn(&T) -> usize) -> usize {
+        let tables = self.entries.capacity() * std::mem::size_of::<Entry<T>>()
+            + self.by_id.capacity() * std::mem::size_of::<u32>();
+        self.entries.iter().fold(tables, |total, e| {
+            let name = match &e.name {
+                Cow::Owned(s) => s.capacity(),
+                Cow::Borrowed(_) => 0,
+            };
+            total + name + value_bytes(&e.value)
+        })
+    }
 }
 
 /// Central metric registry for a simulation run.
 ///
 /// Metrics are keyed by string names; harnesses use stable, documented
-/// names such as `"client.lookup_latency_ms"`. Names interned as
-/// [`MetricId`]s additionally get a dedicated slot, making the `*_id`
-/// recording paths allocation- and hash-free; a name lives in exactly one
-/// place (string map or slot — first `*_id` use migrates it), and every
-/// read API, the digest, `Display` and `merge` see the union.
+/// names such as `"client.lookup_latency_ms"`. A name interned as a
+/// [`MetricId`] is the same metric reached without a string compare, so
+/// the `*_id` recording paths are allocation-free; every read API, the
+/// digest, `Display` and `merge` see one set of names however each was
+/// written.
 #[derive(Debug, Clone, Default)]
 pub struct Metrics {
-    counters: BTreeMap<String, u64>,
-    histograms: BTreeMap<String, Histogram>,
-    series: BTreeMap<String, TimeSeries>,
-    counter_slots: Vec<Option<Slot<u64>>>,
-    hist_slots: Vec<Option<Slot<Histogram>>>,
-    series_slots: Vec<Option<Slot<TimeSeries>>>,
+    counters: Table<u64>,
+    histograms: Table<Histogram>,
+    series: Table<TimeSeries>,
     profile: SelfProfile,
 }
 
@@ -588,74 +704,29 @@ impl Metrics {
     // --- counters ---------------------------------------------------------
 
     /// Adds `delta` to the named counter, creating it at zero first.
-    /// Allocation-free when the counter already exists (borrowed lookup
-    /// before any `to_owned`).
+    /// Allocation-free when the counter already exists.
     pub fn incr(&mut self, name: &str, delta: u64) {
         let t = self.profile.start();
-        if let Some(v) = self.counters.get_mut(name) {
-            *v += delta;
-        } else if let Some(slot) = self
-            .counter_slots
-            .iter_mut()
-            .flatten()
-            .find(|s| s.name == name)
-        {
-            slot.value += delta;
-        } else {
-            self.counters.insert(name.to_owned(), delta);
-        }
+        *self.counters.named(name) += delta;
         self.profile.stop(t);
     }
 
-    /// Adds `delta` to the counter interned as `id`: a direct slot index,
-    /// no hashing, no allocation.
+    /// Adds `delta` to the counter interned as `id`: no string compare,
+    /// no allocation.
     pub fn incr_id(&mut self, id: MetricId, delta: u64) {
         let t = self.profile.start();
-        if let Some(Some(slot)) = self.counter_slots.get_mut(id.index()) {
-            debug_assert_eq!(slot.name, id.name(), "metric id index collision");
-            slot.value += delta;
-        } else {
-            self.register_counter(id.index(), id.name()).value += delta;
-        }
+        *self.counters.interned(id) += delta;
         self.profile.stop(t);
-    }
-
-    #[cold]
-    fn register_counter(&mut self, index: usize, name: &'static str) -> &mut Slot<u64> {
-        if self.counter_slots.len() <= index {
-            self.counter_slots.resize_with(index + 1, || None);
-        }
-        if self.counter_slots[index].is_none() {
-            // Migrate any earlier string-API recording of the same name so
-            // it never exists in both places.
-            let migrated = self.counters.remove(name).unwrap_or(0);
-            self.counter_slots[index] = Some(Slot {
-                name,
-                value: migrated,
-            });
-        }
-        let slot = self.counter_slots[index].as_mut().expect("just ensured");
-        debug_assert_eq!(slot.name, name, "metric id index collision");
-        slot
     }
 
     /// Current value of a counter (0 if never incremented).
     pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or_else(|| {
-            self.counter_slots
-                .iter()
-                .flatten()
-                .find(|s| s.name == name)
-                .map_or(0, |s| s.value)
-        })
+        self.counters.get(name).copied().unwrap_or(0)
     }
 
     /// Current value of an interned counter (0 if never incremented).
     pub fn counter_id(&self, id: MetricId) -> u64 {
-        match self.counter_slots.get(id.index()) {
-            Some(Some(slot)) => slot.value,
-            _ => self.counters.get(id.name()).copied().unwrap_or(0),
-        }
+        self.counters.get_id(id).copied().unwrap_or(0)
     }
 
     // --- histograms -------------------------------------------------------
@@ -664,69 +735,26 @@ impl Metrics {
     /// when the histogram already exists.
     pub fn observe(&mut self, name: &str, value: f64) {
         let t = self.profile.start();
-        if let Some(h) = self.histograms.get_mut(name) {
-            h.record(value);
-        } else if let Some(slot) = self
-            .hist_slots
-            .iter_mut()
-            .flatten()
-            .find(|s| s.name == name)
-        {
-            slot.value.record(value);
-        } else {
-            let mut h = Histogram::new();
-            h.record(value);
-            self.histograms.insert(name.to_owned(), h);
-        }
+        self.histograms.named(name).record(value);
         self.profile.stop(t);
     }
 
-    /// Records an observation into the histogram interned as `id`: a
-    /// direct slot index, no hashing, no allocation.
+    /// Records an observation into the histogram interned as `id`: no
+    /// string compare, no allocation.
     pub fn observe_id(&mut self, id: MetricId, value: f64) {
         let t = self.profile.start();
-        if let Some(Some(slot)) = self.hist_slots.get_mut(id.index()) {
-            debug_assert_eq!(slot.name, id.name(), "metric id index collision");
-            slot.value.record(value);
-        } else {
-            self.register_histogram(id.index(), id.name())
-                .value
-                .record(value);
-        }
+        self.histograms.interned(id).record(value);
         self.profile.stop(t);
-    }
-
-    #[cold]
-    fn register_histogram(&mut self, index: usize, name: &'static str) -> &mut Slot<Histogram> {
-        if self.hist_slots.len() <= index {
-            self.hist_slots.resize_with(index + 1, || None);
-        }
-        if self.hist_slots[index].is_none() {
-            let value = self.histograms.remove(name).unwrap_or_default();
-            self.hist_slots[index] = Some(Slot { name, value });
-        }
-        let slot = self.hist_slots[index].as_mut().expect("just ensured");
-        debug_assert_eq!(slot.name, name, "metric id index collision");
-        slot
     }
 
     /// Read access to a histogram, if it exists.
     pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name).or_else(|| {
-            self.hist_slots
-                .iter()
-                .flatten()
-                .find(|s| s.name == name)
-                .map(|s| &s.value)
-        })
+        self.histograms.get(name)
     }
 
     /// Read access to an interned histogram, if it exists.
     pub fn histogram_id(&self, id: MetricId) -> Option<&Histogram> {
-        match self.hist_slots.get(id.index()) {
-            Some(Some(slot)) => Some(&slot.value),
-            _ => self.histograms.get(id.name()),
-        }
+        self.histograms.get_id(id)
     }
 
     /// Mean of a histogram, or 0.0 if absent.
@@ -750,121 +778,38 @@ impl Metrics {
     /// series already exists.
     pub fn record_point(&mut self, name: &str, at: SimTime, value: f64) {
         let t = self.profile.start();
-        if let Some(s) = self.series.get_mut(name) {
-            s.record(at, value);
-        } else if let Some(slot) = self
-            .series_slots
-            .iter_mut()
-            .flatten()
-            .find(|s| s.name == name)
-        {
-            slot.value.record(at, value);
-        } else {
-            let mut s = TimeSeries::new();
-            s.record(at, value);
-            self.series.insert(name.to_owned(), s);
-        }
+        self.series.named(name).record(at, value);
         self.profile.stop(t);
     }
 
-    /// Appends a point to the series interned as `id`: a direct slot
-    /// index, no hashing, no allocation.
+    /// Appends a point to the series interned as `id`: no string compare,
+    /// no allocation.
     pub fn record_point_id(&mut self, id: MetricId, at: SimTime, value: f64) {
         let t = self.profile.start();
-        if let Some(Some(slot)) = self.series_slots.get_mut(id.index()) {
-            debug_assert_eq!(slot.name, id.name(), "metric id index collision");
-            slot.value.record(at, value);
-        } else {
-            self.register_series(id.index(), id.name())
-                .value
-                .record(at, value);
-        }
+        self.series.interned(id).record(at, value);
         self.profile.stop(t);
-    }
-
-    #[cold]
-    fn register_series(&mut self, index: usize, name: &'static str) -> &mut Slot<TimeSeries> {
-        if self.series_slots.len() <= index {
-            self.series_slots.resize_with(index + 1, || None);
-        }
-        if self.series_slots[index].is_none() {
-            let value = self.series.remove(name).unwrap_or_default();
-            self.series_slots[index] = Some(Slot { name, value });
-        }
-        let slot = self.series_slots[index].as_mut().expect("just ensured");
-        debug_assert_eq!(slot.name, name, "metric id index collision");
-        slot
     }
 
     /// Read access to a time series, if it exists.
     pub fn time_series(&self, name: &str) -> Option<&TimeSeries> {
-        self.series.get(name).or_else(|| {
-            self.series_slots
-                .iter()
-                .flatten()
-                .find(|s| s.name == name)
-                .map(|s| &s.value)
-        })
+        self.series.get(name)
     }
 
     /// Read access to an interned time series, if it exists.
     pub fn time_series_id(&self, id: MetricId) -> Option<&TimeSeries> {
-        match self.series_slots.get(id.index()) {
-            Some(Some(slot)) => Some(&slot.value),
-            _ => self.series.get(id.name()),
-        }
+        self.series.get_id(id)
     }
 
-    // --- union views, digest, merge --------------------------------------
-
-    fn sorted_counters(&self) -> Vec<(&str, u64)> {
-        let mut out: Vec<(&str, u64)> = self
-            .counters
-            .iter()
-            .map(|(k, v)| (k.as_str(), *v))
-            .collect();
-        out.extend(
-            self.counter_slots
-                .iter()
-                .flatten()
-                .map(|s| (s.name, s.value)),
-        );
-        out.sort_by(|a, b| a.0.cmp(b.0));
-        out
-    }
-
-    fn sorted_histograms(&self) -> Vec<(&str, &Histogram)> {
-        let mut out: Vec<(&str, &Histogram)> = self
-            .histograms
-            .iter()
-            .map(|(k, v)| (k.as_str(), v))
-            .collect();
-        out.extend(self.hist_slots.iter().flatten().map(|s| (s.name, &s.value)));
-        out.sort_by(|a, b| a.0.cmp(b.0));
-        out
-    }
-
-    fn sorted_series(&self) -> Vec<(&str, &TimeSeries)> {
-        let mut out: Vec<(&str, &TimeSeries)> =
-            self.series.iter().map(|(k, v)| (k.as_str(), v)).collect();
-        out.extend(
-            self.series_slots
-                .iter()
-                .flatten()
-                .map(|s| (s.name, &s.value)),
-        );
-        out.sort_by(|a, b| a.0.cmp(b.0));
-        out
-    }
+    // --- names, digest, merge ---------------------------------------------
 
     /// Names of all histograms currently registered, sorted.
     pub fn histogram_names(&self) -> impl Iterator<Item = &str> {
-        self.sorted_histograms().into_iter().map(|(k, _)| k)
+        self.histograms.sorted().into_iter().map(|(k, _)| k)
     }
 
     /// Names of all counters currently registered, sorted.
     pub fn counter_names(&self) -> impl Iterator<Item = &str> {
-        self.sorted_counters().into_iter().map(|(k, _)| k)
+        self.counters.sorted().into_iter().map(|(k, _)| k)
     }
 
     /// Stable 64-bit digest of the registry's full content, used by the
@@ -874,18 +819,17 @@ impl Metrics {
     /// its count plus the order-independent fold of every sample's bit
     /// pattern, so two runs that recorded the same samples in a different
     /// order digest alike and two that differ in one bit of one sample do
-    /// not. Interned and string-keyed metrics hash identically: the
-    /// digest walks the sorted union.
+    /// not. Whether a metric was written by name or by id does not enter.
     pub fn digest(&self) -> u64 {
         use crate::determinism::Fnv64;
-        let counters = self.sorted_counters();
-        let histograms = self.sorted_histograms();
-        let series = self.sorted_series();
+        let counters = self.counters.sorted();
+        let histograms = self.histograms.sorted();
+        let series = self.series.sorted();
         let mut h = Fnv64::new();
         h.write_u64(counters.len() as u64);
         for (k, v) in counters {
             h.write(k.as_bytes());
-            h.write_u64(v);
+            h.write_u64(*v);
         }
         h.write_u64(histograms.len() as u64);
         for (k, hist) in histograms {
@@ -904,104 +848,33 @@ impl Metrics {
         h.finish()
     }
 
-    /// Merges another registry into this one (counters add, samples
-    /// append). Interned metrics merge slot-to-slot by index; a metric
-    /// that is interned on one side and string-keyed on the other lands
-    /// in the interned slot.
+    /// Merges another registry into this one, name by name: counters add,
+    /// histograms pool, series append.
     pub fn merge(&mut self, other: &Metrics) {
-        for (i, slot) in other.counter_slots.iter().enumerate() {
-            if let Some(s) = slot {
-                self.register_counter(i, s.name).value += s.value;
+        self.counters.merge(&other.counters, |dst, src| *dst += src);
+        self.histograms.merge(&other.histograms, Histogram::merge);
+        self.series.merge(&other.series, |dst, src| {
+            for (t, v) in src.points() {
+                dst.record(*t, *v);
             }
-        }
-        for (k, v) in &other.counters {
-            if let Some(slot) = self
-                .counter_slots
-                .iter_mut()
-                .flatten()
-                .find(|s| s.name == k.as_str())
-            {
-                slot.value += v;
-            } else {
-                *self.counters.entry(k.clone()).or_insert(0) += v;
-            }
-        }
-        for (i, slot) in other.hist_slots.iter().enumerate() {
-            if let Some(s) = slot {
-                self.register_histogram(i, s.name).value.merge(&s.value);
-            }
-        }
-        for (k, h) in &other.histograms {
-            if let Some(slot) = self
-                .hist_slots
-                .iter_mut()
-                .flatten()
-                .find(|s| s.name == k.as_str())
-            {
-                slot.value.merge(h);
-            } else {
-                self.histograms.entry(k.clone()).or_default().merge(h);
-            }
-        }
-        for (i, slot) in other.series_slots.iter().enumerate() {
-            if let Some(s) = slot {
-                let dst = self.register_series(i, s.name);
-                for (t, v) in s.value.points() {
-                    dst.value.record(*t, *v);
-                }
-            }
-        }
-        for (k, s) in &other.series {
-            if let Some(slot) = self
-                .series_slots
-                .iter_mut()
-                .flatten()
-                .find(|sl| sl.name == k.as_str())
-            {
-                for (t, v) in s.points() {
-                    slot.value.record(*t, *v);
-                }
-            } else {
-                let dst = self.series.entry(k.clone()).or_default();
-                for (t, v) in s.points() {
-                    dst.record(*t, *v);
-                }
-            }
-        }
+        });
     }
 
-    /// Approximate heap footprint of the registry in bytes (keys, slot
-    /// tables, bucket arrays, series points).
+    /// Approximate heap footprint of the registry in bytes (tables, owned
+    /// names, bucket arrays, series points).
     pub fn approx_bytes(&self) -> usize {
-        let mut total = 0usize;
-        for k in self.counters.keys() {
-            total += k.capacity() + std::mem::size_of::<u64>();
-        }
-        for (k, h) in &self.histograms {
-            total += k.capacity() + h.approx_bytes();
-        }
-        for (k, s) in &self.series {
-            total += k.capacity() + s.approx_bytes();
-        }
-        total += self.counter_slots.capacity() * std::mem::size_of::<Option<Slot<u64>>>();
-        total += self.hist_slots.capacity() * std::mem::size_of::<Option<Slot<Histogram>>>();
-        for s in self.hist_slots.iter().flatten() {
-            total += s.value.approx_bytes();
-        }
-        total += self.series_slots.capacity() * std::mem::size_of::<Option<Slot<TimeSeries>>>();
-        for s in self.series_slots.iter().flatten() {
-            total += s.value.approx_bytes();
-        }
-        total
+        self.counters.approx_bytes(|_| 0)
+            + self.histograms.approx_bytes(Histogram::approx_bytes)
+            + self.series.approx_bytes(TimeSeries::approx_bytes)
     }
 }
 
 impl fmt::Display for Metrics {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (k, v) in self.sorted_counters() {
+        for (k, v) in self.counters.sorted() {
             writeln!(f, "counter {k} = {v}")?;
         }
-        for (k, h) in self.sorted_histograms() {
+        for (k, h) in self.histograms.sorted() {
             writeln!(
                 f,
                 "hist {k}: n={} mean={:.3} p50={:.3} p99={:.3} dropped={}",
@@ -1012,7 +885,7 @@ impl fmt::Display for Metrics {
                 h.dropped_samples()
             )?;
         }
-        for (k, s) in self.sorted_series() {
+        for (k, s) in self.series.sorted() {
             writeln!(f, "series {k}: n={} mean={:.3}", s.len(), s.mean())?;
         }
         Ok(())
@@ -1332,9 +1205,9 @@ mod tests {
     fn interned_and_string_recording_share_one_metric() {
         let mut m = Metrics::new();
         m.incr(keys::NET_MESSAGES, 2);
-        // First id use migrates the string entry into the slot...
+        // The id resolves to the entry the name registered...
         m.incr_id(keys::id::NET_MESSAGES, 3);
-        // ...and later string-API calls find the slot, not a new map key.
+        // ...and later by-name calls still find that one entry.
         m.incr(keys::NET_MESSAGES, 5);
         assert_eq!(m.counter(keys::NET_MESSAGES), 10);
         assert_eq!(m.counter_id(keys::id::NET_MESSAGES), 10);
@@ -1367,18 +1240,63 @@ mod tests {
         assert_eq!(format!("{by_str}"), format!("{by_id}"));
     }
 
+    /// Two registries written through ids merge into the metric each id
+    /// stands for, also when one side wrote it by name.
     #[test]
     fn interned_registries_merge_by_slot() {
         let mut a = Metrics::new();
         a.incr_id(keys::id::NET_MESSAGES, 1);
         let mut b = Metrics::new();
         b.incr_id(keys::id::NET_MESSAGES, 2);
-        b.incr(keys::NET_BYTES, 4); // string-keyed on the source side
-        a.incr_id(keys::id::NET_BYTES, 8); // interned on the destination
+        b.incr(keys::NET_BYTES, 4); // written by name on the source side
+        a.incr_id(keys::id::NET_BYTES, 8); // by id on the destination
         a.merge(&b);
         assert_eq!(a.counter_id(keys::id::NET_MESSAGES), 3);
         assert_eq!(a.counter_id(keys::id::NET_BYTES), 12);
         assert_eq!(a.counter_names().count(), 2);
+    }
+
+    /// Which API registered a name, and in which order names arrived, is
+    /// invisible: same digest, same `Display`, and merging the two
+    /// registries is either one recorded twice.
+    #[test]
+    fn write_order_across_the_two_apis_is_invisible() {
+        let by_name = |m: &mut Metrics| {
+            m.incr(keys::NET_MESSAGES, 7);
+            m.observe(keys::NET_BYTES, 64.0);
+            m.record_point(keys::NET_DROPPED, SimTime::from_secs(2), 1.5);
+            m.incr("dynamic.only", 1);
+        };
+        let by_id = |m: &mut Metrics| {
+            m.record_point_id(keys::id::NET_DROPPED, SimTime::from_secs(2), 1.5);
+            m.observe_id(keys::id::NET_BYTES, 64.0);
+            m.incr_id(keys::id::NET_MESSAGES, 7);
+            m.incr("dynamic.only", 1);
+        };
+        let mut name_first = Metrics::new();
+        by_name(&mut name_first);
+        by_id(&mut name_first);
+        let mut id_first = Metrics::new();
+        by_id(&mut id_first);
+        by_name(&mut id_first);
+        assert_eq!(name_first.digest(), id_first.digest());
+        assert_eq!(format!("{name_first}"), format!("{id_first}"));
+
+        let mut doubled = Metrics::new();
+        for _ in 0..2 {
+            by_name(&mut doubled);
+            by_id(&mut doubled);
+        }
+        let mut merged = name_first.clone();
+        merged.merge(&id_first);
+        assert_eq!(merged.digest(), doubled.digest());
+        assert_eq!(format!("{merged}"), format!("{doubled}"));
+        // Ids still resolve after a merge brought their names in.
+        let mut fresh = Metrics::new();
+        fresh.merge(&id_first);
+        fresh.incr_id(keys::id::NET_MESSAGES, 1);
+        assert_eq!(fresh.counter(keys::NET_MESSAGES), 15);
+        assert_eq!(fresh.counter_names().count(), 2);
     }
 
     #[test]
@@ -1553,12 +1471,18 @@ mod tests {
         m.record_point_id(keys::id::NET_DROPPED, SimTime::ZERO, 1.0);
         let hist = m.histogram_id(keys::id::NET_BYTES).unwrap();
         let series = m.time_series_id(keys::id::NET_DROPPED).unwrap();
-        let tables = m.hist_slots.capacity() * std::mem::size_of::<Option<Slot<Histogram>>>()
-            + m.series_slots.capacity() * std::mem::size_of::<Option<Slot<TimeSeries>>>();
+        let tables = m.histograms.entries.capacity() * std::mem::size_of::<Entry<Histogram>>()
+            + m.series.entries.capacity() * std::mem::size_of::<Entry<TimeSeries>>()
+            + (m.histograms.by_id.capacity() + m.series.by_id.capacity())
+                * std::mem::size_of::<u32>();
         assert_eq!(
             m.approx_bytes(),
             tables + hist.approx_bytes() + series.approx_bytes()
         );
+        // A name first written by name owns its string; that is counted too.
+        let before = m.approx_bytes();
+        m.incr("dynamic", 1);
+        assert!(m.approx_bytes() >= before + "dynamic".len());
     }
 
     #[test]

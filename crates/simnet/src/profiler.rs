@@ -116,11 +116,6 @@ impl Profiler {
         self.enabled = true;
     }
 
-    /// Whether profiling is on.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Starts a measurement; `None` (for free) when disabled.
     #[inline]
     #[expect(
@@ -269,7 +264,6 @@ mod tests {
     #[test]
     fn disabled_profiler_measures_nothing() {
         let mut p = Profiler::new();
-        assert!(!p.is_enabled());
         let t = p.start();
         assert!(t.is_none());
         p.record(ProfCategory::Dispatch, t);

@@ -211,23 +211,6 @@ impl SimDuration {
     pub fn min(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.min(other.0))
     }
-
-    /// Multiplies the duration by a non-negative float factor.
-    pub fn mul_f64(self, factor: f64) -> SimDuration {
-        SimDuration::from_secs_f64(self.as_secs_f64() * factor)
-    }
-
-    /// How many whole `width`-sized slots this duration spans (floor
-    /// division). The typed entry point for calendar/bucket indexing, so
-    /// callers never do raw integer math on nanosecond counts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width` is zero.
-    pub fn div_floor(self, width: SimDuration) -> u64 {
-        assert!(!width.is_zero(), "slot width must be positive");
-        self.0 / width.0
-    }
 }
 
 impl Add<SimDuration> for SimTime {
@@ -432,7 +415,6 @@ mod tests {
         let d = SimDuration::from_millis(10);
         assert_eq!((d * 3).as_millis_f64(), 30.0);
         assert_eq!((d / 2).as_millis_f64(), 5.0);
-        assert_eq!(d.mul_f64(0.5).as_millis_f64(), 5.0);
     }
 
     #[test]

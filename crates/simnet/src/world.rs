@@ -191,11 +191,6 @@ impl<'a, M: Message> Context<'a, M> {
 
     // --- Tracing ---------------------------------------------------------
 
-    /// Whether the world's trace sink is recording.
-    pub fn tracing_enabled(&self) -> bool {
-        self.trace.is_enabled()
-    }
-
     /// The span context of the event being dispatched (propagated from the
     /// sender/scheduler), if any.
     pub fn span_ctx(&self) -> Option<SpanCtx> {
@@ -493,11 +488,6 @@ impl<M: Message> World<M> {
         self.faults = plan;
     }
 
-    /// The active fault schedule (empty by default).
-    pub fn fault_plan(&self) -> &FaultPlan {
-        &self.faults
-    }
-
     /// Configures the trace sink (enable/disable, capacity, sampling).
     /// Normally called once, before the run starts.
     pub fn set_trace_config(&mut self, config: TraceConfig) {
@@ -512,11 +502,6 @@ impl<M: Message> World<M> {
     pub fn enable_profiler(&mut self) {
         self.prof.enable();
         self.metrics.enable_self_profile();
-    }
-
-    /// Whether the self-profiler is on.
-    pub fn profiler_enabled(&self) -> bool {
-        self.prof.is_enabled()
     }
 
     /// Snapshot of the self-profiler's attribution. Metric-registry
@@ -627,11 +612,6 @@ impl<M: Message> World<M> {
     /// Read access to the run's metrics.
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
-    }
-
-    /// Mutable access to the run's metrics (percentile queries sort lazily).
-    pub fn metrics_mut(&mut self) -> &mut Metrics {
-        &mut self.metrics
     }
 
     /// Downcasts a node to its concrete type.

@@ -30,4 +30,4 @@ mod zipf;
 pub use roam::{generate_roam_schedule, RoamConfig, RoamEvent};
 pub use schedule::{generate_schedule, per_app_counts, Execution, ScheduleConfig};
 pub use trace::{generate_trace, trace_stats, Packet, TraceSpec, TraceStats};
-pub use zipf::{ZipfConfig, ZipfMode, ZipfSampler};
+pub use zipf::ZipfSampler;

@@ -3,47 +3,12 @@
 //! The paper draws app usage from a Zipf distribution (§V-A, citing content
 //! demand studies): a few apps are used constantly, a long tail rarely.
 //!
-//! Two sampling backends are available through [`ZipfConfig`]:
-//!
-//! * [`ZipfMode::CumulativeScan`] (default) — the original inverse-CDF
-//!   binary search, `O(log n)` per draw. Its draw sequence for a given seed
-//!   is pinned by tests and must never change: every experiment artifact in
-//!   the repo was produced with it.
-//! * [`ZipfMode::Alias`] — a Vose alias table, `O(1)` per draw and `O(n)`
-//!   to build. Used by the million-client fleet benchmarks where sampling
-//!   is on the per-event hot path. It consumes exactly one RNG draw per
-//!   sample (same as the legacy path) but maps the draw differently, so it
-//!   is *statistically* equivalent, not stream-identical.
+//! Sampling is an inverse-CDF binary search over the cumulative weights,
+//! `O(log n)` per draw and one RNG draw per sample. The draw sequence for
+//! a given seed is pinned by a test and must not change: every schedule,
+//! and so every committed experiment artifact, is generated through it.
 
 use ape_simnet::SimRng;
-
-/// Which sampling algorithm a [`ZipfSampler`] uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ZipfMode {
-    /// Inverse-CDF binary search over the cumulative weights (legacy,
-    /// seed-exact with all released artifacts).
-    #[default]
-    CumulativeScan,
-    /// Vose alias table: constant-time draws for hot-path sampling.
-    Alias,
-}
-
-/// Sampler construction options.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ZipfConfig {
-    /// Sampling backend. Defaults to the seed-exact legacy scan.
-    pub mode: ZipfMode,
-}
-
-/// One column of a Vose alias table: take `index` with probability
-/// `threshold` (scaled to the column), else take `alias`.
-#[derive(Debug, Clone, Copy)]
-struct AliasColumn {
-    /// Acceptance threshold in `[0, 1]`, already divided by `n`.
-    threshold: f64,
-    /// Donor index used when the coin flip rejects the column owner.
-    alias: u32,
-}
 
 /// Samples indices `0..n` with probability proportional to
 /// `1 / (rank + 1)^exponent`.
@@ -64,31 +29,17 @@ struct AliasColumn {
 pub struct ZipfSampler {
     /// Normalized per-index probabilities.
     weights: Vec<f64>,
-    /// Cumulative distribution for inverse sampling (legacy mode).
+    /// Cumulative distribution for inverse sampling.
     cumulative: Vec<f64>,
-    /// Alias table; built only in [`ZipfMode::Alias`].
-    alias: Vec<AliasColumn>,
-    /// Backend selected at construction.
-    mode: ZipfMode,
 }
 
 impl ZipfSampler {
-    /// Creates a sampler over `n` items with the given exponent, using the
-    /// default (legacy, seed-exact) backend.
+    /// Creates a sampler over `n` items with the given exponent.
     ///
     /// # Panics
     ///
     /// Panics if `n` is zero or `exponent` is negative/non-finite.
     pub fn new(n: usize, exponent: f64) -> Self {
-        Self::with_config(n, exponent, ZipfConfig::default())
-    }
-
-    /// Creates a sampler with an explicit backend choice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero or `exponent` is negative/non-finite.
-    pub fn with_config(n: usize, exponent: f64, config: ZipfConfig) -> Self {
         assert!(n > 0, "zipf needs at least one item");
         assert!(
             exponent.is_finite() && exponent >= 0.0,
@@ -109,15 +60,9 @@ impl ZipfSampler {
         if let Some(last) = cumulative.last_mut() {
             *last = 1.0;
         }
-        let alias = match config.mode {
-            ZipfMode::CumulativeScan => Vec::new(),
-            ZipfMode::Alias => build_alias_table(&weights),
-        };
         ZipfSampler {
             weights,
             cumulative,
-            alias,
-            mode: config.mode,
         }
     }
 
@@ -131,11 +76,6 @@ impl ZipfSampler {
         self.weights.is_empty()
     }
 
-    /// Backend this sampler was built with.
-    pub fn mode(&self) -> ZipfMode {
-        self.mode
-    }
-
     /// Probability mass of item `i`.
     ///
     /// # Panics
@@ -145,16 +85,12 @@ impl ZipfSampler {
         self.weights[i]
     }
 
-    /// Draws one index. Both backends consume exactly one RNG draw.
+    /// Draws one index, consuming exactly one RNG draw.
     pub fn sample(&self, rng: &mut SimRng) -> usize {
-        let u = rng.unit();
-        match self.mode {
-            ZipfMode::CumulativeScan => self.sample_scan(u),
-            ZipfMode::Alias => self.sample_alias(u),
-        }
+        self.sample_scan(rng.unit())
     }
 
-    /// Legacy inverse-CDF lookup: `O(log n)`.
+    /// Inverse-CDF lookup: `O(log n)`.
     fn sample_scan(&self, u: f64) -> usize {
         match self
             .cumulative
@@ -164,77 +100,12 @@ impl ZipfSampler {
             Err(i) => i.min(self.len() - 1),
         }
     }
-
-    /// Alias-table lookup: `O(1)`. The single uniform draw is split into a
-    /// column index (integer part of `u * n`) and a coin (fractional part);
-    /// the two parts are independent because `u` is uniform on `[0, 1)`.
-    fn sample_alias(&self, u: f64) -> usize {
-        let n = self.alias.len();
-        let scaled = u * n as f64;
-        let col = (scaled as usize).min(n - 1);
-        let coin = scaled - col as f64;
-        let entry = self.alias[col];
-        if coin < entry.threshold {
-            col
-        } else {
-            entry.alias as usize
-        }
-    }
-}
-
-/// Builds a Vose alias table from normalized weights.
-///
-/// Columns with mass below average (`1/n`) borrow the remainder from a
-/// column with mass above average; after construction, every column is a
-/// two-outcome Bernoulli whose mixture reproduces the input distribution
-/// exactly (up to float rounding).
-fn build_alias_table(weights: &[f64]) -> Vec<AliasColumn> {
-    let n = weights.len();
-    debug_assert!(n <= u32::MAX as usize, "alias table indexes with u32");
-    // Scale so the average column holds exactly 1.0.
-    let mut scaled: Vec<f64> = weights.iter().map(|w| w * n as f64).collect();
-    let mut table = vec![
-        AliasColumn {
-            threshold: 1.0,
-            alias: 0,
-        };
-        n
-    ];
-    // Worklists are drained back-to-front, which keeps construction
-    // deterministic for a given weight vector.
-    let mut small: Vec<u32> = Vec::new();
-    let mut large: Vec<u32> = Vec::new();
-    for (i, &s) in scaled.iter().enumerate() {
-        if s < 1.0 {
-            small.push(i as u32);
-        } else {
-            large.push(i as u32);
-        }
-    }
-    while let (Some(&s), Some(&l)) = (small.last(), large.last()) {
-        small.pop();
-        table[s as usize] = AliasColumn {
-            threshold: scaled[s as usize],
-            alias: l,
-        };
-        // The donor loses exactly the mass the small column was missing.
-        scaled[l as usize] -= 1.0 - scaled[s as usize];
-        if scaled[l as usize] < 1.0 {
-            large.pop();
-            small.push(l);
-        }
-    }
-    // Whatever remains (float dust) saturates to "always take the owner".
-    for &i in small.iter().chain(large.iter()) {
-        table[i as usize].threshold = 1.0;
-        table[i as usize].alias = i;
-    }
-    table
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn weights_sum_to_one_and_decrease() {
@@ -296,95 +167,54 @@ mod tests {
         let _ = ZipfSampler::new(3, -1.0);
     }
 
-    /// The legacy draw sequence is part of the repo's reproducibility
-    /// contract: BENCH/EXPERIMENT artifacts embed it via the schedule
-    /// generator. This golden pin fails if the default backend's mapping
-    /// from RNG stream to indices ever changes.
+    /// The draw sequence is part of the repo's reproducibility contract:
+    /// BENCH/EXPERIMENT artifacts embed it via the schedule generator. This
+    /// golden pin fails if the mapping from RNG stream to indices ever
+    /// changes.
     #[test]
-    fn legacy_sequence_is_pinned() {
+    fn draw_sequence_is_pinned() {
         let z = ZipfSampler::new(12, 1.1);
         let mut rng = SimRng::seed_from(0xC0FFEE);
         let drawn: Vec<usize> = (0..16).map(|_| z.sample(&mut rng)).collect();
         assert_eq!(
             drawn,
             vec![2, 6, 3, 1, 4, 0, 0, 8, 5, 0, 0, 7, 1, 11, 0, 0],
-            "legacy Zipf draw sequence changed — this breaks artifact reproducibility"
+            "Zipf draw sequence changed — this breaks artifact reproducibility"
         );
     }
 
+    /// A draw that lands exactly on a cumulative boundary belongs to the
+    /// next item (the CDF intervals are half-open), clamped at the top.
     #[test]
-    fn default_config_is_legacy_scan() {
-        assert_eq!(ZipfConfig::default().mode, ZipfMode::CumulativeScan);
-        assert_eq!(ZipfSampler::new(3, 1.0).mode(), ZipfMode::CumulativeScan);
-    }
-
-    #[test]
-    fn alias_mode_stays_in_range_and_matches_bands() {
-        let cfg = ZipfConfig {
-            mode: ZipfMode::Alias,
-        };
-        let z = ZipfSampler::with_config(8, 0.9, cfg);
-        let mut rng = SimRng::seed_from(42);
-        let n = 200_000;
-        let mut counts = [0usize; 8];
-        for _ in 0..n {
-            let idx = z.sample(&mut rng);
-            assert!(idx < 8);
-            counts[idx] += 1;
-        }
-        for (i, &count) in counts.iter().enumerate() {
-            let observed = count as f64 / n as f64;
-            assert!(
-                (observed - z.weight(i)).abs() < 0.01,
-                "alias item {i}: observed {observed}, expected {}",
-                z.weight(i)
-            );
+    fn exact_cumulative_hit_selects_the_next_index() {
+        for (n, exponent) in [(1, 1.0), (2, 0.0), (12, 1.1), (30, 0.9)] {
+            let z = ZipfSampler::new(n, exponent);
+            for i in 0..n {
+                assert_eq!(
+                    z.sample_scan(z.cumulative[i]),
+                    (i + 1).min(n - 1),
+                    "n={n} exponent={exponent} boundary {i}"
+                );
+            }
         }
     }
 
-    #[test]
-    fn alias_table_mass_reconstructs_weights() {
-        // Summing each column's contribution must reproduce the input
-        // distribution: the alias transform is exact, not approximate.
-        let z = ZipfSampler::with_config(
-            17,
-            1.0,
-            ZipfConfig {
-                mode: ZipfMode::Alias,
-            },
-        );
-        let n = z.len();
-        let mut mass = vec![0.0f64; n];
-        for (col, entry) in z.alias.iter().enumerate() {
-            mass[col] += entry.threshold / n as f64;
-            mass[entry.alias as usize] += (1.0 - entry.threshold) / n as f64;
+    proptest! {
+        #[test]
+        fn samples_stay_in_range_with_one_draw_each(
+            n in 1usize..64,
+            exp_milli in 0u32..3_000,
+            seed in any::<u64>(),
+            draws in 1usize..256,
+        ) {
+            let z = ZipfSampler::new(n, f64::from(exp_milli) / 1_000.0);
+            let mut rng = SimRng::seed_from(seed);
+            let mut shadow = SimRng::seed_from(seed);
+            for _ in 0..draws {
+                prop_assert!(z.sample(&mut rng) < n);
+                let _ = shadow.unit();
+            }
+            prop_assert_eq!(rng.next_u64(), shadow.next_u64());
         }
-        for (i, &m) in mass.iter().enumerate() {
-            assert!(
-                (m - z.weight(i)).abs() < 1e-12,
-                "column mass {i} diverged: {m} vs {}",
-                z.weight(i)
-            );
-        }
-    }
-
-    #[test]
-    fn both_backends_consume_one_draw_per_sample() {
-        let scan = ZipfSampler::new(6, 1.0);
-        let alias = ZipfSampler::with_config(
-            6,
-            1.0,
-            ZipfConfig {
-                mode: ZipfMode::Alias,
-            },
-        );
-        let mut a = SimRng::seed_from(7);
-        let mut b = SimRng::seed_from(7);
-        for _ in 0..64 {
-            let _ = scan.sample(&mut a);
-            let _ = alias.sample(&mut b);
-        }
-        // Same number of draws consumed → streams stay aligned.
-        assert_eq!(a.next_u64(), b.next_u64());
     }
 }
