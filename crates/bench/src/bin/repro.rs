@@ -69,119 +69,147 @@ fn written(result: std::io::Result<String>) -> String {
     })
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: repro [--quick] [--minutes N] [--trials N] [--micro-trials N]\n\
-         \u{20}            [--threads N] [--seed N] [--trace-out DIR] <artifact>...\n\
-         artifacts: table1 table2 table4 table5 table6 table7 fig2 fig11a fig11b\n\
-         \u{20}          fig11c fig12 fig13a fig13b fig13c fig14 object-level\n\
-         \u{20}          ablations speedup trace profile bench-evict\n\
-         \u{20}          bench-scale faults all"
-    );
-    std::process::exit(2);
+const USAGE: &str = "usage: repro [--quick] [--minutes N] [--trials N] [--micro-trials N]\n\
+     \u{20}            [--threads N] [--seed N] [--trace-out DIR] <artifact>...\n\
+     artifacts: table1 table2 table4 table5 table6 table7 fig2 fig11a fig11b\n\
+     \u{20}          fig11c fig12 fig13a fig13b fig13c fig14 object-level\n\
+     \u{20}          ablations speedup trace profile bench-evict\n\
+     \u{20}          bench-scale faults all";
+
+/// Renders one artifact.
+type Artifact = fn(&ReproOptions) -> String;
+
+/// Every artifact but `trace` (which also takes `--trace-out`), by name.
+const ARTIFACTS: [(&str, Artifact); 22] = [
+    ("table1", table1),
+    ("table2", table2),
+    ("table4", table4),
+    ("table5", table5),
+    ("table6", table6),
+    ("table7", |_| table7()),
+    ("fig2", fig2),
+    ("fig11a", fig11a),
+    ("fig11b", fig11b),
+    ("fig11c", fig11c),
+    ("fig12", fig12),
+    ("fig13a", fig13a),
+    ("fig13b", fig13b),
+    ("fig13c", fig13c),
+    ("fig14", fig14),
+    ("object-level", object_level),
+    ("ablations", ablations),
+    ("speedup", speedup),
+    ("bench-evict", |opts| written(bench_evict(opts))),
+    ("bench-scale", |opts| written(bench_scale(opts))),
+    ("profile", profile),
+    ("faults", faults),
+];
+
+/// What `all` runs, in order: the artifacts whose output is deterministic.
+const ALL: [&str; 19] = [
+    "table1",
+    "table2",
+    "fig2",
+    "object-level",
+    "fig11a",
+    "fig11b",
+    "fig11c",
+    "table4",
+    "table5",
+    "table6",
+    "fig12",
+    "fig13a",
+    "fig13b",
+    "fig13c",
+    "fig14",
+    "table7",
+    "ablations",
+    "speedup",
+    "trace",
+];
+
+/// A parsed command line.
+#[derive(Debug)]
+struct Invocation {
+    opts: ReproOptions,
+    trace_out: Option<PathBuf>,
+    artifacts: Vec<String>,
 }
 
-fn main() {
-    let mut opts = ReproOptions::default();
-    let mut artifacts: Vec<String> = Vec::new();
-    let mut trace_out: Option<PathBuf> = None;
-    let mut args = std::env::args().skip(1);
+/// Parses the arguments after the program name; `Err` names what is wrong
+/// with them. `--quick` picks the base sizes wherever it appears and every
+/// explicit size option overrides them; every artifact name is checked
+/// here, before the first one runs.
+fn parse(args: impl IntoIterator<Item = String>) -> Result<Invocation, String> {
+    let mut quick = false;
+    let mut sizes: Vec<(String, u64)> = Vec::new();
+    let mut trace_out = None;
+    let mut artifacts = Vec::new();
+    let mut args = args.into_iter();
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--quick" => opts = ReproOptions::quick(),
+            "--quick" => quick = true,
             "--trace-out" => {
-                trace_out = Some(PathBuf::from(args.next().unwrap_or_else(|| usage())))
+                let dir = args.next().ok_or("--trace-out needs a directory")?;
+                trace_out = Some(PathBuf::from(dir));
             }
-            "--minutes" => {
-                opts.minutes = args
+            "--minutes" | "--trials" | "--micro-trials" | "--threads" | "--seed" => {
+                let value = args
                     .next()
                     .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
+                    .ok_or_else(|| format!("{arg} needs a number"))?;
+                sizes.push((arg, value));
             }
-            "--trials" => {
-                opts.trials = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--micro-trials" => {
-                opts.micro_trials = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--threads" => {
-                opts.threads = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--seed" => {
-                opts.seed = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--help" | "-h" => usage(),
-            other if other.starts_with('-') => usage(),
-            other => artifacts.push(other.to_owned()),
+            "--help" | "-h" => return Err("repro: regenerate the paper's artifacts".to_owned()),
+            other if other.starts_with('-') => return Err(format!("unknown option: {other}")),
+            "all" | "trace" => artifacts.push(arg),
+            other if ARTIFACTS.iter().any(|(name, _)| *name == other) => artifacts.push(arg),
+            other => return Err(format!("unknown artifact: {other}")),
         }
     }
     if artifacts.is_empty() {
-        usage();
+        return Err("no artifact given".to_owned());
     }
     if artifacts.iter().any(|a| a == "all") {
-        artifacts = [
-            "table1",
-            "table2",
-            "fig2",
-            "object-level",
-            "fig11a",
-            "fig11b",
-            "fig11c",
-            "table4",
-            "table5",
-            "table6",
-            "fig12",
-            "fig13a",
-            "fig13b",
-            "fig13c",
-            "fig14",
-            "table7",
-            "ablations",
-            "speedup",
-            "trace",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+        artifacts = ALL.iter().map(|s| s.to_string()).collect();
     }
+    let mut opts = if quick {
+        ReproOptions::quick()
+    } else {
+        ReproOptions::default()
+    };
+    for (name, value) in sizes {
+        let count = usize::try_from(value).map_err(|_| format!("{name} {value} is too large"));
+        match name.as_str() {
+            "--minutes" => opts.minutes = value,
+            "--seed" => opts.seed = value,
+            "--trials" => opts.trials = count?,
+            "--micro-trials" => opts.micro_trials = count?,
+            _ => opts.threads = count?,
+        }
+    }
+    Ok(Invocation {
+        opts,
+        trace_out,
+        artifacts,
+    })
+}
+
+fn main() {
+    let Invocation {
+        opts,
+        trace_out,
+        artifacts,
+    } = parse(std::env::args().skip(1)).unwrap_or_else(|err| {
+        eprintln!("{err}\n{USAGE}");
+        std::process::exit(2);
+    });
     let started = Instant::now();
     for artifact in &artifacts {
-        let output = match artifact.as_str() {
-            "table1" => table1(&opts),
-            "table2" => table2(&opts),
-            "table4" => table4(&opts),
-            "table5" => table5(&opts),
-            "table6" => table6(&opts),
-            "table7" => table7(),
-            "fig2" => fig2(&opts),
-            "fig11a" => fig11a(&opts),
-            "fig11b" => fig11b(&opts),
-            "fig11c" => fig11c(&opts),
-            "fig12" => fig12(&opts),
-            "fig13a" => fig13a(&opts),
-            "fig13b" => fig13b(&opts),
-            "fig13c" => fig13c(&opts),
-            "fig14" => fig14(&opts),
-            "object-level" => object_level(&opts),
-            "ablations" => ablations(&opts),
-            "speedup" => speedup(&opts),
-            "bench-evict" => written(bench_evict(&opts)),
-            "bench-scale" => written(bench_scale(&opts)),
-            "profile" => profile(&opts),
-            "faults" => faults(&opts),
-            "trace" => {
+        let output = match ARTIFACTS.iter().find(|(name, _)| name == artifact) {
+            Some((_, run)) => run(&opts),
+            // `trace`: the one name `parse` admits that is not in the table.
+            None => {
                 let artifacts = trace_artifacts(&opts);
                 if let Some(dir) = &trace_out {
                     if let Err(err) = write_trace_files(dir, &artifacts) {
@@ -194,10 +222,6 @@ fn main() {
                 }
                 artifacts.report
             }
-            other => {
-                eprintln!("unknown artifact: {other}");
-                usage();
-            }
         };
         println!("{output}");
         println!("{}", "=".repeat(72));
@@ -209,4 +233,48 @@ fn main() {
         opts.resolved_threads(),
         opts.trials.max(1),
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parsed(line: &str) -> Result<Invocation, String> {
+        parse(line.split_whitespace().map(str::to_owned))
+    }
+
+    #[test]
+    fn quick_sets_sizes_wherever_it_appears_and_explicit_options_win() {
+        let after = parsed("--seed 7 --threads 1 --minutes 3 --quick fig2").unwrap();
+        let before = parsed("--quick --seed 7 --threads 1 --minutes 3 fig2").unwrap();
+        for inv in [&after, &before] {
+            let o = inv.opts;
+            assert_eq!((o.seed, o.threads, o.minutes), (7, 1, 3));
+            assert!(o.quick);
+            // What no option named comes from `--quick`.
+            assert_eq!(o.micro_trials, ReproOptions::quick().micro_trials);
+            assert_eq!(inv.artifacts, ["fig2"]);
+        }
+        let full = parsed("--trials 2 --trace-out out trace").unwrap();
+        assert!(!full.opts.quick);
+        assert_eq!(full.opts.trials, 2);
+        assert_eq!(full.opts.minutes, ReproOptions::default().minutes);
+        assert_eq!(full.trace_out, Some(PathBuf::from("out")));
+    }
+
+    #[test]
+    fn every_artifact_is_checked_before_any_runs() {
+        assert_eq!(
+            parsed("table4 tabel5").unwrap_err(),
+            "unknown artifact: tabel5"
+        );
+        assert!(parsed("--quick").is_err());
+        assert!(parsed("--seed x fig2").is_err());
+        assert!(parsed("--frobnicate fig2").is_err());
+        assert!(parsed("--help").is_err());
+        // `all` stands for its list, and every name on it is runnable.
+        let all = parsed("fig2 all").unwrap().artifacts;
+        assert_eq!(all, ALL);
+        assert!(parsed(&ALL.join(" ")).is_ok());
+    }
 }

@@ -15,7 +15,7 @@
 //! `World` draws all randomness from one stream, so two RNG-drawing
 //! callbacks on *any* two nodes that land on one nanosecond are
 //! order-sensitive, and at 64+ APs a run has enough events for that to
-//! happen (`DESIGN.md` §17). At 64+ APs the cooperative grid must beat the
+//! happen (`DESIGN.md` §16). At 64+ APs the cooperative grid must beat the
 //! isolated one on AP-layer hit ratio, or the bench panics.
 //!
 //! A full run writes `BENCH_scale.json` at the repo root, a `--quick` run

@@ -19,7 +19,7 @@
 //! replays bitwise from its config. Small grids are also invariant under
 //! tie-perturbation keys (`tests/chaos_roam.rs` pins a 9-AP one); from
 //! about 64 APs a run is long enough that they are not, which the
-//! `bench-scale` sweep records per cell (`DESIGN.md` §17).
+//! `bench-scale` sweep records per cell (`DESIGN.md` §16).
 //!
 //! The builder homes full [`ClientNode`]s at each AP: every client runs
 //! the real enhanced-client runtime end to end.

@@ -365,7 +365,7 @@ impl Attribution {
 /// Exports a run's metric registry as Prometheus text format: counters as
 /// `apecache_<name>_total` and histograms as summaries (p50/p95/p99 plus
 /// `_sum`/`_count`), all labelled with the system variant. Metric-name dots
-/// become underscores. Deterministic: the registry iterates `BTreeMap`s.
+/// become underscores. Deterministic: the registry lists names in sorted order.
 pub fn prometheus_snapshot(metrics: &Metrics, system: &str) -> String {
     let mut out = String::new();
     for name in metrics.counter_names() {
@@ -519,9 +519,9 @@ mod tests {
     #[test]
     fn metric_snapshot_exports_counters_and_histograms() {
         let mut m = Metrics::new();
-        m.incr(names::CLIENT_FETCHES, 3);
-        m.observe(names::CLIENT_APP_LATENCY_MS, 5.0);
-        m.observe(names::CLIENT_APP_LATENCY_MS, 7.0);
+        m.incr_id(names::id::CLIENT_FETCHES, 3);
+        m.observe_id(names::id::CLIENT_APP_LATENCY_MS, 5.0);
+        m.observe_id(names::id::CLIENT_APP_LATENCY_MS, 7.0);
         let prom = prometheus_snapshot(&m, "TEST");
         assert!(prom.contains("apecache_client_fetches_total{system=\"TEST\"} 3"));
         // Nearest-rank p50 is 5.0; the histogram answers within 1% of it.

@@ -475,7 +475,7 @@ impl ApNode {
 
         // Forward upstream; flags are recomputed when the answer returns.
         ctx.metrics().incr_id(names::id::AP_DNS_FORWARDS, 1);
-        let span = ctx.span_start(SpanKind::DnsUpstream.as_str());
+        let span = ctx.span_start(SpanKind::DnsUpstream);
         let txn = self.alloc_txn();
         self.pending_forwards.insert(
             txn,
@@ -541,7 +541,7 @@ impl ApNode {
 
         // Relay to the querying client (if this forward had one).
         if let Some(span) = pending.span {
-            ctx.span_end(span, SpanKind::DnsUpstream.as_str());
+            ctx.span_end(span, SpanKind::DnsUpstream);
         }
         if pending.internal {
             return;
@@ -654,7 +654,7 @@ impl ApNode {
         self.registry.insert(key, RegisteredUrl { op });
         // The WAN fetch is a child of the triggering waiter's retrieval
         // span; later coalesced waiters share the same upstream fetch.
-        let span = ctx.span_start(SpanKind::WanFetch.as_str());
+        let span = ctx.span_start(SpanKind::WanFetch);
         self.delegations.insert(
             key,
             Delegation {
@@ -734,7 +734,7 @@ impl ApNode {
             // waiters.
             let delegation = self.delegations.remove(&key).expect("present above");
             if let Some(span) = delegation.span {
-                ctx.span_end(span, SpanKind::WanFetch.as_str());
+                ctx.span_end(span, SpanKind::WanFetch);
             }
             for w in delegation.waiters {
                 ctx.send(
@@ -789,7 +789,7 @@ impl ApNode {
             fetch_latency.as_millis_f64(),
         );
         if let Some(span) = delegation.span {
-            ctx.span_end(span, SpanKind::WanFetch.as_str());
+            ctx.span_end(span, SpanKind::WanFetch);
         }
 
         if response.status.is_success() && delegation.cache_result {
@@ -806,7 +806,7 @@ impl ApNode {
             // `EVICTION_PROCESSING` CPU; the span covers that modeled
             // interval so `repro trace` attributes eviction cost per
             // admission.
-            let evict_span = ctx.span_start(SpanKind::CacheEvict.as_str());
+            let evict_span = ctx.span_start(SpanKind::CacheEvict);
             let prof = ctx.prof_start();
             let stats_before = self.cache.policy().evict_stats();
             let outcome = self.cache.admit(meta, now);
@@ -835,7 +835,7 @@ impl ApNode {
             }
             self.record_evict_stats(ctx, stats_before);
             if let Some(span) = evict_span {
-                ctx.span_end_at(span, SpanKind::CacheEvict.as_str(), now + admit_latency);
+                ctx.span_end_at(span, SpanKind::CacheEvict, now + admit_latency);
             }
         }
 
@@ -1024,7 +1024,7 @@ impl ApNode {
         for txn in stale {
             let pending = self.pending_forwards.remove(&txn).expect("collected above");
             if let Some(span) = pending.span {
-                ctx.span_end(span, SpanKind::DnsUpstream.as_str());
+                ctx.span_end(span, SpanKind::DnsUpstream);
             }
             ctx.metrics()
                 .incr_id(names::id::AP_ROAM_CANCELLED_FORWARDS, 1);
@@ -1099,7 +1099,7 @@ impl ApNode {
             ctx.metrics()
                 .incr_id(names::id::AP_DELEGATION_DNS_FAILURES, 1);
             if let Some(span) = delegation.span {
-                ctx.span_end(span, SpanKind::WanFetch.as_str());
+                ctx.span_end(span, SpanKind::WanFetch);
             }
             for w in delegation.waiters {
                 ctx.send(
@@ -1168,7 +1168,7 @@ impl ApNode {
             ctx.metrics()
                 .incr_id(names::id::AP_DNS_UPSTREAM_GIVE_UPS, 1);
             if let Some(span) = pending.span {
-                ctx.span_end(span, SpanKind::DnsUpstream.as_str());
+                ctx.span_end(span, SpanKind::DnsUpstream);
             }
             let Some(domain) = pending.query.question_name().cloned() else {
                 continue;
@@ -1233,7 +1233,7 @@ impl ApNode {
             }
             ctx.metrics().incr_id(names::id::AP_DELEGATION_REAPS, 1);
             if let Some(span) = delegation.span {
-                ctx.span_end(span, SpanKind::WanFetch.as_str());
+                ctx.span_end(span, SpanKind::WanFetch);
             }
             for w in delegation.waiters {
                 ctx.send(

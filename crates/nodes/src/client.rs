@@ -259,8 +259,6 @@ pub struct ClientApps {
     /// Per app, `(url, spec)` of object `o` under variant `v` at
     /// `o * variants + v`.
     identities: Vec<Vec<(Url, CacheableSpec)>>,
-    /// Per-app latency histogram key, by index into `apps`.
-    app_latency_keys: Vec<String>,
     /// App id → index into `apps`.
     app_index: BTreeMap<u32, usize>,
 }
@@ -306,15 +304,10 @@ impl ClientApps {
                     .collect()
             })
             .collect();
-        let app_latency_keys = apps
-            .iter()
-            .map(|app| names::client_app_latency_ms(app.name()))
-            .collect();
         ClientApps {
             apps,
             children,
             identities,
-            app_latency_keys,
             app_index,
         }
     }
@@ -461,8 +454,11 @@ impl ClientNode {
         let latency = (ctx.now() - exec.started).as_millis_f64();
         ctx.metrics()
             .observe_id(names::id::CLIENT_APP_LATENCY_MS, latency);
-        ctx.metrics()
-            .observe(&self.apps.app_latency_keys[exec.app_idx], latency);
+        ctx.metrics().observe_under(
+            names::id::CLIENT_APP_LATENCY_MS_PREFIX,
+            self.apps.apps[exec.app_idx].name(),
+            latency,
+        );
         if exec.failed {
             ctx.metrics()
                 .incr_id(names::id::CLIENT_FAILED_EXECUTIONS, 1);
@@ -484,8 +480,8 @@ impl ClientNode {
         let now = ctx.now();
         // Every fetch is a trace root; the messages sent below inherit the
         // root context, so downstream nodes land their spans in this trace.
-        let root_span = ctx.begin_trace(SpanKind::Fetch.as_str());
-        let lookup_span = ctx.span_start(SpanKind::Lookup.as_str());
+        let root_span = ctx.begin_trace(SpanKind::Fetch);
+        let lookup_span = ctx.span_start(SpanKind::Lookup);
         let fetch = Fetch {
             exec: exec_id,
             obj,
@@ -705,14 +701,14 @@ impl ClientNode {
         let lookup_span = fetch.lookup_span.take();
         self.conns.insert(conn, req);
         if let Some(span) = lookup_span {
-            ctx.span_end(span, SpanKind::Lookup.as_str());
+            ctx.span_end(span, SpanKind::Lookup);
         }
         let retrieval_kind = match mode {
             FetchMode::ApHit => SpanKind::RetrievalHit,
             FetchMode::Delegation => SpanKind::RetrievalDelegation,
             FetchMode::Edge => SpanKind::RetrievalEdge,
         };
-        let retrieval_span = ctx.span_start(retrieval_kind.as_str());
+        let retrieval_span = ctx.span_start(retrieval_kind);
         self.fetches
             .get_mut(&req)
             .expect("checked above")
@@ -768,13 +764,13 @@ impl ClientNode {
         self.report.failures += 1;
         ctx.metrics().incr_id(names::id::CLIENT_FETCH_FAILURES, 1);
         if let Some(span) = fetch.lookup_span {
-            ctx.span_end(span, SpanKind::Lookup.as_str());
+            ctx.span_end(span, SpanKind::Lookup);
         }
         if let Some((span, kind)) = fetch.retrieval_span {
-            ctx.span_end(span, kind.as_str());
+            ctx.span_end(span, kind);
         }
         if let Some(root) = fetch.root_span {
-            ctx.span_end(root, SpanKind::Fetch.as_str());
+            ctx.span_end(root, SpanKind::Fetch);
         }
         if self.execs.contains_key(&fetch.exec) {
             {
@@ -827,10 +823,10 @@ impl ClientNode {
             _ => FetchMode::Edge,
         };
         if let Some((span, kind)) = fetch.retrieval_span {
-            ctx.span_end(span, kind.as_str());
+            ctx.span_end(span, kind);
         }
         if let Some(root) = fetch.root_span {
-            ctx.span_end(root, SpanKind::Fetch.as_str());
+            ctx.span_end(root, SpanKind::Fetch);
         }
         let spec = fetch.spec;
         self.report.requests += 1;
@@ -1075,7 +1071,7 @@ impl ClientNode {
             self.conns.remove(&conn);
         }
         if let Some((span, kind)) = fetch.retrieval_span.take() {
-            ctx.span_end(span, kind.as_str());
+            ctx.span_end(span, kind);
         }
         ctx.metrics().incr_id(names::id::CLIENT_HTTP_RETRIES, 1);
         match self.config.strategy {

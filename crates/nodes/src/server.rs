@@ -225,7 +225,7 @@ impl Node<Msg> for EdgeNode {
                 // the request is already queued behind it.
                 self.misses += 1;
                 ctx.metrics().incr_id(names::id::EDGE_ORIGIN_FETCHES, 1);
-                let span = ctx.span_start(SpanKind::OriginFetch.as_str());
+                let span = ctx.span_start(SpanKind::OriginFetch);
                 let up_conn = ConnId(self.next_conn);
                 self.next_conn += 1;
                 let up_req = RequestId(self.next_req);
@@ -262,7 +262,7 @@ impl Node<Msg> for EdgeNode {
                     return;
                 };
                 if let Some(span) = pending.span {
-                    ctx.span_end(span, SpanKind::OriginFetch.as_str());
+                    ctx.span_end(span, SpanKind::OriginFetch);
                 }
                 if response.status.is_success() {
                     self.cached.insert(pending.url.base_id().to_owned());

@@ -5,7 +5,26 @@
 //! attribution pass in `apecache` and the instrumentation in `ape-nodes`
 //! cannot drift apart, and exporters get a stable, documented label set.
 
+use ape_simnet::SpanLabel;
+
 /// The kind of one traced span in the request lifecycle.
+///
+/// `Context`'s span methods take a [`SpanLabel`], which a kind converts
+/// into and a string does not:
+///
+/// ```
+/// use ape_proto::{Msg, SpanKind};
+/// fn lookup(ctx: &mut ape_simnet::Context<'_, Msg>) {
+///     let _ = ctx.span_start(SpanKind::Lookup);
+/// }
+/// ```
+///
+/// ```compile_fail
+/// use ape_proto::{Msg, SpanKind};
+/// fn lookup(ctx: &mut ape_simnet::Context<'_, Msg>) {
+///     let _ = ctx.span_start("lookup");
+/// }
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum SpanKind {
     /// Root span: one client object fetch, from request start to response
@@ -66,6 +85,16 @@ impl SpanKind {
     /// Inverse of [`as_str`](Self::as_str).
     pub fn parse(label: &str) -> Option<SpanKind> {
         SpanKind::ALL.into_iter().find(|k| k.as_str() == label)
+    }
+}
+
+impl From<SpanKind> for SpanLabel {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "one of the three modules that declare names; see clippy.toml"
+    )]
+    fn from(kind: SpanKind) -> SpanLabel {
+        SpanLabel::new(kind.as_str())
     }
 }
 

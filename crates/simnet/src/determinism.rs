@@ -42,7 +42,7 @@
 //! nanosecond phases so timers do not tie at all; the shared-stream
 //! coupling is bounded only by how rare exact collisions are, which holds
 //! for the testbed and small grids and stops holding around 64 APs
-//! (`DESIGN.md` §17).
+//! (`DESIGN.md` §16).
 
 use std::fmt;
 

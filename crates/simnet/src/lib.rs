@@ -75,6 +75,8 @@ pub use profiler::{ProfCategory, ProfTimer, ProfileReport, Profiler, PROF_CATEGO
 pub use resource::{CpuMeter, MemMeter};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};
-pub use trace::{SpanCtx, SpanId, TraceConfig, TraceEvent, TraceId, TracePhase, TraceSink};
+pub use trace::{
+    SpanCtx, SpanId, SpanLabel, TraceConfig, TraceEvent, TraceId, TracePhase, TraceSink,
+};
 pub use wheel::TimerWheel;
 pub use world::{Context, RunReport, StopReason, World};

@@ -15,13 +15,12 @@
 //! suite compares against side by side. A [`TimeSeries`] keeps every
 //! point.
 //!
-//! Each metric kind lives in one table that a name and an interned
-//! [`MetricId`] both resolve into. Hot-path recording goes through ids
-//! ([`Metrics::incr_id`], [`Metrics::observe_id`],
+//! Each metric kind lives in one table. Recording goes through interned
+//! [`MetricId`]s ([`Metrics::incr_id`], [`Metrics::observe_id`],
 //! [`Metrics::record_point_id`]): an index, no string compare and no
-//! allocation. The by-name API serves dynamic names (the per-app latency
-//! histograms) and the harnesses' reads, and allocates only the first time
-//! it sees a name.
+//! allocation. The one family of names built at run time (a histogram per
+//! app) is written through [`Metrics::observe_under`], keyed by a declared
+//! prefix id. The harnesses read by name.
 
 use std::borrow::Cow;
 use std::fmt;
@@ -32,59 +31,76 @@ use std::time::Instant;
 use crate::rng::mix64;
 use crate::time::SimTime;
 
+/// Declares metric names, each exactly once.
+///
+/// Every `NAME = "dotted.name";` line becomes a `pub const NAME: &str` and,
+/// in a sibling `pub mod id`, a `pub const NAME: MetricId` whose index is
+/// `first_index` plus the line's position in the list; `id::ALL` lists the
+/// ids in that order. Two ids with one index, or an id missing from `ALL`,
+/// therefore cannot be written. [`MetricId::new`] is on `clippy.toml`'s
+/// `disallowed-methods` list, so the invoking module carries
+/// `#[expect(clippy::disallowed_methods)]`.
+#[macro_export]
+macro_rules! metric_names {
+    (first_index = $first:expr; $($(#[$doc:meta])* $ident:ident = $name:literal;)+) => {
+        $($(#[$doc])* pub const $ident: &str = $name;)+
+
+        /// Interned ids of the names declared beside this module, indexed
+        /// in declaration order from `first_index`.
+        pub mod id {
+            use $crate::MetricId;
+
+            #[allow(non_camel_case_types, clippy::upper_case_acronyms)]
+            enum Position {
+                $($ident),+
+            }
+
+            $(
+                #[doc = concat!("Interned [`", stringify!($ident), "`](super::", stringify!($ident), ").")]
+                pub const $ident: MetricId =
+                    MetricId::new($first + Position::$ident as u16, super::$ident);
+            )+
+
+            /// Every id declared here, in index order.
+            pub const ALL: &[MetricId] = &[$($ident),+];
+        }
+    };
+}
+
 /// Metric names owned by the simulator itself.
 ///
 /// Application-level names (`ap.*`, `client.*`, `edge.*`) live with the
-/// protocol crate (`ape_proto::names`), which re-exports these network
-/// constants so harness code can import every key from one module.
+/// protocol crate (`ape_proto::names`), which continues this index space:
+/// every registry shares one, so an index means the same name everywhere.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "one of the three modules that declare names; see clippy.toml"
+)]
 pub mod keys {
-    /// Messages that entered the network (sent or injected).
-    pub const NET_MESSAGES: &str = "net.messages";
-    /// Total wire bytes that entered the network.
-    pub const NET_BYTES: &str = "net.bytes";
-    /// Messages dropped by link loss.
-    pub const NET_DROPPED: &str = "net.dropped";
-    /// Messages dropped by an injected fault window (link-down or loss
-    /// burst from a [`FaultPlan`](crate::FaultPlan)); disjoint from
-    /// [`NET_DROPPED`] so experiments can tell scheduled faults from
-    /// steady-state radio loss.
-    pub const NET_FAULT_DROPPED: &str = "net.fault_dropped";
-
-    /// Interned [`MetricId`](crate::MetricId)s for the simulator's own
-    /// metric names, used by the `World` send path so per-message
-    /// accounting allocates nothing.
-    ///
-    /// Indices 0..[`FIRST_FREE_INDEX`](id::FIRST_FREE_INDEX) are reserved
-    /// here; `ape_proto::names::id` continues the same index space for
-    /// application-level names. Every registry shares one space, so a
-    /// given index must mean the same name everywhere (enforced by a
-    /// debug assertion on every id access and the uniqueness tests in both
-    /// crates).
-    pub mod id {
-        use crate::metrics::MetricId;
-
-        /// Interned [`NET_MESSAGES`](super::NET_MESSAGES).
-        pub const NET_MESSAGES: MetricId = MetricId::new(0, super::NET_MESSAGES);
-        /// Interned [`NET_BYTES`](super::NET_BYTES).
-        pub const NET_BYTES: MetricId = MetricId::new(1, super::NET_BYTES);
-        /// Interned [`NET_DROPPED`](super::NET_DROPPED).
-        pub const NET_DROPPED: MetricId = MetricId::new(2, super::NET_DROPPED);
-        /// Interned [`NET_FAULT_DROPPED`](super::NET_FAULT_DROPPED).
-        pub const NET_FAULT_DROPPED: MetricId = MetricId::new(3, super::NET_FAULT_DROPPED);
-        /// First slot index not claimed by the simulator; downstream
-        /// registries (`ape_proto::names::id`) start here.
-        pub const FIRST_FREE_INDEX: u16 = 4;
+    crate::metric_names! {
+        first_index = 0;
+        /// Messages that entered the network (sent or injected).
+        NET_MESSAGES = "net.messages";
+        /// Total wire bytes that entered the network.
+        NET_BYTES = "net.bytes";
+        /// Messages dropped by link loss.
+        NET_DROPPED = "net.dropped";
+        /// Messages dropped by an injected fault window (link-down or loss
+        /// burst from a [`FaultPlan`](crate::FaultPlan)); disjoint from
+        /// [`NET_DROPPED`] so experiments can tell scheduled faults from
+        /// steady-state radio loss.
+        NET_FAULT_DROPPED = "net.fault_dropped";
     }
 }
 
 /// An interned metric name: a compile-time `(slot index, name)` pair.
 ///
 /// Recording through an id ([`Metrics::incr_id`] and friends) indexes the
-/// metric's table instead of comparing names and possibly allocating a
-/// `String` key, which is what makes the hot path allocation-free. Ids are
-/// declared as `const`s next to the name constants they intern
-/// ([`keys::id`] here, `ape_proto::names::id` for application names); the
-/// index space is global across the workspace.
+/// metric's table instead of comparing names, which is what makes the hot
+/// path allocation-free. Ids are declared by [`metric_names!`](crate::metric_names)
+/// next to the name constants they intern ([`keys::id`] here,
+/// `ape_proto::names::id` for application names); the index space is
+/// global across the workspace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MetricId {
     index: u16,
@@ -92,8 +108,10 @@ pub struct MetricId {
 }
 
 impl MetricId {
-    /// Creates an id binding `index` to `name`. Callers must keep the
-    /// index unique across the workspace-wide registry (see [`keys::id`]).
+    /// Creates an id binding `index` to `name`. On `clippy.toml`'s
+    /// `disallowed-methods` list: ids come from
+    /// [`metric_names!`](crate::metric_names), which keeps every index
+    /// unique.
     pub const fn new(index: u16, name: &'static str) -> Self {
         MetricId { index, name }
     }
@@ -547,14 +565,14 @@ impl SelfProfile {
 #[derive(Debug, Clone)]
 struct Entry<T> {
     /// Borrowed when the metric was first written through a [`MetricId`]
-    /// (no allocation), owned when first written by name.
+    /// (no allocation), owned when it was built under a prefix or merged in.
     name: Cow<'static, str>,
     value: T,
 }
 
 /// Every metric of one kind, in registration order. A name is registered
-/// by its first write, whichever API made it; by-name access finds it by
-/// scanning `entries`, a [`MetricId`] through `by_id`.
+/// by its first write; by-name access finds it by scanning `entries`, a
+/// [`MetricId`] through `by_id`.
 #[derive(Debug, Clone)]
 struct Table<T> {
     entries: Vec<Entry<T>>,
@@ -586,11 +604,14 @@ impl<T: Default> Table<T> {
         self.entries.len() - 1
     }
 
-    /// The value written by name. Allocates only when `name` is new.
-    fn named(&mut self, name: &str) -> &mut T {
+    /// The value named `prefix` followed by `suffix`. Allocates only when
+    /// that name is new.
+    fn under(&mut self, prefix: &str, suffix: &str) -> &mut T {
         let pos = self
-            .position(name)
-            .unwrap_or_else(|| self.register(Cow::Owned(name.to_owned())));
+            .entries
+            .iter()
+            .position(|e| e.name.strip_prefix(prefix) == Some(suffix))
+            .unwrap_or_else(|| self.register(Cow::Owned([prefix, suffix].concat())));
         &mut self.entries[pos].value
     }
 
@@ -670,12 +691,25 @@ impl<T: Default> Table<T> {
 
 /// Central metric registry for a simulation run.
 ///
-/// Metrics are keyed by string names; harnesses use stable, documented
-/// names such as `"client.lookup_latency_ms"`. A name interned as a
-/// [`MetricId`] is the same metric reached without a string compare, so
-/// the `*_id` recording paths are allocation-free; every read API, the
-/// digest, `Display` and `merge` see one set of names however each was
-/// written.
+/// Metrics are keyed by string names; harnesses read by the stable,
+/// documented names in [`keys`] and `ape_proto::names`. Writes take the
+/// [`MetricId`] that interns such a name — the same metric reached without
+/// a string compare or an allocation — so a name nobody declared cannot be
+/// written:
+///
+/// ```
+/// use ape_simnet::{keys, Metrics};
+/// let mut m = Metrics::new();
+/// m.incr_id(keys::id::NET_MESSAGES, 1);
+/// assert_eq!(m.counter(keys::NET_MESSAGES), 1);
+/// ```
+///
+/// ```compile_fail
+/// use ape_simnet::{keys, Metrics};
+/// let mut m = Metrics::new();
+/// m.incr_id("net.messages", 1);
+/// assert_eq!(m.counter(keys::NET_MESSAGES), 1);
+/// ```
 #[derive(Debug, Clone, Default)]
 pub struct Metrics {
     counters: Table<u64>,
@@ -703,14 +737,6 @@ impl Metrics {
 
     // --- counters ---------------------------------------------------------
 
-    /// Adds `delta` to the named counter, creating it at zero first.
-    /// Allocation-free when the counter already exists.
-    pub fn incr(&mut self, name: &str, delta: u64) {
-        let t = self.profile.start();
-        *self.counters.named(name) += delta;
-        self.profile.stop(t);
-    }
-
     /// Adds `delta` to the counter interned as `id`: no string compare,
     /// no allocation.
     pub fn incr_id(&mut self, id: MetricId, delta: u64) {
@@ -731,19 +757,21 @@ impl Metrics {
 
     // --- histograms -------------------------------------------------------
 
-    /// Records an observation into the named histogram. Allocation-free
-    /// when the histogram already exists.
-    pub fn observe(&mut self, name: &str, value: f64) {
-        let t = self.profile.start();
-        self.histograms.named(name).record(value);
-        self.profile.stop(t);
-    }
-
     /// Records an observation into the histogram interned as `id`: no
     /// string compare, no allocation.
     pub fn observe_id(&mut self, id: MetricId, value: f64) {
         let t = self.profile.start();
         self.histograms.interned(id).record(value);
+        self.profile.stop(t);
+    }
+
+    /// Records an observation into the histogram named `prefix`'s name
+    /// followed by `member` — the only write keyed by a run-time string,
+    /// for a family whose members (one per app) are not known until the
+    /// run is configured. Allocation-free once the member exists.
+    pub fn observe_under(&mut self, prefix: MetricId, member: &str, value: f64) {
+        let t = self.profile.start();
+        self.histograms.under(prefix.name(), member).record(value);
         self.profile.stop(t);
     }
 
@@ -762,25 +790,12 @@ impl Metrics {
         self.histogram(name).map_or(0.0, Histogram::mean)
     }
 
-    /// Percentile of a histogram, or 0.0 if absent.
-    pub fn percentile(&self, name: &str, p: f64) -> f64 {
-        self.histogram(name).map_or(0.0, |h| h.percentile(p))
-    }
-
     /// Quantile (`q` in `[0, 1]`) of a histogram, or 0.0 if absent.
     pub fn quantile(&self, name: &str, q: f64) -> f64 {
         self.histogram(name).map_or(0.0, |h| h.quantile(q))
     }
 
     // --- time series ------------------------------------------------------
-
-    /// Appends a point to the named time series. Allocation-free when the
-    /// series already exists.
-    pub fn record_point(&mut self, name: &str, at: SimTime, value: f64) {
-        let t = self.profile.start();
-        self.series.named(name).record(at, value);
-        self.profile.stop(t);
-    }
 
     /// Appends a point to the series interned as `id`: no string compare,
     /// no allocation.
@@ -819,7 +834,7 @@ impl Metrics {
     /// its count plus the order-independent fold of every sample's bit
     /// pattern, so two runs that recorded the same samples in a different
     /// order digest alike and two that differ in one bit of one sample do
-    /// not. Whether a metric was written by name or by id does not enter.
+    /// not. How a name came to be registered does not enter.
     pub fn digest(&self) -> u64 {
         use crate::determinism::Fnv64;
         let counters = self.counters.sorted();
@@ -896,6 +911,22 @@ impl fmt::Display for Metrics {
 mod tests {
     use super::*;
     use crate::reference::ExactHistogram;
+
+    /// Test-local names, continuing the simulator's index space.
+    #[expect(clippy::disallowed_methods, reason = "test-local names")]
+    mod local {
+        crate::metric_names! {
+            first_index = crate::keys::id::ALL.len() as u16;
+            C = "c";
+            X = "x";
+            H = "h";
+            LAT = "lat";
+            S = "s";
+            LAT_PREFIX = "lat.";
+            LAT_NEWS = "lat.news";
+        }
+    }
+    use local::id;
 
     /// Quantiles the differential checks read (the set
     /// `tests/metrics_sketch.rs` uses).
@@ -1032,36 +1063,36 @@ mod tests {
     #[test]
     fn counters_accumulate() {
         let mut m = Metrics::new();
-        m.incr("x", 2);
-        m.incr("x", 3);
-        assert_eq!(m.counter("x"), 5);
+        m.incr_id(id::X, 2);
+        m.incr_id(id::X, 3);
+        assert_eq!(m.counter(local::X), 5);
         assert_eq!(m.counter("missing"), 0);
     }
 
     #[test]
     fn registry_histograms_and_series() {
         let mut m = Metrics::new();
-        m.observe("lat", 4.0);
-        m.observe("lat", 6.0);
-        assert_eq!(m.mean("lat"), 5.0);
-        assert_eq!(m.percentile("lat", 100.0), 6.0);
-        m.record_point("cpu", SimTime::from_secs(1), 0.25);
-        assert_eq!(m.time_series("cpu").unwrap().len(), 1);
+        m.observe_id(id::LAT, 4.0);
+        m.observe_id(id::LAT, 6.0);
+        assert_eq!(m.mean(local::LAT), 5.0);
+        assert_eq!(m.quantile(local::LAT, 1.0), 6.0);
+        m.record_point_id(id::S, SimTime::from_secs(1), 0.25);
+        assert_eq!(m.time_series(local::S).unwrap().len(), 1);
     }
 
     #[test]
     fn registry_merge_adds() {
         let mut a = Metrics::new();
-        a.incr("c", 1);
-        a.observe("h", 1.0);
+        a.incr_id(id::C, 1);
+        a.observe_id(id::H, 1.0);
         let mut b = Metrics::new();
-        b.incr("c", 2);
-        b.observe("h", 3.0);
-        b.record_point("s", SimTime::ZERO, 1.0);
+        b.incr_id(id::C, 2);
+        b.observe_id(id::H, 3.0);
+        b.record_point_id(id::S, SimTime::ZERO, 1.0);
         a.merge(&b);
-        assert_eq!(a.counter("c"), 3);
-        assert_eq!(a.histogram("h").unwrap().count(), 2);
-        assert_eq!(a.time_series("s").unwrap().len(), 1);
+        assert_eq!(a.counter(local::C), 3);
+        assert_eq!(a.histogram(local::H).unwrap().count(), 2);
+        assert_eq!(a.time_series(local::S).unwrap().len(), 1);
     }
 
     #[test]
@@ -1076,9 +1107,9 @@ mod tests {
         }
 
         let mut m = Metrics::new();
-        m.observe("lat", 1.0);
-        m.observe("lat", 9.0);
-        assert_within_bound(m.quantile("lat", 0.5), 1.0, "registry quantile");
+        m.observe_id(id::LAT, 1.0);
+        m.observe_id(id::LAT, 9.0);
+        assert_within_bound(m.quantile(local::LAT, 0.5), 1.0, "registry quantile");
         assert_eq!(m.quantile("missing", 0.5), 0.0);
     }
 
@@ -1093,9 +1124,9 @@ mod tests {
     #[test]
     fn merge_empty_into_nonempty_is_identity() {
         let mut a = Metrics::new();
-        a.incr("c", 7);
-        a.observe("h", 1.0);
-        a.record_point("s", SimTime::ZERO, 2.0);
+        a.incr_id(id::C, 7);
+        a.observe_id(id::H, 1.0);
+        a.record_point_id(id::S, SimTime::ZERO, 2.0);
         let before = format!("{a}");
         a.merge(&Metrics::new());
         assert_eq!(format!("{a}"), before);
@@ -1104,30 +1135,30 @@ mod tests {
     #[test]
     fn merge_nonempty_into_empty_copies_everything() {
         let mut src = Metrics::new();
-        src.incr("c", 7);
-        src.observe("h", 1.0);
-        src.observe("h", 3.0);
-        src.record_point("s", SimTime::from_secs(1), 2.0);
+        src.incr_id(id::C, 7);
+        src.observe_id(id::H, 1.0);
+        src.observe_id(id::H, 3.0);
+        src.record_point_id(id::S, SimTime::from_secs(1), 2.0);
         let mut dst = Metrics::new();
         dst.merge(&src);
-        assert_eq!(dst.counter("c"), 7);
-        assert_eq!(dst.histogram("h").unwrap().count(), 2);
-        assert_eq!(dst.time_series("s").unwrap().len(), 1);
+        assert_eq!(dst.counter(local::C), 7);
+        assert_eq!(dst.histogram(local::H).unwrap().count(), 2);
+        assert_eq!(dst.time_series(local::S).unwrap().len(), 1);
     }
 
     #[test]
     fn merge_disjoint_keys_unions() {
         let mut a = Metrics::new();
-        a.incr("only.a", 1);
-        a.observe("hist.a", 1.0);
+        a.incr_id(id::C, 1);
+        a.observe_id(id::H, 1.0);
         let mut b = Metrics::new();
-        b.incr("only.b", 2);
-        b.observe("hist.b", 5.0);
+        b.incr_id(id::X, 2);
+        b.observe_id(id::LAT, 5.0);
         a.merge(&b);
-        assert_eq!(a.counter("only.a"), 1);
-        assert_eq!(a.counter("only.b"), 2);
-        assert_eq!(a.histogram("hist.a").unwrap().count(), 1);
-        assert_eq!(a.histogram("hist.b").unwrap().count(), 1);
+        assert_eq!(a.counter(local::C), 1);
+        assert_eq!(a.counter(local::X), 2);
+        assert_eq!(a.histogram(local::H).unwrap().count(), 1);
+        assert_eq!(a.histogram(local::LAT).unwrap().count(), 1);
     }
 
     #[test]
@@ -1174,8 +1205,8 @@ mod tests {
     #[test]
     fn display_lists_entries() {
         let mut m = Metrics::new();
-        m.incr("c", 1);
-        m.observe("h", 1.0);
+        m.incr_id(id::C, 1);
+        m.observe_id(id::H, 1.0);
         let text = format!("{m}");
         assert!(text.contains("counter c = 1"));
         assert!(text.contains("hist h"));
@@ -1189,38 +1220,37 @@ mod tests {
         assert_eq!(keys::id::NET_BYTES.name(), keys::NET_BYTES);
         assert_eq!(keys::id::NET_DROPPED.name(), keys::NET_DROPPED);
         assert_eq!(keys::id::NET_FAULT_DROPPED.name(), keys::NET_FAULT_DROPPED);
-        let ids = [
-            keys::id::NET_MESSAGES,
-            keys::id::NET_BYTES,
-            keys::id::NET_DROPPED,
-            keys::id::NET_FAULT_DROPPED,
-        ];
-        for (i, id) in ids.iter().enumerate() {
-            assert_eq!(id.index(), i, "net ids must stay densely indexed");
-            assert!(id.index() < keys::id::FIRST_FREE_INDEX as usize);
+        // Indices are positions in the declaring list, and a list that
+        // continues another's index space starts where it ends.
+        for (i, id) in keys::id::ALL.iter().chain(local::id::ALL).enumerate() {
+            assert_eq!(id.index(), i, "{} out of position", id.name());
         }
+        assert_eq!(id::C.index(), keys::id::ALL.len());
     }
 
     #[test]
     fn interned_and_string_recording_share_one_metric() {
         let mut m = Metrics::new();
-        m.incr(keys::NET_MESSAGES, 2);
-        // The id resolves to the entry the name registered...
-        m.incr_id(keys::id::NET_MESSAGES, 3);
-        // ...and later by-name calls still find that one entry.
-        m.incr(keys::NET_MESSAGES, 5);
+        m.observe_under(id::LAT_PREFIX, "news", 1.0);
+        // The id resolves to the entry the prefixed write registered...
+        m.observe_id(id::LAT_NEWS, 3.0);
+        // ...and later prefixed writes still find that one entry.
+        m.observe_under(id::LAT_PREFIX, "news", 5.0);
+        assert_eq!(m.histogram(local::LAT_NEWS).unwrap().count(), 3);
+        assert_eq!(m.histogram_id(id::LAT_NEWS).unwrap().count(), 3);
+        assert_eq!(m.mean(local::LAT_NEWS), 3.0);
+        assert_eq!(m.histogram_names().count(), 1);
+        // Another member of the family is another histogram.
+        m.observe_under(id::LAT_PREFIX, "mail", 7.0);
+        assert_eq!(m.mean("lat.mail"), 7.0);
+        assert_eq!(m.histogram_names().count(), 2);
+
+        m.incr_id(keys::id::NET_MESSAGES, 10);
         assert_eq!(m.counter(keys::NET_MESSAGES), 10);
         assert_eq!(m.counter_id(keys::id::NET_MESSAGES), 10);
         assert_eq!(m.counter_names().count(), 1);
 
-        m.observe(keys::NET_BYTES, 1.0);
-        m.observe_id(keys::id::NET_BYTES, 3.0);
-        m.observe(keys::NET_BYTES, 5.0);
-        assert_eq!(m.histogram(keys::NET_BYTES).unwrap().count(), 3);
-        assert_eq!(m.mean(keys::NET_BYTES), 3.0);
-        assert_eq!(m.histogram_names().count(), 1);
-
-        m.record_point(keys::NET_DROPPED, SimTime::ZERO, 1.0);
+        m.record_point_id(keys::id::NET_DROPPED, SimTime::ZERO, 1.0);
         m.record_point_id(keys::id::NET_DROPPED, SimTime::from_secs(1), 2.0);
         assert_eq!(m.time_series(keys::NET_DROPPED).unwrap().len(), 2);
         assert_eq!(m.time_series_id(keys::id::NET_DROPPED).unwrap().len(), 2);
@@ -1230,73 +1260,69 @@ mod tests {
     fn interned_digest_matches_string_digest() {
         let mut by_str = Metrics::new();
         let mut by_id = Metrics::new();
-        by_str.incr(keys::NET_MESSAGES, 7);
-        by_id.incr_id(keys::id::NET_MESSAGES, 7);
-        by_str.observe(keys::NET_BYTES, 64.0);
-        by_id.observe_id(keys::id::NET_BYTES, 64.0);
-        by_str.record_point(keys::NET_DROPPED, SimTime::from_secs(2), 1.5);
-        by_id.record_point_id(keys::id::NET_DROPPED, SimTime::from_secs(2), 1.5);
+        by_str.observe_under(id::LAT_PREFIX, "news", 64.0);
+        by_id.observe_id(id::LAT_NEWS, 64.0);
         assert_eq!(by_str.digest(), by_id.digest());
         assert_eq!(format!("{by_str}"), format!("{by_id}"));
     }
 
     /// Two registries written through ids merge into the metric each id
-    /// stands for, also when one side wrote it by name.
+    /// stands for, and an id still resolves in a registry that learned its
+    /// name from a merge.
     #[test]
     fn interned_registries_merge_by_slot() {
         let mut a = Metrics::new();
         a.incr_id(keys::id::NET_MESSAGES, 1);
+        a.incr_id(keys::id::NET_BYTES, 8);
         let mut b = Metrics::new();
+        b.incr_id(keys::id::NET_BYTES, 4); // registered in the other order
         b.incr_id(keys::id::NET_MESSAGES, 2);
-        b.incr(keys::NET_BYTES, 4); // written by name on the source side
-        a.incr_id(keys::id::NET_BYTES, 8); // by id on the destination
         a.merge(&b);
         assert_eq!(a.counter_id(keys::id::NET_MESSAGES), 3);
         assert_eq!(a.counter_id(keys::id::NET_BYTES), 12);
         assert_eq!(a.counter_names().count(), 2);
+        let mut fresh = Metrics::new();
+        fresh.merge(&a);
+        fresh.incr_id(keys::id::NET_MESSAGES, 1);
+        assert_eq!(fresh.counter(keys::NET_MESSAGES), 4);
+        assert_eq!(fresh.counter_names().count(), 2);
     }
 
-    /// Which API registered a name, and in which order names arrived, is
-    /// invisible: same digest, same `Display`, and merging the two
+    /// Which writer registered a name, and in which order names arrived,
+    /// is invisible: same digest, same `Display`, and merging the two
     /// registries is either one recorded twice.
     #[test]
     fn write_order_across_the_two_apis_is_invisible() {
-        let by_name = |m: &mut Metrics| {
-            m.incr(keys::NET_MESSAGES, 7);
-            m.observe(keys::NET_BYTES, 64.0);
-            m.record_point(keys::NET_DROPPED, SimTime::from_secs(2), 1.5);
-            m.incr("dynamic.only", 1);
-        };
-        let by_id = |m: &mut Metrics| {
-            m.record_point_id(keys::id::NET_DROPPED, SimTime::from_secs(2), 1.5);
-            m.observe_id(keys::id::NET_BYTES, 64.0);
+        let prefixed_first = |m: &mut Metrics| {
+            m.observe_under(id::LAT_PREFIX, "news", 64.0);
             m.incr_id(keys::id::NET_MESSAGES, 7);
-            m.incr("dynamic.only", 1);
+            m.record_point_id(keys::id::NET_DROPPED, SimTime::from_secs(2), 1.5);
+            m.observe_under(id::LAT_PREFIX, "only", 1.0);
         };
-        let mut name_first = Metrics::new();
-        by_name(&mut name_first);
-        by_id(&mut name_first);
-        let mut id_first = Metrics::new();
-        by_id(&mut id_first);
-        by_name(&mut id_first);
-        assert_eq!(name_first.digest(), id_first.digest());
-        assert_eq!(format!("{name_first}"), format!("{id_first}"));
+        let interned_first = |m: &mut Metrics| {
+            m.observe_under(id::LAT_PREFIX, "only", 1.0);
+            m.record_point_id(keys::id::NET_DROPPED, SimTime::from_secs(2), 1.5);
+            m.incr_id(keys::id::NET_MESSAGES, 7);
+            m.observe_id(id::LAT_NEWS, 64.0);
+        };
+        let mut one = Metrics::new();
+        prefixed_first(&mut one);
+        interned_first(&mut one);
+        let mut other = Metrics::new();
+        interned_first(&mut other);
+        prefixed_first(&mut other);
+        assert_eq!(one.digest(), other.digest());
+        assert_eq!(format!("{one}"), format!("{other}"));
 
         let mut doubled = Metrics::new();
         for _ in 0..2 {
-            by_name(&mut doubled);
-            by_id(&mut doubled);
+            prefixed_first(&mut doubled);
+            interned_first(&mut doubled);
         }
-        let mut merged = name_first.clone();
-        merged.merge(&id_first);
+        let mut merged = one.clone();
+        merged.merge(&other);
         assert_eq!(merged.digest(), doubled.digest());
         assert_eq!(format!("{merged}"), format!("{doubled}"));
-        // Ids still resolve after a merge brought their names in.
-        let mut fresh = Metrics::new();
-        fresh.merge(&id_first);
-        fresh.incr_id(keys::id::NET_MESSAGES, 1);
-        assert_eq!(fresh.counter(keys::NET_MESSAGES), 15);
-        assert_eq!(fresh.counter_names().count(), 2);
     }
 
     #[test]
@@ -1382,10 +1408,10 @@ mod tests {
         let mut reverse = Metrics::new();
         let values: Vec<f64> = (0..200).map(|i| (i as f64) * 0.37).collect();
         for v in &values {
-            forward.observe("lat", *v);
+            forward.observe_id(id::LAT, *v);
         }
         for v in values.iter().rev() {
-            reverse.observe("lat", *v);
+            reverse.observe_id(id::LAT, *v);
         }
         assert_eq!(forward.digest(), reverse.digest());
     }
@@ -1398,8 +1424,8 @@ mod tests {
         for i in 0..400u64 {
             let v = (i as f64).sqrt() * 3.7 + 0.013;
             let part = if i % 3 == 0 { &mut a } else { &mut b };
-            part.observe("lat", v);
-            pooled.observe("lat", v);
+            part.observe_id(id::LAT, v);
+            pooled.observe_id(id::LAT, v);
         }
         let mut ab = a.clone();
         ab.merge(&b);
@@ -1426,10 +1452,10 @@ mod tests {
         let mut a = Metrics::new();
         let mut b = Metrics::new();
         for v in [5.0, 10.0, 20.0] {
-            a.observe("lat", v);
+            a.observe_id(id::LAT, v);
         }
         for v in [5.0, 10.01, 20.0] {
-            b.observe("lat", v);
+            b.observe_id(id::LAT, v);
         }
         let (ha, hb) = (a.histogram("lat").unwrap(), b.histogram("lat").unwrap());
         assert_eq!(ha.buckets, hb.buckets);
@@ -1441,18 +1467,14 @@ mod tests {
 
     #[test]
     fn registry_quantiles_track_exact_oracle() {
-        // Registry-level differential check: observations go in by name
-        // and by id, quantiles come out through `Metrics::quantile`, and
-        // the frozen exact histogram is the oracle.
+        // Registry-level differential check: observations go in by id,
+        // quantiles come out through `Metrics::quantile`, and the frozen
+        // exact histogram is the oracle.
         let mut m = Metrics::new();
         let mut oracle = ExactHistogram::new();
         for i in 0..2000u64 {
             let v = (i % 97) as f64 * 0.25;
-            if i % 2 == 0 {
-                m.observe(keys::NET_BYTES, v);
-            } else {
-                m.observe_id(keys::id::NET_BYTES, v);
-            }
+            m.observe_id(keys::id::NET_BYTES, v);
             oracle.record(v);
         }
         for q in CHECK_QUANTILES {
@@ -1479,17 +1501,17 @@ mod tests {
             m.approx_bytes(),
             tables + hist.approx_bytes() + series.approx_bytes()
         );
-        // A name first written by name owns its string; that is counted too.
+        // A name built under a prefix owns its string; that is counted too.
         let before = m.approx_bytes();
-        m.incr("dynamic", 1);
-        assert!(m.approx_bytes() >= before + "dynamic".len());
+        m.observe_under(id::LAT_PREFIX, "dynamic", 1.0);
+        assert!(m.approx_bytes() >= before + "lat.dynamic".len());
     }
 
     #[test]
     fn display_shows_quantiles_and_drops() {
         let mut m = Metrics::new();
         for v in 1..=100 {
-            m.observe("h", v as f64);
+            m.observe_id(id::H, v as f64);
         }
         let text = format!("{m}");
         let field = |key: &str| -> f64 {
@@ -1509,12 +1531,12 @@ mod tests {
     #[test]
     fn self_profile_counts_recording_calls() {
         let mut m = Metrics::new();
-        m.incr("c", 1); // before enabling: not counted
+        m.incr_id(id::C, 1); // before enabling: not counted
         m.enable_self_profile();
-        m.incr("c", 1);
-        m.incr_id(keys::id::NET_MESSAGES, 1);
-        m.observe("h", 1.0);
-        m.record_point("s", SimTime::ZERO, 1.0);
+        m.incr_id(id::C, 1);
+        m.observe_under(id::LAT_PREFIX, "news", 1.0);
+        m.observe_id(id::H, 1.0);
+        m.record_point_id(id::S, SimTime::ZERO, 1.0);
         let (_, calls) = m.self_profile();
         assert_eq!(calls, 4);
         let off = Metrics::new();

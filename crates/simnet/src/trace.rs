@@ -55,6 +55,26 @@ pub struct SpanCtx {
     pub span: SpanId,
 }
 
+/// The label of a span kind: what [`Context`](crate::Context)'s span
+/// methods take, so a bare string at an instrumentation site is a type
+/// error. The vocabulary is the protocol crate's `SpanKind`, which
+/// converts into this; [`TraceEvent::kind`] carries the string inside.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SpanLabel(&'static str);
+
+impl SpanLabel {
+    /// Wraps `label`. On `clippy.toml`'s `disallowed-methods` list: labels
+    /// come from the module that declares the vocabulary.
+    pub const fn new(label: &'static str) -> Self {
+        SpanLabel(label)
+    }
+
+    /// The label recorded in trace events.
+    pub const fn as_str(self) -> &'static str {
+        self.0
+    }
+}
+
 /// Whether a trace event opens a span, closes one, or marks a point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TracePhase {

@@ -9,7 +9,7 @@ use crate::node::{Message, Node, NodeId, TimerToken};
 use crate::profiler::{ProfCategory, ProfTimer, ProfileReport, Profiler};
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{SpanCtx, TraceConfig, TraceEvent, TracePhase, TraceSink};
+use crate::trace::{SpanCtx, SpanLabel, TraceConfig, TraceEvent, TracePhase, TraceSink};
 
 /// Why a call to [`World::run_until`] returned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -212,7 +212,7 @@ impl<'a, M: Message> Context<'a, M> {
     /// Returns `None` — and clears the active context, so the new logical
     /// operation never inherits its trigger's trace — when tracing is
     /// disabled or this trace was sampled out.
-    pub fn begin_trace(&mut self, kind: &'static str) -> Option<SpanCtx> {
+    pub fn begin_trace(&mut self, kind: impl Into<SpanLabel>) -> Option<SpanCtx> {
         self.span = None;
         let t = self.prof.start();
         let Some(trace) = self.trace.try_begin_trace() else {
@@ -227,7 +227,7 @@ impl<'a, M: Message> Context<'a, M> {
             span,
             parent: None,
             node: self.self_id,
-            kind,
+            kind: kind.into().as_str(),
             phase: TracePhase::Start,
         });
         self.span = Some(ctx);
@@ -239,7 +239,7 @@ impl<'a, M: Message> Context<'a, M> {
     /// (for a later [`span_end`](Self::span_end)). The active context is
     /// left unchanged. Returns `None` when there is no active traced
     /// context.
-    pub fn span_start(&mut self, kind: &'static str) -> Option<SpanCtx> {
+    pub fn span_start(&mut self, kind: impl Into<SpanLabel>) -> Option<SpanCtx> {
         let parent = self.span?;
         if !self.trace.is_enabled() {
             return None;
@@ -252,7 +252,7 @@ impl<'a, M: Message> Context<'a, M> {
             span,
             parent: Some(parent.span),
             node: self.self_id,
-            kind,
+            kind: kind.into().as_str(),
             phase: TracePhase::Start,
         });
         self.prof.record(ProfCategory::Trace, t);
@@ -264,7 +264,7 @@ impl<'a, M: Message> Context<'a, M> {
 
     /// Closes a span previously opened with [`begin_trace`](Self::begin_trace)
     /// or [`span_start`](Self::span_start).
-    pub fn span_end(&mut self, ctx: SpanCtx, kind: &'static str) {
+    pub fn span_end(&mut self, ctx: SpanCtx, kind: impl Into<SpanLabel>) {
         if !self.trace.is_enabled() {
             return;
         }
@@ -275,7 +275,7 @@ impl<'a, M: Message> Context<'a, M> {
             span: ctx.span,
             parent: None,
             node: self.self_id,
-            kind,
+            kind: kind.into().as_str(),
             phase: TracePhase::End,
         });
         self.prof.record(ProfCategory::Trace, t);
@@ -287,7 +287,7 @@ impl<'a, M: Message> Context<'a, M> {
     /// duration extends past the dispatch instant (e.g. the AP charges
     /// `EVICTION_PROCESSING` during admission and delays the response by
     /// it), so the span covers the modeled interval `[start, at]`.
-    pub fn span_end_at(&mut self, ctx: SpanCtx, kind: &'static str, at: SimTime) {
+    pub fn span_end_at(&mut self, ctx: SpanCtx, kind: impl Into<SpanLabel>, at: SimTime) {
         if !self.trace.is_enabled() {
             return;
         }
@@ -298,14 +298,14 @@ impl<'a, M: Message> Context<'a, M> {
             span: ctx.span,
             parent: None,
             node: self.self_id,
-            kind,
+            kind: kind.into().as_str(),
             phase: TracePhase::End,
         });
         self.prof.record(ProfCategory::Trace, t);
     }
 
     /// Records a point-in-time marker inside the active span, if any.
-    pub fn span_instant(&mut self, kind: &'static str) {
+    pub fn span_instant(&mut self, kind: impl Into<SpanLabel>) {
         let Some(ctx) = self.span else { return };
         if !self.trace.is_enabled() {
             return;
@@ -317,7 +317,7 @@ impl<'a, M: Message> Context<'a, M> {
             span: ctx.span,
             parent: None,
             node: self.self_id,
-            kind,
+            kind: kind.into().as_str(),
             phase: TracePhase::Instant,
         });
         self.prof.record(ProfCategory::Trace, t);
@@ -776,6 +776,19 @@ mod tests {
     use super::*;
     use crate::trace::{SpanId, TraceId};
 
+    /// Test-local metric names and span labels.
+    #[expect(clippy::disallowed_methods, reason = "test-local names")]
+    mod local {
+        use crate::{MetricId, SpanLabel};
+
+        pub const MSGS: MetricId = MetricId::new(4, "msgs");
+        pub const ARRIVALS: MetricId = MetricId::new(5, "arrivals");
+        pub const ARRIVAL_ORDER: MetricId = MetricId::new(6, "arrival.order");
+        pub const FETCH: SpanLabel = SpanLabel::new("fetch");
+        pub const SERVE: SpanLabel = SpanLabel::new("serve");
+        pub const OP: SpanLabel = SpanLabel::new("op");
+    }
+
     #[derive(Debug, PartialEq)]
     struct Num(u64);
     impl Message for Num {
@@ -802,7 +815,7 @@ mod tests {
     impl Node<Num> for Counter {
         fn on_message(&mut self, ctx: &mut Context<'_, Num>, from: NodeId, msg: Num) {
             self.received += 1;
-            ctx.metrics().incr("msgs", 1);
+            ctx.metrics().incr_id(local::MSGS, 1);
             if msg.0 > 0 {
                 ctx.send(from, Num(msg.0 - 1));
             }
@@ -830,7 +843,7 @@ mod tests {
         assert_eq!(r.events, 4);
         assert_eq!(w.node::<Counter>(b).received, 2);
         assert_eq!(w.node::<Counter>(a).received, 2);
-        assert_eq!(w.metrics().counter("msgs"), 4);
+        assert_eq!(w.metrics().counter_id(local::MSGS), 4);
         // 4 deliveries: 1ms propagation + 80ns transfer (8 B at 100 MB/s) each.
         assert_eq!(w.now(), SimTime::from_nanos(4 * (1_000_000 + 80)));
     }
@@ -1087,7 +1100,7 @@ mod tests {
 
     impl Node<Num> for Requester {
         fn on_start(&mut self, ctx: &mut Context<'_, Num>) {
-            self.root = ctx.begin_trace("fetch");
+            self.root = ctx.begin_trace(local::FETCH);
             if let Some(peer) = self.peer {
                 ctx.send(peer, Num(1));
             }
@@ -1099,7 +1112,7 @@ mod tests {
         fn on_timer(&mut self, ctx: &mut Context<'_, Num>, _token: TimerToken) {
             self.timer_had_ctx = ctx.span_ctx() == self.root && self.root.is_some();
             if let Some(root) = self.root {
-                ctx.span_end(root, "fetch");
+                ctx.span_end(root, local::FETCH);
             }
         }
     }
@@ -1109,8 +1122,8 @@ mod tests {
 
     impl Node<Num> for Responder {
         fn on_message(&mut self, ctx: &mut Context<'_, Num>, from: NodeId, _msg: Num) {
-            if let Some(child) = ctx.span_start("serve") {
-                ctx.span_end(child, "serve");
+            if let Some(child) = ctx.span_start(local::SERVE) {
+                ctx.span_end(child, local::SERVE);
             }
             ctx.send(from, Num(0));
         }
@@ -1178,7 +1191,7 @@ mod tests {
         }
         impl Node<Num> for PerMessage {
             fn on_message(&mut self, ctx: &mut Context<'_, Num>, _from: NodeId, _msg: Num) {
-                self.roots.push(ctx.begin_trace("op"));
+                self.roots.push(ctx.begin_trace(local::OP));
             }
         }
         let mut w = World::new(1);
@@ -1210,7 +1223,7 @@ mod tests {
     struct Tally;
     impl Node<Num> for Tally {
         fn on_message(&mut self, ctx: &mut Context<'_, Num>, _from: NodeId, _msg: Num) {
-            ctx.metrics().incr("arrivals", 1);
+            ctx.metrics().incr_id(local::ARRIVALS, 1);
         }
     }
 
@@ -1224,7 +1237,8 @@ mod tests {
         fn on_message(&mut self, ctx: &mut Context<'_, Num>, from: NodeId, _msg: Num) {
             self.position += 1;
             let weighted = self.position * 100 + from.index() as u64;
-            ctx.metrics().observe("arrival.order", weighted as f64);
+            ctx.metrics()
+                .observe_id(local::ARRIVAL_ORDER, weighted as f64);
         }
     }
 

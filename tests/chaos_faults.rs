@@ -14,7 +14,7 @@ use ape_nodes::{ApNode, ClientNode, LdnsNode};
 use ape_proto::names;
 use ape_simnet::{FaultPlan, SimDuration, SimTime};
 use ape_workload::ScheduleConfig;
-use apecache::{build, collect, synthetic_suite, System, Testbed, TestbedConfig};
+use apecache::{build, collect, synthetic_suite, RunResult, System, Testbed, TestbedConfig};
 
 const RUN: SimDuration = SimDuration::from_mins(6);
 
@@ -128,6 +128,7 @@ struct ChaosOutcome {
     scheduled: u64,
     executions: u64,
     leftovers: Vec<String>,
+    result: RunResult,
 }
 
 fn run_chaos(plan_seed: Option<u64>, key: Option<u64>) -> ChaosOutcome {
@@ -146,6 +147,7 @@ fn run_chaos(plan_seed: Option<u64>, key: Option<u64>) -> ChaosOutcome {
         scheduled,
         executions: result.report.executions,
         leftovers,
+        result,
     }
 }
 
@@ -160,6 +162,28 @@ fn assert_terminated_and_drained(outcome: &ChaosOutcome, label: &str) {
         "{label}: pending state leaked after drain: {}",
         outcome.leftovers.join(", ")
     );
+    // The fetch ledger closes: once drained, every fetch started has
+    // settled as exactly one success or one failure, every retrieval was
+    // served by exactly one layer, and the clients' own report agrees.
+    let m = &outcome.result.metrics;
+    let report = &outcome.result.report;
+    let samples = |name| m.histogram(name).map_or(0, |h| h.count() as u64);
+    let settled = samples(names::CLIENT_OBJECT_TOTAL_MS);
+    let failed = m.counter(names::CLIENT_FETCH_FAILURES);
+    assert_eq!(
+        m.counter(names::CLIENT_FETCHES),
+        settled + failed,
+        "{label}: fetches = settled + failed"
+    );
+    assert_eq!(
+        samples(names::CLIENT_RETRIEVAL_MS),
+        samples(names::CLIENT_RETRIEVAL_HIT_MS)
+            + samples(names::CLIENT_RETRIEVAL_DELEGATION_MS)
+            + samples(names::CLIENT_RETRIEVAL_EDGE_MS),
+        "{label}: every retrieval is served by exactly one layer"
+    );
+    assert_eq!(report.requests, settled, "{label}: report.requests");
+    assert_eq!(report.failures, failed, "{label}: report.failures");
 }
 
 #[test]

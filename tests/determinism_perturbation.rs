@@ -8,7 +8,7 @@
 //! different (but still deterministic) tie-break permutation per key. If any
 //! node's behavior depended on FIFO tie order — an ordering race the static
 //! gates cannot see (`clippy.toml` bans hash collections and host-clock
-//! reads by type; `ape-lint` checks span balance, span names and metric
+//! reads by type; signatures reject undeclared span and metric
 //! names) — some perturbed run would diverge from the baseline in its
 //! `Summary` or trace digest. The synthetic-failure side of
 //! this check (a deliberately order-sensitive node that *does* diverge)

@@ -57,7 +57,10 @@ fn run(scenario: &Scenario) -> (apecache::RunResult, u64, u64) {
         duration: SimDuration::from_mins(scenario.minutes),
     };
     let mut bed = build(&config);
-    bed.world.run_for(SimDuration::from_mins(scenario.minutes));
+    // Two more minutes drain what the schedule's last minute left in
+    // flight, so the fetch ledger below can be an equality.
+    bed.world
+        .run_for(SimDuration::from_mins(scenario.minutes + 2));
     let cached_bytes = bed.world.node::<ApNode>(bed.ap).cached_bytes();
     let capacity = config.ap.cache_capacity;
     let result = collect(scenario.system, &mut bed);
@@ -86,6 +89,23 @@ proptest! {
         prop_assert_eq!(report.failures, 0);
         prop_assert!(report.executions > 0);
         prop_assert!(report.requests > 0);
+
+        // The fetch ledger closes: every fetch started settled as one
+        // success or one failure, every retrieval was served by exactly
+        // one layer, and the clients' own report agrees.
+        let m = &result.metrics;
+        let samples = |name| m.histogram(name).map_or(0, |h| h.count() as u64);
+        let settled = samples(names::CLIENT_OBJECT_TOTAL_MS);
+        let failed = m.counter(names::CLIENT_FETCH_FAILURES);
+        prop_assert_eq!(m.counter(names::CLIENT_FETCHES), settled + failed);
+        prop_assert_eq!(
+            samples(names::CLIENT_RETRIEVAL_MS),
+            samples(names::CLIENT_RETRIEVAL_HIT_MS)
+                + samples(names::CLIENT_RETRIEVAL_DELEGATION_MS)
+                + samples(names::CLIENT_RETRIEVAL_EDGE_MS)
+        );
+        prop_assert_eq!(report.requests, settled);
+        prop_assert_eq!(report.failures, failed);
 
         // The Edge Cache baseline never records AP hits.
         if scenario.system == System::EdgeCache {
