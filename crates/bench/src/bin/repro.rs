@@ -7,11 +7,12 @@
 //! artifacts:
 //!   table1 table2 table4 table5 table6 table7
 //!   fig2 fig11a fig11b fig11c fig12 fig13a fig13b fig13c fig14
-//!   object-level ablations speedup trace profile
+//!   object-level ablations trace profile
 //!   bench-evict bench-scale
 //!   faults all
 //! ```
 //!
+//! `--quick` shortens the paper artifacts (`--minutes 6 --micro-trials 25`).
 //! `--trials N` replicates every sweep point over N seeds (pooled before
 //! summarizing); `--threads N` sizes the parallel runner's worker pool
 //! (0 = auto). Results are bitwise identical for any `--threads` value.
@@ -28,20 +29,20 @@
 //! eviction policy, and `bench-scale` the multi-AP city — hit ratio and
 //! p99 latency vs AP count × roam rate × cooperation mode, every cell of up
 //! to 16 APs fingerprint-asserted invariant under a tie-perturbation key.
-//! Each writes `BENCH_<name>.json`: a full run replaces the committed file
-//! at the repo root, a `--quick` run goes to `target/repro-quick/`; a
+//! Each always runs its whole grid and replaces the committed
+//! `BENCH_<name>.json` at the repo root (`--quick` changes neither); a
 //! failed write exits 1.
 //! `profile` runs the four systems one after another with the sim-loop
 //! self-profiler on and prints per-subsystem host-time attribution. All
 //! three time wall-clock and are therefore *not* part of `all`, whose
-//! output is bitwise deterministic.
+//! stdout is byte-deterministic (the elapsed-time line goes to stderr).
 //!
 //! `faults` is the lossy-WiFi resilience sweep (loss rate × caching
 //! strategy plus a composed fault-plan replay). Loss makes its RNG draws
 //! diverge from the lossless baseline, so like `bench-evict` it is *not*
 //! part of `all`.
 
-// Times whole artifacts on the host clock; see the same allow in `ape_bench`.
+// Times the whole invocation on the host clock; see the same allow in `ape_bench`.
 #![allow(clippy::disallowed_methods)]
 
 use std::path::PathBuf;
@@ -49,8 +50,8 @@ use std::time::Instant;
 
 use ape_bench::{
     ablations, bench_evict, bench_scale, faults, fig11a, fig11b, fig11c, fig12, fig13a, fig13b,
-    fig13c, fig14, fig2, object_level, profile, speedup, table1, table2, table4, table5, table6,
-    table7, trace_artifacts, ReproOptions, TraceArtifacts,
+    fig13c, fig14, fig2, object_level, profile, table1, table2, table4, table5, table6, table7,
+    trace_artifacts, ReproOptions, TraceArtifacts,
 };
 
 fn write_trace_files(dir: &std::path::Path, artifacts: &TraceArtifacts) -> std::io::Result<()> {
@@ -73,14 +74,14 @@ const USAGE: &str = "usage: repro [--quick] [--minutes N] [--trials N] [--micro-
      \u{20}            [--threads N] [--seed N] [--trace-out DIR] <artifact>...\n\
      artifacts: table1 table2 table4 table5 table6 table7 fig2 fig11a fig11b\n\
      \u{20}          fig11c fig12 fig13a fig13b fig13c fig14 object-level\n\
-     \u{20}          ablations speedup trace profile bench-evict\n\
+     \u{20}          ablations trace profile bench-evict\n\
      \u{20}          bench-scale faults all";
 
 /// Renders one artifact.
 type Artifact = fn(&ReproOptions) -> String;
 
 /// Every artifact but `trace` (which also takes `--trace-out`), by name.
-const ARTIFACTS: [(&str, Artifact); 22] = [
+const ARTIFACTS: [(&str, Artifact); 21] = [
     ("table1", table1),
     ("table2", table2),
     ("table4", table4),
@@ -98,7 +99,6 @@ const ARTIFACTS: [(&str, Artifact); 22] = [
     ("fig14", fig14),
     ("object-level", object_level),
     ("ablations", ablations),
-    ("speedup", speedup),
     ("bench-evict", |opts| written(bench_evict(opts))),
     ("bench-scale", |opts| written(bench_scale(opts))),
     ("profile", profile),
@@ -106,7 +106,7 @@ const ARTIFACTS: [(&str, Artifact); 22] = [
 ];
 
 /// What `all` runs, in order: the artifacts whose output is deterministic.
-const ALL: [&str; 19] = [
+const ALL: [&str; 18] = [
     "table1",
     "table2",
     "fig2",
@@ -124,7 +124,6 @@ const ALL: [&str; 19] = [
     "fig14",
     "table7",
     "ablations",
-    "speedup",
     "trace",
 ];
 
@@ -226,7 +225,7 @@ fn main() {
         println!("{output}");
         println!("{}", "=".repeat(72));
     }
-    println!(
+    eprintln!(
         "total wall-clock: {:.2} s ({} artifacts, {} runner threads, {} trial(s)/point)",
         started.elapsed().as_secs_f64(),
         artifacts.len(),
@@ -250,13 +249,11 @@ mod tests {
         for inv in [&after, &before] {
             let o = inv.opts;
             assert_eq!((o.seed, o.threads, o.minutes), (7, 1, 3));
-            assert!(o.quick);
             // What no option named comes from `--quick`.
             assert_eq!(o.micro_trials, ReproOptions::quick().micro_trials);
             assert_eq!(inv.artifacts, ["fig2"]);
         }
         let full = parsed("--trials 2 --trace-out out trace").unwrap();
-        assert!(!full.opts.quick);
         assert_eq!(full.opts.trials, 2);
         assert_eq!(full.opts.minutes, ReproOptions::default().minutes);
         assert_eq!(full.trace_out, Some(PathBuf::from("out")));

@@ -6,7 +6,7 @@ use ape_proto::names;
 use ape_simnet::SimDuration;
 use ape_workload::{generate_trace, trace_stats, ScheduleConfig, TraceSpec};
 use apecache::{
-    paper_suite, replay_summary, replay_trace, ParallelRunner, RouterModel, RunJob, Summary,
+    paper_suite, replay_summary, replay_trace, ParallelRunner, RouterModel, RunResult, Summary,
     System, TestbedConfig,
 };
 
@@ -25,10 +25,6 @@ pub struct ReproOptions {
     pub threads: usize,
     /// Root seed.
     pub seed: u64,
-    /// Whether `--quick` was given. The `bench-*` sweeps read it, never
-    /// the sizes above, to pick their reduced grid and to write under
-    /// `target/repro-quick/` instead of over the committed artifact.
-    pub quick: bool,
 }
 
 impl Default for ReproOptions {
@@ -39,13 +35,14 @@ impl Default for ReproOptions {
             micro_trials: 100,
             threads: 0,
             seed: 42,
-            quick: false,
         }
     }
 }
 
 impl ReproOptions {
-    /// A faster configuration for smoke runs.
+    /// A faster configuration for smoke runs (`--quick`): shorter runs and
+    /// fewer micro-measurement samples for the paper artifacts. The
+    /// `bench-*` sweeps read neither, so they are the same either way.
     pub fn quick() -> Self {
         ReproOptions {
             minutes: 6,
@@ -53,7 +50,6 @@ impl ReproOptions {
             micro_trials: 25,
             threads: 0,
             seed: 42,
-            quick: true,
         }
     }
 
@@ -61,14 +57,16 @@ impl ReproOptions {
         SimDuration::from_mins(self.minutes)
     }
 
-    pub(crate) fn runner(&self) -> ParallelRunner {
-        ParallelRunner::with_threads(self.threads)
-    }
-
     /// The worker-pool size the runner will actually use (resolves `0`
     /// to the machine's available parallelism).
     pub fn resolved_threads(&self) -> usize {
-        self.runner().threads()
+        ParallelRunner::with_threads(self.threads).threads()
+    }
+
+    /// Runs `configs` through the parallel runner, `self.trials` replicas
+    /// each, and returns one pooled [`RunResult`] per configuration.
+    pub(crate) fn run_pooled(&self, configs: &[TestbedConfig]) -> Vec<RunResult> {
+        ParallelRunner::with_threads(self.threads).run_pooled(configs, self.duration(), self.trials)
     }
 }
 
@@ -113,34 +111,13 @@ fn point_config(
     config
 }
 
-/// Expands one point configuration into `opts.trials` replica jobs with
-/// consecutive seeds (mirroring the core runner's replication scheme).
-pub(crate) fn replica_jobs(config: &TestbedConfig, opts: &ReproOptions) -> Vec<RunJob> {
-    (0..opts.trials.max(1))
-        .map(|trial| {
-            let mut config = config.clone();
-            config.seed = config.seed.wrapping_add(trial as u64);
-            RunJob::new(config, opts.duration())
-        })
-        .collect()
-}
-
 /// Runs a batch of point configurations through the parallel runner —
 /// `opts.trials` replicas each — and returns one pooled [`Summary`] per
 /// configuration, in input order.
 fn run_batch(opts: &ReproOptions, configs: &[TestbedConfig]) -> Vec<Summary> {
-    let trials = opts.trials.max(1);
-    let jobs: Vec<RunJob> = configs.iter().flat_map(|c| replica_jobs(c, opts)).collect();
-    let mut results = opts.runner().run_many(&jobs).into_iter();
-    configs
-        .iter()
-        .map(|_| {
-            let mut merged = results.next().expect("one result per job");
-            for _ in 1..trials {
-                merged.merge(&results.next().expect("one result per job"));
-            }
-            merged.summary()
-        })
+    opts.run_pooled(configs)
+        .iter_mut()
+        .map(RunResult::summary)
         .collect()
 }
 
@@ -149,7 +126,7 @@ fn run_batch(opts: &ReproOptions, configs: &[TestbedConfig]) -> Vec<Summary> {
 /// count, frequency).
 ///
 /// Every `(system × point × trial)` job goes through one
-/// [`ParallelRunner::run_many`] call, so the whole sweep load-balances
+/// [`ParallelRunner::run_pooled`] call, so the whole sweep load-balances
 /// across the thread pool while results stay in deterministic job order.
 fn sweep<P: Copy>(
     opts: &ReproOptions,
@@ -540,13 +517,7 @@ pub fn fig14(opts: &ReproOptions) -> String {
         .map(|&(_, system)| base_config(system, opts, &DummyAppConfig::default(), 30))
         .collect();
     let trials = opts.trials.max(1);
-    let jobs: Vec<RunJob> = configs.iter().flat_map(|c| replica_jobs(c, opts)).collect();
-    let mut results = opts.runner().run_many(&jobs).into_iter();
-    for &(label, system) in &deployments {
-        let mut result = results.next().expect("one result per job");
-        for _ in 1..trials {
-            result.merge(&results.next().expect("one result per job"));
-        }
+    for (&(label, system), mut result) in deployments.iter().zip(opts.run_pooled(&configs)) {
         let summary = result.summary();
         // Forwarding estimate shared by both deployments. Counters are
         // pooled over all trials, so normalize by the pooled duration.
@@ -631,47 +602,4 @@ pub fn ablations(opts: &ReproOptions) -> String {
         ));
     }
     out
-}
-
-// ---------------------------------------------------------------------
-// Parallel-runner wall-clock speedup
-// ---------------------------------------------------------------------
-
-/// Times the Fig. 11 frequency sweep sequentially (`--threads 1`) and on
-/// the configured pool, reports the wall-clock speedup, and verifies the
-/// two passes produced bitwise-identical summaries.
-pub fn speedup(opts: &ReproOptions) -> String {
-    use std::time::Instant;
-
-    let mut sequential_opts = *opts;
-    sequential_opts.threads = 1;
-    let threads = opts.runner().threads();
-
-    let t0 = Instant::now();
-    let sequential = frequency_sweep(&sequential_opts, &FIG11_SYSTEMS);
-    let sequential_secs = t0.elapsed().as_secs_f64();
-
-    let t1 = Instant::now();
-    let parallel = frequency_sweep(opts, &FIG11_SYSTEMS);
-    let parallel_secs = t1.elapsed().as_secs_f64();
-
-    let identical = sequential.len() == parallel.len()
-        && sequential.iter().zip(&parallel).all(|(a, b)| {
-            a.param == b.param
-                && a.summaries.iter().zip(&b.summaries).all(|(x, y)| {
-                    x.0 == y.0
-                        && x.1.app_latency_ms.to_bits() == y.1.app_latency_ms.to_bits()
-                        && x.1.lookup_ms.to_bits() == y.1.lookup_ms.to_bits()
-                        && x.1.hit_ratio.to_bits() == y.1.hit_ratio.to_bits()
-                })
-        });
-
-    format!(
-        "Parallel experiment runner: wall-clock speedup on the Fig. 11 sweep\n\n\
-         sequential (1 thread):  {sequential_secs:>7.2} s\n\
-         parallel   ({threads} threads): {parallel_secs:>7.2} s\n\
-         speedup: {:.2}x, results bitwise identical: {}\n",
-        sequential_secs / parallel_secs.max(1e-9),
-        if identical { "yes" } else { "NO (bug!)" },
-    )
 }

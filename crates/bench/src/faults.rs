@@ -14,14 +14,11 @@
 //! the lossless baseline, so this artifact would break the bitwise
 //! reproducibility contract `all` is held to.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::thread;
-
 use ape_appdag::DummyAppConfig;
 use ape_nodes::{ApNode, ClientNode, LdnsNode};
 use ape_proto::names;
 use ape_simnet::{FaultPlan, SimDuration, SimTime};
-use apecache::{build, collect, System, Testbed};
+use apecache::{build, collect, parallel_map, System, Testbed};
 
 use crate::experiments::{base_config, ReproOptions};
 
@@ -112,48 +109,6 @@ fn run_sweep_point(opts: &ReproOptions, system: System, loss: f64) -> FaultRow {
     extract_row(loss, system, &mut bed)
 }
 
-/// Runs `n` independent points across a thread pool, returning results in
-/// index order (each point owns a fresh seeded world, so the output is
-/// bitwise independent of the pool size — the same contract as
-/// `ParallelRunner::run_many`).
-fn parallel_points<T: Send>(n: usize, threads: usize, point: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    let workers = if threads == 0 {
-        thread::available_parallelism().map_or(1, |p| p.get())
-    } else {
-        threads
-    }
-    .min(n)
-    .max(1);
-    let cursor = AtomicUsize::new(0);
-    let mut slots: Vec<Option<T>> = Vec::new();
-    slots.resize_with(n, || None);
-    thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            handles.push(scope.spawn(|| {
-                let mut local = Vec::new();
-                loop {
-                    let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                    if idx >= n {
-                        break;
-                    }
-                    local.push((idx, point(idx)));
-                }
-                local
-            }));
-        }
-        for handle in handles {
-            for (idx, row) in handle.join().expect("fault sweep worker panicked") {
-                slots[idx] = Some(row);
-            }
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("every point produces a row"))
-        .collect()
-}
-
 fn render_rows(out: &mut String, rows: &[FaultRow]) {
     out.push_str(&format!(
         "{:<7} {:<11} {:>6} {:>6} {:>7} {:>7} {:>9} {:>8} {:>9} {:>8} {:>10} {:>8}\n",
@@ -216,7 +171,7 @@ pub fn faults(opts: &ReproOptions) -> String {
         .iter()
         .flat_map(|&loss| SYSTEMS.iter().map(move |&system| (loss, system)))
         .collect();
-    let rows = parallel_points(points.len(), opts.threads, |idx| {
+    let rows = parallel_map(points.len(), opts.resolved_threads(), |idx| {
         let (loss, system) = points[idx];
         run_sweep_point(opts, system, loss)
     });

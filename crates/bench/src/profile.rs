@@ -21,9 +21,9 @@
 use std::fmt::Write as _;
 
 use ape_appdag::DummyAppConfig;
-use apecache::{run_many, System};
+use apecache::{ParallelRunner, System};
 
-use crate::experiments::{base_config, replica_jobs, ReproOptions};
+use crate::experiments::{base_config, ReproOptions};
 
 /// Number of apps in the profiled workload (matches the table sweeps).
 const PROFILE_APPS: usize = 30;
@@ -32,31 +32,25 @@ const PROFILE_APPS: usize = 30;
 /// (`opts.trials` replicas each, attribution merged across trials) and
 /// renders the per-system host-time tables.
 pub fn profile(opts: &ReproOptions) -> String {
-    let mut jobs = Vec::new();
-    for &system in System::ALL.iter() {
+    let configs = System::ALL.map(|system| {
         let mut config = base_config(system, opts, &DummyAppConfig::default(), PROFILE_APPS);
         config.profiler = true;
-        jobs.extend(replica_jobs(&config, opts));
-    }
-
-    let trials = opts.trials.max(1);
-    let mut results = run_many(&jobs, 1).into_iter();
+        config
+    });
+    let results =
+        ParallelRunner::with_threads(1).run_pooled(&configs, opts.duration(), opts.trials);
 
     let mut out = String::from(
         "Sim-loop self-profile: host time by simulator subsystem\n\
          (wall-clock attribution only; simulation outputs are unchanged)\n",
     );
-    for &system in System::ALL.iter() {
-        let mut merged = results.next().expect("one result per job");
-        for _ in 1..trials {
-            merged.merge(&results.next().expect("one result per job"));
-        }
+    for merged in &results {
         let report = &merged.profile;
         let events: u64 = report.calls(ape_simnet::ProfCategory::Dispatch);
         let _ = writeln!(
             out,
             "\n=== {} ({} dispatches, {:.1} ms host loop time) ===",
-            system.label(),
+            merged.system.label(),
             events,
             report.loop_nanos() as f64 / 1e6,
         );

@@ -1,11 +1,10 @@
 //! `repro bench-scale` — city-scale multi-AP topology sweep.
 //!
-//! Sweeps AP grids {1, 16, 64, 256} (quick mode keeps {1, 16} for CI
-//! smoke) × client roam rates {none, low, high} × {cooperative, isolated}
-//! caching, reporting per cell the client-observed hit ratio, the
-//! AP-layer aggregate hit ratio (home hits plus peer hits over all
-//! cacheable demand — the fraction of traffic the AP tier absorbs before
-//! the edge), and p99 app latency.
+//! Sweeps AP grids {1, 16, 64, 256} × client roam rates {none, low, high}
+//! × {cooperative, isolated} caching, reporting per cell the
+//! client-observed hit ratio, the AP-layer aggregate hit ratio (home hits
+//! plus peer hits over all cacheable demand — the fraction of traffic the
+//! AP tier absorbs before the edge), and p99 app latency.
 //!
 //! Every cell of up to [`TIE_ASSERT_MAX_APS`] APs is run twice — FIFO
 //! tie-breaks and under a tie-break-perturbation key — and the two
@@ -15,13 +14,17 @@
 //! `World` draws all randomness from one stream, so two RNG-drawing
 //! callbacks on *any* two nodes that land on one nanosecond are
 //! order-sensitive, and at 64+ APs a run has enough events for that to
-//! happen (`DESIGN.md` §16). At 64+ APs the cooperative grid must beat the
-//! isolated one on AP-layer hit ratio, or the bench panics.
+//! happen (`DESIGN.md` §16).
 //!
-//! A full run writes `BENCH_scale.json` at the repo root, a `--quick` run
-//! `target/repro-quick/BENCH_scale.json`; `EXPERIMENTS.md` tracks the
-//! trajectory. The sweep itself is deterministic in `--seed`;
-//! only the informational wall-clock column varies run to run.
+//! The sweep asserts what its document claims before anything is written:
+//! per cell, ratios that are fractions, a workload that ran, no peer hits
+//! without cooperation and roams exactly where the rate is nonzero on a
+//! multi-AP grid; across cells, cooperative beating isolated on AP-layer
+//! hit ratio at 64+ APs. The matrix is complete by construction (three
+//! nested loops over the constants below). `BENCH_scale.json` (repo root)
+//! is a pure function of `--seed` — the `committed_outputs` test
+//! regenerates it and compares bytes; the per-cell wall-clock goes to
+//! stdout only.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -36,23 +39,18 @@ use apecache::{
 
 use crate::ReproOptions;
 
-/// AP-grid sizes swept in a full run.
-const AP_SWEEP_FULL: [usize; 4] = [1, 16, 64, 256];
-
-/// Quick-mode subset (CI smoke: the grids stay small).
-const AP_SWEEP_QUICK: [usize; 2] = [1, 16];
+/// AP-grid sizes swept.
+const AP_SWEEP: [usize; 4] = [1, 16, 64, 256];
 
 /// Roam rates swept (label, roams per client per minute).
-const ROAM_FULL: [(&str, f64); 3] = [("none", 0.0), ("low", 1.0), ("high", 6.0)];
-const ROAM_QUICK: [(&str, f64); 2] = [("none", 0.0), ("high", 6.0)];
+const ROAM_SWEEP: [(&str, f64); 3] = [("none", 0.0), ("low", 1.0), ("high", 6.0)];
 
 /// Clients homed at each AP.
 const CLIENTS_PER_AP: usize = 2;
 
-/// Simulated span (full / quick): at least two 60 s summary windows, so
-/// neighbor gossip has rolled and peer fetches carry real traffic.
-const SIM_SECS_FULL: u64 = 180;
-const SIM_SECS_QUICK: u64 = 150;
+/// Simulated span: at least two 60 s summary windows, so neighbor gossip
+/// has rolled and peer fetches carry real traffic.
+const SIM_SECS: u64 = 180;
 
 /// An AP cache far below the suite's working set: misses — and therefore
 /// cooperation — stay relevant for the whole run instead of vanishing
@@ -81,7 +79,7 @@ struct Cell {
     fetches: u64,
     roams: u64,
     peer_hits: u64,
-    /// Wall-clock of the measured (FIFO) run (informational only).
+    /// Wall-clock of the measured (FIFO) run (stdout only).
     wall_ms: f64,
 }
 
@@ -92,7 +90,7 @@ fn cell_config(aps: usize, roam_per_minute: f64, cooperative: bool, seed: u64) -
         apps: 5,
         avg_per_minute: 10.0,
         zipf_exponent: 0.8,
-        duration: SimDuration::from_secs(SIM_SECS_FULL),
+        duration: SimDuration::from_secs(SIM_SECS),
     };
     base.seed = seed;
     base.ap.cache_capacity = AP_CACHE_CAPACITY;
@@ -109,14 +107,9 @@ fn cell_config(aps: usize, roam_per_minute: f64, cooperative: bool, seed: u64) -
 /// Runs a cell's measured pass, asserts the tie-perturbation pass on
 /// grids of up to [`TIE_ASSERT_MAX_APS`] APs, and folds the metrics into a
 /// [`Cell`].
-fn run_cell(
-    aps: usize,
-    roam: (&'static str, f64),
-    cooperative: bool,
-    sim: SimDuration,
-    seed: u64,
-) -> Cell {
+fn run_cell(aps: usize, roam: (&'static str, f64), cooperative: bool, seed: u64) -> Cell {
     let config = cell_config(aps, roam.1, cooperative, seed);
+    let sim = SimDuration::from_secs(SIM_SECS);
 
     let mut top = build_topology(&config);
     let t = Instant::now();
@@ -148,9 +141,25 @@ fn run_cell(
     let roams = result.metrics.counter(names::CLIENT_ROAMS);
     let demand = home_hits + delegations;
     let summary = result.summary();
+    let ap_layer_hit_ratio = if demand > 0 {
+        (home_hits + peer_hits) as f64 / demand as f64
+    } else {
+        0.0
+    };
+    let fetches = result.metrics.counter(names::CLIENT_FETCHES);
     assert!(
-        summary.executions > 0,
+        summary.executions > 0 && fetches > 0 && summary.app_latency_p99_ms > 0.0,
         "{label}: workload must actually run"
+    );
+    for ratio in [summary.hit_ratio, ap_layer_hit_ratio] {
+        assert!(
+            (0.0..=1.0).contains(&ratio),
+            "{label}: {ratio} is not a fraction"
+        );
+    }
+    assert!(
+        cooperative || peer_hits == 0,
+        "{label}: {peer_hits} peer hits without cooperation"
     );
     // A single-AP grid has no neighbor to roam to, so its walk is empty.
     assert_eq!(
@@ -164,31 +173,47 @@ fn run_cell(
         roam_per_minute: roam.1,
         cooperative,
         hit_ratio: summary.hit_ratio,
-        ap_layer_hit_ratio: if demand > 0 {
-            (home_hits + peer_hits) as f64 / demand as f64
-        } else {
-            0.0
-        },
+        ap_layer_hit_ratio,
         p99_ms: summary.app_latency_p99_ms,
-        fetches: result.metrics.counter(names::CLIENT_FETCHES),
+        fetches,
         roams,
         peer_hits,
         wall_ms,
     }
 }
 
-fn find<'a>(cells: &'a [Cell], aps: usize, roam: &str, cooperative: bool) -> Option<&'a Cell> {
+/// Runs every cell, then asserts the whole point of cooperation: at city
+/// scale the AP tier must absorb strictly more demand than the same grid
+/// with gossip and peer fetches turned off.
+fn sweep(seed: u64) -> Vec<Cell> {
+    let mut cells = Vec::new();
+    for &aps in &AP_SWEEP {
+        for &roam in &ROAM_SWEEP {
+            for cooperative in [true, false] {
+                cells.push(run_cell(aps, roam, cooperative, seed));
+            }
+        }
+    }
+    // Cells come in (cooperative, isolated) pairs.
+    for pair in cells.chunks(2).filter(|pair| pair[0].aps >= 64) {
+        let (coop, iso) = (&pair[0], &pair[1]);
+        assert!(
+            coop.ap_layer_hit_ratio > iso.ap_layer_hit_ratio,
+            "cooperative caching must beat isolated at {} APs (roam {}): {:.4} vs {:.4}",
+            coop.aps,
+            coop.roam,
+            coop.ap_layer_hit_ratio,
+            iso.ap_layer_hit_ratio
+        );
+    }
     cells
-        .iter()
-        .find(|c| c.aps == aps && c.roam == roam && c.cooperative == cooperative)
 }
 
-fn render_json(cells: &[Cell], seed: u64, quick: bool, sim_secs: u64) -> String {
+fn render_json(cells: &[Cell], seed: u64) -> String {
     let mut out = String::from("{\n");
     let _ = writeln!(out, "  \"schema\": \"ape-bench/scale/v1\",");
     let _ = writeln!(out, "  \"seed\": {seed},");
-    let _ = writeln!(out, "  \"quick\": {quick},");
-    let _ = writeln!(out, "  \"sim_seconds\": {sim_secs},");
+    let _ = writeln!(out, "  \"sim_seconds\": {SIM_SECS},");
     let _ = writeln!(out, "  \"clients_per_ap\": {CLIENTS_PER_AP},");
     let _ = writeln!(
         out,
@@ -201,8 +226,7 @@ fn render_json(cells: &[Cell], seed: u64, quick: bool, sim_secs: u64) -> String 
             out,
             "    {{\"aps\": {}, \"roam\": \"{}\", \"roam_per_minute\": {}, \
              \"cooperative\": {}, \"hit_ratio\": {:.4}, \"ap_layer_hit_ratio\": {:.4}, \
-             \"p99_ms\": {:.3}, \"fetches\": {}, \"roams\": {}, \"peer_hits\": {}, \
-             \"wall_ms\": {:.1}",
+             \"p99_ms\": {:.3}, \"fetches\": {}, \"roams\": {}, \"peer_hits\": {}",
             c.aps,
             c.roam,
             c.roam_per_minute,
@@ -212,8 +236,7 @@ fn render_json(cells: &[Cell], seed: u64, quick: bool, sim_secs: u64) -> String 
             c.p99_ms,
             c.fetches,
             c.roams,
-            c.peer_hits,
-            c.wall_ms
+            c.peer_hits
         );
         if c.aps <= TIE_ASSERT_MAX_APS {
             out.push_str(", \"tie_invariant\": true");
@@ -224,48 +247,19 @@ fn render_json(cells: &[Cell], seed: u64, quick: bool, sim_secs: u64) -> String 
     out
 }
 
-/// Runs the city-scale multi-AP sweep and returns a human-readable summary.
-/// Writes `BENCH_scale.json` (repo root; `target/repro-quick/` for a quick
-/// run); an artifact that cannot be written is the `Err`.
+/// The `BENCH_scale.json` document a sweep at `seed` writes: a function of
+/// `seed` alone.
+pub fn scale_document(seed: u64) -> String {
+    render_json(&sweep(seed), seed)
+}
+
+/// Runs the city-scale multi-AP sweep and returns a human-readable
+/// summary. Writes `BENCH_scale.json` at the repo root; an artifact that
+/// cannot be written is the `Err`.
 pub fn bench_scale(opts: &ReproOptions) -> std::io::Result<String> {
-    let quick = opts.quick;
-    let ap_sweep: &[usize] = if quick {
-        &AP_SWEEP_QUICK
-    } else {
-        &AP_SWEEP_FULL
-    };
-    let roam_sweep: &[(&'static str, f64)] = if quick { &ROAM_QUICK } else { &ROAM_FULL };
-    let sim_secs = if quick { SIM_SECS_QUICK } else { SIM_SECS_FULL };
-    let sim = SimDuration::from_secs(sim_secs);
-
-    let mut cells = Vec::new();
-    for &aps in ap_sweep {
-        for &roam in roam_sweep {
-            for cooperative in [true, false] {
-                cells.push(run_cell(aps, roam, cooperative, sim, opts.seed));
-            }
-        }
-    }
-
-    // The whole point of cooperation: at city scale the AP tier must
-    // absorb strictly more demand than the same grid with gossip and
-    // peer fetches turned off.
-    for &aps in ap_sweep.iter().filter(|&&a| a >= 64) {
-        for &(roam, _) in roam_sweep {
-            let coop = find(&cells, aps, roam, true).expect("cell swept");
-            let iso = find(&cells, aps, roam, false).expect("cell swept");
-            assert!(
-                coop.ap_layer_hit_ratio > iso.ap_layer_hit_ratio,
-                "cooperative caching must beat isolated at {aps} APs (roam {roam}): \
-                 {:.4} vs {:.4}",
-                coop.ap_layer_hit_ratio,
-                iso.ap_layer_hit_ratio
-            );
-        }
-    }
-
-    let json = render_json(&cells, opts.seed, quick, sim_secs);
-    let path = crate::write_artifact("BENCH_scale.json", &json, quick)?;
+    let cells = sweep(opts.seed);
+    let json = render_json(&cells, opts.seed);
+    let path = crate::write_artifact("BENCH_scale.json", &json)?;
 
     let mut out = String::from(
         "City-scale multi-AP sweep: hit ratio and p99 latency vs AP count x roam rate\n\

@@ -12,7 +12,7 @@ use ape_appdag::DummyAppConfig;
 use ape_simnet::TraceConfig;
 use apecache::{prometheus_snapshot, System, TestbedConfig};
 
-use crate::experiments::{base_config, replica_jobs, ReproOptions};
+use crate::experiments::{base_config, ReproOptions};
 
 /// Number of apps in the traced workload (matches the table sweeps).
 const TRACE_APPS: usize = 30;
@@ -53,14 +53,8 @@ pub fn traced_config(system: System, opts: &ReproOptions) -> TestbedConfig {
 /// Runs all four systems with tracing enabled (`opts.trials` replicas
 /// each, pooled in trial order) and assembles the exportable artifacts.
 pub fn trace_artifacts(opts: &ReproOptions) -> TraceArtifacts {
-    let mut jobs = Vec::new();
-    for &system in System::ALL.iter() {
-        let config = traced_config(system, opts);
-        jobs.extend(replica_jobs(&config, opts));
-    }
-
-    let trials = opts.trials.max(1);
-    let mut results = opts.runner().run_many(&jobs).into_iter();
+    let configs = System::ALL.map(|system| traced_config(system, opts));
+    let results = opts.run_pooled(&configs);
 
     let mut report = String::from(
         "Request tracing: latency attribution and critical paths\n\
@@ -69,12 +63,8 @@ pub fn trace_artifacts(opts: &ReproOptions) -> TraceArtifacts {
     let mut jsonl = String::new();
     let mut prometheus = String::new();
 
-    for &system in System::ALL.iter() {
-        let mut merged = results.next().expect("one result per job");
-        for _ in 1..trials {
-            merged.merge(&results.next().expect("one result per job"));
-        }
-        let label = system.label();
+    for merged in &results {
+        let label = merged.system.label();
         let log = merged
             .trace
             .as_ref()

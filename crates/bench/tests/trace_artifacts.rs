@@ -13,7 +13,6 @@ fn opts(threads: usize) -> ReproOptions {
         micro_trials: 1,
         threads,
         seed: 42,
-        quick: false,
     }
 }
 

@@ -52,8 +52,7 @@ mod trace;
 pub use internet::{measure_cell, measure_table1, table1_paths, PathSpec, Table1Cell};
 pub use router::{replay_summary, replay_trace, RouterModel, RouterSample};
 pub use run::{
-    collect, collect_topology, compare_systems, run_many, run_system, ParallelRunner, RunJob,
-    RunResult, Summary,
+    collect, collect_topology, parallel_map, run_system, ParallelRunner, RunJob, RunResult, Summary,
 };
 pub use suite::{paper_suite, synthetic_suite};
 pub use system::System;

@@ -5,11 +5,12 @@
 //!
 //! Every run owns its own seeded [`World`](ape_simnet::World), so a job's
 //! [`RunResult`] depends only on its `(config, duration)` pair — never on
-//! which worker thread executed it or what ran beside it. [`run_many`]
-//! returns results in job order, and replicated runs merge trial metrics in
-//! trial order, so all derived [`Summary`] numbers are **bitwise identical**
-//! across thread counts (`--threads 1` vs `--threads N`). A test in this
-//! module pins that property via `f64::to_bits`.
+//! which worker thread executed it or what ran beside it.
+//! [`ParallelRunner::run_many`] returns results in job order and
+//! [`ParallelRunner::run_pooled`] merges replicas in trial order, so all
+//! derived [`Summary`] numbers are **bitwise identical** across thread
+//! counts (`--threads 1` vs `--threads N`). A test in this module pins
+//! that property via `f64::to_bits`.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -214,13 +215,54 @@ impl RunJob {
     }
 }
 
-/// Fans independent `(system × sweep-point × seed)` jobs across a pool of
-/// OS threads.
+/// Runs `f(0)`, …, `f(n - 1)` on up to `threads` OS threads and returns the
+/// results in index order.
 ///
-/// Workers pull jobs off a shared atomic cursor (dynamic load balancing —
-/// sweep points differ wildly in event count) and write each result into
-/// the slot indexed by its job position, so the output order is the input
-/// order no matter how the OS schedules the workers.
+/// Workers pull indices off a shared atomic cursor (dynamic load balancing
+/// — sweep points differ wildly in event count) and each result lands in
+/// the slot of its index, so the output order never depends on how the OS
+/// schedules the workers. With one worker (or one index) `f` runs on the
+/// calling thread. A panic in `f` resumes on the caller.
+pub fn parallel_map<T: Send>(n: usize, threads: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let workers = threads.min(n).max(1);
+    if workers == 1 {
+        return (0..n).map(f).collect();
+    }
+    let cursor = AtomicUsize::new(0);
+    let mut slots: Vec<Option<T>> = Vec::new();
+    slots.resize_with(n, || None);
+    thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut local = Vec::new();
+                    loop {
+                        let idx = cursor.fetch_add(1, Ordering::Relaxed);
+                        if idx >= n {
+                            break local;
+                        }
+                        local.push((idx, f(idx)));
+                    }
+                })
+            })
+            .collect();
+        for handle in handles {
+            let local = handle
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            for (idx, result) in local {
+                slots[idx] = Some(result);
+            }
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| slot.expect("every index produces a result"))
+        .collect()
+}
+
+/// Fans independent `(system × sweep-point × seed)` jobs across a pool of
+/// OS threads ([`parallel_map`]).
 #[derive(Debug, Clone, Copy)]
 pub struct ParallelRunner {
     threads: usize,
@@ -259,123 +301,45 @@ impl ParallelRunner {
     /// its own freshly seeded `World`, and slot `i` of the output always
     /// holds job `i`'s result.
     pub fn run_many(&self, jobs: &[RunJob]) -> Vec<RunResult> {
-        if jobs.is_empty() {
-            return Vec::new();
-        }
-        let workers = self.threads.min(jobs.len()).max(1);
-        if workers == 1 {
-            return jobs
-                .iter()
-                .map(|job| run_system(&job.config, job.duration))
-                .collect();
-        }
-
-        let cursor = AtomicUsize::new(0);
-        let mut slots: Vec<Option<RunResult>> = Vec::new();
-        slots.resize_with(jobs.len(), || None);
-
-        thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            for _ in 0..workers {
-                handles.push(scope.spawn(|| {
-                    let mut local = Vec::new();
-                    loop {
-                        let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(job) = jobs.get(idx) else { break };
-                        local.push((idx, run_system(&job.config, job.duration)));
-                    }
-                    local
-                }));
-            }
-            for handle in handles {
-                for (idx, result) in handle.join().expect("runner worker panicked") {
-                    slots[idx] = Some(result);
-                }
-            }
-        });
-
-        slots
-            .into_iter()
-            .map(|slot| slot.expect("every job produces a result"))
-            .collect()
+        parallel_map(jobs.len(), self.threads, |idx| {
+            run_system(&jobs[idx].config, jobs[idx].duration)
+        })
     }
 
-    /// Runs `trials` replicas of `config` — seeds `config.seed`,
-    /// `config.seed + 1`, … — in parallel and merges them (in trial order)
-    /// into one pooled [`RunResult`].
-    pub fn run_replicated(
+    /// Runs `trials` replicas of every configuration — seeds `config.seed`,
+    /// `config.seed + 1`, … — through one [`run_many`](Self::run_many) call,
+    /// so the whole batch load-balances across the pool, and returns one
+    /// [`RunResult`] per configuration, in input order, with its replicas
+    /// merged in trial order.
+    pub fn run_pooled(
         &self,
-        config: &TestbedConfig,
+        configs: &[TestbedConfig],
         duration: SimDuration,
         trials: usize,
-    ) -> RunResult {
-        let jobs = replicate_jobs(config, duration, trials);
-        let results = self.run_many(&jobs);
-        merge_trials(results)
-    }
-
-    /// Runs all four systems under identical workloads, `trials` replicas
-    /// each, and returns their summaries in the paper's presentation order.
-    pub fn compare_systems(
-        &self,
-        base: &TestbedConfig,
-        duration: SimDuration,
-        trials: usize,
-    ) -> Vec<(System, Summary)> {
-        let mut jobs = Vec::new();
-        for &system in System::ALL.iter() {
-            let config = TestbedConfig {
-                system,
-                ..base.clone()
-            };
-            jobs.extend(replicate_jobs(&config, duration, trials));
-        }
-        let mut results = self.run_many(&jobs);
-        System::ALL
+    ) -> Vec<RunResult> {
+        let trials = trials.max(1);
+        let jobs: Vec<RunJob> = configs
             .iter()
-            .map(|&system| {
-                let rest = results.split_off(trials.max(1));
-                let mut merged = merge_trials(std::mem::replace(&mut results, rest));
-                (system, merged.summary())
+            .flat_map(|config| {
+                (0..trials).map(move |trial| {
+                    let mut config = config.clone();
+                    config.seed = config.seed.wrapping_add(trial as u64);
+                    RunJob::new(config, duration)
+                })
+            })
+            .collect();
+        let mut results = self.run_many(&jobs).into_iter();
+        configs
+            .iter()
+            .map(|_| {
+                let mut pooled = results.next().expect("one result per job");
+                for _ in 1..trials {
+                    pooled.merge(&results.next().expect("one result per job"));
+                }
+                pooled
             })
             .collect()
     }
-}
-
-/// Expands one configuration into `trials` jobs with consecutive seeds.
-fn replicate_jobs(config: &TestbedConfig, duration: SimDuration, trials: usize) -> Vec<RunJob> {
-    (0..trials.max(1))
-        .map(|trial| {
-            let mut config = config.clone();
-            config.seed = config.seed.wrapping_add(trial as u64);
-            RunJob::new(config, duration)
-        })
-        .collect()
-}
-
-/// Folds trial results (already in trial order) into one pooled result.
-fn merge_trials(results: Vec<RunResult>) -> RunResult {
-    let mut iter = results.into_iter();
-    let mut merged = iter.next().expect("at least one trial");
-    for result in iter {
-        merged.merge(&result);
-    }
-    merged
-}
-
-/// Executes jobs across `threads` worker threads (0 = auto), returning
-/// results in job order. Free-function form of [`ParallelRunner::run_many`].
-pub fn run_many(jobs: &[RunJob], threads: usize) -> Vec<RunResult> {
-    ParallelRunner::with_threads(threads).run_many(jobs)
-}
-
-/// Runs all four systems under identical workloads and returns their
-/// summaries in the paper's presentation order.
-///
-/// Single-trial wrapper over [`ParallelRunner::compare_systems`]; the
-/// summaries are bitwise identical to running each system sequentially.
-pub fn compare_systems(base: &TestbedConfig, duration: SimDuration) -> Vec<(System, Summary)> {
-    ParallelRunner::new().compare_systems(base, duration, 1)
 }
 
 #[cfg(test)]
@@ -482,30 +446,47 @@ mod tests {
         bits
     }
 
+    /// `run_pooled` is `run_system` per `(config, seed + trial)` merged by
+    /// hand in trial order, bit for bit, whatever the pool size.
     #[test]
     fn parallel_runner_is_bitwise_identical_to_sequential() {
         // Tracing stays on here so the pin also covers span recording and
         // the attribution numbers derived from it.
-        let mut base = small_config(System::ApeCache);
-        base.trace = ape_simnet::TraceConfig::enabled();
+        let configs = System::ALL.map(|system| {
+            let mut config = small_config(system);
+            config.trace = ape_simnet::TraceConfig::enabled();
+            config
+        });
         let duration = SimDuration::from_mins(2);
-        let trials = 3;
 
-        let compare = |threads: usize| {
-            ParallelRunner::with_threads(threads).compare_systems(&base, duration, trials)
-        };
-        let sequential = compare(1);
-        let parallel = compare(4);
+        let by_hand: Vec<Vec<u64>> = configs
+            .iter()
+            .map(|config| {
+                let mut replicas = (0..3).map(|trial| {
+                    let mut config = config.clone();
+                    config.seed += trial;
+                    run_system(&config, duration)
+                });
+                let mut pooled = replicas.next().expect("three trials");
+                for replica in replicas {
+                    pooled.merge(&replica);
+                }
+                summary_bits(&pooled.summary())
+            })
+            .collect();
 
-        assert_eq!(sequential.len(), parallel.len());
-        for ((sys_a, sum_a), (sys_b, sum_b)) in sequential.iter().zip(parallel.iter()) {
-            assert_eq!(sys_a, sys_b);
-            assert_eq!(sum_a.system, sum_b.system);
-            assert_eq!(
-                summary_bits(sum_a),
-                summary_bits(sum_b),
-                "summaries for {sys_a:?} differ between 1 and 4 threads"
-            );
+        for threads in [1, 4] {
+            let pooled = ParallelRunner::with_threads(threads).run_pooled(&configs, duration, 3);
+            assert_eq!(pooled.len(), configs.len());
+            for ((mut result, config), expected) in pooled.into_iter().zip(&configs).zip(&by_hand) {
+                assert_eq!(result.system, config.system);
+                assert_eq!(
+                    &summary_bits(&result.summary()),
+                    expected,
+                    "{:?} pooled on {threads} thread(s) differs from the hand merge",
+                    config.system
+                );
+            }
         }
     }
 
@@ -515,7 +496,10 @@ mod tests {
         base.trace = ape_simnet::TraceConfig::enabled();
         let duration = SimDuration::from_mins(2);
         let export = |threads: usize| {
-            let result = ParallelRunner::with_threads(threads).run_replicated(&base, duration, 2);
+            let runner = ParallelRunner::with_threads(threads);
+            let result = runner
+                .run_pooled(std::slice::from_ref(&base), duration, 2)
+                .remove(0);
             let log = result.trace.as_ref().expect("tracing was enabled");
             assert_eq!(log.runs(), 2);
             log.to_jsonl(base.system.label())
@@ -558,7 +542,7 @@ mod tests {
             .iter()
             .map(|&system| RunJob::new(small_config(system), duration))
             .collect();
-        let results = run_many(&jobs, 3);
+        let results = ParallelRunner::with_threads(3).run_many(&jobs);
         let systems: Vec<System> = results.iter().map(|r| r.system).collect();
         assert_eq!(
             systems,
@@ -567,17 +551,15 @@ mod tests {
     }
 
     #[test]
-    fn replication_pools_trials() {
-        let config = small_config(System::ApeCache);
-        let duration = SimDuration::from_mins(2);
-        let runner = ParallelRunner::with_threads(2);
-        let one = runner.run_replicated(&config, duration, 1);
-        let three = runner.run_replicated(&config, duration, 3);
-        assert!(
-            three.report.executions > one.report.executions,
-            "pooled trials should accumulate executions ({} vs {})",
-            three.report.executions,
-            one.report.executions
-        );
+    fn parallel_map_returns_index_order_under_a_pool_larger_than_n() {
+        assert_eq!(parallel_map(5, 16, |i| i * i), [0, 1, 4, 9, 16]);
+        assert_eq!(parallel_map(5, 1, |i| i * i), [0, 1, 4, 9, 16]);
+        assert!(parallel_map(0, 4, |i| i).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "boom at 3")]
+    fn parallel_map_propagates_a_worker_panic() {
+        parallel_map(8, 4, |i| assert_ne!(i, 3, "boom at {i}"));
     }
 }

@@ -11,7 +11,7 @@
 use ape_appdag::AppSpec;
 use ape_nodes::{ApConfig, LookupMode};
 use ape_proto::Msg;
-use ape_simnet::{FaultPlan, NodeId, TraceConfig, World};
+use ape_simnet::{NodeId, TraceConfig, World};
 use ape_workload::ScheduleConfig;
 
 use crate::system::System;
@@ -54,10 +54,6 @@ pub struct TestbedConfig {
     /// links lossless and the run's RNG draws, and therefore its outputs,
     /// bitwise identical to before this knob existed.
     pub wifi_loss: f64,
-    /// Scheduled link disturbances (partitions, loss bursts, delay
-    /// spikes). The empty default draws no RNG and records no metrics, so
-    /// it is bitwise invisible.
-    pub faults: FaultPlan,
     /// Root seed for all randomness in the run.
     pub seed: u64,
     /// Schedule-perturbation key for the race detector: when set, the
@@ -83,7 +79,6 @@ impl TestbedConfig {
             trace: TraceConfig::default(),
             profiler: false,
             wifi_loss: 0.0,
-            faults: FaultPlan::new(),
             seed: 42,
             tie_perturbation: None,
         }

@@ -233,9 +233,6 @@ pub(crate) fn assemble(
     if base.profiler {
         world.enable_profiler();
     }
-    if !base.faults.is_empty() {
-        world.set_fault_plan(base.faults.clone());
-    }
 
     // --- Catalog shared by origin and edge -----------------------------
     let mut catalog = Catalog::new();

@@ -33,6 +33,8 @@ use ape_simnet::{
     TimerToken,
 };
 
+use crate::txn::alloc_txn;
+
 /// Which eviction policy the AP runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ApPolicy {
@@ -347,21 +349,12 @@ impl ApNode {
         done - now
     }
 
-    /// Allocates an upstream DNS transaction id, skipping ids still in
-    /// flight so a wrapped counter cannot collide with (and orphan) an
-    /// older pending forward.
+    /// Allocates an upstream DNS transaction id no pending forward holds.
     fn alloc_txn(&mut self) -> u16 {
-        assert!(
-            self.pending_forwards.len() < u16::MAX as usize,
-            "upstream DNS txn space exhausted"
-        );
-        loop {
-            let txn = self.next_txn;
-            self.next_txn = self.next_txn.wrapping_add(1).max(1);
-            if !self.pending_forwards.contains_key(&txn) {
-                return txn;
-            }
-        }
+        let pending = &self.pending_forwards;
+        alloc_txn(&mut self.next_txn, pending.len(), |txn| {
+            pending.contains_key(&txn)
+        })
     }
 
     /// Sizes of every pending-state map, labelled — the chaos tests assert
@@ -2070,51 +2063,5 @@ mod tests {
                 >= 1
         );
         assert_drained(&bed);
-    }
-
-    fn pending_forward(txn: u16) -> PendingForward {
-        PendingForward {
-            client: NodeId::from_raw(1),
-            query: DnsMessage::query(txn, DomainName::parse("pinned.example").unwrap()),
-            extra_flags: false,
-            internal: false,
-            span: None,
-            at: SimTime::from_nanos(0),
-            retried: false,
-        }
-    }
-
-    /// An AP whose every upstream txn id in `1..=live` is in flight.
-    fn ap_with_live_txns(live: u16) -> ApNode {
-        let mut ap = ApNode::new(ApConfig::default(), NodeId::from_raw(0), IpMap::new());
-        ap.pending_forwards = (1..=live).map(|txn| (txn, pending_forward(txn))).collect();
-        ap
-    }
-
-    #[test]
-    fn txn_allocation_skips_live_ids_across_wraparound() {
-        let mut ap = ApNode::new(ApConfig::default(), NodeId::from_raw(0), IpMap::new());
-        ap.pending_forwards.insert(7, pending_forward(7));
-        // Four trips around the 16-bit id space: the pinned in-flight
-        // query must never be clobbered and 0 stays reserved.
-        for _ in 0..262_144u32 {
-            let txn = ap.alloc_txn();
-            assert_ne!(txn, 0, "txn 0 is reserved");
-            assert_ne!(txn, 7, "live txn reused after wraparound");
-        }
-    }
-
-    #[test]
-    fn txn_allocation_finds_the_last_free_id() {
-        // 65 534 of the 65 535 usable ids (0 is reserved) are in flight.
-        let mut ap = ap_with_live_txns(u16::MAX - 1);
-        assert_eq!(ap.alloc_txn(), u16::MAX);
-        assert_eq!(ap.alloc_txn(), u16::MAX, "still the only free id");
-    }
-
-    #[test]
-    #[should_panic(expected = "txn space exhausted")]
-    fn txn_allocation_panics_when_every_id_is_live() {
-        let _ = ap_with_live_txns(u16::MAX).alloc_txn();
     }
 }

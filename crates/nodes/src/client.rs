@@ -30,6 +30,8 @@ use ape_proto::{names, CacheOp, ConnId, IpMap, Msg, RequestId, SpanKind};
 use ape_simnet::{Context, Node, NodeId, SimDuration, SimTime, SpanCtx, TimerToken};
 use ape_workload::Execution;
 
+use crate::txn::alloc_txn;
+
 /// Which caching system the client runs against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Strategy {
@@ -570,27 +572,12 @@ impl ClientNode {
         ctx.schedule(staggered(backoff, req.0), http_token(req, fetch.attempt));
     }
 
-    /// Allocates a DNS transaction id, skipping ids still live in
-    /// `txn_domains`: after 65 535 queries the counter wraps and would
-    /// otherwise clobber an in-flight query.
-    ///
-    /// # Panics
-    ///
-    /// Panics if all 65 535 ids are in flight at once (the pending-DNS map
-    /// is bounded by the number of distinct domains, so this is a logic
-    /// bug, not load).
+    /// Allocates a DNS transaction id not live in `txn_domains`.
     fn alloc_txn(&mut self) -> u16 {
-        assert!(
-            self.txn_domains.len() < u16::MAX as usize,
-            "DNS txn space exhausted"
-        );
-        loop {
-            let txn = self.next_txn;
-            self.next_txn = self.next_txn.wrapping_add(1).max(1);
-            if !self.txn_domains.contains_key(&txn) {
-                return txn;
-            }
-        }
+        let live = &self.txn_domains;
+        alloc_txn(&mut self.next_txn, live.len(), |txn| {
+            live.contains_key(&txn)
+        })
     }
 
     fn fresh_dns_ip(&self, domain: &DomainName, now: SimTime) -> Option<Ipv4Addr> {
@@ -1371,20 +1358,5 @@ mod tests {
         );
         // Ratios derive from the merged counters, not an average of ratios.
         assert!((ab.hit_ratio() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn txn_allocation_skips_live_ids_across_wraparound() {
-        let mut c = client(Strategy::ApeCache);
-        // A long-lived in-flight query the wrapped counter must not reuse.
-        c.txn_domains
-            .insert(7, DomainName::parse("pinned.example").unwrap());
-        // Four trips around the 16-bit id space (>65k requests): the live
-        // txn is never clobbered and 0 stays reserved.
-        for _ in 0..262_144u32 {
-            let txn = c.alloc_txn();
-            assert_ne!(txn, 0, "txn 0 is reserved");
-            assert_ne!(txn, 7, "live txn reused after wraparound");
-        }
     }
 }

@@ -19,6 +19,7 @@ mod ap;
 mod client;
 mod resolver;
 mod server;
+mod txn;
 mod wicache;
 
 pub use ap::{ApConfig, ApNode, ApPolicy};

@@ -16,6 +16,8 @@ use ape_dnswire::{DnsMessage, DomainName, RData, Rcode, ResourceRecord};
 use ape_proto::Msg;
 use ape_simnet::{Context, Node, NodeId, SimDuration, SimTime, TimerToken};
 
+use crate::txn::alloc_txn;
+
 /// What a zone says about a name.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ZoneAnswer {
@@ -213,22 +215,6 @@ impl LdnsNode {
         self.pending.len()
     }
 
-    /// Allocates an upstream transaction id, skipping ids still in flight
-    /// so a wrapped counter cannot collide with an older resolution.
-    fn alloc_txn(&mut self) -> u16 {
-        assert!(
-            self.pending.len() < u16::MAX as usize,
-            "resolver txn space exhausted"
-        );
-        loop {
-            let txn = self.next_id;
-            self.next_id = self.next_id.wrapping_add(1).max(1);
-            if !self.pending.contains_key(&txn) {
-                return txn;
-            }
-        }
-    }
-
     fn delegation_for(&self, name: &DomainName) -> Option<NodeId> {
         self.delegations
             .iter()
@@ -333,7 +319,10 @@ impl LdnsNode {
             return;
         }
         self.recursions += 1;
-        let txn = self.alloc_txn();
+        let pending = &self.pending;
+        let txn = alloc_txn(&mut self.next_id, pending.len(), |txn| {
+            pending.contains_key(&txn)
+        });
         let resume_from = self.deepest_fresh_alias(&name, ctx.now());
         self.pending.insert(
             txn,
@@ -643,27 +632,5 @@ mod tests {
             w.node::<Probe>(probe).last.as_ref().unwrap().answer_ip(),
             Some(Ipv4Addr::new(10, 0, 0, 2))
         );
-    }
-
-    #[test]
-    fn txn_allocation_skips_live_ids_across_wraparound() {
-        let mut ldns = LdnsNode::new(SimDuration::from_micros(300), Vec::new());
-        // A resolution stuck in flight: the wrapped counter must not
-        // clobber it.
-        ldns.pending.insert(
-            7,
-            PendingResolution {
-                client: NodeId::from_raw(1),
-                client_query: DnsMessage::query(7, name("pinned.example")),
-                current: name("pinned.example"),
-                hops: 0,
-                started: SimTime::from_nanos(0),
-            },
-        );
-        for _ in 0..262_144u32 {
-            let txn = ldns.alloc_txn();
-            assert_ne!(txn, 0, "txn 0 is reserved");
-            assert_ne!(txn, 7, "live txn reused after wraparound");
-        }
     }
 }
