@@ -348,11 +348,13 @@ pub struct ClientNode {
     next_exec: u64,
 }
 
-/// Timer-token namespaces. Tokens below `1 << 32` are schedule indices;
-/// bit 32 marks DNS retransmit timers (txn id in the low 16 bits); bit 33
-/// marks HTTP/retrieval timers (request id in the low 32 bits, attempt
-/// number in bits 40+); bit 34 marks roam timers (roam-schedule index in
-/// the low 32 bits).
+/// Timer-token namespaces. Tokens below `1 << 32` are execution-schedule
+/// indices and tokens `TOKEN_ROAM_BASE + i` roam-schedule indices: both
+/// are timer series armed once in `on_start` (`Context::schedule_series`
+/// numbers element `i` from the base), so the queue holds only each
+/// schedule's next instant. Bit 32 marks DNS retransmit timers (txn id in
+/// the low 16 bits); bit 33 marks HTTP/retrieval timers (request id in the
+/// low 32 bits, attempt number in bits 40+).
 const TOKEN_DNS_BASE: u64 = 1 << 32;
 const TOKEN_HTTP_BASE: u64 = 1 << 33;
 const TOKEN_ROAM_BASE: u64 = 1 << 34;
@@ -376,9 +378,9 @@ fn http_token(req: RequestId, attempt: u32) -> TimerToken {
 }
 
 impl ClientNode {
-    /// Creates a client running `apps` on `schedule` (entries refer to apps
-    /// by [`AppId`](ape_cachealg::AppId); entries for unknown apps are
-    /// ignored).
+    /// Creates a client running `apps` on the time-sorted `schedule`
+    /// (entries refer to apps by [`AppId`](ape_cachealg::AppId); entries
+    /// for unknown apps are ignored).
     pub fn new(config: ClientConfig, apps: Arc<ClientApps>, schedule: Vec<Execution>) -> Self {
         ClientNode {
             config,
@@ -401,8 +403,10 @@ impl ClientNode {
         }
     }
 
-    /// Installs a roam schedule (multi-AP topologies; each stop re-homes
-    /// the client to a neighbor AP at the given instant).
+    /// Installs a time-sorted roam schedule (multi-AP topologies; each stop
+    /// re-homes the client to a neighbor AP at the given instant). Like the
+    /// execution schedule, it is armed at start as one timer series, so
+    /// only the next stop is ever in the event queue.
     pub fn with_roam_schedule(mut self, roam_schedule: Vec<RoamStop>) -> Self {
         self.roam_schedule = roam_schedule;
         self
@@ -1135,14 +1139,11 @@ impl ClientNode {
 
 impl Node<Msg> for ClientNode {
     fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
-        for (i, exec) in self.schedule.iter().enumerate() {
-            let delay = exec.at - SimTime::ZERO;
-            ctx.schedule(delay, TimerToken::new(i as u64));
-        }
-        for (i, stop) in self.roam_schedule.iter().enumerate() {
-            let delay = stop.at - SimTime::ZERO;
-            ctx.schedule(delay, TimerToken::new(TOKEN_ROAM_BASE | i as u64));
-        }
+        ctx.schedule_series(self.schedule.iter().map(|exec| exec.at), TimerToken::new(0));
+        ctx.schedule_series(
+            self.roam_schedule.iter().map(|stop| stop.at),
+            TimerToken::new(TOKEN_ROAM_BASE),
+        );
     }
 
     fn on_message(&mut self, ctx: &mut Context<'_, Msg>, _from: NodeId, msg: Msg) {

@@ -5,6 +5,11 @@
 //! ([`crate::wheel::TimerWheel`]); the pre-wheel binary heap lives on in
 //! [`crate::reference`] as a differential-testing oracle that this queue
 //! can mirror every operation against (see [`EventQueue::enable_oracle`]).
+//!
+//! The queue holds what is in flight. A node's long time-sorted timer
+//! schedule enters as a *series* ([`EventQueue::push_series`]): its
+//! tie-break keys are reserved when it is armed, but the wheel holds it an
+//! instant at a time, the next instant armed when the current one fires.
 
 use crate::node::{NodeId, TimerToken};
 use crate::reference::ReferenceEventQueue;
@@ -35,22 +40,47 @@ pub(crate) enum EventKind<M> {
     },
 }
 
+/// What the wheel stores: an event, or element `index` of timer series
+/// `series`, which [`EventQueue::pop`] turns into its `Timer` event.
+#[derive(Debug)]
+enum Queued<M> {
+    Event(EventKind<M>),
+    Series { series: u32, index: u32 },
+}
+
 /// In-memory footprint of one scheduled event carrying an `M`-typed
 /// message — what every slot of the timing wheel pays. Message crates pin
 /// this with a `const` assertion so an accidentally fattened message enum
 /// fails to compile instead of silently halving event-queue cache density.
 pub const fn event_footprint<M>() -> usize {
-    crate::wheel::entry_size::<EventKind<M>>()
+    crate::wheel::entry_size::<Queued<M>>()
+}
+
+/// A time-sorted run of timers on one node (see
+/// [`EventQueue::push_series`]).
+#[derive(Debug)]
+struct Series {
+    node: NodeId,
+    span: Option<SpanCtx>,
+    /// Element `i` fires with token `token_base + i`.
+    token_base: u64,
+    /// FIFO position of element 0; element `i` owns `first_fifo + i`.
+    first_fifo: u64,
+    times: Vec<SimTime>,
+    /// Elements before this index have been put on the wheel.
+    armed: usize,
 }
 
 /// Earliest-first queue of scheduled events.
 #[derive(Debug)]
 pub(crate) struct EventQueue<M> {
-    wheel: TimerWheel<EventKind<M>>,
+    wheel: TimerWheel<Queued<M>>,
     next_seq: u64,
     /// Schedule-perturbation key (see [`World::set_tie_perturbation`]
     /// (crate::World::set_tie_perturbation)). `None` means FIFO tie-breaks.
     perturbation: Option<u64>,
+    /// Every non-empty series pushed so far, indexed by id.
+    series: Vec<Series>,
     /// Optional mirror of every push/pop against the frozen heap
     /// implementation; a divergence panics at the first wrong pop. Items
     /// are not mirrored — `(at, seq)` alone pins the schedule order.
@@ -63,8 +93,18 @@ impl<M> Default for EventQueue<M> {
             wheel: TimerWheel::new(),
             next_seq: 0,
             perturbation: None,
+            series: Vec::new(),
             oracle: None,
         }
+    }
+}
+
+/// The tie-break key of FIFO position `fifo`: the position itself, or
+/// under a perturbation key its bijective scramble.
+fn tie_key(perturbation: Option<u64>, fifo: u64) -> u64 {
+    match perturbation {
+        Some(pert) => mix64(fifo ^ pert),
+        None => fifo,
     }
 }
 
@@ -86,7 +126,9 @@ impl<M> EventQueue<M> {
 
     /// Mirrors all subsequent pushes and pops against the frozen
     /// [`ReferenceEventQueue`]; every pop asserts both engines agree on
-    /// `(at, seq)`. Meant for tests — it doubles queue work.
+    /// `(at, seq)`. A series is mirrored as the eager pushes it stands
+    /// for, so the oracle also checks its lazy arming. Meant for tests —
+    /// it doubles queue work.
     pub fn enable_oracle(&mut self) {
         if self.oracle.is_none() {
             assert!(
@@ -98,16 +140,72 @@ impl<M> EventQueue<M> {
     }
 
     pub fn push(&mut self, at: SimTime, kind: EventKind<M>) {
-        let fifo = self.next_seq;
+        let seq = tie_key(self.perturbation, self.next_seq);
         self.next_seq += 1;
-        let seq = match self.perturbation {
-            Some(pert) => mix64(fifo ^ pert),
-            None => fifo,
-        };
         if let Some(oracle) = &mut self.oracle {
             oracle.push(at, seq, ());
         }
-        self.wheel.push(at, seq, kind);
+        self.wheel.push(at, seq, Queued::Event(kind));
+    }
+
+    /// Queues a timer on `node` for every element of the time-sorted
+    /// `times`: element `i` fires at `times[i]` with token `token_base + i`
+    /// and span context `span`. Pops exactly as `times.len()` calls of
+    /// [`push`](Self::push) in index order would: the series takes those
+    /// calls' FIFO positions now, so every tie-break key, FIFO or
+    /// perturbed, is the one an eager push would have drawn. An instant of
+    /// the series goes on the wheel whole, so ties among its elements keep
+    /// their key order, and the first of them to pop arms the next
+    /// instant. Elements further out are not queued and not counted by
+    /// [`len`](Self::len).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `times` is not sorted ascending.
+    pub fn push_series(
+        &mut self,
+        node: NodeId,
+        span: Option<SpanCtx>,
+        token_base: u64,
+        times: Vec<SimTime>,
+    ) {
+        assert!(times.is_sorted(), "a timer series must be time-sorted");
+        let first_fifo = self.next_seq;
+        self.next_seq += times.len() as u64;
+        if let Some(oracle) = &mut self.oracle {
+            for (fifo, &at) in (first_fifo..).zip(&times) {
+                oracle.push(at, tie_key(self.perturbation, fifo), ());
+            }
+        }
+        if times.is_empty() {
+            return;
+        }
+        let id = u32::try_from(self.series.len()).expect("series ids fit in u32");
+        self.series.push(Series {
+            node,
+            span,
+            token_base,
+            first_fifo,
+            times,
+            armed: 0,
+        });
+        self.arm_next_instant(id);
+    }
+
+    /// Puts every element of series `id` at its next unarmed instant on
+    /// the wheel; a no-op once the series is exhausted.
+    fn arm_next_instant(&mut self, id: u32) {
+        let series = &mut self.series[id as usize];
+        let Some(&at) = series.times.get(series.armed) else {
+            return;
+        };
+        while series.times.get(series.armed) == Some(&at) {
+            let seq = tie_key(self.perturbation, series.first_fifo + series.armed as u64);
+            let index = u32::try_from(series.armed).expect("series index fits in u32");
+            self.wheel
+                .push(at, seq, Queued::Series { series: id, index });
+            series.armed += 1;
+        }
     }
 
     /// Pops the earliest event as `(at, seq, kind)`. `seq` is the tie-break
@@ -124,13 +222,34 @@ impl<M> EventQueue<M> {
                 "timing wheel diverged from the reference heap"
             );
         }
-        popped
+        let (at, seq, queued) = popped?;
+        let kind = match queued {
+            Queued::Event(kind) => kind,
+            Queued::Series { series: id, index } => {
+                let series = &self.series[id as usize];
+                let kind = EventKind::Timer {
+                    node: series.node,
+                    token: TimerToken::new(series.token_base + u64::from(index)),
+                    span: series.span,
+                };
+                // The first pop at the latest armed instant arms the next
+                // one, which is strictly later than `at`: none of it could
+                // have popped before this event.
+                if series.times[series.armed - 1] == at {
+                    self.arm_next_instant(id);
+                }
+                kind
+            }
+        };
+        Some((at, seq, kind))
     }
 
     pub fn peek_time(&mut self) -> Option<SimTime> {
         self.wheel.peek_time()
     }
 
+    /// Events on the wheel: everything in flight plus each live series'
+    /// next instant.
     pub fn len(&self) -> usize {
         self.wheel.len()
     }
@@ -244,5 +363,79 @@ mod tests {
             n += 1;
         }
         assert_eq!(n, 50);
+    }
+
+    /// The keys the determinism harness sweeps
+    /// (`tests/determinism_perturbation.rs`).
+    const PERTURBATION_KEYS: [u64; 4] = [
+        0x9E37_79B9_7F4A_7C15,
+        0xD1B5_4A32_D192_ED03,
+        0xA5A5_A5A5_A5A5_A5A5,
+        0x0123_4567_89AB_CDEF,
+    ];
+
+    /// A popped event as its node sees it: `(at, seq, node, token)`, with
+    /// deliveries reading as token `u64::MAX`.
+    type Popped = (SimTime, u64, usize, u64);
+
+    /// Queues an empty series, a one-element series and one with runs of
+    /// equal instants (some tying with plain events) between plain
+    /// pushes — as series, or eagerly as one push per timer — then pops
+    /// everything, adding a zero-delay delivery at every third popped
+    /// instant. Returns the queue length once armed and the pops.
+    fn series_run(key: Option<u64>, as_series: bool) -> (usize, Vec<Popped>) {
+        let ms = SimTime::from_millis;
+        let mut q = EventQueue::new();
+        q.set_perturbation(key);
+        q.enable_oracle();
+        let series = [
+            (1, 0, vec![]),
+            (2, 100, vec![ms(4)]),
+            (
+                3,
+                1 << 34,
+                vec![ms(1), ms(2), ms(2), ms(2), ms(4), ms(4), ms(9)],
+            ),
+        ];
+        q.push(ms(2), deliver(7));
+        for (node, token_base, times) in series {
+            let node = NodeId::from_raw(node);
+            if as_series {
+                q.push_series(node, None, token_base, times);
+                continue;
+            }
+            for (i, at) in times.into_iter().enumerate() {
+                let token = TimerToken::new(token_base + i as u64);
+                let span = None;
+                q.push(at, EventKind::Timer { node, token, span });
+            }
+        }
+        q.push(ms(4), deliver(8));
+        let armed = q.len();
+        let mut pops = Vec::new();
+        while let Some((at, seq, kind)) = q.pop() {
+            let (node, token) = match kind {
+                EventKind::Timer { node, token, .. } => (node, token.get()),
+                EventKind::Deliver { to, .. } => (to, u64::MAX),
+            };
+            if pops.len() % 3 == 0 {
+                q.push(at, deliver(9));
+            }
+            pops.push((at, seq, node.index(), token));
+        }
+        (armed, pops)
+    }
+
+    #[test]
+    fn a_series_pops_exactly_like_its_eager_pushes() {
+        for key in std::iter::once(None).chain(PERTURBATION_KEYS.map(Some)) {
+            let (eager_len, eager) = series_run(key, false);
+            let (series_len, series) = series_run(key, true);
+            assert_eq!(series, eager, "key {key:?}");
+            // Eight timers and two deliveries; a series holds only its
+            // next instant.
+            assert_eq!((eager_len, series_len), (10, 4), "key {key:?}");
+            assert!(eager.len() > 12);
+        }
     }
 }

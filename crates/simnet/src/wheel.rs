@@ -1,10 +1,7 @@
 //! Hierarchical timing-wheel scheduler for the discrete-event core.
 //!
-//! The simulator's original event queue was a single `BinaryHeap`; every
-//! push and pop cost `O(log n)` sift steps over one large, cache-hostile
-//! array, which became the wall-clock ceiling once runs queue hundreds of
-//! thousands of events (ROADMAP item 2). [`TimerWheel`] replaces it with a
-//! calendar-queue layout:
+//! [`TimerWheel`] is a min-queue on `(at, seq)` with a calendar-queue
+//! layout:
 //!
 //! * **Six wheel levels** of 64 slots each. Level 0 buckets are
 //!   2^16 ns ≈ 65.5 µs wide; each higher level is 64× coarser, so the wheel
@@ -22,6 +19,11 @@
 //!   `seq` values from tie-break perturbation — and across buckets, time
 //!   ranges are disjoint, so the global pop order is identical event for
 //!   event. See `DESIGN.md` §13.
+//!
+//! Bucket buffers stay where they are: a drained level-0 bucket trades
+//! buffers with the (empty) ready run, and a cascaded coarse bucket keeps
+//! its own buffer only up to `RETAINED_BUCKET_CAPACITY` entries, so a
+//! burst's capacity is given back instead of travelling around the wheel.
 //!
 //! Cost model: a push lands in its final bucket directly (no sifting); a
 //! pop touches the small ready heap plus, amortized, one bucket cascade per
@@ -50,6 +52,13 @@ const SLOTS: usize = 1 << LEVEL_BITS;
 const SLOT_MASK: u64 = SLOTS as u64 - 1;
 /// Number of wheel levels; events past the last level go to overflow.
 const LEVELS: usize = 6;
+/// Capacity, in entries, up to which a coarse bucket keeps its emptied
+/// buffer after a cascade; a larger buffer is freed. 64 entries of a
+/// 104-byte `Msg` event are 6.6 kB, at most 2.5 MB over the 384 slots.
+/// Keeping every buffer pins each 17 s level-3 slot at the whole watchdog
+/// population it once held; freeing every one regrows level-1 buckets
+/// from empty on every pass (EXPERIMENTS.md, "Event queue memory").
+const RETAINED_BUCKET_CAPACITY: usize = 64;
 
 /// Bit position where level `l`'s slot index starts within a timestamp.
 const fn shift(level: usize) -> u32 {
@@ -130,7 +139,8 @@ const fn level_of(at: u64, base: u64) -> usize {
 #[derive(Debug)]
 pub struct TimerWheel<T> {
     /// `LEVELS * SLOTS` buckets, level-major: level `l`'s slot `s` is
-    /// `slots[l * SLOTS + s]`.
+    /// `slots[l * SLOTS + s]`. Each slot owns its buffer; see `refill` for
+    /// what a drained bucket keeps.
     slots: Vec<Vec<Entry<T>>>,
     /// Per-level occupancy bitmap: bit `s` of `occupied[l]` is set iff
     /// level `l`'s slot `s` is non-empty. Slots below a level's cursor are
@@ -146,10 +156,7 @@ pub struct TimerWheel<T> {
     /// Drain frontier in nanoseconds, always a level-0 bucket boundary.
     /// Monotone; wheel and overflow events all have `at >= base`.
     base: u64,
-    /// Scratch buffer reused for bucket cascades (no per-cascade alloc).
-    scratch: Vec<Entry<T>>,
     len: usize,
-    peak_len: usize,
 }
 
 impl<T> Default for TimerWheel<T> {
@@ -167,9 +174,7 @@ impl<T> TimerWheel<T> {
             ready: Vec::new(),
             overflow: BinaryHeap::new(),
             base: 0,
-            scratch: Vec::new(),
             len: 0,
-            peak_len: 0,
         }
     }
 
@@ -183,19 +188,14 @@ impl<T> TimerWheel<T> {
         self.len == 0
     }
 
-    /// High-water mark of [`len`](Self::len) over the wheel's lifetime.
-    pub fn peak_len(&self) -> usize {
-        self.peak_len
-    }
-
     /// Approximate heap footprint of the queue's buffers in bytes (bucket,
-    /// ready, overflow and scratch capacities; excludes payload-owned
-    /// allocations): the queue's term in a memory-by-layer report.
+    /// ready and overflow capacities plus the slot table; excludes
+    /// payload-owned allocations): the queue's term in a memory-by-layer
+    /// report.
     pub fn approx_bytes(&self) -> usize {
         let entry = std::mem::size_of::<Entry<T>>();
         let buckets: usize = self.slots.iter().map(Vec::capacity).sum();
-        (buckets + self.ready.capacity() + self.overflow.capacity() + self.scratch.capacity())
-            * entry
+        (buckets + self.ready.capacity() + self.overflow.capacity()) * entry
             + self.slots.len() * std::mem::size_of::<Vec<Entry<T>>>()
     }
 
@@ -206,7 +206,6 @@ impl<T> TimerWheel<T> {
     /// `place`: an `Entry` is event-sized and every hop was a copy.
     pub fn push(&mut self, at: SimTime, seq: u64, item: T) {
         self.len += 1;
-        self.peak_len = self.peak_len.max(self.len);
         let ns = at.as_nanos();
         if ns < self.base {
             // Late push into the drained range (e.g. a zero-delay send
@@ -292,31 +291,36 @@ impl<T> TimerWheel<T> {
             let width_shift = shift(level);
             let slot_start =
                 (self.base & !((1u64 << shift(level + 1)) - 1)) | ((slot as u64) << width_shift);
-            let mut bucket = std::mem::take(&mut self.scratch);
-            std::mem::swap(&mut bucket, &mut self.slots[level * SLOTS + slot]);
+            let index = level * SLOTS + slot;
             self.occupied[level] &= !(1 << slot);
             if level == 0 {
                 // Bucket granularity reached: everything in it is ready.
                 // Saturate: the last bucket before u64::MAX has no end.
                 self.base = slot_start.saturating_add(1 << width_shift);
                 // `ready` is empty here (refill's precondition), so the
-                // bucket becomes the new run wholesale; the reversed `Ord`
-                // makes an ascending sort yield descending `(at, seq)`.
+                // bucket becomes the new run wholesale and the slot takes
+                // the run's emptied buffer; the reversed `Ord` makes an
+                // ascending sort yield descending `(at, seq)`.
                 debug_assert!(self.ready.is_empty());
-                std::mem::swap(&mut self.ready, &mut bucket);
+                std::mem::swap(&mut self.ready, &mut self.slots[index]);
                 self.ready.sort_unstable();
-                self.scratch = bucket;
                 return;
             }
             // Coarse bucket: advance the frontier to its start and cascade
-            // its events down (each now lands at a strictly lower level).
-            // `max` keeps the frontier monotone when the bucket straddles
-            // it (its start can equal, never exceed, the current frontier).
+            // its events down (each now lands at a strictly lower level,
+            // never back in this slot). `max` keeps the frontier monotone
+            // when the bucket straddles it (its start can equal, never
+            // exceed, the current frontier).
             self.base = self.base.max(slot_start);
+            let mut bucket = std::mem::take(&mut self.slots[index]);
             for entry in bucket.drain(..) {
                 self.place(entry);
             }
-            self.scratch = bucket;
+            // A small buffer goes back to its slot for the next pass; a
+            // burst-sized one is freed rather than kept resident.
+            if bucket.capacity() <= RETAINED_BUCKET_CAPACITY {
+                self.slots[index] = bucket;
+            }
         }
     }
 
@@ -449,7 +453,6 @@ mod tests {
         assert_eq!(wheel.pop(), Some((SimTime::from_millis(2), 1, 10)));
         assert_eq!(wheel.pop(), None);
         assert!(wheel.is_empty());
-        assert_eq!(wheel.peak_len(), 3);
     }
 
     #[test]
@@ -573,12 +576,54 @@ mod tests {
             wheel.push(SimTime::from_nanos(seq * 37_000), seq, seq as u32);
         }
         assert_eq!(wheel.len(), 100);
-        assert_eq!(wheel.peak_len(), 100);
         assert!(wheel.approx_bytes() > 0);
         for _ in 0..100 {
             assert!(wheel.pop().is_some());
         }
         assert_eq!(wheel.len(), 0);
-        assert_eq!(wheel.peak_len(), 100);
+    }
+
+    #[test]
+    fn drained_buckets_give_burst_capacity_back() {
+        // A watchdog-shaped load: every simulated second, 2 000 timers are
+        // armed 3–4 s ahead and the wheel drains up to the next second, so
+        // ~8 000 are in flight on the coarse levels at once. 40 s crosses
+        // two level-3 boundaries (2^34 ns ≈ 17.2 s), whose buckets each
+        // collect thousands of timers before they cascade.
+        const SECOND: u64 = 1_000_000_000;
+        let mut wheel = TimerWheel::new();
+        let mut seq = 0u64;
+        let mut entropy = 0x5EED_u64;
+        for round in 0..40 {
+            let now = round * SECOND;
+            for _ in 0..2_000 {
+                entropy = crate::rng::mix64(entropy);
+                let at = now + 3 * SECOND + entropy % SECOND;
+                wheel.push(SimTime::from_nanos(at), seq, 0u32);
+                seq += 1;
+            }
+            while wheel
+                .peek_time()
+                .is_some_and(|at| at.as_nanos() < now + SECOND)
+            {
+                wheel.pop();
+            }
+        }
+        while wheel.pop().is_some() {}
+        // Only the ready run and level-0 slots may hold more than the
+        // retained capacity, and their buckets here hold a few timers each.
+        let entry = std::mem::size_of::<Entry<u32>>();
+        let bound = LEVELS
+            * SLOTS
+            * (RETAINED_BUCKET_CAPACITY * entry + std::mem::size_of::<Vec<Entry<u32>>>());
+        assert!(
+            wheel.approx_bytes() <= bound,
+            "{} bytes retained after the drain, bound {bound}",
+            wheel.approx_bytes()
+        );
+        let coarse = &wheel.slots[SLOTS..];
+        assert!(coarse
+            .iter()
+            .all(|b| b.capacity() <= RETAINED_BUCKET_CAPACITY));
     }
 }

@@ -161,6 +161,32 @@ impl<'a, M: Message> Context<'a, M> {
         self.queue.push(self.now + delay, kind);
     }
 
+    /// Arms one timer on this node per element of the time-sorted `times`:
+    /// element `i` fires at instant `times[i]` with token `token_base + i`.
+    /// Dispatch is exactly that of one [`schedule`](Self::schedule) call per
+    /// element, in order, made here — ties included, perturbed or not —
+    /// but the queue holds the series an instant at a time, arming each as
+    /// the one before it fires, so a long schedule costs no queue memory
+    /// until it is due and [`World::pending_events`] stays the in-flight
+    /// count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `times` is not sorted ascending or starts before now.
+    pub fn schedule_series(
+        &mut self,
+        times: impl IntoIterator<Item = SimTime>,
+        token_base: TimerToken,
+    ) {
+        let times: Vec<SimTime> = times.into_iter().collect();
+        assert!(
+            times.first().is_none_or(|&at| at >= self.now),
+            "a timer series cannot start in the past"
+        );
+        self.queue
+            .push_series(self.self_id, self.span, token_base.get(), times);
+    }
+
     /// Deterministic randomness shared by the run.
     pub fn rng(&mut self) -> &mut SimRng {
         self.rng
@@ -755,7 +781,8 @@ impl<M: Message> World<M> {
         self.run_until(SimTime::MAX)
     }
 
-    /// Number of pending events.
+    /// Number of pending events: everything in flight, plus the next
+    /// instant of each timer series (see [`Context::schedule_series`]).
     pub fn pending_events(&self) -> usize {
         self.queue.len()
     }

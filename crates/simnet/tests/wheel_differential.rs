@@ -135,13 +135,12 @@ fn coarse_bucket_straddling_the_frontier_cascades_first() {
     assert_eq!(wheel.pop(), None);
 }
 
-/// The shape the real workloads have and `arb_sched` lacks: tens of
-/// thousands of timers armed up front across hours (every client's app
-/// schedule), each one setting off a short chain of sparse near-term
-/// traffic 0.3–50 ms ahead (sends), and a 3–4 s watchdog armed beside every
-/// send and popped long after the exchange it guarded. The wheel then holds
-/// a deep far-future population on its coarse levels while almost every pop
-/// refills from a bucket of one or two events.
+/// A stress shape `arb_sched` lacks: tens of thousands of timers armed up
+/// front across hours, each one setting off a short chain of sparse
+/// near-term traffic 0.3–50 ms ahead (sends), and a 3–4 s watchdog armed
+/// beside every send and popped long after the exchange it guarded. The
+/// wheel then holds a deep far-future population on its coarse levels
+/// while almost every pop refills from a bucket of one or two events.
 fn check_workload_shape(key: Option<u64>, scheduled: u64) {
     const SCHEDULE: u32 = 0;
     const TRAFFIC: u32 = 1;

@@ -204,3 +204,21 @@ fn prefetch_extension_raises_hit_ratio() {
     );
     assert_eq!(q.failures, 0);
 }
+
+#[test]
+fn the_event_queue_holds_what_is_in_flight() {
+    // The benchmark testbed's eight hours: 30 apps × 3 a minute × 480
+    // minutes ≈ 43 200 executions. Clients arm their schedules as timer
+    // series, so after start the queue holds each node's next instant and
+    // periodic ticks, not the whole run.
+    let cfg = config(System::ApeCache, 30, 480);
+    let mut bed = build(&cfg);
+    assert!(bed.scheduled > 40_000, "scheduled {}", bed.scheduled);
+    bed.world.run_for(SimDuration::ZERO);
+    let pending = bed.world.pending_events();
+    assert!(
+        pending <= 4 * bed.world.node_count(),
+        "{pending} events pending for {} nodes after start",
+        bed.world.node_count()
+    );
+}
