@@ -93,7 +93,7 @@ pub fn measure(opts: &ReproOptions) -> LookupOverhead {
         Msg::HttpReq {
             conn: ConnId(1),
             req: RequestId(1),
-            request: Box::new(HttpRequest::get(url.clone())),
+            request: HttpRequest::get(url.clone()),
             cache_op: Some(CacheOp {
                 ttl: SimDuration::from_mins(30),
                 priority: Priority::HIGH,

@@ -1,6 +1,7 @@
 //! Cacheable-object metadata shared by the cache store and the policies.
 
 use std::fmt;
+use std::num::NonZeroU8;
 
 use ape_dnswire::UrlHash;
 use ape_simnet::{SimDuration, SimTime};
@@ -30,15 +31,17 @@ impl fmt::Display for AppId {
 /// Developer-assigned priority of a cacheable object.
 ///
 /// The paper defines priority as a positive integer where larger means more
-/// important, and its programming model accepts 1 (low) or 2 (high).
+/// important, and its programming model accepts 1 (low) or 2 (high). Zero
+/// is unrepresentable, so an `Option` of anything holding a priority (a
+/// delegation's `CacheOp` in every HTTP request event) costs no extra word.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Priority(u8);
+pub struct Priority(NonZeroU8);
 
 impl Priority {
     /// Low priority (1): objects off the app's critical path.
-    pub const LOW: Priority = Priority(1);
+    pub const LOW: Priority = Priority(NonZeroU8::MIN);
     /// High priority (2): objects on the app's critical path.
-    pub const HIGH: Priority = Priority(2);
+    pub const HIGH: Priority = Priority(NonZeroU8::new(2).unwrap());
 
     /// Creates a priority from a positive integer.
     ///
@@ -46,13 +49,12 @@ impl Priority {
     ///
     /// Panics if `value` is zero — the paper defines priorities as positive.
     pub fn new(value: u8) -> Self {
-        assert!(value > 0, "priority must be positive");
-        Priority(value)
+        Priority(NonZeroU8::new(value).expect("priority must be positive"))
     }
 
     /// The numeric value.
     pub const fn get(self) -> u8 {
-        self.0
+        self.0.get()
     }
 
     /// Whether this is (at least) high priority.

@@ -160,7 +160,7 @@ impl Question {
 /// let wire = query.encode();
 /// let parsed = DnsMessage::decode(&wire)?;
 /// assert_eq!(parsed, query);
-/// assert_eq!(parsed.cache_request_hashes().len(), 1);
+/// assert_eq!(parsed.cache_request_hashes().count(), 1);
 /// # Ok::<(), ape_dnswire::WireError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -247,28 +247,43 @@ impl DnsMessage {
         self.questions.first().map(|q| &q.name)
     }
 
-    /// The DNS-Cache REQUEST record's hashes, if this is a DNS-Cache request.
-    pub fn cache_request_hashes(&self) -> Vec<crate::UrlHash> {
+    /// The DNS-Cache REQUEST records' hashes, in order (none unless this is
+    /// a DNS-Cache request).
+    pub fn cache_request_hashes(&self) -> impl Iterator<Item = crate::UrlHash> + '_ {
         self.additionals
             .iter()
             .filter(|rr| rr.class == RrClass::CacheRequest)
             .flat_map(|rr| match &rr.rdata {
-                RData::DnsCache(tuples) => tuples.iter().map(|t| t.url_hash).collect(),
-                _ => Vec::new(),
+                RData::DnsCache(tuples) => tuples.as_slice(),
+                _ => &[],
             })
-            .collect()
+            .map(|t| t.url_hash)
     }
 
-    /// The DNS-Cache RESPONSE tuples, if present.
-    pub fn cache_response_tuples(&self) -> Vec<CacheTuple> {
+    /// The tuples of the first DNS-Cache RESPONSE record (the one
+    /// [`DnsMessage::dns_cache_response`] adds), or none.
+    pub fn cache_response_tuples(&self) -> &[CacheTuple] {
         self.additionals
             .iter()
             .filter(|rr| rr.class == RrClass::CacheResponse)
-            .flat_map(|rr| match &rr.rdata {
-                RData::DnsCache(tuples) => tuples.clone(),
-                _ => Vec::new(),
+            .find_map(|rr| match &rr.rdata {
+                RData::DnsCache(tuples) => Some(tuples.as_slice()),
+                _ => None,
             })
-            .collect()
+            .unwrap_or(&[])
+    }
+
+    /// Moves [`DnsMessage::cache_response_tuples`] out of the message,
+    /// leaving that record empty: the receiver keeps them without a copy.
+    pub fn take_cache_response_tuples(&mut self) -> Vec<CacheTuple> {
+        self.additionals
+            .iter_mut()
+            .filter(|rr| rr.class == RrClass::CacheResponse)
+            .find_map(|rr| match &mut rr.rdata {
+                RData::DnsCache(tuples) => Some(std::mem::take(tuples)),
+                _ => None,
+            })
+            .unwrap_or_default()
     }
 
     /// Whether any Additional record is a DNS-Cache record.
@@ -421,7 +436,7 @@ mod tests {
         let q = DnsMessage::dns_cache_request(9, name("api.example.com"), &hashes);
         let parsed = DnsMessage::decode(&q.encode()).unwrap();
         assert!(parsed.is_dns_cache_query());
-        assert_eq!(parsed.cache_request_hashes(), hashes.to_vec());
+        assert!(parsed.cache_request_hashes().eq(hashes));
     }
 
     #[test]
@@ -433,11 +448,14 @@ mod tests {
         ];
         let resp =
             DnsMessage::dns_cache_response(&q, Ipv4Addr::new(10, 0, 0, 2), 30, tuples.clone());
-        let parsed = DnsMessage::decode(&resp.encode()).unwrap();
+        let mut parsed = DnsMessage::decode(&resp.encode()).unwrap();
         assert!(parsed.header.response);
         assert_eq!(parsed.header.id, 9);
         assert_eq!(parsed.answer_ip(), Some(Ipv4Addr::new(10, 0, 0, 2)));
         assert_eq!(parsed.cache_response_tuples(), tuples);
+        assert_eq!(parsed.take_cache_response_tuples(), tuples);
+        assert!(parsed.cache_response_tuples().is_empty());
+        assert_eq!(parsed.cache_request_hashes().count(), 0);
     }
 
     #[test]

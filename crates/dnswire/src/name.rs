@@ -2,6 +2,7 @@
 
 use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::str::FromStr;
 use std::sync::Arc;
 
@@ -20,7 +21,9 @@ const MAX_POINTER_HOPS: usize = 32;
 /// Stored in lowercase; comparison and hashing are therefore
 /// case-insensitive, matching DNS semantics. The name is one immutable
 /// shared buffer, so `clone` is a reference-count increment: names ride in
-/// every DNS message and key most per-domain maps.
+/// every DNS message and key most per-domain maps. Beside the buffer sits
+/// an order key computed once, so most comparisons never read the text
+/// (see the `Ord` impl).
 ///
 /// # Examples
 ///
@@ -32,11 +35,24 @@ const MAX_POINTER_HOPS: usize = 32;
 /// assert_eq!(name.labels().count(), 3);
 /// # Ok::<(), ape_dnswire::WireError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Clone)]
 pub struct DomainName {
+    /// The first 8 bytes of `text` through [`rank`], packed big-endian and
+    /// zero-padded: the label-wise order of names that differ there.
+    key: u64,
     /// Lowercased labels joined by `.`; empty for the root name. Label
     /// bytes are `[a-z0-9_-]`, so the separator is unambiguous.
     text: Arc<str>,
+}
+
+/// A text byte's place in the label-wise order: the separator sorts below
+/// every label byte, which are all nonzero.
+fn rank(b: u8) -> u8 {
+    if b == b'.' {
+        0
+    } else {
+        b
+    }
 }
 
 /// Validates one label byte and lowercases it.
@@ -49,11 +65,21 @@ fn label_byte(b: u8) -> Result<u8, WireError> {
 }
 
 impl DomainName {
+    /// Wraps validated, lowercased text, computing its order key.
+    fn from_text(text: Arc<str>) -> Self {
+        let mut key = [0u8; 8];
+        for (k, &b) in key.iter_mut().zip(text.as_bytes()) {
+            *k = rank(b);
+        }
+        DomainName {
+            key: u64::from_be_bytes(key),
+            text,
+        }
+    }
+
     /// The DNS root (empty) name.
     pub fn root() -> Self {
-        DomainName {
-            text: Arc::from(""),
-        }
+        DomainName::from_text(Arc::from(""))
     }
 
     /// Parses a dotted name, validating label lengths and characters.
@@ -81,7 +107,7 @@ impl DomainName {
                 }
             }
         }
-        let name = DomainName { text: text.into() };
+        let name = DomainName::from_text(text.into());
         let encoded = name.encoded_len();
         if encoded > MAX_NAME {
             return Err(WireError::NameTooLong(encoded));
@@ -117,9 +143,7 @@ impl DomainName {
             .match_indices('.')
             .nth(skip - 1)
             .map_or(self.text.len(), |(dot, _)| dot + 1);
-        DomainName {
-            text: Arc::from(&self.text[start..]),
-        }
+        DomainName::from_text(Arc::from(&self.text[start..]))
     }
 
     /// Whether `self` equals `other` or is a subdomain of it.
@@ -207,29 +231,88 @@ impl DomainName {
             r.seek(pos)?;
         }
         let text = std::str::from_utf8(&text[..used]).expect("labels are ascii");
-        Ok(DomainName { text: text.into() })
+        Ok(DomainName::from_text(text.into()))
     }
 }
 
 /// Names order label by label, each label bytewise — the order of the
 /// label vectors, which is what `BTreeMap<DomainName, _>` iteration (and
 /// through it the run fingerprints) is pinned to. On the joined text that
-/// is bytewise order with the separator sorting below every label byte: at
+/// is bytewise order with the separator ranked below every label byte: at
 /// the first difference, a name whose label ends there has the shorter
 /// label (or is out of labels).
+///
+/// The order key decides whenever two names differ in their first 8 bytes,
+/// with one integer compare. Zero padding agrees with that order, because
+/// a name that ends inside the key is a prefix of the other, and the other
+/// has a nonzero label byte right after its next separator — unless that
+/// separator is byte 8, which leaves the keys tied. Tied keys, equal names
+/// included, fall back to the text.
 impl Ord for DomainName {
+    #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
-        let rank = |b: u8| if b == b'.' { 0 } else { b };
-        self.text
-            .bytes()
-            .map(rank)
-            .cmp(other.text.bytes().map(rank))
+        self.key.cmp(&other.key).then_with(|| self.cmp_tied(other))
+    }
+}
+
+impl DomainName {
+    /// The order of two names whose keys tie; kept out of line so the
+    /// inlined `cmp` stays one compare and a branch. Tied keys mean the
+    /// first `min(len, 8)` bytes agree, so the scan starts past them and
+    /// goes a word at a time to the first differing byte.
+    #[inline(never)]
+    fn cmp_tied(&self, other: &Self) -> Ordering {
+        if Arc::ptr_eq(&self.text, &other.text) {
+            return Ordering::Equal;
+        }
+        let (a, b) = (self.text.as_bytes(), other.text.as_bytes());
+        let common = a.len().min(b.len());
+        let mut i = common.min(8);
+        while i + 8 <= common {
+            let word = |t: &[u8]| u64::from_le_bytes(t[i..i + 8].try_into().expect("8 bytes"));
+            let diff = word(a) ^ word(b);
+            if diff != 0 {
+                i += diff.trailing_zeros() as usize / 8;
+                return rank(a[i]).cmp(&rank(b[i]));
+            }
+            i += 8;
+        }
+        match (i..common).find(|&j| a[j] != b[j]) {
+            Some(j) => rank(a[j]).cmp(&rank(b[j])),
+            None => a.len().cmp(&b.len()),
+        }
     }
 }
 
 impl PartialOrd for DomainName {
+    #[inline]
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
+    }
+}
+
+/// Equality is the text's; the key is a function of the text, so unequal
+/// keys are only a shortcut to "different".
+impl PartialEq for DomainName {
+    #[inline]
+    fn eq(&self, other: &Self) -> bool {
+        self.key == other.key && self.text == other.text
+    }
+}
+
+impl Eq for DomainName {}
+
+impl Hash for DomainName {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.text.hash(state);
+    }
+}
+
+impl fmt::Debug for DomainName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("DomainName")
+            .field("text", &self.text)
+            .finish()
     }
 }
 
@@ -387,6 +470,68 @@ mod tests {
         assert!(short < long);
         assert!(DomainName::root() < short);
         assert!(DomainName::parse("a").unwrap() < short);
+    }
+
+    /// Differential: the keyed `Ord` against the order of the label
+    /// vectors, on names built to share 0–12 leading bytes over `ab-.`, so
+    /// keys tie (equal first 8 bytes, a separator at byte 8, equal names)
+    /// as often as they decide, and `-` meets `.` at the first difference.
+    #[test]
+    fn keyed_order_is_the_label_vector_order() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |bound: u64| {
+            // splitmix64
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % bound
+        };
+        let text = |len: u64, next: &mut dyn FnMut(u64) -> u64| -> String {
+            (0..len)
+                .map(|_| b"ab-."[next(4) as usize] as char)
+                .collect()
+        };
+        let (mut checked, mut tied, mut equal, mut roots, mut single, mut dash_dot) =
+            (0, 0, 0, 0, 0, 0);
+        for _ in 0..40_000 {
+            let shared = text(next(13), &mut next);
+            let a = shared.clone() + &text(next(13), &mut next);
+            let b = if next(8) == 0 {
+                a.clone()
+            } else {
+                shared + &text(next(13), &mut next)
+            };
+            let (Ok(x), Ok(y)) = (DomainName::parse(&a), DomainName::parse(&b)) else {
+                continue;
+            };
+            let labels = |n: &DomainName| n.labels().map(str::to_owned).collect::<Vec<_>>();
+            assert_eq!(x.cmp(&y), labels(&x).cmp(&labels(&y)), "{a:?} vs {b:?}");
+            assert_eq!(y.cmp(&x), labels(&y).cmp(&labels(&x)), "{b:?} vs {a:?}");
+            assert_eq!(x == y, labels(&x) == labels(&y), "{a:?} vs {b:?}");
+            assert_eq!(x.cmp(&x.clone()), Ordering::Equal);
+            checked += 1;
+            let first_difference = a.bytes().zip(b.bytes()).find(|(p, q)| p != q);
+            dash_dot += usize::from(matches!(
+                first_difference,
+                Some((b'-', b'.') | (b'.', b'-'))
+            ));
+            tied += usize::from(x.key == y.key && x != y);
+            equal += usize::from(x == y);
+            roots += usize::from(x.is_root() || y.is_root());
+            single += usize::from(x.label_count() == 1 || y.label_count() == 1);
+        }
+        // Every case the key has to get right turns up many times.
+        for (what, count) in [
+            ("pairs", checked),
+            ("tied keys", tied),
+            ("equal", equal),
+            ("root", roots),
+            ("one label", single),
+            ("`-` against `.`", dash_dot),
+        ] {
+            assert!(count > 100, "only {count} {what}");
+        }
     }
 
     #[test]

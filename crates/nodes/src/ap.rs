@@ -377,35 +377,41 @@ impl ApNode {
         }
     }
 
-    /// Builds the DNS-Cache response tuples for a query about `domain`:
-    /// requested hashes plus (with batching) every URL known under the
-    /// domain (§IV-B3).
-    fn tuples_for(
-        &self,
-        domain: &DomainName,
-        requested: &[UrlHash],
-        now: SimTime,
-    ) -> Vec<CacheTuple> {
-        // `domain_urls` lists hold no duplicates (`remember_domain_url`),
-        // so a known URL is new to the answer iff it was not requested.
+    /// Builds the DNS-Cache response tuples for `query` about `domain`:
+    /// the requested hashes first, in order, then (with batching) every
+    /// other URL known under the domain (§IV-B3).
+    fn tuples_for(&self, domain: &DomainName, query: &DnsMessage, now: SimTime) -> Vec<CacheTuple> {
         let known = self
             .domain_urls
             .get(domain)
             .filter(|_| self.config.batch_domain_flags)
-            .into_iter()
-            .flatten()
-            .filter(|k| !requested.contains(k));
-        requested
-            .iter()
-            .chain(known)
-            .map(|&k| CacheTuple::new(k, self.flag_for(k, now)))
-            .collect()
+            .map_or(&[][..], Vec::as_slice);
+        // The query's hashes were remembered under the domain before this
+        // runs, so with batching the answer is exactly `known` long.
+        let mut tuples = Vec::with_capacity(known.len().max(1));
+        tuples.extend(
+            query
+                .cache_request_hashes()
+                .map(|k| CacheTuple::new(k, self.flag_for(k, now))),
+        );
+        // `domain_urls` lists hold no duplicates (`remember_domain_url`),
+        // so a known URL is new to the answer iff it was not requested.
+        let requested = tuples.len();
+        for &k in known {
+            if !tuples[..requested].iter().any(|t| t.url_hash == k) {
+                tuples.push(CacheTuple::new(k, self.flag_for(k, now)));
+            }
+        }
+        tuples
     }
 
-    fn remember_domain_url(&mut self, domain: DomainName, key: UrlHash) {
-        let list = self.domain_urls.entry(domain).or_default();
-        if !list.contains(&key) {
-            list.push(key);
+    fn remember_domain_url(&mut self, domain: &DomainName, key: UrlHash) {
+        match self.domain_urls.get_mut(domain) {
+            Some(list) if !list.contains(&key) => list.push(key),
+            Some(_) => {}
+            None => {
+                self.domain_urls.insert(domain.clone(), vec![key]);
+            }
         }
     }
 
@@ -424,29 +430,29 @@ impl ApNode {
             ctx.metrics().incr_id(names::id::AP_DNS_QUERIES, 1);
         }
         let latency = self.work(now, cost);
-        let Some(domain) = query.question_name().cloned() else {
+        let Some(domain) = query.question_name() else {
             return;
         };
-        let requested = query.cache_request_hashes();
-        for k in &requested {
-            self.remember_domain_url(domain.clone(), *k);
+        let mut requested = 0;
+        for k in query.cache_request_hashes() {
+            self.remember_domain_url(domain, k);
+            requested += 1;
         }
 
         let tuples = if is_cache_query {
-            self.tuples_for(&domain, &requested, now)
+            self.tuples_for(domain, &query, now)
         } else {
             Vec::new()
         };
 
         // Short-circuit: if every *requested* URL is already cached, the
         // client will fetch from the AP anyway — skip upstream resolution
-        // and answer a dummy IP with TTL 0 (§IV-B3).
+        // and answer a dummy IP with TTL 0 (§IV-B3). The requested URLs'
+        // flags lead `tuples`, and `Hit` is exactly a cached object.
         if is_cache_query
             && self.config.short_circuit
-            && !requested.is_empty()
-            && requested
-                .iter()
-                .all(|k| self.cache.peek(*k, now) == Lookup::Hit)
+            && requested > 0
+            && tuples[..requested].iter().all(|t| t.flag == CacheFlag::Hit)
         {
             ctx.metrics().incr_id(names::id::AP_SHORT_CIRCUITS, 1);
             let response = DnsMessage::dns_cache_response(&query, IpMap::DUMMY, 0, tuples);
@@ -455,7 +461,7 @@ impl ApNode {
         }
 
         // dnsmasq cache.
-        if let Some((ip, expires, _)) = self.dns_cache.get(&domain) {
+        if let Some((ip, expires, _)) = self.dns_cache.get(domain) {
             if *expires > now {
                 ctx.metrics().incr_id(names::id::AP_DNS_CACHE_HITS, 1);
                 let remaining = (*expires - now).as_secs_u32();
@@ -470,6 +476,7 @@ impl ApNode {
         ctx.metrics().incr_id(names::id::AP_DNS_FORWARDS, 1);
         let span = ctx.span_start(SpanKind::DnsUpstream);
         let txn = self.alloc_txn();
+        let upstream_query = DnsMessage::query(txn, domain.clone());
         self.pending_forwards.insert(
             txn,
             PendingForward {
@@ -482,7 +489,6 @@ impl ApNode {
                 retried: false,
             },
         );
-        let upstream_query = DnsMessage::query(txn, domain);
         ctx.send_after(latency, self.upstream, Msg::dns(upstream_query));
     }
 
@@ -539,9 +545,8 @@ impl ApNode {
         if pending.internal {
             return;
         }
-        let requested = pending.query.cache_request_hashes();
         let tuples = if pending.extra_flags {
-            self.tuples_for(&domain, &requested, now)
+            self.tuples_for(&domain, &pending.query, now)
         } else {
             Vec::new()
         };
@@ -578,7 +583,7 @@ impl ApNode {
         let now = ctx.now();
         let latency = self.work(now, HTTP_PROCESSING);
         let key = request.url.hash();
-        self.remember_domain_url(request.url.host().clone(), key);
+        self.remember_domain_url(request.url.host(), key);
 
         // Feed PACM's frequency signal.
         let op = cache_op.or_else(|| self.registry.get(&key).map(|r| r.op));
@@ -756,7 +761,7 @@ impl ApNode {
             Msg::HttpReq {
                 conn,
                 req: up_req,
-                request: Box::new(HttpRequest::get(delegation.url.clone())),
+                request: HttpRequest::get(delegation.url.clone()),
                 cache_op: None,
             },
         );
@@ -1171,7 +1176,7 @@ impl ApNode {
                 self.fail_awaiting_dns(ctx, &domain);
             } else {
                 let tuples = if pending.extra_flags {
-                    self.tuples_for(&domain, &pending.query.cache_request_hashes(), now)
+                    self.tuples_for(&domain, &pending.query, now)
                 } else {
                     Vec::new()
                 };
@@ -1322,7 +1327,7 @@ impl Node<Msg> for ApNode {
                 req,
                 request,
                 cache_op,
-            } => self.handle_http_request(ctx, from, conn, req, *request, cache_op),
+            } => self.handle_http_request(ctx, from, conn, req, request, cache_op),
             Msg::HttpRsp { req, response, .. } => self.handle_upstream_response(ctx, req, response),
             Msg::PrefetchHints { hints } => self.handle_prefetch_hints(ctx, hints),
             Msg::PeerFetch { req, key } => self.handle_peer_fetch(ctx, from, req, key),
@@ -1541,7 +1546,7 @@ mod tests {
             Msg::HttpReq {
                 conn: ConnId(1),
                 req: RequestId(7),
-                request: Box::new(HttpRequest::get(url())),
+                request: HttpRequest::get(url()),
                 cache_op: Some(delegation_op()),
             },
         );
@@ -1567,7 +1572,7 @@ mod tests {
             Msg::HttpReq {
                 conn: ConnId(1),
                 req: RequestId(1),
-                request: Box::new(HttpRequest::get(url())),
+                request: HttpRequest::get(url()),
                 cache_op: Some(delegation_op()),
             },
         );
@@ -1579,7 +1584,7 @@ mod tests {
             Msg::HttpReq {
                 conn: ConnId(2),
                 req: RequestId(2),
-                request: Box::new(HttpRequest::get(url())),
+                request: HttpRequest::get(url()),
                 cache_op: Some(delegation_op()),
             },
         );
@@ -1606,7 +1611,7 @@ mod tests {
             Msg::HttpReq {
                 conn: ConnId(1),
                 req: RequestId(1),
-                request: Box::new(HttpRequest::get(url())),
+                request: HttpRequest::get(url()),
                 cache_op: Some(delegation_op()),
             },
         );
@@ -1644,7 +1649,7 @@ mod tests {
             Msg::HttpReq {
                 conn: ConnId(1),
                 req: RequestId(1),
-                request: Box::new(HttpRequest::get(url())),
+                request: HttpRequest::get(url()),
                 cache_op: Some(delegation_op()),
             },
         );
@@ -1681,7 +1686,7 @@ mod tests {
                 Msg::HttpReq {
                     conn: ConnId(i as u64 + 1),
                     req: RequestId(i as u64 + 1),
-                    request: Box::new(HttpRequest::get(u)),
+                    request: HttpRequest::get(u),
                     cache_op: Some(delegation_op()),
                 },
             );
@@ -1717,7 +1722,7 @@ mod tests {
             Msg::HttpReq {
                 conn: ConnId(1),
                 req: RequestId(1),
-                request: Box::new(HttpRequest::get(big.clone())),
+                request: HttpRequest::get(big.clone()),
                 cache_op: Some(delegation_op()),
             },
         );
@@ -1754,7 +1759,7 @@ mod tests {
                 Msg::HttpReq {
                     conn: ConnId(i + 1),
                     req: RequestId(i + 1),
-                    request: Box::new(HttpRequest::get(url())),
+                    request: HttpRequest::get(url()),
                     cache_op: Some(delegation_op()),
                 },
             );
@@ -1784,7 +1789,7 @@ mod tests {
             Msg::HttpReq {
                 conn: ConnId(1),
                 req: RequestId(1),
-                request: Box::new(HttpRequest::get(url())),
+                request: HttpRequest::get(url()),
                 cache_op: Some(delegation_op()),
             },
         );
@@ -1808,7 +1813,7 @@ mod tests {
             Msg::HttpReq {
                 conn: ConnId(1),
                 req: RequestId(1),
-                request: Box::new(HttpRequest::get(url())),
+                request: HttpRequest::get(url()),
                 cache_op: Some(CacheOp {
                     ttl: SimDuration::from_secs(10),
                     priority: Priority::LOW,
@@ -1854,7 +1859,7 @@ mod tests {
             Msg::HttpReq {
                 conn: ConnId(1),
                 req: RequestId(1),
-                request: Box::new(HttpRequest::get(url())),
+                request: HttpRequest::get(url()),
                 cache_op: Some(delegation_op()),
             },
         );
@@ -1876,7 +1881,7 @@ mod tests {
             Msg::HttpReq {
                 conn: ConnId(1),
                 req: RequestId(1),
-                request: Box::new(HttpRequest::get(url())),
+                request: HttpRequest::get(url()),
                 cache_op: Some(delegation_op()),
             },
         );
@@ -1909,7 +1914,7 @@ mod tests {
             Msg::HttpReq {
                 conn: ConnId(1),
                 req: RequestId(9),
-                request: Box::new(HttpRequest::get(url())),
+                request: HttpRequest::get(url()),
                 cache_op: Some(delegation_op()),
             },
         );
@@ -2010,7 +2015,7 @@ mod tests {
             Msg::HttpReq {
                 conn: ConnId(1),
                 req: RequestId(7),
-                request: Box::new(HttpRequest::get(url())),
+                request: HttpRequest::get(url()),
                 cache_op: Some(delegation_op()),
             },
         );
@@ -2047,7 +2052,7 @@ mod tests {
             Msg::HttpReq {
                 conn: ConnId(1),
                 req: RequestId(9),
-                request: Box::new(HttpRequest::get(url())),
+                request: HttpRequest::get(url()),
                 cache_op: Some(delegation_op()),
             },
         );

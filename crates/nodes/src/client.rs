@@ -24,7 +24,7 @@ use std::sync::Arc;
 
 use ape_appdag::{AppSpec, ObjIdx};
 use ape_cachealg::Priority;
-use ape_dnswire::{CacheFlag, DnsMessage, DomainName, Rcode, UrlHash};
+use ape_dnswire::{CacheFlag, CacheTuple, DnsMessage, DomainName, Rcode, UrlHash};
 use ape_httpsim::{HttpRequest, HttpResponse, Url};
 use ape_proto::{names, CacheOp, ConnId, IpMap, Msg, RequestId, SpanKind};
 use ape_simnet::{Context, Node, NodeId, SimDuration, SimTime, SpanCtx, TimerToken};
@@ -334,8 +334,9 @@ pub struct ClientNode {
     dns_cache: BTreeMap<DomainName, (Ipv4Addr, SimTime)>,
     /// No `dns_cache` entry expires before this instant.
     dns_expiry_floor: SimTime,
-    /// Per-domain cached flags and their validity horizon.
-    flags: BTreeMap<DomainName, (BTreeMap<UrlHash, CacheFlag>, SimTime)>,
+    /// Per-domain cached flags, sorted by hash with one tuple per hash
+    /// (see [`flag_table`]), and their validity horizon.
+    flags: BTreeMap<DomainName, (Vec<CacheTuple>, SimTime)>,
     pending_dns: BTreeMap<DomainName, PendingDns>,
     txn_domains: BTreeMap<u16, DomainName>,
     fetches: BTreeMap<RequestId, Fetch>,
@@ -375,6 +376,36 @@ fn http_token(req: RequestId, attempt: u32) -> TimerToken {
     TimerToken::new(
         TOKEN_HTTP_BASE | ((attempt as u64) << HTTP_ATTEMPT_SHIFT) | (req.0 & 0xFFFF_FFFF),
     )
+}
+
+/// Arms the retrieval watchdog for attempt `attempt` of fetch `req` with
+/// exponential backoff. Every non-DNS phase is covered by one of these
+/// timers, so a lost response can never strand the fetch.
+fn arm_http_timer(ctx: &mut Context<'_, Msg>, req: RequestId, attempt: u32) {
+    let backoff = HTTP_TIMEOUT * (1u64 << attempt.min(16));
+    ctx.schedule(staggered(backoff, req.0), http_token(req, attempt));
+}
+
+/// Turns a DNS-Cache answer's tuples into a domain's flag table in place:
+/// sorted by hash, and where a hash repeats the later tuple wins.
+fn flag_table(mut tuples: Vec<CacheTuple>) -> Vec<CacheTuple> {
+    tuples.sort_by_key(|t| t.url_hash);
+    tuples.dedup_by(|later, kept| {
+        let repeat = later.url_hash == kept.url_hash;
+        if repeat {
+            kept.flag = later.flag;
+        }
+        repeat
+    });
+    tuples
+}
+
+/// The flag a domain's table holds for `key`.
+fn flag_in(table: &[CacheTuple], key: UrlHash) -> Option<CacheFlag> {
+    table
+        .binary_search_by_key(&key, |t| t.url_hash)
+        .ok()
+        .map(|i| table[i].flag)
 }
 
 impl ClientNode {
@@ -463,6 +494,7 @@ impl ClientNode {
         ctx.metrics().observe_under(
             names::id::CLIENT_APP_LATENCY_MS_PREFIX,
             self.apps.apps[exec.app_idx].name(),
+            exec.app_idx,
             latency,
         );
         if exec.failed {
@@ -520,19 +552,23 @@ impl ClientNode {
     /// query to the AP.
     fn lookup_ape(&mut self, ctx: &mut Context<'_, Msg>, req: RequestId) {
         let now = ctx.now();
-        let (domain, key) = {
-            let f = &self.fetches[&req];
-            (f.url.host().clone(), f.key)
-        };
-        if let Some((table, valid_until)) = self.flags.get(&domain) {
-            if *valid_until > now {
-                let flag = table.get(&key).copied().unwrap_or(CacheFlag::Delegation);
-                let ip = self.fresh_dns_ip(&domain, now);
-                self.act_on_flag(ctx, req, flag, ip);
-                return;
+        let fetch = &self.fetches[&req];
+        let domain = fetch.url.host();
+        let fresh = self
+            .flags
+            .get(domain)
+            .filter(|(_, valid_until)| *valid_until > now)
+            .map(|(table, _)| {
+                let flag = flag_in(table, fetch.key).unwrap_or(CacheFlag::Delegation);
+                (flag, self.fresh_dns_ip(domain, now))
+            });
+        match fresh {
+            Some((flag, ip)) => self.act_on_flag(ctx, req, flag, ip),
+            None => {
+                let domain = domain.clone();
+                self.join_or_send_dns(ctx, req, domain, true);
             }
         }
-        self.join_or_send_dns(ctx, req, domain, true);
     }
 
     /// Edge Cache lookup: plain DNS against the configured resolver.
@@ -551,29 +587,19 @@ impl ClientNode {
             self.fail_fetch(ctx, req);
             return;
         };
-        let key = self.fetches[&req].key;
-        if let Some(f) = self.fetches.get_mut(&req) {
-            f.lookup_was_query = true;
-            f.phase = Phase::AwaitingController;
-        }
+        let Some(f) = self.fetches.get_mut(&req) else {
+            return;
+        };
+        f.lookup_was_query = true;
+        f.phase = Phase::AwaitingController;
+        let (key, attempt) = (f.key, f.attempt);
         ctx.metrics().incr_id(names::id::CLIENT_WICACHE_LOOKUPS, 1);
         ctx.send_after(
             PROCESSING,
             controller,
             Msg::WiCacheLookup { req, url_hash: key },
         );
-        self.arm_http_timer(ctx, req);
-    }
-
-    /// Arms the retrieval watchdog for the fetch's current attempt with
-    /// exponential backoff. Every non-DNS phase is covered by one of these
-    /// timers, so a lost response can never strand the fetch.
-    fn arm_http_timer(&mut self, ctx: &mut Context<'_, Msg>, req: RequestId) {
-        let Some(fetch) = self.fetches.get(&req) else {
-            return;
-        };
-        let backoff = HTTP_TIMEOUT * (1u64 << fetch.attempt.min(16));
-        ctx.schedule(staggered(backoff, req.0), http_token(req, fetch.attempt));
+        arm_http_timer(ctx, req, attempt);
     }
 
     /// Allocates a DNS transaction id not live in `txn_domains`.
@@ -646,7 +672,7 @@ impl ClientNode {
         ip: Option<Ipv4Addr>,
     ) {
         let now = ctx.now();
-        let Some(fetch) = self.fetches.get(&req) else {
+        let Some(fetch) = self.fetches.get_mut(&req) else {
             return;
         };
         // Wi-Cache fetches armed their watchdog at lookup time; it spans
@@ -685,13 +711,11 @@ impl ClientNode {
         };
         let conn = ConnId(self.next_conn);
         self.next_conn += 1;
-        let fetch = self.fetches.get_mut(&req).expect("checked above");
         fetch.retrieval_started = Some(now);
         fetch.phase = Phase::Connecting { target, mode };
         fetch.conn = Some(conn);
-        let lookup_span = fetch.lookup_span.take();
         self.conns.insert(conn, req);
-        if let Some(span) = lookup_span {
+        if let Some(span) = fetch.lookup_span.take() {
             ctx.span_end(span, SpanKind::Lookup);
         }
         let retrieval_kind = match mode {
@@ -699,14 +723,11 @@ impl ClientNode {
             FetchMode::Delegation => SpanKind::RetrievalDelegation,
             FetchMode::Edge => SpanKind::RetrievalEdge,
         };
-        let retrieval_span = ctx.span_start(retrieval_kind);
-        self.fetches
-            .get_mut(&req)
-            .expect("checked above")
-            .retrieval_span = retrieval_span.map(|s| (s, retrieval_kind));
+        fetch.retrieval_span = ctx.span_start(retrieval_kind).map(|s| (s, retrieval_kind));
+        let attempt = fetch.attempt;
         ctx.send_after(PROCESSING, target, Msg::TcpSyn { conn });
         if !watchdog_armed {
-            self.arm_http_timer(ctx, req);
+            arm_http_timer(ctx, req, attempt);
         }
         if self.config.prefetch_hints && target == self.config.ap {
             self.send_prefetch_hints(ctx, req);
@@ -883,7 +904,7 @@ impl ClientNode {
     // Message handling
     // ------------------------------------------------------------------
 
-    fn handle_dns_response(&mut self, ctx: &mut Context<'_, Msg>, response: DnsMessage) {
+    fn handle_dns_response(&mut self, ctx: &mut Context<'_, Msg>, mut response: DnsMessage) {
         let txn = response.header.id;
         let Some(domain) = self.txn_domains.remove(&txn) else {
             return;
@@ -960,15 +981,12 @@ impl ClientNode {
         }
 
         // Record flags (DNS-Cache responses carry them; plain ones do not).
-        let tuples = response.cache_response_tuples();
+        let tuples = response.take_cache_response_tuples();
         if !tuples.is_empty() {
-            let table = tuples
-                .iter()
-                .map(|t| (t.url_hash, t.flag))
-                .collect::<BTreeMap<_, _>>();
             // Dummy-IP (TTL 0) responses: flags serve the waiting fetches
             // only; the horizon collapses to `now`.
-            self.flags.insert(domain.clone(), (table, flag_horizon));
+            self.flags
+                .insert(domain.clone(), (flag_table(tuples), flag_horizon));
         }
 
         if response.header.rcode != Rcode::NoError {
@@ -978,25 +996,17 @@ impl ClientNode {
             return;
         }
         let ip = answer.map(|(ip, _)| ip).filter(|ip| !IpMap::is_dummy(*ip));
-        // Resolve every waiter's flag before acting on any: acting needs
-        // `&mut self`, and nothing it does touches `flags` or a fetch's key.
-        let flag_table = self.flags.get(&domain).map(|(table, _)| table);
-        let resolved: Vec<(RequestId, CacheFlag)> = pending
-            .waiting
-            .iter()
-            .map(|&req| {
-                let flag = match self.config.strategy {
-                    Strategy::ApeCache => self
-                        .fetches
-                        .get(&req)
-                        .and_then(|f| flag_table?.get(&f.key).copied())
-                        .unwrap_or(CacheFlag::Delegation),
-                    _ => CacheFlag::Miss,
-                };
-                (req, flag)
-            })
-            .collect();
-        for (req, flag) in resolved {
+        // Acting on a flag touches neither `flags` nor a fetch's key, so
+        // each waiter's flag can be read just before acting on it.
+        for req in pending.waiting {
+            let flag = match self.config.strategy {
+                Strategy::ApeCache => self
+                    .fetches
+                    .get(&req)
+                    .and_then(|f| flag_in(&self.flags.get(&domain)?.0, f.key))
+                    .unwrap_or(CacheFlag::Delegation),
+                _ => CacheFlag::Miss,
+            };
             self.act_on_flag(ctx, req, flag, ip);
         }
     }

@@ -251,7 +251,7 @@ impl Node<Msg> for EdgeNode {
                     Msg::HttpReq {
                         conn: up_conn,
                         req: up_req,
-                        request: Box::new(HttpRequest::get(request.url)),
+                        request: HttpRequest::get(request.url),
                         cache_op: None,
                     },
                 );
@@ -322,7 +322,7 @@ mod tests {
                         Msg::HttpReq {
                             conn,
                             req: RequestId(9),
-                            request: Box::new(HttpRequest::get(self.url.clone())),
+                            request: HttpRequest::get(self.url.clone()),
                             cache_op: None,
                         },
                     );

@@ -130,7 +130,7 @@ fn delegation_without_cache_op_uses_defaults() {
         Msg::HttpReq {
             conn: ConnId(1),
             req: RequestId(1),
-            request: Box::new(HttpRequest::get(url.clone())),
+            request: HttpRequest::get(url.clone()),
             cache_op: None,
         },
     );
@@ -271,7 +271,7 @@ fn frequency_window_rolls_update_pacm_rates() {
             Msg::HttpReq {
                 conn: ConnId(i),
                 req: RequestId(i),
-                request: Box::new(HttpRequest::get(url.clone())),
+                request: HttpRequest::get(url.clone()),
                 cache_op: Some(CacheOp {
                     ttl: SimDuration::from_mins(20),
                     priority: Priority::LOW,
@@ -302,7 +302,7 @@ fn delegation_for_unresolvable_domain_fails_instead_of_looping() {
         Msg::HttpReq {
             conn: ConnId(1),
             req: RequestId(1),
-            request: Box::new(HttpRequest::get(url)),
+            request: HttpRequest::get(url),
             cache_op: Some(CacheOp {
                 ttl: SimDuration::from_mins(10),
                 priority: Priority::LOW,

@@ -40,10 +40,10 @@ pub struct PrefetchHint {
 
 /// Every message a node can receive in the APE-CACHE testbed.
 ///
-/// The two bulky payloads — a full DNS packet and a full HTTP request —
-/// are boxed: `Msg` rides inline in every scheduled event, so its size is
-/// paid per *pending event slot* in the timing wheel, and the hot variants
-/// (TCP control, HTTP responses with interned bodies) should not carry the
+/// The one bulky payload, a full DNS packet, is boxed: `Msg` rides inline
+/// in every scheduled event, so its size is paid per *pending event slot*
+/// in the timing wheel, and the hot variants (TCP control, HTTP requests
+/// and responses, whose URLs and bodies are handles) should not carry the
 /// fattest variant's footprint. The compile-time guard below pins the
 /// resulting event size.
 #[derive(Debug, Clone, PartialEq)]
@@ -67,8 +67,8 @@ pub enum Msg {
         conn: ConnId,
         /// Request correlation id.
         req: RequestId,
-        /// The request itself.
-        request: Box<HttpRequest>,
+        /// The request itself (16 bytes: the method and a `Url` handle).
+        request: HttpRequest,
         /// Delegation metadata (AP-bound requests only).
         cache_op: Option<CacheOp>,
     },
@@ -154,7 +154,7 @@ impl Msg {
         Msg::Dns(Box::new(m))
     }
 
-    /// Builds an HTTP request message (boxed, see [`Msg::dns`]).
+    /// Builds an HTTP request message.
     pub fn http_req(
         conn: ConnId,
         req: RequestId,
@@ -164,7 +164,7 @@ impl Msg {
         Msg::HttpReq {
             conn,
             req,
-            request: Box::new(request),
+            request,
             cache_op,
         }
     }

@@ -202,7 +202,7 @@ mod tests {
     #[test]
     fn per_app_key_round_trips_through_prefix() {
         let mut m = Metrics::new();
-        m.observe_under(id::CLIENT_APP_LATENCY_MS_PREFIX, "news", 5.0);
+        m.observe_under(id::CLIENT_APP_LATENCY_MS_PREFIX, "news", 0, 5.0);
         let keys: Vec<&str> = m.histogram_names().collect();
         assert_eq!(keys, ["client.app_latency_ms.news"]);
         assert_eq!(

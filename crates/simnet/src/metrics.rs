@@ -20,7 +20,8 @@
 //! [`Metrics::record_point_id`]): an index, no string compare and no
 //! allocation. The one family of names built at run time (a histogram per
 //! app) is written through [`Metrics::observe_under`], keyed by a declared
-//! prefix id. The harnesses read by name.
+//! prefix id and the member's slot in the caller's numbering, so a repeat
+//! write is an index too. The harnesses read by name.
 
 use std::borrow::Cow;
 use std::fmt;
@@ -572,13 +573,17 @@ struct Entry<T> {
 
 /// Every metric of one kind, in registration order. A name is registered
 /// by its first write; by-name access finds it by scanning `entries`, a
-/// [`MetricId`] through `by_id`.
+/// [`MetricId`] through `by_id`, a family member through `by_member`.
+/// Entries are only ever appended, so a remembered position stays valid.
 #[derive(Debug, Clone)]
 struct Table<T> {
     entries: Vec<Entry<T>>,
     /// `MetricId::index()` → position in `entries` plus one; `0` until the
     /// id's first use has looked its name up.
     by_id: Vec<u32>,
+    /// Prefix `MetricId::index()` → member slot → position in `entries`
+    /// plus one; `0` until the slot's first write.
+    by_member: Vec<Vec<u32>>,
 }
 
 impl<T> Default for Table<T> {
@@ -586,6 +591,7 @@ impl<T> Default for Table<T> {
         Table {
             entries: Vec::new(),
             by_id: Vec::new(),
+            by_member: Vec::new(),
         }
     }
 }
@@ -604,14 +610,37 @@ impl<T: Default> Table<T> {
         self.entries.len() - 1
     }
 
-    /// The value named `prefix` followed by `suffix`. Allocates only when
-    /// that name is new.
-    fn under(&mut self, prefix: &str, suffix: &str) -> &mut T {
-        let pos = self
-            .entries
-            .iter()
-            .position(|e| e.name.strip_prefix(prefix) == Some(suffix))
-            .unwrap_or_else(|| self.register(Cow::Owned([prefix, suffix].concat())));
+    /// The value named `prefix`'s name followed by `member`, which the
+    /// caller numbers `slot` within the family: two indexed loads and one
+    /// name check once the slot has been written. A slot that turns out to
+    /// name another member (two numberings of one family) is looked up by
+    /// name again; allocates only when the name is new.
+    fn under(&mut self, prefix: MetricId, member: &str, slot: usize) -> &mut T {
+        let is_member = |e: &Entry<T>| e.name.strip_prefix(prefix.name()) == Some(member);
+        let remembered = self
+            .by_member
+            .get(prefix.index())
+            .and_then(|slots| slots.get(slot))
+            .and_then(|&at| (at as usize).checked_sub(1))
+            .filter(|&pos| is_member(&self.entries[pos]));
+        let pos = match remembered {
+            Some(pos) => pos,
+            None => {
+                let pos =
+                    self.entries.iter().position(is_member).unwrap_or_else(|| {
+                        self.register(Cow::Owned([prefix.name(), member].concat()))
+                    });
+                if self.by_member.len() <= prefix.index() {
+                    self.by_member.resize_with(prefix.index() + 1, Vec::new);
+                }
+                let slots = &mut self.by_member[prefix.index()];
+                if slots.len() <= slot {
+                    slots.resize(slot + 1, 0);
+                }
+                slots[slot] = u32::try_from(pos + 1).expect("metric count fits u32");
+                pos
+            }
+        };
         &mut self.entries[pos].value
     }
 
@@ -677,8 +706,10 @@ impl<T: Default> Table<T> {
     /// Heap bytes of the two tables and the owned names; `value_bytes`
     /// adds what each value holds on the heap.
     fn approx_bytes(&self, value_bytes: impl Fn(&T) -> usize) -> usize {
+        let slots: usize = self.by_member.iter().map(Vec::capacity).sum();
         let tables = self.entries.capacity() * std::mem::size_of::<Entry<T>>()
-            + self.by_id.capacity() * std::mem::size_of::<u32>();
+            + (self.by_id.capacity() + slots) * std::mem::size_of::<u32>()
+            + self.by_member.capacity() * std::mem::size_of::<Vec<u32>>();
         self.entries.iter().fold(tables, |total, e| {
             let name = match &e.name {
                 Cow::Owned(s) => s.capacity(),
@@ -768,10 +799,13 @@ impl Metrics {
     /// Records an observation into the histogram named `prefix`'s name
     /// followed by `member` — the only write keyed by a run-time string,
     /// for a family whose members (one per app) are not known until the
-    /// run is configured. Allocation-free once the member exists.
-    pub fn observe_under(&mut self, prefix: MetricId, member: &str, value: f64) {
+    /// run is configured. `slot` is the member's dense number in the
+    /// caller's family (an app's position in its suite): the first write
+    /// per slot finds or registers the name, later ones are a table index
+    /// and one name check, with no allocation.
+    pub fn observe_under(&mut self, prefix: MetricId, member: &str, slot: usize, value: f64) {
         let t = self.profile.start();
-        self.histograms.under(prefix.name(), member).record(value);
+        self.histograms.under(prefix, member, slot).record(value);
         self.profile.stop(t);
     }
 
@@ -1231,17 +1265,17 @@ mod tests {
     #[test]
     fn interned_and_string_recording_share_one_metric() {
         let mut m = Metrics::new();
-        m.observe_under(id::LAT_PREFIX, "news", 1.0);
+        m.observe_under(id::LAT_PREFIX, "news", 0, 1.0);
         // The id resolves to the entry the prefixed write registered...
         m.observe_id(id::LAT_NEWS, 3.0);
         // ...and later prefixed writes still find that one entry.
-        m.observe_under(id::LAT_PREFIX, "news", 5.0);
+        m.observe_under(id::LAT_PREFIX, "news", 0, 5.0);
         assert_eq!(m.histogram(local::LAT_NEWS).unwrap().count(), 3);
         assert_eq!(m.histogram_id(id::LAT_NEWS).unwrap().count(), 3);
         assert_eq!(m.mean(local::LAT_NEWS), 3.0);
         assert_eq!(m.histogram_names().count(), 1);
         // Another member of the family is another histogram.
-        m.observe_under(id::LAT_PREFIX, "mail", 7.0);
+        m.observe_under(id::LAT_PREFIX, "mail", 1, 7.0);
         assert_eq!(m.mean("lat.mail"), 7.0);
         assert_eq!(m.histogram_names().count(), 2);
 
@@ -1256,11 +1290,53 @@ mod tests {
         assert_eq!(m.time_series_id(keys::id::NET_DROPPED).unwrap().len(), 2);
     }
 
+    /// However a per-app histogram was first reached — by its interned
+    /// id, through a slot, through a slot another numbering gave another
+    /// member, or by a merge — the registry reads the same: digest,
+    /// `Display` and `histogram_names()`, and every sample lands in the
+    /// member named.
+    #[test]
+    fn member_slots_are_invisible_to_readers() {
+        let write = |m: &mut Metrics, news: usize, mail: usize| {
+            for v in [1.0, 2.0, 3.0] {
+                m.observe_under(id::LAT_PREFIX, "news", news, v);
+            }
+            m.observe_under(id::LAT_PREFIX, "mail", mail, 7.0);
+        };
+        let mut by_id_first = Metrics::new();
+        by_id_first.observe_id(id::LAT_NEWS, 0.5);
+        write(&mut by_id_first, 0, 1);
+
+        let mut by_slot_first = Metrics::new();
+        write(&mut by_slot_first, 1, 0);
+        by_slot_first.observe_id(id::LAT_NEWS, 0.5);
+
+        // One slot, two members: every write still finds its own name.
+        let mut shared_slot = Metrics::new();
+        write(&mut shared_slot, 0, 0);
+        shared_slot.observe_under(id::LAT_PREFIX, "news", 0, 0.5);
+
+        let mut merged = Metrics::new();
+        let mut part = Metrics::new();
+        write(&mut part, 3, 4);
+        merged.merge(&part);
+        merged.observe_under(id::LAT_PREFIX, "news", 4, 0.5);
+
+        for m in [&by_slot_first, &shared_slot, &merged] {
+            assert_eq!(m.digest(), by_id_first.digest());
+            assert_eq!(format!("{m}"), format!("{by_id_first}"));
+            assert!(m.histogram_names().eq(by_id_first.histogram_names()));
+            assert_eq!(m.histogram(local::LAT_NEWS).unwrap().count(), 4);
+            assert_eq!(m.mean("lat.mail"), 7.0);
+        }
+        assert!(by_id_first.histogram_names().eq(["lat.mail", "lat.news"]));
+    }
+
     #[test]
     fn interned_digest_matches_string_digest() {
         let mut by_str = Metrics::new();
         let mut by_id = Metrics::new();
-        by_str.observe_under(id::LAT_PREFIX, "news", 64.0);
+        by_str.observe_under(id::LAT_PREFIX, "news", 0, 64.0);
         by_id.observe_id(id::LAT_NEWS, 64.0);
         assert_eq!(by_str.digest(), by_id.digest());
         assert_eq!(format!("{by_str}"), format!("{by_id}"));
@@ -1294,13 +1370,13 @@ mod tests {
     #[test]
     fn write_order_across_the_two_apis_is_invisible() {
         let prefixed_first = |m: &mut Metrics| {
-            m.observe_under(id::LAT_PREFIX, "news", 64.0);
+            m.observe_under(id::LAT_PREFIX, "news", 0, 64.0);
             m.incr_id(keys::id::NET_MESSAGES, 7);
             m.record_point_id(keys::id::NET_DROPPED, SimTime::from_secs(2), 1.5);
-            m.observe_under(id::LAT_PREFIX, "only", 1.0);
+            m.observe_under(id::LAT_PREFIX, "only", 1, 1.0);
         };
         let interned_first = |m: &mut Metrics| {
-            m.observe_under(id::LAT_PREFIX, "only", 1.0);
+            m.observe_under(id::LAT_PREFIX, "only", 1, 1.0);
             m.record_point_id(keys::id::NET_DROPPED, SimTime::from_secs(2), 1.5);
             m.incr_id(keys::id::NET_MESSAGES, 7);
             m.observe_id(id::LAT_NEWS, 64.0);
@@ -1503,7 +1579,7 @@ mod tests {
         );
         // A name built under a prefix owns its string; that is counted too.
         let before = m.approx_bytes();
-        m.observe_under(id::LAT_PREFIX, "dynamic", 1.0);
+        m.observe_under(id::LAT_PREFIX, "dynamic", 2, 1.0);
         assert!(m.approx_bytes() >= before + "lat.dynamic".len());
     }
 
@@ -1534,7 +1610,7 @@ mod tests {
         m.incr_id(id::C, 1); // before enabling: not counted
         m.enable_self_profile();
         m.incr_id(id::C, 1);
-        m.observe_under(id::LAT_PREFIX, "news", 1.0);
+        m.observe_under(id::LAT_PREFIX, "news", 0, 1.0);
         m.observe_id(id::H, 1.0);
         m.record_point_id(id::S, SimTime::ZERO, 1.0);
         let (_, calls) = m.self_profile();
