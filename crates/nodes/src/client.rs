@@ -27,7 +27,7 @@ use ape_cachealg::Priority;
 use ape_dnswire::{CacheFlag, CacheTuple, DnsMessage, DomainName, Rcode, UrlHash};
 use ape_httpsim::{HttpRequest, HttpResponse, Url};
 use ape_proto::{names, CacheOp, ConnId, IpMap, Msg, RequestId, SpanKind};
-use ape_simnet::{Context, Node, NodeId, SimDuration, SimTime, SpanCtx, TimerToken};
+use ape_simnet::{Context, Node, NodeId, SimDuration, SimTime, SpanCtx, TimerId, TimerToken};
 use ape_workload::Execution;
 
 use crate::txn::alloc_txn;
@@ -150,9 +150,12 @@ struct Fetch {
     lookup_was_query: bool,
     retrieval_started: Option<SimTime>,
     phase: Phase,
-    /// Retrieval attempts consumed (0 = first try); stale timers and
-    /// responses from earlier attempts are recognized by mismatch.
+    /// Retrieval attempts consumed (0 = first try); stale responses from
+    /// earlier attempts are recognized by mismatch.
     attempt: u32,
+    /// The current attempt's retrieval watchdog, cancelled when the fetch
+    /// settles (a no-op if it has fired); `None` until one is armed.
+    watchdog: Option<TimerId>,
     /// The connection of the current attempt, so abandoning or finishing
     /// the fetch also drops its `conns` entry.
     conn: Option<ConnId>,
@@ -186,6 +189,9 @@ struct PendingDns {
     hashes: Vec<UrlHash>,
     /// Standalone second-stage query flag.
     cache_stage: bool,
+    /// Retransmit timer of the current transmission, cancelled when the
+    /// query is answered.
+    timer: TimerId,
 }
 
 /// Client-side outcome counters, exposed for harnesses and tests.
@@ -381,9 +387,17 @@ fn http_token(req: RequestId, attempt: u32) -> TimerToken {
 /// Arms the retrieval watchdog for attempt `attempt` of fetch `req` with
 /// exponential backoff. Every non-DNS phase is covered by one of these
 /// timers, so a lost response can never strand the fetch.
-fn arm_http_timer(ctx: &mut Context<'_, Msg>, req: RequestId, attempt: u32) {
+fn arm_http_timer(ctx: &mut Context<'_, Msg>, req: RequestId, attempt: u32) -> TimerId {
     let backoff = HTTP_TIMEOUT * (1u64 << attempt.min(16));
-    ctx.schedule(staggered(backoff, req.0), http_token(req, attempt));
+    ctx.schedule(staggered(backoff, req.0), http_token(req, attempt))
+}
+
+/// Arms the retransmit timer of DNS transaction `txn`.
+fn arm_dns_timer(ctx: &mut Context<'_, Msg>, txn: u16) -> TimerId {
+    ctx.schedule(
+        staggered(DNS_TIMEOUT, txn as u64),
+        TimerToken::new(TOKEN_DNS_BASE | txn as u64),
+    )
 }
 
 /// Turns a DNS-Cache answer's tuples into a domain's flag table in place:
@@ -533,6 +547,7 @@ impl ClientNode {
             retrieval_started: None,
             phase: Phase::AwaitingDns,
             attempt: 0,
+            watchdog: None,
             conn: None,
             root_span,
             lookup_span,
@@ -599,7 +614,7 @@ impl ClientNode {
             controller,
             Msg::WiCacheLookup { req, url_hash: key },
         );
-        arm_http_timer(ctx, req, attempt);
+        f.watchdog = Some(arm_http_timer(ctx, req, attempt));
     }
 
     /// Allocates a DNS transaction id not live in `txn_domains`.
@@ -643,22 +658,20 @@ impl ClientNode {
         } else {
             DnsMessage::dns_cache_request(txn, domain.clone(), &hashes)
         };
+        self.txn_domains.insert(txn, domain.clone());
+        ctx.metrics().incr_id(names::id::CLIENT_DNS_QUERIES, 1);
+        ctx.send_after(PROCESSING, self.config.dns_server, Msg::dns(query));
+        let timer = arm_dns_timer(ctx, txn);
         self.pending_dns.insert(
-            domain.clone(),
+            domain,
             PendingDns {
                 txn,
                 waiting: vec![req],
                 retries: 0,
                 hashes,
                 cache_stage: false,
+                timer,
             },
-        );
-        self.txn_domains.insert(txn, domain);
-        ctx.metrics().incr_id(names::id::CLIENT_DNS_QUERIES, 1);
-        ctx.send_after(PROCESSING, self.config.dns_server, Msg::dns(query));
-        ctx.schedule(
-            staggered(DNS_TIMEOUT, txn as u64),
-            TimerToken::new(TOKEN_DNS_BASE | txn as u64),
         );
     }
 
@@ -727,7 +740,7 @@ impl ClientNode {
         let attempt = fetch.attempt;
         ctx.send_after(PROCESSING, target, Msg::TcpSyn { conn });
         if !watchdog_armed {
-            arm_http_timer(ctx, req, attempt);
+            fetch.watchdog = Some(arm_http_timer(ctx, req, attempt));
         }
         if self.config.prefetch_hints && target == self.config.ap {
             self.send_prefetch_hints(ctx, req);
@@ -770,6 +783,9 @@ impl ClientNode {
         let Some(fetch) = self.fetches.remove(&req) else {
             return;
         };
+        if let Some(watchdog) = fetch.watchdog {
+            ctx.cancel(watchdog);
+        }
         if let Some(conn) = fetch.conn {
             self.conns.remove(&conn);
         }
@@ -824,6 +840,9 @@ impl ClientNode {
         let Some(fetch) = self.fetches.remove(&req) else {
             return;
         };
+        if let Some(watchdog) = fetch.watchdog {
+            ctx.cancel(watchdog);
+        }
         // A response from an abandoned attempt can land while the current
         // attempt is mid-retry; drop whichever conn the fetch now owns so
         // the connection table drains either way.
@@ -918,6 +937,7 @@ impl ClientNode {
             self.pending_dns.insert(domain, pending);
             return;
         }
+        ctx.cancel(pending.timer);
         let now = ctx.now();
 
         let answer = response
@@ -970,13 +990,10 @@ impl ClientNode {
             pending.cache_stage = true;
             pending.hashes = hashes;
             self.txn_domains.insert(txn2, domain.clone());
-            self.pending_dns.insert(domain, pending);
             ctx.metrics().incr_id(names::id::CLIENT_DNS_QUERIES, 1);
             ctx.send_after(PROCESSING, self.config.dns_server, Msg::dns(query));
-            ctx.schedule(
-                staggered(DNS_TIMEOUT, txn2 as u64),
-                TimerToken::new(TOKEN_DNS_BASE | txn2 as u64),
-            );
+            pending.timer = arm_dns_timer(ctx, txn2);
+            self.pending_dns.insert(domain, pending);
             return;
         }
 
@@ -1012,7 +1029,12 @@ impl ClientNode {
     }
 
     fn handle_dns_timeout(&mut self, ctx: &mut Context<'_, Msg>, txn: u16) {
-        let Some(domain) = self.txn_domains.get(&txn).cloned() else {
+        let domain = self.txn_domains.get(&txn).cloned();
+        debug_assert!(
+            domain.is_some(),
+            "DNS timer of answered txn {txn} fired: the answer cancels it"
+        );
+        let Some(domain) = domain else {
             return; // Answered already.
         };
         let Some(pending) = self.pending_dns.get_mut(&domain) else {
@@ -1038,19 +1060,27 @@ impl ClientNode {
             DnsMessage::dns_cache_request(txn, domain.clone(), &pending.hashes)
         };
         ctx.send_after(PROCESSING, self.config.dns_server, Msg::dns(query));
-        ctx.schedule(
-            staggered(DNS_TIMEOUT, txn as u64),
-            TimerToken::new(TOKEN_DNS_BASE | txn as u64),
-        );
+        pending.timer = arm_dns_timer(ctx, txn);
     }
 
     /// The retrieval watchdog fired: if the attempt it guarded is still
     /// in flight, abandon it and retry the whole lookup (backoff doubles),
     /// or fail the fetch once the retry budget is spent.
     fn handle_http_timeout(&mut self, ctx: &mut Context<'_, Msg>, req: RequestId, attempt: u32) {
-        let Some(fetch) = self.fetches.get(&req) else {
+        let fetch = self.fetches.get(&req);
+        debug_assert!(
+            fetch.is_some(),
+            "watchdog of settled fetch {req:?} fired: settling cancels it"
+        );
+        let Some(fetch) = fetch else {
             return; // Completed or failed already.
         };
+        // Only this handler advances `attempt`, and only when the current
+        // attempt's watchdog fires, so no older watchdog is still armed.
+        debug_assert_eq!(
+            fetch.attempt, attempt,
+            "watchdog of an abandoned attempt of {req:?} fired"
+        );
         if fetch.attempt != attempt {
             return; // A newer attempt owns the fetch now.
         }

@@ -14,7 +14,7 @@ use std::net::Ipv4Addr;
 
 use ape_dnswire::{DnsMessage, DomainName, RData, Rcode, ResourceRecord};
 use ape_proto::Msg;
-use ape_simnet::{Context, Node, NodeId, SimDuration, SimTime, TimerToken};
+use ape_simnet::{Context, Node, NodeId, SimDuration, SimTime, TimerId, TimerToken};
 
 use crate::txn::alloc_txn;
 
@@ -157,6 +157,8 @@ struct PendingResolution {
     hops: u8,
     /// When the resolution started (drives the give-up timer).
     started: SimTime,
+    /// The give-up timer, cancelled when the resolution settles.
+    timer: TimerId,
 }
 
 /// How long a recursive resolution may chase before the client gets
@@ -288,7 +290,7 @@ impl LdnsNode {
         let current = pending.current.clone();
         // A fresh cached chain may complete resolution without upstream.
         if let Some((ip, ttl)) = self.cached_chain(&current, ctx.now()) {
-            let pending = self.pending.remove(&txn).expect("checked above");
+            let pending = self.settle(ctx, txn);
             self.respond(ctx, pending.client, &pending.client_query, Ok((ip, ttl)));
             return;
         }
@@ -298,7 +300,7 @@ impl LdnsNode {
                 ctx.send_after(self.processing, auth, Msg::dns(upstream));
             }
             None => {
-                let pending = self.pending.remove(&txn).expect("checked above");
+                let pending = self.settle(ctx, txn);
                 self.respond(
                     ctx,
                     pending.client,
@@ -324,6 +326,7 @@ impl LdnsNode {
             pending.contains_key(&txn)
         });
         let resume_from = self.deepest_fresh_alias(&name, ctx.now());
+        let timer = ctx.schedule(RESOLVE_TIMEOUT, TimerToken::new(txn as u64));
         self.pending.insert(
             txn,
             PendingResolution {
@@ -332,10 +335,17 @@ impl LdnsNode {
                 current: resume_from,
                 hops: 0,
                 started: ctx.now(),
+                timer,
             },
         );
-        ctx.schedule(RESOLVE_TIMEOUT, TimerToken::new(txn as u64));
         self.resolve_step(ctx, txn);
+    }
+
+    /// Removes the pending resolution `txn` and cancels its give-up timer.
+    fn settle(&mut self, ctx: &mut Context<'_, Msg>, txn: u16) -> PendingResolution {
+        let done = self.pending.remove(&txn).expect("resolution is pending");
+        ctx.cancel(done.timer);
+        done
     }
 
     fn handle_upstream_response(&mut self, ctx: &mut Context<'_, Msg>, response: DnsMessage) {
@@ -354,7 +364,7 @@ impl LdnsNode {
                     ttl,
                 },
             );
-            let done = self.pending.remove(&txn).expect("present above");
+            let done = self.settle(ctx, txn);
             self.respond(ctx, done.client, &done.client_query, Ok((ip, ttl)));
             return;
         }
@@ -370,7 +380,7 @@ impl LdnsNode {
             pending.current = target;
             pending.hops += 1;
             if pending.hops > MAX_CNAME_HOPS {
-                let done = self.pending.remove(&txn).expect("present above");
+                let done = self.settle(ctx, txn);
                 self.respond(ctx, done.client, &done.client_query, Err(Rcode::ServFail));
                 return;
             }
@@ -378,7 +388,7 @@ impl LdnsNode {
             return;
         }
         // NXDOMAIN or empty answer: fail the client query.
-        let done = self.pending.remove(&txn).expect("present above");
+        let done = self.settle(ctx, txn);
         let rcode = match response.header.rcode {
             Rcode::NoError => Rcode::ServFail,
             other => other,
@@ -402,13 +412,16 @@ impl Node<Msg> for LdnsNode {
     fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, token: TimerToken) {
         // One-shot resolution give-up: an upstream answer lost on a faulty
         // link would otherwise strand the pending entry (and the client)
-        // forever. If the txn was reused by a newer resolution since this
-        // timer was armed, the age check makes it a no-op.
+        // forever. Settling a resolution cancels its timer, so a txn reused
+        // by a newer resolution never sees an older timer; the age check
+        // only guards against a leaked one.
         let txn = token.get() as u16;
         let Some(p) = self.pending.get(&txn) else {
             return;
         };
-        if ctx.now() - p.started < RESOLVE_TIMEOUT {
+        let early = ctx.now() - p.started < RESOLVE_TIMEOUT;
+        debug_assert!(!early, "give-up timer of settled txn {txn} fired");
+        if early {
             return;
         }
         let done = self.pending.remove(&txn).expect("checked above");

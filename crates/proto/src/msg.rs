@@ -170,9 +170,10 @@ impl Msg {
     }
 }
 
-/// `Msg` rides inline in every scheduled event, so its size is paid per
-/// pending slot of the timing wheel. If a change fattens the event past
-/// this bound, shrink or box the offending variant — don't bump the bound.
+/// `Msg` rides inline in every scheduled event's slot of the event slab,
+/// so its size sets how densely live events pack there (the wheel itself
+/// holds 8-byte handles). If a change fattens the event past this bound,
+/// shrink or box the offending variant — don't bump the bound.
 const _: () = assert!(ape_simnet::event_footprint::<Msg>() <= 104);
 
 impl Message for Msg {

@@ -6,6 +6,13 @@
 //! [`crate::reference`] as a differential-testing oracle that this queue
 //! can mirror every operation against (see [`EventQueue::enable_oracle`]).
 //!
+//! The wheel orders 8-byte handles ([`TimerId`]); payloads live in a slab
+//! beside it. A handle names a slab slot and the slot's generation when
+//! it was filled. Popping or cancelling an event empties its slot and
+//! bumps the generation, so a cancelled event costs nothing after the
+//! cancel: its payload is gone at once, and its dead handle is dropped
+//! unseen when it reaches the front of the wheel.
+//!
 //! The queue holds what is in flight. A node's long time-sorted timer
 //! schedule enters as a *series* ([`EventQueue::push_series`]): its
 //! tie-break keys are reserved when it is armed, but the wheel holds it an
@@ -40,7 +47,7 @@ pub(crate) enum EventKind<M> {
     },
 }
 
-/// What the wheel stores: an event, or element `index` of timer series
+/// What a slab slot holds: an event, or element `index` of timer series
 /// `series`, which [`EventQueue::pop`] turns into its `Timer` event.
 #[derive(Debug)]
 enum Queued<M> {
@@ -48,12 +55,50 @@ enum Queued<M> {
     Series { series: u32, index: u32 },
 }
 
+/// One slab slot: a queued payload, or `None` while the slot is free.
+#[derive(Debug)]
+struct Slot<M> {
+    /// Bumped whenever the payload leaves (popped or cancelled), so every
+    /// handle minted for an earlier occupant is dead. It wraps after 2^32
+    /// reuses of one slot; a dead handle would have to stay queued across
+    /// all of them to be mistaken for a live one.
+    generation: u32,
+    payload: Option<Queued<M>>,
+}
+
 /// In-memory footprint of one scheduled event carrying an `M`-typed
-/// message — what every slot of the timing wheel pays. Message crates pin
-/// this with a `const` assertion so an accidentally fattened message enum
-/// fails to compile instead of silently halving event-queue cache density.
+/// message: what every slot of the event slab pays (a wheel entry is a
+/// fixed 24 bytes, whatever `M` is). Message crates pin this with a
+/// `const` assertion so an accidentally fattened message enum fails to
+/// compile instead of silently halving the slab's cache density.
 pub const fn event_footprint<M>() -> usize {
-    crate::wheel::entry_size::<Queued<M>>()
+    std::mem::size_of::<Slot<M>>()
+}
+
+/// Names one scheduled event: what the wheel orders, and what
+/// [`Context::schedule`](crate::Context::schedule) returns for
+/// [`Context::cancel`](crate::Context::cancel). A slab slot index (low 32
+/// bits) and the slot's generation when the event was queued (high 32
+/// bits).
+///
+/// An id outlives its event harmlessly: once the event has fired or been
+/// cancelled, cancelling it again is a no-op, even after its slab slot has
+/// been reused by a later event.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TimerId(u64);
+
+impl TimerId {
+    fn new(index: u32, generation: u32) -> Self {
+        TimerId(u64::from(generation) << 32 | u64::from(index))
+    }
+
+    fn index(self) -> usize {
+        (self.0 & 0xFFFF_FFFF) as usize
+    }
+
+    fn generation(self) -> u32 {
+        (self.0 >> 32) as u32
+    }
 }
 
 /// A time-sorted run of timers on one node (see
@@ -74,7 +119,12 @@ struct Series {
 /// Earliest-first queue of scheduled events.
 #[derive(Debug)]
 pub(crate) struct EventQueue<M> {
-    wheel: TimerWheel<Queued<M>>,
+    /// Ids of live and cancelled events, ordered by `(at, seq)`.
+    wheel: TimerWheel<TimerId>,
+    /// Payloads, indexed by [`TimerId::index`].
+    slots: Vec<Slot<M>>,
+    /// Indices of the empty `slots`, reused last-freed first.
+    free: Vec<u32>,
     next_seq: u64,
     /// Schedule-perturbation key (see [`World::set_tie_perturbation`]
     /// (crate::World::set_tie_perturbation)). `None` means FIFO tie-breaks.
@@ -91,6 +141,8 @@ impl<M> Default for EventQueue<M> {
     fn default() -> Self {
         EventQueue {
             wheel: TimerWheel::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
             next_seq: 0,
             perturbation: None,
             series: Vec::new(),
@@ -127,8 +179,10 @@ impl<M> EventQueue<M> {
     /// Mirrors all subsequent pushes and pops against the frozen
     /// [`ReferenceEventQueue`]; every pop asserts both engines agree on
     /// `(at, seq)`. A series is mirrored as the eager pushes it stands
-    /// for, so the oracle also checks its lazy arming. Meant for tests —
-    /// it doubles queue work.
+    /// for, so the oracle also checks its lazy arming; a cancelled event
+    /// is mirrored until its dead handle leaves the wheel, so the oracle
+    /// also checks where that handle sat. Meant for tests — it doubles
+    /// queue work.
     pub fn enable_oracle(&mut self) {
         if self.oracle.is_none() {
             assert!(
@@ -139,13 +193,56 @@ impl<M> EventQueue<M> {
         }
     }
 
-    pub fn push(&mut self, at: SimTime, kind: EventKind<M>) {
+    /// Stores `queued` in a free slab slot and returns its handle.
+    fn insert(&mut self, queued: Queued<M>) -> TimerId {
+        if let Some(index) = self.free.pop() {
+            let slot = &mut self.slots[index as usize];
+            slot.payload = Some(queued);
+            return TimerId::new(index, slot.generation);
+        }
+        let index = u32::try_from(self.slots.len()).expect("slab indices fit in u32");
+        self.slots.push(Slot {
+            generation: 0,
+            payload: Some(queued),
+        });
+        TimerId::new(index, 0)
+    }
+
+    /// Whether `handle` still names its event (not yet popped or
+    /// cancelled).
+    fn is_live(&self, handle: TimerId) -> bool {
+        self.slots[handle.index()].generation == handle.generation()
+    }
+
+    /// Takes the payload `handle` names and frees its slot; `None` if the
+    /// handle is dead.
+    fn take(&mut self, handle: TimerId) -> Option<Queued<M>> {
+        if !self.is_live(handle) {
+            return None;
+        }
+        let slot = &mut self.slots[handle.index()];
+        slot.generation = slot.generation.wrapping_add(1);
+        self.free.push(handle.index() as u32);
+        slot.payload.take()
+    }
+
+    pub fn push(&mut self, at: SimTime, kind: EventKind<M>) -> TimerId {
         let seq = tie_key(self.perturbation, self.next_seq);
         self.next_seq += 1;
         if let Some(oracle) = &mut self.oracle {
             oracle.push(at, seq, ());
         }
-        self.wheel.push(at, seq, Queued::Event(kind));
+        let handle = self.insert(Queued::Event(kind));
+        self.wheel.push(at, seq, handle);
+        handle
+    }
+
+    /// Cancels the event `id` names: its payload is dropped and its slot
+    /// freed now, and its handle is dropped unseen when it reaches the
+    /// front of the wheel. Returns whether a pending event was cancelled;
+    /// once the event has popped or been cancelled, this is a no-op.
+    pub fn cancel(&mut self, id: TimerId) -> bool {
+        self.take(id).is_some()
     }
 
     /// Queues a timer on `node` for every element of the time-sorted
@@ -195,34 +292,50 @@ impl<M> EventQueue<M> {
     /// Puts every element of series `id` at its next unarmed instant on
     /// the wheel; a no-op once the series is exhausted.
     fn arm_next_instant(&mut self, id: u32) {
-        let series = &mut self.series[id as usize];
+        let series = &self.series[id as usize];
         let Some(&at) = series.times.get(series.armed) else {
             return;
         };
-        while series.times.get(series.armed) == Some(&at) {
+        loop {
+            let series = &mut self.series[id as usize];
+            if series.times.get(series.armed) != Some(&at) {
+                return;
+            }
             let seq = tie_key(self.perturbation, series.first_fifo + series.armed as u64);
             let index = u32::try_from(series.armed).expect("series index fits in u32");
-            self.wheel
-                .push(at, seq, Queued::Series { series: id, index });
             series.armed += 1;
+            let handle = self.insert(Queued::Series { series: id, index });
+            self.wheel.push(at, seq, handle);
         }
     }
 
-    /// Pops the earliest event as `(at, seq, kind)`. `seq` is the tie-break
-    /// key: the scheduling sequence number (FIFO among ties) or, under a
-    /// perturbation key, a bijective scramble of it, so ties pop in a
-    /// seeded permutation while distinct-timestamp ordering is untouched.
-    pub fn pop(&mut self) -> Option<(SimTime, u64, EventKind<M>)> {
+    /// Pops the earliest wheel entry, live or dead, checking its key
+    /// against the oracle.
+    fn pop_entry(&mut self) -> Option<(SimTime, u64, TimerId)> {
         let popped = self.wheel.pop();
         if let Some(oracle) = &mut self.oracle {
             let expect = oracle.pop().map(|(at, seq, ())| (at, seq));
             assert_eq!(
-                popped.as_ref().map(|&(at, seq, _)| (at, seq)),
+                popped.map(|(at, seq, _)| (at, seq)),
                 expect,
                 "timing wheel diverged from the reference heap"
             );
         }
-        let (at, seq, queued) = popped?;
+        popped
+    }
+
+    /// Pops the earliest live event as `(at, seq, kind)`, dropping the
+    /// dead handles ahead of it. `seq` is the tie-break key: the
+    /// scheduling sequence number (FIFO among ties) or, under a
+    /// perturbation key, a bijective scramble of it, so ties pop in a
+    /// seeded permutation while distinct-timestamp ordering is untouched.
+    pub fn pop(&mut self) -> Option<(SimTime, u64, EventKind<M>)> {
+        let (at, seq, queued) = loop {
+            let (at, seq, handle) = self.pop_entry()?;
+            if let Some(queued) = self.take(handle) {
+                break (at, seq, queued);
+            }
+        };
         let kind = match queued {
             Queued::Event(kind) => kind,
             Queued::Series { series: id, index } => {
@@ -244,18 +357,27 @@ impl<M> EventQueue<M> {
         Some((at, seq, kind))
     }
 
+    /// Time of the earliest live event, dropping the dead handles ahead
+    /// of it.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.wheel.peek_time()
+        loop {
+            let (at, &handle) = self.wheel.peek()?;
+            if self.is_live(handle) {
+                return Some(at);
+            }
+            self.pop_entry();
+        }
     }
 
-    /// Events on the wheel: everything in flight plus each live series'
-    /// next instant.
+    /// Live events: everything in flight plus each live series' next
+    /// instant. A cancelled event is not counted, though its dead handle
+    /// may still be on the wheel.
     pub fn len(&self) -> usize {
-        self.wheel.len()
+        self.slots.len() - self.free.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.wheel.is_empty()
+        self.len() == 0
     }
 }
 
@@ -269,6 +391,104 @@ mod tests {
             from: NodeId::from_raw(0),
             msg: 0,
             span: None,
+        }
+    }
+
+    fn timer(token: u64) -> EventKind<u8> {
+        EventKind::Timer {
+            node: NodeId::from_raw(0),
+            token: TimerToken::new(token),
+            span: None,
+        }
+    }
+
+    /// Pops everything as `(at, seq, token)`, deliveries reading as token
+    /// `u64::MAX`.
+    fn drain(q: &mut EventQueue<u8>) -> Vec<(SimTime, u64, u64)> {
+        std::iter::from_fn(|| q.pop())
+            .map(|(at, seq, kind)| match kind {
+                EventKind::Timer { token, .. } => (at, seq, token.get()),
+                EventKind::Deliver { .. } => (at, seq, u64::MAX),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_cancelled_timer_never_dispatches_and_is_not_pending() {
+        let ms = SimTime::from_millis;
+        let mut q = EventQueue::new();
+        q.enable_oracle();
+        let first = q.push(ms(1), timer(1));
+        let middle = q.push(ms(2), timer(2));
+        q.push(ms(3), timer(3));
+        assert_eq!(q.len(), 3);
+        assert!(q.cancel(middle));
+        assert_eq!(q.len(), 2);
+        // The front one too: the peek must look past its dead handle.
+        assert!(q.cancel(first));
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.peek_time(), Some(ms(3)));
+        let tokens: Vec<u64> = drain(&mut q).iter().map(|p| p.2).collect();
+        assert_eq!(tokens, [3]);
+        assert!(q.is_empty());
+        // A queue holding only dead handles peeks and pops as empty.
+        let last = q.push(ms(4), timer(4));
+        assert!(q.cancel(last));
+        assert!(q.is_empty());
+        assert_eq!(q.peek_time(), None);
+        assert!(q.pop().is_none());
+    }
+
+    #[test]
+    fn cancelling_a_fired_or_cancelled_timer_is_a_no_op_even_in_a_reused_slot() {
+        let ms = SimTime::from_millis;
+        let mut q = EventQueue::new();
+        q.enable_oracle();
+        let fired = q.push(ms(1), timer(1));
+        assert_eq!(drain(&mut q).len(), 1);
+        let reuser = q.push(ms(2), timer(2));
+        assert_eq!(reuser.index(), fired.index(), "the slot is reused");
+        assert!(!q.cancel(fired));
+        assert_eq!(q.len(), 1);
+        assert_eq!(drain(&mut q), [(ms(2), 1, 2)]);
+
+        // A cancelled timer's slot is reused while its dead handle is still
+        // on the wheel, ahead of the new occupant: the handle must stay
+        // dead, not fire the occupant early.
+        let cancelled = q.push(ms(3), timer(3));
+        assert!(q.cancel(cancelled));
+        assert!(!q.cancel(cancelled));
+        let occupant = q.push(ms(4), timer(4));
+        assert_eq!(occupant.index(), cancelled.index(), "the slot is reused");
+        assert!(!q.cancel(cancelled));
+        assert_eq!(q.len(), 1);
+        assert_eq!(drain(&mut q), [(ms(4), 3, 4)]);
+    }
+
+    #[test]
+    fn cancelling_one_of_several_ties_leaves_the_others_order() {
+        let ms = SimTime::from_millis;
+        // Eight timers tie at 2 ms between two plain deliveries; the one
+        // at `cancel`, if any, is cancelled before anything pops.
+        let run = |key: Option<u64>, cancel: Option<usize>| {
+            let mut q = EventQueue::new();
+            q.set_perturbation(key);
+            q.enable_oracle();
+            q.push(ms(1), deliver(0));
+            let ids: Vec<TimerId> = (0..8).map(|i| q.push(ms(2), timer(i))).collect();
+            q.push(ms(3), deliver(1));
+            if let Some(i) = cancel {
+                assert!(q.cancel(ids[i]));
+            }
+            drain(&mut q)
+        };
+        for key in std::iter::once(None).chain(PERTURBATION_KEYS.map(Some)) {
+            let all = run(key, None);
+            for cancelled in [0, 3, 7] {
+                let mut want = all.clone();
+                want.retain(|&(_, _, token)| token != cancelled as u64);
+                assert_eq!(run(key, Some(cancelled)), want, "key {key:?}");
+            }
         }
     }
 

@@ -66,7 +66,7 @@ mod wheel;
 mod world;
 
 pub use determinism::{DeterminismReport, Fingerprint, PerturbedRun};
-pub use event::event_footprint;
+pub use event::{event_footprint, TimerId};
 pub use fault::{FaultKind, FaultPlan, FaultWindow, LinkEffect};
 pub use link::LinkSpec;
 pub use metrics::{keys, Histogram, MetricId, Metrics, TimeSeries};

@@ -53,8 +53,9 @@ const SLOT_MASK: u64 = SLOTS as u64 - 1;
 /// Number of wheel levels; events past the last level go to overflow.
 const LEVELS: usize = 6;
 /// Capacity, in entries, up to which a coarse bucket keeps its emptied
-/// buffer after a cascade; a larger buffer is freed. 64 entries of a
-/// 104-byte `Msg` event are 6.6 kB, at most 2.5 MB over the 384 slots.
+/// buffer after a cascade; a larger buffer is freed. 64 of the event
+/// queue's 24-byte handle entries are 1.5 kB, at most 0.6 MB over the 384
+/// slots.
 /// Keeping every buffer pins each 17 s level-3 slot at the whole watchdog
 /// population it once held; freeing every one regrows level-1 buckets
 /// from empty on every pass (EXPERIMENTS.md, "Event queue memory").
@@ -71,11 +72,6 @@ struct Entry<T> {
     at: SimTime,
     seq: u64,
     item: T,
-}
-
-/// Bytes one queued `T` occupies in a wheel bucket.
-pub(crate) const fn entry_size<T>() -> usize {
-    std::mem::size_of::<Entry<T>>()
 }
 
 impl<T> PartialEq for Entry<T> {
@@ -242,10 +238,16 @@ impl<T> TimerWheel<T> {
     /// frontier past empty buckets (pure bookkeeping: no event is removed
     /// and the observable pop order is unchanged).
     pub fn peek_time(&mut self) -> Option<SimTime> {
+        self.peek().map(|(at, _)| at)
+    }
+
+    /// Timestamp and payload of the earliest queued event, if any; takes
+    /// `&mut self` for the reason [`peek_time`](Self::peek_time) does.
+    pub fn peek(&mut self) -> Option<(SimTime, &T)> {
         if self.ready.is_empty() {
             self.refill();
         }
-        self.ready.last().map(|e| e.at)
+        self.ready.last().map(|e| (e.at, &e.item))
     }
 
     /// The wheel bucket an event at `at >= base` belongs in, marked

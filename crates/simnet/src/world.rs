@@ -1,7 +1,7 @@
 //! The simulation world: node table, link table, clock and event loop.
 
 use crate::determinism::{perturbation_key, DeterminismReport, Fingerprint, PerturbedRun};
-use crate::event::{EventKind, EventQueue};
+use crate::event::{EventKind, EventQueue, TimerId};
 use crate::fault::FaultPlan;
 use crate::link::{LinkSpec, LinkTable};
 use crate::metrics::{keys, Metrics};
@@ -151,14 +151,24 @@ impl<'a, M: Message> Context<'a, M> {
             .map(|link| link.spec.nominal_rtt())
     }
 
-    /// Arms a timer on this node that fires after `delay`.
-    pub fn schedule(&mut self, delay: SimDuration, token: TimerToken) {
+    /// Arms a timer on this node that fires after `delay`, and returns the
+    /// id that [`cancel`](Self::cancel) takes.
+    pub fn schedule(&mut self, delay: SimDuration, token: TimerToken) -> TimerId {
         let kind = EventKind::Timer {
             node: self.self_id,
             token,
             span: self.span,
         };
-        self.queue.push(self.now + delay, kind);
+        self.queue.push(self.now + delay, kind)
+    }
+
+    /// Cancels a timer armed by [`schedule`](Self::schedule): it will not
+    /// fire, [`World::pending_events`] stops counting it, and from now on
+    /// it holds no queue memory beyond its 24-byte wheel entry. Cancelling
+    /// moves no other event's tie-break key. Once the timer has fired or
+    /// been cancelled, this is a no-op.
+    pub fn cancel(&mut self, id: TimerId) {
+        self.queue.cancel(id);
     }
 
     /// Arms one timer on this node per element of the time-sorted `times`:
@@ -792,6 +802,7 @@ impl<M: Message> World<M> {
 
     /// Number of pending events: everything in flight, plus the next
     /// instant of each timer series (see [`Context::schedule_series`]).
+    /// Cancelled timers are not counted.
     pub fn pending_events(&self) -> usize {
         self.queue.len()
     }

@@ -11,7 +11,9 @@
 #
 # Defaults: testbed-lru, 10 pairs, seed 42, 16 s. Exits 1 if any sim_*
 # metric, fetch_ok_share, attempted or fingerprint_trial0 differs between
-# the two builds in any pair (they are functions of the seed alone), 2 on
+# the two builds in any pair (they are functions of the seed alone; a
+# fingerprint difference prints both fingerprints and names the fields
+# that moved, of clock=, events=, metrics= and trace=), 2 on
 # bad usage. Scratch files go to $PAIR_DIR (default
 # ${TMPDIR:-/tmp}/ape-pair); the raw result lines stay in
 # $PAIR_DIR/runs/<workload>-<seed>.jsonl. Host timing, so CI does not run it.
@@ -123,8 +125,11 @@ for p in pairs:
             differs.append(f"pair {p}: {m} {value('parent', p, m)!r} != {value('change', p, m)!r}")
     if a["result"]["attempted"] != b["result"]["attempted"]:
         differs.append(f"pair {p}: attempted {a['result']['attempted']} != {b['result']['attempted']}")
-    if a["detail"]["fingerprint_trial0"] != b["detail"]["fingerprint_trial0"]:
-        differs.append(f"pair {p}: fingerprint_trial0 differs")
+    fa, fb = a["detail"]["fingerprint_trial0"], b["detail"]["fingerprint_trial0"]
+    if fa != fb:
+        fields_a, fields_b = (dict(kv.split("=", 1) for kv in f.split()) for f in (fa, fb))
+        moved = [k + "=" for k in fields_a if fields_a[k] != fields_b.get(k)]
+        differs.append(f"pair {p}: fingerprint_trial0 differs in {' '.join(moved)}: {fa} -> {fb}")
     for side in ("parent", "change"):
         if not by[(side, p)]["result"]["correct"]:
             differs.append(f"pair {p}: {side} run not correct")

@@ -9,10 +9,12 @@
 //! unperturbed baseline and all four tie-perturbation keys the determinism
 //! harness sweeps — and additionally pins that mirrored runs produce
 //! bitwise-identical fingerprints to oracle-off runs (the oracle must
-//! observe, never influence).
+//! observe, never influence). A lossy run repeats the check where timers
+//! are re-armed and cancelled: DNS and HTTP retries, and give-ups.
 
 use ape_appdag::DummyAppConfig;
-use ape_simnet::{SimDuration, TraceConfig};
+use ape_proto::names;
+use ape_simnet::{FaultPlan, SimDuration, SimTime, TraceConfig};
 use ape_workload::ScheduleConfig;
 use apecache::{build, synthetic_suite, System, TestbedConfig};
 
@@ -24,9 +26,17 @@ const PERTURBATION_KEYS: [u64; 4] = [
     0x0123_4567_89AB_CDEF,
 ];
 
-/// Runs the default testbed for two simulated minutes and returns the
-/// world fingerprint.
-fn run(key: Option<u64>, oracle: bool) -> String {
+/// The recovery counters a lossy run must move.
+const RECOVERY: [&str; 4] = [
+    names::CLIENT_DNS_RETRIES,
+    names::CLIENT_HTTP_RETRIES,
+    names::CLIENT_DNS_GIVE_UPS,
+    names::CLIENT_HTTP_GIVE_UPS,
+];
+
+/// Runs the default testbed for two simulated minutes, lossy or not, and
+/// returns the world fingerprint and the [`RECOVERY`] counters.
+fn run(key: Option<u64>, oracle: bool, lossy: bool) -> (String, [u64; 4]) {
     let suite = synthetic_suite(5, &DummyAppConfig::default(), 11);
     let mut cfg = TestbedConfig::new(System::ApeCache, suite);
     cfg.schedule = ScheduleConfig {
@@ -37,22 +47,52 @@ fn run(key: Option<u64>, oracle: bool) -> String {
     };
     cfg.trace = TraceConfig::enabled();
     cfg.tie_perturbation = key;
+    if lossy {
+        cfg.wifi_loss = 0.02;
+    }
     let mut bed = build(&cfg);
+    if lossy {
+        let secs = SimTime::from_secs;
+        bed.world.set_fault_plan(
+            FaultPlan::new()
+                .link_down(bed.clients[1], bed.ap, secs(20), secs(50))
+                .loss_burst(bed.clients[0], bed.ap, secs(20), secs(110), 0.3)
+                .loss_burst(bed.ap, bed.ldns, secs(20), secs(60), 0.5),
+        );
+    }
     if oracle {
         bed.world.enable_queue_oracle();
     }
     bed.world.run_for(SimDuration::from_mins(2));
-    bed.world.fingerprint().to_string()
+    let counters = RECOVERY.map(|name| bed.world.metrics().counter(name));
+    (bed.world.fingerprint().to_string(), counters)
 }
 
 #[test]
 fn wheel_matches_reference_heap_across_perturbed_testbed_runs() {
     for key in std::iter::once(None).chain(PERTURBATION_KEYS.into_iter().map(Some)) {
-        let mirrored = run(key, true);
-        let plain = run(key, false);
+        let mirrored = run(key, true, false);
+        let plain = run(key, false, false);
         assert_eq!(
             mirrored, plain,
             "oracle changed the run it was mirroring (key {key:?})"
+        );
+    }
+}
+
+#[test]
+fn wheel_matches_reference_heap_where_timers_are_cancelled() {
+    for key in std::iter::once(None).chain(PERTURBATION_KEYS.into_iter().map(Some)) {
+        let mirrored = run(key, true, true);
+        let plain = run(key, false, true);
+        assert_eq!(
+            mirrored, plain,
+            "oracle changed the lossy run it was mirroring (key {key:?})"
+        );
+        let (_, counters) = mirrored;
+        assert!(
+            counters.iter().all(|&n| n > 0),
+            "{RECOVERY:?} = {counters:?} under key {key:?}: the run must retry and give up"
         );
     }
 }
