@@ -526,7 +526,7 @@ pub fn fig14(opts: &ReproOptions) -> String {
         let secs = opts.duration().as_secs_f64() * trials as f64;
         let fwd = (bytes * model.per_byte_cpu_ns / 1e9 + msgs * model.per_packet_cpu.as_secs_f64())
             / (secs * model.cores as f64);
-        let mem_series = result.metrics.time_series(names::AP_APE_MEM_MB).cloned();
+        let mem_series = result.metrics.time_series(names::AP_APE_MEM_MB);
         let (mem_avg, mem_max) = match (system, mem_series) {
             (System::ApeCache, Some(s)) => (s.time_weighted_mean(), s.max()),
             // The regular AP runs no APE components.

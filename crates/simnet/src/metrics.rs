@@ -13,7 +13,8 @@
 //! histogram it replaced lives on as
 //! [`crate::reference::ExactHistogram`], the oracle the `metrics_sketch`
 //! suite compares against side by side. A [`TimeSeries`] keeps every
-//! point.
+//! point, packed into a byte stream at about half a `(SimTime, f64)` pair
+//! each.
 //!
 //! Each metric kind lives in one table. Recording goes through interned
 //! [`MetricId`]s ([`Metrics::incr_id`], [`Metrics::observe_id`],
@@ -424,12 +425,26 @@ impl Histogram {
 
 /// A time series of `(time, value)` points, e.g. CPU utilization samples.
 ///
-/// Every point is kept. Aggregates (`mean`, `time_weighted_mean`, `max`)
-/// are maintained incrementally at `record` time, bitwise identical to a
-/// query-time fold over [`points`](Self::points).
+/// Every point is kept, in one byte stream at about half the bytes of a
+/// `(SimTime, f64)` pair (DESIGN.md §14). A time is stored as the zig-zag
+/// LEB128 varint of its delta-of-delta, so evenly spaced samples take one
+/// byte and a backward jump (a `Metrics::merge` seam) round-trips through
+/// wrapping arithmetic. A value is stored as its bits XOR the previous
+/// value's with the zero bytes at both ends stripped behind a one-byte
+/// header (`leading * 8 + trailing`, or `0xff` when unchanged), a
+/// byte-aligned cousin of Gorilla's float encoding (Pelkonen et al., VLDB
+/// 2015). Aggregates (`mean`, `time_weighted_mean`, `max`) are maintained
+/// incrementally at `record` time, bitwise identical to a query-time fold
+/// over [`points`](Self::points).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TimeSeries {
-    points: Vec<(SimTime, f64)>,
+    /// Per point, the time varint and then the value header and bytes.
+    bytes: Vec<u8>,
+    len: usize,
+    /// The last point (`(ZERO, 0.0)` before the first) and the time delta
+    /// that reached it: what the next point is encoded against.
+    last: (SimTime, f64),
+    last_delta: u64,
     /// Incremental value sum; starts at `-0.0` to match `Sum for f64`.
     sum: f64,
     vmax: f64,
@@ -437,6 +452,9 @@ pub struct TimeSeries {
     area: f64,
     span: f64,
 }
+
+/// Value header for a value bit-identical to the previous one.
+const UNCHANGED: u8 = 0xff;
 
 impl Default for TimeSeries {
     fn default() -> Self {
@@ -448,7 +466,10 @@ impl TimeSeries {
     /// Creates an empty series.
     pub fn new() -> Self {
         TimeSeries {
-            points: Vec::new(),
+            bytes: Vec::new(),
+            len: 0,
+            last: (SimTime::ZERO, 0.0),
+            last_delta: 0,
             sum: -0.0,
             vmax: f64::NEG_INFINITY,
             area: 0.0,
@@ -458,44 +479,61 @@ impl TimeSeries {
 
     /// Appends a point. Points should be appended in time order.
     pub fn record(&mut self, at: SimTime, value: f64) {
+        let (lt, lv) = self.last;
         // Incremental trapezoid: one segment per consecutive pair, in the
         // exact order and arithmetic of a `windows(2)` fold. Segments
         // whose time does not advance (duplicate timestamps, or the
         // backward jump where one trial's series was appended after
         // another's via `Metrics::merge`) contribute nothing.
-        if let Some(&(lt, lv)) = self.points.last() {
-            if at > lt {
-                let dt = at.saturating_since(lt).as_secs_f64();
-                self.area += 0.5 * (lv + value) * dt;
-                self.span += dt;
-            }
+        if self.len > 0 && at > lt {
+            let dt = at.saturating_since(lt).as_secs_f64();
+            self.area += 0.5 * (lv + value) * dt;
+            self.span += dt;
         }
         self.sum += value;
         self.vmax = self.vmax.max(value);
-        self.points.push((at, value));
+
+        let delta = at.as_nanos().wrapping_sub(lt.as_nanos());
+        let dod = delta.wrapping_sub(self.last_delta);
+        put_varint(&mut self.bytes, (dod << 1) ^ ((dod as i64) >> 63) as u64);
+        put_xor(&mut self.bytes, value.to_bits() ^ lv.to_bits());
+        self.last = (at, value);
+        self.last_delta = delta;
+        self.len += 1;
     }
 
-    /// All recorded points, in recording order.
-    pub fn points(&self) -> &[(SimTime, f64)] {
-        &self.points
+    /// All recorded points, in recording order, decoded from the stream as
+    /// the iterator advances.
+    pub fn points(&self) -> impl Iterator<Item = (SimTime, f64)> + '_ {
+        let (mut pos, mut t, mut delta, mut bits) = (0, 0u64, 0u64, 0u64);
+        std::iter::from_fn(move || {
+            if pos == self.bytes.len() {
+                return None;
+            }
+            let z = take_varint(&self.bytes, &mut pos);
+            delta = delta.wrapping_add((z >> 1) ^ (z & 1).wrapping_neg());
+            t = t.wrapping_add(delta);
+            bits ^= take_xor(&self.bytes, &mut pos);
+            Some((SimTime::from_nanos(t), f64::from_bits(bits)))
+        })
     }
 
     /// Number of recorded points.
     pub fn len(&self) -> usize {
-        self.points.len()
+        self.len
     }
 
     /// Whether the series is empty.
     pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
+        self.len == 0
     }
 
     /// Mean of the values, or 0.0 when empty. O(1).
     pub fn mean(&self) -> f64 {
-        if self.points.is_empty() {
+        if self.len == 0 {
             0.0
         } else {
-            self.sum / self.points.len() as f64
+            self.sum / self.len as f64
         }
     }
 
@@ -517,17 +555,69 @@ impl TimeSeries {
 
     /// Maximum value, or 0.0 when empty. O(1).
     pub fn max(&self) -> f64 {
-        if self.points.is_empty() {
+        if self.len == 0 {
             0.0
         } else {
             self.vmax
         }
     }
 
-    /// Approximate heap footprint of the stored points in bytes.
+    /// Approximate heap footprint of the stored points in bytes: the
+    /// stream's capacity, growth slack included.
     pub fn approx_bytes(&self) -> usize {
-        self.points.capacity() * std::mem::size_of::<(SimTime, f64)>()
+        self.bytes.capacity()
     }
+}
+
+/// Appends `v` as an LEB128 varint: seven bits a byte, low bits first.
+fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+/// Reads the varint `put_varint` wrote at `*pos` and moves past it.
+fn take_varint(bytes: &[u8], pos: &mut usize) -> u64 {
+    let mut v = 0;
+    let mut shift = 0;
+    loop {
+        let b = bytes[*pos];
+        *pos += 1;
+        v |= u64::from(b & 0x7f) << shift;
+        if b < 0x80 {
+            return v;
+        }
+        shift += 7;
+    }
+}
+
+/// Appends an XOR of two values' bits: its header, then its bytes between
+/// the leading and trailing zero bytes, low byte first.
+fn put_xor(out: &mut Vec<u8>, x: u64) {
+    if x == 0 {
+        out.push(UNCHANGED);
+        return;
+    }
+    let (lz, tz) = (x.leading_zeros() / 8, x.trailing_zeros() / 8);
+    out.push((lz * 8 + tz) as u8);
+    out.extend_from_slice(&(x >> (tz * 8)).to_le_bytes()[..(8 - lz - tz) as usize]);
+}
+
+/// Reads the XOR `put_xor` wrote at `*pos` and moves past it.
+fn take_xor(bytes: &[u8], pos: &mut usize) -> u64 {
+    let header = bytes[*pos];
+    *pos += 1;
+    if header == UNCHANGED {
+        return 0;
+    }
+    let (lz, tz) = (usize::from(header / 8), u32::from(header % 8));
+    let n = 8 - lz - tz as usize;
+    let mut le = [0; 8];
+    le[..n].copy_from_slice(&bytes[*pos..*pos + n]);
+    *pos += n;
+    u64::from_le_bytes(le) << (tz * 8)
 }
 
 /// Host-time self-accounting for the registry (the sim-loop profiler's
@@ -904,13 +994,14 @@ impl Metrics {
         self.histograms.merge(&other.histograms, Histogram::merge);
         self.series.merge(&other.series, |dst, src| {
             for (t, v) in src.points() {
-                dst.record(*t, *v);
+                dst.record(t, v);
             }
         });
     }
 
     /// Approximate heap footprint of the registry in bytes (tables, owned
-    /// names, bucket arrays, series points).
+    /// names, bucket arrays, series streams), counting each buffer's
+    /// capacity rather than its length.
     pub fn approx_bytes(&self) -> usize {
         self.counters.approx_bytes(|_| 0)
             + self.histograms.approx_bytes(Histogram::approx_bytes)
@@ -1631,5 +1722,251 @@ mod tests {
         let folded: f64 = values.iter().sum();
         assert_eq!(h.sum().to_bits(), folded.to_bits());
         assert_eq!(h.mean().to_bits(), (folded / values.len() as f64).to_bits());
+    }
+
+    // --- compact series --------------------------------------------------
+
+    /// The series as it was before the byte stream: every point in a `Vec`
+    /// and the aggregates folded at `record` time. The oracle the codec is
+    /// checked against, point for point and bit for bit.
+    struct VecSeries {
+        points: Vec<(SimTime, f64)>,
+        sum: f64,
+        vmax: f64,
+        area: f64,
+        span: f64,
+    }
+
+    impl VecSeries {
+        fn new() -> Self {
+            VecSeries {
+                points: Vec::new(),
+                sum: -0.0,
+                vmax: f64::NEG_INFINITY,
+                area: 0.0,
+                span: 0.0,
+            }
+        }
+
+        fn record(&mut self, at: SimTime, value: f64) {
+            if let Some(&(lt, lv)) = self.points.last() {
+                if at > lt {
+                    let dt = at.saturating_since(lt).as_secs_f64();
+                    self.area += 0.5 * (lv + value) * dt;
+                    self.span += dt;
+                }
+            }
+            self.sum += value;
+            self.vmax = self.vmax.max(value);
+            self.points.push((at, value));
+        }
+
+        fn mean(&self) -> f64 {
+            if self.points.is_empty() {
+                0.0
+            } else {
+                self.sum / self.points.len() as f64
+            }
+        }
+
+        fn time_weighted_mean(&self) -> f64 {
+            if self.span > 0.0 {
+                self.area / self.span
+            } else {
+                self.mean()
+            }
+        }
+
+        fn max(&self) -> f64 {
+            if self.points.is_empty() {
+                0.0
+            } else {
+                self.vmax
+            }
+        }
+
+        /// `Metrics::digest` of a registry whose only metric is this series
+        /// as `name`, written iff it holds a point.
+        fn digest(&self, name: &str) -> u64 {
+            let mut h = crate::determinism::Fnv64::new();
+            h.write_u64(0); // counters
+            h.write_u64(0); // histograms
+            h.write_u64(u64::from(!self.points.is_empty()));
+            if !self.points.is_empty() {
+                h.write(name.as_bytes());
+            }
+            for (t, v) in &self.points {
+                h.write_u64(t.as_nanos());
+                h.write_u64(v.to_bits());
+            }
+            h.finish()
+        }
+    }
+
+    fn bits(points: impl IntoIterator<Item = (SimTime, f64)>) -> Vec<(u64, u64)> {
+        points
+            .into_iter()
+            .map(|(t, v)| (t.as_nanos(), v.to_bits()))
+            .collect()
+    }
+
+    /// Feeds `stream` to the oracle and to a series, and to a registry both
+    /// whole and as two halves merged; everything a reader sees must agree
+    /// bitwise.
+    fn assert_round_trip(stream: &[(u64, f64)]) {
+        let mut oracle = VecSeries::new();
+        let mut series = TimeSeries::new();
+        let mut whole = Metrics::new();
+        let (mut first, mut second) = (Metrics::new(), Metrics::new());
+        for (i, &(t, v)) in stream.iter().enumerate() {
+            let at = SimTime::from_nanos(t);
+            oracle.record(at, v);
+            series.record(at, v);
+            whole.record_point_id(id::S, at, v);
+            let half = if i < stream.len() / 2 {
+                &mut first
+            } else {
+                &mut second
+            };
+            half.record_point_id(id::S, at, v);
+        }
+        first.merge(&second);
+        assert_eq!(bits(series.points()), bits(oracle.points.iter().copied()));
+        assert_eq!(series.len(), oracle.points.len());
+        assert_eq!(series.is_empty(), oracle.points.is_empty());
+        assert_eq!(series.mean().to_bits(), oracle.mean().to_bits());
+        assert_eq!(series.max().to_bits(), oracle.max().to_bits());
+        assert_eq!(
+            series.time_weighted_mean().to_bits(),
+            oracle.time_weighted_mean().to_bits()
+        );
+        assert_eq!(whole.digest(), oracle.digest(local::S));
+        assert_eq!(first.digest(), oracle.digest(local::S));
+    }
+
+    const SECOND: u64 = 1_000_000_000;
+
+    #[test]
+    fn series_round_trips_merge_seams_and_repeated_times() {
+        // Two trials appended back to back: time goes backward at the seam.
+        let trial = |k: f64| (0..50).map(move |i| (i * SECOND, k + i as f64 * 0.01));
+        assert_round_trip(
+            &trial(1.0)
+                .chain(trial(2.0))
+                .chain(trial(3.0))
+                .collect::<Vec<_>>(),
+        );
+        // Repeated times, alone and between forward steps.
+        let mut stream = vec![(7 * SECOND, 1.0); 20];
+        stream.extend((0..20).map(|i| (7 * SECOND + (i / 4) * 61, i as f64)));
+        assert_round_trip(&stream);
+        assert_round_trip(&[]);
+        assert_round_trip(&[(0, 0.0)]);
+    }
+
+    #[test]
+    fn series_round_trips_clock_extremes() {
+        // A first point at a large time, then jumps near the top of the
+        // clock in both directions and across the whole range.
+        assert_round_trip(&[(u64::MAX - 5, 1.0), (u64::MAX - 4, 2.0), (u64::MAX, 3.0)]);
+        assert_round_trip(&[
+            (1 << 62, 0.5),
+            (u64::MAX, 0.25),
+            (0, 0.125),
+            (u64::MAX, 1.0),
+            (1 << 63, 2.0),
+            ((1 << 63) - 1, 3.0),
+            (1 << 63, 4.0),
+            (u64::MAX - 1, 5.0),
+            (1, 6.0),
+        ]);
+    }
+
+    #[test]
+    fn series_round_trips_every_kind_of_float() {
+        let specials = [
+            0.0,
+            -0.0,
+            f64::from_bits(0x7ff8_0000_dead_beef), // quiet NaN with a payload
+            f64::from_bits(0xfff0_0000_0000_0001), // negative signalling NaN
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::from_bits(1), // smallest subnormal
+            -f64::MIN_POSITIVE / 2.0,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::MIN,
+            1.0,
+            0.1,
+        ];
+        let stream: Vec<(u64, f64)> = specials
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| (i as u64 * SECOND, v))
+            .collect();
+        assert_round_trip(&stream);
+        // Every pair of specials back to back, so each XOR shape occurs.
+        let pairs: Vec<(u64, f64)> = specials
+            .iter()
+            .flat_map(|&a| specials.iter().flat_map(move |&b| [a, b]))
+            .enumerate()
+            .map(|(i, v)| (i as u64 * 61, v))
+            .collect();
+        assert_round_trip(&pairs);
+        // Long runs of one value, the `UNCHANGED` header.
+        let runs: Vec<(u64, f64)> = (0..3000u64)
+            .map(|i| (i * SECOND, [0.25, f64::NAN, -0.0][(i / 1000) as usize]))
+            .collect();
+        assert_round_trip(&runs);
+    }
+
+    #[test]
+    fn series_round_trips_random_streams() {
+        // Times step forward, repeat, jump back or leap; values repeat,
+        // drift, take a special or take arbitrary bits.
+        for seed in 0..64u64 {
+            let mut state = seed;
+            let mut draw = || {
+                state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                mix64(state)
+            };
+            let (mut t, mut v) = (draw(), 0.0f64);
+            let stream: Vec<(u64, f64)> = (0..500)
+                .map(|_| {
+                    let r = draw();
+                    t = match r % 8 {
+                        0 => t,
+                        1 => t.wrapping_sub(r >> 40),
+                        2 => draw(),
+                        _ => t.wrapping_add(61 + (r >> 60)),
+                    };
+                    v = match (r >> 8) % 6 {
+                        0 | 1 => v,
+                        2 => v + 0.5,
+                        3 => f64::from_bits(draw()),
+                        4 => [f64::NAN, -0.0, f64::INFINITY, f64::from_bits(3)]
+                            [(r >> 16) as usize % 4],
+                        _ => (r >> 20) as f64 / 1e3,
+                    };
+                    (t, v)
+                })
+                .collect();
+            assert_round_trip(&stream);
+        }
+    }
+
+    #[test]
+    fn a_staircase_on_a_one_second_grid_takes_under_six_bytes_a_point() {
+        // Ten thousand samples a second apart whose value steps every ten:
+        // one byte of time and mostly one byte of value a point. A
+        // `(SimTime, f64)` pair is sixteen.
+        let mut s = TimeSeries::new();
+        for i in 0..10_000u64 {
+            s.record(SimTime::from_secs(i), (i / 10) as f64 * 0.5);
+        }
+        assert_eq!(s.len(), 10_000);
+        let per_point = s.approx_bytes() as f64 / s.len() as f64;
+        assert!(per_point <= 6.0, "{per_point:.2} bytes a point");
     }
 }
