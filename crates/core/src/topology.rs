@@ -572,6 +572,23 @@ mod tests {
     }
 
     #[test]
+    fn link_specs_do_not_grow_with_the_grid() {
+        // Three upstream links, two backhaul links per class, the AP↔AP
+        // segment and three client links: 13 specs however many APs, and
+        // however many links roaming radio sets add.
+        let specs = |aps| {
+            let config = TopologyConfig::new(small_base(System::ApeCache), aps)
+                .with_clients_per_ap(1)
+                .with_roam_rate(6.0);
+            build_topology(&config).world.distinct_link_specs()
+        };
+        assert_eq!(specs(16), 13);
+        assert_eq!(specs(256), 13);
+        // The testbed has one backhaul class and no AP↔AP segment.
+        assert_eq!(specs(1), 8);
+    }
+
+    #[test]
     #[should_panic(expected = "limited to 2048 APs")]
     fn grids_past_the_tick_phase_range_are_rejected() {
         let _ = build_topology(&TopologyConfig::new(small_base(System::ApeCache), 2049));

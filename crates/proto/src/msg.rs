@@ -174,7 +174,7 @@ impl Msg {
 /// so its size sets how densely live events pack there (the wheel itself
 /// holds 8-byte handles). If a change fattens the event past this bound,
 /// shrink or box the offending variant — don't bump the bound.
-const _: () = assert!(ape_simnet::event_footprint::<Msg>() <= 104);
+const _: () = assert!(ape_simnet::event_footprint::<Msg>() <= 96);
 
 impl Message for Msg {
     fn wire_size(&self) -> usize {

@@ -28,7 +28,7 @@
 //! that the residual ties (e.g. same-node timer collisions) are benign.
 //!
 //! One structural guard shrinks that residual class further: each
-//! directed link serializes its arrivals (`link::Link::reserve`), so a
+//! directed link serializes its arrivals (`link::InFlight::reserve`), so a
 //! nanosecond-exact collision between two messages on the same
 //! `src → dst` pair — the dominant tie source at city scale, since one
 //! callback's batched sends share a send instant and a jitter

@@ -18,6 +18,7 @@
 //! tie-break keys are reserved when it is armed, but the wheel holds it an
 //! instant at a time, the next instant armed when the current one fires.
 
+use crate::link::ArrivalId;
 use crate::node::{NodeId, TimerToken};
 use crate::reference::ReferenceEventQueue;
 use crate::rng::mix64;
@@ -32,10 +33,11 @@ use crate::wheel::TimerWheel;
 /// `None` whenever tracing is disabled (the default).
 #[derive(Debug)]
 pub(crate) enum EventKind<M> {
-    /// Deliver `msg` (sent by `from`) to node `to`.
+    /// Deliver `msg` to node `to`. The sender is read off `arrival`, the
+    /// link reservation the message arrives under, when it is released.
     Deliver {
         to: NodeId,
-        from: NodeId,
+        arrival: ArrivalId,
         msg: M,
         span: Option<SpanCtx>,
     },
@@ -379,6 +381,13 @@ impl<M> EventQueue<M> {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// Queued `Deliver` events, counted by a walk over the slab.
+    pub fn deliveries(&self) -> usize {
+        let deliver =
+            |slot: &Slot<M>| matches!(slot.payload, Some(Queued::Event(EventKind::Deliver { .. })));
+        self.slots.iter().filter(|&slot| deliver(slot)).count()
+    }
 }
 
 #[cfg(test)]
@@ -388,7 +397,7 @@ mod tests {
     fn deliver(to: u32) -> EventKind<u8> {
         EventKind::Deliver {
             to: NodeId::from_raw(to),
-            from: NodeId::from_raw(0),
+            arrival: ArrivalId::UNUSED,
             msg: 0,
             span: None,
         }

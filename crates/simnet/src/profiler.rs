@@ -37,7 +37,8 @@ pub enum ProfCategory {
     Dispatch = 1,
     /// Link and fault resolution on `Context::send_after`: fault-window
     /// evaluation, loss sampling, one-way-delay sampling and the queue
-    /// push.
+    /// push, one call per send; plus, uncounted, the release of the
+    /// arrival's link reservation when the message is delivered.
     LinkFault = 2,
     /// Recording trace events (`begin_trace`/`span_*` pushes).
     Trace = 3,
@@ -134,10 +135,19 @@ impl Profiler {
     /// the elapsed host time to `category`. A `None` timer is a no-op.
     #[inline]
     pub fn record(&mut self, category: ProfCategory, timer: Option<ProfTimer>) {
+        if timer.is_some() {
+            self.calls[category as usize] += 1;
+        }
+        self.record_uncounted(category, timer);
+    }
+
+    /// Like [`record`](Self::record), but counts no call: for work that
+    /// belongs to a call already counted in `category`.
+    #[inline]
+    pub fn record_uncounted(&mut self, category: ProfCategory, timer: Option<ProfTimer>) {
         if let Some(ProfTimer(t)) = timer {
             self.nanos[category as usize] +=
                 u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            self.calls[category as usize] += 1;
         }
     }
 

@@ -98,7 +98,7 @@ impl<'a, M: Message> Context<'a, M> {
         let t = self.prof.start();
         let link = self
             .links
-            .get_mut(self.self_id, to)
+            .find(self.self_id, to)
             .unwrap_or_else(|| panic!("no link {} -> {}", self.self_id, to));
         // Fault windows are evaluated at send time. The empty-plan path
         // draws no randomness and records no metrics, so a world without a
@@ -118,20 +118,23 @@ impl<'a, M: Message> Context<'a, M> {
             }
             fault_delay = effect.extra_delay;
         }
-        if link.spec.sample_loss(self.rng) {
+        let spec = self.links.spec(&link);
+        if spec.sample_loss(self.rng) {
             self.prof.record(ProfCategory::LinkFault, t);
             self.metrics.incr_id(keys::id::NET_DROPPED, 1);
             return;
         }
         let wire = msg.wire_size();
-        let owd = link.spec.sample_owd(wire, self.rng);
+        let owd = spec.sample_owd(wire, self.rng);
         // The link delivers serially: an arrival that lands on an occupied
         // nanosecond is bumped to the next free one, so same-pair messages
-        // never tie at the receiver (see `link::Link`).
-        let at = link.reserve(self.now, self.now + local_delay + owd + fault_delay);
+        // never tie at the receiver (see `link::InFlight`).
+        let (at, arrival) =
+            self.links
+                .reserve(link, self.now, self.now + local_delay + owd + fault_delay);
         let kind = EventKind::Deliver {
             to,
-            from: self.self_id,
+            arrival,
             msg,
             span: self.span,
         };
@@ -146,9 +149,8 @@ impl<'a, M: Message> Context<'a, M> {
 
     /// Nominal RTT of the link to `to`, if one exists.
     pub fn link_rtt(&self, to: NodeId) -> Option<SimDuration> {
-        self.links
-            .get(self.self_id, to)
-            .map(|link| link.spec.nominal_rtt())
+        let link = self.links.find(self.self_id, to)?;
+        Some(self.links.spec(&link).nominal_rtt())
     }
 
     /// Arms a timer on this node that fires after `delay`, and returns the
@@ -609,18 +611,21 @@ impl<M: Message> World<M> {
     pub fn post(&mut self, from: NodeId, to: NodeId, msg: M) {
         let link = self
             .links
-            .get_mut(from, to)
+            .find(from, to)
             .unwrap_or_else(|| panic!("no link {from} -> {to}"));
-        let owd = link.spec.sample_owd(msg.wire_size(), &mut self.rng);
+        let owd = self
+            .links
+            .spec(&link)
+            .sample_owd(msg.wire_size(), &mut self.rng);
         self.metrics.incr_id(keys::id::NET_MESSAGES, 1);
         self.metrics
             .incr_id(keys::id::NET_BYTES, msg.wire_size() as u64);
-        let at = link.reserve(self.clock, self.clock + owd);
+        let (at, arrival) = self.links.reserve(link, self.clock, self.clock + owd);
         self.queue.push(
             at,
             EventKind::Deliver {
                 to,
-                from,
+                arrival,
                 msg,
                 span: None,
             },
@@ -775,10 +780,15 @@ impl<M: Message> World<M> {
             match kind {
                 EventKind::Deliver {
                     to,
-                    from,
+                    arrival,
                     msg,
                     span,
                 } => {
+                    let from = self.links.deliver(arrival, at);
+                    // The release is link-layer time, charged to the send
+                    // it belongs to (time, but no call of its own) off the
+                    // dispatch's start, so it costs one clock read.
+                    self.prof.record_uncounted(ProfCategory::LinkFault, t);
                     self.with_node(to, span, |node, ctx| node.on_message(ctx, from, msg));
                 }
                 EventKind::Timer { node, token, span } => {
@@ -805,6 +815,26 @@ impl<M: Message> World<M> {
     /// Cancelled timers are not counted.
     pub fn pending_events(&self) -> usize {
         self.queue.len()
+    }
+
+    /// Number of `Deliver` events pending: messages in flight. A walk over
+    /// the queue's slab, so meant for checks rather than hot loops.
+    pub fn pending_deliveries(&self) -> usize {
+        self.queue.deliveries()
+    }
+
+    /// Number of distinct [`LinkSpec`]s the links were registered with:
+    /// each is stored once, and a link names it by index.
+    pub fn distinct_link_specs(&self) -> usize {
+        self.links.distinct_specs()
+    }
+
+    /// Number of links holding an entry of the reservation slab: those with
+    /// a message in flight. Never more than
+    /// [`pending_deliveries`](Self::pending_deliveries), and zero once the
+    /// world has run to idle.
+    pub fn live_reservations(&self) -> usize {
+        self.links.live_reservations()
     }
 }
 
@@ -893,6 +923,23 @@ mod tests {
         assert_eq!(w.metrics().counter_id(local::MSGS), 4);
         // 4 deliveries: 1ms propagation + 80ns transfer (8 B at 100 MB/s) each.
         assert_eq!(w.now(), SimTime::from_nanos(4 * (1_000_000 + 80)));
+    }
+
+    #[test]
+    fn a_link_holds_a_reservation_only_while_a_message_is_in_flight() {
+        let (mut w, a, b) = two_node_world();
+        for _ in 0..5 {
+            w.post(a, b, Num(2));
+        }
+        // Five arrivals on one link: one entry, bumped apart.
+        assert_eq!((w.live_reservations(), w.pending_deliveries()), (1, 5));
+        w.set_event_cap(1);
+        while w.run_to_idle().reason == StopReason::EventCap {
+            assert!(w.live_reservations() <= w.pending_deliveries());
+            assert!(w.live_reservations() <= 2);
+        }
+        assert_eq!(w.node::<Counter>(a).received, 5);
+        assert_eq!((w.live_reservations(), w.pending_deliveries()), (0, 0));
     }
 
     #[test]

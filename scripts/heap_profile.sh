@@ -15,6 +15,13 @@
 # written into the repo. The shim adds ~20 % host time and ~5 MB RSS on
 # city-coop and CI does not run it; `peak_rss_mb` and `core.metrics_mb`
 # stay the benchmark's memory numbers, this names who holds them.
+#
+# The simulator's own owners, by their first frame: link rows
+# (`LinkTable::insert`: a 4-byte key and an 8-byte link each), link
+# reservations (`LinkTable::reserve`: the slab of arrivals in flight),
+# the event queue (`TimerWheel::{refill, push}`, `EventQueue::insert`),
+# armed schedule series (`Context::schedule_series`) and sampled series
+# (`TimeSeries::record`).
 set -euo pipefail
 
 repo="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"

@@ -4,7 +4,7 @@
 //! own deep copy of the run's address map, so the heap a city holds after
 //! its build grew per node with the AP count (7.5 kB a node at 16 APs and
 //! 16.8 kB at 256, measured as below); now one map is shared and a node's
-//! build heap is 6.7 kB at either size. And `collect` cloned the whole metric
+//! build heap is 6.3 kB at either size. And `collect` cloned the whole metric
 //! registry at the end of every run, adding its size again to the live
 //! heap at the run's end (+520 kB here); now it moves the registry into
 //! the result and adds nothing.
@@ -27,6 +27,12 @@ use apecache::{
 /// How far a 256-AP city's build heap per node may sit above a 16-AP
 /// city's.
 const PER_NODE_GROWTH: f64 = 0.10;
+
+/// The most a roaming 256-AP city may hold per node after its build:
+/// 8 153 B as measured once a link became a 4-byte key beside an 8-byte
+/// spec index and reservation handle, plus 10 %. Links whose every slot
+/// carried its own spec and arrival vector held 12 691 B.
+const ROAMING_BYTES_PER_NODE: f64 = 8_968.0;
 
 /// What `collect` may add to the live heap, as a share of the registry it
 /// hands over.
@@ -93,12 +99,13 @@ fn city(aps: usize, roam: f64) -> TopologyConfig {
         .with_roam_rate(roam)
 }
 
-/// Heap bytes per node that a built (not yet run) city holds. Clients
-/// stay home: a roaming client is linked to every AP its walk visits, and
-/// a walk on a small grid revisits APs where one on a large grid finds new
-/// ones, so roaming adds links per node that grow with the grid by design.
-fn build_bytes_per_node(aps: usize) -> f64 {
-    let config = city(aps, 0.0);
+/// Heap bytes per node that a built (not yet run) city holds. A roaming
+/// client is linked to every AP its walk visits, and a walk on a small
+/// grid revisits APs where one on a large grid finds new ones, so roaming
+/// adds links per node that grow with the grid by design: the growth
+/// bound compares cities whose clients stay home.
+fn build_bytes_per_node(aps: usize, roam: f64) -> f64 {
+    let config = city(aps, roam);
     let before = live();
     let top = build_topology(&config);
     let held = live() - before;
@@ -109,13 +116,23 @@ fn build_bytes_per_node(aps: usize) -> f64 {
 // on parallel threads.
 #[test]
 fn a_city_holds_nothing_twice() {
-    let small = build_bytes_per_node(16);
-    let large = build_bytes_per_node(256);
-    println!("build heap per node: {small:.0} B at 16 APs, {large:.0} B at 256 APs");
+    let small = build_bytes_per_node(16, 0.0);
+    let large = build_bytes_per_node(256, 0.0);
+    let roaming = build_bytes_per_node(256, 6.0);
+    println!(
+        "build heap per node: {small:.0} B at 16 APs, {large:.0} B at 256 APs, \
+         {roaming:.0} B at 256 roaming APs"
+    );
     assert!(
         large <= small * (1.0 + PER_NODE_GROWTH),
         "a node of a 256-AP city holds {large:.0} B after the build, one of a 16-AP city \
          {small:.0} B: something per node grows with the AP count"
+    );
+    assert!(
+        roaming <= ROAMING_BYTES_PER_NODE,
+        "a node of a roaming 256-AP city holds {roaming:.0} B after the build, over the \
+         {ROAMING_BYTES_PER_NODE:.0} B bound: links hold more than a key, a spec index and \
+         a reservation handle"
     );
 
     let mut top = build_topology(&city(16, 6.0));
