@@ -6,15 +6,14 @@
 //! plus peer hits over all cacheable demand — the fraction of traffic the
 //! AP tier absorbs before the edge), and p99 app latency.
 //!
-//! Every cell of up to [`TIE_ASSERT_MAX_APS`] APs is run twice — FIFO
-//! tie-breaks and under a tie-break-perturbation key — and the two
+//! Every cell is run twice — FIFO tie-breaks and under a
+//! tie-break-perturbation key — and the two
 //! [`Fingerprint`](ape_simnet::Fingerprint)s are asserted identical before
-//! the cell is reported, so no number there hangs on an accident of
-//! same-nanosecond scheduling order. Larger grids skip the pass: the
-//! `World` draws all randomness from one stream, so two RNG-drawing
-//! callbacks on *any* two nodes that land on one nanosecond are
-//! order-sensitive, and at 64+ APs a run has enough events for that to
-//! happen (`DESIGN.md` §16).
+//! the cell is reported, so no number hangs on an accident of
+//! same-nanosecond scheduling order. That holds at every grid size
+//! because each node and each link send draws from its own stream: two
+//! events on different nodes that share a nanosecond draw the same values
+//! whichever runs first (`DESIGN.md` §16).
 //!
 //! The sweep asserts what its document claims before anything is written:
 //! per cell, ratios that are fractions, a workload that ran, no peer hits
@@ -60,9 +59,6 @@ const AP_CACHE_CAPACITY: u64 = 400_000;
 /// Tie-break-perturbation key for the per-cell invariance pass.
 const TIE_KEY: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// Largest grid the invariance pass runs on, and gates.
-const TIE_ASSERT_MAX_APS: usize = 16;
-
 /// One `(aps, roam rate, cooperation mode)` sweep cell.
 struct Cell {
     aps: usize,
@@ -104,9 +100,8 @@ fn cell_config(aps: usize, roam_per_minute: f64, cooperative: bool, seed: u64) -
     }
 }
 
-/// Runs a cell's measured pass, asserts the tie-perturbation pass on
-/// grids of up to [`TIE_ASSERT_MAX_APS`] APs, and folds the metrics into a
-/// [`Cell`].
+/// Runs a cell's measured pass, asserts the tie-perturbation pass, and
+/// folds the metrics into a [`Cell`].
 fn run_cell(aps: usize, roam: (&'static str, f64), cooperative: bool, seed: u64) -> Cell {
     let config = cell_config(aps, roam.1, cooperative, seed);
     let sim = SimDuration::from_secs(SIM_SECS);
@@ -122,17 +117,15 @@ fn run_cell(aps: usize, roam: (&'static str, f64), cooperative: bool, seed: u64)
         roam.0,
         if cooperative { "coop" } else { "iso" }
     );
-    if aps <= TIE_ASSERT_MAX_APS {
-        let mut perturbed = config.clone();
-        perturbed.base.tie_perturbation = Some(TIE_KEY);
-        let mut replay = build_topology(&perturbed);
-        replay.world.run_for(sim);
-        assert_eq!(
-            replay.world.fingerprint(),
-            base_fp,
-            "{label}: tie-break perturbation must not change results"
-        );
-    }
+    let mut perturbed = config.clone();
+    perturbed.base.tie_perturbation = Some(TIE_KEY);
+    let mut replay = build_topology(&perturbed);
+    replay.world.run_for(sim);
+    assert_eq!(
+        replay.world.fingerprint(),
+        base_fp,
+        "{label}: tie-break perturbation must not change results"
+    );
 
     let mut result = collect_topology(config.base.system, &mut top);
     let home_hits = result.metrics.counter(names::AP_CACHE_HITS);
@@ -217,8 +210,8 @@ fn render_json(cells: &[Cell], seed: u64) -> String {
     let _ = writeln!(out, "  \"clients_per_ap\": {CLIENTS_PER_AP},");
     let _ = writeln!(
         out,
-        "  \"invariance\": \"every cell of up to {TIE_ASSERT_MAX_APS} APs asserted \
-         bitwise-identical under tie-perturbation key {TIE_KEY:#x}; larger grids not checked\","
+        "  \"invariance\": \"every cell asserted bitwise-identical under \
+         tie-perturbation key {TIE_KEY:#x}\","
     );
     out.push_str("  \"cells\": [\n");
     for (i, c) in cells.iter().enumerate() {
@@ -238,9 +231,6 @@ fn render_json(cells: &[Cell], seed: u64) -> String {
             c.roams,
             c.peer_hits
         );
-        if c.aps <= TIE_ASSERT_MAX_APS {
-            out.push_str(", \"tie_invariant\": true");
-        }
         out.push_str(if i + 1 < cells.len() { "},\n" } else { "}\n" });
     }
     out.push_str("  ]\n}\n");
@@ -263,11 +253,11 @@ pub fn bench_scale(opts: &ReproOptions) -> std::io::Result<String> {
 
     let mut out = String::from(
         "City-scale multi-AP sweep: hit ratio and p99 latency vs AP count x roam rate\n\
-         (tie ok: fingerprint asserted identical under a tie-perturbation key)\n\n",
+         (every cell's fingerprint asserted identical under a tie-perturbation key)\n\n",
     );
     let _ = writeln!(
         out,
-        "{:<5} {:>5} {:>5} {:>9} {:>9} {:>9} {:>9} {:>7} {:>10} {:>4} {:>9}",
+        "{:<5} {:>5} {:>5} {:>9} {:>9} {:>9} {:>9} {:>7} {:>10} {:>9}",
         "aps",
         "roam",
         "mode",
@@ -277,13 +267,12 @@ pub fn bench_scale(opts: &ReproOptions) -> std::io::Result<String> {
         "fetches",
         "roams",
         "peer hits",
-        "tie",
         "wall ms"
     );
     for c in &cells {
         let _ = writeln!(
             out,
-            "{:<5} {:>5} {:>5} {:>8.1}% {:>8.1}% {:>9.2} {:>9} {:>7} {:>10} {:>4} {:>9.1}",
+            "{:<5} {:>5} {:>5} {:>8.1}% {:>8.1}% {:>9.2} {:>9} {:>7} {:>10} {:>9.1}",
             c.aps,
             c.roam,
             if c.cooperative { "coop" } else { "iso" },
@@ -293,11 +282,6 @@ pub fn bench_scale(opts: &ReproOptions) -> std::io::Result<String> {
             c.fetches,
             c.roams,
             c.peer_hits,
-            if c.aps <= TIE_ASSERT_MAX_APS {
-                "ok"
-            } else {
-                "-"
-            },
             c.wall_ms,
         );
     }

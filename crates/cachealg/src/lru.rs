@@ -136,7 +136,8 @@ mod tests {
         assert_eq!(
             out,
             AdmitOutcome::Stored {
-                evicted: vec![UrlHash::of("b")]
+                evicted: vec![UrlHash::of("b")],
+                purged: vec![]
             }
         );
         assert_eq!(
@@ -157,7 +158,7 @@ mod tests {
         m.admit(meta("c", 100), SimTime::from_secs(3));
         let out = m.admit(meta("d", 250), SimTime::from_secs(4));
         match out {
-            AdmitOutcome::Stored { evicted } => {
+            AdmitOutcome::Stored { evicted, .. } => {
                 assert_eq!(evicted.len(), 3, "needs all three evicted: {evicted:?}");
             }
             other => panic!("unexpected {other:?}"),
@@ -182,7 +183,7 @@ mod tests {
             m.admit(meta("x", 100), SimTime::from_secs(1));
             m.admit(meta("y", 100), SimTime::from_secs(1));
             match m.admit(meta("z", 150), SimTime::from_secs(2)) {
-                AdmitOutcome::Stored { evicted } => evicted,
+                AdmitOutcome::Stored { evicted, .. } => evicted,
                 other => panic!("unexpected {other:?}"),
             }
         };

@@ -83,7 +83,7 @@ impl fmt::Display for Priority {
 ///
 /// Field names follow the paper's model (§IV-C): `s_d` size, `p_d` priority,
 /// `e_d` remaining validity, `l_d` latency saved per request.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ObjectMeta {
     /// Hash of the object's full URL — the cache key.
     pub key: UrlHash,

@@ -591,7 +591,7 @@ mod tests {
             meta_for("fresh", 1, 1200, Priority::HIGH, 3600),
             SimTime::from_secs(1),
         );
-        let AdmitOutcome::Stored { evicted } = out else {
+        let AdmitOutcome::Stored { evicted, .. } = out else {
             panic!("expected storage");
         };
         assert!(!evicted.is_empty());
@@ -627,7 +627,8 @@ mod tests {
         assert_eq!(
             out,
             AdmitOutcome::Stored {
-                evicted: vec![UrlHash::of("cold")]
+                evicted: vec![UrlHash::of("cold")],
+                purged: vec![]
             }
         );
         assert_eq!(
@@ -656,7 +657,8 @@ mod tests {
         assert_eq!(
             out,
             AdmitOutcome::Stored {
-                evicted: vec![UrlHash::of("short")]
+                evicted: vec![UrlHash::of("short")],
+                purged: vec![]
             }
         );
     }
@@ -726,7 +728,7 @@ mod tests {
                 meta_for("new", 1, 1100, Priority::HIGH, 3600),
                 SimTime::from_secs(20),
             ) {
-                AdmitOutcome::Stored { evicted } => evicted,
+                AdmitOutcome::Stored { evicted, .. } => evicted,
                 other => panic!("unexpected {other:?}"),
             }
         };

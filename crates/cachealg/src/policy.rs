@@ -88,19 +88,25 @@ impl<P: EvictionPolicy + ?Sized> EvictionPolicy for Box<P> {
 }
 
 /// Outcome of trying to admit a delegated object into the AP cache.
+/// `purged` lists what the admission's expiry purge removed, in key order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AdmitOutcome {
     /// Object cached; lists what was evicted to make room.
     Stored {
         /// Keys evicted by the policy (empty when the object fit).
         evicted: Vec<UrlHash>,
+        /// Objects purged as expired before the policy ran.
+        purged: Vec<ObjectMeta>,
     },
     /// Object exceeded the block-list threshold (or can never fit) and was
     /// added to the block list; future lookups return `Cache-Miss`.
     Blocked,
     /// The policy declined to make enough room; the object is not cached
     /// but remains delegable next time.
-    Declined,
+    Declined {
+        /// Objects purged as expired before the policy ran.
+        purged: Vec<ObjectMeta>,
+    },
 }
 
 /// A cache store paired with an eviction policy — the AP's "cache
@@ -164,9 +170,7 @@ impl<P: EvictionPolicy> CacheManager<P> {
         }
         // Expired entries are dead weight; reclaim them before consulting
         // the policy so its view matches reality.
-        for purged in self.store.purge_expired(now) {
-            self.policy.note_remove(&purged);
-        }
+        let purged = self.purge_expired(now);
         let mut evicted = Vec::new();
         if self.store.free() < meta.size {
             let victims = self.policy.select_victims(&self.store, &meta, now);
@@ -177,7 +181,7 @@ impl<P: EvictionPolicy> CacheManager<P> {
                 }
             }
             if self.store.free() < meta.size {
-                return AdmitOutcome::Declined;
+                return AdmitOutcome::Declined { purged };
             }
         }
         if let Some(old) = self.store.get(meta.key) {
@@ -186,7 +190,7 @@ impl<P: EvictionPolicy> CacheManager<P> {
         }
         self.policy.note_insert(&meta);
         self.store.insert(meta, now);
-        AdmitOutcome::Stored { evicted }
+        AdmitOutcome::Stored { evicted, purged }
     }
 
     /// Drops expired objects, returning their metadata in key order.
@@ -249,7 +253,13 @@ mod tests {
     fn admit_without_pressure_evicts_nothing() {
         let mut m = CacheManager::new(CacheStore::new(1000, 500), NeverEvict);
         let out = m.admit(meta("a", 100, 60), SimTime::ZERO);
-        assert_eq!(out, AdmitOutcome::Stored { evicted: vec![] });
+        assert_eq!(
+            out,
+            AdmitOutcome::Stored {
+                evicted: vec![],
+                purged: vec![]
+            }
+        );
         assert_eq!(m.lookup(UrlHash::of("a"), SimTime::ZERO), Lookup::Hit);
     }
 
@@ -273,7 +283,7 @@ mod tests {
         let mut m = CacheManager::new(CacheStore::new(150, 500), NeverEvict);
         m.admit(meta("a", 100, 60), SimTime::ZERO);
         let out = m.admit(meta("b", 100, 60), SimTime::ZERO);
-        assert_eq!(out, AdmitOutcome::Declined);
+        assert_eq!(out, AdmitOutcome::Declined { purged: vec![] });
         assert_eq!(m.lookup(UrlHash::of("a"), SimTime::ZERO), Lookup::Hit);
         assert_eq!(m.lookup(UrlHash::of("b"), SimTime::ZERO), Lookup::Absent);
     }
@@ -286,7 +296,8 @@ mod tests {
         assert_eq!(
             out,
             AdmitOutcome::Stored {
-                evicted: vec![UrlHash::of("a")]
+                evicted: vec![UrlHash::of("a")],
+                purged: vec![]
             }
         );
         assert_eq!(m.lookup(UrlHash::of("b"), SimTime::ZERO), Lookup::Hit);
@@ -296,9 +307,16 @@ mod tests {
     fn expired_entries_purged_before_policy_runs() {
         let mut m = CacheManager::new(CacheStore::new(150, 500), NeverEvict);
         m.admit(meta("a", 100, 10), SimTime::ZERO);
-        // At t=20 the old entry is expired, so "b" fits without eviction.
+        // At t=20 the old entry is expired, so "b" fits without eviction,
+        // and the outcome names what the purge removed.
         let out = m.admit(meta("b", 100, 60), SimTime::from_secs(20));
-        assert_eq!(out, AdmitOutcome::Stored { evicted: vec![] });
+        assert_eq!(
+            out,
+            AdmitOutcome::Stored {
+                evicted: vec![],
+                purged: vec![meta("a", 100, 10)]
+            }
+        );
     }
 
     #[test]

@@ -58,11 +58,6 @@ const CDN_A_TTL: u32 = 60;
 /// TTL of the site CNAME records (seconds).
 const CNAME_TTL: u32 = 300;
 
-/// Largest grid the builder accepts: AP `i` ticks `17 + 61·i` ns off the
-/// round-second grid, and the offset must stay under the AP's 137 µs reap
-/// phase so reap ticks never cross another AP's window/sample grid.
-const MAX_APS: usize = 2048;
-
 /// A multi-AP deployment to instantiate.
 #[derive(Debug, Clone)]
 pub struct TopologyConfig {
@@ -194,8 +189,8 @@ pub(crate) fn ap_schedule(base: &TestbedConfig, i: usize) -> Vec<Execution> {
 ///
 /// # Panics
 ///
-/// Panics if the config has no APs, more than 2048 APs, no clients per
-/// AP, or no apps.
+/// Panics if the config has no APs, more APs and clients than the
+/// address map can hold, no clients per AP, or no apps.
 pub fn build_topology(config: &TopologyConfig) -> Topology {
     assemble(
         &config.base,
@@ -215,10 +210,6 @@ pub(crate) fn assemble(
     cooperative: bool,
 ) -> Topology {
     assert!(aps > 0, "deployment needs at least one AP");
-    assert!(
-        aps <= MAX_APS,
-        "deployment is limited to {MAX_APS} APs: past that two APs would share a tick phase"
-    );
     assert!(
         base.clients > 0,
         "deployment needs at least one client per AP"
@@ -394,17 +385,10 @@ pub(crate) fn assemble(
     ap_config.policy = base.system.ap_policy(base.ap.policy);
     let mut ap_nodes = Vec::with_capacity(aps);
     for i in 0..aps {
-        // Distinct sub-microsecond tick phases per AP: 17 ns keeps the AP
-        // grid off the clients' 61 ns watchdog grid and the 61 ns step
-        // keeps APs off each other (see `MAX_APS`). A lone AP has no other
-        // AP to stay clear of and ticks on the round grid, which is what
-        // the Fig. 9 goldens pin; this case goes at the one re-pin
-        // (ROADMAP item 3).
-        ap_config.phase_stagger = if aps == 1 {
-            SimDuration::ZERO
-        } else {
-            SimDuration::from_nanos(17 + 61 * i as u64)
-        };
+        // Distinct tick phases per AP (see `ApConfig::phase_stagger`): 17 ns
+        // keeps the AP grid off the clients' 61 ns watchdog grid and the
+        // 61 ns step keeps APs off each other.
+        ap_config.phase_stagger = SimDuration::from_nanos(17 + 61 * i as u64);
         let mut node = ApNode::new(ap_config.clone(), ldns, ip_map.clone());
         if let Some(controller) = controller {
             node = node.with_wicache(controller);
@@ -589,9 +573,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "limited to 2048 APs")]
-    fn grids_past_the_tick_phase_range_are_rejected() {
-        let _ = build_topology(&TopologyConfig::new(small_base(System::ApeCache), 2049));
+    fn grids_past_2048_aps_are_built() {
+        // 2,048 APs was the cap while every draw shared one stream; the
+        // limit is now what the address map can hold.
+        let config = TopologyConfig::new(small_base(System::ApeCache), 2049).with_clients_per_ap(1);
+        let top = build_topology(&config);
+        assert_eq!((top.aps.len(), top.clients.len()), (2049, 2049));
     }
 
     #[test]

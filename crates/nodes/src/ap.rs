@@ -105,12 +105,11 @@ pub struct ApConfig {
     /// Per-domain flag batching enabled (§IV-B3).
     pub batch_domain_flags: bool,
     /// Phase offset added to this AP's periodic timers (window, sample,
-    /// reap), set by the world builder from the AP's grid index: every AP
-    /// of a multi-AP deployment gets a distinct sub-microsecond offset, or
-    /// all their round-grid ticks fire on the same nanosecond and
-    /// tie-break perturbation reorders their jitter draws from the shared
-    /// RNG stream (see `REAP_PHASE`). A lone AP has no such neighbour and
-    /// stays at `ZERO`, the paper testbed's bitwise-pinned schedule.
+    /// reap), set by the world builder from the AP's grid index. All APs
+    /// append samples to the one `ap.cpu` / `ap.ape_mem_mb` series; on a
+    /// shared phase their sample ticks would tie and tie-break order would
+    /// order the series' points (`chaos_roam`'s
+    /// `roaming_under_faults_terminates_drained_and_tie_invariant` fails).
     pub phase_stagger: SimDuration,
 }
 
@@ -182,13 +181,6 @@ struct PendingForward {
 const TICK_WINDOW: TimerToken = TimerToken::new(1);
 const TICK_SAMPLE: TimerToken = TimerToken::new(2);
 const TICK_REAP: TimerToken = TimerToken::new(3);
-
-/// Phase offset for the first reap tick. The window and sample ticks fire
-/// on round-second grids; starting the reaper 137 µs off that grid keeps
-/// its firings from ever tying with them, so tie-break perturbation can
-/// never reorder a reap's retry sends against the window tick's
-/// advertisement sends (both draw link jitter from the shared RNG stream).
-const REAP_PHASE: SimDuration = SimDuration::from_micros(137);
 
 /// The AP node.
 pub struct ApNode {
@@ -810,25 +802,18 @@ impl ApNode {
             let outcome = self.cache.admit(meta, now);
             ctx.prof_end(ProfCategory::Evict, prof);
             match outcome {
-                AdmitOutcome::Stored { evicted } => {
+                AdmitOutcome::Stored { evicted, purged } => {
                     ctx.metrics().incr_id(names::id::AP_ADMISSIONS, 1);
                     ctx.metrics()
                         .incr_id(names::id::AP_EVICTIONS, evicted.len() as u64);
-                    if let Some(controller) = self.wicache_controller {
-                        ctx.send(
-                            controller,
-                            Msg::WiCacheAdvertise {
-                                added: vec![key],
-                                removed: evicted,
-                            },
-                        );
-                    }
+                    self.report_store_change(ctx, Some(key), evicted, purged);
                 }
                 AdmitOutcome::Blocked => {
                     ctx.metrics().incr_id(names::id::AP_BLOCK_LISTED, 1);
                 }
-                AdmitOutcome::Declined => {
+                AdmitOutcome::Declined { purged } => {
                     ctx.metrics().incr_id(names::id::AP_ADMIT_DECLINED, 1);
+                    self.report_store_change(ctx, None, Vec::new(), purged);
                 }
             }
             self.record_evict_stats(ctx, stats_before);
@@ -1263,15 +1248,7 @@ impl ApNode {
         self.cache.roll_window(now);
         let purged = self.cache.purge_expired(now);
         ctx.prof_end(ProfCategory::Evict, prof);
-        ctx.metrics()
-            .incr_id(names::id::AP_TTL_PURGES, purged.len() as u64);
-        if let Some(controller) = self.wicache_controller {
-            if !purged.is_empty() {
-                let added = Vec::new();
-                let removed = purged.into_iter().map(|meta| meta.key).collect();
-                ctx.send(controller, Msg::WiCacheAdvertise { added, removed });
-            }
-        }
+        self.report_store_change(ctx, None, Vec::new(), purged);
         // Cooperative gossip rides the same roll: each neighbor learns this
         // AP's current hot set once per window.
         if !self.neighbors.is_empty() {
@@ -1285,6 +1262,31 @@ impl ApNode {
         }
     }
 
+    /// Counts expiry purges (the window roll's and an admission's) and
+    /// tells a Wi-Cache controller what was added and everything removed,
+    /// so it never points a client at an object this AP dropped. `removed`
+    /// may name `added` (an expired copy purged by the admission that
+    /// stores the fresh one); the controller applies removals first.
+    fn report_store_change(
+        &self,
+        ctx: &mut Context<'_, Msg>,
+        added: Option<UrlHash>,
+        mut removed: Vec<UrlHash>,
+        purged: Vec<ObjectMeta>,
+    ) {
+        if !purged.is_empty() {
+            ctx.metrics()
+                .incr_id(names::id::AP_TTL_PURGES, purged.len() as u64);
+        }
+        if let Some(controller) = self.wicache_controller {
+            removed.extend(purged.iter().map(|meta| meta.key));
+            if added.is_some() || !removed.is_empty() {
+                let added = added.into_iter().collect();
+                ctx.send(controller, Msg::WiCacheAdvertise { added, removed });
+            }
+        }
+    }
+
     fn sample_resources(&mut self, ctx: &mut Context<'_, Msg>) {
         let now = ctx.now();
         let cpu = self.cpu.sample_utilization(now);
@@ -1293,11 +1295,6 @@ impl ApNode {
         ctx.metrics().record_point_id(names::id::AP_CPU, now, cpu);
         ctx.metrics()
             .record_point_id(names::id::AP_APE_MEM_MB, now, ape_mem as f64 / 1e6);
-        ctx.metrics().record_point_id(
-            names::id::AP_TOTAL_MEM_MB,
-            now,
-            (MEM_BASELINE + ape_mem) as f64 / 1e6,
-        );
     }
 }
 
@@ -1305,12 +1302,13 @@ impl Node<Msg> for ApNode {
     fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
         // The stagger shifts every periodic tick off the shared grids once,
         // at start; each tick reschedules itself relatively, so the phase
-        // persists for the whole run.
+        // persists for the whole run. An AP's own ticks meet harmlessly: the
+        // roll runs once, first, and the reap touches nothing they use.
         let stagger = self.config.phase_stagger;
         self.next_window_roll = ctx.now() + self.config.window + stagger;
         ctx.schedule(self.config.window + stagger, TICK_WINDOW);
         ctx.schedule(SAMPLE_INTERVAL + stagger, TICK_SAMPLE);
-        ctx.schedule(REAP_INTERVAL + REAP_PHASE + stagger, TICK_REAP);
+        ctx.schedule(REAP_INTERVAL + stagger, TICK_REAP);
     }
 
     fn on_message(&mut self, ctx: &mut Context<'_, Msg>, from: NodeId, msg: Msg) {

@@ -367,12 +367,11 @@ const TOKEN_HTTP_BASE: u64 = 1 << 33;
 const TOKEN_ROAM_BASE: u64 = 1 << 34;
 const HTTP_ATTEMPT_SHIFT: u32 = 40;
 
-/// Phase-staggers a watchdog delay so timers armed by the same handler
-/// never share a nanosecond. Fetches launched together share `now`; if
-/// their watchdogs tied, tie-break order would decide which retransmission
-/// draws link jitter from the world's shared RNG stream first, breaking
-/// tie-perturbation invariance under loss. 61 ns per id keeps the skew
-/// under 4 ms — noise against the multi-second timeouts it offsets.
+/// Phase-staggers a watchdog delay so timers armed by one handler never
+/// share a nanosecond: tied watchdogs retransmit down one link, and
+/// tie-break order would pick which takes the link's next draw
+/// (`chaos_faults`' `randomized_fault_plans_terminate_drained_and_tie_invariant`
+/// fails without it). 61 ns per id keeps the skew under 4 ms.
 fn staggered(base: SimDuration, id: u64) -> SimDuration {
     let skew_ns = (id & 0xFFFF) * 61;
     base + SimDuration::from_nanos(skew_ns)

@@ -122,9 +122,10 @@ impl Node<Msg> for WiCacheControllerNode {
                     ctx.metrics().incr_id(names::id::WICACHE_ADVERT_DROPPED, 1);
                     return;
                 };
-                for key in added {
-                    self.placements.entry(key).or_default().insert(address);
-                }
+                // An advert is a diff: removals first, so a key the AP
+                // dropped and stored again in one admission (an expired copy
+                // purged, or a policy evicting the key it re-admits) stays
+                // listed.
                 for key in removed {
                     // Per-holder remove: only this AP's entry goes away;
                     // other holders keep serving the object.
@@ -134,6 +135,9 @@ impl Node<Msg> for WiCacheControllerNode {
                             self.placements.remove(&key);
                         }
                     }
+                }
+                for key in added {
+                    self.placements.entry(key).or_default().insert(address);
                 }
             }
             _ => {}

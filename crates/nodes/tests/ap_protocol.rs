@@ -4,8 +4,11 @@
 use ape_cachealg::{AppId, Priority};
 use ape_dnswire::{CacheFlag, DnsMessage, DomainName, Rcode};
 use ape_httpsim::{HttpRequest, HttpResponse, Url};
+use std::net::Ipv4Addr;
+
 use ape_nodes::{
-    ApConfig, ApNode, AuthDnsNode, Catalog, CatalogEntry, LdnsNode, OriginNode, ZoneAnswer,
+    ApConfig, ApNode, AuthDnsNode, Catalog, CatalogEntry, LdnsNode, OriginNode,
+    WiCacheControllerNode, ZoneAnswer,
 };
 use ape_proto::{names, CacheOp, ConnId, IpMap, Msg, RequestId};
 use ape_simnet::{Context, LinkSpec, Node, NodeId, SimDuration, SimTime, World};
@@ -35,9 +38,16 @@ struct Bed {
     world: World<Msg>,
     probe: NodeId,
     ap: NodeId,
+    controller: Option<NodeId>,
 }
 
 fn bed() -> Bed {
+    wired(false)
+}
+
+/// The AP behind its forwarder chain, advertising to a Wi-Cache
+/// controller when `wicache` is set.
+fn wired(wicache: bool) -> Bed {
     let mut world = World::new(3);
     let probe = world.add_node("probe", Probe::default());
 
@@ -72,7 +82,27 @@ fn bed() -> Bed {
             vec![("zone.example".parse().expect("static"), adns)],
         ),
     );
-    let ap = world.add_node("ap", ApNode::new(ApConfig::default(), ldns, ip_map));
+    let controller = wicache.then(|| {
+        world.add_node(
+            "controller",
+            WiCacheControllerNode::new(SimDuration::from_micros(100)),
+        )
+    });
+    let mut ap = ApNode::new(ApConfig::default(), ldns, ip_map);
+    if let Some(controller) = controller {
+        ap = ap.with_wicache(controller);
+    }
+    let ap = world.add_node("ap", ap);
+    if let Some(controller) = controller {
+        world
+            .node_mut::<WiCacheControllerNode>(controller)
+            .register_ap_at(ap, Ipv4Addr::new(10, 9, 9, 9), (0, 0));
+        world.connect(
+            ap,
+            controller,
+            LinkSpec::from_rtt(1, SimDuration::from_millis(2)),
+        );
+    }
 
     world.connect(
         probe,
@@ -94,7 +124,12 @@ fn bed() -> Bed {
         origin,
         LinkSpec::from_rtt(9, SimDuration::from_millis(20)),
     );
-    Bed { world, probe, ap }
+    Bed {
+        world,
+        probe,
+        ap,
+        controller,
+    }
 }
 
 fn settle(world: &mut World<Msg>) {
@@ -326,4 +361,55 @@ fn delegation_for_unresolvable_domain_fails_instead_of_looping() {
             .counter(names::AP_DELEGATION_DNS_FAILURES),
         1
     );
+}
+
+#[test]
+fn admission_purges_are_counted_and_withdrawn_from_the_controller() {
+    let mut bed = wired(true);
+    let controller = bed.controller.expect("wired with a controller");
+    let fetch = |bed: &mut Bed, req: u64, url: &Url, ttl: SimDuration| {
+        let op = CacheOp {
+            ttl,
+            priority: Priority::LOW,
+            app: AppId::new(0),
+        };
+        bed.world.post(
+            bed.probe,
+            bed.ap,
+            Msg::HttpReq {
+                conn: ConnId(req),
+                req: RequestId(req),
+                request: HttpRequest::get(url.clone()),
+                cache_op: Some(op),
+            },
+        );
+        settle(&mut bed.world);
+    };
+    let short = Url::parse("http://known.zone.example/obj?v=1").expect("static");
+    let long = Url::parse("http://known.zone.example/obj?v=2").expect("static");
+    fetch(&mut bed, 1, &short, SimDuration::from_secs(1));
+    let holders = |bed: &Bed, url: &Url| {
+        let wicache = bed.world.node::<WiCacheControllerNode>(controller);
+        wicache.holder_count(url.hash())
+    };
+    assert_eq!(holders(&bed, &short), 1);
+
+    // Long before the window roll, the next admission purges the expired
+    // object: it is counted, and the controller stops naming this AP.
+    fetch(&mut bed, 2, &long, SimDuration::from_mins(10));
+    assert!(bed.world.now() < SimTime::from_secs(60));
+    assert_eq!(bed.world.node::<ApNode>(bed.ap).cached_objects(), 1);
+    assert_eq!(bed.world.metrics().counter(names::AP_TTL_PURGES), 1);
+    assert_eq!(holders(&bed, &short), 0, "still listed after its purge");
+    assert_eq!(holders(&bed, &long), 1);
+
+    // Fetching an expired object again purges its old copy in the same
+    // admission that stores the new one: the advert both removes and adds
+    // one key, and the controller must end up naming this AP.
+    fetch(&mut bed, 3, &short, SimDuration::from_secs(1));
+    fetch(&mut bed, 4, &short, SimDuration::from_secs(1));
+    assert!(bed.world.now() < SimTime::from_secs(60));
+    assert_eq!(bed.world.metrics().counter(names::AP_TTL_PURGES), 2);
+    assert_eq!(holders(&bed, &short), 1, "lost the fresh copy's holder");
+    assert_eq!(holders(&bed, &long), 1);
 }

@@ -92,8 +92,6 @@ ape_simnet::metric_names! {
     AP_CPU = "ap.cpu";
     /// APE-CACHE memory on the AP, MB (time series).
     AP_APE_MEM_MB = "ap.ape_mem_mb";
-    /// Total AP memory in use, MB (time series).
-    AP_TOTAL_MEM_MB = "ap.total_mem_mb";
 
     // --- Client -------------------------------------------------------------
 

@@ -19,30 +19,29 @@
 //! processed) is taken; any divergence from the unperturbed baseline means
 //! the scenario's results depend on tie-break order.
 //!
-//! A divergence is not always a bug in the scenario: callbacks that draw
-//! from the shared [`SimRng`](crate::SimRng) consume the stream in
-//! processing order, so reordering ties also reorders their draws. A
-//! tie-heavy scenario whose ties draw randomness can legitimately diverge.
-//! The APE-CACHE testbed keeps continuous per-link jitter on every link
-//! precisely so that message arrivals almost never tie; the detector checks
-//! that the residual ties (e.g. same-node timer collisions) are benign.
+//! Randomness does not couple unrelated ties: each node draws from its own
+//! stream ([`Context::rng`](crate::Context::rng)), and each send draws its
+//! loss and jitter from a stream named by its link and its number on that
+//! link. So two events on different nodes that share a nanosecond draw the
+//! same values whichever runs first. What tie order can still decide is
+//! the order of two events on *one* node — which of its callbacks draws
+//! first, which of its sends down one link takes which draw, any
+//! order-sensitive node state — and the order of two writes to one shared
+//! time series. Three guards keep those out of the simulator's workloads:
 //!
-//! One structural guard shrinks that residual class further: each
-//! directed link serializes its arrivals (`link::InFlight::reserve`), so a
-//! nanosecond-exact collision between two messages on the same
-//! `src → dst` pair — the dominant tie source at city scale, since one
-//! callback's batched sends share a send instant and a jitter
-//! distribution — is bumped to the next free nanosecond, as a serial wire
-//! would force anyway. What remains is two events on *different* links
-//! (or an arrival and a timer) landing on the same nanosecond and either
-//! both drawing from the shared stream or racing through order-sensitive
-//! node state. Node implementations keep such state canonical (e.g. the
-//! AP's gossiped-holder map tie-breaks same-instant summaries on node id,
-//! not arrival order) and stagger their periodic timers on co-prime
-//! nanosecond phases so timers do not tie at all; the shared-stream
-//! coupling is bounded only by how rare exact collisions are, which holds
-//! for the testbed and small grids and stops holding around 64 APs
-//! (`DESIGN.md` §16).
+//! * each directed link serializes its arrivals
+//!   (`link::InFlight::reserve`), so two messages on one `src → dst` pair
+//!   never land on the receiver in the same nanosecond;
+//! * a client staggers its watchdogs per request, so two of its
+//!   retransmissions never tie for its one link to the AP, and the
+//!   builder gives each AP its own tick phase, so no two APs append a
+//!   resource sample to the shared series in one nanosecond;
+//! * nodes keep the state tied messages meet canonical (e.g. the AP's
+//!   gossiped-holder map tie-breaks same-instant summaries on node id, not
+//!   arrival order).
+//!
+//! A divergence the detector reports is therefore a race in a node, not
+//! an artifact of where randomness comes from (`DESIGN.md` §16).
 
 use std::fmt;
 

@@ -6,7 +6,7 @@
 //! paths (e.g. "7 hops away", "12 hops away", WiFi one hop).
 
 use crate::node::NodeId;
-use crate::rng::SimRng;
+use crate::rng::{mix64, SimRng};
 use crate::time::{SimDuration, SimTime};
 
 /// Characteristics of a (directed-pair symmetric) network path.
@@ -138,8 +138,8 @@ impl ArrivalId {
 /// A link is a serial resource: two messages sent `src → dst` can never
 /// *arrive* in the same nanosecond. Continuous (exponential) jitter makes
 /// exact nanosecond collisions rare, but each one is a same-timestamp tie
-/// at the receiver, and tied callbacks draw from the world's RNG stream in
-/// dispatch order (see the `determinism` module docs) — exactly the class
+/// at the receiver, whose dispatch order then decides what the receiver
+/// sees first (see the `determinism` module docs) — exactly the class
 /// of divergence the schedule-perturbation detector flags. Same-pair
 /// collisions dominate in practice because a node's batched sends (one
 /// callback fanning several messages down one link) share send instant,
@@ -216,20 +216,21 @@ impl InFlight {
     }
 }
 
-/// One directed link: its spec's index in [`LinkTable::specs`] and its
-/// entry in the reservation slab. The entry is this link's only while it
-/// names `(src, dst)` and holds an arrival; otherwise the handle is stale
-/// and the next reservation takes a free entry.
+/// One directed link: its spec's index in [`LinkTable::specs`], its entry
+/// in the reservation slab and its send count. The entry is this link's
+/// only while it names `(src, dst)` and holds an arrival; otherwise the
+/// handle is stale and the next reservation takes a free entry.
 #[derive(Debug, Clone, Copy)]
 struct Link {
     spec: u16,
     inflight: u32,
+    sends: u32,
 }
 
 /// The links leaving one source node: destinations in `keys`, ascending,
 /// and the link to `keys[i]` at `links[i]`. A send searches only the
 /// 4-byte keys — the city's edge and LDNS rows hold ~770 links — and then
-/// touches exactly one 8-byte `Link`.
+/// touches exactly one 12-byte `Link`.
 #[derive(Debug, Default)]
 struct Row {
     keys: Vec<NodeId>,
@@ -298,8 +299,12 @@ impl LinkTable {
             Ok(i) => row.links[i].spec = spec,
             Err(i) => {
                 row.keys.insert(i, dst);
-                let inflight = u32::MAX;
-                row.links.insert(i, Link { spec, inflight });
+                let link = Link {
+                    spec,
+                    inflight: u32::MAX,
+                    sends: 0,
+                };
+                row.links.insert(i, link);
             }
         }
     }
@@ -322,6 +327,17 @@ impl LinkTable {
     #[inline]
     pub(crate) fn spec(&self, link: &LinkRef) -> &LinkSpec {
         &self.specs[usize::from(link.link.spec)]
+    }
+
+    /// The draws of the next send on `link` in the run seeded `seed`,
+    /// named by the pair and the send's number on the link.
+    #[inline]
+    pub(crate) fn send_draws(&mut self, link: &LinkRef, seed: u64) -> SimRng {
+        let sends = &mut self.rows[link.src.index()].links[link.slot].sends;
+        let n = *sends;
+        *sends = n.wrapping_add(1);
+        let pair = u64::from(link.src.as_raw()) << 32 | u64::from(link.dst.as_raw());
+        SimRng::keyed(seed, mix64(pair) ^ u64::from(n))
     }
 
     /// Reserves the arrival slot on `link` for a message computed to land

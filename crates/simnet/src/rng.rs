@@ -67,15 +67,14 @@ impl SimRng {
         }
     }
 
-    /// Derives an independent child generator, e.g. one per node, so that
-    /// adding consumers does not perturb unrelated streams.
-    pub fn fork(&mut self, stream: u64) -> SimRng {
-        // Mix the stream id through SplitMix64 so forks with nearby ids do
-        // not produce correlated child seeds.
-        let mut z = self.next_u64() ^ stream.wrapping_mul(0x9E3779B97F4A7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        SimRng::seed_from(z ^ (z >> 31))
+    /// The generator of one keyed stream of a run: `(seed, key)` alone
+    /// decides it, so no draw made elsewhere in the run — nor the order
+    /// in which other streams are drawn — can move it. Keys of one run
+    /// must differ, and seed expansion mixes them, so keys that differ in
+    /// a few low bits (consecutive ids, consecutive sends) still give
+    /// unrelated streams. One mix deep, since a send builds one.
+    pub(crate) fn keyed(seed: u64, key: u64) -> Self {
+        SimRng::seed_from(mix64(seed) ^ key)
     }
 
     /// Next raw 64-bit value (xoshiro256++ step).
@@ -197,16 +196,11 @@ mod tests {
     }
 
     #[test]
-    fn forks_are_deterministic_but_distinct() {
-        let mut root1 = SimRng::seed_from(7);
-        let mut root2 = SimRng::seed_from(7);
-        let mut f1 = root1.fork(1);
-        let mut f2 = root2.fork(1);
-        assert_eq!(f1.next_u64(), f2.next_u64());
-
-        let mut root3 = SimRng::seed_from(7);
-        let mut g1 = root3.fork(2);
-        assert_ne!(f1.next_u64(), g1.next_u64());
+    fn keyed_streams_depend_on_seed_and_key_only() {
+        let first = |seed, key| SimRng::keyed(seed, key).next_u64();
+        assert_eq!(first(7, 1), first(7, 1));
+        assert_ne!(first(7, 1), first(7, 2));
+        assert_ne!(first(7, 1), first(8, 1));
     }
 
     #[test]

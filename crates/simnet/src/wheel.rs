@@ -21,9 +21,10 @@
 //!   event. See `DESIGN.md` §13.
 //!
 //! Bucket buffers stay where they are: a drained level-0 bucket trades
-//! buffers with the (empty) ready run, and a cascaded coarse bucket keeps
-//! its own buffer only up to `RETAINED_BUCKET_CAPACITY` entries, so a
-//! burst's capacity is given back instead of travelling around the wheel.
+//! buffers with the (empty) ready run, a cascaded coarse bucket keeps its
+//! own, and either keeps a buffer only up to `RETAINED_BUCKET_CAPACITY`
+//! entries, so a burst's capacity is given back instead of travelling
+//! around the wheel.
 //!
 //! Cost model: a push lands in its final bucket directly (no sifting); a
 //! pop touches the small ready heap plus, amortized, one bucket cascade per
@@ -52,8 +53,8 @@ const SLOTS: usize = 1 << LEVEL_BITS;
 const SLOT_MASK: u64 = SLOTS as u64 - 1;
 /// Number of wheel levels; events past the last level go to overflow.
 const LEVELS: usize = 6;
-/// Capacity, in entries, up to which a coarse bucket keeps its emptied
-/// buffer after a cascade; a larger buffer is freed. 64 of the event
+/// Capacity, in entries, up to which a bucket keeps its emptied buffer
+/// after a cascade or a drain; a larger buffer is freed. 64 of the event
 /// queue's 24-byte handle entries are 1.5 kB, at most 0.6 MB over the 384
 /// slots.
 /// Keeping every buffer pins each 17 s level-3 slot at the whole watchdog
@@ -305,6 +306,10 @@ impl<T> TimerWheel<T> {
                 // ascending sort yield descending `(at, seq)`.
                 debug_assert!(self.ready.is_empty());
                 std::mem::swap(&mut self.ready, &mut self.slots[index]);
+                // Else a burst's run settles in every level-0 slot in turn.
+                if self.slots[index].capacity() > RETAINED_BUCKET_CAPACITY {
+                    self.slots[index] = Vec::new();
+                }
                 self.ready.sort_unstable();
                 return;
             }
@@ -591,7 +596,9 @@ mod tests {
         // armed 3–4 s ahead and the wheel drains up to the next second, so
         // ~8 000 are in flight on the coarse levels at once. 40 s crosses
         // two level-3 boundaries (2^34 ns ≈ 17.2 s), whose buckets each
-        // collect thousands of timers before they cascade.
+        // collect thousands of timers before they cascade. A tick-shaped
+        // burst rides along: 500 timers a second inside one level-0
+        // bucket, whose run must not settle in the level-0 slots.
         const SECOND: u64 = 1_000_000_000;
         let mut wheel = TimerWheel::new();
         let mut seq = 0u64;
@@ -604,6 +611,11 @@ mod tests {
                 wheel.push(SimTime::from_nanos(at), seq, 0u32);
                 seq += 1;
             }
+            for tick in 0..500 {
+                let at = now + SECOND / 2 + tick * 61;
+                wheel.push(SimTime::from_nanos(at), seq, 0u32);
+                seq += 1;
+            }
             while wheel
                 .peek_time()
                 .is_some_and(|at| at.as_nanos() < now + SECOND)
@@ -612,8 +624,7 @@ mod tests {
             }
         }
         while wheel.pop().is_some() {}
-        // Only the ready run and level-0 slots may hold more than the
-        // retained capacity, and their buckets here hold a few timers each.
+        // Only the ready run may hold more than the retained capacity.
         let entry = std::mem::size_of::<Entry<u32>>();
         let bound = LEVELS
             * SLOTS
@@ -623,8 +634,8 @@ mod tests {
             "{} bytes retained after the drain, bound {bound}",
             wheel.approx_bytes()
         );
-        let coarse = &wheel.slots[SLOTS..];
-        assert!(coarse
+        assert!(wheel
+            .slots
             .iter()
             .all(|b| b.capacity() <= RETAINED_BUCKET_CAPACITY));
     }

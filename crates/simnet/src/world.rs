@@ -43,6 +43,7 @@ pub struct Context<'a, M: Message> {
     pub(crate) queue: &'a mut EventQueue<M>,
     pub(crate) faults: &'a FaultPlan,
     pub(crate) links: &'a mut LinkTable,
+    pub(crate) seed: u64,
     pub(crate) rng: &'a mut SimRng,
     pub(crate) metrics: &'a mut Metrics,
     pub(crate) trace: &'a mut TraceSink,
@@ -74,7 +75,7 @@ impl<'a, M: Message> Context<'a, M> {
     }
 
     /// Sends `msg` to `to` over the registered link, applying propagation
-    /// delay, transfer time, jitter and loss.
+    /// delay, transfer time, jitter and loss (drawn from the link's stream).
     ///
     /// # Panics
     ///
@@ -100,8 +101,9 @@ impl<'a, M: Message> Context<'a, M> {
             .links
             .find(self.self_id, to)
             .unwrap_or_else(|| panic!("no link {} -> {}", self.self_id, to));
+        let mut draws = self.links.send_draws(&link, self.seed);
         // Fault windows are evaluated at send time. The empty-plan path
-        // draws no randomness and records no metrics, so a world without a
+        // draws nothing and records no metrics, so a world without a
         // FaultPlan is bit-identical to one predating fault injection.
         let mut fault_delay = SimDuration::ZERO;
         if !self.faults.is_empty() {
@@ -111,7 +113,7 @@ impl<'a, M: Message> Context<'a, M> {
                 self.metrics.incr_id(keys::id::NET_FAULT_DROPPED, 1);
                 return;
             }
-            if effect.loss > 0.0 && self.rng.chance(effect.loss) {
+            if effect.loss > 0.0 && draws.chance(effect.loss) {
                 self.prof.record(ProfCategory::LinkFault, t);
                 self.metrics.incr_id(keys::id::NET_FAULT_DROPPED, 1);
                 return;
@@ -119,13 +121,13 @@ impl<'a, M: Message> Context<'a, M> {
             fault_delay = effect.extra_delay;
         }
         let spec = self.links.spec(&link);
-        if spec.sample_loss(self.rng) {
+        if spec.sample_loss(&mut draws) {
             self.prof.record(ProfCategory::LinkFault, t);
             self.metrics.incr_id(keys::id::NET_DROPPED, 1);
             return;
         }
         let wire = msg.wire_size();
-        let owd = spec.sample_owd(wire, self.rng);
+        let owd = spec.sample_owd(wire, &mut draws);
         // The link delivers serially: an arrival that lands on an occupied
         // nanosecond is bumped to the next free one, so same-pair messages
         // never tie at the receiver (see `link::InFlight`).
@@ -199,7 +201,7 @@ impl<'a, M: Message> Context<'a, M> {
             .push_series(self.self_id, self.span, token_base.get(), times);
     }
 
-    /// Deterministic randomness shared by the run.
+    /// This node's own random stream: only its own earlier draws move it.
     pub fn rng(&mut self) -> &mut SimRng {
         self.rng
     }
@@ -399,7 +401,8 @@ pub struct World<M: Message> {
     names: Vec<String>,
     links: LinkTable,
     faults: FaultPlan,
-    rng: SimRng,
+    seed: u64,
+    rngs: Vec<SimRng>,
     metrics: Metrics,
     trace: TraceSink,
     prof: Profiler,
@@ -410,7 +413,7 @@ pub struct World<M: Message> {
 }
 
 impl<M: Message> World<M> {
-    /// Creates an empty world with the given RNG seed.
+    /// Creates an empty world; every node and send stream derives from `seed`.
     pub fn new(seed: u64) -> Self {
         World {
             clock: SimTime::ZERO,
@@ -419,7 +422,8 @@ impl<M: Message> World<M> {
             names: Vec::new(),
             links: LinkTable::default(),
             faults: FaultPlan::new(),
-            rng: SimRng::seed_from(seed),
+            seed,
+            rngs: Vec::new(),
             metrics: Metrics::new(),
             trace: TraceSink::default(),
             prof: Profiler::new(),
@@ -492,7 +496,7 @@ impl<M: Message> World<M> {
     /// divergence between a perturbed run and the baseline means the
     /// scenario's results depend on the processing order of same-timestamp
     /// events — a hidden ordering race. See the [`determinism`]
-    /// (crate::determinism) module docs for the RNG-coupling caveat.
+    /// (crate::determinism) module docs for what a divergence means.
     pub fn check_determinism(
         seed: u64,
         perturbations: u32,
@@ -583,6 +587,7 @@ impl<M: Message> World<M> {
         let id = NodeId::from_raw(self.nodes.len() as u32);
         self.nodes.push(Some(Box::new(node)));
         self.names.push(name.into());
+        self.rngs.push(SimRng::keyed(self.seed, id.as_raw().into()));
         id
     }
 
@@ -613,10 +618,11 @@ impl<M: Message> World<M> {
             .links
             .find(from, to)
             .unwrap_or_else(|| panic!("no link {from} -> {to}"));
+        let mut draws = self.links.send_draws(&link, self.seed);
         let owd = self
             .links
             .spec(&link)
-            .sample_owd(msg.wire_size(), &mut self.rng);
+            .sample_owd(msg.wire_size(), &mut draws);
         self.metrics.incr_id(keys::id::NET_MESSAGES, 1);
         self.metrics
             .incr_id(keys::id::NET_BYTES, msg.wire_size() as u64);
@@ -719,8 +725,9 @@ impl<M: Message> World<M> {
                 self_id: id,
                 queue: &mut self.queue,
                 links: &mut self.links,
+                seed: self.seed,
                 faults: &self.faults,
-                rng: &mut self.rng,
+                rng: &mut self.rngs[id.index()],
                 metrics: &mut self.metrics,
                 trace: &mut self.trace,
                 prof: &mut self.prof,
@@ -861,6 +868,7 @@ mod tests {
         pub const MSGS: MetricId = MetricId::new(4, "msgs");
         pub const ARRIVALS: MetricId = MetricId::new(5, "arrivals");
         pub const ARRIVAL_ORDER: MetricId = MetricId::new(6, "arrival.order");
+        pub const HEARD: MetricId = MetricId::new(7, "heard");
         pub const FETCH: SpanLabel = SpanLabel::new("fetch");
         pub const SERVE: SpanLabel = SpanLabel::new("serve");
         pub const OP: SpanLabel = SpanLabel::new("op");
@@ -1376,6 +1384,85 @@ mod tests {
             assert_eq!(run.fingerprint.events, report.baseline.events);
             assert_eq!(run.fingerprint.clock_ns, report.baseline.clock_ns);
         }
+    }
+
+    /// Records which node heard back; sends nothing.
+    struct Heard;
+    impl Node<Num> for Heard {
+        fn on_message(&mut self, ctx: &mut Context<'_, Num>, _from: NodeId, _msg: Num) {
+            let me = ctx.self_id().index() as f64;
+            ctx.metrics().observe_id(local::HEARD, me);
+        }
+    }
+
+    #[test]
+    fn replies_to_tied_arrivals_draw_the_same_whatever_runs_first() {
+        // Eight senders' messages land on the hub in one nanosecond, and it
+        // answers each over a lossy link. An answer's loss draw belongs to
+        // its link, so which senders hear back is the same in any order.
+        let report = World::check_determinism(11, 2, |w| {
+            let hub = w.add_node("hub", Counter::new());
+            for i in 0..8 {
+                let sender = w.add_node(format!("s{i}"), Heard);
+                let spec = LinkSpec::new(1, SimDuration::from_millis(1)).loss_probability(0.5);
+                w.connect(sender, hub, spec);
+                w.post(sender, hub, Num(1));
+            }
+            w.run_to_idle();
+            let heard = w
+                .metrics()
+                .histogram_id(local::HEARD)
+                .map_or(0, |h| h.count());
+            assert!((1..8).contains(&heard), "{heard} of 8 answers arrived");
+        });
+        assert!(report.is_deterministic(), "{report}");
+    }
+
+    /// Logs every arrival with its sender; replies like [`Counter`].
+    struct Log(Vec<(NodeId, SimTime)>);
+    impl Node<Num> for Log {
+        fn on_message(&mut self, ctx: &mut Context<'_, Num>, from: NodeId, msg: Num) {
+            self.0.push((from, ctx.now()));
+            if msg.0 > 0 {
+                ctx.send(from, Num(msg.0 - 1));
+            }
+        }
+    }
+
+    #[test]
+    fn traffic_on_another_link_leaves_a_pair_bit_identical() {
+        // `a` and `b` ping-pong over a jittery, lossy link. Wiring a third
+        // node to `a` and interleaving a second exchange through `a` must
+        // not move one arrival of the first.
+        let spec = LinkSpec::new(2, SimDuration::from_micros(700))
+            .jitter_mean(SimDuration::from_micros(300))
+            .loss_probability(0.01);
+        let pair = |extra: bool| {
+            let mut w = World::new(9);
+            let a = w.add_node("a", Log(Vec::new()));
+            let b = w.add_node("b", Log(Vec::new()));
+            w.connect(a, b, spec);
+            if extra {
+                let c = w.add_node("c", Log(Vec::new()));
+                w.connect(a, c, spec);
+                w.post(a, c, Num(60));
+            }
+            w.post(a, b, Num(60));
+            w.run_to_idle();
+            let from_b: Vec<SimTime> = w
+                .node::<Log>(a)
+                .0
+                .iter()
+                .filter(|(f, _)| *f == b)
+                .map(|&(_, t)| t)
+                .collect();
+            (from_b, w.node::<Log>(b).0.clone())
+        };
+        let (alone_a, alone_b) = pair(false);
+        let (beside_a, beside_b) = pair(true);
+        assert!(alone_b.len() > 10, "{} arrivals at b", alone_b.len());
+        assert_eq!(beside_b, alone_b);
+        assert_eq!(beside_a, alone_a);
     }
 
     #[test]

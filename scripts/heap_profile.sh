@@ -17,7 +17,7 @@
 # stay the benchmark's memory numbers, this names who holds them.
 #
 # The simulator's own owners, by their first frame: link rows
-# (`LinkTable::insert`: a 4-byte key and an 8-byte link each), link
+# (`LinkTable::insert`: a 4-byte key and a 12-byte link each), link
 # reservations (`LinkTable::reserve`: the slab of arrivals in flight),
 # the event queue (`TimerWheel::{refill, push}`, `EventQueue::insert`),
 # armed schedule series (`Context::schedule_series`) and sampled series

@@ -17,7 +17,9 @@
 use ape_appdag::DummyAppConfig;
 use ape_simnet::{SimDuration, TraceConfig};
 use ape_workload::ScheduleConfig;
-use apecache::{build, collect, synthetic_suite, Summary, System, TestbedConfig};
+use apecache::{
+    build, build_topology, collect, synthetic_suite, Summary, System, TestbedConfig, TopologyConfig,
+};
 
 /// Tie-break permutation keys to try on top of the unperturbed baseline.
 const PERTURBATION_KEYS: [u64; 4] = [
@@ -140,4 +142,34 @@ fn perturbed_runs_replay_exactly_under_the_same_key() {
         run_with(System::ApeCache, key),
         run_with(System::ApeCache, key)
     );
+}
+
+#[test]
+fn cooperative_roaming_64_ap_grid_is_tie_break_invariant() {
+    // The city regime: 64 APs gossiping and fetching from each other, 128
+    // clients roaming six times a minute. With one shared random stream,
+    // ties between unrelated nodes reordered draws at this size; each node
+    // and each link send now draws from its own.
+    let run = |key: Option<u64>| {
+        let suite = synthetic_suite(5, &DummyAppConfig::default(), 42);
+        let mut base = TestbedConfig::new(System::ApeCache, suite);
+        base.schedule = ScheduleConfig {
+            apps: 5,
+            avg_per_minute: 10.0,
+            zipf_exponent: 0.8,
+            duration: SimDuration::from_secs(180),
+        };
+        base.ap.cache_capacity = 400_000;
+        base.tie_perturbation = key;
+        let config = TopologyConfig::new(base, 64)
+            .with_clients_per_ap(2)
+            .with_roam_rate(6.0);
+        let mut top = build_topology(&config);
+        top.world.run_for(SimDuration::from_secs(180));
+        top.world.fingerprint()
+    };
+    let baseline = run(None);
+    for key in PERTURBATION_KEYS.iter().take(2) {
+        assert_eq!(run(Some(*key)), baseline, "diverged under {key:#x}");
+    }
 }

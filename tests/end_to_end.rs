@@ -153,20 +153,6 @@ fn ap_resources_are_sampled_and_bounded() {
         .time_series(names::AP_APE_MEM_MB)
         .expect("sampled");
     assert!(mem.max() < 15.0, "ape memory {:.1} MB", mem.max());
-    // The whole-router series is the APE series plus the 60 MB baseline,
-    // instant for instant: it carries nothing of its own.
-    let total = result
-        .metrics
-        .time_series(names::AP_TOTAL_MEM_MB)
-        .expect("sampled");
-    assert_eq!(total.len(), mem.len());
-    for ((t, total_mb), (at, ape_mb)) in total.points().zip(mem.points()) {
-        assert_eq!(t, at);
-        assert!(
-            (total_mb - (ape_mb + 60.0)).abs() <= 1e-9,
-            "{total_mb} MB total vs {ape_mb} MB APE at {t:?}"
-        );
-    }
 }
 
 #[test]

@@ -5,15 +5,13 @@
 //! to the previous PR" and checked it by hand-diffing CLI output. This
 //! suite pins the same promise as constants: each scenario's
 //! [`Fingerprint`](ape_simnet::Fingerprint) — final clock, events
-//! processed, metric-registry digest, trace digest — captured at commit
-//! `bc2407c`. A change that moves any of them changed a simulated result
-//! and must say so (and re-pin here) rather than discover it downstream.
+//! processed, metric-registry digest, trace digest. A change that moves
+//! any of them changed a simulated result and must say so (and re-pin
+//! here) rather than discover it downstream.
 //!
-//! `events=` alone was re-pinned by the commit after `280f1a0`: a fetch,
-//! DNS query or LDNS resolution now cancels its timers when it settles,
-//! so the watchdogs that used to pop as no-ops after it are no longer
-//! dispatched or counted. No surviving event moved, so the clock, metrics
-//! and trace digests are still those of `bc2407c`.
+//! The pins date from the change that gave each node and each link send
+//! its own random stream in place of the run's one shared stream: every
+//! draw moved, so every digest did too.
 //!
 //! Tracing is on in every scenario so the trace digest is pinned too.
 
@@ -45,19 +43,19 @@ fn default_testbed_fingerprints_are_pinned_for_all_four_systems() {
     let golden = [
         (
             System::ApeCache,
-            "clock=600000000000ns events=33059 metrics=612bf2c5b8fd93d3 trace=de9924659241e34b",
+            "clock=600000000000ns events=33303 metrics=3061fe877a81abbd trace=7299da73de242d8d",
         ),
         (
             System::ApeCacheLru,
-            "clock=600000000000ns events=34487 metrics=003b7663cf5daf30 trace=b6a256ca1534d76e",
+            "clock=600000000000ns events=34371 metrics=c5554c445b4229f4 trace=85ddd5a7e117f04a",
         ),
         (
             System::WiCache,
-            "clock=600000000000ns events=44457 metrics=d9f462c99416aaae trace=c3885e3c5f05d139",
+            "clock=600000000000ns events=44462 metrics=91fef1afd7150200 trace=b04f1ab6d2bd2786",
         ),
         (
             System::EdgeCache,
-            "clock=600000000000ns events=27169 metrics=c042716853c1922b trace=6aeda07d94bc732c",
+            "clock=600000000000ns events=27167 metrics=a012f24759edab51 trace=7ecbf4bbf11c8648",
         ),
     ];
     for (system, want) in golden {
@@ -72,7 +70,7 @@ fn lossy_wifi_testbed_fingerprint_is_pinned() {
     cfg.wifi_loss = 0.02;
     assert_eq!(
         testbed_fingerprint(&cfg),
-        "clock=600000000000ns events=34464 metrics=0b21cf33192cbdb6 trace=323c92f04b6480b1"
+        "clock=600000000000ns events=34743 metrics=4b2f60bd8df2d9cc trace=2b504dda598a2e12"
     );
 }
 
@@ -96,6 +94,6 @@ fn cooperative_roaming_city_fingerprint_is_pinned() {
     city.world.run_for(RUN);
     assert_eq!(
         city.world.fingerprint().to_string(),
-        "clock=600000000000ns events=266607 metrics=1be01de11c2884e8 trace=a018635f9b585654"
+        "clock=600000000000ns events=266605 metrics=4ff862ff4bf29bff trace=6ba8d710be97ea38"
     );
 }
