@@ -27,8 +27,8 @@
 //! (`benchmark/` is where end-to-end and per-layer cost is measured):
 //! `bench-evict` sweeps `select_victims` cost over store population ×
 //! eviction policy, and `bench-scale` the multi-AP city — hit ratio and
-//! p99 latency vs AP count × roam rate × cooperation mode, every cell of up
-//! to 16 APs fingerprint-asserted invariant under a tie-perturbation key.
+//! p99 latency vs AP count × roam rate × cooperation mode, all 24 cells
+//! fingerprint-asserted invariant under a tie-perturbation key.
 //! Each always runs its whole grid and replaces the committed
 //! `BENCH_<name>.json` at the repo root (`--quick` changes neither); a
 //! failed write exits 1.

@@ -94,14 +94,6 @@ impl FrequencyTracker {
         self.rates.get(&app).copied().unwrap_or(0.0)
     }
 
-    /// Iterates `(app, R(a))` for every tracked app in ascending app order.
-    ///
-    /// Rates change only on [`FrequencyTracker::roll`], so callers may cache
-    /// derived per-app values between rolls (PACM's clamped-rate table).
-    pub fn rates(&self) -> impl Iterator<Item = (AppId, f64)> + '_ {
-        self.rates.iter().map(|(&app, &rate)| (app, rate))
-    }
-
     /// Time of the last roll.
     pub fn last_roll(&self) -> SimTime {
         self.last_roll

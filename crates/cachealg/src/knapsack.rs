@@ -1,9 +1,11 @@
-//! 0/1 knapsack solvers used by PACM's eviction step (the paper's Eq. 2).
+//! The 0/1 knapsack solver of PACM's eviction step (the paper's Eq. 2).
 //!
 //! PACM keeps the subset of cached objects that maximizes total utility
-//! subject to the post-insertion capacity. The exact dynamic program runs in
-//! `O(items × capacity_units)`; a value-density greedy serves as the
-//! fallback for unusually large instances and as an ablation baseline.
+//! subject to the post-insertion capacity. One exact dynamic program does
+//! it, on every store size: [`solve_exact_in`] runs in `O(items ×
+//! overflow)`, where the overflow is how far the items' total exceeds the
+//! capacity, in units. [`solve_brute_force`] is the exhaustive check the
+//! tests hold it to.
 
 /// One candidate object for the keep-set.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -241,32 +243,6 @@ pub fn solve_exact_in(
     totals(items, &ws.keep)
 }
 
-/// Greedy value-density solver (higher `value/weight` first).
-///
-/// Provides a fast approximation and the ablation point for
-/// "knapsack-DP vs greedy" in `DESIGN.md`. Equal-density items order by
-/// ascending input index — explicitly, not as a stable-sort accident — so
-/// the ablation baseline is deterministic by construction.
-pub fn solve_greedy(items: &[KnapsackItem], capacity: u64) -> KnapsackSolution {
-    let mut order: Vec<usize> = (0..items.len()).collect();
-    order.sort_by(|&a, &b| {
-        let da = density(&items[a]);
-        let db = density(&items[b]);
-        db.partial_cmp(&da)
-            .expect("finite densities")
-            .then(a.cmp(&b))
-    });
-    let mut keep = vec![false; items.len()];
-    let mut used = 0u64;
-    for i in order {
-        if used + items[i].weight <= capacity {
-            keep[i] = true;
-            used += items[i].weight;
-        }
-    }
-    finish(items, keep)
-}
-
 /// Exhaustive solver for testing (`2^n`; items must be few).
 ///
 /// # Panics
@@ -294,10 +270,6 @@ pub fn solve_brute_force(items: &[KnapsackItem], capacity: u64) -> KnapsackSolut
         .map(|i| best_mask & (1 << i) != 0)
         .collect();
     finish(items, keep)
-}
-
-fn density(item: &KnapsackItem) -> f64 {
-    item.value / item.weight.max(1) as f64
 }
 
 /// `(total_value, total_weight)` of the kept items, summed in item order.
@@ -449,25 +421,6 @@ mod tests {
     fn empty_items_are_fine() {
         let sol = solve_exact(&[], 100, 1);
         assert!(sol.keep.is_empty());
-        let sol = solve_greedy(&[], 100);
-        assert!(sol.keep.is_empty());
-    }
-
-    #[test]
-    fn greedy_respects_capacity_and_is_reasonable() {
-        let items = [item(6, 10.0), item(4, 7.0), item(5, 8.0), item(3, 4.0)];
-        let sol = solve_greedy(&items, 10);
-        assert!(sol.total_weight <= 10);
-        // Greedy by density picks 4/7.0 (1.75) then 6/10.0 (1.67) = 17.
-        assert_eq!(sol.total_value, 17.0);
-    }
-
-    #[test]
-    fn greedy_never_beats_exact() {
-        let items = [item(5, 5.0), item(5, 5.0), item(9, 9.5)];
-        let exact = solve_exact(&items, 10, 1);
-        let greedy = solve_greedy(&items, 10);
-        assert!(greedy.total_value <= exact.total_value + 1e-9);
     }
 
     #[test]
@@ -480,18 +433,6 @@ mod tests {
     #[should_panic(expected = "non-negative")]
     fn negative_values_rejected() {
         let _ = solve_exact(&[item(1, -1.0)], 10, 1);
-    }
-
-    #[test]
-    fn greedy_breaks_density_ties_by_index() {
-        // Four items with identical density; only the first two fit.
-        let items = [item(5, 5.0), item(5, 5.0), item(5, 5.0), item(5, 5.0)];
-        let sol = solve_greedy(&items, 10);
-        assert_eq!(sol.keep, vec![true, true, false, false]);
-        // Zero-weight/zero-value corner: density ties at 0 resolve by index.
-        let items = [item(0, 0.0), item(0, 0.0)];
-        let sol = solve_greedy(&items, 0);
-        assert_eq!(sol.keep, vec![true, true]);
     }
 
     #[test]

@@ -56,7 +56,7 @@ mod store;
 pub use freq::FrequencyTracker;
 pub use gini::{gini, gini_in_place, gini_naive};
 pub use knapsack::{
-    solve_brute_force, solve_exact, solve_exact_in, solve_greedy, KnapsackItem, KnapsackSolution,
+    solve_brute_force, solve_exact, solve_exact_in, KnapsackItem, KnapsackSolution,
     KnapsackWorkspace,
 };
 pub use lru::LruPolicy;

@@ -51,7 +51,7 @@ use ape_simnet::SimTime;
 
 use crate::freq::FrequencyTracker;
 use crate::gini::gini_in_place;
-use crate::knapsack::{solve_exact_in, solve_greedy, KnapsackItem, KnapsackWorkspace};
+use crate::knapsack::{solve_exact_in, KnapsackItem, KnapsackWorkspace};
 use crate::object::{AppId, ObjectMeta};
 use crate::policy::EvictionPolicy;
 use crate::store::CacheStore;
@@ -65,8 +65,6 @@ pub struct PacmConfig {
     pub fairness_theta: f64,
     /// Bytes per knapsack DP capacity unit.
     pub granularity: u64,
-    /// Above this many cached objects the greedy solver replaces the DP.
-    pub max_dp_items: usize,
     /// Floor applied to `R(a)` in utilities and storage efficiency so
     /// never-measured apps neither zero out nor blow up the formulas.
     pub min_rate: f64,
@@ -78,7 +76,6 @@ impl Default for PacmConfig {
             alpha: 0.7,
             fairness_theta: 0.4,
             granularity: 1024,
-            max_dp_items: 4096,
             min_rate: 0.05,
         }
     }
@@ -100,8 +97,6 @@ pub struct EvictStats {
     pub items_considered: u64,
     /// Invocations solved by the knapsack DP.
     pub dp_runs: u64,
-    /// Invocations solved by the greedy fallback (large stores).
-    pub greedy_runs: u64,
     /// Invocations short-circuited because the surviving objects fit.
     pub short_circuits: u64,
     /// Objects evicted outright by the pre-solver reductions
@@ -147,10 +142,6 @@ pub struct PacmPolicy {
     freq: FrequencyTracker,
     /// Disables the fairness repair pass (θ = ∞ ablation).
     fairness_enabled: bool,
-    /// Clamped per-app rates, refreshed once per window roll so the hot
-    /// path reads one map instead of recomputing `max(R(a), min_rate)` per
-    /// object. Apps absent here resolve to the same clamped value lazily.
-    rates: BTreeMap<AppId, f64>,
     /// Store-wide per-app `(bytes, objects)`, maintained through the
     /// insert/remove hooks.
     app_bytes: BTreeMap<AppId, (u64, u32)>,
@@ -184,7 +175,6 @@ impl PacmPolicy {
             freq: FrequencyTracker::new(config.alpha),
             config,
             fairness_enabled: true,
-            rates: BTreeMap::new(),
             app_bytes: BTreeMap::new(),
             tracked_objects: 0,
             tracked_bytes: 0,
@@ -229,17 +219,16 @@ impl PacmPolicy {
 
     /// Utility `U_d` of an object at `now` under current frequencies.
     pub fn utility(&self, meta: &ObjectMeta, now: SimTime) -> f64 {
-        let rate = self.freq.rate(meta.app).max(self.config.min_rate);
-        utility_at(rate, meta, now)
+        let rate = self.clamped_rate(meta.app);
+        let e_d = meta.remaining_ttl(now).as_secs_f64();
+        let l_d = meta.fetch_latency.as_secs_f64();
+        rate * e_d * l_d * meta.priority.get() as f64
     }
 
-    /// `max(R(a), min_rate)` through the per-window cache; identical bits
-    /// to recomputing from the tracker, since rates change only on roll.
-    fn cached_rate(&self, app: AppId) -> f64 {
-        match self.rates.get(&app) {
-            Some(&r) => r,
-            None => self.freq.rate(app).max(self.config.min_rate),
-        }
+    /// `max(R(a), min_rate)`: the rate floor shared by utilities and
+    /// storage efficiency.
+    fn clamped_rate(&self, app: AppId) -> f64 {
+        self.freq.rate(app).max(self.config.min_rate)
     }
 
     /// Rebuilds the store-wide per-app aggregates from `store` (the
@@ -298,7 +287,7 @@ impl PacmPolicy {
             self.shares.clear();
             for a in &self.kept_apps {
                 if a.objects > 0 {
-                    self.shares.push(a.bytes as f64 / self.cached_rate(a.app));
+                    self.shares.push(a.bytes as f64 / self.clamped_rate(a.app));
                 }
             }
             // Loop only while F(A) > θ, like the seed's `while`; Gini is
@@ -317,7 +306,7 @@ impl PacmPolicy {
                 .iter()
                 .enumerate()
                 .filter(|(_, a)| a.objects > 0)
-                .map(|(slot, a)| (slot, a.bytes as f64 / self.cached_rate(a.app)))
+                .map(|(slot, a)| (slot, a.bytes as f64 / self.clamped_rate(a.app)))
                 .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite efficiency"))
                 .expect("non-empty per_app")
                 .0;
@@ -361,14 +350,6 @@ impl PacmPolicy {
     }
 }
 
-/// `U_d = R(A_d) · e_d · l_d · p_d` for a clamped rate the caller supplies:
-/// the public accessor reads the tracker, the hot path its per-window cache.
-fn utility_at(rate: f64, meta: &ObjectMeta, now: SimTime) -> f64 {
-    let e_d = meta.remaining_ttl(now).as_secs_f64();
-    let l_d = meta.fetch_latency.as_secs_f64();
-    rate * e_d * l_d * meta.priority.get() as f64
-}
-
 impl EvictionPolicy for PacmPolicy {
     fn name(&self) -> &'static str {
         "pacm"
@@ -380,11 +361,6 @@ impl EvictionPolicy for PacmPolicy {
 
     fn roll_window(&mut self, now: SimTime) {
         self.freq.roll(now);
-        let min_rate = self.config.min_rate;
-        self.rates.clear();
-        for (app, rate) in self.freq.rates() {
-            self.rates.insert(app, rate.max(min_rate));
-        }
     }
 
     fn note_insert(&mut self, meta: &ObjectMeta) {
@@ -422,16 +398,14 @@ impl EvictionPolicy for PacmPolicy {
             self.resync_aggregates(store);
         }
 
-        // Candidates in key order (the store iterates its BTreeMap), with
-        // utilities through the per-window rate cache — bit-identical to
-        // `self.utility` since rates only change on `roll_window`.
+        // Candidates in key order (the store iterates its BTreeMap).
         let mut candidates = std::mem::take(&mut self.candidates);
         candidates.clear();
         candidates.extend(store.iter().map(|e| Candidate {
             key: e.meta.key,
             app: e.meta.app,
             size: e.meta.size,
-            utility: utility_at(self.cached_rate(e.meta.app), &e.meta, now),
+            utility: self.utility(&e.meta, now),
         }));
         self.candidates = candidates;
         debug_assert!(
@@ -442,77 +416,62 @@ impl EvictionPolicy for PacmPolicy {
         self.stats.items_considered += n as u64;
 
         let capacity = store.capacity().saturating_sub(incoming.size);
+        let granularity = self.config.granularity;
+        assert!(granularity > 0, "granularity must be positive");
+        let units = (capacity / granularity) as usize;
 
-        if n <= self.config.max_dp_items {
-            let granularity = self.config.granularity;
-            assert!(granularity > 0, "granularity must be positive");
-            let units = (capacity / granularity) as usize;
-
-            // Reduction 1: zero-utility objects (expired) and objects whose
-            // rounded weight exceeds the capacity are forced victims — the
-            // seed DP's strict-improvement rule never keeps either.
-            self.keep.clear();
-            self.keep.resize(n, false);
-            self.survivors.clear();
-            let mut survivor_units = 0usize;
-            for (i, c) in self.candidates.iter().enumerate() {
-                assert!(
-                    c.utility.is_finite() && c.utility >= 0.0,
-                    "item values must be non-negative and finite"
-                );
-                let wi = c.size.div_ceil(granularity) as usize;
-                if c.utility == 0.0 || wi > units {
-                    continue;
-                }
-                self.survivors.push((i as u32, wi));
-                survivor_units = survivor_units.saturating_add(wi);
+        // Reduction 1: zero-utility objects (expired) and objects whose
+        // rounded weight exceeds the capacity are forced victims — the
+        // seed DP's strict-improvement rule never keeps either.
+        self.keep.clear();
+        self.keep.resize(n, false);
+        self.survivors.clear();
+        let mut survivor_units = 0usize;
+        for (i, c) in self.candidates.iter().enumerate() {
+            assert!(
+                c.utility.is_finite() && c.utility >= 0.0,
+                "item values must be non-negative and finite"
+            );
+            let wi = c.size.div_ceil(granularity) as usize;
+            if c.utility == 0.0 || wi > units {
+                continue;
             }
-            self.stats.forced_victims += (n - self.survivors.len()) as u64;
+            self.survivors.push((i as u32, wi));
+            survivor_units = survivor_units.saturating_add(wi);
+        }
+        self.stats.forced_victims += (n - self.survivors.len()) as u64;
 
-            if survivor_units <= units {
-                // Reduction 2: every survivor fits, so keeping them all
-                // attains the utility upper bound — provably optimal, DP
-                // skipped. The running-total comparison reproduces the
-                // seed DP's float absorption behavior exactly.
-                self.stats.short_circuits += 1;
-                let mut plateau = 0.0f64;
-                for &(i, _) in &self.survivors {
-                    let candidate = plateau + self.candidates[i as usize].utility;
-                    if candidate > plateau {
-                        self.keep[i as usize] = true;
-                        plateau = candidate;
-                    }
-                }
-            } else {
-                self.stats.dp_runs += 1;
-                self.items.clear();
-                self.items.extend(self.survivors.iter().map(|&(i, _)| {
-                    let c = &self.candidates[i as usize];
-                    KnapsackItem {
-                        weight: c.size,
-                        value: c.utility,
-                    }
-                }));
-                solve_exact_in(&mut self.workspace, &self.items, capacity, granularity);
-                for (&(i, _), &k) in self.survivors.iter().zip(self.workspace.keep()) {
-                    self.keep[i as usize] = k;
+        if survivor_units <= units {
+            // Reduction 2: every survivor fits, so keeping them all attains
+            // the utility upper bound — provably optimal, DP skipped. The
+            // running-total comparison reproduces the seed DP's float
+            // absorption behavior exactly.
+            self.stats.short_circuits += 1;
+            let mut plateau = 0.0f64;
+            for &(i, _) in &self.survivors {
+                let candidate = plateau + self.candidates[i as usize].utility;
+                if candidate > plateau {
+                    self.keep[i as usize] = true;
+                    plateau = candidate;
                 }
             }
         } else {
-            // Greedy fallback for very large stores — unchanged from the
-            // seed (zero-utility objects are *kept* here when they fit, so
-            // the reductions above must not apply).
-            self.stats.greedy_runs += 1;
+            self.stats.dp_runs += 1;
             self.items.clear();
-            self.items
-                .extend(self.candidates.iter().map(|c| KnapsackItem {
+            self.items.extend(self.survivors.iter().map(|&(i, _)| {
+                let c = &self.candidates[i as usize];
+                KnapsackItem {
                     weight: c.size,
                     value: c.utility,
-                }));
-            self.keep = solve_greedy(&self.items, capacity).keep;
+                }
+            }));
+            solve_exact_in(&mut self.workspace, &self.items, capacity, granularity);
+            for (&(i, _), &k) in self.survivors.iter().zip(self.workspace.keep()) {
+                self.keep[i as usize] = k;
+            }
         }
 
-        // The one allocation of a DP-path call: the list handed back.
+        // The one allocation of a call: the list handed back.
         let mut victims = Vec::with_capacity(self.keep.iter().filter(|&&k| !k).count());
         victims.extend(
             self.candidates
@@ -801,7 +760,7 @@ mod tests {
         assert!(stats.solver_runs > 0);
         assert_eq!(
             stats.solver_runs,
-            stats.dp_runs + stats.greedy_runs + stats.short_circuits,
+            stats.dp_runs + stats.short_circuits,
             "every run resolves through exactly one solver path: {stats:?}"
         );
         assert!(stats.items_considered > 0);

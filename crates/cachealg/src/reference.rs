@@ -2,14 +2,14 @@
 //!
 //! This module preserves, verbatim, the pre-optimization `solve_exact` DP
 //! and `PacmPolicy::select_victims` (knapsack + fairness repair) exactly as
-//! they shipped in the seed. They are **not** used by the simulator; they
-//! exist as
-//!
-//! * the equivalence oracle for the `pacm_equivalence` property tests,
-//!   which assert the optimized engine returns byte-identical victim sets,
-//!   and
-//! * the baseline timed by `repro bench-evict`, so the reported speedup is
-//!   measured against the real seed code rather than a reconstruction.
+//! they shipped in the seed, with one cut: the seed's size-selected greedy
+//! branch is gone, because the engine it is compared against always runs
+//! the DP. They are **not** used by the simulator; they are the equivalence
+//! oracle for the `pacm_equivalence` property tests and for `repro
+//! bench-evict`'s cells of up to 4096 objects, which assert the optimized
+//! engine returns byte-identical victim lists. The seed DP allocates a full
+//! `items × capacity_units` choice matrix, so it is an oracle for small
+//! stores only.
 //!
 //! Do not "improve" this code; its value is that it never changes.
 
@@ -20,7 +20,7 @@ use ape_simnet::SimTime;
 
 use crate::freq::FrequencyTracker;
 use crate::gini::gini;
-use crate::knapsack::{solve_greedy, KnapsackItem, KnapsackSolution};
+use crate::knapsack::{KnapsackItem, KnapsackSolution};
 use crate::object::{AppId, ObjectMeta};
 use crate::pacm::PacmConfig;
 use crate::store::CacheStore;
@@ -166,7 +166,7 @@ impl ReferencePacm {
         gini(&shares)
     }
 
-    /// The seed's `select_victims`, byte for byte.
+    /// The seed's `select_victims`, byte for byte, on its DP path.
     pub fn select_victims(
         &mut self,
         store: &CacheStore,
@@ -194,11 +194,7 @@ impl ReferencePacm {
                 value: o.utility,
             })
             .collect();
-        let solution = if candidates.len() <= self.config.max_dp_items {
-            solve_exact_seed(&items, capacity, self.config.granularity)
-        } else {
-            solve_greedy(&items, capacity)
-        };
+        let solution = solve_exact_seed(&items, capacity, self.config.granularity);
 
         let mut kept: Vec<&KeptObject> = candidates
             .iter()

@@ -6,9 +6,10 @@
 //! order — as the frozen seed implementation preserved in
 //! `ape_cachealg::reference`, on every input. These tests pin that claim on
 //! randomized stores (sizes, priorities, TTLs incl. expired, app mixes,
-//! trained frequencies, θ and granularity choices, both solver paths) plus
-//! a golden regression on a seeded 1 000-object store and a brim-full store
-//! probed with small, typical and maximal admissions.
+//! trained frequencies, θ and granularity choices) plus a golden
+//! regression on a seeded 1 000-object store, a brim-full store probed
+//! with small, typical and maximal admissions, and a store of more than
+//! 4 096 small objects.
 
 use ape_cachealg::reference::{solve_exact_seed, ReferencePacm};
 use ape_cachealg::{
@@ -29,7 +30,6 @@ struct Instance {
     incoming: ObjectMeta,
     theta: f64,
     granularity: u64,
-    max_dp_items: usize,
     fairness: bool,
 }
 
@@ -61,31 +61,17 @@ fn arb_instance() -> impl Strategy<Value = Instance> {
         arb_object(60_000),
         prop_oneof![Just(0.0), Just(0.05), Just(0.2), Just(0.4), Just(1.0)],
         prop_oneof![Just(1u64), Just(7), Just(1024)],
-        // Small cap forces the greedy path on larger instances.
-        prop_oneof![Just(4usize), Just(4096)],
         any::<bool>(),
     )
         .prop_map(
-            |(
+            |(capacity, objects, training, incoming, theta, granularity, fairness)| Instance {
                 capacity,
                 objects,
                 training,
                 incoming,
                 theta,
                 granularity,
-                max_dp_items,
                 fairness,
-            )| {
-                Instance {
-                    capacity,
-                    objects,
-                    training,
-                    incoming,
-                    theta,
-                    granularity,
-                    max_dp_items,
-                    fairness,
-                }
             },
         )
 }
@@ -106,7 +92,6 @@ fn config_of(inst: &Instance) -> PacmConfig {
     PacmConfig {
         fairness_theta: inst.theta,
         granularity: inst.granularity,
-        max_dp_items: inst.max_dp_items,
         ..PacmConfig::default()
     }
 }
@@ -339,4 +324,67 @@ fn eviction_shaped_stores_match_seed() {
     }
     let stats = policy.stats();
     assert_eq!(stats.dp_runs, 4, "every case must reach the DP: {stats:?}");
+}
+
+/// More objects than the 4 096 above which PACM once switched to a greedy
+/// solver: 5 000 objects of 100–700 B fill a store exactly, so the seed
+/// DP's `items × capacity_units` choice matrix stays near 10 MB. Each
+/// object rounds up to one 1 kB unit, so the survivors overflow the
+/// capacity and the decision is the DP's.
+#[test]
+fn stores_beyond_4096_objects_run_the_dp() {
+    use ape_cachealg::EvictionPolicy;
+    let mut state = 0x2468_ACE0_1357_9BDFu64;
+    let mut next = move || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        state >> 33
+    };
+    let objects: Vec<ObjectMeta> = (0..5_000)
+        .map(|_| ObjectMeta {
+            key: UrlHash(next()),
+            app: AppId::new((next() % 12) as u32),
+            size: next() % 601 + 100,
+            priority: if next() % 5 < 2 {
+                Priority::HIGH
+            } else {
+                Priority::LOW
+            },
+            expires_at: SimTime::from_secs(next() % 3000 + 100),
+            fetch_latency: SimDuration::from_millis(next() % 90 + 5),
+        })
+        .collect();
+    let mut store = CacheStore::new(objects.iter().map(|m| m.size).sum(), 500_000);
+    for meta in objects {
+        store.insert(meta, SimTime::ZERO);
+    }
+    assert_eq!(store.len(), 5_000);
+
+    let mut policy = PacmPolicy::new(PacmConfig::default());
+    let mut seed_policy = ReferencePacm::new(PacmConfig::default());
+    for i in 0..500u32 {
+        policy.note_request(AppId::new(i % 9));
+        seed_policy.note_request(AppId::new(i % 9));
+    }
+    policy.roll_window(SimTime::from_secs(60));
+    seed_policy.roll_window(SimTime::from_secs(60));
+
+    let incoming = ObjectMeta {
+        key: UrlHash::of("many-small-incoming"),
+        app: AppId::new(3),
+        size: 20_000,
+        priority: Priority::HIGH,
+        expires_at: SimTime::from_secs(4000),
+        fetch_latency: SimDuration::from_millis(40),
+    };
+    let now = SimTime::from_secs(61);
+    let victims = policy.select_victims(&store, &incoming, now);
+    assert!(!victims.is_empty());
+    assert_eq!(victims, seed_policy.select_victims(&store, &incoming, now));
+    let stats = policy.stats();
+    assert_eq!(
+        stats.dp_runs, 1,
+        "a 5 000-object store runs the DP: {stats:?}"
+    );
 }

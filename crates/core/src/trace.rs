@@ -162,7 +162,6 @@ impl TraceLog {
                         .or_default()
                         .record((e.at - started).as_millis_f64());
                 }
-                TracePhase::Instant => {}
             }
         }
         let stages = samples
@@ -214,7 +213,6 @@ impl TraceLog {
                     slot.0 += 1;
                     slot.1 += (e.at - started).as_millis_f64();
                 }
-                TracePhase::Instant => {}
             }
         }
 

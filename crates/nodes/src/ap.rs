@@ -1046,10 +1046,6 @@ impl ApNode {
             ),
             (names::id::AP_EVICT_DP_RUNS, after.dp_runs - before.dp_runs),
             (
-                names::id::AP_EVICT_GREEDY_RUNS,
-                after.greedy_runs - before.greedy_runs,
-            ),
-            (
                 names::id::AP_EVICT_SHORT_CIRCUITS,
                 after.short_circuits - before.short_circuits,
             ),

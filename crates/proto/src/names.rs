@@ -70,8 +70,6 @@ ape_simnet::metric_names! {
     AP_EVICT_ITEMS = "ap.evict_items";
     /// Eviction decisions resolved by the knapsack DP.
     AP_EVICT_DP_RUNS = "ap.evict_dp_runs";
-    /// Eviction decisions resolved by the greedy fallback.
-    AP_EVICT_GREEDY_RUNS = "ap.evict_greedy_runs";
     /// Eviction decisions short-circuited (survivors fit; DP skipped).
     AP_EVICT_SHORT_CIRCUITS = "ap.evict_short_circuits";
     /// Objects evicted outright by pre-solver reductions (expired/oversized).

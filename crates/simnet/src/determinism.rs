@@ -9,15 +9,16 @@
 //! behaviour, and any refactor that changes scheduling order shifts the
 //! numbers.
 //!
-//! [`World::check_determinism`](crate::World::check_determinism) flushes
-//! those races out: it re-runs a scenario several times, each time replacing
-//! the FIFO tie-break with a seeded bijective scramble
-//! ([`mix64`](crate::rng) of the sequence number), so same-timestamp events
-//! pop in a different — but deterministic — permutation per key. Events at
-//! distinct timestamps are never reordered. After each run a
-//! [`Fingerprint`] (metrics digest, trace digest, final clock, events
-//! processed) is taken; any divergence from the unperturbed baseline means
-//! the scenario's results depend on tie-break order.
+//! [`World::set_tie_perturbation`](crate::World::set_tie_perturbation)
+//! flushes those races out: it replaces the FIFO tie-break with a seeded
+//! bijective scramble ([`mix64`](crate::rng) of the sequence number), so
+//! same-timestamp events pop in a different — but deterministic —
+//! permutation per key. Events at distinct timestamps are never reordered.
+//! A run's [`Fingerprint`] (metrics digest, trace digest, final clock,
+//! events processed) that differs from the same run's under FIFO means its
+//! results depend on tie-break order. The gates reach the knob through
+//! `TestbedConfig::tie_perturbation` (`tests/determinism_perturbation.rs`,
+//! both chaos suites, `tests/queue_oracle.rs` and `repro bench-scale`).
 //!
 //! Randomness does not couple unrelated ties: each node draws from its own
 //! stream ([`Context::rng`](crate::Context::rng)), and each send draws its
@@ -44,8 +45,6 @@
 //! an artifact of where randomness comes from (`DESIGN.md` §16).
 
 use std::fmt;
-
-use crate::rng::mix64;
 
 /// FNV-1a, 64-bit. Used for run fingerprints: tiny, allocation-free and
 /// stable across platforms (no dependency on `std`'s `Hasher` seeding).
@@ -107,76 +106,6 @@ impl fmt::Display for Fingerprint {
     }
 }
 
-/// One perturbed re-run inside a [`DeterminismReport`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PerturbedRun {
-    /// The tie-break scramble key the run used.
-    pub key: u64,
-    /// The fingerprint the run produced.
-    pub fingerprint: Fingerprint,
-}
-
-/// Result of [`World::check_determinism`](crate::World::check_determinism):
-/// the unperturbed baseline plus one fingerprint per perturbation key.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DeterminismReport {
-    /// Fingerprint of the run with FIFO tie-breaking (the production order).
-    pub baseline: Fingerprint,
-    /// Fingerprints of the perturbed re-runs, in key order.
-    pub runs: Vec<PerturbedRun>,
-}
-
-impl DeterminismReport {
-    /// Whether every perturbed run reproduced the baseline fingerprint.
-    pub fn is_deterministic(&self) -> bool {
-        self.runs.iter().all(|r| r.fingerprint == self.baseline)
-    }
-
-    /// The perturbation keys whose runs diverged from the baseline.
-    pub fn divergent_keys(&self) -> Vec<u64> {
-        self.runs
-            .iter()
-            .filter(|r| r.fingerprint != self.baseline)
-            .map(|r| r.key)
-            .collect()
-    }
-}
-
-impl fmt::Display for DeterminismReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let divergent = self.divergent_keys();
-        if divergent.is_empty() {
-            write!(
-                f,
-                "deterministic across {} tie-break permutations ({})",
-                self.runs.len(),
-                self.baseline
-            )
-        } else {
-            writeln!(
-                f,
-                "ORDERING RACE: {}/{} perturbed runs diverged from baseline {}",
-                divergent.len(),
-                self.runs.len(),
-                self.baseline
-            )?;
-            for run in &self.runs {
-                if run.fingerprint != self.baseline {
-                    writeln!(f, "  key {:#018x}: {}", run.key, run.fingerprint)?;
-                }
-            }
-            Ok(())
-        }
-    }
-}
-
-/// Derives the `n`-th perturbation key for a detector seeded with `seed`.
-/// Key 0 is reserved for "no perturbation" (the baseline) and never
-/// produced: the mix output is forced odd.
-pub(crate) fn perturbation_key(seed: u64, n: u32) -> u64 {
-    mix64(seed ^ (u64::from(n) << 32).wrapping_add(0x9E37_79B9)) | 1
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -193,62 +122,5 @@ mod tests {
         let mut h = Fnv64::new();
         h.write(b"foobar");
         assert_eq!(h.finish(), 0x85944171f73967e8);
-    }
-
-    #[test]
-    fn perturbation_keys_are_distinct_and_nonzero() {
-        let keys: Vec<u64> = (0..16).map(|n| perturbation_key(42, n)).collect();
-        for (i, k) in keys.iter().enumerate() {
-            assert_ne!(*k, 0);
-            for other in &keys[i + 1..] {
-                assert_ne!(k, other);
-            }
-        }
-        // And stable per (seed, n).
-        assert_eq!(perturbation_key(42, 3), perturbation_key(42, 3));
-        assert_ne!(perturbation_key(42, 3), perturbation_key(43, 3));
-    }
-
-    #[test]
-    fn report_accounting() {
-        let fp = |m| Fingerprint {
-            clock_ns: 1,
-            events: 2,
-            metrics: m,
-            trace: 4,
-        };
-        let good = DeterminismReport {
-            baseline: fp(3),
-            runs: vec![
-                PerturbedRun {
-                    key: 1,
-                    fingerprint: fp(3),
-                },
-                PerturbedRun {
-                    key: 5,
-                    fingerprint: fp(3),
-                },
-            ],
-        };
-        assert!(good.is_deterministic());
-        assert!(good.divergent_keys().is_empty());
-        assert!(format!("{good}").contains("deterministic across 2"));
-
-        let bad = DeterminismReport {
-            baseline: fp(3),
-            runs: vec![
-                PerturbedRun {
-                    key: 1,
-                    fingerprint: fp(3),
-                },
-                PerturbedRun {
-                    key: 5,
-                    fingerprint: fp(9),
-                },
-            ],
-        };
-        assert!(!bad.is_deterministic());
-        assert_eq!(bad.divergent_keys(), vec![5]);
-        assert!(format!("{bad}").contains("ORDERING RACE"));
     }
 }

@@ -9,8 +9,9 @@
 //!
 //! A plan is pure data attached to the [`World`](crate::World) before the
 //! run: the same seed and plan always produce the same event sequence, so
-//! faulted runs stay inside the bitwise-determinism contract and replay
-//! exactly under [`check_determinism`](crate::World::check_determinism).
+//! faulted runs stay inside the bitwise-determinism contract and keep
+//! their [`fingerprint`](crate::World::fingerprint) under
+//! [`set_tie_perturbation`](crate::World::set_tie_perturbation).
 //! An **empty** plan draws zero randomness and touches no metrics, so a
 //! world without faults is bit-identical to one built before this module
 //! existed.

@@ -65,7 +65,7 @@ mod trace;
 mod wheel;
 mod world;
 
-pub use determinism::{DeterminismReport, Fingerprint, PerturbedRun};
+pub use determinism::Fingerprint;
 pub use event::{event_footprint, TimerId};
 pub use fault::{FaultKind, FaultPlan, FaultWindow, LinkEffect};
 pub use link::LinkSpec;

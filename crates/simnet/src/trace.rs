@@ -75,15 +75,13 @@ impl SpanLabel {
     }
 }
 
-/// Whether a trace event opens a span, closes one, or marks a point.
+/// Whether a trace event opens a span or closes one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TracePhase {
     /// The span begins at `at`.
     Start,
     /// The span ends at `at`.
     End,
-    /// A point-in-time marker inside the active span.
-    Instant,
 }
 
 impl TracePhase {
@@ -92,7 +90,6 @@ impl TracePhase {
         match self {
             TracePhase::Start => "start",
             TracePhase::End => "end",
-            TracePhase::Instant => "instant",
         }
     }
 }
@@ -301,7 +298,7 @@ mod tests {
             parent: None,
             node: NodeId::from_raw(0),
             kind: "test",
-            phase: TracePhase::Instant,
+            phase: TracePhase::Start,
         }
     }
 
@@ -398,6 +395,5 @@ mod tests {
     fn phase_labels_are_stable() {
         assert_eq!(TracePhase::Start.as_str(), "start");
         assert_eq!(TracePhase::End.as_str(), "end");
-        assert_eq!(TracePhase::Instant.as_str(), "instant");
     }
 }

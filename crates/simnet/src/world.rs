@@ -1,6 +1,6 @@
 //! The simulation world: node table, link table, clock and event loop.
 
-use crate::determinism::{perturbation_key, DeterminismReport, Fingerprint, PerturbedRun};
+use crate::determinism::Fingerprint;
 use crate::event::{EventKind, EventQueue, TimerId};
 use crate::fault::FaultPlan;
 use crate::link::{LinkSpec, LinkTable};
@@ -343,25 +343,6 @@ impl<'a, M: Message> Context<'a, M> {
         });
         self.prof.record(ProfCategory::Trace, t);
     }
-
-    /// Records a point-in-time marker inside the active span, if any.
-    pub fn span_instant(&mut self, kind: impl Into<SpanLabel>) {
-        let Some(ctx) = self.span else { return };
-        if !self.trace.is_enabled() {
-            return;
-        }
-        let t = self.prof.start();
-        self.trace.push(TraceEvent {
-            at: self.now,
-            trace: ctx.trace,
-            span: ctx.span,
-            parent: None,
-            node: self.self_id,
-            kind: kind.into().as_str(),
-            phase: TracePhase::Instant,
-        });
-        self.prof.record(ProfCategory::Trace, t);
-    }
 }
 
 /// A complete simulated deployment: nodes, links, clock and metrics.
@@ -436,10 +417,10 @@ impl<M: Message> World<M> {
     /// Replaces FIFO tie-breaking for same-timestamp events with a seeded
     /// bijective permutation. Events at distinct timestamps are unaffected.
     ///
-    /// This is the schedule-perturbation race detector's knob (normally
-    /// driven via [`check_determinism`](Self::check_determinism)): a world
-    /// whose results change under a perturbed tie-break order has an
-    /// event-ordering race.
+    /// This is the schedule-perturbation race detector's knob: a world
+    /// whose [`fingerprint`](Self::fingerprint) changes under a perturbed
+    /// tie-break order has an event-ordering race (see the `determinism`
+    /// module docs).
     ///
     /// # Panics
     ///
@@ -485,42 +466,6 @@ impl<M: Message> World<M> {
             metrics: self.metrics.digest(),
             trace: self.trace.digest(),
         }
-    }
-
-    /// Runs `scenario` once with FIFO tie-breaking and `perturbations`
-    /// more times under distinct seeded tie-break permutations, comparing
-    /// run [`Fingerprint`]s.
-    ///
-    /// `scenario` receives a freshly seeded empty world each time and must
-    /// build and run it (add nodes, connect links, call `run_*`). Any
-    /// divergence between a perturbed run and the baseline means the
-    /// scenario's results depend on the processing order of same-timestamp
-    /// events — a hidden ordering race. See the [`determinism`]
-    /// (crate::determinism) module docs for what a divergence means.
-    pub fn check_determinism(
-        seed: u64,
-        perturbations: u32,
-        mut scenario: impl FnMut(&mut World<M>),
-    ) -> DeterminismReport {
-        let mut run = |key: Option<u64>| {
-            let mut world = World::new(seed);
-            if let Some(key) = key {
-                world.set_tie_perturbation(key);
-            }
-            scenario(&mut world);
-            world.fingerprint()
-        };
-        let baseline = run(None);
-        let runs = (0..perturbations)
-            .map(|n| {
-                let key = perturbation_key(seed, n);
-                PerturbedRun {
-                    key,
-                    fingerprint: run(Some(key)),
-                }
-            })
-            .collect();
-        DeterminismReport { baseline, runs }
     }
 
     /// Attaches a deterministic fault schedule to the run. Normally called
@@ -1355,34 +1300,56 @@ mod tests {
         }
     }
 
+    /// Tie-break keys the race-detector tests run under, besides FIFO.
+    const TIE_KEYS: [u64; 4] = [
+        0x9E37_79B9_7F4A_7C15,
+        0x5851_F42D_4C95_7F2D,
+        0xD1B5_4A32_D192_ED03,
+        0x2545_F491_4F6C_DD1D,
+    ];
+
+    /// Fingerprints of `scenario` under FIFO ties, then under each key of
+    /// [`TIE_KEYS`], each on a fresh world seeded 11.
+    fn tie_fingerprints(scenario: impl Fn(&mut World<Num>)) -> (Fingerprint, Vec<Fingerprint>) {
+        let run = |key: Option<u64>| {
+            let mut w = World::new(11);
+            if let Some(key) = key {
+                w.set_tie_perturbation(key);
+            }
+            scenario(&mut w);
+            w.fingerprint()
+        };
+        let fifo = run(None);
+        (fifo, TIE_KEYS.iter().map(|&key| run(Some(key))).collect())
+    }
+
     #[test]
     fn check_determinism_passes_on_order_insensitive_scenario() {
-        let report = World::check_determinism(11, 4, |w| {
+        let (fifo, perturbed) = tie_fingerprints(|w| {
             let sink = w.add_node("sink", Tally);
             tied_star(w, sink, 8);
             w.run_to_idle();
         });
-        assert!(report.is_deterministic(), "{report}");
-        assert_eq!(report.runs.len(), 4);
+        for (key, fp) in TIE_KEYS.iter().zip(&perturbed) {
+            assert_eq!(*fp, fifo, "key {key:#018x}");
+        }
     }
 
     #[test]
     fn check_determinism_flags_ordering_dependent_node() {
-        let report = World::check_determinism(11, 4, |w| {
+        let (fifo, perturbed) = tie_fingerprints(|w| {
             let sink = w.add_node("sink", FirstWins { position: 0 });
             tied_star(w, sink, 8);
             w.run_to_idle();
         });
         assert!(
-            !report.is_deterministic(),
+            perturbed.iter().any(|fp| *fp != fifo),
             "an 8-way tie feeding an order-sensitive node must diverge"
         );
-        assert!(!report.divergent_keys().is_empty());
-        assert!(format!("{report}").contains("ORDERING RACE"));
         // Only the metric content differs: same events, same final clock.
-        for run in &report.runs {
-            assert_eq!(run.fingerprint.events, report.baseline.events);
-            assert_eq!(run.fingerprint.clock_ns, report.baseline.clock_ns);
+        for fp in &perturbed {
+            assert_eq!(fp.events, fifo.events);
+            assert_eq!(fp.clock_ns, fifo.clock_ns);
         }
     }
 
@@ -1400,7 +1367,7 @@ mod tests {
         // Eight senders' messages land on the hub in one nanosecond, and it
         // answers each over a lossy link. An answer's loss draw belongs to
         // its link, so which senders hear back is the same in any order.
-        let report = World::check_determinism(11, 2, |w| {
+        let (fifo, perturbed) = tie_fingerprints(|w| {
             let hub = w.add_node("hub", Counter::new());
             for i in 0..8 {
                 let sender = w.add_node(format!("s{i}"), Heard);
@@ -1415,7 +1382,9 @@ mod tests {
                 .map_or(0, |h| h.count());
             assert!((1..8).contains(&heard), "{heard} of 8 answers arrived");
         });
-        assert!(report.is_deterministic(), "{report}");
+        for (key, fp) in TIE_KEYS.iter().zip(&perturbed) {
+            assert_eq!(*fp, fifo, "key {key:#018x}");
+        }
     }
 
     /// Logs every arrival with its sender; replies like [`Counter`].
