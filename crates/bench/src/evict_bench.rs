@@ -26,7 +26,7 @@ use std::time::Instant;
 
 use ape_cachealg::reference::ReferencePacm;
 use ape_cachealg::{
-    gini, AppId, CacheStore, EvictStats, EvictionPolicy, LruPolicy, ObjectMeta, PacmConfig,
+    gini, pacm, AppId, CacheStore, EvictStats, EvictionPolicy, LruPolicy, ObjectMeta, PacmConfig,
     PacmPolicy, Priority,
 };
 use ape_dnswire::UrlHash;
@@ -221,7 +221,7 @@ fn assert_feasible(
         let config = policy.config();
         let shares: Vec<f64> = per_app
             .iter()
-            .map(|(&app, &bytes)| bytes as f64 / policy.rate(app).max(config.min_rate))
+            .map(|(&app, &bytes)| bytes as f64 / policy.rate(app).max(pacm::MIN_RATE))
             .collect();
         let f = gini(&shares);
         assert!(

@@ -6,8 +6,8 @@ use ape_proto::names;
 use ape_simnet::SimDuration;
 use ape_workload::{generate_trace, trace_stats, ScheduleConfig, TraceSpec};
 use apecache::{
-    paper_suite, replay_summary, replay_trace, ParallelRunner, RouterModel, RunResult, Summary,
-    System, TestbedConfig,
+    paper_suite, replay_summary, replay_trace, router, ParallelRunner, RunResult, Summary, System,
+    TestbedConfig,
 };
 
 /// Knobs shared by all repro experiments.
@@ -452,7 +452,6 @@ pub fn table2(opts: &ReproOptions) -> String {
 
 /// Fig. 2: router CPU/memory while replaying the two traces.
 pub fn fig2(opts: &ReproOptions) -> String {
-    let model = RouterModel::default();
     let mut out = String::from(
         "Fig. 2: CPU/Memory Usage of WiFi Router under Traffic Replay\n\
          (10-second samples; GL-MT1300-calibrated model)\n\n",
@@ -461,8 +460,8 @@ pub fn fig2(opts: &ReproOptions) -> String {
         "{:>6} {:>10} {:>12} {:>11} {:>13}\n",
         "t (s)", "low CPU %", "low mem MB", "high CPU %", "high mem MB"
     ));
-    let low = replay_trace(&TraceSpec::low_rate(), &model, opts.seed);
-    let high = replay_trace(&TraceSpec::high_rate(), &model, opts.seed + 1);
+    let low = replay_trace(&TraceSpec::low_rate(), opts.seed);
+    let high = replay_trace(&TraceSpec::high_rate(), opts.seed + 1);
     for i in (9..low.len()).step_by(30) {
         out.push_str(&format!(
             "{:>6.0} {:>10.1} {:>12.1} {:>11.1} {:>13.1}\n",
@@ -500,7 +499,7 @@ pub fn fig2(opts: &ReproOptions) -> String {
 /// both deployments perform identically — is estimated from each run's
 /// carried bytes with the Fig. 2 router model and added to both columns.
 pub fn fig14(opts: &ReproOptions) -> String {
-    let model = RouterModel::default();
+    let baseline_mb = router::MEM_BASELINE as f64 / 1e6;
     let mut out = String::from("Fig. 14: CPU/Memory Usage on the WiFi AP\n\n");
     out.push_str(&format!(
         "{:<22} {:>10} {:>10} {:>12} {:>12}\n",
@@ -524,8 +523,9 @@ pub fn fig14(opts: &ReproOptions) -> String {
         let bytes = result.metrics.counter(names::NET_BYTES) as f64;
         let msgs = result.metrics.counter(names::NET_MESSAGES) as f64;
         let secs = opts.duration().as_secs_f64() * trials as f64;
-        let fwd = (bytes * model.per_byte_cpu_ns / 1e9 + msgs * model.per_packet_cpu.as_secs_f64())
-            / (secs * model.cores as f64);
+        let fwd = (bytes * router::PER_BYTE_CPU_NS / 1e9
+            + msgs * router::PER_PACKET_CPU.as_secs_f64())
+            / (secs * router::CORES as f64);
         let mem_series = result.metrics.time_series(names::AP_APE_MEM_MB);
         let (mem_avg, mem_max) = match (system, mem_series) {
             (System::ApeCache, Some(s)) => (s.time_weighted_mean(), s.max()),
@@ -543,8 +543,8 @@ pub fn fig14(opts: &ReproOptions) -> String {
             label,
             cpu_avg * 100.0,
             cpu_max * 100.0,
-            62.0 + mem_avg,
-            62.0 + mem_max
+            baseline_mb + mem_avg,
+            baseline_mb + mem_max
         ));
     }
     out.push_str(&format!(
@@ -560,42 +560,47 @@ pub fn fig14(opts: &ReproOptions) -> String {
 // Design ablations (DESIGN.md §5)
 // ---------------------------------------------------------------------
 
-/// Ablations: PACM fairness repair and the DNS short-circuit/batching
-/// accommodations, each toggled independently at default parameters.
+/// The `repro ablations` rows at `opts`: each label with its
+/// configuration, the all-accommodations baseline first. Each variant
+/// turns one thing off (or, for the extension, on) at default parameters.
+pub fn ablation_configs(opts: &ReproOptions) -> Vec<(&'static str, TestbedConfig)> {
+    type Variant = (&'static str, fn(&mut TestbedConfig));
+    let variants: [Variant; 5] = [
+        ("APE-CACHE (all accommodations)", |_| {}),
+        ("  - fairness repair off", |c| {
+            c.ap.policy = ape_nodes::ApPolicy::PacmNoFairness;
+        }),
+        ("  - short-circuit off", |c| {
+            c.ap.short_circuit = false;
+        }),
+        ("  - LRU instead of PACM", |c| {
+            c.ap.policy = ape_nodes::ApPolicy::Lru;
+        }),
+        ("  + dependency prefetching (ext.)", |c| {
+            c.prefetch_hints = true;
+        }),
+    ];
+    variants
+        .into_iter()
+        .map(|(label, mutate)| {
+            let mut config = base_config(System::ApeCache, opts, &DummyAppConfig::default(), 30);
+            mutate(&mut config);
+            (label, config)
+        })
+        .collect()
+}
+
+/// Ablations: PACM fairness repair, the DNS short-circuit, LRU and the
+/// prefetching extension, each toggled independently at default
+/// parameters ([`ablation_configs`]).
 pub fn ablations(opts: &ReproOptions) -> String {
     let mut out = String::from("Design ablations at default parameters\n\n");
     out.push_str(&format!(
         "{:<34} {:>10} {:>10} {:>12} {:>12}\n",
         "Variant", "hit", "high hit", "lookup ms", "app ms"
     ));
-    type Variant<'a> = (&'a str, &'a dyn Fn(&mut TestbedConfig));
-    let variants: [Variant<'_>; 6] = [
-        ("APE-CACHE (all accommodations)", &|_| {}),
-        ("  - fairness repair off", &|c| {
-            c.ap.policy = ape_nodes::ApPolicy::PacmNoFairness;
-        }),
-        ("  - short-circuit off", &|c| {
-            c.ap.short_circuit = false;
-        }),
-        ("  - per-domain batching off", &|c| {
-            c.ap.batch_domain_flags = false;
-        }),
-        ("  - LRU instead of PACM", &|c| {
-            c.ap.policy = ape_nodes::ApPolicy::Lru;
-        }),
-        ("  + dependency prefetching (ext.)", &|c| {
-            c.prefetch_hints = true;
-        }),
-    ];
-    let configs: Vec<TestbedConfig> = variants
-        .iter()
-        .map(|(_, mutate)| {
-            let mut config = base_config(System::ApeCache, opts, &DummyAppConfig::default(), 30);
-            mutate(&mut config);
-            config
-        })
-        .collect();
-    for ((label, _), s) in variants.iter().zip(run_batch(opts, &configs)) {
+    let (labels, configs): (Vec<_>, Vec<_>) = ablation_configs(opts).into_iter().unzip();
+    for (label, s) in labels.iter().zip(run_batch(opts, &configs)) {
         out.push_str(&format!(
             "{:<34} {:>10.3} {:>10.3} {:>12.2} {:>12.2}\n",
             label, s.hit_ratio, s.high_priority_hit_ratio, s.lookup_ms, s.app_latency_ms

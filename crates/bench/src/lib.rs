@@ -26,8 +26,8 @@ mod tracing;
 
 pub use evict_bench::{bench_evict, evict_document};
 pub use experiments::{
-    ablations, fig11a, fig11c, fig12, fig13a, fig13b, fig13c, fig14, fig2, object_level, table2,
-    table4, table5, table6, ReproOptions, SweepRow,
+    ablation_configs, ablations, fig11a, fig11c, fig12, fig13a, fig13b, fig13c, fig14, fig2,
+    object_level, table2, table4, table5, table6, ReproOptions, SweepRow,
 };
 pub use faults::faults;
 pub use lookup_overhead::fig11b;

@@ -48,7 +48,7 @@ mod gini;
 mod knapsack;
 mod lru;
 mod object;
-mod pacm;
+pub mod pacm;
 mod policy;
 pub mod reference;
 mod store;

@@ -56,27 +56,28 @@ use crate::object::{AppId, ObjectMeta};
 use crate::policy::EvictionPolicy;
 use crate::store::CacheStore;
 
-/// Tuning knobs for PACM, defaulting to the paper's settings.
+/// EWMA smoothing for request frequency (paper §IV-C: 0.7).
+pub const ALPHA: f64 = 0.7;
+
+/// Floor applied to `R(a)` in utilities and storage efficiency so
+/// never-measured apps neither zero out nor blow up the formulas.
+pub const MIN_RATE: f64 = 0.05;
+
+/// Tuning knobs for PACM, defaulting to the paper's settings. The
+/// calibration nobody varies is [`ALPHA`] and [`MIN_RATE`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PacmConfig {
-    /// EWMA smoothing for request frequency (paper: 0.7).
-    pub alpha: f64,
     /// Fairness threshold θ on the Gini coefficient (paper: 0.4).
     pub fairness_theta: f64,
     /// Bytes per knapsack DP capacity unit.
     pub granularity: u64,
-    /// Floor applied to `R(a)` in utilities and storage efficiency so
-    /// never-measured apps neither zero out nor blow up the formulas.
-    pub min_rate: f64,
 }
 
 impl Default for PacmConfig {
     fn default() -> Self {
         PacmConfig {
-            alpha: 0.7,
             fairness_theta: 0.4,
             granularity: 1024,
-            min_rate: 0.05,
         }
     }
 }
@@ -167,12 +168,11 @@ impl PacmPolicy {
     ///
     /// # Panics
     ///
-    /// Panics if the config's `alpha` is outside `(0, 1]` or
-    /// `fairness_theta` is negative.
+    /// Panics if the config's `fairness_theta` is negative.
     pub fn new(config: PacmConfig) -> Self {
         assert!(config.fairness_theta >= 0.0, "theta must be non-negative");
         PacmPolicy {
-            freq: FrequencyTracker::new(config.alpha),
+            freq: FrequencyTracker::new(ALPHA),
             config,
             fairness_enabled: true,
             app_bytes: BTreeMap::new(),
@@ -225,10 +225,10 @@ impl PacmPolicy {
         rate * e_d * l_d * meta.priority.get() as f64
     }
 
-    /// `max(R(a), min_rate)`: the rate floor shared by utilities and
+    /// `max(R(a), MIN_RATE)`: the rate floor shared by utilities and
     /// storage efficiency.
     fn clamped_rate(&self, app: AppId) -> f64 {
-        self.freq.rate(app).max(self.config.min_rate)
+        self.freq.rate(app).max(MIN_RATE)
     }
 
     /// Rebuilds the store-wide per-app aggregates from `store` (the

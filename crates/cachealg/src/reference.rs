@@ -22,7 +22,7 @@ use crate::freq::FrequencyTracker;
 use crate::gini::gini;
 use crate::knapsack::{KnapsackItem, KnapsackSolution};
 use crate::object::{AppId, ObjectMeta};
-use crate::pacm::PacmConfig;
+use crate::pacm::{PacmConfig, ALPHA, MIN_RATE};
 use crate::store::CacheStore;
 
 /// The seed's exact DP solver, with the full `Vec<bool>` choice matrix and
@@ -114,12 +114,11 @@ impl ReferencePacm {
     ///
     /// # Panics
     ///
-    /// Panics if the config's `alpha` is outside `(0, 1]` or
-    /// `fairness_theta` is negative.
+    /// Panics if the config's `fairness_theta` is negative.
     pub fn new(config: PacmConfig) -> Self {
         assert!(config.fairness_theta >= 0.0, "theta must be non-negative");
         ReferencePacm {
-            freq: FrequencyTracker::new(config.alpha),
+            freq: FrequencyTracker::new(ALPHA),
             config,
             fairness_enabled: true,
         }
@@ -143,14 +142,14 @@ impl ReferencePacm {
 
     /// Utility `U_d` of an object at `now` under current frequencies.
     pub fn utility(&self, meta: &ObjectMeta, now: SimTime) -> f64 {
-        let rate = self.freq.rate(meta.app).max(self.config.min_rate);
+        let rate = self.freq.rate(meta.app).max(MIN_RATE);
         let e_d = meta.remaining_ttl(now).as_secs_f64();
         let l_d = meta.fetch_latency.as_secs_f64();
         rate * e_d * l_d * meta.priority.get() as f64
     }
 
     fn clamped_rate(&self, app: AppId) -> f64 {
-        self.freq.rate(app).max(self.config.min_rate)
+        self.freq.rate(app).max(MIN_RATE)
     }
 
     /// Storage-efficiency Gini over a candidate kept set.

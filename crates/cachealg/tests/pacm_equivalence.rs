@@ -92,7 +92,6 @@ fn config_of(inst: &Instance) -> PacmConfig {
     PacmConfig {
         fairness_theta: inst.theta,
         granularity: inst.granularity,
-        ..PacmConfig::default()
     }
 }
 

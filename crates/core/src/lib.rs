@@ -41,7 +41,7 @@
 #![warn(missing_docs)]
 
 mod internet;
-mod router;
+pub mod router;
 mod run;
 mod suite;
 mod system;
@@ -50,7 +50,7 @@ mod topology;
 mod trace;
 
 pub use internet::{measure_cell, measure_table1, table1_paths, PathSpec, Table1Cell};
-pub use router::{replay_summary, replay_trace, RouterModel, RouterSample};
+pub use router::{replay_summary, replay_trace, RouterSample};
 pub use run::{
     collect, collect_topology, parallel_map, run_system, ParallelRunner, RunJob, RunResult, Summary,
 };

@@ -10,41 +10,32 @@
 use ape_simnet::{CpuMeter, SimDuration, SimRng, SimTime};
 use ape_workload::{generate_trace, TraceSpec};
 
-/// Calibrated GL-MT1300 resource model.
-#[derive(Debug, Clone, Copy)]
-pub struct RouterModel {
-    /// CPU cores.
-    pub cores: u32,
-    /// Fixed CPU time per forwarded packet.
-    pub per_packet_cpu: SimDuration,
-    /// Additional CPU time per payload byte.
-    pub per_byte_cpu_ns: f64,
-    /// Baseline firmware/OS memory, bytes.
-    pub mem_baseline: u64,
-    /// Conntrack entry size, bytes.
-    pub per_flow_bytes: u64,
-    /// Conntrack idle timeout.
-    pub flow_timeout: SimDuration,
-    /// Fraction of carried bytes retained in OS caches...
-    pub cache_retention: f64,
-    /// ...up to this cap, bytes.
-    pub cache_cap: u64,
-}
+// The calibrated GL-MT1300 resource model. Fig. 14 reads the baseline
+// memory and the forwarding costs from here too.
 
-impl Default for RouterModel {
-    fn default() -> Self {
-        RouterModel {
-            cores: 2,
-            per_packet_cpu: SimDuration::from_micros(200),
-            per_byte_cpu_ns: 25.0,
-            mem_baseline: 62_000_000,
-            per_flow_bytes: 1_024,
-            flow_timeout: SimDuration::from_secs(30),
-            cache_retention: 0.15,
-            cache_cap: 60_000_000,
-        }
-    }
-}
+/// CPU cores.
+pub const CORES: u32 = 2;
+
+/// Fixed CPU time per forwarded packet.
+pub const PER_PACKET_CPU: SimDuration = SimDuration::from_micros(200);
+
+/// Additional CPU time per payload byte, ns.
+pub const PER_BYTE_CPU_NS: f64 = 25.0;
+
+/// Baseline firmware/OS memory, bytes.
+pub const MEM_BASELINE: u64 = 62_000_000;
+
+/// Conntrack entry size, bytes.
+pub const PER_FLOW_BYTES: u64 = 1_024;
+
+/// Conntrack idle timeout.
+pub const FLOW_TIMEOUT: SimDuration = SimDuration::from_secs(30);
+
+/// Fraction of carried bytes retained in OS caches...
+pub const CACHE_RETENTION: f64 = 0.15;
+
+/// ...up to this cap, bytes.
+pub const CACHE_CAP: u64 = 60_000_000;
 
 /// One per-second sample of the replay.
 #[derive(Debug, Clone, Copy)]
@@ -60,10 +51,10 @@ pub struct RouterSample {
 }
 
 /// Replays `spec` against the router model, sampling once per second.
-pub fn replay_trace(spec: &TraceSpec, model: &RouterModel, seed: u64) -> Vec<RouterSample> {
+pub fn replay_trace(spec: &TraceSpec, seed: u64) -> Vec<RouterSample> {
     let mut rng = SimRng::seed_from(seed);
     let packets = generate_trace(spec, &mut rng);
-    let mut cpu = CpuMeter::new(model.cores);
+    let mut cpu = CpuMeter::new(CORES);
     // flow id → last-seen time.
     let mut flows: std::collections::BTreeMap<u32, SimTime> = std::collections::BTreeMap::new();
     let mut carried_bytes = 0u64;
@@ -75,18 +66,18 @@ pub fn replay_trace(spec: &TraceSpec, model: &RouterModel, seed: u64) -> Vec<Rou
         let boundary = SimTime::from_secs(second);
         while idx < packets.len() && packets[idx].at <= boundary {
             let p = &packets[idx];
-            let work = model.per_packet_cpu
-                + SimDuration::from_nanos_f64(p.size as f64 * model.per_byte_cpu_ns);
+            let work =
+                PER_PACKET_CPU + SimDuration::from_nanos_f64(p.size as f64 * PER_BYTE_CPU_NS);
             cpu.charge(p.at, work);
             carried_bytes += p.size as u64;
             flows.insert(p.flow, p.at);
             idx += 1;
         }
         // Expire idle conntrack entries.
-        flows.retain(|_, last| boundary - *last < model.flow_timeout);
-        let conntrack = flows.len() as u64 * model.per_flow_bytes;
-        let os_cache = ((carried_bytes as f64 * model.cache_retention) as u64).min(model.cache_cap);
-        let total_mem = model.mem_baseline + conntrack + os_cache;
+        flows.retain(|_, last| boundary - *last < FLOW_TIMEOUT);
+        let conntrack = flows.len() as u64 * PER_FLOW_BYTES;
+        let os_cache = ((carried_bytes as f64 * CACHE_RETENTION) as u64).min(CACHE_CAP);
+        let total_mem = MEM_BASELINE + conntrack + os_cache;
         samples.push(RouterSample {
             at_secs: second as f64,
             cpu: cpu.sample_utilization(boundary),
@@ -114,7 +105,7 @@ mod tests {
 
     #[test]
     fn high_rate_stays_below_half_cpu_with_headroom() {
-        let samples = replay_trace(&TraceSpec::high_rate(), &RouterModel::default(), 5);
+        let samples = replay_trace(&TraceSpec::high_rate(), 5);
         let (mean_cpu, max_cpu, final_mem) = replay_summary(&samples);
         // Paper: CPU well below 50 %, memory hovering around 120 MB.
         assert!(
@@ -130,7 +121,7 @@ mod tests {
 
     #[test]
     fn low_rate_is_nearly_idle() {
-        let samples = replay_trace(&TraceSpec::low_rate(), &RouterModel::default(), 5);
+        let samples = replay_trace(&TraceSpec::low_rate(), 5);
         let (mean_cpu, _max, final_mem) = replay_summary(&samples);
         assert!(mean_cpu < 0.05, "low traffic cpu {mean_cpu}");
         assert!(final_mem < 70.0, "low traffic mem {final_mem}");
@@ -138,14 +129,14 @@ mod tests {
 
     #[test]
     fn five_minute_trace_yields_300_samples() {
-        let samples = replay_trace(&TraceSpec::low_rate(), &RouterModel::default(), 5);
+        let samples = replay_trace(&TraceSpec::low_rate(), 5);
         assert_eq!(samples.len(), 300);
         assert!(samples.iter().all(|s| (0.0..=1.0).contains(&s.cpu)));
     }
 
     #[test]
     fn conntrack_tracks_active_flows() {
-        let samples = replay_trace(&TraceSpec::high_rate(), &RouterModel::default(), 5);
+        let samples = replay_trace(&TraceSpec::high_rate(), 5);
         let mid = &samples[150];
         assert!(mid.active_flows > 1_000, "flows {}", mid.active_flows);
         // More traffic, more memory than at the very start.

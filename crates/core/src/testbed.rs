@@ -9,7 +9,7 @@
 //! holds the link calibration.
 
 use ape_appdag::AppSpec;
-use ape_nodes::{ApConfig, LookupMode};
+use ape_nodes::ApConfig;
 use ape_proto::Msg;
 use ape_simnet::{NodeId, TraceConfig, World};
 use ape_workload::ScheduleConfig;
@@ -32,8 +32,6 @@ pub struct TestbedConfig {
     /// Number of client devices sharing an AP's schedule (paper: 2 phones
     /// + 1 emulator host); in a grid, the population of every AP.
     pub clients: usize,
-    /// APE-CACHE lookup mode (Fig. 11b ablation).
-    pub lookup_mode: LookupMode,
     /// Whether the edge starts with every object cached (the paper's
     /// ample-capacity steady-state assumption).
     pub prewarm_edge: bool,
@@ -73,7 +71,6 @@ impl TestbedConfig {
             schedule: ScheduleConfig::default(),
             ap: ApConfig::default(),
             clients: 3,
-            lookup_mode: LookupMode::Piggybacked,
             prewarm_edge: true,
             prefetch_hints: false,
             trace: TraceConfig::default(),

@@ -463,7 +463,6 @@ pub(crate) fn assemble(
             let mut client_config =
                 ClientConfig::new(base.system.strategy(), dns_server, home_ap, ip_map.clone());
             client_config.controller = controller;
-            client_config.lookup_mode = base.lookup_mode;
             client_config.prefetch_hints = base.prefetch_hints;
             let node = ClientNode::new(client_config, Arc::clone(&client_apps), share)
                 .with_roam_schedule(stops);

@@ -4,11 +4,11 @@
 //! a TTL cache, extended with the paper's DNS-Cache handling (§IV-B); an
 //! HTTP server for cache hits; a delegation fetcher that retrieves objects
 //! from the edge on clients' behalf and admits them through the configured
-//! eviction policy (PACM or LRU); and CPU/memory meters so the overhead
-//! experiments (Fig. 2, Fig. 14) measure a load-dependent device rather
-//! than a free abstraction.
+//! eviction policy (PACM or LRU); and a CPU meter and APE-CACHE memory
+//! estimate so the overhead experiments (Fig. 2, Fig. 14) measure a
+//! load-dependent device rather than a free abstraction.
 //!
-//! Design accommodations from §IV-B3 are all here and individually
+//! Design accommodations from §IV-B3 are all here; the short-circuit is
 //! switchable for ablations:
 //! * **batching** — a DNS-Cache response reports status for *every* URL the
 //!   AP knows under the queried domain, not just the requested hashes;
@@ -29,8 +29,7 @@ use ape_dnswire::{CacheFlag, CacheTuple, DnsMessage, DomainName, Rcode, UrlHash}
 use ape_httpsim::{Body, HttpRequest, HttpResponse, Url};
 use ape_proto::{names, CacheOp, ConnId, IpMap, Msg, RequestId, SpanKind};
 use ape_simnet::{
-    Context, CpuMeter, MemMeter, Node, NodeId, ProfCategory, SimDuration, SimTime, SpanCtx,
-    TimerToken,
+    Context, CpuMeter, Node, NodeId, ProfCategory, SimDuration, SimTime, SpanCtx, TimerToken,
 };
 
 use crate::txn::alloc_txn;
@@ -73,11 +72,14 @@ const DELEGATION_TIMEOUT: SimDuration = SimDuration::from_secs(10);
 /// Resource sampling interval.
 const SAMPLE_INTERVAL: SimDuration = SimDuration::from_secs(1);
 
+/// Frequency-window roll and expiry-purge interval (PACM's §IV-C window).
+/// The sample tick runs the roll, so the window is a whole number of
+/// sample intervals.
+const WINDOW: SimDuration = SimDuration::from_secs(60);
+const _: () = assert!(WINDOW.as_nanos().is_multiple_of(SAMPLE_INTERVAL.as_nanos()));
+
 /// Router cores (MT7621A: 2 cores at 880 MHz).
 const CORES: u32 = 2;
-
-/// Baseline firmware/OS memory, bytes.
-const MEM_BASELINE: u64 = 60_000_000;
 
 /// Static memory cost of the APE-CACHE components themselves, bytes.
 const APE_CODE_OVERHEAD: u64 = 4_000_000;
@@ -87,7 +89,8 @@ const PER_ENTRY_OVERHEAD: u64 = 512;
 
 /// AP configuration; defaults follow the paper's evaluation settings. The
 /// device calibration nobody varies (processing costs, timeouts, the
-/// router's cores and memory) is the constants above.
+/// sample interval and frequency window, the router's cores and memory)
+/// is the constants above.
 #[derive(Debug, Clone)]
 pub struct ApConfig {
     /// Cache memory granted to APE-CACHE (paper: 5 MB).
@@ -98,17 +101,13 @@ pub struct ApConfig {
     pub policy: ApPolicy,
     /// PACM tuning (ignored for LRU).
     pub pacm: PacmConfig,
-    /// Frequency-window roll and expiry-purge interval.
-    pub window: SimDuration,
     /// Dummy-IP short-circuit enabled (§IV-B3).
     pub short_circuit: bool,
-    /// Per-domain flag batching enabled (§IV-B3).
-    pub batch_domain_flags: bool,
-    /// Phase offset added to this AP's periodic timers (window, sample,
-    /// reap), set by the world builder from the AP's grid index. All APs
-    /// append samples to the one `ap.cpu` / `ap.ape_mem_mb` series; on a
-    /// shared phase their sample ticks would tie and tie-break order would
-    /// order the series' points (`chaos_roam`'s
+    /// Phase offset added to this AP's periodic ticks (sample, reap) and
+    /// so to its window roll, set by the world builder from the AP's grid
+    /// index. All APs append samples to the one `ap.cpu` / `ap.ape_mem_mb`
+    /// series; on a shared phase their sample ticks would tie and
+    /// tie-break order would order the series' points (`chaos_roam`'s
     /// `roaming_under_faults_terminates_drained_and_tie_invariant` fails).
     pub phase_stagger: SimDuration,
 }
@@ -120,9 +119,7 @@ impl Default for ApConfig {
             block_threshold: 500_000,
             policy: ApPolicy::Pacm,
             pacm: PacmConfig::default(),
-            window: SimDuration::from_secs(60),
             short_circuit: true,
-            batch_domain_flags: true,
             phase_stagger: SimDuration::ZERO,
         }
     }
@@ -178,7 +175,6 @@ struct PendingForward {
     retried: bool,
 }
 
-const TICK_WINDOW: TimerToken = TimerToken::new(1);
 const TICK_SAMPLE: TimerToken = TimerToken::new(2);
 const TICK_REAP: TimerToken = TimerToken::new(3);
 
@@ -211,14 +207,11 @@ pub struct ApNode {
     /// The Wi-Cache controller this AP advertises to, when deployed.
     wicache_controller: Option<NodeId>,
     cpu: CpuMeter,
-    mem: MemMeter,
     next_txn: u16,
     next_conn: u64,
     next_req: u64,
-    /// When the next frequency-window roll is due. The roll runs lazily
-    /// from whichever periodic tick reaches the due instant first (see
-    /// [`ApNode::roll_window_if_due`]), so same-instant tick ordering can
-    /// never change what the resource sampler observes.
+    /// When the next frequency-window roll is due; the sample tick that
+    /// lands on it runs the roll (see [`ApNode::roll_window_if_due`]).
     next_window_roll: SimTime,
 }
 
@@ -259,7 +252,6 @@ impl ApNode {
             peer_reqs: BTreeMap::new(),
             wicache_controller: None,
             cpu: CpuMeter::new(CORES),
-            mem: MemMeter::with_baseline(MEM_BASELINE),
             next_txn: 1,
             next_conn: 1,
             next_req: 1,
@@ -370,16 +362,12 @@ impl ApNode {
     }
 
     /// Builds the DNS-Cache response tuples for `query` about `domain`:
-    /// the requested hashes first, in order, then (with batching) every
-    /// other URL known under the domain (§IV-B3).
+    /// the requested hashes first, in order, then every other URL known
+    /// under the domain (§IV-B3's batching).
     fn tuples_for(&self, domain: &DomainName, query: &DnsMessage, now: SimTime) -> Vec<CacheTuple> {
-        let known = self
-            .domain_urls
-            .get(domain)
-            .filter(|_| self.config.batch_domain_flags)
-            .map_or(&[][..], Vec::as_slice);
+        let known = self.domain_urls.get(domain).map_or(&[][..], Vec::as_slice);
         // The query's hashes were remembered under the domain before this
-        // runs, so with batching the answer is exactly `known` long.
+        // runs, so the answer is exactly `known` long.
         let mut tuples = Vec::with_capacity(known.len().max(1));
         tuples.extend(
             query
@@ -1229,17 +1217,16 @@ impl ApNode {
     }
 
     /// Rolls the frequency window and purges expired objects once the due
-    /// instant is reached. Both the window tick and the sample tick call
-    /// this, so when the two grids land on the same nanosecond the roll
-    /// happens exactly once, before whichever handler the queue runs
-    /// first does its own work — the resource sampler can never observe a
-    /// pre-purge state that tie-break order would otherwise decide.
+    /// instant is reached. The sample tick calls this before it samples,
+    /// and `WINDOW` is a whole number of sample intervals on the same
+    /// phase, so every roll runs on time and the sampler never observes a
+    /// pre-purge state.
     fn roll_window_if_due(&mut self, ctx: &mut Context<'_, Msg>) {
         let now = ctx.now();
         if now < self.next_window_roll {
             return;
         }
-        self.next_window_roll = now + self.config.window;
+        self.next_window_roll = now + WINDOW;
         let prof = ctx.prof_start();
         self.cache.roll_window(now);
         let purged = self.cache.purge_expired(now);
@@ -1287,7 +1274,6 @@ impl ApNode {
         let now = ctx.now();
         let cpu = self.cpu.sample_utilization(now);
         let ape_mem = self.ape_memory_bytes();
-        self.mem.alloc(0); // keep the meter's peak tracking coherent
         ctx.metrics().record_point_id(names::id::AP_CPU, now, cpu);
         ctx.metrics()
             .record_point_id(names::id::AP_APE_MEM_MB, now, ape_mem as f64 / 1e6);
@@ -1299,10 +1285,9 @@ impl Node<Msg> for ApNode {
         // The stagger shifts every periodic tick off the shared grids once,
         // at start; each tick reschedules itself relatively, so the phase
         // persists for the whole run. An AP's own ticks meet harmlessly: the
-        // roll runs once, first, and the reap touches nothing they use.
+        // reap touches nothing the sample tick uses.
         let stagger = self.config.phase_stagger;
-        self.next_window_roll = ctx.now() + self.config.window + stagger;
-        ctx.schedule(self.config.window + stagger, TICK_WINDOW);
+        self.next_window_roll = ctx.now() + WINDOW + stagger;
         ctx.schedule(SAMPLE_INTERVAL + stagger, TICK_SAMPLE);
         ctx.schedule(REAP_INTERVAL + stagger, TICK_REAP);
     }
@@ -1340,10 +1325,6 @@ impl Node<Msg> for ApNode {
 
     fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, token: TimerToken) {
         match token {
-            TICK_WINDOW => {
-                self.roll_window_if_due(ctx);
-                ctx.schedule(self.config.window, TICK_WINDOW);
-            }
             TICK_SAMPLE => {
                 self.roll_window_if_due(ctx);
                 self.sample_resources(ctx);
@@ -1796,11 +1777,7 @@ mod tests {
 
     #[test]
     fn expired_objects_are_purged_on_window_tick() {
-        let config = ApConfig {
-            window: SimDuration::from_secs(30),
-            ..ApConfig::default()
-        };
-        let mut bed = bed(config);
+        let mut bed = bed(ApConfig::default());
         bed.world.post(
             bed.probe,
             bed.ap,
@@ -1817,9 +1794,15 @@ mod tests {
         );
         settle(&mut bed.world);
         assert_eq!(bed.world.node::<ApNode>(bed.ap).cached_objects(), 1);
-        bed.world.run_until(SimTime::from_secs(31));
+        // Expired after 10 s, the object stays cached until the roll: the
+        // sample tick that lands on `WINDOW` purges it.
+        let roll = SimTime::ZERO + WINDOW;
+        bed.world.run_until(roll - SimDuration::from_nanos(1));
+        assert_eq!(bed.world.node::<ApNode>(bed.ap).cached_objects(), 1);
+        assert_eq!(bed.world.metrics().counter(names::AP_TTL_PURGES), 0);
+        bed.world.run_until(roll);
         assert_eq!(bed.world.node::<ApNode>(bed.ap).cached_objects(), 0);
-        assert!(bed.world.metrics().counter(names::AP_TTL_PURGES) >= 1);
+        assert_eq!(bed.world.metrics().counter(names::AP_TTL_PURGES), 1);
     }
 
     #[test]

@@ -43,16 +43,6 @@ pub enum Strategy {
     EdgeCache,
 }
 
-/// How APE-CACHE cache lookups are issued (Fig. 11b ablation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LookupMode {
-    /// Piggybacked on the DNS query (the paper's design).
-    #[default]
-    Piggybacked,
-    /// A separate cache query after a regular DNS query.
-    Standalone,
-}
-
 /// Client-side processing per protocol step (Android runtime overhead).
 const PROCESSING: SimDuration = SimDuration::from_micros(300);
 
@@ -74,8 +64,6 @@ const HTTP_RETRIES: u32 = 2;
 pub struct ClientConfig {
     /// Retrieval strategy.
     pub strategy: Strategy,
-    /// Lookup mode (APE-CACHE only).
-    pub lookup_mode: LookupMode,
     /// Where DNS queries go: the AP for APE-CACHE (it *is* the resolver on
     /// real LANs), the LDNS for the Edge Cache baseline.
     pub dns_server: NodeId,
@@ -95,7 +83,6 @@ impl ClientConfig {
     pub fn new(strategy: Strategy, dns_server: NodeId, ap: NodeId, ip_map: IpMap) -> Self {
         ClientConfig {
             strategy,
-            lookup_mode: LookupMode::Piggybacked,
             dns_server,
             ap,
             controller: None,
@@ -187,8 +174,6 @@ struct PendingDns {
     retries: u32,
     /// Hashes included in the query (DNS-Cache mode).
     hashes: Vec<UrlHash>,
-    /// Standalone second-stage query flag.
-    cache_stage: bool,
     /// Retransmit timer of the current transmission, cancelled when the
     /// query is answered.
     timer: TimerId,
@@ -647,7 +632,7 @@ impl ClientNode {
             return;
         }
         let txn = self.alloc_txn();
-        let hashes = if dns_cache_query && self.config.lookup_mode == LookupMode::Piggybacked {
+        let hashes = if dns_cache_query {
             vec![self.fetches[&req].key]
         } else {
             Vec::new()
@@ -668,7 +653,6 @@ impl ClientNode {
                 waiting: vec![req],
                 retries: 0,
                 hashes,
-                cache_stage: false,
                 timer,
             },
         );
@@ -927,7 +911,7 @@ impl ClientNode {
         let Some(domain) = self.txn_domains.remove(&txn) else {
             return;
         };
-        let Some(mut pending) = self.pending_dns.remove(&domain) else {
+        let Some(pending) = self.pending_dns.remove(&domain) else {
             return;
         };
         if pending.txn != txn {
@@ -970,30 +954,6 @@ impl ClientNode {
                 live
             });
             self.dns_expiry_floor = floor;
-        }
-
-        // Standalone mode: plain stage answered → issue the cache query.
-        if self.config.strategy == Strategy::ApeCache
-            && self.config.lookup_mode == LookupMode::Standalone
-            && !pending.cache_stage
-            && response.cache_response_tuples().is_empty()
-        {
-            let txn2 = self.alloc_txn();
-            let hashes: Vec<UrlHash> = pending
-                .waiting
-                .iter()
-                .filter_map(|r| self.fetches.get(r).map(|f| f.key))
-                .collect();
-            let query = DnsMessage::dns_cache_request(txn2, domain.clone(), &hashes);
-            pending.txn = txn2;
-            pending.cache_stage = true;
-            pending.hashes = hashes;
-            self.txn_domains.insert(txn2, domain.clone());
-            ctx.metrics().incr_id(names::id::CLIENT_DNS_QUERIES, 1);
-            ctx.send_after(PROCESSING, self.config.dns_server, Msg::dns(query));
-            pending.timer = arm_dns_timer(ctx, txn2);
-            self.pending_dns.insert(domain, pending);
-            return;
         }
 
         // Record flags (DNS-Cache responses carry them; plain ones do not).

@@ -6,7 +6,7 @@
 //! * [`ClientNode`] — the enhanced HTTP-client runtime (programming
 //!   support + cache lookup & fetching) executing app DAGs,
 //! * [`ApNode`] — the router: dnsmasq-style forwarder with the DNS-Cache
-//!   extension, delegation fetcher, PACM/LRU cache, resource meters,
+//!   extension, delegation fetcher, PACM/LRU cache, a CPU meter,
 //! * [`LdnsNode`] / [`AuthDnsNode`] — the recursive and authoritative DNS
 //!   infrastructure (with CNAME chains into a CDN namespace),
 //! * [`EdgeNode`] / [`OriginNode`] — the edge cache server and origin,
@@ -23,9 +23,7 @@ mod txn;
 mod wicache;
 
 pub use ap::{ApConfig, ApNode, ApPolicy};
-pub use client::{
-    ClientApps, ClientConfig, ClientNode, ClientReport, LookupMode, RoamStop, Strategy,
-};
+pub use client::{ClientApps, ClientConfig, ClientNode, ClientReport, RoamStop, Strategy};
 pub use resolver::{AuthDnsNode, LdnsNode, ZoneAnswer};
 pub use server::{Catalog, CatalogEntry, EdgeNode, OriginNode};
 pub use wicache::{GridPos, WiCacheControllerNode};

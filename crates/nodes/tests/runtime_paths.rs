@@ -8,7 +8,7 @@ use ape_appdag::{movie_trailer, AppId, AppSpec};
 use ape_dnswire::DomainName;
 use ape_nodes::{
     ApConfig, ApNode, AuthDnsNode, Catalog, CatalogEntry, ClientApps, ClientConfig, ClientNode,
-    EdgeNode, LdnsNode, LookupMode, OriginNode, Strategy, ZoneAnswer,
+    EdgeNode, LdnsNode, OriginNode, Strategy, ZoneAnswer,
 };
 use ape_proto::{names, IpMap, Msg};
 use ape_simnet::{LinkSpec, NodeId, SimDuration, SimTime, World};
@@ -22,13 +22,8 @@ struct MiniBed {
 }
 
 /// Client + AP + LDNS/ADNS/CDN-DNS + edge + origin for the given apps.
-fn mini_bed(
-    apps: Vec<AppSpec>,
-    schedule: Vec<Execution>,
-    strategy: Strategy,
-    lookup_mode: LookupMode,
-) -> MiniBed {
-    mini_bed_multi(apps, vec![schedule], strategy, lookup_mode)
+fn mini_bed(apps: Vec<AppSpec>, schedule: Vec<Execution>, strategy: Strategy) -> MiniBed {
+    mini_bed_multi(apps, vec![schedule], strategy)
 }
 
 /// Like [`mini_bed`], with one client per schedule.
@@ -36,7 +31,6 @@ fn mini_bed_multi(
     apps: Vec<AppSpec>,
     schedules: Vec<Vec<Execution>>,
     strategy: Strategy,
-    lookup_mode: LookupMode,
 ) -> MiniBed {
     let mut world = World::new(99);
 
@@ -104,7 +98,6 @@ fn mini_bed_multi(
     let mut clients = Vec::new();
     for (i, schedule) in schedules.into_iter().enumerate() {
         let mut client_config = ClientConfig::new(strategy, ap, ap, ip_map.clone());
-        client_config.lookup_mode = lookup_mode;
         if strategy == Strategy::EdgeCache {
             client_config.dns_server = ldns;
         }
@@ -170,12 +163,7 @@ fn movie_schedule(times: &[u64]) -> Vec<Execution> {
 #[test]
 fn first_execution_delegates_second_hits() {
     let apps = vec![movie_trailer(AppId::new(0))];
-    let mut bed = mini_bed(
-        apps,
-        movie_schedule(&[1, 10]),
-        Strategy::ApeCache,
-        LookupMode::Piggybacked,
-    );
+    let mut bed = mini_bed(apps, movie_schedule(&[1, 10]), Strategy::ApeCache);
     bed.world.run_until(SimTime::from_secs(9));
     let after_first = bed.world.node::<ClientNode>(bed.client).report();
     assert_eq!(after_first.executions, 1);
@@ -200,12 +188,7 @@ fn first_execution_delegates_second_hits() {
 fn repeated_executions_converge_to_hits() {
     let apps = vec![movie_trailer(AppId::new(0))];
     let times: Vec<u64> = (0..40).map(|i| 1 + i * 20).collect();
-    let mut bed = mini_bed(
-        apps,
-        movie_schedule(&times),
-        Strategy::ApeCache,
-        LookupMode::Piggybacked,
-    );
+    let mut bed = mini_bed(apps, movie_schedule(&times), Strategy::ApeCache);
     bed.world.run_until(SimTime::from_secs(830));
     let report = bed.world.node::<ClientNode>(bed.client).report();
     assert_eq!(report.executions, 40);
@@ -226,12 +209,7 @@ fn repeated_executions_converge_to_hits() {
 #[test]
 fn wicache_without_controller_fails_cleanly() {
     let apps = vec![movie_trailer(AppId::new(0))];
-    let mut bed = mini_bed(
-        apps,
-        movie_schedule(&[1]),
-        Strategy::WiCache,
-        LookupMode::Piggybacked,
-    );
+    let mut bed = mini_bed(apps, movie_schedule(&[1]), Strategy::WiCache);
     bed.world.run_until(SimTime::from_secs(30));
     let report = bed.world.node::<ClientNode>(bed.client).report();
     // No controller configured: every lookup fails, the execution still
@@ -244,12 +222,7 @@ fn wicache_without_controller_fails_cleanly() {
 #[test]
 fn dead_resolver_exhausts_retries_then_fails() {
     let apps = vec![movie_trailer(AppId::new(0))];
-    let mut bed = mini_bed(
-        apps,
-        movie_schedule(&[1]),
-        Strategy::ApeCache,
-        LookupMode::Piggybacked,
-    );
+    let mut bed = mini_bed(apps, movie_schedule(&[1]), Strategy::ApeCache);
     // Sever the AP's upstream entirely: DNS-Cache queries for unknown
     // domains can never be answered.
     bed.world.connect(
@@ -269,56 +242,10 @@ fn dead_resolver_exhausts_retries_then_fails() {
 }
 
 #[test]
-fn standalone_mode_doubles_dns_queries() {
-    let apps = vec![movie_trailer(AppId::new(0))];
-    let times: Vec<u64> = (0..10).map(|i| 1 + i * 70).collect(); // past DNS TTL
-
-    let mut piggy = mini_bed(
-        apps.clone(),
-        movie_schedule(&times),
-        Strategy::ApeCache,
-        LookupMode::Piggybacked,
-    );
-    piggy.world.run_until(SimTime::from_secs(700));
-    let piggy_queries = piggy.world.metrics().counter(names::CLIENT_DNS_QUERIES);
-
-    let mut standalone = mini_bed(
-        apps,
-        movie_schedule(&times),
-        Strategy::ApeCache,
-        LookupMode::Standalone,
-    );
-    standalone.world.run_until(SimTime::from_secs(700));
-    let standalone_queries = standalone
-        .world
-        .metrics()
-        .counter(names::CLIENT_DNS_QUERIES);
-
-    assert!(
-        standalone_queries >= piggy_queries * 2,
-        "standalone {standalone_queries} vs piggybacked {piggy_queries}"
-    );
-    // Both deliver the data.
-    assert_eq!(
-        standalone
-            .world
-            .node::<ClientNode>(standalone.client)
-            .report()
-            .failures,
-        0
-    );
-}
-
-#[test]
 fn edge_strategy_resolves_per_fetch_and_skips_ap() {
     let apps = vec![movie_trailer(AppId::new(0))];
     let times: Vec<u64> = (0..5).map(|i| 1 + i * 30).collect();
-    let mut bed = mini_bed(
-        apps,
-        movie_schedule(&times),
-        Strategy::EdgeCache,
-        LookupMode::Piggybacked,
-    );
+    let mut bed = mini_bed(apps, movie_schedule(&times), Strategy::EdgeCache);
     bed.world.run_until(SimTime::from_secs(200));
     let report = bed.world.node::<ClientNode>(bed.client).report();
     assert_eq!(report.executions, 5);
@@ -335,12 +262,7 @@ fn edge_strategy_resolves_per_fetch_and_skips_ap() {
 fn ap_cache_flush_recovers_via_delegation() {
     let apps = vec![movie_trailer(AppId::new(0))];
     let times: Vec<u64> = (0..20).map(|i| 1 + i * 20).collect();
-    let mut bed = mini_bed(
-        apps,
-        movie_schedule(&times),
-        Strategy::ApeCache,
-        LookupMode::Piggybacked,
-    );
+    let mut bed = mini_bed(apps, movie_schedule(&times), Strategy::ApeCache);
     // Warm up: several executions populate the cache.
     bed.world.run_until(SimTime::from_secs(150));
     assert!(bed.world.node::<ApNode>(bed.ap).cached_objects() > 5);
@@ -375,12 +297,7 @@ fn clients_share_the_ap_cache() {
     };
     let a_schedule = movie_schedule(&[1]);
     let b_schedule = movie_schedule(&[30]);
-    let mut bed = mini_bed_multi(
-        vec![app],
-        vec![a_schedule, b_schedule],
-        Strategy::ApeCache,
-        LookupMode::Piggybacked,
-    );
+    let mut bed = mini_bed_multi(vec![app], vec![a_schedule, b_schedule], Strategy::ApeCache);
     bed.world.run_until(SimTime::from_secs(60));
     let a = bed.world.node::<ClientNode>(bed.clients[0]).report();
     let b = bed.world.node::<ClientNode>(bed.clients[1]).report();

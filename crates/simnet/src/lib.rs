@@ -5,7 +5,7 @@
 //! an edge server 7 hops away and an EC2-hosted controller 12 hops away);
 //! this crate provides the simulated equivalent: a virtual clock, an event
 //! queue, nodes exchanging messages over links with hop counts, bandwidth,
-//! jitter and loss, CPU/memory resource meters, and metric recorders.
+//! jitter and loss, a CPU resource meter, and metric recorders.
 //!
 //! Determinism is a design requirement: a [`World`] seeded identically
 //! processes an identical event sequence, which the integration tests
@@ -72,7 +72,7 @@ pub use link::LinkSpec;
 pub use metrics::{keys, Histogram, MetricId, Metrics, TimeSeries};
 pub use node::{AsAny, Message, Node, NodeId, TimerToken};
 pub use profiler::{ProfCategory, ProfTimer, ProfileReport, Profiler, PROF_CATEGORIES};
-pub use resource::{CpuMeter, MemMeter};
+pub use resource::CpuMeter;
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};
 pub use trace::{

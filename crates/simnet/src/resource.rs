@@ -1,9 +1,8 @@
-//! CPU and memory accounting for simulated devices.
+//! CPU accounting for simulated devices.
 //!
 //! The paper's feasibility study (Fig. 2) and overhead evaluation (Fig. 14)
-//! measure CPU utilization and memory footprint of the WiFi AP. Simulated
-//! nodes charge work against a [`CpuMeter`] and allocate against a
-//! [`MemMeter`]; harnesses sample both into time series.
+//! measure CPU utilization of the WiFi AP. Simulated nodes charge work
+//! against a [`CpuMeter`]; harnesses sample it into a time series.
 
 use crate::time::{SimDuration, SimTime};
 
@@ -77,54 +76,6 @@ impl CpuMeter {
     }
 }
 
-/// Tracks current and peak memory use of a simulated device, in bytes.
-#[derive(Debug, Clone, Default)]
-pub struct MemMeter {
-    current: u64,
-    peak: u64,
-}
-
-impl MemMeter {
-    /// Creates an empty meter.
-    pub fn new() -> Self {
-        MemMeter::default()
-    }
-
-    /// Creates a meter with a fixed baseline allocation (OS, firmware, ...).
-    pub fn with_baseline(baseline: u64) -> Self {
-        MemMeter {
-            current: baseline,
-            peak: baseline,
-        }
-    }
-
-    /// Allocates `bytes`.
-    pub fn alloc(&mut self, bytes: u64) {
-        self.current = self.current.saturating_add(bytes);
-        self.peak = self.peak.max(self.current);
-    }
-
-    /// Frees `bytes`, saturating at zero.
-    pub fn free(&mut self, bytes: u64) {
-        self.current = self.current.saturating_sub(bytes);
-    }
-
-    /// Current allocation in bytes.
-    pub fn current(&self) -> u64 {
-        self.current
-    }
-
-    /// Current allocation in megabytes.
-    pub fn current_mb(&self) -> f64 {
-        self.current as f64 / 1_000_000.0
-    }
-
-    /// High-water mark in bytes.
-    pub fn peak(&self) -> u64 {
-        self.peak
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,23 +130,6 @@ mod tests {
     #[should_panic(expected = "cores")]
     fn zero_cores_rejected() {
         let _ = CpuMeter::new(0);
-    }
-
-    #[test]
-    fn memory_tracks_peak() {
-        let mut mem = MemMeter::with_baseline(1_000_000);
-        mem.alloc(2_000_000);
-        mem.free(500_000);
-        assert_eq!(mem.current(), 2_500_000);
-        assert_eq!(mem.peak(), 3_000_000);
-        assert!((mem.current_mb() - 2.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn memory_free_saturates() {
-        let mut mem = MemMeter::new();
-        mem.free(100);
-        assert_eq!(mem.current(), 0);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! testbed that no single crate can exercise alone.
 
 use ape_appdag::DummyAppConfig;
-use ape_nodes::{ApNode, LookupMode, WiCacheControllerNode};
+use ape_nodes::{ApNode, WiCacheControllerNode};
 use ape_proto::names;
 use ape_simnet::SimDuration;
 use ape_workload::ScheduleConfig;
@@ -86,28 +86,6 @@ fn edge_cache_never_touches_the_ap_cache() {
     assert_eq!(result.report.hits, 0);
     assert!(result.report.requests > 100);
     assert_eq!(result.report.failures, 0);
-}
-
-#[test]
-fn standalone_lookup_mode_is_slower_than_piggybacked() {
-    let mut piggy_cfg = config(System::ApeCache, 5, 8);
-    piggy_cfg.lookup_mode = LookupMode::Piggybacked;
-    let mut standalone_cfg = config(System::ApeCache, 5, 8);
-    standalone_cfg.lookup_mode = LookupMode::Standalone;
-
-    let mut piggy = run_system(&piggy_cfg, SimDuration::from_mins(8));
-    let mut standalone = run_system(&standalone_cfg, SimDuration::from_mins(8));
-    let p = piggy.summary();
-    let s = standalone.summary();
-    assert!(
-        s.lookup_ms > p.lookup_ms + 2.0,
-        "standalone {:.2} vs piggybacked {:.2}",
-        s.lookup_ms,
-        p.lookup_ms
-    );
-    // Both still function correctly.
-    assert_eq!(s.failures, 0);
-    assert!(s.hit_ratio > 0.3);
 }
 
 #[test]
