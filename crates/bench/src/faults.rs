@@ -18,7 +18,7 @@ use ape_appdag::DummyAppConfig;
 use ape_nodes::{ApNode, ClientNode, LdnsNode};
 use ape_proto::names;
 use ape_simnet::{FaultPlan, SimDuration, SimTime};
-use apecache::{build, collect, parallel_map, System, Testbed};
+use apecache::{build, collect, parallel_map, System, Testbed, TestbedConfig};
 
 use crate::experiments::{base_config, ReproOptions};
 
@@ -74,8 +74,9 @@ fn undrained(bed: &mut Testbed) -> Vec<String> {
     out
 }
 
-fn extract_row(loss: f64, system: System, bed: &mut Testbed) -> FaultRow {
-    let scheduled = bed.scheduled as u64;
+fn extract_row(config: &TestbedConfig, bed: &mut Testbed) -> FaultRow {
+    let (loss, system) = (config.wifi_loss, config.system);
+    let scheduled = config.scheduled_executions() as u64;
     let drain_leftovers = undrained(bed);
     let mut result = collect(system, bed);
     let summary = result.summary();
@@ -106,7 +107,7 @@ fn run_sweep_point(opts: &ReproOptions, system: System, loss: f64) -> FaultRow {
     config.wifi_loss = loss;
     let mut bed = build(&config);
     bed.world.run_for(opts.duration() + GRACE);
-    extract_row(loss, system, &mut bed)
+    extract_row(&config, &mut bed)
 }
 
 fn render_rows(out: &mut String, rows: &[FaultRow]) {
@@ -209,7 +210,7 @@ pub fn faults(opts: &ReproOptions) -> String {
         );
     bed.world.set_fault_plan(plan);
     bed.world.run_for(opts.duration() + GRACE);
-    let replay = extract_row(0.01, System::ApeCache, &mut bed);
+    let replay = extract_row(&config, &mut bed);
     render_rows(&mut out, &[replay]);
     out
 }

@@ -15,7 +15,7 @@ use ape_simnet::{NodeId, TraceConfig, World};
 use ape_workload::ScheduleConfig;
 
 use crate::system::System;
-use crate::topology::assemble;
+use crate::topology::{ap_schedule, assemble};
 
 /// Everything needed to instantiate one evaluation run.
 #[derive(Debug, Clone)]
@@ -63,6 +63,12 @@ pub struct TestbedConfig {
 }
 
 impl TestbedConfig {
+    /// App executions the built testbed's clients will run, counted by
+    /// drawing the AP's schedule; the build itself draws none.
+    pub fn scheduled_executions(&self) -> usize {
+        ap_schedule(self, 0).count()
+    }
+
     /// Paper-default testbed for `system` over `apps`.
     pub fn new(system: System, apps: Vec<AppSpec>) -> Self {
         TestbedConfig {
@@ -98,15 +104,12 @@ pub struct Testbed {
     pub ldns: NodeId,
     /// The Wi-Cache controller, when deployed.
     pub controller: Option<NodeId>,
-    /// Total app executions installed across the clients.
-    pub scheduled: usize,
 }
 
 impl std::fmt::Debug for Testbed {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Testbed")
             .field("clients", &self.clients.len())
-            .field("scheduled", &self.scheduled)
             .finish()
     }
 }
@@ -127,14 +130,13 @@ pub fn build(config: &TestbedConfig) -> Testbed {
         origin: top.origin,
         ldns: top.ldns,
         controller: top.controller,
-        scheduled: top.scheduled,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topology::{ap_schedule, build_topology, TopologyConfig};
+    use crate::topology::{build_topology, TopologyConfig};
     use ape_appdag::{generate_fleet, DummyAppConfig};
     use ape_proto::names;
     use ape_simnet::{SimDuration, SimRng};
@@ -162,7 +164,7 @@ mod tests {
             let mut bed = build(&config);
             assert_eq!(bed.clients.len(), 3);
             assert_eq!(bed.controller.is_some(), system == System::WiCache);
-            assert!(bed.scheduled > 0);
+            assert!(config.scheduled_executions() > 0);
 
             // The testbed is the one-AP grid: same nodes, same run.
             let mut top = build_topology(&TopologyConfig::new(config, 1));
@@ -189,10 +191,10 @@ mod tests {
     fn schedule_is_identical_across_systems() {
         let a = small_config(System::ApeCache);
         let b = small_config(System::EdgeCache);
-        let schedule = ap_schedule(&a, 0);
-        assert_eq!(schedule, ap_schedule(&b, 0));
-        assert_eq!(build(&a).scheduled, schedule.len());
-        assert_eq!(build(&b).scheduled, schedule.len());
+        let schedule: Vec<_> = ap_schedule(&a, 0).collect();
+        assert_eq!(schedule, ap_schedule(&b, 0).collect::<Vec<_>>());
+        assert_eq!(a.scheduled_executions(), schedule.len());
+        assert_eq!(b.scheduled_executions(), schedule.len());
     }
 
     #[test]

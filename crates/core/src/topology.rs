@@ -14,12 +14,13 @@
 //! links — then cable, then DSL), so hit ratio and tail latency are
 //! measured over a realistic mix, not a uniform fleet.
 //!
-//! Every random choice — per-AP schedules, per-client roam walks — is
-//! drawn at build time from seeds derived from the config, so a run
-//! replays bitwise from its config. Small grids are also invariant under
-//! tie-perturbation keys (`tests/chaos_roam.rs` pins a 9-AP one); from
-//! about 64 APs a run is long enough that they are not, which the
-//! `bench-scale` sweep records per cell (`DESIGN.md` §16).
+//! Every random choice — per-AP schedules, per-client roam walks — draws
+//! from a seed derived from the config, so a run replays bitwise from its
+//! config. Roam walks are drawn at build time, since a client is linked
+//! to every AP its walk visits; schedules are streams, each execution
+//! drawn as the one before it fires. Runs are also invariant under
+//! tie-perturbation keys (`tests/chaos_roam.rs` pins a 9-AP grid, and the
+//! `bench-scale` sweep every city cell; `DESIGN.md` §16).
 //!
 //! The builder homes full [`ClientNode`]s at each AP: every client runs
 //! the real enhanced-client runtime end to end.
@@ -33,7 +34,7 @@ use ape_nodes::{
 };
 use ape_proto::{IpMap, Msg};
 use ape_simnet::{LinkSpec, NodeId, SimDuration, SimRng, World};
-use ape_workload::{generate_roam_schedule, generate_schedule, Execution, RoamConfig};
+use ape_workload::{generate_roam_schedule, RoamConfig, ScheduleStream};
 
 use crate::system::System;
 use crate::testbed::TestbedConfig;
@@ -104,6 +105,14 @@ impl TopologyConfig {
         self.cooperative = false;
         self
     }
+
+    /// App executions the built deployment's clients will run, counted by
+    /// drawing every AP's schedule; the build itself draws none.
+    pub fn scheduled_executions(&self) -> usize {
+        (0..self.aps)
+            .map(|i| ap_schedule(&self.base, i).count())
+            .sum()
+    }
 }
 
 /// A built multi-AP deployment.
@@ -125,8 +134,6 @@ pub struct Topology {
     pub ldns: NodeId,
     /// The Wi-Cache controller, when deployed.
     pub controller: Option<NodeId>,
-    /// Total app executions installed across every client.
-    pub scheduled: usize,
 }
 
 impl std::fmt::Debug for Topology {
@@ -177,12 +184,15 @@ pub fn grid_neighbors(aps: usize) -> Vec<Vec<usize>> {
         .collect()
 }
 
-/// The schedule AP `i` serves: independently seeded per AP, the same for
-/// every system under one seed.
-pub(crate) fn ap_schedule(base: &TestbedConfig, i: usize) -> Vec<Execution> {
-    let mut rng =
-        SimRng::seed_from(base.seed ^ SCHEDULE_STREAM ^ (i as u64).wrapping_mul(SEED_MIX));
-    generate_schedule(&base.schedule, &mut rng)
+/// The random stream of the schedule AP `i` serves: independently seeded
+/// per AP, the same for every system under one seed.
+fn schedule_rng(base: &TestbedConfig, i: usize) -> SimRng {
+    SimRng::seed_from(base.seed ^ SCHEDULE_STREAM ^ (i as u64).wrapping_mul(SEED_MIX))
+}
+
+/// The schedule AP `i` serves, whole.
+pub(crate) fn ap_schedule(base: &TestbedConfig, i: usize) -> ScheduleStream {
+    ScheduleStream::new(&base.schedule, schedule_rng(base, i))
 }
 
 /// Builds the multi-AP world for `config`.
@@ -420,25 +430,25 @@ pub(crate) fn assemble(
         per_client_per_minute: roam_per_minute,
         duration: base.schedule.duration,
     };
-    // One copy of the suite-derived tables for the whole population.
+    // One copy of the suite-derived tables and of the popularity table
+    // for the whole population.
     let client_apps = Arc::new(ClientApps::new(base.apps.clone()));
+    let popularity = base.schedule.popularity();
     let mut clients = Vec::with_capacity(aps * base.clients);
     let mut client_home = Vec::with_capacity(clients.capacity());
-    let mut scheduled = 0usize;
     for (i, &home_ap) in ap_nodes.iter().enumerate() {
-        // Each AP's schedule is split round-robin over its population,
-        // then dropped: the benchmark testbeds carry 43 200 executions
-        // (691 kB), and a kept copy shows in their setup and memory bounds.
-        let schedule = ap_schedule(base, i);
-        scheduled += schedule.len();
         for j in 0..base.clients {
             let g = clients.len();
-            let share: Vec<Execution> = schedule
-                .iter()
-                .enumerate()
-                .filter(|(idx, _)| idx % base.clients == j)
-                .map(|(_, e)| *e)
-                .collect();
+            // Each AP's schedule is split round-robin over its population.
+            // A client's share is a stream over the AP's draws: nothing of
+            // the schedule exists before it falls due.
+            let share = ScheduleStream::share(
+                &base.schedule,
+                &popularity,
+                schedule_rng(base, i),
+                j,
+                base.clients,
+            );
             let mut roam_rng =
                 SimRng::seed_from(base.seed ^ ROAM_STREAM ^ (g as u64).wrapping_mul(SEED_MIX));
             let walk = generate_roam_schedule(&adjacency, i, &roam, &mut roam_rng);
@@ -492,7 +502,6 @@ pub(crate) fn assemble(
         origin,
         ldns,
         controller,
-        scheduled,
     }
 }
 

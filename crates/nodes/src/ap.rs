@@ -873,8 +873,10 @@ impl ApNode {
     /// window-roll gossip, and the roam hand-off all use the same bound).
     const SUMMARY_KEYS: usize = 32;
 
-    /// A deterministic hot-object summary of the local cache: the first
-    /// [`Self::SUMMARY_KEYS`] keys in store order.
+    /// A deterministic summary of the local cache: its
+    /// [`Self::SUMMARY_KEYS`] lowest key hashes (the store iterates in key
+    /// order). It is not a hot-object list: which keys it names says
+    /// nothing of their utility, and at small caches it is the whole store.
     fn cache_summary(&self) -> Vec<UrlHash> {
         self.cache
             .store()
@@ -910,7 +912,7 @@ impl ApNode {
     }
 
     /// Serves a neighbor's peer fetch from the local cache (`None` on a
-    /// miss) and piggybacks a hot-object summary on the reply either way.
+    /// miss) and piggybacks a cache summary on the reply either way.
     fn handle_peer_fetch(
         &mut self,
         ctx: &mut Context<'_, Msg>,
@@ -981,9 +983,9 @@ impl ApNode {
 
     /// A homed client re-homed to `new_ap`: cancel its pending DNS relays,
     /// drop it from delegation waiter lists (the fetches themselves finish
-    /// and are admitted for whoever stayed), and hand the new home a
-    /// hot-object summary so the roamer's working set stays one peer fetch
-    /// away.
+    /// and are admitted for whoever stayed), and hand the new home a cache
+    /// summary so part of what the roamer fetched here stays one peer
+    /// fetch away.
     fn handle_roam_notice(&mut self, ctx: &mut Context<'_, Msg>, from: NodeId, new_ap: NodeId) {
         ctx.metrics().incr_id(names::id::AP_ROAM_DEPARTURES, 1);
         let stale: Vec<u16> = self

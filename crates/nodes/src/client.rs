@@ -318,7 +318,8 @@ impl ClientApps {
 pub struct ClientNode {
     config: ClientConfig,
     apps: Arc<ClientApps>,
-    schedule: Vec<Execution>,
+    /// Executions not yet armed: the next is drawn as the armed one fires.
+    schedule: Executions,
     /// Roam stops, installed at build time (empty for non-roaming clients,
     /// which then schedule no roam timers at all).
     roam_schedule: Vec<RoamStop>,
@@ -340,13 +341,23 @@ pub struct ClientNode {
     next_exec: u64,
 }
 
-/// Timer-token namespaces. Tokens below `1 << 32` are execution-schedule
-/// indices and tokens `TOKEN_ROAM_BASE + i` roam-schedule indices: both
-/// are timer series armed once in `on_start` (`Context::schedule_series`
-/// numbers element `i` from the base), so the queue holds only each
-/// schedule's next instant. Bit 32 marks DNS retransmit timers (txn id in
-/// the low 16 bits); bit 33 marks HTTP/retrieval timers (request id in the
-/// low 32 bits, attempt number in bits 40+).
+/// A client's schedule as it is consumed: any time-sorted iterator of
+/// executions (a `ScheduleStream` share in built worlds, a `Vec` in tests).
+struct Executions(Box<dyn Iterator<Item = Execution> + Send>);
+
+impl std::fmt::Debug for Executions {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("Executions(..)")
+    }
+}
+
+/// Timer-token namespaces. Tokens below `1 << 32` are executions, the
+/// token the [`AppId`](ape_cachealg::AppId) of the app to run; tokens
+/// `TOKEN_ROAM_BASE + i` are roam stop `i`. Each schedule has at most
+/// one timer queued: `on_start` arms its first element, and each element
+/// arms the next as it fires. Bit 32 marks DNS retransmit timers (txn id
+/// in the low 16 bits); bit 33 marks HTTP/retrieval timers (request id in
+/// the low 32 bits, attempt number in bits 40+).
 const TOKEN_DNS_BASE: u64 = 1 << 32;
 const TOKEN_HTTP_BASE: u64 = 1 << 33;
 const TOKEN_ROAM_BASE: u64 = 1 << 34;
@@ -409,12 +420,17 @@ fn flag_in(table: &[CacheTuple], key: UrlHash) -> Option<CacheFlag> {
 impl ClientNode {
     /// Creates a client running `apps` on the time-sorted `schedule`
     /// (entries refer to apps by [`AppId`](ape_cachealg::AppId); entries
-    /// for unknown apps are ignored).
-    pub fn new(config: ClientConfig, apps: Arc<ClientApps>, schedule: Vec<Execution>) -> Self {
+    /// for unknown apps are ignored). The schedule is drawn lazily: an
+    /// execution is taken from it when the one before it fires.
+    pub fn new<S>(config: ClientConfig, apps: Arc<ClientApps>, schedule: S) -> Self
+    where
+        S: IntoIterator<Item = Execution>,
+        S::IntoIter: Send + 'static,
+    {
         ClientNode {
             config,
             apps,
-            schedule,
+            schedule: Executions(Box::new(schedule.into_iter())),
             roam_schedule: Vec::new(),
             dns_cache: BTreeMap::new(),
             dns_expiry_floor: SimTime::MAX,
@@ -434,8 +450,8 @@ impl ClientNode {
 
     /// Installs a time-sorted roam schedule (multi-AP topologies; each stop
     /// re-homes the client to a neighbor AP at the given instant). Like the
-    /// execution schedule, it is armed at start as one timer series, so
-    /// only the next stop is ever in the event queue.
+    /// execution schedule, it is armed one stop at a time, each as the one
+    /// before it fires, so only the next stop is ever in the event queue.
     pub fn with_roam_schedule(mut self, roam_schedule: Vec<RoamStop>) -> Self {
         self.roam_schedule = roam_schedule;
         self
@@ -447,7 +463,7 @@ impl ClientNode {
     }
 
     /// Kicks off one execution of app `app_idx` immediately (tests and
-    /// micro-benches; scheduled runs use the construction-time schedule).
+    /// micro-benches; a scheduled execution calls it when its timer fires).
     pub fn trigger_execution(&mut self, ctx: &mut Context<'_, Msg>, app_idx: usize) {
         let dag = self.apps.apps[app_idx].dag();
         let exec_id = self.next_exec;
@@ -1121,6 +1137,7 @@ impl ClientNode {
         let Some(&stop) = self.roam_schedule.get(idx) else {
             return;
         };
+        self.arm_roam(ctx, idx + 1);
         let old_ap = self.config.ap;
         if stop.ap == old_ap {
             return;
@@ -1134,15 +1151,30 @@ impl ClientNode {
         self.config.ap = stop.ap;
         self.flags.clear();
     }
+
+    /// Arms the schedule's next execution, if any, drawing it now.
+    fn arm_next_execution(&mut self, ctx: &mut Context<'_, Msg>) {
+        if let Some(exec) = self.schedule.0.next() {
+            assert!(exec.at >= ctx.now(), "a schedule must be time-sorted");
+            let token = TimerToken::new(u64::from(exec.app.get()));
+            ctx.schedule(exec.at - ctx.now(), token);
+        }
+    }
+
+    /// Arms roam stop `idx`, if the roam schedule has one.
+    fn arm_roam(&self, ctx: &mut Context<'_, Msg>, idx: usize) {
+        if let Some(stop) = self.roam_schedule.get(idx) {
+            assert!(stop.at >= ctx.now(), "a roam schedule must be time-sorted");
+            let token = TimerToken::new(TOKEN_ROAM_BASE + idx as u64);
+            ctx.schedule(stop.at - ctx.now(), token);
+        }
+    }
 }
 
 impl Node<Msg> for ClientNode {
     fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
-        ctx.schedule_series(self.schedule.iter().map(|exec| exec.at), TimerToken::new(0));
-        ctx.schedule_series(
-            self.roam_schedule.iter().map(|stop| stop.at),
-            TimerToken::new(TOKEN_ROAM_BASE),
-        );
+        self.arm_next_execution(ctx);
+        self.arm_roam(ctx, 0);
     }
 
     fn on_message(&mut self, ctx: &mut Context<'_, Msg>, _from: NodeId, msg: Msg) {
@@ -1204,12 +1236,9 @@ impl Node<Msg> for ClientNode {
             self.handle_dns_timeout(ctx, (raw & 0xFFFF) as u16);
             return;
         }
-        let idx = raw as usize;
-        if idx < self.schedule.len() {
-            let app_id = self.schedule[idx].app;
-            if let Some(&app_idx) = self.apps.app_index.get(&app_id.get()) {
-                self.trigger_execution(ctx, app_idx);
-            }
+        self.arm_next_execution(ctx);
+        if let Some(&app_idx) = self.apps.app_index.get(&(raw as u32)) {
+            self.trigger_execution(ctx, app_idx);
         }
     }
 }

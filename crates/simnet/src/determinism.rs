@@ -88,11 +88,12 @@ pub struct Fingerprint {
     pub clock_ns: u64,
     /// Total events processed by the world across all `run_*` calls.
     pub events: u64,
-    /// Digest of the metric registry (see [`Metrics::digest`]
-    /// (crate::Metrics::digest)).
+    /// Digest of the metric registry (see
+    /// [`Metrics::digest`](crate::Metrics::digest)).
     pub metrics: u64,
-    /// Digest of the trace event log (see [`TraceSink::digest`]
-    /// (crate::TraceSink::digest)); 0 when tracing is disabled.
+    /// Digest of the trace event log (see
+    /// [`TraceSink::digest`](crate::TraceSink::digest)); 0 when tracing is
+    /// disabled.
     pub trace: u64,
 }
 

@@ -12,11 +12,6 @@
 //! bumps the generation, so a cancelled event costs nothing after the
 //! cancel: its payload is gone at once, and its dead handle is dropped
 //! unseen when it reaches the front of the wheel.
-//!
-//! The queue holds what is in flight. A node's long time-sorted timer
-//! schedule enters as a *series* ([`EventQueue::push_series`]): its
-//! tie-break keys are reserved when it is armed, but the wheel holds it an
-//! instant at a time, the next instant armed when the current one fires.
 
 use crate::link::ArrivalId;
 use crate::node::{NodeId, TimerToken};
@@ -49,15 +44,7 @@ pub(crate) enum EventKind<M> {
     },
 }
 
-/// What a slab slot holds: an event, or element `index` of timer series
-/// `series`, which [`EventQueue::pop`] turns into its `Timer` event.
-#[derive(Debug)]
-enum Queued<M> {
-    Event(EventKind<M>),
-    Series { series: u32, index: u32 },
-}
-
-/// One slab slot: a queued payload, or `None` while the slot is free.
+/// One slab slot: a queued event, or `None` while the slot is free.
 #[derive(Debug)]
 struct Slot<M> {
     /// Bumped whenever the payload leaves (popped or cancelled), so every
@@ -65,7 +52,7 @@ struct Slot<M> {
     /// reuses of one slot; a dead handle would have to stay queued across
     /// all of them to be mistaken for a live one.
     generation: u32,
-    payload: Option<Queued<M>>,
+    payload: Option<EventKind<M>>,
 }
 
 /// In-memory footprint of one scheduled event carrying an `M`-typed
@@ -103,21 +90,6 @@ impl TimerId {
     }
 }
 
-/// A time-sorted run of timers on one node (see
-/// [`EventQueue::push_series`]).
-#[derive(Debug)]
-struct Series {
-    node: NodeId,
-    span: Option<SpanCtx>,
-    /// Element `i` fires with token `token_base + i`.
-    token_base: u64,
-    /// FIFO position of element 0; element `i` owns `first_fifo + i`.
-    first_fifo: u64,
-    times: Vec<SimTime>,
-    /// Elements before this index have been put on the wheel.
-    armed: usize,
-}
-
 /// Earliest-first queue of scheduled events.
 #[derive(Debug)]
 pub(crate) struct EventQueue<M> {
@@ -128,11 +100,10 @@ pub(crate) struct EventQueue<M> {
     /// Indices of the empty `slots`, reused last-freed first.
     free: Vec<u32>,
     next_seq: u64,
-    /// Schedule-perturbation key (see [`World::set_tie_perturbation`]
-    /// (crate::World::set_tie_perturbation)). `None` means FIFO tie-breaks.
+    /// Schedule-perturbation key (see
+    /// [`World::set_tie_perturbation`](crate::World::set_tie_perturbation)).
+    /// `None` means FIFO tie-breaks.
     perturbation: Option<u64>,
-    /// Every non-empty series pushed so far, indexed by id.
-    series: Vec<Series>,
     /// Optional mirror of every push/pop against the frozen heap
     /// implementation; a divergence panics at the first wrong pop. Items
     /// are not mirrored — `(at, seq)` alone pins the schedule order.
@@ -147,7 +118,6 @@ impl<M> Default for EventQueue<M> {
             free: Vec::new(),
             next_seq: 0,
             perturbation: None,
-            series: Vec::new(),
             oracle: None,
         }
     }
@@ -180,11 +150,9 @@ impl<M> EventQueue<M> {
 
     /// Mirrors all subsequent pushes and pops against the frozen
     /// [`ReferenceEventQueue`]; every pop asserts both engines agree on
-    /// `(at, seq)`. A series is mirrored as the eager pushes it stands
-    /// for, so the oracle also checks its lazy arming; a cancelled event
-    /// is mirrored until its dead handle leaves the wheel, so the oracle
-    /// also checks where that handle sat. Meant for tests — it doubles
-    /// queue work.
+    /// `(at, seq)`. A cancelled event is mirrored until its dead handle
+    /// leaves the wheel, so the oracle also checks where that handle sat.
+    /// Meant for tests — it doubles queue work.
     pub fn enable_oracle(&mut self) {
         if self.oracle.is_none() {
             assert!(
@@ -195,17 +163,17 @@ impl<M> EventQueue<M> {
         }
     }
 
-    /// Stores `queued` in a free slab slot and returns its handle.
-    fn insert(&mut self, queued: Queued<M>) -> TimerId {
+    /// Stores `kind` in a free slab slot and returns its handle.
+    fn insert(&mut self, kind: EventKind<M>) -> TimerId {
         if let Some(index) = self.free.pop() {
             let slot = &mut self.slots[index as usize];
-            slot.payload = Some(queued);
+            slot.payload = Some(kind);
             return TimerId::new(index, slot.generation);
         }
         let index = u32::try_from(self.slots.len()).expect("slab indices fit in u32");
         self.slots.push(Slot {
             generation: 0,
-            payload: Some(queued),
+            payload: Some(kind),
         });
         TimerId::new(index, 0)
     }
@@ -218,7 +186,7 @@ impl<M> EventQueue<M> {
 
     /// Takes the payload `handle` names and frees its slot; `None` if the
     /// handle is dead.
-    fn take(&mut self, handle: TimerId) -> Option<Queued<M>> {
+    fn take(&mut self, handle: TimerId) -> Option<EventKind<M>> {
         if !self.is_live(handle) {
             return None;
         }
@@ -234,7 +202,7 @@ impl<M> EventQueue<M> {
         if let Some(oracle) = &mut self.oracle {
             oracle.push(at, seq, ());
         }
-        let handle = self.insert(Queued::Event(kind));
+        let handle = self.insert(kind);
         self.wheel.push(at, seq, handle);
         handle
     }
@@ -245,70 +213,6 @@ impl<M> EventQueue<M> {
     /// once the event has popped or been cancelled, this is a no-op.
     pub fn cancel(&mut self, id: TimerId) -> bool {
         self.take(id).is_some()
-    }
-
-    /// Queues a timer on `node` for every element of the time-sorted
-    /// `times`: element `i` fires at `times[i]` with token `token_base + i`
-    /// and span context `span`. Pops exactly as `times.len()` calls of
-    /// [`push`](Self::push) in index order would: the series takes those
-    /// calls' FIFO positions now, so every tie-break key, FIFO or
-    /// perturbed, is the one an eager push would have drawn. An instant of
-    /// the series goes on the wheel whole, so ties among its elements keep
-    /// their key order, and the first of them to pop arms the next
-    /// instant. Elements further out are not queued and not counted by
-    /// [`len`](Self::len).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `times` is not sorted ascending.
-    pub fn push_series(
-        &mut self,
-        node: NodeId,
-        span: Option<SpanCtx>,
-        token_base: u64,
-        times: Vec<SimTime>,
-    ) {
-        assert!(times.is_sorted(), "a timer series must be time-sorted");
-        let first_fifo = self.next_seq;
-        self.next_seq += times.len() as u64;
-        if let Some(oracle) = &mut self.oracle {
-            for (fifo, &at) in (first_fifo..).zip(&times) {
-                oracle.push(at, tie_key(self.perturbation, fifo), ());
-            }
-        }
-        if times.is_empty() {
-            return;
-        }
-        let id = u32::try_from(self.series.len()).expect("series ids fit in u32");
-        self.series.push(Series {
-            node,
-            span,
-            token_base,
-            first_fifo,
-            times,
-            armed: 0,
-        });
-        self.arm_next_instant(id);
-    }
-
-    /// Puts every element of series `id` at its next unarmed instant on
-    /// the wheel; a no-op once the series is exhausted.
-    fn arm_next_instant(&mut self, id: u32) {
-        let series = &self.series[id as usize];
-        let Some(&at) = series.times.get(series.armed) else {
-            return;
-        };
-        loop {
-            let series = &mut self.series[id as usize];
-            if series.times.get(series.armed) != Some(&at) {
-                return;
-            }
-            let seq = tie_key(self.perturbation, series.first_fifo + series.armed as u64);
-            let index = u32::try_from(series.armed).expect("series index fits in u32");
-            series.armed += 1;
-            let handle = self.insert(Queued::Series { series: id, index });
-            self.wheel.push(at, seq, handle);
-        }
     }
 
     /// Pops the earliest wheel entry, live or dead, checking its key
@@ -332,31 +236,12 @@ impl<M> EventQueue<M> {
     /// perturbation key, a bijective scramble of it, so ties pop in a
     /// seeded permutation while distinct-timestamp ordering is untouched.
     pub fn pop(&mut self) -> Option<(SimTime, u64, EventKind<M>)> {
-        let (at, seq, queued) = loop {
+        loop {
             let (at, seq, handle) = self.pop_entry()?;
-            if let Some(queued) = self.take(handle) {
-                break (at, seq, queued);
+            if let Some(kind) = self.take(handle) {
+                return Some((at, seq, kind));
             }
-        };
-        let kind = match queued {
-            Queued::Event(kind) => kind,
-            Queued::Series { series: id, index } => {
-                let series = &self.series[id as usize];
-                let kind = EventKind::Timer {
-                    node: series.node,
-                    token: TimerToken::new(series.token_base + u64::from(index)),
-                    span: series.span,
-                };
-                // The first pop at the latest armed instant arms the next
-                // one, which is strictly later than `at`: none of it could
-                // have popped before this event.
-                if series.times[series.armed - 1] == at {
-                    self.arm_next_instant(id);
-                }
-                kind
-            }
-        };
-        Some((at, seq, kind))
+        }
     }
 
     /// Time of the earliest live event, dropping the dead handles ahead
@@ -371,9 +256,8 @@ impl<M> EventQueue<M> {
         }
     }
 
-    /// Live events: everything in flight plus each live series' next
-    /// instant. A cancelled event is not counted, though its dead handle
-    /// may still be on the wheel.
+    /// Live events. A cancelled event is not counted, though its dead
+    /// handle may still be on the wheel.
     pub fn len(&self) -> usize {
         self.slots.len() - self.free.len()
     }
@@ -384,8 +268,7 @@ impl<M> EventQueue<M> {
 
     /// Queued `Deliver` events, counted by a walk over the slab.
     pub fn deliveries(&self) -> usize {
-        let deliver =
-            |slot: &Slot<M>| matches!(slot.payload, Some(Queued::Event(EventKind::Deliver { .. })));
+        let deliver = |slot: &Slot<M>| matches!(slot.payload, Some(EventKind::Deliver { .. }));
         self.slots.iter().filter(|&slot| deliver(slot)).count()
     }
 }
@@ -602,69 +485,4 @@ mod tests {
         0xA5A5_A5A5_A5A5_A5A5,
         0x0123_4567_89AB_CDEF,
     ];
-
-    /// A popped event as its node sees it: `(at, seq, node, token)`, with
-    /// deliveries reading as token `u64::MAX`.
-    type Popped = (SimTime, u64, usize, u64);
-
-    /// Queues an empty series, a one-element series and one with runs of
-    /// equal instants (some tying with plain events) between plain
-    /// pushes — as series, or eagerly as one push per timer — then pops
-    /// everything, adding a zero-delay delivery at every third popped
-    /// instant. Returns the queue length once armed and the pops.
-    fn series_run(key: Option<u64>, as_series: bool) -> (usize, Vec<Popped>) {
-        let ms = SimTime::from_millis;
-        let mut q = EventQueue::new();
-        q.set_perturbation(key);
-        q.enable_oracle();
-        let series = [
-            (1, 0, vec![]),
-            (2, 100, vec![ms(4)]),
-            (
-                3,
-                1 << 34,
-                vec![ms(1), ms(2), ms(2), ms(2), ms(4), ms(4), ms(9)],
-            ),
-        ];
-        q.push(ms(2), deliver(7));
-        for (node, token_base, times) in series {
-            let node = NodeId::from_raw(node);
-            if as_series {
-                q.push_series(node, None, token_base, times);
-                continue;
-            }
-            for (i, at) in times.into_iter().enumerate() {
-                let token = TimerToken::new(token_base + i as u64);
-                let span = None;
-                q.push(at, EventKind::Timer { node, token, span });
-            }
-        }
-        q.push(ms(4), deliver(8));
-        let armed = q.len();
-        let mut pops = Vec::new();
-        while let Some((at, seq, kind)) = q.pop() {
-            let (node, token) = match kind {
-                EventKind::Timer { node, token, .. } => (node, token.get()),
-                EventKind::Deliver { to, .. } => (to, u64::MAX),
-            };
-            if pops.len() % 3 == 0 {
-                q.push(at, deliver(9));
-            }
-            pops.push((at, seq, node.index(), token));
-        }
-        (armed, pops)
-    }
-
-    #[test]
-    fn a_series_pops_exactly_like_its_eager_pushes() {
-        for key in std::iter::once(None).chain(PERTURBATION_KEYS.map(Some)) {
-            let (eager_len, eager) = series_run(key, false);
-            let (series_len, series) = series_run(key, true);
-            assert_eq!(series, eager, "key {key:?}");
-            // Eight timers and two deliveries; a series holds only its
-            // next instant.
-            assert_eq!((eager_len, series_len), (10, 4), "key {key:?}");
-            assert!(eager.len() > 12);
-        }
-    }
 }

@@ -151,8 +151,8 @@ impl Profiler {
         }
     }
 
-    /// Charges pre-measured time to a category (used by [`Metrics`]
-    /// (crate::Metrics), which accumulates its own self-time).
+    /// Charges pre-measured time to a category (used by
+    /// [`Metrics`](crate::Metrics), which accumulates its own self-time).
     pub fn charge(&mut self, category: ProfCategory, nanos: u64, calls: u64) {
         self.nanos[category as usize] += nanos;
         self.calls[category as usize] += calls;

@@ -3,8 +3,9 @@
 //! Three generators drive the reproduction's experiments:
 //!
 //! * [`ZipfSampler`] — skewed popularity (apps, flows),
-//! * [`generate_schedule`] — app execution schedules with a fixed fleet
+//! * [`ScheduleStream`] — app execution schedules with a fixed fleet
 //!   average frequency (3 runs/minute by default, the paper's setting),
+//!   drawn as they are consumed ([`generate_schedule`] collects one),
 //! * [`generate_trace`] — packet streams statistically matching the
 //!   Table II public-WiFi captures, for the Fig. 2 feasibility experiment.
 //!
@@ -28,6 +29,6 @@ mod trace;
 mod zipf;
 
 pub use roam::{generate_roam_schedule, RoamConfig, RoamEvent};
-pub use schedule::{generate_schedule, per_app_counts, Execution, ScheduleConfig};
+pub use schedule::{generate_schedule, Execution, ScheduleConfig, ScheduleStream};
 pub use trace::{generate_trace, trace_stats, Packet, TraceSpec, TraceStats};
 pub use zipf::ZipfSampler;

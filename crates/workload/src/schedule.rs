@@ -3,7 +3,11 @@
 //! Each app executes repeatedly during a run; the paper draws inter-
 //! execution intervals from a Zipf-skewed popularity model with the
 //! *average* frequency across apps fixed (3 executions/minute by default).
-//! Arrivals within an app are Poisson.
+//! Arrivals within an app are Poisson. A schedule is a stream
+//! ([`ScheduleStream`]): a run draws each execution as the one before it
+//! fires.
+
+use std::sync::Arc;
 
 use ape_cachealg::AppId;
 use ape_simnet::{SimDuration, SimRng, SimTime};
@@ -44,47 +48,121 @@ impl Default for ScheduleConfig {
     }
 }
 
-/// Generates a time-sorted execution schedule.
+impl ScheduleConfig {
+    /// The Zipf table that assigns this schedule's arrivals to apps, built
+    /// once and shared by every [`ScheduleStream`] over the config.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `apps` is zero or the exponent is negative.
+    pub fn popularity(&self) -> Arc<ZipfSampler> {
+        assert!(self.apps > 0, "schedule needs at least one app");
+        Arc::new(ZipfSampler::new(self.apps, self.zipf_exponent))
+    }
+}
+
+/// A time-sorted execution schedule, drawn one execution at a time.
 ///
 /// The total arrival rate is `apps × avg_per_minute`; each arrival is
 /// assigned to an app by Zipf popularity, so individual apps see dissimilar
-/// usage frequencies while the fleet-wide average matches the config.
+/// usage frequencies while the fleet-wide average matches the config. The
+/// arrivals are memoryless, so none of them exists before it is asked for.
+///
+/// A *share* yields every `stride`-th arrival starting at `phase`: one
+/// client's round-robin part of a stream that several clients split. It
+/// makes every draw of the whole stream, in the same order, so the shares
+/// of `0..stride` merge back into the whole stream; for an arrival of
+/// another share it makes the popularity draw but not its table lookup.
+#[derive(Debug)]
+pub struct ScheduleStream {
+    popularity: Arc<ZipfSampler>,
+    rng: SimRng,
+    mean_gap: f64,
+    horizon: SimTime,
+    /// Instant of the latest arrival drawn.
+    at: SimTime,
+    /// Arrivals of other shares to pass over before the next one yielded.
+    skip: usize,
+    stride: usize,
+}
+
+impl ScheduleStream {
+    /// Every execution of `config`, drawn from `rng`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `apps` is zero or `avg_per_minute` is not positive.
+    pub fn new(config: &ScheduleConfig, rng: SimRng) -> Self {
+        Self::share(config, &config.popularity(), rng, 0, 1)
+    }
+
+    /// Executions `phase`, `phase + stride`, … of the stream
+    /// [`new`](Self::new) would draw from `rng`; `popularity` is
+    /// `config`'s [`popularity`](ScheduleConfig::popularity) table.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `avg_per_minute` is not positive, `phase` is not below
+    /// `stride`, or `popularity` is over a different number of apps.
+    pub fn share(
+        config: &ScheduleConfig,
+        popularity: &Arc<ZipfSampler>,
+        rng: SimRng,
+        phase: usize,
+        stride: usize,
+    ) -> Self {
+        assert!(
+            config.avg_per_minute > 0.0,
+            "average frequency must be positive"
+        );
+        assert!(phase < stride, "share phase {phase} out of stride {stride}");
+        assert_eq!(popularity.len(), config.apps, "another config's table");
+        let total_rate_per_sec = config.apps as f64 * config.avg_per_minute / 60.0;
+        ScheduleStream {
+            popularity: Arc::clone(popularity),
+            rng,
+            mean_gap: 1.0 / total_rate_per_sec,
+            horizon: SimTime::ZERO + config.duration,
+            at: SimTime::ZERO,
+            skip: phase,
+            stride,
+        }
+    }
+}
+
+impl Iterator for ScheduleStream {
+    type Item = Execution;
+
+    fn next(&mut self) -> Option<Execution> {
+        loop {
+            self.at += SimDuration::from_secs_f64(self.rng.exponential(self.mean_gap));
+            if self.at > self.horizon {
+                return None;
+            }
+            if self.skip == 0 {
+                self.skip = self.stride - 1;
+                let app = AppId::new(self.popularity.sample(&mut self.rng) as u32);
+                return Some(Execution { at: self.at, app });
+            }
+            self.skip -= 1;
+            // Another share's arrival: its popularity draw, unlooked-up.
+            let _ = self.rng.unit();
+        }
+    }
+}
+
+/// Generates a whole time-sorted execution schedule: the
+/// [`ScheduleStream`] of `config` over `rng`, collected. `rng` is left
+/// where the stream's draws leave it.
 ///
 /// # Panics
 ///
 /// Panics if `apps` is zero or `avg_per_minute` is not positive.
 pub fn generate_schedule(config: &ScheduleConfig, rng: &mut SimRng) -> Vec<Execution> {
-    assert!(config.apps > 0, "schedule needs at least one app");
-    assert!(
-        config.avg_per_minute > 0.0,
-        "average frequency must be positive"
-    );
-    let zipf = ZipfSampler::new(config.apps, config.zipf_exponent);
-    let total_rate_per_sec = config.apps as f64 * config.avg_per_minute / 60.0;
-    let mean_gap = 1.0 / total_rate_per_sec;
-    let mut schedule = Vec::new();
-    let mut t = SimTime::ZERO;
-    loop {
-        t += SimDuration::from_secs_f64(rng.exponential(mean_gap));
-        if t > SimTime::ZERO + config.duration {
-            break;
-        }
-        let app = AppId::new(zipf.sample(rng) as u32);
-        schedule.push(Execution { at: t, app });
-    }
+    let mut stream = ScheduleStream::new(config, rng.clone());
+    let schedule = stream.by_ref().collect();
+    *rng = stream.rng;
     schedule
-}
-
-/// Per-app execution counts of a schedule (for tests and reports).
-pub fn per_app_counts(schedule: &[Execution], apps: usize) -> Vec<usize> {
-    let mut counts = vec![0usize; apps];
-    for e in schedule {
-        let idx = e.app.get() as usize;
-        if idx < apps {
-            counts[idx] += 1;
-        }
-    }
-    counts
 }
 
 #[cfg(test)]
@@ -129,7 +207,8 @@ mod tests {
     fn popularity_is_skewed() {
         let config = ScheduleConfig::default();
         let s = generate_schedule(&config, &mut rng());
-        let counts = per_app_counts(&s, config.apps);
+        let mut counts = vec![0usize; config.apps];
+        s.iter().for_each(|e| counts[e.app.get() as usize] += 1);
         // The most popular app should fire several times more often than
         // the least popular.
         let max = counts.iter().max().copied().unwrap();
@@ -161,6 +240,51 @@ mod tests {
         let a = generate_schedule(&slow, &mut rng()).len();
         let b = generate_schedule(&fast, &mut rng()).len();
         assert!(b > 2 * a, "slow {a} fast {b}");
+    }
+
+    /// The round-robin shares of `0..stride` merge back, turn by turn,
+    /// into the whole schedule, at a horizon on an arrival and one on the
+    /// terminating draw.
+    #[test]
+    fn merged_shares_are_the_whole_schedule() {
+        let base = ScheduleConfig {
+            apps: 7,
+            duration: SimDuration::from_mins(10),
+            ..ScheduleConfig::default()
+        };
+        for seed in [1, 42, 0xC0FFEE, u64::MAX] {
+            let whole = |config| generate_schedule(&config, &mut SimRng::seed_from(seed));
+            // The 101st arrival is the last one kept at `edge`, and a
+            // nanosecond earlier it is the draw that ends the schedule.
+            let edge = whole(base)[100].at - SimTime::ZERO;
+            assert_eq!(
+                whole(ScheduleConfig {
+                    duration: edge,
+                    ..base
+                })
+                .len(),
+                101
+            );
+            let before_edge = edge.saturating_sub(SimDuration::from_nanos(1));
+            for duration in [base.duration, edge, before_edge] {
+                let config = ScheduleConfig { duration, ..base };
+                let popularity = config.popularity();
+                for stride in 1..=4 {
+                    let mut shares: Vec<ScheduleStream> = (0..stride)
+                        .map(|phase| {
+                            let rng = SimRng::seed_from(seed);
+                            ScheduleStream::share(&config, &popularity, rng, phase, stride)
+                        })
+                        .collect();
+                    let merged: Vec<Execution> = (0..)
+                        .map_while(|turn| shares[turn % stride].next())
+                        .collect();
+                    assert!(shares.iter_mut().all(|share| share.next().is_none()));
+                    let label = format!("seed {seed} stride {stride} horizon {duration:?}");
+                    assert_eq!(merged, whole(config), "{label}");
+                }
+            }
+        }
     }
 
     #[test]

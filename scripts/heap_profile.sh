@@ -20,8 +20,8 @@
 # (`LinkTable::insert`: a 4-byte key and a 12-byte link each), link
 # reservations (`LinkTable::reserve`: the slab of arrivals in flight),
 # the event queue (`TimerWheel::{refill, push}`, `EventQueue::insert`),
-# armed schedule series (`Context::schedule_series`) and sampled series
-# (`TimeSeries::record`).
+# each client's schedule stream (`ClientNode::new`: one boxed share per
+# client, no executions) and sampled series (`TimeSeries::record`).
 set -euo pipefail
 
 repo="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"

@@ -140,7 +140,7 @@ fn run_chaos(plan_seed: Option<u64>, key: Option<u64>) -> ChaosOutcome {
     bed.world.run_for(RUN + GRACE);
     let fingerprint = bed.world.fingerprint().to_string();
     let leftovers = undrained(&mut bed);
-    let scheduled = bed.scheduled as u64;
+    let scheduled = cfg.scheduled_executions() as u64;
     let result = collect(cfg.system, &mut bed);
     ChaosOutcome {
         fingerprint,
@@ -213,7 +213,7 @@ fn lossy_wifi_run_drains_and_recovery_counters_fire() {
         "pending state leaked: {}",
         leftovers.join(", ")
     );
-    let scheduled = bed.scheduled as u64;
+    let scheduled = cfg.scheduled_executions() as u64;
     let result = collect(cfg.system, &mut bed);
     assert_eq!(result.report.executions, scheduled);
     assert!(

@@ -163,7 +163,7 @@ fn run_chaos(plan_seed: Option<u64>, key: Option<u64>) -> ChaosOutcome {
     top.world.run_for(RUN + GRACE);
     let fingerprint = top.world.fingerprint().to_string();
     let leftovers = undrained(&mut top);
-    let scheduled = top.scheduled as u64;
+    let scheduled = cfg.scheduled_executions() as u64;
     let result = collect_topology(cfg.base.system, &mut top);
     ChaosOutcome {
         fingerprint,

@@ -186,13 +186,14 @@ fn prefetch_extension_raises_hit_ratio() {
 #[test]
 fn the_event_queue_holds_what_is_in_flight() {
     // The benchmark testbed's eight hours: 30 apps × 3 a minute × 480
-    // minutes ≈ 43 200 executions. Clients arm their schedules as timer
-    // series, so after start the queue holds each node's next instant and
-    // periodic ticks, not the whole run; the first ten minutes then run
-    // in 1-s slices.
+    // minutes ≈ 43 200 executions. A client draws each execution as the
+    // one before it fires, so after start the queue holds each node's
+    // next timer and periodic ticks, not the whole run; the first ten
+    // minutes then run in 1-s slices.
     let cfg = config(System::ApeCache, 30, 480);
+    let scheduled = cfg.scheduled_executions();
+    assert!(scheduled > 40_000, "scheduled {scheduled}");
     let mut bed = build(&cfg);
-    assert!(bed.scheduled > 40_000, "scheduled {}", bed.scheduled);
     bed.world.run_for(SimDuration::ZERO);
     let nodes = bed.world.node_count();
     let pending = bed.world.pending_events();

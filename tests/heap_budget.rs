@@ -1,13 +1,16 @@
-//! Heap budget: nothing a run holds is held twice.
+//! Heap budget: nothing a run holds is held twice, or held before it is
+//! due.
 //!
 //! Two copies used to grow with the city. Every client and AP carried its
 //! own deep copy of the run's address map, so the heap a city holds after
 //! its build grew per node with the AP count (7.5 kB a node at 16 APs and
-//! 16.8 kB at 256, measured as below); now one map is shared and a node's
-//! build heap is 6.3 kB at either size. And `collect` cloned the whole metric
-//! registry at the end of every run, adding its size again to the live
-//! heap at the run's end (+520 kB here); now it moves the registry into
-//! the result and adds nothing.
+//! 16.8 kB at 256, measured as below); now one map is shared. And
+//! `collect` cloned the whole metric registry at the end of every run,
+//! adding its size again to the live heap at the run's end (+520 kB
+//! here); now it moves the registry into the result and adds nothing.
+//! Each client also held its whole share of the schedule from the build
+//! on (6.3 kB a node); now it draws each execution as the one before it
+//! fires, and a node's build heap is 1.0–1.5 kB at either size.
 //!
 //! The live-bytes `#[global_allocator]` lives here, in its own test
 //! binary, because integration tests are outside the library crates'
@@ -21,7 +24,7 @@ use ape_proto::names;
 use ape_simnet::SimDuration;
 use ape_workload::ScheduleConfig;
 use apecache::{
-    build_topology, collect_topology, synthetic_suite, System, TestbedConfig, TopologyConfig,
+    build, build_topology, collect_topology, synthetic_suite, System, TestbedConfig, TopologyConfig,
 };
 
 /// How far a 256-AP city's build heap per node may sit above a 16-AP
@@ -29,10 +32,18 @@ use apecache::{
 const PER_NODE_GROWTH: f64 = 0.10;
 
 /// The most a roaming 256-AP city may hold per node after its build:
-/// 8 153 B as measured once a link became a 4-byte key beside an 8-byte
-/// spec index and reservation handle, plus 10 %. Links whose every slot
-/// carried its own spec and arrival vector held 12 691 B.
-const ROAMING_BYTES_PER_NODE: f64 = 8_968.0;
+/// 3 107 B as measured once clients were handed their schedules as
+/// streams, plus 10 %. With every client's share drawn up front as a
+/// `Vec` it held 8 153 B, and 12 691 B before that, while every link slot
+/// carried its own spec and arrival vector.
+const ROAMING_BYTES_PER_NODE: f64 = 3_418.0;
+
+/// How much more the benchmark testbed may hold after its build for an
+/// eight-hour schedule than for a half-hour one. The build draws no
+/// schedule, so the two differ by nothing the schedule owns; when each
+/// client was handed its share as a `Vec`, the eight hours held 737 kB
+/// more.
+const HORIZON_SLACK_BYTES: i64 = 4_096;
 
 /// What `collect` may add to the live heap, as a share of the registry it
 /// hands over.
@@ -112,6 +123,17 @@ fn build_bytes_per_node(aps: usize, roam: f64) -> f64 {
     held as f64 / top.world.node_count() as f64
 }
 
+/// Heap bytes the benchmark testbed (30 apps, three clients) holds after
+/// its build for a schedule of `minutes`.
+fn testbed_build_bytes(minutes: u64) -> i64 {
+    let suite = synthetic_suite(30, &DummyAppConfig::default(), 42);
+    let mut config = TestbedConfig::new(System::ApeCache, suite);
+    config.schedule.duration = SimDuration::from_mins(minutes);
+    let before = live();
+    let _bed = build(&config);
+    live() - before
+}
+
 // One test: the tally is process-wide, and the harness runs separate tests
 // on parallel threads.
 #[test]
@@ -131,8 +153,17 @@ fn a_city_holds_nothing_twice() {
     assert!(
         roaming <= ROAMING_BYTES_PER_NODE,
         "a node of a roaming 256-AP city holds {roaming:.0} B after the build, over the \
-         {ROAMING_BYTES_PER_NODE:.0} B bound: links hold more than a key, a spec index and \
-         a reservation handle"
+         {ROAMING_BYTES_PER_NODE:.0} B bound: the build holds a schedule, or links hold \
+         more than a key, a spec index and a reservation handle"
+    );
+
+    let short = testbed_build_bytes(30);
+    let long = testbed_build_bytes(480);
+    println!("testbed build heap: {short} B for 30 sim-min, {long} B for 480");
+    assert!(
+        long - short <= HORIZON_SLACK_BYTES,
+        "the testbed holds {long} B after its build for 480 sim-min and {short} B for 30: \
+         the build holds schedule that has not fallen due"
     );
 
     let mut top = build_topology(&city(16, 6.0));
