@@ -16,9 +16,11 @@
 //! `committed_outputs` test regenerates the former and compares it with
 //! the committed file. One in sixteen objects is already expired at
 //! decision time — modelling the gap between TTL sweep ticks — so every
-//! cell starts from forced victims, and every PACM cell runs the DP (from
-//! 4096 objects the expired bytes exceed the probe, but the survivors'
-//! weights, each rounded up to a whole unit, still do not fit).
+//! cell starts from forced victims, and every PACM cell reaches the solver
+//! (from 4096 objects the expired bytes exceed the probe, but the
+//! survivors' weights, each rounded up to a whole unit, still do not fit):
+//! the certified cover search, or the DP where the search declines. The
+//! summary's solver-path column and the JSON solver block say which.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -49,8 +51,8 @@ const NOW_SECS: u64 = 61;
 /// Timed `select_victims` calls per cell, after two warm-up calls.
 const ITERS: usize = 25;
 
-/// Probe admission size: large enough that every PACM cell must run the
-/// DP over a band of several hundred cells.
+/// Probe admission size: large enough that every PACM cell must solve an
+/// overflow of several hundred units.
 const INCOMING_SIZE: u64 = 300_000;
 
 /// One measured sweep cell.
@@ -266,7 +268,7 @@ fn sweep(seed: u64) -> Vec<Cell> {
 
 fn render_json(cells: &[Cell], seed: u64) -> String {
     let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"schema\": \"ape-bench/evict/v2\",");
+    let _ = writeln!(out, "  \"schema\": \"ape-bench/evict/v3\",");
     let _ = writeln!(out, "  \"seed\": {seed},");
     let _ = writeln!(out, "  \"iters_per_cell\": {ITERS},");
     out.push_str("  \"cells\": [\n");
@@ -286,10 +288,11 @@ fn render_json(cells: &[Cell], seed: u64) -> String {
             Some(s) => {
                 let _ = write!(
                     out,
-                    ", \"solver\": {{\"runs\": {}, \"items\": {}, \"dp\": {}, \
-                     \"short_circuits\": {}, \"forced\": {}, \"repair\": {}}}",
+                    ", \"solver\": {{\"runs\": {}, \"items\": {}, \"certified\": {}, \
+                     \"dp\": {}, \"short_circuits\": {}, \"forced\": {}, \"repair\": {}}}",
                     s.solver_runs,
                     s.items_considered,
+                    s.certified,
                     s.dp_runs,
                     s.short_circuits,
                     s.forced_victims,
@@ -315,6 +318,7 @@ fn solver_path(c: &Cell) -> &'static str {
     match &c.solver {
         None => "-",
         Some(s) if s.short_circuits > 0 => "short-circuit",
+        Some(s) if s.certified > 0 => "certified",
         Some(s) if s.dp_runs > 0 => "dp",
         Some(_) => "expired-only",
     }

@@ -1,11 +1,14 @@
 //! The 0/1 knapsack solver of PACM's eviction step (the paper's Eq. 2).
 //!
 //! PACM keeps the subset of cached objects that maximizes total utility
-//! subject to the post-insertion capacity. One exact dynamic program does
-//! it, on every store size: [`solve_exact_in`] runs in `O(items ×
-//! overflow)`, where the overflow is how far the items' total exceeds the
-//! capacity, in units. [`solve_brute_force`] is the exhaustive check the
-//! tests hold it to.
+//! subject to the post-insertion capacity. [`solve_exact_in`] is the exact
+//! dynamic program, in `O(items × overflow)`, where the overflow is how
+//! far the items' total exceeds the capacity, in units. [`solve_in`] is
+//! what PACM calls: it first searches for the cheapest set of items to
+//! evict (a cover of the overflow) and returns that set's complement when
+//! no other cover comes within a float-error margin of it — then the DP
+//! would return exactly those keep flags — and runs the DP otherwise.
+//! [`solve_brute_force`] is the exhaustive check the tests hold both to.
 
 /// One candidate object for the keep-set.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -27,13 +30,38 @@ pub struct KnapsackSolution {
     pub total_weight: u64,
 }
 
-/// Reusable scratch state for [`solve_exact_in`].
+/// What [`solve_in`] decided, and which path decided it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Solved {
+    /// Total utility of the kept set.
+    pub total_value: f64,
+    /// Total bytes of the kept set.
+    pub total_weight: u64,
+    /// True when the certified cover search decided; false when the DP ran.
+    pub certified: bool,
+}
+
+/// Reusable scratch state for [`solve_in`] and [`solve_exact_in`].
 ///
 /// Every buffer is kept between calls and only ever grows, so after
 /// warm-up a solve performs zero heap allocations. The DP rows and choice
-/// matrix follow the instance's overflow, not its capacity.
+/// matrix follow the instance's overflow, not its capacity; the search
+/// buffers follow the item count.
 #[derive(Debug, Default)]
 pub struct KnapsackWorkspace {
+    /// Density keys of the search items; `[..order.len()]` is sorted.
+    keys: Vec<u128>,
+    /// The search items of the sorted keys, cheapest density first.
+    order: Vec<Dense>,
+    /// Prefix sums over `order`: exact units, and values.
+    prefix_units: Vec<usize>,
+    prefix_value: Vec<f64>,
+    /// Depth-first search stack.
+    stack: Vec<Node>,
+    /// `order` positions evicted on the current search path.
+    path: Vec<u32>,
+    /// `order` positions of the cheapest cover found.
+    cover: Vec<u32>,
     /// DP row before the current item, band-relative.
     prev: Vec<f64>,
     /// DP row being written for the current item, band-relative.
@@ -56,7 +84,7 @@ impl KnapsackWorkspace {
         Self::default()
     }
 
-    /// Keep flags left behind by the most recent [`solve_exact_in`] call.
+    /// Keep flags left behind by the most recent solve.
     pub fn keep(&self) -> &[bool] {
         &self.keep
     }
@@ -74,6 +102,15 @@ impl KnapsackWorkspace {
         if buf.len() < len {
             *grown += u64::from(buf.capacity() < len);
             buf.resize(len, T::default());
+        }
+    }
+
+    /// Empties `buf` and makes room for `len` pushes, counting growth.
+    fn reserve<T>(buf: &mut Vec<T>, len: usize, grown: &mut u64) {
+        buf.clear();
+        if buf.capacity() < len {
+            *grown += 1;
+            buf.reserve(len);
         }
     }
 }
@@ -135,13 +172,7 @@ pub fn solve_exact_in(
     capacity: u64,
     granularity: u64,
 ) -> (f64, u64) {
-    assert!(granularity > 0, "granularity must be positive");
-    for it in items {
-        assert!(
-            it.value.is_finite() && it.value >= 0.0,
-            "item values must be non-negative and finite"
-        );
-    }
+    check_inputs(items, granularity);
     let units = (capacity / granularity) as usize;
     let n = items.len();
 
@@ -241,6 +272,312 @@ pub fn solve_exact_in(
     }
 
     totals(items, &ws.keep)
+}
+
+/// Nodes the cover search of [`solve_in`] visits at most before it
+/// leaves the instance to the DP.
+const NODE_BUDGET: usize = 1 << 14;
+
+/// δ, the margin by which a certified cover must beat every other cover,
+/// in units of `(n + 1) · 2⁻⁵³ · Σv`. The float error of the DP's cell
+/// sums and the search's own sums together is below `(4n + 2) · 2⁻⁵³ ·
+/// Σv`, so 8 leaves a factor of two.
+const MARGIN_ULPS: f64 = 8.0;
+
+/// The certificate's float-error bound is first order in `n · 2⁻⁵³`; it
+/// is taken to hold for fewer items than this.
+const MAX_CERTIFIED_ITEMS: usize = 1_000_000;
+
+/// Below this total value, densities and sums may round to subnormals,
+/// whose error is absolute rather than relative to `Σv`, so the bound
+/// behind δ is not taken to hold.
+const MIN_CERTIFIED_TOTAL: f64 = 1e-250;
+
+/// First sorted chunk of the density order; each extension doubles it.
+const FIRST_CHUNK: usize = 16;
+
+/// A search item in density order: positive value, positive weight,
+/// inside the table.
+#[derive(Debug, Clone, Copy)]
+struct Dense {
+    value: f64,
+    units: usize,
+    /// Position in the caller's item slice.
+    index: u32,
+}
+
+/// Sort key of a search item: its density's bits above its index.
+/// Densities are positive, so their bits order as the values do.
+fn density_key(value: f64, units: usize, index: usize) -> u128 {
+    (u128::from((value / units as f64).to_bits()) << 32) | index as u128
+}
+
+/// A search node: the items before `next` in density order are decided,
+/// and `need` units of the overflow are still uncovered at `cost`.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    next: u32,
+    need: usize,
+    cost: f64,
+    /// Items evicted on the path to this node.
+    depth: u32,
+    /// The density position this node evicted, on an eviction branch.
+    evicted: Option<u32>,
+}
+
+/// Why the cover search left an instance to the DP.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Decline {
+    /// Too many items, or a total value outside the bound's range.
+    OutOfRange,
+    /// The node budget ran out before the search closed.
+    Budget,
+    /// A second cover costs within δ of the cheapest.
+    Tie,
+    /// A kept item is worth at most δ, so evicting it as well costs
+    /// within δ of the cheapest cover.
+    CheapKept,
+}
+
+/// PACM's solver: the DP's keep flags, found by a certified search when
+/// it can be and by [`solve_exact_in`] otherwise.
+///
+/// The search runs on the DP's own instance. Items wider than the table
+/// never enter the DP and zero-value items are never taken by it (its
+/// `>` is strict and its rows are monotone), so both are evicted for free;
+/// every other item is kept unless it is in the cover, the cheapest set
+/// of positive-weight items whose rounded weights reach the overflow
+/// `Σ w − units`. A branch-and-bound finds that cover: items in ascending
+/// value density (the cheap end selected and sorted on demand), an
+/// explicit stack, eviction branch first, and the fractional (LP) fill of
+/// the remaining need as the lower bound, at most 16 384 nodes.
+///
+/// The cover is certified when no other cover, superset or not, costs
+/// within `δ = 8 · (n + 1) · 2⁻⁵³ · Σv` of it: every other leaf of the
+/// search costs more than `cover + δ`, every pruned subtree's bound
+/// exceeds the incumbent by `2δ`, and every kept item is worth more than
+/// δ (a superset adds at least one kept item). δ exceeds the float error
+/// of the DP's cell sums and of the search's sums together, so every
+/// comparison on the DP's optimal path goes the way exact arithmetic
+/// does, and the DP's walk would return exactly the complement of the
+/// cover. `DESIGN.md` §"PACM hot path" has the argument. When the search
+/// is not certified — a tie, a cheap kept item, an exhausted budget, more
+/// than 10⁶ items or a total value out of range — the DP runs, unchanged.
+///
+/// # Panics
+///
+/// Panics if `granularity` is zero or any value is negative/non-finite.
+pub fn solve_in(
+    ws: &mut KnapsackWorkspace,
+    items: &[KnapsackItem],
+    capacity: u64,
+    granularity: u64,
+) -> Solved {
+    let certified = certify(ws, items, capacity, granularity).is_ok();
+    let (total_value, total_weight) = if certified {
+        totals(items, &ws.keep)
+    } else {
+        solve_exact_in(ws, items, capacity, granularity)
+    };
+    Solved {
+        total_value,
+        total_weight,
+        certified,
+    }
+}
+
+/// Leaves the DP's keep flags in `ws.keep` if the cheapest cover is
+/// certified unique (see [`solve_in`]).
+fn certify(
+    ws: &mut KnapsackWorkspace,
+    items: &[KnapsackItem],
+    capacity: u64,
+    granularity: u64,
+) -> Result<(), Decline> {
+    check_inputs(items, granularity);
+    let n = items.len();
+    if n >= MAX_CERTIFIED_ITEMS {
+        return Err(Decline::OutOfRange);
+    }
+    let units = (capacity / granularity) as usize;
+    let grown = &mut ws.grown;
+    KnapsackWorkspace::ensure(&mut ws.keep, n, grown);
+    KnapsackWorkspace::ensure(&mut ws.weights, n, grown);
+    ws.keep.truncate(n);
+    KnapsackWorkspace::reserve(&mut ws.keys, n, grown);
+    let (mut total, mut positive_units) = (0.0f64, 0usize);
+    for (i, ((item, keep), w)) in items
+        .iter()
+        .zip(&mut ws.keep)
+        .zip(&mut ws.weights)
+        .enumerate()
+    {
+        *w = item.weight.div_ceil(granularity) as usize;
+        *keep = *w <= units && item.value > 0.0;
+        if !*keep {
+            continue;
+        }
+        total += item.value;
+        positive_units += *w;
+        if *w > 0 {
+            ws.keys.push(density_key(item.value, *w, i));
+        }
+    }
+    if !(2.0 * total).is_finite() || (total > 0.0 && total < MIN_CERTIFIED_TOTAL) {
+        return Err(Decline::OutOfRange);
+    }
+    let delta = MARGIN_ULPS * (n + 1) as f64 * (f64::EPSILON / 2.0) * total;
+    let need = positive_units.saturating_sub(units);
+    if need > 0 {
+        search(ws, items, need, delta)?;
+        for &p in &ws.cover {
+            ws.keep[ws.order[p as usize].index as usize] = false;
+        }
+    }
+    // Supersets of the cover are not leaves of the search; each evicts
+    // one kept item more.
+    if items
+        .iter()
+        .zip(&ws.keep)
+        .any(|(it, &k)| k && it.value <= delta)
+    {
+        return Err(Decline::CheapKept);
+    }
+    Ok(())
+}
+
+/// Branch-and-bound for the cheapest cover of `need` units over the
+/// search items, left in `ws.cover` as density positions; `Ok` only if
+/// every other cover costs more than `cover + delta`.
+fn search(
+    ws: &mut KnapsackWorkspace,
+    items: &[KnapsackItem],
+    need: usize,
+    delta: f64,
+) -> Result<(), Decline> {
+    let m = ws.keys.len();
+    let grown = &mut ws.grown;
+    KnapsackWorkspace::reserve(&mut ws.order, m, grown);
+    KnapsackWorkspace::reserve(&mut ws.prefix_units, m + 1, grown);
+    KnapsackWorkspace::reserve(&mut ws.prefix_value, m + 1, grown);
+    // Depth first, one pending sibling per level: at most `m + 1` nodes.
+    KnapsackWorkspace::reserve(&mut ws.stack, m + 1, grown);
+    KnapsackWorkspace::reserve(&mut ws.path, m, grown);
+    KnapsackWorkspace::reserve(&mut ws.cover, m, grown);
+    ws.prefix_units.push(0);
+    ws.prefix_value.push(0.0);
+    ws.stack.push(Node {
+        next: 0,
+        need,
+        cost: 0.0,
+        depth: 0,
+        evicted: None,
+    });
+    let (mut best, mut second) = (f64::INFINITY, f64::INFINITY);
+    let mut nodes = 0;
+    while let Some(node) = ws.stack.pop() {
+        nodes += 1;
+        if nodes > NODE_BUDGET {
+            return Err(Decline::Budget);
+        }
+        ws.path
+            .truncate(node.depth as usize - usize::from(node.evicted.is_some()));
+        ws.path.extend(node.evicted);
+        let k = node.next as usize;
+        let Some(brk) = ws.break_point(items, k, node.need) else {
+            continue; // the items left cannot cover the need
+        };
+        let whole = ws.prefix_units[brk] - ws.prefix_units[k];
+        let cut = ws.order[brk];
+        let bound = node.cost
+            + (ws.prefix_value[brk] - ws.prefix_value[k])
+            + cut.value * ((node.need - whole) as f64 / cut.units as f64);
+        if bound > best + 2.0 * delta {
+            continue;
+        }
+        let item = ws.order[k];
+        ws.stack.push(Node {
+            next: node.next + 1,
+            evicted: None,
+            ..node
+        });
+        let cost = node.cost + item.value;
+        if item.units < node.need {
+            ws.stack.push(Node {
+                next: node.next + 1,
+                need: node.need - item.units,
+                cost,
+                depth: node.depth + 1,
+                evicted: Some(node.next),
+            });
+        } else if cost < best {
+            (best, second) = (cost, best);
+            ws.cover.clear();
+            ws.cover.extend_from_slice(&ws.path);
+            ws.cover.push(node.next);
+        } else {
+            second = second.min(cost);
+        }
+    }
+    if second > best + delta {
+        Ok(())
+    } else {
+        Err(Decline::Tie)
+    }
+}
+
+impl KnapsackWorkspace {
+    /// The LP's break item from density position `k`: the first `b ≥ k`
+    /// with `order[k..=b]` reaching `need` units, sorting more of the
+    /// cheap end as needed. `None` if all of `order[k..]` falls short.
+    fn break_point(&mut self, items: &[KnapsackItem], k: usize, need: usize) -> Option<usize> {
+        let target = self.prefix_units[k] + need;
+        while self.prefix_units[self.order.len()] < target {
+            if self.order.len() == self.keys.len() {
+                return None;
+            }
+            self.sort_more(items);
+        }
+        let reach = &self.prefix_units[k + 1..];
+        Some(k + reach.partition_point(|&u| u < target))
+    }
+
+    /// Extends the sorted cheap end by as many items as it holds (at
+    /// least [`FIRST_CHUNK`]): a selection over the unsorted keys, then a
+    /// sort of the selected chunk only.
+    fn sort_more(&mut self, items: &[KnapsackItem]) {
+        let sorted = self.order.len();
+        let rest = &mut self.keys[sorted..];
+        let chunk = sorted.max(FIRST_CHUNK).min(rest.len());
+        if chunk < rest.len() {
+            rest.select_nth_unstable(chunk);
+        }
+        rest[..chunk].sort_unstable();
+        for &key in &rest[..chunk] {
+            let index = key as u32;
+            let d = Dense {
+                value: items[index as usize].value,
+                units: self.weights[index as usize],
+                index,
+            };
+            let last = self.order.len();
+            let (units, value) = (self.prefix_units[last], self.prefix_value[last]);
+            self.prefix_units.push(units + d.units);
+            self.prefix_value.push(value + d.value);
+            self.order.push(d);
+        }
+    }
+}
+
+/// The input contract shared by the solvers.
+fn check_inputs(items: &[KnapsackItem], granularity: u64) {
+    assert!(granularity > 0, "granularity must be positive");
+    for it in items {
+        assert!(
+            it.value.is_finite() && it.value >= 0.0,
+            "item values must be non-negative and finite"
+        );
+    }
 }
 
 /// Exhaustive solver for testing (`2^n`; items must be few).
@@ -450,14 +787,17 @@ mod tests {
                 ]
             })
             .collect();
+        // The search and the DP share the workspace, as in PACM.
         let mut ws = KnapsackWorkspace::new();
         for (items, capacity) in &instances {
             solve_exact_in(&mut ws, items, *capacity, 64);
+            solve_in(&mut ws, items, *capacity, 64);
         }
         let grown = ws.allocations();
         assert!(grown > 0);
         for (items, capacity) in instances.iter().rev().chain(&instances) {
             solve_exact_in(&mut ws, items, *capacity, 64);
+            solve_in(&mut ws, items, *capacity, 64);
         }
         assert_eq!(
             ws.allocations(),
@@ -547,7 +887,9 @@ mod tests {
     fn band_edges_match_seed_dp() {
         // One workspace across all cases, so stale cells from a wider
         // earlier solve sit in every buffer a later one uses.
+        // `solve_in` is held to the DP on each case, in its own workspace.
         let mut ws = KnapsackWorkspace::new();
+        let mut search = KnapsackWorkspace::new();
         let cases: [(&str, Vec<KnapsackItem>, u64, u64); 9] = [
             (
                 "zero-size items",
@@ -610,6 +952,7 @@ mod tests {
         ];
         for (case, items, capacity, granularity) in &cases {
             assert_matches_seed(&mut ws, items, *capacity, *granularity, case);
+            assert_solve_in_matches_dp(&mut search, &mut ws, items, *capacity, *granularity, case);
         }
 
         // Band widths either side of 64 cells, and well past 128.
@@ -618,7 +961,147 @@ mod tests {
         for overflow in [1u64, 63, 64, 65, 129, 1_000] {
             let case = format!("overflow {overflow}");
             assert_matches_seed(&mut ws, &items, total - overflow, 1, &case);
+            assert_solve_in_matches_dp(&mut search, &mut ws, &items, total - overflow, 1, &case);
         }
+    }
+
+    /// `solve_in` against the DP on the same instance: equal keep flags and
+    /// bitwise totals. Returns whether the search decided.
+    fn assert_solve_in_matches_dp(
+        ws: &mut KnapsackWorkspace,
+        dp: &mut KnapsackWorkspace,
+        items: &[KnapsackItem],
+        capacity: u64,
+        granularity: u64,
+        case: &str,
+    ) -> bool {
+        let solved = solve_in(ws, items, capacity, granularity);
+        let (value, weight) = solve_exact_in(dp, items, capacity, granularity);
+        assert_eq!(ws.keep(), dp.keep(), "{case}: keep flags");
+        assert_eq!(
+            solved.total_value.to_bits(),
+            value.to_bits(),
+            "{case}: total value"
+        );
+        assert_eq!(solved.total_weight, weight, "{case}: total weight");
+        solved.certified
+    }
+
+    /// Weights of 1–100 units (bytes at granularity 1024, so rounding adds
+    /// about half a unit an item), values spanning six decades, and a
+    /// capacity one incoming object short of the total: an eviction.
+    fn eviction_instance(n: usize, seed: u64) -> (Vec<KnapsackItem>, u64) {
+        let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 11
+        };
+        let unit = |x: u64| x as f64 / (1u64 << 53) as f64;
+        let items: Vec<KnapsackItem> = (0..n)
+            .map(|_| {
+                let weight = next() % (100 * 1024) + 1;
+                item(
+                    weight,
+                    10f64.powf(6.0 * unit(next())) * (1.0 + unit(next())),
+                )
+            })
+            .collect();
+        let incoming = (next() % 300 + 1) * 1024;
+        let total: u64 = items.iter().map(|it| it.weight).sum();
+        (items, total.saturating_sub(incoming))
+    }
+
+    #[test]
+    fn solve_in_matches_dp_on_eviction_shaped_instances() {
+        let mut ws = KnapsackWorkspace::new();
+        let mut dp = KnapsackWorkspace::new();
+        for (n, instances) in [(8usize, 400u64), (128, 200), (1024, 20)] {
+            let mut certified = 0;
+            for seed in 0..instances {
+                let (items, capacity) = eviction_instance(n, seed);
+                let case = format!("n={n} seed={seed}");
+                certified += u64::from(assert_solve_in_matches_dp(
+                    &mut ws, &mut dp, &items, capacity, 1024, &case,
+                ));
+            }
+            assert!(
+                certified * 10 >= instances * 9,
+                "n={n}: only {certified} of {instances} solves certified"
+            );
+        }
+    }
+
+    /// The search must decline `items` for `reason`, and `solve_in` then
+    /// return the DP's answer.
+    fn assert_declines(items: &[KnapsackItem], capacity: u64, reason: Decline, case: &str) {
+        let mut ws = KnapsackWorkspace::new();
+        let certified = assert_solve_in_matches_dp(
+            &mut ws,
+            &mut KnapsackWorkspace::new(),
+            items,
+            capacity,
+            1,
+            case,
+        );
+        assert!(!certified, "{case}: solve_in reported a certified answer");
+        assert_eq!(
+            certify(&mut ws, items, capacity, 1),
+            Err(reason),
+            "{case}: decline reason"
+        );
+    }
+
+    #[test]
+    fn uncertifiable_instances_fall_back_to_the_dp() {
+        assert_declines(&[item(2, 1.0); 6], 7, Decline::Tie, "equal values");
+        assert_declines(
+            &[
+                item(1, 1e300),
+                item(1, 1e-300),
+                item(1, 1e-300),
+                item(1, 1e300),
+                item(1, 1e-300),
+            ],
+            4,
+            Decline::Tie,
+            "1e300/1e-300 absorption",
+        );
+        // Evicting item 0 alone is the cheapest cover by far, but the
+        // zero-weight item kept beside it is worth less than δ: the DP
+        // absorbs it (2.0 + 1e-300 == 2.0) and evicts it too.
+        assert_declines(
+            &[item(1, 1.0), item(1, 2.0), item(0, 1e-300)],
+            1,
+            Decline::CheapKept,
+            "a kept item worth less than δ",
+        );
+        assert_declines(
+            &[item(3, 1.0), item(3, 1.0 + 1e-14), item(10, 100.0)],
+            13,
+            Decline::Tie,
+            "a second cover within δ",
+        );
+        // Every weight is even and the need odd, so the LP bound sits a
+        // unit under every cover and no node can be pruned.
+        let mut state = 7u64;
+        let items: Vec<KnapsackItem> = (0..64)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let w = 2 * ((state >> 33) % 100 + 1);
+                item(w, w as f64)
+            })
+            .collect();
+        let total: u64 = items.iter().map(|it| it.weight).sum();
+        assert_declines(
+            &items,
+            total - ((total / 2) | 1),
+            Decline::Budget,
+            "an exhausted node budget",
+        );
     }
 
     fn items_random(n: usize, seed: u64) -> Vec<KnapsackItem> {

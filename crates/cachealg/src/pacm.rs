@@ -6,7 +6,8 @@
 //! `Σ O_d · s_d ≤ C − S` and the fairness bound `F(A) ≤ θ` on per-app
 //! storage efficiency `C_a = Σ s_d / R(a)` (Gini coefficient, Eq. 1).
 //!
-//! The capacity constraint is solved exactly with the knapsack DP. The
+//! The capacity constraint is solved exactly: the knapsack DP's keep set,
+//! reached by a certified search where it can be (see below). The
 //! fairness constraint couples all apps and cannot ride along in the same
 //! one-dimensional DP, so — as documented in `DESIGN.md` — PACM applies a
 //! *repair* pass afterwards: while the kept set violates `θ`, the
@@ -28,7 +29,16 @@
 //!   keep-everything solution attains the utility upper bound, so the DP is
 //!   skipped (an absorption-aware scan reproduces the DP's float behavior
 //!   bit for bit);
-//! * otherwise the DP runs on the surviving subset only, in the workspace.
+//! * otherwise [`solve_in`] searches for the cheapest set of survivors to
+//!   evict and keeps the rest when that set is certified unique — no other
+//!   set comes within the float-error margin δ of it, so the DP would
+//!   return the same keep flags;
+//! * only when the certificate fails does the DP run, on the surviving
+//!   subset, in the workspace.
+//!
+//! Each app's clamped rate `R(a)` is read once per call, not once per
+//! cached object, and the utilities multiply in the same order, so every
+//! utility keeps its bits.
 //!
 //! The fairness repair updates per-app `(bytes, objects)` aggregates in
 //! place and walks one reusable list of kept objects sorted by `(app,
@@ -51,7 +61,7 @@ use ape_simnet::SimTime;
 
 use crate::freq::FrequencyTracker;
 use crate::gini::gini_in_place;
-use crate::knapsack::{solve_exact_in, KnapsackItem, KnapsackWorkspace};
+use crate::knapsack::{solve_in, KnapsackItem, KnapsackWorkspace};
 use crate::object::{AppId, ObjectMeta};
 use crate::policy::EvictionPolicy;
 use crate::store::CacheStore;
@@ -62,6 +72,10 @@ pub const ALPHA: f64 = 0.7;
 /// Floor applied to `R(a)` in utilities and storage efficiency so
 /// never-measured apps neither zero out nor blow up the formulas.
 pub const MIN_RATE: f64 = 0.05;
+
+/// App ids below this get a dense per-call rate table; a store holding a
+/// larger id reads every rate from the tracker instead.
+const DENSE_RATE_IDS: u32 = 1 << 16;
 
 /// Tuning knobs for PACM, defaulting to the paper's settings. The
 /// calibration nobody varies is [`ALPHA`] and [`MIN_RATE`].
@@ -96,7 +110,9 @@ pub struct EvictStats {
     pub solver_runs: u64,
     /// Cached objects examined across all invocations.
     pub items_considered: u64,
-    /// Invocations solved by the knapsack DP.
+    /// Invocations decided by the certified cover search ([`solve_in`]).
+    pub certified: u64,
+    /// Invocations the band DP decided: the search was not certified.
     pub dp_runs: u64,
     /// Invocations short-circuited because the surviving objects fit.
     pub short_circuits: u64,
@@ -149,8 +165,11 @@ pub struct PacmPolicy {
     /// Fingerprint of the store state `app_bytes` describes.
     tracked_objects: usize,
     tracked_bytes: u64,
-    /// Reusable DP scratch.
+    /// Reusable solver scratch (search and DP).
     workspace: KnapsackWorkspace,
+    /// Clamped `R(a)` by raw app id for the apps in `app_bytes`, read once
+    /// per call; NaN for ids the store holds nothing of.
+    rates: Vec<f64>,
     /// Reusable per-call buffers.
     candidates: Vec<Candidate>,
     items: Vec<KnapsackItem>,
@@ -179,6 +198,7 @@ impl PacmPolicy {
             tracked_objects: 0,
             tracked_bytes: 0,
             workspace: KnapsackWorkspace::new(),
+            rates: Vec::new(),
             candidates: Vec::new(),
             items: Vec::new(),
             keep: Vec::new(),
@@ -219,16 +239,21 @@ impl PacmPolicy {
 
     /// Utility `U_d` of an object at `now` under current frequencies.
     pub fn utility(&self, meta: &ObjectMeta, now: SimTime) -> f64 {
-        let rate = self.clamped_rate(meta.app);
-        let e_d = meta.remaining_ttl(now).as_secs_f64();
-        let l_d = meta.fetch_latency.as_secs_f64();
-        rate * e_d * l_d * meta.priority.get() as f64
+        utility_at(self.clamped_rate(meta.app), meta, now)
     }
 
     /// `max(R(a), MIN_RATE)`: the rate floor shared by utilities and
     /// storage efficiency.
     fn clamped_rate(&self, app: AppId) -> f64 {
         self.freq.rate(app).max(MIN_RATE)
+    }
+
+    /// The clamped rate of `app` from this call's `rates` table.
+    fn call_rate(&self, app: AppId) -> f64 {
+        match self.rates.get(app.get() as usize) {
+            Some(&rate) if !rate.is_nan() => rate,
+            _ => self.clamped_rate(app),
+        }
     }
 
     /// Rebuilds the store-wide per-app aggregates from `store` (the
@@ -287,7 +312,7 @@ impl PacmPolicy {
             self.shares.clear();
             for a in &self.kept_apps {
                 if a.objects > 0 {
-                    self.shares.push(a.bytes as f64 / self.clamped_rate(a.app));
+                    self.shares.push(a.bytes as f64 / self.call_rate(a.app));
                 }
             }
             // Loop only while F(A) > θ, like the seed's `while`; Gini is
@@ -306,7 +331,7 @@ impl PacmPolicy {
                 .iter()
                 .enumerate()
                 .filter(|(_, a)| a.objects > 0)
-                .map(|(slot, a)| (slot, a.bytes as f64 / self.clamped_rate(a.app)))
+                .map(|(slot, a)| (slot, a.bytes as f64 / self.call_rate(a.app)))
                 .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite efficiency"))
                 .expect("non-empty per_app")
                 .0;
@@ -348,6 +373,13 @@ impl PacmPolicy {
             self.stats.repair_evictions += 1;
         }
     }
+}
+
+/// `U_d = R(a) · e_d · l_d · p_d` at `now`, given the clamped rate.
+fn utility_at(rate: f64, meta: &ObjectMeta, now: SimTime) -> f64 {
+    let e_d = meta.remaining_ttl(now).as_secs_f64();
+    let l_d = meta.fetch_latency.as_secs_f64();
+    rate * e_d * l_d * meta.priority.get() as f64
 }
 
 impl EvictionPolicy for PacmPolicy {
@@ -398,6 +430,20 @@ impl EvictionPolicy for PacmPolicy {
             self.resync_aggregates(store);
         }
 
+        // Each app's rate once per call; the hooks keep `app_bytes` to the
+        // store's apps.
+        let mut rates = std::mem::take(&mut self.rates);
+        rates.clear();
+        if let Some((&last, _)) = self.app_bytes.last_key_value() {
+            if last.get() < DENSE_RATE_IDS {
+                rates.resize(last.get() as usize + 1, f64::NAN);
+                for &app in self.app_bytes.keys() {
+                    rates[app.get() as usize] = self.clamped_rate(app);
+                }
+            }
+        }
+        self.rates = rates;
+
         // Candidates in key order (the store iterates its BTreeMap).
         let mut candidates = std::mem::take(&mut self.candidates);
         candidates.clear();
@@ -405,7 +451,7 @@ impl EvictionPolicy for PacmPolicy {
             key: e.meta.key,
             app: e.meta.app,
             size: e.meta.size,
-            utility: self.utility(&e.meta, now),
+            utility: utility_at(self.call_rate(e.meta.app), &e.meta, now),
         }));
         self.candidates = candidates;
         debug_assert!(
@@ -456,7 +502,6 @@ impl EvictionPolicy for PacmPolicy {
                 }
             }
         } else {
-            self.stats.dp_runs += 1;
             self.items.clear();
             self.items.extend(self.survivors.iter().map(|&(i, _)| {
                 let c = &self.candidates[i as usize];
@@ -465,7 +510,11 @@ impl EvictionPolicy for PacmPolicy {
                     value: c.utility,
                 }
             }));
-            solve_exact_in(&mut self.workspace, &self.items, capacity, granularity);
+            if solve_in(&mut self.workspace, &self.items, capacity, granularity).certified {
+                self.stats.certified += 1;
+            } else {
+                self.stats.dp_runs += 1;
+            }
             for (&(i, _), &k) in self.survivors.iter().zip(self.workspace.keep()) {
                 self.keep[i as usize] = k;
             }
@@ -742,7 +791,11 @@ mod tests {
         expected.sort();
         assert_eq!(victims, expected);
         let stats = policy.stats();
-        assert_eq!(stats.dp_runs, 0, "forced answer must not run the DP");
+        assert_eq!(
+            stats.certified + stats.dp_runs,
+            0,
+            "forced answer must not run a solver"
+        );
         assert_eq!(stats.short_circuits, 1);
         assert_eq!(stats.forced_victims, 3);
     }
@@ -760,7 +813,7 @@ mod tests {
         assert!(stats.solver_runs > 0);
         assert_eq!(
             stats.solver_runs,
-            stats.dp_runs + stats.short_circuits,
+            stats.certified + stats.dp_runs + stats.short_circuits,
             "every run resolves through exactly one solver path: {stats:?}"
         );
         assert!(stats.items_considered > 0);

@@ -1,8 +1,8 @@
 //! Equivalence proofs for the incremental PACM eviction engine.
 //!
 //! The optimized `PacmPolicy::select_victims` (reusable workspace,
-//! band-relative DP, pre-solver reductions, incremental fairness
-//! repair) must return **byte-identical victim lists** — same keys, same
+//! certified cover search, band-relative DP, pre-solver reductions,
+//! incremental fairness repair) must return **byte-identical victim lists** — same keys, same
 //! order — as the frozen seed implementation preserved in
 //! `ape_cachealg::reference`, on every input. These tests pin that claim on
 //! randomized stores (sizes, priorities, TTLs incl. expired, app mixes,
@@ -13,8 +13,8 @@
 
 use ape_cachealg::reference::{solve_exact_seed, ReferencePacm};
 use ape_cachealg::{
-    solve_exact_in, AppId, CacheStore, KnapsackItem, KnapsackWorkspace, ObjectMeta, PacmConfig,
-    PacmPolicy, Priority,
+    solve_exact_in, solve_in, AppId, CacheStore, KnapsackItem, KnapsackWorkspace, ObjectMeta,
+    PacmConfig, PacmPolicy, Priority,
 };
 use ape_dnswire::UrlHash;
 use ape_simnet::{SimDuration, SimTime};
@@ -144,8 +144,9 @@ proptest! {
         prop_assert_eq!(&new_victims[0], &new_victims[1]);
     }
 
-    // Workspace DP vs the seed DP: identical keep vectors and totals,
-    // including zero-weight/zero-value items and coarse granularity.
+    // Workspace DP and PACM's solver (certified or not) vs the seed DP:
+    // identical keep vectors and totals, including zero-weight/zero-value
+    // items, coarse granularity and, with values in sixteenths, many ties.
     #[test]
     fn workspace_dp_matches_seed_dp(
         items in proptest::collection::vec(
@@ -164,6 +165,10 @@ proptest! {
         prop_assert_eq!(ws.keep(), seed.keep.as_slice());
         prop_assert_eq!(value.to_bits(), seed.total_value.to_bits());
         prop_assert_eq!(weight, seed.total_weight);
+        let solved = solve_in(&mut ws, &items, capacity, granularity);
+        prop_assert_eq!(ws.keep(), seed.keep.as_slice());
+        prop_assert_eq!(solved.total_value.to_bits(), seed.total_value.to_bits());
+        prop_assert_eq!(solved.total_weight, seed.total_weight);
     }
 }
 
@@ -322,7 +327,11 @@ fn eviction_shaped_stores_match_seed() {
         );
     }
     let stats = policy.stats();
-    assert_eq!(stats.dp_runs, 4, "every case must reach the DP: {stats:?}");
+    assert_eq!(
+        stats.certified + stats.dp_runs,
+        4,
+        "every case must reach the solver: {stats:?}"
+    );
 }
 
 /// More objects than the 4 096 above which PACM once switched to a greedy
@@ -383,7 +392,8 @@ fn stores_beyond_4096_objects_run_the_dp() {
     assert_eq!(victims, seed_policy.select_victims(&store, &incoming, now));
     let stats = policy.stats();
     assert_eq!(
-        stats.dp_runs, 1,
-        "a 5 000-object store runs the DP: {stats:?}"
+        stats.certified + stats.dp_runs,
+        1,
+        "a 5 000-object store reaches the solver: {stats:?}"
     );
 }

@@ -1034,6 +1034,10 @@ impl ApNode {
                 names::id::AP_EVICT_ITEMS,
                 after.items_considered - before.items_considered,
             ),
+            (
+                names::id::AP_EVICT_CERTIFIED,
+                after.certified - before.certified,
+            ),
             (names::id::AP_EVICT_DP_RUNS, after.dp_runs - before.dp_runs),
             (
                 names::id::AP_EVICT_SHORT_CIRCUITS,

@@ -68,7 +68,9 @@ ape_simnet::metric_names! {
     AP_EVICT_SOLVER_RUNS = "ap.evict_solver_runs";
     /// Cached objects examined by the eviction solver.
     AP_EVICT_ITEMS = "ap.evict_items";
-    /// Eviction decisions resolved by the knapsack DP.
+    /// Eviction decisions certified by the cheapest-cover search (no DP).
+    AP_EVICT_CERTIFIED = "ap.evict_certified";
+    /// Eviction decisions the knapsack DP made: the search was not certified.
     AP_EVICT_DP_RUNS = "ap.evict_dp_runs";
     /// Eviction decisions short-circuited (survivors fit; DP skipped).
     AP_EVICT_SHORT_CIRCUITS = "ap.evict_short_circuits";

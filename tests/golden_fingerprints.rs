@@ -47,7 +47,7 @@ fn default_testbed_fingerprints_are_pinned_for_all_four_systems() {
     let golden = [
         (
             System::ApeCache,
-            "clock=600000000000ns events=33294 metrics=3061fe877a81abbd trace=7299da73de242d8d",
+            "clock=600000000000ns events=33294 metrics=9528cf0790d8fed3 trace=7299da73de242d8d",
         ),
         (
             System::ApeCacheLru,
@@ -74,7 +74,7 @@ fn lossy_wifi_testbed_fingerprint_is_pinned() {
     cfg.wifi_loss = 0.02;
     assert_eq!(
         testbed_fingerprint(&cfg),
-        "clock=600000000000ns events=34734 metrics=4b2f60bd8df2d9cc trace=2b504dda598a2e12"
+        "clock=600000000000ns events=34734 metrics=85d455d938fafa72 trace=2b504dda598a2e12"
     );
 }
 
