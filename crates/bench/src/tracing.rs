@@ -3,10 +3,10 @@
 //! telemetry (JSONL span logs + Prometheus-style text metrics).
 //!
 //! Every string returned here is deterministic: runs execute through the
-//! same [`apecache::ParallelRunner`] as the figure sweeps, results merge in
-//! trial order, and all rendering iterates sorted maps — so the artifacts
-//! are byte-identical across `--threads 1` and `--threads N` for the same
-//! seed. The integration tests under `tests/` pin that property.
+//! same [`apecache::ParallelRunner`] as the figure sweeps, results come
+//! back in job order, and all rendering iterates sorted maps — so the
+//! artifacts are byte-identical across `--threads 1` and `--threads N` for
+//! the same seed. The integration tests under `tests/` pin that property.
 
 use ape_appdag::DummyAppConfig;
 use ape_simnet::TraceConfig;
@@ -34,38 +34,37 @@ pub struct TraceArtifacts {
     /// corruption (non-finite observations) is visible in the artifact.
     pub jsonl: String,
     /// Prometheus text-format snapshot: per-stage latency summaries and
-    /// the pooled simulation counters/histograms.
+    /// each run's simulation counters/histograms.
     pub prometheus: String,
 }
 
 /// The testbed configuration a traced run uses for `system`: the standard
-/// sweep workload with tracing switched on at full sampling.
+/// sweep workload with tracing switched on.
 pub fn traced_config(system: System, opts: &ReproOptions) -> TestbedConfig {
     let mut config = base_config(system, opts, &DummyAppConfig::default(), TRACE_APPS);
     config.trace = TraceConfig {
         enabled: true,
         capacity: TRACE_CAPACITY,
-        sample_every: 1,
     };
     config
 }
 
-/// Runs all four systems with tracing enabled (`opts.trials` replicas
-/// each, pooled in trial order) and assembles the exportable artifacts.
+/// Runs all four systems once with tracing enabled and assembles the
+/// exportable artifacts.
 pub fn trace_artifacts(opts: &ReproOptions) -> TraceArtifacts {
     let configs = System::ALL.map(|system| traced_config(system, opts));
-    let results = opts.run_pooled(&configs);
+    let results = opts.run(&configs);
 
     let mut report = String::from(
         "Request tracing: latency attribution and critical paths\n\
-         (deterministic span log; merged across trials in trial order)\n",
+         (deterministic span log; one run per system)\n",
     );
     let mut jsonl = String::new();
     let mut prometheus = String::new();
 
-    for merged in &results {
-        let label = merged.system.label();
-        let log = merged
+    for result in &results {
+        let label = result.system.label();
+        let log = result
             .trace
             .as_ref()
             .expect("tracing was enabled in the config");
@@ -79,8 +78,8 @@ pub fn trace_artifacts(opts: &ReproOptions) -> TraceArtifacts {
         jsonl.push_str(&log.to_jsonl(label));
         // Histogram-health summary lines: registry iteration is sorted, so
         // these stay byte-deterministic like the span lines above.
-        for name in merged.metrics.histogram_names() {
-            let hist = merged.metrics.histogram(name).expect("name from registry");
+        for name in result.metrics.histogram_names() {
+            let hist = result.metrics.histogram(name).expect("name from registry");
             jsonl.push_str(&format!(
                 "{{\"system\":\"{label}\",\"histogram\":\"{name}\",\"count\":{},\"dropped_samples\":{}}}\n",
                 hist.count(),
@@ -89,7 +88,7 @@ pub fn trace_artifacts(opts: &ReproOptions) -> TraceArtifacts {
         }
 
         prometheus.push_str(&attribution.prometheus());
-        prometheus.push_str(&prometheus_snapshot(&merged.metrics, label));
+        prometheus.push_str(&prometheus_snapshot(&result.metrics, label));
     }
 
     TraceArtifacts {

@@ -115,22 +115,10 @@ impl KnapsackWorkspace {
     }
 }
 
-/// Exact DP solver.
+/// Exact DP solver writing into a reusable [`KnapsackWorkspace`].
 ///
 /// `granularity` (bytes per DP unit, e.g. 1024) bounds the table size; item
 /// weights are rounded *up* to units so the byte capacity is never exceeded.
-///
-/// # Panics
-///
-/// Panics if `granularity` is zero or any value is negative/non-finite.
-pub fn solve_exact(items: &[KnapsackItem], capacity: u64, granularity: u64) -> KnapsackSolution {
-    let mut ws = KnapsackWorkspace::new();
-    solve_exact_in(&mut ws, items, capacity, granularity);
-    finish(items, ws.keep.clone())
-}
-
-/// Exact DP solver writing into a reusable [`KnapsackWorkspace`].
-///
 /// Computes the keep set of the frozen seed DP ([`crate::reference`]) bit
 /// for bit (`pacm_equivalence` pins this), leaves the flags in `ws.keep()`
 /// and returns the kept set's `(total_value, total_weight)`.
@@ -635,11 +623,18 @@ mod tests {
         KnapsackItem { weight, value }
     }
 
+    /// The DP's answer on a fresh workspace.
+    fn dp(items: &[KnapsackItem], capacity: u64, granularity: u64) -> KnapsackSolution {
+        let mut ws = KnapsackWorkspace::new();
+        solve_exact_in(&mut ws, items, capacity, granularity);
+        finish(items, ws.keep.clone())
+    }
+
     #[test]
     fn exact_finds_optimum_on_classic_instance() {
         // Classic: capacity 10, optimal is items 1+2 (values 10+7).
         let items = [item(6, 10.0), item(4, 7.0), item(5, 8.0), item(3, 4.0)];
-        let sol = solve_exact(&items, 10, 1);
+        let sol = dp(&items, 10, 1);
         assert_eq!(sol.keep, vec![true, true, false, false]);
         assert_eq!(sol.total_value, 17.0);
         assert_eq!(sol.total_weight, 10);
@@ -661,7 +656,7 @@ mod tests {
                 .map(|_| item(next() % 50 + 1, (next() % 100) as f64))
                 .collect();
             let capacity = next() % 120 + 10;
-            let exact = solve_exact(&items, capacity, 1);
+            let exact = dp(&items, capacity, 1);
             let brute = solve_brute_force(&items, capacity);
             assert!(
                 (exact.total_value - brute.total_value).abs() < 1e-9,
@@ -675,7 +670,7 @@ mod tests {
 
     #[test]
     fn exact_matches_brute_force_with_coarse_granularity() {
-        // Cross-check `solve_exact` at granularity > 1 on random instances.
+        // Cross-check the DP at granularity > 1 on random instances.
         // The DP solves the *rounded* instance (weights rounded up to
         // granularity units) exactly, so it must (a) never exceed the byte
         // capacity, (b) never beat the true byte-resolution optimum, and
@@ -694,7 +689,7 @@ mod tests {
                     .map(|_| item(next() % 5000 + 1, (next() % 100) as f64))
                     .collect();
                 let capacity = next() % 12_000 + 500;
-                let exact = solve_exact(&items, capacity, granularity);
+                let exact = dp(&items, capacity, granularity);
 
                 assert!(
                     exact.total_weight <= capacity,
@@ -732,44 +727,44 @@ mod tests {
         // Item of 1001 bytes at granularity 1000 occupies 2 units; with
         // capacity 1999 (1 unit) it cannot fit.
         let items = [item(1001, 5.0)];
-        let sol = solve_exact(&items, 1999, 1000);
+        let sol = dp(&items, 1999, 1000);
         assert_eq!(sol.keep, vec![false]);
         // With capacity 2000 (2 units) it fits.
-        let sol = solve_exact(&items, 2000, 1000);
+        let sol = dp(&items, 2000, 1000);
         assert_eq!(sol.keep, vec![true]);
     }
 
     #[test]
     fn capacity_never_exceeded_with_granularity() {
         let items = [item(900, 1.0), item(900, 1.0), item(900, 1.0)];
-        let sol = solve_exact(&items, 2000, 1024);
+        let sol = dp(&items, 2000, 1024);
         assert!(sol.total_weight <= 2000, "weight {}", sol.total_weight);
     }
 
     #[test]
     fn zero_capacity_keeps_nothing() {
         let items = [item(1, 100.0)];
-        let sol = solve_exact(&items, 0, 1);
+        let sol = dp(&items, 0, 1);
         assert_eq!(sol.keep, vec![false]);
         assert_eq!(sol.total_value, 0.0);
     }
 
     #[test]
     fn empty_items_are_fine() {
-        let sol = solve_exact(&[], 100, 1);
+        let sol = dp(&[], 100, 1);
         assert!(sol.keep.is_empty());
     }
 
     #[test]
     #[should_panic(expected = "granularity")]
     fn zero_granularity_rejected() {
-        let _ = solve_exact(&[], 10, 0);
+        let _ = dp(&[], 10, 0);
     }
 
     #[test]
     #[should_panic(expected = "non-negative")]
     fn negative_values_rejected() {
-        let _ = solve_exact(&[item(1, -1.0)], 10, 1);
+        let _ = dp(&[item(1, -1.0)], 10, 1);
     }
 
     #[test]
@@ -811,7 +806,7 @@ mod tests {
         let items = items_random(40, 3);
         let mut ws = KnapsackWorkspace::new();
         let (value, weight) = solve_exact_in(&mut ws, &items, 60_000, 128);
-        let sol = solve_exact(&items, 60_000, 128);
+        let sol = dp(&items, 60_000, 128);
         assert_eq!(ws.keep(), sol.keep.as_slice());
         assert_eq!(value, sol.total_value);
         assert_eq!(weight, sol.total_weight);

@@ -1,6 +1,6 @@
 //! Frozen seed implementations of the PACM eviction path.
 //!
-//! This module preserves, verbatim, the pre-optimization `solve_exact` DP
+//! This module preserves, verbatim, the pre-optimization knapsack DP
 //! and `PacmPolicy::select_victims` (knapsack + fairness repair) exactly as
 //! they shipped in the seed, with one cut: the seed's size-selected greedy
 //! branch is gone, because the engine it is compared against always runs

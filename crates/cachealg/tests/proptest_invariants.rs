@@ -1,8 +1,9 @@
 //! Property tests over the cache algorithms' core invariants.
 
 use ape_cachealg::{
-    gini, gini_naive, solve_brute_force, solve_exact, AdmitOutcome, AppId, CacheManager,
-    CacheStore, KnapsackItem, LruPolicy, ObjectMeta, PacmConfig, PacmPolicy, Priority,
+    gini, gini_naive, solve_brute_force, solve_exact_in, AdmitOutcome, AppId, CacheManager,
+    CacheStore, KnapsackItem, KnapsackWorkspace, LruPolicy, ObjectMeta, PacmConfig, PacmPolicy,
+    Priority,
 };
 use ape_dnswire::UrlHash;
 use ape_simnet::{SimDuration, SimTime};
@@ -40,10 +41,11 @@ fn arb_meta() -> impl Strategy<Value = ObjectMeta> {
 proptest! {
     #[test]
     fn exact_knapsack_is_optimal(items in arb_items(), capacity in 0u64..200) {
-        let exact = solve_exact(&items, capacity, 1);
+        let mut ws = KnapsackWorkspace::new();
+        let (total_value, total_weight) = solve_exact_in(&mut ws, &items, capacity, 1);
         let brute = solve_brute_force(&items, capacity);
-        prop_assert!((exact.total_value - brute.total_value).abs() < 1e-9);
-        prop_assert!(exact.total_weight <= capacity);
+        prop_assert!((total_value - brute.total_value).abs() < 1e-9);
+        prop_assert!(total_weight <= capacity);
     }
 
     #[test]

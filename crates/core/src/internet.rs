@@ -96,10 +96,10 @@ impl Node<Msg> for ProbeNode {
     }
 }
 
-/// Measures one Table I cell by running `trials` resolutions and TCP
+/// Measures one Table I cell by running `samples` resolutions and TCP
 /// handshakes through a calibrated mini-Internet, spaced 30 s apart so the
 /// CDN's 20 s A-record TTL expires between trials (as it does in the wild).
-pub fn measure_cell(path: &PathSpec, trials: usize, seed: u64) -> Table1Cell {
+pub fn measure_cell(path: &PathSpec, samples: usize, seed: u64) -> Table1Cell {
     let mut world = World::new(seed);
     let probe = world.add_node("probe", ProbeNode::default());
     let server = world.add_node(
@@ -171,7 +171,7 @@ pub fn measure_cell(path: &PathSpec, trials: usize, seed: u64) -> Table1Cell {
 
     let mut dns_total = 0.0;
     let mut rtt_total = 0.0;
-    for trial in 0..trials {
+    for trial in 0..samples {
         let start = world.now();
         world.post(
             probe,
@@ -208,18 +208,18 @@ pub fn measure_cell(path: &PathSpec, trials: usize, seed: u64) -> Table1Cell {
     Table1Cell {
         region: path.region,
         site: path.site,
-        dns_resolution_ms: dns_total / trials as f64,
-        rtt_ms: rtt_total / trials as f64,
+        dns_resolution_ms: dns_total / samples as f64,
+        rtt_ms: rtt_total / samples as f64,
         hops: path.server_hops,
     }
 }
 
 /// Measures the full table.
-pub fn measure_table1(trials: usize, seed: u64) -> Vec<Table1Cell> {
+pub fn measure_table1(samples: usize, seed: u64) -> Vec<Table1Cell> {
     table1_paths()
         .iter()
         .enumerate()
-        .map(|(i, p)| measure_cell(p, trials, seed.wrapping_add(i as u64)))
+        .map(|(i, p)| measure_cell(p, samples, seed.wrapping_add(i as u64)))
         .collect()
 }
 

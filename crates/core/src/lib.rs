@@ -58,4 +58,4 @@ pub use suite::{paper_suite, synthetic_suite};
 pub use system::System;
 pub use testbed::{build, Testbed, TestbedConfig};
 pub use topology::{build_topology, grid_neighbors, grid_pos, grid_side, Topology, TopologyConfig};
-pub use trace::{prometheus_snapshot, Attribution, BucketStat, TraceLog, TraceRecord};
+pub use trace::{prometheus_snapshot, Attribution, BucketStat, TraceLog};

@@ -6,8 +6,7 @@
 //! Every run owns its own seeded [`World`](ape_simnet::World), so a job's
 //! [`RunResult`] depends only on its `(config, duration)` pair — never on
 //! which worker thread executed it or what ran beside it.
-//! [`ParallelRunner::run_many`] returns results in job order and
-//! [`ParallelRunner::run_pooled`] merges replicas in trial order, so all
+//! [`ParallelRunner::run_many`] returns results in job order, so all
 //! derived [`Summary`] numbers are **bitwise identical** across thread
 //! counts (`--threads 1` vs `--threads N`). A test in this module pins
 //! that property via `f64::to_bits`.
@@ -25,15 +24,15 @@ use crate::testbed::{build, Testbed, TestbedConfig};
 use crate::topology::Topology;
 use crate::trace::{Attribution, TraceLog};
 
-/// Raw result of one run: the full metric registry plus merged client
-/// counters.
+/// Raw result of one run: the full metric registry plus the clients'
+/// summed counters.
 #[derive(Debug, Clone)]
 pub struct RunResult {
     /// Which system ran.
     pub system: System,
     /// The world's metric registry at the end of the run.
     pub metrics: Metrics,
-    /// Merged per-client outcome counters.
+    /// Per-client outcome counters, summed over the run's clients.
     pub report: ape_nodes::ClientReport,
     /// The run's span events, when tracing was enabled in the config.
     pub trace: Option<TraceLog>,
@@ -184,25 +183,6 @@ impl RunResult {
             attribution,
         }
     }
-
-    /// Merges another run's raw measurements into this one (counters add,
-    /// histogram samples and series points append in call order).
-    ///
-    /// Used to pool `trials` replicas of one sweep point before extracting
-    /// a [`Summary`]: means and percentiles are then computed over the
-    /// pooled samples. Merge order must be deterministic (trial order) for
-    /// the bitwise-determinism contract to hold.
-    pub fn merge(&mut self, other: &RunResult) {
-        debug_assert_eq!(self.system, other.system, "merging across systems");
-        self.metrics.merge(&other.metrics);
-        self.report.merge(&other.report);
-        match (&mut self.trace, &other.trace) {
-            (Some(mine), Some(theirs)) => mine.merge(theirs),
-            (mine @ None, Some(theirs)) => *mine = Some(theirs.clone()),
-            (_, None) => {}
-        }
-        self.profile.merge(&other.profile);
-    }
 }
 
 /// One independent simulation to execute: a full testbed configuration
@@ -312,41 +292,6 @@ impl ParallelRunner {
             run_system(&jobs[idx].config, jobs[idx].duration)
         })
     }
-
-    /// Runs `trials` replicas of every configuration — seeds `config.seed`,
-    /// `config.seed + 1`, … — through one [`run_many`](Self::run_many) call,
-    /// so the whole batch load-balances across the pool, and returns one
-    /// [`RunResult`] per configuration, in input order, with its replicas
-    /// merged in trial order.
-    pub fn run_pooled(
-        &self,
-        configs: &[TestbedConfig],
-        duration: SimDuration,
-        trials: usize,
-    ) -> Vec<RunResult> {
-        let trials = trials.max(1);
-        let jobs: Vec<RunJob> = configs
-            .iter()
-            .flat_map(|config| {
-                (0..trials).map(move |trial| {
-                    let mut config = config.clone();
-                    config.seed = config.seed.wrapping_add(trial as u64);
-                    RunJob::new(config, duration)
-                })
-            })
-            .collect();
-        let mut results = self.run_many(&jobs).into_iter();
-        configs
-            .iter()
-            .map(|_| {
-                let mut pooled = results.next().expect("one result per job");
-                for _ in 1..trials {
-                    pooled.merge(&results.next().expect("one result per job"));
-                }
-                pooled
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -453,45 +398,42 @@ mod tests {
         bits
     }
 
-    /// `run_pooled` is `run_system` per `(config, seed + trial)` merged by
-    /// hand in trial order, bit for bit, whatever the pool size.
+    /// `run_many` is `run_system` per job, bit for bit, whatever the pool
+    /// size.
     #[test]
     fn parallel_runner_is_bitwise_identical_to_sequential() {
         // Tracing stays on here so the pin also covers span recording and
-        // the attribution numbers derived from it.
-        let configs = System::ALL.map(|system| {
-            let mut config = small_config(system);
-            config.trace = ape_simnet::TraceConfig::enabled();
-            config
-        });
+        // the attribution numbers derived from it. Two seeds per system
+        // make eight jobs, so each of four workers may take more than one.
         let duration = SimDuration::from_mins(2);
-
-        let by_hand: Vec<Vec<u64>> = configs
-            .iter()
-            .map(|config| {
-                let mut replicas = (0..3).map(|trial| {
-                    let mut config = config.clone();
-                    config.seed += trial;
-                    run_system(&config, duration)
-                });
-                let mut pooled = replicas.next().expect("three trials");
-                for replica in replicas {
-                    pooled.merge(&replica);
-                }
-                summary_bits(&pooled.summary())
+        let jobs: Vec<RunJob> = System::ALL
+            .into_iter()
+            .flat_map(|system| {
+                (0..2).map(move |offset| {
+                    let mut config = small_config(system);
+                    config.trace = ape_simnet::TraceConfig::enabled();
+                    config.seed += offset;
+                    RunJob::new(config, duration)
+                })
             })
             .collect();
 
+        let by_hand: Vec<Vec<u64>> = jobs
+            .iter()
+            .map(|job| summary_bits(&run_system(&job.config, job.duration).summary()))
+            .collect();
+
         for threads in [1, 4] {
-            let pooled = ParallelRunner::with_threads(threads).run_pooled(&configs, duration, 3);
-            assert_eq!(pooled.len(), configs.len());
-            for ((mut result, config), expected) in pooled.into_iter().zip(&configs).zip(&by_hand) {
-                assert_eq!(result.system, config.system);
+            let results = ParallelRunner::with_threads(threads).run_many(&jobs);
+            assert_eq!(results.len(), jobs.len());
+            for ((mut result, job), expected) in results.into_iter().zip(&jobs).zip(&by_hand) {
+                assert_eq!(result.system, job.config.system);
                 assert_eq!(
                     &summary_bits(&result.summary()),
                     expected,
-                    "{:?} pooled on {threads} thread(s) differs from the hand merge",
-                    config.system
+                    "{:?} (seed {}) on {threads} thread(s) differs from run_system",
+                    job.config.system,
+                    job.config.seed
                 );
             }
         }
@@ -499,21 +441,30 @@ mod tests {
 
     #[test]
     fn traced_runs_export_identical_jsonl_across_thread_counts() {
-        let mut base = small_config(System::ApeCache);
-        base.trace = ape_simnet::TraceConfig::enabled();
-        let duration = SimDuration::from_mins(2);
-        let export = |threads: usize| {
-            let runner = ParallelRunner::with_threads(threads);
-            let result = runner
-                .run_pooled(std::slice::from_ref(&base), duration, 2)
-                .remove(0);
-            let log = result.trace.as_ref().expect("tracing was enabled");
-            assert_eq!(log.runs(), 2);
-            log.to_jsonl(base.system.label())
+        let jobs: Vec<RunJob> = (0..2)
+            .map(|offset| {
+                let mut config = small_config(System::ApeCache);
+                config.trace = ape_simnet::TraceConfig::enabled();
+                config.seed += offset;
+                RunJob::new(config, SimDuration::from_mins(2))
+            })
+            .collect();
+        let export = |threads: usize| -> Vec<String> {
+            ParallelRunner::with_threads(threads)
+                .run_many(&jobs)
+                .iter()
+                .map(|result| {
+                    let log = result.trace.as_ref().expect("tracing was enabled");
+                    log.to_jsonl(result.system.label())
+                })
+                .collect()
         };
         let sequential = export(1);
         let parallel = export(4);
-        assert!(!sequential.is_empty(), "traced run recorded no events");
+        assert!(
+            sequential.iter().all(|jsonl| !jsonl.is_empty()),
+            "a traced run recorded no events"
+        );
         assert_eq!(sequential, parallel, "JSONL differs across thread counts");
     }
 

@@ -2,10 +2,10 @@
 //! exportable telemetry.
 //!
 //! The simulator records causally-linked spans (see `ape_simnet::trace`);
-//! this module turns the raw event stream of one or more runs into:
+//! this module turns the raw event stream of one run into:
 //!
-//! * a [`TraceLog`] — the merged, run-indexed event stream, exportable as
-//!   JSONL (one event per line);
+//! * a [`TraceLog`] — the run's event stream, exportable as JSONL (one
+//!   event per line);
 //! * an [`Attribution`] — where each request's latency went (DNS lookup,
 //!   AP cache hit, delegation, WAN fetch, origin fill), as count / total /
 //!   mean / p50 / p95 / p99 per stage;
@@ -13,64 +13,37 @@
 //!   kind path, flamegraph-style;
 //! * a Prometheus-style text snapshot of a run's metric registry.
 //!
-//! Everything here is deterministic: events are kept in recording order,
-//! runs are merged in trial order, and all aggregation iterates `BTreeMap`s
-//! — so every derived number and every exported byte is identical across
-//! thread counts for the same seed.
+//! Everything here is deterministic: events are kept in recording order
+//! and all aggregation iterates `BTreeMap`s — so every derived number and
+//! every exported byte is identical across thread counts for the same
+//! seed.
 
 use std::collections::BTreeMap;
 
 use ape_proto::SpanKind;
 use ape_simnet::{Histogram, Metrics, NodeId, TraceEvent, TracePhase};
 
-/// One trace event tagged with the (merged) run it came from.
-#[derive(Debug, Clone, Copy)]
-pub struct TraceRecord {
-    /// Index of the run within the merged log (trial order).
-    pub run: u32,
-    /// The recorded span event.
-    pub event: TraceEvent,
-}
-
-/// The trace event stream of one or more runs of a single configuration.
+/// The trace event stream of one run.
 #[derive(Debug, Clone, Default)]
 pub struct TraceLog {
-    runs: u32,
     node_names: Vec<String>,
-    records: Vec<TraceRecord>,
+    events: Vec<TraceEvent>,
 }
 
 impl TraceLog {
-    /// Wraps the events of one finished run (run index 0).
+    /// Wraps the events of one finished run.
     pub fn from_run(node_names: Vec<String>, events: Vec<TraceEvent>) -> Self {
-        TraceLog {
-            runs: 1,
-            node_names,
-            records: events
-                .into_iter()
-                .map(|event| TraceRecord { run: 0, event })
-                .collect(),
-        }
-    }
-
-    /// Number of runs merged into this log.
-    pub fn runs(&self) -> u32 {
-        self.runs
-    }
-
-    /// The merged records, in (run, recording) order.
-    pub fn records(&self) -> &[TraceRecord] {
-        &self.records
+        TraceLog { node_names, events }
     }
 
     /// Number of recorded events.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.events.len()
     }
 
     /// Whether the log holds no events.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.events.is_empty()
     }
 
     /// The registered name of `node`, or `"?"` for ids outside the world.
@@ -80,35 +53,15 @@ impl TraceLog {
             .map_or("?", String::as_str)
     }
 
-    /// Appends another log's runs after this one's, re-indexing the
-    /// incoming run numbers. Merging in trial order keeps the combined
-    /// stream — and everything derived from it — deterministic.
-    pub fn merge(&mut self, other: &TraceLog) {
-        debug_assert!(
-            self.node_names == other.node_names,
-            "merging trace logs from different topologies"
-        );
-        let offset = self.runs;
-        self.records
-            .extend(other.records.iter().map(|r| TraceRecord {
-                run: offset + r.run,
-                event: r.event,
-            }));
-        self.runs += other.runs;
-    }
-
     /// Serializes every event as JSON Lines, one event per line, tagged
     /// with the system label. Byte-identical across thread counts for the
     /// same seed.
     pub fn to_jsonl(&self, system: &str) -> String {
-        let mut out = String::with_capacity(self.records.len() * 128);
-        for r in &self.records {
-            let e = &r.event;
+        let mut out = String::with_capacity(self.events.len() * 128);
+        for e in &self.events {
             out.push_str("{\"system\":\"");
             json_escape_into(&mut out, system);
-            out.push_str("\",\"run\":");
-            out.push_str(&r.run.to_string());
-            out.push_str(",\"trace\":");
+            out.push_str("\",\"trace\":");
             out.push_str(&e.trace.0.to_string());
             out.push_str(",\"span\":");
             out.push_str(&e.span.0.to_string());
@@ -135,23 +88,22 @@ impl TraceLog {
         let fetch = SpanKind::Fetch.as_str();
         let mut traces = 0u64;
         let mut completed = 0u64;
-        // Open spans keyed by (run, span id); span ids are unique per run.
-        let mut open: BTreeMap<(u32, u64), ape_simnet::SimTime> = BTreeMap::new();
+        // Open spans keyed by span id, unique within the run.
+        let mut open: BTreeMap<u64, ape_simnet::SimTime> = BTreeMap::new();
         let mut samples: BTreeMap<&'static str, Histogram> = BTreeMap::new();
         for kind in SpanKind::ALL {
             samples.insert(kind.as_str(), Histogram::new());
         }
-        for r in &self.records {
-            let e = &r.event;
+        for e in &self.events {
             match e.phase {
                 TracePhase::Start => {
                     if e.kind == fetch {
                         traces += 1;
                     }
-                    open.insert((r.run, e.span.0), e.at);
+                    open.insert(e.span.0, e.at);
                 }
                 TracePhase::End => {
-                    let Some(started) = open.remove(&(r.run, e.span.0)) else {
+                    let Some(started) = open.remove(&e.span.0) else {
                         continue;
                     };
                     if e.kind == fetch {
@@ -181,15 +133,14 @@ impl TraceLog {
     /// and the share of root (fetch) time.
     pub fn critical_path_report(&self, system: &str) -> String {
         // Span identity → kind and parent, to reconstruct kind paths.
-        let mut kind_of: BTreeMap<(u32, u64), &'static str> = BTreeMap::new();
-        let mut parent_of: BTreeMap<(u32, u64), Option<u64>> = BTreeMap::new();
-        let mut open: BTreeMap<(u32, u64), ape_simnet::SimTime> = BTreeMap::new();
+        let mut kind_of: BTreeMap<u64, &'static str> = BTreeMap::new();
+        let mut parent_of: BTreeMap<u64, Option<u64>> = BTreeMap::new();
+        let mut open: BTreeMap<u64, ape_simnet::SimTime> = BTreeMap::new();
         // Aggregate (count, total ms) per kind path, e.g.
         // ["fetch", "retrieval.delegation", "wan.fetch"].
         let mut paths: BTreeMap<Vec<&'static str>, (u64, f64)> = BTreeMap::new();
-        for r in &self.records {
-            let e = &r.event;
-            let id = (r.run, e.span.0);
+        for e in &self.events {
+            let id = e.span.0;
             match e.phase {
                 TracePhase::Start => {
                     kind_of.insert(id, e.kind);
@@ -203,10 +154,11 @@ impl TraceLog {
                     let mut path = vec![e.kind];
                     let mut cursor = parent_of.get(&id).copied().flatten();
                     while let Some(parent) = cursor {
-                        let pid = (r.run, parent);
-                        let Some(kind) = kind_of.get(&pid) else { break };
+                        let Some(kind) = kind_of.get(&parent) else {
+                            break;
+                        };
                         path.push(kind);
-                        cursor = parent_of.get(&pid).copied().flatten();
+                        cursor = parent_of.get(&parent).copied().flatten();
                     }
                     path.reverse();
                     let slot = paths.entry(path).or_insert((0, 0.0));
@@ -221,11 +173,7 @@ impl TraceLog {
             .filter(|(path, _)| path.len() == 1)
             .map(|(_, (_, total))| *total)
             .sum();
-        let mut out = format!(
-            "critical paths — {system} ({} runs, {} events)\n",
-            self.runs,
-            self.records.len()
-        );
+        let mut out = format!("critical paths — {system} ({} events)\n", self.events.len());
         if paths.is_empty() {
             out.push_str("(no completed spans)\n");
             return out;
@@ -466,19 +414,6 @@ mod tests {
         assert_eq!(a.stage(SpanKind::RetrievalHit).mean_ms, 6.0);
         assert_eq!(a.stage(SpanKind::WanFetch).count, 0);
         assert_eq!(a.stages.len(), SpanKind::ALL.len());
-    }
-
-    #[test]
-    fn merge_offsets_run_indices() {
-        let mut a = sample_log();
-        let b = sample_log();
-        a.merge(&b);
-        assert_eq!(a.runs(), 2);
-        assert_eq!(a.len(), 12);
-        assert_eq!(a.records()[6].run, 1);
-        let attribution = a.attribution("TEST");
-        assert_eq!(attribution.traces, 2);
-        assert_eq!(attribution.completed, 2);
     }
 
     #[test]

@@ -532,17 +532,7 @@ impl ApNode {
         };
         let response_to_client = match answer {
             Some((ip, ttl)) => DnsMessage::dns_cache_response(&pending.query, ip, ttl, tuples),
-            None => {
-                let mut r = DnsMessage::dns_cache_response(
-                    &pending.query,
-                    Ipv4Addr::UNSPECIFIED,
-                    0,
-                    tuples,
-                );
-                r.answers.clear();
-                r.header.rcode = response.header.rcode;
-                r
-            }
+            None => error_reply(&pending.query, response.header.rcode, tuples),
         };
         ctx.send_after(latency, pending.client, Msg::dns(response_to_client));
     }
@@ -710,21 +700,7 @@ impl ApNode {
         let Some(target) = self.ip_map.node_of(target_ip) else {
             // Resolution produced an address outside the testbed; fail all
             // waiters.
-            let delegation = self.delegations.remove(&key).expect("present above");
-            if let Some(span) = delegation.span {
-                ctx.span_end(span, SpanKind::WanFetch);
-            }
-            for w in delegation.waiters {
-                ctx.send(
-                    w.node,
-                    Msg::HttpRsp {
-                        conn: w.conn,
-                        req: w.req,
-                        response: HttpResponse::gateway_timeout(),
-                        from_cache: false,
-                    },
-                );
-            }
+            fail_delegation(ctx, self.delegations.remove(&key).expect("present above"));
             return;
         };
         let conn = ConnId(self.next_conn);
@@ -1071,20 +1047,7 @@ impl ApNode {
             };
             ctx.metrics()
                 .incr_id(names::id::AP_DELEGATION_DNS_FAILURES, 1);
-            if let Some(span) = delegation.span {
-                ctx.span_end(span, SpanKind::WanFetch);
-            }
-            for w in delegation.waiters {
-                ctx.send(
-                    w.node,
-                    Msg::HttpRsp {
-                        conn: w.conn,
-                        req: w.req,
-                        response: HttpResponse::gateway_timeout(),
-                        from_cache: false,
-                    },
-                );
-            }
+            fail_delegation(ctx, delegation);
         }
     }
 
@@ -1155,14 +1118,7 @@ impl ApNode {
                 } else {
                     Vec::new()
                 };
-                let mut r = DnsMessage::dns_cache_response(
-                    &pending.query,
-                    Ipv4Addr::UNSPECIFIED,
-                    0,
-                    tuples,
-                );
-                r.answers.clear();
-                r.header.rcode = Rcode::ServFail;
+                let r = error_reply(&pending.query, Rcode::ServFail, tuples);
                 ctx.send(pending.client, Msg::dns(r));
             }
         }
@@ -1205,20 +1161,7 @@ impl ApNode {
                 self.peer_reqs.remove(&up);
             }
             ctx.metrics().incr_id(names::id::AP_DELEGATION_REAPS, 1);
-            if let Some(span) = delegation.span {
-                ctx.span_end(span, SpanKind::WanFetch);
-            }
-            for w in delegation.waiters {
-                ctx.send(
-                    w.node,
-                    Msg::HttpRsp {
-                        conn: w.conn,
-                        req: w.req,
-                        response: HttpResponse::gateway_timeout(),
-                        from_cache: false,
-                    },
-                );
-            }
+            fail_delegation(ctx, delegation);
         }
     }
 
@@ -1284,6 +1227,34 @@ impl ApNode {
         ctx.metrics()
             .record_point_id(names::id::AP_APE_MEM_MB, now, ape_mem as f64 / 1e6);
     }
+}
+
+/// Ends a dropped delegation's WAN span and answers each of its waiters
+/// 504, in arrival order.
+fn fail_delegation(ctx: &mut Context<'_, Msg>, delegation: Delegation) {
+    if let Some(span) = delegation.span {
+        ctx.span_end(span, SpanKind::WanFetch);
+    }
+    for w in delegation.waiters {
+        ctx.send(
+            w.node,
+            Msg::HttpRsp {
+                conn: w.conn,
+                req: w.req,
+                response: HttpResponse::gateway_timeout(),
+                from_cache: false,
+            },
+        );
+    }
+}
+
+/// A reply to `query` with no answer and `rcode`, carrying `tuples` (the
+/// DNS-Cache flags when the client asked for them).
+fn error_reply(query: &DnsMessage, rcode: Rcode, tuples: Vec<CacheTuple>) -> DnsMessage {
+    let mut r = DnsMessage::dns_cache_response(query, Ipv4Addr::UNSPECIFIED, 0, tuples);
+    r.answers.clear();
+    r.header.rcode = rcode;
+    r
 }
 
 impl Node<Msg> for ApNode {

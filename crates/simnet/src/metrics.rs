@@ -216,9 +216,8 @@ impl fmt::Debug for SketchBuckets {
 /// of two up to 2^41 (relative error ≤ 1/128 < 1%). A quantile answers
 /// the midpoint of the bucket holding the nearest-rank sample, clamped to
 /// the observed `[min, max]`. `count`/`sum`/`min`/`max` are exact and
-/// maintained incrementally on `record`/`merge`; within one recording
-/// stream the sum is the insertion-order fold `iter().sum::<f64>()`
-/// would produce, and a merge adds the two sums.
+/// maintained incrementally on `record`; the sum is the insertion-order
+/// fold `iter().sum::<f64>()` would produce.
 ///
 /// # Examples
 ///
@@ -402,21 +401,6 @@ impl Histogram {
         self.quantile(0.99)
     }
 
-    /// Merges another histogram's samples (and dropped-sample count) into
-    /// this one. Bucket counts add element-wise, so every quantile of the
-    /// result equals that of the pooled stream, in either merge order.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (d, s) in self.buckets.0.iter_mut().zip(other.buckets.0.iter()) {
-            *d += s;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.lo = self.lo.min(other.lo);
-        self.hi = self.hi.max(other.hi);
-        self.dropped += other.dropped;
-        self.fold = self.fold.wrapping_add(other.fold);
-    }
-
     /// Heap footprint of the bucket array in bytes.
     pub fn approx_bytes(&self) -> usize {
         SKETCH_BUCKETS * std::mem::size_of::<u64>()
@@ -428,8 +412,7 @@ impl Histogram {
 /// Every point is kept, in one byte stream at about half the bytes of a
 /// `(SimTime, f64)` pair (DESIGN.md §14). A time is stored as the zig-zag
 /// LEB128 varint of its delta-of-delta, so evenly spaced samples take one
-/// byte and a backward jump (a `Metrics::merge` seam) round-trips through
-/// wrapping arithmetic. A value is stored as its bits XOR the previous
+/// byte and a backward jump round-trips through wrapping arithmetic. A value is stored as its bits XOR the previous
 /// value's with the zero bytes at both ends stripped behind a one-byte
 /// header (`leading * 8 + trailing`, or `0xff` when unchanged), a
 /// byte-aligned cousin of Gorilla's float encoding (Pelkonen et al., VLDB
@@ -482,9 +465,8 @@ impl TimeSeries {
         let (lt, lv) = self.last;
         // Incremental trapezoid: one segment per consecutive pair, in the
         // exact order and arithmetic of a `windows(2)` fold. Segments
-        // whose time does not advance (duplicate timestamps, or the
-        // backward jump where one trial's series was appended after
-        // another's via `Metrics::merge`) contribute nothing.
+        // whose time does not advance (duplicate timestamps or a backward
+        // jump) contribute nothing.
         if self.len > 0 && at > lt {
             let dt = at.saturating_since(lt).as_secs_f64();
             self.area += 0.5 * (lv + value) * dt;
@@ -656,7 +638,7 @@ impl SelfProfile {
 #[derive(Debug, Clone)]
 struct Entry<T> {
     /// Borrowed when the metric was first written through a [`MetricId`]
-    /// (no allocation), owned when it was built under a prefix or merged in.
+    /// (no allocation), owned when it was built under a prefix.
     name: Cow<'static, str>,
     value: T,
 }
@@ -781,16 +763,6 @@ impl<T: Default> Table<T> {
             .collect();
         out.sort_by(|a, b| a.0.cmp(b.0));
         out
-    }
-
-    /// Folds every metric of `other` into the same-named one here.
-    fn merge(&mut self, other: &Table<T>, mut fold: impl FnMut(&mut T, &T)) {
-        for e in &other.entries {
-            let pos = self
-                .position(&e.name)
-                .unwrap_or_else(|| self.register(e.name.clone()));
-            fold(&mut self.entries[pos].value, &e.value);
-        }
     }
 
     /// Heap bytes of the two tables and the owned names; `value_bytes`
@@ -939,7 +911,7 @@ impl Metrics {
         self.series.get_id(id)
     }
 
-    // --- names, digest, merge ---------------------------------------------
+    // --- names, digest ---------------------------------------------
 
     /// Names of all histograms currently registered, sorted.
     pub fn histogram_names(&self) -> impl Iterator<Item = &str> {
@@ -985,18 +957,6 @@ impl Metrics {
             }
         }
         h.finish()
-    }
-
-    /// Merges another registry into this one, name by name: counters add,
-    /// histograms pool, series append.
-    pub fn merge(&mut self, other: &Metrics) {
-        self.counters.merge(&other.counters, |dst, src| *dst += src);
-        self.histograms.merge(&other.histograms, Histogram::merge);
-        self.series.merge(&other.series, |dst, src| {
-            for (t, v) in src.points() {
-                dst.record(t, v);
-            }
-        });
     }
 
     /// Approximate heap footprint of the registry in bytes (tables, owned
@@ -1109,8 +1069,8 @@ mod tests {
 
     #[test]
     fn time_weighted_mean_skips_backward_merge_seams() {
-        // Two trials merged back-to-back: the seam (t jumps backward) must
-        // not poison the integral.
+        // Where time jumps backward the segment adds nothing: it must not
+        // poison the integral.
         let mut s = TimeSeries::new();
         s.record(SimTime::from_secs(0), 2.0);
         s.record(SimTime::from_secs(10), 2.0);
@@ -1147,9 +1107,6 @@ mod tests {
         assert_eq!(h.dropped_samples(), 2);
         // The quantile path stays panic-free regardless.
         assert_eq!(h.p50(), 2.0);
-        let mut merged = Histogram::new();
-        merged.merge(&h);
-        assert_eq!(merged.dropped_samples(), 2);
     }
 
     #[test]
@@ -1161,20 +1118,6 @@ mod tests {
         assert_eq!(h.max(), 0.0);
         assert_eq!(h.sum(), 0.0);
         assert!(h.is_empty());
-    }
-
-    #[test]
-    fn histogram_min_max_merge() {
-        let mut a = Histogram::new();
-        a.record(5.0);
-        let mut b = Histogram::new();
-        b.record(1.0);
-        b.record(9.0);
-        a.merge(&b);
-        assert_eq!(a.count(), 3);
-        assert_eq!(a.min(), 1.0);
-        assert_eq!(a.max(), 9.0);
-        assert_eq!(a.sum(), 15.0);
     }
 
     #[test]
@@ -1206,21 +1149,6 @@ mod tests {
     }
 
     #[test]
-    fn registry_merge_adds() {
-        let mut a = Metrics::new();
-        a.incr_id(id::C, 1);
-        a.observe_id(id::H, 1.0);
-        let mut b = Metrics::new();
-        b.incr_id(id::C, 2);
-        b.observe_id(id::H, 3.0);
-        b.record_point_id(id::S, SimTime::ZERO, 1.0);
-        a.merge(&b);
-        assert_eq!(a.counter(local::C), 3);
-        assert_eq!(a.histogram(local::H).unwrap().count(), 2);
-        assert_eq!(a.time_series(local::S).unwrap().len(), 1);
-    }
-
-    #[test]
     fn quantile_matches_percentile_and_shortcuts() {
         let (h, mut exact) = one_to_hundred();
         assert_eq!(h.quantile(0.5), h.percentile(50.0));
@@ -1244,69 +1172,6 @@ mod tests {
         let mut h = Histogram::new();
         h.record(1.0);
         h.quantile(1.5);
-    }
-
-    #[test]
-    fn merge_empty_into_nonempty_is_identity() {
-        let mut a = Metrics::new();
-        a.incr_id(id::C, 7);
-        a.observe_id(id::H, 1.0);
-        a.record_point_id(id::S, SimTime::ZERO, 2.0);
-        let before = format!("{a}");
-        a.merge(&Metrics::new());
-        assert_eq!(format!("{a}"), before);
-    }
-
-    #[test]
-    fn merge_nonempty_into_empty_copies_everything() {
-        let mut src = Metrics::new();
-        src.incr_id(id::C, 7);
-        src.observe_id(id::H, 1.0);
-        src.observe_id(id::H, 3.0);
-        src.record_point_id(id::S, SimTime::from_secs(1), 2.0);
-        let mut dst = Metrics::new();
-        dst.merge(&src);
-        assert_eq!(dst.counter(local::C), 7);
-        assert_eq!(dst.histogram(local::H).unwrap().count(), 2);
-        assert_eq!(dst.time_series(local::S).unwrap().len(), 1);
-    }
-
-    #[test]
-    fn merge_disjoint_keys_unions() {
-        let mut a = Metrics::new();
-        a.incr_id(id::C, 1);
-        a.observe_id(id::H, 1.0);
-        let mut b = Metrics::new();
-        b.incr_id(id::X, 2);
-        b.observe_id(id::LAT, 5.0);
-        a.merge(&b);
-        assert_eq!(a.counter(local::C), 1);
-        assert_eq!(a.counter(local::X), 2);
-        assert_eq!(a.histogram(local::H).unwrap().count(), 1);
-        assert_eq!(a.histogram(local::LAT).unwrap().count(), 1);
-    }
-
-    #[test]
-    fn merged_histogram_quantiles_pool_samples() {
-        // Every histogram shares one bucket layout, so a merge must
-        // behave as if both sample sets were recorded into one histogram.
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        let mut pooled = Histogram::new();
-        for v in 1..=50 {
-            a.record(v as f64);
-            pooled.record(v as f64);
-        }
-        for v in 51..=100 {
-            b.record(v as f64);
-            pooled.record(v as f64);
-        }
-        a.merge(&b);
-        for q in [0.0, 0.25, 0.5, 0.9, 0.95, 0.99, 1.0] {
-            assert_eq!(a.quantile(q).to_bits(), pooled.quantile(q).to_bits());
-        }
-        assert_eq!(a.count(), pooled.count());
-        assert_eq!(a.mean().to_bits(), pooled.mean().to_bits());
     }
 
     #[test]
@@ -1382,10 +1247,9 @@ mod tests {
     }
 
     /// However a per-app histogram was first reached — by its interned
-    /// id, through a slot, through a slot another numbering gave another
-    /// member, or by a merge — the registry reads the same: digest,
-    /// `Display` and `histogram_names()`, and every sample lands in the
-    /// member named.
+    /// id, through a slot, or through a slot another numbering gave another
+    /// member — the registry reads the same: digest, `Display` and
+    /// `histogram_names()`, and every sample lands in the member named.
     #[test]
     fn member_slots_are_invisible_to_readers() {
         let write = |m: &mut Metrics, news: usize, mail: usize| {
@@ -1407,13 +1271,7 @@ mod tests {
         write(&mut shared_slot, 0, 0);
         shared_slot.observe_under(id::LAT_PREFIX, "news", 0, 0.5);
 
-        let mut merged = Metrics::new();
-        let mut part = Metrics::new();
-        write(&mut part, 3, 4);
-        merged.merge(&part);
-        merged.observe_under(id::LAT_PREFIX, "news", 4, 0.5);
-
-        for m in [&by_slot_first, &shared_slot, &merged] {
+        for m in [&by_slot_first, &shared_slot] {
             assert_eq!(m.digest(), by_id_first.digest());
             assert_eq!(format!("{m}"), format!("{by_id_first}"));
             assert!(m.histogram_names().eq(by_id_first.histogram_names()));
@@ -1433,31 +1291,8 @@ mod tests {
         assert_eq!(format!("{by_str}"), format!("{by_id}"));
     }
 
-    /// Two registries written through ids merge into the metric each id
-    /// stands for, and an id still resolves in a registry that learned its
-    /// name from a merge.
-    #[test]
-    fn interned_registries_merge_by_slot() {
-        let mut a = Metrics::new();
-        a.incr_id(keys::id::NET_MESSAGES, 1);
-        a.incr_id(keys::id::NET_BYTES, 8);
-        let mut b = Metrics::new();
-        b.incr_id(keys::id::NET_BYTES, 4); // registered in the other order
-        b.incr_id(keys::id::NET_MESSAGES, 2);
-        a.merge(&b);
-        assert_eq!(a.counter_id(keys::id::NET_MESSAGES), 3);
-        assert_eq!(a.counter_id(keys::id::NET_BYTES), 12);
-        assert_eq!(a.counter_names().count(), 2);
-        let mut fresh = Metrics::new();
-        fresh.merge(&a);
-        fresh.incr_id(keys::id::NET_MESSAGES, 1);
-        assert_eq!(fresh.counter(keys::NET_MESSAGES), 4);
-        assert_eq!(fresh.counter_names().count(), 2);
-    }
-
     /// Which writer registered a name, and in which order names arrived,
-    /// is invisible: same digest, same `Display`, and merging the two
-    /// registries is either one recorded twice.
+    /// is invisible: same digest, same `Display`.
     #[test]
     fn write_order_across_the_two_apis_is_invisible() {
         let prefixed_first = |m: &mut Metrics| {
@@ -1480,16 +1315,6 @@ mod tests {
         prefixed_first(&mut other);
         assert_eq!(one.digest(), other.digest());
         assert_eq!(format!("{one}"), format!("{other}"));
-
-        let mut doubled = Metrics::new();
-        for _ in 0..2 {
-            prefixed_first(&mut doubled);
-            interned_first(&mut doubled);
-        }
-        let mut merged = one.clone();
-        merged.merge(&other);
-        assert_eq!(merged.digest(), doubled.digest());
-        assert_eq!(format!("{merged}"), format!("{doubled}"));
     }
 
     #[test]
@@ -1544,32 +1369,6 @@ mod tests {
     }
 
     #[test]
-    fn sketch_merge_is_order_independent_and_matches_pooling() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        let mut pooled = Histogram::new();
-        for i in 0..500u64 {
-            let v = (i as f64).sqrt();
-            a.record(v);
-            pooled.record(v);
-        }
-        for i in 500..1000u64 {
-            let v = (i as f64).sqrt();
-            b.record(v);
-            pooled.record(v);
-        }
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        for q in [0.0, 0.5, 0.99, 1.0] {
-            assert_eq!(ab.quantile(q).to_bits(), pooled.quantile(q).to_bits());
-            assert_eq!(ba.quantile(q).to_bits(), pooled.quantile(q).to_bits());
-        }
-        assert_eq!(ab.count(), pooled.count());
-    }
-
-    #[test]
     fn sketch_digest_ignores_recording_order() {
         let mut forward = Metrics::new();
         let mut reverse = Metrics::new();
@@ -1581,34 +1380,6 @@ mod tests {
             reverse.observe_id(id::LAT, *v);
         }
         assert_eq!(forward.digest(), reverse.digest());
-    }
-
-    #[test]
-    fn merged_digest_equals_pooled_digest() {
-        let mut a = Metrics::new();
-        let mut b = Metrics::new();
-        let mut pooled = Metrics::new();
-        for i in 0..400u64 {
-            let v = (i as f64).sqrt() * 3.7 + 0.013;
-            let part = if i % 3 == 0 { &mut a } else { &mut b };
-            part.observe_id(id::LAT, v);
-            pooled.observe_id(id::LAT, v);
-        }
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(ab.digest(), pooled.digest());
-        assert_eq!(ba.digest(), pooled.digest());
-        let want = pooled.histogram("lat").unwrap();
-        for merged in [&ab, &ba] {
-            let got = merged.histogram("lat").unwrap();
-            assert_eq!(got.count(), want.count());
-            assert_eq!(got.fold, want.fold);
-            for q in CHECK_QUANTILES {
-                assert_eq!(got.quantile(q).to_bits(), want.quantile(q).to_bits());
-            }
-        }
     }
 
     #[test]
@@ -1810,27 +1581,18 @@ mod tests {
             .collect()
     }
 
-    /// Feeds `stream` to the oracle and to a series, and to a registry both
-    /// whole and as two halves merged; everything a reader sees must agree
-    /// bitwise.
+    /// Feeds `stream` to the oracle, to a series and to a registry;
+    /// everything a reader sees must agree bitwise.
     fn assert_round_trip(stream: &[(u64, f64)]) {
         let mut oracle = VecSeries::new();
         let mut series = TimeSeries::new();
         let mut whole = Metrics::new();
-        let (mut first, mut second) = (Metrics::new(), Metrics::new());
-        for (i, &(t, v)) in stream.iter().enumerate() {
+        for &(t, v) in stream {
             let at = SimTime::from_nanos(t);
             oracle.record(at, v);
             series.record(at, v);
             whole.record_point_id(id::S, at, v);
-            let half = if i < stream.len() / 2 {
-                &mut first
-            } else {
-                &mut second
-            };
-            half.record_point_id(id::S, at, v);
         }
-        first.merge(&second);
         assert_eq!(bits(series.points()), bits(oracle.points.iter().copied()));
         assert_eq!(series.len(), oracle.points.len());
         assert_eq!(series.is_empty(), oracle.points.is_empty());
@@ -1841,21 +1603,15 @@ mod tests {
             oracle.time_weighted_mean().to_bits()
         );
         assert_eq!(whole.digest(), oracle.digest(local::S));
-        assert_eq!(first.digest(), oracle.digest(local::S));
     }
 
     const SECOND: u64 = 1_000_000_000;
 
     #[test]
     fn series_round_trips_merge_seams_and_repeated_times() {
-        // Two trials appended back to back: time goes backward at the seam.
-        let trial = |k: f64| (0..50).map(move |i| (i * SECOND, k + i as f64 * 0.01));
-        assert_round_trip(
-            &trial(1.0)
-                .chain(trial(2.0))
-                .chain(trial(3.0))
-                .collect::<Vec<_>>(),
-        );
+        // Three runs of points back to back: time goes backward twice.
+        let run = |k: f64| (0..50).map(move |i| (i * SECOND, k + i as f64 * 0.01));
+        assert_round_trip(&run(1.0).chain(run(2.0)).chain(run(3.0)).collect::<Vec<_>>());
         // Repeated times, alone and between forward steps.
         let mut stream = vec![(7 * SECOND, 1.0); 20];
         stream.extend((0..20).map(|i| (7 * SECOND + (i / 4) * 61, i as f64)));

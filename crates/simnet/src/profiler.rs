@@ -218,15 +218,6 @@ impl ProfileReport {
             .sum();
         self.nanos(ProfCategory::Dispatch).saturating_sub(nested)
     }
-
-    /// Merges another report's counts into this one (e.g. across trials).
-    pub fn merge(&mut self, other: &ProfileReport) {
-        self.enabled |= other.enabled;
-        for i in 0..PROF_CATEGORIES {
-            self.nanos[i] += other.nanos[i];
-            self.calls[i] += other.calls[i];
-        }
-    }
 }
 
 impl fmt::Display for ProfileReport {
@@ -314,16 +305,5 @@ mod tests {
         // Nested overshoot saturates instead of wrapping.
         p.charge(ProfCategory::Metrics, 50_000, 1);
         assert_eq!(p.report().dispatch_self_nanos(), 0);
-    }
-
-    #[test]
-    fn report_merge_accumulates() {
-        let mut a = Profiler::new();
-        a.enable();
-        a.charge(ProfCategory::Dispatch, 100, 1);
-        let mut r = a.report();
-        r.merge(&a.report());
-        assert_eq!(r.nanos(ProfCategory::Dispatch), 200);
-        assert_eq!(r.calls(ProfCategory::Dispatch), 2);
     }
 }

@@ -242,14 +242,6 @@ impl ExactHistogram {
         &self.samples
     }
 
-    /// Merges another histogram's samples (and dropped-sample count) into
-    /// this one.
-    pub fn merge(&mut self, other: &ExactHistogram) {
-        self.samples.extend_from_slice(&other.samples);
-        self.sorted = false;
-        self.dropped += other.dropped;
-    }
-
     /// Heap footprint of the sample buffer in bytes.
     pub fn approx_bytes(&self) -> usize {
         self.samples.capacity() * std::mem::size_of::<f64>()
@@ -287,20 +279,6 @@ mod tests {
         assert_eq!(h.quantile(0.0), 1.0);
         assert_eq!(h.quantile(1.0), 100.0);
         assert!(h.approx_bytes() >= 100 * 8);
-    }
-
-    #[test]
-    fn exact_histogram_merge_pools_samples() {
-        let mut a = ExactHistogram::new();
-        let mut b = ExactHistogram::new();
-        a.record(1.0);
-        b.record(3.0);
-        b.record(f64::NAN);
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.dropped_samples(), 1);
-        assert_eq!(a.sum(), 4.0);
-        assert_eq!(a.quantile(1.0), 3.0);
     }
 
     #[test]

@@ -114,7 +114,8 @@ pub struct TraceEvent {
     pub phase: TracePhase,
 }
 
-/// Tracing knobs: off by default, bounded buffer, optional sampling.
+/// Tracing knobs: off by default, bounded buffer; every fetch is traced
+/// while on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceConfig {
     /// Master switch. When false the sink records nothing and
@@ -123,9 +124,6 @@ pub struct TraceConfig {
     /// Ring-buffer capacity in events; the oldest events are dropped (and
     /// counted) once the buffer is full.
     pub capacity: usize,
-    /// Record every `sample_every`-th trace (1 = every trace). Sampling is
-    /// counter-based, hence deterministic. Values of 0 are treated as 1.
-    pub sample_every: u64,
 }
 
 impl Default for TraceConfig {
@@ -133,13 +131,12 @@ impl Default for TraceConfig {
         TraceConfig {
             enabled: false,
             capacity: 1 << 16,
-            sample_every: 1,
         }
     }
 }
 
 impl TraceConfig {
-    /// An enabled config with default capacity and no sampling.
+    /// An enabled config with default capacity.
     pub fn enabled() -> Self {
         TraceConfig {
             enabled: true,
@@ -155,8 +152,6 @@ pub struct TraceSink {
     config: TraceConfig,
     events: VecDeque<TraceEvent>,
     dropped: u64,
-    /// Traces requested via `try_begin_trace` (sampled or not).
-    candidates: u64,
     next_trace: u64,
     next_span: u64,
 }
@@ -190,16 +185,9 @@ impl TraceSink {
         self.config.enabled
     }
 
-    /// Allocates a new trace id if tracing is enabled and this candidate
-    /// falls on the sampling grid; `None` otherwise.
+    /// Allocates a new trace id if tracing is enabled; `None` otherwise.
     pub fn try_begin_trace(&mut self) -> Option<TraceId> {
         if !self.config.enabled {
-            return None;
-        }
-        let every = self.config.sample_every.max(1);
-        let candidate = self.candidates;
-        self.candidates += 1;
-        if !candidate.is_multiple_of(every) {
             return None;
         }
         let id = TraceId(self.next_trace);
@@ -250,7 +238,7 @@ impl TraceSink {
         self.dropped
     }
 
-    /// Traces begun (post-sampling) so far.
+    /// Traces begun so far.
     pub fn traces_started(&self) -> u64 {
         self.next_trace
     }
@@ -261,16 +249,18 @@ impl TraceSink {
     }
 
     /// Stable 64-bit digest of the buffered event log (order-sensitive)
-    /// plus the drop/candidate counters, used by the schedule-perturbation
+    /// plus the drop and trace counters, used by the schedule-perturbation
     /// race detector to compare runs. Returns 0 when the sink has never
     /// recorded anything, so untraced runs compare trivially equal.
     pub fn digest(&self) -> u64 {
-        if self.events.is_empty() && self.dropped == 0 && self.candidates == 0 {
+        if self.events.is_empty() && self.dropped == 0 && self.next_trace == 0 {
             return 0;
         }
         let mut h = crate::determinism::Fnv64::new();
         h.write_u64(self.dropped);
-        h.write_u64(self.candidates);
+        // Traces asked for and traces begun: one count since every request
+        // begins one, written twice so the digest's words stay put.
+        h.write_u64(self.next_trace);
         h.write_u64(self.next_trace);
         h.write_u64(self.next_span);
         for e in &self.events {
@@ -323,26 +313,10 @@ mod tests {
     }
 
     #[test]
-    fn sampling_keeps_every_nth_trace() {
-        let mut sink = TraceSink::new(TraceConfig {
-            enabled: true,
-            sample_every: 3,
-            ..TraceConfig::default()
-        });
-        let kept: Vec<bool> = (0..9).map(|_| sink.try_begin_trace().is_some()).collect();
-        assert_eq!(
-            kept,
-            vec![true, false, false, true, false, false, true, false, false]
-        );
-        assert_eq!(sink.traces_started(), 3);
-    }
-
-    #[test]
     fn ring_buffer_drops_oldest() {
         let mut sink = TraceSink::new(TraceConfig {
             enabled: true,
             capacity: 3,
-            sample_every: 1,
         });
         for i in 0..5 {
             sink.push(event(i));
@@ -358,7 +332,6 @@ mod tests {
         let mut sink = TraceSink::new(TraceConfig {
             enabled: true,
             capacity: 0,
-            sample_every: 1,
         });
         sink.push(event(1));
         assert!(sink.is_empty());
@@ -385,7 +358,6 @@ mod tests {
         sink.set_config(TraceConfig {
             enabled: true,
             capacity: 4,
-            sample_every: 1,
         });
         assert_eq!(sink.len(), 4);
         assert_eq!(sink.dropped(), 6);

@@ -225,7 +225,7 @@ impl<'a, M: Message> Context<'a, M> {
     ///
     /// Returns `None` — and clears the active context, so the new logical
     /// operation never inherits its trigger's trace — when tracing is
-    /// disabled or this trace was sampled out.
+    /// disabled.
     pub fn begin_trace(&mut self, kind: impl Into<SpanLabel>) -> Option<SpanCtx> {
         self.span = None;
         let t = self.prof.start();
@@ -449,7 +449,7 @@ impl<M: Message> World<M> {
         self.faults = plan;
     }
 
-    /// Configures the trace sink (enable/disable, capacity, sampling).
+    /// Configures the trace sink (enable/disable, capacity).
     /// Normally called once, before the run starts.
     pub fn set_trace_config(&mut self, config: TraceConfig) {
         self.trace.set_config(config);
@@ -789,7 +789,6 @@ mod tests {
         pub const HEARD: MetricId = MetricId::new(7, "heard");
         pub const FETCH: SpanLabel = SpanLabel::new("fetch");
         pub const SERVE: SpanLabel = SpanLabel::new("serve");
-        pub const OP: SpanLabel = SpanLabel::new("op");
     }
 
     #[derive(Debug, PartialEq)]
@@ -1201,42 +1200,6 @@ mod tests {
         assert!(!requester.reply_had_ctx);
         assert!(w.trace().is_empty());
         assert_eq!(w.trace().traces_started(), 0);
-    }
-
-    #[test]
-    fn begin_trace_clears_inherited_context() {
-        /// Starts a fresh trace for every message it receives.
-        struct PerMessage {
-            roots: Vec<Option<SpanCtx>>,
-        }
-        impl Node<Num> for PerMessage {
-            fn on_message(&mut self, ctx: &mut Context<'_, Num>, _from: NodeId, _msg: Num) {
-                self.roots.push(ctx.begin_trace(local::OP));
-            }
-        }
-        let mut w = World::new(1);
-        let sink = w.add_node("sink", PerMessage { roots: Vec::new() });
-        let src = w.add_node(
-            "src",
-            Requester {
-                peer: Some(sink),
-                root: None,
-                reply_had_ctx: false,
-                timer_had_ctx: false,
-            },
-        );
-        w.connect(src, sink, LinkSpec::new(1, SimDuration::from_millis(1)));
-        // Sample every 2nd trace: src's root is trace 0, the sink's first
-        // op is sampled out but must NOT inherit src's context.
-        w.set_trace_config(TraceConfig {
-            enabled: true,
-            sample_every: 2,
-            ..TraceConfig::default()
-        });
-        w.run_to_idle();
-        let roots = &w.node::<PerMessage>(sink).roots;
-        assert_eq!(roots.len(), 1);
-        assert_eq!(roots[0], None, "sampled-out trace must clear the context");
     }
 
     /// Order-insensitive sink: tallies arrivals, ignores who came first.

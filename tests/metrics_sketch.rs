@@ -112,60 +112,6 @@ fn sketch_tracks_exact_on_near_zero_streams() {
     }
 }
 
-/// Merged sketches must equal the sketch of the pooled stream, in either
-/// merge order — the order-independence the parallel runner relies on.
-#[test]
-fn sketch_merge_is_order_independent_and_pools_exactly() {
-    let mut rng = SimRng::seed_from(0x5EED_0005);
-    let a: Vec<f64> = (0..10_000).map(|_| rng.exponential(40.0)).collect();
-    let b: Vec<f64> = (0..10_000).map(|_| rng.normal(15.0, 2.5).abs()).collect();
-
-    let mut pooled = Histogram::new();
-    let mut sketch_a = Histogram::new();
-    let mut sketch_b = Histogram::new();
-    for &v in &a {
-        pooled.record(v);
-        sketch_a.record(v);
-    }
-    for &v in &b {
-        pooled.record(v);
-        sketch_b.record(v);
-    }
-
-    let mut ab = sketch_a.clone();
-    ab.merge(&sketch_b);
-    let mut ba = sketch_b.clone();
-    ba.merge(&sketch_a);
-
-    assert_eq!(ab.count(), pooled.count());
-    assert_eq!(ba.count(), pooled.count());
-    for q in CHECK_QUANTILES {
-        let p = pooled.quantile(q);
-        assert_eq!(
-            ab.quantile(q).to_bits(),
-            p.to_bits(),
-            "a+b merge diverged from pooled at q={q}"
-        );
-        assert_eq!(
-            ba.quantile(q).to_bits(),
-            p.to_bits(),
-            "b+a merge diverged from pooled at q={q}"
-        );
-    }
-
-    // And the merged sketch still tracks the pooled exact oracle.
-    let mut exact = ExactHistogram::new();
-    for &v in a.iter().chain(b.iter()) {
-        exact.record(v);
-    }
-    for q in CHECK_QUANTILES {
-        let s = ab.quantile(q);
-        let e = exact.quantile(q);
-        let rel = (s - e).abs() / e.abs().max(1.0 / 1024.0);
-        assert!(rel <= REL_TOL, "merged sketch q={q}: {s} vs exact {e}");
-    }
-}
-
 /// A randomized three-regime mixture: per-regime scales and the stream
 /// length vary with the case.
 #[derive(Debug, Clone)]
