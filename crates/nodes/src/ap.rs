@@ -107,7 +107,8 @@ pub struct ApConfig {
     /// so to its window roll, set by the world builder from the AP's grid
     /// index. All APs append samples to the one `ap.cpu` / `ap.ape_mem_mb`
     /// series; on a shared phase their sample ticks would tie and
-    /// tie-break order would order the series' points (`chaos_roam`'s
+    /// tie-break order would order the series' records, on which its
+    /// order-dependent digest fold and its float sums depend (`chaos_roam`'s
     /// `roaming_under_faults_terminates_drained_and_tie_invariant` fails).
     pub phase_stagger: SimDuration,
 }
@@ -229,17 +230,11 @@ impl ApNode {
     /// Creates an AP forwarding DNS to `upstream` (the LDNS) and dialling
     /// resolved addresses through `ip_map`.
     pub fn new(config: ApConfig, upstream: NodeId, ip_map: IpMap) -> Self {
-        let store = CacheStore::new(config.cache_capacity, config.block_threshold);
-        let policy: Box<dyn EvictionPolicy> = match config.policy {
-            ApPolicy::Pacm => Box::new(PacmPolicy::new(config.pacm)),
-            ApPolicy::PacmNoFairness => Box::new(PacmPolicy::new(config.pacm).without_fairness()),
-            ApPolicy::Lru => Box::new(LruPolicy::new()),
-        };
         ApNode {
+            cache: empty_cache(&config),
             config,
             upstream,
             ip_map,
-            cache: CacheManager::new(store, policy),
             dns_cache: BTreeMap::new(),
             registry: BTreeMap::new(),
             domain_urls: BTreeMap::new(),
@@ -289,15 +284,7 @@ impl ApNode {
     /// recover with. Clients holding stale `Cache-Hit` flags fall back to
     /// the delegation path transparently.
     pub fn flush_cache(&mut self) {
-        let store = CacheStore::new(self.config.cache_capacity, self.config.block_threshold);
-        let policy: Box<dyn EvictionPolicy> = match self.config.policy {
-            ApPolicy::Pacm => Box::new(PacmPolicy::new(self.config.pacm)),
-            ApPolicy::PacmNoFairness => {
-                Box::new(PacmPolicy::new(self.config.pacm).without_fairness())
-            }
-            ApPolicy::Lru => Box::new(LruPolicy::new()),
-        };
-        self.cache = CacheManager::new(store, policy);
+        self.cache = empty_cache(&self.config);
         self.dns_cache.clear();
     }
 
@@ -1222,11 +1209,27 @@ impl ApNode {
     fn sample_resources(&mut self, ctx: &mut Context<'_, Msg>) {
         let now = ctx.now();
         let cpu = self.cpu.sample_utilization(now);
+        debug_assert!(
+            (0.0..=1.0).contains(&cpu),
+            "cpu utilization {cpu} outside [0, 1]"
+        );
         let ape_mem = self.ape_memory_bytes();
         ctx.metrics().record_point_id(names::id::AP_CPU, now, cpu);
         ctx.metrics()
             .record_point_id(names::id::AP_APE_MEM_MB, now, ape_mem as f64 / 1e6);
     }
+}
+
+/// An empty cache store under a fresh instance of `config`'s eviction
+/// policy.
+fn empty_cache(config: &ApConfig) -> CacheManager<Box<dyn EvictionPolicy>> {
+    let store = CacheStore::new(config.cache_capacity, config.block_threshold);
+    let policy: Box<dyn EvictionPolicy> = match config.policy {
+        ApPolicy::Pacm => Box::new(PacmPolicy::new(config.pacm)),
+        ApPolicy::PacmNoFairness => Box::new(PacmPolicy::new(config.pacm).without_fairness()),
+        ApPolicy::Lru => Box::new(LruPolicy::new()),
+    };
+    CacheManager::new(store, policy)
 }
 
 /// Ends a dropped delegation's WAN span and answers each of its waiters

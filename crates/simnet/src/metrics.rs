@@ -12,9 +12,9 @@
 //! `count`/`sum`/`mean`/`min`/`max` stay exact. The sample-hoarding
 //! histogram it replaced lives on as
 //! [`crate::reference::ExactHistogram`], the oracle the `metrics_sketch`
-//! suite compares against side by side. A [`TimeSeries`] keeps every
-//! point, packed into a byte stream at about half a `(SimTime, f64)` pair
-//! each.
+//! suite compares against side by side. A [`TimeSeries`] keeps its
+//! aggregates and a fold of its points, not the points, so it holds no heap
+//! memory at all.
 //!
 //! Each metric kind lives in one table. Recording goes through interned
 //! [`MetricId`]s ([`Metrics::incr_id`], [`Metrics::observe_id`],
@@ -409,35 +409,28 @@ impl Histogram {
 
 /// A time series of `(time, value)` points, e.g. CPU utilization samples.
 ///
-/// Every point is kept, in one byte stream at about half the bytes of a
-/// `(SimTime, f64)` pair (DESIGN.md §14). A time is stored as the zig-zag
-/// LEB128 varint of its delta-of-delta, so evenly spaced samples take one
-/// byte and a backward jump round-trips through wrapping arithmetic. A value is stored as its bits XOR the previous
-/// value's with the zero bytes at both ends stripped behind a one-byte
-/// header (`leading * 8 + trailing`, or `0xff` when unchanged), a
-/// byte-aligned cousin of Gorilla's float encoding (Pelkonen et al., VLDB
-/// 2015). Aggregates (`mean`, `time_weighted_mean`, `max`) are maintained
-/// incrementally at `record` time, bitwise identical to a query-time fold
-/// over [`points`](Self::points).
+/// A series keeps its aggregates, not its points (DESIGN.md §14): the
+/// count, the last point, the value sum and maximum, the trapezoid
+/// integral behind `time_weighted_mean`, and an order-dependent 64-bit
+/// fold of every point's time and value bits for [`Metrics::digest`]. All
+/// of them are folded at `record` time in record order, and none owns heap
+/// memory, so a series costs the same after a minute as after a day.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TimeSeries {
-    /// Per point, the time varint and then the value header and bytes.
-    bytes: Vec<u8>,
     len: usize,
-    /// The last point (`(ZERO, 0.0)` before the first) and the time delta
-    /// that reached it: what the next point is encoded against.
+    /// The last point (`(ZERO, 0.0)` before the first).
     last: (SimTime, f64),
-    last_delta: u64,
     /// Incremental value sum; starts at `-0.0` to match `Sum for f64`.
     sum: f64,
     vmax: f64,
     /// Trapezoidal integral accumulators (see `time_weighted_mean`).
     area: f64,
     span: f64,
+    /// `mix64(mix64(fold ^ time) ^ value)` per point, in record order.
+    /// Each step is a bijection of the fold, so moving one point's time
+    /// or flipping one bit of its value always changes the result.
+    fold: u64,
 }
-
-/// Value header for a value bit-identical to the previous one.
-const UNCHANGED: u8 = 0xff;
 
 impl Default for TimeSeries {
     fn default() -> Self {
@@ -449,14 +442,13 @@ impl TimeSeries {
     /// Creates an empty series.
     pub fn new() -> Self {
         TimeSeries {
-            bytes: Vec::new(),
             len: 0,
             last: (SimTime::ZERO, 0.0),
-            last_delta: 0,
             sum: -0.0,
             vmax: f64::NEG_INFINITY,
             area: 0.0,
             span: 0.0,
+            fold: 0,
         }
     }
 
@@ -474,30 +466,9 @@ impl TimeSeries {
         }
         self.sum += value;
         self.vmax = self.vmax.max(value);
-
-        let delta = at.as_nanos().wrapping_sub(lt.as_nanos());
-        let dod = delta.wrapping_sub(self.last_delta);
-        put_varint(&mut self.bytes, (dod << 1) ^ ((dod as i64) >> 63) as u64);
-        put_xor(&mut self.bytes, value.to_bits() ^ lv.to_bits());
+        self.fold = mix64(mix64(self.fold ^ at.as_nanos()) ^ value.to_bits());
         self.last = (at, value);
-        self.last_delta = delta;
         self.len += 1;
-    }
-
-    /// All recorded points, in recording order, decoded from the stream as
-    /// the iterator advances.
-    pub fn points(&self) -> impl Iterator<Item = (SimTime, f64)> + '_ {
-        let (mut pos, mut t, mut delta, mut bits) = (0, 0u64, 0u64, 0u64);
-        std::iter::from_fn(move || {
-            if pos == self.bytes.len() {
-                return None;
-            }
-            let z = take_varint(&self.bytes, &mut pos);
-            delta = delta.wrapping_add((z >> 1) ^ (z & 1).wrapping_neg());
-            t = t.wrapping_add(delta);
-            bits ^= take_xor(&self.bytes, &mut pos);
-            Some((SimTime::from_nanos(t), f64::from_bits(bits)))
-        })
     }
 
     /// Number of recorded points.
@@ -543,63 +514,6 @@ impl TimeSeries {
             self.vmax
         }
     }
-
-    /// Approximate heap footprint of the stored points in bytes: the
-    /// stream's capacity, growth slack included.
-    pub fn approx_bytes(&self) -> usize {
-        self.bytes.capacity()
-    }
-}
-
-/// Appends `v` as an LEB128 varint: seven bits a byte, low bits first.
-fn put_varint(out: &mut Vec<u8>, mut v: u64) {
-    while v >= 0x80 {
-        out.push(v as u8 | 0x80);
-        v >>= 7;
-    }
-    out.push(v as u8);
-}
-
-/// Reads the varint `put_varint` wrote at `*pos` and moves past it.
-fn take_varint(bytes: &[u8], pos: &mut usize) -> u64 {
-    let mut v = 0;
-    let mut shift = 0;
-    loop {
-        let b = bytes[*pos];
-        *pos += 1;
-        v |= u64::from(b & 0x7f) << shift;
-        if b < 0x80 {
-            return v;
-        }
-        shift += 7;
-    }
-}
-
-/// Appends an XOR of two values' bits: its header, then its bytes between
-/// the leading and trailing zero bytes, low byte first.
-fn put_xor(out: &mut Vec<u8>, x: u64) {
-    if x == 0 {
-        out.push(UNCHANGED);
-        return;
-    }
-    let (lz, tz) = (x.leading_zeros() / 8, x.trailing_zeros() / 8);
-    out.push((lz * 8 + tz) as u8);
-    out.extend_from_slice(&(x >> (tz * 8)).to_le_bytes()[..(8 - lz - tz) as usize]);
-}
-
-/// Reads the XOR `put_xor` wrote at `*pos` and moves past it.
-fn take_xor(bytes: &[u8], pos: &mut usize) -> u64 {
-    let header = bytes[*pos];
-    *pos += 1;
-    if header == UNCHANGED {
-        return 0;
-    }
-    let (lz, tz) = (usize::from(header / 8), u32::from(header % 8));
-    let n = 8 - lz - tz as usize;
-    let mut le = [0; 8];
-    le[..n].copy_from_slice(&bytes[*pos..*pos + n]);
-    *pos += n;
-    u64::from_le_bytes(le) << (tz * 8)
 }
 
 /// Host-time self-accounting for the registry (the sim-loop profiler's
@@ -906,11 +820,6 @@ impl Metrics {
         self.series.get(name)
     }
 
-    /// Read access to an interned time series, if it exists.
-    pub fn time_series_id(&self, id: MetricId) -> Option<&TimeSeries> {
-        self.series.get_id(id)
-    }
-
     // --- names, digest ---------------------------------------------
 
     /// Names of all histograms currently registered, sorted.
@@ -923,14 +832,22 @@ impl Metrics {
         self.counters.sorted().into_iter().map(|(k, _)| k)
     }
 
+    /// Names of all time series currently registered, sorted.
+    pub fn series_names(&self) -> impl Iterator<Item = &str> {
+        self.series.sorted().into_iter().map(|(k, _)| k)
+    }
+
     /// Stable 64-bit digest of the registry's full content, used by the
     /// schedule-perturbation race detector to compare runs.
     ///
-    /// Counters and time series hash in key order; a histogram hashes as
-    /// its count plus the order-independent fold of every sample's bit
-    /// pattern, so two runs that recorded the same samples in a different
-    /// order digest alike and two that differ in one bit of one sample do
-    /// not. How a name came to be registered does not enter.
+    /// Counters, histograms and time series hash in key order. A histogram
+    /// hashes as its count plus the order-independent fold of every
+    /// sample's bit pattern, so two runs that recorded the same samples in
+    /// a different order digest alike and two that differ in one bit of one
+    /// sample do not. A time series hashes as its length plus its
+    /// order-dependent fold of every point's time and value bits, so there
+    /// the order of the points counts too. How a name came to be registered
+    /// does not enter.
     pub fn digest(&self) -> u64 {
         use crate::determinism::Fnv64;
         let counters = self.counters.sorted();
@@ -951,21 +868,19 @@ impl Metrics {
         h.write_u64(series.len() as u64);
         for (k, s) in series {
             h.write(k.as_bytes());
-            for (t, v) in s.points() {
-                h.write_u64(t.as_nanos());
-                h.write_u64(v.to_bits());
-            }
+            h.write_u64(s.len() as u64);
+            h.write_u64(s.fold);
         }
         h.finish()
     }
 
     /// Approximate heap footprint of the registry in bytes (tables, owned
-    /// names, bucket arrays, series streams), counting each buffer's
-    /// capacity rather than its length.
+    /// names, bucket arrays), counting each buffer's capacity rather than
+    /// its length. A time series owns no heap memory.
     pub fn approx_bytes(&self) -> usize {
         self.counters.approx_bytes(|_| 0)
             + self.histograms.approx_bytes(Histogram::approx_bytes)
-            + self.series.approx_bytes(TimeSeries::approx_bytes)
+            + self.series.approx_bytes(|_| 0)
     }
 }
 
@@ -1243,7 +1158,6 @@ mod tests {
         m.record_point_id(keys::id::NET_DROPPED, SimTime::ZERO, 1.0);
         m.record_point_id(keys::id::NET_DROPPED, SimTime::from_secs(1), 2.0);
         assert_eq!(m.time_series(keys::NET_DROPPED).unwrap().len(), 2);
-        assert_eq!(m.time_series_id(keys::id::NET_DROPPED).unwrap().len(), 2);
     }
 
     /// However a per-app histogram was first reached — by its interned
@@ -1430,15 +1344,17 @@ mod tests {
         m.observe_id(keys::id::NET_BYTES, 1.0);
         m.record_point_id(keys::id::NET_DROPPED, SimTime::ZERO, 1.0);
         let hist = m.histogram_id(keys::id::NET_BYTES).unwrap();
-        let series = m.time_series_id(keys::id::NET_DROPPED).unwrap();
         let tables = m.histograms.entries.capacity() * std::mem::size_of::<Entry<Histogram>>()
             + m.series.entries.capacity() * std::mem::size_of::<Entry<TimeSeries>>()
             + (m.histograms.by_id.capacity() + m.series.by_id.capacity())
                 * std::mem::size_of::<u32>();
-        assert_eq!(
-            m.approx_bytes(),
-            tables + hist.approx_bytes() + series.approx_bytes()
-        );
+        assert_eq!(m.approx_bytes(), tables + hist.approx_bytes());
+        // More points add nothing: a series owns no heap memory.
+        let before = m.approx_bytes();
+        for s in 1..1000 {
+            m.record_point_id(keys::id::NET_DROPPED, SimTime::from_secs(s), s as f64);
+        }
+        assert_eq!(m.approx_bytes(), before);
         // A name built under a prefix owns its string; that is counted too.
         let before = m.approx_bytes();
         m.observe_under(id::LAT_PREFIX, "dynamic", 2, 1.0);
@@ -1495,137 +1411,84 @@ mod tests {
         assert_eq!(h.mean().to_bits(), (folded / values.len() as f64).to_bits());
     }
 
-    // --- compact series --------------------------------------------------
+    // --- series aggregates -------------------------------------------------
 
-    /// The series as it was before the byte stream: every point in a `Vec`
-    /// and the aggregates folded at `record` time. The oracle the codec is
-    /// checked against, point for point and bit for bit.
-    struct VecSeries {
-        points: Vec<(SimTime, f64)>,
-        sum: f64,
-        vmax: f64,
-        area: f64,
-        span: f64,
-    }
+    /// The series as it was when it kept every point in a `Vec`, its
+    /// aggregates folded at query time: the oracle the incremental ones are
+    /// checked against, bit for bit.
+    struct VecSeries(Vec<(SimTime, f64)>);
 
     impl VecSeries {
-        fn new() -> Self {
-            VecSeries {
-                points: Vec::new(),
-                sum: -0.0,
-                vmax: f64::NEG_INFINITY,
-                area: 0.0,
-                span: 0.0,
+        /// `[mean, max, time_weighted_mean]` as `TimeSeries` defines them.
+        fn aggregates(&self) -> [f64; 3] {
+            if self.0.is_empty() {
+                return [0.0; 3];
             }
-        }
-
-        fn record(&mut self, at: SimTime, value: f64) {
-            if let Some(&(lt, lv)) = self.points.last() {
-                if at > lt {
-                    let dt = at.saturating_since(lt).as_secs_f64();
-                    self.area += 0.5 * (lv + value) * dt;
-                    self.span += dt;
+            let mean = self.0.iter().map(|p| p.1).sum::<f64>() / self.0.len() as f64;
+            let max = self.0.iter().fold(f64::NEG_INFINITY, |m, p| m.max(p.1));
+            let (mut area, mut span) = (0.0, 0.0);
+            for w in self.0.windows(2) {
+                let ((lt, lv), (t, v)) = (w[0], w[1]);
+                if t > lt {
+                    let dt = t.saturating_since(lt).as_secs_f64();
+                    area += 0.5 * (lv + v) * dt;
+                    span += dt;
                 }
             }
-            self.sum += value;
-            self.vmax = self.vmax.max(value);
-            self.points.push((at, value));
-        }
-
-        fn mean(&self) -> f64 {
-            if self.points.is_empty() {
-                0.0
-            } else {
-                self.sum / self.points.len() as f64
-            }
-        }
-
-        fn time_weighted_mean(&self) -> f64 {
-            if self.span > 0.0 {
-                self.area / self.span
-            } else {
-                self.mean()
-            }
-        }
-
-        fn max(&self) -> f64 {
-            if self.points.is_empty() {
-                0.0
-            } else {
-                self.vmax
-            }
-        }
-
-        /// `Metrics::digest` of a registry whose only metric is this series
-        /// as `name`, written iff it holds a point.
-        fn digest(&self, name: &str) -> u64 {
-            let mut h = crate::determinism::Fnv64::new();
-            h.write_u64(0); // counters
-            h.write_u64(0); // histograms
-            h.write_u64(u64::from(!self.points.is_empty()));
-            if !self.points.is_empty() {
-                h.write(name.as_bytes());
-            }
-            for (t, v) in &self.points {
-                h.write_u64(t.as_nanos());
-                h.write_u64(v.to_bits());
-            }
-            h.finish()
+            [mean, max, if span > 0.0 { area / span } else { mean }]
         }
     }
 
-    fn bits(points: impl IntoIterator<Item = (SimTime, f64)>) -> Vec<(u64, u64)> {
-        points
-            .into_iter()
-            .map(|(t, v)| (t.as_nanos(), v.to_bits()))
-            .collect()
-    }
-
-    /// Feeds `stream` to the oracle, to a series and to a registry;
-    /// everything a reader sees must agree bitwise.
-    fn assert_round_trip(stream: &[(u64, f64)]) {
-        let mut oracle = VecSeries::new();
-        let mut series = TimeSeries::new();
-        let mut whole = Metrics::new();
-        for &(t, v) in stream {
-            let at = SimTime::from_nanos(t);
-            oracle.record(at, v);
-            series.record(at, v);
-            whole.record_point_id(id::S, at, v);
-        }
-        assert_eq!(bits(series.points()), bits(oracle.points.iter().copied()));
-        assert_eq!(series.len(), oracle.points.len());
-        assert_eq!(series.is_empty(), oracle.points.is_empty());
-        assert_eq!(series.mean().to_bits(), oracle.mean().to_bits());
-        assert_eq!(series.max().to_bits(), oracle.max().to_bits());
-        assert_eq!(
-            series.time_weighted_mean().to_bits(),
-            oracle.time_weighted_mean().to_bits()
+    /// Feeds `stream` to a series and checks its length and aggregates
+    /// against the oracle's, bitwise. A NaN only has to meet a NaN: which
+    /// payload and sign an operation on NaNs returns is unspecified in
+    /// Rust, and two compiled copies of one sum may differ there.
+    fn assert_matches_oracle(stream: &[(u64, f64)]) {
+        let oracle = VecSeries(
+            stream
+                .iter()
+                .map(|&(t, v)| (SimTime::from_nanos(t), v))
+                .collect(),
         );
-        assert_eq!(whole.digest(), oracle.digest(local::S));
+        let mut series = TimeSeries::new();
+        for &(at, v) in &oracle.0 {
+            series.record(at, v);
+        }
+        assert_eq!(
+            (series.len(), series.is_empty()),
+            (stream.len(), stream.is_empty())
+        );
+        let got = [series.mean(), series.max(), series.time_weighted_mean()];
+        for (what, (a, b)) in ["mean", "max", "time-weighted mean"]
+            .iter()
+            .zip(got.into_iter().zip(oracle.aggregates()))
+        {
+            assert!(
+                a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()),
+                "{what}: {a:e} ({:#x}), the oracle {b:e} ({:#x})",
+                a.to_bits(),
+                b.to_bits()
+            );
+        }
     }
 
     const SECOND: u64 = 1_000_000_000;
 
     #[test]
-    fn series_round_trips_merge_seams_and_repeated_times() {
+    fn series_aggregates_match_oracle_on_edge_streams() {
         // Three runs of points back to back: time goes backward twice.
         let run = |k: f64| (0..50).map(move |i| (i * SECOND, k + i as f64 * 0.01));
-        assert_round_trip(&run(1.0).chain(run(2.0)).chain(run(3.0)).collect::<Vec<_>>());
+        assert_matches_oracle(&run(1.0).chain(run(2.0)).chain(run(3.0)).collect::<Vec<_>>());
         // Repeated times, alone and between forward steps.
         let mut stream = vec![(7 * SECOND, 1.0); 20];
         stream.extend((0..20).map(|i| (7 * SECOND + (i / 4) * 61, i as f64)));
-        assert_round_trip(&stream);
-        assert_round_trip(&[]);
-        assert_round_trip(&[(0, 0.0)]);
-    }
-
-    #[test]
-    fn series_round_trips_clock_extremes() {
-        // A first point at a large time, then jumps near the top of the
-        // clock in both directions and across the whole range.
-        assert_round_trip(&[(u64::MAX - 5, 1.0), (u64::MAX - 4, 2.0), (u64::MAX, 3.0)]);
-        assert_round_trip(&[
+        assert_matches_oracle(&stream);
+        assert_matches_oracle(&[]);
+        assert_matches_oracle(&[(0, 0.0)]);
+        // Jumps near the top of the clock in both directions and across
+        // the whole range.
+        assert_matches_oracle(&[(u64::MAX - 5, 1.0), (u64::MAX - 4, 2.0), (u64::MAX, 3.0)]);
+        assert_matches_oracle(&[
             (1 << 62, 0.5),
             (u64::MAX, 0.25),
             (0, 0.125),
@@ -1636,10 +1499,7 @@ mod tests {
             (u64::MAX - 1, 5.0),
             (1, 6.0),
         ]);
-    }
-
-    #[test]
-    fn series_round_trips_every_kind_of_float() {
+        // Every class of float, alone and each pair back to back.
         let specials = [
             0.0,
             -0.0,
@@ -1656,29 +1516,24 @@ mod tests {
             1.0,
             0.1,
         ];
-        let stream: Vec<(u64, f64)> = specials
+        let spaced = |gap: u64, values: &[f64]| -> Vec<(u64, f64)> {
+            values
+                .iter()
+                .enumerate()
+                .map(|(i, &v)| (i as u64 * gap, v))
+                .collect()
+        };
+        assert_matches_oracle(&spaced(SECOND, &specials));
+        let pairs: Vec<f64> = specials
             .iter()
-            .enumerate()
-            .map(|(i, &v)| (i as u64 * SECOND, v))
+            .flat_map(|&a| specials.map(|b| [a, b]))
+            .flatten()
             .collect();
-        assert_round_trip(&stream);
-        // Every pair of specials back to back, so each XOR shape occurs.
-        let pairs: Vec<(u64, f64)> = specials
-            .iter()
-            .flat_map(|&a| specials.iter().flat_map(move |&b| [a, b]))
-            .enumerate()
-            .map(|(i, v)| (i as u64 * 61, v))
-            .collect();
-        assert_round_trip(&pairs);
-        // Long runs of one value, the `UNCHANGED` header.
-        let runs: Vec<(u64, f64)> = (0..3000u64)
-            .map(|i| (i * SECOND, [0.25, f64::NAN, -0.0][(i / 1000) as usize]))
-            .collect();
-        assert_round_trip(&runs);
+        assert_matches_oracle(&spaced(61, &pairs));
     }
 
     #[test]
-    fn series_round_trips_random_streams() {
+    fn series_aggregates_match_oracle_on_random_streams() {
         // Times step forward, repeat, jump back or leap; values repeat,
         // drift, take a special or take arbitrary bits.
         for seed in 0..64u64 {
@@ -1708,21 +1563,28 @@ mod tests {
                     (t, v)
                 })
                 .collect();
-            assert_round_trip(&stream);
+            assert_matches_oracle(&stream);
         }
     }
 
     #[test]
-    fn a_staircase_on_a_one_second_grid_takes_under_six_bytes_a_point() {
-        // Ten thousand samples a second apart whose value steps every ten:
-        // one byte of time and mostly one byte of value a point. A
-        // `(SimTime, f64)` pair is sixteen.
-        let mut s = TimeSeries::new();
-        for i in 0..10_000u64 {
-            s.record(SimTime::from_secs(i), (i / 10) as f64 * 0.5);
+    fn series_digest_sees_order_value_bits_and_time() {
+        let digest = |stream: &[(u64, f64)]| {
+            let mut m = Metrics::new();
+            for &(t, v) in stream {
+                m.record_point_id(id::S, SimTime::from_nanos(t), v);
+            }
+            m.digest()
+        };
+        let base: [(u64, f64); 3] = [(SECOND, 0.25), (2 * SECOND, 0.5), (3 * SECOND, 0.75)];
+        let swapped = [base[0], base[2], base[1]];
+        let mut flipped = base;
+        flipped[1].1 = f64::from_bits(base[1].1.to_bits() ^ 1);
+        let mut moved = base;
+        moved[1].0 += 1;
+        assert_eq!(digest(&base), digest(&base));
+        for (what, other) in [("swap", swapped), ("bit flip", flipped), ("1 ns", moved)] {
+            assert_ne!(digest(&base), digest(&other), "{what}");
         }
-        assert_eq!(s.len(), 10_000);
-        let per_point = s.approx_bytes() as f64 / s.len() as f64;
-        assert!(per_point <= 6.0, "{per_point:.2} bytes a point");
     }
 }

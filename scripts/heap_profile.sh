@@ -19,9 +19,9 @@
 # The simulator's own owners, by their first frame: link rows
 # (`LinkTable::insert`: a 4-byte key and a 12-byte link each), link
 # reservations (`LinkTable::reserve`: the slab of arrivals in flight),
-# the event queue (`TimerWheel::{refill, push}`, `EventQueue::insert`),
-# each client's schedule stream (`ClientNode::new`: one boxed share per
-# client, no executions) and sampled series (`TimeSeries::record`).
+# the event queue (`TimerWheel::{refill, push}`, `EventQueue::insert`)
+# and each client's schedule stream (`ClientNode::new`: one boxed share
+# per client, no executions).
 set -euo pipefail
 
 repo="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"

@@ -18,13 +18,15 @@
 
 use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
 use std::sync::atomic::{AtomicI64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use ape_appdag::DummyAppConfig;
 use ape_proto::names;
-use ape_simnet::SimDuration;
+use ape_simnet::{Metrics, SimDuration};
 use ape_workload::ScheduleConfig;
 use apecache::{
-    build, build_topology, collect_topology, synthetic_suite, System, TestbedConfig, TopologyConfig,
+    build, build_topology, collect_topology, run_system, synthetic_suite, System, TestbedConfig,
+    TopologyConfig,
 };
 
 /// How far a 256-AP city's build heap per node may sit above a 16-AP
@@ -57,6 +59,14 @@ static LIVE: AtomicI64 = AtomicI64::new(0);
 
 fn live() -> i64 {
     LIVE.load(Ordering::Relaxed)
+}
+
+/// Held by every test for its whole body: the tally is process-wide, and
+/// the harness runs separate tests on parallel threads.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 // SAFETY: every method forwards its arguments unchanged to the system
@@ -123,21 +133,36 @@ fn build_bytes_per_node(aps: usize, roam: f64) -> f64 {
     held as f64 / top.world.node_count() as f64
 }
 
-/// Heap bytes the benchmark testbed (30 apps, three clients) holds after
-/// its build for a schedule of `minutes`.
-fn testbed_build_bytes(minutes: u64) -> i64 {
+/// The benchmark testbed (30 apps, three clients) with a schedule of
+/// `minutes`.
+fn testbed(minutes: u64) -> TestbedConfig {
     let suite = synthetic_suite(30, &DummyAppConfig::default(), 42);
     let mut config = TestbedConfig::new(System::ApeCache, suite);
     config.schedule.duration = SimDuration::from_mins(minutes);
+    config
+}
+
+/// Heap bytes the benchmark testbed holds after its build for a schedule
+/// of `minutes`.
+fn testbed_build_bytes(minutes: u64) -> i64 {
+    let config = testbed(minutes);
     let before = live();
     let _bed = build(&config);
     live() - before
 }
 
-// One test: the tally is process-wide, and the harness runs separate tests
-// on parallel threads.
+/// A registry's names by kind: counters, histograms, series.
+fn registered(m: &Metrics) -> [Vec<&str>; 3] {
+    [
+        m.counter_names().collect(),
+        m.histogram_names().collect(),
+        m.series_names().collect(),
+    ]
+}
+
 #[test]
 fn a_city_holds_nothing_twice() {
+    let _serial = serial();
     let small = build_bytes_per_node(16, 0.0);
     let large = build_bytes_per_node(256, 0.0);
     let roaming = build_bytes_per_node(256, 6.0);
@@ -180,4 +205,27 @@ fn a_city_holds_nothing_twice() {
          the registry is copied, not moved"
     );
     assert_eq!(top.world.metrics().counter_names().count(), 0);
+}
+
+/// The metrics plane is fixed-memory: a run four times as long registers
+/// the same names and holds the same registry bytes. When a series kept
+/// its points, each sample added about 9 B.
+#[test]
+fn a_registry_does_not_grow_with_the_run() {
+    let _serial = serial();
+    let [short, long] = [30, 120]
+        .map(|minutes| run_system(&testbed(minutes), SimDuration::from_mins(minutes)).metrics);
+    assert_eq!(
+        registered(&short),
+        registered(&long),
+        "the runs register different names"
+    );
+    let samples = |m: &Metrics| m.time_series(names::AP_CPU).map_or(0, |s| s.len());
+    assert!(samples(&long) > 3 * samples(&short));
+    let (short, long) = (short.approx_bytes(), long.approx_bytes());
+    println!("registry: {short} B after 30 sim-min, {long} B after 120");
+    assert_eq!(
+        short, long,
+        "the registry holds more after 120 sim-min than after 30: something in it grows per sample"
+    );
 }
