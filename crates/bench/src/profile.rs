@@ -36,7 +36,10 @@ pub fn profile(opts: &ReproOptions) -> String {
         config.profiler = true;
         config
     });
-    let serial = ReproOptions { threads: 1, ..*opts };
+    let serial = ReproOptions {
+        threads: 1,
+        ..*opts
+    };
     let results = serial.run(&configs);
 
     let mut out = String::from(
