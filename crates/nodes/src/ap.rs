@@ -155,7 +155,9 @@ struct Delegation {
     span: Option<SpanCtx>,
     /// Whether the reaper already restarted this fetch once.
     retried: bool,
-    /// The in-flight upstream request, so a restart can disown it.
+    /// The in-flight upstream request (to the edge or a peer AP). A
+    /// response completes the delegation that names it here, so a restart
+    /// disowns the old request by replacing it.
     upstream_req: Option<RequestId>,
 }
 
@@ -185,12 +187,11 @@ pub struct ApNode {
     upstream: NodeId,
     ip_map: IpMap,
     cache: CacheManager<Box<dyn EvictionPolicy>>,
-    dns_cache: BTreeMap<DomainName, (Ipv4Addr, SimTime, u32)>,
+    dns_cache: BTreeMap<DomainName, (Ipv4Addr, SimTime)>,
     registry: BTreeMap<UrlHash, RegisteredUrl>,
     domain_urls: BTreeMap<DomainName, Vec<UrlHash>>,
     pending_forwards: BTreeMap<u16, PendingForward>,
     delegations: BTreeMap<UrlHash, Delegation>,
-    delegation_reqs: BTreeMap<RequestId, UrlHash>,
     /// Delegations blocked on resolving their domain first.
     awaiting_dns: BTreeMap<DomainName, Vec<UrlHash>>,
     /// Neighbor APs (grid adjacency) for cooperative caching; empty in
@@ -203,8 +204,6 @@ pub struct ApNode {
     /// id, so the winner is a function of the schedule, not of the order
     /// two simultaneous deliveries happened to pop in.
     neighbor_holders: BTreeMap<UrlHash, (NodeId, SimTime)>,
-    /// In-flight peer fetches: request id → delegation key.
-    peer_reqs: BTreeMap<RequestId, UrlHash>,
     /// The Wi-Cache controller this AP advertises to, when deployed.
     wicache_controller: Option<NodeId>,
     cpu: CpuMeter,
@@ -240,11 +239,9 @@ impl ApNode {
             domain_urls: BTreeMap::new(),
             pending_forwards: BTreeMap::new(),
             delegations: BTreeMap::new(),
-            delegation_reqs: BTreeMap::new(),
             awaiting_dns: BTreeMap::new(),
             neighbors: Vec::new(),
             neighbor_holders: BTreeMap::new(),
-            peer_reqs: BTreeMap::new(),
             wicache_controller: None,
             cpu: CpuMeter::new(CORES),
             next_txn: 1,
@@ -330,14 +327,21 @@ impl ApNode {
 
     /// Sizes of every pending-state map, labelled — the chaos tests assert
     /// all of these drain to zero once in-flight traffic settles.
-    pub fn pending_counts(&self) -> [(&'static str, usize); 5] {
+    pub fn pending_counts(&self) -> [(&'static str, usize); 3] {
         [
             ("ap.pending_forwards", self.pending_forwards.len()),
             ("ap.delegations", self.delegations.len()),
-            ("ap.delegation_reqs", self.delegation_reqs.len()),
             ("ap.awaiting_dns", self.awaiting_dns.len()),
-            ("ap.peer_reqs", self.peer_reqs.len()),
         ]
+    }
+
+    /// The delegation whose in-flight upstream request is `req`: none once
+    /// it settled or the reaper disowned the request.
+    fn delegation_of(&self, req: RequestId) -> Option<UrlHash> {
+        self.delegations
+            .iter()
+            .find(|(_, d)| d.upstream_req == Some(req))
+            .map(|(key, _)| *key)
     }
 
     fn flag_for(&self, key: UrlHash, now: SimTime) -> CacheFlag {
@@ -428,7 +432,7 @@ impl ApNode {
         }
 
         // dnsmasq cache.
-        if let Some((ip, expires, _)) = self.dns_cache.get(domain) {
+        if let Some((ip, expires)) = self.dns_cache.get(domain) {
             if *expires > now {
                 ctx.metrics().incr_id(names::id::AP_DNS_CACHE_HITS, 1);
                 let remaining = (*expires - now).as_secs_u32();
@@ -482,10 +486,8 @@ impl ApNode {
                 (ip, ttl)
             });
         if let Some((ip, ttl)) = answer {
-            self.dns_cache.insert(
-                domain.clone(),
-                (ip, now + SimDuration::from_secs(ttl as u64), ttl),
-            );
+            self.dns_cache
+                .insert(domain.clone(), (ip, now + SimDuration::from_secs(ttl as u64)));
         }
 
         // Resume delegations that were waiting for this resolution — or
@@ -646,7 +648,6 @@ impl ApNode {
                 let peer_req = RequestId(self.next_req);
                 self.next_req += 1;
                 delegation.upstream_req = Some(peer_req);
-                self.peer_reqs.insert(peer_req, key);
                 ctx.metrics().incr_id(names::id::AP_PEER_FETCHES, 1);
                 ctx.send(holder, Msg::PeerFetch { req: peer_req, key });
                 return;
@@ -655,7 +656,7 @@ impl ApNode {
         let domain = delegation.url.host().clone();
         let now = ctx.now();
         let target_ip = match self.dns_cache.get(&domain) {
-            Some((ip, expires, _)) if *expires > now => *ip,
+            Some((ip, expires)) if *expires > now => *ip,
             _ => {
                 // Resolve first; the fetch resumes from
                 // `handle_dns_response`.
@@ -694,7 +695,6 @@ impl ApNode {
         self.next_conn += 1;
         let up_req = RequestId(self.next_req);
         self.next_req += 1;
-        self.delegation_reqs.insert(up_req, key);
         delegation.upstream_req = Some(up_req);
         let handshake = ctx.link_rtt(target).unwrap_or(SimDuration::ZERO);
         ctx.send(target, Msg::TcpSyn { conn });
@@ -718,12 +718,10 @@ impl ApNode {
     ) {
         let now = ctx.now();
         let latency = self.work(now, HTTP_PROCESSING);
-        let Some(key) = self.delegation_reqs.remove(&req) else {
+        let Some(key) = self.delegation_of(req) else {
             return;
         };
-        let Some(delegation) = self.delegations.remove(&key) else {
-            return;
-        };
+        let delegation = self.delegations.remove(&key).expect("found above");
         let fetch_latency = now - delegation.started;
         ctx.metrics().observe_id(
             names::id::AP_DELEGATION_FETCH_MS,
@@ -922,13 +920,12 @@ impl ApNode {
         summary: Vec<UrlHash>,
     ) {
         self.absorb_summary(ctx.now(), from, summary);
-        let Some(key) = self.peer_reqs.remove(&req) else {
+        let Some(key) = self.delegation_of(req) else {
             return; // disowned by the reaper; the summary still counted
         };
         match response {
             Some(rsp) => {
                 ctx.metrics().incr_id(names::id::AP_PEER_HITS, 1);
-                self.delegation_reqs.insert(req, key);
                 self.handle_upstream_response(ctx, req, *rsp);
             }
             None => {
@@ -936,10 +933,9 @@ impl ApNode {
                 if self.neighbor_holders.get(&key).map(|&(h, _)| h) == Some(from) {
                     self.neighbor_holders.remove(&key);
                 }
-                if let Some(d) = self.delegations.get_mut(&key) {
-                    d.upstream_req = None;
-                    self.start_upstream_fetch(ctx, key);
-                }
+                let d = self.delegations.get_mut(&key).expect("found above");
+                d.upstream_req = None;
+                self.start_upstream_fetch(ctx, key);
             }
         }
     }
@@ -1133,20 +1129,13 @@ impl ApNode {
                 d.retried = true;
                 // Disown the stale upstream request: if its response ever
                 // arrives it must not complete the restarted fetch too.
-                if let Some(up) = d.upstream_req.take() {
-                    self.delegation_reqs.remove(&up);
-                    self.peer_reqs.remove(&up);
-                }
+                d.upstream_req = None;
                 ctx.metrics().incr_id(names::id::AP_DELEGATION_RETRIES, 1);
                 self.start_upstream_fetch(ctx, key);
                 continue;
             }
             let delegation = self.delegations.remove(&key).expect("collected above");
             ctx.set_span_ctx(None);
-            if let Some(up) = delegation.upstream_req {
-                self.delegation_reqs.remove(&up);
-                self.peer_reqs.remove(&up);
-            }
             ctx.metrics().incr_id(names::id::AP_DELEGATION_REAPS, 1);
             fail_delegation(ctx, delegation);
         }
@@ -1984,6 +1973,71 @@ mod tests {
         assert!(!response.status.is_success(), "504, not a hang");
         assert_eq!(bed.world.metrics().counter(names::AP_DELEGATION_RETRIES), 1);
         assert_eq!(bed.world.metrics().counter(names::AP_DELEGATION_REAPS), 1);
+        assert_drained(&bed);
+    }
+
+    #[test]
+    fn a_response_to_a_disowned_request_does_not_complete_the_restart() {
+        use ape_simnet::FaultPlan;
+        let mut bed = bed(ApConfig::default());
+        bed.world
+            .post(bed.probe, bed.ap, dns_cache_query(1, &[url().hash()]));
+        settle(&mut bed.world);
+        // Partition the AP from the edge: the upstream fetch and the
+        // reaper's restart both vanish, and the test delivers responses.
+        bed.world.set_fault_plan(FaultPlan::new().link_down(
+            bed.ap,
+            bed.edge,
+            bed.world.now(),
+            SimTime::from_secs(10_000),
+        ));
+        bed.world.post(
+            bed.probe,
+            bed.ap,
+            Msg::HttpReq {
+                conn: ConnId(1),
+                req: RequestId(7),
+                request: HttpRequest::get(url()),
+                cache_op: Some(delegation_op()),
+            },
+        );
+        settle(&mut bed.world);
+        let upstream_req = |bed: &Bed| {
+            let ap = bed.world.node::<ApNode>(bed.ap);
+            ap.delegations.values().next().and_then(|d| d.upstream_req)
+        };
+        let disowned = upstream_req(&bed).expect("the fetch went upstream");
+        // DELEGATION_TIMEOUT (10 s) plus reap-tick slack: the reaper
+        // restarts the fetch under a new request.
+        bed.world.run_for(SimDuration::from_secs(10));
+        assert_eq!(bed.world.metrics().counter(names::AP_DELEGATION_RETRIES), 1);
+        let live = upstream_req(&bed).expect("the restart went upstream");
+        assert_ne!(live, disowned);
+
+        let response = |req| Msg::HttpRsp {
+            conn: ConnId(1),
+            req,
+            response: HttpResponse::ok(Body::synthetic(40_000)),
+            from_cache: true,
+        };
+        bed.world.post(bed.edge, bed.ap, response(disowned));
+        settle(&mut bed.world);
+        assert!(
+            bed.world.node::<Probe>(bed.probe).http_responses.is_empty(),
+            "the disowned response answered the waiter"
+        );
+        assert_eq!(bed.world.node::<ApNode>(bed.ap).cached_objects(), 0);
+        assert_eq!(upstream_req(&bed), Some(live));
+
+        bed.world.post(bed.edge, bed.ap, response(live));
+        settle(&mut bed.world);
+        let probe = bed.world.node::<Probe>(bed.probe);
+        let [(req, rsp, _)] = &probe.http_responses[..] else {
+            panic!("one answer: {:?}", probe.http_responses);
+        };
+        assert_eq!(*req, RequestId(7));
+        assert!(rsp.status.is_success());
+        assert_eq!(bed.world.node::<ApNode>(bed.ap).cached_objects(), 1);
         assert_drained(&bed);
     }
 

@@ -143,8 +143,8 @@ struct Fetch {
     /// The current attempt's retrieval watchdog, cancelled when the fetch
     /// settles (a no-op if it has fired); `None` until one is armed.
     watchdog: Option<TimerId>,
-    /// The connection of the current attempt, so abandoning or finishing
-    /// the fetch also drops its `conns` entry.
+    /// The connection of the current attempt (see [`conn_id`]); a SYN-ACK
+    /// naming any other connection of this fetch is stale.
     conn: Option<ConnId>,
     /// Root span of this fetch's trace (tracing enabled + sampled only).
     root_span: Option<SpanCtx>,
@@ -330,14 +330,11 @@ pub struct ClientNode {
     /// (see [`flag_table`]), and their validity horizon.
     flags: BTreeMap<DomainName, (Vec<CacheTuple>, SimTime)>,
     pending_dns: BTreeMap<DomainName, PendingDns>,
-    txn_domains: BTreeMap<u16, DomainName>,
     fetches: BTreeMap<RequestId, Fetch>,
-    conns: BTreeMap<ConnId, RequestId>,
     execs: BTreeMap<u64, Exec>,
     report: ClientReport,
     next_txn: u16,
     next_req: u64,
-    next_conn: u64,
     next_exec: u64,
 }
 
@@ -372,6 +369,21 @@ fn staggered(base: SimDuration, id: u64) -> SimDuration {
     let skew_ns = (id & 0xFFFF) * 61;
     base + SimDuration::from_nanos(skew_ns)
 }
+
+/// The connection of attempt `attempt` of fetch `req`. Attempts stay below
+/// `1 << CONN_ATTEMPT_BITS` (`HTTP_RETRIES` is far lower), so a SYN-ACK
+/// names its fetch ([`conn_request`]) and no two attempts share an id.
+fn conn_id(req: RequestId, attempt: u32) -> ConnId {
+    ConnId((req.0 << CONN_ATTEMPT_BITS) | u64::from(attempt))
+}
+
+/// The fetch whose attempt opened `conn`.
+fn conn_request(conn: ConnId) -> RequestId {
+    RequestId(conn.0 >> CONN_ATTEMPT_BITS)
+}
+
+const CONN_ATTEMPT_BITS: u32 = 8;
+const _: () = assert!(HTTP_RETRIES < 1 << CONN_ATTEMPT_BITS);
 
 fn http_token(req: RequestId, attempt: u32) -> TimerToken {
     TimerToken::new(
@@ -436,14 +448,11 @@ impl ClientNode {
             dns_expiry_floor: SimTime::MAX,
             flags: BTreeMap::new(),
             pending_dns: BTreeMap::new(),
-            txn_domains: BTreeMap::new(),
             fetches: BTreeMap::new(),
-            conns: BTreeMap::new(),
             execs: BTreeMap::new(),
             report: ClientReport::default(),
             next_txn: 1,
             next_req: 1,
-            next_conn: 1,
             next_exec: 1,
         }
     }
@@ -617,12 +626,21 @@ impl ClientNode {
         f.watchdog = Some(arm_http_timer(ctx, req, attempt));
     }
 
-    /// Allocates a DNS transaction id not live in `txn_domains`.
+    /// Allocates a DNS transaction id no pending query holds.
     fn alloc_txn(&mut self) -> u16 {
-        let live = &self.txn_domains;
-        alloc_txn(&mut self.next_txn, live.len(), |txn| {
-            live.contains_key(&txn)
+        let pending = &self.pending_dns;
+        alloc_txn(&mut self.next_txn, pending.len(), |txn| {
+            pending.values().any(|p| p.txn == txn)
         })
+    }
+
+    /// The domain whose pending query is transaction `txn`, if any: an
+    /// answer or timer of a settled query finds none.
+    fn pending_domain(&self, txn: u16) -> Option<DomainName> {
+        self.pending_dns
+            .iter()
+            .find(|(_, p)| p.txn == txn)
+            .map(|(domain, _)| domain.clone())
     }
 
     fn fresh_dns_ip(&self, domain: &DomainName, now: SimTime) -> Option<Ipv4Addr> {
@@ -658,7 +676,6 @@ impl ClientNode {
         } else {
             DnsMessage::dns_cache_request(txn, domain.clone(), &hashes)
         };
-        self.txn_domains.insert(txn, domain.clone());
         ctx.metrics().incr_id(names::id::CLIENT_DNS_QUERIES, 1);
         ctx.send_after(PROCESSING, self.config.dns_server, Msg::dns(query));
         let timer = arm_dns_timer(ctx, txn);
@@ -721,12 +738,10 @@ impl ClientNode {
                 node
             }
         };
-        let conn = ConnId(self.next_conn);
-        self.next_conn += 1;
+        let conn = conn_id(req, fetch.attempt);
         fetch.retrieval_started = Some(now);
         fetch.phase = Phase::Connecting { target, mode };
         fetch.conn = Some(conn);
-        self.conns.insert(conn, req);
         if let Some(span) = fetch.lookup_span.take() {
             ctx.span_end(span, SpanKind::Lookup);
         }
@@ -785,9 +800,6 @@ impl ClientNode {
         if let Some(watchdog) = fetch.watchdog {
             ctx.cancel(watchdog);
         }
-        if let Some(conn) = fetch.conn {
-            self.conns.remove(&conn);
-        }
         self.report.failures += 1;
         ctx.metrics().incr_id(names::id::CLIENT_FETCH_FAILURES, 1);
         if let Some(span) = fetch.lookup_span {
@@ -841,12 +853,6 @@ impl ClientNode {
         };
         if let Some(watchdog) = fetch.watchdog {
             ctx.cancel(watchdog);
-        }
-        // A response from an abandoned attempt can land while the current
-        // attempt is mid-retry; drop whichever conn the fetch now owns so
-        // the connection table drains either way.
-        if let Some(conn) = fetch.conn {
-            self.conns.remove(&conn);
         }
         let mode = match &fetch.phase {
             Phase::Fetching { mode } | Phase::Connecting { mode, .. } => *mode,
@@ -923,19 +929,12 @@ impl ClientNode {
     // ------------------------------------------------------------------
 
     fn handle_dns_response(&mut self, ctx: &mut Context<'_, Msg>, mut response: DnsMessage) {
-        let txn = response.header.id;
-        let Some(domain) = self.txn_domains.remove(&txn) else {
+        // An answer to a query that was answered or given up on already
+        // names no pending transaction and is dropped.
+        let Some(domain) = self.pending_domain(response.header.id) else {
             return;
         };
-        let Some(pending) = self.pending_dns.remove(&domain) else {
-            return;
-        };
-        if pending.txn != txn {
-            // Stale retry answer; put the live query back.
-            self.txn_domains.insert(pending.txn, domain.clone());
-            self.pending_dns.insert(domain, pending);
-            return;
-        }
+        let pending = self.pending_dns.remove(&domain).expect("found above");
         ctx.cancel(pending.timer);
         let now = ctx.now();
 
@@ -1004,7 +1003,7 @@ impl ClientNode {
     }
 
     fn handle_dns_timeout(&mut self, ctx: &mut Context<'_, Msg>, txn: u16) {
-        let domain = self.txn_domains.get(&txn).cloned();
+        let domain = self.pending_domain(txn);
         debug_assert!(
             domain.is_some(),
             "DNS timer of answered txn {txn} fired: the answer cancels it"
@@ -1012,15 +1011,9 @@ impl ClientNode {
         let Some(domain) = domain else {
             return; // Answered already.
         };
-        let Some(pending) = self.pending_dns.get_mut(&domain) else {
-            return;
-        };
-        if pending.txn != txn {
-            return;
-        }
+        let pending = self.pending_dns.get_mut(&domain).expect("found above");
         if pending.retries >= DNS_RETRIES {
             let pending = self.pending_dns.remove(&domain).expect("present above");
-            self.txn_domains.remove(&txn);
             ctx.metrics().incr_id(names::id::CLIENT_DNS_GIVE_UPS, 1);
             for req in pending.waiting {
                 self.fail_fetch(ctx, req);
@@ -1073,9 +1066,7 @@ impl ClientNode {
         let fetch = self.fetches.get_mut(&req).expect("checked above");
         fetch.attempt += 1;
         fetch.retrieval_started = None;
-        if let Some(conn) = fetch.conn.take() {
-            self.conns.remove(&conn);
-        }
+        fetch.conn = None;
         if let Some((span, kind)) = fetch.retrieval_span.take() {
             ctx.span_end(span, kind);
         }
@@ -1089,12 +1080,10 @@ impl ClientNode {
 
     /// Sizes of every pending-state map, labelled, for drain assertions in
     /// tests and the fault harness. All zeros once a run has fully drained.
-    pub fn pending_counts(&self) -> [(&'static str, usize); 5] {
+    pub fn pending_counts(&self) -> [(&'static str, usize); 3] {
         [
             ("pending_dns", self.pending_dns.len()),
-            ("txn_domains", self.txn_domains.len()),
             ("fetches", self.fetches.len()),
-            ("conns", self.conns.len()),
             ("execs", self.execs.len()),
         ]
     }
@@ -1182,12 +1171,13 @@ impl Node<Msg> for ClientNode {
             Msg::Dns(dns) if dns.header.response => self.handle_dns_response(ctx, *dns),
             Msg::Dns(_) => {}
             Msg::TcpSynAck { conn } => {
-                let Some(&req) = self.conns.get(&conn) else {
-                    return;
-                };
+                let req = conn_request(conn);
                 let Some(fetch) = self.fetches.get_mut(&req) else {
                     return;
                 };
+                if fetch.conn != Some(conn) {
+                    return; // The handshake of an abandoned attempt.
+                }
                 let Phase::Connecting { target, mode } = fetch.phase else {
                     return;
                 };
@@ -1205,14 +1195,11 @@ impl Node<Msg> for ClientNode {
                 );
             }
             Msg::HttpRsp {
-                conn,
                 req,
                 response,
                 from_cache,
-            } => {
-                self.conns.remove(&conn);
-                self.complete_fetch(ctx, req, response, from_cache);
-            }
+                ..
+            } => self.complete_fetch(ctx, req, response, from_cache),
             Msg::WiCacheResult { req, holder } => self.handle_wicache_result(ctx, req, holder),
             _ => {}
         }
@@ -1247,6 +1234,7 @@ impl Node<Msg> for ClientNode {
 mod tests {
     use super::*;
     use ape_appdag::{movie_trailer, AppId};
+    use ape_simnet::{LinkSpec, World};
 
     fn client(strategy: Strategy) -> ClientNode {
         ClientNode::new(
@@ -1259,6 +1247,128 @@ mod tests {
             Arc::new(ClientApps::new(vec![movie_trailer(AppId::new(1))])),
             Vec::new(),
         )
+    }
+
+    /// Records what a client sends, standing in for its AP and resolver.
+    #[derive(Debug, Default)]
+    struct Probe {
+        received: Vec<Msg>,
+    }
+
+    impl Node<Msg> for Probe {
+        fn on_message(&mut self, _ctx: &mut Context<'_, Msg>, _from: NodeId, msg: Msg) {
+            self.received.push(msg);
+        }
+    }
+
+    /// A client whose AP and resolver are one [`Probe`], running
+    /// MovieTrailer (one root object) once at 1 s.
+    fn probed_client() -> (World<Msg>, NodeId, NodeId) {
+        let mut world = World::new(3);
+        let probe = world.add_node("probe", Probe::default());
+        let config = ClientConfig::new(Strategy::ApeCache, probe, probe, IpMap::new());
+        let apps = Arc::new(ClientApps::new(vec![movie_trailer(AppId::new(1))]));
+        let schedule = vec![Execution {
+            at: SimTime::from_secs(1),
+            app: AppId::new(1),
+        }];
+        let client = world.add_node("client", ClientNode::new(config, apps, schedule));
+        world.connect(
+            client,
+            probe,
+            LinkSpec::from_rtt(1, SimDuration::from_millis(3)),
+        );
+        (world, client, probe)
+    }
+
+    fn dns_queries(world: &World<Msg>, probe: NodeId) -> Vec<DnsMessage> {
+        let probe = world.node::<Probe>(probe);
+        let dns = probe.received.iter().filter_map(|m| match m {
+            Msg::Dns(q) => Some((**q).clone()),
+            _ => None,
+        });
+        dns.collect()
+    }
+
+    fn syns(world: &World<Msg>, probe: NodeId) -> Vec<ConnId> {
+        let probe = world.node::<Probe>(probe);
+        let syns = probe.received.iter().filter_map(|m| match m {
+            Msg::TcpSyn { conn } => Some(*conn),
+            _ => None,
+        });
+        syns.collect()
+    }
+
+    fn http_requests(world: &World<Msg>, probe: NodeId) -> Vec<ConnId> {
+        let probe = world.node::<Probe>(probe);
+        let reqs = probe.received.iter().filter_map(|m| match m {
+            Msg::HttpReq { conn, .. } => Some(*conn),
+            _ => None,
+        });
+        reqs.collect()
+    }
+
+    /// An answer to `query` flagging every requested URL `Cache-Hit`, with
+    /// a real address and a 60 s horizon.
+    fn hit_answer(query: &DnsMessage) -> Msg {
+        let tuples = query
+            .cache_request_hashes()
+            .map(|k| CacheTuple::new(k, CacheFlag::Hit))
+            .collect();
+        let ip = Ipv4Addr::new(10, 0, 0, 9);
+        Msg::dns(DnsMessage::dns_cache_response(query, ip, 60, tuples))
+    }
+
+    #[test]
+    fn a_syn_ack_of_an_abandoned_attempt_is_ignored() {
+        let (mut world, client, probe) = probed_client();
+        world.run_until(SimTime::from_millis(1_100));
+        let query = dns_queries(&world, probe).pop().expect("the root was looked up");
+        world.post(probe, client, hit_answer(&query));
+        world.run_until(SimTime::from_millis(1_200));
+        assert_eq!(syns(&world, probe).len(), 1);
+        // Nobody answers the handshake: the watchdog abandons attempt 0 and
+        // attempt 1 dials again at once from the still-fresh flags.
+        world.run_until(SimTime::from_secs(6));
+        assert_eq!(world.metrics().counter(names::CLIENT_HTTP_RETRIES), 1);
+        let [stale, live] = syns(&world, probe)[..] else {
+            panic!("two attempts dial");
+        };
+        assert_ne!(stale, live);
+        world.post(probe, client, Msg::TcpSynAck { conn: stale });
+        world.run_until(SimTime::from_millis(6_100));
+        assert!(
+            http_requests(&world, probe).is_empty(),
+            "the abandoned attempt's handshake sent a request"
+        );
+        world.post(probe, client, Msg::TcpSynAck { conn: live });
+        world.run_until(SimTime::from_millis(6_200));
+        assert_eq!(http_requests(&world, probe), [live]);
+    }
+
+    #[test]
+    fn a_dns_answer_after_the_give_up_is_dropped() {
+        let (mut world, client, probe) = probed_client();
+        // Nobody answers: the query is sent, retried `DNS_RETRIES` times
+        // and given up, which fails the root and ends the execution.
+        world.run_until(SimTime::from_secs(12));
+        let queries = dns_queries(&world, probe);
+        assert_eq!(queries.len(), 1 + DNS_RETRIES as usize);
+        assert_eq!(world.metrics().counter(names::CLIENT_DNS_GIVE_UPS), 1);
+        let failures = world.metrics().counter(names::CLIENT_FETCH_FAILURES);
+        assert_eq!(failures, 1);
+        world.post(probe, client, hit_answer(&queries[0]));
+        world.run_until(SimTime::from_secs(13));
+        assert!(syns(&world, probe).is_empty(), "the late answer dialled");
+        assert_eq!(
+            world.metrics().counter(names::CLIENT_FETCH_FAILURES),
+            failures
+        );
+        let c = world.node::<ClientNode>(client);
+        assert!(c.dns_cache.is_empty() && c.flags.is_empty(), "{c:?}");
+        for (map, n) in c.pending_counts() {
+            assert_eq!(n, 0, "{map} leaked {n} entries");
+        }
     }
 
     #[test]

@@ -139,7 +139,6 @@ pub struct EdgeNode {
     next_conn: u64,
     next_req: u64,
     hits: u64,
-    misses: u64,
 }
 
 impl EdgeNode {
@@ -154,7 +153,6 @@ impl EdgeNode {
             next_conn: 1_000_000,
             next_req: 1_000_000,
             hits: 0,
-            misses: 0,
         }
     }
 
@@ -168,11 +166,6 @@ impl EdgeNode {
     /// Cache hits served.
     pub fn hits(&self) -> u64 {
         self.hits
-    }
-
-    /// Misses that required an origin fetch.
-    pub fn misses(&self) -> u64 {
-        self.misses
     }
 
     fn serve(
@@ -223,7 +216,6 @@ impl Node<Msg> for EdgeNode {
                 // Miss: fetch from origin, then serve. The upstream TCP
                 // handshake is modelled by a SYN the origin answers while
                 // the request is already queued behind it.
-                self.misses += 1;
                 ctx.metrics().incr_id(names::id::EDGE_ORIGIN_FETCHES, 1);
                 let span = ctx.span_start(SpanKind::OriginFetch);
                 let up_conn = ConnId(self.next_conn);
@@ -442,7 +434,7 @@ mod tests {
         let t = p.finished_at.unwrap().as_millis_f64();
         assert!(t < 40.0, "took {t}ms");
         assert_eq!(w.node::<EdgeNode>(edge).hits(), 1);
-        assert_eq!(w.node::<EdgeNode>(edge).misses(), 0);
+        assert_eq!(w.metrics().counter(names::EDGE_ORIGIN_FETCHES), 0);
     }
 
     #[test]
@@ -456,7 +448,7 @@ mod tests {
             .as_millis_f64();
         // First fetch pays origin RTTs + 40ms origin latency on top.
         assert!(t_first > 100.0, "cold fetch took {t_first}ms");
-        assert_eq!(w.node::<EdgeNode>(edge).misses(), 1);
+        assert_eq!(w.metrics().counter(names::EDGE_ORIGIN_FETCHES), 1);
 
         // Second fetch (fresh probe wired to same edge) is a hit.
         let mut probe2 = FetchProbe::new(url());
