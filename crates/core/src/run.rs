@@ -15,7 +15,6 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 
-use ape_nodes::ClientNode;
 use ape_proto::{names, Msg};
 use ape_simnet::{Metrics, NodeId, ProfileReport, SimDuration, TimeSeries, World};
 
@@ -25,14 +24,15 @@ use crate::topology::Topology;
 use crate::trace::{Attribution, TraceLog};
 
 /// Raw result of one run: the full metric registry plus the clients'
-/// summed counters.
+/// outcome counters read off it.
 #[derive(Debug, Clone)]
 pub struct RunResult {
     /// Which system ran.
     pub system: System,
     /// The world's metric registry at the end of the run.
     pub metrics: Metrics,
-    /// Per-client outcome counters, summed over the run's clients.
+    /// The clients' outcome counters, read off `metrics`
+    /// ([`ClientReport::from_metrics`](ape_nodes::ClientReport::from_metrics)).
     pub report: ape_nodes::ClientReport,
     /// The run's span events, when tracing was enabled in the config.
     pub trace: Option<TraceLog>,
@@ -96,23 +96,19 @@ pub fn run_system(config: &TestbedConfig, duration: SimDuration) -> RunResult {
 /// Collects results from an already-run testbed, moving its metric
 /// registry and trace out of the world.
 pub fn collect(system: System, bed: &mut Testbed) -> RunResult {
-    collect_from(&mut bed.world, &bed.clients, system)
+    collect_from(&mut bed.world, system)
 }
 
 /// Collects results from an already-run topology, moving its metric
 /// registry and trace out of the world.
 pub fn collect_topology(system: System, top: &mut Topology) -> RunResult {
-    collect_from(&mut top.world, &top.clients, system)
+    collect_from(&mut top.world, system)
 }
 
 /// Moves the world's registry and trace into the result: afterwards
 /// `world.metrics()` is empty, so read `result.metrics`, and take the
 /// world's fingerprint before collecting.
-fn collect_from(world: &mut World<Msg>, clients: &[NodeId], system: System) -> RunResult {
-    let mut report = ape_nodes::ClientReport::default();
-    for &client in clients {
-        report.merge(&world.node::<ClientNode>(client).report());
-    }
+fn collect_from(world: &mut World<Msg>, system: System) -> RunResult {
     let trace = world.trace().is_enabled().then(|| {
         let names: Vec<String> = (0..world.node_count())
             .map(|i| world.node_name(NodeId::from_raw(i as u32)).to_owned())
@@ -121,10 +117,11 @@ fn collect_from(world: &mut World<Msg>, clients: &[NodeId], system: System) -> R
     });
     // The profile folds in the registry's self-time, so it is read first.
     let profile = world.profile_report();
+    let metrics = world.take_metrics();
     RunResult {
         system,
-        metrics: world.take_metrics(),
-        report,
+        report: ape_nodes::ClientReport::from_metrics(&metrics),
+        metrics,
         trace,
         profile,
     }

@@ -486,8 +486,10 @@ impl ApNode {
                 (ip, ttl)
             });
         if let Some((ip, ttl)) = answer {
-            self.dns_cache
-                .insert(domain.clone(), (ip, now + SimDuration::from_secs(ttl as u64)));
+            self.dns_cache.insert(
+                domain.clone(),
+                (ip, now + SimDuration::from_secs(ttl as u64)),
+            );
         }
 
         // Resume delegations that were waiting for this resolution — or

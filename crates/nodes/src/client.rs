@@ -27,7 +27,9 @@ use ape_cachealg::Priority;
 use ape_dnswire::{CacheFlag, CacheTuple, DnsMessage, DomainName, Rcode, UrlHash};
 use ape_httpsim::{HttpRequest, HttpResponse, Url};
 use ape_proto::{names, CacheOp, ConnId, IpMap, Msg, RequestId, SpanKind};
-use ape_simnet::{Context, Node, NodeId, SimDuration, SimTime, SpanCtx, TimerId, TimerToken};
+use ape_simnet::{
+    Context, Metrics, Node, NodeId, SimDuration, SimTime, SpanCtx, TimerId, TimerToken,
+};
 use ape_workload::Execution;
 
 use crate::txn::alloc_txn;
@@ -179,7 +181,9 @@ struct PendingDns {
     timer: TimerId,
 }
 
-/// Client-side outcome counters, exposed for harnesses and tests.
+/// Client-side outcome counters, exposed for harnesses and tests. Clients
+/// keep no report: [`ClientReport::from_metrics`] reads one off the metric
+/// registry, the one ledger of settled fetches.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ClientReport {
     /// Cacheable object fetches completed.
@@ -197,6 +201,19 @@ pub struct ClientReport {
 }
 
 impl ClientReport {
+    /// The outcome counters of every client that wrote to `metrics`.
+    pub fn from_metrics(metrics: &Metrics) -> Self {
+        let samples = |name| metrics.histogram(name).map_or(0, |h| h.count() as u64);
+        ClientReport {
+            requests: samples(names::CLIENT_OBJECT_TOTAL_MS),
+            hits: metrics.counter(names::CLIENT_CACHE_HITS),
+            high_requests: metrics.counter(names::CLIENT_HIGH_PRIORITY_FETCHES),
+            high_hits: metrics.counter(names::CLIENT_HIGH_PRIORITY_HITS),
+            failures: metrics.counter(names::CLIENT_FETCH_FAILURES),
+            executions: samples(names::CLIENT_APP_LATENCY_MS),
+        }
+    }
+
     /// Overall AP-cache hit ratio.
     pub fn hit_ratio(&self) -> f64 {
         if self.requests == 0 {
@@ -213,16 +230,6 @@ impl ClientReport {
         } else {
             self.high_hits as f64 / self.high_requests as f64
         }
-    }
-
-    /// Adds another report's counters.
-    pub fn merge(&mut self, other: &ClientReport) {
-        self.requests += other.requests;
-        self.hits += other.hits;
-        self.high_requests += other.high_requests;
-        self.high_hits += other.high_hits;
-        self.failures += other.failures;
-        self.executions += other.executions;
     }
 }
 
@@ -332,7 +339,6 @@ pub struct ClientNode {
     pending_dns: BTreeMap<DomainName, PendingDns>,
     fetches: BTreeMap<RequestId, Fetch>,
     execs: BTreeMap<u64, Exec>,
-    report: ClientReport,
     next_txn: u16,
     next_req: u64,
     next_exec: u64,
@@ -450,7 +456,6 @@ impl ClientNode {
             pending_dns: BTreeMap::new(),
             fetches: BTreeMap::new(),
             execs: BTreeMap::new(),
-            report: ClientReport::default(),
             next_txn: 1,
             next_req: 1,
             next_exec: 1,
@@ -464,11 +469,6 @@ impl ClientNode {
     pub fn with_roam_schedule(mut self, roam_schedule: Vec<RoamStop>) -> Self {
         self.roam_schedule = roam_schedule;
         self
-    }
-
-    /// The outcome counters.
-    pub fn report(&self) -> ClientReport {
-        self.report
     }
 
     /// Kicks off one execution of app `app_idx` immediately (tests and
@@ -510,7 +510,6 @@ impl ClientNode {
         let Some(exec) = self.execs.remove(&exec_id) else {
             return;
         };
-        self.report.executions += 1;
         let latency = (ctx.now() - exec.started).as_millis_f64();
         ctx.metrics()
             .observe_id(names::id::CLIENT_APP_LATENCY_MS, latency);
@@ -800,7 +799,6 @@ impl ClientNode {
         if let Some(watchdog) = fetch.watchdog {
             ctx.cancel(watchdog);
         }
-        self.report.failures += 1;
         ctx.metrics().incr_id(names::id::CLIENT_FETCH_FAILURES, 1);
         if let Some(span) = fetch.lookup_span {
             ctx.span_end(span, SpanKind::Lookup);
@@ -864,18 +862,17 @@ impl ClientNode {
         if let Some(root) = fetch.root_span {
             ctx.span_end(root, SpanKind::Fetch);
         }
-        let spec = fetch.spec;
-        self.report.requests += 1;
-        if spec.priority.is_high() {
-            self.report.high_requests += 1;
+        let high = fetch.spec.priority.is_high();
+        if high {
+            ctx.metrics()
+                .incr_id(names::id::CLIENT_HIGH_PRIORITY_FETCHES, 1);
         }
-        let served_by_ap_cache = from_cache && mode != FetchMode::Edge;
-        if served_by_ap_cache {
-            self.report.hits += 1;
-            if spec.priority.is_high() {
-                self.report.high_hits += 1;
-            }
+        if from_cache && mode != FetchMode::Edge {
             ctx.metrics().incr_id(names::id::CLIENT_CACHE_HITS, 1);
+            if high {
+                ctx.metrics()
+                    .incr_id(names::id::CLIENT_HIGH_PRIORITY_HITS, 1);
+            }
         }
         if let Some(retrieval_started) = fetch.retrieval_started {
             let retrieval_ms = (now - retrieval_started).as_millis_f64();
@@ -1323,7 +1320,9 @@ mod tests {
     fn a_syn_ack_of_an_abandoned_attempt_is_ignored() {
         let (mut world, client, probe) = probed_client();
         world.run_until(SimTime::from_millis(1_100));
-        let query = dns_queries(&world, probe).pop().expect("the root was looked up");
+        let query = dns_queries(&world, probe)
+            .pop()
+            .expect("the root was looked up");
         world.post(probe, client, hit_answer(&query));
         world.run_until(SimTime::from_millis(1_200));
         assert_eq!(syns(&world, probe).len(), 1);
@@ -1395,7 +1394,6 @@ mod tests {
             .unwrap();
         assert!(thumb.1.priority.is_high());
         assert_eq!(thumb.0.query(), Some("v=3"));
-        assert_eq!(c.report(), ClientReport::default());
     }
 
     #[test]
@@ -1437,65 +1435,30 @@ mod tests {
         let empty = ClientReport::default();
         assert_eq!(empty.hit_ratio(), 0.0);
         assert_eq!(empty.high_priority_hit_ratio(), 0.0);
-        let mut merged = r;
-        merged.merge(&r);
-        assert_eq!(merged.requests, 20);
-        assert_eq!(merged.executions, 4);
     }
 
     #[test]
-    fn report_merge_with_default_is_identity() {
-        let r = ClientReport {
-            requests: 7,
-            hits: 3,
-            high_requests: 2,
-            high_hits: 1,
-            failures: 4,
-            executions: 5,
-        };
-        let mut left = r;
-        left.merge(&ClientReport::default());
-        assert_eq!(left, r);
-        let mut right = ClientReport::default();
-        right.merge(&r);
-        assert_eq!(right, r);
-    }
-
-    #[test]
-    fn report_merge_sums_every_field_and_commutes() {
-        let a = ClientReport {
-            requests: 1,
-            hits: 2,
-            high_requests: 3,
-            high_hits: 4,
-            failures: 5,
-            executions: 6,
-        };
-        let b = ClientReport {
-            requests: 10,
-            hits: 20,
-            high_requests: 30,
-            high_hits: 40,
-            failures: 50,
-            executions: 60,
-        };
-        let mut ab = a;
-        ab.merge(&b);
-        let mut ba = b;
-        ba.merge(&a);
-        assert_eq!(ab, ba);
+    fn report_reads_the_registry() {
+        let mut m = Metrics::new();
+        assert_eq!(ClientReport::from_metrics(&m), ClientReport::default());
+        for ms in [3.0, 4.0, 5.0] {
+            m.observe_id(names::id::CLIENT_OBJECT_TOTAL_MS, ms);
+        }
+        m.observe_id(names::id::CLIENT_APP_LATENCY_MS, 9.0);
+        m.incr_id(names::id::CLIENT_CACHE_HITS, 2);
+        m.incr_id(names::id::CLIENT_HIGH_PRIORITY_FETCHES, 2);
+        m.incr_id(names::id::CLIENT_HIGH_PRIORITY_HITS, 1);
+        m.incr_id(names::id::CLIENT_FETCH_FAILURES, 4);
         assert_eq!(
-            ab,
+            ClientReport::from_metrics(&m),
             ClientReport {
-                requests: 11,
-                hits: 22,
-                high_requests: 33,
-                high_hits: 44,
-                failures: 55,
-                executions: 66,
+                requests: 3,
+                hits: 2,
+                high_requests: 2,
+                high_hits: 1,
+                failures: 4,
+                executions: 1,
             }
         );
-        // Ratios derive from the merged counters, not an average of ratios.
-        assert!((ab.hit_ratio() - 2.0).abs() < 1e-12);
     }
 }

@@ -8,7 +8,7 @@ use ape_appdag::{movie_trailer, AppId, AppSpec};
 use ape_dnswire::DomainName;
 use ape_nodes::{
     ApConfig, ApNode, AuthDnsNode, Catalog, CatalogEntry, ClientApps, ClientConfig, ClientNode,
-    EdgeNode, LdnsNode, OriginNode, Strategy, ZoneAnswer,
+    ClientReport, EdgeNode, LdnsNode, OriginNode, Strategy, ZoneAnswer,
 };
 use ape_proto::{names, IpMap, Msg};
 use ape_simnet::{LinkSpec, NodeId, SimDuration, SimTime, World};
@@ -16,8 +16,6 @@ use ape_workload::Execution;
 
 struct MiniBed {
     world: World<Msg>,
-    client: NodeId,
-    clients: Vec<NodeId>,
     ap: NodeId,
 }
 
@@ -95,7 +93,6 @@ fn mini_bed_multi(
     let ap = world.add_node("ap", ApNode::new(ApConfig::default(), ldns, ip_map.clone()));
 
     let client_apps = Arc::new(ClientApps::new(apps));
-    let mut clients = Vec::new();
     for (i, schedule) in schedules.into_iter().enumerate() {
         let mut client_config = ClientConfig::new(strategy, ap, ap, ip_map.clone());
         if strategy == Strategy::EdgeCache {
@@ -120,7 +117,6 @@ fn mini_bed_multi(
             ldns,
             LinkSpec::from_rtt(6, SimDuration::from_millis(16)),
         );
-        clients.push(client);
     }
     world.connect(
         ap,
@@ -142,12 +138,7 @@ fn mini_bed_multi(
         cdn,
         LinkSpec::from_rtt(9, SimDuration::from_millis(20)),
     );
-    MiniBed {
-        world,
-        client: clients[0],
-        clients,
-        ap,
-    }
+    MiniBed { world, ap }
 }
 
 fn movie_schedule(times: &[u64]) -> Vec<Execution> {
@@ -165,7 +156,7 @@ fn first_execution_delegates_second_hits() {
     let apps = vec![movie_trailer(AppId::new(0))];
     let mut bed = mini_bed(apps, movie_schedule(&[1, 10]), Strategy::ApeCache);
     bed.world.run_until(SimTime::from_secs(9));
-    let after_first = bed.world.node::<ClientNode>(bed.client).report();
+    let after_first = ClientReport::from_metrics(bed.world.metrics());
     assert_eq!(after_first.executions, 1);
     assert_eq!(after_first.requests, 5, "five MovieTrailer objects");
     // First pass can only delegate (nothing cached yet) unless variants
@@ -174,7 +165,7 @@ fn first_execution_delegates_second_hits() {
     assert!(bed.world.node::<ApNode>(bed.ap).cached_objects() >= 4);
 
     bed.world.run_until(SimTime::from_secs(20));
-    let after_second = bed.world.node::<ClientNode>(bed.client).report();
+    let after_second = ClientReport::from_metrics(bed.world.metrics());
     assert_eq!(after_second.executions, 2);
     // Second execution may use a different movie (variant); but across the
     // 10-variant space with one prior run, at least the re-used variant
@@ -190,7 +181,7 @@ fn repeated_executions_converge_to_hits() {
     let times: Vec<u64> = (0..40).map(|i| 1 + i * 20).collect();
     let mut bed = mini_bed(apps, movie_schedule(&times), Strategy::ApeCache);
     bed.world.run_until(SimTime::from_secs(830));
-    let report = bed.world.node::<ClientNode>(bed.client).report();
+    let report = ClientReport::from_metrics(bed.world.metrics());
     assert_eq!(report.executions, 40);
     assert_eq!(report.failures, 0);
     // All ten variants of all five objects fit in 5 MB, so the steady
@@ -211,7 +202,7 @@ fn wicache_without_controller_fails_cleanly() {
     let apps = vec![movie_trailer(AppId::new(0))];
     let mut bed = mini_bed(apps, movie_schedule(&[1]), Strategy::WiCache);
     bed.world.run_until(SimTime::from_secs(30));
-    let report = bed.world.node::<ClientNode>(bed.client).report();
+    let report = ClientReport::from_metrics(bed.world.metrics());
     // No controller configured: every lookup fails, the execution still
     // terminates (dependents cancelled), nothing hangs.
     assert_eq!(report.executions, 1);
@@ -237,7 +228,7 @@ fn dead_resolver_exhausts_retries_then_fails() {
             || metrics.counter(names::CLIENT_DNS_GIVE_UPS) > 0,
         "retry machinery engaged"
     );
-    let report = bed.world.node::<ClientNode>(bed.client).report();
+    let report = ClientReport::from_metrics(bed.world.metrics());
     assert_eq!(report.executions, 1, "execution terminated regardless");
 }
 
@@ -247,7 +238,7 @@ fn edge_strategy_resolves_per_fetch_and_skips_ap() {
     let times: Vec<u64> = (0..5).map(|i| 1 + i * 30).collect();
     let mut bed = mini_bed(apps, movie_schedule(&times), Strategy::EdgeCache);
     bed.world.run_until(SimTime::from_secs(200));
-    let report = bed.world.node::<ClientNode>(bed.client).report();
+    let report = ClientReport::from_metrics(bed.world.metrics());
     assert_eq!(report.executions, 5);
     assert_eq!(report.hits, 0);
     assert_eq!(report.failures, 0);
@@ -274,7 +265,7 @@ fn ap_cache_flush_recovers_via_delegation() {
     // The remaining executions — some holding stale Cache-Hit flags —
     // must all complete, and the cache must repopulate.
     bed.world.run_until(SimTime::from_secs(420));
-    let report = bed.world.node::<ClientNode>(bed.client).report();
+    let report = ClientReport::from_metrics(bed.world.metrics());
     assert_eq!(report.failures, 0, "stale flags degrade, never fail");
     assert_eq!(report.executions, 20);
     assert!(
@@ -298,9 +289,20 @@ fn clients_share_the_ap_cache() {
     let a_schedule = movie_schedule(&[1]);
     let b_schedule = movie_schedule(&[30]);
     let mut bed = mini_bed_multi(vec![app], vec![a_schedule, b_schedule], Strategy::ApeCache);
+    // The registry is the run's one ledger: read A's part off it before B
+    // starts, and B's as what the rest of the run added.
+    bed.world.run_until(SimTime::from_secs(29));
+    let a = ClientReport::from_metrics(bed.world.metrics());
     bed.world.run_until(SimTime::from_secs(60));
-    let a = bed.world.node::<ClientNode>(bed.clients[0]).report();
-    let b = bed.world.node::<ClientNode>(bed.clients[1]).report();
+    let total = ClientReport::from_metrics(bed.world.metrics());
+    let b = ClientReport {
+        requests: total.requests - a.requests,
+        hits: total.hits - a.hits,
+        high_requests: total.high_requests - a.high_requests,
+        high_hits: total.high_hits - a.high_hits,
+        failures: total.failures - a.failures,
+        executions: total.executions - a.executions,
+    };
     assert_eq!(a.executions, 1);
     assert_eq!(b.executions, 1);
     assert_eq!(a.hits, 0, "first client populated the cache");

@@ -161,6 +161,13 @@ ape_simnet::metric_names! {
     AP_ROAM_CANCELLED_WAITERS = "ap.roam_cancelled_waiters";
     /// Roams a client executed (re-homed to a neighbor AP).
     CLIENT_ROAMS = "client.roams";
+
+    // --- Client fetch ledger, high priority ---------------------------------
+
+    /// High-priority object fetches completed.
+    CLIENT_HIGH_PRIORITY_FETCHES = "client.high_priority_fetches";
+    /// High-priority fetches served from the AP cache.
+    CLIENT_HIGH_PRIORITY_HITS = "client.high_priority_hits";
 }
 
 #[cfg(test)]

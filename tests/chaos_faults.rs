@@ -164,9 +164,8 @@ fn assert_terminated_and_drained(outcome: &ChaosOutcome, label: &str) {
     );
     // The fetch ledger closes: once drained, every fetch started has
     // settled as exactly one success or one failure, every retrieval was
-    // served by exactly one layer, and the clients' own report agrees.
+    // served by exactly one layer.
     let m = &outcome.result.metrics;
-    let report = &outcome.result.report;
     let samples = |name| m.histogram(name).map_or(0, |h| h.count() as u64);
     let settled = samples(names::CLIENT_OBJECT_TOTAL_MS);
     let failed = m.counter(names::CLIENT_FETCH_FAILURES);
@@ -182,8 +181,6 @@ fn assert_terminated_and_drained(outcome: &ChaosOutcome, label: &str) {
             + samples(names::CLIENT_RETRIEVAL_EDGE_MS),
         "{label}: every retrieval is served by exactly one layer"
     );
-    assert_eq!(report.requests, settled, "{label}: report.requests");
-    assert_eq!(report.failures, failed, "{label}: report.failures");
 }
 
 #[test]

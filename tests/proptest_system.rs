@@ -91,8 +91,8 @@ proptest! {
         prop_assert!(report.requests > 0);
 
         // The fetch ledger closes: every fetch started settled as one
-        // success or one failure, every retrieval was served by exactly
-        // one layer, and the clients' own report agrees.
+        // success or one failure, and every retrieval was served by
+        // exactly one layer.
         let m = &result.metrics;
         let samples = |name| m.histogram(name).map_or(0, |h| h.count() as u64);
         let settled = samples(names::CLIENT_OBJECT_TOTAL_MS);
@@ -104,8 +104,6 @@ proptest! {
                 + samples(names::CLIENT_RETRIEVAL_DELEGATION_MS)
                 + samples(names::CLIENT_RETRIEVAL_EDGE_MS)
         );
-        prop_assert_eq!(report.requests, settled);
-        prop_assert_eq!(report.failures, failed);
 
         // The Edge Cache baseline never records AP hits.
         if scenario.system == System::EdgeCache {
