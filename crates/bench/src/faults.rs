@@ -15,10 +15,9 @@
 //! reproducibility contract `all` is held to.
 
 use ape_appdag::DummyAppConfig;
-use ape_nodes::{ApNode, ClientNode, LdnsNode};
 use ape_proto::names;
 use ape_simnet::{FaultPlan, SimDuration, SimTime};
-use apecache::{build, collect, parallel_map, System, Testbed, TestbedConfig};
+use apecache::{build, collect, parallel_map, undrained, System, Testbed, TestbedConfig};
 
 use crate::experiments::{base_config, ReproOptions};
 
@@ -50,34 +49,9 @@ struct FaultRow {
     undrained: Vec<String>,
 }
 
-/// Pending-state entries that survived the drain grace period, labelled
-/// `node:map=count`. Empty means every map drained.
-fn undrained(bed: &mut Testbed) -> Vec<String> {
-    let mut out = Vec::new();
-    for &client in &bed.clients {
-        let name = bed.world.node_name(client).to_owned();
-        for (map, n) in bed.world.node::<ClientNode>(client).pending_counts() {
-            if n > 0 {
-                out.push(format!("{name}:{map}={n}"));
-            }
-        }
-    }
-    for (map, n) in bed.world.node::<ApNode>(bed.ap).pending_counts() {
-        if n > 0 {
-            out.push(format!("ap:{map}={n}"));
-        }
-    }
-    let n = bed.world.node::<LdnsNode>(bed.ldns).pending_count();
-    if n > 0 {
-        out.push(format!("ldns:pending={n}"));
-    }
-    out
-}
-
 fn extract_row(config: &TestbedConfig, bed: &mut Testbed) -> FaultRow {
     let (loss, system) = (config.wifi_loss, config.system);
     let scheduled = config.scheduled_executions() as u64;
-    let drain_leftovers = undrained(bed);
     let mut result = collect(system, bed);
     let summary = result.summary();
     let m = &result.metrics;
@@ -98,7 +72,7 @@ fn extract_row(config: &TestbedConfig, bed: &mut Testbed) -> FaultRow {
             + m.counter(names::AP_DELEGATION_REAPS),
         dropped: m.counter(names::NET_DROPPED),
         fault_dropped: m.counter(names::NET_FAULT_DROPPED),
-        undrained: drain_leftovers,
+        undrained: undrained(&bed.world, &bed.clients, &[bed.ap], bed.ldns),
     }
 }
 

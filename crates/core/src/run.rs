@@ -15,6 +15,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 
+use ape_nodes::{ApNode, ClientNode, LdnsNode};
 use ape_proto::{names, Msg};
 use ape_simnet::{Metrics, NodeId, ProfileReport, SimDuration, TimeSeries, World};
 
@@ -103,6 +104,30 @@ pub fn collect(system: System, bed: &mut Testbed) -> RunResult {
 /// registry and trace out of the world.
 pub fn collect_topology(system: System, top: &mut Topology) -> RunResult {
     collect_from(&mut top.world, system)
+}
+
+/// Pending-state entries left on `clients`, `aps` and `ldns`, labelled
+/// `node:map=count`. Empty once a run has drained.
+pub fn undrained(
+    world: &World<Msg>,
+    clients: &[NodeId],
+    aps: &[NodeId],
+    ldns: NodeId,
+) -> Vec<String> {
+    let mut counts = Vec::new();
+    for &c in clients {
+        counts.extend(world.node::<ClientNode>(c).pending_counts().map(|e| (c, e)));
+    }
+    for &ap in aps {
+        counts.extend(world.node::<ApNode>(ap).pending_counts().map(|e| (ap, e)));
+    }
+    let ldns_left = world.node::<LdnsNode>(ldns).pending_count();
+    counts.push((ldns, ("pending", ldns_left)));
+    counts
+        .into_iter()
+        .filter(|&(_, (_, n))| n > 0)
+        .map(|(id, (map, n))| format!("{}:{map}={n}", world.node_name(id)))
+        .collect()
 }
 
 /// Moves the world's registry and trace into the result: afterwards

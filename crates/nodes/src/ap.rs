@@ -126,12 +126,6 @@ impl Default for ApConfig {
     }
 }
 
-/// Cache metadata the AP has learned for a URL through delegation.
-#[derive(Debug, Clone)]
-struct RegisteredUrl {
-    op: CacheOp,
-}
-
 /// One client (or probe) waiting for a delegated object.
 #[derive(Debug, Clone, Copy)]
 struct Waiter {
@@ -188,7 +182,8 @@ pub struct ApNode {
     ip_map: IpMap,
     cache: CacheManager<Box<dyn EvictionPolicy>>,
     dns_cache: BTreeMap<DomainName, (Ipv4Addr, SimTime)>,
-    registry: BTreeMap<UrlHash, RegisteredUrl>,
+    /// Cache metadata learned for a URL through delegation.
+    registry: BTreeMap<UrlHash, CacheOp>,
     domain_urls: BTreeMap<DomainName, Vec<UrlHash>>,
     pending_forwards: BTreeMap<u16, PendingForward>,
     delegations: BTreeMap<UrlHash, Delegation>,
@@ -547,7 +542,7 @@ impl ApNode {
         self.remember_domain_url(request.url.host(), key);
 
         // Feed PACM's frequency signal.
-        let op = cache_op.or_else(|| self.registry.get(&key).map(|r| r.op));
+        let op = cache_op.or_else(|| self.registry.get(&key).copied());
         if let Some(op) = op {
             self.cache.note_request(op.app);
         }
@@ -610,7 +605,7 @@ impl ApNode {
             priority: Priority::LOW,
             app: ape_cachealg::AppId::new(u32::MAX),
         });
-        self.registry.insert(key, RegisteredUrl { op });
+        self.registry.insert(key, op);
         // The WAN fetch is a child of the triggering waiter's retrieval
         // span; later coalesced waiters share the same upstream fetch.
         let span = ctx.span_start(SpanKind::WanFetch);
@@ -795,10 +790,10 @@ impl ApNode {
         hints: Vec<ape_proto::PrefetchHint>,
     ) {
         let now = ctx.now();
-        let latency = self.work(now, HTTP_PROCESSING);
-        let _ = latency; // prefetching is off the client's critical path
-                         // Prefetch fetches serve no specific request: detach them from the
-                         // hinting client's trace so attribution only sees demand fetches.
+        // The CPU is charged, but no reply waits on it.
+        self.work(now, HTTP_PROCESSING);
+        // Prefetch fetches serve no specific request: detach them from the
+        // hinting client's trace so attribution only sees demand fetches.
         ctx.set_span_ctx(None);
         for hint in hints {
             let key = hint.url.hash();
@@ -810,7 +805,7 @@ impl ApNode {
                 continue; // already being fetched
             }
             ctx.metrics().incr_id(names::id::AP_PREFETCHES, 1);
-            self.registry.insert(key, RegisteredUrl { op: hint.op });
+            self.registry.insert(key, hint.op);
             self.delegations.insert(
                 key,
                 Delegation {
@@ -1980,66 +1975,42 @@ mod tests {
 
     #[test]
     fn a_response_to_a_disowned_request_does_not_complete_the_restart() {
-        use ape_simnet::FaultPlan;
         let mut bed = bed(ApConfig::default());
+        // The edge's record (TTL 20 s) is cached until just after 20 s.
         bed.world
             .post(bed.probe, bed.ap, dns_cache_query(1, &[url().hash()]));
+        bed.world.run_until(SimTime::from_secs(11));
+        // The edge never hears the AP, and from 20.5 s neither does the
+        // LDNS: the restart at 21.5 s waits on resolving the domain again.
+        let (now, end) = (bed.world.now(), SimTime::from_secs(10_000));
+        let plan = ape_simnet::FaultPlan::new()
+            .link_down(bed.ap, bed.edge, now, end)
+            .link_down(bed.ap, bed.ldns, SimTime::from_millis(20_500), end);
+        bed.world.set_fault_plan(plan);
+        let request = HttpRequest::get(url());
+        let msg = Msg::http_req(ConnId(1), RequestId(7), request, Some(delegation_op()));
+        bed.world.post(bed.probe, bed.ap, msg);
         settle(&mut bed.world);
-        // Partition the AP from the edge: the upstream fetch and the
-        // reaper's restart both vanish, and the test delivers responses.
-        bed.world.set_fault_plan(FaultPlan::new().link_down(
-            bed.ap,
-            bed.edge,
-            bed.world.now(),
-            SimTime::from_secs(10_000),
-        ));
-        bed.world.post(
-            bed.probe,
-            bed.ap,
-            Msg::HttpReq {
-                conn: ConnId(1),
-                req: RequestId(7),
-                request: HttpRequest::get(url()),
-                cache_op: Some(delegation_op()),
-            },
-        );
-        settle(&mut bed.world);
-        let upstream_req = |bed: &Bed| {
-            let ap = bed.world.node::<ApNode>(bed.ap);
-            ap.delegations.values().next().and_then(|d| d.upstream_req)
-        };
-        let disowned = upstream_req(&bed).expect("the fetch went upstream");
-        // DELEGATION_TIMEOUT (10 s) plus reap-tick slack: the reaper
-        // restarts the fetch under a new request.
-        bed.world.run_for(SimDuration::from_secs(10));
-        assert_eq!(bed.world.metrics().counter(names::AP_DELEGATION_RETRIES), 1);
-        let live = upstream_req(&bed).expect("the restart went upstream");
-        assert_ne!(live, disowned);
-
-        let response = |req| Msg::HttpRsp {
+        let ap = bed.world.node::<ApNode>(bed.ap);
+        let disowned = ap.delegations.values().next().unwrap().upstream_req;
+        let disowned = disowned.expect("the fetch went upstream");
+        bed.world.run_until(SimTime::from_secs(22));
+        let late = Msg::HttpRsp {
             conn: ConnId(1),
-            req,
+            req: disowned,
             response: HttpResponse::ok(Body::synthetic(40_000)),
             from_cache: true,
         };
-        bed.world.post(bed.edge, bed.ap, response(disowned));
+        bed.world.post(bed.edge, bed.ap, late);
         settle(&mut bed.world);
-        assert!(
-            bed.world.node::<Probe>(bed.probe).http_responses.is_empty(),
-            "the disowned response answered the waiter"
-        );
-        assert_eq!(bed.world.node::<ApNode>(bed.ap).cached_objects(), 0);
-        assert_eq!(upstream_req(&bed), Some(live));
-
-        bed.world.post(bed.edge, bed.ap, response(live));
-        settle(&mut bed.world);
-        let probe = bed.world.node::<Probe>(bed.probe);
-        let [(req, rsp, _)] = &probe.http_responses[..] else {
-            panic!("one answer: {:?}", probe.http_responses);
-        };
-        assert_eq!(*req, RequestId(7));
-        assert!(rsp.status.is_success());
-        assert_eq!(bed.world.node::<ApNode>(bed.ap).cached_objects(), 1);
+        assert_eq!(bed.world.metrics().counter(names::AP_DELEGATION_RETRIES), 1);
+        assert!(bed.world.node::<Probe>(bed.probe).http_responses.is_empty());
+        assert_eq!(bed.world.node::<ApNode>(bed.ap).delegations.len(), 1);
+        // The forward reaper gives up on the domain and fails the waiter.
+        bed.world.run_until(SimTime::from_secs(30));
+        let answers = &bed.world.node::<Probe>(bed.probe).http_responses;
+        assert_eq!(answers.len(), 1);
+        assert!(answers[0].0 == RequestId(7) && !answers[0].1.status.is_success());
         assert_drained(&bed);
     }
 

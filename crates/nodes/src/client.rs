@@ -181,9 +181,8 @@ struct PendingDns {
     timer: TimerId,
 }
 
-/// Client-side outcome counters, exposed for harnesses and tests. Clients
-/// keep no report: [`ClientReport::from_metrics`] reads one off the metric
-/// registry, the one ledger of settled fetches.
+/// Client-side outcome counters, read off the metric registry (the one
+/// ledger of settled fetches) by [`ClientReport::from_metrics`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ClientReport {
     /// Cacheable object fetches completed.
@@ -376,9 +375,8 @@ fn staggered(base: SimDuration, id: u64) -> SimDuration {
     base + SimDuration::from_nanos(skew_ns)
 }
 
-/// The connection of attempt `attempt` of fetch `req`. Attempts stay below
-/// `1 << CONN_ATTEMPT_BITS` (`HTTP_RETRIES` is far lower), so a SYN-ACK
-/// names its fetch ([`conn_request`]) and no two attempts share an id.
+/// The connection of attempt `attempt` of fetch `req`: a SYN-ACK names
+/// its fetch ([`conn_request`]), and no two attempts share an id.
 fn conn_id(req: RequestId, attempt: u32) -> ConnId {
     ConnId((req.0 << CONN_ATTEMPT_BITS) | u64::from(attempt))
 }
@@ -1246,128 +1244,97 @@ mod tests {
         )
     }
 
-    /// Records what a client sends, standing in for its AP and resolver.
+    /// Records what the client sends: it is the client's AP and resolver.
     #[derive(Debug, Default)]
-    struct Probe {
-        received: Vec<Msg>,
-    }
+    struct Probe(Vec<Msg>);
 
     impl Node<Msg> for Probe {
-        fn on_message(&mut self, _ctx: &mut Context<'_, Msg>, _from: NodeId, msg: Msg) {
-            self.received.push(msg);
+        fn on_message(&mut self, _: &mut Context<'_, Msg>, _: NodeId, msg: Msg) {
+            self.0.push(msg);
         }
     }
 
-    /// A client whose AP and resolver are one [`Probe`], running
-    /// MovieTrailer (one root object) once at 1 s.
-    fn probed_client() -> (World<Msg>, NodeId, NodeId) {
+    const PROBE: NodeId = NodeId::from_raw(0);
+
+    /// A [`Probe`] and a [`client`] that runs MovieTrailer (one root
+    /// object) once at 1 s.
+    fn probed_client() -> (World<Msg>, NodeId) {
         let mut world = World::new(3);
-        let probe = world.add_node("probe", Probe::default());
-        let config = ClientConfig::new(Strategy::ApeCache, probe, probe, IpMap::new());
-        let apps = Arc::new(ClientApps::new(vec![movie_trailer(AppId::new(1))]));
-        let schedule = vec![Execution {
-            at: SimTime::from_secs(1),
-            app: AppId::new(1),
-        }];
-        let client = world.add_node("client", ClientNode::new(config, apps, schedule));
-        world.connect(
-            client,
-            probe,
-            LinkSpec::from_rtt(1, SimDuration::from_millis(3)),
-        );
-        (world, client, probe)
+        world.add_node("probe", Probe::default());
+        let mut c = client(Strategy::ApeCache);
+        let at = SimTime::from_secs(1);
+        let app = AppId::new(1);
+        c.schedule = Executions(Box::new(std::iter::once(Execution { at, app })));
+        let c = world.add_node("client", c);
+        world.connect(c, PROBE, LinkSpec::from_rtt(1, SimDuration::from_millis(3)));
+        (world, c)
     }
 
-    fn dns_queries(world: &World<Msg>, probe: NodeId) -> Vec<DnsMessage> {
-        let probe = world.node::<Probe>(probe);
-        let dns = probe.received.iter().filter_map(|m| match m {
-            Msg::Dns(q) => Some((**q).clone()),
-            _ => None,
-        });
-        dns.collect()
+    /// The DNS queries, SYNs and HTTP requests the probe received.
+    fn sent(world: &World<Msg>) -> (Vec<DnsMessage>, Vec<ConnId>, Vec<ConnId>) {
+        let (mut dns, mut syns, mut requests) = (Vec::new(), Vec::new(), Vec::new());
+        for msg in &world.node::<Probe>(PROBE).0 {
+            match msg {
+                Msg::Dns(query) => dns.push((**query).clone()),
+                Msg::TcpSyn { conn } => syns.push(*conn),
+                Msg::HttpReq { conn, .. } => requests.push(*conn),
+                _ => {}
+            }
+        }
+        (dns, syns, requests)
     }
 
-    fn syns(world: &World<Msg>, probe: NodeId) -> Vec<ConnId> {
-        let probe = world.node::<Probe>(probe);
-        let syns = probe.received.iter().filter_map(|m| match m {
-            Msg::TcpSyn { conn } => Some(*conn),
-            _ => None,
-        });
-        syns.collect()
-    }
-
-    fn http_requests(world: &World<Msg>, probe: NodeId) -> Vec<ConnId> {
-        let probe = world.node::<Probe>(probe);
-        let reqs = probe.received.iter().filter_map(|m| match m {
-            Msg::HttpReq { conn, .. } => Some(*conn),
-            _ => None,
-        });
-        reqs.collect()
-    }
-
-    /// An answer to `query` flagging every requested URL `Cache-Hit`, with
-    /// a real address and a 60 s horizon.
+    /// A `Cache-Hit` answer to `query`, with an address and a 60 s TTL.
     fn hit_answer(query: &DnsMessage) -> Msg {
-        let tuples = query
+        let hits = query
             .cache_request_hashes()
-            .map(|k| CacheTuple::new(k, CacheFlag::Hit))
-            .collect();
+            .map(|k| CacheTuple::new(k, CacheFlag::Hit));
         let ip = Ipv4Addr::new(10, 0, 0, 9);
-        Msg::dns(DnsMessage::dns_cache_response(query, ip, 60, tuples))
+        Msg::dns(DnsMessage::dns_cache_response(
+            query,
+            ip,
+            60,
+            hits.collect(),
+        ))
     }
 
     #[test]
     fn a_syn_ack_of_an_abandoned_attempt_is_ignored() {
-        let (mut world, client, probe) = probed_client();
+        let (mut world, c) = probed_client();
         world.run_until(SimTime::from_millis(1_100));
-        let query = dns_queries(&world, probe)
-            .pop()
-            .expect("the root was looked up");
-        world.post(probe, client, hit_answer(&query));
-        world.run_until(SimTime::from_millis(1_200));
-        assert_eq!(syns(&world, probe).len(), 1);
-        // Nobody answers the handshake: the watchdog abandons attempt 0 and
-        // attempt 1 dials again at once from the still-fresh flags.
+        world.post(PROBE, c, hit_answer(&sent(&world).0[0]));
+        // Nobody answers the handshake: the watchdog abandons attempt 0,
+        // and attempt 1 dials again at once on the still-fresh flags.
         world.run_until(SimTime::from_secs(6));
-        assert_eq!(world.metrics().counter(names::CLIENT_HTTP_RETRIES), 1);
-        let [stale, live] = syns(&world, probe)[..] else {
-            panic!("two attempts dial");
+        let [stale, live] = sent(&world).1[..] else {
+            panic!("two attempts dial: {:?}", sent(&world).1);
         };
-        assert_ne!(stale, live);
-        world.post(probe, client, Msg::TcpSynAck { conn: stale });
+        world.post(PROBE, c, Msg::TcpSynAck { conn: stale });
         world.run_until(SimTime::from_millis(6_100));
         assert!(
-            http_requests(&world, probe).is_empty(),
-            "the abandoned attempt's handshake sent a request"
+            sent(&world).2.is_empty(),
+            "a stale handshake sent a request"
         );
-        world.post(probe, client, Msg::TcpSynAck { conn: live });
+        world.post(PROBE, c, Msg::TcpSynAck { conn: live });
         world.run_until(SimTime::from_millis(6_200));
-        assert_eq!(http_requests(&world, probe), [live]);
+        assert_eq!(sent(&world).2, [live]);
     }
 
     #[test]
     fn a_dns_answer_after_the_give_up_is_dropped() {
-        let (mut world, client, probe) = probed_client();
-        // Nobody answers: the query is sent, retried `DNS_RETRIES` times
-        // and given up, which fails the root and ends the execution.
+        let (mut world, c) = probed_client();
+        // Nobody answers: the query is retried `DNS_RETRIES` times and
+        // given up, which fails the root and ends the execution.
         world.run_until(SimTime::from_secs(12));
-        let queries = dns_queries(&world, probe);
+        let queries = sent(&world).0;
         assert_eq!(queries.len(), 1 + DNS_RETRIES as usize);
-        assert_eq!(world.metrics().counter(names::CLIENT_DNS_GIVE_UPS), 1);
-        let failures = world.metrics().counter(names::CLIENT_FETCH_FAILURES);
-        assert_eq!(failures, 1);
-        world.post(probe, client, hit_answer(&queries[0]));
+        world.post(PROBE, c, hit_answer(&queries[0]));
         world.run_until(SimTime::from_secs(13));
-        assert!(syns(&world, probe).is_empty(), "the late answer dialled");
-        assert_eq!(
-            world.metrics().counter(names::CLIENT_FETCH_FAILURES),
-            failures
-        );
-        let c = world.node::<ClientNode>(client);
+        assert!(sent(&world).1.is_empty(), "the late answer dialled");
+        assert_eq!(world.metrics().counter(names::CLIENT_FETCH_FAILURES), 1);
+        let c = world.node::<ClientNode>(c);
         assert!(c.dns_cache.is_empty() && c.flags.is_empty(), "{c:?}");
-        for (map, n) in c.pending_counts() {
-            assert_eq!(n, 0, "{map} leaked {n} entries");
-        }
+        assert!(c.pending_counts().iter().all(|&(_, n)| n == 0), "{c:?}");
     }
 
     #[test]
@@ -1441,24 +1408,16 @@ mod tests {
     fn report_reads_the_registry() {
         let mut m = Metrics::new();
         assert_eq!(ClientReport::from_metrics(&m), ClientReport::default());
-        for ms in [3.0, 4.0, 5.0] {
-            m.observe_id(names::id::CLIENT_OBJECT_TOTAL_MS, ms);
-        }
+        m.observe_id(names::id::CLIENT_OBJECT_TOTAL_MS, 3.0);
+        m.observe_id(names::id::CLIENT_OBJECT_TOTAL_MS, 4.0);
         m.observe_id(names::id::CLIENT_APP_LATENCY_MS, 9.0);
         m.incr_id(names::id::CLIENT_CACHE_HITS, 2);
-        m.incr_id(names::id::CLIENT_HIGH_PRIORITY_FETCHES, 2);
-        m.incr_id(names::id::CLIENT_HIGH_PRIORITY_HITS, 1);
-        m.incr_id(names::id::CLIENT_FETCH_FAILURES, 4);
-        assert_eq!(
-            ClientReport::from_metrics(&m),
-            ClientReport {
-                requests: 3,
-                hits: 2,
-                high_requests: 2,
-                high_hits: 1,
-                failures: 4,
-                executions: 1,
-            }
-        );
+        m.incr_id(names::id::CLIENT_HIGH_PRIORITY_FETCHES, 3);
+        m.incr_id(names::id::CLIENT_HIGH_PRIORITY_HITS, 4);
+        m.incr_id(names::id::CLIENT_FETCH_FAILURES, 5);
+        let r = ClientReport::from_metrics(&m);
+        let fields = [r.requests, r.hits, r.high_requests, r.high_hits];
+        assert_eq!(fields, [2, 2, 3, 4]);
+        assert_eq!((r.failures, r.executions), (5, 1));
     }
 }

@@ -10,7 +10,6 @@
 //! here is replayable at will.
 
 use ape_appdag::DummyAppConfig;
-use ape_nodes::{ApNode, ClientNode, LdnsNode};
 use ape_proto::names;
 use ape_simnet::{FaultPlan, SimDuration, SimTime};
 use ape_workload::ScheduleConfig;
@@ -99,30 +98,6 @@ fn random_plan(bed: &Testbed, plan_seed: u64) -> FaultPlan {
     plan
 }
 
-/// Pending-state entries that survived the grace period, labelled for the
-/// assertion message. Empty means every map drained.
-fn undrained(bed: &mut Testbed) -> Vec<String> {
-    let mut leftovers = Vec::new();
-    for &client in &bed.clients.clone() {
-        let name = bed.world.node_name(client).to_owned();
-        for (map, n) in bed.world.node::<ClientNode>(client).pending_counts() {
-            if n > 0 {
-                leftovers.push(format!("{name}:{map}={n}"));
-            }
-        }
-    }
-    for (map, n) in bed.world.node::<ApNode>(bed.ap).pending_counts() {
-        if n > 0 {
-            leftovers.push(format!("ap:{map}={n}"));
-        }
-    }
-    let n = bed.world.node::<LdnsNode>(bed.ldns).pending_count();
-    if n > 0 {
-        leftovers.push(format!("ldns:pending={n}"));
-    }
-    leftovers
-}
-
 struct ChaosOutcome {
     fingerprint: String,
     scheduled: u64,
@@ -139,7 +114,7 @@ fn run_chaos(plan_seed: Option<u64>, key: Option<u64>) -> ChaosOutcome {
     }
     bed.world.run_for(RUN + GRACE);
     let fingerprint = bed.world.fingerprint().to_string();
-    let leftovers = undrained(&mut bed);
+    let leftovers = apecache::undrained(&bed.world, &bed.clients, &[bed.ap], bed.ldns);
     let scheduled = cfg.scheduled_executions() as u64;
     let result = collect(cfg.system, &mut bed);
     ChaosOutcome {
@@ -204,7 +179,7 @@ fn lossy_wifi_run_drains_and_recovery_counters_fire() {
     let cfg = config(29, None);
     let mut bed = build(&cfg);
     bed.world.run_for(RUN + GRACE);
-    let leftovers = undrained(&mut bed);
+    let leftovers = apecache::undrained(&bed.world, &bed.clients, &[bed.ap], bed.ldns);
     assert!(
         leftovers.is_empty(),
         "pending state leaked: {}",

@@ -12,12 +12,11 @@
 //! path, indistinguishable from real timeouts.
 
 use ape_appdag::DummyAppConfig;
-use ape_nodes::{ApNode, ClientNode, LdnsNode};
 use ape_proto::names;
 use ape_simnet::{FaultPlan, SimDuration, SimTime};
 use ape_workload::ScheduleConfig;
 use apecache::{
-    build_topology, collect_topology, synthetic_suite, System, TestbedConfig, Topology,
+    build_topology, collect_topology, synthetic_suite, undrained, System, TestbedConfig, Topology,
     TopologyConfig,
 };
 
@@ -118,32 +117,6 @@ fn random_plan(top: &Topology, plan_seed: u64) -> FaultPlan {
     plan
 }
 
-/// Pending-state entries that survived the grace period, across every
-/// client, every AP, and the LDNS. Empty means every map drained.
-fn undrained(top: &mut Topology) -> Vec<String> {
-    let mut leftovers = Vec::new();
-    for &client in &top.clients.clone() {
-        let name = top.world.node_name(client).to_owned();
-        for (map, n) in top.world.node::<ClientNode>(client).pending_counts() {
-            if n > 0 {
-                leftovers.push(format!("{name}:{map}={n}"));
-            }
-        }
-    }
-    for (i, &ap) in top.aps.clone().iter().enumerate() {
-        for (map, n) in top.world.node::<ApNode>(ap).pending_counts() {
-            if n > 0 {
-                leftovers.push(format!("ap{i}:{map}={n}"));
-            }
-        }
-    }
-    let n = top.world.node::<LdnsNode>(top.ldns).pending_count();
-    if n > 0 {
-        leftovers.push(format!("ldns:pending={n}"));
-    }
-    leftovers
-}
-
 struct ChaosOutcome {
     fingerprint: String,
     scheduled: u64,
@@ -162,7 +135,7 @@ fn run_chaos(plan_seed: Option<u64>, key: Option<u64>) -> ChaosOutcome {
     }
     top.world.run_for(RUN + GRACE);
     let fingerprint = top.world.fingerprint().to_string();
-    let leftovers = undrained(&mut top);
+    let leftovers = undrained(&top.world, &top.clients, &top.aps, top.ldns);
     let scheduled = cfg.scheduled_executions() as u64;
     let result = collect_topology(cfg.base.system, &mut top);
     ChaosOutcome {
