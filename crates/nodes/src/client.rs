@@ -1286,16 +1286,10 @@ mod tests {
 
     /// A `Cache-Hit` answer to `query`, with an address and a 60 s TTL.
     fn hit_answer(query: &DnsMessage) -> Msg {
-        let hits = query
-            .cache_request_hashes()
-            .map(|k| CacheTuple::new(k, CacheFlag::Hit));
+        let hashes = query.cache_request_hashes();
+        let tuples = hashes.map(|k| CacheTuple::new(k, CacheFlag::Hit)).collect();
         let ip = Ipv4Addr::new(10, 0, 0, 9);
-        Msg::dns(DnsMessage::dns_cache_response(
-            query,
-            ip,
-            60,
-            hits.collect(),
-        ))
+        Msg::dns(DnsMessage::dns_cache_response(query, ip, 60, tuples))
     }
 
     #[test]
