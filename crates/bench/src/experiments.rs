@@ -6,8 +6,8 @@ use ape_proto::names;
 use ape_simnet::SimDuration;
 use ape_workload::{generate_trace, trace_stats, ScheduleConfig, TraceSpec};
 use apecache::{
-    paper_suite, replay_summary, replay_trace, router, ParallelRunner, RunJob, RunResult, Summary,
-    System, TestbedConfig,
+    paper_suite, parallel_map, replay_summary, replay_trace, router, run_system, RunResult,
+    Summary, System, TestbedConfig,
 };
 
 /// Knobs shared by all repro experiments.
@@ -18,7 +18,7 @@ pub struct ReproOptions {
     pub minutes: u64,
     /// Samples for the Table I / Fig. 11b micro-measurements.
     pub micro_trials: usize,
-    /// Worker threads for the parallel runner; `0` = auto-detect.
+    /// Worker threads runs are spread over; `0` = auto-detect.
     pub threads: usize,
     /// Root seed.
     pub seed: u64,
@@ -52,20 +52,23 @@ impl ReproOptions {
         SimDuration::from_mins(self.minutes)
     }
 
-    /// The worker-pool size the runner will actually use (resolves `0`
-    /// to the machine's available parallelism).
+    /// The worker-pool size runs use: `threads`, or the machine's
+    /// available parallelism when it is `0`.
     pub fn resolved_threads(&self) -> usize {
-        ParallelRunner::with_threads(self.threads).threads()
+        match self.threads {
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            threads => threads,
+        }
     }
 
-    /// Runs every configuration once, `self.minutes` long, through the
-    /// parallel runner and returns the results in input order.
+    /// Runs every configuration once, `self.minutes` long, across
+    /// [`resolved_threads`](Self::resolved_threads) workers and returns the
+    /// results in input order.
     pub(crate) fn run(&self, configs: &[TestbedConfig]) -> Vec<RunResult> {
-        let jobs: Vec<RunJob> = configs
-            .iter()
-            .map(|config| RunJob::new(config.clone(), self.duration()))
-            .collect();
-        ParallelRunner::with_threads(self.threads).run_many(&jobs)
+        let duration = self.duration();
+        parallel_map(configs.len(), self.resolved_threads(), |i| {
+            run_system(&configs[i], duration)
+        })
     }
 }
 
@@ -123,9 +126,9 @@ fn run_batch(opts: &ReproOptions, configs: &[TestbedConfig]) -> Vec<Summary> {
 /// parameter value. `configure` maps a parameter to (dummy config, app
 /// count, frequency).
 ///
-/// Every `(system × point)` job goes through one
-/// [`ParallelRunner::run_many`] call, so the whole sweep load-balances
-/// across the thread pool while results stay in deterministic job order.
+/// Every `(system × point)` run goes through one `ReproOptions::run`
+/// call, so the whole sweep load-balances across the thread pool while
+/// results stay in deterministic input order.
 fn sweep<P: Copy>(
     opts: &ReproOptions,
     systems: &[System],

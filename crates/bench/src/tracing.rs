@@ -3,8 +3,8 @@
 //! telemetry (JSONL span logs + Prometheus-style text metrics).
 //!
 //! Every string returned here is deterministic: runs execute through the
-//! same [`apecache::ParallelRunner`] as the figure sweeps, results come
-//! back in job order, and all rendering iterates sorted maps — so the
+//! same `ReproOptions::run` as the figure sweeps, results come back in
+//! input order, and all rendering iterates sorted maps — so the
 //! artifacts are byte-identical across `--threads 1` and `--threads N` for
 //! the same seed. The integration tests under `tests/` pin that property.
 

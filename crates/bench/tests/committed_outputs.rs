@@ -4,8 +4,10 @@
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
+use std::sync::OnceLock;
 
-use ape_bench::{evict_document, scale_document, trace_artifacts, ReproOptions};
+use ape_bench::{evict_document, scale_document, trace_artifacts, ReproOptions, TraceArtifacts};
+use ape_proto::SpanKind;
 
 fn repo_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
@@ -54,9 +56,15 @@ fn repro_all_matches_docs() {
     );
 }
 
+/// The default traced run, made once for the tests that read it.
+fn default_trace() -> &'static TraceArtifacts {
+    static ARTIFACTS: OnceLock<TraceArtifacts> = OnceLock::new();
+    ARTIFACTS.get_or_init(|| trace_artifacts(&ReproOptions::default()))
+}
+
 #[test]
 fn default_traced_run_matches_docs_trace() {
-    let artifacts = trace_artifacts(&ReproOptions::default());
+    let artifacts = default_trace();
     let regenerate = "cargo run --release -p ape-bench --bin repro -- --trace-out DIR trace \
                       (the sample is `head -n 1000 DIR/trace.jsonl`)";
     let sample: String = artifacts.jsonl.split_inclusive('\n').take(1000).collect();
@@ -67,6 +75,164 @@ fn default_traced_run_matches_docs_trace() {
     ] {
         assert_current(path, &committed(path), regenerated, regenerate);
     }
+}
+
+/// Every span kind is recorded by some system in the default traced run:
+/// the vocabulary names no stage that no run takes.
+#[test]
+fn every_span_kind_is_recorded_in_the_default_traced_run() {
+    let prometheus = &default_trace().prometheus;
+    let unrecorded: Vec<&str> = SpanKind::ALL
+        .iter()
+        .map(|kind| kind.as_str())
+        .filter(|stage| {
+            let series = format!("stage=\"{stage}\"}} ");
+            !prometheus.lines().any(|line| {
+                line.starts_with("apecache_trace_stage_latency_ms_count{")
+                    && line
+                        .split_once(&series)
+                        .is_some_and(|(_, count)| count != "0")
+            })
+        })
+        .collect();
+    assert!(
+        unrecorded.is_empty(),
+        "no system records {unrecorded:?} in the default traced run"
+    );
+}
+
+/// One EXPERIMENTS.md table and the `repro all` block its cells quote.
+struct Quote {
+    /// The table's header row in EXPERIMENTS.md.
+    header: &'static str,
+    /// How the block's first line in `docs/repro_all_default.txt` starts.
+    block: &'static str,
+    /// Value columns of a block row; the rest of the row is its label.
+    block_columns: usize,
+    /// For each value column of the table, the block column it quotes.
+    columns: &'static [usize],
+}
+
+const QUOTES: [Quote; 5] = [
+    Quote {
+        header: "| Size sweep | PACM-Avg | PACM-High | LRU |",
+        block: "Table IV:",
+        block_columns: 3,
+        columns: &[0, 1, 2],
+    },
+    Quote {
+        header: "| Frequency (/min) | PACM-Avg | PACM-High | LRU |",
+        block: "Table V:",
+        block_columns: 3,
+        columns: &[0, 1, 2],
+    },
+    Quote {
+        header: "| App quantity | PACM-Avg | PACM-High | LRU |",
+        block: "Table VI:",
+        block_columns: 3,
+        columns: &[0, 1, 2],
+    },
+    Quote {
+        header: "| System | MovieTrailer avg (paper ≈) | VirtualHome avg |",
+        block: "Fig. 12:",
+        block_columns: 4,
+        columns: &[0, 2],
+    },
+    Quote {
+        header: "| Variant | hit | high hit | lookup ms | app ms |",
+        block: "Design ablations",
+        block_columns: 4,
+        columns: &[0, 1, 2, 3],
+    },
+];
+
+/// A row label as both files can spell it: `1–100 kb` in the table is
+/// `1~100 kb` in the output, and an ablation's leading `-` / `+` goes.
+fn row_key(label: &str) -> String {
+    label
+        .replace('–', "~")
+        .trim_start_matches(['-', '+', ' '])
+        .trim()
+        .to_owned()
+}
+
+/// The measured part of a table cell: the paper's number in parentheses,
+/// bold markers and a trailing unit dropped.
+fn measured(cell: &str) -> &str {
+    let value = cell.split(" (").next().unwrap_or(cell);
+    let value = value.trim().trim_matches('*');
+    value.strip_suffix(" ms").unwrap_or(value)
+}
+
+/// The rows of the output block that starts with `block`, as label key
+/// and value columns.
+fn block_rows(output: &str, quote: &Quote) -> Vec<(String, Vec<String>)> {
+    output
+        .lines()
+        .skip_while(|line| !line.starts_with(quote.block))
+        .skip(1)
+        .take_while(|line| !line.starts_with("====="))
+        .filter_map(|line| {
+            let tokens: Vec<&str> = line.split_whitespace().collect();
+            let split = tokens.len().checked_sub(quote.block_columns)?;
+            let values = &tokens[split..];
+            (split > 0 && values.iter().all(|v| v.parse::<f64>().is_ok())).then(|| {
+                (
+                    row_key(&tokens[..split].join(" ")),
+                    values.iter().map(|v| (*v).to_owned()).collect(),
+                )
+            })
+        })
+        .collect()
+}
+
+/// Every measured cell of EXPERIMENTS.md's Tables IV–VI, Fig. 12 and
+/// ablations tables reads what the committed `repro all` output prints.
+#[test]
+fn experiments_tables_quote_the_committed_output() {
+    let doc = committed("EXPERIMENTS.md");
+    let output = committed("docs/repro_all_default.txt");
+    let mut stale = Vec::new();
+    for quote in &QUOTES {
+        let rows = block_rows(&output, quote);
+        assert!(!rows.is_empty(), "no `{}` block in the output", quote.block);
+        let table: Vec<&str> = doc
+            .lines()
+            .skip_while(|line| *line != quote.header)
+            .skip(2)
+            .take_while(|line| line.starts_with('|'))
+            .collect();
+        if table.is_empty() {
+            stale.push(format!("no table headed `{}`", quote.header));
+        }
+        for line in table {
+            let cells: Vec<&str> = line.trim_matches('|').split('|').collect();
+            let key = row_key(cells[0]);
+            let Some((_, values)) = rows.iter().find(|(label, _)| *label == key) else {
+                stale.push(format!(
+                    "{} `{key}`: no such row in the output",
+                    quote.block
+                ));
+                continue;
+            };
+            for (cell, &column) in cells[1..].iter().zip(quote.columns) {
+                if measured(cell) != values[column] {
+                    stale.push(format!(
+                        "{} `{key}`: EXPERIMENTS.md reads {}, the output {}",
+                        quote.block,
+                        measured(cell),
+                        values[column]
+                    ));
+                }
+            }
+        }
+    }
+    assert!(
+        stale.is_empty(),
+        "EXPERIMENTS.md quotes stale numbers; copy them from \
+         docs/repro_all_default.txt:\n{}",
+        stale.join("\n")
+    );
 }
 
 #[test]

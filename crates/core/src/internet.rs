@@ -12,7 +12,7 @@
 use std::net::Ipv4Addr;
 
 use ape_dnswire::{DnsMessage, DomainName};
-use ape_nodes::{AuthDnsNode, LdnsNode, OriginNode, ZoneAnswer};
+use ape_nodes::{AuthDnsNode, CatalogServer, LdnsNode, ZoneAnswer};
 use ape_proto::{ConnId, Msg};
 use ape_simnet::{Context, LinkSpec, Node, NodeId, SimDuration, SimTime, World};
 
@@ -104,7 +104,7 @@ pub fn measure_cell(path: &PathSpec, samples: usize, seed: u64) -> Table1Cell {
     let probe = world.add_node("probe", ProbeNode::default());
     let server = world.add_node(
         "cache-server",
-        OriginNode::new(ape_nodes::Catalog::new(), SimDuration::from_micros(200)),
+        CatalogServer::new(ape_nodes::Catalog::new(), SimDuration::from_micros(200)),
     );
 
     let site_name: DomainName = format!("www.{}.example", path.site.to_lowercase())

@@ -51,10 +51,7 @@ mod trace;
 
 pub use internet::{measure_cell, measure_table1, table1_paths, PathSpec, Table1Cell};
 pub use router::{replay_summary, replay_trace, RouterSample};
-pub use run::{
-    collect, collect_topology, parallel_map, run_system, undrained, ParallelRunner, RunJob,
-    RunResult, Summary,
-};
+pub use run::{collect, collect_topology, parallel_map, run_system, undrained, RunResult, Summary};
 pub use suite::{paper_suite, synthetic_suite};
 pub use system::System;
 pub use testbed::{build, Testbed, TestbedConfig};

@@ -3,13 +3,13 @@
 //!
 //! # Determinism contract
 //!
-//! Every run owns its own seeded [`World`](ape_simnet::World), so a job's
+//! Every run owns its own seeded [`World`](ape_simnet::World), so a run's
 //! [`RunResult`] depends only on its `(config, duration)` pair — never on
 //! which worker thread executed it or what ran beside it.
-//! [`ParallelRunner::run_many`] returns results in job order, so all
-//! derived [`Summary`] numbers are **bitwise identical** across thread
-//! counts (`--threads 1` vs `--threads N`). A test in this module pins
-//! that property via `f64::to_bits`.
+//! [`parallel_map`] returns results in index order, so all derived
+//! [`Summary`] numbers are **bitwise identical** across thread counts
+//! (`--threads 1` vs `--threads N`). A test in this module pins that
+//! property via `f64::to_bits`.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -207,23 +207,6 @@ impl RunResult {
     }
 }
 
-/// One independent simulation to execute: a full testbed configuration
-/// (including its seed) plus how long to run it.
-#[derive(Debug, Clone)]
-pub struct RunJob {
-    /// Testbed configuration; `config.seed` makes the job self-contained.
-    pub config: TestbedConfig,
-    /// Simulated time to run for.
-    pub duration: SimDuration,
-}
-
-impl RunJob {
-    /// Convenience constructor.
-    pub fn new(config: TestbedConfig, duration: SimDuration) -> Self {
-        RunJob { config, duration }
-    }
-}
-
 /// Runs `f(0)`, …, `f(n - 1)` on up to `threads` OS threads and returns the
 /// results in index order.
 ///
@@ -268,52 +251,6 @@ pub fn parallel_map<T: Send>(n: usize, threads: usize, f: impl Fn(usize) -> T + 
         .into_iter()
         .map(|slot| slot.expect("every index produces a result"))
         .collect()
-}
-
-/// Fans independent `(system × sweep-point × seed)` jobs across a pool of
-/// OS threads ([`parallel_map`]).
-#[derive(Debug, Clone, Copy)]
-pub struct ParallelRunner {
-    threads: usize,
-}
-
-impl Default for ParallelRunner {
-    fn default() -> Self {
-        ParallelRunner::new()
-    }
-}
-
-impl ParallelRunner {
-    /// A runner sized to the machine's available parallelism.
-    pub fn new() -> Self {
-        ParallelRunner::with_threads(0)
-    }
-
-    /// A runner with an explicit pool size; `0` means auto-detect.
-    pub fn with_threads(threads: usize) -> Self {
-        let threads = if threads == 0 {
-            thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            threads
-        };
-        ParallelRunner { threads }
-    }
-
-    /// The worker-pool size this runner will use.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Executes every job and returns results in job order.
-    ///
-    /// Results are bitwise independent of the pool size: each job runs in
-    /// its own freshly seeded `World`, and slot `i` of the output always
-    /// holds job `i`'s result.
-    pub fn run_many(&self, jobs: &[RunJob]) -> Vec<RunResult> {
-        parallel_map(jobs.len(), self.threads, |idx| {
-            run_system(&jobs[idx].config, jobs[idx].duration)
-        })
-    }
 }
 
 #[cfg(test)]
@@ -420,42 +357,45 @@ mod tests {
         bits
     }
 
-    /// `run_many` is `run_system` per job, bit for bit, whatever the pool
-    /// size.
+    /// `run_system` through [`parallel_map`] is `run_system` one by one,
+    /// bit for bit, whatever the pool size.
     #[test]
     fn parallel_runner_is_bitwise_identical_to_sequential() {
         // Tracing stays on here so the pin also covers span recording and
         // the attribution numbers derived from it. Two seeds per system
-        // make eight jobs, so each of four workers may take more than one.
+        // make eight runs, so each of four workers may take more than one.
         let duration = SimDuration::from_mins(2);
-        let jobs: Vec<RunJob> = System::ALL
+        let configs: Vec<TestbedConfig> = System::ALL
             .into_iter()
             .flat_map(|system| {
                 (0..2).map(move |offset| {
                     let mut config = small_config(system);
                     config.trace = ape_simnet::TraceConfig::enabled();
                     config.seed += offset;
-                    RunJob::new(config, duration)
+                    config
                 })
             })
             .collect();
 
-        let by_hand: Vec<Vec<u64>> = jobs
+        let by_hand: Vec<Vec<u64>> = configs
             .iter()
-            .map(|job| summary_bits(&run_system(&job.config, job.duration).summary()))
+            .map(|config| summary_bits(&run_system(config, duration).summary()))
             .collect();
 
         for threads in [1, 4] {
-            let results = ParallelRunner::with_threads(threads).run_many(&jobs);
-            assert_eq!(results.len(), jobs.len());
-            for ((mut result, job), expected) in results.into_iter().zip(&jobs).zip(&by_hand) {
-                assert_eq!(result.system, job.config.system);
+            let results = parallel_map(configs.len(), threads, |i| {
+                run_system(&configs[i], duration)
+            });
+            assert_eq!(results.len(), configs.len());
+            for ((mut result, config), expected) in results.into_iter().zip(&configs).zip(&by_hand)
+            {
+                assert_eq!(result.system, config.system);
                 assert_eq!(
                     &summary_bits(&result.summary()),
                     expected,
                     "{:?} (seed {}) on {threads} thread(s) differs from run_system",
-                    job.config.system,
-                    job.config.seed
+                    config.system,
+                    config.seed
                 );
             }
         }
@@ -463,23 +403,24 @@ mod tests {
 
     #[test]
     fn traced_runs_export_identical_jsonl_across_thread_counts() {
-        let jobs: Vec<RunJob> = (0..2)
+        let configs: Vec<TestbedConfig> = (0..2)
             .map(|offset| {
                 let mut config = small_config(System::ApeCache);
                 config.trace = ape_simnet::TraceConfig::enabled();
                 config.seed += offset;
-                RunJob::new(config, SimDuration::from_mins(2))
+                config
             })
             .collect();
         let export = |threads: usize| -> Vec<String> {
-            ParallelRunner::with_threads(threads)
-                .run_many(&jobs)
-                .iter()
-                .map(|result| {
-                    let log = result.trace.as_ref().expect("tracing was enabled");
-                    log.to_jsonl(result.system.label())
-                })
-                .collect()
+            parallel_map(configs.len(), threads, |i| {
+                run_system(&configs[i], SimDuration::from_mins(2))
+            })
+            .iter()
+            .map(|result| {
+                let log = result.trace.as_ref().expect("tracing was enabled");
+                log.to_jsonl(result.system.label())
+            })
+            .collect()
         };
         let sequential = export(1);
         let parallel = export(4);
@@ -516,25 +457,17 @@ mod tests {
     }
 
     #[test]
-    fn run_many_preserves_job_order() {
-        let duration = SimDuration::from_mins(1);
-        let jobs: Vec<RunJob> = [System::ApeCache, System::EdgeCache, System::ApeCacheLru]
-            .iter()
-            .map(|&system| RunJob::new(small_config(system), duration))
-            .collect();
-        let results = ParallelRunner::with_threads(3).run_many(&jobs);
-        let systems: Vec<System> = results.iter().map(|r| r.system).collect();
-        assert_eq!(
-            systems,
-            vec![System::ApeCache, System::EdgeCache, System::ApeCacheLru]
-        );
-    }
-
-    #[test]
     fn parallel_map_returns_index_order_under_a_pool_larger_than_n() {
         assert_eq!(parallel_map(5, 16, |i| i * i), [0, 1, 4, 9, 16]);
         assert_eq!(parallel_map(5, 1, |i| i * i), [0, 1, 4, 9, 16]);
         assert!(parallel_map(0, 4, |i| i).is_empty());
+        // Runs of unequal length come back in index order too.
+        let systems = [System::ApeCache, System::EdgeCache, System::ApeCacheLru];
+        let results = parallel_map(systems.len(), 4, |i| {
+            run_system(&small_config(systems[i]), SimDuration::from_mins(1))
+        });
+        let order: Vec<System> = results.iter().map(|r| r.system).collect();
+        assert_eq!(order, systems);
     }
 
     #[test]

@@ -32,9 +32,6 @@ pub struct TestbedConfig {
     /// Number of client devices sharing an AP's schedule (paper: 2 phones
     /// + 1 emulator host); in a grid, the population of every AP.
     pub clients: usize,
-    /// Whether the edge starts with every object cached (the paper's
-    /// ample-capacity steady-state assumption).
-    pub prewarm_edge: bool,
     /// Extension (paper §VI): clients send request-dependency information
     /// so the AP prefetches upcoming objects.
     pub prefetch_hints: bool,
@@ -77,7 +74,6 @@ impl TestbedConfig {
             schedule: ScheduleConfig::default(),
             ap: ApConfig::default(),
             clients: 3,
-            prewarm_edge: true,
             prefetch_hints: false,
             trace: TraceConfig::default(),
             profiler: false,
@@ -98,7 +94,10 @@ pub struct Testbed {
     pub ap: NodeId,
     /// The edge cache server.
     pub edge: NodeId,
-    /// The origin server.
+    /// The origin server. It is idle, since the edge holds every object
+    /// and no request goes past it. The node, its IP and its links stay so
+    /// that every later `NodeId`, and with them every per-link random
+    /// stream, keeps its place.
     pub origin: NodeId,
     /// The local DNS resolver.
     pub ldns: NodeId,

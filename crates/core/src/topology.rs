@@ -29,8 +29,8 @@ use std::sync::Arc;
 
 use ape_dnswire::DomainName;
 use ape_nodes::{
-    ApNode, AuthDnsNode, Catalog, CatalogEntry, ClientApps, ClientConfig, ClientNode, EdgeNode,
-    GridPos, LdnsNode, OriginNode, RoamStop, WiCacheControllerNode, ZoneAnswer,
+    ApNode, AuthDnsNode, Catalog, CatalogEntry, CatalogServer, ClientApps, ClientConfig,
+    ClientNode, GridPos, LdnsNode, RoamStop, WiCacheControllerNode, ZoneAnswer,
 };
 use ape_proto::{IpMap, Msg};
 use ape_simnet::{LinkSpec, NodeId, SimDuration, SimRng, World};
@@ -128,7 +128,10 @@ pub struct Topology {
     pub client_home: Vec<usize>,
     /// The edge cache server.
     pub edge: NodeId,
-    /// The origin server.
+    /// The origin server. It is idle, since the edge holds every object
+    /// and no request goes past it. The node, its IP and its links stay so
+    /// that every later `NodeId`, and with them every per-link random
+    /// stream, keeps its place.
     pub origin: NodeId,
     /// The local DNS resolver.
     pub ldns: NodeId,
@@ -235,7 +238,7 @@ pub(crate) fn assemble(
         world.enable_profiler();
     }
 
-    // --- Catalog shared by origin and edge -----------------------------
+    // --- Catalog: the origin's; the edge serves it without latency -----
     let mut catalog = Catalog::new();
     for app in &base.apps {
         for (_, obj) in app.dag().iter() {
@@ -250,15 +253,18 @@ pub(crate) fn assemble(
     }
 
     // --- Servers --------------------------------------------------------
+    // The edge holds every object, so no request reaches the origin. Its
+    // node, IP and links stay: removing them would shift every later
+    // `NodeId`, and with them every per-link random stream.
+    let edge_catalog = catalog.without_latency();
     let origin = world.add_node(
         "origin",
-        OriginNode::new(catalog.clone(), SimDuration::from_micros(500)),
+        CatalogServer::new(catalog, SimDuration::from_micros(500)),
     );
-    let mut edge_node = EdgeNode::new(origin, catalog, SimDuration::from_micros(400));
-    if base.prewarm_edge {
-        edge_node.prewarm();
-    }
-    let edge = world.add_node("edge", edge_node);
+    let edge = world.add_node(
+        "edge",
+        CatalogServer::new(edge_catalog, SimDuration::from_micros(400)),
+    );
 
     let mut ip_map = IpMap::new();
     let edge_ip = ip_map.assign(edge);

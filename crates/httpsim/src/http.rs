@@ -1,13 +1,10 @@
 //! Simulated HTTP requests and responses.
 //!
-//! Bodies carry a *declared size* driving the network/bandwidth model, and
-//! optionally real bytes for small payloads where tests assert content
-//! integrity end-to-end. Large synthetic objects stay size-only so an hour
-//! of simulated traffic does not allocate gigabytes.
+//! A body is its declared size, which drives the network/bandwidth model;
+//! no content is carried, so an hour of simulated traffic allocates none.
 
 use std::fmt;
 
-use crate::bytes::Bytes;
 use crate::url::Url;
 
 /// HTTP method (the paper's workloads only GET cacheable objects, but the
@@ -71,47 +68,26 @@ impl fmt::Display for Status {
     }
 }
 
-/// A response body: declared size plus optional real content.
+/// A response body: its declared size.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Body {
-    declared_size: u64,
-    content: Option<Bytes>,
+    size: u64,
 }
 
 impl Body {
     /// An empty body.
     pub fn empty() -> Self {
-        Body {
-            declared_size: 0,
-            content: None,
-        }
+        Body { size: 0 }
     }
 
-    /// A synthetic body of `size` bytes (no real content allocated).
+    /// A body of `size` bytes.
     pub fn synthetic(size: u64) -> Self {
-        Body {
-            declared_size: size,
-            content: None,
-        }
-    }
-
-    /// A body with real content.
-    pub fn from_bytes(content: impl Into<Bytes>) -> Self {
-        let content = content.into();
-        Body {
-            declared_size: content.len() as u64,
-            content: Some(content),
-        }
+        Body { size }
     }
 
     /// Size in bytes as seen by the network model.
     pub fn size(&self) -> u64 {
-        self.declared_size
-    }
-
-    /// The real content, if this body carries any.
-    pub fn content(&self) -> Option<&Bytes> {
-        self.content.as_ref()
+        self.size
     }
 }
 
@@ -191,21 +167,12 @@ mod tests {
     fn synthetic_body_has_size_but_no_content() {
         let b = Body::synthetic(80_000);
         assert_eq!(b.size(), 80_000);
-        assert!(b.content().is_none());
-    }
-
-    #[test]
-    fn real_body_size_matches_content() {
-        let b = Body::from_bytes(&b"hello"[..]);
-        assert_eq!(b.size(), 5);
-        assert_eq!(b.content().unwrap().as_ref(), b"hello");
     }
 
     #[test]
     fn empty_body() {
         let b = Body::empty();
         assert_eq!(b.size(), 0);
-        assert!(b.content().is_none());
     }
 
     #[test]

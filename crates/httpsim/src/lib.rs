@@ -20,10 +20,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod bytes;
 mod http;
 mod url;
 
-pub use bytes::Bytes;
 pub use http::{Body, HttpRequest, HttpResponse, Method, Status};
 pub use url::{ParseUrlError, Scheme, Url};

@@ -1315,7 +1315,7 @@ mod tests {
         world.run_for(SimDuration::from_secs(2));
     }
 
-    use crate::server::{Catalog, CatalogEntry, EdgeNode, OriginNode};
+    use crate::server::{Catalog, CatalogEntry, CatalogServer};
     use ape_simnet::{LinkSpec, World};
 
     /// Scripted prober standing in for a client.
@@ -1381,11 +1381,12 @@ mod tests {
         let probe = w.add_node("probe", Probe::default());
         let origin = w.add_node(
             "origin",
-            OriginNode::new(catalog(), SimDuration::from_micros(500)),
+            CatalogServer::new(catalog(), SimDuration::from_micros(500)),
         );
-        let mut edge = EdgeNode::new(origin, catalog(), SimDuration::from_micros(500));
-        edge.prewarm();
-        let edge_id = w.add_node("edge", edge);
+        let edge_id = w.add_node(
+            "edge",
+            CatalogServer::new(catalog().without_latency(), SimDuration::from_micros(500)),
+        );
 
         let mut ip_map = IpMap::new();
         let edge_ip = ip_map.assign(edge_id);
@@ -1708,7 +1709,6 @@ mod tests {
         settle(&mut bed.world);
         let probe = bed.world.node::<Probe>(bed.probe);
         assert_eq!(probe.http_responses.len(), 3, "all waiters answered");
-        assert_eq!(bed.world.metrics().counter(names::EDGE_ORIGIN_FETCHES), 0);
         // Only one upstream request reached the edge for the three waiters.
         assert_eq!(bed.world.node::<ApNode>(bed.ap).cached_objects(), 1);
         let delegation_fetches = bed

@@ -9,7 +9,7 @@
 //!   extension, delegation fetcher, PACM/LRU cache, a CPU meter,
 //! * [`LdnsNode`] / [`AuthDnsNode`] — the recursive and authoritative DNS
 //!   infrastructure (with CNAME chains into a CDN namespace),
-//! * [`EdgeNode`] / [`OriginNode`] — the edge cache server and origin,
+//! * [`CatalogServer`] — the edge cache server and the origin,
 //! * [`WiCacheControllerNode`] — the Wi-Cache baseline's controller.
 
 #![forbid(unsafe_code)]
@@ -25,5 +25,5 @@ mod wicache;
 pub use ap::{ApConfig, ApNode, ApPolicy};
 pub use client::{ClientApps, ClientConfig, ClientNode, ClientReport, RoamStop, Strategy};
 pub use resolver::{AuthDnsNode, LdnsNode, ZoneAnswer};
-pub use server::{Catalog, CatalogEntry, EdgeNode, OriginNode};
+pub use server::{Catalog, CatalogEntry, CatalogServer};
 pub use wicache::{GridPos, WiCacheControllerNode};

@@ -1,28 +1,31 @@
-//! HTTP servers: the origin and the edge cache server.
+//! HTTP servers: the edge cache server and the origin, one node type.
 //!
-//! The origin hosts every object and adds each object's configured
-//! `remote_latency` as service time — standing in for servers at varying
-//! distances (the paper assigns 20–50 ms per object). The edge cache server
-//! sits 7 hops from the AP, has ample capacity (the paper's assumption:
-//! "the edge server's cache capacity was ample enough to store all
-//! cacheable objects"), and fetches from the origin on first touch.
+//! A [`CatalogServer`] answers every request for an object in its catalog
+//! after its processing time plus the object's `extra_latency`, and 404s
+//! the rest. The catalog is what tells the two roles apart. The origin's
+//! entries carry each object's configured `remote_latency`, standing in for
+//! servers at varying distances (the paper assigns 20–50 ms per object).
+//! The edge sits 7 hops from the AP and holds every object from the start,
+//! the paper's assumption that "the edge server's cache capacity was ample
+//! enough to store all cacheable objects", so its entries carry none.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
-use ape_httpsim::{Body, HttpRequest, HttpResponse, Url};
-use ape_proto::{names, ConnId, Msg, RequestId, SpanKind};
-use ape_simnet::{Context, Node, NodeId, SimDuration, SpanCtx};
+use ape_httpsim::{Body, HttpResponse, Url};
+use ape_proto::Msg;
+use ape_simnet::{Context, Node, NodeId, SimDuration};
 
-/// What the origin knows about one object family (keyed by base id).
+/// What a server knows about one object family (keyed by base id).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CatalogEntry {
     /// Object size in bytes.
     pub size: u64,
-    /// Extra service latency simulating the object's origin distance.
+    /// Extra service latency simulating the object's origin distance
+    /// (zero at the edge).
     pub extra_latency: SimDuration,
 }
 
-/// The object catalog shared by origin and edge: base-URL → entry.
+/// A server's object catalog: base-URL → entry.
 #[derive(Debug, Clone, Default)]
 pub struct Catalog {
     entries: BTreeMap<String, CatalogEntry>,
@@ -45,6 +48,22 @@ impl Catalog {
         self.entries.get(url.base_id()).copied()
     }
 
+    /// The same objects with no extra latency: the edge's catalog.
+    pub fn without_latency(&self) -> Catalog {
+        let entries = self
+            .entries
+            .iter()
+            .map(|(base_id, entry)| {
+                let entry = CatalogEntry {
+                    extra_latency: SimDuration::ZERO,
+                    ..*entry
+                };
+                (base_id.clone(), entry)
+            })
+            .collect();
+        Catalog { entries }
+    }
+
     /// Number of registered families.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -56,18 +75,18 @@ impl Catalog {
     }
 }
 
-/// The origin server: serves everything in its catalog, slowly.
+/// An HTTP server over a catalog (see the module docs for its two roles).
 #[derive(Debug)]
-pub struct OriginNode {
+pub struct CatalogServer {
     catalog: Catalog,
     processing: SimDuration,
     served: u64,
 }
 
-impl OriginNode {
-    /// Creates an origin over `catalog` with base per-request processing.
+impl CatalogServer {
+    /// Creates a server over `catalog` with base per-request processing.
     pub fn new(catalog: Catalog, processing: SimDuration) -> Self {
-        OriginNode {
+        CatalogServer {
             catalog,
             processing,
             served: 0,
@@ -80,7 +99,7 @@ impl OriginNode {
     }
 }
 
-impl Node<Msg> for OriginNode {
+impl Node<Msg> for CatalogServer {
     fn on_message(&mut self, ctx: &mut Context<'_, Msg>, from: NodeId, msg: Msg) {
         match msg {
             Msg::TcpSyn { conn } => {
@@ -113,171 +132,11 @@ impl Node<Msg> for OriginNode {
     }
 }
 
-/// A fetch the edge is waiting on from the origin.
-#[derive(Debug)]
-struct PendingOriginFetch {
-    client: NodeId,
-    conn: ConnId,
-    req: RequestId,
-    url: Url,
-    /// Origin-fill span, child of whatever span the request carried.
-    span: Option<SpanCtx>,
-}
-
-/// The edge cache server.
-///
-/// Serves cached objects immediately; on a miss, fetches from the origin
-/// first (adding the origin round trip and the object's origin latency),
-/// then caches the object forever (ample capacity).
-#[derive(Debug)]
-pub struct EdgeNode {
-    origin: NodeId,
-    catalog: Catalog,
-    cached: BTreeSet<String>,
-    pending: BTreeMap<RequestId, PendingOriginFetch>,
-    processing: SimDuration,
-    next_conn: u64,
-    next_req: u64,
-    hits: u64,
-}
-
-impl EdgeNode {
-    /// Creates an edge server that fills misses from `origin`.
-    pub fn new(origin: NodeId, catalog: Catalog, processing: SimDuration) -> Self {
-        EdgeNode {
-            origin,
-            catalog,
-            cached: BTreeSet::new(),
-            pending: BTreeMap::new(),
-            processing,
-            next_conn: 1_000_000,
-            next_req: 1_000_000,
-            hits: 0,
-        }
-    }
-
-    /// Pre-warms the edge with every catalog object (used when a run should
-    /// start from the paper's steady-state assumption).
-    pub fn prewarm(&mut self) {
-        let keys: Vec<String> = self.catalog.entries.keys().cloned().collect();
-        self.cached.extend(keys);
-    }
-
-    /// Cache hits served.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    fn serve(
-        &self,
-        ctx: &mut Context<'_, Msg>,
-        to: NodeId,
-        conn: ConnId,
-        req: RequestId,
-        url: &Url,
-    ) {
-        let response = match self.catalog.entry_for(url) {
-            Some(entry) => HttpResponse::ok(Body::synthetic(entry.size)),
-            None => HttpResponse::not_found(),
-        };
-        ctx.send_after(
-            self.processing,
-            to,
-            Msg::HttpRsp {
-                conn,
-                req,
-                response,
-                from_cache: true,
-            },
-        );
-    }
-}
-
-impl Node<Msg> for EdgeNode {
-    fn on_message(&mut self, ctx: &mut Context<'_, Msg>, from: NodeId, msg: Msg) {
-        match msg {
-            Msg::TcpSyn { conn } => {
-                ctx.send_after(self.processing, from, Msg::TcpSynAck { conn });
-            }
-            Msg::TcpSynAck { .. } => {
-                // Connection to origin accepted; our upstream requests are
-                // sent eagerly below, so nothing to do.
-            }
-            Msg::HttpReq {
-                conn, req, request, ..
-            } => {
-                if self.cached.contains(request.url.base_id())
-                    || self.catalog.entry_for(&request.url).is_none()
-                {
-                    self.hits += 1;
-                    self.serve(ctx, from, conn, req, &request.url);
-                    return;
-                }
-                // Miss: fetch from origin, then serve. The upstream TCP
-                // handshake is modelled by a SYN the origin answers while
-                // the request is already queued behind it.
-                ctx.metrics().incr_id(names::id::EDGE_ORIGIN_FETCHES, 1);
-                let span = ctx.span_start(SpanKind::OriginFetch);
-                let up_conn = ConnId(self.next_conn);
-                self.next_conn += 1;
-                let up_req = RequestId(self.next_req);
-                self.next_req += 1;
-                self.pending.insert(
-                    up_req,
-                    PendingOriginFetch {
-                        client: from,
-                        conn,
-                        req,
-                        url: request.url.clone(),
-                        span,
-                    },
-                );
-                ctx.send_after(self.processing, self.origin, Msg::TcpSyn { conn: up_conn });
-                // One RTT after the SYN the handshake is done; issue the
-                // request with that extra delay so timing matches a real
-                // connect-then-request exchange.
-                let handshake = ctx.link_rtt(self.origin).unwrap_or(SimDuration::ZERO);
-                ctx.send_after(
-                    self.processing + handshake,
-                    self.origin,
-                    Msg::HttpReq {
-                        conn: up_conn,
-                        req: up_req,
-                        request: HttpRequest::get(request.url),
-                        cache_op: None,
-                    },
-                );
-            }
-            Msg::HttpRsp { req, response, .. } => {
-                // Origin answered one of our fills.
-                let Some(pending) = self.pending.remove(&req) else {
-                    return;
-                };
-                if let Some(span) = pending.span {
-                    ctx.span_end(span, SpanKind::OriginFetch);
-                }
-                if response.status.is_success() {
-                    self.cached.insert(pending.url.base_id().to_owned());
-                }
-                ctx.send_after(
-                    self.processing,
-                    pending.client,
-                    Msg::HttpRsp {
-                        conn: pending.conn,
-                        req: pending.req,
-                        response,
-                        from_cache: false,
-                    },
-                );
-            }
-            _ => {}
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ape_httpsim::HttpRequest;
+    use ape_proto::{ConnId, RequestId};
     use ape_simnet::{LinkSpec, SimTime, World};
 
     /// Minimal TCP client driving one fetch.
@@ -354,7 +213,7 @@ mod tests {
         let mut probe = FetchProbe::new(url());
         let origin = w.add_node(
             "origin",
-            OriginNode::new(catalog(), SimDuration::from_micros(500)),
+            CatalogServer::new(catalog(), SimDuration::from_micros(500)),
         );
         probe.target = Some(origin);
         let probe_id = w.add_node("probe", probe);
@@ -372,7 +231,7 @@ mod tests {
         // 2 RTTs (40ms) + 40ms origin latency + processing.
         let t = p.finished_at.unwrap().as_millis_f64();
         assert!(t > 80.0, "took {t}ms");
-        assert_eq!(w.node::<OriginNode>(origin).served(), 1);
+        assert_eq!(w.node::<CatalogServer>(origin).served(), 1);
     }
 
     #[test]
@@ -381,7 +240,7 @@ mod tests {
         let mut probe = FetchProbe::new(Url::parse("http://other.example/x").unwrap());
         let origin = w.add_node(
             "origin",
-            OriginNode::new(catalog(), SimDuration::from_micros(500)),
+            CatalogServer::new(catalog(), SimDuration::from_micros(500)),
         );
         probe.target = Some(origin);
         let probe_id = w.add_node("probe", probe);
@@ -395,79 +254,32 @@ mod tests {
         assert!(!rsp.status.is_success());
     }
 
-    fn edge_world(prewarm: bool) -> (World<Msg>, ape_simnet::NodeId, ape_simnet::NodeId) {
-        let mut w = World::new(2);
-        let origin = w.add_node(
-            "origin",
-            OriginNode::new(catalog(), SimDuration::from_micros(500)),
-        );
-        let mut edge = EdgeNode::new(origin, catalog(), SimDuration::from_micros(500));
-        if prewarm {
-            edge.prewarm();
-        }
-        let edge_id = w.add_node("edge", edge);
-        let mut probe = FetchProbe::new(url());
-        probe.target = Some(edge_id);
-        let probe_id = w.add_node("probe", probe);
-        w.connect(
-            probe_id,
-            edge_id,
-            LinkSpec::from_rtt(7, SimDuration::from_millis(14)),
-        );
-        w.connect(
-            edge_id,
-            origin,
-            LinkSpec::from_rtt(8, SimDuration::from_millis(24)),
-        );
-        (w, edge_id, probe_id)
-    }
-
+    /// The edge role: a catalog without extra latency, so a fetch costs
+    /// the client's two round trips and processing alone.
     #[test]
     fn prewarmed_edge_serves_quickly() {
-        let (mut w, edge, probe) = edge_world(true);
-        w.run_to_idle();
-        let p = w.node::<FetchProbe>(probe);
-        let (rsp, from_cache) = p.response.as_ref().unwrap();
-        assert!(rsp.status.is_success());
-        assert!(from_cache);
-        // 2 client RTTs ≈ 28ms + transfer + processing; well under 40ms.
-        let t = p.finished_at.unwrap().as_millis_f64();
-        assert!(t < 40.0, "took {t}ms");
-        assert_eq!(w.node::<EdgeNode>(edge).hits(), 1);
-        assert_eq!(w.metrics().counter(names::EDGE_ORIGIN_FETCHES), 0);
-    }
-
-    #[test]
-    fn cold_edge_fills_from_origin_then_caches() {
-        let (mut w, edge, probe) = edge_world(false);
-        w.run_to_idle();
-        let t_first = w
-            .node::<FetchProbe>(probe)
-            .finished_at
-            .unwrap()
-            .as_millis_f64();
-        // First fetch pays origin RTTs + 40ms origin latency on top.
-        assert!(t_first > 100.0, "cold fetch took {t_first}ms");
-        assert_eq!(w.metrics().counter(names::EDGE_ORIGIN_FETCHES), 1);
-
-        // Second fetch (fresh probe wired to same edge) is a hit.
-        let mut probe2 = FetchProbe::new(url());
-        probe2.target = Some(edge);
-        let probe2_id = w.add_node("probe2", probe2);
+        let mut w = World::new(2);
+        let edge = w.add_node(
+            "edge",
+            CatalogServer::new(catalog().without_latency(), SimDuration::from_micros(500)),
+        );
+        let mut probe = FetchProbe::new(url());
+        probe.target = Some(edge);
+        let probe = w.add_node("probe", probe);
         w.connect(
-            probe2_id,
+            probe,
             edge,
             LinkSpec::from_rtt(7, SimDuration::from_millis(14)),
         );
-        let start = w.now();
-        w.post(probe2_id, edge, Msg::TcpSyn { conn: ConnId(5) });
         w.run_to_idle();
-        let p2 = w.node::<FetchProbe>(probe2_id);
-        // probe2's on_start didn't run a SYN (target set before add, started
-        // world already); the posted SYN drove the handshake instead.
-        let warm = (p2.finished_at.unwrap() - start).as_millis_f64();
-        assert!(warm < 40.0, "warm fetch took {warm}ms");
-        assert_eq!(w.node::<EdgeNode>(edge).hits(), 1);
+        let p = w.node::<FetchProbe>(probe);
+        let (rsp, _) = p.response.as_ref().unwrap();
+        assert!(rsp.status.is_success());
+        assert_eq!(rsp.body.size(), 50_000);
+        // 2 client RTTs ≈ 28ms + transfer + processing; well under 40ms.
+        let t = p.finished_at.unwrap().as_millis_f64();
+        assert!(t < 40.0, "took {t}ms");
+        assert_eq!(w.node::<CatalogServer>(edge).served(), 1);
     }
 
     #[test]
@@ -482,5 +294,8 @@ mod tests {
             .is_none());
         assert_eq!(c.len(), 1);
         assert!(!c.is_empty());
+        let edge = c.without_latency().entry_for(&url()).unwrap();
+        assert_eq!(edge.size, 50_000);
+        assert_eq!(edge.extra_latency, SimDuration::ZERO);
     }
 }

@@ -7,7 +7,7 @@ use ape_httpsim::{HttpRequest, HttpResponse, Url};
 use std::net::Ipv4Addr;
 
 use ape_nodes::{
-    ApConfig, ApNode, AuthDnsNode, Catalog, CatalogEntry, LdnsNode, OriginNode,
+    ApConfig, ApNode, AuthDnsNode, Catalog, CatalogEntry, CatalogServer, LdnsNode,
     WiCacheControllerNode, ZoneAnswer,
 };
 use ape_proto::{names, CacheOp, ConnId, IpMap, Msg, RequestId};
@@ -61,7 +61,7 @@ fn wired(wicache: bool) -> Bed {
     );
     let origin = world.add_node(
         "origin",
-        OriginNode::new(catalog, SimDuration::from_micros(300)),
+        CatalogServer::new(catalog, SimDuration::from_micros(300)),
     );
     let mut ip_map = IpMap::new();
     let origin_ip = ip_map.assign(origin);
@@ -289,7 +289,9 @@ fn duplicate_prefetch_hints_fetch_once() {
     // Only the first hint started a fetch; the rest were deduplicated
     // against the in-flight delegation or the cached copy.
     assert_eq!(
-        bed.world.node::<OriginNode>(NodeId::from_raw(1)).served(),
+        bed.world
+            .node::<CatalogServer>(NodeId::from_raw(1))
+            .served(),
         1
     );
 }

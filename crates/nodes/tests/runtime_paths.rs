@@ -7,8 +7,8 @@ use std::sync::Arc;
 use ape_appdag::{movie_trailer, AppId, AppSpec};
 use ape_dnswire::DomainName;
 use ape_nodes::{
-    ApConfig, ApNode, AuthDnsNode, Catalog, CatalogEntry, ClientApps, ClientConfig, ClientNode,
-    ClientReport, EdgeNode, LdnsNode, OriginNode, Strategy, ZoneAnswer,
+    ApConfig, ApNode, AuthDnsNode, Catalog, CatalogEntry, CatalogServer, ClientApps, ClientConfig,
+    ClientNode, ClientReport, LdnsNode, Strategy, ZoneAnswer,
 };
 use ape_proto::{names, IpMap, Msg};
 use ape_simnet::{LinkSpec, NodeId, SimDuration, SimTime, World};
@@ -17,9 +17,10 @@ use ape_workload::Execution;
 struct MiniBed {
     world: World<Msg>,
     ap: NodeId,
+    ldns: NodeId,
 }
 
-/// Client + AP + LDNS/ADNS/CDN-DNS + edge + origin for the given apps.
+/// Client + AP + LDNS/ADNS/CDN-DNS + edge for the given apps.
 fn mini_bed(apps: Vec<AppSpec>, schedule: Vec<Execution>, strategy: Strategy) -> MiniBed {
     mini_bed_multi(apps, vec![schedule], strategy)
 }
@@ -39,18 +40,15 @@ fn mini_bed_multi(
                 obj.url.base_id(),
                 CatalogEntry {
                     size: obj.size,
-                    extra_latency: obj.remote_latency,
+                    extra_latency: SimDuration::ZERO,
                 },
             );
         }
     }
-    let origin = world.add_node(
-        "origin",
-        OriginNode::new(catalog.clone(), SimDuration::from_micros(500)),
+    let edge = world.add_node(
+        "edge",
+        CatalogServer::new(catalog, SimDuration::from_micros(400)),
     );
-    let mut edge = EdgeNode::new(origin, catalog, SimDuration::from_micros(400));
-    edge.prewarm();
-    let edge = world.add_node("edge", edge);
 
     let mut ip_map = IpMap::new();
     let edge_ip = ip_map.assign(edge);
@@ -138,7 +136,7 @@ fn mini_bed_multi(
         cdn,
         LinkSpec::from_rtt(9, SimDuration::from_millis(20)),
     );
-    MiniBed { world, ap }
+    MiniBed { world, ap, ldns }
 }
 
 fn movie_schedule(times: &[u64]) -> Vec<Execution> {
@@ -218,7 +216,7 @@ fn dead_resolver_exhausts_retries_then_fails() {
     // domains can never be answered.
     bed.world.connect(
         bed.ap,
-        NodeId::from_raw(4), // the LDNS in construction order
+        bed.ldns,
         LinkSpec::from_rtt(5, SimDuration::from_millis(13)).loss_probability(0.999),
     );
     bed.world.run_until(SimTime::from_secs(60));

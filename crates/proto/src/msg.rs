@@ -80,8 +80,8 @@ pub enum Msg {
         req: RequestId,
         /// The response itself.
         response: HttpResponse,
-        /// True when the responder served the object from its local cache
-        /// (drives the client-side hit-ratio accounting).
+        /// True when an AP served the object from its cache (drives the
+        /// client-side hit-ratio accounting); a server always sends false.
         from_cache: bool,
     },
     /// Wi-Cache: client asks the controller which AP holds an object.

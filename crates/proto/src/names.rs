@@ -138,11 +138,6 @@ ape_simnet::metric_names! {
     /// named at run time; written through `Metrics::observe_under`.
     CLIENT_APP_LATENCY_MS_PREFIX = "client.app_latency_ms.";
 
-    // --- Edge ---------------------------------------------------------------
-
-    /// Edge cache misses filled from the origin.
-    EDGE_ORIGIN_FETCHES = "edge.origin_fetches";
-
     // --- Multi-AP cooperation & roaming -------------------------------------
 
     /// Advertisements the Wi-Cache controller dropped (unregistered AP).
@@ -151,7 +146,7 @@ ape_simnet::metric_names! {
     AP_PEER_FETCHES = "ap.peer_fetches";
     /// Peer fetches answered from a neighbor AP's cache.
     AP_PEER_HITS = "ap.peer_hits";
-    /// Peer fetches the neighbor missed (fell back to the edge/origin path).
+    /// Peer fetches the neighbor missed (fell back to the edge path).
     AP_PEER_MISSES = "ap.peer_misses";
     /// Roam notices received (a homed client re-homed to a neighbor AP).
     AP_ROAM_DEPARTURES = "ap.roam_departures";
@@ -200,7 +195,6 @@ mod tests {
     fn interned_ids_carry_their_string_names() {
         assert_eq!(id::AP_CACHE_HITS.name(), AP_CACHE_HITS);
         assert_eq!(id::CLIENT_APP_LATENCY_MS.name(), CLIENT_APP_LATENCY_MS);
-        assert_eq!(id::EDGE_ORIGIN_FETCHES.name(), EDGE_ORIGIN_FETCHES);
         assert_eq!(id::CLIENT_ROAMS.name(), CLIENT_ROAMS);
     }
 

@@ -45,8 +45,6 @@ pub enum SpanKind {
     /// AP-side WAN fetch of a delegated object (starts when the delegation
     /// is enqueued, ends when the upstream response arrives).
     WanFetch,
-    /// Edge-side origin fill on an edge cache miss.
-    OriginFetch,
     /// AP-side cache admission of a delegated object, covering the
     /// eviction decision (PACM solve / LRU scan) and the insert — the
     /// `EVICTION_PROCESSING` work the AP charges per admission.
@@ -55,7 +53,7 @@ pub enum SpanKind {
 
 impl SpanKind {
     /// Every kind, in presentation order.
-    pub const ALL: [SpanKind; 9] = [
+    pub const ALL: [SpanKind; 8] = [
         SpanKind::Fetch,
         SpanKind::Lookup,
         SpanKind::RetrievalHit,
@@ -63,7 +61,6 @@ impl SpanKind {
         SpanKind::RetrievalEdge,
         SpanKind::DnsUpstream,
         SpanKind::WanFetch,
-        SpanKind::OriginFetch,
         SpanKind::CacheEvict,
     ];
 
@@ -77,7 +74,6 @@ impl SpanKind {
             SpanKind::RetrievalEdge => "retrieval.edge",
             SpanKind::DnsUpstream => "dns.upstream",
             SpanKind::WanFetch => "wan.fetch",
-            SpanKind::OriginFetch => "origin.fetch",
             SpanKind::CacheEvict => "cache.evict",
         }
     }

@@ -108,18 +108,6 @@ fn identical_configs_produce_identical_runs() {
 }
 
 #[test]
-fn cold_edge_warms_through_origin() {
-    let mut cfg = config(System::EdgeCache, 4, 5);
-    cfg.prewarm_edge = false;
-    let result = run_system(&cfg, SimDuration::from_mins(5));
-    assert!(
-        result.metrics.counter(names::EDGE_ORIGIN_FETCHES) > 0,
-        "cold edge filled from origin"
-    );
-    assert_eq!(result.report.failures, 0);
-}
-
-#[test]
 fn ap_resources_are_sampled_and_bounded() {
     let cfg = config(System::ApeCache, 10, 5);
     let result = run_system(&cfg, SimDuration::from_mins(5));
