@@ -456,18 +456,22 @@ mod tests {
         assert!(hit.p95_ms <= fetch.p95_ms);
     }
 
+    /// Runs of unequal length come back in job order.
+    #[test]
+    fn run_many_preserves_job_order() {
+        let systems = [System::ApeCache, System::EdgeCache, System::ApeCacheLru];
+        let results = parallel_map(systems.len(), 3, |i| {
+            run_system(&small_config(systems[i]), SimDuration::from_mins(1))
+        });
+        let order: Vec<System> = results.iter().map(|r| r.system).collect();
+        assert_eq!(order, systems);
+    }
+
     #[test]
     fn parallel_map_returns_index_order_under_a_pool_larger_than_n() {
         assert_eq!(parallel_map(5, 16, |i| i * i), [0, 1, 4, 9, 16]);
         assert_eq!(parallel_map(5, 1, |i| i * i), [0, 1, 4, 9, 16]);
         assert!(parallel_map(0, 4, |i| i).is_empty());
-        // Runs of unequal length come back in index order too.
-        let systems = [System::ApeCache, System::EdgeCache, System::ApeCacheLru];
-        let results = parallel_map(systems.len(), 4, |i| {
-            run_system(&small_config(systems[i]), SimDuration::from_mins(1))
-        });
-        let order: Vec<System> = results.iter().map(|r| r.system).collect();
-        assert_eq!(order, systems);
     }
 
     #[test]
