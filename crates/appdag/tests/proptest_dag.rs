@@ -4,35 +4,34 @@
 
 use ape_appdag::{generate_app, AppDag, AppId, DummyAppConfig, ObjIdx, ObjectSpec};
 use ape_cachealg::Priority;
+use ape_check::{check, Gen};
 use ape_httpsim::Url;
 use ape_simnet::{SimDuration, SimRng};
-use proptest::prelude::*;
 
 /// A random DAG built by only adding edges from lower to higher indices
 /// (guaranteed acyclic).
-fn arb_dag() -> impl Strategy<Value = AppDag> {
-    (2usize..10, any::<u64>()).prop_map(|(n, seed)| {
-        let mut rng = SimRng::seed_from(seed);
-        let mut b = AppDag::builder();
-        let mut idxs: Vec<ObjIdx> = Vec::new();
-        for i in 0..n {
-            let idx = b.object(ObjectSpec {
-                name: format!("o{i}"),
-                url: Url::parse(&format!("http://prop.example/o{i}")).expect("static"),
-                size: rng.uniform_u64(1_000, 100_000),
-                ttl: SimDuration::from_mins(rng.uniform_u64(10, 60)),
-                remote_latency: SimDuration::from_millis(rng.uniform_u64(20, 50)),
-                priority: Priority::LOW,
-            });
-            for &prev in &idxs {
-                if rng.chance(0.3) {
-                    b.dep(prev, idx);
-                }
+fn dag(g: &mut Gen) -> AppDag {
+    let n = g.range(2usize..10);
+    let mut rng = SimRng::seed_from(g.u64());
+    let mut b = AppDag::builder();
+    let mut idxs: Vec<ObjIdx> = Vec::new();
+    for i in 0..n {
+        let idx = b.object(ObjectSpec {
+            name: format!("o{i}"),
+            url: Url::parse(&format!("http://prop.example/o{i}")).expect("static"),
+            size: rng.uniform_u64(1_000, 100_000),
+            ttl: SimDuration::from_mins(rng.uniform_u64(10, 60)),
+            remote_latency: SimDuration::from_millis(rng.uniform_u64(20, 50)),
+            priority: Priority::LOW,
+        });
+        for &prev in &idxs {
+            if rng.chance(0.3) {
+                b.dep(prev, idx);
             }
-            idxs.push(idx);
         }
-        b.build().expect("forward edges are acyclic")
-    })
+        idxs.push(idx);
+    }
+    b.build().expect("forward edges are acyclic")
 }
 
 /// Exhaustive longest start-to-finish path by DFS.
@@ -58,22 +57,24 @@ fn brute_force_longest(dag: &AppDag) -> SimDuration {
     best
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn critical_path_equals_brute_force(dag in arb_dag()) {
+#[test]
+fn critical_path_equals_brute_force() {
+    check("critical_path_equals_brute_force", 64, |g| {
+        let dag = dag(g);
         let (_, total) = dag.critical_path();
-        prop_assert_eq!(total, brute_force_longest(&dag));
-    }
+        assert_eq!(total, brute_force_longest(&dag));
+    });
+}
 
-    #[test]
-    fn critical_path_is_a_real_chain(dag in arb_dag()) {
+#[test]
+fn critical_path_is_a_real_chain() {
+    check("critical_path_is_a_real_chain", 64, |g| {
+        let dag = dag(g);
         let (path, _) = dag.critical_path();
-        prop_assert!(!path.is_empty());
+        assert!(!path.is_empty());
         // Every consecutive pair is an actual dependency edge.
         for pair in path.windows(2) {
-            prop_assert!(
+            assert!(
                 dag.deps(pair[1]).contains(&pair[0]),
                 "{:?} not a dep of {:?}",
                 pair[0],
@@ -81,51 +82,55 @@ proptest! {
             );
         }
         // The chain starts at a root.
-        prop_assert!(dag.deps(path[0]).is_empty());
-    }
+        assert!(dag.deps(path[0]).is_empty());
+    });
+}
 
-    #[test]
-    fn derived_priorities_mark_exactly_the_path(dag in arb_dag()) {
-        let mut dag = dag;
+#[test]
+fn derived_priorities_mark_exactly_the_path() {
+    check("derived_priorities_mark_exactly_the_path", 64, |g| {
+        let mut dag = dag(g);
         dag.derive_priorities();
         let (path, _) = dag.critical_path();
         for (idx, obj) in dag.iter() {
-            prop_assert_eq!(obj.priority.is_high(), path.contains(&idx));
+            assert_eq!(obj.priority.is_high(), path.contains(&idx));
         }
-    }
+    });
+}
 
-    #[test]
-    fn topo_order_respects_dependencies(dag in arb_dag()) {
+#[test]
+fn topo_order_respects_dependencies() {
+    check("topo_order_respects_dependencies", 64, |g| {
+        let dag = dag(g);
         let order = dag.topo_order();
         let position = |i: ObjIdx| order.iter().position(|&o| o == i).expect("in order");
         for (idx, _) in dag.iter() {
             for &dep in dag.deps(idx) {
-                prop_assert!(position(dep) < position(idx));
+                assert!(position(dep) < position(idx));
             }
         }
-    }
+    });
+}
 
-    #[test]
-    fn generator_is_valid_for_random_configs(
-        seed in any::<u64>(),
-        obj_lo in 1usize..5,
-        obj_extra in 0usize..6,
-        size_lo in 1_000u64..50_000,
-        size_extra in 0u64..200_000,
-    ) {
+#[test]
+fn generator_is_valid_for_random_configs() {
+    check("generator_is_valid_for_random_configs", 64, |g| {
+        let seed = g.u64();
+        let obj_lo = g.range(1usize..5);
+        let size_lo = g.range(1_000u64..50_000);
         let config = DummyAppConfig {
-            objects: (obj_lo, obj_lo + obj_extra),
-            size_bytes: (size_lo, size_lo + size_extra),
+            objects: (obj_lo, obj_lo + g.range(0usize..6)),
+            size_bytes: (size_lo, size_lo + g.range(0u64..200_000)),
             ..DummyAppConfig::default()
         };
         let mut rng = SimRng::seed_from(seed);
         let app = generate_app(AppId::new(0), &config, &mut rng);
         let n = app.dag().len();
-        prop_assert!((config.objects.0..=config.objects.1).contains(&n));
+        assert!((config.objects.0..=config.objects.1).contains(&n));
         for (_, obj) in app.dag().iter() {
-            prop_assert!((config.size_bytes.0..=config.size_bytes.1).contains(&obj.size));
+            assert!((config.size_bytes.0..=config.size_bytes.1).contains(&obj.size));
         }
-        prop_assert_eq!(app.dag().roots().len(), 1);
-        prop_assert_eq!(app.dag().topo_order().len(), n);
-    }
+        assert_eq!(app.dag().roots().len(), 1);
+        assert_eq!(app.dag().topo_order().len(), n);
+    });
 }

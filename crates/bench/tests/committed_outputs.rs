@@ -109,46 +109,89 @@ struct Quote {
     block: &'static str,
     /// Value columns of a block row; the rest of the row is its label.
     block_columns: usize,
-    /// For each value column of the table, the block column it quotes.
-    columns: &'static [usize],
+    /// For each value cell of the table, the block columns its numbers
+    /// quote, in order; an empty entry quotes nothing (a paper column).
+    columns: &'static [&'static [usize]],
 }
 
-const QUOTES: [Quote; 5] = [
+const QUOTES: [Quote; 6] = [
+    Quote {
+        header: "| Cell | Paper (DNS / RTT / hops) | Measured |",
+        block: "Table I:",
+        block_columns: 3,
+        columns: &[&[], &[0, 1, 2]],
+    },
     Quote {
         header: "| Size sweep | PACM-Avg | PACM-High | LRU |",
         block: "Table IV:",
         block_columns: 3,
-        columns: &[0, 1, 2],
+        columns: &[&[0], &[1], &[2]],
     },
     Quote {
         header: "| Frequency (/min) | PACM-Avg | PACM-High | LRU |",
         block: "Table V:",
         block_columns: 3,
-        columns: &[0, 1, 2],
+        columns: &[&[0], &[1], &[2]],
     },
     Quote {
         header: "| App quantity | PACM-Avg | PACM-High | LRU |",
         block: "Table VI:",
         block_columns: 3,
-        columns: &[0, 1, 2],
+        columns: &[&[0], &[1], &[2]],
     },
     Quote {
         header: "| System | MovieTrailer avg (paper ≈) | VirtualHome avg |",
         block: "Fig. 12:",
         block_columns: 4,
-        columns: &[0, 2],
+        columns: &[&[0], &[2]],
     },
     Quote {
         header: "| Variant | hit | high hit | lookup ms | app ms |",
         block: "Design ablations",
         block_columns: 4,
-        columns: &[0, 1, 2, 3],
+        columns: &[&[0], &[1], &[2], &[3]],
+    },
+];
+
+/// One EXPERIMENTS.md row whose last cell quotes numbers of one summary
+/// line of the output.
+struct LineQuote {
+    /// How the row starts in EXPERIMENTS.md.
+    row: &'static str,
+    /// How the output line starts.
+    line: &'static str,
+    /// Which of the line's numbers the cell quotes, in order.
+    numbers: &'static [usize],
+}
+
+const LINE_QUOTES: [LineQuote; 3] = [
+    LineQuote {
+        row: "| reduction vs Wi-Cache / Edge |",
+        line: "APE-CACHE reduction:",
+        numbers: &[0, 1],
+    },
+    LineQuote {
+        row: "| extra CPU (peak) |",
+        line: "APE-CACHE overhead:",
+        numbers: &[0],
+    },
+    LineQuote {
+        row: "| extra memory |",
+        line: "APE-CACHE overhead:",
+        numbers: &[1],
     },
 ];
 
 /// A row label as both files can spell it: `1–100 kb` in the table is
-/// `1~100 kb` in the output, and an ablation's leading `-` / `+` goes.
+/// `1~100 kb` in the output, an ablation's leading `-` / `+` and a
+/// parenthetical note go, and a Table I location is its city, so
+/// `Michigan, US  Apple` in the output is `Michigan–Apple` in the table.
 fn row_key(label: &str) -> String {
+    let label = label.split(" (").next().unwrap_or(label);
+    let label = match label.split_once(", ") {
+        Some((city, rest)) => format!("{city}–{}", rest.rsplit(' ').next().unwrap_or(rest)),
+        None => label.to_owned(),
+    };
     label
         .replace('–', "~")
         .trim_start_matches(['-', '+', ' '])
@@ -156,12 +199,24 @@ fn row_key(label: &str) -> String {
         .to_owned()
 }
 
-/// The measured part of a table cell: the paper's number in parentheses,
-/// bold markers and a trailing unit dropped.
-fn measured(cell: &str) -> &str {
-    let value = cell.split(" (").next().unwrap_or(cell);
-    let value = value.trim().trim_matches('*');
-    value.strip_suffix(" ms").unwrap_or(value)
+/// The numbers in `text` as printed: `+3.5%,` reads `+3.5`, `**26.26**`
+/// reads `26.26`, and words, units and `/` separators are skipped.
+fn numbers(text: &str) -> Vec<&str> {
+    text.split_whitespace()
+        .map(|token| token.trim_matches(['*', '%', ',']))
+        .filter(|token| {
+            token
+                .trim_start_matches(['+', '-'])
+                .starts_with(|c: char| c.is_ascii_digit())
+                && token.parse::<f64>().is_ok()
+        })
+        .collect()
+}
+
+/// The measured numbers of a table cell: the paper's number in
+/// parentheses dropped.
+fn measured(cell: &str) -> Vec<&str> {
+    numbers(cell.split(" (").next().unwrap_or(cell))
 }
 
 /// The rows of the output block that starts with `block`, as label key
@@ -186,8 +241,9 @@ fn block_rows(output: &str, quote: &Quote) -> Vec<(String, Vec<String>)> {
         .collect()
 }
 
-/// Every measured cell of EXPERIMENTS.md's Tables IV–VI, Fig. 12 and
-/// ablations tables reads what the committed `repro all` output prints.
+/// Every measured cell of EXPERIMENTS.md's Tables I and IV–VI, Fig. 12
+/// and ablations tables, and its §V-B reduction and Fig. 14 overhead
+/// rows, reads what the committed `repro all` output prints.
 #[test]
 fn experiments_tables_quote_the_committed_output() {
     let doc = committed("EXPERIMENTS.md");
@@ -215,16 +271,35 @@ fn experiments_tables_quote_the_committed_output() {
                 ));
                 continue;
             };
-            for (cell, &column) in cells[1..].iter().zip(quote.columns) {
-                if measured(cell) != values[column] {
+            for (cell, columns) in cells[1..].iter().zip(quote.columns) {
+                let printed: Vec<&str> = columns.iter().map(|&c| values[c].as_str()).collect();
+                if !columns.is_empty() && measured(cell) != printed {
                     stale.push(format!(
-                        "{} `{key}`: EXPERIMENTS.md reads {}, the output {}",
+                        "{} `{key}`: EXPERIMENTS.md reads {:?}, the output {printed:?}",
                         quote.block,
                         measured(cell),
-                        values[column]
                     ));
                 }
             }
+        }
+    }
+    for quote in &LINE_QUOTES {
+        let line = output
+            .lines()
+            .find(|line| line.starts_with(quote.line))
+            .unwrap_or_else(|| panic!("no `{}` line in the output", quote.line));
+        let printed: Vec<&str> = quote.numbers.iter().map(|&i| numbers(line)[i]).collect();
+        let Some(row) = doc.lines().find(|row| row.starts_with(quote.row)) else {
+            stale.push(format!("no row `{}`", quote.row));
+            continue;
+        };
+        let cell = row.trim_matches('|').rsplit('|').next().unwrap_or(row);
+        if measured(cell) != printed {
+            stale.push(format!(
+                "`{}`: EXPERIMENTS.md reads {:?}, the output {printed:?}",
+                quote.row,
+                measured(cell),
+            ));
         }
     }
     assert!(

@@ -4,9 +4,9 @@
 use std::collections::BTreeMap;
 
 use ape_cachealg::{AppId, CacheStore, ObjectMeta, Priority};
+use ape_check::{check, Gen};
 use ape_dnswire::UrlHash;
 use ape_simnet::{SimDuration, SimTime};
-use proptest::prelude::*;
 
 fn meta(key: u64, expires_s: u64) -> ObjectMeta {
     ObjectMeta {
@@ -26,24 +26,24 @@ enum Op {
     Purge,
 }
 
-fn arb_step() -> impl Strategy<Value = (u64, Op)> {
-    let op = (0u32..9, 0u64..12, 0u64..20).prop_map(|(pick, key, ttl_s)| match pick {
+fn step(g: &mut Gen) -> (u64, Op) {
+    let advance_s = g.range(0u64..4);
+    let (key, ttl_s) = (g.range(0u64..12), g.range(0u64..20));
+    let op = match g.range(0u32..9) {
         0..=3 => Op::Insert { key, ttl_s },
         4..=5 => Op::Remove { key },
         _ => Op::Purge,
-    });
-    (0u64..4, op)
+    };
+    (advance_s, op)
 }
 
-proptest! {
-    #[test]
-    fn bounded_purge_returns_what_a_full_scan_returns(
-        steps in proptest::collection::vec(arb_step(), 1..120)
-    ) {
+#[test]
+fn bounded_purge_returns_what_a_full_scan_returns() {
+    check("bounded_purge_returns_what_a_full_scan_returns", 256, |g| {
         let mut store = CacheStore::new(1_000, 500);
         let mut model: BTreeMap<UrlHash, ObjectMeta> = BTreeMap::new();
         let mut now_s = 0;
-        for (advance_s, op) in steps {
+        for (advance_s, op) in g.vec(1..120, step) {
             now_s += advance_s;
             let now = SimTime::from_secs(now_s);
             match op {
@@ -54,18 +54,21 @@ proptest! {
                 }
                 Op::Remove { key } => {
                     let removed = store.remove(UrlHash(key)).map(|e| e.meta);
-                    prop_assert_eq!(removed, model.remove(&UrlHash(key)));
+                    assert_eq!(removed, model.remove(&UrlHash(key)));
                 }
                 Op::Purge => {
-                    let due: Vec<ObjectMeta> =
-                        model.values().filter(|m| m.is_expired(now)).cloned().collect();
+                    let due: Vec<ObjectMeta> = model
+                        .values()
+                        .filter(|m| m.is_expired(now))
+                        .cloned()
+                        .collect();
                     model.retain(|_, m| !m.is_expired(now));
-                    prop_assert_eq!(store.purge_expired(now), due);
+                    assert_eq!(store.purge_expired(now), due);
                 }
             }
-            prop_assert!(store.keys().eq(model.keys().copied()));
+            assert!(store.keys().eq(model.keys().copied()));
         }
-    }
+    });
 }
 
 #[test]

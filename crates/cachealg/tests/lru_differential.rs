@@ -9,9 +9,9 @@
 use ape_cachealg::{
     AppId, CacheManager, CacheStore, EvictionPolicy, LruPolicy, ObjectMeta, Priority,
 };
+use ape_check::{check, Gen};
 use ape_dnswire::UrlHash;
 use ape_simnet::{SimDuration, SimTime};
-use proptest::prelude::*;
 
 const CAPACITY: u64 = 1_000;
 const BLOCK_THRESHOLD: u64 = 400;
@@ -78,15 +78,15 @@ enum Op {
 }
 
 /// An operation and how far the clock moves before it (mostly not at all).
-fn arb_step() -> impl Strategy<Value = (u64, Op)> {
-    let op =
-        (0u32..14, 0u64..16, 1u64..450, 1u64..40).prop_map(|(pick, key, size, ttl_s)| match pick {
-            0..=5 => Op::Admit { key, size, ttl_s },
-            6..=11 => Op::Lookup { key },
-            12 => Op::Purge,
-            _ => Op::Flush,
-        });
-    let advance_s = (0u64..12).prop_map(|pick| pick.saturating_sub(8));
+fn step(g: &mut Gen) -> (u64, Op) {
+    let advance_s = g.range(0u64..12).saturating_sub(8);
+    let (key, size, ttl_s) = (g.range(0u64..16), g.range(1u64..450), g.range(1u64..40));
+    let op = match g.range(0u32..14) {
+        0..=5 => Op::Admit { key, size, ttl_s },
+        6..=11 => Op::Lookup { key },
+        12 => Op::Purge,
+        _ => Op::Flush,
+    };
     (advance_s, op)
 }
 
@@ -97,7 +97,7 @@ fn fresh<P: EvictionPolicy>(policy: P) -> CacheManager<P> {
 /// Runs `steps` through the indexed and the sorting manager side by side.
 /// Every outcome must agree — an admission's outcome is its victim list,
 /// in order — so the two stores stay identical throughout.
-fn run_lockstep(steps: &[(u64, Op)]) -> Result<(), proptest::TestCaseError> {
+fn run_lockstep(steps: &[(u64, Op)]) {
     let mut indexed = fresh(LruPolicy::new());
     let mut sorted = fresh(SortLru);
     let mut now = SimTime::ZERO;
@@ -107,45 +107,43 @@ fn run_lockstep(steps: &[(u64, Op)]) -> Result<(), proptest::TestCaseError> {
             Op::Admit { key, size, ttl_s } => {
                 let m = meta(key, size, now + SimDuration::from_secs(ttl_s));
                 let got = indexed.admit(m.clone(), now);
-                prop_assert_eq!(got, sorted.admit(m, now), "admit {} at {:?}", key, now);
+                assert_eq!(got, sorted.admit(m, now), "admit {key} at {now:?}");
             }
             Op::Lookup { key } => {
                 let key = UrlHash(key);
-                prop_assert_eq!(indexed.lookup(key, now), sorted.lookup(key, now));
+                assert_eq!(indexed.lookup(key, now), sorted.lookup(key, now));
             }
             Op::Purge => {
-                prop_assert_eq!(indexed.purge_expired(now), sorted.purge_expired(now));
+                assert_eq!(indexed.purge_expired(now), sorted.purge_expired(now));
             }
             Op::Flush => {
                 indexed = fresh(LruPolicy::new());
                 sorted = fresh(SortLru);
             }
         }
-        prop_assert!(indexed.store().iter().eq(sorted.store().iter()));
+        assert!(indexed.store().iter().eq(sorted.store().iter()));
     }
-    Ok(())
 }
 
-proptest! {
-    #[test]
-    fn indexed_lru_evicts_what_the_sort_evicts(
-        steps in proptest::collection::vec(arb_step(), 1..200)
-    ) {
-        run_lockstep(&steps)?;
-    }
+#[test]
+fn indexed_lru_evicts_what_the_sort_evicts() {
+    check("indexed_lru_evicts_what_the_sort_evicts", 256, |g| {
+        run_lockstep(&g.vec(1..200, step));
+    });
+}
 
-    // A store filled and changed behind the policy's back, as `bench-evict`
-    // and unit tests do: the index is built on first use, reused on the
-    // second call, follows hits made on the bare store, and is rebuilt once
-    // the store's contents no longer match what the hooks accounted for.
-    #[test]
-    fn store_changed_without_hooks(
-        entries in proptest::collection::vec((1u64..300, 0u64..4), 1..24),
-        touched in proptest::collection::vec((0u64..24, 0u64..3), 0..24),
+// A store filled and changed behind the policy's back, as `bench-evict`
+// and unit tests do: the index is built on first use, reused on the
+// second call, follows hits made on the bare store, and is rebuilt once
+// the store's contents no longer match what the hooks accounted for.
+#[test]
+fn store_changed_without_hooks() {
+    check("store_changed_without_hooks", 256, |g| {
+        let entries = g.vec(1..24, |g| (g.range(1u64..300), g.range(0u64..4)));
+        let touched = g.vec(0..24, |g| (g.range(0u64..24), g.range(0u64..3)));
         // More than any one entry holds, so making room always changes
         // the store's object count.
-        wanted in 300u64..BLOCK_THRESHOLD,
-    ) {
+        let wanted = g.range(300u64..BLOCK_THRESHOLD);
         let total: u64 = entries.iter().map(|(size, _)| size).sum();
         let mut store = CacheStore::new(total, BLOCK_THRESHOLD);
         let forever = SimTime::from_secs(3_600);
@@ -156,15 +154,21 @@ proptest! {
         let mut policy = LruPolicy::new();
         let mut now = SimTime::from_secs(4);
         let expected = SortLru.select_victims(&store, &incoming, now);
-        prop_assert_eq!(policy.select_victims(&store, &incoming, now), expected.clone());
-        prop_assert_eq!(policy.select_victims(&store, &incoming, now), expected);
+        assert_eq!(
+            policy.select_victims(&store, &incoming, now),
+            expected.clone()
+        );
+        assert_eq!(policy.select_victims(&store, &incoming, now), expected);
 
         for (key, advance_s) in touched {
             now += SimDuration::from_secs(advance_s);
             store.lookup(UrlHash(key), now);
         }
         let expected = SortLru.select_victims(&store, &incoming, now);
-        prop_assert_eq!(policy.select_victims(&store, &incoming, now), expected.clone());
+        assert_eq!(
+            policy.select_victims(&store, &incoming, now),
+            expected.clone()
+        );
 
         for key in expected {
             store.remove(key);
@@ -174,8 +178,8 @@ proptest! {
         }
         let next = meta(u64::MAX - 1, wanted, forever);
         let expected = SortLru.select_victims(&store, &next, now);
-        prop_assert_eq!(policy.select_victims(&store, &next, now), expected);
-    }
+        assert_eq!(policy.select_victims(&store, &next, now), expected);
+    });
 }
 
 #[test]
@@ -196,5 +200,5 @@ fn fresh_manager_mid_run() {
         (0, Op::Flush),
     ];
     steps.extend((1..8).map(|key| (0, admit(key, 300))));
-    run_lockstep(&steps).unwrap();
+    run_lockstep(&steps);
 }

@@ -13,163 +13,108 @@
 
 use ape_cachealg::reference::{solve_exact_seed, ReferencePacm};
 use ape_cachealg::{
-    solve_exact_in, solve_in, AppId, CacheStore, KnapsackItem, KnapsackWorkspace, ObjectMeta,
-    PacmConfig, PacmPolicy, Priority,
+    solve_exact_in, solve_in, AppId, CacheStore, EvictionPolicy, KnapsackItem, KnapsackWorkspace,
+    ObjectMeta, PacmConfig, PacmPolicy, Priority,
 };
+use ape_check::{check, Gen};
 use ape_dnswire::UrlHash;
 use ape_simnet::{SimDuration, SimTime};
-use proptest::prelude::*;
 
-/// One randomized PACM instance: store contents, training traffic, config.
-#[derive(Debug, Clone)]
-struct Instance {
-    capacity: u64,
-    objects: Vec<ObjectMeta>,
-    /// `(app, request_count)` training before the window roll.
-    training: Vec<(u32, u8)>,
-    incoming: ObjectMeta,
-    theta: f64,
-    granularity: u64,
-    fairness: bool,
-}
-
-fn arb_object(max_size: u64) -> impl Strategy<Value = ObjectMeta> {
-    (
-        any::<u64>(),
-        0u32..8,
-        0u64..max_size,
-        prop_oneof![Just(Priority::LOW), Just(Priority::HIGH)],
+fn object(g: &mut Gen, max_size: u64) -> ObjectMeta {
+    ObjectMeta {
+        key: UrlHash(g.u64()),
+        app: AppId::new(g.range(0u32..8)),
+        size: g.range(0u64..max_size),
+        priority: g.pick(&[Priority::LOW, Priority::HIGH]),
         // Expiry in absolute seconds; `now` is 61, so a chunk is expired.
-        0u64..3600,
-        0u64..120,
-    )
-        .prop_map(|(key, app, size, priority, expires_s, lat_ms)| ObjectMeta {
-            key: UrlHash(key),
-            app: AppId::new(app),
-            size,
-            priority,
-            expires_at: SimTime::from_secs(expires_s),
-            fetch_latency: SimDuration::from_millis(lat_ms),
-        })
+        expires_at: SimTime::from_secs(g.range(0u64..3600)),
+        fetch_latency: SimDuration::from_millis(g.range(0u64..120)),
+    }
 }
 
-fn arb_instance() -> impl Strategy<Value = Instance> {
-    (
-        20_000u64..120_000,
-        proptest::collection::vec(arb_object(9_000), 0..48),
-        proptest::collection::vec((0u32..8, 0u8..40), 0..8),
-        arb_object(60_000),
-        prop_oneof![Just(0.0), Just(0.05), Just(0.2), Just(0.4), Just(1.0)],
-        prop_oneof![Just(1u64), Just(7), Just(1024)],
-        any::<bool>(),
-    )
-        .prop_map(
-            |(capacity, objects, training, incoming, theta, granularity, fairness)| Instance {
-                capacity,
-                objects,
-                training,
-                incoming,
-                theta,
-                granularity,
-                fairness,
-            },
-        )
-}
+/// Granularities both tests sweep: exact, odd, and the simulator's 1 kB.
+const GRANULARITIES: [u64; 3] = [1, 7, 1024];
 
-/// Builds the store, skipping objects that would not fit (the generator is
-/// oblivious to capacity) so both policies see the identical store.
-fn build_store(inst: &Instance) -> CacheStore {
-    let mut store = CacheStore::new(inst.capacity, inst.capacity);
-    for meta in &inst.objects {
+/// Draws one PACM instance (store contents, training traffic, config),
+/// runs it through both engines and returns their victim lists.
+fn run_both(g: &mut Gen) -> (Vec<Vec<UrlHash>>, Vec<Vec<UrlHash>>) {
+    let capacity = g.range(20_000u64..120_000);
+    // Objects that would not fit are skipped (the generator is oblivious
+    // to capacity), so both policies see the identical store.
+    let mut store = CacheStore::new(capacity, capacity);
+    for meta in g.vec(0..48, |g| object(g, 9_000)) {
         if meta.size <= store.free() && !store.exceeds_block_threshold(meta.size) {
-            store.insert(meta.clone(), SimTime::ZERO);
+            store.insert(meta, SimTime::ZERO);
         }
     }
-    store
-}
-
-fn config_of(inst: &Instance) -> PacmConfig {
-    PacmConfig {
-        fairness_theta: inst.theta,
-        granularity: inst.granularity,
-    }
-}
-
-/// Runs one instance through both engines and returns their victim lists.
-fn run_both(inst: &Instance) -> (Vec<Vec<UrlHash>>, Vec<Vec<UrlHash>>) {
-    let store = build_store(inst);
-    let config = config_of(inst);
+    let incoming = object(g, 60_000);
+    let config = PacmConfig {
+        fairness_theta: g.pick(&[0.0, 0.05, 0.2, 0.4, 1.0]),
+        granularity: g.pick(&GRANULARITIES),
+    };
     let mut new_policy = PacmPolicy::new(config);
     let mut seed_policy = ReferencePacm::new(config);
-    if !inst.fairness {
+    if g.bool() {
         new_policy = new_policy.without_fairness();
         seed_policy = seed_policy.without_fairness();
     }
-    for &(app, count) in &inst.training {
+    // `(app, request_count)` training before the window roll.
+    for (app, count) in g.vec(0..8, |g| (g.range(0u32..8), g.range(0u8..40))) {
         for _ in 0..count {
-            use ape_cachealg::EvictionPolicy;
             new_policy.note_request(AppId::new(app));
             seed_policy.note_request(AppId::new(app));
         }
     }
-    {
-        use ape_cachealg::EvictionPolicy;
-        new_policy.roll_window(SimTime::from_secs(60));
-    }
+    new_policy.roll_window(SimTime::from_secs(60));
     seed_policy.roll_window(SimTime::from_secs(60));
 
     let now = SimTime::from_secs(61);
     // Two consecutive selects: the second proves workspace/buffer reuse
     // leaves no state behind that could change the answer.
-    use ape_cachealg::EvictionPolicy;
     let new_victims: Vec<Vec<UrlHash>> = (0..2)
-        .map(|_| new_policy.select_victims(&store, &inst.incoming, now))
+        .map(|_| new_policy.select_victims(&store, &incoming, now))
         .collect();
     let seed_victims: Vec<Vec<UrlHash>> = (0..2)
-        .map(|_| seed_policy.select_victims(&store, &inst.incoming, now))
+        .map(|_| seed_policy.select_victims(&store, &incoming, now))
         .collect();
     (new_victims, seed_victims)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(220))]
+// The tentpole claim: optimized and seed PACM pick byte-identical
+// victim lists (same keys, same order) across randomized instances.
+#[test]
+fn victim_sets_match_seed() {
+    check("victim_sets_match_seed", 220, |g| {
+        let (new_victims, seed_victims) = run_both(g);
+        assert_eq!(&new_victims[0], &seed_victims[0]);
+        assert_eq!(&new_victims[1], &seed_victims[1]);
+        assert_eq!(&new_victims[0], &new_victims[1]);
+    });
+}
 
-    // The tentpole claim: optimized and seed PACM pick byte-identical
-    // victim lists (same keys, same order) across randomized instances.
-    #[test]
-    fn victim_sets_match_seed(inst in arb_instance()) {
-        let (new_victims, seed_victims) = run_both(&inst);
-        prop_assert_eq!(&new_victims[0], &seed_victims[0]);
-        prop_assert_eq!(&new_victims[1], &seed_victims[1]);
-        prop_assert_eq!(&new_victims[0], &new_victims[1]);
-    }
-
-    // Workspace DP and PACM's solver (certified or not) vs the seed DP:
-    // identical keep vectors and totals, including zero-weight/zero-value
-    // items, coarse granularity and, with values in sixteenths, many ties.
-    #[test]
-    fn workspace_dp_matches_seed_dp(
-        items in proptest::collection::vec(
-            (0u64..5_000, 0u32..400).prop_map(|(weight, value)| KnapsackItem {
-                weight,
-                value: value as f64 / 16.0,
-            }),
-            0..40,
-        ),
-        capacity in 0u64..60_000,
-        granularity in prop_oneof![Just(1u64), Just(7), Just(1024)],
-    ) {
+// Workspace DP and PACM's solver (certified or not) vs the seed DP:
+// identical keep vectors and totals, including zero-weight/zero-value
+// items, coarse granularity and, with values in sixteenths, many ties.
+#[test]
+fn workspace_dp_matches_seed_dp() {
+    check("workspace_dp_matches_seed_dp", 220, |g| {
+        let items = g.vec(0..40, |g| KnapsackItem {
+            weight: g.range(0u64..5_000),
+            value: f64::from(g.range(0u32..400)) / 16.0,
+        });
+        let capacity = g.range(0u64..60_000);
+        let granularity = g.pick(&GRANULARITIES);
         let seed = solve_exact_seed(&items, capacity, granularity);
         let mut ws = KnapsackWorkspace::new();
         let (value, weight) = solve_exact_in(&mut ws, &items, capacity, granularity);
-        prop_assert_eq!(ws.keep(), seed.keep.as_slice());
-        prop_assert_eq!(value.to_bits(), seed.total_value.to_bits());
-        prop_assert_eq!(weight, seed.total_weight);
+        assert_eq!(ws.keep(), seed.keep.as_slice());
+        assert_eq!(value.to_bits(), seed.total_value.to_bits());
+        assert_eq!(weight, seed.total_weight);
         let solved = solve_in(&mut ws, &items, capacity, granularity);
-        prop_assert_eq!(ws.keep(), seed.keep.as_slice());
-        prop_assert_eq!(solved.total_value.to_bits(), seed.total_value.to_bits());
-        prop_assert_eq!(solved.total_weight, seed.total_weight);
-    }
+        assert_eq!(ws.keep(), seed.keep.as_slice());
+        assert_eq!(solved.total_value.to_bits(), seed.total_value.to_bits());
+        assert_eq!(solved.total_weight, seed.total_weight);
+    });
 }
 
 /// Deterministic 1 000-object store used by the golden regression.
@@ -228,7 +173,6 @@ fn fnv1a(victims: &[UrlHash]) -> u64 {
 /// utilities, solver order, reductions, or repair semantics trips this.
 #[test]
 fn golden_victims_on_seeded_store() {
-    use ape_cachealg::EvictionPolicy;
     let (store, incoming) = golden_store();
     let mut policy = PacmPolicy::new(PacmConfig::default());
     for i in 0..600u32 {
@@ -270,7 +214,6 @@ const GOLDEN_VICTIM_DIGEST: u64 = 0x98d651e184d6cfe3;
 /// last and then narrowest again, so reused buffers hold stale wider rows.
 #[test]
 fn eviction_shaped_stores_match_seed() {
-    use ape_cachealg::EvictionPolicy;
     let mut state = 0x1357_9BDF_0246_8ACEu64;
     let mut next = move || {
         state = state
@@ -341,7 +284,6 @@ fn eviction_shaped_stores_match_seed() {
 /// capacity and the decision is the DP's.
 #[test]
 fn stores_beyond_4096_objects_run_the_dp() {
-    use ape_cachealg::EvictionPolicy;
     let mut state = 0x2468_ACE0_1357_9BDFu64;
     let mut next = move || {
         state = state

@@ -5,100 +5,103 @@ use ape_cachealg::{
     CacheStore, KnapsackItem, KnapsackWorkspace, LruPolicy, ObjectMeta, PacmConfig, PacmPolicy,
     Priority,
 };
+use ape_check::{check, Gen};
 use ape_dnswire::UrlHash;
 use ape_simnet::{SimDuration, SimTime};
-use proptest::prelude::*;
 
-fn arb_items() -> impl Strategy<Value = Vec<KnapsackItem>> {
-    proptest::collection::vec(
-        (1u64..40, 0u32..100).prop_map(|(weight, value)| KnapsackItem {
-            weight,
-            value: value as f64,
-        }),
-        0..12,
-    )
+fn items(g: &mut Gen) -> Vec<KnapsackItem> {
+    g.vec(0..12, |g| KnapsackItem {
+        weight: g.range(1u64..40),
+        value: f64::from(g.range(0u32..100)),
+    })
 }
 
-fn arb_meta() -> impl Strategy<Value = ObjectMeta> {
-    (
-        any::<u64>(),
-        0u32..6,
-        1u64..120_000,
-        prop_oneof![Just(Priority::LOW), Just(Priority::HIGH)],
-        1u64..3600,
-        1u64..100,
-    )
-        .prop_map(|(key, app, size, priority, ttl_s, lat_ms)| ObjectMeta {
-            key: UrlHash(key),
-            app: AppId::new(app),
-            size,
-            priority,
-            expires_at: SimTime::from_secs(ttl_s),
-            fetch_latency: SimDuration::from_millis(lat_ms),
-        })
+fn meta(g: &mut Gen) -> ObjectMeta {
+    ObjectMeta {
+        key: UrlHash(g.u64()),
+        app: AppId::new(g.range(0u32..6)),
+        size: g.range(1u64..120_000),
+        priority: g.pick(&[Priority::LOW, Priority::HIGH]),
+        expires_at: SimTime::from_secs(g.range(1u64..3600)),
+        fetch_latency: SimDuration::from_millis(g.range(1u64..100)),
+    }
 }
 
-proptest! {
-    #[test]
-    fn exact_knapsack_is_optimal(items in arb_items(), capacity in 0u64..200) {
+#[test]
+fn exact_knapsack_is_optimal() {
+    check("exact_knapsack_is_optimal", 256, |g| {
+        let (items, capacity) = (items(g), g.range(0u64..200));
         let mut ws = KnapsackWorkspace::new();
         let (total_value, total_weight) = solve_exact_in(&mut ws, &items, capacity, 1);
         let brute = solve_brute_force(&items, capacity);
-        prop_assert!((total_value - brute.total_value).abs() < 1e-9);
-        prop_assert!(total_weight <= capacity);
-    }
+        assert!((total_value - brute.total_value).abs() < 1e-9);
+        assert!(total_weight <= capacity);
+    });
+}
 
-    #[test]
-    fn gini_is_in_unit_interval_and_matches_naive(
-        shares in proptest::collection::vec(0.0f64..1000.0, 0..12)
-    ) {
-        let g = gini(&shares);
-        prop_assert!((0.0..=1.0).contains(&g), "g = {g}");
-        prop_assert!((g - gini_naive(&shares)).abs() < 1e-9);
-    }
+#[test]
+fn gini_is_in_unit_interval_and_matches_naive() {
+    check("gini_is_in_unit_interval_and_matches_naive", 256, |g| {
+        let shares = g.vec(0..12, |g| g.f64(0.0..1000.0));
+        let gi = gini(&shares);
+        assert!((0.0..=1.0).contains(&gi), "g = {gi}");
+        assert!((gi - gini_naive(&shares)).abs() < 1e-9);
+    });
+}
 
-    #[test]
-    fn gini_zero_iff_equal(share in 0.1f64..100.0, n in 2usize..10) {
-        let shares = vec![share; n];
-        prop_assert!(gini(&shares) < 1e-12);
-    }
+#[test]
+fn gini_zero_iff_equal() {
+    check("gini_zero_iff_equal", 256, |g| {
+        let shares = vec![g.f64(0.1..100.0); g.range(2usize..10)];
+        assert!(gini(&shares) < 1e-12);
+    });
+}
 
-    #[test]
-    fn lru_never_exceeds_capacity(metas in proptest::collection::vec(arb_meta(), 1..40)) {
+#[test]
+fn lru_never_exceeds_capacity() {
+    check("lru_never_exceeds_capacity", 256, |g| {
         let mut manager = CacheManager::new(CacheStore::new(200_000, 150_000), LruPolicy::new());
-        for (i, meta) in metas.into_iter().enumerate() {
+        for (i, meta) in g.vec(1..40, meta).into_iter().enumerate() {
             let now = SimTime::from_secs(i as u64);
             let _ = manager.admit(meta, now);
-            prop_assert!(manager.store().used() <= manager.store().capacity());
+            assert!(manager.store().used() <= manager.store().capacity());
         }
-    }
+    });
+}
 
-    #[test]
-    fn pacm_never_exceeds_capacity(metas in proptest::collection::vec(arb_meta(), 1..40)) {
+#[test]
+fn pacm_never_exceeds_capacity() {
+    check("pacm_never_exceeds_capacity", 256, |g| {
         let mut manager = CacheManager::new(
             CacheStore::new(200_000, 150_000),
             PacmPolicy::new(PacmConfig::default()),
         );
-        for (i, meta) in metas.into_iter().enumerate() {
+        for (i, meta) in g.vec(1..40, meta).into_iter().enumerate() {
             let now = SimTime::from_secs(i as u64);
             let app = meta.app;
             manager.note_request(app);
             let _ = manager.admit(meta, now);
-            prop_assert!(manager.store().used() <= manager.store().capacity());
+            assert!(manager.store().used() <= manager.store().capacity());
         }
-    }
+    });
+}
 
-    #[test]
-    fn admitted_object_is_always_present(meta in arb_meta()) {
+#[test]
+fn admitted_object_is_always_present() {
+    check("admitted_object_is_always_present", 256, |g| {
         // Any object below the block threshold admitted into an empty cache
         // must be a Hit immediately afterwards (before its TTL).
         let mut manager = CacheManager::new(
             CacheStore::new(200_000, 150_000),
             PacmPolicy::new(PacmConfig::default()),
         );
+        let meta = meta(g);
         let key = meta.key;
         let out = manager.admit(meta, SimTime::ZERO);
-        prop_assert!(matches!(out, AdmitOutcome::Stored { .. }), "{out:?}");
-        prop_assert_eq!(manager.lookup(key, SimTime::ZERO), ape_cachealg::Lookup::Hit);
-    }
+        assert!(matches!(out, AdmitOutcome::Stored { .. }), "{out:?}");
+        assert_eq!(
+            manager.lookup(key, SimTime::ZERO),
+            ape_cachealg::Lookup::Hit
+        );
+    });
 }

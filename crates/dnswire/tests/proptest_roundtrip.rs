@@ -3,175 +3,155 @@
 
 use std::net::Ipv4Addr;
 
+use ape_check::{check, Gen, PRINTABLE};
 use ape_dnswire::{
     CacheFlag, CacheTuple, DnsMessage, DomainName, Header, Question, RData, Rcode, ResourceRecord,
     RrClass, RrType, UrlHash,
 };
-use proptest::prelude::*;
 
-fn arb_label() -> impl Strategy<Value = String> {
-    proptest::string::string_regex("[a-z0-9_-]{1,12}").expect("valid regex")
+/// `[a-z0-9_-]`: DNS label characters.
+const LABEL: &str = "abcdefghijklmnopqrstuvwxyz0123456789_-";
+const FLAGS: [CacheFlag; 4] = [
+    CacheFlag::Query,
+    CacheFlag::Hit,
+    CacheFlag::Miss,
+    CacheFlag::Delegation,
+];
+
+fn bytes(g: &mut Gen, len: std::ops::Range<usize>) -> Vec<u8> {
+    g.vec(len, |g| g.u64() as u8)
 }
 
-fn arb_name() -> impl Strategy<Value = DomainName> {
-    proptest::collection::vec(arb_label(), 1..5)
-        .prop_map(|labels| DomainName::parse(&labels.join(".")).expect("valid labels"))
+fn name(g: &mut Gen) -> DomainName {
+    let labels = g.vec(1..5, |g| g.string(LABEL, 1..=12));
+    DomainName::parse(&labels.join(".")).expect("valid labels")
 }
 
-fn arb_flag() -> impl Strategy<Value = CacheFlag> {
-    prop_oneof![
-        Just(CacheFlag::Query),
-        Just(CacheFlag::Hit),
-        Just(CacheFlag::Miss),
-        Just(CacheFlag::Delegation),
-    ]
+fn tuple(g: &mut Gen) -> CacheTuple {
+    CacheTuple::new(UrlHash(g.u64()), g.pick(&FLAGS))
 }
 
-fn arb_tuple() -> impl Strategy<Value = CacheTuple> {
-    (any::<u64>(), arb_flag()).prop_map(|(h, f)| CacheTuple::new(UrlHash(h), f))
-}
-
-fn arb_rdata() -> impl Strategy<Value = RData> {
-    prop_oneof![
-        any::<[u8; 4]>().prop_map(|o| RData::A(Ipv4Addr::new(o[0], o[1], o[2], o[3]))),
-        arb_name().prop_map(RData::Cname),
-        arb_name().prop_map(RData::Ns),
-        proptest::string::string_regex("[ -~]{0,60}")
-            .expect("valid regex")
-            .prop_map(RData::Txt),
-        proptest::collection::vec(any::<u8>(), 0..40).prop_map(RData::Opt),
-        proptest::collection::vec(arb_tuple(), 0..8).prop_map(RData::DnsCache),
-    ]
+fn rdata(g: &mut Gen) -> RData {
+    match g.below(6) {
+        0 => RData::A(Ipv4Addr::from(g.u64() as u32)),
+        1 => RData::Cname(name(g)),
+        2 => RData::Ns(name(g)),
+        3 => RData::Txt(g.string(PRINTABLE, 0..=60)),
+        4 => RData::Opt(bytes(g, 0..40)),
+        _ => RData::DnsCache(g.vec(0..8, tuple)),
+    }
 }
 
 /// Payloads the roundtrip cannot carry — text past the 255-byte
 /// character-string limit is truncated on encode — but whose encoded size
 /// `wire_len` must still predict, plus the opaque `Other` payload.
-fn arb_lossy_rdata() -> impl Strategy<Value = RData> {
-    prop_oneof![
-        proptest::string::string_regex("[ -~]{200,400}")
-            .expect("valid regex")
-            .prop_map(RData::Txt),
-        proptest::collection::vec(any::<u8>(), 0..40).prop_map(RData::Other),
-    ]
+fn lossy_rdata(g: &mut Gen) -> RData {
+    if g.bool() {
+        RData::Txt(g.string(PRINTABLE, 200..=400))
+    } else {
+        RData::Other(bytes(g, 0..40))
+    }
 }
 
-fn arb_record() -> impl Strategy<Value = ResourceRecord> {
-    arb_record_of(arb_rdata())
+fn record(g: &mut Gen, rdata: fn(&mut Gen) -> RData) -> ResourceRecord {
+    let name = name(g);
+    let ttl = g.u64() as u32;
+    let rdata = rdata(g);
+    let class = match rdata {
+        RData::DnsCache(_) => RrClass::CacheResponse,
+        _ => RrClass::In,
+    };
+    ResourceRecord {
+        name,
+        class,
+        ttl,
+        rdata,
+    }
 }
 
-fn arb_record_of(rdata: impl Strategy<Value = RData>) -> impl Strategy<Value = ResourceRecord> {
-    (arb_name(), any::<u32>(), rdata).prop_map(|(name, ttl, rdata)| {
-        let class = match rdata {
-            RData::DnsCache(_) => RrClass::CacheResponse,
-            _ => RrClass::In,
-        };
-        ResourceRecord {
-            name,
-            class,
-            ttl,
-            rdata,
-        }
-    })
+fn message(g: &mut Gen) -> DnsMessage {
+    let header = Header {
+        id: g.u64() as u16,
+        response: g.bool(),
+        authoritative: g.bool(),
+        truncated: g.bool(),
+        recursion_desired: g.bool(),
+        recursion_available: g.bool(),
+        rcode: Rcode::NoError,
+    };
+    DnsMessage {
+        header,
+        questions: g.vec(0..3, |g| Question::new(name(g), RrType::A)),
+        answers: g.vec(0..4, |g| record(g, rdata)),
+        authorities: g.vec(0..2, |g| record(g, rdata)),
+        additionals: g.vec(0..3, |g| record(g, rdata)),
+    }
 }
 
-fn arb_question() -> impl Strategy<Value = Question> {
-    arb_name().prop_map(|n| Question::new(n, RrType::A))
-}
-
-fn arb_header() -> impl Strategy<Value = Header> {
-    (
-        any::<u16>(),
-        any::<bool>(),
-        any::<bool>(),
-        any::<bool>(),
-        any::<bool>(),
-        any::<bool>(),
-    )
-        .prop_map(|(id, response, aa, tc, rd, ra)| Header {
-            id,
-            response,
-            authoritative: aa,
-            truncated: tc,
-            recursion_desired: rd,
-            recursion_available: ra,
-            rcode: Rcode::NoError,
-        })
-}
-
-fn arb_message() -> impl Strategy<Value = DnsMessage> {
-    (
-        arb_header(),
-        proptest::collection::vec(arb_question(), 0..3),
-        proptest::collection::vec(arb_record(), 0..4),
-        proptest::collection::vec(arb_record(), 0..2),
-        proptest::collection::vec(arb_record(), 0..3),
-    )
-        .prop_map(
-            |(header, questions, answers, authorities, additionals)| DnsMessage {
-                header,
-                questions,
-                answers,
-                authorities,
-                additionals,
-            },
-        )
-}
-
-proptest! {
-    #[test]
-    fn encode_decode_roundtrip(msg in arb_message()) {
+#[test]
+fn encode_decode_roundtrip() {
+    check("encode_decode_roundtrip", 256, |g| {
+        let msg = message(g);
         let wire = msg.encode();
         let parsed = DnsMessage::decode(&wire).expect("decode of own encoding");
-        prop_assert_eq!(parsed, msg);
-    }
+        assert_eq!(parsed, msg);
+    });
+}
 
-    #[test]
-    fn decoder_never_panics_on_garbage(bytes in proptest::collection::vec(any::<u8>(), 0..200)) {
-        let _ = DnsMessage::decode(&bytes);
-    }
+#[test]
+fn decoder_never_panics_on_garbage() {
+    check("decoder_never_panics_on_garbage", 256, |g| {
+        let _ = DnsMessage::decode(&bytes(g, 0..200));
+    });
+}
 
-    // `wire_len` is arithmetic over field lengths; the encoder is the
-    // reference, over every `RData` variant.
-    #[test]
-    fn wire_len_is_consistent(
-        msg in arb_message(),
-        lossy in proptest::collection::vec(arb_record_of(arb_lossy_rdata()), 0..3),
-    ) {
-        let mut msg = msg;
+// `wire_len` is arithmetic over field lengths; the encoder is the
+// reference, over every `RData` variant.
+#[test]
+fn wire_len_is_consistent() {
+    check("wire_len_is_consistent", 256, |g| {
+        let mut msg = message(g);
+        let lossy = g.vec(0..3, |g| record(g, lossy_rdata));
         msg.additionals.extend(lossy);
-        prop_assert_eq!(msg.wire_len(), msg.encode().len());
-    }
+        assert_eq!(msg.wire_len(), msg.encode().len());
+    });
+}
 
-    // Names order as their label vectors do, whatever the storage:
-    // `BTreeMap<DomainName, _>` iteration feeds the run fingerprints. The
-    // tiny alphabet makes shared prefixes — and `-` (which sorts below the
-    // `.` separator as a byte) against a label end — common.
-    #[test]
-    fn names_order_label_wise(
-        a in proptest::collection::vec("[ab-]{1,3}", 0..4),
-        b in proptest::collection::vec("[ab-]{1,3}", 0..4),
-    ) {
+// Names order as their label vectors do, whatever the storage:
+// `BTreeMap<DomainName, _>` iteration feeds the run fingerprints. The
+// tiny alphabet makes shared prefixes — and `-` (which sorts below the
+// `.` separator as a byte) against a label end — common.
+#[test]
+fn names_order_label_wise() {
+    check("names_order_label_wise", 256, |g| {
+        let a = g.vec(0..4, |g| g.string("ab-", 1..=3));
+        let b = g.vec(0..4, |g| g.string("ab-", 1..=3));
         let parse = |labels: &[String]| DomainName::parse(&labels.join(".")).expect("valid labels");
-        prop_assert_eq!(parse(&a).cmp(&parse(&b)), a.cmp(&b));
-        prop_assert_eq!(parse(&a) == parse(&b), a == b);
-    }
+        assert_eq!(parse(&a).cmp(&parse(&b)), a.cmp(&b));
+        assert_eq!(parse(&a) == parse(&b), a == b);
+    });
+}
 
-    #[test]
-    fn valid_names_roundtrip_via_display(labels in proptest::collection::vec("[a-z0-9]{1,10}", 1..5)) {
-        let text = labels.join(".");
-        let name = DomainName::parse(&text).expect("valid");
+#[test]
+fn valid_names_roundtrip_via_display() {
+    check("valid_names_roundtrip_via_display", 256, |g| {
+        let labels = g.vec(1..5, |g| {
+            g.string("abcdefghijklmnopqrstuvwxyz0123456789", 1..=10)
+        });
+        let name = DomainName::parse(&labels.join(".")).expect("valid");
         let again = DomainName::parse(&name.to_string()).expect("display output reparses");
-        prop_assert_eq!(name, again);
-    }
+        assert_eq!(name, again);
+    });
+}
 
-    #[test]
-    fn mutated_messages_never_panic(msg in arb_message(), idx in any::<prop::sample::Index>(), bit in 0u8..8) {
-        let mut wire = msg.encode();
+#[test]
+fn mutated_messages_never_panic() {
+    check("mutated_messages_never_panic", 256, |g| {
+        let mut wire = message(g).encode();
         if !wire.is_empty() {
-            let i = idx.index(wire.len());
-            wire[i] ^= 1 << bit;
+            let i = g.below(wire.len() as u64) as usize;
+            wire[i] ^= 1 << g.range(0u8..8);
             let _ = DnsMessage::decode(&wire);
         }
-    }
+    });
 }

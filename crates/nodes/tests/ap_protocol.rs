@@ -38,6 +38,7 @@ struct Bed {
     world: World<Msg>,
     probe: NodeId,
     ap: NodeId,
+    origin: NodeId,
     controller: Option<NodeId>,
 }
 
@@ -128,6 +129,7 @@ fn wired(wicache: bool) -> Bed {
         world,
         probe,
         ap,
+        origin,
         controller,
     }
 }
@@ -288,12 +290,7 @@ fn duplicate_prefetch_hints_fetch_once() {
     assert_eq!(bed.world.node::<ApNode>(bed.ap).cached_objects(), 1);
     // Only the first hint started a fetch; the rest were deduplicated
     // against the in-flight delegation or the cached copy.
-    assert_eq!(
-        bed.world
-            .node::<CatalogServer>(NodeId::from_raw(1))
-            .served(),
-        1
-    );
+    assert_eq!(bed.world.node::<CatalogServer>(bed.origin).served(), 1);
 }
 
 #[test]

@@ -1,10 +1,10 @@
 //! Property tests of the discrete-event substrate: causality, determinism
 //! and clock discipline must hold for arbitrary workloads.
 
+use ape_check::{check, Gen};
 use ape_simnet::{
     Context, LinkSpec, Message, Node, NodeId, SimDuration, SimTime, TimerToken, World,
 };
-use proptest::prelude::*;
 
 #[derive(Debug, Clone, PartialEq)]
 struct Tagged {
@@ -53,21 +53,14 @@ struct Workload {
     jitter_us: u64,
 }
 
-fn arb_workload() -> impl Strategy<Value = Workload> {
-    (
-        any::<u64>(),
-        proptest::collection::vec((0u8..6, any::<u64>()), 1..25),
-        proptest::collection::vec(1u64..5_000_000, 0..10),
-        100u64..5_000,
-        0u64..1_000,
-    )
-        .prop_map(|(seed, messages, timers, link_us, jitter_us)| Workload {
-            seed,
-            messages,
-            timers,
-            link_us,
-            jitter_us,
-        })
+fn workload(g: &mut Gen) -> Workload {
+    Workload {
+        seed: g.u64(),
+        messages: g.vec(1..25, |g| (g.range(0u8..6), g.u64())),
+        timers: g.vec(0..10, |g| g.range(1u64..5_000_000)),
+        link_us: g.range(100u64..5_000),
+        jitter_us: g.range(0u64..1_000),
+    }
 }
 
 fn run(w: &Workload) -> (Vec<(SimTime, u64)>, Vec<SimTime>, SimTime, u64) {
@@ -105,56 +98,68 @@ fn run(w: &Workload) -> (Vec<(SimTime, u64)>, Vec<SimTime>, SimTime, u64) {
     (receipts, timer_fires, world.now(), report.events)
 }
 
-proptest! {
-    #[test]
-    fn identical_workloads_replay_identically(w in arb_workload()) {
+#[test]
+fn identical_workloads_replay_identically() {
+    check("identical_workloads_replay_identically", 256, |g| {
+        let w = workload(g);
         let (r1, t1, now1, e1) = run(&w);
         let (r2, t2, now2, e2) = run(&w);
-        prop_assert_eq!(r1, r2);
-        prop_assert_eq!(t1, t2);
-        prop_assert_eq!(now1, now2);
-        prop_assert_eq!(e1, e2);
-    }
+        assert_eq!(r1, r2);
+        assert_eq!(t1, t2);
+        assert_eq!(now1, now2);
+        assert_eq!(e1, e2);
+    });
+}
 
-    #[test]
-    fn clock_never_runs_backwards(w in arb_workload()) {
-        let (receipts, _, end, _) = run(&w);
+#[test]
+fn clock_never_runs_backwards() {
+    check("clock_never_runs_backwards", 256, |g| {
+        let (receipts, _, end, _) = run(&workload(g));
         for pair in receipts.windows(2) {
-            prop_assert!(pair[0].0 <= pair[1].0);
+            assert!(pair[0].0 <= pair[1].0);
         }
         if let Some(last) = receipts.last() {
-            prop_assert!(last.0 <= end);
+            assert!(last.0 <= end);
         }
-    }
+    });
+}
 
-    #[test]
-    fn every_bounce_is_delivered(w in arb_workload()) {
+#[test]
+fn every_bounce_is_delivered() {
+    check("every_bounce_is_delivered", 256, |g| {
+        let w = workload(g);
         let (receipts, timers, _, events) = run(&w);
         // Each posted message with h hops produces h+1 receipts total.
         let expected: usize = w.messages.iter().map(|(h, _)| *h as usize + 1).sum();
-        prop_assert_eq!(receipts.len(), expected);
-        prop_assert_eq!(timers.len(), w.timers.len());
+        assert_eq!(receipts.len(), expected);
+        assert_eq!(timers.len(), w.timers.len());
         // Event count = deliveries + timer fires.
-        prop_assert_eq!(events as usize, expected + w.timers.len());
-    }
+        assert_eq!(events as usize, expected + w.timers.len());
+    });
+}
 
-    #[test]
-    fn timers_fire_at_or_after_their_deadline(w in arb_workload()) {
-        let (_, timer_fires, _, _) = run(&w);
+#[test]
+fn timers_fire_at_or_after_their_deadline() {
+    check("timers_fire_at_or_after_their_deadline", 256, |g| {
+        let w = workload(g);
+        let (_, mut fires, _, _) = run(&w);
         let mut sorted_delays = w.timers.clone();
         sorted_delays.sort();
-        let mut fires = timer_fires.clone();
         fires.sort();
         for (fire, delay) in fires.iter().zip(sorted_delays.iter()) {
-            prop_assert!(
+            assert!(
                 fire.as_nanos() >= delay * 1_000,
                 "fired {fire} before {delay}us"
             );
         }
-    }
+    });
+}
 
-    #[test]
-    fn deadline_runs_split_cleanly(w in arb_workload(), split_us in 1u64..1_000_000) {
+#[test]
+fn deadline_runs_split_cleanly() {
+    check("deadline_runs_split_cleanly", 256, |g| {
+        let w = workload(g);
+        let split_us = g.range(1u64..1_000_000);
         // Running to a deadline and resuming must equal one uninterrupted run.
         let uninterrupted = run(&w);
 
@@ -168,16 +173,27 @@ proptest! {
                 .jitter_mean(SimDuration::from_micros(w.jitter_us)),
         );
         for (hops, payload) in &w.messages {
-            world.post(a, b, Tagged { hops_left: *hops, payload: *payload });
+            world.post(
+                a,
+                b,
+                Tagged {
+                    hops_left: *hops,
+                    payload: *payload,
+                },
+            );
         }
         for (i, &delay) in w.timers.iter().enumerate() {
-            world.schedule_timer(a, SimDuration::from_micros(delay), TimerToken::new(i as u64));
+            world.schedule_timer(
+                a,
+                SimDuration::from_micros(delay),
+                TimerToken::new(i as u64),
+            );
         }
         world.run_until(SimTime::from_nanos(split_us * 1_000));
         world.run_to_idle();
         let mut receipts = world.node::<Recorder>(a).receipts.clone();
         receipts.extend(world.node::<Recorder>(b).receipts.iter().copied());
         receipts.sort();
-        prop_assert_eq!(receipts, uninterrupted.0);
-    }
+        assert_eq!(receipts, uninterrupted.0);
+    });
 }

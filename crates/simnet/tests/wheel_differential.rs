@@ -7,10 +7,9 @@
 //! ([`ReferenceEventQueue`]). The two engines must agree on every single
 //! `(at, seq, item)` triple they pop, for every interleaving.
 
+use ape_check::{check, Gen};
 use ape_simnet::reference::ReferenceEventQueue;
 use ape_simnet::{SimTime, TimerWheel};
-use proptest::prelude::*;
-use proptest::TestCaseError;
 
 /// The schedule-perturbation keys the determinism harness sweeps (see
 /// `tests/determinism_perturbation.rs` at the repo root).
@@ -46,17 +45,12 @@ struct Sched {
     key: Option<u8>,
 }
 
-fn arb_sched() -> impl Strategy<Value = Sched> {
-    (
-        proptest::collection::vec((0u8..8, any::<u64>()), 1..250),
-        0u8..5,
-        proptest::option::of(0u8..4),
-    )
-        .prop_map(|(events, pops_every, key)| Sched {
-            events,
-            pops_every,
-            key,
-        })
+fn sched(g: &mut Gen) -> Sched {
+    Sched {
+        events: g.vec(1..250, |g| (g.range(0u8..8), g.u64())),
+        pops_every: g.range(0u8..5),
+        key: g.option(|g| g.range(0u8..4)),
+    }
 }
 
 /// Maps a `(class, raw)` pair onto a timestamp, given the previous one.
@@ -70,7 +64,7 @@ fn timestamp(class: u8, raw: u64, prev: SimTime) -> SimTime {
 
 /// Replays `sched` through both queues, asserting identical behavior at
 /// every pop and peek.
-fn check(sched: &Sched) -> Result<(), TestCaseError> {
+fn replay(sched: &Sched) {
     let mut wheel = TimerWheel::new();
     let mut heap = ReferenceEventQueue::new();
     let mut prev = SimTime::ZERO;
@@ -84,27 +78,26 @@ fn check(sched: &Sched) -> Result<(), TestCaseError> {
         wheel.push(at, seq, i as u32);
         heap.push(at, seq, i as u32);
         if sched.pops_every > 0 && i % sched.pops_every as usize == 0 {
-            prop_assert_eq!(wheel.peek_time(), heap.peek_time());
-            prop_assert_eq!(wheel.pop(), heap.pop());
+            assert_eq!(wheel.peek_time(), heap.peek_time());
+            assert_eq!(wheel.pop(), heap.pop());
         }
     }
     loop {
-        prop_assert_eq!(wheel.peek_time(), heap.peek_time());
-        prop_assert_eq!(wheel.len(), heap.len());
+        assert_eq!(wheel.peek_time(), heap.peek_time());
+        assert_eq!(wheel.len(), heap.len());
         let (w, h) = (wheel.pop(), heap.pop());
-        prop_assert_eq!(w, h);
+        assert_eq!(w, h);
         if w.is_none() {
             break;
         }
     }
-    Ok(())
 }
 
-proptest! {
-    #[test]
-    fn wheel_matches_heap_on_arbitrary_schedules(sched in arb_sched()) {
-        check(&sched)?;
-    }
+#[test]
+fn wheel_matches_heap_on_arbitrary_schedules() {
+    check("wheel_matches_heap_on_arbitrary_schedules", 256, |g| {
+        replay(&sched(g));
+    });
 }
 
 /// Regression pin for the frontier-straddle bug: an event buried in a
@@ -135,7 +128,7 @@ fn coarse_bucket_straddling_the_frontier_cascades_first() {
     assert_eq!(wheel.pop(), None);
 }
 
-/// A stress shape `arb_sched` lacks: tens of thousands of timers armed up
+/// A stress shape `sched` lacks: tens of thousands of timers armed up
 /// front across hours, each one setting off a short chain of sparse
 /// near-term traffic 0.3–50 ms ahead (sends), and a 3–4 s watchdog armed
 /// beside every send and popped long after the exchange it guarded. The

@@ -105,7 +105,7 @@ impl ZipfSampler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use ape_check::check;
 
     #[test]
     fn weights_sum_to_one_and_decrease() {
@@ -199,22 +199,19 @@ mod tests {
         }
     }
 
-    proptest! {
-        #[test]
-        fn samples_stay_in_range_with_one_draw_each(
-            n in 1usize..64,
-            exp_milli in 0u32..3_000,
-            seed in any::<u64>(),
-            draws in 1usize..256,
-        ) {
-            let z = ZipfSampler::new(n, f64::from(exp_milli) / 1_000.0);
+    #[test]
+    fn samples_stay_in_range_with_one_draw_each() {
+        check("samples_stay_in_range_with_one_draw_each", 256, |g| {
+            let n = g.range(1usize..64);
+            let z = ZipfSampler::new(n, f64::from(g.range(0u32..3_000)) / 1_000.0);
+            let seed = g.u64();
             let mut rng = SimRng::seed_from(seed);
             let mut shadow = SimRng::seed_from(seed);
-            for _ in 0..draws {
-                prop_assert!(z.sample(&mut rng) < n);
+            for _ in 0..g.range(1usize..256) {
+                assert!(z.sample(&mut rng) < n);
                 let _ = shadow.unit();
             }
-            prop_assert_eq!(rng.next_u64(), shadow.next_u64());
-        }
+            assert_eq!(rng.next_u64(), shadow.next_u64());
+        });
     }
 }

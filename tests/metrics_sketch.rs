@@ -9,9 +9,9 @@
 //! quantiles (inside the sketch's linear range) are compared absolutely
 //! at bucket resolution.
 
+use ape_check::check;
 use ape_simnet::reference::ExactHistogram;
 use ape_simnet::{Histogram, SimRng};
-use proptest::prelude::*;
 
 /// Quantiles every distribution test checks.
 const CHECK_QUANTILES: [f64; 4] = [0.5, 0.9, 0.99, 0.999];
@@ -112,29 +112,16 @@ fn sketch_tracks_exact_on_near_zero_streams() {
     }
 }
 
-/// A randomized three-regime mixture: per-regime scales and the stream
-/// length vary with the case.
-#[derive(Debug, Clone)]
-struct Mixture {
-    seed: u64,
-    n: usize,
-}
-
-fn arb_mixture() -> impl Strategy<Value = Mixture> {
-    (any::<u64>(), 2_000usize..12_000).prop_map(|(seed, n)| Mixture { seed, n })
-}
-
-// Arbitrary three-regime mixtures stay inside the error budget: the
-// per-regime scales and stream length are all case-randomized.
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    #[test]
-    fn sketch_tracks_exact_on_random_mixtures(mix in arb_mixture()) {
-        let mut rng = SimRng::seed_from(mix.seed);
+/// Arbitrary three-regime mixtures stay inside the error budget: the
+/// per-regime scales and the stream length are all case-randomized.
+#[test]
+fn sketch_tracks_exact_on_random_mixtures() {
+    check("sketch_tracks_exact_on_random_mixtures", 16, |g| {
+        let mut rng = SimRng::seed_from(g.u64());
+        let n = g.range(2_000usize..12_000);
         let edge_mean = rng.uniform_f64(2.0, 60.0);
         let tail_mean = rng.uniform_f64(20.0, 400.0);
-        let stream: Vec<f64> = (0..mix.n)
+        let stream: Vec<f64> = (0..n)
             .map(|_| match rng.uniform_u64(0, 10) {
                 0..=5 => rng.uniform_f64(0.01, 0.9),
                 6..=8 => rng.normal(edge_mean, edge_mean / 6.0).abs(),
@@ -142,6 +129,6 @@ proptest! {
             })
             .collect();
         let worst = assert_tracks_exact(&stream, "random mixture");
-        prop_assert!(worst <= REL_TOL);
-    }
+        assert!(worst <= REL_TOL);
+    });
 }

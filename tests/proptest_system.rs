@@ -2,12 +2,12 @@
 //! architecture's invariants regardless of workload shape.
 
 use ape_appdag::DummyAppConfig;
+use ape_check::{check, Gen};
 use ape_nodes::ApNode;
 use ape_proto::names;
 use ape_simnet::SimDuration;
 use ape_workload::ScheduleConfig;
 use apecache::{build, collect, synthetic_suite, System, TestbedConfig};
-use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
 struct Scenario {
@@ -19,30 +19,20 @@ struct Scenario {
     seed: u64,
 }
 
-fn arb_scenario() -> impl Strategy<Value = Scenario> {
-    (
-        prop_oneof![
-            Just(System::ApeCache),
-            Just(System::ApeCacheLru),
-            Just(System::WiCache),
-            Just(System::EdgeCache),
-        ],
-        2usize..8,
-        20_000u64..300_000,
-        1.0f64..4.0,
-        2u64..4,
-        any::<u64>(),
-    )
-        .prop_map(
-            |(system, apps, size_hi, frequency, minutes, seed)| Scenario {
-                system,
-                apps,
-                size_hi,
-                frequency,
-                minutes,
-                seed,
-            },
-        )
+fn scenario(g: &mut Gen) -> Scenario {
+    Scenario {
+        system: g.pick(&[
+            System::ApeCache,
+            System::ApeCacheLru,
+            System::WiCache,
+            System::EdgeCache,
+        ]),
+        apps: g.range(2usize..8),
+        size_hi: g.range(20_000u64..300_000),
+        frequency: g.f64(1.0..4.0),
+        minutes: g.range(2u64..4),
+        seed: g.u64(),
+    }
 }
 
 fn run(scenario: &Scenario) -> (apecache::RunResult, u64, u64) {
@@ -67,28 +57,27 @@ fn run(scenario: &Scenario) -> (apecache::RunResult, u64, u64) {
     (result, cached_bytes, capacity)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    #[test]
-    fn invariants_hold_for_random_scenarios(scenario in arb_scenario()) {
+#[test]
+fn invariants_hold_for_random_scenarios() {
+    check("invariants_hold_for_random_scenarios", 12, |g| {
+        let scenario = scenario(g);
         let (result, cached_bytes, capacity) = run(&scenario);
         let report = &result.report;
 
         // Cache capacity is inviolable.
-        prop_assert!(cached_bytes <= capacity, "{cached_bytes} > {capacity}");
+        assert!(cached_bytes <= capacity, "{cached_bytes} > {capacity}");
 
         // Counters are internally consistent.
-        prop_assert!(report.hits <= report.requests);
-        prop_assert!(report.high_hits <= report.high_requests);
-        prop_assert!(report.high_requests <= report.requests);
+        assert!(report.hits <= report.requests);
+        assert!(report.high_hits <= report.high_requests);
+        assert!(report.high_requests <= report.requests);
         let ratio = report.hit_ratio();
-        prop_assert!((0.0..=1.0).contains(&ratio));
+        assert!((0.0..=1.0).contains(&ratio));
 
         // Healthy network ⇒ no failures; work happened.
-        prop_assert_eq!(report.failures, 0);
-        prop_assert!(report.executions > 0);
-        prop_assert!(report.requests > 0);
+        assert_eq!(report.failures, 0);
+        assert!(report.executions > 0);
+        assert!(report.requests > 0);
 
         // The fetch ledger closes: every fetch started settled as one
         // success or one failure, and every retrieval was served by
@@ -97,8 +86,8 @@ proptest! {
         let samples = |name| m.histogram(name).map_or(0, |h| h.count() as u64);
         let settled = samples(names::CLIENT_OBJECT_TOTAL_MS);
         let failed = m.counter(names::CLIENT_FETCH_FAILURES);
-        prop_assert_eq!(m.counter(names::CLIENT_FETCHES), settled + failed);
-        prop_assert_eq!(
+        assert_eq!(m.counter(names::CLIENT_FETCHES), settled + failed);
+        assert_eq!(
             samples(names::CLIENT_RETRIEVAL_MS),
             samples(names::CLIENT_RETRIEVAL_HIT_MS)
                 + samples(names::CLIENT_RETRIEVAL_DELEGATION_MS)
@@ -107,19 +96,22 @@ proptest! {
 
         // The Edge Cache baseline never records AP hits.
         if scenario.system == System::EdgeCache {
-            prop_assert_eq!(report.hits, 0);
+            assert_eq!(report.hits, 0);
         }
-    }
+    });
+}
 
-    #[test]
-    fn reruns_are_bit_identical(scenario in arb_scenario()) {
+#[test]
+fn reruns_are_bit_identical() {
+    check("reruns_are_bit_identical", 12, |g| {
+        let scenario = scenario(g);
         let (a, a_bytes, _) = run(&scenario);
         let (b, b_bytes, _) = run(&scenario);
-        prop_assert_eq!(a.report, b.report);
-        prop_assert_eq!(a_bytes, b_bytes);
-        prop_assert_eq!(
+        assert_eq!(a.report, b.report);
+        assert_eq!(a_bytes, b_bytes);
+        assert_eq!(
             a.metrics.counter(names::NET_MESSAGES),
             b.metrics.counter(names::NET_MESSAGES)
         );
-    }
+    });
 }
