@@ -153,32 +153,73 @@ const QUOTES: [Quote; 6] = [
     },
 ];
 
-/// One EXPERIMENTS.md row whose last cell quotes numbers of one summary
-/// line of the output.
+/// One EXPERIMENTS.md row whose last measured cell quotes numbers that
+/// one block of the output prints.
 struct LineQuote {
     /// How the row starts in EXPERIMENTS.md.
     row: &'static str,
-    /// How the output line starts.
-    line: &'static str,
-    /// Which of the line's numbers the cell quotes, in order.
-    numbers: &'static [usize],
+    /// How the block's first line in `docs/repro_all_default.txt` starts.
+    block: &'static str,
+    /// The quoted numbers, in order: how a line of the block starts, and
+    /// which of that line's numbers.
+    numbers: &'static [(&'static str, usize)],
 }
 
-const LINE_QUOTES: [LineQuote; 3] = [
+const LINE_QUOTES: [LineQuote; 11] = [
+    LineQuote {
+        row: "| high-rate CPU |",
+        block: "Fig. 2:",
+        numbers: &[("high:", 0), ("high:", 1)],
+    },
+    LineQuote {
+        row: "| high-rate memory |",
+        block: "Fig. 2:",
+        numbers: &[("high:", 2)],
+    },
+    LineQuote {
+        row: "| low-rate |",
+        block: "Fig. 2:",
+        numbers: &[("low:", 0), ("low:", 2)],
+    },
+    LineQuote {
+        row: "| overall: APE / Wi-Cache / Edge |",
+        block: "Object-level caching latency",
+        numbers: &[("APE-CACHE ", 2), ("Wi-Cache ", 2), ("Edge Cache ", 2)],
+    },
     LineQuote {
         row: "| reduction vs Wi-Cache / Edge |",
-        line: "APE-CACHE reduction:",
-        numbers: &[0, 1],
+        block: "Object-level caching latency",
+        numbers: &[("APE-CACHE reduction:", 0), ("APE-CACHE reduction:", 1)],
     },
     LineQuote {
         row: "| extra CPU (peak) |",
-        line: "APE-CACHE overhead:",
-        numbers: &[0],
+        block: "Fig. 14:",
+        numbers: &[("APE-CACHE overhead:", 0)],
     },
     LineQuote {
         row: "| extra memory |",
-        line: "APE-CACHE overhead:",
-        numbers: &[1],
+        block: "Fig. 14:",
+        numbers: &[("APE-CACHE overhead:", 1)],
+    },
+    LineQuote {
+        row: "| MovieTrailer | declarative |",
+        block: "Table VII:",
+        numbers: &[("MovieTrailer   APE-CACHE", 0)],
+    },
+    LineQuote {
+        row: "| MovieTrailer | API-based |",
+        block: "Table VII:",
+        numbers: &[("MovieTrailer   API-based", 0)],
+    },
+    LineQuote {
+        row: "| VirtualHome | declarative |",
+        block: "Table VII:",
+        numbers: &[("VirtualHome    APE-CACHE", 0)],
+    },
+    LineQuote {
+        row: "| VirtualHome | API-based |",
+        block: "Table VII:",
+        numbers: &[("VirtualHome    API-based", 0)],
     },
 ];
 
@@ -219,14 +260,20 @@ fn measured(cell: &str) -> Vec<&str> {
     numbers(cell.split(" (").next().unwrap_or(cell))
 }
 
-/// The rows of the output block that starts with `block`, as label key
-/// and value columns.
-fn block_rows(output: &str, quote: &Quote) -> Vec<(String, Vec<String>)> {
+/// The lines of the output block whose first line starts with `block`,
+/// after that line.
+fn block_lines<'a>(output: &'a str, block: &'a str) -> impl Iterator<Item = &'a str> {
     output
         .lines()
-        .skip_while(|line| !line.starts_with(quote.block))
+        .skip_while(move |line| !line.starts_with(block))
         .skip(1)
         .take_while(|line| !line.starts_with("====="))
+}
+
+/// The rows of the output block that starts with `quote.block`, as label
+/// key and value columns.
+fn block_rows(output: &str, quote: &Quote) -> Vec<(String, Vec<String>)> {
+    block_lines(output, quote.block)
         .filter_map(|line| {
             let tokens: Vec<&str> = line.split_whitespace().collect();
             let split = tokens.len().checked_sub(quote.block_columns)?;
@@ -242,8 +289,9 @@ fn block_rows(output: &str, quote: &Quote) -> Vec<(String, Vec<String>)> {
 }
 
 /// Every measured cell of EXPERIMENTS.md's Tables I and IV–VI, Fig. 12
-/// and ablations tables, and its §V-B reduction and Fig. 14 overhead
-/// rows, reads what the committed `repro all` output prints.
+/// and ablations tables, its Fig. 2 rows, its §V-B overall and reduction
+/// rows, its Fig. 14 overhead rows and Table VII's LoC column reads what
+/// the committed `repro all` output prints.
 #[test]
 fn experiments_tables_quote_the_committed_output() {
     let doc = committed("EXPERIMENTS.md");
@@ -284,16 +332,27 @@ fn experiments_tables_quote_the_committed_output() {
         }
     }
     for quote in &LINE_QUOTES {
-        let line = output
-            .lines()
-            .find(|line| line.starts_with(quote.line))
-            .unwrap_or_else(|| panic!("no `{}` line in the output", quote.line));
-        let printed: Vec<&str> = quote.numbers.iter().map(|&i| numbers(line)[i]).collect();
+        let block: Vec<&str> = block_lines(&output, quote.block).collect();
+        let printed: Vec<&str> = quote
+            .numbers
+            .iter()
+            .map(|&(start, i)| {
+                let line = block
+                    .iter()
+                    .find(|line| line.starts_with(start))
+                    .unwrap_or_else(|| panic!("no `{start}` line in the `{}` block", quote.block));
+                numbers(line)[i]
+            })
+            .collect();
         let Some(row) = doc.lines().find(|row| row.starts_with(quote.row)) else {
             stale.push(format!("no row `{}`", quote.row));
             continue;
         };
-        let cell = row.trim_matches('|').rsplit('|').next().unwrap_or(row);
+        let cells = row.trim_matches('|').split('|');
+        let cell = cells
+            .rev()
+            .find(|cell| !measured(cell).is_empty())
+            .unwrap_or(row);
         if measured(cell) != printed {
             stale.push(format!(
                 "`{}`: EXPERIMENTS.md reads {:?}, the output {printed:?}",

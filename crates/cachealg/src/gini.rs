@@ -49,29 +49,40 @@ pub fn gini_in_place(shares: &mut [f64]) -> f64 {
     pairwise / (2.0 * n as f64 * total)
 }
 
-/// Computes the Gini coefficient the quadratic way (for tests and tiny
-/// inputs); exactly the paper's Eq. 1.
-pub fn gini_naive(shares: &[f64]) -> f64 {
-    let n = shares.len();
-    if n <= 1 {
-        return 0.0;
-    }
-    let total: f64 = shares.iter().sum();
-    if total <= 0.0 {
-        return 0.0;
-    }
-    let mut pairwise = 0.0;
-    for x in shares {
-        for y in shares {
-            pairwise += (x - y).abs();
-        }
-    }
-    pairwise / (2.0 * n as f64 * total)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ape_check::check;
+
+    /// The Gini coefficient the quadratic way, exactly the paper's Eq. 1:
+    /// the oracle the sorted form is held to.
+    fn gini_naive(shares: &[f64]) -> f64 {
+        let n = shares.len();
+        if n <= 1 {
+            return 0.0;
+        }
+        let total: f64 = shares.iter().sum();
+        if total <= 0.0 {
+            return 0.0;
+        }
+        let mut pairwise = 0.0;
+        for x in shares {
+            for y in shares {
+                pairwise += (x - y).abs();
+            }
+        }
+        pairwise / (2.0 * n as f64 * total)
+    }
+
+    #[test]
+    fn gini_is_in_unit_interval_and_matches_naive() {
+        check("gini_is_in_unit_interval_and_matches_naive", 256, |g| {
+            let shares = g.vec(0..12, |g| g.f64(0.0..1000.0));
+            let gi = gini(&shares);
+            assert!((0.0..=1.0).contains(&gi), "g = {gi}");
+            assert!((gi - gini_naive(&shares)).abs() < 1e-9);
+        });
+    }
 
     #[test]
     fn equality_is_zero() {

@@ -8,7 +8,7 @@
 //! evict (a cover of the overflow) and returns that set's complement when
 //! no other cover comes within a float-error margin of it — then the DP
 //! would return exactly those keep flags — and runs the DP otherwise.
-//! [`solve_brute_force`] is the exhaustive check the tests hold both to.
+//! The tests hold both to an exhaustive search.
 
 /// One candidate object for the keep-set.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -568,35 +568,6 @@ fn check_inputs(items: &[KnapsackItem], granularity: u64) {
     }
 }
 
-/// Exhaustive solver for testing (`2^n`; items must be few).
-///
-/// # Panics
-///
-/// Panics for more than 20 items.
-pub fn solve_brute_force(items: &[KnapsackItem], capacity: u64) -> KnapsackSolution {
-    assert!(items.len() <= 20, "brute force limited to 20 items");
-    let mut best_mask = 0usize;
-    let mut best_value = -1.0;
-    for mask in 0..(1usize << items.len()) {
-        let mut weight = 0u64;
-        let mut value = 0.0;
-        for (i, item) in items.iter().enumerate() {
-            if mask & (1 << i) != 0 {
-                weight += item.weight;
-                value += item.value;
-            }
-        }
-        if weight <= capacity && value > best_value {
-            best_value = value;
-            best_mask = mask;
-        }
-    }
-    let keep: Vec<bool> = (0..items.len())
-        .map(|i| best_mask & (1 << i) != 0)
-        .collect();
-    finish(items, keep)
-}
-
 /// `(total_value, total_weight)` of the kept items, summed in item order.
 fn totals(items: &[KnapsackItem], keep: &[bool]) -> (f64, u64) {
     let kept = || items.iter().zip(keep).filter(|(_, &k)| k);
@@ -606,21 +577,67 @@ fn totals(items: &[KnapsackItem], keep: &[bool]) -> (f64, u64) {
     )
 }
 
-fn finish(items: &[KnapsackItem], keep: Vec<bool>) -> KnapsackSolution {
-    let (total_value, total_weight) = totals(items, &keep);
-    KnapsackSolution {
-        keep,
-        total_value,
-        total_weight,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ape_check::{check, Gen};
 
     fn item(weight: u64, value: f64) -> KnapsackItem {
         KnapsackItem { weight, value }
+    }
+
+    fn finish(items: &[KnapsackItem], keep: Vec<bool>) -> KnapsackSolution {
+        let (total_value, total_weight) = totals(items, &keep);
+        KnapsackSolution {
+            keep,
+            total_value,
+            total_weight,
+        }
+    }
+
+    /// Exhaustive solver (`2^n`; at most 20 items): the oracle the DP and
+    /// the certified search are held to.
+    fn solve_brute_force(items: &[KnapsackItem], capacity: u64) -> KnapsackSolution {
+        assert!(items.len() <= 20, "brute force limited to 20 items");
+        let mut best_mask = 0usize;
+        let mut best_value = -1.0;
+        for mask in 0..(1usize << items.len()) {
+            let mut weight = 0u64;
+            let mut value = 0.0;
+            for (i, item) in items.iter().enumerate() {
+                if mask & (1 << i) != 0 {
+                    weight += item.weight;
+                    value += item.value;
+                }
+            }
+            if weight <= capacity && value > best_value {
+                best_value = value;
+                best_mask = mask;
+            }
+        }
+        let keep: Vec<bool> = (0..items.len())
+            .map(|i| best_mask & (1 << i) != 0)
+            .collect();
+        finish(items, keep)
+    }
+
+    /// Up to 11 items of 1–39 units, each worth a whole number below 100.
+    fn items(g: &mut Gen) -> Vec<KnapsackItem> {
+        g.vec(0..12, |g| {
+            item(g.range(1u64..40), f64::from(g.range(0u32..100)))
+        })
+    }
+
+    #[test]
+    fn exact_knapsack_is_optimal() {
+        check("exact_knapsack_is_optimal", 256, |g| {
+            let (items, capacity) = (items(g), g.range(0u64..200));
+            let mut ws = KnapsackWorkspace::new();
+            let (total_value, total_weight) = solve_exact_in(&mut ws, &items, capacity, 1);
+            let brute = solve_brute_force(&items, capacity);
+            assert!((total_value - brute.total_value).abs() < 1e-9);
+            assert!(total_weight <= capacity);
+        });
     }
 
     /// The DP's answer on a fresh workspace.

@@ -54,10 +54,9 @@ pub mod reference;
 mod store;
 
 pub use freq::FrequencyTracker;
-pub use gini::{gini, gini_in_place, gini_naive};
+pub use gini::{gini, gini_in_place};
 pub use knapsack::{
-    solve_brute_force, solve_exact_in, solve_in, KnapsackItem, KnapsackSolution, KnapsackWorkspace,
-    Solved,
+    solve_exact_in, solve_in, KnapsackItem, KnapsackSolution, KnapsackWorkspace, Solved,
 };
 pub use lru::LruPolicy;
 pub use object::{AppId, ObjectMeta, Priority};

@@ -202,11 +202,6 @@ impl CacheStore {
         self.block_list.insert(key);
     }
 
-    /// Whether a key is block-listed.
-    pub fn is_blocked(&self, key: UrlHash) -> bool {
-        self.block_list.contains(&key)
-    }
-
     /// Drops every expired object, returning their metadata in key order
     /// (callers advertise the keys and feed the sizes to policy hooks).
     pub fn purge_expired(&mut self, now: SimTime) -> Vec<ObjectMeta> {
@@ -308,7 +303,6 @@ mod tests {
         s.insert(meta("big", 100, 60), SimTime::ZERO);
         s.block(UrlHash::of("big"));
         assert_eq!(s.lookup(UrlHash::of("big"), SimTime::ZERO), Lookup::Blocked);
-        assert!(s.is_blocked(UrlHash::of("big")));
         assert_eq!(s.used(), 0, "blocking drops the cached copy");
     }
 

@@ -1,20 +1,12 @@
 //! Property tests over the cache algorithms' core invariants.
 
 use ape_cachealg::{
-    gini, gini_naive, solve_brute_force, solve_exact_in, AdmitOutcome, AppId, CacheManager,
-    CacheStore, KnapsackItem, KnapsackWorkspace, LruPolicy, ObjectMeta, PacmConfig, PacmPolicy,
-    Priority,
+    gini, AdmitOutcome, AppId, CacheManager, CacheStore, LruPolicy, ObjectMeta, PacmConfig,
+    PacmPolicy, Priority,
 };
 use ape_check::{check, Gen};
 use ape_dnswire::UrlHash;
 use ape_simnet::{SimDuration, SimTime};
-
-fn items(g: &mut Gen) -> Vec<KnapsackItem> {
-    g.vec(0..12, |g| KnapsackItem {
-        weight: g.range(1u64..40),
-        value: f64::from(g.range(0u32..100)),
-    })
-}
 
 fn meta(g: &mut Gen) -> ObjectMeta {
     ObjectMeta {
@@ -25,28 +17,6 @@ fn meta(g: &mut Gen) -> ObjectMeta {
         expires_at: SimTime::from_secs(g.range(1u64..3600)),
         fetch_latency: SimDuration::from_millis(g.range(1u64..100)),
     }
-}
-
-#[test]
-fn exact_knapsack_is_optimal() {
-    check("exact_knapsack_is_optimal", 256, |g| {
-        let (items, capacity) = (items(g), g.range(0u64..200));
-        let mut ws = KnapsackWorkspace::new();
-        let (total_value, total_weight) = solve_exact_in(&mut ws, &items, capacity, 1);
-        let brute = solve_brute_force(&items, capacity);
-        assert!((total_value - brute.total_value).abs() < 1e-9);
-        assert!(total_weight <= capacity);
-    });
-}
-
-#[test]
-fn gini_is_in_unit_interval_and_matches_naive() {
-    check("gini_is_in_unit_interval_and_matches_naive", 256, |g| {
-        let shares = g.vec(0..12, |g| g.f64(0.0..1000.0));
-        let gi = gini(&shares);
-        assert!((0.0..=1.0).contains(&gi), "g = {gi}");
-        assert!((gi - gini_naive(&shares)).abs() < 1e-9);
-    });
 }
 
 #[test]

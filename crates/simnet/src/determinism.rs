@@ -18,7 +18,7 @@
 //! events processed) that differs from the same run's under FIFO means its
 //! results depend on tie-break order. The gates reach the knob through
 //! `TestbedConfig::tie_perturbation` (`tests/determinism_perturbation.rs`,
-//! both chaos suites, `tests/queue_oracle.rs` and `repro bench-scale`).
+//! both chaos suites and `repro bench-scale`).
 //!
 //! Randomness does not couple unrelated ties: each node draws from its own
 //! stream ([`Context::rng`](crate::Context::rng)), and each send draws its

@@ -2,9 +2,8 @@
 //!
 //! Scheduling order is the total order on `(at, seq)`: time first, then the
 //! tie-break key. Storage is a hierarchical timing wheel
-//! ([`crate::wheel::TimerWheel`]); the pre-wheel binary heap lives on in
-//! [`crate::reference`] as a differential-testing oracle that this queue
-//! can mirror every operation against (see [`EventQueue::enable_oracle`]).
+//! ([`crate::wheel::TimerWheel`]), whose unit tests hold it to the
+//! pre-wheel binary heap on random and workload-shaped schedules.
 //!
 //! The wheel orders 8-byte handles ([`TimerId`]); payloads live in a slab
 //! beside it. A handle names a slab slot and the slot's generation when
@@ -15,7 +14,6 @@
 
 use crate::link::ArrivalId;
 use crate::node::{NodeId, TimerToken};
-use crate::reference::ReferenceEventQueue;
 use crate::rng::mix64;
 use crate::time::SimTime;
 use crate::trace::SpanCtx;
@@ -104,10 +102,6 @@ pub(crate) struct EventQueue<M> {
     /// [`World::set_tie_perturbation`](crate::World::set_tie_perturbation)).
     /// `None` means FIFO tie-breaks.
     perturbation: Option<u64>,
-    /// Optional mirror of every push/pop against the frozen heap
-    /// implementation; a divergence panics at the first wrong pop. Items
-    /// are not mirrored — `(at, seq)` alone pins the schedule order.
-    oracle: Option<ReferenceEventQueue<()>>,
 }
 
 impl<M> Default for EventQueue<M> {
@@ -118,7 +112,6 @@ impl<M> Default for EventQueue<M> {
             free: Vec::new(),
             next_seq: 0,
             perturbation: None,
-            oracle: None,
         }
     }
 }
@@ -131,6 +124,17 @@ fn tie_key(perturbation: Option<u64>, fifo: u64) -> u64 {
         None => fifo,
     }
 }
+
+/// The perturbation keys the determinism harness sweeps
+/// (`tests/determinism_perturbation.rs`), for the queue's and the wheel's
+/// unit tests.
+#[cfg(test)]
+pub(crate) const PERTURBATION_KEYS: [u64; 4] = [
+    0x9E37_79B9_7F4A_7C15,
+    0xD1B5_4A32_D192_ED03,
+    0xA5A5_A5A5_A5A5_A5A5,
+    0x0123_4567_89AB_CDEF,
+];
 
 impl<M> EventQueue<M> {
     pub fn new() -> Self {
@@ -146,21 +150,6 @@ impl<M> EventQueue<M> {
 
     pub fn perturbation(&self) -> Option<u64> {
         self.perturbation
-    }
-
-    /// Mirrors all subsequent pushes and pops against the frozen
-    /// [`ReferenceEventQueue`]; every pop asserts both engines agree on
-    /// `(at, seq)`. A cancelled event is mirrored until its dead handle
-    /// leaves the wheel, so the oracle also checks where that handle sat.
-    /// Meant for tests — it doubles queue work.
-    pub fn enable_oracle(&mut self) {
-        if self.oracle.is_none() {
-            assert!(
-                self.wheel.is_empty(),
-                "enable the queue oracle before any event is scheduled"
-            );
-            self.oracle = Some(ReferenceEventQueue::new());
-        }
     }
 
     /// Stores `kind` in a free slab slot and returns its handle.
@@ -199,9 +188,6 @@ impl<M> EventQueue<M> {
     pub fn push(&mut self, at: SimTime, kind: EventKind<M>) -> TimerId {
         let seq = tie_key(self.perturbation, self.next_seq);
         self.next_seq += 1;
-        if let Some(oracle) = &mut self.oracle {
-            oracle.push(at, seq, ());
-        }
         let handle = self.insert(kind);
         self.wheel.push(at, seq, handle);
         handle
@@ -215,21 +201,6 @@ impl<M> EventQueue<M> {
         self.take(id).is_some()
     }
 
-    /// Pops the earliest wheel entry, live or dead, checking its key
-    /// against the oracle.
-    fn pop_entry(&mut self) -> Option<(SimTime, u64, TimerId)> {
-        let popped = self.wheel.pop();
-        if let Some(oracle) = &mut self.oracle {
-            let expect = oracle.pop().map(|(at, seq, ())| (at, seq));
-            assert_eq!(
-                popped.map(|(at, seq, _)| (at, seq)),
-                expect,
-                "timing wheel diverged from the reference heap"
-            );
-        }
-        popped
-    }
-
     /// Pops the earliest live event as `(at, seq, kind)`, dropping the
     /// dead handles ahead of it. `seq` is the tie-break key: the
     /// scheduling sequence number (FIFO among ties) or, under a
@@ -237,7 +208,7 @@ impl<M> EventQueue<M> {
     /// seeded permutation while distinct-timestamp ordering is untouched.
     pub fn pop(&mut self) -> Option<(SimTime, u64, EventKind<M>)> {
         loop {
-            let (at, seq, handle) = self.pop_entry()?;
+            let (at, seq, handle) = self.wheel.pop()?;
             if let Some(kind) = self.take(handle) {
                 return Some((at, seq, kind));
             }
@@ -252,7 +223,7 @@ impl<M> EventQueue<M> {
             if self.is_live(handle) {
                 return Some(at);
             }
-            self.pop_entry();
+            self.wheel.pop();
         }
     }
 
@@ -309,7 +280,6 @@ mod tests {
     fn a_cancelled_timer_never_dispatches_and_is_not_pending() {
         let ms = SimTime::from_millis;
         let mut q = EventQueue::new();
-        q.enable_oracle();
         let first = q.push(ms(1), timer(1));
         let middle = q.push(ms(2), timer(2));
         q.push(ms(3), timer(3));
@@ -335,7 +305,6 @@ mod tests {
     fn cancelling_a_fired_or_cancelled_timer_is_a_no_op_even_in_a_reused_slot() {
         let ms = SimTime::from_millis;
         let mut q = EventQueue::new();
-        q.enable_oracle();
         let fired = q.push(ms(1), timer(1));
         assert_eq!(drain(&mut q).len(), 1);
         let reuser = q.push(ms(2), timer(2));
@@ -365,7 +334,6 @@ mod tests {
         let run = |key: Option<u64>, cancel: Option<usize>| {
             let mut q = EventQueue::new();
             q.set_perturbation(key);
-            q.enable_oracle();
             q.push(ms(1), deliver(0));
             let ids: Vec<TimerId> = (0..8).map(|i| q.push(ms(2), timer(i))).collect();
             q.push(ms(3), deliver(1));
@@ -457,32 +425,4 @@ mod tests {
         assert_eq!(q.peek_time(), Some(SimTime::from_millis(2)));
         assert_eq!(q.len(), 1);
     }
-
-    #[test]
-    fn oracle_mirrors_a_perturbed_schedule() {
-        let mut q = EventQueue::new();
-        q.enable_oracle();
-        q.set_perturbation(Some(0xDEAD_BEEF));
-        for i in 0..50u32 {
-            q.push(
-                SimTime::from_nanos(((i as u64 * 131) % 900) * 1_000),
-                deliver(i),
-            );
-        }
-        // Every pop is checked against the heap internally.
-        let mut n = 0;
-        while q.pop().is_some() {
-            n += 1;
-        }
-        assert_eq!(n, 50);
-    }
-
-    /// The keys the determinism harness sweeps
-    /// (`tests/determinism_perturbation.rs`).
-    const PERTURBATION_KEYS: [u64; 4] = [
-        0x9E37_79B9_7F4A_7C15,
-        0xD1B5_4A32_D192_ED03,
-        0xA5A5_A5A5_A5A5_A5A5,
-        0x0123_4567_89AB_CDEF,
-    ];
 }

@@ -57,7 +57,6 @@ mod link;
 mod metrics;
 mod node;
 mod profiler;
-pub mod reference;
 mod resource;
 mod rng;
 mod time;
@@ -78,5 +77,4 @@ pub use time::{SimDuration, SimTime};
 pub use trace::{
     SpanCtx, SpanId, SpanLabel, TraceConfig, TraceEvent, TraceId, TracePhase, TraceSink,
 };
-pub use wheel::TimerWheel;
 pub use world::{Context, RunReport, StopReason, World};

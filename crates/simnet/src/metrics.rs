@@ -10,9 +10,8 @@
 //! A [`Histogram`] is a fixed-size log-bucketed sketch (HDR-style), so its
 //! memory is constant no matter how many observations arrive, while
 //! `count`/`sum`/`mean`/`min`/`max` stay exact. The sample-hoarding
-//! histogram it replaced lives on as
-//! [`crate::reference::ExactHistogram`], the oracle the `metrics_sketch`
-//! suite compares against side by side. A [`TimeSeries`] keeps its
+//! histogram it replaced survives only in this module's tests, as the
+//! oracle they record into side by side. A [`TimeSeries`] keeps its
 //! aggregates and a fold of its points, not the points, so it holds no heap
 //! memory at all.
 //!
@@ -910,7 +909,107 @@ impl fmt::Display for Metrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reference::ExactHistogram;
+    use crate::rng::SimRng;
+    use ape_check::check;
+
+    /// The metric histogram the registry shipped with before the sketch:
+    /// every finite observation kept, quantiles by sort and nearest rank.
+    /// Frozen as the ground truth the sketch is held to; do not "improve"
+    /// it.
+    #[derive(Debug, Default)]
+    struct ExactHistogram {
+        samples: Vec<f64>,
+        sorted: bool,
+    }
+
+    impl ExactHistogram {
+        fn new() -> Self {
+            ExactHistogram::default()
+        }
+
+        /// Records one observation; a non-finite one is dropped.
+        fn record(&mut self, value: f64) {
+            if value.is_finite() {
+                self.samples.push(value);
+                self.sorted = false;
+            }
+        }
+
+        fn count(&self) -> usize {
+            self.samples.len()
+        }
+
+        /// Arithmetic mean, or 0.0 when empty.
+        fn mean(&self) -> f64 {
+            if self.samples.is_empty() {
+                0.0
+            } else {
+                self.samples.iter().sum::<f64>() / self.samples.len() as f64
+            }
+        }
+
+        /// Smallest observation, or 0.0 when empty.
+        fn min(&self) -> f64 {
+            if self.samples.is_empty() {
+                0.0
+            } else {
+                self.samples.iter().copied().fold(f64::INFINITY, f64::min)
+            }
+        }
+
+        /// Largest observation, or 0.0 when empty.
+        fn max(&self) -> f64 {
+            if self.samples.is_empty() {
+                0.0
+            } else {
+                self.samples
+                    .iter()
+                    .copied()
+                    .fold(f64::NEG_INFINITY, f64::max)
+            }
+        }
+
+        /// The `q`-quantile (nearest-rank), `q` in `[0, 1]`; 0.0 when empty.
+        fn quantile(&mut self, q: f64) -> f64 {
+            assert!((0.0..=1.0).contains(&q), "quantile {q} out of range");
+            if self.samples.is_empty() {
+                return 0.0;
+            }
+            if !self.sorted {
+                self.samples.sort_by(f64::total_cmp);
+                self.sorted = true;
+            }
+            let n = self.samples.len();
+            let rank = (q * n as f64).ceil() as usize;
+            self.samples[rank.clamp(1, n) - 1]
+        }
+    }
+
+    #[test]
+    fn exact_histogram_matches_seed_semantics() {
+        let mut h = ExactHistogram::new();
+        for v in 1..=100 {
+            h.record(v as f64);
+        }
+        assert_eq!(h.count(), 100);
+        assert_eq!(h.mean(), 50.5);
+        assert_eq!(h.min(), 1.0);
+        assert_eq!(h.max(), 100.0);
+        assert_eq!(h.quantile(0.5), 50.0);
+        assert_eq!(h.quantile(0.0), 1.0);
+        assert_eq!(h.quantile(1.0), 100.0);
+    }
+
+    #[test]
+    fn exact_histogram_empty_is_zeroed() {
+        let mut h = ExactHistogram::new();
+        h.record(f64::NAN);
+        assert_eq!(h.count(), 0);
+        assert_eq!(h.mean(), 0.0);
+        assert_eq!(h.min(), 0.0);
+        assert_eq!(h.max(), 0.0);
+        assert_eq!(h.quantile(0.99), 0.0);
+    }
 
     /// Test-local names, continuing the simulator's index space.
     #[expect(clippy::disallowed_methods, reason = "test-local names")]
@@ -928,8 +1027,7 @@ mod tests {
     }
     use local::id;
 
-    /// Quantiles the differential checks read (the set
-    /// `tests/metrics_sketch.rs` uses).
+    /// Quantiles the differential checks read.
     const CHECK_QUANTILES: [f64; 4] = [0.5, 0.9, 0.99, 0.999];
 
     /// Asserts `got` is within the sketch's documented bound of the exact
@@ -1597,5 +1695,125 @@ mod tests {
         for (what, other) in [("swap", swapped), ("bit flip", flipped), ("1 ns", moved)] {
             assert_ne!(digest(&base), digest(&other), "{what}");
         }
+    }
+
+    /// Relative-error budget of the stream suites below: the sketch's log
+    /// buckets are 1/128 wide, so 1% leaves slack for the nearest-rank vs
+    /// midpoint estimator mismatch. Errors are measured against
+    /// `max(|exact|, 1/1024)`.
+    const REL_TOL: f64 = 0.01 + 1e-9;
+
+    /// Records `stream` into the sketch and the exact oracle and asserts
+    /// every checked quantile agrees to within [`REL_TOL`]; returns the
+    /// worst error.
+    fn assert_tracks_exact(stream: &[f64], label: &str) -> f64 {
+        let mut sketch = Histogram::new();
+        let mut exact = ExactHistogram::new();
+        for &v in stream {
+            sketch.record(v);
+            exact.record(v);
+        }
+        assert_eq!(sketch.count(), exact.count(), "{label}: counts diverged");
+        let mut worst = 0.0f64;
+        for q in CHECK_QUANTILES {
+            let s = sketch.quantile(q);
+            let e = exact.quantile(q);
+            let rel = (s - e).abs() / e.abs().max(1.0 / 1024.0);
+            assert!(
+                rel <= REL_TOL,
+                "{label}: sketch q={q} was {s}, exact {e} (rel err {rel:.5})"
+            );
+            worst = worst.max(rel);
+        }
+        worst
+    }
+
+    /// Uniform randomized stream over a seed-dependent range.
+    #[test]
+    fn sketch_tracks_exact_on_randomized_uniform_streams() {
+        for seed in 0..8u64 {
+            let mut rng = SimRng::seed_from(0x5EED_0001 ^ seed);
+            let hi = rng.uniform_f64(1.0, 500.0);
+            let stream: Vec<f64> = (0..20_000).map(|_| rng.uniform_f64(0.0, hi)).collect();
+            assert_tracks_exact(&stream, &format!("uniform seed {seed}"));
+        }
+    }
+
+    /// Heavy-tail exponential: the regime where log buckets earn their keep.
+    #[test]
+    fn sketch_tracks_exact_on_heavy_tail_streams() {
+        for seed in 0..8u64 {
+            let mut rng = SimRng::seed_from(0x5EED_0002 ^ seed);
+            let mean = rng.uniform_f64(5.0, 250.0);
+            let stream: Vec<f64> = (0..20_000).map(|_| rng.exponential(mean)).collect();
+            assert_tracks_exact(&stream, &format!("exponential seed {seed}"));
+        }
+    }
+
+    /// Bimodal: sub-millisecond WiFi hits plus a ~15 ms edge mode, the
+    /// shape the testbed's app-latency histograms actually take.
+    #[test]
+    fn sketch_tracks_exact_on_bimodal_streams() {
+        for seed in 0..8u64 {
+            let mut rng = SimRng::seed_from(0x5EED_0003 ^ seed);
+            let stream: Vec<f64> = (0..20_000)
+                .map(|_| {
+                    if rng.chance(0.6) {
+                        rng.uniform_f64(0.05, 0.9)
+                    } else {
+                        rng.normal(15.0, 2.5).abs()
+                    }
+                })
+                .collect();
+            assert_tracks_exact(&stream, &format!("bimodal seed {seed}"));
+        }
+    }
+
+    /// Near-zero values land in the linear sub-millisecond range, where the
+    /// sketch's guarantee is *absolute*: quantiles resolve to the 1/1024
+    /// bucket grid, so the error budget is one bucket width rather than 1%
+    /// relative (1% of a 10 µs quantile would demand sub-bucket resolution
+    /// no fixed-memory layout provides).
+    #[test]
+    fn sketch_tracks_exact_on_near_zero_streams() {
+        for seed in 0..8u64 {
+            let mut rng = SimRng::seed_from(0x5EED_0004 ^ seed);
+            let stream: Vec<f64> = (0..20_000).map(|_| rng.uniform_f64(0.0, 0.02)).collect();
+            let mut sketch = Histogram::new();
+            let mut exact = ExactHistogram::new();
+            for &v in &stream {
+                sketch.record(v);
+                exact.record(v);
+            }
+            for q in CHECK_QUANTILES {
+                let s = sketch.quantile(q);
+                let e = exact.quantile(q);
+                assert!(
+                    (s - e).abs() <= 1.0 / 1024.0 + 1e-12,
+                    "near-zero seed {seed}: sketch q={q} was {s}, exact {e}"
+                );
+            }
+        }
+    }
+
+    /// Arbitrary three-regime mixtures stay inside the error budget: the
+    /// per-regime scales and the stream length are all case-randomized.
+    #[test]
+    fn sketch_tracks_exact_on_random_mixtures() {
+        check("sketch_tracks_exact_on_random_mixtures", 16, |g| {
+            let mut rng = SimRng::seed_from(g.u64());
+            let n = g.range(2_000usize..12_000);
+            let edge_mean = rng.uniform_f64(2.0, 60.0);
+            let tail_mean = rng.uniform_f64(20.0, 400.0);
+            let stream: Vec<f64> = (0..n)
+                .map(|_| match rng.uniform_u64(0, 10) {
+                    0..=5 => rng.uniform_f64(0.01, 0.9),
+                    6..=8 => rng.normal(edge_mean, edge_mean / 6.0).abs(),
+                    _ => rng.exponential(tail_mean),
+                })
+                .collect();
+            let worst = assert_tracks_exact(&stream, "random mixture");
+            assert!(worst <= REL_TOL);
+        });
     }
 }

@@ -68,12 +68,6 @@ impl CpuMeter {
     pub fn total_busy(&self) -> SimDuration {
         self.total_busy
     }
-
-    /// Queueing delay a request arriving at `now` would experience before
-    /// service begins.
-    pub fn queue_delay(&self, now: SimTime) -> SimDuration {
-        self.busy_until.saturating_since(now)
-    }
 }
 
 #[cfg(test)]
@@ -107,10 +101,9 @@ mod tests {
         let d2 = cpu.charge(SimTime::ZERO, SimDuration::from_millis(10));
         assert_eq!(d1, SimTime::from_millis(10));
         assert_eq!(d2, SimTime::from_millis(20));
-        assert_eq!(
-            cpu.queue_delay(SimTime::from_millis(5)),
-            SimDuration::from_millis(15)
-        );
+        // Arriving at 5 ms, 10 ms of work waits 15 ms for the queue.
+        let d3 = cpu.charge(SimTime::from_millis(5), SimDuration::from_millis(10));
+        assert_eq!(d3, SimTime::from_millis(30));
     }
 
     #[test]

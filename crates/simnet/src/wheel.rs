@@ -32,11 +32,9 @@
 //! (sub-millisecond link delays), buckets hold a handful of events and both
 //! operations are effectively `O(1)`.
 //!
-//! The pre-wheel heap survives as [`crate::reference::ReferenceEventQueue`]
-//! and is differentially tested against the wheel (unit tests here, a
-//! randomized-schedule property suite in `tests/wheel_differential.rs`, and
-//! an always-on mirror oracle available via
-//! [`World::enable_queue_oracle`](crate::World::enable_queue_oracle)).
+//! The pre-wheel binary heap survives only in this module's tests, as the
+//! oracle: fixed, random and workload-shaped schedules pop through both
+//! queues, which must agree on every `(at, seq, item)`.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -119,22 +117,8 @@ const fn level_of(at: u64, base: u64) -> usize {
 /// `seq` assignment (sequential or scrambled). The caller owns `seq`
 /// uniqueness; duplicate `(at, seq)` pairs pop in an unspecified relative
 /// order.
-///
-/// # Examples
-///
-/// ```
-/// use ape_simnet::{SimTime, TimerWheel};
-///
-/// let mut wheel = TimerWheel::new();
-/// wheel.push(SimTime::from_millis(5), 0, "late");
-/// wheel.push(SimTime::from_millis(1), 1, "early");
-/// assert_eq!(wheel.peek_time(), Some(SimTime::from_millis(1)));
-/// assert_eq!(wheel.pop(), Some((SimTime::from_millis(1), 1, "early")));
-/// assert_eq!(wheel.pop(), Some((SimTime::from_millis(5), 0, "late")));
-/// assert_eq!(wheel.pop(), None);
-/// ```
 #[derive(Debug)]
-pub struct TimerWheel<T> {
+pub(crate) struct TimerWheel<T> {
     /// `LEVELS * SLOTS` buckets, level-major: level `l`'s slot `s` is
     /// `slots[l * SLOTS + s]`. Each slot owns its buffer; see `refill` for
     /// what a drained bucket keeps.
@@ -153,13 +137,6 @@ pub struct TimerWheel<T> {
     /// Drain frontier in nanoseconds, always a level-0 bucket boundary.
     /// Monotone; wheel and overflow events all have `at >= base`.
     base: u64,
-    len: usize,
-}
-
-impl<T> Default for TimerWheel<T> {
-    fn default() -> Self {
-        TimerWheel::new()
-    }
 }
 
 impl<T> TimerWheel<T> {
@@ -171,29 +148,7 @@ impl<T> TimerWheel<T> {
             ready: Vec::new(),
             overflow: BinaryHeap::new(),
             base: 0,
-            len: 0,
         }
-    }
-
-    /// Number of queued events.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether no events are queued.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Approximate heap footprint of the queue's buffers in bytes (bucket,
-    /// ready and overflow capacities plus the slot table; excludes
-    /// payload-owned allocations): the queue's term in a memory-by-layer
-    /// report.
-    pub fn approx_bytes(&self) -> usize {
-        let entry = std::mem::size_of::<Entry<T>>();
-        let buckets: usize = self.slots.iter().map(Vec::capacity).sum();
-        (buckets + self.ready.capacity() + self.overflow.capacity()) * entry
-            + self.slots.len() * std::mem::size_of::<Vec<Entry<T>>>()
     }
 
     /// Queues `item` at time `at` with tie-break key `seq`.
@@ -202,7 +157,6 @@ impl<T> TimerWheel<T> {
     /// run or the overflow heap — instead of travelling by value through
     /// `place`: an `Entry` is event-sized and every hop was a copy.
     pub fn push(&mut self, at: SimTime, seq: u64, item: T) {
-        self.len += 1;
         let ns = at.as_nanos();
         if ns < self.base {
             // Late push into the drained range (e.g. a zero-delay send
@@ -229,21 +183,14 @@ impl<T> TimerWheel<T> {
             self.refill();
         }
         let entry = self.ready.pop()?;
-        self.len -= 1;
         Some((entry.at, entry.seq, entry.item))
     }
 
-    /// Timestamp of the earliest queued event, if any.
+    /// Timestamp and payload of the earliest queued event, if any.
     ///
     /// Takes `&mut self` because peeking may advance the wheel's drain
     /// frontier past empty buckets (pure bookkeeping: no event is removed
     /// and the observable pop order is unchanged).
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.peek().map(|(at, _)| at)
-    }
-
-    /// Timestamp and payload of the earliest queued event, if any; takes
-    /// `&mut self` for the reason [`peek_time`](Self::peek_time) does.
     pub fn peek(&mut self) -> Option<(SimTime, &T)> {
         if self.ready.is_empty() {
             self.refill();
@@ -385,20 +332,117 @@ impl<T> TimerWheel<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reference::ReferenceEventQueue;
-    use crate::rng::SimRng;
+    use crate::event::PERTURBATION_KEYS;
+    use crate::rng::{mix64, SimRng};
+    use ape_check::{check, Gen};
+
+    impl<T> TimerWheel<T> {
+        /// Queued events, counted where they sit.
+        fn len(&self) -> usize {
+            let buckets: usize = self.slots.iter().map(Vec::len).sum();
+            buckets + self.ready.len() + self.overflow.len()
+        }
+
+        fn peek_time(&mut self) -> Option<SimTime> {
+            self.peek().map(|(at, _)| at)
+        }
+
+        /// Heap footprint of the buffers in bytes: bucket, ready and
+        /// overflow capacities plus the slot table.
+        fn approx_bytes(&self) -> usize {
+            let entry = std::mem::size_of::<Entry<T>>();
+            let buckets: usize = self.slots.iter().map(Vec::capacity).sum();
+            (buckets + self.ready.capacity() + self.overflow.capacity()) * entry
+                + self.slots.len() * std::mem::size_of::<Vec<Entry<T>>>()
+        }
+    }
+
+    #[derive(Debug)]
+    struct RefEntry<T> {
+        at: SimTime,
+        seq: u64,
+        item: T,
+    }
+
+    impl<T> PartialEq for RefEntry<T> {
+        fn eq(&self, other: &Self) -> bool {
+            self.at == other.at && self.seq == other.seq
+        }
+    }
+
+    impl<T> Eq for RefEntry<T> {}
+
+    impl<T> PartialOrd for RefEntry<T> {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    impl<T> Ord for RefEntry<T> {
+        fn cmp(&self, other: &Self) -> Ordering {
+            // Reversed: BinaryHeap is a max-heap but we need earliest-first.
+            // This is, verbatim, the ordering the pre-wheel EventQueue used.
+            (other.at, other.seq).cmp(&(self.at, self.seq))
+        }
+    }
+
+    /// The binary-heap scheduler the simulator shipped with before the
+    /// wheel: earliest `(at, seq)` first. Frozen as the oracle the wheel
+    /// must reproduce event for event; do not "improve" it.
+    #[derive(Debug)]
+    struct ReferenceEventQueue<T> {
+        heap: BinaryHeap<RefEntry<T>>,
+    }
+
+    impl<T> ReferenceEventQueue<T> {
+        fn new() -> Self {
+            ReferenceEventQueue {
+                heap: BinaryHeap::new(),
+            }
+        }
+
+        fn push(&mut self, at: SimTime, seq: u64, item: T) {
+            self.heap.push(RefEntry { at, seq, item });
+        }
+
+        fn pop(&mut self) -> Option<(SimTime, u64, T)> {
+            self.heap.pop().map(|e| (e.at, e.seq, e.item))
+        }
+
+        fn peek_time(&self) -> Option<SimTime> {
+            self.heap.peek().map(|e| e.at)
+        }
+
+        fn len(&self) -> usize {
+            self.heap.len()
+        }
+    }
 
     /// Pops everything, asserting the wheel and the heap oracle agree on
-    /// every single `(at, seq, item)` triple.
+    /// the count and on every single `(at, seq, item)` triple.
     fn drain_both(wheel: &mut TimerWheel<u32>, heap: &mut ReferenceEventQueue<u32>) {
         loop {
             assert_eq!(wheel.peek_time(), heap.peek_time());
+            assert_eq!(wheel.len(), heap.len());
             let (w, h) = (wheel.pop(), heap.pop());
             assert_eq!(w, h);
             if w.is_none() {
                 return;
             }
         }
+    }
+
+    #[test]
+    fn orders_by_time_then_seq() {
+        let mut q = ReferenceEventQueue::new();
+        q.push(SimTime::from_millis(1), 5, 'c');
+        q.push(SimTime::from_millis(1), 2, 'b');
+        q.push(SimTime::ZERO, 9, 'a');
+        assert_eq!(q.peek_time(), Some(SimTime::ZERO));
+        assert_eq!(q.pop(), Some((SimTime::ZERO, 9, 'a')));
+        assert_eq!(q.pop(), Some((SimTime::from_millis(1), 2, 'b')));
+        assert_eq!(q.pop(), Some((SimTime::from_millis(1), 5, 'c')));
+        assert_eq!(q.len(), 0);
     }
 
     /// The level search as it stood before the closed form, kept verbatim
@@ -459,7 +503,7 @@ mod tests {
         assert_eq!(wheel.pop(), Some((SimTime::from_millis(2), 0, 11)));
         assert_eq!(wheel.pop(), Some((SimTime::from_millis(2), 1, 10)));
         assert_eq!(wheel.pop(), None);
-        assert!(wheel.is_empty());
+        assert_eq!(wheel.len(), 0);
     }
 
     #[test]
@@ -577,7 +621,7 @@ mod tests {
     #[test]
     fn len_and_bytes_accounting() {
         let mut wheel = TimerWheel::new();
-        assert!(wheel.is_empty());
+        assert_eq!(wheel.len(), 0);
         assert_eq!(wheel.peek_time(), None);
         for seq in 0..100u64 {
             wheel.push(SimTime::from_nanos(seq * 37_000), seq, seq as u32);
@@ -606,7 +650,7 @@ mod tests {
         for round in 0..40 {
             let now = round * SECOND;
             for _ in 0..2_000 {
-                entropy = crate::rng::mix64(entropy);
+                entropy = mix64(entropy);
                 let at = now + 3 * SECOND + entropy % SECOND;
                 wheel.push(SimTime::from_nanos(at), seq, 0u32);
                 seq += 1;
@@ -638,5 +682,166 @@ mod tests {
             .slots
             .iter()
             .all(|b| b.capacity() <= RETAINED_BUCKET_CAPACITY));
+    }
+
+    /// One randomized schedule: event classes plus raw entropy, a pop
+    /// cadence, and an optional perturbation key index.
+    #[derive(Debug, Clone)]
+    struct Sched {
+        /// `(class, raw)` per event: class 0 re-uses the previous timestamp
+        /// (tie burst), class 1 lands seconds-to-hours out (overflow and
+        /// coarse-level territory), anything else lands within ~20 ms.
+        events: Vec<(u8, u64)>,
+        /// Pop (and cross-check) one event from both queues after every
+        /// `pops_every` pushes; 0 disables interleaving.
+        pops_every: u8,
+        /// `Some(i)` scrambles sequence numbers with `PERTURBATION_KEYS[i]`,
+        /// the way the event queue's tie-break perturbation does.
+        key: Option<u8>,
+    }
+
+    fn sched(g: &mut Gen) -> Sched {
+        Sched {
+            events: g.vec(1..250, |g| (g.range(0u8..8), g.u64())),
+            pops_every: g.range(0u8..5),
+            key: g.option(|g| g.range(0u8..4)),
+        }
+    }
+
+    /// Maps a `(class, raw)` pair onto a timestamp, given the previous one.
+    fn timestamp(class: u8, raw: u64, prev: SimTime) -> SimTime {
+        match class {
+            0 => prev,
+            1 => SimTime::from_nanos(1_000_000_000 + raw % 7_200_000_000_000),
+            _ => SimTime::from_nanos(raw % 20_000_000),
+        }
+    }
+
+    /// Replays `sched` through both queues, asserting identical behavior
+    /// at every pop and peek.
+    fn replay(sched: &Sched) {
+        let mut wheel = TimerWheel::new();
+        let mut heap = ReferenceEventQueue::new();
+        let mut prev = SimTime::ZERO;
+        for (i, &(class, raw)) in sched.events.iter().enumerate() {
+            let at = timestamp(class, raw, prev);
+            prev = at;
+            let seq = match sched.key {
+                Some(k) => mix64(i as u64 ^ PERTURBATION_KEYS[k as usize]),
+                None => i as u64,
+            };
+            wheel.push(at, seq, i as u32);
+            heap.push(at, seq, i as u32);
+            if sched.pops_every > 0 && i % sched.pops_every as usize == 0 {
+                assert_eq!(wheel.peek_time(), heap.peek_time());
+                assert_eq!(wheel.pop(), heap.pop());
+            }
+        }
+        drain_both(&mut wheel, &mut heap);
+    }
+
+    #[test]
+    fn wheel_matches_heap_on_arbitrary_schedules() {
+        check("wheel_matches_heap_on_arbitrary_schedules", 256, |g| {
+            replay(&sched(g));
+        });
+    }
+
+    /// Regression pin for the frontier-straddle bug: an event buried in a
+    /// coarse (level-1) bucket whose time range the frontier enters via a
+    /// level-0 carry must pop before later events pushed into that same
+    /// range. The first wheel implementation drained the later level-0
+    /// bucket first, jumping the frontier past the buried event.
+    #[test]
+    fn coarse_bucket_straddling_the_frontier_cascades_first() {
+        let mut wheel = TimerWheel::new();
+        let mut heap = ReferenceEventQueue::new();
+        let push = |w: &mut TimerWheel<u32>, h: &mut ReferenceEventQueue<u32>, at, seq| {
+            w.push(SimTime::from_nanos(at), seq, seq as u32);
+            h.push(SimTime::from_nanos(at), seq, seq as u32);
+        };
+        push(&mut wheel, &mut heap, 100, 0); // level 0
+        push(&mut wheel, &mut heap, 4_732_811, 1); // level 1, slot 1
+        assert_eq!(wheel.pop(), heap.pop()); // pops seq 0
+        push(&mut wheel, &mut heap, 4_150_000, 2); // level 0, last slot
+        assert_eq!(wheel.pop(), heap.pop()); // pops seq 2; frontier carries
+        push(&mut wheel, &mut heap, 6_000_000, 3); // level 0 in the new range
+
+        // The buried 4.73 ms event must come out before the 6 ms one.
+        let popped = wheel.pop();
+        assert_eq!(popped, heap.pop());
+        assert_eq!(popped.map(|(_, seq, _)| seq), Some(1));
+        assert_eq!(wheel.pop(), heap.pop());
+        assert_eq!(wheel.pop(), None);
+    }
+
+    /// A stress shape `sched` lacks: tens of thousands of timers armed up
+    /// front across hours, each one setting off a short chain of sparse
+    /// near-term traffic 0.3–50 ms ahead (sends), and a 3–4 s watchdog
+    /// armed beside every send and popped long after the exchange it
+    /// guarded. The wheel then holds a deep far-future population on its
+    /// coarse levels while almost every pop refills from a bucket of one
+    /// or two events.
+    fn check_workload_shape(key: Option<u64>, scheduled: u64) {
+        const SCHEDULE: u32 = 0;
+        const TRAFFIC: u32 = 1;
+        const WATCHDOG: u32 = 2;
+        let mut wheel = TimerWheel::new();
+        let mut heap = ReferenceEventQueue::new();
+        let mut pushed = 0u64;
+        let mut push =
+            |w: &mut TimerWheel<u32>, h: &mut ReferenceEventQueue<u32>, at: u64, class| {
+                let seq = key.map_or(pushed, |k| mix64(pushed ^ k));
+                pushed += 1;
+                w.push(SimTime::from_nanos(at), seq, class);
+                h.push(SimTime::from_nanos(at), seq, class);
+            };
+        let mut entropy = key.unwrap_or(7) ^ scheduled;
+        let mut draw = |below: u64| {
+            entropy = mix64(entropy);
+            entropy % below
+        };
+        const HOURS_8: u64 = 8 * 3_600 * 1_000_000_000;
+        for _ in 0..scheduled {
+            push(&mut wheel, &mut heap, draw(HOURS_8), SCHEDULE);
+        }
+        let mut pops = 0u64;
+        loop {
+            assert_eq!(wheel.peek_time(), heap.peek_time());
+            assert_eq!(wheel.len(), heap.len());
+            let (w, h) = (wheel.pop(), heap.pop());
+            assert_eq!(w, h, "pop {pops}, key {key:?}");
+            let Some((at, _, class)) = w else { break };
+            pops += 1;
+            let now = at.as_nanos();
+            // A schedule timer always starts an exchange; each message of
+            // it is answered three times in four, so chains are ~4 sends.
+            if class == SCHEDULE || (class == TRAFFIC && draw(4) > 0) {
+                push(
+                    &mut wheel,
+                    &mut heap,
+                    now + 300_000 + draw(49_700_000),
+                    TRAFFIC,
+                );
+                // Staggered like the client's watchdogs: never two on one
+                // nanosecond from the same arming instant.
+                let watchdog = now + 3_000_000_000 + draw(1_000_000_000);
+                push(&mut wheel, &mut heap, watchdog, WATCHDOG);
+                if draw(16) == 0 {
+                    // A zero-delay follow-up at the instant being dispatched.
+                    push(&mut wheel, &mut heap, now, TRAFFIC);
+                }
+            }
+        }
+        assert_eq!(pops, pushed);
+        assert!(pops > 5 * scheduled, "chains too short: {pops} pops");
+    }
+
+    #[test]
+    fn wheel_matches_heap_on_the_workload_shape() {
+        check_workload_shape(None, 50_000);
+        for (i, &key) in PERTURBATION_KEYS.iter().enumerate() {
+            check_workload_shape(Some(key), 20_000 + 7_500 * i as u64);
+        }
     }
 }

@@ -279,20 +279,7 @@ impl<'a, M: Message> Context<'a, M> {
     /// Closes a span previously opened with [`begin_trace`](Self::begin_trace)
     /// or [`span_start`](Self::span_start).
     pub fn span_end(&mut self, ctx: SpanCtx, kind: impl Into<SpanLabel>) {
-        if !self.trace.is_enabled() {
-            return;
-        }
-        let t = self.prof.start();
-        self.trace.push(TraceEvent {
-            at: self.now,
-            trace: ctx.trace,
-            span: ctx.span,
-            parent: None,
-            node: self.self_id,
-            kind: kind.into().as_str(),
-            phase: TracePhase::End,
-        });
-        self.prof.record(ProfCategory::Trace, t);
+        self.span_end_at(ctx, kind, self.now);
     }
 
     /// Closes a span at an explicit timestamp instead of the current clock.
@@ -411,24 +398,6 @@ impl<M: Message> World<M> {
     /// The active tie-break perturbation key, if any.
     pub fn tie_perturbation(&self) -> Option<u64> {
         self.queue.perturbation()
-    }
-
-    /// Mirrors every event-queue operation of this run against the frozen
-    /// pre-wheel heap ([`crate::reference::ReferenceEventQueue`]); the
-    /// first pop where the timing wheel disagrees with the heap panics
-    /// with both `(at, seq)` pairs. A differential-testing knob — it
-    /// roughly doubles scheduler work, so leave it off outside tests.
-    ///
-    /// # Panics
-    ///
-    /// Panics if events have already been scheduled — the oracle must see
-    /// the whole schedule to mirror it.
-    pub fn enable_queue_oracle(&mut self) {
-        assert!(
-            !self.started && self.queue.is_empty(),
-            "enable_queue_oracle must be called before any event is scheduled"
-        );
-        self.queue.enable_oracle();
     }
 
     /// Digest of everything the determinism contract covers: metric

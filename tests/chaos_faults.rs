@@ -163,6 +163,17 @@ fn randomized_fault_plans_terminate_drained_and_tie_invariant() {
     for plan_seed in [11, 23, 47] {
         let baseline = run_chaos(Some(plan_seed), None);
         assert_terminated_and_drained(&baseline, &format!("plan {plan_seed}"));
+        // Every plan re-arms and cancels client timers on both paths, and
+        // both give up, so the invariance below covers cancellation too.
+        for name in [
+            names::CLIENT_DNS_RETRIES,
+            names::CLIENT_HTTP_RETRIES,
+            names::CLIENT_DNS_GIVE_UPS,
+            names::CLIENT_HTTP_GIVE_UPS,
+        ] {
+            let n = baseline.result.metrics.counter(name);
+            assert!(n > 0, "plan {plan_seed}: {name} = {n}");
+        }
         for key in PERTURBATION_KEYS {
             let perturbed = run_chaos(Some(plan_seed), Some(key));
             assert_eq!(
