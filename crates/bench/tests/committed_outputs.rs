@@ -101,272 +101,122 @@ fn every_span_kind_is_recorded_in_the_default_traced_run() {
     );
 }
 
-/// One EXPERIMENTS.md table and the `repro all` block its cells quote.
-struct Quote {
-    /// The table's header row in EXPERIMENTS.md.
-    header: &'static str,
-    /// How the block's first line in `docs/repro_all_default.txt` starts.
-    block: &'static str,
-    /// Value columns of a block row; the rest of the row is its label.
-    block_columns: usize,
-    /// For each value cell of the table, the block columns its numbers
-    /// quote, in order; an empty entry quotes nothing (a paper column).
-    columns: &'static [&'static [usize]],
-}
-
-const QUOTES: [Quote; 6] = [
-    Quote {
-        header: "| Cell | Paper (DNS / RTT / hops) | Measured |",
-        block: "Table I:",
-        block_columns: 3,
-        columns: &[&[], &[0, 1, 2]],
-    },
-    Quote {
-        header: "| Size sweep | PACM-Avg | PACM-High | LRU |",
-        block: "Table IV:",
-        block_columns: 3,
-        columns: &[&[0], &[1], &[2]],
-    },
-    Quote {
-        header: "| Frequency (/min) | PACM-Avg | PACM-High | LRU |",
-        block: "Table V:",
-        block_columns: 3,
-        columns: &[&[0], &[1], &[2]],
-    },
-    Quote {
-        header: "| App quantity | PACM-Avg | PACM-High | LRU |",
-        block: "Table VI:",
-        block_columns: 3,
-        columns: &[&[0], &[1], &[2]],
-    },
-    Quote {
-        header: "| System | MovieTrailer avg (paper ≈) | VirtualHome avg |",
-        block: "Fig. 12:",
-        block_columns: 4,
-        columns: &[&[0], &[2]],
-    },
-    Quote {
-        header: "| Variant | hit | high hit | lookup ms | app ms |",
-        block: "Design ablations",
-        block_columns: 4,
-        columns: &[&[0], &[1], &[2], &[3]],
-    },
+/// The committed outputs EXPERIMENTS.md may quote: the tests above
+/// regenerate each one and compare it with the file.
+const QUOTABLE: [&str; 4] = [
+    "docs/repro_all_default.txt",
+    "BENCH_scale.json",
+    "BENCH_evict.json",
+    "docs/trace/critical-paths.txt",
 ];
 
-/// One EXPERIMENTS.md row whose last measured cell quotes numbers that
-/// one block of the output prints.
-struct LineQuote {
-    /// How the row starts in EXPERIMENTS.md.
-    row: &'static str,
-    /// How the block's first line in `docs/repro_all_default.txt` starts.
-    block: &'static str,
-    /// The quoted numbers, in order: how a line of the block starts, and
-    /// which of that line's numbers.
-    numbers: &'static [(&'static str, usize)],
-}
-
-const LINE_QUOTES: [LineQuote; 11] = [
-    LineQuote {
-        row: "| high-rate CPU |",
-        block: "Fig. 2:",
-        numbers: &[("high:", 0), ("high:", 1)],
-    },
-    LineQuote {
-        row: "| high-rate memory |",
-        block: "Fig. 2:",
-        numbers: &[("high:", 2)],
-    },
-    LineQuote {
-        row: "| low-rate |",
-        block: "Fig. 2:",
-        numbers: &[("low:", 0), ("low:", 2)],
-    },
-    LineQuote {
-        row: "| overall: APE / Wi-Cache / Edge |",
-        block: "Object-level caching latency",
-        numbers: &[("APE-CACHE ", 2), ("Wi-Cache ", 2), ("Edge Cache ", 2)],
-    },
-    LineQuote {
-        row: "| reduction vs Wi-Cache / Edge |",
-        block: "Object-level caching latency",
-        numbers: &[("APE-CACHE reduction:", 0), ("APE-CACHE reduction:", 1)],
-    },
-    LineQuote {
-        row: "| extra CPU (peak) |",
-        block: "Fig. 14:",
-        numbers: &[("APE-CACHE overhead:", 0)],
-    },
-    LineQuote {
-        row: "| extra memory |",
-        block: "Fig. 14:",
-        numbers: &[("APE-CACHE overhead:", 1)],
-    },
-    LineQuote {
-        row: "| MovieTrailer | declarative |",
-        block: "Table VII:",
-        numbers: &[("MovieTrailer   APE-CACHE", 0)],
-    },
-    LineQuote {
-        row: "| MovieTrailer | API-based |",
-        block: "Table VII:",
-        numbers: &[("MovieTrailer   API-based", 0)],
-    },
-    LineQuote {
-        row: "| VirtualHome | declarative |",
-        block: "Table VII:",
-        numbers: &[("VirtualHome    APE-CACHE", 0)],
-    },
-    LineQuote {
-        row: "| VirtualHome | API-based |",
-        block: "Table VII:",
-        numbers: &[("VirtualHome    API-based", 0)],
-    },
-];
-
-/// A row label as both files can spell it: `1–100 kb` in the table is
-/// `1~100 kb` in the output, an ablation's leading `-` / `+` and a
-/// parenthetical note go, and a Table I location is its city, so
-/// `Michigan, US  Apple` in the output is `Michigan–Apple` in the table.
-fn row_key(label: &str) -> String {
-    let label = label.split(" (").next().unwrap_or(label);
-    let label = match label.split_once(", ") {
-        Some((city, rest)) => format!("{city}–{}", rest.rsplit(' ').next().unwrap_or(rest)),
-        None => label.to_owned(),
-    };
-    label
-        .replace('–', "~")
-        .trim_start_matches(['-', '+', ' '])
-        .trim()
-        .to_owned()
-}
-
-/// The numbers in `text` as printed: `+3.5%,` reads `+3.5`, `**26.26**`
-/// reads `26.26`, and words, units and `/` separators are skipped.
-fn numbers(text: &str) -> Vec<&str> {
-    text.split_whitespace()
-        .map(|token| token.trim_matches(['*', '%', ',']))
-        .filter(|token| {
-            token
-                .trim_start_matches(['+', '-'])
-                .starts_with(|c: char| c.is_ascii_digit())
-                && token.parse::<f64>().is_ok()
-        })
-        .collect()
-}
-
-/// The measured numbers of a table cell: the paper's number in
-/// parentheses dropped.
-fn measured(cell: &str) -> Vec<&str> {
-    numbers(cell.split(" (").next().unwrap_or(cell))
-}
-
-/// The lines of the output block whose first line starts with `block`,
-/// after that line.
-fn block_lines<'a>(output: &'a str, block: &'a str) -> impl Iterator<Item = &'a str> {
-    output
-        .lines()
-        .skip_while(move |line| !line.starts_with(block))
-        .skip(1)
-        .take_while(|line| !line.starts_with("====="))
-}
-
-/// The rows of the output block that starts with `quote.block`, as label
-/// key and value columns.
-fn block_rows(output: &str, quote: &Quote) -> Vec<(String, Vec<String>)> {
-    block_lines(output, quote.block)
-        .filter_map(|line| {
-            let tokens: Vec<&str> = line.split_whitespace().collect();
-            let split = tokens.len().checked_sub(quote.block_columns)?;
-            let values = &tokens[split..];
-            (split > 0 && values.iter().all(|v| v.parse::<f64>().is_ok())).then(|| {
-                (
-                    row_key(&tokens[..split].join(" ")),
-                    values.iter().map(|v| (*v).to_owned()).collect(),
-                )
-            })
-        })
-        .collect()
-}
-
-/// Every measured cell of EXPERIMENTS.md's Tables I and IV–VI, Fig. 12
-/// and ablations tables, its Fig. 2 rows, its §V-B overall and reduction
-/// rows, its Fig. 14 overhead rows and Table VII's LoC column reads what
-/// the committed `repro all` output prints.
-#[test]
-fn experiments_tables_quote_the_committed_output() {
-    let doc = committed("EXPERIMENTS.md");
-    let output = committed("docs/repro_all_default.txt");
-    let mut stale = Vec::new();
-    for quote in &QUOTES {
-        let rows = block_rows(&output, quote);
-        assert!(!rows.is_empty(), "no `{}` block in the output", quote.block);
-        let table: Vec<&str> = doc
-            .lines()
-            .skip_while(|line| *line != quote.header)
-            .skip(2)
-            .take_while(|line| line.starts_with('|'))
-            .collect();
-        if table.is_empty() {
-            stale.push(format!("no table headed `{}`", quote.header));
-        }
-        for line in table {
-            let cells: Vec<&str> = line.trim_matches('|').split('|').collect();
-            let key = row_key(cells[0]);
-            let Some((_, values)) = rows.iter().find(|(label, _)| *label == key) else {
-                stale.push(format!(
-                    "{} `{key}`: no such row in the output",
-                    quote.block
-                ));
-                continue;
-            };
-            for (cell, columns) in cells[1..].iter().zip(quote.columns) {
-                let printed: Vec<&str> = columns.iter().map(|&c| values[c].as_str()).collect();
-                if !columns.is_empty() && measured(cell) != printed {
-                    stale.push(format!(
-                        "{} `{key}`: EXPERIMENTS.md reads {:?}, the output {printed:?}",
-                        quote.block,
-                        measured(cell),
-                    ));
-                }
-            }
-        }
-    }
-    for quote in &LINE_QUOTES {
-        let block: Vec<&str> = block_lines(&output, quote.block).collect();
-        let printed: Vec<&str> = quote
-            .numbers
-            .iter()
-            .map(|&(start, i)| {
-                let line = block
-                    .iter()
-                    .find(|line| line.starts_with(start))
-                    .unwrap_or_else(|| panic!("no `{start}` line in the `{}` block", quote.block));
-                numbers(line)[i]
-            })
-            .collect();
-        let Some(row) = doc.lines().find(|row| row.starts_with(quote.row)) else {
-            stale.push(format!("no row `{}`", quote.row));
-            continue;
-        };
-        let cells = row.trim_matches('|').split('|');
-        let cell = cells
-            .rev()
-            .find(|cell| !measured(cell).is_empty())
-            .unwrap_or(row);
-        if measured(cell) != printed {
-            stale.push(format!(
-                "`{}`: EXPERIMENTS.md reads {:?}, the output {printed:?}",
-                quote.row,
-                measured(cell),
+/// Checks every `<!-- quote: PATH -->` marker in `doc`: a fenced block
+/// follows it directly, and the block's lines are a contiguous run of
+/// PATH's lines, byte for byte. `read` returns a file's text by its path
+/// in the repository. Returns the quoted paths in order, or names the
+/// first line that is not quoted right.
+fn check_quotes(doc: &str, read: impl Fn(&str) -> String) -> Result<Vec<&str>, String> {
+    let lines: Vec<&str> = doc.lines().collect();
+    let fence = |i: usize| lines.get(i).is_some_and(|line| line.starts_with("```"));
+    let mut quoted = Vec::new();
+    for (at, line) in lines.iter().enumerate() {
+        let marker = line
+            .strip_prefix("<!-- quote: ")
+            .and_then(|l| l.strip_suffix(" -->"));
+        let Some(path) = marker else { continue };
+        if !QUOTABLE.contains(&path) {
+            return Err(format!(
+                "EXPERIMENTS.md:{}: {path} is not in QUOTABLE",
+                at + 1
             ));
         }
+        let len = (at + 2..lines.len()).take_while(|&i| !fence(i)).count();
+        if !fence(at + 1) || len == 0 || !fence(at + 2 + len) {
+            return Err(format!(
+                "EXPERIMENTS.md:{}: no fenced block after the marker",
+                at + 1
+            ));
+        }
+        let block = &lines[at + 2..at + 2 + len];
+        let text = read(path);
+        let source: Vec<&str> = text.lines().collect();
+        let reads = |start: usize, i: usize| source.get(start + i) == Some(&block[i]);
+        // The run of PATH the block agrees with on the most lines.
+        let start = (0..source.len())
+            .rev()
+            .max_by_key(|&start| (0..len).filter(|&i| reads(start, i)).count())
+            .unwrap_or(0);
+        if let Some(i) = (0..len).find(|&i| !reads(start, i)) {
+            return Err(format!(
+                "EXPERIMENTS.md:{} does not read {path}:{}\n  quoted: {}\n  file:   {}\n\
+                 re-paste the block from {path}",
+                at + 3 + i,
+                start + i + 1,
+                block[i],
+                source.get(start + i).unwrap_or(&"<end of file>"),
+            ));
+        }
+        quoted.push(path);
     }
-    assert!(
-        stale.is_empty(),
-        "EXPERIMENTS.md quotes stale numbers; copy them from \
-         docs/repro_all_default.txt:\n{}",
-        stale.join("\n")
-    );
+    Ok(quoted)
+}
+
+/// Every measured number in EXPERIMENTS.md is quoted from a committed
+/// output, and each quotable output is quoted.
+#[test]
+fn experiments_quotes_the_committed_outputs() {
+    let doc = committed("EXPERIMENTS.md");
+    let quoted = check_quotes(&doc, committed).unwrap_or_else(|err| panic!("{err}"));
+    for path in QUOTABLE {
+        assert!(
+            quoted.contains(&path),
+            "EXPERIMENTS.md quotes nothing from {path}"
+        );
+    }
+}
+
+/// `check_quotes` over `doc` and a four-line file, by whatever path.
+fn check_fixture(doc: &str) -> Result<usize, String> {
+    let file = |_: &str| "Table: hits\nsize  hit\n1 kb  0.631\n2 kb  0.467\n".to_owned();
+    check_quotes(doc, file).map(|quoted| quoted.len())
+}
+
+/// A page's first two lines: prose, then a marker.
+const MARKER: &str = "Prose.\n<!-- quote: BENCH_scale.json -->";
+
+#[test]
+fn an_exact_quote_passes() {
+    let doc = format!("{MARKER}\n```\nsize  hit\n1 kb  0.631\n```\n");
+    assert_eq!(check_fixture(&doc), Ok(1));
+}
+
+#[test]
+fn a_changed_digit_fails_naming_the_file_and_line() {
+    let err = check_fixture(&format!("{MARKER}\n```\nsize  hit\n1 kb  0.681\n```\n"));
+    let first = "EXPERIMENTS.md:5 does not read BENCH_scale.json:3\n  quoted: 1 kb  0.681\n";
+    assert!(err.as_ref().unwrap_err().starts_with(first), "{err:?}");
+}
+
+#[test]
+fn lines_not_contiguous_in_the_file_fail() {
+    let err = check_fixture(&format!("{MARKER}\n```\nsize  hit\n2 kb  0.467\n```\n"));
+    let first = "EXPERIMENTS.md:5 does not read BENCH_scale.json:3\n";
+    assert!(err.as_ref().unwrap_err().starts_with(first), "{err:?}");
+}
+
+#[test]
+fn a_marker_without_a_fenced_block_fails() {
+    let expected = Err("EXPERIMENTS.md:2: no fenced block after the marker".to_owned());
+    for block in ["\n\n```\n1 kb\n```", "\n```\n1 kb", "\n```\n```"] {
+        assert_eq!(check_fixture(&format!("{MARKER}{block}\n")), expected);
+    }
+}
+
+#[test]
+fn a_marker_naming_a_file_outside_the_list_fails() {
+    let err = check_fixture("<!-- quote: docs/trace/metrics.prom -->\n```\n1 kb\n```\n");
+    let expected = "EXPERIMENTS.md:1: docs/trace/metrics.prom is not in QUOTABLE";
+    assert_eq!(err, Err(expected.to_owned()));
 }
 
 #[test]

@@ -57,7 +57,7 @@ const LEVELS: usize = 6;
 /// slots.
 /// Keeping every buffer pins each 17 s level-3 slot at the whole watchdog
 /// population it once held; freeing every one regrows level-1 buckets
-/// from empty on every pass (EXPERIMENTS.md, "Event queue memory").
+/// from empty on every pass (`DESIGN.md` §13, "The retention cap").
 const RETAINED_BUCKET_CAPACITY: usize = 64;
 
 /// Bit position where level `l`'s slot index starts within a timestamp.
@@ -262,10 +262,14 @@ impl<T> TimerWheel<T> {
             }
             // Coarse bucket: advance the frontier to its start and cascade
             // its events down (each now lands at a strictly lower level,
-            // never back in this slot). `max` keeps the frontier monotone
-            // when the bucket straddles it (its start can equal, never
-            // exceed, the current frontier).
-            self.base = self.base.max(slot_start);
+            // never back in this slot). A cursor bucket starts exactly at
+            // the frontier (see `next_occupied`), any other after it.
+            debug_assert!(
+                slot_start >= self.base,
+                "coarse bucket starts before the frontier: start={slot_start} base={}",
+                self.base
+            );
+            self.base = slot_start;
             let mut bucket = std::mem::take(&mut self.slots[index]);
             for entry in bucket.drain(..) {
                 self.place(entry);
@@ -279,27 +283,27 @@ impl<T> TimerWheel<T> {
     }
 
     /// Finds the occupied slot whose bucket starts earliest at or after the
-    /// frontier, preferring the coarsest level on ties — without computing
-    /// a start time.
+    /// frontier, without computing a start time.
     ///
-    /// A level's *cursor* slot (the one the frontier is inside) starts at or
-    /// before `base`, every later slot starts after it, and a coarser
-    /// cursor slot starts no later than a finer one. So if any cursor slot
-    /// is occupied, the coarsest such level holds the earliest start (and
-    /// wins the ties): that bucket cascades before any finer bucket drains,
-    /// which would otherwise jump `base` over events still buried in it.
-    /// Otherwise every pending slot lies past its level's cursor, hence
-    /// inside the cursor slot of every coarser level and before any of
-    /// *their* pending slots: the lowest level with a pending slot holds
-    /// the strictly earliest start. `DESIGN.md` §13 has the full argument.
+    /// A level's *cursor* slot is the one the frontier is inside. At most
+    /// one coarse level's cursor slot is ever occupied, and then it starts
+    /// at `base` itself: a push, a cascade or an overflow ingest places an
+    /// event at the level of its highest digit that differs from `base`'s,
+    /// never in a coarse cursor slot, so only a level-0 drain whose carry
+    /// ends at level `l` moves the frontier into an occupied coarse slot,
+    /// and it moves it to that slot's start. Such a bucket cascades before
+    /// any finer bucket drains, which would otherwise jump `base` over
+    /// events still buried in it. Otherwise every pending slot lies past
+    /// its level's cursor, hence inside the cursor slot of every coarser
+    /// level and before any of *their* pending slots: the lowest level with
+    /// a pending slot holds the strictly earliest start. `DESIGN.md` §13
+    /// has the full argument.
     fn next_occupied(&self) -> Option<(usize, usize)> {
         let cursor = |l: usize| (self.base >> shift(l)) & SLOT_MASK;
         // Level 0's cursor slot needs no look: if it is the answer, it is
         // also level 0's first pending slot below.
-        for l in (1..LEVELS).rev() {
-            if self.occupied[l] >> cursor(l) & 1 != 0 {
-                return Some((l, cursor(l) as usize));
-            }
+        if let Some(l) = (1..LEVELS).find(|&l| self.occupied[l] >> cursor(l) & 1 != 0) {
+            return Some((l, cursor(l) as usize));
         }
         self.occupied
             .iter()
