@@ -1,9 +1,6 @@
 //! Least-recently-used eviction — the policy used by Wi-Cache and by the
 //! APE-CACHE-LRU ablation baseline.
 
-use std::collections::BTreeSet;
-use std::ops::Bound;
-
 use ape_dnswire::UrlHash;
 use ape_simnet::SimTime;
 
@@ -14,26 +11,16 @@ use crate::store::CacheStore;
 /// Classic LRU: evict the least-recently-accessed objects until the
 /// incoming object fits, ties on access time broken by key.
 ///
-/// Victims come off a recency index that is only checked against the store
-/// while they are chosen. `last_access` never decreases, so an out-of-date
-/// element sits earlier than its entry's true place and is always met, and
-/// moved, before it could be passed over; the elements that check out are
-/// in `(last_access, key)` order, the order a sort of the store would give.
+/// The policy holds no state. The store keeps its entries on a recency
+/// list in `(last_access, key)` order ([`CacheStore::by_recency`]), and the
+/// victims are the shortest prefix of it that makes room.
 #[derive(Debug, Clone, Default)]
-pub struct LruPolicy {
-    /// `(last_access, key)` as of when the element was last checked; a new
-    /// key enters at time zero, early for certain.
-    order: BTreeSet<(SimTime, UrlHash)>,
-    /// Objects and bytes the hooks saw enter, less those they saw leave. A
-    /// store whose totals differ was changed without the hooks (PACM keeps
-    /// the same fingerprint), and the index is rebuilt from it.
-    hooked: (usize, u64),
-}
+pub struct LruPolicy;
 
 impl LruPolicy {
     /// Creates the policy.
     pub fn new() -> Self {
-        Self::default()
+        LruPolicy
     }
 }
 
@@ -42,60 +29,22 @@ impl EvictionPolicy for LruPolicy {
         "lru"
     }
 
-    fn note_insert(&mut self, meta: &ObjectMeta) {
-        self.order.insert((SimTime::ZERO, meta.key));
-        self.hooked.0 += 1;
-        self.hooked.1 += meta.size;
-    }
-
-    fn note_remove(&mut self, meta: &ObjectMeta) {
-        // The element stays until a walk meets it: its time is not known here.
-        self.hooked.0 = self.hooked.0.saturating_sub(1);
-        self.hooked.1 = self.hooked.1.saturating_sub(meta.size);
-    }
-
     fn select_victims(
         &mut self,
         store: &CacheStore,
         incoming: &ObjectMeta,
         _now: SimTime,
     ) -> Vec<UrlHash> {
-        if self.hooked != (store.len(), store.used()) {
-            self.order = store.iter().map(|e| (e.last_access, e.meta.key)).collect();
-            self.hooked = (store.len(), store.used());
-        }
         let mut victims = Vec::new();
         let mut reclaimed = store.free();
-        // Everything up to and including `checked` matched the store.
-        let mut checked = Bound::Unbounded;
-        loop {
-            let mut outdated = None;
-            for &(at, key) in self.order.range((checked, Bound::Unbounded)) {
-                if reclaimed >= incoming.size {
-                    return victims;
-                }
-                match store.get(key) {
-                    Some(e) if e.last_access == at => {
-                        victims.push(key);
-                        reclaimed += e.meta.size;
-                    }
-                    entry => {
-                        outdated = Some(((at, key), entry.map(|e| e.last_access)));
-                        break;
-                    }
-                }
+        for entry in store.by_recency() {
+            if reclaimed >= incoming.size {
+                break;
             }
-            let Some((element, last_access)) = outdated else {
-                return victims;
-            };
-            // Gone from the store: drop it. Touched since: move it to where
-            // it belongs, which is later, so the walk still meets it.
-            self.order.remove(&element);
-            if let Some(at) = last_access {
-                self.order.insert((at, element.1));
-            }
-            checked = Bound::Excluded(element);
+            victims.push(entry.meta.key);
+            reclaimed += entry.meta.size;
         }
+        victims
     }
 }
 

@@ -27,15 +27,15 @@ pub trait EvictionPolicy: std::fmt::Debug + Send {
     fn roll_window(&mut self, _now: SimTime) {}
 
     /// Observes an object entering the store. [`CacheManager`] calls this
-    /// for every insert so policies can maintain incremental aggregates
-    /// (PACM's per-app byte totals, LRU's recency index). Purely an
-    /// optimization hook: policies must stay correct when the store is
-    /// mutated without it (PACM and LRU fingerprint the store and rebuild
-    /// on mismatch).
+    /// for every insert so PACM can keep its per-app byte totals
+    /// incrementally. Purely an optimization hook: a policy must stay
+    /// correct when the store is mutated without it (PACM fingerprints the
+    /// store and rebuilds its totals on mismatch).
     fn note_insert(&mut self, _meta: &ObjectMeta) {}
 
     /// Observes an object leaving the store (eviction, expiry purge,
-    /// replacement, or block-listing). Same contract as [`note_insert`].
+    /// replacement, or block-listing), for the same PACM totals. Same
+    /// contract as [`note_insert`].
     ///
     /// [`note_insert`]: EvictionPolicy::note_insert
     fn note_remove(&mut self, _meta: &ObjectMeta) {}

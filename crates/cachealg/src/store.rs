@@ -1,9 +1,19 @@
 //! The AP's object cache store: bounded capacity, TTL expiry, block list.
 //!
-//! Entries live in ordered maps so every walk (expiry purge, eviction
-//! scans, per-priority accounting) visits objects in key order — part of
-//! the simulator's bitwise-determinism contract (`clippy.toml` bans hash
-//! collections workspace-wide).
+//! Entries sit in a slab, a `Vec` of slots whose vacated slots form a free
+//! list, and are found through a key-ordered `BTreeMap<UrlHash, u32>` of
+//! slot numbers. Every walk by key (expiry purge, PACM's candidate build,
+//! per-priority accounting) therefore visits objects in key order — part
+//! of the simulator's bitwise-determinism contract (`clippy.toml` bans
+//! hash collections workspace-wide).
+//!
+//! A doubly linked list through the slots, the recency list, holds every
+//! entry in `(last_access, key)` order, least recent first
+//! ([`CacheStore::by_recency`]); LRU's victims are a prefix of it. An entry
+//! is linked in by walking back from the most recent end, past the entries
+//! that rank after it. While the clock runs forward that walk passes only
+//! entries touched at the same instant with a larger key, so a hit costs
+//! constant time.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -32,6 +42,18 @@ pub enum Lookup {
     Expired,
     /// Never seen or previously evicted.
     Absent,
+}
+
+/// No slot: the end of the recency list or of the free list.
+const NIL: u32 = u32::MAX;
+
+/// One slab slot. A live slot's links are its recency-list neighbours; a
+/// free slot keeps its last entry and links only `next`, the next free slot.
+#[derive(Debug, Clone)]
+struct Slot {
+    entry: Entry,
+    prev: u32,
+    next: u32,
 }
 
 /// Bounded cache keyed by hashed URL.
@@ -63,7 +85,14 @@ pub enum Lookup {
 pub struct CacheStore {
     capacity: u64,
     used: u64,
-    entries: BTreeMap<UrlHash, Entry>,
+    /// Key to slot, for every cached object.
+    index: BTreeMap<UrlHash, u32>,
+    slots: Vec<Slot>,
+    /// Head of the free list threaded through free slots' `next`.
+    free_slot: u32,
+    /// Ends of the recency list: least and most recently used.
+    oldest: u32,
+    newest: u32,
     block_list: BTreeSet<UrlHash>,
     block_threshold: u64,
     /// No entry expires before this. Lowered on insert and left alone on
@@ -84,7 +113,11 @@ impl CacheStore {
         CacheStore {
             capacity,
             used: 0,
-            entries: BTreeMap::new(),
+            index: BTreeMap::new(),
+            slots: Vec::new(),
+            free_slot: NIL,
+            oldest: NIL,
+            newest: NIL,
             block_list: BTreeSet::new(),
             block_threshold,
             next_expiry: SimTime::MAX,
@@ -108,12 +141,12 @@ impl CacheStore {
 
     /// Number of cached objects.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.index.len()
     }
 
     /// Whether the cache holds no objects.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.index.is_empty()
     }
 
     /// The block-list size threshold in bytes.
@@ -131,7 +164,7 @@ impl CacheStore {
         if self.block_list.contains(&key) {
             return Lookup::Blocked;
         }
-        match self.entries.get(&key) {
+        match self.get(key) {
             Some(e) if e.meta.is_expired(now) => Lookup::Expired,
             Some(_) => Lookup::Hit,
             None => Lookup::Absent,
@@ -143,14 +176,16 @@ impl CacheStore {
         if self.block_list.contains(&key) {
             return Lookup::Blocked;
         }
-        match self.entries.get_mut(&key) {
-            Some(e) if e.meta.is_expired(now) => Lookup::Expired,
-            Some(e) => {
-                e.last_access = now;
-                Lookup::Hit
-            }
-            None => Lookup::Absent,
+        let Some(&slot) = self.index.get(&key) else {
+            return Lookup::Absent;
+        };
+        let entry = &mut self.slots[slot as usize].entry;
+        if entry.meta.is_expired(now) {
+            return Lookup::Expired;
         }
+        entry.last_access = now;
+        self.relink(slot);
+        Lookup::Hit
     }
 
     /// Inserts (or replaces) an object. The caller must have made room:
@@ -169,31 +204,38 @@ impl CacheStore {
             "object of {} bytes exceeds block threshold",
             meta.size
         );
-        if let Some(old) = self.entries.remove(&meta.key) {
-            self.used -= old.meta.size;
-        }
+        let replaced = self.index.get(&meta.key).copied();
+        let freed = replaced.map_or(0, |slot| self.slots[slot as usize].entry.meta.size);
         assert!(
-            meta.size <= self.free(),
+            meta.size <= self.free() + freed,
             "insert of {} bytes into {} free bytes; evict first",
             meta.size,
-            self.free()
+            self.free() + freed
         );
-        self.used += meta.size;
+        self.used = self.used - freed + meta.size;
         self.next_expiry = self.next_expiry.min(meta.expires_at);
-        self.entries.insert(
-            meta.key,
-            Entry {
-                meta,
-                last_access: now,
-            },
-        );
+        let key = meta.key;
+        let entry = Entry {
+            meta,
+            last_access: now,
+        };
+        match replaced {
+            Some(slot) => {
+                self.slots[slot as usize].entry = entry;
+                self.relink(slot);
+            }
+            None => {
+                let slot = self.alloc(entry);
+                self.index.insert(key, slot);
+                self.link(slot);
+            }
+        }
     }
 
     /// Removes an object, returning its entry if present.
     pub fn remove(&mut self, key: UrlHash) -> Option<Entry> {
-        let entry = self.entries.remove(&key)?;
-        self.used -= entry.meta.size;
-        Some(entry)
+        let slot = self.index.remove(&key)?;
+        Some(self.release(slot))
     }
 
     /// Adds a key to the block list (and drops any cached copy).
@@ -210,35 +252,133 @@ impl CacheStore {
         }
         let mut next_expiry = SimTime::MAX;
         let mut expired = Vec::new();
-        for (key, e) in &self.entries {
-            if e.meta.is_expired(now) {
-                expired.push(*key);
-            } else {
-                next_expiry = next_expiry.min(e.meta.expires_at);
+        let slots = &self.slots;
+        self.index.retain(|_, &mut slot| {
+            let meta = &slots[slot as usize].entry.meta;
+            if meta.is_expired(now) {
+                expired.push(slot);
+                return false;
             }
-        }
+            next_expiry = next_expiry.min(meta.expires_at);
+            true
+        });
         self.next_expiry = next_expiry;
         expired
             .into_iter()
-            .filter_map(|key| self.remove(key))
-            .map(|entry| entry.meta)
+            .map(|slot| self.release(slot).meta)
             .collect()
     }
 
     /// Iterates over current entries in key order.
     pub fn iter(&self) -> impl Iterator<Item = &Entry> {
-        self.entries.values()
+        self.index
+            .values()
+            .map(|&slot| &self.slots[slot as usize].entry)
+    }
+
+    /// Iterates over current entries in `(last_access, key)` order, least
+    /// recently used first: the order LRU evicts in.
+    pub fn by_recency(&self) -> impl Iterator<Item = &Entry> {
+        let mut at = self.oldest;
+        std::iter::from_fn(move || {
+            (at != NIL).then(|| {
+                let slot = &self.slots[at as usize];
+                at = slot.next;
+                &slot.entry
+            })
+        })
     }
 
     /// Looks up an entry without touching recency.
     pub fn get(&self, key: UrlHash) -> Option<&Entry> {
-        self.entries.get(&key)
+        let &slot = self.index.get(&key)?;
+        Some(&self.slots[slot as usize].entry)
     }
 
     /// Keys of all cached objects, in key order. Used by the AP to batch
     /// per-domain flags.
     pub fn keys(&self) -> impl Iterator<Item = UrlHash> + '_ {
-        self.entries.keys().copied()
+        self.index.keys().copied()
+    }
+
+    /// Puts `entry` in a free slot, or a new one, unlinked.
+    fn alloc(&mut self, entry: Entry) -> u32 {
+        if self.free_slot != NIL {
+            let slot = self.free_slot;
+            let free = &mut self.slots[slot as usize];
+            self.free_slot = free.next;
+            free.entry = entry;
+            return slot;
+        }
+        let slot = u32::try_from(self.slots.len())
+            .ok()
+            .filter(|&slot| slot != NIL)
+            .expect("a store holds fewer than 2^32 - 1 objects");
+        self.slots.push(Slot {
+            entry,
+            prev: NIL,
+            next: NIL,
+        });
+        slot
+    }
+
+    /// Unlinks the slot of an object already dropped from the index, frees
+    /// it and its bytes, and returns its entry.
+    fn release(&mut self, slot: u32) -> Entry {
+        self.unlink(slot);
+        let free = &mut self.slots[slot as usize];
+        free.next = self.free_slot;
+        self.free_slot = slot;
+        self.used -= free.entry.meta.size;
+        free.entry.clone()
+    }
+
+    fn rank(&self, slot: u32) -> (SimTime, UrlHash) {
+        let entry = &self.slots[slot as usize].entry;
+        (entry.last_access, entry.meta.key)
+    }
+
+    /// Links an unlinked `slot` into the recency list at its rank, found by
+    /// walking back from the most recent end.
+    fn link(&mut self, slot: u32) {
+        let rank = self.rank(slot);
+        let mut prev = self.newest;
+        while prev != NIL && self.rank(prev) > rank {
+            prev = self.slots[prev as usize].prev;
+        }
+        let next = match prev {
+            NIL => self.oldest,
+            prev => self.slots[prev as usize].next,
+        };
+        let linked = &mut self.slots[slot as usize];
+        linked.prev = prev;
+        linked.next = next;
+        match prev {
+            NIL => self.oldest = slot,
+            prev => self.slots[prev as usize].next = slot,
+        }
+        match next {
+            NIL => self.newest = slot,
+            next => self.slots[next as usize].prev = slot,
+        }
+    }
+
+    fn unlink(&mut self, slot: u32) {
+        let Slot { prev, next, .. } = self.slots[slot as usize];
+        match prev {
+            NIL => self.oldest = next,
+            prev => self.slots[prev as usize].next = next,
+        }
+        match next {
+            NIL => self.newest = prev,
+            next => self.slots[next as usize].prev = prev,
+        }
+    }
+
+    /// Moves `slot` to its rank after its `last_access` changed.
+    fn relink(&mut self, slot: u32) {
+        self.unlink(slot);
+        self.link(slot);
     }
 }
 

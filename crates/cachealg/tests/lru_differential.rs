@@ -1,8 +1,9 @@
-//! `LruPolicy`'s recency index against the sort it replaced.
+//! `LruPolicy`'s walk of the store's recency list against the sort it
+//! replaced.
 //!
 //! The oracle below is the former `select_victims` body: copy the store,
 //! sort by `(last_access, key)`, take from the front. It lives here and not
-//! in the library, so the only LRU that ships is the indexed one. Time never
+//! in the library, so the only LRU that ships is the list walk. Time never
 //! runs backwards in these runs, as in the simulator; several operations
 //! share each instant so ties on `last_access` are decided by key.
 
@@ -133,9 +134,8 @@ fn indexed_lru_evicts_what_the_sort_evicts() {
 }
 
 // A store filled and changed behind the policy's back, as `bench-evict`
-// and unit tests do: the index is built on first use, reused on the
-// second call, follows hits made on the bare store, and is rebuilt once
-// the store's contents no longer match what the hooks accounted for.
+// and unit tests do: entries inserted out of time order, hits made on the
+// bare store, and removals the policy never hears of.
 #[test]
 fn store_changed_without_hooks() {
     check("store_changed_without_hooks", 256, |g| {

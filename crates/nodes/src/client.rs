@@ -33,6 +33,7 @@ use ape_simnet::{
 use ape_workload::Execution;
 
 use crate::txn::alloc_txn;
+use crate::window::IdWindow;
 
 /// Which caching system the client runs against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -336,8 +337,8 @@ pub struct ClientNode {
     /// (see [`flag_table`]), and their validity horizon.
     flags: BTreeMap<DomainName, (Vec<CacheTuple>, SimTime)>,
     pending_dns: BTreeMap<DomainName, PendingDns>,
-    fetches: BTreeMap<RequestId, Fetch>,
-    execs: BTreeMap<u64, Exec>,
+    fetches: IdWindow<Fetch>,
+    execs: IdWindow<Exec>,
     next_txn: u16,
     next_req: u64,
     next_exec: u64,
@@ -452,8 +453,8 @@ impl ClientNode {
             dns_expiry_floor: SimTime::MAX,
             flags: BTreeMap::new(),
             pending_dns: BTreeMap::new(),
-            fetches: BTreeMap::new(),
-            execs: BTreeMap::new(),
+            fetches: IdWindow::new(),
+            execs: IdWindow::new(),
             next_txn: 1,
             next_req: 1,
             next_exec: 1,
@@ -505,7 +506,7 @@ impl ClientNode {
     }
 
     fn finish_exec(&mut self, ctx: &mut Context<'_, Msg>, exec_id: u64) {
-        let Some(exec) = self.execs.remove(&exec_id) else {
+        let Some(exec) = self.execs.remove(exec_id) else {
             return;
         };
         let latency = (ctx.now() - exec.started).as_millis_f64();
@@ -528,11 +529,16 @@ impl ClientNode {
     // ------------------------------------------------------------------
 
     fn start_fetch(&mut self, ctx: &mut Context<'_, Msg>, exec_id: u64, obj: ObjIdx) {
-        let exec = &self.execs[&exec_id];
+        let exec = &self.execs[exec_id];
         let app_idx = exec.app_idx;
         let variant = exec.variant;
         let (url, spec) = self.apps.identity(app_idx, obj, variant).clone();
         let key = url.hash();
+        assert!(
+            self.next_req < 1 << 32,
+            "request id {} reaches 2^32: a retrieval timer token keeps only the low 32 bits",
+            self.next_req
+        );
         let req = RequestId(self.next_req);
         self.next_req += 1;
         let now = ctx.now();
@@ -559,7 +565,7 @@ impl ClientNode {
             lookup_span,
             retrieval_span: None,
         };
-        self.fetches.insert(req, fetch);
+        self.fetches.insert(req.0, fetch);
         ctx.metrics().incr_id(names::id::CLIENT_FETCHES, 1);
 
         match self.config.strategy {
@@ -573,7 +579,7 @@ impl ClientNode {
     /// query to the AP.
     fn lookup_ape(&mut self, ctx: &mut Context<'_, Msg>, req: RequestId) {
         let now = ctx.now();
-        let fetch = &self.fetches[&req];
+        let fetch = &self.fetches[req.0];
         let domain = fetch.url.host();
         let fresh = self
             .flags
@@ -598,7 +604,7 @@ impl ClientNode {
     /// paper's Fig. 1 workflow, where every object access initiates its
     /// own DNS resolution.
     fn lookup_edge(&mut self, ctx: &mut Context<'_, Msg>, req: RequestId) {
-        let domain = self.fetches[&req].url.host().clone();
+        let domain = self.fetches[req.0].url.host().clone();
         self.join_or_send_dns(ctx, req, domain, false);
     }
 
@@ -608,7 +614,7 @@ impl ClientNode {
             self.fail_fetch(ctx, req);
             return;
         };
-        let Some(f) = self.fetches.get_mut(&req) else {
+        let Some(f) = self.fetches.get_mut(req.0) else {
             return;
         };
         f.lookup_was_query = true;
@@ -654,7 +660,7 @@ impl ClientNode {
         domain: DomainName,
         dns_cache_query: bool,
     ) {
-        if let Some(f) = self.fetches.get_mut(&req) {
+        if let Some(f) = self.fetches.get_mut(req.0) {
             f.lookup_was_query = true;
             f.phase = Phase::AwaitingDns;
         }
@@ -664,7 +670,7 @@ impl ClientNode {
         }
         let txn = self.alloc_txn();
         let hashes = if dns_cache_query {
-            vec![self.fetches[&req].key]
+            vec![self.fetches[req.0].key]
         } else {
             Vec::new()
         };
@@ -698,7 +704,7 @@ impl ClientNode {
         ip: Option<Ipv4Addr>,
     ) {
         let now = ctx.now();
-        let Some(fetch) = self.fetches.get_mut(&req) else {
+        let Some(fetch) = self.fetches.get_mut(req.0) else {
             return;
         };
         // Wi-Cache fetches armed their watchdog at lookup time; it spans
@@ -761,10 +767,10 @@ impl ClientNode {
     /// Extension (paper §VI): tell the AP which objects this execution
     /// will request once the current fetch completes — its DAG dependents.
     fn send_prefetch_hints(&mut self, ctx: &mut Context<'_, Msg>, req: RequestId) {
-        let Some(fetch) = self.fetches.get(&req) else {
+        let Some(fetch) = self.fetches.get(req.0) else {
             return;
         };
-        let Some(exec) = self.execs.get(&fetch.exec) else {
+        let Some(exec) = self.execs.get(fetch.exec) else {
             return;
         };
         let children = &self.apps.children[fetch.app_idx][fetch.obj.get()];
@@ -791,7 +797,7 @@ impl ClientNode {
     }
 
     fn fail_fetch(&mut self, ctx: &mut Context<'_, Msg>, req: RequestId) {
-        let Some(fetch) = self.fetches.remove(&req) else {
+        let Some(fetch) = self.fetches.remove(req.0) else {
             return;
         };
         if let Some(watchdog) = fetch.watchdog {
@@ -807,28 +813,25 @@ impl ClientNode {
         if let Some(root) = fetch.root_span {
             ctx.span_end(root, SpanKind::Fetch);
         }
-        if self.execs.contains_key(&fetch.exec) {
-            {
-                let exec = self.execs.get_mut(&fetch.exec).expect("checked");
-                exec.failed = true;
-                exec.remaining -= 1;
-            }
-            // Dependents can never run; cancel them so the execution ends.
-            let mut cancelled = vec![fetch.obj];
-            while let Some(obj) = cancelled.pop() {
-                for &child in &self.apps.children[fetch.app_idx][obj.get()] {
-                    let exec = self.execs.get_mut(&fetch.exec).expect("checked");
-                    if exec.deps_left[child.get()] == usize::MAX {
-                        continue;
-                    }
-                    exec.deps_left[child.get()] = usize::MAX;
-                    exec.remaining -= 1;
-                    cancelled.push(child);
+        let Some(exec) = self.execs.get_mut(fetch.exec) else {
+            return;
+        };
+        exec.failed = true;
+        exec.remaining -= 1;
+        // Dependents can never run; cancel them so the execution ends.
+        let mut cancelled = vec![fetch.obj];
+        while let Some(obj) = cancelled.pop() {
+            for &child in &self.apps.children[fetch.app_idx][obj.get()] {
+                if exec.deps_left[child.get()] == usize::MAX {
+                    continue;
                 }
+                exec.deps_left[child.get()] = usize::MAX;
+                exec.remaining -= 1;
+                cancelled.push(child);
             }
-            if self.execs[&fetch.exec].remaining == 0 {
-                self.finish_exec(ctx, fetch.exec);
-            }
+        }
+        if exec.remaining == 0 {
+            self.finish_exec(ctx, fetch.exec);
         }
     }
 
@@ -844,7 +847,7 @@ impl ClientNode {
             self.fail_fetch(ctx, req);
             return;
         }
-        let Some(fetch) = self.fetches.remove(&req) else {
+        let Some(fetch) = self.fetches.remove(req.0) else {
             return;
         };
         if let Some(watchdog) = fetch.watchdog {
@@ -895,27 +898,25 @@ impl ClientNode {
 
         // Release dependents.
         let exec_id = fetch.exec;
-        if self.execs.contains_key(&exec_id) {
-            let mut ready = Vec::new();
-            {
-                let exec = self.execs.get_mut(&exec_id).expect("checked");
-                exec.remaining -= 1;
-                for &child in &self.apps.children[fetch.app_idx][fetch.obj.get()] {
-                    if exec.deps_left[child.get()] == usize::MAX {
-                        continue;
-                    }
-                    exec.deps_left[child.get()] -= 1;
-                    if exec.deps_left[child.get()] == 0 {
-                        ready.push(child);
-                    }
-                }
+        let Some(exec) = self.execs.get_mut(exec_id) else {
+            return;
+        };
+        exec.remaining -= 1;
+        let mut ready = Vec::new();
+        for &child in &self.apps.children[fetch.app_idx][fetch.obj.get()] {
+            if exec.deps_left[child.get()] == usize::MAX {
+                continue;
             }
-            for child in ready {
-                self.start_fetch(ctx, exec_id, child);
+            exec.deps_left[child.get()] -= 1;
+            if exec.deps_left[child.get()] == 0 {
+                ready.push(child);
             }
-            if self.execs[&exec_id].remaining == 0 {
-                self.finish_exec(ctx, exec_id);
-            }
+        }
+        for child in ready {
+            self.start_fetch(ctx, exec_id, child);
+        }
+        if self.execs[exec_id].remaining == 0 {
+            self.finish_exec(ctx, exec_id);
         }
     }
 
@@ -988,7 +989,7 @@ impl ClientNode {
             let flag = match self.config.strategy {
                 Strategy::ApeCache => self
                     .fetches
-                    .get(&req)
+                    .get(req.0)
                     .and_then(|f| flag_in(&self.flags.get(&domain)?.0, f.key))
                     .unwrap_or(CacheFlag::Delegation),
                 _ => CacheFlag::Miss,
@@ -1030,7 +1031,7 @@ impl ClientNode {
     /// in flight, abandon it and retry the whole lookup (backoff doubles),
     /// or fail the fetch once the retry budget is spent.
     fn handle_http_timeout(&mut self, ctx: &mut Context<'_, Msg>, req: RequestId, attempt: u32) {
-        let fetch = self.fetches.get(&req);
+        let fetch = self.fetches.get(req.0);
         debug_assert!(
             fetch.is_some(),
             "watchdog of settled fetch {req:?} fired: settling cancels it"
@@ -1058,7 +1059,7 @@ impl ClientNode {
             self.fail_fetch(ctx, req);
             return;
         }
-        let fetch = self.fetches.get_mut(&req).expect("checked above");
+        let fetch = self.fetches.get_mut(req.0).expect("checked above");
         fetch.attempt += 1;
         fetch.retrieval_started = None;
         fetch.conn = None;
@@ -1092,7 +1093,7 @@ impl ClientNode {
         // Only act while the fetch is actually waiting on the controller:
         // with retries, a duplicate result for an abandoned lookup could
         // otherwise open a second connection for the same fetch.
-        let Some(fetch) = self.fetches.get(&req) else {
+        let Some(fetch) = self.fetches.get(req.0) else {
             return;
         };
         if !matches!(fetch.phase, Phase::AwaitingController) {
@@ -1167,7 +1168,7 @@ impl Node<Msg> for ClientNode {
             Msg::Dns(_) => {}
             Msg::TcpSynAck { conn } => {
                 let req = conn_request(conn);
-                let Some(fetch) = self.fetches.get_mut(&req) else {
+                let Some(fetch) = self.fetches.get_mut(req.0) else {
                     return;
                 };
                 if fetch.conn != Some(conn) {

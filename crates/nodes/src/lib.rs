@@ -21,6 +21,7 @@ mod resolver;
 mod server;
 mod txn;
 mod wicache;
+mod window;
 
 pub use ap::{ApConfig, ApNode, ApPolicy};
 pub use client::{ClientApps, ClientConfig, ClientNode, ClientReport, RoamStop, Strategy};

@@ -7,18 +7,20 @@
 # tables (scripts/sample_symbolize.py over `nm -C`). Needs gcc, nm, python3.
 #
 #   scripts/sample_profile.sh [--workload W] [--seed N] [--seconds S]
-#                             [--focus FRAME] [--top N]
+#                             [--focus FRAME] [--top N] [--callers-of PATTERN]
 #
 # Defaults: testbed-lru, seed 42, 16 s, --focus run_until (shares of the
-# event loop, set-up excluded), top 15. Scratch files go to $SAMPLE_DIR
-# (default ${TMPDIR:-/tmp}/ape-sample-profile). Timing-dependent, so CI
+# event loop, set-up excluded), top 15. `--callers-of collections::btree`
+# adds the btree share of the kept samples by caller (sample_symbolize.py).
+# Scratch files go to $SAMPLE_DIR (default
+# ${TMPDIR:-/tmp}/ape-sample-profile). Timing-dependent, so CI
 # does not run it; the in-process profiler (`repro profile`, the traced
 # benchmark run) stays the per-layer instrument, this is the check on it.
 set -euo pipefail
 
 repo="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 dir="${SAMPLE_DIR:-${TMPDIR:-/tmp}/ape-sample-profile}"
-workload=testbed-lru seed=42 seconds=16 focus=run_until top=15
+workload=testbed-lru seed=42 seconds=16 focus=run_until top=15 callers_of=
 while [ $# -gt 0 ]; do
     case "$1" in
         --workload) workload="$2" ;;
@@ -26,7 +28,8 @@ while [ $# -gt 0 ]; do
         --seconds) seconds="$2" ;;
         --focus) focus="$2" ;;
         --top) top="$2" ;;
-        *) echo "usage: $0 [--workload W] [--seed N] [--seconds S] [--focus FRAME] [--top N]" >&2; exit 2 ;;
+        --callers-of) callers_of="$2" ;;
+        *) echo "usage: $0 [--workload W] [--seed N] [--seconds S] [--focus FRAME] [--top N] [--callers-of PATTERN]" >&2; exit 2 ;;
     esac
     shift 2
 done
@@ -43,4 +46,5 @@ SAMPLE_OUT="$dir/samples.txt" LD_PRELOAD="$dir/sample_preload.so" \
 rev="$(git -C "$repo" rev-parse --short HEAD 2>/dev/null)" || rev="no git"
 [ "$rev" = "no git" ] || git -C "$repo" diff --quiet 2>/dev/null || rev="$rev+dirty"
 echo "# $workload seed $seed, $rev"
-python3 "$repo/scripts/sample_symbolize.py" "$dir/samples.txt" "$bin" --top "$top" ${focus:+--focus "$focus"}
+python3 "$repo/scripts/sample_symbolize.py" "$dir/samples.txt" "$bin" --top "$top" ${focus:+--focus "$focus"} \
+    ${callers_of:+--callers-of "$callers_of"}

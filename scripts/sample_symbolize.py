@@ -3,6 +3,7 @@
 print profile tables.
 
 usage: sample_symbolize.py SAMPLES BINARY [--top N] [--focus FRAME]
+                             [--callers-of PATTERN]
        sample_symbolize.py HEAP BINARY --heap [--top N] [--depth N]
 
 Time (the default): self time by leaf symbol, inclusive time (a symbol
@@ -11,7 +12,10 @@ that entered them (libc has no frame pointers and no static symbols here,
 so `memmove` called from three places would otherwise be one opaque row).
 `--focus run_until` keeps only samples with a matching frame and cuts each
 stack at it, so shares are of the measured loop rather than of set-up plus
-loop.
+loop. `--callers-of collections::btree` adds the share of kept samples with
+a matching frame among their six leaf frames (how ROADMAP.md measures "the
+btree share"), broken down by each sample's first frame outside `alloc::`,
+`core::`, `std::` and libc: the code that called into the matching one.
 
 Heap (`--heap`): bytes live at the heap's peak by owner — the first
 `--depth` frames past the allocator's own (`alloc::`, `core::`, `std::`,
@@ -27,6 +31,9 @@ import subprocess
 # Frames that allocate on someone else's behalf: a heap owner is the first
 # frame past them.
 PLUMBING = re.compile(r'^(<?(alloc|core|std|hashbrown)::|__r[dg]l?_|__rust_|<?apebench::alloc::|\[)')
+
+# How deep into a stack `--callers-of` looks for its pattern.
+LEAF_FRAMES = 6
 
 
 def load_symbols(binary):
@@ -61,6 +68,8 @@ def main():
     ap.add_argument('binary')
     ap.add_argument('--top', type=int, default=15)
     ap.add_argument('--focus', help='keep only samples with a frame containing this text')
+    ap.add_argument('--callers-of', metavar='PATTERN',
+                    help='share of kept samples with a leaf frame containing this text, by caller')
     ap.add_argument('--heap', action='store_true', help='the dump is heap_preload.c output')
     ap.add_argument('--depth', type=int, default=1, help='--heap: frames that name an owner')
     args = ap.parse_args()
@@ -123,7 +132,7 @@ def heap_tables(args, stacks, peak, resolve):
 
 
 def time_tables(args, stacks, dropped, resolve):
-    self_t, incl, libc_by_caller = (collections.Counter() for _ in range(3))
+    self_t, incl, libc_by_caller, callers = (collections.Counter() for _ in range(4))
     kept = 0
     for words in stacks:
         rip, top, rets = words[0], words[1], words[2:]
@@ -147,11 +156,18 @@ def time_tables(args, stacks, dropped, resolve):
             libc_by_caller[f'{leaf} <- {frames[1]}'] += 1
         for f in set(frames):
             incl[f] += 1
+        if args.callers_of and any(args.callers_of in f for f in frames[:LEAF_FRAMES]):
+            callers[next((f for f in frames if not PLUMBING.match(f)), '[plumbing only]')] += 1
 
     scope = f'samples with a `{args.focus}` frame' if args.focus else 'all samples'
     print(f'{len(stacks)} samples at 200 us ({dropped} dropped), {kept} kept: {scope}')
     for title, table in (('self', self_t), ('inclusive', incl), ('libc leaf <- caller', libc_by_caller)):
         print_table(title, 'samples', table, kept, args.top)
+    if args.callers_of:
+        n = sum(callers.values())
+        print(f'\n`{args.callers_of}` among the {LEAF_FRAMES} leaf frames: {n} samples, '
+              f'{100 * n / max(kept, 1):.1f}% of kept')
+        print_table('by first non-plumbing frame', 'samples', callers, kept, args.top)
 
 
 if __name__ == '__main__':
