@@ -25,10 +25,6 @@ impl LruPolicy {
 }
 
 impl EvictionPolicy for LruPolicy {
-    fn name(&self) -> &'static str {
-        "lru"
-    }
-
     fn select_victims(
         &mut self,
         store: &CacheStore,
@@ -137,10 +133,5 @@ mod tests {
             }
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn policy_name() {
-        assert_eq!(LruPolicy::new().name(), "lru");
     }
 }

@@ -40,21 +40,17 @@
 //! cached object, and the utilities multiply in the same order, so every
 //! utility keeps its bits.
 //!
-//! The fairness repair updates per-app `(bytes, objects)` aggregates in
-//! place and walks one reusable list of kept objects sorted by `(app,
-//! utility, key)` — O(k log k) and allocation-free, where the seed rebuilds
-//! its per-app map every iteration (O(k² log k)). Store-wide aggregates
-//! are maintained incrementally through the [`EvictionPolicy`] insert and
-//! remove hooks; a `(objects, bytes)` fingerprint detects stores mutated
-//! behind the policy's back (direct `CacheStore` users) and falls back to a
-//! one-shot rescan, so the hooks are an optimization, never a correctness
-//! requirement.
+//! The fairness repair starts from the store's per-app `(bytes, objects)`
+//! totals ([`CacheStore::app_totals`]), updates a copy of them in place,
+//! and walks one reusable list of kept objects sorted by `(app, utility,
+//! key)` — O(k log k) and allocation-free, where the seed rebuilds its
+//! per-app map every iteration (O(k² log k)). The policy keeps no view of
+//! the store between calls, so on any store, however it was filled, it
+//! picks what a fresh policy with the same frequencies picks.
 //!
 //! Every reduction preserves the victim set byte for byte; the
 //! `pacm_equivalence` property suite pins this against the frozen seed
 //! implementation in [`crate::reference`].
-
-use std::collections::BTreeMap;
 
 use ape_dnswire::UrlHash;
 use ape_simnet::SimTime;
@@ -151,7 +147,7 @@ struct KeptApp {
 ///
 /// let store = CacheStore::new(5_000_000, 500_000);
 /// let manager = CacheManager::new(store, PacmPolicy::new(PacmConfig::default()));
-/// assert_eq!(manager.policy_name(), "pacm");
+/// assert_eq!(manager.policy().stats().solver_runs, 0);
 /// ```
 #[derive(Debug)]
 pub struct PacmPolicy {
@@ -159,16 +155,10 @@ pub struct PacmPolicy {
     freq: FrequencyTracker,
     /// Disables the fairness repair pass (θ = ∞ ablation).
     fairness_enabled: bool,
-    /// Store-wide per-app `(bytes, objects)`, maintained through the
-    /// insert/remove hooks.
-    app_bytes: BTreeMap<AppId, (u64, u32)>,
-    /// Fingerprint of the store state `app_bytes` describes.
-    tracked_objects: usize,
-    tracked_bytes: u64,
     /// Reusable solver scratch (search and DP).
     workspace: KnapsackWorkspace,
-    /// Clamped `R(a)` by raw app id for the apps in `app_bytes`, read once
-    /// per call; NaN for ids the store holds nothing of.
+    /// Clamped `R(a)` by raw app id for the store's apps, read once per
+    /// call; NaN for ids the store holds nothing of.
     rates: Vec<f64>,
     /// Reusable per-call buffers.
     candidates: Vec<Candidate>,
@@ -194,9 +184,6 @@ impl PacmPolicy {
             freq: FrequencyTracker::new(ALPHA),
             config,
             fairness_enabled: true,
-            app_bytes: BTreeMap::new(),
-            tracked_objects: 0,
-            tracked_bytes: 0,
             workspace: KnapsackWorkspace::new(),
             rates: Vec::new(),
             candidates: Vec::new(),
@@ -256,19 +243,6 @@ impl PacmPolicy {
         }
     }
 
-    /// Rebuilds the store-wide per-app aggregates from `store` (the
-    /// fallback when the insert/remove hooks were bypassed).
-    fn resync_aggregates(&mut self, store: &CacheStore) {
-        self.app_bytes.clear();
-        for e in store.iter() {
-            let slot = self.app_bytes.entry(e.meta.app).or_insert((0, 0));
-            slot.0 += e.meta.size;
-            slot.1 += 1;
-        }
-        self.tracked_objects = store.len();
-        self.tracked_bytes = store.used();
-    }
-
     /// Fairness repair over the kept set, appending victims in place.
     ///
     /// Reproduces the seed loop decision for decision: per iteration,
@@ -276,12 +250,12 @@ impl PacmPolicy {
     /// over-served app (last among equals, as `Iterator::max_by`), and
     /// evict its `(utility, key)`-minimal kept object — found by a cursor
     /// over a list sorted once, where the seed rescans.
-    fn repair(&mut self, victims: &mut Vec<UrlHash>) {
-        // Kept per-app (bytes, objects): store-wide aggregates minus the
+    fn repair(&mut self, store: &CacheStore, victims: &mut Vec<UrlHash>) {
+        // Kept per-app (bytes, objects): the store's totals minus the
         // victims chosen so far. Byte sums are exact u64s; the seed's f64
         // accumulation is integer-exact in the same range (< 2^53).
         self.kept_apps.clear();
-        for (&app, &(bytes, objects)) in self.app_bytes.iter() {
+        for (&app, &(bytes, objects)) in store.app_totals() {
             self.kept_apps.push(KeptApp {
                 app,
                 bytes,
@@ -296,7 +270,7 @@ impl PacmPolicy {
             let slot = self
                 .kept_apps
                 .binary_search_by_key(&c.app, |a| a.app)
-                .expect("victim app tracked");
+                .expect("the store totals every cached app");
             self.kept_apps[slot].bytes -= c.size;
             self.kept_apps[slot].objects -= 1;
         }
@@ -383,36 +357,12 @@ fn utility_at(rate: f64, meta: &ObjectMeta, now: SimTime) -> f64 {
 }
 
 impl EvictionPolicy for PacmPolicy {
-    fn name(&self) -> &'static str {
-        "pacm"
-    }
-
     fn note_request(&mut self, app: AppId) {
         self.freq.record(app);
     }
 
     fn roll_window(&mut self, now: SimTime) {
         self.freq.roll(now);
-    }
-
-    fn note_insert(&mut self, meta: &ObjectMeta) {
-        let slot = self.app_bytes.entry(meta.app).or_insert((0, 0));
-        slot.0 += meta.size;
-        slot.1 += 1;
-        self.tracked_objects += 1;
-        self.tracked_bytes += meta.size;
-    }
-
-    fn note_remove(&mut self, meta: &ObjectMeta) {
-        if let Some(slot) = self.app_bytes.get_mut(&meta.app) {
-            slot.0 = slot.0.saturating_sub(meta.size);
-            slot.1 = slot.1.saturating_sub(1);
-            if slot.1 == 0 {
-                self.app_bytes.remove(&meta.app);
-            }
-        }
-        self.tracked_objects = self.tracked_objects.saturating_sub(1);
-        self.tracked_bytes = self.tracked_bytes.saturating_sub(meta.size);
     }
 
     fn evict_stats(&self) -> Option<EvictStats> {
@@ -426,18 +376,15 @@ impl EvictionPolicy for PacmPolicy {
         now: SimTime,
     ) -> Vec<UrlHash> {
         self.stats.solver_runs += 1;
-        if self.tracked_objects != store.len() || self.tracked_bytes != store.used() {
-            self.resync_aggregates(store);
-        }
 
-        // Each app's rate once per call; the hooks keep `app_bytes` to the
-        // store's apps.
+        // Each app's rate once per call, for the apps the store holds.
+        let apps = store.app_totals();
         let mut rates = std::mem::take(&mut self.rates);
         rates.clear();
-        if let Some((&last, _)) = self.app_bytes.last_key_value() {
+        if let Some((&last, _)) = apps.last_key_value() {
             if last.get() < DENSE_RATE_IDS {
                 rates.resize(last.get() as usize + 1, f64::NAN);
-                for &app in self.app_bytes.keys() {
+                for &app in apps.keys() {
                     rates[app.get() as usize] = self.clamped_rate(app);
                 }
             }
@@ -531,7 +478,7 @@ impl EvictionPolicy for PacmPolicy {
         );
 
         if self.fairness_enabled {
-            self.repair(&mut victims);
+            self.repair(store, &mut victims);
         }
         victims
     }
@@ -817,32 +764,5 @@ mod tests {
             "every run resolves through exactly one solver path: {stats:?}"
         );
         assert!(stats.items_considered > 0);
-    }
-
-    #[test]
-    fn hook_maintained_aggregates_match_rescan() {
-        // Drive a manager (hooks fire), then check the policy's aggregates
-        // against a fresh rescan of the store.
-        let mut m = pacm_manager(8_000);
-        for i in 0..20 {
-            let ttl = if i % 3 == 0 { 5 } else { 3600 };
-            let _ = m.admit(
-                meta_for(&format!("h{i}"), i % 5, 800, Priority::LOW, ttl),
-                SimTime::from_secs(i as u64),
-            );
-        }
-        let _ = m.purge_expired(SimTime::from_secs(400));
-        let mut expected: BTreeMap<AppId, (u64, u32)> = BTreeMap::new();
-        let mut bytes = 0u64;
-        for e in m.store().iter() {
-            let slot = expected.entry(e.meta.app).or_insert((0, 0));
-            slot.0 += e.meta.size;
-            slot.1 += 1;
-            bytes += e.meta.size;
-        }
-        let p = m.policy();
-        assert_eq!(p.app_bytes, expected);
-        assert_eq!(p.tracked_objects, m.store().len());
-        assert_eq!(p.tracked_bytes, bytes);
     }
 }

@@ -1,5 +1,9 @@
 //! The eviction-policy abstraction and the cache manager combining a store
 //! with a policy.
+//!
+//! A policy sees the store only when asked for victims: what it needs to
+//! know about the cached objects (recency, per-app totals) the store
+//! keeps, so no mutation has to be reported to the policy.
 
 use ape_dnswire::UrlHash;
 use ape_simnet::SimTime;
@@ -17,28 +21,11 @@ use crate::store::{CacheStore, Lookup};
 /// `Send` is required so nodes owning a boxed policy can move between the
 /// parallel experiment runner's worker threads.
 pub trait EvictionPolicy: std::fmt::Debug + Send {
-    /// Short policy name for reports ("pacm", "lru").
-    fn name(&self) -> &'static str;
-
     /// Observes one client request for `app` (PACM's frequency signal).
     fn note_request(&mut self, _app: AppId) {}
 
     /// Closes the current measurement window at `now` (PACM's EWMA roll).
     fn roll_window(&mut self, _now: SimTime) {}
-
-    /// Observes an object entering the store. [`CacheManager`] calls this
-    /// for every insert so PACM can keep its per-app byte totals
-    /// incrementally. Purely an optimization hook: a policy must stay
-    /// correct when the store is mutated without it (PACM fingerprints the
-    /// store and rebuilds its totals on mismatch).
-    fn note_insert(&mut self, _meta: &ObjectMeta) {}
-
-    /// Observes an object leaving the store (eviction, expiry purge,
-    /// replacement, or block-listing), for the same PACM totals. Same
-    /// contract as [`note_insert`].
-    ///
-    /// [`note_insert`]: EvictionPolicy::note_insert
-    fn note_remove(&mut self, _meta: &ObjectMeta) {}
 
     /// Cumulative eviction-engine counters, when the policy keeps them
     /// (PACM does; LRU and test policies return `None`).
@@ -59,20 +46,11 @@ pub trait EvictionPolicy: std::fmt::Debug + Send {
 }
 
 impl<P: EvictionPolicy + ?Sized> EvictionPolicy for Box<P> {
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
     fn note_request(&mut self, app: AppId) {
         (**self).note_request(app);
     }
     fn roll_window(&mut self, now: SimTime) {
         (**self).roll_window(now);
-    }
-    fn note_insert(&mut self, meta: &ObjectMeta) {
-        (**self).note_insert(meta);
-    }
-    fn note_remove(&mut self, meta: &ObjectMeta) {
-        (**self).note_remove(meta);
     }
     fn evict_stats(&self) -> Option<EvictStats> {
         (**self).evict_stats()
@@ -95,8 +73,8 @@ pub enum AdmitOutcome {
     Stored {
         /// Keys evicted by the policy (empty when the object fit).
         evicted: Vec<UrlHash>,
-        /// Objects purged as expired before the policy ran.
-        purged: Vec<ObjectMeta>,
+        /// Keys purged as expired before the policy ran.
+        purged: Vec<UrlHash>,
     },
     /// Object exceeded the block-list threshold (or can never fit) and was
     /// added to the block list; future lookups return `Cache-Miss`.
@@ -104,8 +82,8 @@ pub enum AdmitOutcome {
     /// The policy declined to make enough room; the object is not cached
     /// but remains delegable next time.
     Declined {
-        /// Objects purged as expired before the policy ran.
-        purged: Vec<ObjectMeta>,
+        /// Keys purged as expired before the policy ran.
+        purged: Vec<UrlHash>,
     },
 }
 
@@ -121,11 +99,6 @@ impl<P: EvictionPolicy> CacheManager<P> {
     /// Creates a manager over a fresh store.
     pub fn new(store: CacheStore, policy: P) -> Self {
         CacheManager { store, policy }
-    }
-
-    /// The policy's name.
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
     }
 
     /// Read access to the underlying store.
@@ -161,22 +134,17 @@ impl<P: EvictionPolicy> CacheManager<P> {
     /// Admits a freshly delegated object, evicting per policy when needed.
     pub fn admit(&mut self, meta: ObjectMeta, now: SimTime) -> AdmitOutcome {
         if self.store.exceeds_block_threshold(meta.size) || meta.size > self.store.capacity() {
-            if let Some(old) = self.store.get(meta.key) {
-                let old_meta = old.meta.clone();
-                self.policy.note_remove(&old_meta);
-            }
             self.store.block(meta.key);
             return AdmitOutcome::Blocked;
         }
         // Expired entries are dead weight; reclaim them before consulting
         // the policy so its view matches reality.
-        let purged = self.purge_expired(now);
+        let purged = self.store.purge_expired(now);
         let mut evicted = Vec::new();
         if self.store.free() < meta.size {
             let victims = self.policy.select_victims(&self.store, &meta, now);
             for key in victims {
-                if let Some(entry) = self.store.remove(key) {
-                    self.policy.note_remove(&entry.meta);
+                if self.store.remove(key).is_some() {
                     evicted.push(key);
                 }
             }
@@ -184,22 +152,13 @@ impl<P: EvictionPolicy> CacheManager<P> {
                 return AdmitOutcome::Declined { purged };
             }
         }
-        if let Some(old) = self.store.get(meta.key) {
-            let old_meta = old.meta.clone();
-            self.policy.note_remove(&old_meta);
-        }
-        self.policy.note_insert(&meta);
         self.store.insert(meta, now);
         AdmitOutcome::Stored { evicted, purged }
     }
 
-    /// Drops expired objects, returning their metadata in key order.
-    pub fn purge_expired(&mut self, now: SimTime) -> Vec<ObjectMeta> {
-        let purged = self.store.purge_expired(now);
-        for meta in &purged {
-            self.policy.note_remove(meta);
-        }
-        purged
+    /// Drops expired objects, returning their keys in key order.
+    pub fn purge_expired(&mut self, now: SimTime) -> Vec<UrlHash> {
+        self.store.purge_expired(now)
     }
 }
 
@@ -213,9 +172,6 @@ mod tests {
     #[derive(Debug)]
     struct NeverEvict;
     impl EvictionPolicy for NeverEvict {
-        fn name(&self) -> &'static str {
-            "never"
-        }
         fn select_victims(&mut self, _: &CacheStore, _: &ObjectMeta, _: SimTime) -> Vec<UrlHash> {
             Vec::new()
         }
@@ -225,9 +181,6 @@ mod tests {
     #[derive(Debug)]
     struct EvictAll;
     impl EvictionPolicy for EvictAll {
-        fn name(&self) -> &'static str {
-            "all"
-        }
         fn select_victims(
             &mut self,
             store: &CacheStore,
@@ -314,15 +267,8 @@ mod tests {
             out,
             AdmitOutcome::Stored {
                 evicted: vec![],
-                purged: vec![meta("a", 100, 10)]
+                purged: vec![UrlHash::of("a")]
             }
         );
-    }
-
-    #[test]
-    fn policy_name_passthrough() {
-        let m = CacheManager::new(CacheStore::new(100, 500), NeverEvict);
-        assert_eq!(m.policy_name(), "never");
-        assert_eq!(m.store().capacity(), 100);
     }
 }

@@ -14,13 +14,18 @@
 //! that rank after it. While the clock runs forward that walk passes only
 //! entries touched at the same instant with a larger key, so a hit costs
 //! constant time.
+//!
+//! The store also keeps each app's `(bytes, objects)` totals
+//! ([`CacheStore::app_totals`]), the per-app storage PACM's fairness bound
+//! is computed over. Every insert and removal updates them, and an app
+//! leaves the map with its last object.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use ape_dnswire::UrlHash;
 use ape_simnet::SimTime;
 
-use crate::object::ObjectMeta;
+use crate::object::{AppId, ObjectMeta};
 
 /// A cached object plus bookkeeping.
 #[derive(Debug, Clone, PartialEq)]
@@ -93,6 +98,9 @@ pub struct CacheStore {
     /// Ends of the recency list: least and most recently used.
     oldest: u32,
     newest: u32,
+    /// Per-app `(bytes, objects)` over the cached objects; no app holds
+    /// zero objects.
+    apps: BTreeMap<AppId, (u64, u32)>,
     block_list: BTreeSet<UrlHash>,
     block_threshold: u64,
     /// No entry expires before this. Lowered on insert and left alone on
@@ -118,6 +126,7 @@ impl CacheStore {
             free_slot: NIL,
             oldest: NIL,
             newest: NIL,
+            apps: BTreeMap::new(),
             block_list: BTreeSet::new(),
             block_threshold,
             next_expiry: SimTime::MAX,
@@ -142,6 +151,12 @@ impl CacheStore {
     /// Number of cached objects.
     pub fn len(&self) -> usize {
         self.index.len()
+    }
+
+    /// Each app's `(bytes, objects)` over the cached objects, by app id;
+    /// apps with nothing cached are absent.
+    pub fn app_totals(&self) -> &BTreeMap<AppId, (u64, u32)> {
+        &self.apps
     }
 
     /// Whether the cache holds no objects.
@@ -212,6 +227,13 @@ impl CacheStore {
             meta.size,
             self.free() + freed
         );
+        if let Some(slot) = replaced {
+            let old = &self.slots[slot as usize].entry.meta;
+            self.uncount(old.app, old.size);
+        }
+        let totals = self.apps.entry(meta.app).or_default();
+        totals.0 += meta.size;
+        totals.1 += 1;
         self.used = self.used - freed + meta.size;
         self.next_expiry = self.next_expiry.min(meta.expires_at);
         let key = meta.key;
@@ -244,19 +266,18 @@ impl CacheStore {
         self.block_list.insert(key);
     }
 
-    /// Drops every expired object, returning their metadata in key order
-    /// (callers advertise the keys and feed the sizes to policy hooks).
-    pub fn purge_expired(&mut self, now: SimTime) -> Vec<ObjectMeta> {
+    /// Drops every expired object, returning their keys in key order.
+    pub fn purge_expired(&mut self, now: SimTime) -> Vec<UrlHash> {
         if now < self.next_expiry {
             return Vec::new();
         }
         let mut next_expiry = SimTime::MAX;
         let mut expired = Vec::new();
         let slots = &self.slots;
-        self.index.retain(|_, &mut slot| {
+        self.index.retain(|&key, &mut slot| {
             let meta = &slots[slot as usize].entry.meta;
             if meta.is_expired(now) {
-                expired.push(slot);
+                expired.push((key, slot));
                 return false;
             }
             next_expiry = next_expiry.min(meta.expires_at);
@@ -265,7 +286,10 @@ impl CacheStore {
         self.next_expiry = next_expiry;
         expired
             .into_iter()
-            .map(|slot| self.release(slot).meta)
+            .map(|(key, slot)| {
+                self.release(slot);
+                key
+            })
             .collect()
     }
 
@@ -329,8 +353,20 @@ impl CacheStore {
         let free = &mut self.slots[slot as usize];
         free.next = self.free_slot;
         self.free_slot = slot;
-        self.used -= free.entry.meta.size;
-        free.entry.clone()
+        let entry = free.entry.clone();
+        self.used -= entry.meta.size;
+        self.uncount(entry.meta.app, entry.meta.size);
+        entry
+    }
+
+    /// Takes one object of `size` bytes off `app`'s totals.
+    fn uncount(&mut self, app: AppId, size: u64) {
+        let totals = self.apps.get_mut(&app).expect("a cached object's app");
+        totals.0 -= size;
+        totals.1 -= 1;
+        if totals.1 == 0 {
+            self.apps.remove(&app);
+        }
     }
 
     fn rank(&self, slot: u32) -> (SimTime, UrlHash) {
@@ -425,9 +461,8 @@ mod tests {
             s.lookup(UrlHash::of("a"), SimTime::from_secs(11)),
             Lookup::Expired
         );
-        let purged = s.purge_expired(SimTime::from_secs(11));
         assert_eq!(
-            purged.iter().map(|m| m.key).collect::<Vec<_>>(),
+            s.purge_expired(SimTime::from_secs(11)),
             vec![UrlHash::of("a")]
         );
         assert_eq!(s.used(), 0);

@@ -57,10 +57,10 @@ fn bounded_purge_returns_what_a_full_scan_returns() {
                     assert_eq!(removed, model.remove(&UrlHash(key)));
                 }
                 Op::Purge => {
-                    let due: Vec<ObjectMeta> = model
+                    let due: Vec<UrlHash> = model
                         .values()
                         .filter(|m| m.is_expired(now))
-                        .cloned()
+                        .map(|m| m.key)
                         .collect();
                     model.retain(|_, m| !m.is_expired(now));
                     assert_eq!(store.purge_expired(now), due);
@@ -83,7 +83,7 @@ fn bound_survives_losing_its_earliest_entry() {
     assert!(store.purge_expired(SimTime::from_secs(19)).is_empty());
     assert_eq!(
         store.purge_expired(SimTime::from_secs(20)),
-        vec![meta(2, 20)]
+        vec![UrlHash(2)]
     );
     assert!(store.is_empty());
 }

@@ -22,10 +22,6 @@ const BLOCK_THRESHOLD: u64 = 400;
 struct SortLru;
 
 impl EvictionPolicy for SortLru {
-    fn name(&self) -> &'static str {
-        "sort-lru"
-    }
-
     fn select_victims(
         &mut self,
         store: &CacheStore,

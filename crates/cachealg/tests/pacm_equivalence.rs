@@ -339,3 +339,44 @@ fn stores_beyond_4096_objects_run_the_dp() {
         "a 5 000-object store reaches the solver: {stats:?}"
     );
 }
+
+/// A policy keeps no view of a store between calls: after selecting on
+/// one store it picks, on another of the same object count and bytes but
+/// another app, what a fresh policy picks there.
+#[test]
+fn a_policy_that_saw_one_store_picks_on_another_as_a_fresh_one() {
+    let store_of = |app| {
+        let mut store = CacheStore::new(10_000, 500_000);
+        for key in 0..10 {
+            store.insert(
+                ObjectMeta {
+                    key: UrlHash(key),
+                    app: AppId::new(app),
+                    size: 1_000,
+                    priority: Priority::LOW,
+                    expires_at: SimTime::from_secs(3600),
+                    fetch_latency: SimDuration::from_millis(30),
+                },
+                SimTime::ZERO,
+            );
+        }
+        store
+    };
+    let incoming = ObjectMeta {
+        key: UrlHash(99),
+        app: AppId::new(2),
+        size: 1_000,
+        priority: Priority::HIGH,
+        expires_at: SimTime::from_secs(3600),
+        fetch_latency: SimDuration::from_millis(30),
+    };
+    let now = SimTime::from_secs(61);
+    let (first, second) = (store_of(1), store_of(7));
+    let mut seasoned = PacmPolicy::new(PacmConfig::default());
+    assert!(!seasoned.select_victims(&first, &incoming, now).is_empty());
+    let victims = seasoned.select_victims(&second, &incoming, now);
+    let mut fresh = PacmPolicy::new(PacmConfig::default());
+    assert_eq!(victims, fresh.select_victims(&second, &incoming, now));
+    let mut seed_policy = ReferencePacm::new(PacmConfig::default());
+    assert_eq!(victims, seed_policy.select_victims(&second, &incoming, now));
+}

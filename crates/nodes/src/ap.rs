@@ -1177,14 +1177,14 @@ impl ApNode {
         ctx: &mut Context<'_, Msg>,
         added: Option<UrlHash>,
         mut removed: Vec<UrlHash>,
-        purged: Vec<ObjectMeta>,
+        purged: Vec<UrlHash>,
     ) {
         if !purged.is_empty() {
             ctx.metrics()
                 .incr_id(names::id::AP_TTL_PURGES, purged.len() as u64);
         }
         if let Some(controller) = self.wicache_controller {
-            removed.extend(purged.iter().map(|meta| meta.key));
+            removed.extend(purged);
             if added.is_some() || !removed.is_empty() {
                 let added = added.into_iter().collect();
                 ctx.send(controller, Msg::WiCacheAdvertise { added, removed });
