@@ -1,8 +1,11 @@
 //! `repro bench-evict` — the eviction-cost microbench sweep.
 //!
-//! Sweeps store populations {256, 1024, 4096, 16384} × eviction policies
-//! {pacm, pacm-nofair, lru}, timing `select_victims` against a full store
-//! and writing `BENCH_evict.json` at the repo root. Before a PACM cell is
+//! Times `select_victims` against a full store and writes
+//! `BENCH_evict.json` at the repo root. The first cell is one PACM
+//! decision shaped like the Fig. 9 testbed's: a 5 MB store of 128 objects
+//! and a 40 KB probe, an overflow of a few dozen units. Then the sweep:
+//! store populations {256, 1024, 4096, 16384} × eviction policies
+//! {pacm, pacm-nofair, lru}. Before a PACM cell is
 //! timed, its decision is checked on the benched store: up to
 //! [`ORACLE_MAX_OBJECTS`] objects its victims must equal the frozen seed
 //! engine's (`ape_cachealg::reference`, the test oracle); above that the
@@ -14,9 +17,11 @@
 //! admission is fixed. Each cell renders what the seed determines first
 //! (`policy` … `solver`) and its one host timing, `median_ns`, last; the
 //! `committed_outputs` test regenerates the former and compares it with
-//! the committed file. One in sixteen objects is already expired at
-//! decision time — modelling the gap between TTL sweep ticks — so every
-//! cell starts from forced victims, and every PACM cell reaches the solver
+//! the committed file. In the sweep one in sixteen objects is already
+//! expired at decision time — modelling the gap between TTL sweep ticks —
+//! so every sweep cell starts from forced victims; the testbed-shaped
+//! store has none, as admission purges them first. Every PACM cell reaches
+//! the solver
 //! (from 4096 objects the expired bytes exceed the probe, but the
 //! survivors' weights, each rounded up to a whole unit, still do not fit):
 //! the certified cover search, or the DP where the search declines. The
@@ -54,6 +59,14 @@ const ITERS: usize = 25;
 /// Probe admission size: large enough that every PACM cell must solve an
 /// overflow of several hundred units.
 const INCOMING_SIZE: u64 = 300_000;
+
+/// The testbed-shaped cell: the Fig. 9 AP's 5 MB store holds about this
+/// many objects of 1–77 KB, none expired (admission purges them first).
+const TESTBED_OBJECTS: usize = 128;
+
+/// The testbed-shaped cell's probe: an overflow of a few dozen units, the
+/// size of a typical admission into the Fig. 9 AP's full store.
+const TESTBED_INCOMING_SIZE: u64 = 40_000;
 
 /// One measured sweep cell.
 struct Cell {
@@ -107,11 +120,39 @@ fn build_store(objects: usize, seed: u64) -> CacheStore {
     store
 }
 
-fn incoming() -> ObjectMeta {
+/// An exactly-full store shaped like the Fig. 9 AP's: [`TESTBED_OBJECTS`]
+/// objects of 1–77 KB (about 5 MB), spread over the 30 apps, none expired.
+fn build_testbed_store(seed: u64) -> CacheStore {
+    let mut rng = SimRng::seed_from(seed ^ 0x07e5_7bed);
+    let sizes: Vec<u64> = (0..TESTBED_OBJECTS)
+        .map(|_| rng.uniform_u64(1_000, 77_000))
+        .collect();
+    let mut store = CacheStore::new(sizes.iter().sum(), 500_000);
+    for (i, &size) in sizes.iter().enumerate() {
+        store.insert(
+            ObjectMeta {
+                key: UrlHash::of(&format!("http://bench-evict/testbed/{i}")),
+                app: AppId::new((i % 30) as u32),
+                size,
+                priority: if rng.chance(0.4) {
+                    Priority::HIGH
+                } else {
+                    Priority::LOW
+                },
+                expires_at: SimTime::from_secs(rng.uniform_u64(120, 3_600)),
+                fetch_latency: SimDuration::from_millis(rng.uniform_u64(5, 95)),
+            },
+            SimTime::ZERO,
+        );
+    }
+    store
+}
+
+fn incoming(size: u64) -> ObjectMeta {
     ObjectMeta {
         key: UrlHash::of("http://bench-evict/incoming"),
         app: AppId::new(3),
-        size: INCOMING_SIZE,
+        size,
         priority: Priority::HIGH,
         expires_at: SimTime::from_secs(1_800),
         fetch_latency: SimDuration::from_millis(35),
@@ -142,9 +183,8 @@ fn median_ns<V>(mut select: impl FnMut() -> V) -> u64 {
     samples[ITERS / 2]
 }
 
-fn run_pacm_cell(objects: usize, fairness: bool, seed: u64) -> Cell {
-    let store = build_store(objects, seed);
-    let probe = incoming();
+fn run_pacm_cell(store: &CacheStore, probe: &ObjectMeta, fairness: bool) -> Cell {
+    let objects = store.len();
     let now = SimTime::from_secs(NOW_SECS);
 
     let mut policy = PacmPolicy::new(PacmConfig::default());
@@ -156,7 +196,7 @@ fn run_pacm_cell(objects: usize, fairness: bool, seed: u64) -> Cell {
 
     // The property suite proves equivalence in general; this pins the
     // decision on the store whose cost is about to be reported.
-    let victims = policy.select_victims(&store, &probe, now);
+    let victims = policy.select_victims(store, probe, now);
     if objects <= ORACLE_MAX_OBJECTS {
         let mut oracle = ReferencePacm::new(PacmConfig::default());
         if !fairness {
@@ -166,21 +206,21 @@ fn run_pacm_cell(objects: usize, fairness: bool, seed: u64) -> Cell {
         oracle.roll_window(SimTime::from_secs(60));
         assert_eq!(
             victims,
-            oracle.select_victims(&store, &probe, now),
+            oracle.select_victims(store, probe, now),
             "optimized engine diverged from the seed on the benched store"
         );
     } else {
-        assert_feasible(&policy, &store, &probe, &victims, fairness);
+        assert_feasible(&policy, store, probe, &victims, fairness);
     }
     // The policy's first decision: its cumulative counters are this call's.
     let solver = policy.stats();
 
     // Warm-up: grows the workspace to its steady-state footprint.
     for _ in 0..2 {
-        std::hint::black_box(policy.select_victims(&store, &probe, now));
+        std::hint::black_box(policy.select_victims(store, probe, now));
     }
     let allocs_before = policy.workspace_allocations();
-    let median_ns = median_ns(|| policy.select_victims(&store, &probe, now));
+    let median_ns = median_ns(|| policy.select_victims(store, probe, now));
 
     Cell {
         policy: if fairness { "pacm" } else { "pacm-nofair" },
@@ -235,15 +275,14 @@ fn assert_feasible(
     }
 }
 
-fn run_lru_cell(objects: usize, seed: u64) -> Cell {
-    let store = build_store(objects, seed);
-    let probe = incoming();
+fn run_lru_cell(store: &CacheStore, probe: &ObjectMeta) -> Cell {
+    let objects = store.len();
     let now = SimTime::from_secs(NOW_SECS);
     let mut policy = LruPolicy::new();
 
-    let victims = policy.select_victims(&store, &probe, now);
+    let victims = policy.select_victims(store, probe, now);
     for _ in 0..2 {
-        std::hint::black_box(policy.select_victims(&store, &probe, now));
+        std::hint::black_box(policy.select_victims(store, probe, now));
     }
     Cell {
         policy: "lru",
@@ -252,16 +291,23 @@ fn run_lru_cell(objects: usize, seed: u64) -> Cell {
         victims: victims.len(),
         workspace_allocations: None,
         solver: None,
-        median_ns: median_ns(|| policy.select_victims(&store, &probe, now)),
+        median_ns: median_ns(|| policy.select_victims(store, probe, now)),
     }
 }
 
 fn sweep(seed: u64) -> Vec<Cell> {
     let mut cells = Vec::new();
+    let testbed = build_testbed_store(seed);
+    cells.push(run_pacm_cell(
+        &testbed,
+        &incoming(TESTBED_INCOMING_SIZE),
+        true,
+    ));
     for &objects in &SWEEP_OBJECTS {
-        cells.push(run_pacm_cell(objects, true, seed));
-        cells.push(run_pacm_cell(objects, false, seed));
-        cells.push(run_lru_cell(objects, seed));
+        let (store, probe) = (build_store(objects, seed), incoming(INCOMING_SIZE));
+        cells.push(run_pacm_cell(&store, &probe, true));
+        cells.push(run_pacm_cell(&store, &probe, false));
+        cells.push(run_lru_cell(&store, &probe));
     }
     cells
 }

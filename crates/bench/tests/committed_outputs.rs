@@ -251,7 +251,11 @@ fn bench_evict_decisions_match_committed_file() {
         .filter_map(|line| line.split_once(", \"median_ns\""))
         .map(|(seeded, _)| seeded)
         .collect();
-    assert_eq!(cells.len(), 12, "4 store sizes x 3 policies");
+    assert_eq!(
+        cells.len(),
+        13,
+        "the testbed-shaped PACM cell, then 4 store sizes x 3 policies"
+    );
     assert_eq!(
         committed.matches("\"median_ns\"").count(),
         cells.len(),

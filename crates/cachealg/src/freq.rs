@@ -94,6 +94,12 @@ impl FrequencyTracker {
         self.rates.get(&app).copied().unwrap_or(0.0)
     }
 
+    /// Every tracked `(app, R(a))`, by app id; an app absent here has
+    /// rate zero.
+    pub fn rates(&self) -> impl Iterator<Item = (AppId, f64)> + '_ {
+        self.rates.iter().map(|(&app, &rate)| (app, rate))
+    }
+
     /// Time of the last roll.
     pub fn last_roll(&self) -> SimTime {
         self.last_roll

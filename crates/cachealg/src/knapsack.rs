@@ -49,8 +49,18 @@ pub struct Solved {
 /// buffers follow the item count.
 #[derive(Debug, Default)]
 pub struct KnapsackWorkspace {
-    /// Density keys of the search items; `[..order.len()]` is sorted.
+    /// Sort keys of the search items, in item order: each density's bits
+    /// above the item's index.
     keys: Vec<u128>,
+    /// The same keys grouped by bucket ([`Self::bucket_keys`]), each
+    /// bucket unsorted until the search reaches it; `[..order.len()]` is
+    /// sorted.
+    bucketed: Vec<u128>,
+    /// Bucket `b` ends at `bucketed[ends[b]]`, and starts where `b − 1`
+    /// ends.
+    ends: Vec<u32>,
+    /// The first bucket not yet sorted into `order`.
+    next_bucket: usize,
     /// The search items of the sorted keys, cheapest density first.
     order: Vec<Dense>,
     /// Prefix sums over `order`: exact units, and values.
@@ -68,7 +78,10 @@ pub struct KnapsackWorkspace {
     next: Vec<f64>,
     /// Choice matrix: `overflow + 1` cells per item, one byte each.
     choice: Vec<u8>,
-    /// Rounded item weights (units).
+    /// The loaded instance: the table's capacity in units, item values
+    /// and weights rounded up to units.
+    table: usize,
+    values: Vec<f64>,
     weights: Vec<usize>,
     /// Per-item band `[lower_i, prefix_i]` in absolute capacity units.
     bands: Vec<(usize, usize)>,
@@ -111,6 +124,31 @@ impl KnapsackWorkspace {
         if buf.capacity() < len {
             *grown += 1;
             buf.reserve(len);
+        }
+    }
+
+    /// Starts loading an instance of at most `len` items into a table of
+    /// `units` capacity units.
+    pub(crate) fn clear_items(&mut self, len: usize, units: usize) {
+        Self::reserve(&mut self.values, len, &mut self.grown);
+        Self::reserve(&mut self.weights, len, &mut self.grown);
+        self.table = units;
+    }
+
+    /// Appends an item of `units` capacity units to the loaded instance.
+    /// The caller keeps [`check_inputs`]' contract: `value` is finite and
+    /// non-negative.
+    pub(crate) fn push_item(&mut self, value: f64, units: usize) {
+        self.values.push(value);
+        self.weights.push(units);
+    }
+
+    /// Checks `items` and loads them, weights rounded up to units.
+    fn load(&mut self, items: &[KnapsackItem], capacity: u64, granularity: u64) {
+        check_inputs(items, granularity);
+        self.clear_items(items.len(), (capacity / granularity) as usize);
+        for item in items {
+            self.push_item(item.value, item.weight.div_ceil(granularity) as usize);
         }
     }
 }
@@ -160,25 +198,23 @@ pub fn solve_exact_in(
     capacity: u64,
     granularity: u64,
 ) -> (f64, u64) {
-    check_inputs(items, granularity);
-    let units = (capacity / granularity) as usize;
-    let n = items.len();
+    ws.load(items, capacity, granularity);
+    dp(ws);
+    totals(items, &ws.keep)
+}
 
-    // Rounded weights and the total of the items that can enter the DP at
-    // all (the seed skips weights beyond the whole table, so they carry no
-    // suffix weight either).
-    let grown = &mut ws.grown;
-    KnapsackWorkspace::ensure(&mut ws.weights, n, grown);
-    let mut total = 0usize;
-    for (wi, item) in ws.weights.iter_mut().zip(items) {
-        *wi = item.weight.div_ceil(granularity) as usize;
-        if *wi <= units {
-            total += *wi;
-        }
-    }
+/// [`solve_exact_in`] on the loaded instance.
+fn dp(ws: &mut KnapsackWorkspace) {
+    let (n, units) = (ws.values.len(), ws.table);
+
+    // The total of the items that can enter the DP at all (the seed skips
+    // weights beyond the whole table, so they carry no suffix weight
+    // either).
+    let total: usize = ws.weights.iter().filter(|&&wi| wi <= units).sum();
     let target = units.min(total);
     let width = total - target + 1;
 
+    let grown = &mut ws.grown;
     KnapsackWorkspace::ensure(&mut ws.prev, width, grown);
     KnapsackWorkspace::ensure(&mut ws.next, width, grown);
     KnapsackWorkspace::ensure(&mut ws.choice, n * width, grown);
@@ -191,8 +227,7 @@ pub fn solve_exact_in(
     ws.prev[0] = 0.0;
     let (mut lower, mut prefix) = (0usize, 0usize);
     let mut remaining = total;
-    for (i, item) in items.iter().enumerate() {
-        let wi = ws.weights[i];
+    for (i, (&wi, &v)) in ws.weights.iter().zip(&ws.values).enumerate() {
         if wi > units {
             continue;
         }
@@ -218,7 +253,6 @@ pub fn solve_exact_in(
         next[copied..k].fill(plateau);
         choice[..k].fill(0);
         let both = k.max(inside);
-        let v = item.value;
         for (((cell, c), &below), &old) in next[k..both]
             .iter_mut()
             .zip(&mut choice[k..both])
@@ -258,8 +292,6 @@ pub fn solve_exact_in(
             w = wc - wi;
         }
     }
-
-    totals(items, &ws.keep)
 }
 
 /// Nodes the cover search of [`solve_in`] visits at most before it
@@ -281,8 +313,9 @@ const MAX_CERTIFIED_ITEMS: usize = 1_000_000;
 /// behind δ is not taken to hold.
 const MIN_CERTIFIED_TOTAL: f64 = 1e-250;
 
-/// First sorted chunk of the density order; each extension doubles it.
-const FIRST_CHUNK: usize = 16;
+/// Fewest keys, in whole buckets, that one extension of the sorted cheap
+/// end adds.
+const MIN_EXTEND: usize = 8;
 
 /// A search item in density order: positive value, positive weight,
 /// inside the table.
@@ -292,12 +325,6 @@ struct Dense {
     units: usize,
     /// Position in the caller's item slice.
     index: u32,
-}
-
-/// Sort key of a search item: its density's bits above its index.
-/// Densities are positive, so their bits order as the values do.
-fn density_key(value: f64, units: usize, index: usize) -> u128 {
-    (u128::from((value / units as f64).to_bits()) << 32) | index as u128
 }
 
 /// A search node: the items before `next` in density order are decided,
@@ -311,6 +338,8 @@ struct Node {
     depth: u32,
     /// The density position this node evicted, on an eviction branch.
     evicted: Option<u32>,
+    /// No break item lies before this position: the parent's break.
+    from: u32,
 }
 
 /// Why the cover search left an instance to the DP.
@@ -336,7 +365,8 @@ enum Decline {
 /// every other item is kept unless it is in the cover, the cheapest set
 /// of positive-weight items whose rounded weights reach the overflow
 /// `Σ w − units`. A branch-and-bound finds that cover: items in ascending
-/// value density (the cheap end selected and sorted on demand), an
+/// value density (bucketed by density, each bucket sorted when the
+/// search first reaches it), an
 /// explicit stack, eviction branch first, and the fractional (LP) fill of
 /// the remaining need as the lower bound, at most 16 384 nodes.
 ///
@@ -361,12 +391,9 @@ pub fn solve_in(
     capacity: u64,
     granularity: u64,
 ) -> Solved {
-    let certified = certify(ws, items, capacity, granularity).is_ok();
-    let (total_value, total_weight) = if certified {
-        totals(items, &ws.keep)
-    } else {
-        solve_exact_in(ws, items, capacity, granularity)
-    };
+    ws.load(items, capacity, granularity);
+    let certified = solve_loaded(ws);
+    let (total_value, total_weight) = totals(items, &ws.keep);
     Solved {
         total_value,
         total_weight,
@@ -374,41 +401,50 @@ pub fn solve_in(
     }
 }
 
+/// [`solve_in`] on the loaded instance: leaves the DP's keep flags in
+/// `ws.keep` and returns whether the search decided.
+pub(crate) fn solve_loaded(ws: &mut KnapsackWorkspace) -> bool {
+    let certified = certify(ws).is_ok();
+    if !certified {
+        dp(ws);
+    }
+    certified
+}
+
 /// Leaves the DP's keep flags in `ws.keep` if the cheapest cover is
 /// certified unique (see [`solve_in`]).
-fn certify(
-    ws: &mut KnapsackWorkspace,
-    items: &[KnapsackItem],
-    capacity: u64,
-    granularity: u64,
-) -> Result<(), Decline> {
-    check_inputs(items, granularity);
-    let n = items.len();
+fn certify(ws: &mut KnapsackWorkspace) -> Result<(), Decline> {
+    let (n, units) = (ws.values.len(), ws.table);
     if n >= MAX_CERTIFIED_ITEMS {
         return Err(Decline::OutOfRange);
     }
-    let units = (capacity / granularity) as usize;
     let grown = &mut ws.grown;
     KnapsackWorkspace::ensure(&mut ws.keep, n, grown);
-    KnapsackWorkspace::ensure(&mut ws.weights, n, grown);
     ws.keep.truncate(n);
     KnapsackWorkspace::reserve(&mut ws.keys, n, grown);
-    let (mut total, mut positive_units) = (0.0f64, 0usize);
-    for (i, ((item, keep), w)) in items
-        .iter()
-        .zip(&mut ws.keep)
-        .zip(&mut ws.weights)
+    let (mut total, mut positive_units, mut least) = (0.0f64, 0usize, f64::INFINITY);
+    let (mut lo, mut hi) = (u64::MAX, 0);
+    for (i, ((keep, &value), &w)) in ws
+        .keep
+        .iter_mut()
+        .zip(&ws.values)
+        .zip(&ws.weights)
         .enumerate()
     {
-        *w = item.weight.div_ceil(granularity) as usize;
-        *keep = *w <= units && item.value > 0.0;
+        *keep = w <= units && value > 0.0;
         if !*keep {
             continue;
         }
-        total += item.value;
-        positive_units += *w;
-        if *w > 0 {
-            ws.keys.push(density_key(item.value, *w, i));
+        total += value;
+        positive_units += w;
+        if value < least {
+            least = value;
+        }
+        if w > 0 {
+            // Densities are positive, so their bits order as they do.
+            let bits = (value / w as f64).to_bits();
+            (lo, hi) = (lo.min(bits), hi.max(bits));
+            ws.keys.push(u128::from(bits) << 32 | i as u128);
         }
     }
     if !(2.0 * total).is_finite() || (total > 0.0 && total < MIN_CERTIFIED_TOTAL) {
@@ -417,17 +453,21 @@ fn certify(
     let delta = MARGIN_ULPS * (n + 1) as f64 * (f64::EPSILON / 2.0) * total;
     let need = positive_units.saturating_sub(units);
     if need > 0 {
-        search(ws, items, need, delta)?;
+        ws.bucket_keys(lo, hi);
+        search(ws, need, delta)?;
         for &p in &ws.cover {
             ws.keep[ws.order[p as usize].index as usize] = false;
         }
     }
     // Supersets of the cover are not leaves of the search; each evicts
-    // one kept item more.
-    if items
-        .iter()
-        .zip(&ws.keep)
-        .any(|(it, &k)| k && it.value <= delta)
+    // one kept item more. `least` is the cheapest item kept before the
+    // cover was taken out.
+    if least <= delta
+        && ws
+            .values
+            .iter()
+            .zip(&ws.keep)
+            .any(|(&v, &k)| k && v <= delta)
     {
         return Err(Decline::CheapKept);
     }
@@ -437,12 +477,7 @@ fn certify(
 /// Branch-and-bound for the cheapest cover of `need` units over the
 /// search items, left in `ws.cover` as density positions; `Ok` only if
 /// every other cover costs more than `cover + delta`.
-fn search(
-    ws: &mut KnapsackWorkspace,
-    items: &[KnapsackItem],
-    need: usize,
-    delta: f64,
-) -> Result<(), Decline> {
+fn search(ws: &mut KnapsackWorkspace, need: usize, delta: f64) -> Result<(), Decline> {
     let m = ws.keys.len();
     let grown = &mut ws.grown;
     KnapsackWorkspace::reserve(&mut ws.order, m, grown);
@@ -460,6 +495,7 @@ fn search(
         cost: 0.0,
         depth: 0,
         evicted: None,
+        from: 0,
     });
     let (mut best, mut second) = (f64::INFINITY, f64::INFINITY);
     let mut nodes = 0;
@@ -472,7 +508,7 @@ fn search(
             .truncate(node.depth as usize - usize::from(node.evicted.is_some()));
         ws.path.extend(node.evicted);
         let k = node.next as usize;
-        let Some(brk) = ws.break_point(items, k, node.need) else {
+        let Some(brk) = ws.break_point(k, node.need, node.from as usize) else {
             continue; // the items left cannot cover the need
         };
         let whole = ws.prefix_units[brk] - ws.prefix_units[k];
@@ -484,9 +520,12 @@ fn search(
             continue;
         }
         let item = ws.order[k];
+        // A child's need reaches at least as far as its parent's: the
+        // eviction child's break is `brk` itself, the other's lies beyond.
         ws.stack.push(Node {
             next: node.next + 1,
             evicted: None,
+            from: brk as u32,
             ..node
         });
         let cost = node.cost + item.value;
@@ -497,6 +536,7 @@ fn search(
                 cost,
                 depth: node.depth + 1,
                 evicted: Some(node.next),
+                from: brk as u32,
             });
         } else if cost < best {
             (best, second) = (cost, best);
@@ -518,33 +558,82 @@ impl KnapsackWorkspace {
     /// The LP's break item from density position `k`: the first `b ≥ k`
     /// with `order[k..=b]` reaching `need` units, sorting more of the
     /// cheap end as needed. `None` if all of `order[k..]` falls short.
-    fn break_point(&mut self, items: &[KnapsackItem], k: usize, need: usize) -> Option<usize> {
+    /// The caller vouches that no break lies before `from`; the scan
+    /// starts there.
+    fn break_point(&mut self, k: usize, need: usize, from: usize) -> Option<usize> {
         let target = self.prefix_units[k] + need;
-        while self.prefix_units[self.order.len()] < target {
-            if self.order.len() == self.keys.len() {
-                return None;
+        let mut b = from.max(k);
+        loop {
+            while b >= self.order.len() {
+                if self.order.len() == self.keys.len() {
+                    return None;
+                }
+                self.sort_more();
             }
-            self.sort_more(items);
+            if self.prefix_units[b + 1] >= target {
+                return Some(b);
+            }
+            b += 1;
         }
-        let reach = &self.prefix_units[k + 1..];
-        Some(k + reach.partition_point(|&u| u < target))
     }
 
-    /// Extends the sorted cheap end by as many items as it holds (at
-    /// least [`FIRST_CHUNK`]): a selection over the unsorted keys, then a
-    /// sort of the selected chunk only.
-    fn sort_more(&mut self, items: &[KnapsackItem]) {
-        let sorted = self.order.len();
-        let rest = &mut self.keys[sorted..];
-        let chunk = sorted.max(FIRST_CHUNK).min(rest.len());
-        if chunk < rest.len() {
-            rest.select_nth_unstable(chunk);
+    /// Groups the keys by the high bits of their density, by a counting
+    /// sort: a key's bucket is its density's bits less the smallest
+    /// density's, shifted right so that there are at most as many buckets
+    /// as keys. Densities are positive, so their bits order as they do:
+    /// every key of a bucket is below every key of a later bucket, and
+    /// sorting the buckets one at a time yields the keys in order.
+    /// `lo` and `hi` are the least and greatest density's bits.
+    fn bucket_keys(&mut self, lo: u64, hi: u64) {
+        let m = self.keys.len();
+        self.next_bucket = 0;
+        if m == 0 {
+            self.ends.clear();
+            return;
         }
-        rest[..chunk].sort_unstable();
-        for &key in &rest[..chunk] {
+        let bits = |key: u128| (key >> 32) as u64;
+        // `hi − lo < 2^width`, so shifting by `width − p` leaves it below
+        // `2^p ≤ m` buckets.
+        let p = usize::BITS - 1 - m.leading_zeros();
+        let width = u64::BITS - (hi - lo).leading_zeros();
+        let shift = width.saturating_sub(p);
+        let bucket = |key: u128| ((bits(key) - lo) >> shift) as usize;
+        let buckets = 1 << p;
+        let grown = &mut self.grown;
+        Self::ensure(&mut self.ends, buckets, grown);
+        Self::ensure(&mut self.bucketed, m, grown);
+        let ends = &mut self.ends[..buckets];
+        ends.fill(0);
+        for &key in &self.keys {
+            ends[bucket(key)] += 1;
+        }
+        let mut start = 0;
+        for end in ends.iter_mut() {
+            (*end, start) = (start, start + *end);
+        }
+        // Each bucket's cursor runs from its start to its end.
+        for &key in &self.keys {
+            let at = &mut ends[bucket(key)];
+            self.bucketed[*at as usize] = key;
+            *at += 1;
+        }
+        self.ends.truncate(buckets);
+    }
+
+    /// Extends the sorted cheap end by whole buckets, at least
+    /// [`MIN_EXTEND`] keys unless fewer are left, sorting only those.
+    fn sort_more(&mut self) {
+        let from = self.order.len();
+        let mut to = from;
+        while to < from + MIN_EXTEND && self.next_bucket < self.ends.len() {
+            to = self.ends[self.next_bucket] as usize;
+            self.next_bucket += 1;
+        }
+        self.bucketed[from..to].sort_unstable();
+        for &key in &self.bucketed[from..to] {
             let index = key as u32;
             let d = Dense {
-                value: items[index as usize].value,
+                value: self.values[index as usize],
                 units: self.weights[index as usize],
                 index,
             };
@@ -1058,11 +1147,8 @@ mod tests {
             case,
         );
         assert!(!certified, "{case}: solve_in reported a certified answer");
-        assert_eq!(
-            certify(&mut ws, items, capacity, 1),
-            Err(reason),
-            "{case}: decline reason"
-        );
+        ws.load(items, capacity, 1);
+        assert_eq!(certify(&mut ws), Err(reason), "{case}: decline reason");
     }
 
     #[test]

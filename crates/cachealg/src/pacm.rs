@@ -20,7 +20,9 @@
 //! `select_victims` is the simulator's hottest path, so this implementation
 //! is built around a reusable [`KnapsackWorkspace`] and a set of *exact*
 //! pre-solver reductions (see `DESIGN.md` §"PACM hot path" for the
-//! exactness argument):
+//! exactness argument). One walk over the store computes every object's
+//! utility and rounded units and loads the survivors straight into the
+//! workspace:
 //!
 //! * objects with zero utility (expired, zero TTL/latency) or whose rounded
 //!   weight exceeds the knapsack capacity are forced victims — the seed DP
@@ -29,10 +31,10 @@
 //!   keep-everything solution attains the utility upper bound, so the DP is
 //!   skipped (an absorption-aware scan reproduces the DP's float behavior
 //!   bit for bit);
-//! * otherwise [`solve_in`] searches for the cheapest set of survivors to
-//!   evict and keeps the rest when that set is certified unique — no other
-//!   set comes within the float-error margin δ of it, so the DP would
-//!   return the same keep flags;
+//! * otherwise the certified search of [`crate::solve_in`] looks for the
+//!   cheapest set of survivors to evict and keeps the rest when that set
+//!   is certified unique — no other set comes within the float-error
+//!   margin δ of it, so the DP would return the same keep flags;
 //! * only when the certificate fails does the DP run, on the surviving
 //!   subset, in the workspace.
 //!
@@ -41,12 +43,15 @@
 //! utility keeps its bits.
 //!
 //! The fairness repair starts from the store's per-app `(bytes, objects)`
-//! totals ([`CacheStore::app_totals`]), updates a copy of them in place,
-//! and walks one reusable list of kept objects sorted by `(app, utility,
-//! key)` — O(k log k) and allocation-free, where the seed rebuilds its
-//! per-app map every iteration (O(k² log k)). The policy keeps no view of
-//! the store between calls, so on any store, however it was filled, it
-//! picks what a fresh policy with the same frequencies picks.
+//! totals ([`CacheStore::app_totals`]) less the knapsack's victims. Its
+//! first check, which most calls pass, compares a sort-free estimate of
+//! the Gini with θ and sorts the shares only when the two are within the
+//! estimate's float-error margin or the bound is violated. From there the
+//! shares stay sorted, each check is the seed's own rank-weighted sum in
+//! O(A), the kept objects are bucketed by app once, and only the apps the
+//! repair takes from are ordered by `(utility, key)`. The policy keeps no
+//! view of the store between calls, so on any store, however it was
+//! filled, it picks what a fresh policy with the same frequencies picks.
 //!
 //! Every reduction preserves the victim set byte for byte; the
 //! `pacm_equivalence` property suite pins this against the frozen seed
@@ -56,8 +61,8 @@ use ape_dnswire::UrlHash;
 use ape_simnet::SimTime;
 
 use crate::freq::FrequencyTracker;
-use crate::gini::gini_in_place;
-use crate::knapsack::{solve_in, KnapsackItem, KnapsackWorkspace};
+use crate::gini::{gini_estimate, gini_of_sorted, sorted_gini_estimate};
+use crate::knapsack::{solve_loaded, KnapsackWorkspace};
 use crate::object::{AppId, ObjectMeta};
 use crate::policy::EvictionPolicy;
 use crate::store::CacheStore;
@@ -69,9 +74,9 @@ pub const ALPHA: f64 = 0.7;
 /// never-measured apps neither zero out nor blow up the formulas.
 pub const MIN_RATE: f64 = 0.05;
 
-/// App ids below this get a dense per-call rate table; a store holding a
-/// larger id reads every rate from the tracker instead.
-const DENSE_RATE_IDS: u32 = 1 << 16;
+/// App ids below this get a dense id-to-slot table; a store holding a
+/// larger id finds each object's app by binary search instead.
+const DENSE_APP_IDS: u32 = 1 << 16;
 
 /// Tuning knobs for PACM, defaulting to the paper's settings. The
 /// calibration nobody varies is [`ALPHA`] and [`MIN_RATE`].
@@ -106,7 +111,8 @@ pub struct EvictStats {
     pub solver_runs: u64,
     /// Cached objects examined across all invocations.
     pub items_considered: u64,
-    /// Invocations decided by the certified cover search ([`solve_in`]).
+    /// Invocations decided by the certified cover search
+    /// ([`crate::solve_in`]).
     pub certified: u64,
     /// Invocations the band DP decided: the search was not certified.
     pub dp_runs: u64,
@@ -123,19 +129,30 @@ pub struct EvictStats {
 #[derive(Debug, Clone, Copy)]
 struct Candidate {
     key: UrlHash,
-    app: AppId,
     size: u64,
     utility: f64,
+    /// The object's app, as its position in `PacmPolicy::apps`.
+    slot: u32,
+    /// Loaded into the solver: not a forced victim.
+    survives: bool,
+    kept: bool,
 }
 
-/// One app's share of the kept set during the fairness repair.
+/// One app the store holds, during a call.
 #[derive(Debug, Clone, Copy)]
-struct KeptApp {
+struct AppSlot {
     app: AppId,
+    /// `max(R(a), MIN_RATE)`.
+    rate: f64,
+    /// Kept bytes and objects: the store's totals less the victims so far.
     bytes: u64,
     objects: u32,
-    /// Position in `PacmPolicy::kept_order` of the app's next victim.
-    cursor: usize,
+    /// Storage efficiency `C_a = bytes / rate`, kept current by the repair.
+    share: f64,
+    /// Position in `PacmPolicy::kept` of the app's next repair victim.
+    next: u32,
+    /// Whether the app's run of `kept` is sorted by `(utility, key)`.
+    ordered: bool,
 }
 
 /// The PACM eviction policy.
@@ -157,18 +174,22 @@ pub struct PacmPolicy {
     fairness_enabled: bool,
     /// Reusable solver scratch (search and DP).
     workspace: KnapsackWorkspace,
-    /// Clamped `R(a)` by raw app id for the store's apps, read once per
-    /// call; NaN for ids the store holds nothing of.
-    rates: Vec<f64>,
+    /// The store's apps by id, rebuilt every call.
+    apps: Vec<AppSlot>,
+    /// Slot in `apps` by raw app id while every id is below
+    /// [`DENSE_APP_IDS`]; cells of apps the store lacks are stale.
+    slot_of: Vec<u32>,
     /// Reusable per-call buffers.
     candidates: Vec<Candidate>,
-    items: Vec<KnapsackItem>,
-    keep: Vec<bool>,
-    survivors: Vec<(u32, usize)>,
-    kept_apps: Vec<KeptApp>,
+    /// Storage efficiency of the apps with kept objects, in app order.
     shares: Vec<f64>,
-    /// Kept objects sorted by `(app, utility, key)`, built once per repair.
-    kept_order: Vec<Candidate>,
+    /// The slots of the apps with kept objects by ascending share, then
+    /// ascending slot, and their shares in that order.
+    ranked: Vec<u32>,
+    ranked_shares: Vec<f64>,
+    /// Kept candidates bucketed by app, built once per repair: each its
+    /// utility's bits above its index in `candidates`.
+    kept: Vec<u128>,
     stats: EvictStats,
 }
 
@@ -177,22 +198,23 @@ impl PacmPolicy {
     ///
     /// # Panics
     ///
-    /// Panics if the config's `fairness_theta` is negative.
+    /// Panics if the config's `fairness_theta` is negative or its
+    /// `granularity` is zero.
     pub fn new(config: PacmConfig) -> Self {
         assert!(config.fairness_theta >= 0.0, "theta must be non-negative");
+        assert!(config.granularity > 0, "granularity must be positive");
         PacmPolicy {
             freq: FrequencyTracker::new(ALPHA),
             config,
             fairness_enabled: true,
             workspace: KnapsackWorkspace::new(),
-            rates: Vec::new(),
+            apps: Vec::new(),
+            slot_of: Vec::new(),
             candidates: Vec::new(),
-            items: Vec::new(),
-            keep: Vec::new(),
-            survivors: Vec::new(),
-            kept_apps: Vec::new(),
             shares: Vec::new(),
-            kept_order: Vec::new(),
+            ranked: Vec::new(),
+            ranked_shares: Vec::new(),
+            kept: Vec::new(),
             stats: EvictStats::default(),
         }
     }
@@ -226,126 +248,194 @@ impl PacmPolicy {
 
     /// Utility `U_d` of an object at `now` under current frequencies.
     pub fn utility(&self, meta: &ObjectMeta, now: SimTime) -> f64 {
-        utility_at(self.clamped_rate(meta.app), meta, now)
+        utility_at(self.freq.rate(meta.app).max(MIN_RATE), meta, now)
     }
 
-    /// `max(R(a), MIN_RATE)`: the rate floor shared by utilities and
-    /// storage efficiency.
-    fn clamped_rate(&self, app: AppId) -> f64 {
-        self.freq.rate(app).max(MIN_RATE)
+    /// Rebuilds `apps` from the store's per-app totals, reading each
+    /// clamped rate once by a merge with the tracker's rates (both go by
+    /// app id), and returns whether `slot_of` indexes them.
+    fn load_apps(&mut self, store: &CacheStore) -> bool {
+        self.apps.clear();
+        let mut rates = self.freq.rates().peekable();
+        for (&app, &(bytes, objects)) in store.app_totals() {
+            while rates.next_if(|&(a, _)| a < app).is_some() {}
+            let rate = rates.next_if(|&(a, _)| a == app).map_or(0.0, |(_, r)| r);
+            self.apps.push(AppSlot {
+                app,
+                rate: rate.max(MIN_RATE),
+                bytes,
+                objects,
+                share: 0.0,
+                next: 0,
+                ordered: false,
+            });
+        }
+        let Some(last) = self.apps.last() else {
+            return false;
+        };
+        if last.app.get() >= DENSE_APP_IDS {
+            return false;
+        }
+        let len = last.app.get() as usize + 1;
+        if self.slot_of.len() < len {
+            self.slot_of.resize(len, 0);
+        }
+        for (slot, a) in self.apps.iter().enumerate() {
+            self.slot_of[a.app.get() as usize] = slot as u32;
+        }
+        true
     }
 
-    /// The clamped rate of `app` from this call's `rates` table.
-    fn call_rate(&self, app: AppId) -> f64 {
-        match self.rates.get(app.get() as usize) {
-            Some(&rate) if !rate.is_nan() => rate,
-            _ => self.clamped_rate(app),
+    /// The Gini of the kept set's storage efficiency, bit for bit what
+    /// [`crate::gini::gini_in_place`] returns on the shares in app order:
+    /// the same total, summed in app order, and the same rank-weighted sum
+    /// over the same ascending values.
+    fn kept_gini(&self) -> f64 {
+        if self.ranked.len() <= 1 {
+            return 0.0;
+        }
+        let total: f64 = self
+            .apps
+            .iter()
+            .filter(|a| a.objects > 0)
+            .map(|a| a.share)
+            .sum();
+        if total <= 0.0 {
+            return 0.0;
+        }
+        gini_of_sorted(self.ranked_shares.iter().copied(), total)
+    }
+
+    /// Buckets the kept candidates by app: a counting sort on the slot.
+    /// Leaves each app's `next` at its bucket.
+    fn bucket_kept(&mut self) {
+        let mut start = 0;
+        for a in &mut self.apps {
+            a.next = start;
+            start += a.objects;
+        }
+        self.kept.clear();
+        self.kept.resize(start as usize, 0);
+        for (i, c) in self.candidates.iter().enumerate() {
+            if c.kept {
+                let a = &mut self.apps[c.slot as usize];
+                self.kept[a.next as usize] = u128::from(c.utility.to_bits()) << 32 | i as u128;
+                a.next += 1;
+            }
+        }
+        for a in &mut self.apps {
+            a.next -= a.objects;
         }
     }
 
     /// Fairness repair over the kept set, appending victims in place.
     ///
-    /// Reproduces the seed loop decision for decision: per iteration,
-    /// recompute the Gini of per-app storage efficiency, pick the most
-    /// over-served app (last among equals, as `Iterator::max_by`), and
-    /// evict its `(utility, key)`-minimal kept object — found by a cursor
-    /// over a list sorted once, where the seed rescans.
-    fn repair(&mut self, store: &CacheStore, victims: &mut Vec<UrlHash>) {
-        // Kept per-app (bytes, objects): the store's totals minus the
-        // victims chosen so far. Byte sums are exact u64s; the seed's f64
-        // accumulation is integer-exact in the same range (< 2^53).
-        self.kept_apps.clear();
-        for (&app, &(bytes, objects)) in store.app_totals() {
-            self.kept_apps.push(KeptApp {
-                app,
-                bytes,
-                objects,
-                cursor: 0,
-            });
-        }
-        for (c, &kept) in self.candidates.iter().zip(&self.keep) {
-            if kept {
-                continue;
-            }
-            let slot = self
-                .kept_apps
-                .binary_search_by_key(&c.app, |a| a.app)
-                .expect("the store totals every cached app");
-            self.kept_apps[slot].bytes -= c.size;
-            self.kept_apps[slot].objects -= 1;
-        }
+    /// Reproduces the seed loop decision for decision: while the Gini of
+    /// per-app storage efficiency exceeds θ, take the most over-served app
+    /// (last among equals, as `Iterator::max_by`) and evict its
+    /// `(utility, key)`-minimal kept object. The seed rebuilds its per-app
+    /// map and sorts the shares on every check. Here the first check is
+    /// the sort-free [`gini_estimate`]. After it the shares stay in
+    /// `ranked`, so each later check is the O(A) [`sorted_gini_estimate`],
+    /// the worst app is the last entry, and a step moves that entry alone,
+    /// by insertion. Within either estimate's margin of θ the exact
+    /// [`Self::kept_gini`] decides. The kept objects are bucketed by app
+    /// at the first violation, and an app's bucket is ordered when the
+    /// repair first takes from it.
+    fn repair(&mut self, victims: &mut Vec<UrlHash>) {
+        // Byte sums are exact u64s; the seed's f64 accumulation is
+        // integer-exact in the same range.
         debug_assert!(
-            self.kept_apps.iter().all(|a| a.bytes < (1u64 << 53)),
+            self.apps.iter().all(|a| a.bytes < (1u64 << 53)),
             "per-app byte totals must stay f64-integer-exact"
         );
+        let theta = self.config.fairness_theta;
+        self.shares.clear();
+        for a in self.apps.iter_mut().filter(|a| a.objects > 0) {
+            a.share = a.bytes as f64 / a.rate;
+            self.shares.push(a.share);
+        }
+        let total: f64 = self.shares.iter().sum();
+        // One app, or no bytes: the Gini is 0, within any θ.
+        if self.shares.len() <= 1 || total <= 0.0 {
+            return;
+        }
+        // The first check, which most calls pass, needs no sort unless
+        // the Gini is within float error of θ.
+        let (estimate, margin) = gini_estimate(&self.shares, total);
+        let clear = (estimate - theta).abs() > margin;
+        if clear && estimate <= theta {
+            return;
+        }
 
-        let mut indexed = false;
+        // Shares are finite and never `-0.0`, so `total_cmp` is the
+        // seed's `partial_cmp`.
+        let apps = &self.apps;
+        self.ranked.clear();
+        self.ranked
+            .extend((0..apps.len() as u32).filter(|&slot| apps[slot as usize].objects > 0));
+        self.ranked.sort_unstable_by(|&x, &y| {
+            (apps[x as usize].share.total_cmp(&apps[y as usize].share)).then(x.cmp(&y))
+        });
+        self.ranked_shares.clear();
+        self.ranked_shares
+            .extend(self.ranked.iter().map(|&slot| apps[slot as usize].share));
+        // Evict only while F(A) > θ, like the seed's `while`; Gini is
+        // always finite in [0, 1] so `<=` is its exact negation.
+        if !clear && self.kept_gini() <= theta {
+            return;
+        }
+        self.bucket_kept();
         loop {
-            // Shares in ascending-app order over apps with kept objects —
-            // the exact sequence the seed feeds to `gini`.
-            self.shares.clear();
-            for a in &self.kept_apps {
-                if a.objects > 0 {
-                    self.shares.push(a.bytes as f64 / self.call_rate(a.app));
-                }
-            }
-            // Loop only while F(A) > θ, like the seed's `while`; Gini is
-            // always finite in [0, 1] so `<=` is its exact negation.
-            if gini_in_place(&mut self.shares) <= self.config.fairness_theta {
+            if self.ranked.len() <= 1 {
                 break;
             }
-            if self.kept_apps.iter().filter(|a| a.objects > 0).count() <= 1 {
-                break;
+            let worst = self.ranked.pop().expect("two or more apps");
+            self.ranked_shares.pop();
+            let a = &mut self.apps[worst as usize];
+            let run = &mut self.kept[a.next as usize..][..a.objects as usize];
+            if !a.ordered {
+                // The seed's `(utility, key)` order: kept utilities are
+                // positive, so their bits order as they do, and candidates
+                // are in key order.
+                run.sort_unstable();
+                a.ordered = true;
             }
-
-            // Most over-served app, last among equal maxima: the seed's own
-            // `max_by`, over the same ascending-app sequence.
-            let worst = self
-                .kept_apps
-                .iter()
-                .enumerate()
-                .filter(|(_, a)| a.objects > 0)
-                .map(|(slot, a)| (slot, a.bytes as f64 / self.call_rate(a.app)))
-                .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite efficiency"))
-                .expect("non-empty per_app")
-                .0;
-
-            // Lazily sort the kept objects, once per repair. Each app's run
-            // starts where the runs of the apps before it end. `total_cmp`
-            // matches the seed's `partial_cmp` selection: utilities are
-            // finite, non-negative products (never `-0.0`), and the
-            // trailing key makes every entry unique.
-            if !indexed {
-                self.kept_order.clear();
-                self.kept_order.extend(
-                    self.candidates
-                        .iter()
-                        .zip(&self.keep)
-                        .filter(|(_, &kept)| kept)
-                        .map(|(c, _)| *c),
-                );
-                self.kept_order.sort_unstable_by(|a, b| {
-                    (a.app.cmp(&b.app))
-                        .then(a.utility.total_cmp(&b.utility))
-                        .then(a.key.cmp(&b.key))
-                });
-                let mut start = 0;
-                for a in &mut self.kept_apps {
-                    a.cursor = start;
-                    start += a.objects as usize;
-                }
-                indexed = true;
-            }
-
-            let a = &mut self.kept_apps[worst];
-            let victim = &self.kept_order[a.cursor];
-            debug_assert_eq!(victim.app, a.app, "cursor stays inside its app's run");
-            a.cursor += 1;
+            let victim = self.candidates[run[0] as u32 as usize];
+            a.next += 1;
             a.bytes -= victim.size;
             a.objects -= 1;
             victims.push(victim.key);
             self.stats.repair_evictions += 1;
+            if a.objects > 0 {
+                a.share = a.bytes as f64 / a.rate;
+                let mut at = self.ranked_shares.partition_point(|&s| s < a.share);
+                while at < self.ranked.len()
+                    && self.ranked_shares[at] == a.share
+                    && self.ranked[at] < worst
+                {
+                    at += 1;
+                }
+                self.ranked.insert(at, worst);
+                self.ranked_shares.insert(at, a.share);
+            }
+            if !self.violates(theta) {
+                break;
+            }
         }
+    }
+
+    /// Whether the Gini of `ranked` exceeds θ: decided by
+    /// [`sorted_gini_estimate`] when it is clear of θ by its margin, and
+    /// by the exact [`Self::kept_gini`] otherwise.
+    fn violates(&self, theta: f64) -> bool {
+        if self.ranked.len() >= 2 {
+            let (estimate, margin) = sorted_gini_estimate(&self.ranked_shares);
+            if (estimate - theta).abs() > margin {
+                return estimate > theta;
+            }
+        }
+        self.kept_gini() > theta
     }
 }
 
@@ -376,64 +466,59 @@ impl EvictionPolicy for PacmPolicy {
         now: SimTime,
     ) -> Vec<UrlHash> {
         self.stats.solver_runs += 1;
+        let dense = self.load_apps(store);
+        let capacity = store.capacity().saturating_sub(incoming.size);
+        let granularity = self.config.granularity;
+        let units = (capacity / granularity) as usize;
 
-        // Each app's rate once per call, for the apps the store holds.
-        let apps = store.app_totals();
-        let mut rates = std::mem::take(&mut self.rates);
-        rates.clear();
-        if let Some((&last, _)) = apps.last_key_value() {
-            if last.get() < DENSE_RATE_IDS {
-                rates.resize(last.get() as usize + 1, f64::NAN);
-                for &app in apps.keys() {
-                    rates[app.get() as usize] = self.clamped_rate(app);
-                }
-            }
-        }
-        self.rates = rates;
-
-        // Candidates in key order (the store iterates its BTreeMap).
-        let mut candidates = std::mem::take(&mut self.candidates);
+        // One walk over the store, in key order (it iterates its BTreeMap).
+        // Reduction 1: zero-utility objects (expired) and objects whose
+        // rounded weight exceeds the capacity are forced victims — the
+        // seed DP's strict-improvement rule never keeps either. The rest,
+        // the survivors, load straight into the solver's workspace.
+        let n = store.len();
+        let (apps, slot_of) = (&self.apps, &self.slot_of);
+        let (candidates, workspace) = (&mut self.candidates, &mut self.workspace);
         candidates.clear();
-        candidates.extend(store.iter().map(|e| Candidate {
-            key: e.meta.key,
-            app: e.meta.app,
-            size: e.meta.size,
-            utility: utility_at(self.call_rate(e.meta.app), &e.meta, now),
-        }));
-        self.candidates = candidates;
+        workspace.clear_items(n, units);
+        let (mut survivors, mut survivor_units) = (0usize, 0usize);
+        for e in store.iter() {
+            let meta = &e.meta;
+            let slot = if dense {
+                slot_of[meta.app.get() as usize]
+            } else {
+                apps.binary_search_by_key(&meta.app, |a| a.app)
+                    .expect("the store totals every cached app") as u32
+            };
+            let utility = utility_at(apps[slot as usize].rate, meta, now);
+            assert!(
+                utility.is_finite() && utility >= 0.0,
+                "item values must be non-negative and finite"
+            );
+            let wi = meta.size.div_ceil(granularity) as usize;
+            let survives = utility > 0.0 && wi <= units;
+            if survives {
+                workspace.push_item(utility, wi);
+                survivors += 1;
+                survivor_units = survivor_units.saturating_add(wi);
+            }
+            candidates.push(Candidate {
+                key: meta.key,
+                size: meta.size,
+                utility,
+                slot,
+                survives,
+                kept: false,
+            });
+        }
         debug_assert!(
             self.candidates.windows(2).all(|w| w[0].key < w[1].key),
             "store iteration must be key-ordered"
         );
-        let n = self.candidates.len();
         self.stats.items_considered += n as u64;
+        self.stats.forced_victims += (n - survivors) as u64;
 
-        let capacity = store.capacity().saturating_sub(incoming.size);
-        let granularity = self.config.granularity;
-        assert!(granularity > 0, "granularity must be positive");
-        let units = (capacity / granularity) as usize;
-
-        // Reduction 1: zero-utility objects (expired) and objects whose
-        // rounded weight exceeds the capacity are forced victims — the
-        // seed DP's strict-improvement rule never keeps either.
-        self.keep.clear();
-        self.keep.resize(n, false);
-        self.survivors.clear();
-        let mut survivor_units = 0usize;
-        for (i, c) in self.candidates.iter().enumerate() {
-            assert!(
-                c.utility.is_finite() && c.utility >= 0.0,
-                "item values must be non-negative and finite"
-            );
-            let wi = c.size.div_ceil(granularity) as usize;
-            if c.utility == 0.0 || wi > units {
-                continue;
-            }
-            self.survivors.push((i as u32, wi));
-            survivor_units = survivor_units.saturating_add(wi);
-        }
-        self.stats.forced_victims += (n - self.survivors.len()) as u64;
-
+        let survivors = self.candidates.iter_mut().filter(|c| c.survives);
         if survivor_units <= units {
             // Reduction 2: every survivor fits, so keeping them all attains
             // the utility upper bound — provably optimal, DP skipped. The
@@ -441,44 +526,38 @@ impl EvictionPolicy for PacmPolicy {
             // absorption behavior exactly.
             self.stats.short_circuits += 1;
             let mut plateau = 0.0f64;
-            for &(i, _) in &self.survivors {
-                let candidate = plateau + self.candidates[i as usize].utility;
+            for c in survivors {
+                let candidate = plateau + c.utility;
                 if candidate > plateau {
-                    self.keep[i as usize] = true;
+                    c.kept = true;
                     plateau = candidate;
                 }
             }
         } else {
-            self.items.clear();
-            self.items.extend(self.survivors.iter().map(|&(i, _)| {
-                let c = &self.candidates[i as usize];
-                KnapsackItem {
-                    weight: c.size,
-                    value: c.utility,
-                }
-            }));
-            if solve_in(&mut self.workspace, &self.items, capacity, granularity).certified {
+            if solve_loaded(&mut self.workspace) {
                 self.stats.certified += 1;
             } else {
                 self.stats.dp_runs += 1;
             }
-            for (&(i, _), &k) in self.survivors.iter().zip(self.workspace.keep()) {
-                self.keep[i as usize] = k;
+            for (c, &k) in survivors.zip(self.workspace.keep()) {
+                c.kept = k;
             }
         }
 
-        // The one allocation of a call: the list handed back.
-        let mut victims = Vec::with_capacity(self.keep.iter().filter(|&&k| !k).count());
-        victims.extend(
-            self.candidates
-                .iter()
-                .zip(&self.keep)
-                .filter(|(_, &k)| !k)
-                .map(|(c, _)| c.key),
-        );
+        // The one allocation of a call: the list handed back. Each victim
+        // leaves its app's kept totals.
+        let mut victims = Vec::with_capacity(self.candidates.iter().filter(|c| !c.kept).count());
+        for c in &self.candidates {
+            if !c.kept {
+                victims.push(c.key);
+                let a = &mut self.apps[c.slot as usize];
+                a.bytes -= c.size;
+                a.objects -= 1;
+            }
+        }
 
         if self.fairness_enabled {
-            self.repair(store, &mut victims);
+            self.repair(&mut victims);
         }
         victims
     }
@@ -708,6 +787,15 @@ mod tests {
     fn negative_theta_rejected() {
         let _ = PacmPolicy::new(PacmConfig {
             fairness_theta: -0.1,
+            ..PacmConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "granularity")]
+    fn zero_granularity_rejected() {
+        let _ = PacmPolicy::new(PacmConfig {
+            granularity: 0,
             ..PacmConfig::default()
         });
     }

@@ -6,15 +6,19 @@
 //! order — as the frozen seed implementation preserved in
 //! `ape_cachealg::reference`, on every input. These tests pin that claim on
 //! randomized stores (sizes, priorities, TTLs incl. expired, app mixes,
-//! trained frequencies, θ and granularity choices) plus a golden
-//! regression on a seeded 1 000-object store, a brim-full store probed
-//! with small, typical and maximal admissions, and a store of more than
-//! 4 096 small objects.
+//! trained frequencies, θ and granularity choices), stores whose app ids
+//! straddle the dense id table, fairness bounds set within an ulp or two
+//! of the kept set's Gini, plus a golden regression on a seeded 1 000-object
+//! store, a brim-full store probed with small, typical and maximal
+//! admissions, and a store of more than 4 096 small objects.
 
+use std::collections::BTreeMap;
+
+use ape_cachealg::pacm::MIN_RATE;
 use ape_cachealg::reference::{solve_exact_seed, ReferencePacm};
 use ape_cachealg::{
-    solve_exact_in, solve_in, AppId, CacheStore, EvictionPolicy, KnapsackItem, KnapsackWorkspace,
-    ObjectMeta, PacmConfig, PacmPolicy, Priority,
+    gini, solve_exact_in, solve_in, AppId, CacheStore, EvictionPolicy, KnapsackItem,
+    KnapsackWorkspace, ObjectMeta, PacmConfig, PacmPolicy, Priority,
 };
 use ape_check::{check, Gen};
 use ape_dnswire::UrlHash;
@@ -90,6 +94,143 @@ fn victim_sets_match_seed() {
         assert_eq!(&new_victims[1], &seed_victims[1]);
         assert_eq!(&new_victims[0], &new_victims[1]);
     });
+}
+
+/// Both engines under `config`, fed `(app, requests)` and rolled at 60 s.
+fn trained(config: PacmConfig, requests: &[(u32, u8)]) -> (PacmPolicy, ReferencePacm) {
+    let mut policy = PacmPolicy::new(config);
+    let mut seed_policy = ReferencePacm::new(config);
+    for &(app, count) in requests {
+        for _ in 0..count {
+            policy.note_request(AppId::new(app));
+            seed_policy.note_request(AppId::new(app));
+        }
+    }
+    policy.roll_window(SimTime::from_secs(60));
+    seed_policy.roll_window(SimTime::from_secs(60));
+    (policy, seed_policy)
+}
+
+/// App ids on both sides of the policy's dense id table (`1 << 16`): a
+/// store holding any id at or above it finds apps by search instead.
+const MIXED_IDS: [u32; 8] = [0, 3, 7, 65_535, 65_536, 70_001, 1 << 24, u32::MAX];
+
+// Stores whose apps are drawn from `MIXED_IDS`: most hold a sparse id, a
+// few only dense ones, and both engines must agree on every one.
+#[test]
+fn sparse_app_ids_match_seed() {
+    let mut sparse = 0;
+    check("sparse_app_ids_match_seed", 160, |g| {
+        let mut store = CacheStore::new(g.range(20_000u64..80_000), 500_000);
+        for mut meta in g.vec(4..40, |g| object(g, 6_000)) {
+            meta.app = AppId::new(g.pick(&MIXED_IDS));
+            if meta.size <= store.free() {
+                store.insert(meta, SimTime::ZERO);
+            }
+        }
+        sparse += usize::from(store.app_totals().keys().any(|a| a.get() >= 1 << 16));
+        let config = PacmConfig {
+            fairness_theta: g.pick(&[0.0, 0.05, 0.2, 0.4]),
+            granularity: g.pick(&GRANULARITIES),
+        };
+        let requests = g.vec(0..8, |g| (g.pick(&MIXED_IDS), g.range(0u8..40)));
+        let (mut policy, mut seed_policy) = trained(config, &requests);
+        let incoming = object(g, 30_000);
+        let now = SimTime::from_secs(61);
+        assert_eq!(
+            policy.select_victims(&store, &incoming, now),
+            seed_policy.select_victims(&store, &incoming, now)
+        );
+    });
+    assert!(
+        sparse >= 100,
+        "only {sparse} of 160 stores held a sparse id"
+    );
+}
+
+/// The Gini a fairness check of the seed computes once `evicted` are
+/// gone: per-app storage efficiency of the rest, in app order.
+fn kept_gini(store: &CacheStore, policy: &PacmPolicy, evicted: &[UrlHash]) -> f64 {
+    let mut kept: BTreeMap<AppId, u64> = BTreeMap::new();
+    for e in store.iter() {
+        if !evicted.contains(&e.meta.key) {
+            *kept.entry(e.meta.app).or_insert(0) += e.meta.size;
+        }
+    }
+    let shares: Vec<f64> = kept
+        .iter()
+        .map(|(&app, &bytes)| bytes as f64 / policy.rate(app).max(MIN_RATE))
+        .collect();
+    gini(&shares)
+}
+
+// θ on the Gini of a fairness check, and one and two ulps either side:
+// the first check, which PACM decides by a sort-free estimate, and later
+// ones, which it decides from its sorted shares by another. An estimate
+// that decided this close to θ without the exact sorted form would
+// disagree with the seed on one side. The checks are read off the seed's
+// repair at θ = 0, which runs until one app is left or all are equal;
+// only checks below every earlier one are taken, so a repair bounded by
+// their Gini reaches them.
+#[test]
+fn theta_on_each_repair_check_matches_seed() {
+    let (mut first, mut later) = (0, 0);
+    check("theta_on_each_repair_check_matches_seed", 48, |g| {
+        let mut store = CacheStore::new(g.range(40_000u64..120_000), 500_000);
+        for mut meta in g.vec(8..48, |g| object(g, 6_000)) {
+            meta.app = AppId::new(g.range(0u32..24));
+            meta.expires_at = SimTime::from_secs(g.range(600u64..3600));
+            if meta.size <= store.free() {
+                store.insert(meta, SimTime::ZERO);
+            }
+        }
+        let requests = g.vec(4..24, |g| (g.range(0u32..24), g.range(1u8..40)));
+        let granularity = g.pick(&GRANULARITIES);
+        let config = |fairness_theta| PacmConfig {
+            fairness_theta,
+            granularity,
+        };
+        let incoming = object(g, 30_000);
+        let now = SimTime::from_secs(61);
+
+        let (probe, mut seed_policy) = trained(config(0.0), &requests);
+        let evicted = seed_policy.select_victims(&store, &incoming, now);
+        let knapsack = trained(config(0.0), &requests)
+            .1
+            .without_fairness()
+            .select_victims(&store, &incoming, now);
+        let mut lowest = f64::INFINITY;
+        for check in knapsack.len()..evicted.len() {
+            let at = kept_gini(&store, &probe, &evicted[..check]);
+            if at >= lowest || at <= 0.0 {
+                continue;
+            }
+            lowest = at;
+            for ulps in -2i64..=2 {
+                let theta = f64::from_bits(at.to_bits().wrapping_add_signed(ulps));
+                let (mut policy, mut seed_policy) = trained(config(theta), &requests);
+                let victims = seed_policy.select_victims(&store, &incoming, now);
+                assert_eq!(
+                    policy.select_victims(&store, &incoming, now),
+                    victims,
+                    "θ = check {} Gini {at} {ulps:+} ulps",
+                    check - knapsack.len()
+                );
+                if ulps == 0 {
+                    assert_eq!(victims.len(), check, "the repair stops at its check");
+                }
+            }
+            if check == knapsack.len() {
+                first += 1;
+            } else {
+                later += 1;
+            }
+        }
+    });
+    assert!(
+        first >= 40 && later >= 200,
+        "θ sat on {first} first checks and {later} later ones"
+    );
 }
 
 // Workspace DP and PACM's solver (certified or not) vs the seed DP:

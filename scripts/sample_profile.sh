@@ -8,10 +8,12 @@
 #
 #   scripts/sample_profile.sh [--workload W] [--seed N] [--seconds S]
 #                             [--focus FRAME] [--top N] [--callers-of PATTERN]
+#                             [--layers]
 #
 # Defaults: testbed-lru, seed 42, 16 s, --focus run_until (shares of the
 # event loop, set-up excluded), top 15. `--callers-of collections::btree`
-# adds the btree share of the kept samples by caller (sample_symbolize.py).
+# adds the btree share of the kept samples by caller, `--layers` the share
+# by layer (metrics, send, evict, queue, logic; sample_symbolize.py).
 # Scratch files go to $SAMPLE_DIR (default
 # ${TMPDIR:-/tmp}/ape-sample-profile). Timing-dependent, so CI
 # does not run it; the in-process profiler (`repro profile`, the traced
@@ -20,8 +22,15 @@ set -euo pipefail
 
 repo="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 dir="${SAMPLE_DIR:-${TMPDIR:-/tmp}/ape-sample-profile}"
-workload=testbed-lru seed=42 seconds=16 focus=run_until top=15 callers_of=
+workload=testbed-lru seed=42 seconds=16 focus=run_until top=15 callers_of= layers=
+usage="usage: $0 [--workload W] [--seed N] [--seconds S] [--focus FRAME] [--top N] [--callers-of PATTERN] [--layers]"
 while [ $# -gt 0 ]; do
+    if [ "$1" = --layers ]; then
+        layers=--layers
+        shift
+        continue
+    fi
+    [ $# -ge 2 ] || { echo "$usage" >&2; exit 2; }
     case "$1" in
         --workload) workload="$2" ;;
         --seed) seed="$2" ;;
@@ -29,7 +38,7 @@ while [ $# -gt 0 ]; do
         --focus) focus="$2" ;;
         --top) top="$2" ;;
         --callers-of) callers_of="$2" ;;
-        *) echo "usage: $0 [--workload W] [--seed N] [--seconds S] [--focus FRAME] [--top N] [--callers-of PATTERN]" >&2; exit 2 ;;
+        *) echo "$usage" >&2; exit 2 ;;
     esac
     shift 2
 done
@@ -47,4 +56,4 @@ rev="$(git -C "$repo" rev-parse --short HEAD 2>/dev/null)" || rev="no git"
 [ "$rev" = "no git" ] || git -C "$repo" diff --quiet 2>/dev/null || rev="$rev+dirty"
 echo "# $workload seed $seed, $rev"
 python3 "$repo/scripts/sample_symbolize.py" "$dir/samples.txt" "$bin" --top "$top" ${focus:+--focus "$focus"} \
-    ${callers_of:+--callers-of "$callers_of"}
+    ${callers_of:+--callers-of "$callers_of"} $layers

@@ -3,7 +3,7 @@
 print profile tables.
 
 usage: sample_symbolize.py SAMPLES BINARY [--top N] [--focus FRAME]
-                             [--callers-of PATTERN]
+                             [--callers-of PATTERN] [--layers]
        sample_symbolize.py HEAP BINARY --heap [--top N] [--depth N]
 
 Time (the default): self time by leaf symbol, inclusive time (a symbol
@@ -16,6 +16,17 @@ loop. `--callers-of collections::btree` adds the share of kept samples with
 a matching frame among their six leaf frames (how ROADMAP.md measures "the
 btree share"), broken down by each sample's first frame outside `alloc::`,
 `core::`, `std::` and libc: the code that called into the matching one.
+`--layers` adds the share of kept samples by layer (ROADMAP item 14's
+path rules): the outermost frame that names a layer decides it —
+
+  metrics  `ape_simnet::metrics::`
+  send     `send_after` (its link sampling and queue push included)
+  evict    `CacheManager<P>::admit`, `roll_window`, `purge_expired`
+  queue    `ape_simnet::event::EventQueue`, `ape_simnet::wheel::TimerWheel`
+
+— and a sample with none of them is `logic` under a node callback (a
+`Node` impl's frame) and `other` outside one (the loop's own glue). Frames
+the compiler inlined count toward their caller.
 
 Heap (`--heap`): bytes live at the heap's peak by owner — the first
 `--depth` frames past the allocator's own (`alloc::`, `core::`, `std::`,
@@ -34,6 +45,24 @@ PLUMBING = re.compile(r'^(<?(alloc|core|std|hashbrown)::|__r[dg]l?_|__rust_|<?ap
 
 # How deep into a stack `--callers-of` looks for its pattern.
 LEAF_FRAMES = 6
+
+# `--layers`: each layer and the frame texts that name it, in report order.
+LAYERS = (
+    ('metrics', ('ape_simnet::metrics::',)),
+    ('send', ('send_after',)),
+    ('evict', ('CacheManager<P>::admit', 'roll_window', 'purge_expired')),
+    ('queue', ('ape_simnet::event::EventQueue', 'ape_simnet::wheel::TimerWheel')),
+)
+NODE_CALLBACK = 'as ape_simnet::node::Node<'
+
+
+def layer_of(frames):
+    """The layer of one sample's stack, leaf first (see `--layers`)."""
+    for f in reversed(frames):
+        for layer, texts in LAYERS:
+            if any(t in f for t in texts):
+                return layer
+    return 'logic' if any(NODE_CALLBACK in f for f in frames) else 'other'
 
 
 def load_symbols(binary):
@@ -70,6 +99,8 @@ def main():
     ap.add_argument('--focus', help='keep only samples with a frame containing this text')
     ap.add_argument('--callers-of', metavar='PATTERN',
                     help='share of kept samples with a leaf frame containing this text, by caller')
+    ap.add_argument('--layers', action='store_true',
+                    help='share of kept samples by layer (ROADMAP item 14)')
     ap.add_argument('--heap', action='store_true', help='the dump is heap_preload.c output')
     ap.add_argument('--depth', type=int, default=1, help='--heap: frames that name an owner')
     args = ap.parse_args()
@@ -132,7 +163,7 @@ def heap_tables(args, stacks, peak, resolve):
 
 
 def time_tables(args, stacks, dropped, resolve):
-    self_t, incl, libc_by_caller, callers = (collections.Counter() for _ in range(4))
+    self_t, incl, libc_by_caller, callers, layers = (collections.Counter() for _ in range(5))
     kept = 0
     for words in stacks:
         rip, top, rets = words[0], words[1], words[2:]
@@ -156,6 +187,7 @@ def time_tables(args, stacks, dropped, resolve):
             libc_by_caller[f'{leaf} <- {frames[1]}'] += 1
         for f in set(frames):
             incl[f] += 1
+        layers[layer_of(frames)] += 1
         if args.callers_of and any(args.callers_of in f for f in frames[:LEAF_FRAMES]):
             callers[next((f for f in frames if not PLUMBING.match(f)), '[plumbing only]')] += 1
 
@@ -168,6 +200,11 @@ def time_tables(args, stacks, dropped, resolve):
         print(f'\n`{args.callers_of}` among the {LEAF_FRAMES} leaf frames: {n} samples, '
               f'{100 * n / max(kept, 1):.1f}% of kept')
         print_table('by first non-plumbing frame', 'samples', callers, kept, args.top)
+    if args.layers:
+        print(f'\n{"layer":<28} {"samples":>9}   share')
+        for layer in [name for name, _ in LAYERS] + ['logic', 'other']:
+            n = layers[layer]
+            print(f'  {n:>9} {100 * n / max(kept, 1):>6.1f}%  {layer}')
 
 
 if __name__ == '__main__':
