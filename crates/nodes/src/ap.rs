@@ -109,7 +109,10 @@ pub struct ApConfig {
     /// series; on a shared phase their sample ticks would tie and
     /// tie-break order would order the series' records, on which its
     /// order-dependent digest fold and its float sums depend (`chaos_roam`'s
-    /// `roaming_under_faults_terminates_drained_and_tie_invariant` fails).
+    /// `roaming_under_faults_terminates_drained_and_tie_invariant` and
+    /// `determinism_perturbation`'s
+    /// `cooperative_roaming_64_ap_grid_is_tie_break_invariant` fail: the
+    /// `ap-phase-stagger` row of `scripts/mutants.tsv`).
     pub phase_stagger: SimDuration,
 }
 

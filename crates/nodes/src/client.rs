@@ -370,7 +370,8 @@ const HTTP_ATTEMPT_SHIFT: u32 = 40;
 /// share a nanosecond: tied watchdogs retransmit down one link, and
 /// tie-break order would pick which takes the link's next draw
 /// (`chaos_faults`' `randomized_fault_plans_terminate_drained_and_tie_invariant`
-/// fails without it). 61 ns per id keeps the skew under 4 ms.
+/// fails without it: the `client-stagger` row of `scripts/mutants.tsv`).
+/// 61 ns per id keeps the skew under 4 ms.
 fn staggered(base: SimDuration, id: u64) -> SimDuration {
     let skew_ns = (id & 0xFFFF) * 61;
     base + SimDuration::from_nanos(skew_ns)
