@@ -7,8 +7,8 @@
 #
 # First the whole table is checked: every row has its six or more columns,
 # a unique name, a `+A -D` numstat, and a file that exists and matches
-# HEAD. Nothing is edited until every row passes that check (exit 2 if one
-# does not). Then, row by row, the file is saved, the row's sed expression
+# HEAD, and every integration test binary is named by a `--test`. Nothing
+# is edited until all of that holds (exit 2 if it does not). Then, row by row, the file is saved, the row's sed expression
 # is applied, `git diff --numstat` against HEAD must equal the row's, the
 # row's command runs with its output in target/mutants/<name>.log, and the
 # file is restored from the saved copy (also on EXIT, INT and TERM; never
@@ -49,6 +49,11 @@ while IFS= read -r row; do
         errors+=$'\n'"$file: differs from HEAD; commit or stash it first"
     fi
 done <"$table"
+for binary in tests/*.rs crates/*/tests/*.rs; do
+    stem=$(basename "$binary" .rs)
+    grep -qE -- "--test $stem([[:space:]:]|$)" "$table" ||
+        errors+=$'\n'"$binary: no row runs --test $stem, and no comment gives a reason"
+done
 errors=$(sed '/^$/d' <<<"$errors")
 if [[ -n $errors ]]; then
     printf 'mutants.sh: nothing was edited:\n%s\n' "$errors" >&2
