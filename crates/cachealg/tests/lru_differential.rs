@@ -2,13 +2,21 @@
 //! replaced.
 //!
 //! The oracle below is the former `select_victims` body: copy the store,
-//! sort by `(last_access, key)`, take from the front. It lives here and not
-//! in the library, so the only LRU that ships is the list walk. Time never
-//! runs backwards in these runs, as in the simulator; several operations
-//! share each instant so ties on `last_access` are decided by key.
+//! sort by `(last access, key)`, take from the front. It keeps its own
+//! record of each key's last access, written from the operations the test
+//! makes (an admission, or a lookup that hits), and never reads the
+//! store's `Entry::last_access`: a store that forgot a hit would rank both
+//! sides alike. It lives here and not in the library, so the only LRU that
+//! ships is the list walk. Time never runs backwards in these runs, as in
+//! the simulator; several operations share each instant so ties on the
+//! last access are decided by key.
+
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex};
 
 use ape_cachealg::{
-    AppId, CacheManager, CacheStore, EvictionPolicy, LruPolicy, ObjectMeta, Priority,
+    AdmitOutcome, AppId, CacheManager, CacheStore, EvictionPolicy, Lookup, LruPolicy, ObjectMeta,
+    Priority,
 };
 use ape_check::{check, Gen};
 use ape_dnswire::UrlHash;
@@ -17,9 +25,20 @@ use ape_simnet::{SimDuration, SimTime};
 const CAPACITY: u64 = 1_000;
 const BLOCK_THRESHOLD: u64 = 400;
 
-/// LRU by sorting a copy of the store on every call.
-#[derive(Debug)]
-struct SortLru;
+/// LRU by sorting a copy of the store on every call, ranked by the last
+/// accesses the test recorded. Clones share one record, so the test keeps
+/// a handle while the manager owns the policy.
+#[derive(Debug, Clone, Default)]
+struct SortLru {
+    last_access: Arc<Mutex<BTreeMap<UrlHash, SimTime>>>,
+}
+
+impl SortLru {
+    /// Records an access to `key` at `now`: it was stored, or hit.
+    fn touch(&self, key: UrlHash, now: SimTime) {
+        self.last_access.lock().unwrap().insert(key, now);
+    }
+}
 
 impl EvictionPolicy for SortLru {
     fn select_victims(
@@ -28,9 +47,10 @@ impl EvictionPolicy for SortLru {
         incoming: &ObjectMeta,
         _now: SimTime,
     ) -> Vec<UrlHash> {
+        let last_access = self.last_access.lock().unwrap();
         let mut by_recency: Vec<(SimTime, UrlHash, u64)> = store
             .iter()
-            .map(|e| (e.last_access, e.meta.key, e.meta.size))
+            .map(|e| (last_access[&e.meta.key], e.meta.key, e.meta.size))
             .collect();
         by_recency.sort();
         let mut victims = Vec::new();
@@ -96,7 +116,8 @@ fn fresh<P: EvictionPolicy>(policy: P) -> CacheManager<P> {
 /// in order — so the two stores stay identical throughout.
 fn run_lockstep(steps: &[(u64, Op)]) {
     let mut indexed = fresh(LruPolicy::new());
-    let mut sorted = fresh(SortLru);
+    let mut oracle = SortLru::default();
+    let mut sorted = fresh(oracle.clone());
     let mut now = SimTime::ZERO;
     for (advance_s, op) in steps {
         now += SimDuration::from_secs(*advance_s);
@@ -104,18 +125,27 @@ fn run_lockstep(steps: &[(u64, Op)]) {
             Op::Admit { key, size, ttl_s } => {
                 let m = meta(key, size, now + SimDuration::from_secs(ttl_s));
                 let got = indexed.admit(m.clone(), now);
-                assert_eq!(got, sorted.admit(m, now), "admit {key} at {now:?}");
+                let want = sorted.admit(m, now);
+                if matches!(want, AdmitOutcome::Stored { .. }) {
+                    oracle.touch(UrlHash(key), now);
+                }
+                assert_eq!(got, want, "admit {key} at {now:?}");
             }
             Op::Lookup { key } => {
                 let key = UrlHash(key);
-                assert_eq!(indexed.lookup(key, now), sorted.lookup(key, now));
+                let want = sorted.lookup(key, now);
+                if want == Lookup::Hit {
+                    oracle.touch(key, now);
+                }
+                assert_eq!(indexed.lookup(key, now), want);
             }
             Op::Purge => {
                 assert_eq!(indexed.purge_expired(now), sorted.purge_expired(now));
             }
             Op::Flush => {
                 indexed = fresh(LruPolicy::new());
-                sorted = fresh(SortLru);
+                oracle = SortLru::default();
+                sorted = fresh(oracle.clone());
             }
         }
         assert!(indexed.store().iter().eq(sorted.store().iter()));
@@ -143,13 +173,16 @@ fn store_changed_without_hooks() {
         let total: u64 = entries.iter().map(|(size, _)| size).sum();
         let mut store = CacheStore::new(total, BLOCK_THRESHOLD);
         let forever = SimTime::from_secs(3_600);
+        let mut oracle = SortLru::default();
         for (key, (size, at_s)) in entries.iter().enumerate() {
-            store.insert(meta(key as u64, *size, forever), SimTime::from_secs(*at_s));
+            let at = SimTime::from_secs(*at_s);
+            store.insert(meta(key as u64, *size, forever), at);
+            oracle.touch(UrlHash(key as u64), at);
         }
         let incoming = meta(u64::MAX, wanted, forever);
         let mut policy = LruPolicy::new();
         let mut now = SimTime::from_secs(4);
-        let expected = SortLru.select_victims(&store, &incoming, now);
+        let expected = oracle.select_victims(&store, &incoming, now);
         assert_eq!(
             policy.select_victims(&store, &incoming, now),
             expected.clone()
@@ -158,9 +191,11 @@ fn store_changed_without_hooks() {
 
         for (key, advance_s) in touched {
             now += SimDuration::from_secs(advance_s);
-            store.lookup(UrlHash(key), now);
+            if store.lookup(UrlHash(key), now) == Lookup::Hit {
+                oracle.touch(UrlHash(key), now);
+            }
         }
-        let expected = SortLru.select_victims(&store, &incoming, now);
+        let expected = oracle.select_victims(&store, &incoming, now);
         assert_eq!(
             policy.select_victims(&store, &incoming, now),
             expected.clone()
@@ -171,9 +206,10 @@ fn store_changed_without_hooks() {
         }
         if store.free() >= wanted {
             store.insert(incoming, now);
+            oracle.touch(UrlHash(u64::MAX), now);
         }
         let next = meta(u64::MAX - 1, wanted, forever);
-        let expected = SortLru.select_victims(&store, &next, now);
+        let expected = oracle.select_victims(&store, &next, now);
         assert_eq!(policy.select_victims(&store, &next, now), expected);
     });
 }

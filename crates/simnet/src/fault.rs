@@ -38,25 +38,25 @@ pub enum FaultKind {
 
 /// One scheduled disturbance: a [`FaultKind`] active on the link between
 /// two nodes (both directions) over `[start, end)` of simulated time.
+/// The plan files it under its pair, so it holds only its interval.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultWindow {
-    a: NodeId,
-    b: NodeId,
     start: SimTime,
     end: SimTime,
     kind: FaultKind,
 }
 
-impl FaultWindow {
-    fn covers(&self, from: NodeId, to: NodeId, now: SimTime) -> bool {
-        ((self.matches_directed(from, to)) || self.matches_directed(to, from))
-            && self.start <= now
-            && now < self.end
-    }
+/// An unordered node pair as one key: the lower id in the high half.
+fn pair_key(a: NodeId, b: NodeId) -> u64 {
+    let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
+    u64::from(lo.as_raw()) << 32 | u64::from(hi.as_raw())
+}
 
-    fn matches_directed(&self, from: NodeId, to: NodeId) -> bool {
-        self.a == from && self.b == to
-    }
+/// The windows of one unordered pair, in registration order.
+#[derive(Debug, Clone, PartialEq)]
+struct PairWindows {
+    key: u64,
+    windows: Vec<FaultWindow>,
 }
 
 /// The combined effect of every active fault window on one traversal.
@@ -103,7 +103,10 @@ impl LinkEffect {
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
-    windows: Vec<FaultWindow>,
+    /// Every window, filed under its unordered pair: pairs ascending by
+    /// key, each pair's windows in the order they were added.
+    pairs: Vec<PairWindows>,
+    len: usize,
 }
 
 impl FaultPlan {
@@ -114,12 +117,12 @@ impl FaultPlan {
 
     /// Whether the plan schedules no disturbances at all.
     pub fn is_empty(&self) -> bool {
-        self.windows.is_empty()
+        self.len == 0
     }
 
     /// Number of scheduled windows.
     pub fn len(&self) -> usize {
-        self.windows.len()
+        self.len
     }
 
     /// Schedules a full partition of the `a`↔`b` link over `[start, end)`.
@@ -164,30 +167,41 @@ impl FaultPlan {
         kind: FaultKind,
     ) -> Self {
         assert!(start <= end, "fault window must not end before it starts");
-        self.windows.push(FaultWindow {
-            a,
-            b,
-            start,
-            end,
-            kind,
-        });
+        let key = pair_key(a, b);
+        let window = FaultWindow { start, end, kind };
+        match self.pairs.binary_search_by_key(&key, |p| p.key) {
+            Ok(i) => self.pairs[i].windows.push(window),
+            Err(i) => self.pairs.insert(
+                i,
+                PairWindows {
+                    key,
+                    windows: vec![window],
+                },
+            ),
+        }
+        self.len += 1;
         self
     }
 
     /// Resolves the combined effect of all windows active on the
     /// `from`→`to` traversal at time `now`.
     ///
-    /// Windows are symmetric (either direction matches). A linear scan is
-    /// deliberate: plans are small (tens of windows) and scan order never
-    /// affects the result, keeping this path determinism-safe.
+    /// Windows are symmetric (either direction matches), so only the
+    /// windows filed under the unordered pair are read, and a pair with
+    /// none costs one search. Down and the delay sum do not depend on the
+    /// order the windows are read in, but the pass probability
+    /// `∏(1 − pᵢ)` is a float product, whose bits do. So each pair keeps
+    /// its windows in the order they were added to the plan, and they are
+    /// multiplied in that order, as a scan of all windows would.
     pub fn effect(&self, from: NodeId, to: NodeId, now: SimTime) -> LinkEffect {
-        if self.windows.is_empty() {
+        let key = pair_key(from, to);
+        let Ok(i) = self.pairs.binary_search_by_key(&key, |p| p.key) else {
             return LinkEffect::NONE;
-        }
+        };
         let mut effect = LinkEffect::NONE;
         let mut pass = 1.0f64;
-        for w in &self.windows {
-            if !w.covers(from, to, now) {
+        for w in &self.pairs[i].windows {
+            if !(w.start <= now && now < w.end) {
                 continue;
             }
             match w.kind {
@@ -204,6 +218,7 @@ impl FaultPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ape_check::{check, Gen};
 
     fn ids() -> (NodeId, NodeId, NodeId) {
         (
@@ -267,6 +282,101 @@ mod tests {
         assert_eq!(effect.extra_delay, SimDuration::from_millis(50));
         assert!(!effect.down);
         assert_eq!(effect.loss, 0.0);
+    }
+
+    type Scheduled = (NodeId, NodeId, SimTime, SimTime, FaultKind);
+
+    /// The scan the per-pair index replaced: every window of the plan, in
+    /// the order added, either direction matching.
+    fn scan(windows: &[Scheduled], from: NodeId, to: NodeId, now: SimTime) -> LinkEffect {
+        let mut effect = LinkEffect::NONE;
+        let mut pass = 1.0f64;
+        for &(a, b, start, end, kind) in windows {
+            let on_pair = (a, b) == (from, to) || (a, b) == (to, from);
+            if !on_pair || now < start || now >= end {
+                continue;
+            }
+            match kind {
+                FaultKind::Down => effect.down = true,
+                FaultKind::Loss(p) => pass *= 1.0 - p,
+                FaultKind::Delay(extra) => effect.extra_delay += extra,
+            }
+        }
+        effect.loss = 1.0 - pass;
+        effect
+    }
+
+    /// `effect` and `scan` agree bit for bit, loss included.
+    fn assert_matches_scan(
+        plan: &FaultPlan,
+        windows: &[Scheduled],
+        from: NodeId,
+        to: NodeId,
+        now: SimTime,
+    ) {
+        let (got, want) = (plan.effect(from, to, now), scan(windows, from, to, now));
+        assert_eq!(
+            (got.down, got.loss.to_bits(), got.extra_delay),
+            (want.down, want.loss.to_bits(), want.extra_delay),
+            "{from}->{to} at {now:?}"
+        );
+    }
+
+    #[test]
+    fn loss_bursts_multiply_in_the_order_added() {
+        let (a, b, c) = ids();
+        let (start, end) = (SimTime::ZERO, SimTime::from_secs(10));
+        // 1 − (1 − 0.1)(1 − 0.2)(1 − 0.4) rounds differently with the
+        // factors multiplied in reverse, so only the order added matches.
+        let ps = [0.1, 0.2, 0.4];
+        let loss =
+            |ps: &mut dyn Iterator<Item = &f64>| 1.0 - ps.fold(1.0, |pass, p| pass * (1.0 - p));
+        let (forward, backward) = (loss(&mut ps.iter()), loss(&mut ps.iter().rev()));
+        assert_ne!(forward.to_bits(), backward.to_bits());
+        let mut plan = FaultPlan::new();
+        let mut windows = Vec::new();
+        for (i, p) in ps.into_iter().enumerate() {
+            // Alternate the direction, and file another pair's window in
+            // between: neither may change the pair's order.
+            let (x, y) = if i % 2 == 0 { (a, b) } else { (b, a) };
+            plan = plan
+                .loss_burst(x, y, start, end, p)
+                .link_down(a, c, start, end);
+            windows.push((x, y, start, end, FaultKind::Loss(p)));
+            windows.push((a, c, start, end, FaultKind::Down));
+        }
+        let now = SimTime::from_secs(1);
+        assert_eq!(plan.effect(a, b, now).loss.to_bits(), forward.to_bits());
+        assert_matches_scan(&plan, &windows, b, a, now);
+        assert_matches_scan(&plan, &windows, c, a, now);
+    }
+
+    #[test]
+    fn per_pair_effect_matches_a_scan_of_every_window() {
+        check("per_pair_effect_matches_a_scan_of_every_window", 256, |g| {
+            let node = |g: &mut Gen| NodeId::from_raw(g.range(0u32..5));
+            let windows = g.vec(0..40, |g| {
+                let (a, b) = (node(g), node(g));
+                let start = SimTime::from_secs(g.range(0u64..20));
+                let end = start + SimDuration::from_secs(g.range(0u64..15));
+                let kind = match g.range(0u32..4) {
+                    0 => FaultKind::Down,
+                    1 => FaultKind::Delay(SimDuration::from_micros(g.range(1u64..90_000))),
+                    _ => FaultKind::Loss(f64::from(g.range(0u32..1_000)) / 1_001.0),
+                };
+                (a, b, start, end, kind)
+            });
+            let plan = windows
+                .iter()
+                .fold(FaultPlan::new(), |plan, &(a, b, start, end, kind)| {
+                    plan.window(a, b, start, end, kind)
+                });
+            assert_eq!(plan.len(), windows.len());
+            for _ in 0..32 {
+                let now = SimTime::from_secs(g.range(0u64..36));
+                assert_matches_scan(&plan, &windows, node(g), node(g), now);
+            }
+        });
     }
 
     #[test]

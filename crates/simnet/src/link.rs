@@ -6,7 +6,7 @@
 //! paths (e.g. "7 hops away", "12 hops away", WiFi one hop).
 
 use crate::node::NodeId;
-use crate::rng::{mix64, SimRng};
+use crate::rng::{mix64, SendDraws, StreamSeed};
 use crate::time::{SimDuration, SimTime};
 
 /// Characteristics of a (directed-pair symmetric) network path.
@@ -31,6 +31,9 @@ pub struct LinkSpec {
     per_hop_owd: SimDuration,
     bandwidth_bytes_per_sec: u64,
     jitter_mean: SimDuration,
+    /// `jitter_mean` in seconds, the unit a send draws jitter in; set
+    /// with it.
+    jitter_mean_secs: f64,
     loss_probability: f64,
 }
 
@@ -44,6 +47,7 @@ impl LinkSpec {
             per_hop_owd,
             bandwidth_bytes_per_sec: 100_000_000,
             jitter_mean: SimDuration::ZERO,
+            jitter_mean_secs: 0.0,
             loss_probability: 0.0,
         }
     }
@@ -69,6 +73,7 @@ impl LinkSpec {
     /// Sets the mean of the exponential jitter added to each traversal.
     pub fn jitter_mean(mut self, mean: SimDuration) -> Self {
         self.jitter_mean = mean;
+        self.jitter_mean_secs = mean.as_secs_f64();
         self
     }
 
@@ -110,13 +115,16 @@ impl LinkSpec {
     }
 
     /// Samples the one-way delay for a message of `size` bytes.
-    pub fn sample_owd(&self, size: usize, rng: &mut SimRng) -> SimDuration {
-        self.propagation_owd() + self.transfer_time(size) + rng.jitter(self.jitter_mean)
+    #[inline]
+    pub(crate) fn sample_owd(&self, size: usize, draws: &mut SendDraws) -> SimDuration {
+        let jitter = SimDuration::from_secs_f64(draws.exponential(self.jitter_mean_secs));
+        self.propagation_owd() + self.transfer_time(size) + jitter
     }
 
     /// Samples whether a traversal is lost.
-    pub fn sample_loss(&self, rng: &mut SimRng) -> bool {
-        self.loss_probability > 0.0 && rng.chance(self.loss_probability)
+    #[inline]
+    pub(crate) fn sample_loss(&self, draws: &mut SendDraws) -> bool {
+        self.loss_probability > 0.0 && draws.chance(self.loss_probability)
     }
 }
 
@@ -330,14 +338,15 @@ impl LinkTable {
     }
 
     /// The draws of the next send on `link` in the run seeded `seed`,
-    /// named by the pair and the send's number on the link.
+    /// named by the pair and the send's number on the link: the stream
+    /// keyed `mix64(pair) ^ n`.
     #[inline]
-    pub(crate) fn send_draws(&mut self, link: &LinkRef, seed: u64) -> SimRng {
+    pub(crate) fn send_draws(&mut self, link: &LinkRef, seed: StreamSeed) -> SendDraws {
         let sends = &mut self.rows[link.src.index()].links[link.slot].sends;
         let n = *sends;
         *sends = n.wrapping_add(1);
         let pair = u64::from(link.src.as_raw()) << 32 | u64::from(link.dst.as_raw());
-        SimRng::keyed(seed, mix64(pair) ^ u64::from(n))
+        seed.send_draws(mix64(pair) ^ u64::from(n))
     }
 
     /// Reserves the arrival slot on `link` for a message computed to land
@@ -405,10 +414,12 @@ impl LinkTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::SimRng;
     use std::collections::BTreeSet;
 
-    fn rng() -> SimRng {
-        SimRng::seed_from(1)
+    /// The draws of the send keyed `key` in a run seeded 1.
+    fn draws(key: u64) -> SendDraws {
+        StreamSeed::new(1).send_draws(key)
     }
 
     fn ns(n: u64) -> SimTime {
@@ -806,8 +817,7 @@ mod tests {
     #[test]
     fn sampled_owd_includes_all_components() {
         let l = LinkSpec::new(2, SimDuration::from_millis(1)).bandwidth_bytes_per_sec(1_000_000);
-        let mut r = rng();
-        let owd = l.sample_owd(1_000, &mut r);
+        let owd = l.sample_owd(1_000, &mut draws(0));
         // 2ms propagation + 1ms transfer, no jitter configured.
         assert_eq!(owd, SimDuration::from_millis(3));
     }
@@ -816,10 +826,9 @@ mod tests {
     fn jitter_adds_nonnegative_tail() {
         let l =
             LinkSpec::new(1, SimDuration::from_millis(1)).jitter_mean(SimDuration::from_millis(2));
-        let mut r = rng();
         let base = SimDuration::from_millis(1);
         let mean: f64 = (0..5_000)
-            .map(|_| (l.sample_owd(0, &mut r) - base).as_millis_f64())
+            .map(|i| (l.sample_owd(0, &mut draws(i)) - base).as_millis_f64())
             .sum::<f64>()
             / 5_000.0;
         assert!((mean - 2.0).abs() < 0.25, "jitter mean {mean}");
@@ -828,19 +837,17 @@ mod tests {
     #[test]
     fn loss_probability_validated() {
         let l = LinkSpec::new(1, SimDuration::ZERO).loss_probability(0.5);
-        let mut r = rng();
-        let losses = (0..1_000).filter(|_| l.sample_loss(&mut r)).count();
+        let losses = (0..1_000).filter(|&i| l.sample_loss(&mut draws(i))).count();
         assert!((300..700).contains(&losses), "losses {losses}");
     }
 
     #[test]
     fn loss_probability_accepts_one_as_always_lossy() {
         let l = LinkSpec::new(1, SimDuration::ZERO).loss_probability(1.0);
-        let mut r = rng();
-        assert!((0..1_000).all(|_| l.sample_loss(&mut r)));
+        assert!((0..1_000).all(|i| l.sample_loss(&mut draws(i))));
         // The other boundary stays lossless.
         let l = LinkSpec::new(1, SimDuration::ZERO).loss_probability(0.0);
-        assert!((0..1_000).all(|_| !l.sample_loss(&mut r)));
+        assert!((0..1_000).all(|i| !l.sample_loss(&mut draws(i))));
     }
 
     #[test]

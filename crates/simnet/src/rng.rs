@@ -9,16 +9,37 @@
 
 use crate::time::SimDuration;
 
+/// SplitMix64's increment: its state after `i` steps from `s` is
+/// `s + i·GAMMA`, wrapping.
+const GAMMA: u64 = 0x9E3779B97F4A7C15;
+
+/// SplitMix64's output function of an advanced state.
+fn finalize(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
+    z ^ (z >> 31)
+}
+
 /// Advances a SplitMix64 state and returns the next output.
 ///
 /// Used for seed expansion: it diffuses low-entropy seeds (0, 1, 2, …)
 /// into well-distributed xoshiro state words.
 fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E3779B97F4A7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
+    *state = state.wrapping_add(GAMMA);
+    finalize(*state)
+}
+
+/// xoshiro256++'s output for state words `s0` and `s3`, the only two it
+/// reads.
+#[inline]
+fn plusplus(s0: u64, s3: u64) -> u64 {
+    s0.wrapping_add(s3).rotate_left(23).wrapping_add(s0)
+}
+
+/// A uniform float in `[0, 1)` from the top 53 bits of a raw draw.
+#[inline]
+fn unit_of(bits: u64) -> f64 {
+    (bits >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
 /// One-shot SplitMix64 finalizer: a bijective `u64 -> u64` mixing function.
@@ -67,20 +88,10 @@ impl SimRng {
         }
     }
 
-    /// The generator of one keyed stream of a run: `(seed, key)` alone
-    /// decides it, so no draw made elsewhere in the run — nor the order
-    /// in which other streams are drawn — can move it. Keys of one run
-    /// must differ, and seed expansion mixes them, so keys that differ in
-    /// a few low bits (consecutive ids, consecutive sends) still give
-    /// unrelated streams. One mix deep, since a send builds one.
-    pub(crate) fn keyed(seed: u64, key: u64) -> Self {
-        SimRng::seed_from(mix64(seed) ^ key)
-    }
-
     /// Next raw 64-bit value (xoshiro256++ step).
     pub fn next_u64(&mut self) -> u64 {
         let s = &mut self.state;
-        let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
+        let result = plusplus(s[0], s[3]);
         let t = s[1] << 17;
         s[2] ^= s[0];
         s[3] ^= s[1];
@@ -93,7 +104,7 @@ impl SimRng {
 
     /// Uniform float in `[0, 1)` with 53 bits of precision.
     pub fn unit(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        unit_of(self.next_u64())
     }
 
     /// Uniform integer in `[lo, hi]` (inclusive).
@@ -182,6 +193,94 @@ impl SimRng {
     }
 }
 
+/// The run seed, mixed once: every keyed stream of a run derives from it.
+///
+/// A keyed stream is `SimRng::seed_from(mix64(seed) ^ key)`, so `(seed,
+/// key)` alone decides it: no draw made elsewhere in the run, nor the
+/// order in which other streams are drawn, can move it. Keys of one run
+/// must differ, and seed expansion mixes them, so keys that differ in a
+/// few low bits (consecutive ids, consecutive sends) still give unrelated
+/// streams. The world mixes its seed here once, so a stream costs only
+/// its own seed expansion.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct StreamSeed(u64);
+
+impl StreamSeed {
+    /// Mixes the run seed `seed`.
+    pub(crate) fn new(seed: u64) -> Self {
+        StreamSeed(mix64(seed))
+    }
+
+    /// The generator of the stream named `key` (a node's own stream).
+    pub(crate) fn rng(self, key: u64) -> SimRng {
+        SimRng::seed_from(self.0 ^ key)
+    }
+
+    /// The draws of the stream named `key` (one send's), made lazily.
+    #[inline]
+    pub(crate) fn send_draws(self, key: u64) -> SendDraws {
+        SendDraws {
+            seed: self.0 ^ key,
+            first_taken: false,
+            rest: None,
+        }
+    }
+}
+
+/// The draws of one send: the stream [`StreamSeed::rng`] would give for
+/// the same key, draw for draw, without building it up front.
+///
+/// A send draws once (jitter) on a lossless link outside any fault burst,
+/// and xoshiro256++'s first output reads only state words s0 and s3, so
+/// the first draw takes two SplitMix64 rounds instead of the four a full
+/// seed expansion costs. The full state is built only for a second draw
+/// (link loss, a loss burst), and then replays the first.
+#[derive(Debug)]
+pub(crate) struct SendDraws {
+    seed: u64,
+    first_taken: bool,
+    rest: Option<SimRng>,
+}
+
+impl SendDraws {
+    /// Next raw 64-bit value of the stream.
+    #[inline]
+    pub(crate) fn next_u64(&mut self) -> u64 {
+        if !self.first_taken {
+            self.first_taken = true;
+            // SplitMix64's first and fourth outputs are s0 and s3.
+            let s0 = finalize(self.seed.wrapping_add(GAMMA));
+            let s3 = finalize(self.seed.wrapping_add(GAMMA.wrapping_mul(4)));
+            return plusplus(s0, s3);
+        }
+        let seed = self.seed;
+        self.rest
+            .get_or_insert_with(|| {
+                let mut rng = SimRng::seed_from(seed);
+                rng.next_u64();
+                rng
+            })
+            .next_u64()
+    }
+
+    /// Bernoulli trial with probability `p`, as [`SimRng::chance`].
+    #[inline]
+    pub(crate) fn chance(&mut self, p: f64) -> bool {
+        unit_of(self.next_u64()) < p.clamp(0.0, 1.0)
+    }
+
+    /// Exponential value with mean `mean` (seconds), as
+    /// [`SimRng::exponential`]: a mean of zero draws nothing.
+    #[inline]
+    pub(crate) fn exponential(&mut self, mean: f64) -> f64 {
+        if mean <= 0.0 {
+            return 0.0;
+        }
+        let u: f64 = 1.0 - unit_of(self.next_u64());
+        -mean * u.ln()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -197,10 +296,49 @@ mod tests {
 
     #[test]
     fn keyed_streams_depend_on_seed_and_key_only() {
-        let first = |seed, key| SimRng::keyed(seed, key).next_u64();
+        let first = |seed, key| StreamSeed::new(seed).rng(key).next_u64();
         assert_eq!(first(7, 1), first(7, 1));
         assert_ne!(first(7, 1), first(7, 2));
         assert_ne!(first(7, 1), first(8, 1));
+    }
+
+    /// Differential: a send's lazy draws against the keyed generator they
+    /// replace, `SimRng::seed_from(mix64(seed) ^ key)`, over many keys,
+    /// including the keys a send makes (mixed pair ^ small send number).
+    #[test]
+    fn send_draws_are_the_keyed_stream() {
+        let mut keys = SimRng::seed_from(29);
+        for i in 0..4_096u64 {
+            let seed = if i % 2 == 0 { i } else { keys.next_u64() };
+            let key = match i % 3 {
+                0 => i,
+                1 => mix64(i << 32 | (i + 1)) ^ (i % 17),
+                _ => keys.next_u64(),
+            };
+            let mut keyed = SimRng::seed_from(mix64(seed) ^ key);
+            let mut lazy = StreamSeed::new(seed).send_draws(key);
+            for draw in 0..4 {
+                assert_eq!(
+                    lazy.next_u64(),
+                    keyed.next_u64(),
+                    "seed {seed:#x} key {key:#x} draw {draw}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn send_draw_helpers_match_the_generator() {
+        for key in 0..256 {
+            let stream = StreamSeed::new(42);
+            let (mut lazy, mut keyed) = (stream.send_draws(key), stream.rng(key));
+            assert_eq!(lazy.exponential(0.0), 0.0, "a zero mean draws nothing");
+            assert_eq!(lazy.chance(0.3), keyed.chance(0.3));
+            assert_eq!(
+                lazy.exponential(2e-4).to_bits(),
+                keyed.exponential(2e-4).to_bits()
+            );
+        }
     }
 
     #[test]

@@ -88,6 +88,31 @@ impl SimTime {
     }
 }
 
+/// Nanosecond counts below which [`round_nanos`] rounds with an `i64`
+/// cast: a whole part below 2⁶² and its successor both fit an `i64`.
+const CAST_BELOW: f64 = (1u64 << 62) as f64;
+
+/// `ns.round() as u64` for a finite `ns > 0`: half away from zero, and
+/// saturating at `u64::MAX`.
+///
+/// Below [`CAST_BELOW`] (about 4.6e18 ns, 146 years) it takes an integer
+/// cast and a compare instead of a libm call. It also takes no branch
+/// there: on a jittered send delay, "is the fraction at least a half" is a
+/// coin flip, which a predictor loses half the time. Above it, where every
+/// `f64` is already whole, `f64::round` keeps the saturating cast.
+#[inline]
+fn round_nanos(ns: f64) -> u64 {
+    if ns < CAST_BELOW {
+        let whole = ns as i64;
+        // Exact: the whole part of an `f64` is an `f64`, and for `ns ≥ 1`
+        // the two are within a factor of two (Sterbenz).
+        let frac = ns - whole as f64;
+        (whole + i64::from(frac >= 0.5)) as u64
+    } else {
+        ns.round() as u64
+    }
+}
+
 impl SimDuration {
     /// The zero-length duration.
     pub const ZERO: SimDuration = SimDuration(0);
@@ -129,7 +154,7 @@ impl SimDuration {
         if !millis.is_finite() || millis <= 0.0 {
             return SimDuration::ZERO;
         }
-        SimDuration((millis * 1e6).round() as u64)
+        SimDuration(round_nanos(millis * 1e6))
     }
 
     /// Creates a duration from a float number of seconds.
@@ -144,7 +169,7 @@ impl SimDuration {
         if !secs.is_finite() || secs <= 0.0 {
             return SimDuration::ZERO;
         }
-        SimDuration((secs * 1e9).round() as u64)
+        SimDuration(round_nanos(secs * 1e9))
     }
 
     /// Creates a duration from a float number of nanoseconds, truncating
@@ -344,6 +369,52 @@ mod tests {
             SimDuration::from_nanos_f64(size as f64 * per_byte_ns).as_nanos(),
             (size as f64 * per_byte_ns) as u64
         );
+    }
+
+    /// Differential: the cast-and-compare rounding against the libm
+    /// `round` it replaced, on the inputs where rounding is delicate.
+    #[test]
+    fn from_secs_f64_rounds_like_f64_round() {
+        let libm = |ns: f64| ns.round() as u64;
+        let mut nanos = vec![
+            0.5,
+            1.5,
+            2.5,
+            1e6 + 0.5,
+            0.49999999999999994,
+            1.0 - f64::EPSILON / 4.0,
+            2f64.powi(52) - 0.5,
+            2f64.powi(52),
+            2f64.powi(52) + 1.0,
+            2f64.powi(53),
+            2f64.powi(53) + 2.0,
+            CAST_BELOW.next_down(),
+            CAST_BELOW,
+            CAST_BELOW.next_up(),
+            2f64.powi(64),
+            1e300,
+            f64::MIN_POSITIVE,
+        ];
+        let mut r = crate::rng::SimRng::seed_from(5);
+        for _ in 0..20_000 {
+            // Any finite positive value, and sub-second delays with and
+            // without an exact half.
+            let any = f64::from_bits(r.next_u64() >> 1);
+            let ns = r.uniform_f64(0.0, 1e9);
+            nanos.extend([ns, ns.floor() + 0.5]);
+            if any.is_finite() && any > 0.0 {
+                nanos.push(any);
+            }
+        }
+        for ns in nanos {
+            assert_eq!(round_nanos(ns), libm(ns), "{ns:e} ns");
+            let secs = ns / 1e9;
+            assert_eq!(
+                SimDuration::from_secs_f64(secs).as_nanos(),
+                libm(secs * 1e9),
+                "{secs:e} s"
+            );
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@ use crate::link::{LinkSpec, LinkTable};
 use crate::metrics::{keys, Metrics};
 use crate::node::{Message, Node, NodeId, TimerToken};
 use crate::profiler::{ProfCategory, ProfTimer, ProfileReport, Profiler};
-use crate::rng::SimRng;
+use crate::rng::{SimRng, StreamSeed};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{SpanCtx, SpanLabel, TraceConfig, TraceEvent, TracePhase, TraceSink};
 
@@ -43,7 +43,7 @@ pub struct Context<'a, M: Message> {
     pub(crate) queue: &'a mut EventQueue<M>,
     pub(crate) faults: &'a FaultPlan,
     pub(crate) links: &'a mut LinkTable,
-    pub(crate) seed: u64,
+    pub(crate) streams: StreamSeed,
     pub(crate) rng: &'a mut SimRng,
     pub(crate) metrics: &'a mut Metrics,
     pub(crate) trace: &'a mut TraceSink,
@@ -101,7 +101,7 @@ impl<'a, M: Message> Context<'a, M> {
             .links
             .find(self.self_id, to)
             .unwrap_or_else(|| panic!("no link {} -> {}", self.self_id, to));
-        let mut draws = self.links.send_draws(&link, self.seed);
+        let mut draws = self.links.send_draws(&link, self.streams);
         // Fault windows are evaluated at send time. The empty-plan path
         // draws nothing and records no metrics, so a world without a
         // FaultPlan is bit-identical to one predating fault injection.
@@ -343,7 +343,7 @@ pub struct World<M: Message> {
     names: Vec<String>,
     links: LinkTable,
     faults: FaultPlan,
-    seed: u64,
+    streams: StreamSeed,
     rngs: Vec<SimRng>,
     metrics: Metrics,
     trace: TraceSink,
@@ -364,7 +364,7 @@ impl<M: Message> World<M> {
             names: Vec::new(),
             links: LinkTable::default(),
             faults: FaultPlan::new(),
-            seed,
+            streams: StreamSeed::new(seed),
             rngs: Vec::new(),
             metrics: Metrics::new(),
             trace: TraceSink::default(),
@@ -475,7 +475,7 @@ impl<M: Message> World<M> {
         let id = NodeId::from_raw(self.nodes.len() as u32);
         self.nodes.push(Some(Box::new(node)));
         self.names.push(name.into());
-        self.rngs.push(SimRng::keyed(self.seed, id.as_raw().into()));
+        self.rngs.push(self.streams.rng(id.as_raw().into()));
         id
     }
 
@@ -506,7 +506,7 @@ impl<M: Message> World<M> {
             .links
             .find(from, to)
             .unwrap_or_else(|| panic!("no link {from} -> {to}"));
-        let mut draws = self.links.send_draws(&link, self.seed);
+        let mut draws = self.links.send_draws(&link, self.streams);
         let owd = self
             .links
             .spec(&link)
@@ -613,7 +613,7 @@ impl<M: Message> World<M> {
                 self_id: id,
                 queue: &mut self.queue,
                 links: &mut self.links,
-                seed: self.seed,
+                streams: self.streams,
                 faults: &self.faults,
                 rng: &mut self.rngs[id.index()],
                 metrics: &mut self.metrics,
