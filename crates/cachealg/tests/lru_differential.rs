@@ -36,7 +36,10 @@ struct SortLru {
 impl SortLru {
     /// Records an access to `key` at `now`: it was stored, or hit.
     fn touch(&self, key: UrlHash, now: SimTime) {
-        self.last_access.lock().unwrap().insert(key, now);
+        self.last_access
+            .lock()
+            .expect("no holder panicked")
+            .insert(key, now);
     }
 }
 
@@ -47,7 +50,7 @@ impl EvictionPolicy for SortLru {
         incoming: &ObjectMeta,
         _now: SimTime,
     ) -> Vec<UrlHash> {
-        let last_access = self.last_access.lock().unwrap();
+        let last_access = self.last_access.lock().expect("no holder panicked");
         let mut by_recency: Vec<(SimTime, UrlHash, u64)> = store
             .iter()
             .map(|e| (last_access[&e.meta.key], e.meta.key, e.meta.size))

@@ -30,9 +30,8 @@ pub struct LinkSpec {
     hops: u32,
     per_hop_owd: SimDuration,
     bandwidth_bytes_per_sec: u64,
-    jitter_mean: SimDuration,
-    /// `jitter_mean` in seconds, the unit a send draws jitter in; set
-    /// with it.
+    /// The mean of the exponential jitter, in seconds: the unit a send
+    /// draws it in, so no send divides it again.
     jitter_mean_secs: f64,
     loss_probability: f64,
 }
@@ -46,7 +45,6 @@ impl LinkSpec {
             hops: hops.max(1),
             per_hop_owd,
             bandwidth_bytes_per_sec: 100_000_000,
-            jitter_mean: SimDuration::ZERO,
             jitter_mean_secs: 0.0,
             loss_probability: 0.0,
         }
@@ -72,7 +70,6 @@ impl LinkSpec {
 
     /// Sets the mean of the exponential jitter added to each traversal.
     pub fn jitter_mean(mut self, mean: SimDuration) -> Self {
-        self.jitter_mean = mean;
         self.jitter_mean_secs = mean.as_secs_f64();
         self
     }

@@ -221,8 +221,8 @@ impl StreamSeed {
     pub(crate) fn send_draws(self, key: u64) -> SendDraws {
         SendDraws {
             seed: self.0 ^ key,
-            first_taken: false,
-            rest: None,
+            drawn: 0,
+            rng: SimRng { state: [0; 4] },
         }
     }
 }
@@ -233,34 +233,43 @@ impl StreamSeed {
 /// A send draws once (jitter) on a lossless link outside any fault burst,
 /// and xoshiro256++'s first output reads only state words s0 and s3, so
 /// the first draw takes two SplitMix64 rounds instead of the four a full
-/// seed expansion costs. The full state is built only for a second draw
-/// (link loss, a loss burst), and then replays the first.
+/// seed expansion costs. A second draw (link loss, a loss burst) adds the
+/// other two words and steps the generator past the first output.
 #[derive(Debug)]
 pub(crate) struct SendDraws {
     seed: u64,
-    first_taken: bool,
-    rest: Option<SimRng>,
+    drawn: u8,
+    /// Words s0 and s3 after the first draw; the whole generator, stepped
+    /// past every draw made, from the second on.
+    rng: SimRng,
 }
 
 impl SendDraws {
     /// Next raw 64-bit value of the stream.
     #[inline]
     pub(crate) fn next_u64(&mut self) -> u64 {
-        if !self.first_taken {
-            self.first_taken = true;
-            // SplitMix64's first and fourth outputs are s0 and s3.
-            let s0 = finalize(self.seed.wrapping_add(GAMMA));
-            let s3 = finalize(self.seed.wrapping_add(GAMMA.wrapping_mul(4)));
-            return plusplus(s0, s3);
+        if self.drawn > 0 {
+            return self.next_after_first();
         }
-        let seed = self.seed;
-        self.rest
-            .get_or_insert_with(|| {
-                let mut rng = SimRng::seed_from(seed);
-                rng.next_u64();
-                rng
-            })
-            .next_u64()
+        self.drawn = 1;
+        // SplitMix64's first and fourth outputs are s0 and s3.
+        let s0 = finalize(self.seed.wrapping_add(GAMMA));
+        let s3 = finalize(self.seed.wrapping_add(GAMMA.wrapping_mul(4)));
+        self.rng.state[0] = s0;
+        self.rng.state[3] = s3;
+        plusplus(s0, s3)
+    }
+
+    /// Every draw after the first, out of line: a lossless send makes none.
+    #[inline(never)]
+    fn next_after_first(&mut self) -> u64 {
+        if self.drawn == 1 {
+            self.drawn = 2;
+            self.rng.state[1] = finalize(self.seed.wrapping_add(GAMMA.wrapping_mul(2)));
+            self.rng.state[2] = finalize(self.seed.wrapping_add(GAMMA.wrapping_mul(3)));
+            self.rng.next_u64();
+        }
+        self.rng.next_u64()
     }
 
     /// Bernoulli trial with probability `p`, as [`SimRng::chance`].
