@@ -7,8 +7,6 @@
 //! the workspace needs (uniform ranges, exponential jitter, normal variates
 //! via Box–Muller).
 
-use crate::time::SimDuration;
-
 /// SplitMix64's increment: its state after `i` steps from `s` is
 /// `s + i·GAMMA`, wrapping.
 const GAMMA: u64 = 0x9E3779B97F4A7C15;
@@ -154,7 +152,8 @@ impl SimRng {
 
     /// Exponentially distributed value with the given mean.
     ///
-    /// Used for long-tailed network jitter and Poisson inter-arrival gaps.
+    /// Used for Poisson inter-arrival gaps; a send draws its long-tailed
+    /// jitter the same way through `SendDraws`.
     pub fn exponential(&mut self, mean: f64) -> f64 {
         if mean <= 0.0 {
             return 0.0;
@@ -173,11 +172,6 @@ impl SimRng {
     /// Normal variate with given mean and standard deviation.
     pub fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
         mean + std_dev * self.standard_normal()
-    }
-
-    /// Exponential jitter duration with the given mean duration.
-    pub fn jitter(&mut self, mean: SimDuration) -> SimDuration {
-        SimDuration::from_secs_f64(self.exponential(mean.as_secs_f64()))
     }
 
     /// Picks a uniformly random element of a slice.
@@ -414,14 +408,5 @@ mod tests {
         let empty: [u8; 0] = [];
         assert_eq!(r.choose(&empty), None);
         assert_eq!(r.choose(&[42]), Some(&42));
-    }
-
-    #[test]
-    fn jitter_is_nonnegative() {
-        let mut r = SimRng::seed_from(23);
-        for _ in 0..100 {
-            let j = r.jitter(SimDuration::from_millis(2));
-            assert!(j >= SimDuration::ZERO);
-        }
     }
 }
