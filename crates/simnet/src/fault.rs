@@ -85,7 +85,9 @@ impl LinkEffect {
 /// [`World::set_fault_plan`](crate::World::set_fault_plan). Windows may
 /// overlap: concurrent loss bursts compose as independent drop trials
 /// (`1 − ∏(1 − pᵢ)`), delay spikes add, and any active
-/// [`FaultKind::Down`] window wins outright.
+/// [`FaultKind::Down`] window wins outright. Two plans are equal when
+/// every pair has the same windows in the same order; how the windows of
+/// different pairs were interleaved is not kept.
 ///
 /// # Examples
 ///
@@ -106,7 +108,6 @@ pub struct FaultPlan {
     /// Every window, filed under its unordered pair: pairs ascending by
     /// key, each pair's windows in the order they were added.
     pairs: Vec<PairWindows>,
-    len: usize,
 }
 
 impl FaultPlan {
@@ -117,12 +118,12 @@ impl FaultPlan {
 
     /// Whether the plan schedules no disturbances at all.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.pairs.is_empty()
     }
 
     /// Number of scheduled windows.
     pub fn len(&self) -> usize {
-        self.len
+        self.pairs.iter().map(|p| p.windows.len()).sum()
     }
 
     /// Schedules a full partition of the `a`↔`b` link over `[start, end)`.
@@ -179,7 +180,6 @@ impl FaultPlan {
                 },
             ),
         }
-        self.len += 1;
         self
     }
 
