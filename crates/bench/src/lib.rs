@@ -24,7 +24,7 @@ pub mod progmodel;
 mod scale_bench;
 mod tracing;
 
-pub use evict_bench::{bench_evict, evict_document};
+pub use evict_bench::{bench_evict, evict_document, evict_stores, evict_training};
 pub use experiments::{
     ablation_configs, ablations, fig11a, fig11c, fig12, fig13a, fig13b, fig13c, fig14, fig2,
     object_level, table2, table4, table5, table6, ReproOptions, SweepRow,

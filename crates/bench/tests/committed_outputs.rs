@@ -232,8 +232,8 @@ fn bench_scale_matches_committed_file() {
 
 /// Everything in a `BENCH_evict.json` cell up to its host timing is a
 /// function of the seed: victims, store size and solver counters must
-/// repeat the committed file's, cell for cell. `cachealg::reference` is
-/// the oracle for the decisions themselves, not the file.
+/// repeat the committed file's, cell for cell. The `evict_oracle` test
+/// holds the decisions themselves to the seed engine, not to the file.
 #[test]
 fn bench_evict_decisions_match_committed_file() {
     let path = "BENCH_evict.json";

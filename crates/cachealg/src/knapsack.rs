@@ -1,14 +1,14 @@
 //! The 0/1 knapsack solver of PACM's eviction step (the paper's Eq. 2).
 //!
 //! PACM keeps the subset of cached objects that maximizes total utility
-//! subject to the post-insertion capacity. [`solve_exact_in`] is the exact
-//! dynamic program, in `O(items × overflow)`, where the overflow is how
-//! far the items' total exceeds the capacity, in units. [`solve_in`] is
-//! what PACM calls: it first searches for the cheapest set of items to
-//! evict (a cover of the overflow) and returns that set's complement when
-//! no other cover comes within a float-error margin of it — then the DP
-//! would return exactly those keep flags — and runs the DP otherwise.
-//! The tests hold both to an exhaustive search.
+//! subject to the post-insertion capacity. [`solve_exact_in`] is the
+//! seed's exact dynamic program over the whole table, in `O(items ×
+//! units)` time and choice bytes. [`solve_in`] is what PACM calls: it
+//! first searches for the cheapest set of items to evict (a cover of the
+//! overflow) and returns that set's complement when no other cover comes
+//! within a float-error margin of it — then the DP would return exactly
+//! those keep flags — and falls back to the DP otherwise. The tests hold
+//! both to an exhaustive search.
 
 /// One candidate object for the keep-set.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -17,17 +17,6 @@ pub struct KnapsackItem {
     pub weight: u64,
     /// Utility (`U_d`); must be non-negative and finite.
     pub value: f64,
-}
-
-/// Solution of a knapsack instance.
-#[derive(Debug, Clone, PartialEq)]
-pub struct KnapsackSolution {
-    /// `keep[i]` is true when item `i` stays in the cache.
-    pub keep: Vec<bool>,
-    /// Total utility of the kept set.
-    pub total_value: f64,
-    /// Total bytes of the kept set.
-    pub total_weight: u64,
 }
 
 /// What [`solve_in`] decided, and which path decided it.
@@ -44,9 +33,9 @@ pub struct Solved {
 /// Reusable scratch state for [`solve_in`] and [`solve_exact_in`].
 ///
 /// Every buffer is kept between calls and only ever grows, so after
-/// warm-up a solve performs zero heap allocations. The DP rows and choice
-/// matrix follow the instance's overflow, not its capacity; the search
-/// buffers follow the item count.
+/// warm-up a solve performs zero heap allocations. The DP row and choice
+/// matrix follow the instance's capacity in units; the search buffers
+/// follow the item count.
 #[derive(Debug, Default)]
 pub struct KnapsackWorkspace {
     /// Sort keys of the search items, in item order: each density's bits
@@ -72,19 +61,15 @@ pub struct KnapsackWorkspace {
     path: Vec<u32>,
     /// `order` positions of the cheapest cover found.
     cover: Vec<u32>,
-    /// DP row before the current item, band-relative.
-    prev: Vec<f64>,
-    /// DP row being written for the current item, band-relative.
-    next: Vec<f64>,
-    /// Choice matrix: `overflow + 1` cells per item, one byte each.
+    /// DP row: the best value at each capacity `0..=units`.
+    row: Vec<f64>,
+    /// Choice matrix: `units + 1` cells per item, one byte each.
     choice: Vec<u8>,
     /// The loaded instance: the table's capacity in units, item values
     /// and weights rounded up to units.
     table: usize,
     values: Vec<f64>,
     weights: Vec<usize>,
-    /// Per-item band `[lower_i, prefix_i]` in absolute capacity units.
-    bands: Vec<(usize, usize)>,
     /// Keep flags of the most recent solve.
     keep: Vec<bool>,
     /// Buffer-growth events (see [`Self::allocations`]).
@@ -157,37 +142,12 @@ impl KnapsackWorkspace {
 ///
 /// `granularity` (bytes per DP unit, e.g. 1024) bounds the table size; item
 /// weights are rounded *up* to units so the byte capacity is never exceeded.
-/// Computes the keep set of the frozen seed DP ([`crate::reference`]) bit
-/// for bit (`pacm_equivalence` pins this), leaves the flags in `ws.keep()`
-/// and returns the kept set's `(total_value, total_weight)`.
-///
-/// The seed keeps `dp[0..=units]`, sets `dp[w] = dp[w − w_i] + v_i` where
-/// that is strictly greater, for every `w ≥ w_i`, and walks the choices
-/// back from `w = units`. Over the items that fit the table (`w_i ≤
-/// units`) let `total = Σ w_i`, `target = min(units, total)` and
-/// `overflow = total − target`. Row `i` matters only inside a band:
-///
-/// * above `prefix_i = min(units, Σ_{j≤i} w_j)` it is a plateau equal to
-///   the cell at `prefix_i` (all processed items fit), so the walk clamps
-///   its read position to `prefix_i`;
-/// * below `lower_i = max(0, target − Σ_{j>i} w_j)` nothing is read back:
-///   each taken item `j > i` moves the walk down by exactly `w_j`, and
-///   item `i`'s `dp[w − w_i]` read from `w ≥ max(w_i, lower_i)` lands at
-///   ≥ `max(0, lower_i − w_i) = lower_{i−1}`.
-///
-/// `prefix_i − lower_i ≤ overflow`, so a row is stored as the
-/// `overflow + 1` cells from `lower_i` up, indexed by `j = w − lower_i`.
-/// With `s = lower_i − lower_{i−1}` (`0 ≤ s ≤ w_i`) and `k = w_i − s`:
-///
-/// ```text
-/// old(j)  = prev[min(j + s, prev_len − 1)]      (the clamp is the plateau)
-/// next[j] = if j ≥ k && prev[j − k] + v > old(j) { prev[j − k] + v } else { old(j) }
-/// ```
-///
-/// — the seed's operand pair, strict `>` and item order, so each cell holds
-/// the seed's bits and the walk (entry `min(w, prefix_i) − lower_i`) finds
-/// the seed's keep set, in `O(n × overflow)` instead of `O(n × units)`; for
-/// an eviction, `overflow` is about the incoming object's size in units.
+/// This is the seed's recurrence over the whole table: one row
+/// `dp[0..=units]`, `dp[w] = dp[w − w_i] + v_i` where that is strictly
+/// greater, items in order, and the choices walked back from `w = units`.
+/// Leaves the keep flags in `ws.keep()` and returns the kept set's
+/// `(total_value, total_weight)`. Time and choice bytes are both
+/// `O(items × units)`.
 ///
 /// # Panics
 ///
@@ -206,90 +166,40 @@ pub fn solve_exact_in(
 /// [`solve_exact_in`] on the loaded instance.
 fn dp(ws: &mut KnapsackWorkspace) {
     let (n, units) = (ws.values.len(), ws.table);
-
-    // The total of the items that can enter the DP at all (the seed skips
-    // weights beyond the whole table, so they carry no suffix weight
-    // either).
-    let total: usize = ws.weights.iter().filter(|&&wi| wi <= units).sum();
-    let target = units.min(total);
-    let width = total - target + 1;
-
+    let width = units + 1;
     let grown = &mut ws.grown;
-    KnapsackWorkspace::ensure(&mut ws.prev, width, grown);
-    KnapsackWorkspace::ensure(&mut ws.next, width, grown);
+    KnapsackWorkspace::ensure(&mut ws.row, width, grown);
     KnapsackWorkspace::ensure(&mut ws.choice, n * width, grown);
-    KnapsackWorkspace::ensure(&mut ws.bands, n, grown);
     KnapsackWorkspace::ensure(&mut ws.keep, n, grown);
     ws.keep.truncate(n);
     ws.keep.fill(false);
 
-    // Forward pass. Before any item the band is the single cell `dp[0]`.
-    ws.prev[0] = 0.0;
-    let (mut lower, mut prefix) = (0usize, 0usize);
-    let mut remaining = total;
+    let row = &mut ws.row[..width];
+    row.fill(0.0);
     for (i, (&wi, &v)) in ws.weights.iter().zip(&ws.values).enumerate() {
+        // An item wider than the table is never taken, and the walk skips
+        // it without reading its choices.
         if wi > units {
             continue;
         }
-        remaining -= wi;
-        let prev_len = prefix - lower + 1;
-        let s = target.saturating_sub(remaining) - lower;
-        lower += s;
-        prefix = units.min(prefix + wi);
-        ws.bands[i] = (lower, prefix);
-        let len = prefix - lower + 1;
-        let prev = &ws.prev[..prev_len];
-        let next = &mut ws.next[..len];
-        let choice = &mut ws.choice[i * width..][..len];
-        let plateau = prev[prev_len - 1];
-        // Cells `[0, k)` lie below `w_i` and cannot take the item; cells
-        // `[0, inside)` still have their old value inside `prev` (`olds`),
-        // the rest read the plateau.
-        let k = (wi - s).min(len);
-        let olds = &prev[s.min(prev_len)..];
-        let inside = olds.len().min(len);
-        let copied = k.min(inside);
-        next[..copied].copy_from_slice(&olds[..copied]);
-        next[copied..k].fill(plateau);
-        choice[..k].fill(0);
-        let both = k.max(inside);
-        for (((cell, c), &below), &old) in next[k..both]
-            .iter_mut()
-            .zip(&mut choice[k..both])
-            .zip(&prev[..both - k])
-            .zip(&olds[copied..inside])
-        {
-            let candidate = below + v;
-            let take = candidate > old;
-            *cell = if take { candidate } else { old };
-            *c = take as u8;
+        let choice = &mut ws.choice[i * width..][..width];
+        choice[..wi].fill(0);
+        for w in (wi..=units).rev() {
+            let candidate = row[w - wi] + v;
+            let take = candidate > row[w];
+            if take {
+                row[w] = candidate;
+            }
+            choice[w] = take as u8;
         }
-        for ((cell, c), &below) in next[both..]
-            .iter_mut()
-            .zip(&mut choice[both..])
-            .zip(&prev[both - k..len - k])
-        {
-            let candidate = below + v;
-            let take = candidate > plateau;
-            *cell = if take { candidate } else { plateau };
-            *c = take as u8;
-        }
-        std::mem::swap(&mut ws.prev, &mut ws.next);
     }
 
-    // Walk choices backwards to recover the kept set, the read position
-    // clamped to each item's band top (the plateau argument above).
     let mut w = units;
     for i in (0..n).rev() {
         let wi = ws.weights[i];
-        if wi > units {
-            continue;
-        }
-        let (lower, prefix) = ws.bands[i];
-        let wc = w.min(prefix);
-        if ws.choice[i * width + (wc - lower)] != 0 {
+        if wi <= units && ws.choice[i * width + w] != 0 {
             ws.keep[i] = true;
-            w = wc - wi;
+            w -= wi;
         }
     }
 }
@@ -675,9 +585,16 @@ mod tests {
         KnapsackItem { weight, value }
     }
 
-    fn finish(items: &[KnapsackItem], keep: Vec<bool>) -> KnapsackSolution {
+    /// A keep set and its totals.
+    struct Solution {
+        keep: Vec<bool>,
+        total_value: f64,
+        total_weight: u64,
+    }
+
+    fn finish(items: &[KnapsackItem], keep: Vec<bool>) -> Solution {
         let (total_value, total_weight) = totals(items, &keep);
-        KnapsackSolution {
+        Solution {
             keep,
             total_value,
             total_weight,
@@ -686,7 +603,7 @@ mod tests {
 
     /// Exhaustive solver (`2^n`; at most 20 items): the oracle the DP and
     /// the certified search are held to.
-    fn solve_brute_force(items: &[KnapsackItem], capacity: u64) -> KnapsackSolution {
+    fn solve_brute_force(items: &[KnapsackItem], capacity: u64) -> Solution {
         assert!(items.len() <= 20, "brute force limited to 20 items");
         let mut best_mask = 0usize;
         let mut best_value = -1.0;
@@ -730,7 +647,7 @@ mod tests {
     }
 
     /// The DP's answer on a fresh workspace.
-    fn dp(items: &[KnapsackItem], capacity: u64, granularity: u64) -> KnapsackSolution {
+    fn dp(items: &[KnapsackItem], capacity: u64, granularity: u64) -> Solution {
         let mut ws = KnapsackWorkspace::new();
         solve_exact_in(&mut ws, items, capacity, granularity);
         finish(items, ws.keep.clone())
@@ -875,10 +792,9 @@ mod tests {
 
     #[test]
     fn workspace_reuse_allocates_once() {
-        // Buffer sizes follow `n` and the overflow `total − capacity`, so a
-        // smaller capacity can need a *wider* table. What holds: once every
-        // instance of a set has been solved, re-solving any of them, in any
-        // order, grows nothing.
+        // Buffer sizes follow `n` and the capacity in units. What holds:
+        // once every instance of a set has been solved, re-solving any of
+        // them, in any order, grows nothing.
         let instances: Vec<(Vec<KnapsackItem>, u64)> = (1..10)
             .flat_map(|seed| {
                 [
@@ -952,82 +868,67 @@ mod tests {
         }
     }
 
-    /// Solves in `ws` and pins keep flags and totals to the frozen seed DP.
-    fn assert_matches_seed(
-        ws: &mut KnapsackWorkspace,
-        items: &[KnapsackItem],
-        capacity: u64,
-        granularity: u64,
-        case: &str,
-    ) {
-        let (value, weight) = solve_exact_in(ws, items, capacity, granularity);
-        let seed = crate::reference::solve_exact_seed(items, capacity, granularity);
-        assert_eq!(ws.keep(), seed.keep.as_slice(), "{case}: keep flags");
-        assert_eq!(
-            value.to_bits(),
-            seed.total_value.to_bits(),
-            "{case}: total value"
-        );
-        assert_eq!(weight, seed.total_weight, "{case}: total weight");
-    }
-
     #[test]
-    fn suffix_clamp_matches_seed_dp_in_both_regimes() {
-        // Eviction-shaped (total weight ≫ capacity, the band is narrow)
-        // and everything-fits (total weight < capacity, the backtrack
-        // starts below the table top): both must reproduce the seed DP
-        // bit for bit.
-        let mut ws = KnapsackWorkspace::new();
-        for (n, cap) in [(120usize, 3_000u64), (60, 500_000)] {
-            let items = items_random(n, 77);
-            assert_matches_seed(&mut ws, &items, cap, 64, &format!("n={n} cap={cap}"));
-        }
-    }
-
-    #[test]
-    fn band_edges_match_seed_dp() {
+    fn edge_cases_keep_the_seed_flags() {
         // One workspace across all cases, so stale cells from a wider
         // earlier solve sit in every buffer a later one uses.
         // `solve_in` is held to the DP on each case, in its own workspace.
+        // Where ties decide, the DP's flags are the seed's, read off its
+        // recurrence: strict `>` in item order and the walk back from the
+        // table top.
         let mut ws = KnapsackWorkspace::new();
         let mut search = KnapsackWorkspace::new();
-        let cases: [(&str, Vec<KnapsackItem>, u64, u64); 9] = [
+        // (case, items, capacity, granularity, the seed's keep flags).
+        type Case = (&'static str, Vec<KnapsackItem>, u64, u64, Option<Vec<bool>>);
+        let cases: [Case; 9] = [
             (
                 "zero-size items",
                 vec![item(0, 5.0), item(3, 2.0), item(0, 0.0), item(4, 7.0)],
                 5,
                 1,
+                None,
             ),
             (
                 "items wider than the table",
                 vec![item(100, 9.0), item(3, 1.0), item(50, 2.0), item(4, 3.0)],
                 6,
                 1,
+                None,
             ),
             (
                 "everything fits (overflow 0)",
                 vec![item(3, 1.0), item(4, 2.0), item(1, 0.5)],
                 100,
                 1,
+                None,
             ),
             (
                 "units = 0",
                 vec![item(0, 1.0), item(1, 2.0), item(0, 3.0)],
                 0,
                 1,
+                None,
             ),
             (
                 "capacity below one unit",
                 vec![item(0, 1.0), item(7, 2.0)],
                 5,
                 10,
+                None,
             ),
-            ("equal-value ties, equal items", vec![item(2, 1.0); 6], 7, 1),
+            (
+                "equal-value ties, equal items",
+                vec![item(2, 1.0); 6],
+                7,
+                1,
+                Some(vec![true, true, true, false, false, false]),
+            ),
             (
                 "equal-value ties, different subsets",
                 vec![item(2, 2.0), item(1, 1.0), item(1, 1.0), item(3, 3.0)],
                 3,
                 1,
+                Some(vec![true, true, false, false]),
             ),
             (
                 "float absorption",
@@ -1040,28 +941,28 @@ mod tests {
                 ],
                 4,
                 1,
+                Some(vec![true, false, false, true, false]),
             ),
             (
-                // Half the weight fits: the early rows sit on the table
-                // floor (`lower_i = 0`), the late rows under its ceiling
-                // (`prefix_i = units`), the middle rows touch both.
-                "saturated early rows and clamped late rows",
+                "half the weight fits",
                 items_random(30, 5),
                 22_000,
                 64,
+                None,
             ),
         ];
-        for (case, items, capacity, granularity) in &cases {
-            assert_matches_seed(&mut ws, items, *capacity, *granularity, case);
+        for (case, items, capacity, granularity, seed_keep) in &cases {
             assert_solve_in_matches_dp(&mut search, &mut ws, items, *capacity, *granularity, case);
+            if let Some(seed_keep) = seed_keep {
+                assert_eq!(ws.keep(), seed_keep.as_slice(), "{case}: the seed's flags");
+            }
         }
 
-        // Band widths either side of 64 cells, and well past 128.
+        // Overflows from one unit to a thousand.
         let items = items_random(40, 9);
         let total: u64 = items.iter().map(|it| it.weight).sum();
         for overflow in [1u64, 63, 64, 65, 129, 1_000] {
             let case = format!("overflow {overflow}");
-            assert_matches_seed(&mut ws, &items, total - overflow, 1, &case);
             assert_solve_in_matches_dp(&mut search, &mut ws, &items, total - overflow, 1, &case);
         }
     }

@@ -50,14 +50,11 @@ mod lru;
 mod object;
 pub mod pacm;
 mod policy;
-pub mod reference;
 mod store;
 
 pub use freq::FrequencyTracker;
 pub use gini::{gini, gini_in_place};
-pub use knapsack::{
-    solve_exact_in, solve_in, KnapsackItem, KnapsackSolution, KnapsackWorkspace, Solved,
-};
+pub use knapsack::{solve_exact_in, solve_in, KnapsackItem, KnapsackWorkspace, Solved};
 pub use lru::LruPolicy;
 pub use object::{AppId, ObjectMeta, Priority};
 pub use pacm::{EvictStats, PacmConfig, PacmPolicy};

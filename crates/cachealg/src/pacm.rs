@@ -35,8 +35,9 @@
 //!   cheapest set of survivors to evict and keeps the rest when that set
 //!   is certified unique — no other set comes within the float-error
 //!   margin δ of it, so the DP would return the same keep flags;
-//! * only when the certificate fails does the DP run, on the surviving
-//!   subset, in the workspace.
+//! * only when the certificate fails does the plain DP run, the seed's
+//!   recurrence over the whole table, on the surviving subset, in the
+//!   workspace.
 //!
 //! Each app's clamped rate `R(a)` is read once per call, not once per
 //! cached object, and the utilities multiply in the same order, so every
@@ -55,7 +56,7 @@
 //!
 //! Every reduction preserves the victim set byte for byte; the
 //! `pacm_equivalence` property suite pins this against the frozen seed
-//! implementation in [`crate::reference`].
+//! implementation, which lives with the tests (`tests/support/reference.rs`).
 
 use ape_dnswire::UrlHash;
 use ape_simnet::SimTime;
@@ -114,7 +115,7 @@ pub struct EvictStats {
     /// Invocations decided by the certified cover search
     /// ([`crate::solve_in`]).
     pub certified: u64,
-    /// Invocations the band DP decided: the search was not certified.
+    /// Invocations the plain DP decided: the search was not certified.
     pub dp_runs: u64,
     /// Invocations short-circuited because the surviving objects fit.
     pub short_circuits: u64,

@@ -1,21 +1,25 @@
 //! Equivalence proofs for the incremental PACM eviction engine.
 //!
 //! The optimized `PacmPolicy::select_victims` (reusable workspace,
-//! certified cover search, band-relative DP, pre-solver reductions,
-//! incremental fairness repair) must return **byte-identical victim lists** — same keys, same
-//! order — as the frozen seed implementation preserved in
-//! `ape_cachealg::reference`, on every input. These tests pin that claim on
-//! randomized stores (sizes, priorities, TTLs incl. expired, app mixes,
-//! trained frequencies, θ and granularity choices), stores whose app ids
-//! straddle the dense id table, fairness bounds set within an ulp or two
-//! of the kept set's Gini, plus a golden regression on a seeded 1 000-object
-//! store, a brim-full store probed with small, typical and maximal
-//! admissions, and a store of more than 4 096 small objects.
+//! certified cover search with the plain DP as its fallback, pre-solver
+//! reductions, incremental fairness repair) must return **byte-identical
+//! victim lists** — same keys, same order — as the frozen seed
+//! implementation in `support/reference.rs`, on every input. These tests
+//! pin that claim on randomized stores (sizes, priorities, TTLs incl.
+//! expired, app mixes, trained frequencies, θ and granularity choices),
+//! stores whose app ids straddle the dense id table, fairness bounds set
+//! within an ulp or two of the kept set's Gini, plus a golden regression
+//! on a seeded 1 000-object store, a brim-full store probed with small,
+//! typical and maximal admissions, a store of more than 4 096 small
+//! objects, and a store of identical objects that the search declines and
+//! the DP decides.
 
 use std::collections::BTreeMap;
 
+#[path = "support/reference.rs"]
+mod reference;
+
 use ape_cachealg::pacm::MIN_RATE;
-use ape_cachealg::reference::{solve_exact_seed, ReferencePacm};
 use ape_cachealg::{
     gini, solve_exact_in, solve_in, AppId, CacheStore, EvictionPolicy, KnapsackItem,
     KnapsackWorkspace, ObjectMeta, PacmConfig, PacmPolicy, Priority,
@@ -23,6 +27,7 @@ use ape_cachealg::{
 use ape_check::{check, Gen};
 use ape_dnswire::UrlHash;
 use ape_simnet::{SimDuration, SimTime};
+use reference::{solve_exact_seed, ReferencePacm};
 
 fn object(g: &mut Gen, max_size: u64) -> ObjectMeta {
     ObjectMeta {
@@ -418,13 +423,14 @@ fn eviction_shaped_stores_match_seed() {
     );
 }
 
-/// More objects than the 4 096 above which PACM once switched to a greedy
+/// More objects than the 4 096 above which the seed switched to a greedy
 /// solver: 5 000 objects of 100–700 B fill a store exactly, so the seed
 /// DP's `items × capacity_units` choice matrix stays near 10 MB. Each
 /// object rounds up to one 1 kB unit, so the survivors overflow the
-/// capacity and the decision is the DP's.
+/// capacity; the certified search decides, and its victims are the seed
+/// DP's.
 #[test]
-fn stores_beyond_4096_objects_run_the_dp() {
+fn stores_beyond_the_old_greedy_cutover_match_seed() {
     let mut state = 0x2468_ACE0_1357_9BDFu64;
     let mut next = move || {
         state = state
@@ -475,9 +481,51 @@ fn stores_beyond_4096_objects_run_the_dp() {
     assert_eq!(victims, seed_policy.select_victims(&store, &incoming, now));
     let stats = policy.stats();
     assert_eq!(
-        stats.certified + stats.dp_runs,
-        1,
-        "a 5 000-object store reaches the solver: {stats:?}"
+        (stats.certified, stats.dp_runs),
+        (1, 0),
+        "the search decides a 5 000-object store: {stats:?}"
+    );
+}
+
+/// Forty identical objects (same app, size, TTL, latency and priority):
+/// every cover of the overflow costs the same, so the search declines the
+/// tie and the DP decides, by its strict `>` in item order. Its victims
+/// must be the seed's.
+#[test]
+fn a_tie_the_search_declines_is_decided_by_the_dp_as_the_seed_decides() {
+    let mut store = CacheStore::new(40_000, 500_000);
+    for i in 0..40 {
+        store.insert(
+            ObjectMeta {
+                key: UrlHash::of(&format!("tie/{i}")),
+                app: AppId::new(5),
+                size: 1_000,
+                priority: Priority::HIGH,
+                expires_at: SimTime::from_secs(3600),
+                fetch_latency: SimDuration::from_millis(30),
+            },
+            SimTime::ZERO,
+        );
+    }
+    let incoming = ObjectMeta {
+        key: UrlHash::of("tie-incoming"),
+        app: AppId::new(2),
+        size: 2_500,
+        priority: Priority::HIGH,
+        expires_at: SimTime::from_secs(3600),
+        fetch_latency: SimDuration::from_millis(30),
+    };
+    let (mut policy, mut seed_policy) = trained(PacmConfig::default(), &[(5, 20), (2, 5)]);
+    let now = SimTime::from_secs(61);
+    let victims = policy.select_victims(&store, &incoming, now);
+    // 37 500 B hold 36 one-unit objects of the 40.
+    assert_eq!(victims.len(), 4);
+    assert_eq!(victims, seed_policy.select_victims(&store, &incoming, now));
+    let stats = policy.stats();
+    assert_eq!(
+        (stats.certified, stats.dp_runs),
+        (0, 1),
+        "the tie goes to the DP: {stats:?}"
     );
 }
 

@@ -1,29 +1,37 @@
-//! Frozen seed implementations of the PACM eviction path.
+//! Frozen seed implementations of the PACM eviction path, the tests'
+//! oracle.
 //!
-//! This module preserves, verbatim, the pre-optimization knapsack DP
-//! and `PacmPolicy::select_victims` (knapsack + fairness repair) exactly as
-//! they shipped in the seed, with one cut: the seed's size-selected greedy
-//! branch is gone, because the engine it is compared against always runs
-//! the DP. They are **not** used by the simulator; they are the equivalence
-//! oracle for the `pacm_equivalence` property tests and for `repro
-//! bench-evict`'s cells of up to 4096 objects, which assert the optimized
-//! engine returns byte-identical victim lists. The seed DP allocates a full
-//! `items × capacity_units` choice matrix, so it is an oracle for small
-//! stores only.
+//! This module preserves, verbatim, the seed's knapsack DP and
+//! `PacmPolicy::select_victims` (knapsack + fairness repair) exactly as
+//! they shipped, with one cut: the seed's size-selected greedy branch is
+//! gone, because the engine it is compared against always keeps the DP's
+//! set. The library does not ship it. `pacm_equivalence` and the bench
+//! crate's `evict_oracle` include it by `#[path]` and assert that the
+//! optimized engine returns byte-identical victim lists. The seed DP
+//! allocates a full `items × capacity_units` choice matrix, so it is an
+//! oracle for small stores only.
 //!
 //! Do not "improve" this code; its value is that it never changes.
 
 use std::collections::BTreeMap;
 
+use ape_cachealg::pacm::{ALPHA, MIN_RATE};
+use ape_cachealg::{
+    gini, AppId, CacheStore, FrequencyTracker, KnapsackItem, ObjectMeta, PacmConfig,
+};
 use ape_dnswire::UrlHash;
 use ape_simnet::SimTime;
 
-use crate::freq::FrequencyTracker;
-use crate::gini::gini;
-use crate::knapsack::{KnapsackItem, KnapsackSolution};
-use crate::object::{AppId, ObjectMeta};
-use crate::pacm::{PacmConfig, ALPHA, MIN_RATE};
-use crate::store::CacheStore;
+/// Solution of a knapsack instance.
+#[derive(Debug, Clone, PartialEq)]
+pub struct KnapsackSolution {
+    /// `keep[i]` is true when item `i` stays in the cache.
+    pub keep: Vec<bool>,
+    /// Total utility of the kept set.
+    pub total_value: f64,
+    /// Total bytes of the kept set.
+    pub total_weight: u64,
+}
 
 /// The seed's exact DP solver, with the full `Vec<bool>` choice matrix and
 /// no prefix clamping. Allocates `O(items × capacity_units)` per call.
