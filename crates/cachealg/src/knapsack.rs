@@ -61,8 +61,11 @@ pub struct KnapsackWorkspace {
     path: Vec<u32>,
     /// `order` positions of the cheapest cover found.
     cover: Vec<u32>,
-    /// DP row: the best value at each capacity `0..=units`.
+    /// DP row: the best value at each capacity `0..=units` over the items
+    /// so far.
     row: Vec<f64>,
+    /// The row being written for the current item, then swapped in.
+    next: Vec<f64>,
     /// Choice matrix: `units + 1` cells per item, one byte each.
     choice: Vec<u8>,
     /// The loaded instance: the table's capacity in units, item values
@@ -142,12 +145,14 @@ impl KnapsackWorkspace {
 ///
 /// `granularity` (bytes per DP unit, e.g. 1024) bounds the table size; item
 /// weights are rounded *up* to units so the byte capacity is never exceeded.
-/// This is the seed's recurrence over the whole table: one row
-/// `dp[0..=units]`, `dp[w] = dp[w − w_i] + v_i` where that is strictly
-/// greater, items in order, and the choices walked back from `w = units`.
-/// Leaves the keep flags in `ws.keep()` and returns the kept set's
-/// `(total_value, total_weight)`. Time and choice bytes are both
-/// `O(items × units)`.
+/// This is the seed's recurrence over the whole table `dp[0..=units]`:
+/// `dp[w] = dp[w − w_i] + v_i` where that is strictly greater, items in
+/// order, and the choices walked back from `w = units`. The seed updates
+/// one row in place from the top down, so each read sees the previous
+/// item's row; this writes the new row beside it, from the same operands,
+/// in a loop that vectorizes. Leaves the keep flags in `ws.keep()` and
+/// returns the kept set's `(total_value, total_weight)`. Time and choice
+/// bytes are both `O(items × units)`.
 ///
 /// # Panics
 ///
@@ -169,29 +174,35 @@ fn dp(ws: &mut KnapsackWorkspace) {
     let width = units + 1;
     let grown = &mut ws.grown;
     KnapsackWorkspace::ensure(&mut ws.row, width, grown);
+    KnapsackWorkspace::ensure(&mut ws.next, width, grown);
     KnapsackWorkspace::ensure(&mut ws.choice, n * width, grown);
     KnapsackWorkspace::ensure(&mut ws.keep, n, grown);
     ws.keep.truncate(n);
     ws.keep.fill(false);
 
-    let row = &mut ws.row[..width];
-    row.fill(0.0);
+    ws.row[..width].fill(0.0);
     for (i, (&wi, &v)) in ws.weights.iter().zip(&ws.values).enumerate() {
         // An item wider than the table is never taken, and the walk skips
         // it without reading its choices.
         if wi > units {
             continue;
         }
+        let (prev, next) = (&ws.row[..width], &mut ws.next[..width]);
         let choice = &mut ws.choice[i * width..][..width];
+        next[..wi].copy_from_slice(&prev[..wi]);
         choice[..wi].fill(0);
-        for w in (wi..=units).rev() {
-            let candidate = row[w - wi] + v;
-            let take = candidate > row[w];
-            if take {
-                row[w] = candidate;
-            }
-            choice[w] = take as u8;
+        for (((cell, c), &old), &below) in next[wi..]
+            .iter_mut()
+            .zip(&mut choice[wi..])
+            .zip(&prev[wi..])
+            .zip(&prev[..width - wi])
+        {
+            let candidate = below + v;
+            let take = candidate > old;
+            *cell = if take { candidate } else { old };
+            *c = take as u8;
         }
+        std::mem::swap(&mut ws.row, &mut ws.next);
     }
 
     let mut w = units;

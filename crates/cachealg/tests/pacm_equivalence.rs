@@ -353,11 +353,12 @@ const GOLDEN_VICTIM_COUNT: usize = 16;
 const GOLDEN_VICTIM_DIGEST: u64 = 0x98d651e184d6cfe3;
 
 /// The shape the simulator produces: a 5 MB store filled to the brim, one
-/// admission that does not fit. The incoming size sets the DP's band width
-/// (about `size / granularity` cells), so 1 kB, 40 kB and 490 kB cover a
-/// band of a few cells, the testbed's typical band, and the widest a
-/// 500 kB block threshold admits. One policy pair serves all three, widest
-/// last and then narrowest again, so reused buffers hold stale wider rows.
+/// admission that does not fit. The incoming size sets the overflow the
+/// solver must cover (about `size / granularity` units), so 1 kB, 40 kB
+/// and 490 kB cover an overflow of a few units, the testbed's typical
+/// one, and the widest a 500 kB block threshold admits. One policy pair
+/// serves all three, widest last and then narrowest again, so reused
+/// buffers hold stale state from a larger solve.
 #[test]
 fn eviction_shaped_stores_match_seed() {
     let mut state = 0x1357_9BDF_0246_8ACEu64;
