@@ -266,7 +266,16 @@ pub struct ClientApps {
 impl ClientApps {
     /// Derives the shared tables from `apps`. When two apps annotate one
     /// base URL, the later app's annotation wins for both.
+    ///
+    /// # Panics
+    ///
+    /// Panics if two apps share a name: each app's name is its own
+    /// `client.app_latency_ms.<name>` histogram.
     pub fn new(apps: Vec<AppSpec>) -> Self {
+        let mut names: Vec<&str> = apps.iter().map(AppSpec::name).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), apps.len(), "two apps share a name");
         let mut registry = BTreeMap::new();
         let mut app_index = BTreeMap::new();
         let mut children = Vec::with_capacity(apps.len());
@@ -1361,7 +1370,8 @@ mod tests {
 
     #[test]
     fn a_later_app_annotating_the_same_base_url_wins_for_both() {
-        let mut second = movie_trailer(AppId::new(2));
+        let dag = movie_trailer(AppId::new(2)).dag().clone();
+        let mut second = AppSpec::new(AppId::new(2), "SecondTrailer", dag).with_variants(10);
         for (idx, _) in second.clone().dag().iter() {
             second.dag_mut().object_mut(idx).ttl = SimDuration::from_secs(7);
         }
@@ -1372,6 +1382,15 @@ mod tests {
                 (AppId::new(2), SimDuration::from_secs(7))
             );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "two apps share a name")]
+    fn a_suite_with_two_apps_of_one_name_is_refused() {
+        ClientApps::new(vec![
+            movie_trailer(AppId::new(1)),
+            movie_trailer(AppId::new(2)),
+        ]);
     }
 
     #[test]

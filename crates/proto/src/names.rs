@@ -189,6 +189,15 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), all().count(), "duplicate metric name");
+        // A per-app member is not a declared metric: no declared name but
+        // the prefix itself lies in its family.
+        for name in names {
+            assert!(
+                name == CLIENT_APP_LATENCY_MS_PREFIX
+                    || !name.starts_with(CLIENT_APP_LATENCY_MS_PREFIX),
+                "`{name}` names a member of the per-app family"
+            );
+        }
     }
 
     #[test]

@@ -15,20 +15,19 @@
 //! aggregates and a fold of its points, not the points, so it holds no heap
 //! memory at all.
 //!
-//! Each metric kind lives in one table. Recording goes through interned
-//! [`MetricId`]s ([`Metrics::incr_id`], [`Metrics::observe_id`],
-//! [`Metrics::record_point_id`]): an index, no string compare and no
-//! allocation. The one family of names built at run time (a histogram per
-//! app) is written through [`Metrics::observe_under`], keyed by a declared
-//! prefix id and the member's slot in the caller's numbering, so a repeat
-//! write is an index too. The harnesses read by name.
+//! Each metric kind lives in one table of slots. Recording goes through
+//! interned [`MetricId`]s ([`Metrics::incr_id`], [`Metrics::observe_id`],
+//! [`Metrics::record_point_id`]), whose index is the metric's slot: an
+//! indexed load, no string compare and no allocation. The one family of
+//! names built at run time (a histogram per app) is written through
+//! [`Metrics::observe_under`], whose slot is the declared prefix id's index
+//! and the member's number in the caller's family, so a repeat write is an
+//! indexed load too. The harnesses read by name, which walks the occupied
+//! slots.
 
-use std::borrow::Cow;
 use std::fmt;
-// Metrics can time their own recording cost for the sim-loop self-profiler
-// (`World::enable_profiler`); host time never feeds back into sim state.
-use std::time::Instant;
 
+use crate::profiler::{ProfCategory, Profiler};
 use crate::rng::mix64;
 use crate::time::SimTime;
 
@@ -229,7 +228,7 @@ impl fmt::Debug for SketchBuckets {
 /// }
 /// assert_eq!(h.mean(), 2.5);
 /// assert_eq!(h.max(), 4.0);
-/// assert!((h.percentile(50.0) - 2.0).abs() <= 0.01 * 2.0);
+/// assert!((h.p50() - 2.0).abs() <= 0.01 * 2.0);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
@@ -339,18 +338,6 @@ impl Histogram {
         } else {
             self.sum
         }
-    }
-
-    /// The `p`-th percentile (nearest-rank bucket), `p` in `[0, 100]`.
-    ///
-    /// Returns 0.0 when empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is outside `[0, 100]`.
-    pub fn percentile(&self, p: f64) -> f64 {
-        assert!((0.0..=100.0).contains(&p), "percentile {p} out of range");
-        self.quantile(p / 100.0)
     }
 
     /// The `q`-quantile, `q` in `[0, 1]`: the midpoint of the bucket that
@@ -515,193 +502,107 @@ impl TimeSeries {
     }
 }
 
-/// Host-time self-accounting for the registry (the sim-loop profiler's
-/// `metrics.record` category). Off by default: every hook is one branch.
+/// Every metric of one kind, one slot each. A declared name sits at its
+/// [`MetricId::index`], a family member at its prefix id's index and the
+/// caller's slot, so a write is an indexed load; a read by name walks the
+/// occupied slots.
 #[derive(Debug, Clone, Default)]
-struct SelfProfile {
-    enabled: bool,
-    nanos: u64,
-    calls: u64,
-}
-
-impl SelfProfile {
-    #[inline]
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "measures the metrics plane's own host-CPU cost; the reading is reported, never fed back into simulated state"
-    )]
-    fn start(&self) -> Option<Instant> {
-        if self.enabled {
-            Some(Instant::now())
-        } else {
-            None
-        }
-    }
-
-    #[inline]
-    fn stop(&mut self, started: Option<Instant>) {
-        if let Some(t) = started {
-            self.nanos += u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            self.calls += 1;
-        }
-    }
-}
-
-/// One registered metric: its name and its value.
-#[derive(Debug, Clone)]
-struct Entry<T> {
-    /// Borrowed when the metric was first written through a [`MetricId`]
-    /// (no allocation), owned when it was built under a prefix.
-    name: Cow<'static, str>,
-    value: T,
-}
-
-/// Every metric of one kind, in registration order. A name is registered
-/// by its first write; by-name access finds it by scanning `entries`, a
-/// [`MetricId`] through `by_id`, a family member through `by_member`.
-/// Entries are only ever appended, so a remembered position stays valid.
-#[derive(Debug, Clone)]
 struct Table<T> {
-    entries: Vec<Entry<T>>,
-    /// `MetricId::index()` → position in `entries` plus one; `0` until the
-    /// id's first use has looked its name up.
-    by_id: Vec<u32>,
-    /// Prefix `MetricId::index()` → member slot → position in `entries`
-    /// plus one; `0` until the slot's first write.
-    by_member: Vec<Vec<u32>>,
-}
-
-impl<T> Default for Table<T> {
-    fn default() -> Self {
-        Table {
-            entries: Vec::new(),
-            by_id: Vec::new(),
-            by_member: Vec::new(),
-        }
-    }
+    /// `MetricId::index()` → the id's name and value; `None` until the
+    /// id's first write.
+    declared: Vec<Option<(&'static str, T)>>,
+    /// Prefix `MetricId::index()` → member slot → the member's full name
+    /// and value; `None` until the slot's first write.
+    members: Vec<Vec<Option<(String, T)>>>,
 }
 
 impl<T: Default> Table<T> {
-    fn position(&self, name: &str) -> Option<usize> {
-        self.entries.iter().position(|e| e.name == name)
-    }
-
-    /// Registers `name` at the default value and returns its position.
-    fn register(&mut self, name: Cow<'static, str>) -> usize {
-        self.entries.push(Entry {
-            name,
-            value: T::default(),
-        });
-        self.entries.len() - 1
-    }
-
-    /// The value named `prefix`'s name followed by `member`, which the
-    /// caller numbers `slot` within the family: two indexed loads and one
-    /// name check once the slot has been written. A slot that turns out to
-    /// name another member (two numberings of one family) is looked up by
-    /// name again; allocates only when the name is new.
-    fn under(&mut self, prefix: MetricId, member: &str, slot: usize) -> &mut T {
-        let is_member = |e: &Entry<T>| e.name.strip_prefix(prefix.name()) == Some(member);
-        let remembered = self
-            .by_member
-            .get(prefix.index())
-            .and_then(|slots| slots.get(slot))
-            .and_then(|&at| (at as usize).checked_sub(1))
-            .filter(|&pos| is_member(&self.entries[pos]));
-        let pos = match remembered {
-            Some(pos) => pos,
-            None => {
-                let pos =
-                    self.entries.iter().position(is_member).unwrap_or_else(|| {
-                        self.register(Cow::Owned([prefix.name(), member].concat()))
-                    });
-                if self.by_member.len() <= prefix.index() {
-                    self.by_member.resize_with(prefix.index() + 1, Vec::new);
-                }
-                let slots = &mut self.by_member[prefix.index()];
-                if slots.len() <= slot {
-                    slots.resize(slot + 1, 0);
-                }
-                slots[slot] = u32::try_from(pos + 1).expect("metric count fits u32");
-                pos
-            }
-        };
-        &mut self.entries[pos].value
-    }
-
-    /// The value interned as `id`: two indexed loads, no string compare
-    /// and no allocation once the id has been used.
+    /// The value interned as `id`: no string compare and no allocation
+    /// once the id has been written.
     #[inline]
     fn interned(&mut self, id: MetricId) -> &mut T {
-        match self.by_id.get(id.index()) {
-            Some(&at) if at != 0 => {
-                let entry = &mut self.entries[at as usize - 1];
-                debug_assert_eq!(entry.name, id.name(), "metric id index collision");
-                &mut entry.value
-            }
-            _ => self.intern(id),
+        if !matches!(self.declared.get(id.index()), Some(Some(_))) {
+            self.intern(id);
+        }
+        match &mut self.declared[id.index()] {
+            Some((_, value)) => value,
+            None => unreachable!("interned above"),
         }
     }
 
     #[cold]
-    fn intern(&mut self, id: MetricId) -> &mut T {
-        let pos = self
-            .position(id.name())
-            .unwrap_or_else(|| self.register(Cow::Borrowed(id.name())));
-        if self.by_id.len() <= id.index() {
-            self.by_id.resize(id.index() + 1, 0);
+    fn intern(&mut self, id: MetricId) {
+        if self.declared.len() <= id.index() {
+            self.declared.resize_with(id.index() + 1, || None);
         }
-        self.by_id[id.index()] = u32::try_from(pos + 1).expect("metric count fits u32");
-        &mut self.entries[pos].value
+        self.declared[id.index()] = Some((id.name(), T::default()));
+    }
+
+    /// The value named `prefix`'s name followed by `member`, which the
+    /// caller numbers `slot` within the family. The slot's first write
+    /// builds the name; a slot that later names another member is a bug in
+    /// the caller's numbering.
+    fn under(&mut self, prefix: MetricId, member: &str, slot: usize) -> &mut T {
+        if self.members.len() <= prefix.index() {
+            self.members.resize_with(prefix.index() + 1, Vec::new);
+        }
+        let slots = &mut self.members[prefix.index()];
+        if slots.len() <= slot {
+            slots.resize_with(slot + 1, || None);
+        }
+        let (name, value) =
+            slots[slot].get_or_insert_with(|| ([prefix.name(), member].concat(), T::default()));
+        debug_assert!(
+            name.strip_prefix(prefix.name()) == Some(member),
+            "slot {slot} of `{0}` holds `{name}`, not `{0}{member}`",
+            prefix.name()
+        );
+        value
+    }
+
+    /// Every `(name, value)` pair, declared names first.
+    fn iter(&self) -> impl Iterator<Item = (&str, &T)> {
+        let declared = self.declared.iter().flatten().map(|(k, v)| (*k, v));
+        let members = self.members.iter().flatten().flatten();
+        declared.chain(members.map(|(k, v)| (k.as_str(), v)))
     }
 
     fn get(&self, name: &str) -> Option<&T> {
-        self.position(name).map(|pos| &self.entries[pos].value)
-    }
-
-    fn get_id(&self, id: MetricId) -> Option<&T> {
-        match self.by_id.get(id.index()) {
-            Some(&at) if at != 0 => Some(&self.entries[at as usize - 1].value),
-            _ => self.get(id.name()),
-        }
+        self.iter().find(|&(k, _)| k == name).map(|(_, v)| v)
     }
 
     /// `(name, value)` pairs in name order: the order `digest`, `Display`
     /// and the `*_names` iterators present.
     fn sorted(&self) -> Vec<(&str, &T)> {
-        let mut out: Vec<(&str, &T)> = self
-            .entries
-            .iter()
-            .map(|e| (e.name.as_ref(), &e.value))
-            .collect();
+        let mut out: Vec<(&str, &T)> = self.iter().collect();
         out.sort_by(|a, b| a.0.cmp(b.0));
         out
     }
 
-    /// Heap bytes of the two tables and the owned names; `value_bytes`
+    /// Heap bytes of the slot tables and the members' names; `value_bytes`
     /// adds what each value holds on the heap.
     fn approx_bytes(&self, value_bytes: impl Fn(&T) -> usize) -> usize {
-        let slots: usize = self.by_member.iter().map(Vec::capacity).sum();
-        let tables = self.entries.capacity() * std::mem::size_of::<Entry<T>>()
-            + (self.by_id.capacity() + slots) * std::mem::size_of::<u32>()
-            + self.by_member.capacity() * std::mem::size_of::<Vec<u32>>();
-        self.entries.iter().fold(tables, |total, e| {
-            let name = match &e.name {
-                Cow::Owned(s) => s.capacity(),
-                Cow::Borrowed(_) => 0,
-            };
-            total + name + value_bytes(&e.value)
-        })
+        let slots: usize = self.members.iter().map(Vec::capacity).sum();
+        let tables = self.declared.capacity() * std::mem::size_of::<Option<(&str, T)>>()
+            + slots * std::mem::size_of::<Option<(String, T)>>()
+            + self.members.capacity() * std::mem::size_of::<Vec<Option<(String, T)>>>();
+        let names: usize = (self.members.iter().flatten().flatten())
+            .map(|(k, _)| k.capacity())
+            .sum();
+        self.iter()
+            .fold(tables + names, |total, (_, v)| total + value_bytes(v))
     }
 }
 
 /// Central metric registry for a simulation run.
 ///
-/// Metrics are keyed by string names; harnesses read by the stable,
-/// documented names in [`keys`] and `ape_proto::names`. Writes take the
-/// [`MetricId`] that interns such a name — the same metric reached without
-/// a string compare or an allocation — so a name nobody declared cannot be
-/// written:
+/// Harnesses read by the stable, documented names in [`keys`] and
+/// `ape_proto::names`. Writes take the [`MetricId`] that interns such a
+/// name, whose index is the metric's slot — the same metric reached
+/// without a string compare or an allocation — so a name nobody declared
+/// cannot be written (the per-app family goes through
+/// [`observe_under`](Self::observe_under)). When the world's profiler is
+/// on, each write charges its host time to its `metrics.record` row.
 ///
 /// ```
 /// use ape_simnet::{keys, Metrics};
@@ -721,7 +622,9 @@ pub struct Metrics {
     counters: Table<u64>,
     histograms: Table<Histogram>,
     series: Table<TimeSeries>,
-    profile: SelfProfile,
+    /// The registry's own host time, the sim-loop profiler's
+    /// `metrics.record` row; enabled and read by the [`World`](crate::World).
+    pub(crate) prof: Profiler,
 }
 
 impl Metrics {
@@ -730,25 +633,14 @@ impl Metrics {
         Metrics::default()
     }
 
-    /// Turns on self-profiling: recording paths accumulate their own host
-    /// time for the sim-loop profiler's `metrics.record` row.
-    pub fn enable_self_profile(&mut self) {
-        self.profile.enabled = true;
-    }
-
-    /// Accumulated `(nanos, calls)` of self-profiled recording time.
-    pub fn self_profile(&self) -> (u64, u64) {
-        (self.profile.nanos, self.profile.calls)
-    }
-
     // --- counters ---------------------------------------------------------
 
     /// Adds `delta` to the counter interned as `id`: no string compare,
     /// no allocation.
     pub fn incr_id(&mut self, id: MetricId, delta: u64) {
-        let t = self.profile.start();
+        let t = self.prof.start();
         *self.counters.interned(id) += delta;
-        self.profile.stop(t);
+        self.prof.record(ProfCategory::Metrics, t);
     }
 
     /// Current value of a counter (0 if never incremented).
@@ -756,42 +648,34 @@ impl Metrics {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Current value of an interned counter (0 if never incremented).
-    pub fn counter_id(&self, id: MetricId) -> u64 {
-        self.counters.get_id(id).copied().unwrap_or(0)
-    }
-
     // --- histograms -------------------------------------------------------
 
     /// Records an observation into the histogram interned as `id`: no
     /// string compare, no allocation.
     pub fn observe_id(&mut self, id: MetricId, value: f64) {
-        let t = self.profile.start();
+        let t = self.prof.start();
         self.histograms.interned(id).record(value);
-        self.profile.stop(t);
+        self.prof.record(ProfCategory::Metrics, t);
     }
 
     /// Records an observation into the histogram named `prefix`'s name
     /// followed by `member` — the only write keyed by a run-time string,
     /// for a family whose members (one per app) are not known until the
     /// run is configured. `slot` is the member's dense number in the
-    /// caller's family (an app's position in its suite): the first write
-    /// per slot finds or registers the name, later ones are a table index
-    /// and one name check, with no allocation.
+    /// caller's family (an app's position in its suite), and one slot
+    /// stays one member: the slot's first write builds the name, later
+    /// ones are a table index with no compare and no allocation. A member
+    /// is its own histogram even where a declared id spells the same name;
+    /// `ape_proto::names` declares none that does.
     pub fn observe_under(&mut self, prefix: MetricId, member: &str, slot: usize, value: f64) {
-        let t = self.profile.start();
+        let t = self.prof.start();
         self.histograms.under(prefix, member, slot).record(value);
-        self.profile.stop(t);
+        self.prof.record(ProfCategory::Metrics, t);
     }
 
     /// Read access to a histogram, if it exists.
     pub fn histogram(&self, name: &str) -> Option<&Histogram> {
         self.histograms.get(name)
-    }
-
-    /// Read access to an interned histogram, if it exists.
-    pub fn histogram_id(&self, id: MetricId) -> Option<&Histogram> {
-        self.histograms.get_id(id)
     }
 
     /// Mean of a histogram, or 0.0 if absent.
@@ -809,9 +693,9 @@ impl Metrics {
     /// Appends a point to the series interned as `id`: no string compare,
     /// no allocation.
     pub fn record_point_id(&mut self, id: MetricId, at: SimTime, value: f64) {
-        let t = self.profile.start();
+        let t = self.prof.start();
         self.series.interned(id).record(at, value);
-        self.profile.stop(t);
+        self.prof.record(ProfCategory::Metrics, t);
     }
 
     /// Read access to a time series, if it exists.
@@ -845,8 +729,8 @@ impl Metrics {
     /// a different order digest alike and two that differ in one bit of one
     /// sample do not. A time series hashes as its length plus its
     /// order-dependent fold of every point's time and value bits, so there
-    /// the order of the points counts too. How a name came to be registered
-    /// does not enter.
+    /// the order of the points counts too. The order in which names were
+    /// first written does not enter.
     pub fn digest(&self) -> u64 {
         use crate::determinism::Fnv64;
         let counters = self.counters.sorted();
@@ -1022,7 +906,6 @@ mod tests {
             LAT = "lat";
             S = "s";
             LAT_PREFIX = "lat.";
-            LAT_NEWS = "lat.news";
         }
     }
     use local::id;
@@ -1095,8 +978,8 @@ mod tests {
     #[test]
     fn histogram_percentiles_nearest_rank() {
         let (h, mut exact) = one_to_hundred();
-        for p in [0.0, 50.0, 95.0, 100.0] {
-            assert_within_bound(h.percentile(p), exact.quantile(p / 100.0), "percentile");
+        for (got, q) in [(h.p50(), 0.5), (h.p95(), 0.95), (h.p99(), 0.99)] {
+            assert_within_bound(got, exact.quantile(q), "percentile");
         }
     }
 
@@ -1126,19 +1009,11 @@ mod tests {
     fn histogram_empty_is_zeroed() {
         let h = Histogram::new();
         assert_eq!(h.mean(), 0.0);
-        assert_eq!(h.percentile(99.0), 0.0);
+        assert_eq!(h.p99(), 0.0);
         assert_eq!(h.min(), 0.0);
         assert_eq!(h.max(), 0.0);
         assert_eq!(h.sum(), 0.0);
         assert!(h.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "percentile")]
-    fn percentile_rejects_out_of_range() {
-        let mut h = Histogram::new();
-        h.record(1.0);
-        h.percentile(101.0);
     }
 
     #[test]
@@ -1164,7 +1039,6 @@ mod tests {
     #[test]
     fn quantile_matches_percentile_and_shortcuts() {
         let (h, mut exact) = one_to_hundred();
-        assert_eq!(h.quantile(0.5), h.percentile(50.0));
         assert_eq!(h.p50(), h.quantile(0.50));
         assert_eq!(h.p95(), h.quantile(0.95));
         assert_eq!(h.p99(), h.quantile(0.99));
@@ -1234,23 +1108,22 @@ mod tests {
     #[test]
     fn interned_and_string_recording_share_one_metric() {
         let mut m = Metrics::new();
+        // A family member is one histogram per slot...
         m.observe_under(id::LAT_PREFIX, "news", 0, 1.0);
-        // The id resolves to the entry the prefixed write registered...
-        m.observe_id(id::LAT_NEWS, 3.0);
-        // ...and later prefixed writes still find that one entry.
         m.observe_under(id::LAT_PREFIX, "news", 0, 5.0);
-        assert_eq!(m.histogram(local::LAT_NEWS).unwrap().count(), 3);
-        assert_eq!(m.histogram_id(id::LAT_NEWS).unwrap().count(), 3);
-        assert_eq!(m.mean(local::LAT_NEWS), 3.0);
-        assert_eq!(m.histogram_names().count(), 1);
-        // Another member of the family is another histogram.
         m.observe_under(id::LAT_PREFIX, "mail", 1, 7.0);
+        assert_eq!(m.histogram("lat.news").unwrap().count(), 2);
+        assert_eq!(m.mean("lat.news"), 3.0);
         assert_eq!(m.mean("lat.mail"), 7.0);
-        assert_eq!(m.histogram_names().count(), 2);
+        // ...apart from every declared id, the prefix's own included.
+        m.observe_id(id::LAT, 9.0);
+        assert_eq!(m.mean(local::LAT), 9.0);
+        assert_eq!(m.mean("lat.news"), 3.0);
+        assert!(m.histogram(local::LAT_PREFIX).is_none());
+        assert!(m.histogram_names().eq(["lat", "lat.mail", "lat.news"]));
 
         m.incr_id(keys::id::NET_MESSAGES, 10);
         assert_eq!(m.counter(keys::NET_MESSAGES), 10);
-        assert_eq!(m.counter_id(keys::id::NET_MESSAGES), 10);
         assert_eq!(m.counter_names().count(), 1);
 
         m.record_point_id(keys::id::NET_DROPPED, SimTime::ZERO, 1.0);
@@ -1258,53 +1131,19 @@ mod tests {
         assert_eq!(m.time_series(keys::NET_DROPPED).unwrap().len(), 2);
     }
 
-    /// However a per-app histogram was first reached — by its interned
-    /// id, through a slot, or through a slot another numbering gave another
-    /// member — the registry reads the same: digest, `Display` and
-    /// `histogram_names()`, and every sample lands in the member named.
+    /// One slot stays one member: a caller whose numbering gives a slot a
+    /// second member has a bug, which debug builds name.
     #[test]
-    fn member_slots_are_invisible_to_readers() {
-        let write = |m: &mut Metrics, news: usize, mail: usize| {
-            for v in [1.0, 2.0, 3.0] {
-                m.observe_under(id::LAT_PREFIX, "news", news, v);
-            }
-            m.observe_under(id::LAT_PREFIX, "mail", mail, 7.0);
-        };
-        let mut by_id_first = Metrics::new();
-        by_id_first.observe_id(id::LAT_NEWS, 0.5);
-        write(&mut by_id_first, 0, 1);
-
-        let mut by_slot_first = Metrics::new();
-        write(&mut by_slot_first, 1, 0);
-        by_slot_first.observe_id(id::LAT_NEWS, 0.5);
-
-        // One slot, two members: every write still finds its own name.
-        let mut shared_slot = Metrics::new();
-        write(&mut shared_slot, 0, 0);
-        shared_slot.observe_under(id::LAT_PREFIX, "news", 0, 0.5);
-
-        for m in [&by_slot_first, &shared_slot] {
-            assert_eq!(m.digest(), by_id_first.digest());
-            assert_eq!(format!("{m}"), format!("{by_id_first}"));
-            assert!(m.histogram_names().eq(by_id_first.histogram_names()));
-            assert_eq!(m.histogram(local::LAT_NEWS).unwrap().count(), 4);
-            assert_eq!(m.mean("lat.mail"), 7.0);
-        }
-        assert!(by_id_first.histogram_names().eq(["lat.mail", "lat.news"]));
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "slot 0 of `lat.` holds `lat.news`, not `lat.mail`")]
+    fn a_slot_that_names_a_second_member_panics_in_debug() {
+        let mut m = Metrics::new();
+        m.observe_under(id::LAT_PREFIX, "news", 0, 1.0);
+        m.observe_under(id::LAT_PREFIX, "mail", 0, 1.0);
     }
 
-    #[test]
-    fn interned_digest_matches_string_digest() {
-        let mut by_str = Metrics::new();
-        let mut by_id = Metrics::new();
-        by_str.observe_under(id::LAT_PREFIX, "news", 0, 64.0);
-        by_id.observe_id(id::LAT_NEWS, 64.0);
-        assert_eq!(by_str.digest(), by_id.digest());
-        assert_eq!(format!("{by_str}"), format!("{by_id}"));
-    }
-
-    /// Which writer registered a name, and in which order names arrived,
-    /// is invisible: same digest, same `Display`.
+    /// In which order names were first written, and through which of the
+    /// two writes, is invisible: same digest, same `Display`.
     #[test]
     fn write_order_across_the_two_apis_is_invisible() {
         let prefixed_first = |m: &mut Metrics| {
@@ -1312,12 +1151,14 @@ mod tests {
             m.incr_id(keys::id::NET_MESSAGES, 7);
             m.record_point_id(keys::id::NET_DROPPED, SimTime::from_secs(2), 1.5);
             m.observe_under(id::LAT_PREFIX, "only", 1, 1.0);
+            m.observe_id(id::LAT, 2.0);
         };
         let interned_first = |m: &mut Metrics| {
+            m.observe_id(id::LAT, 2.0);
             m.observe_under(id::LAT_PREFIX, "only", 1, 1.0);
             m.record_point_id(keys::id::NET_DROPPED, SimTime::from_secs(2), 1.5);
             m.incr_id(keys::id::NET_MESSAGES, 7);
-            m.observe_id(id::LAT_NEWS, 64.0);
+            m.observe_under(id::LAT_PREFIX, "news", 0, 64.0);
         };
         let mut one = Metrics::new();
         prefixed_first(&mut one);
@@ -1441,11 +1282,10 @@ mod tests {
         let mut m = Metrics::new();
         m.observe_id(keys::id::NET_BYTES, 1.0);
         m.record_point_id(keys::id::NET_DROPPED, SimTime::ZERO, 1.0);
-        let hist = m.histogram_id(keys::id::NET_BYTES).unwrap();
-        let tables = m.histograms.entries.capacity() * std::mem::size_of::<Entry<Histogram>>()
-            + m.series.entries.capacity() * std::mem::size_of::<Entry<TimeSeries>>()
-            + (m.histograms.by_id.capacity() + m.series.by_id.capacity())
-                * std::mem::size_of::<u32>();
+        let hist = m.histogram(keys::NET_BYTES).unwrap();
+        let tables = m.histograms.declared.capacity()
+            * std::mem::size_of::<Option<(&str, Histogram)>>()
+            + m.series.declared.capacity() * std::mem::size_of::<Option<(&str, TimeSeries)>>();
         assert_eq!(m.approx_bytes(), tables + hist.approx_bytes());
         // More points add nothing: a series owns no heap memory.
         let before = m.approx_bytes();
@@ -1484,15 +1324,14 @@ mod tests {
     fn self_profile_counts_recording_calls() {
         let mut m = Metrics::new();
         m.incr_id(id::C, 1); // before enabling: not counted
-        m.enable_self_profile();
+        m.prof.enable();
         m.incr_id(id::C, 1);
         m.observe_under(id::LAT_PREFIX, "news", 0, 1.0);
         m.observe_id(id::H, 1.0);
         m.record_point_id(id::S, SimTime::ZERO, 1.0);
-        let (_, calls) = m.self_profile();
-        assert_eq!(calls, 4);
+        assert_eq!(m.prof.calls(ProfCategory::Metrics), 4);
         let off = Metrics::new();
-        assert_eq!(off.self_profile(), (0, 0));
+        assert_eq!(off.prof.report(), Profiler::new().report());
     }
 
     #[test]

@@ -151,13 +151,6 @@ impl Profiler {
         }
     }
 
-    /// Charges pre-measured time to a category (used by
-    /// [`Metrics`](crate::Metrics), which accumulates its own self-time).
-    pub fn charge(&mut self, category: ProfCategory, nanos: u64, calls: u64) {
-        self.nanos[category as usize] += nanos;
-        self.calls[category as usize] += calls;
-    }
-
     /// Total nanoseconds charged to `category`.
     pub fn nanos(&self, category: ProfCategory) -> u64 {
         self.nanos[category as usize]
@@ -282,10 +275,9 @@ mod tests {
         let t = p.start();
         assert!(t.is_some());
         p.record(ProfCategory::QueuePop, t);
-        p.charge(ProfCategory::Metrics, 1000, 10);
+        p.record_uncounted(ProfCategory::Metrics, p.start());
         assert_eq!(p.calls(ProfCategory::QueuePop), 1);
-        assert_eq!(p.nanos(ProfCategory::Metrics), 1000);
-        assert_eq!(p.calls(ProfCategory::Metrics), 10);
+        assert_eq!(p.calls(ProfCategory::Metrics), 0);
         let report = p.report();
         assert!(report.enabled);
         assert!(report.loop_nanos() >= report.nanos(ProfCategory::QueuePop));
@@ -296,14 +288,16 @@ mod tests {
 
     #[test]
     fn dispatch_self_subtracts_nested() {
-        let mut p = Profiler::new();
-        p.enable();
-        p.charge(ProfCategory::Dispatch, 10_000, 5);
-        p.charge(ProfCategory::Trace, 2_000, 5);
-        p.charge(ProfCategory::Evict, 3_000, 2);
-        assert_eq!(p.report().dispatch_self_nanos(), 5_000);
+        let mut report = ProfileReport {
+            enabled: true,
+            ..ProfileReport::default()
+        };
+        report.nanos[ProfCategory::Dispatch as usize] = 10_000;
+        report.nanos[ProfCategory::Trace as usize] = 2_000;
+        report.nanos[ProfCategory::Evict as usize] = 3_000;
+        assert_eq!(report.dispatch_self_nanos(), 5_000);
         // Nested overshoot saturates instead of wrapping.
-        p.charge(ProfCategory::Metrics, 50_000, 1);
-        assert_eq!(p.report().dispatch_self_nanos(), 0);
+        report.nanos[ProfCategory::Metrics as usize] = 50_000;
+        assert_eq!(report.dispatch_self_nanos(), 0);
     }
 }

@@ -19,7 +19,6 @@ pub struct CpuMeter {
     window_start: SimTime,
     /// Time until which the (single logical queue of the) processor is busy.
     busy_until: SimTime,
-    total_busy: SimDuration,
 }
 
 impl CpuMeter {
@@ -35,7 +34,6 @@ impl CpuMeter {
             busy_in_window: SimDuration::ZERO,
             window_start: SimTime::ZERO,
             busy_until: SimTime::ZERO,
-            total_busy: SimDuration::ZERO,
         }
     }
 
@@ -48,7 +46,6 @@ impl CpuMeter {
         let occupancy = work / self.cores as u64;
         self.busy_until = start + occupancy;
         self.busy_in_window += work;
-        self.total_busy += work;
         self.busy_until
     }
 
@@ -62,11 +59,6 @@ impl CpuMeter {
             return 0.0;
         }
         (busy.as_secs_f64() / (window.as_secs_f64() * self.cores as f64)).min(1.0)
-    }
-
-    /// Total CPU time charged since creation.
-    pub fn total_busy(&self) -> SimDuration {
-        self.total_busy
     }
 }
 
@@ -123,13 +115,5 @@ mod tests {
     #[should_panic(expected = "cores")]
     fn zero_cores_rejected() {
         let _ = CpuMeter::new(0);
-    }
-
-    #[test]
-    fn total_busy_accumulates() {
-        let mut cpu = CpuMeter::new(2);
-        cpu.charge(SimTime::ZERO, SimDuration::from_millis(10));
-        cpu.charge(SimTime::ZERO, SimDuration::from_millis(30));
-        assert_eq!(cpu.total_busy(), SimDuration::from_millis(40));
     }
 }

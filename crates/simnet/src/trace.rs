@@ -165,11 +165,6 @@ impl TraceSink {
         }
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &TraceConfig {
-        &self.config
-    }
-
     /// Replaces the configuration. Intended for use before a run starts;
     /// shrinking the capacity mid-run drops the oldest buffered events.
     pub fn set_config(&mut self, config: TraceConfig) {

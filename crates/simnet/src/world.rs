@@ -425,23 +425,23 @@ impl<M: Message> World<M> {
     }
 
     /// Turns on the sim-loop self-profiler (see [`crate::Profiler`]): the
-    /// event loop, `Context` hot paths and the metric registry start
-    /// attributing host wall-clock to subsystems. Simulation outputs are
+    /// event loop and `Context` hot paths start attributing host
+    /// wall-clock to subsystems in the world's profiler, and the metric
+    /// registry its recording time in its own. Simulation outputs are
     /// unaffected — the profiler reads the host clock but never feeds it
     /// back into sim state.
     pub fn enable_profiler(&mut self) {
         self.prof.enable();
-        self.metrics.enable_self_profile();
+        self.metrics.prof.enable();
     }
 
-    /// Snapshot of the self-profiler's attribution. Metric-registry
-    /// self-time (accumulated inside [`Metrics`]) is folded into the
-    /// [`ProfCategory::Metrics`] row here.
+    /// Snapshot of the self-profiler's attribution: the world's profiler
+    /// with the registry's [`ProfCategory::Metrics`] row folded in.
     pub fn profile_report(&self) -> ProfileReport {
         let mut report = self.prof.report();
-        let (nanos, calls) = self.metrics.self_profile();
-        report.nanos[ProfCategory::Metrics as usize] += nanos;
-        report.calls[ProfCategory::Metrics as usize] += calls;
+        let metrics = ProfCategory::Metrics;
+        report.nanos[metrics as usize] += self.metrics.prof.nanos(metrics);
+        report.calls[metrics as usize] += self.metrics.prof.calls(metrics);
         report
     }
 
@@ -814,7 +814,7 @@ mod tests {
         assert_eq!(r.events, 4);
         assert_eq!(w.node::<Counter>(b).received, 2);
         assert_eq!(w.node::<Counter>(a).received, 2);
-        assert_eq!(w.metrics().counter_id(local::MSGS), 4);
+        assert_eq!(w.metrics().counter(local::MSGS.name()), 4);
         // 4 deliveries: 1ms propagation + 80ns transfer (8 B at 100 MB/s) each.
         assert_eq!(w.now(), SimTime::from_nanos(4 * (1_000_000 + 80)));
     }
@@ -1283,7 +1283,7 @@ mod tests {
             w.run_to_idle();
             let heard = w
                 .metrics()
-                .histogram_id(local::HEARD)
+                .histogram(local::HEARD.name())
                 .map_or(0, |h| h.count());
             assert!((1..8).contains(&heard), "{heard} of 8 answers arrived");
         });
@@ -1403,12 +1403,12 @@ mod tests {
         w.post(a, b, Num(3));
         w.run_to_idle();
         let before = w.fingerprint();
-        let (nanos, calls) = w.metrics().self_profile();
+        let calls = w.profile_report().calls(ProfCategory::Metrics);
 
         let taken = w.take_metrics();
         assert_eq!(taken.digest(), before.metrics);
-        assert_eq!(taken.counter_id(local::MSGS), 4);
-        assert_eq!(taken.self_profile(), (nanos, calls));
+        assert_eq!(taken.counter(local::MSGS.name()), 4);
+        assert_eq!(taken.prof.calls(ProfCategory::Metrics), calls);
         assert!(calls > 0);
         assert_eq!(w.metrics().digest(), Metrics::new().digest());
         assert_eq!(w.metrics().counter_names().count(), 0);
@@ -1417,7 +1417,7 @@ mod tests {
         // The replacement records from here on.
         w.post(a, b, Num(0));
         w.run_to_idle();
-        assert_eq!(w.metrics().counter_id(local::MSGS), 1);
+        assert_eq!(w.metrics().counter(local::MSGS.name()), 1);
     }
 
     #[test]
