@@ -7,7 +7,7 @@
 //! artifacts:
 //!   table1 table2 table4 table5 table6 table7
 //!   fig2 fig11a fig11b fig11c fig12 fig13a fig13b fig13c fig14
-//!   object-level ablations trace profile
+//!   object-level ablations trace
 //!   bench-evict bench-scale
 //!   faults all
 //! ```
@@ -31,11 +31,9 @@
 //! fingerprint-asserted invariant under a tie-perturbation key.
 //! Each always runs its whole grid and replaces the committed
 //! `BENCH_<name>.json` at the repo root (`--quick` changes neither); a
-//! failed write exits 1.
-//! `profile` runs the four systems one after another with the sim-loop
-//! self-profiler on and prints per-subsystem host-time attribution. All
-//! three time wall-clock and are therefore *not* part of `all`, whose
-//! stdout is byte-deterministic (the elapsed-time line goes to stderr).
+//! failed write exits 1. Both time wall-clock and are therefore *not* part
+//! of `all`, whose stdout is byte-deterministic (the elapsed-time line goes
+//! to stderr).
 //!
 //! `faults` is the lossy-WiFi resilience sweep (loss rate × caching
 //! strategy plus a composed fault-plan replay). Loss makes its RNG draws
@@ -50,7 +48,7 @@ use std::time::Instant;
 
 use ape_bench::{
     ablations, bench_evict, bench_scale, faults, fig11a, fig11b, fig11c, fig12, fig13a, fig13b,
-    fig13c, fig14, fig2, object_level, profile, table1, table2, table4, table5, table6, table7,
+    fig13c, fig14, fig2, object_level, table1, table2, table4, table5, table6, table7,
     trace_artifacts, ReproOptions, TraceArtifacts,
 };
 
@@ -74,14 +72,14 @@ const USAGE: &str = "usage: repro [--quick] [--minutes N] [--micro-trials N] [--
      \u{20}            [--seed N] [--trace-out DIR] <artifact>...\n\
      artifacts: table1 table2 table4 table5 table6 table7 fig2 fig11a fig11b\n\
      \u{20}          fig11c fig12 fig13a fig13b fig13c fig14 object-level\n\
-     \u{20}          ablations trace profile bench-evict\n\
-     \u{20}          bench-scale faults all";
+     \u{20}          ablations trace bench-evict bench-scale\n\
+     \u{20}          faults all";
 
 /// Renders one artifact.
 type Artifact = fn(&ReproOptions) -> String;
 
 /// Every artifact but `trace` (which also takes `--trace-out`), by name.
-const ARTIFACTS: [(&str, Artifact); 21] = [
+const ARTIFACTS: [(&str, Artifact); 20] = [
     ("table1", table1),
     ("table2", table2),
     ("table4", table4),
@@ -101,7 +99,6 @@ const ARTIFACTS: [(&str, Artifact); 21] = [
     ("ablations", ablations),
     ("bench-evict", |opts| written(bench_evict(opts))),
     ("bench-scale", |opts| written(bench_scale(opts))),
-    ("profile", profile),
     ("faults", faults),
 ];
 

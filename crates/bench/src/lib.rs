@@ -19,7 +19,6 @@ mod evict_bench;
 mod experiments;
 mod faults;
 mod lookup_overhead;
-mod profile;
 pub mod progmodel;
 mod scale_bench;
 mod tracing;
@@ -31,7 +30,6 @@ pub use experiments::{
 };
 pub use faults::faults;
 pub use lookup_overhead::fig11b;
-pub use profile::profile;
 pub use scale_bench::{bench_scale, scale_document};
 pub use tracing::{trace_artifacts, traced_config, TraceArtifacts};
 

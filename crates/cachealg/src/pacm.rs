@@ -104,8 +104,8 @@ impl Default for PacmConfig {
 /// snapshots to attribute per-admission eviction cost in metrics/traces.
 /// The per-admission deltas surface as the interned `ap.evict_*`
 /// counters (`ape_proto::names::id::AP_EVICT_*`) in the metric registry,
-/// and the host wall-clock the solver burns is attributed to the
-/// `ProfCategory::Evict` row of `repro profile`'s sim-loop self-profile.
+/// and the host wall-clock the solver burns is charged to the sim-loop
+/// profiler's `ProfCategory::Evict`, which `benchmark/` reads.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EvictStats {
     /// `select_victims` invocations.

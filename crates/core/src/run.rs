@@ -17,7 +17,7 @@ use std::thread;
 
 use ape_nodes::{ApNode, ClientNode, LdnsNode};
 use ape_proto::{names, Msg};
-use ape_simnet::{Metrics, NodeId, ProfileReport, SimDuration, TimeSeries, World};
+use ape_simnet::{Metrics, NodeId, SimDuration, TimeSeries, World};
 
 use crate::system::System;
 use crate::testbed::{build, Testbed, TestbedConfig};
@@ -37,9 +37,6 @@ pub struct RunResult {
     pub report: ape_nodes::ClientReport,
     /// The run's span events, when tracing was enabled in the config.
     pub trace: Option<TraceLog>,
-    /// Host-time attribution from the sim-loop self-profiler (all-zero
-    /// unless the config enabled it).
-    pub profile: ProfileReport,
 }
 
 /// Headline numbers extracted from a run, named after the paper's plots.
@@ -140,15 +137,12 @@ fn collect_from(world: &mut World<Msg>, system: System) -> RunResult {
             .collect();
         TraceLog::from_run(names, world.take_trace_events())
     });
-    // The profile folds in the registry's self-time, so it is read first.
-    let profile = world.profile_report();
     let metrics = world.take_metrics();
     RunResult {
         system,
         report: ape_nodes::ClientReport::from_metrics(&metrics),
         metrics,
         trace,
-        profile,
     }
 }
 

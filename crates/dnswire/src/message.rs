@@ -431,6 +431,27 @@ mod tests {
     }
 
     #[test]
+    fn an_answer_of_unknown_type_keeps_its_code() {
+        // A hand-built response whose one answer is TYPE 99: it decodes as
+        // `Other(99)` and re-encodes to the same bytes.
+        let mut w = Writer::new();
+        for word in [0x0042, 0x8180, 0, 1, 0, 0] {
+            w.u16(word); // id, flags, then one answer and no other records
+        }
+        name("x.example").encode(&mut w);
+        w.u16(99);
+        w.u16(1); // IN
+        w.u32(60);
+        w.u16(3);
+        w.bytes(&[7, 8, 9]);
+        let wire = w.into_vec();
+        let msg = DnsMessage::decode(&wire).unwrap();
+        assert_eq!(msg.answers[0].rtype(), RrType::Other(99));
+        assert_eq!(msg.answers[0].rdata, RData::Other(99, vec![7, 8, 9]));
+        assert_eq!(msg.encode(), wire);
+    }
+
+    #[test]
     fn dns_cache_request_roundtrip() {
         let hashes = [UrlHash::of("http://api/a"), UrlHash::of("http://api/b")];
         let q = DnsMessage::dns_cache_request(9, name("api.example.com"), &hashes);

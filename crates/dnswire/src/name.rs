@@ -21,9 +21,9 @@ const MAX_POINTER_HOPS: usize = 32;
 /// Stored in lowercase; comparison and hashing are therefore
 /// case-insensitive, matching DNS semantics. The name is one immutable
 /// shared buffer, so `clone` is a reference-count increment: names ride in
-/// every DNS message and key most per-domain maps. Beside the buffer sits
-/// an order key computed once, so most comparisons never read the text
-/// (see the `Ord` impl).
+/// every DNS message and key most per-domain maps. Names order by their
+/// text; beside the buffer sits that order's key, computed once, so most
+/// comparisons never read the text (see the `Ord` impl).
 ///
 /// # Examples
 ///
@@ -37,22 +37,12 @@ const MAX_POINTER_HOPS: usize = 32;
 /// ```
 #[derive(Clone)]
 pub struct DomainName {
-    /// The first 8 bytes of `text` through [`rank`], packed big-endian and
-    /// zero-padded: the label-wise order of names that differ there.
+    /// The first 8 bytes of `text`, packed big-endian and zero-padded:
+    /// the text order of names that differ there.
     key: u64,
     /// Lowercased labels joined by `.`; empty for the root name. Label
     /// bytes are `[a-z0-9_-]`, so the separator is unambiguous.
     text: Arc<str>,
-}
-
-/// A text byte's place in the label-wise order: the separator sorts below
-/// every label byte, which are all nonzero.
-fn rank(b: u8) -> u8 {
-    if b == b'.' {
-        0
-    } else {
-        b
-    }
 }
 
 /// Validates one label byte and lowercases it.
@@ -68,9 +58,8 @@ impl DomainName {
     /// Wraps validated, lowercased text, computing its order key.
     fn from_text(text: Arc<str>) -> Self {
         let mut key = [0u8; 8];
-        for (k, &b) in key.iter_mut().zip(text.as_bytes()) {
-            *k = rank(b);
-        }
+        let head = text.len().min(8);
+        key[..head].copy_from_slice(&text.as_bytes()[..head]);
         DomainName {
             key: u64::from_be_bytes(key),
             text,
@@ -235,19 +224,15 @@ impl DomainName {
     }
 }
 
-/// Names order label by label, each label bytewise — the order of the
-/// label vectors, which is what `BTreeMap<DomainName, _>` iteration (and
-/// through it the run fingerprints) is pinned to. On the joined text that
-/// is bytewise order with the separator ranked below every label byte: at
-/// the first difference, a name whose label ends there has the shorter
-/// label (or is out of labels).
+/// Names order by their text, bytewise. No output depends on which total
+/// order this is: every per-domain map is only looked up, inserted into,
+/// removed from or cleared, or scanned where the order cannot show.
 ///
 /// The order key decides whenever two names differ in their first 8 bytes,
-/// with one integer compare. Zero padding agrees with that order, because
-/// a name that ends inside the key is a prefix of the other, and the other
-/// has a nonzero label byte right after its next separator — unless that
-/// separator is byte 8, which leaves the keys tied. Tied keys, equal names
-/// included, fall back to the text.
+/// with one integer compare. Zero padding agrees with the text order,
+/// because no text byte is zero: a name that ends inside the key is a
+/// prefix of the other, so it sorts first either way. Tied keys, equal
+/// names included, fall back to the text.
 impl Ord for DomainName {
     #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
@@ -257,30 +242,13 @@ impl Ord for DomainName {
 
 impl DomainName {
     /// The order of two names whose keys tie; kept out of line so the
-    /// inlined `cmp` stays one compare and a branch. Tied keys mean the
-    /// first `min(len, 8)` bytes agree, so the scan starts past them and
-    /// goes a word at a time to the first differing byte.
+    /// inlined `cmp` stays one compare and a branch.
     #[inline(never)]
     fn cmp_tied(&self, other: &Self) -> Ordering {
         if Arc::ptr_eq(&self.text, &other.text) {
             return Ordering::Equal;
         }
-        let (a, b) = (self.text.as_bytes(), other.text.as_bytes());
-        let common = a.len().min(b.len());
-        let mut i = common.min(8);
-        while i + 8 <= common {
-            let word = |t: &[u8]| u64::from_le_bytes(t[i..i + 8].try_into().expect("8 bytes"));
-            let diff = word(a) ^ word(b);
-            if diff != 0 {
-                i += diff.trailing_zeros() as usize / 8;
-                return rank(a[i]).cmp(&rank(b[i]));
-            }
-            i += 8;
-        }
-        match (i..common).find(|&j| a[j] != b[j]) {
-            Some(j) => rank(a[j]).cmp(&rank(b[j])),
-            None => a.len().cmp(&b.len()),
-        }
+        self.text.cmp(&other.text)
     }
 }
 
@@ -461,23 +429,11 @@ mod tests {
         assert_eq!(www.suffix(9), www);
     }
 
+    /// Differential: the keyed `Ord` against `str::cmp` on the texts, on
+    /// names built to share 0–12 leading bytes over `ab-.`, so keys tie
+    /// (equal first 8 bytes, equal names) as often as they decide.
     #[test]
-    fn ordering_is_label_wise_not_bytewise() {
-        // `-` sorts below `.` as a byte, but "a" is a shorter label than
-        // "a-b", so label-wise `a.c` comes first.
-        let short = DomainName::parse("a.c").unwrap();
-        let long = DomainName::parse("a-b.c").unwrap();
-        assert!(short < long);
-        assert!(DomainName::root() < short);
-        assert!(DomainName::parse("a").unwrap() < short);
-    }
-
-    /// Differential: the keyed `Ord` against the order of the label
-    /// vectors, on names built to share 0–12 leading bytes over `ab-.`, so
-    /// keys tie (equal first 8 bytes, a separator at byte 8, equal names)
-    /// as often as they decide, and `-` meets `.` at the first difference.
-    #[test]
-    fn keyed_order_is_the_label_vector_order() {
+    fn order_is_the_text_order() {
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
         let mut next = |bound: u64| {
             // splitmix64
@@ -492,8 +448,7 @@ mod tests {
                 .map(|_| b"ab-."[next(4) as usize] as char)
                 .collect()
         };
-        let (mut checked, mut tied, mut equal, mut roots, mut single, mut dash_dot) =
-            (0, 0, 0, 0, 0, 0);
+        let (mut checked, mut tied, mut equal, mut roots, mut single) = (0, 0, 0, 0, 0);
         for _ in 0..40_000 {
             let shared = text(next(13), &mut next);
             let a = shared.clone() + &text(next(13), &mut next);
@@ -505,17 +460,11 @@ mod tests {
             let (Ok(x), Ok(y)) = (DomainName::parse(&a), DomainName::parse(&b)) else {
                 continue;
             };
-            let labels = |n: &DomainName| n.labels().map(str::to_owned).collect::<Vec<_>>();
-            assert_eq!(x.cmp(&y), labels(&x).cmp(&labels(&y)), "{a:?} vs {b:?}");
-            assert_eq!(y.cmp(&x), labels(&y).cmp(&labels(&x)), "{b:?} vs {a:?}");
-            assert_eq!(x == y, labels(&x) == labels(&y), "{a:?} vs {b:?}");
+            assert_eq!(x.cmp(&y), x.text.cmp(&y.text), "{a:?} vs {b:?}");
+            assert_eq!(y.cmp(&x), y.text.cmp(&x.text), "{b:?} vs {a:?}");
+            assert_eq!(x == y, x.text == y.text, "{a:?} vs {b:?}");
             assert_eq!(x.cmp(&x.clone()), Ordering::Equal);
             checked += 1;
-            let first_difference = a.bytes().zip(b.bytes()).find(|(p, q)| p != q);
-            dash_dot += usize::from(matches!(
-                first_difference,
-                Some((b'-', b'.') | (b'.', b'-'))
-            ));
             tied += usize::from(x.key == y.key && x != y);
             equal += usize::from(x == y);
             roots += usize::from(x.is_root() || y.is_root());
@@ -528,7 +477,6 @@ mod tests {
             ("equal", equal),
             ("root", roots),
             ("one label", single),
-            ("`-` against `.`", dash_dot),
         ] {
             assert!(count > 100, "only {count} {what}");
         }

@@ -17,12 +17,6 @@ pub enum RrType {
     A,
     /// Canonical name (alias) record.
     Cname,
-    /// Name server record.
-    Ns,
-    /// Text record.
-    Txt,
-    /// EDNS(0) OPT pseudo-record (RFC 6891).
-    Opt,
     /// APE-CACHE's DNS-Cache record, TYPE = 300.
     DnsCache,
     /// Any other type, kept as its raw code.
@@ -34,10 +28,7 @@ impl RrType {
     pub fn code(self) -> u16 {
         match self {
             RrType::A => 1,
-            RrType::Ns => 2,
             RrType::Cname => 5,
-            RrType::Txt => 16,
-            RrType::Opt => 41,
             RrType::DnsCache => 300,
             RrType::Other(c) => c,
         }
@@ -47,10 +38,7 @@ impl RrType {
     pub fn from_code(code: u16) -> Self {
         match code {
             1 => RrType::A,
-            2 => RrType::Ns,
             5 => RrType::Cname,
-            16 => RrType::Txt,
-            41 => RrType::Opt,
             300 => RrType::DnsCache,
             c => RrType::Other(c),
         }
@@ -61,10 +49,7 @@ impl fmt::Display for RrType {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             RrType::A => write!(f, "A"),
-            RrType::Ns => write!(f, "NS"),
             RrType::Cname => write!(f, "CNAME"),
-            RrType::Txt => write!(f, "TXT"),
-            RrType::Opt => write!(f, "OPT"),
             RrType::DnsCache => write!(f, "DNS-CACHE"),
             RrType::Other(c) => write!(f, "TYPE{c}"),
         }
@@ -209,16 +194,12 @@ pub enum RData {
     A(Ipv4Addr),
     /// Alias target.
     Cname(DomainName),
-    /// Name server.
-    Ns(DomainName),
-    /// Free-form text.
-    Txt(String),
-    /// EDNS(0) OPT payload (opaque options).
-    Opt(Vec<u8>),
     /// DNS-Cache tuple list.
     DnsCache(Vec<CacheTuple>),
-    /// Uninterpreted bytes for unknown types.
-    Other(Vec<u8>),
+    /// The uninterpreted RDATA of any other type, with that type's code
+    /// (one that no variant above claims, or the record decodes as that
+    /// variant).
+    Other(u16, Vec<u8>),
 }
 
 impl RData {
@@ -227,26 +208,16 @@ impl RData {
         match self {
             RData::A(_) => RrType::A,
             RData::Cname(_) => RrType::Cname,
-            RData::Ns(_) => RrType::Ns,
-            RData::Txt(_) => RrType::Txt,
-            RData::Opt(_) => RrType::Opt,
             RData::DnsCache(_) => RrType::DnsCache,
-            RData::Other(_) => RrType::Other(0xFFFF),
+            RData::Other(code, _) => RrType::Other(*code),
         }
     }
 
     fn encode(&self, w: &mut Writer) {
         match self {
             RData::A(ip) => w.bytes(&ip.octets()),
-            RData::Cname(n) | RData::Ns(n) => n.encode(w),
-            RData::Txt(s) => {
-                // RFC1035 character-string: single length-prefixed chunk.
-                let bytes = s.as_bytes();
-                let take = bytes.len().min(255);
-                w.u8(take as u8);
-                w.bytes(&bytes[..take]);
-            }
-            RData::Opt(bytes) | RData::Other(bytes) => w.bytes(bytes),
+            RData::Cname(n) => n.encode(w),
+            RData::Other(_, bytes) => w.bytes(bytes),
             RData::DnsCache(tuples) => {
                 for t in tuples {
                     t.encode(w);
@@ -258,9 +229,8 @@ impl RData {
     fn wire_len(&self) -> usize {
         match self {
             RData::A(_) => 4,
-            RData::Cname(n) | RData::Ns(n) => n.encoded_len(),
-            RData::Txt(s) => 1 + s.len().min(255),
-            RData::Opt(bytes) | RData::Other(bytes) => bytes.len(),
+            RData::Cname(n) => n.encoded_len(),
+            RData::Other(_, bytes) => bytes.len(),
             RData::DnsCache(tuples) => tuples.len() * CacheTuple::WIRE_LEN,
         }
     }
@@ -279,18 +249,6 @@ impl RData {
                 RData::A(Ipv4Addr::new(b[0], b[1], b[2], b[3]))
             }
             RrType::Cname => RData::Cname(DomainName::decode(r)?),
-            RrType::Ns => RData::Ns(DomainName::decode(r)?),
-            RrType::Txt => {
-                let len = r.u8()? as usize;
-                if len + 1 != rdlength {
-                    return Err(WireError::BadRdata("txt length mismatch"));
-                }
-                let bytes = r.take(len)?;
-                let s = String::from_utf8(bytes.to_vec())
-                    .map_err(|_| WireError::BadRdata("txt not utf-8"))?;
-                RData::Txt(s)
-            }
-            RrType::Opt => RData::Opt(r.take(rdlength)?.to_vec()),
             RrType::DnsCache => {
                 if !rdlength.is_multiple_of(CacheTuple::WIRE_LEN) {
                     return Err(WireError::BadRdata("cache rdata not multiple of 9"));
@@ -302,7 +260,7 @@ impl RData {
                 }
                 RData::DnsCache(tuples)
             }
-            RrType::Other(_) => RData::Other(r.take(rdlength)?.to_vec()),
+            RrType::Other(code) => RData::Other(code, r.take(rdlength)?.to_vec()),
         };
         if r.pos() != end {
             return Err(WireError::BadRdata("rdlength mismatch"));
@@ -417,10 +375,7 @@ mod tests {
     fn type_codes_roundtrip() {
         for t in [
             RrType::A,
-            RrType::Ns,
             RrType::Cname,
-            RrType::Txt,
-            RrType::Opt,
             RrType::DnsCache,
             RrType::Other(999),
         ] {
@@ -477,8 +432,11 @@ mod tests {
 
     #[test]
     fn txt_record_roundtrip() {
-        let rr = ResourceRecord::new(name("x.y"), 0, RData::Txt("hello world".into()));
+        // TXT has no typed variant: it travels as its code and raw bytes.
+        let text = b"\x0bhello world".to_vec();
+        let rr = ResourceRecord::new(name("x.y"), 0, RData::Other(16, text));
         assert_eq!(roundtrip(&rr), rr);
+        assert_eq!(rr.rtype(), RrType::Other(16));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use std::net::Ipv4Addr;
 
-use ape_check::{check, Gen, PRINTABLE};
+use ape_check::{check, Gen};
 use ape_dnswire::{
     CacheFlag, CacheTuple, DnsMessage, DomainName, Header, Question, RData, Rcode, ResourceRecord,
     RrClass, RrType, UrlHash,
@@ -32,28 +32,25 @@ fn tuple(g: &mut Gen) -> CacheTuple {
 }
 
 fn rdata(g: &mut Gen) -> RData {
-    match g.below(6) {
+    match g.below(4) {
         0 => RData::A(Ipv4Addr::from(g.u64() as u32)),
         1 => RData::Cname(name(g)),
-        2 => RData::Ns(name(g)),
-        3 => RData::Txt(g.string(PRINTABLE, 0..=60)),
-        4 => RData::Opt(bytes(g, 0..40)),
-        _ => RData::DnsCache(g.vec(0..8, tuple)),
+        2 => RData::DnsCache(g.vec(0..8, tuple)),
+        _ => {
+            // Any code the typed variants do not claim (NS, TXT and OPT
+            // among them) travels as opaque bytes.
+            let code = loop {
+                let code = g.u64() as u16;
+                if !matches!(code, 1 | 5 | 300) {
+                    break code;
+                }
+            };
+            RData::Other(code, bytes(g, 0..40))
+        }
     }
 }
 
-/// Payloads the roundtrip cannot carry — text past the 255-byte
-/// character-string limit is truncated on encode — but whose encoded size
-/// `wire_len` must still predict, plus the opaque `Other` payload.
-fn lossy_rdata(g: &mut Gen) -> RData {
-    if g.bool() {
-        RData::Txt(g.string(PRINTABLE, 200..=400))
-    } else {
-        RData::Other(bytes(g, 0..40))
-    }
-}
-
-fn record(g: &mut Gen, rdata: fn(&mut Gen) -> RData) -> ResourceRecord {
+fn record(g: &mut Gen) -> ResourceRecord {
     let name = name(g);
     let ttl = g.u64() as u32;
     let rdata = rdata(g);
@@ -82,9 +79,9 @@ fn message(g: &mut Gen) -> DnsMessage {
     DnsMessage {
         header,
         questions: g.vec(0..3, |g| Question::new(name(g), RrType::A)),
-        answers: g.vec(0..4, |g| record(g, rdata)),
-        authorities: g.vec(0..2, |g| record(g, rdata)),
-        additionals: g.vec(0..3, |g| record(g, rdata)),
+        answers: g.vec(0..4, record),
+        authorities: g.vec(0..2, record),
+        additionals: g.vec(0..3, record),
     }
 }
 
@@ -110,25 +107,8 @@ fn decoder_never_panics_on_garbage() {
 #[test]
 fn wire_len_is_consistent() {
     check("wire_len_is_consistent", 256, |g| {
-        let mut msg = message(g);
-        let lossy = g.vec(0..3, |g| record(g, lossy_rdata));
-        msg.additionals.extend(lossy);
+        let msg = message(g);
         assert_eq!(msg.wire_len(), msg.encode().len());
-    });
-}
-
-// Names order as their label vectors do, whatever the storage:
-// `BTreeMap<DomainName, _>` iteration feeds the run fingerprints. The
-// tiny alphabet makes shared prefixes — and `-` (which sorts below the
-// `.` separator as a byte) against a label end — common.
-#[test]
-fn names_order_label_wise() {
-    check("names_order_label_wise", 256, |g| {
-        let a = g.vec(0..4, |g| g.string("ab-", 1..=3));
-        let b = g.vec(0..4, |g| g.string("ab-", 1..=3));
-        let parse = |labels: &[String]| DomainName::parse(&labels.join(".")).expect("valid labels");
-        assert_eq!(parse(&a).cmp(&parse(&b)), a.cmp(&b));
-        assert_eq!(parse(&a) == parse(&b), a == b);
     });
 }
 

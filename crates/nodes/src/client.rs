@@ -339,9 +339,10 @@ pub struct ClientNode {
     /// Roam stops, installed at build time (empty for non-roaming clients,
     /// which then schedule no roam timers at all).
     roam_schedule: Vec<RoamStop>,
+    /// Answered addresses and their expiry, keyed by a fetch's URL host:
+    /// at most one entry per suite domain. An expired entry stays until
+    /// the domain's next answer replaces it; `fresh_dns_ip` skips it.
     dns_cache: BTreeMap<DomainName, (Ipv4Addr, SimTime)>,
-    /// No `dns_cache` entry expires before this instant.
-    dns_expiry_floor: SimTime,
     /// Per-domain cached flags, sorted by hash with one tuple per hash
     /// (see [`flag_table`]), and their validity horizon.
     flags: BTreeMap<DomainName, (Vec<CacheTuple>, SimTime)>,
@@ -460,7 +461,6 @@ impl ClientNode {
             schedule: Executions(Box::new(schedule.into_iter())),
             roam_schedule: Vec::new(),
             dns_cache: BTreeMap::new(),
-            dns_expiry_floor: SimTime::MAX,
             flags: BTreeMap::new(),
             pending_dns: BTreeMap::new(),
             fetches: IdWindow::new(),
@@ -951,32 +951,15 @@ impl ClientNode {
         if let Some((ip, ttl)) = answer {
             if !IpMap::is_dummy(ip) {
                 // Clamp like the AP does (ap.rs answers use `.max(1)`): a
-                // TTL-0 record would be cached with expiry == now, never
-                // consulted, and never purged.
+                // TTL-0 record would be cached with expiry == now and never
+                // consulted.
                 let expires = now + SimDuration::from_secs(ttl.max(1) as u64);
                 self.dns_cache.insert(domain.clone(), (ip, expires));
-                self.dns_expiry_floor = self.dns_expiry_floor.min(expires);
             }
             // Dummy-IP (TTL 0) answers deliberately collapse the flag
             // horizon to `now`: the flags serve only the waiting fetches.
             flag_horizon = now + SimDuration::from_secs(ttl as u64);
         }
-        // Opportunistic purge: without it, long runs grow the map by one
-        // dead entry per domain whose records expired. `dns_expiry_floor`
-        // is a lower bound on every entry's expiry, so while it is ahead of
-        // the clock nothing can have expired and the scan is skipped.
-        if self.dns_expiry_floor <= now {
-            let mut floor = SimTime::MAX;
-            self.dns_cache.retain(|_, (_, expires)| {
-                let live = *expires > now;
-                if live {
-                    floor = floor.min(*expires);
-                }
-                live
-            });
-            self.dns_expiry_floor = floor;
-        }
-
         // Record flags (DNS-Cache responses carry them; plain ones do not).
         let tuples = response.take_cache_response_tuples();
         if !tuples.is_empty() {

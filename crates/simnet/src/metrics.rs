@@ -602,7 +602,7 @@ impl<T: Default> Table<T> {
 /// without a string compare or an allocation — so a name nobody declared
 /// cannot be written (the per-app family goes through
 /// [`observe_under`](Self::observe_under)). When the world's profiler is
-/// on, each write charges its host time to its `metrics.record` row.
+/// on, each write charges its host time to [`ProfCategory::Metrics`].
 ///
 /// ```
 /// use ape_simnet::{keys, Metrics};
@@ -622,8 +622,8 @@ pub struct Metrics {
     counters: Table<u64>,
     histograms: Table<Histogram>,
     series: Table<TimeSeries>,
-    /// The registry's own host time, the sim-loop profiler's
-    /// `metrics.record` row; enabled and read by the [`World`](crate::World).
+    /// The registry's own host time, charged to [`ProfCategory::Metrics`];
+    /// enabled and read by the [`World`](crate::World).
     pub(crate) prof: Profiler,
 }
 

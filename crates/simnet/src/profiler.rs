@@ -1,9 +1,7 @@
 //! Sim-loop self-profiler: attributes *host* wall-clock to simulator
-//! subsystems.
+//! subsystems, for `benchmark/`'s per-layer metrics.
 //!
-//! ROADMAP item 2 targets millions of simulated clients and tens of
-//! millions of events per second; to get there one has to know where the
-//! host CPU actually goes. When enabled
+//! When enabled
 //! ([`World::enable_profiler`](crate::World::enable_profiler)), the event
 //! loop and the [`Context`](crate::Context) hot paths time themselves with
 //! a monotonic host clock and charge the elapsed nanoseconds to a fixed
@@ -19,7 +17,6 @@
 //! it on costs is `core.trace_overhead_share` in `benchmark/`, which runs
 //! every workload with the profiler off and then on.
 
-use std::fmt;
 // The whole point of this module is reading the host clock: profiler
 // attribution is wall-clock by definition and never reaches sim state.
 use std::time::Instant;
@@ -53,7 +50,7 @@ pub enum ProfCategory {
 pub const PROF_CATEGORIES: usize = 6;
 
 impl ProfCategory {
-    /// All categories, in report order.
+    /// All categories.
     pub const ALL: [ProfCategory; PROF_CATEGORIES] = [
         ProfCategory::Dispatch,
         ProfCategory::QueuePop,
@@ -62,18 +59,6 @@ impl ProfCategory {
         ProfCategory::Metrics,
         ProfCategory::Evict,
     ];
-
-    /// Human-readable label used in the `repro profile` table.
-    pub fn label(self) -> &'static str {
-        match self {
-            ProfCategory::QueuePop => "queue.pop",
-            ProfCategory::Dispatch => "event.dispatch",
-            ProfCategory::LinkFault => "link+fault.resolve",
-            ProfCategory::Trace => "trace.record",
-            ProfCategory::Metrics => "metrics.record",
-            ProfCategory::Evict => "cache.evict",
-        }
-    }
 
     /// Whether this category's time is nested inside
     /// [`Dispatch`](ProfCategory::Dispatch) (charged while a node callback
@@ -164,18 +149,16 @@ impl Profiler {
     /// Snapshot of the accumulated attribution.
     pub fn report(&self) -> ProfileReport {
         ProfileReport {
-            enabled: self.enabled,
             nanos: self.nanos,
             calls: self.calls,
         }
     }
 }
 
-/// A rendered-ready snapshot of profiler state (see [`Profiler::report`]).
+/// A snapshot of profiler state (see [`Profiler::report`]); all zeros
+/// when the profiler is off.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ProfileReport {
-    /// Whether the profiler was enabled (a disabled report is all zeros).
-    pub enabled: bool,
     /// Per-category nanoseconds, indexed by `ProfCategory as usize`.
     pub nanos: [u64; PROF_CATEGORIES],
     /// Per-category call counts, indexed by `ProfCategory as usize`.
@@ -213,44 +196,6 @@ impl ProfileReport {
     }
 }
 
-impl fmt::Display for ProfileReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if !self.enabled {
-            return writeln!(f, "profiler disabled (zero-cost); no attribution recorded");
-        }
-        let total = self.loop_nanos().max(1);
-        writeln!(
-            f,
-            "{:<22} {:>12} {:>14} {:>10} {:>7}",
-            "subsystem", "calls", "total_ms", "ns/call", "share"
-        )?;
-        for cat in ProfCategory::ALL {
-            let ns = self.nanos(cat);
-            let calls = self.calls(cat);
-            let per = ns.checked_div(calls).unwrap_or(0);
-            let indent = if cat.nested_in_dispatch() { "  " } else { "" };
-            writeln!(
-                f,
-                "{:<22} {:>12} {:>14.3} {:>10} {:>6.1}%",
-                format!("{indent}{}", cat.label()),
-                calls,
-                ns as f64 / 1e6,
-                per,
-                100.0 * ns as f64 / total as f64,
-            )?;
-        }
-        writeln!(
-            f,
-            "{:<22} {:>12} {:>14.3} {:>10} {:>6.1}%",
-            "  node logic (rest)",
-            "",
-            self.dispatch_self_nanos() as f64 / 1e6,
-            "",
-            100.0 * self.dispatch_self_nanos() as f64 / total as f64,
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -263,9 +208,7 @@ mod tests {
         p.record(ProfCategory::Dispatch, t);
         assert_eq!(p.nanos(ProfCategory::Dispatch), 0);
         assert_eq!(p.calls(ProfCategory::Dispatch), 0);
-        let report = p.report();
-        assert!(!report.enabled);
-        assert!(format!("{report}").contains("disabled"));
+        assert_eq!(p.report(), ProfileReport::default());
     }
 
     #[test]
@@ -279,19 +222,13 @@ mod tests {
         assert_eq!(p.calls(ProfCategory::QueuePop), 1);
         assert_eq!(p.calls(ProfCategory::Metrics), 0);
         let report = p.report();
-        assert!(report.enabled);
+        assert_eq!(report.calls(ProfCategory::QueuePop), 1);
         assert!(report.loop_nanos() >= report.nanos(ProfCategory::QueuePop));
-        let text = format!("{report}");
-        assert!(text.contains("queue.pop"));
-        assert!(text.contains("metrics.record"));
     }
 
     #[test]
     fn dispatch_self_subtracts_nested() {
-        let mut report = ProfileReport {
-            enabled: true,
-            ..ProfileReport::default()
-        };
+        let mut report = ProfileReport::default();
         report.nanos[ProfCategory::Dispatch as usize] = 10_000;
         report.nanos[ProfCategory::Trace as usize] = 2_000;
         report.nanos[ProfCategory::Evict as usize] = 3_000;

@@ -16,8 +16,8 @@
 # by layer (metrics, send, evict, queue, logic; sample_symbolize.py).
 # Scratch files go to $SAMPLE_DIR (default
 # ${TMPDIR:-/tmp}/ape-sample-profile). Timing-dependent, so CI
-# does not run it; the in-process profiler (`repro profile`, the traced
-# benchmark run) stays the per-layer instrument, this is the check on it.
+# does not run it; the in-process profiler (the traced benchmark run)
+# stays the per-layer instrument, this is the check on it.
 set -euo pipefail
 
 repo="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"

@@ -4,7 +4,7 @@
 use ape_appdag::DummyAppConfig;
 use ape_nodes::{ApNode, WiCacheControllerNode};
 use ape_proto::names;
-use ape_simnet::SimDuration;
+use ape_simnet::{keys, ProfCategory, SimDuration};
 use ape_workload::ScheduleConfig;
 use apecache::{build, collect, run_system, synthetic_suite, System, TestbedConfig};
 
@@ -202,5 +202,41 @@ fn the_event_queue_holds_what_is_in_flight() {
     assert!(
         peak <= 3 * nodes,
         "{peak} events pending at a 1-s boundary for {nodes} nodes"
+    );
+}
+
+#[test]
+fn the_profiler_counts_what_the_benchmark_divides_by() {
+    // `benchmark/` turns the profiler's host time into per-call and
+    // per-fetch figures by these call counts, so each must count the work
+    // it is named for; and profiling must not move the run.
+    let mut cfg = config(System::ApeCache, 10, 3);
+    let run = |cfg: &TestbedConfig| {
+        let mut bed = build(cfg);
+        bed.world.run_for(SimDuration::from_mins(3));
+        bed
+    };
+    let plain = run(&cfg).world.fingerprint();
+    cfg.profiler = true;
+    let bed = run(&cfg);
+    let fp = bed.world.fingerprint();
+    assert_eq!(fp, plain, "profiling moved the run");
+    let p = bed.world.profile_report();
+    assert!(fp.events > 0);
+    assert_eq!(p.calls(ProfCategory::QueuePop), fp.events, "queue pops");
+    assert_eq!(p.calls(ProfCategory::Dispatch), fp.events, "dispatches");
+    let m = bed.world.metrics();
+    let sends = m.counter(keys::NET_MESSAGES)
+        + m.counter(keys::NET_DROPPED)
+        + m.counter(keys::NET_FAULT_DROPPED);
+    assert_eq!(p.calls(ProfCategory::LinkFault), sends, "sends");
+    let admits = m.counter(names::AP_ADMISSIONS)
+        + m.counter(names::AP_BLOCK_LISTED)
+        + m.counter(names::AP_ADMIT_DECLINED);
+    assert!(admits > 0);
+    let evicts = p.calls(ProfCategory::Evict);
+    assert!(
+        evicts >= admits,
+        "{evicts} evict calls for {admits} admissions"
     );
 }
