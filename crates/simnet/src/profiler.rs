@@ -49,32 +49,6 @@ pub enum ProfCategory {
 /// Number of [`ProfCategory`] variants (array sizing).
 pub const PROF_CATEGORIES: usize = 6;
 
-impl ProfCategory {
-    /// All categories.
-    pub const ALL: [ProfCategory; PROF_CATEGORIES] = [
-        ProfCategory::Dispatch,
-        ProfCategory::QueuePop,
-        ProfCategory::LinkFault,
-        ProfCategory::Trace,
-        ProfCategory::Metrics,
-        ProfCategory::Evict,
-    ];
-
-    /// Whether this category's time is nested inside
-    /// [`Dispatch`](ProfCategory::Dispatch) (charged while a node callback
-    /// is on the stack), so reports can compute the callback's own time by
-    /// subtraction.
-    pub fn nested_in_dispatch(self) -> bool {
-        matches!(
-            self,
-            ProfCategory::LinkFault
-                | ProfCategory::Trace
-                | ProfCategory::Metrics
-                | ProfCategory::Evict
-        )
-    }
-}
-
 /// An opaque in-flight profiler measurement (a host-clock timestamp).
 ///
 /// Returned by [`Profiler::start`] /
@@ -182,16 +156,21 @@ impl ProfileReport {
         self.nanos(ProfCategory::Dispatch) + self.nanos(ProfCategory::QueuePop)
     }
 
-    /// Dispatch time not accounted to any nested category — the node
-    /// callbacks' own logic. Saturates at zero (nested sections each pay
-    /// their own clock-read overhead, so their sum can slightly exceed the
-    /// enclosing measurement on tiny workloads).
+    /// Dispatch time not accounted to any nested category (those charged
+    /// while a node callback is on the stack) — the node callbacks' own
+    /// logic. Saturates at zero (nested sections each pay their own
+    /// clock-read overhead, so their sum can slightly exceed the enclosing
+    /// measurement on tiny workloads).
     pub fn dispatch_self_nanos(&self) -> u64 {
-        let nested: u64 = ProfCategory::ALL
-            .iter()
-            .filter(|c| c.nested_in_dispatch())
-            .map(|&c| self.nanos(c))
-            .sum();
+        let nested: u64 = [
+            ProfCategory::LinkFault,
+            ProfCategory::Trace,
+            ProfCategory::Metrics,
+            ProfCategory::Evict,
+        ]
+        .map(|c| self.nanos(c))
+        .iter()
+        .sum();
         self.nanos(ProfCategory::Dispatch).saturating_sub(nested)
     }
 }
