@@ -20,7 +20,7 @@
 //! The `trace` artifact runs all four systems with span tracing enabled
 //! and prints per-request latency attribution plus critical-path reports;
 //! with `--trace-out DIR` it also writes `trace.jsonl` (one span event per
-//! line), `metrics.prom` (Prometheus text format), and
+//! line), `metrics.txt` (each run's metric registry and its digest), and
 //! `critical-paths.txt` to that directory.
 //!
 //! Two sweeps time the host over an axis `benchmark/` does not have
@@ -55,7 +55,7 @@ use ape_bench::{
 fn write_trace_files(dir: &std::path::Path, artifacts: &TraceArtifacts) -> std::io::Result<()> {
     std::fs::create_dir_all(dir)?;
     std::fs::write(dir.join("trace.jsonl"), &artifacts.jsonl)?;
-    std::fs::write(dir.join("metrics.prom"), &artifacts.prometheus)?;
+    std::fs::write(dir.join("metrics.txt"), &artifacts.metrics)?;
     std::fs::write(dir.join("critical-paths.txt"), &artifacts.report)?;
     Ok(())
 }

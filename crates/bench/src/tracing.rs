@@ -1,6 +1,6 @@
 //! The `trace` artifact: a traced sweep over all four systems producing
-//! per-request latency attribution, critical-path reports, and exportable
-//! telemetry (JSONL span logs + Prometheus-style text metrics).
+//! per-request latency attribution, critical-path reports, the JSONL span
+//! log and each run's metric registry with its digest.
 //!
 //! Every string returned here is deterministic: runs execute through the
 //! same `ReproOptions::run` as the figure sweeps, results come back in
@@ -10,7 +10,7 @@
 
 use ape_appdag::DummyAppConfig;
 use ape_simnet::TraceConfig;
-use apecache::{prometheus_snapshot, System, TestbedConfig};
+use apecache::{System, TestbedConfig};
 
 use crate::experiments::{base_config, ReproOptions};
 
@@ -28,14 +28,13 @@ pub struct TraceArtifacts {
     /// flamegraph-style critical-path breakdowns.
     pub report: String,
     /// One JSON object per span event, all systems concatenated
-    /// (distinguished by the `"system"` field), followed by one
-    /// `"histogram"` summary object per metric histogram carrying its
-    /// sample count and `dropped_samples` — so release-mode sample
-    /// corruption (non-finite observations) is visible in the artifact.
+    /// (distinguished by the `"system"` field).
     pub jsonl: String,
-    /// Prometheus text-format snapshot: per-stage latency summaries and
-    /// each run's simulation counters/histograms.
-    pub prometheus: String,
+    /// Each run's metric registry: a `== {label} (digest …) ==` line with
+    /// [`Metrics::digest`](ape_simnet::Metrics::digest), then the
+    /// registry's `Display` (every counter, each histogram's `n=` and
+    /// `dropped=`, every series).
+    pub metrics: String,
 }
 
 /// The testbed configuration a traced run uses for `system`: the standard
@@ -60,7 +59,7 @@ pub fn trace_artifacts(opts: &ReproOptions) -> TraceArtifacts {
          (deterministic span log; one run per system)\n",
     );
     let mut jsonl = String::new();
-    let mut prometheus = String::new();
+    let mut metrics = String::new();
 
     for result in &results {
         let label = result.system.label();
@@ -69,31 +68,23 @@ pub fn trace_artifacts(opts: &ReproOptions) -> TraceArtifacts {
             .as_ref()
             .expect("tracing was enabled in the config");
 
-        let attribution = log.attribution(label);
         report.push('\n');
-        report.push_str(&attribution.table());
+        report.push_str(&log.attribution(label).table());
         report.push('\n');
         report.push_str(&log.critical_path_report(label));
 
         jsonl.push_str(&log.to_jsonl(label));
-        // Histogram-health summary lines: registry iteration is sorted, so
-        // these stay byte-deterministic like the span lines above.
-        for name in result.metrics.histogram_names() {
-            let hist = result.metrics.histogram(name).expect("name from registry");
-            jsonl.push_str(&format!(
-                "{{\"system\":\"{label}\",\"histogram\":\"{name}\",\"count\":{},\"dropped_samples\":{}}}\n",
-                hist.count(),
-                hist.dropped_samples(),
-            ));
-        }
 
-        prometheus.push_str(&attribution.prometheus());
-        prometheus.push_str(&prometheus_snapshot(&result.metrics, label));
+        let registry = &result.metrics;
+        metrics.push_str(&format!(
+            "== {label} (digest {:#018x}) ==\n{registry}",
+            registry.digest()
+        ));
     }
 
     TraceArtifacts {
         report,
         jsonl,
-        prometheus,
+        metrics,
     }
 }

@@ -70,7 +70,7 @@ fn default_traced_run_matches_docs_trace() {
     let sample: String = artifacts.jsonl.split_inclusive('\n').take(1000).collect();
     for (path, regenerated) in [
         ("docs/trace/critical-paths.txt", &artifacts.report),
-        ("docs/trace/metrics.prom", &artifacts.prometheus),
+        ("docs/trace/metrics.txt", &artifacts.metrics),
         ("docs/trace/trace.sample.jsonl", &sample),
     ] {
         assert_current(path, &committed(path), regenerated, regenerate);
@@ -78,22 +78,25 @@ fn default_traced_run_matches_docs_trace() {
 }
 
 /// Every span kind is recorded by some system in the default traced run:
-/// the vocabulary names no stage that no run takes.
+/// the vocabulary names no stage that no run takes. A stage row of an
+/// attribution table reads `<stage> <count> …`.
 #[test]
 fn every_span_kind_is_recorded_in_the_default_traced_run() {
-    let prometheus = &default_trace().prometheus;
+    let report = &default_trace().report;
+    let recorded = |stage: &str| {
+        report.lines().any(|line| {
+            let mut cells = line.split_whitespace();
+            cells.next() == Some(stage)
+                && cells
+                    .next()
+                    .and_then(|count| count.parse::<u64>().ok())
+                    .is_some_and(|count| count > 0)
+        })
+    };
     let unrecorded: Vec<&str> = SpanKind::ALL
         .iter()
         .map(|kind| kind.as_str())
-        .filter(|stage| {
-            let series = format!("stage=\"{stage}\"}} ");
-            !prometheus.lines().any(|line| {
-                line.starts_with("apecache_trace_stage_latency_ms_count{")
-                    && line
-                        .split_once(&series)
-                        .is_some_and(|(_, count)| count != "0")
-            })
-        })
+        .filter(|stage| !recorded(stage))
         .collect();
     assert!(
         unrecorded.is_empty(),
@@ -214,8 +217,8 @@ fn a_marker_without_a_fenced_block_fails() {
 
 #[test]
 fn a_marker_naming_a_file_outside_the_list_fails() {
-    let err = check_fixture("<!-- quote: docs/trace/metrics.prom -->\n```\n1 kb\n```\n");
-    let expected = "EXPERIMENTS.md:1: docs/trace/metrics.prom is not in QUOTABLE";
+    let err = check_fixture("<!-- quote: docs/trace/metrics.txt -->\n```\n1 kb\n```\n");
+    let expected = "EXPERIMENTS.md:1: docs/trace/metrics.txt is not in QUOTABLE";
     assert_eq!(err, Err(expected.to_owned()));
 }
 

@@ -22,20 +22,6 @@ fn check_jsonl_line(line: &str) {
         line.starts_with("{\"system\":\"") && line.ends_with('}'),
         "malformed JSONL line: {line}"
     );
-    if line.contains("\"histogram\":\"") {
-        // Histogram-health summary line, not a span event.
-        for key in ["\"count\":", "\"dropped_samples\":"] {
-            assert!(line.contains(key), "line missing {key}: {line}");
-        }
-        let dropped = line
-            .rsplit_once("\"dropped_samples\":")
-            .map(|(_, rest)| rest.trim_end_matches('}'))
-            .expect("dropped_samples field");
-        dropped
-            .parse::<u64>()
-            .expect("dropped_samples is an integer");
-        return;
-    }
     for key in [
         "\"trace\":",
         "\"span\":",
@@ -62,7 +48,7 @@ fn trace_artifacts_are_complete_and_deterministic_across_threads() {
     // Byte-identical telemetry regardless of worker-pool size.
     assert_eq!(sequential.report, parallel.report);
     assert_eq!(sequential.jsonl, parallel.jsonl);
-    assert_eq!(sequential.prometheus, parallel.prometheus);
+    assert_eq!(sequential.metrics, parallel.metrics);
 
     // Every system appears in every artifact.
     for label in SYSTEM_LABELS {
@@ -84,6 +70,12 @@ fn trace_artifacts_are_complete_and_deterministic_across_threads() {
                 .contains(&format!("{{\"system\":\"{label}\"")),
             "jsonl missing events for {label}"
         );
+        assert!(
+            sequential
+                .metrics
+                .contains(&format!("== {label} (digest 0x")),
+            "metrics missing the registry of {label}"
+        );
     }
 
     // The span log is non-trivial and every line is well-formed.
@@ -94,24 +86,22 @@ fn trace_artifacts_are_complete_and_deterministic_across_threads() {
     }
     // One run per system: no line carries a run index.
     assert!(!sequential.jsonl.contains("\"run\":"));
-    // Histogram-health summaries rode along, with zero drops on a clean run.
+    // Every histogram of every registry kept all its samples.
+    let histograms: Vec<&str> = sequential
+        .metrics
+        .lines()
+        .filter(|line| line.starts_with("hist "))
+        .collect();
     assert!(
-        sequential
-            .jsonl
-            .contains("\"histogram\":\"client.app_latency_ms\""),
-        "jsonl missing histogram summaries"
+        histograms
+            .iter()
+            .any(|line| line.starts_with("hist client.app_latency_ms:")),
+        "metrics missing the app latency histogram"
     );
-    assert!(sequential.jsonl.contains("\"dropped_samples\":0}"));
-
-    // Prometheus snapshot exports the stage summaries and run counters.
-    for needle in [
-        "apecache_trace_stage_latency_ms",
-        "apecache_trace_traces_total",
-        "apecache_client_fetches_total",
-    ] {
+    for line in histograms {
         assert!(
-            sequential.prometheus.contains(needle),
-            "prometheus output missing {needle}"
+            line.ends_with(" dropped=0"),
+            "a histogram dropped samples: {line}"
         );
     }
 }

@@ -56,4 +56,4 @@ pub use suite::{paper_suite, synthetic_suite};
 pub use system::System;
 pub use testbed::{build, Testbed, TestbedConfig};
 pub use topology::{build_topology, grid_neighbors, grid_pos, grid_side, Topology, TopologyConfig};
-pub use trace::{prometheus_snapshot, Attribution, BucketStat, TraceLog};
+pub use trace::{Attribution, BucketStat, TraceLog};

@@ -22,7 +22,7 @@ use ape_simnet::{Metrics, NodeId, SimDuration, TimeSeries, World};
 use crate::system::System;
 use crate::testbed::{build, Testbed, TestbedConfig};
 use crate::topology::Topology;
-use crate::trace::{Attribution, TraceLog};
+use crate::trace::TraceLog;
 
 /// Raw result of one run: the full metric registry plus the clients'
 /// outcome counters read off it.
@@ -79,8 +79,6 @@ pub struct Summary {
     pub ap_cpu_max: f64,
     /// Peak APE-CACHE memory on the AP, MB.
     pub ape_mem_mb_max: f64,
-    /// Latency attribution from request traces (when tracing was on).
-    pub attribution: Option<Attribution>,
 }
 
 /// Builds the testbed for `config`, runs it for `duration`, and collects
@@ -170,10 +168,6 @@ impl RunResult {
 
         let cpu = m.time_series(names::AP_CPU);
         let mem = m.time_series(names::AP_APE_MEM_MB);
-        let attribution = self
-            .trace
-            .as_ref()
-            .map(|t| t.attribution(self.system.label()));
 
         Summary {
             system: self.system.label().to_owned(),
@@ -196,7 +190,6 @@ impl RunResult {
             ap_cpu_mean: cpu.map_or(0.0, TimeSeries::time_weighted_mean),
             ap_cpu_max: cpu.map_or(0.0, TimeSeries::max),
             ape_mem_mb_max: mem.map_or(0.0, TimeSeries::max),
-            attribution,
         }
     }
 }
@@ -335,19 +328,6 @@ mod tests {
             bits.push(mean.to_bits());
             bits.push(p95.to_bits());
         }
-        if let Some(a) = &s.attribution {
-            bits.push(a.traces);
-            bits.push(a.completed);
-            for (stage, stat) in &a.stages {
-                bits.push(stage.len() as u64);
-                bits.push(stat.count);
-                bits.push(stat.total_ms.to_bits());
-                bits.push(stat.mean_ms.to_bits());
-                bits.push(stat.p50_ms.to_bits());
-                bits.push(stat.p95_ms.to_bits());
-                bits.push(stat.p99_ms.to_bits());
-            }
-        }
         bits
     }
 
@@ -355,9 +335,11 @@ mod tests {
     /// bit for bit, whatever the pool size.
     #[test]
     fn parallel_runner_is_bitwise_identical_to_sequential() {
-        // Tracing stays on here so the pin also covers span recording and
-        // the attribution numbers derived from it. Two seeds per system
-        // make eight runs, so each of four workers may take more than one.
+        // Tracing stays on here so the pin also covers runs that record
+        // spans; the span log itself is pinned by
+        // `traced_runs_export_identical_jsonl_across_thread_counts`. Two
+        // seeds per system make eight runs, so each of four workers may
+        // take more than one.
         let duration = SimDuration::from_mins(2);
         let configs: Vec<TestbedConfig> = System::ALL
             .into_iter()
@@ -435,9 +417,12 @@ mod tests {
     fn traced_run_attributes_latency_to_stages() {
         let mut config = small_config(System::ApeCache);
         config.trace = ape_simnet::TraceConfig::enabled();
-        let mut result = run_system(&config, SimDuration::from_mins(5));
-        let summary = result.summary();
-        let a = summary.attribution.as_ref().expect("tracing was enabled");
+        let result = run_system(&config, SimDuration::from_mins(5));
+        let a = result
+            .trace
+            .as_ref()
+            .expect("tracing was enabled")
+            .attribution(result.system.label());
         assert!(a.traces > 30, "traces {}", a.traces);
         assert!(a.completed > 30, "completed {}", a.completed);
         let fetch = a.stage(ape_proto::SpanKind::Fetch);

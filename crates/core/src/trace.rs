@@ -1,5 +1,5 @@
 //! Trace analysis: per-request critical paths, latency attribution, and
-//! exportable telemetry.
+//! the span log as JSONL.
 //!
 //! The simulator records causally-linked spans (see `ape_simnet::trace`);
 //! this module turns the raw event stream of one run into:
@@ -10,8 +10,7 @@
 //!   AP cache hit, delegation, WAN fetch, origin fill), as count / total /
 //!   mean / p50 / p95 / p99 per stage;
 //! * a plain-text critical-path report — span trees aggregated by their
-//!   kind path, flamegraph-style;
-//! * a Prometheus-style text snapshot of a run's metric registry.
+//!   kind path, flamegraph-style.
 //!
 //! Everything here is deterministic: events are kept in recording order
 //! and all aggregation iterates `BTreeMap`s — so every derived number and
@@ -21,7 +20,7 @@
 use std::collections::BTreeMap;
 
 use ape_proto::SpanKind;
-use ape_simnet::{Histogram, Metrics, NodeId, TraceEvent, TracePhase};
+use ape_simnet::{Histogram, NodeId, TraceEvent, TracePhase};
 
 /// The trace event stream of one run.
 #[derive(Debug, Clone, Default)]
@@ -270,84 +269,6 @@ impl Attribution {
         }
         out
     }
-
-    /// Exports the attribution as Prometheus text-format summaries.
-    pub fn prometheus(&self) -> String {
-        let mut out = String::new();
-        out.push_str(
-            "# HELP apecache_trace_stage_latency_ms Stage latency attributed from request traces.\n\
-             # TYPE apecache_trace_stage_latency_ms summary\n",
-        );
-        for (stage, s) in &self.stages {
-            for (q, v) in [("0.5", s.p50_ms), ("0.95", s.p95_ms), ("0.99", s.p99_ms)] {
-                out.push_str(&format!(
-                    "apecache_trace_stage_latency_ms{{system=\"{}\",stage=\"{stage}\",quantile=\"{q}\"}} {v}\n",
-                    self.system
-                ));
-            }
-            out.push_str(&format!(
-                "apecache_trace_stage_latency_ms_sum{{system=\"{}\",stage=\"{stage}\"}} {}\n",
-                self.system, s.total_ms
-            ));
-            out.push_str(&format!(
-                "apecache_trace_stage_latency_ms_count{{system=\"{}\",stage=\"{stage}\"}} {}\n",
-                self.system, s.count
-            ));
-        }
-        out.push_str("# TYPE apecache_trace_traces_total counter\n");
-        out.push_str(&format!(
-            "apecache_trace_traces_total{{system=\"{}\"}} {}\n",
-            self.system, self.traces
-        ));
-        out.push_str("# TYPE apecache_trace_traces_completed_total counter\n");
-        out.push_str(&format!(
-            "apecache_trace_traces_completed_total{{system=\"{}\"}} {}\n",
-            self.system, self.completed
-        ));
-        out
-    }
-}
-
-/// Exports a run's metric registry as Prometheus text format: counters as
-/// `apecache_<name>_total` and histograms as summaries (p50/p95/p99 plus
-/// `_sum`/`_count`), all labelled with the system variant. Metric-name dots
-/// become underscores. Deterministic: the registry lists names in sorted order.
-pub fn prometheus_snapshot(metrics: &Metrics, system: &str) -> String {
-    let mut out = String::new();
-    for name in metrics.counter_names() {
-        out.push_str(&format!(
-            "apecache_{}_total{{system=\"{system}\"}} {}\n",
-            mangle(name),
-            metrics.counter(name)
-        ));
-    }
-    for name in metrics.histogram_names() {
-        let mangled = mangle(name);
-        let hist = metrics.histogram(name).expect("name from registry");
-        for (q, quantile) in [("0.5", 0.5), ("0.95", 0.95), ("0.99", 0.99)] {
-            let v = hist.quantile(quantile);
-            out.push_str(&format!(
-                "apecache_{mangled}{{system=\"{system}\",quantile=\"{q}\"}} {v}\n"
-            ));
-        }
-        let sum: f64 = hist.sum();
-        out.push_str(&format!(
-            "apecache_{mangled}_sum{{system=\"{system}\"}} {sum}\n"
-        ));
-        out.push_str(&format!(
-            "apecache_{mangled}_count{{system=\"{system}\"}} {}\n",
-            hist.count()
-        ));
-        out.push_str(&format!(
-            "apecache_{mangled}_dropped_total{{system=\"{system}\"}} {}\n",
-            hist.dropped_samples()
-        ));
-    }
-    out
-}
-
-fn mangle(name: &str) -> String {
-    name.replace(['.', '-'], "_")
 }
 
 fn json_escape_into(out: &mut String, s: &str) {
@@ -364,7 +285,6 @@ fn json_escape_into(out: &mut String, s: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ape_proto::names;
     use ape_simnet::{SimTime, SpanId, TraceId};
 
     fn event(
@@ -438,38 +358,6 @@ mod tests {
         assert!(report.contains("  lookup"), "{report}");
         assert!(report.contains("  retrieval.hit"), "{report}");
         assert!(report.contains("100.0%"), "{report}");
-    }
-
-    #[test]
-    fn prometheus_export_has_summaries() {
-        let prom = sample_log().attribution("TEST").prometheus();
-        assert!(prom.contains(
-            "apecache_trace_stage_latency_ms{system=\"TEST\",stage=\"fetch\",quantile=\"0.5\"} 10"
-        ));
-        assert!(prom.contains("apecache_trace_traces_total{system=\"TEST\"} 1"));
-    }
-
-    #[test]
-    fn metric_snapshot_exports_counters_and_histograms() {
-        let mut m = Metrics::new();
-        m.incr_id(names::id::CLIENT_FETCHES, 3);
-        m.observe_id(names::id::CLIENT_APP_LATENCY_MS, 5.0);
-        m.observe_id(names::id::CLIENT_APP_LATENCY_MS, 7.0);
-        let prom = prometheus_snapshot(&m, "TEST");
-        assert!(prom.contains("apecache_client_fetches_total{system=\"TEST\"} 3"));
-        // Nearest-rank p50 is 5.0; the histogram answers within 1% of it.
-        let p50: f64 = prom
-            .lines()
-            .find_map(|l| {
-                l.strip_prefix("apecache_client_app_latency_ms{system=\"TEST\",quantile=\"0.5\"} ")
-            })
-            .expect("p50 line")
-            .parse()
-            .expect("numeric p50");
-        assert!((p50 - 5.0).abs() <= 0.05, "p50 {p50}");
-        assert!(prom.contains("apecache_client_app_latency_ms_sum{system=\"TEST\"} 12"));
-        assert!(prom.contains("apecache_client_app_latency_ms_count{system=\"TEST\"} 2"));
-        assert!(prom.contains("apecache_client_app_latency_ms_dropped_total{system=\"TEST\"} 0"));
     }
 
     #[test]

@@ -339,13 +339,12 @@ pub struct ClientNode {
     /// Roam stops, installed at build time (empty for non-roaming clients,
     /// which then schedule no roam timers at all).
     roam_schedule: Vec<RoamStop>,
-    /// Answered addresses and their expiry, keyed by a fetch's URL host:
-    /// at most one entry per suite domain. An expired entry stays until
-    /// the domain's next answer replaces it; `fresh_dns_ip` skips it.
-    dns_cache: BTreeMap<DomainName, (Ipv4Addr, SimTime)>,
     /// Per-domain cached flags, sorted by hash with one tuple per hash
-    /// (see [`flag_table`]), and their validity horizon.
-    flags: BTreeMap<DomainName, (Vec<CacheTuple>, SimTime)>,
+    /// (see [`flag_table`]), the answer's address (`None` for the dummy
+    /// IP) and their validity horizon, the answer's TTL. An AP answers a
+    /// real address with a TTL of at least 1 s, so fresh flags always
+    /// carry the address they came with.
+    flags: BTreeMap<DomainName, (Vec<CacheTuple>, Option<Ipv4Addr>, SimTime)>,
     pending_dns: BTreeMap<DomainName, PendingDns>,
     fetches: IdWindow<Fetch>,
     execs: IdWindow<Exec>,
@@ -460,7 +459,6 @@ impl ClientNode {
             apps,
             schedule: Executions(Box::new(schedule.into_iter())),
             roam_schedule: Vec::new(),
-            dns_cache: BTreeMap::new(),
             flags: BTreeMap::new(),
             pending_dns: BTreeMap::new(),
             fetches: IdWindow::new(),
@@ -594,10 +592,10 @@ impl ClientNode {
         let fresh = self
             .flags
             .get(domain)
-            .filter(|(_, valid_until)| *valid_until > now)
-            .map(|(table, _)| {
+            .filter(|(_, _, valid_until)| *valid_until > now)
+            .map(|(table, ip, _)| {
                 let flag = flag_in(table, fetch.key).unwrap_or(CacheFlag::Delegation);
-                (flag, self.fresh_dns_ip(domain, now))
+                (flag, *ip)
             });
         match fresh {
             Some((flag, ip)) => self.act_on_flag(ctx, req, flag, ip),
@@ -654,13 +652,6 @@ impl ClientNode {
             .iter()
             .find(|(_, p)| p.txn == txn)
             .map(|(domain, _)| domain.clone())
-    }
-
-    fn fresh_dns_ip(&self, domain: &DomainName, now: SimTime) -> Option<Ipv4Addr> {
-        match self.dns_cache.get(domain) {
-            Some((ip, expires)) if *expires > now => Some(*ip),
-            _ => None,
-        }
     }
 
     fn join_or_send_dns(
@@ -947,26 +938,15 @@ impl ClientNode {
         let answer = response
             .answer_ip()
             .map(|ip| (ip, response.answers.first().map(|a| a.ttl).unwrap_or(0)));
-        let mut flag_horizon = now;
-        if let Some((ip, ttl)) = answer {
-            if !IpMap::is_dummy(ip) {
-                // Clamp like the AP does (ap.rs answers use `.max(1)`): a
-                // TTL-0 record would be cached with expiry == now and never
-                // consulted.
-                let expires = now + SimDuration::from_secs(ttl.max(1) as u64);
-                self.dns_cache.insert(domain.clone(), (ip, expires));
-            }
-            // Dummy-IP (TTL 0) answers deliberately collapse the flag
-            // horizon to `now`: the flags serve only the waiting fetches.
-            flag_horizon = now + SimDuration::from_secs(ttl as u64);
-        }
+        let ip = answer.map(|(ip, _)| ip).filter(|ip| !IpMap::is_dummy(*ip));
+        // Dummy-IP (TTL 0) answers deliberately collapse the flag horizon
+        // to `now`: the flags serve only the waiting fetches.
+        let flag_horizon = answer.map_or(now, |(_, ttl)| now + SimDuration::from_secs(ttl as u64));
         // Record flags (DNS-Cache responses carry them; plain ones do not).
         let tuples = response.take_cache_response_tuples();
         if !tuples.is_empty() {
-            // Dummy-IP (TTL 0) responses: flags serve the waiting fetches
-            // only; the horizon collapses to `now`.
             self.flags
-                .insert(domain.clone(), (flag_table(tuples), flag_horizon));
+                .insert(domain.clone(), (flag_table(tuples), ip, flag_horizon));
         }
 
         if response.header.rcode != Rcode::NoError {
@@ -975,7 +955,6 @@ impl ClientNode {
             }
             return;
         }
-        let ip = answer.map(|(ip, _)| ip).filter(|ip| !IpMap::is_dummy(*ip));
         // Acting on a flag touches neither `flags` nor a fetch's key, so
         // each waiter's flag can be read just before acting on it.
         for req in pending.waiting {
@@ -1107,8 +1086,8 @@ impl ClientNode {
     /// Executes roam stop `idx`: notify the old AP (it cancels this
     /// client's pending relays and hands a cache summary to the new home),
     /// then re-home DNS and delegation traffic. Cached cache-flags describe
-    /// the old AP's cache and are dropped; resolved DNS records are
-    /// AP-independent and survive. In-flight fetches settle through their
+    /// the old AP's cache and are dropped with the addresses they carry.
+    /// In-flight fetches settle through their
     /// normal watchdogs — a cancelled waiter simply times out and retries
     /// against the new home.
     fn execute_roam(&mut self, ctx: &mut Context<'_, Msg>, idx: usize) {
@@ -1321,7 +1300,7 @@ mod tests {
         assert!(sent(&world).1.is_empty(), "the late answer dialled");
         assert_eq!(world.metrics().counter(names::CLIENT_FETCH_FAILURES), 1);
         let c = world.node::<ClientNode>(c);
-        assert!(c.dns_cache.is_empty() && c.flags.is_empty(), "{c:?}");
+        assert!(c.flags.is_empty(), "{c:?}");
         assert!(c.pending_counts().iter().all(|&(_, n)| n == 0), "{c:?}");
     }
 

@@ -86,19 +86,6 @@ fn summary_bits(s: &Summary) -> Vec<u64> {
         bits.push(mean.to_bits());
         bits.push(p95.to_bits());
     }
-    if let Some(a) = &s.attribution {
-        bits.push(a.traces);
-        bits.push(a.completed);
-        for (stage, stat) in &a.stages {
-            bits.push(stage.len() as u64);
-            bits.push(stat.count);
-            bits.push(stat.total_ms.to_bits());
-            bits.push(stat.mean_ms.to_bits());
-            bits.push(stat.p50_ms.to_bits());
-            bits.push(stat.p95_ms.to_bits());
-            bits.push(stat.p99_ms.to_bits());
-        }
-    }
     bits
 }
 
