@@ -341,9 +341,9 @@ pub struct ClientNode {
     roam_schedule: Vec<RoamStop>,
     /// Per-domain cached flags, sorted by hash with one tuple per hash
     /// (see [`flag_table`]), the answer's address (`None` for the dummy
-    /// IP) and their validity horizon, the answer's TTL. An AP answers a
-    /// real address with a TTL of at least 1 s, so fresh flags always
-    /// carry the address they came with.
+    /// IP) and their validity horizon, the answer's TTL. The address
+    /// needs no expiry of its own: an AP answers a real address with a TTL
+    /// of at least 1 s, so the address is fresh whenever the flags are.
     flags: BTreeMap<DomainName, (Vec<CacheTuple>, Option<Ipv4Addr>, SimTime)>,
     pending_dns: BTreeMap<DomainName, PendingDns>,
     fetches: IdWindow<Fetch>,
